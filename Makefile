@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race fuzz-seeds faults crash resync rs obs allocs bench-smoke meta-ha migrate staticcheck ci
+.PHONY: build vet test race fuzz-seeds faults crash resync rs obs allocs bench-smoke benchmark-smoke meta-ha migrate staticcheck ci
 
 build:
 	$(GO) build ./...
@@ -62,15 +62,19 @@ obs:
 	$(GO) test -race -run 'TestDialCloseNoFDLeak|TestStatsOverLiveCluster' .
 	$(GO) test -race ./cmd/csar
 
-# The write-hot-path suite: allocation-budget regressions (pooled frame
-# marshal, decode, full-stripe WriteAt through the whole stack), the
-# poison-on-put pool-correctness property test, the pending-map drain
-# regression, and the stripe-pipelining overlap/serialization tests — all
-# under the race detector so the zero-copy paths are proven safe and lean
-# at once.
+# The hot-path suite, both directions: allocation-budget regressions
+# (pooled frame marshal, decode without a payload copy, full-stripe WriteAt
+# and 1 MiB ReadAt through the whole stack), the borrow/release rule of the
+# payload pool (poison-on-put property test, late responses, Data-is-a-view,
+# size classes), the pending-map drain regression, and the stripe-pipelining
+# overlap/serialization tests — all under the race detector so the zero-copy
+# paths are proven safe and lean at once. The race detector makes sync.Pool
+# drop puts at random, so the ReadAt bytes-per-byte budget is checked by one
+# more run without it.
 allocs:
-	$(GO) test -race -run 'TestMarshalFrameAllocs|TestUnmarshalAllocs|TestMarshalFrameMatchesMarshal|TestPoolPoisonCorrectness|TestTimedOutCallsDrainPendingMap' ./internal/wire ./internal/rpc
-	$(GO) test -race -run 'TestFullStripeWriteAllocs|TestPipelinedStripeWritesOverlap|TestSameStripeWritesSerializeThroughParityLock' ./internal/cluster
+	$(GO) test -race -run 'TestMarshalFrameAllocs|TestUnmarshalAllocs|TestMarshalFrameMatchesMarshal|TestUnmarshalAliasesData|TestReadRespRelease|TestBufPoolClasses|TestPoolPoisonCorrectness|TestLateReadRespIsRecycled|TestTimedOutCallsDrainPendingMap' ./internal/wire ./internal/rpc
+	$(GO) test -race -run 'TestFullStripeWriteAllocs|TestReadAtAllocs|TestPipelinedStripeWritesOverlap|TestSameStripeWritesSerializeThroughParityLock' ./internal/cluster
+	$(GO) test -run 'TestReadAtAllocs' ./internal/cluster
 
 # A tiny end-to-end run of the real csar-bench binary plus the schema-v2
 # validation test, so BENCH_N.json files stay comparable across PRs.
@@ -78,6 +82,15 @@ bench-smoke:
 	$(GO) build -o /tmp/csar-bench-smoke ./cmd/csar-bench
 	/tmp/csar-bench-smoke -exp fig3 -div 2048 -scale 10ms -servers 6 -json /tmp/csar-bench-smoke.json
 	$(GO) test -run TestBenchSmokeSchema ./internal/bench
+
+# benchmark/ is a nested module that `go build ./...` never compiles: build
+# it from scratch against this checkout's internal/... and run every
+# workload on a few hundred operations, so a change that breaks it fails
+# here. The rm matters — run.sh reuses any binary newer than the sources,
+# including one another commit left behind.
+benchmark-smoke:
+	rm -rf .bench_build
+	bash benchmark/run.sh --smoke
 
 # The metadata high-availability suite: WAL torn-tail recovery at every
 # byte offset, crash-mid-compaction replay, primary→standby replication
@@ -112,4 +125,4 @@ staticcheck:
 		echo "staticcheck not installed; skipping"; \
 	fi
 
-ci: vet staticcheck build race fuzz-seeds faults crash resync rs obs allocs bench-smoke meta-ha migrate
+ci: vet staticcheck build race fuzz-seeds faults crash resync rs obs allocs bench-smoke benchmark-smoke meta-ha migrate

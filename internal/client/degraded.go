@@ -43,28 +43,9 @@ func (f *File) readDegraded(p []byte, off int64, dead int) (int, error) {
 	}
 }
 
-// fetchLive reads the span from every live server and leaves the dead
-// server's payload nil. raw bypasses overflow patching (in-place contents).
-func (f *File) fetchLive(span raid.Span, dead int, raw bool) ([][]byte, error) {
-	g := f.geom
-	pieces := serverPieces(g, span.Off, span.Len)
-	perServer := make([][]byte, g.Servers)
-	err := f.c.eachServer(g.Servers, func(i int) error {
-		if i == dead || bytesFor(pieces[i]) == 0 {
-			return nil
-		}
-		resp, err := f.c.callSrv(i, &wire.Read{
-			File:  f.ref,
-			Spans: []wire.Span{{Off: span.Off, Len: span.Len}},
-			Raw:   raw,
-		})
-		if err != nil {
-			return err
-		}
-		perServer[i] = resp.(*wire.ReadResp).Data
-		return nil
-	})
-	return perServer, err
+// onlyServer is the fetchSpans skip predicate of a single down server.
+func onlyServer(dead int) func(int) bool {
+	return func(i int) bool { return i == dead }
 }
 
 // readDegradedMirror reads a RAID1 file with one server down: the dead
@@ -74,7 +55,7 @@ func (f *File) readDegradedMirror(p []byte, off int64, dead int) error {
 	g := f.geom
 	span := raid.Span{Off: off, Len: int64(len(p))}
 
-	var mirrorData []byte
+	var mirror *wire.ReadResp
 	mirrorSrv := (dead + 1) % g.Servers
 	var wg sync.WaitGroup
 	var mErr error
@@ -89,42 +70,28 @@ func (f *File) readDegradedMirror(p []byte, off int64, dead int) error {
 			mErr = err
 			return
 		}
-		mirrorData = resp.(*wire.ReadResp).Data
+		mirror = resp.(*wire.ReadResp)
 	}()
-	perServer, err := f.fetchLive(span, dead, false)
+	reads, err := f.fetchSpans(span, false, 0, onlyServer(dead))
 	wg.Wait()
+	defer mirror.Release()
 	if err != nil {
 		return err
 	}
+	defer reads.release()
 	if mErr != nil {
 		return mErr
 	}
 
 	// Merge: live pieces from their servers, dead pieces from the mirror
 	// payload (which is ordered by the same unit walk).
-	cursors := make([]int64, g.Servers)
-	var mc int64
-	end := off + int64(len(p))
-	for cur := off; cur < end; {
-		b := g.UnitOf(cur)
-		pieceEnd := g.UnitStart(b + 1)
-		if pieceEnd > end {
-			pieceEnd = end
-		}
-		n := pieceEnd - cur
-		s := g.ServerOf(b)
-		if s == dead {
-			if mc+n > int64(len(mirrorData)) {
-				return fmt.Errorf("client: mirror read short: need %d bytes", mc+n)
-			}
-			copy(p[cur-off:pieceEnd-off], mirrorData[mc:mc+n])
-			mc += n
-		} else {
-			copy(p[cur-off:pieceEnd-off], perServer[s][cursors[s]:cursors[s]+n])
-			cursors[s] += n
-		}
-		cur = pieceEnd
+	if want := bytesFor(serverPieces(g, off, span.Len)[dead]); int64(len(mirror.Data)) != want {
+		return fmt.Errorf("client: mirror read returned %d bytes, want %d", len(mirror.Data), want)
 	}
+	var mc int
+	mergeFromServers(g, off, p, reads, func(cur, pieceEnd int64) {
+		mc += copy(p[cur-off:pieceEnd-off], mirror.Data[mc:])
+	})
 	return nil
 }
 
@@ -136,32 +103,18 @@ func (f *File) readDegradedParity(p []byte, off int64, dead int, hybrid bool) er
 	g := f.geom
 	span := raid.Span{Off: off, Len: int64(len(p))}
 
-	perServer, err := f.fetchLive(span, dead, false)
+	reads, err := f.fetchSpans(span, false, 0, onlyServer(dead))
 	if err != nil {
 		return err
 	}
 
-	// Walk the span; reconstruct dead pieces, copy live ones.
+	// Copy the live pieces; the dead ones are reconstructed below.
 	type deadPiece struct{ cur, pieceEnd int64 }
 	var deads []deadPiece
-	cursors := make([]int64, g.Servers)
-	end := off + int64(len(p))
-	for cur := off; cur < end; {
-		b := g.UnitOf(cur)
-		pieceEnd := g.UnitStart(b + 1)
-		if pieceEnd > end {
-			pieceEnd = end
-		}
-		n := pieceEnd - cur
-		s := g.ServerOf(b)
-		if s == dead {
-			deads = append(deads, deadPiece{cur, pieceEnd})
-		} else {
-			copy(p[cur-off:pieceEnd-off], perServer[s][cursors[s]:cursors[s]+n])
-			cursors[s] += n
-		}
-		cur = pieceEnd
-	}
+	mergeFromServers(g, off, p, reads, func(cur, pieceEnd int64) {
+		deads = append(deads, deadPiece{cur, pieceEnd})
+	})
+	reads.release()
 
 	errs := make([]error, len(deads))
 	var wg sync.WaitGroup
@@ -224,7 +177,9 @@ func (f *File) reconstructRange(dst []byte, logical int64, dead int) error {
 			if err != nil {
 				return err
 			}
-			par := resp.(*wire.ReadResp).Data
+			rr := resp.(*wire.ReadResp)
+			defer rr.Release()
+			par := rr.Data
 			if int64(len(par)) != g.StripeUnit {
 				return fmt.Errorf("client: short parity read")
 			}
@@ -240,7 +195,9 @@ func (f *File) reconstructRange(dst []byte, logical int64, dead int) error {
 		if err != nil {
 			return err
 		}
-		data := resp.(*wire.ReadResp).Data
+		rr := resp.(*wire.ReadResp)
+		defer rr.Release()
+		data := rr.Data
 		if int64(len(data)) != bytesFor(pieces[i]) {
 			return fmt.Errorf("client: short survivor read from server %d", i)
 		}
@@ -287,26 +244,12 @@ func (f *File) patchFromOverflowMirror(p []byte, off int64, dead int) error {
 // servers only, leaving the dead server's pieces zeroed for the caller to
 // reconstruct. Used by degraded read-modify-write.
 func (f *File) readRawLive(span raid.Span, dst []byte, dead int) error {
-	g := f.geom
-	perServer, err := f.fetchLive(span, dead, true)
+	reads, err := f.fetchSpans(span, true, 0, onlyServer(dead))
 	if err != nil {
 		return err
 	}
-	cursors := make([]int64, g.Servers)
-	end := span.Off + span.Len
-	for cur := span.Off; cur < end; {
-		b := g.UnitOf(cur)
-		pieceEnd := g.UnitStart(b + 1)
-		if pieceEnd > end {
-			pieceEnd = end
-		}
-		n := pieceEnd - cur
-		if s := g.ServerOf(b); s != dead {
-			copy(dst[cur-span.Off:pieceEnd-span.Off], perServer[s][cursors[s]:cursors[s]+n])
-			cursors[s] += n
-		}
-		cur = pieceEnd
-	}
+	mergeFromServers(f.geom, span.Off, dst, reads, nil)
+	reads.release()
 	return nil
 }
 

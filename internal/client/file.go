@@ -641,7 +641,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		return n, err
 	}
 	span := raid.Span{Off: off, Len: int64(len(p))}
-	perServer, err := f.fetchSpansT(span, false, tr)
+	reads, err := f.fetchSpans(span, false, tr, nil)
 	if err != nil {
 		// A server died mid-read. For redundant schemes, fail over to the
 		// reconstruction paths on the spot rather than surfacing an error
@@ -659,25 +659,24 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		}
 		return 0, err
 	}
-	mergeFromServers(f.geom, off, p, perServer)
+	mergeFromServers(f.geom, off, p, reads, nil)
+	reads.release()
 	f.c.metrics.reads.Add(1)
 	f.c.metrics.readBytes.Add(int64(len(p)))
 	return len(p), nil
 }
 
-// fetchSpans reads one span from all servers and returns the per-server
-// piece payloads. raw skips server-side overflow patching.
-func (f *File) fetchSpans(span raid.Span, raw bool) ([][]byte, error) {
-	return f.fetchSpansT(span, raw, 0)
-}
-
-func (f *File) fetchSpansT(span raid.Span, raw bool, tr uint64) ([][]byte, error) {
+// fetchSpans reads one span from every server that stores part of it, save
+// those skip (nil: none) excludes, and returns the responses by server. raw
+// skips server-side overflow patching. The caller releases the result once it
+// has merged it; on error there is nothing left to release.
+func (f *File) fetchSpans(span raid.Span, raw bool, tr uint64, skip func(srv int) bool) (spanReads, error) {
 	g := f.geom
 	pieces := serverPieces(g, span.Off, span.Len)
-	perServer := make([][]byte, g.Servers)
+	reads := make(spanReads, g.Servers)
 	err := f.c.eachServer(g.Servers, func(i int) error {
 		want := bytesFor(pieces[i])
-		if want == 0 {
+		if want == 0 || (skip != nil && skip(i)) {
 			return nil
 		}
 		resp, err := f.c.callSrvT(i, &wire.Read{
@@ -688,25 +687,29 @@ func (f *File) fetchSpansT(span raid.Span, raw bool, tr uint64) ([][]byte, error
 		if err != nil {
 			return err
 		}
-		data := resp.(*wire.ReadResp).Data
-		if int64(len(data)) != want {
-			return fmt.Errorf("client: server %d returned %d bytes, want %d", i, len(data), want)
+		reads[i] = resp.(*wire.ReadResp)
+		if got := int64(len(reads[i].Data)); got != want {
+			return fmt.Errorf("client: server %d returned %d bytes, want %d", i, got, want)
 		}
-		perServer[i] = data
 		return nil
 	})
-	return perServer, err
+	if err != nil {
+		reads.release()
+		return nil, err
+	}
+	return reads, nil
 }
 
 // readRaw fills dst with the in-place (data file) contents of span,
 // bypassing overflow patching; the RMW path uses it because parity is
 // defined over the in-place data.
 func (f *File) readRaw(span raid.Span, dst []byte, tr uint64) error {
-	perServer, err := f.fetchSpansT(span, true, tr)
+	reads, err := f.fetchSpans(span, true, tr, nil)
 	if err != nil {
 		return err
 	}
-	mergeFromServers(f.geom, span.Off, dst, perServer)
+	mergeFromServers(f.geom, span.Off, dst, reads, nil)
+	reads.release()
 	return nil
 }
 

@@ -335,31 +335,17 @@ func (f *File) readDegradedRS(p []byte, off int64, extra int) error {
 		return false
 	}
 	span := raid.Span{Off: off, Len: int64(len(p))}
-	perServer, err := f.fetchLiveSet(span, isDead, false)
+	reads, err := f.fetchSpans(span, false, 0, isDead)
 	if err != nil {
 		return err
 	}
 
 	type deadPiece struct{ cur, pieceEnd int64 }
 	var pieces []deadPiece
-	cursors := make([]int64, g.Servers)
-	end := off + int64(len(p))
-	for cur := off; cur < end; {
-		b := g.UnitOf(cur)
-		pieceEnd := g.UnitStart(b + 1)
-		if pieceEnd > end {
-			pieceEnd = end
-		}
-		n := pieceEnd - cur
-		s := g.ServerOf(b)
-		if isDead(s) {
-			pieces = append(pieces, deadPiece{cur, pieceEnd})
-		} else {
-			copy(p[cur-off:pieceEnd-off], perServer[s][cursors[s]:cursors[s]+n])
-			cursors[s] += n
-		}
-		cur = pieceEnd
-	}
+	mergeFromServers(g, off, p, reads, func(cur, pieceEnd int64) {
+		pieces = append(pieces, deadPiece{cur, pieceEnd})
+	})
+	reads.release()
 
 	errs := make([]error, len(pieces))
 	var wg sync.WaitGroup
@@ -372,30 +358,6 @@ func (f *File) readDegradedRS(p []byte, off int64, extra int) error {
 	}
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// fetchLiveSet reads the span from every server outside the dead set,
-// leaving dead servers' payloads nil. raw bypasses overflow patching.
-func (f *File) fetchLiveSet(span raid.Span, isDead func(int) bool, raw bool) ([][]byte, error) {
-	g := f.geom
-	pieces := serverPieces(g, span.Off, span.Len)
-	perServer := make([][]byte, g.Servers)
-	err := f.c.eachServer(g.Servers, func(i int) error {
-		if isDead(i) || bytesFor(pieces[i]) == 0 {
-			return nil
-		}
-		resp, err := f.c.callSrv(i, &wire.Read{
-			File:  f.ref,
-			Spans: []wire.Span{{Off: span.Off, Len: span.Len}},
-			Raw:   raw,
-		})
-		if err != nil {
-			return err
-		}
-		perServer[i] = resp.(*wire.ReadResp).Data
-		return nil
-	})
-	return perServer, err
 }
 
 // reconstructRangeRS rebuilds dst, the in-place contents of the logical
@@ -463,6 +425,10 @@ func (f *File) reconstructRangeRS(dst []byte, logical int64, deads []int) error 
 	}
 
 	units := make([][]byte, k+m)
+	// The survivors decode in place out of their responses' buffers, which
+	// go back once dst has been copied out.
+	resps := make(spanReads, len(fetches))
+	defer resps.release()
 	errs := make([]error, len(fetches))
 	var wg sync.WaitGroup
 	for i, ft := range fetches {
@@ -475,7 +441,8 @@ func (f *File) reconstructRangeRS(dst []byte, logical int64, deads []int) error 
 					errs[i] = err
 					return
 				}
-				par := resp.(*wire.ReadResp).Data
+				resps[i] = resp.(*wire.ReadResp)
+				par := resps[i].Data
 				if int64(len(par)) != g.StripeUnit {
 					errs[i] = fmt.Errorf("client: short parity read from server %d", ft.srv)
 					return
@@ -490,7 +457,8 @@ func (f *File) reconstructRangeRS(dst []byte, logical int64, deads []int) error 
 				errs[i] = err
 				return
 			}
-			data := resp.(*wire.ReadResp).Data
+			resps[i] = resp.(*wire.ReadResp)
+			data := resps[i].Data
 			if int64(len(data)) != n {
 				errs[i] = fmt.Errorf("client: short survivor read from server %d", ft.srv)
 				return

@@ -10,55 +10,73 @@ import (
 // use (raid.Geometry.ToLocal), so a server receiving the whole span plus its
 // payload can consume it sequentially.
 func splitByServer(g raid.Geometry, off int64, p []byte) [][]byte {
-	out := make([][]byte, g.Servers)
-	end := off + int64(len(p))
-	for cur := off; cur < end; {
-		b := g.UnitOf(cur)
-		pieceEnd := g.UnitStart(b + 1)
-		if pieceEnd > end {
-			pieceEnd = end
-		}
-		s := g.ServerOf(b)
-		out[s] = append(out[s], p[cur-off:pieceEnd-off]...)
-		cur = pieceEnd
-	}
-	return out
+	return splitBy(g, off, p, g.ServerOf)
 }
 
 // splitByMirror partitions the bytes of a logical write into per-server
 // payloads addressed to each unit's RAID1 mirror server.
 func splitByMirror(g raid.Geometry, off int64, p []byte) [][]byte {
-	out := make([][]byte, g.Servers)
+	return splitBy(g, off, p, g.MirrorServerOf)
+}
+
+// splitBy gathers p into one payload per server, routing each unit's piece
+// with serverOf. A first pass sizes the payloads exactly, so filling them
+// never re-copies one through append growth.
+func splitBy(g raid.Geometry, off int64, p []byte, serverOf func(unit int64) int) [][]byte {
 	end := off + int64(len(p))
-	for cur := off; cur < end; {
-		b := g.UnitOf(cur)
-		pieceEnd := g.UnitStart(b + 1)
-		if pieceEnd > end {
-			pieceEnd = end
+	walk := func(fn func(s int, piece []byte)) {
+		for cur := off; cur < end; {
+			b := g.UnitOf(cur)
+			pieceEnd := min(g.UnitStart(b+1), end)
+			fn(serverOf(b), p[cur-off:pieceEnd-off])
+			cur = pieceEnd
 		}
-		s := g.MirrorServerOf(b)
-		out[s] = append(out[s], p[cur-off:pieceEnd-off]...)
-		cur = pieceEnd
 	}
+	sizes := make([]int, g.Servers)
+	walk(func(s int, piece []byte) { sizes[s] += len(piece) })
+	out := make([][]byte, g.Servers)
+	for s, n := range sizes {
+		if n > 0 {
+			out[s] = make([]byte, 0, n)
+		}
+	}
+	walk(func(s int, piece []byte) { out[s] = append(out[s], piece...) })
 	return out
+}
+
+// spanReads holds one span's Read responses by server. An entry is nil where
+// the server stores none of the span or the fetch skipped it (a down server).
+// The payloads sit in pooled buffers: the consumer releases them once it has
+// copied out what it needs.
+type spanReads []*wire.ReadResp
+
+// release recycles every response's buffer; the payloads must not be used
+// afterward.
+func (r spanReads) release() {
+	for _, m := range r {
+		m.Release()
+	}
 }
 
 // mergeFromServers reassembles per-server Read responses (each the
 // concatenation of that server's pieces, in order) into dst, which holds
-// the logical range [off, off+len(dst)).
-func mergeFromServers(g raid.Geometry, off int64, dst []byte, perServer [][]byte) {
+// the logical range [off, off+len(dst)). A piece whose server has no
+// response is left untouched in dst and reported to missing (if non-nil) for
+// the degraded paths to fill from redundancy.
+func mergeFromServers(g raid.Geometry, off int64, dst []byte, reads spanReads, missing func(cur, pieceEnd int64)) {
 	cursors := make([]int64, g.Servers)
 	end := off + int64(len(dst))
 	for cur := off; cur < end; {
 		b := g.UnitOf(cur)
-		pieceEnd := g.UnitStart(b + 1)
-		if pieceEnd > end {
-			pieceEnd = end
-		}
+		pieceEnd := min(g.UnitStart(b+1), end)
 		s := g.ServerOf(b)
-		n := pieceEnd - cur
-		copy(dst[cur-off:pieceEnd-off], perServer[s][cursors[s]:cursors[s]+n])
-		cursors[s] += n
+		if r := reads[s]; r != nil {
+			n := pieceEnd - cur
+			copy(dst[cur-off:pieceEnd-off], r.Data[cursors[s]:cursors[s]+n])
+			cursors[s] += n
+		} else if missing != nil {
+			missing(cur, pieceEnd)
+		}
 		cur = pieceEnd
 	}
 }

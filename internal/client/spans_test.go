@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"csar/internal/raid"
+	"csar/internal/wire"
 )
 
 func TestSplitMergeRoundTrip(t *testing.T) {
@@ -23,8 +24,17 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 		r.Read(p)
 
 		perServer := splitByServer(g, off, p)
+		reads := make(spanReads, g.Servers)
+		for s, data := range perServer {
+			if cap(data) != len(data) {
+				return false // payloads are sized exactly, never grown
+			}
+			if data != nil {
+				reads[s] = &wire.ReadResp{Data: data}
+			}
+		}
 		got := make([]byte, len(p))
-		mergeFromServers(g, off, got, perServer)
+		mergeFromServers(g, off, got, reads, nil)
 		return bytes.Equal(p, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

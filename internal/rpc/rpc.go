@@ -22,7 +22,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"csar/internal/simnet"
@@ -33,10 +32,6 @@ import (
 // from allocating unbounded memory.
 const MaxFrame = 1 << 30
 
-// maxPooledFrame caps the receive buffers kept warm in the pool; anything
-// larger is a one-off and goes back to the GC.
-const maxPooledFrame = 4 << 20
-
 // ErrClosed is returned by calls pending on a connection that closed.
 var ErrClosed = errors.New("rpc: connection closed")
 
@@ -44,45 +39,6 @@ var ErrClosed = errors.New("rpc: connection closed")
 // response arrives. It wraps context.DeadlineExceeded so callers can
 // classify timeouts without importing this package's sentinel.
 var ErrTimeout = fmt.Errorf("rpc: call timed out (%w)", context.DeadlineExceeded)
-
-// bufPool recycles receive-frame buffers. A buffer is returned right after
-// wire.Unmarshal, which is safe because every decoder deep-copies what it
-// keeps (Decoder.BytesCopy and friends) — nothing downstream of decode may
-// alias the frame. The pool-correctness tests poison buffers on Put to
-// enforce exactly that.
-var bufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// poisonPooledBuffers, when set by SetPoolPoison in tests, overwrites every
-// buffer returned to the pool so a still-referenced alias shows up as
-// corruption instead of a heisenbug. Atomic because background connections
-// may still be draining frames when a test flips it.
-var poisonPooledBuffers atomic.Bool
-
-// SetPoolPoison toggles poison-on-put for the receive-buffer pool
-// (test-only).
-func SetPoolPoison(on bool) { poisonPooledBuffers.Store(on) }
-
-func getBuf(n int) *[]byte {
-	bp := bufPool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	*bp = (*bp)[:n]
-	return bp
-}
-
-func putBuf(bp *[]byte) {
-	if bp == nil || cap(*bp) > maxPooledFrame {
-		return
-	}
-	if poisonPooledBuffers.Load() {
-		b := (*bp)[:cap(*bp)]
-		for i := range b {
-			b[i] = 0xDB
-		}
-	}
-	bufPool.Put(bp)
-}
 
 // writeFrame stamps the transport header into the frame's reserved prefix
 // and puts head and payload on the wire without copying either: one write
@@ -102,7 +58,9 @@ func writeFrame(w io.Writer, seq uint32, fr *wire.Frame) error {
 }
 
 // readFrame reads one frame into a pooled buffer. The returned body aliases
-// *bp; the caller must putBuf(bp) as soon as the body has been decoded.
+// *bp, and so does the bulk Data of the message decoded from it (wire's
+// aliasing rule): the caller hands bp back with wire.PutBuf only once nothing
+// uses that message's Data any more.
 func readFrame(r io.Reader) (seq uint32, body []byte, bp *[]byte, err error) {
 	var hdr [4]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
@@ -112,10 +70,10 @@ func readFrame(r io.Reader) (seq uint32, body []byte, bp *[]byte, err error) {
 	if n < 4 || n > MaxFrame {
 		return 0, nil, nil, fmt.Errorf("rpc: invalid frame length %d", n)
 	}
-	bp = getBuf(int(n))
+	bp = wire.GetBuf(int(n))
 	buf := *bp
 	if _, err = io.ReadFull(r, buf); err != nil {
-		putBuf(bp)
+		wire.PutBuf(bp)
 		return 0, nil, nil, err
 	}
 	return binary.LittleEndian.Uint32(buf), buf[4:], bp, nil
@@ -164,13 +122,22 @@ func (c *Client) readLoop() {
 			return
 		}
 		m, err := wire.Unmarshal(body)
-		putBuf(bp) // decode deep-copied everything it kept
+		// A ReadResp's Data views the frame, so the response keeps the buffer
+		// until its consumer calls Release; nothing else decoded here aliases.
+		rr, _ := m.(*wire.ReadResp)
+		if rr != nil {
+			rr.HoldBuf(bp)
+		} else {
+			wire.PutBuf(bp)
+		}
 		c.mu.Lock()
 		ch := c.pending[seq]
 		c.forget(seq)
 		c.mu.Unlock()
 		if ch != nil {
 			ch <- msgOrErr{m, err}
+		} else {
+			rr.Release() // late response to an abandoned call: nobody else will
 		}
 	}
 }
@@ -211,9 +178,9 @@ func (c *Client) Call(req wire.Msg) (wire.Msg, error) { return c.call(req, 0, 0)
 
 // CallTimeout is Call with a per-call deadline. When the deadline expires
 // before the response arrives the call returns ErrTimeout and the sequence
-// number is abandoned: a late response is silently dropped by the read loop,
-// and the connection stays usable for other calls. A non-positive timeout
-// means no deadline.
+// number is abandoned: a late response is dropped (and its buffer recycled)
+// by the read loop, and the connection stays usable for other calls. A
+// non-positive timeout means no deadline.
 func (c *Client) CallTimeout(req wire.Msg, timeout time.Duration) (wire.Msg, error) {
 	return c.call(req, timeout, 0)
 }
@@ -299,7 +266,7 @@ func (c *Client) send(seq uint32, fr *wire.Frame) error {
 }
 
 // abandon forgets a pending call; a late response finds no channel and is
-// dropped.
+// dropped by readLoop.
 func (c *Client) abandon(seq uint32) {
 	c.mu.Lock()
 	c.forget(seq)
@@ -357,13 +324,12 @@ func ServeConnTraced(conn io.ReadWriteCloser, h TracedHandler, local, remote *si
 			return err
 		}
 		req, trace, err := wire.UnmarshalTraced(body)
-		putBuf(bp) // decode deep-copied everything the handler will see
 		if err != nil {
 			// Unknown or corrupt request: answer with an error frame.
 			req = nil
 		}
 		wg.Add(1)
-		go func(seq uint32, req wire.Msg, trace uint64, unmarshalErr error) {
+		go func(seq uint32, req wire.Msg, bp *[]byte, trace uint64, unmarshalErr error) {
 			defer wg.Done()
 			var resp wire.Msg
 			if unmarshalErr != nil {
@@ -377,18 +343,24 @@ func ServeConnTraced(conn io.ReadWriteCloser, h TracedHandler, local, remote *si
 				}
 			}
 			// The response's bulk data (a ReadResp payload) rides the frame
-			// by reference; it is a handler-private slice by construction.
+			// by reference. If the modeled link drops the response after the
+			// handler ran (work done, reply lost), the client's deadline
+			// detects it.
 			fr := wire.MarshalFrame(resp, 0)
-			defer fr.Free()
-			if err := local.Send(remote, int64(8+fr.BodyLen())); err != nil {
-				// The modeled link dropped the response after the handler ran
-				// (work done, reply lost); the client's deadline detects it.
-				return
+			if local.Send(remote, int64(8+fr.BodyLen())) == nil {
+				wmu.Lock()
+				writeFrame(conn, seq, &fr) //nolint:errcheck // conn teardown is detected by readFrame
+				wmu.Unlock()
 			}
-			wmu.Lock()
-			defer wmu.Unlock()
-			writeFrame(conn, seq, &fr) //nolint:errcheck // conn teardown is detected by readFrame
-		}(seq, req, trace, err)
+			fr.Free()
+			// Written or dropped, the payloads are done with: the response's
+			// pooled buffer, then the request frame the handler's view of
+			// req's Data (and a response echoing it) borrowed until now.
+			if rr, ok := resp.(*wire.ReadResp); ok {
+				rr.Release()
+			}
+			wire.PutBuf(bp)
+		}(seq, req, bp, trace, err)
 	}
 }
 

@@ -106,14 +106,14 @@ func TestTimedOutSendDoesNotAliasCallerBuffer(t *testing.T) {
 		t.Fatalf("readFrame: %v", err)
 	}
 	m, err := wire.Unmarshal(body)
-	putBuf(bp)
 	if err != nil {
 		t.Fatalf("unmarshal in-flight frame: %v", err)
 	}
-	got := m.(*wire.WriteData).Data
+	got := m.(*wire.WriteData).Data // views *bp
 	if !bytes.Equal(got, want) {
 		t.Fatal("timed-out send streamed the caller's mutated buffer (torn write)")
 	}
+	wire.PutBuf(bp)
 }
 
 func TestSendErrorPropagates(t *testing.T) {

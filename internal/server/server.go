@@ -359,20 +359,29 @@ func (s *Server) handleRead(m *wire.Read) (wire.Msg, error) {
 	for _, sp := range m.Spans {
 		sf.geom.ToLocal(s.idx, sp.Off, sp.Len, func(_, _, n int64) { total += n })
 	}
-	// One exact-size response buffer, read into in place: a multi-span read
-	// costs a single allocation instead of one per piece plus append growth.
-	out := make([]byte, 0, total)
+	// One exact-size pooled response buffer, read into in place.
+	resp := wire.NewReadResp(int(total))
+	cur := int64(0)
 	for _, sp := range m.Spans {
 		sf.geom.ToLocal(s.idx, sp.Off, sp.Len, func(logical, local, n int64) {
-			buf := out[len(out) : len(out)+int(n)]
-			out = out[:len(out)+int(n)]
-			data.ReadAt(buf, local) //nolint:errcheck // zero-fill semantics
+			buf := resp.Data[cur : cur+n]
+			cur += n
+			readFill(data, buf, local)
 			if !m.Raw {
 				s.patchOverflow(sf, logical, buf)
 			}
 		})
 	}
-	return &wire.ReadResp{Data: out}, nil
+	return resp, nil
+}
+
+// readFill reads len(p) bytes of a local store into p. The stores zero-fill
+// holes and reads past EOF themselves; whatever a failed read leaves unfilled
+// is zeroed here, because p is a recycled buffer and must not leak its
+// previous contents.
+func readFill(f storage.File, p []byte, off int64) {
+	n, _ := f.ReadAt(p, off) //nolint:errcheck // a failed read serves zeros, like a hole
+	clear(p[n:])
 }
 
 // patchOverflow overlays overflow-region bytes onto buf, which holds the
@@ -463,15 +472,19 @@ func (s *Server) handleReadMirror(m *wire.ReadMirror) (wire.Msg, error) {
 		return nil, err
 	}
 	mir := sf.store(s.disk, StoreMirror)
-	var out []byte
+	var total int64
 	for _, sp := range m.Spans {
-		sf.geom.ToMirrorLocal(s.idx, sp.Off, sp.Len, func(logical, local, n int64) {
-			buf := make([]byte, n)
-			mir.ReadAt(buf, local) //nolint:errcheck
-			out = append(out, buf...)
+		sf.geom.ToMirrorLocal(s.idx, sp.Off, sp.Len, func(_, _, n int64) { total += n })
+	}
+	resp := wire.NewReadResp(int(total))
+	cur := int64(0)
+	for _, sp := range m.Spans {
+		sf.geom.ToMirrorLocal(s.idx, sp.Off, sp.Len, func(_, local, n int64) {
+			readFill(mir, resp.Data[cur:cur+n], local)
+			cur += n
 		})
 	}
-	return &wire.ReadResp{Data: out}, nil
+	return resp, nil
 }
 
 func (s *Server) handleReadParity(m *wire.ReadParity) (wire.Msg, error) {
@@ -481,7 +494,6 @@ func (s *Server) handleReadParity(m *wire.ReadParity) (wire.Msg, error) {
 	}
 	par := sf.store(s.disk, StoreParity)
 	su := sf.geom.StripeUnit
-	out := make([]byte, 0, int64(len(m.Stripes))*su)
 	// Locks acquired by this request so far: a failure on a later stripe
 	// must release them, or they would be held forever (the client sees one
 	// error for the whole request and never sends the unlocking writes).
@@ -503,9 +515,12 @@ func (s *Server) handleReadParity(m *wire.ReadParity) (wire.Msg, error) {
 			}
 			acquired = append(acquired, stripe)
 		}
-		buf := make([]byte, su)
-		par.ReadAt(buf, sf.geom.ParityLocalOffsetOn(s.idx, stripe)) //nolint:errcheck
-		out = append(out, buf...)
+	}
+	// Every stripe checked and, if asked, locked: only now take the response
+	// buffer, so no error path above has one to give back.
+	resp := wire.NewReadResp(len(m.Stripes) * int(su))
+	for i, stripe := range m.Stripes {
+		readFill(par, resp.Data[int64(i)*su:int64(i+1)*su], sf.geom.ParityLocalOffsetOn(s.idx, stripe))
 	}
 	if m.Lock {
 		// All stripes locked: open their durable write intents before the
@@ -513,7 +528,7 @@ func (s *Server) handleReadParity(m *wire.ReadParity) (wire.Msg, error) {
 		// write every possibly-torn state is journal-covered.
 		s.openIntents(sf, m.Stripes, m.Owner, m.LeaseMS)
 	}
-	return &wire.ReadResp{Data: out}, nil
+	return resp, nil
 }
 
 func (s *Server) handleWriteParity(m *wire.WriteParity) (wire.Msg, error) {

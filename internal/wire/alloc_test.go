@@ -2,19 +2,26 @@ package wire
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
 // Allocation budgets for the hot-path messages. These are regression
 // budgets, not aspirations: marshal must stay allocation-free in steady
 // state (pooled head buffer, payload carried by reference), and unmarshal
-// is bounded by the struct plus its deep-copied slices. A change that
-// exceeds a budget is a hot-path regression and fails CI.
+// is bounded by the struct plus its copied metadata slices — the bulk Data
+// is a view of the input and costs nothing. A change that exceeds a budget
+// is a hot-path regression and fails CI.
 const (
 	// Steady state is 1 (the Encoder escaping through the Msg interface);
 	// one extra tolerates a GC-emptied pool mid-measurement.
 	marshalFrameBudget = 2
-	unmarshalBudget    = 6
+	// Messages without bulk data; the Data-carrying ones get one fewer, the
+	// payload copy that no longer exists.
+	unmarshalBudget = 6
+	// Heap bytes one decode may cost whatever the payload size: the struct
+	// and its span or stripe list.
+	unmarshalBytesBudget = 512
 )
 
 func hotMessages() map[string]Msg {
@@ -65,20 +72,32 @@ func TestMarshalFrameAllocs(t *testing.T) {
 	}
 }
 
-// TestUnmarshalAllocs pins the decode side: one struct, one deep copy per
-// slice field, nothing else.
+// TestUnmarshalAllocs pins the decode side: one struct, one copy per
+// metadata slice, and no bytes that scale with the payload.
 func TestUnmarshalAllocs(t *testing.T) {
 	for name, m := range hotMessages() {
 		t.Run(name, func(t *testing.T) {
 			body := Marshal(m)
-			avg := testing.AllocsPerRun(200, func() {
+			budget := float64(unmarshalBudget)
+			if name != "Read" {
+				budget--
+			}
+			const runs = 200
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			avg := testing.AllocsPerRun(runs, func() {
 				if _, err := Unmarshal(body); err != nil {
 					panic(err)
 				}
 			})
-			t.Logf("Unmarshal(%s): %.2f allocs/op", name, avg)
-			if avg > unmarshalBudget {
-				t.Fatalf("Unmarshal(%s) allocates %.2f/op, budget %d", name, avg, unmarshalBudget)
+			runtime.ReadMemStats(&after)
+			perOp := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+			t.Logf("Unmarshal(%s): %.2f allocs/op, %.0f B/op for a %d-byte frame", name, avg, perOp, len(body))
+			if avg > budget {
+				t.Fatalf("Unmarshal(%s) allocates %.2f/op, budget %.0f", name, avg, budget)
+			}
+			if perOp > unmarshalBytesBudget {
+				t.Fatalf("Unmarshal(%s) allocates %.0f B/op, budget %d: the payload is being copied", name, perOp, unmarshalBytesBudget)
 			}
 		})
 	}

@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // FramePrefix bytes are reserved at the front of every Frame buffer so the
 // transport can prepend its length+sequence header in place and put the
@@ -19,10 +16,6 @@ const payloadSplitMin = 2048
 // one-off heads (huge span lists, stats dumps) are left to the GC.
 const maxPooledHead = 64 << 10
 
-// maxPooledPayload caps the private payload copies (OwnPayload) kept warm in
-// their pool; larger one-offs are left to the GC.
-const maxPooledPayload = 4 << 20
-
 // Frame is the scatter-gather form of a marshaled message.
 //
 // Head() is the encoded message (kind byte, optional trace header,
@@ -30,7 +23,9 @@ const maxPooledPayload = 4 << 20
 // field passed by reference — it aliases the Msg's own slice and must hit
 // the wire immediately after the head. The caller owns the frame until it
 // calls Free, which recycles the head buffer; neither Head() nor Payload
-// may be retained afterward.
+// may be retained afterward. Free never touches the Msg's own data: a frame
+// can be marshaled and freed just to measure it, with the message still on
+// its way to a consumer.
 type Frame struct {
 	buf     []byte // [FramePrefix reserved bytes][marshaled head]
 	Payload []byte
@@ -60,8 +55,8 @@ func (f *Frame) OwnPayload() {
 	if len(f.Payload) == 0 || f.pp != nil {
 		return
 	}
-	pp := payloadPool.Get().(*[]byte)
-	*pp = append((*pp)[:0], f.Payload...)
+	pp := GetBuf(len(f.Payload))
+	copy(*pp, f.Payload)
 	f.Payload = *pp
 	f.pp = pp
 }
@@ -76,13 +71,7 @@ func (f *Frame) Free() {
 		*f.bp = f.buf[:0] // the box rides along, so Put allocates nothing
 		headPool.Put(f.bp)
 	}
-	if f.pp != nil && cap(*f.pp) <= maxPooledPayload {
-		if poisonPooledBuffers.Load() {
-			poison((*f.pp)[:cap(*f.pp)])
-		}
-		*f.pp = (*f.pp)[:0]
-		payloadPool.Put(f.pp)
-	}
+	PutBuf(f.pp)
 	f.buf, f.Payload, f.bp, f.pp = nil, nil, nil, nil
 }
 
@@ -90,24 +79,6 @@ var headPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 512)
 	return &b
 }}
-
-var payloadPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// poisonPooledBuffers, when set by tests, overwrites every buffer returned
-// to the pool so that any still-live alias of a freed frame is caught by
-// the pool-correctness property tests. Atomic because background frame
-// traffic may still be draining when a test flips it.
-var poisonPooledBuffers atomic.Bool
-
-// SetPoolPoison toggles poisoning of head buffers returned to the frame
-// pool (test-only).
-func SetPoolPoison(on bool) { poisonPooledBuffers.Store(on) }
-
-func poison(b []byte) {
-	for i := range b {
-		b[i] = 0xDB
-	}
-}
 
 // MarshalFrame serializes a message into a pooled scatter-gather frame.
 // A zero trace produces the plain (untraced) encoding. The message's first

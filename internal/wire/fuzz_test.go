@@ -173,6 +173,8 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{uint8(KPing) | KindTraceFlag, 1, 2, 3}) // truncated trace header
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// m's (and m2's) Data views the bytes it was decoded from: neither
+		// data nor re may be modified before the comparisons below.
 		m, err := Unmarshal(data)
 		if err != nil {
 			return // rejected input is fine; panics are not

@@ -29,7 +29,7 @@ func MarshalTraced(m Msg, trace uint64) []byte {
 }
 
 // Unmarshal parses a message produced by Marshal or MarshalTraced,
-// discarding any trace ID.
+// discarding any trace ID. The aliasing rule of UnmarshalTraced applies.
 func Unmarshal(b []byte) (Msg, error) {
 	m, _, err := UnmarshalTraced(b)
 	return m, err
@@ -37,6 +37,12 @@ func Unmarshal(b []byte) (Msg, error) {
 
 // UnmarshalTraced parses a message produced by Marshal or MarshalTraced and
 // returns the trace ID it carried (zero for untraced frames).
+//
+// The bulk Data field of WriteData, WriteMirror, WriteParity, WriteOverflow,
+// ResolveIntent and ReadResp is a view of b, not a copy: the caller of
+// Unmarshal owns the input for as long as the message's Data is in use, and
+// must neither modify nor recycle it before then. Every other field is
+// copied out.
 func UnmarshalTraced(b []byte) (Msg, uint64, error) {
 	if len(b) == 0 {
 		return nil, 0, fmt.Errorf("wire: empty message")
@@ -155,7 +161,7 @@ func (m *Read) decode(d *Decoder) {
 
 func (m *ReadResp) Kind() Kind        { return KReadResp }
 func (m *ReadResp) encode(e *Encoder) { e.Bytes(m.Data) }
-func (m *ReadResp) decode(d *Decoder) { m.Data = d.BytesCopy() }
+func (m *ReadResp) decode(d *Decoder) { m.Data = d.Bytes() }
 
 // WriteData (like WriteParity and WriteOverflow below) encodes its bulk
 // Data field last so MarshalFrame can carry it by reference instead of
@@ -171,7 +177,7 @@ func (m *WriteData) decode(d *Decoder) {
 	m.File = d.FileRef()
 	m.Spans = d.Spans()
 	m.Raw = d.Bool()
-	m.Data = d.BytesCopy()
+	m.Data = d.Bytes()
 }
 
 func (m *WriteMirror) Kind() Kind { return KWriteMirror }
@@ -183,7 +189,7 @@ func (m *WriteMirror) encode(e *Encoder) {
 func (m *WriteMirror) decode(d *Decoder) {
 	m.File = d.FileRef()
 	m.Spans = d.Spans()
-	m.Data = d.BytesCopy()
+	m.Data = d.Bytes()
 }
 
 func (m *ReadMirror) Kind() Kind { return KReadMirror }
@@ -268,7 +274,7 @@ func (m *ResolveIntent) decode(d *Decoder) {
 	m.File = d.FileRef()
 	m.Stripe = d.I64()
 	m.Owner = d.U64()
-	m.Data = d.BytesCopy()
+	m.Data = d.Bytes()
 }
 
 func (m *MarkDirty) Kind() Kind { return KMarkDirty }
@@ -382,7 +388,7 @@ func (m *WriteParity) decode(d *Decoder) {
 	m.Stripes = d.I64sDec()
 	m.Unlock = d.Bool()
 	m.Owner = d.U64()
-	m.Data = d.BytesCopy()
+	m.Data = d.Bytes()
 }
 
 func (m *WriteOverflow) Kind() Kind { return KWriteOverflow }
@@ -396,7 +402,7 @@ func (m *WriteOverflow) decode(d *Decoder) {
 	m.File = d.FileRef()
 	m.Extents = d.Spans()
 	m.Mirror = d.Bool()
-	m.Data = d.BytesCopy()
+	m.Data = d.Bytes()
 }
 
 func (m *InvalidateOverflow) Kind() Kind { return KInvalidateOverflow }

@@ -434,7 +434,39 @@ type Read struct {
 }
 
 // ReadResp carries the concatenated bytes of the requested spans or stripes.
-type ReadResp struct{ Data []byte }
+//
+// Data may live in a pooled buffer: a server fills one obtained from
+// NewReadResp, and a response decoded by the transport views the frame it
+// arrived in (HoldBuf). Whoever consumes the response calls Release when it
+// is done with Data. Forgetting to is a missed optimisation, never a bug —
+// the buffer is simply garbage-collected.
+type ReadResp struct {
+	Data []byte
+	buf  *[]byte // pooled buffer Data lives in; nil for an ordinary slice
+}
+
+// NewReadResp returns a response whose Data is n bytes of a pooled buffer,
+// contents unspecified: the producer must fill all of it.
+func NewReadResp(n int) *ReadResp {
+	bp := GetBuf(n)
+	return &ReadResp{Data: *bp, buf: bp}
+}
+
+// HoldBuf hands m the pooled buffer its Data views — the frame it was
+// decoded from — for Release to recycle.
+func (m *ReadResp) HoldBuf(bp *[]byte) { m.buf = bp }
+
+// Release recycles the pooled buffer behind Data, which must not be used
+// afterward (it is cleared). It is safe on a nil response, on one that never
+// sat on a pooled buffer, and when repeated.
+func (m *ReadResp) Release() {
+	if m == nil || m.buf == nil {
+		return
+	}
+	bp := m.buf
+	m.Data, m.buf = nil, nil
+	PutBuf(bp)
+}
 
 // WriteData writes the given logical spans in place into the data file. Raw
 // marks a repair or rebuild write: the bytes are restored in place exactly,
@@ -1085,13 +1117,23 @@ func (d *Decoder) Str() string {
 	return string(b)
 }
 
-func (d *Decoder) BytesCopy() []byte {
+// Bytes returns a length-prefixed byte field as a view of the decoder's
+// buffer (capacity clipped to the field), not a copy: it stays valid only as
+// long as the caller of Unmarshal leaves that buffer alone. The bulk Data
+// fields of the hot messages decode this way.
+func (d *Decoder) Bytes() []byte {
 	n := int(d.U32())
 	b := d.take(n)
-	if b == nil {
+	if len(b) == 0 {
 		return nil
 	}
-	return append([]byte(nil), b...)
+	return b[:n:n]
+}
+
+// BytesCopy is Bytes with a private copy, for fields the message's consumer
+// retains.
+func (d *Decoder) BytesCopy() []byte {
+	return append([]byte(nil), d.Bytes()...)
 }
 
 func (d *Decoder) Spans() []Span {
