@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race fuzz-seeds faults crash resync rs obs allocs bench-smoke benchmark-smoke meta-ha migrate staticcheck ci
+.PHONY: build vet test race fuzz-seeds faults crash resync rs obs allocs bench-smoke benchmark-smoke benchmark-compare meta-ha migrate staticcheck ci
 
 build:
 	$(GO) build ./...
@@ -63,18 +63,21 @@ obs:
 	$(GO) test -race ./cmd/csar
 
 # The hot-path suite, both directions: allocation-budget regressions
-# (pooled frame marshal, decode without a payload copy, full-stripe WriteAt
-# and 1 MiB ReadAt through the whole stack), the borrow/release rule of the
-# payload pool (poison-on-put property test, late responses, Data-is-a-view,
-# size classes), the pending-map drain regression, and the stripe-pipelining
-# overlap/serialization tests — all under the race detector so the zero-copy
-# paths are proven safe and lean at once. The race detector makes sync.Pool
-# drop puts at random, so the ReadAt bytes-per-byte budget is checked by one
-# more run without it.
+# (pooled frame marshal, decode without a payload copy, full-stripe WriteAt,
+# the 16 KiB read-modify-write and 1 MiB ReadAt through the whole stack), the
+# borrow/release and owned-gather rules of the payload pool (poison-on-put
+# property test, late responses, abandoned sends, Data-is-a-view, a held
+# payload moving to its frame once, size classes), the pending-map drain
+# regression, the stripe-pipelining overlap/serialization tests and the
+# store's sync-cost test — all under the race detector so the zero-copy paths
+# are proven safe and lean at once. The race detector makes sync.Pool drop
+# puts at random, so the bytes-per-byte budgets are checked by one more run
+# without it.
 allocs:
-	$(GO) test -race -run 'TestMarshalFrameAllocs|TestUnmarshalAllocs|TestMarshalFrameMatchesMarshal|TestUnmarshalAliasesData|TestReadRespRelease|TestBufPoolClasses|TestPoolPoisonCorrectness|TestLateReadRespIsRecycled|TestTimedOutCallsDrainPendingMap' ./internal/wire ./internal/rpc
-	$(GO) test -race -run 'TestFullStripeWriteAllocs|TestReadAtAllocs|TestPipelinedStripeWritesOverlap|TestSameStripeWritesSerializeThroughParityLock' ./internal/cluster
-	$(GO) test -run 'TestReadAtAllocs' ./internal/cluster
+	$(GO) test -race -run 'TestMarshalFrameAllocs|TestUnmarshalAllocs|TestMarshalFrameMatchesMarshal|TestUnmarshalAliasesData|TestReadRespRelease|TestHeldPayloadMovesToFrame|TestBufPoolClasses|TestPoolPoisonCorrectness|TestLateReadRespIsRecycled|TestAbandonedSendOwnsItsPayload|TestTimedOutSendDoesNotAliasCallerBuffer|TestTimedOutCallsDrainPendingMap' ./internal/wire ./internal/rpc
+	$(GO) test -race -run 'TestFullStripeWriteAllocs|TestRMWWriteAllocs|TestReadAtAllocs|TestPipelinedStripeWritesOverlap|TestSameStripeWritesSerializeThroughParityLock' ./internal/cluster
+	$(GO) test -race -run 'TestSyncCostIndependentOfCacheSize|TestDifferentialAgainstScanReference' ./internal/simdisk
+	$(GO) test -run 'TestFullStripeWriteAllocs|TestRMWWriteAllocs|TestReadAtAllocs' ./internal/cluster
 
 # A tiny end-to-end run of the real csar-bench binary plus the schema-v2
 # validation test, so BENCH_N.json files stay comparable across PRs.
@@ -91,6 +94,18 @@ bench-smoke:
 benchmark-smoke:
 	rm -rf .bench_build
 	bash benchmark/run.sh --smoke
+
+# Measure this checkout the way the committed ledgers were measured — clean
+# build, seeds 1-5, all eight workloads, untraced — and compare it with the
+# newest results/ledger-<pr>.jsonl: every end-to-end metric against its bound.
+# About a quarter of an hour; run nothing else on the box meanwhile. A perf PR
+# commits its own ledger the same way (--out results/ledger-<pr>.jsonl).
+benchmark-compare:
+	rm -rf .bench_build
+	for s in 1 2 3 4 5; do \
+		bash benchmark/run.sh --workload all --seed $$s --trace 0 --out .bench_build/ledger-checkout.jsonl || exit 1; \
+	done
+	bash benchmark/run.sh --compare "$$(ls results/ledger-*.jsonl | sort -V | tail -n 1)" .bench_build/ledger-checkout.jsonl
 
 # The metadata high-availability suite: WAL torn-tail recovery at every
 # byte offset, crash-mid-compaction replay, primary→standby replication

@@ -15,89 +15,72 @@ import (
 // portion.
 type writeBatch struct {
 	g     raid.Geometry
-	spans [][]wire.Span // per server: portion spans, in plan order
-	data  [][][]byte    // per server: payload pieces, parallel to spans
-	size  []int64       // per server: total payload bytes
+	parts []batchPart   // the portions, in plan order
+	spans [][]wire.Span // per server: spans of the portions it stores part of
+	size  []int         // per server: total payload bytes
+}
+
+// batchPart is one portion: its span and its bytes in the caller's buffer,
+// which is only read until flush has gathered it.
+type batchPart struct {
+	span raid.Span
+	p    []byte
 }
 
 func newWriteBatch(g raid.Geometry) *writeBatch {
 	return &writeBatch{
 		g:     g,
 		spans: make([][]wire.Span, g.Servers),
-		data:  make([][][]byte, g.Servers),
-		size:  make([]int64, g.Servers),
+		size:  make([]int, g.Servers),
 	}
 }
 
-// add registers one portion's span with its per-server payloads (as
-// produced by splitByServer).
-func (b *writeBatch) add(span raid.Span, payloads [][]byte) {
-	for i, p := range payloads {
-		if len(p) == 0 {
-			continue
-		}
-		b.spans[i] = append(b.spans[i], wire.Span{Off: span.Off, Len: span.Len})
-		b.data[i] = append(b.data[i], p)
-		b.size[i] += int64(len(p))
-	}
-}
-
-func (b *writeBatch) empty() bool {
-	for i := range b.spans {
-		if len(b.spans[i]) > 0 {
-			return false
+// add registers one portion: span and its bytes p.
+func (b *writeBatch) add(span raid.Span, p []byte) {
+	n := make([]int, b.g.Servers)
+	eachPiece(b.g, span.Off, span.Len, func(unit, cur, pieceEnd int64) {
+		n[b.g.ServerOf(unit)] += int(pieceEnd - cur)
+	})
+	for s, k := range n {
+		if k > 0 {
+			b.spans[s] = append(b.spans[s], wire.Span{Off: span.Off, Len: span.Len})
+			b.size[s] += k
 		}
 	}
-	return true
+	b.parts = append(b.parts, batchPart{span, p})
 }
 
-// flush issues one multi-span WriteData per contributing server, skipping
-// dead. A single-portion batch ships its payload by reference; a
-// multi-portion batch pays one concatenation copy.
+func (b *writeBatch) empty() bool { return len(b.parts) == 0 }
+
+// flush gathers every portion straight into one payload per server and
+// issues one multi-span WriteData per contributing server, skipping dead.
 func (b *writeBatch) flush(f *File, dead int, tr uint64) error {
+	data := newPayloads(b.size)
+	for _, pt := range b.parts {
+		off := pt.span.Off
+		eachPiece(b.g, off, pt.span.Len, func(unit, cur, pieceEnd int64) {
+			copy(data.grow(b.g.ServerOf(unit), int(pieceEnd-cur)), pt.p[cur-off:pieceEnd-off])
+		})
+	}
 	return f.c.eachServer(b.g.Servers, func(i int) error {
-		if len(b.spans[i]) == 0 || i == dead {
+		if data[i] == nil || i == dead {
 			return nil
 		}
-		payload := b.data[i][0]
-		if len(b.data[i]) > 1 {
-			payload = make([]byte, 0, b.size[i])
-			for _, piece := range b.data[i] {
-				payload = append(payload, piece...)
-			}
-		}
-		_, err := f.c.callSrvT(i, &wire.WriteData{
+		_, err := f.c.callSrvT(i, owned(&wire.WriteData{
 			File:  f.ref,
 			Spans: b.spans[i],
-			Data:  payload,
-		}, tr)
+			Data:  *data[i],
+		}, data[i]), tr)
 		return err
 	})
 }
 
-// parityBatch accumulates full-stripe parity blocks grouped by parity
-// server, one WriteParity per server at flush.
+// parityBatch is a full-stripe portion's parity blocks grouped by parity
+// server: one WriteParity per server at flush.
 type parityBatch struct {
 	g       raid.Geometry
 	stripes [][]int64
-	data    [][]byte
-}
-
-func newParityBatch(g raid.Geometry) *parityBatch {
-	return &parityBatch{
-		g:       g,
-		stripes: make([][]int64, g.Servers),
-		data:    make([][]byte, g.Servers),
-	}
-}
-
-func (b *parityBatch) empty() bool {
-	for i := range b.stripes {
-		if len(b.stripes[i]) > 0 {
-			return false
-		}
-	}
-	return true
+	data    payloads
 }
 
 func (b *parityBatch) flush(f *File, dead int, tr uint64) error {
@@ -105,59 +88,45 @@ func (b *parityBatch) flush(f *File, dead int, tr uint64) error {
 		if len(b.stripes[i]) == 0 || i == dead {
 			return nil
 		}
-		_, err := f.c.callSrvT(i, &wire.WriteParity{
+		_, err := f.c.callSrvT(i, owned(&wire.WriteParity{
 			File:    f.ref,
 			Stripes: b.stripes[i],
-			Data:    b.data[i],
-		}, tr)
+			Data:    *b.data[i],
+		}, b.data[i]), tr)
 		return err
 	})
 }
 
-// addFullStripeParity computes span's per-stripe XOR parity into the batch
-// (RAID5-npc ships zero bytes without computing, isolating the parity CPU
-// cost exactly as before). Parity per server goes into one exact-size
-// buffer, computed in place — no per-stripe scratch allocations.
-func (f *File) addFullStripeParity(pb *parityBatch, span raid.Span, p []byte) error {
+// fullStripeParity computes span's per-stripe XOR parity (RAID5-npc ships
+// zero bytes without computing, isolating the parity CPU cost exactly as
+// before). Each server's parity is computed in place in the payload its
+// WriteParity will own — no per-stripe scratch, no copy.
+func (f *File) fullStripeParity(span raid.Span, p []byte) (*parityBatch, error) {
 	g := f.geom
 	ss := g.StripeSize()
-	su := g.StripeUnit
+	su := int(g.StripeUnit)
 	if span.Off%ss != 0 || span.Len%ss != 0 {
-		return fmt.Errorf("client: full-stripe span [%d,%d) not stripe-aligned", span.Off, span.End())
+		return nil, fmt.Errorf("client: full-stripe span [%d,%d) not stripe-aligned", span.Off, span.End())
 	}
-	counts := make([]int64, g.Servers)
+	sizes := make([]int, g.Servers)
 	for s := span.Off / ss; s < span.End()/ss; s++ {
-		counts[g.ParityServerOf(s)]++
+		sizes[g.ParityServerOf(s)] += su
 	}
-	bufs := make([][]byte, g.Servers)
-	for i, n := range counts {
-		if n > 0 {
-			bufs[i] = make([]byte, 0, n*su)
-		}
-	}
+	pb := &parityBatch{g: g, stripes: make([][]int64, g.Servers), data: newPayloads(sizes)}
 	compute := f.ref.Scheme != wire.Raid5NPC
 	if compute {
 		f.c.chargeXOR(span.Len)
 	}
 	for s := span.Off / ss; s < span.End()/ss; s++ {
 		ps := g.ParityServerOf(s)
-		n := len(bufs[ps])
-		bufs[ps] = bufs[ps][:n+int(su)]
+		unit := pb.data.grow(ps, su)
 		if compute {
 			base := g.StripeStart(s) - span.Off
-			core.StripeParity(g, p[base:base+ss], bufs[ps][n:])
+			core.StripeParity(g, p[base:base+ss], unit)
+		} else {
+			clear(unit)
 		}
 		pb.stripes[ps] = append(pb.stripes[ps], s)
 	}
-	for i, b := range bufs {
-		if len(b) == 0 {
-			continue
-		}
-		if pb.data[i] == nil {
-			pb.data[i] = b // fresh exact-size buffer; hand it over, no copy
-		} else {
-			pb.data[i] = append(pb.data[i], b...)
-		}
-	}
-	return nil
+	return pb, nil
 }

@@ -185,10 +185,10 @@ func (f *File) execute(plan core.Plan, off int64, p []byte, dead int, tr uint64)
 		close(headDone)
 	}
 
-	// Split and compute up front so the coalesced data RPCs and the parity
-	// RPCs all hit the wire together.
+	// Size the batch and compute the parity up front so the coalesced data
+	// RPCs and the parity RPCs all hit the wire together.
 	batch := newWriteBatch(f.geom)
-	parity := newParityBatch(f.geom)
+	var parity *parityBatch // of the plan's one full-stripe portion
 	var others []core.Portion
 	var stops []func()
 	var prepErr error
@@ -199,15 +199,14 @@ func (f *File) execute(plan core.Plan, off int64, p []byte, dead int, tr uint64)
 		switch {
 		case pt.Mode == core.ModePlain:
 			stops = append(stops, f.timePath("op_write_plain"))
-			batch.add(pt.Span, splitByServer(f.geom, pt.Span.Off, data(pt.Span)))
+			batch.add(pt.Span, data(pt.Span))
 		case pt.Mode == core.ModeFullStripe && f.ref.Scheme != wire.ReedSolomon:
 			f.c.metrics.fullStripes.Add(1)
 			stops = append(stops, f.timePath(f.writePathName("full_stripe")))
-			if err := f.addFullStripeParity(parity, pt.Span, data(pt.Span)); err != nil {
-				prepErr = err
+			if parity, prepErr = f.fullStripeParity(pt.Span, data(pt.Span)); prepErr != nil {
 				break
 			}
-			batch.add(pt.Span, splitByServer(f.geom, pt.Span.Off, data(pt.Span)))
+			batch.add(pt.Span, data(pt.Span))
 		default:
 			others = append(others, pt)
 		}
@@ -226,7 +225,7 @@ func (f *File) execute(plan core.Plan, off int64, p []byte, dead int, tr uint64)
 			errs[len(others)] = batch.flush(f, dead, tr)
 		}()
 	}
-	if !parity.empty() {
+	if parity != nil {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -295,16 +294,16 @@ func (f *File) writePathName(base string) string {
 // sendWriteData ships per-server payloads of span to the data files,
 // skipping the dead server (whose contents the redundancy carries) when
 // dead >= 0.
-func (f *File) sendWriteData(span raid.Span, payloads [][]byte, dead int, tr uint64) error {
+func (f *File) sendWriteData(span raid.Span, data payloads, dead int, tr uint64) error {
 	return f.c.eachServer(f.geom.Servers, func(i int) error {
-		if len(payloads[i]) == 0 || i == dead {
+		if data[i] == nil || i == dead {
 			return nil
 		}
-		_, err := f.c.callSrvT(i, &wire.WriteData{
+		_, err := f.c.callSrvT(i, owned(&wire.WriteData{
 			File:  f.ref,
 			Spans: []wire.Span{{Off: span.Off, Len: span.Len}},
-			Data:  payloads[i],
-		}, tr)
+			Data:  *data[i],
+		}, data[i]), tr)
 		return err
 	})
 }
@@ -322,14 +321,14 @@ func (f *File) writeMirrored(span raid.Span, p []byte, dead int, tr uint64) erro
 	go func() {
 		defer wg.Done()
 		mErr = f.c.eachServer(f.geom.Servers, func(i int) error {
-			if len(mirrorPayloads[i]) == 0 || i == dead {
+			if mirrorPayloads[i] == nil || i == dead {
 				return nil
 			}
-			_, err := f.c.callSrvT(i, &wire.WriteMirror{
+			_, err := f.c.callSrvT(i, owned(&wire.WriteMirror{
 				File:  f.ref,
 				Spans: []wire.Span{{Off: span.Off, Len: span.Len}},
-				Data:  mirrorPayloads[i],
-			}, tr)
+				Data:  *mirrorPayloads[i],
+			}, mirrorPayloads[i]), tr)
 			return err
 		})
 	}()
@@ -398,7 +397,7 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 	if lock {
 		token = nextLockToken()
 	}
-	var parity []byte
+	var presp *wire.ReadResp // the old parity, updated in place in its pooled buffer
 	var pErr error
 	done := make(chan struct{})
 	go func() {
@@ -411,7 +410,7 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 		if lock {
 			defer f.timePath("parity_lock_wait")()
 		}
-		presp, err := f.c.callSrvT(ps, &wire.ReadParity{
+		resp, err := f.c.callSrvT(ps, &wire.ReadParity{
 			File: f.ref, Stripes: []int64{stripe}, Lock: lock, Owner: token,
 			LeaseMS: leaseMS(pol),
 		}, tr)
@@ -426,10 +425,10 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 			}
 			return
 		}
-		parity = presp.(*wire.ReadResp).Data
-		if int64(len(parity)) != g.StripeUnit {
+		presp = resp.(*wire.ReadResp)
+		if int64(len(presp.Data)) != g.StripeUnit {
 			pErr = fmt.Errorf("client: parity read returned %d bytes, want %d",
-				len(parity), g.StripeUnit)
+				len(presp.Data), g.StripeUnit)
 			if lock {
 				// Granted but unusable: free the acquisition (stripe untouched).
 				f.c.releaseParityLock(ps, f.ref, stripe, token, false)
@@ -440,7 +439,11 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 			f.c.trackLease(ps, f.ref, stripe, token)
 		}
 	}()
-	old := make([]byte, span.Len)
+	// The old data is scratch nothing outside this function ever sees (it is
+	// merged into, XORed from, never sent), so it always goes back.
+	oldBuf := wire.GetBuf(int(span.Len))
+	defer wire.PutBuf(oldBuf)
+	old := *oldBuf
 	var dErr error
 	if dead < 0 {
 		dErr = f.readRaw(span, old, tr)
@@ -465,7 +468,7 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 			// has started, so the stripe is untouched (non-dirty).
 			f.c.untrackLease(token)
 			_, uerr := f.c.callSrvT(ps, &wire.WriteParity{
-				File: f.ref, Stripes: []int64{stripe}, Data: parity, Unlock: true, Owner: token,
+				File: f.ref, Stripes: []int64{stripe}, Data: presp.Data, Unlock: true, Owner: token,
 			}, tr)
 			if uerr != nil && isUnavailable(uerr) {
 				f.c.releaseParityLock(ps, f.ref, stripe, token, false)
@@ -480,7 +483,7 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 	// 3. New parity = old parity ^ old data ^ new data.
 	if f.ref.Scheme != wire.Raid5NPC {
 		f.c.chargeXOR(2 * span.Len)
-		core.ApplyParityDelta(g, span.Off, old, p, parity)
+		core.ApplyParityDelta(g, span.Off, old, p, presp.Data)
 	}
 
 	// 4. Write the new data and the new parity; the parity write releases
@@ -489,7 +492,7 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 	// another client's delta never involves this range's data, and the
 	// parity block itself is serialized by the lock. Crash consistency is a
 	// different matter — see writeRMWCommit for the two orderings.
-	return f.writeRMWCommit(pol, span, p, stripe, ps, parity, lock, token, dead, tr)
+	return f.writeRMWCommit(pol, span, p, stripe, ps, presp, lock, token, dead, tr)
 }
 
 // writeRMWCommit runs the write phase of a read-modify-write.
@@ -508,7 +511,12 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 // Without CrashSafeRMW the two run concurrently — the paper's layout, which
 // keeps the lock-hold window to the write phase (Figure 3) but reopens the
 // write hole if a client can crash between them.
-func (f *File) writeRMWCommit(pol Policy, span raid.Span, p []byte, stripe int64, ps int, parity []byte, lock bool, token uint64, dead int, tr uint64) error {
+//
+// parity, the ReadParity response the new parity was computed in, is
+// released once the parity write has returned successfully: the server has
+// the bytes. After an error or a timeout it is left to the garbage collector
+// — the abandoned call may still be reading it.
+func (f *File) writeRMWCommit(pol Policy, span raid.Span, p []byte, stripe int64, ps int, parity *wire.ReadResp, lock bool, token uint64, dead int, tr uint64) error {
 	g := f.geom
 	if lock && pol.CrashSafeRMW {
 		if dErr := f.sendWriteData(span, splitByServer(g, span.Off, p), dead, tr); dErr != nil {
@@ -517,7 +525,7 @@ func (f *File) writeRMWCommit(pol Policy, span raid.Span, p []byte, stripe int64
 			return dErr
 		}
 		_, pwErr := f.c.callSrvT(ps, &wire.WriteParity{
-			File: f.ref, Stripes: []int64{stripe}, Data: parity, Unlock: true, Owner: token,
+			File: f.ref, Stripes: []int64{stripe}, Data: parity.Data, Unlock: true, Owner: token,
 		}, tr)
 		f.c.untrackLease(token)
 		if pwErr != nil {
@@ -536,6 +544,7 @@ func (f *File) writeRMWCommit(pol Policy, span raid.Span, p []byte, stripe int64
 			}
 			return pwErr
 		}
+		parity.Release()
 		return nil
 	}
 
@@ -546,7 +555,7 @@ func (f *File) writeRMWCommit(pol Policy, span raid.Span, p []byte, stripe int64
 		wErr = f.sendWriteData(span, splitByServer(g, span.Off, p), dead, tr)
 	}()
 	_, pwErr := f.c.callSrvT(ps, &wire.WriteParity{
-		File: f.ref, Stripes: []int64{stripe}, Data: parity, Unlock: lock, Owner: token,
+		File: f.ref, Stripes: []int64{stripe}, Data: parity.Data, Unlock: lock, Owner: token,
 	}, tr)
 	<-wdone
 	if lock {
@@ -561,6 +570,7 @@ func (f *File) writeRMWCommit(pol Policy, span raid.Span, p []byte, stripe int64
 		}
 		return pwErr
 	}
+	parity.Release()
 	return wErr
 }
 
@@ -585,9 +595,9 @@ func (f *File) writeOverflow(span raid.Span, p []byte, dead int, tr uint64) erro
 			if len(prim[i]) == 0 || i == dead {
 				return nil
 			}
-			_, err := f.c.callSrvT(i, &wire.WriteOverflow{
-				File: f.ref, Extents: prim[i], Data: primPayload[i],
-			}, tr)
+			_, err := f.c.callSrvT(i, owned(&wire.WriteOverflow{
+				File: f.ref, Extents: prim[i], Data: *primPayload[i],
+			}, primPayload[i]), tr)
 			return err
 		})
 	}()
@@ -597,9 +607,9 @@ func (f *File) writeOverflow(span raid.Span, p []byte, dead int, tr uint64) erro
 			if len(mirr[i]) == 0 || i == dead {
 				return nil
 			}
-			_, err := f.c.callSrvT(i, &wire.WriteOverflow{
-				File: f.ref, Extents: mirr[i], Data: mirrPayload[i], Mirror: true,
-			}, tr)
+			_, err := f.c.callSrvT(i, owned(&wire.WriteOverflow{
+				File: f.ref, Extents: mirr[i], Data: *mirrPayload[i], Mirror: true,
+			}, mirrPayload[i]), tr)
 			return err
 		})
 	}()

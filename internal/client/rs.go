@@ -23,7 +23,7 @@ import (
 func (f *File) writeFullStripesRS(span raid.Span, p []byte, dead int, tr uint64) error {
 	g := f.geom
 	ss := g.StripeSize()
-	su := g.StripeUnit
+	su := int(g.StripeUnit)
 	if span.Off%ss != 0 || span.Len%ss != 0 {
 		return fmt.Errorf("client: full-stripe span [%d,%d) not stripe-aligned", span.Off, span.End())
 	}
@@ -33,31 +33,35 @@ func (f *File) writeFullStripesRS(span raid.Span, p []byte, dead int, tr uint64)
 	}
 	m := g.PU()
 
-	// Encode per stripe and group the parity units by their server.
+	// Encode per stripe, each parity unit in place in the payload its
+	// server's WriteParity will own.
 	f.c.chargeGF(int64(m) * span.Len)
-	stripes := make([][]int64, g.Servers)
-	parity := make([][]byte, g.Servers)
-	bufs := make([][]byte, m)
+	sizes := make([]int, g.Servers)
 	for s := span.Off / ss; s < span.End()/ss; s++ {
-		for j := range bufs {
-			bufs[j] = make([]byte, su)
-		}
-		base := g.StripeStart(s) - span.Off
-		core.StripeRSParity(g, code, p[base:base+ss], bufs)
 		for j := 0; j < m; j++ {
-			ps := g.ParityServerOfUnit(s, j)
-			stripes[ps] = append(stripes[ps], s)
-			parity[ps] = append(parity[ps], bufs[j]...)
+			sizes[g.ParityServerOfUnit(s, j)] += su
 		}
 	}
+	stripes := make([][]int64, g.Servers)
+	parity := newPayloads(sizes)
+	units := make([][]byte, m)
+	for s := span.Off / ss; s < span.End()/ss; s++ {
+		for j := range units {
+			ps := g.ParityServerOfUnit(s, j)
+			stripes[ps] = append(stripes[ps], s)
+			units[j] = parity.grow(ps, su)
+		}
+		base := g.StripeStart(s) - span.Off
+		core.StripeRSParity(g, code, p[base:base+ss], units)
+	}
 
-	payloads := splitByServer(g, span.Off, p)
+	data := splitByServer(g, span.Off, p)
 	var wg sync.WaitGroup
 	var dErr, pErr error
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		dErr = f.sendWriteData(span, payloads, dead, tr)
+		dErr = f.sendWriteData(span, data, dead, tr)
 	}()
 	go func() {
 		defer wg.Done()
@@ -65,11 +69,11 @@ func (f *File) writeFullStripesRS(span raid.Span, p []byte, dead int, tr uint64)
 			if len(stripes[i]) == 0 || i == dead {
 				return nil
 			}
-			_, err := f.c.callSrvT(i, &wire.WriteParity{
+			_, err := f.c.callSrvT(i, owned(&wire.WriteParity{
 				File:    f.ref,
 				Stripes: stripes[i],
-				Data:    parity[i],
-			}, tr)
+				Data:    *parity[i],
+			}, parity[i]), tr)
 			return err
 		})
 	}()
@@ -82,12 +86,13 @@ func (f *File) writeFullStripesRS(span raid.Span, p []byte, dead int, tr uint64)
 
 // rsParityLock is one held parity-lock acquisition of a multi-parity
 // read-modify-write: parity unit j of the stripe, the server holding it,
-// the acquisition's owner token, and the parity contents being updated.
+// the acquisition's owner token, and the ReadParity response whose Data is
+// the parity contents being updated in place.
 type rsParityLock struct {
-	j      int
-	srv    int
-	token  uint64
-	parity []byte
+	j     int
+	srv   int
+	token uint64
+	resp  *wire.ReadResp
 }
 
 // writeRMWRS performs a partial-stripe Reed-Solomon update: lock and read
@@ -159,10 +164,10 @@ func (f *File) writeRMWRS(span raid.Span, p []byte, onParityRead func(), dead in
 				}
 				return
 			}
-			l.parity = presp.(*wire.ReadResp).Data
-			if int64(len(l.parity)) != g.StripeUnit {
+			l.resp = presp.(*wire.ReadResp)
+			if int64(len(l.resp.Data)) != g.StripeUnit {
 				pErr = fmt.Errorf("client: parity read returned %d bytes, want %d",
-					len(l.parity), g.StripeUnit)
+					len(l.resp.Data), g.StripeUnit)
 				f.c.releaseParityLock(l.srv, f.ref, stripe, l.token, false)
 				return
 			}
@@ -170,7 +175,9 @@ func (f *File) writeRMWRS(span raid.Span, p []byte, onParityRead func(), dead in
 			acquired++
 		}
 	}()
-	old := make([]byte, span.Len)
+	oldBuf := wire.GetBuf(int(span.Len)) // private scratch, as in writeRMW
+	defer wire.PutBuf(oldBuf)
+	old := *oldBuf
 	var dErr error
 	if dead < 0 {
 		dErr = f.readRaw(span, old, tr)
@@ -190,7 +197,7 @@ func (f *File) writeRMWRS(span raid.Span, p []byte, onParityRead func(), dead in
 				defer wg.Done()
 				f.c.untrackLease(l.token)
 				_, uerr := f.c.callSrvT(l.srv, &wire.WriteParity{
-					File: f.ref, Stripes: []int64{stripe}, Data: l.parity, Unlock: true, Owner: l.token,
+					File: f.ref, Stripes: []int64{stripe}, Data: l.resp.Data, Unlock: true, Owner: l.token,
 				}, tr)
 				if uerr != nil && isUnavailable(uerr) {
 					f.c.releaseParityLock(l.srv, f.ref, stripe, l.token, false)
@@ -214,7 +221,7 @@ func (f *File) writeRMWRS(span raid.Span, p []byte, onParityRead func(), dead in
 	// Phase 2: new parity_j = old parity_j + Coef(j,i)*(old_i + new_i).
 	f.c.chargeGF(2 * span.Len * int64(len(locks)))
 	for _, l := range locks {
-		core.ApplyRSParityDelta(g, code, l.j, span.Off, old, p, l.parity)
+		core.ApplyRSParityDelta(g, code, l.j, span.Off, old, p, l.resp.Data)
 	}
 
 	// Phase 3: write the new data and the m new parity units.
@@ -249,23 +256,25 @@ func (f *File) writeRMWCommitRS(pol Policy, span raid.Span, p []byte, stripe int
 			go func(i int, l *rsParityLock) {
 				defer wg.Done()
 				_, pwErr := f.c.callSrvT(l.srv, &wire.WriteParity{
-					File: f.ref, Stripes: []int64{stripe}, Data: l.parity, Unlock: true, Owner: l.token,
+					File: f.ref, Stripes: []int64{stripe}, Data: l.resp.Data, Unlock: true, Owner: l.token,
 				}, tr)
 				f.c.untrackLease(l.token)
-				if pwErr != nil {
-					if errors.Is(pwErr, wire.ErrLeaseExpired) {
-						// The server expired our lease and fenced this late
-						// write off; the stripe is fail-stopped there until
-						// replay reconstructs its parity unit.
-						f.c.metrics.leaseExpiries.Add(1)
-					} else if isUnavailable(pwErr) {
-						// The unlocking write may have been lost before the
-						// server applied it; the stripe's data has changed,
-						// so the lingering acquisition is released dirty.
-						f.c.releaseParityLock(l.srv, f.ref, stripe, l.token, true)
-					}
-					errs[i] = pwErr
+				if pwErr == nil {
+					l.resp.Release() // the server has the bytes (writeRMWCommit's rule)
+					return
 				}
+				if errors.Is(pwErr, wire.ErrLeaseExpired) {
+					// The server expired our lease and fenced this late
+					// write off; the stripe is fail-stopped there until
+					// replay reconstructs its parity unit.
+					f.c.metrics.leaseExpiries.Add(1)
+				} else if isUnavailable(pwErr) {
+					// The unlocking write may have been lost before the
+					// server applied it; the stripe's data has changed,
+					// so the lingering acquisition is released dirty.
+					f.c.releaseParityLock(l.srv, f.ref, stripe, l.token, true)
+				}
+				errs[i] = pwErr
 			}(i, l)
 		}
 		wg.Wait()

@@ -6,12 +6,12 @@
 // bytes are comparable against reference vectors. All products are served
 // from a flat 64 KiB multiplication table built at init; the coding loops
 // read one table row per coefficient and assemble eight product bytes into
-// a machine word before touching the destination, mirroring the
-// word-at-a-time XOR loop of raid.XORInto (MulAddSliceBytewise is the
-// byte-at-a-time ablation baseline, like raid.XORIntoBytewise).
+// a machine word before touching the destination (the tests keep a
+// byte-at-a-time oracle and ablation baseline, as internal/raid's do).
 package gf256
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 )
@@ -75,8 +75,8 @@ func Div(a, b byte) byte {
 
 // MulAddSlice accumulates c*src into dst: dst[i] ^= c*src[i]. The slices
 // must have equal length. c=0 is a no-op and c=1 degenerates to the plain
-// word-at-a-time XOR; other coefficients stream one mul-table row and fold
-// eight product bytes at a time into the destination word.
+// vector XOR; other coefficients stream one mul-table row and fold eight
+// product bytes at a time into the destination word.
 func MulAddSlice(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("gf256: MulAddSlice length mismatch %d != %d", len(dst), len(src)))
@@ -85,7 +85,7 @@ func MulAddSlice(c byte, dst, src []byte) {
 	case 0:
 		return
 	case 1:
-		xorInto(dst, src)
+		subtle.XORBytes(dst, dst, src)
 		return
 	}
 	row := &mulT[c]
@@ -101,36 +101,6 @@ func MulAddSlice(c byte, dst, src []byte) {
 	}
 	for i := n; i < len(dst); i++ {
 		dst[i] ^= row[src[i]]
-	}
-}
-
-// MulAddSliceBytewise is the byte-at-a-time variant of MulAddSlice. It
-// exists only as the ablation baseline for the GF(256) coding
-// microbenchmark.
-func MulAddSliceBytewise(c byte, dst, src []byte) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("gf256: MulAddSliceBytewise length mismatch %d != %d", len(dst), len(src)))
-	}
-	if c == 0 {
-		return
-	}
-	row := &mulT[c]
-	for i := range dst {
-		dst[i] ^= row[src[i]]
-	}
-}
-
-// xorInto is the c=1 fast path (dst[i] ^= src[i], one word at a time).
-// Duplicated from raid.XORInto so the field kernel stays dependency-free.
-func xorInto(dst, src []byte) {
-	n := len(dst) &^ 7
-	for i := 0; i < n; i += 8 {
-		d := binary.LittleEndian.Uint64(dst[i:])
-		s := binary.LittleEndian.Uint64(src[i:])
-		binary.LittleEndian.PutUint64(dst[i:], d^s)
-	}
-	for i := n; i < len(dst); i++ {
-		dst[i] ^= src[i]
 	}
 }
 

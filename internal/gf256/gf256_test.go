@@ -45,23 +45,41 @@ func TestFieldAxioms(t *testing.T) {
 	}
 }
 
-// TestMulAddSliceMatchesBytewise pins the word-at-a-time loop to the
-// bytewise ablation across coefficients, lengths (including non-multiples
-// of 8), and offsets.
+// MulAddSliceBytewise is the byte-at-a-time dst[i] ^= c*src[i]: the oracle
+// MulAddSlice is checked against and the ablation baseline of the GF(256)
+// coding microbenchmark.
+func MulAddSliceBytewise(c byte, dst, src []byte) {
+	row := &mulT[c]
+	for i := range dst {
+		dst[i] ^= row[src[i]]
+	}
+}
+
+// TestMulAddSliceMatchesBytewise pins the kernel — the c=1 vector XOR and
+// the word-at-a-time table loop — to the bytewise oracle across
+// coefficients, every short length, and every alignment of both operands
+// within a word.
 func TestMulAddSliceMatchesBytewise(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 1000} {
-		src := make([]byte, n)
-		rng.Read(src)
-		for _, c := range []byte{0, 1, 2, 3, 0x1d, 0x80, 0xff} {
-			a := make([]byte, n)
-			b := make([]byte, n)
-			rng.Read(a)
-			copy(b, a)
-			MulAddSlice(c, a, src)
-			MulAddSliceBytewise(c, b, src)
-			if !bytes.Equal(a, b) {
-				t.Fatalf("c=%d n=%d: wordwise and bytewise disagree", c, n)
+	lengths := []int{63, 64, 65, 1000}
+	for n := 0; n <= 33; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for dOff := 0; dOff < 8; dOff++ {
+			for sOff := 0; sOff < 8; sOff += 3 {
+				src := make([]byte, sOff+n)[sOff:]
+				rng.Read(src)
+				for _, c := range []byte{0, 1, 2, 3, 0x1d, 0x80, 0xff} {
+					a := make([]byte, dOff+n)[dOff:]
+					rng.Read(a)
+					b := append([]byte(nil), a...)
+					MulAddSlice(c, a, src)
+					MulAddSliceBytewise(c, b, src)
+					if !bytes.Equal(a, b) {
+						t.Fatalf("c=%d n=%d dst+%d src+%d: kernel and bytewise disagree", c, n, dOff, sOff)
+					}
+				}
 			}
 		}
 	}

@@ -13,17 +13,35 @@ func randBlock(r *rand.Rand, n int) []byte {
 	return b
 }
 
+// XORIntoBytewise is the byte-at-a-time XOR: the oracle XORInto is checked
+// against and the ablation baseline of the parity microbenchmark.
+func XORIntoBytewise(dst, src []byte) {
+	for i := range dst {
+		dst[i] ^= src[i]
+	}
+}
+
+// TestXORIntoMatchesBytewise pins the vector kernel to the bytewise oracle
+// over every short length (vector head and tail handling) and a few long
+// ones, at every alignment of both operands within a word.
 func TestXORIntoMatchesBytewise(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 63, 64, 65, 1000, 4096} {
-		a := randBlock(r, n)
-		b := randBlock(r, n)
-		w := append([]byte(nil), a...)
-		bw := append([]byte(nil), a...)
-		XORInto(w, b)
-		XORIntoBytewise(bw, b)
-		if !bytes.Equal(w, bw) {
-			t.Fatalf("n=%d: word and bytewise XOR disagree", n)
+	lengths := []int{63, 64, 65, 1000, 4096}
+	for n := 0; n <= 33; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for dOff := 0; dOff < 8; dOff++ {
+			for sOff := 0; sOff < 8; sOff += 3 {
+				a := randBlock(r, dOff+n)[dOff:]
+				b := randBlock(r, sOff+n)[sOff:]
+				w := append([]byte(nil), a...)
+				XORInto(a, b)
+				XORIntoBytewise(w, b)
+				if !bytes.Equal(a, w) {
+					t.Fatalf("n=%d dst+%d src+%d: vector and bytewise XOR disagree", n, dOff, sOff)
+				}
+			}
 		}
 	}
 }

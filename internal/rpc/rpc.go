@@ -224,7 +224,9 @@ func (c *Client) call(req wire.Msg, timeout time.Duration, trace uint64) (wire.M
 	// abandoned by then. Because that write can outlive this call, the
 	// frame must not alias the caller's buffers: a caller reusing its slice
 	// right after ErrTimeout would race the in-flight write and the server
-	// could apply a torn payload as a valid write.
+	// could apply a torn payload as a valid write. A payload the sender
+	// gathered into a pooled buffer and handed over with req is the frame's
+	// already; only a caller's own slice is copied here.
 	fr.OwnPayload()
 	sendErr := make(chan error, 1)
 	go func() {

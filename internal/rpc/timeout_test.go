@@ -168,3 +168,90 @@ func TestDroppedResponseHitsDeadline(t *testing.T) {
 		t.Fatal("handler never ran")
 	}
 }
+
+// TestAbandonedSendOwnsItsPayload: a write whose payload the sender gathered
+// into a pooled buffer and handed to the message needs no second copy to
+// survive its caller. The link hangs, the deadline fires, the caller
+// scribbles over its own buffer at once — and when the link heals the server
+// applies the intact payload or nothing, after which the gathered buffer goes
+// back to the pool through the frame, once.
+func TestAbandonedSendOwnsItsPayload(t *testing.T) {
+	wire.SetPoolPoison(true)
+	t.Cleanup(func() { wire.SetPoolPoison(false) })
+
+	n := simnet.New(nil, simnet.DefaultParams())
+	cn, sn := n.NewNode("client"), n.NewNode("server")
+	n.SetLinkFault("client", "server", simnet.LinkFault{Hang: true})
+	t.Cleanup(n.ClearFaults)
+
+	const size = 64 << 10
+	want := patternOf(size, 7)
+	applied := make(chan bool, 1)
+	cEnd, sEnd := net.Pipe()
+	go ServeConn(sEnd, func(req wire.Msg) (wire.Msg, error) { //nolint:errcheck
+		if w, ok := req.(*wire.WriteData); ok {
+			applied <- bytes.Equal(w.Data, want)
+		}
+		return &wire.OK{}, nil
+	}, sn, cn)
+	c := NewClient(cEnd, cn, sn)
+	t.Cleanup(func() { c.Close() })
+
+	// What the client's write paths do: gather the caller's bytes into a
+	// pooled buffer made for this one message.
+	caller := patternOf(size, 7)
+	bp := wire.GetBuf(size)
+	copy(*bp, caller)
+	m := &wire.WriteData{
+		File:  wire.FileRef{ID: 7},
+		Spans: []wire.Span{{Off: 0, Len: size}},
+		Data:  *bp,
+	}
+	m.HoldBuf(bp)
+	if _, err := c.CallTimeout(m, 25*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+	for i := range caller {
+		caller[i] = 0xFF
+	}
+
+	n.ClearFaults()
+	select {
+	case intact := <-applied:
+		if !intact {
+			t.Fatal("the abandoned send delivered a torn or recycled payload")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the abandoned send never drained")
+	}
+
+	// The send goroutine frees the frame once the write is out. Draw from the
+	// buffer's class until it turns up (a pool may also drop it, which is
+	// allowed): it must come back poisoned — it went through PutBuf — and
+	// never twice.
+	var drawn []*[]byte
+	seen := 0
+	for deadline := time.Now().Add(time.Second); seen == 0 && time.Now().Before(deadline); {
+		for i := 0; i < 8; i++ {
+			got := wire.GetBuf(size)
+			if got == bp {
+				seen++
+				for j, b := range (*got)[:cap(*got)] {
+					if b != 0xDB {
+						t.Fatalf("gathered buffer came back unpoisoned at byte %d: it bypassed PutBuf", j)
+					}
+				}
+			}
+			drawn = append(drawn, got) // held, so the same box cannot be drawn twice by chance
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if seen > 1 {
+		t.Fatalf("gathered buffer was returned to the pool %d times", seen)
+	}
+	for _, b := range drawn {
+		if b != bp {
+			wire.PutBuf(b)
+		}
+	}
+}

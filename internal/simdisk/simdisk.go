@@ -19,12 +19,16 @@
 // Contents are always held in memory; the cache is a timing overlay, not a
 // correctness mechanism. A failed server is simulated by discarding the
 // whole Disk, so write-back ordering never becomes user-visible.
+//
+// Every operation costs what the request touches, never what the disk holds:
+// each file's page table is the only index (one lookup per page), the LRU is
+// a ring threaded through the table's entries, and each file lists its own
+// dirty pages, so Sync visits those and nothing else.
 package simdisk
 
 import (
-	"container/list"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,10 +88,10 @@ type Disk struct {
 
 	mu         sync.Mutex
 	files      map[string]*fileData
-	lru        *list.List // of *cachePage, front = most recent
-	index      map[pageKey]*list.Element
-	cachePages int64 // current number of cached pages
+	lru        page  // sentinel of the LRU ring: next = most recent, prev = next victim
+	cachePages int64 // current number of cached pages (the ring's length)
 	capPages   int64 // capacity in pages; 0 = unbounded
+	allocPages int64 // materialized pages across all files
 	lastEvict  pageKey
 	haveEvict  bool
 	// readStreams are the cursors of recently active sequential read
@@ -101,23 +105,37 @@ type Disk struct {
 	stats struct {
 		readOps, readBytes, writeOps, writeBytes int64
 		hits, misses, forced                     int64
+		seekNs                                   int64 // positioning time charged; not in Stats, tests compare it
 	}
 }
 
+// fileData is one file: its size, its page table and its dirty set.
+//
+// The page table holds an entry for every page that is materialized (has
+// contents), cached, or both, and for no other. A dirty page is always both.
+// alloc counts the materialized entries; Disk.allocPages is the sum over all
+// files, which keeps AllocatedBytes exact without a walk.
 type fileData struct {
 	name  string
 	size  int64
-	pages map[int64][]byte // page index -> PageSize bytes
+	pages map[int64]*page
+	alloc int64
+	dirty []*page // cached pages awaiting write-back, in no particular order
+}
+
+// page is one page-table entry. It is cached exactly while it is linked into
+// the disk's LRU ring (next != nil) and dirty exactly while f.dirty lists it.
+type page struct {
+	f          *fileData
+	idx        int64
+	data       []byte // PageSize bytes; nil for a hole, which is listed only while cached
+	prev, next *page  // LRU ring links
+	dirtyAt    int    // 1 + position in f.dirty; 0 when clean
 }
 
 type pageKey struct {
 	f    *fileData
 	page int64
-}
-
-type cachePage struct {
-	key   pageKey
-	dirty bool
 }
 
 // charge accumulates modeled disk work decided under the mutex and paid for
@@ -196,9 +214,8 @@ func New(clock *simtime.Clock, p Params) *Disk {
 		clock:  clock,
 		arm:    simtime.NewLimiter(clock, 1), // rate unused; durations only
 		files:  make(map[string]*fileData),
-		lru:    list.New(),
-		index:  make(map[pageKey]*list.Element),
 	}
+	d.lru.next, d.lru.prev = &d.lru, &d.lru
 	if p.CacheBytes > 0 {
 		d.capPages = p.CacheBytes / int64(p.PageSize)
 		if d.capPages < 1 {
@@ -222,13 +239,14 @@ func (d *Disk) OpenFile(name string) *File {
 	defer d.mu.Unlock()
 	f := d.files[name]
 	if f == nil {
-		f = &fileData{name: name, pages: make(map[int64][]byte)}
+		f = &fileData{name: name, pages: make(map[int64]*page)}
 		d.files[name] = f
 	}
 	return &File{d: d, f: f}
 }
 
-// Remove deletes the named file and drops its cached pages.
+// Remove deletes the named file, discarding its contents and their cached
+// pages. Cached holes carry nothing to discard: they age out of the LRU.
 func (d *Disk) Remove(name string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -237,10 +255,13 @@ func (d *Disk) Remove(name string) {
 		return
 	}
 	delete(d.files, name)
-	for page := range f.pages {
-		d.dropPage(pageKey{f, page})
+	for _, pg := range f.pages {
+		if pg.data != nil && pg.next != nil {
+			d.uncache(pg)
+		}
 	}
-	f.pages = nil
+	d.allocPages -= f.alloc
+	f.pages, f.alloc, f.size = nil, 0, 0
 }
 
 // FileNames returns the names of all files on the disk, sorted.
@@ -251,7 +272,7 @@ func (d *Disk) FileNames() []string {
 	for n := range d.files {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 
@@ -275,11 +296,7 @@ func (d *Disk) TotalBytes() int64 {
 func (d *Disk) AllocatedBytes() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var n int64
-	for _, f := range d.files {
-		n += int64(len(f.pages)) * int64(d.params.PageSize)
-	}
-	return n
+	return d.allocPages * int64(d.params.PageSize)
 }
 
 // Stats returns a snapshot of the disk's counters.
@@ -303,9 +320,9 @@ func (d *Disk) Stats() Stats {
 func (d *Disk) DropCaches() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.lru.Init()
-	d.index = make(map[pageKey]*list.Element)
-	d.cachePages = 0
+	for d.lru.next != &d.lru {
+		d.uncache(d.lru.next)
+	}
 	d.haveEvict = false
 	d.nStreams = 0
 	d.streamHand = 0
@@ -319,6 +336,7 @@ func (d *Disk) pay(c charge) {
 	atomic.AddInt64(&d.stats.readOps, int64(c.ops)) // approximate: ops counted once as accesses
 	atomic.AddInt64(&d.stats.readBytes, c.read)
 	atomic.AddInt64(&d.stats.writeBytes, c.write)
+	atomic.AddInt64(&d.stats.seekNs, int64(c.seek))
 	if !d.clock.Timed() {
 		return
 	}
@@ -332,52 +350,63 @@ func (d *Disk) pay(c charge) {
 	d.arm.AcquireDur(sim)
 }
 
-// touch marks a page most-recently-used, inserting it if absent, and evicts
-// as needed. Caller holds d.mu. Returns whether the page was already cached,
-// plus the eviction charge incurred.
-func (d *Disk) touch(key pageKey, dirty bool) (wasCached bool, c charge) {
-	if el, ok := d.index[key]; ok {
-		d.lru.MoveToFront(el)
-		cp := el.Value.(*cachePage)
-		cp.dirty = cp.dirty || dirty
-		return true, c
+// touch marks page idx of f most-recently-used, creating its table entry and
+// caching it if absent, and evicts as needed. Caller holds d.mu. Returns the
+// entry, whether the page was already cached, and the eviction charge
+// incurred.
+func (d *Disk) touch(f *fileData, idx int64, dirty bool) (pg *page, wasCached bool, c charge) {
+	pg = f.pages[idx]
+	if pg == nil {
+		pg = &page{f: f, idx: idx}
+		f.pages[idx] = pg
 	}
-	cp := &cachePage{key: key, dirty: dirty}
-	d.index[key] = d.lru.PushFront(cp)
-	d.cachePages++
+	if dirty && pg.dirtyAt == 0 {
+		f.dirty = append(f.dirty, pg)
+		pg.dirtyAt = len(f.dirty)
+	}
+	if wasCached = pg.next != nil; wasCached {
+		pg.prev.next, pg.next.prev = pg.next, pg.prev
+	} else {
+		d.cachePages++
+	}
+	pg.prev, pg.next = &d.lru, d.lru.next
+	pg.prev.next, pg.next.prev = pg, pg
 	for d.capPages > 0 && d.cachePages > d.capPages {
-		back := d.lru.Back()
-		if back == nil {
-			break
-		}
-		victim := back.Value.(*cachePage)
-		if victim.dirty {
+		victim := d.lru.prev
+		if victim.dirtyAt != 0 {
 			// Write-back is elevator-scheduled in practice: evicting pages
 			// in or near file order costs little or no positioning.
-			if sk := d.seekFor(d.haveEvict, d.lastEvict, victim.key); sk > 0 {
+			if sk := d.seekFor(d.haveEvict, d.lastEvict, pageKey{victim.f, victim.idx}); sk > 0 {
 				c.seek += sk
 				c.ops++
 			}
 			c.write += int64(d.params.PageSize)
 			atomic.AddInt64(&d.stats.writeOps, 1)
-			d.lastEvict = pageKey{victim.key.f, victim.key.page + 1}
+			d.lastEvict = pageKey{victim.f, victim.idx + 1}
 			d.haveEvict = true
 		}
-		d.dropElement(back)
+		d.uncache(victim)
 	}
-	return false, c
+	return pg, wasCached, c
 }
 
-func (d *Disk) dropElement(el *list.Element) {
-	cp := el.Value.(*cachePage)
-	d.lru.Remove(el)
-	delete(d.index, cp.key)
+// uncache takes a cached page out of the LRU ring and out of its file's
+// dirty set; a hole's table entry goes with it. Caller holds d.mu.
+func (d *Disk) uncache(pg *page) {
+	pg.prev.next, pg.next.prev = pg.next, pg.prev
+	pg.prev, pg.next = nil, nil
 	d.cachePages--
-}
-
-func (d *Disk) dropPage(key pageKey) {
-	if el, ok := d.index[key]; ok {
-		d.dropElement(el)
+	if at := pg.dirtyAt; at != 0 {
+		f := pg.f
+		last := len(f.dirty) - 1
+		f.dirty[at-1] = f.dirty[last]
+		f.dirty[at-1].dirtyAt = at
+		f.dirty[last] = nil
+		f.dirty = f.dirty[:last]
+		pg.dirtyAt = 0
+	}
+	if pg.data == nil {
+		delete(pg.f.pages, pg.idx)
 	}
 }
 
@@ -402,74 +431,14 @@ func (h *File) Size() int64 {
 func (h *File) Allocated() int64 {
 	h.d.mu.Lock()
 	defer h.d.mu.Unlock()
-	return int64(len(h.f.pages)) * int64(h.d.params.PageSize)
-}
-
-// page returns the backing slice for page idx, allocating it if needed.
-// Caller holds d.mu.
-func (f *fileData) page(ps int, idx int64, alloc bool) []byte {
-	p := f.pages[idx]
-	if p == nil && alloc {
-		p = make([]byte, ps)
-		f.pages[idx] = p
-	}
-	return p
+	return h.f.alloc * int64(h.d.params.PageSize)
 }
 
 // ReadAt reads len(p) bytes at offset off. Bytes beyond the current file
 // size (or in never-written holes) read as zero; it always returns len(p),
 // matching how the CSAR servers treat sparse regions of their local files.
 func (h *File) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("simdisk: negative offset %d", off)
-	}
-	if len(p) == 0 {
-		return 0, nil
-	}
-	d := h.d
-	ps := int64(d.params.PageSize)
-
-	d.mu.Lock()
-	var c charge
-	end := off + int64(len(p))
-	for cur := off; cur < end; {
-		idx := cur / ps
-		pageEnd := (idx + 1) * ps
-		if pageEnd > end {
-			pageEnd = end
-		}
-		withinSize := idx*ps < h.f.size
-		if withinSize {
-			cached, ev := d.touch(pageKey{h.f, idx}, false)
-			c.ops += ev.ops
-			c.seek += ev.seek
-			c.read += ev.read
-			c.write += ev.write
-			if cached {
-				atomic.AddInt64(&d.stats.hits, 1)
-			} else {
-				atomic.AddInt64(&d.stats.misses, 1)
-				if sk := d.readSeekFor(pageKey{h.f, idx}); sk > 0 {
-					c.seek += sk
-					c.ops++
-				}
-				c.read += ps
-			}
-		}
-		src := h.f.page(int(ps), idx, false)
-		dst := p[cur-off : pageEnd-off]
-		if src != nil {
-			copy(dst, src[cur-idx*ps:])
-		} else {
-			for i := range dst {
-				dst[i] = 0
-			}
-		}
-		cur = pageEnd
-	}
-	d.mu.Unlock()
-	d.pay(c)
-	return len(p), nil
+	return h.readAt(p, off, true)
 }
 
 // ReadAtDirect reads like ReadAt but bypasses the page cache, O_DIRECT
@@ -479,6 +448,10 @@ func (h *File) ReadAt(p []byte, off int64) (int, error) {
 // background pass can neither evict the foreground working set nor absorb
 // its dirty-page write-backs.
 func (h *File) ReadAtDirect(p []byte, off int64) (int, error) {
+	return h.readAt(p, off, false)
+}
+
+func (h *File) readAt(p []byte, off int64, cache bool) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("simdisk: negative offset %d", off)
 	}
@@ -486,6 +459,7 @@ func (h *File) ReadAtDirect(p []byte, off int64) (int, error) {
 		return 0, nil
 	}
 	d := h.d
+	f := h.f
 	ps := int64(d.params.PageSize)
 
 	d.mu.Lock()
@@ -493,26 +467,38 @@ func (h *File) ReadAtDirect(p []byte, off int64) (int, error) {
 	end := off + int64(len(p))
 	for cur := off; cur < end; {
 		idx := cur / ps
-		pageEnd := (idx + 1) * ps
-		if pageEnd > end {
-			pageEnd = end
+		if idx*ps >= f.size {
+			// Nothing is materialized or charged beyond the file's size.
+			clear(p[cur-off:])
+			break
 		}
-		if idx*ps < h.f.size {
+		pageEnd := min((idx+1)*ps, end)
+		var pg *page
+		cached := false
+		if cache {
+			var ev charge
+			pg, cached, ev = d.touch(f, idx, false)
+			c.ops += ev.ops
+			c.seek += ev.seek
+			c.write += ev.write
+		} else {
+			pg = f.pages[idx]
+		}
+		if cached {
+			atomic.AddInt64(&d.stats.hits, 1)
+		} else {
 			atomic.AddInt64(&d.stats.misses, 1)
-			if sk := d.readSeekFor(pageKey{h.f, idx}); sk > 0 {
+			if sk := d.readSeekFor(pageKey{f, idx}); sk > 0 {
 				c.seek += sk
 				c.ops++
 			}
 			c.read += ps
 		}
-		src := h.f.page(int(ps), idx, false)
 		dst := p[cur-off : pageEnd-off]
-		if src != nil {
-			copy(dst, src[cur-idx*ps:])
+		if pg != nil && pg.data != nil {
+			copy(dst, pg.data[cur-idx*ps:])
 		} else {
-			for i := range dst {
-				dst[i] = 0
-			}
+			clear(dst)
 		}
 		cur = pageEnd
 	}
@@ -532,6 +518,7 @@ func (h *File) WriteAt(p []byte, off int64) (int, error) {
 		return 0, nil
 	}
 	d := h.d
+	f := h.f
 	ps := int64(d.params.PageSize)
 
 	d.mu.Lock()
@@ -541,67 +528,70 @@ func (h *File) WriteAt(p []byte, off int64) (int, error) {
 		idx := cur / ps
 		pageStart := idx * ps
 		pageEnd := pageStart + ps
-		wEnd := pageEnd
-		if wEnd > end {
-			wEnd = end
-		}
+		wEnd := min(pageEnd, end)
 		partial := cur > pageStart || wEnd < pageEnd
 		// A partial write only needs the old page if the page holds data,
 		// i.e. it starts inside the current file size.
-		needsOld := partial && pageStart < h.f.size
-		cached, ev := d.touch(pageKey{h.f, idx}, true)
+		needsOld := partial && pageStart < f.size
+		pg, cached, ev := d.touch(f, idx, true)
 		c.ops += ev.ops
 		c.seek += ev.seek
-		c.read += ev.read
 		c.write += ev.write
 		if !cached && needsOld {
 			atomic.AddInt64(&d.stats.forced, 1)
 			atomic.AddInt64(&d.stats.misses, 1)
-			if sk := d.readSeekFor(pageKey{h.f, idx}); sk > 0 {
-				c.seek += sk
-				c.ops++
-			} else {
-				c.ops++
-			}
+			c.seek += d.readSeekFor(pageKey{f, idx})
+			c.ops++
 			c.read += ps
 		}
-		dst := h.f.page(int(ps), idx, true)
-		copy(dst[cur-pageStart:], p[cur-off:wEnd-off])
+		if pg.data == nil {
+			pg.data = make([]byte, ps)
+			f.alloc++
+			d.allocPages++
+		}
+		copy(pg.data[cur-pageStart:], p[cur-off:wEnd-off])
 		cur = wEnd
 	}
-	if end > h.f.size {
-		h.f.size = end
+	if end > f.size {
+		f.size = end
 	}
 	d.mu.Unlock()
 	d.pay(c)
 	return len(p), nil
 }
 
-// Truncate sets the file size, discarding contents and cache beyond it.
+// Truncate sets the file size, discarding contents beyond it along with
+// their cached pages.
 func (h *File) Truncate(size int64) {
 	if size < 0 {
 		size = 0
 	}
 	d := h.d
+	f := h.f
 	ps := int64(d.params.PageSize)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	firstDead := (size + ps - 1) / ps
-	for idx := range h.f.pages {
-		if idx >= firstDead {
-			delete(h.f.pages, idx)
-			d.dropPage(pageKey{h.f, idx})
+	for idx, pg := range f.pages {
+		if idx < firstDead || pg.data == nil {
+			continue
+		}
+		pg.data = nil
+		f.alloc--
+		d.allocPages--
+		if pg.next != nil {
+			d.uncache(pg)
+		} else {
+			delete(f.pages, idx)
 		}
 	}
-	if size < h.f.size && size%ps != 0 {
+	if size < f.size && size%ps != 0 {
 		// Zero the tail of the now-last page.
-		if pg := h.f.pages[size/ps]; pg != nil {
-			for i := size % ps; i < ps; i++ {
-				pg[i] = 0
-			}
+		if pg := f.pages[size/ps]; pg != nil && pg.data != nil {
+			clear(pg.data[size%ps:])
 		}
 	}
-	h.f.size = size
+	f.size = size
 }
 
 // Sync flushes all dirty cached pages of this file to the modeled disk,
@@ -609,16 +599,17 @@ func (h *File) Truncate(size int64) {
 // post-write flush the paper's benchmarks measure.
 func (h *File) Sync() {
 	d := h.d
+	f := h.f
 	ps := int64(d.params.PageSize)
+	var few [8]int64 // a journal append dirties one page: no allocation
+	dirty := few[:0]
 	d.mu.Lock()
-	var dirty []int64
-	for el := d.lru.Front(); el != nil; el = el.Next() {
-		cp := el.Value.(*cachePage)
-		if cp.key.f == h.f && cp.dirty {
-			dirty = append(dirty, cp.key.page)
-			cp.dirty = false
-		}
+	for i, pg := range f.dirty {
+		dirty = append(dirty, pg.idx)
+		pg.dirtyAt = 0
+		f.dirty[i] = nil
 	}
+	f.dirty = f.dirty[:0]
 	d.mu.Unlock()
 	if len(dirty) == 0 {
 		return
@@ -626,7 +617,7 @@ func (h *File) Sync() {
 	// One elevator pass in ascending order: a full repositioning to start,
 	// then short hops over small holes (the Hybrid scheme's data files are
 	// sparse at partial-stripe portions) and full seeks over large ones.
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
+	slices.Sort(dirty)
 	var c charge
 	c.seek = d.params.SeekTime
 	c.ops = 1

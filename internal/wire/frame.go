@@ -23,14 +23,16 @@ const maxPooledHead = 64 << 10
 // field passed by reference — it aliases the Msg's own slice and must hit
 // the wire immediately after the head. The caller owns the frame until it
 // calls Free, which recycles the head buffer; neither Head() nor Payload
-// may be retained afterward. Free never touches the Msg's own data: a frame
-// can be marshaled and freed just to measure it, with the message still on
-// its way to a consumer.
+// may be retained afterward. Free never touches data the Msg's sender still
+// owns: a frame can be marshaled and freed just to measure it, with the
+// message still on its way to a consumer. The one payload Free does recycle
+// is one the frame owns — the pooled buffer a write request was gathered
+// into and handed over by HoldBuf, or OwnPayload's private copy.
 type Frame struct {
 	buf     []byte // [FramePrefix reserved bytes][marshaled head]
 	Payload []byte
 	bp      *[]byte // pool box, reused on Free; nil for unpooled frames
-	pp      *[]byte // private payload copy made by OwnPayload; nil if by-reference
+	pp      *[]byte // pooled payload the frame owns; nil if Payload is by-reference
 }
 
 // Head returns the marshaled message bytes (without the transport prefix).
@@ -50,7 +52,9 @@ func (f *Frame) BodyLen() int { return len(f.buf) - FramePrefix + len(f.Payload)
 // must take ownership before returning control, or a caller that reuses its
 // buffer after the timeout races the in-flight wire write and the receiver
 // can apply a torn payload. Free recycles the copy. A frame whose payload is
-// already inlined (or already owned) is untouched.
+// already inlined, or already the frame's own (the sender gathered it into a
+// buffer it handed over with the message), is untouched: only a caller that
+// passed its own slice pays for the copy.
 func (f *Frame) OwnPayload() {
 	if len(f.Payload) == 0 || f.pp != nil {
 		return
@@ -61,8 +65,8 @@ func (f *Frame) OwnPayload() {
 	f.pp = pp
 }
 
-// Free returns the head buffer (and any OwnPayload copy) to their pools. The
-// frame must not be used again.
+// Free returns the head buffer and any payload the frame owns to their pools.
+// The frame must not be used again.
 func (f *Frame) Free() {
 	if f.bp != nil && cap(f.buf) <= maxPooledHead {
 		if poisonPooledBuffers.Load() {
@@ -84,7 +88,8 @@ var headPool = sync.Pool{New: func() any {
 // A zero trace produces the plain (untraced) encoding. The message's first
 // large byte payload is carried in Frame.Payload by reference — the caller
 // must not mutate the Msg's data until the frame has been written and
-// freed.
+// freed. A pooled buffer the message holds for that payload (HoldBuf)
+// becomes the frame's.
 func MarshalFrame(m Msg, trace uint64) Frame {
 	bp := headPool.Get().(*[]byte)
 	var prefix [FramePrefix]byte
@@ -106,5 +111,9 @@ func MarshalFrame(m Msg, trace uint64) Frame {
 		copy(e.Buf[e.splitAt:], e.Payload)
 		e.Payload = nil
 	}
-	return Frame{buf: e.Buf, Payload: e.Payload, bp: bp}
+	fr := Frame{buf: e.Buf, Payload: e.Payload, bp: bp}
+	if o, ok := m.(interface{ takePayload() *[]byte }); ok {
+		fr.pp = o.takePayload()
+	}
+	return fr
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // The payload pool: every bulk buffer the transport and the servers recycle
-// — rpc receive frames, OwnPayload's private send copies, ReadResp payloads —
-// comes from one set of size classes. GetBuf rounds up to a class, so a small
+// — rpc receive frames, the write payloads a client gathers for its requests,
+// OwnPayload's private send copies, ReadResp payloads — comes from one set of
+// size classes. GetBuf rounds up to a class, so a small
 // frame never takes or pins a large buffer, and a miss allocates a whole
 // class size the next caller of that class can reuse.
 //

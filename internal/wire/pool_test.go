@@ -145,3 +145,47 @@ func TestBufPoolClasses(t *testing.T) {
 	}
 	PutBuf(nil)
 }
+
+// TestHeldPayloadMovesToFrame pins the owned-gather rule: a pooled buffer a
+// write request holds for its Data becomes the frame's at the first marshal
+// and is recycled by that frame's Free, exactly once — a second marshal of
+// the same message (a transport measuring it) finds nothing to recycle, and
+// OwnPayload does not copy what the frame already owns.
+func TestHeldPayloadMovesToFrame(t *testing.T) {
+	SetPoolPoison(true)
+	t.Cleanup(func() { SetPoolPoison(false) })
+
+	for _, n := range []int{100, 64 << 10} { // head-inlined and split
+		bp := GetBuf(n)
+		view := *bp
+		for i := range view {
+			view[i] = byte(i*3 + 1)
+		}
+		want := append([]byte(nil), view...)
+		m := &WriteParity{File: FileRef{ID: 3}, Stripes: []int64{1}, Data: view, Unlock: true}
+		m.HoldBuf(bp)
+
+		fr := MarshalFrame(m, 0)
+		fr.OwnPayload()
+		if len(fr.Payload) > 0 && &fr.Payload[0] != &view[0] {
+			t.Fatalf("n=%d: OwnPayload copied a payload the frame already owned", n)
+		}
+		if got := append(append([]byte(nil), fr.Head()...), fr.Payload...); !bytes.Equal(got, Marshal(m)) {
+			t.Fatalf("n=%d: frame bytes differ from the contiguous marshal", n)
+		}
+		again := MarshalFrame(m, 0)
+		again.Free()
+		if !bytes.Equal(view, want) {
+			t.Fatalf("n=%d: freeing a second frame of the same message recycled its payload", n)
+		}
+		fr.Free()
+		if view[0] != 0xDB {
+			t.Fatalf("n=%d: Free did not recycle the payload the frame owned", n)
+		}
+		view[0] = 2
+		fr.Free()
+		if view[0] != 2 {
+			t.Fatalf("n=%d: a second Free recycled the payload again", n)
+		}
+	}
+}

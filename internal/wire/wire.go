@@ -468,6 +468,27 @@ func (m *ReadResp) Release() {
 	PutBuf(bp)
 }
 
+// ownedPayload is embedded in the write requests whose bulk Data a client
+// gathers into a pooled buffer (GetBuf) made for that one message. HoldBuf
+// hands the message the buffer; MarshalFrame moves it on into the Frame,
+// whose Free recycles it when the write has finished with the bytes — so the
+// sender never copies the payload again and need not outlive the send. A
+// message that is never marshaled (an in-process transport, a call refused
+// before it was sent) leaves its buffer to the garbage collector.
+type ownedPayload struct{ buf *[]byte }
+
+// HoldBuf hands m the pooled buffer its Data lives in. The buffer is m's
+// alone from here on: the caller keeps no other use of it.
+func (o *ownedPayload) HoldBuf(bp *[]byte) { o.buf = bp }
+
+// takePayload moves the held buffer out of the message (nil if none): a
+// second marshal of the same message finds nothing to recycle.
+func (o *ownedPayload) takePayload() *[]byte {
+	bp := o.buf
+	o.buf = nil
+	return bp
+}
+
 // WriteData writes the given logical spans in place into the data file. Raw
 // marks a repair or rebuild write: the bytes are restored in place exactly,
 // without the overflow invalidation a Hybrid foreground full-stripe write
@@ -477,6 +498,7 @@ type WriteData struct {
 	Spans []Span
 	Data  []byte
 	Raw   bool
+	ownedPayload
 }
 
 // WriteMirror writes the RAID1 mirror copies of the given logical spans into
@@ -486,6 +508,7 @@ type WriteMirror struct {
 	File  FileRef
 	Spans []Span
 	Data  []byte
+	ownedPayload
 }
 
 // ReadMirror reads mirror copies (for degraded reads and verification).
@@ -691,6 +714,7 @@ type WriteParity struct {
 	Data    []byte
 	Unlock  bool
 	Owner   uint64
+	ownedPayload
 }
 
 // WriteOverflow appends new data for the given logical extents into the
@@ -701,6 +725,7 @@ type WriteOverflow struct {
 	Extents []Span
 	Data    []byte
 	Mirror  bool
+	ownedPayload
 }
 
 // InvalidateOverflow removes overflow-table coverage of the given spans;

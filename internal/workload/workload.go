@@ -360,48 +360,51 @@ func FlashIO(e Env, name string, ranks int, totalBytes int64) (int64, error) {
 		smallPerDataset = 2 // ~33%, approaching the 24-process mix
 	}
 	su := e.stripeUnit()
-	var cursor atomic.Int64 // shared layout cursor, as HDF5 allocates datasets
-	var total atomic.Int64
+
+	// The file layout is planned before any rank runs: the ranks advance in
+	// lockstep, record by record, each taking its next record's extent from
+	// the shared layout cursor (as HDF5 allocates datasets) with sizes drawn
+	// from its own seeded stream. Handing out offsets while the ranks race
+	// would make the layout — and with it Table 2's FLASH rows — depend on
+	// goroutine scheduling.
+	type record struct{ off, n int64 }
+	plans := make([][]record, ranks)
+	rngs := make([]*rand.Rand, ranks)
+	for r := range rngs {
+		rngs[r] = rand.New(rand.NewSource(int64(r) + 42))
+	}
+	var cursor, total int64
+	for total < totalBytes {
+		// Per dataset: header and attribute records — small, the first
+		// aligned, so they sit apart from the bulk — then the variable's
+		// bulk data, 4 medium records, the first chunk-aligned.
+		for i := 0; i < smallPerDataset+4; i++ {
+			for r := 0; r < ranks; r++ {
+				n := 256 + rngs[r].Int63n(2<<10-256)
+				if i >= smallPerDataset {
+					n = 100<<10 + rngs[r].Int63n(200<<10)
+				}
+				if i == 0 || i == smallPerDataset {
+					if rem := cursor % su; rem != 0 {
+						cursor += su - rem
+					}
+				}
+				plans[r] = append(plans[r], record{cursor, n})
+				cursor += n
+				total += n
+			}
+		}
+	}
+
 	err := csar.RunParallel(ranks, func(r *csar.Rank) error {
 		cl := e.Cluster.NewClient()
 		f, err := cl.Open(name)
 		if err != nil {
 			return err
 		}
-		rng := rand.New(rand.NewSource(int64(r.ID()) + 42))
-		write := func(n int64, align bool) error {
-			var off int64
-			for {
-				cur := cursor.Load()
-				off = cur
-				if align {
-					if rem := off % su; rem != 0 {
-						off += su - rem
-					}
-				}
-				if cursor.CompareAndSwap(cur, off+n) {
-					break
-				}
-			}
-			if _, err := f.WriteAt(fill(n, byte(r.ID())), off); err != nil {
+		for _, rec := range plans[r.ID()] {
+			if _, err := f.WriteAt(fill(rec.n, byte(r.ID())), rec.off); err != nil {
 				return err
-			}
-			total.Add(n)
-			return nil
-		}
-		for total.Load() < totalBytes {
-			// Dataset header and attribute records: small, and followed by
-			// an alignment gap, so each sits alone in its stripe unit.
-			for i := 0; i < smallPerDataset; i++ {
-				if err := write(256+rng.Int63n(2<<10-256), i == 0); err != nil {
-					return err
-				}
-			}
-			// The variable's bulk data: 4 chunk-aligned medium records.
-			for i := 0; i < 4; i++ {
-				if err := write(100<<10+rng.Int63n(200<<10), i == 0); err != nil {
-					return err
-				}
 			}
 		}
 		r.Barrier()
@@ -410,7 +413,7 @@ func FlashIO(e Env, name string, ranks int, totalBytes int64) (int64, error) {
 		}
 		return nil
 	})
-	return total.Load(), err
+	return total, err
 }
 
 // Cactus reproduces the Cactus/BenchIO checkpoint: each of `ranks` nodes
