@@ -97,10 +97,11 @@ func (b *parityBatch) flush(f *File, dead int, tr uint64) error {
 	})
 }
 
-// fullStripeParity computes span's per-stripe XOR parity (RAID5-npc ships
-// zero bytes without computing, isolating the parity CPU cost exactly as
-// before). Each server's parity is computed in place in the payload its
-// WriteParity will own — no per-stripe scratch, no copy.
+// fullStripeParity computes span's per-stripe parity units — one XOR unit
+// for RAID5 and Hybrid, m coefficient rows for Reed-Solomon. (RAID5-npc ships
+// zero bytes without computing, isolating the parity CPU cost.) Each unit is
+// computed in place in the payload its server's WriteParity will own — no
+// per-stripe scratch, no copy.
 func (f *File) fullStripeParity(span raid.Span, p []byte) (*parityBatch, error) {
 	g := f.geom
 	ss := g.StripeSize()
@@ -108,25 +109,31 @@ func (f *File) fullStripeParity(span raid.Span, p []byte) (*parityBatch, error) 
 	if span.Off%ss != 0 || span.Len%ss != 0 {
 		return nil, fmt.Errorf("client: full-stripe span [%d,%d) not stripe-aligned", span.Off, span.End())
 	}
+	units := make([][]byte, g.PU())
 	sizes := make([]int, g.Servers)
 	for s := span.Off / ss; s < span.End()/ss; s++ {
-		sizes[g.ParityServerOf(s)] += su
+		for j := range units {
+			sizes[g.ParityServerOfUnit(s, j)] += su
+		}
 	}
 	pb := &parityBatch{g: g, stripes: make([][]int64, g.Servers), data: newPayloads(sizes)}
-	compute := f.ref.Scheme != wire.Raid5NPC
-	if compute {
-		f.c.chargeXOR(span.Len)
+	if f.compute {
+		f.chargeParity(len(units), span.Len)
 	}
 	for s := span.Off / ss; s < span.End()/ss; s++ {
-		ps := g.ParityServerOf(s)
-		unit := pb.data.grow(ps, su)
-		if compute {
-			base := g.StripeStart(s) - span.Off
-			core.StripeParity(g, p[base:base+ss], unit)
-		} else {
-			clear(unit)
+		for j := range units {
+			ps := g.ParityServerOfUnit(s, j)
+			pb.stripes[ps] = append(pb.stripes[ps], s)
+			units[j] = pb.data.grow(ps, su)
 		}
-		pb.stripes[ps] = append(pb.stripes[ps], s)
+		if f.compute {
+			base := g.StripeStart(s) - span.Off
+			core.StripeParity(g, f.code, p[base:base+ss], units)
+		} else {
+			for _, u := range units {
+				clear(u) // pooled buffers arrive dirty
+			}
+		}
 	}
 	return pb, nil
 }

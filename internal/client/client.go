@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"csar/internal/obs"
-	"csar/internal/raid"
 	"csar/internal/simtime"
 	"csar/internal/wire"
 )
@@ -262,36 +261,14 @@ func (c *Client) anyDown(ref wire.FileRef) (int, bool) {
 }
 
 // allDown returns every unusable server of the file's stripe set, in
-// ascending order. Reed-Solomon files tolerate up to ParityUnits
-// simultaneous failures, so their degraded paths need the full list where
-// the single-failure schemes need only anyDown's first hit.
+// ascending order. A stripe with m parity units tolerates up to m
+// simultaneous failures, so the degraded paths need the full list where the
+// path decision needs only anyDown's first hit.
 func (c *Client) allDown(ref wire.FileRef) []int {
-	n := int(ref.Servers)
 	var out []int
-	c.mu.Lock()
-	for i := 0; i < n; i++ {
-		if c.down[i] {
+	for i := 0; i < int(ref.Servers); i++ {
+		if c.Down(i) {
 			out = append(out, i)
-		}
-	}
-	c.mu.Unlock()
-	for i := 0; i < n; i++ {
-		if c.breakerDown(i) {
-			found := false
-			for _, d := range out {
-				if d == i {
-					found = true
-					break
-				}
-			}
-			if !found {
-				out = append(out, i)
-			}
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
 	return out
@@ -348,19 +325,10 @@ func (c *Client) Open(name string) (*File, error) {
 }
 
 func (c *Client) fileFor(ref wire.FileRef, size int64) (*File, error) {
-	g := raid.Geometry{Servers: int(ref.Servers), StripeUnit: int64(ref.StripeUnit)}
-	if ref.Scheme == wire.ReedSolomon {
-		g.ParityUnits = ref.ParityUnits()
-		if err := g.ValidateParity(); err != nil {
-			return nil, err
-		}
-	} else if err := g.Validate(); err != nil {
+	f := &File{c: c}
+	if err := f.setLayout(ref); err != nil {
 		return nil, err
 	}
-	if g.Servers > len(c.srv) {
-		return nil, fmt.Errorf("client: file spans %d servers, cluster has %d", g.Servers, len(c.srv))
-	}
-	f := &File{c: c, ref: ref, geom: g}
 	f.size.Store(size)
 	return f, nil
 }

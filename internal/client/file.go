@@ -1,6 +1,7 @@
 package client
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"csar/internal/core"
+	"csar/internal/gf256"
 	"csar/internal/obs"
 	"csar/internal/raid"
 	"csar/internal/wire"
@@ -23,10 +25,53 @@ type File struct {
 	geom raid.Geometry
 	size atomic.Int64
 
+	// The parity engine's configuration, resolved from ref in setLayout and
+	// nowhere else. code is the stripe's RS(k = N-m, m) code, nil for the
+	// schemes that keep no parity; RAID5 and Hybrid are its m = 1 case, whose
+	// one coefficient row is all ones — plain XOR. lock and compute are off
+	// only for the paper's two ablations: Raid5NoLock's read-modify-writes
+	// take no parity lock (Figure 3), Raid5NPC ships parity uncomputed
+	// (Figure 4a). opPrefix names the write-path histograms.
+	code     *gf256.RS
+	lock     bool
+	compute  bool
+	opPrefix string
+
 	// gateExempt marks a handle that skips the relayout gate: the shadow
 	// layout of a migration (written under the gate's shared side) and the
 	// engine's handles inside RelayoutExclusive sections. See relayout.go.
 	gateExempt bool
+}
+
+// setLayout points the handle at the layout ref describes: geometry, parity
+// code and the engine's ablation switches. fileFor calls it on a fresh
+// handle, AdoptRef under the relayout gate's exclusive side.
+func (f *File) setLayout(ref wire.FileRef) error {
+	g := raid.Geometry{Servers: int(ref.Servers), StripeUnit: int64(ref.StripeUnit), ParityUnits: int(ref.Parity)}
+	var code *gf256.RS
+	if ref.Scheme.UsesParity() {
+		if err := g.ValidateParity(); err != nil {
+			return err
+		}
+		var err error
+		if code, err = gf256.NewRS(g.DataWidth(), g.PU()); err != nil {
+			return err
+		}
+	} else if err := g.Validate(); err != nil {
+		return err
+	}
+	if g.Servers > len(f.c.srv) {
+		return fmt.Errorf("client: file spans %d servers, cluster has %d", g.Servers, len(f.c.srv))
+	}
+	f.ref, f.geom, f.code = ref, g, code
+	f.lock = ref.Scheme.UsesLocking()
+	f.compute = ref.Scheme != wire.Raid5NPC
+	f.opPrefix = "op_write_"
+	if ref.Scheme == wire.ReedSolomon {
+		// Multi-parity files report under series of their own.
+		f.opPrefix = "op_write_rs_"
+	}
+	return nil
 }
 
 // Ref returns the file's wire reference.
@@ -34,6 +79,10 @@ func (f *File) Ref() wire.FileRef { return f.ref }
 
 // Geometry returns the file's stripe geometry.
 func (f *File) Geometry() raid.Geometry { return f.geom }
+
+// Code returns the RS(k, m) code of the file's parity stripes — m = 1, plain
+// XOR, for RAID5 and Hybrid — or nil for a scheme that keeps no parity.
+func (f *File) Code() *gf256.RS { return f.code }
 
 // Scheme returns the file's redundancy scheme.
 func (f *File) Scheme() wire.Scheme { return f.ref.Scheme }
@@ -160,10 +209,10 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 // portions launch as soon as its parity read has returned, overlapping its
 // write phase.
 //
-// The in-place data of the plain and (XOR) full-stripe portions is
-// coalesced into one multi-span WriteData per server (writeBatch), issued
-// concurrently with the batched parity writes; the RMW, mirror, overflow
-// and Reed-Solomon portions keep their own protocols.
+// The in-place data of the plain and full-stripe portions is coalesced into
+// one multi-span WriteData per server (writeBatch), issued concurrently with
+// the batched parity writes; the RMW, mirror and overflow portions keep
+// their own protocols.
 func (f *File) execute(plan core.Plan, off int64, p []byte, dead int, tr uint64) error {
 	data := func(s raid.Span) []byte { return p[s.Off-off : s.End()-off] }
 
@@ -177,7 +226,7 @@ func (f *File) execute(plan core.Plan, off int64, p []byte, dead int, tr uint64)
 		lockHeld := make(chan struct{})
 		go func() {
 			defer close(headDone)
-			defer f.timePath(f.writePathName("rmw"))()
+			defer f.timePath(f.opPrefix + "rmw")()
 			headErr = f.writeRMW(head.Span, data(head.Span), func() { close(lockHeld) }, dead, tr)
 		}()
 		<-lockHeld // head's parity read has completed (or failed)
@@ -200,9 +249,9 @@ func (f *File) execute(plan core.Plan, off int64, p []byte, dead int, tr uint64)
 		case pt.Mode == core.ModePlain:
 			stops = append(stops, f.timePath("op_write_plain"))
 			batch.add(pt.Span, data(pt.Span))
-		case pt.Mode == core.ModeFullStripe && f.ref.Scheme != wire.ReedSolomon:
+		case pt.Mode == core.ModeFullStripe:
 			f.c.metrics.fullStripes.Add(1)
-			stops = append(stops, f.timePath(f.writePathName("full_stripe")))
+			stops = append(stops, f.timePath(f.opPrefix+"full_stripe"))
 			if parity, prepErr = f.fullStripeParity(pt.Span, data(pt.Span)); prepErr != nil {
 				break
 			}
@@ -241,13 +290,9 @@ func (f *File) execute(plan core.Plan, off int64, p []byte, dead int, tr uint64)
 				f.c.metrics.mirrors.Add(1)
 				defer f.timePath("op_write_mirror")()
 				errs[i] = f.writeMirrored(pt.Span, data(pt.Span), dead, tr)
-			case core.ModeFullStripe:
-				f.c.metrics.fullStripes.Add(1)
-				defer f.timePath(f.writePathName("full_stripe"))()
-				errs[i] = f.writeFullStripesRS(pt.Span, data(pt.Span), dead, tr)
 			case core.ModeRMW:
 				f.c.metrics.rmws.Add(1)
-				defer f.timePath(f.writePathName("rmw"))()
+				defer f.timePath(f.opPrefix + "rmw")()
 				errs[i] = f.writeRMW(pt.Span, data(pt.Span), nil, dead, tr)
 			case core.ModeOverflow:
 				f.c.metrics.overflowWrites.Add(1)
@@ -279,16 +324,6 @@ func (f *File) execute(plan core.Plan, off int64, p []byte, dead int, tr uint64)
 func (f *File) timePath(name string) func() {
 	start := time.Now()
 	return func() { f.c.Observe(name, f.c.sinceStart(start)) }
-}
-
-// writePathName returns the histogram name of one write-path branch:
-// Reed-Solomon files get their own op_write_rs_* series so the GF(256)
-// coding paths are visible separately from the XOR-parity ones.
-func (f *File) writePathName(base string) string {
-	if f.ref.Scheme == wire.ReedSolomon {
-		return "op_write_rs_" + base
-	}
-	return "op_write_" + base
 }
 
 // sendWriteData ships per-server payloads of span to the data files,
@@ -339,65 +374,219 @@ func (f *File) writeMirrored(span raid.Span, p []byte, dead int, tr uint64) erro
 	return mErr
 }
 
-// Full-stripe XOR writes — data in place plus freshly computed parity,
-// with no locks and no reads (the RAID5 best case) — run through the
+// Full-stripe writes — data in place plus freshly computed parity, with no
+// locks and no reads (the RAID5 best case) — run through the
 // writeBatch/parityBatch machinery in execute; see batch.go. Overflow
 // invalidation for the written stripes happens implicitly at each server
 // when it applies the in-place data write (Section 4's migration back to
 // RAID5); no extra messages are needed.
 
-// writeRMW performs a partial-stripe RAID5 update: read the old parity
-// (acquiring the stripe's lock) and the old data concurrently, fold the
-// delta into the parity, write the new data, then write the parity
-// (releasing the lock). The two reads overlap — "the client reads the data
-// in the partial stripes and also the corresponding parity region" — which
-// keeps the lock-hold window to the write phase; this is why the paper
-// keeps the lock-hold window modest (Figure 3). onParityRead, if non-nil,
-// is called exactly once, when the parity read has completed — the caller
-// uses it to release the next partial stripe's parity read per the
-// Section 5.1 ordering rule.
+// ParityHold is one parity unit of a stripe, read to be updated and written
+// back — under its server's stripe lock, unless the scheme is the no-lock
+// ablation: one of the 1..m steps of a read-modify-write, or the scrubber's
+// byte-level stripe check.
+//
+// A locked read carries a fresh owner token: if it fails client-side
+// (deadline, dead link) we cannot know whether the server granted the lock,
+// and the token lets us release exactly that possible ghost acquisition
+// without ever touching a lock granted to anyone else. It also carries the
+// policy's lock lease: the server opens a stripe intent with that deadline,
+// and lease.go heartbeats it until the unlocking parity write retires it —
+// so a holder that dies costs one lease, not a wedged stripe.
+type ParityHold struct {
+	f      *File
+	stripe int64
+	j, srv int            // parity unit j, on server srv
+	token  uint64         // the acquisition's owner token; zero when no lock is taken
+	resp   *wire.ReadResp // the unit's contents, updated in place in their pooled buffer
+}
+
+// HoldParity reads parity unit j of stripe, acquiring its lock.
+func (f *File) HoldParity(stripe int64, j int) (*ParityHold, error) {
+	return f.holdParity(stripe, j, 0)
+}
+
+func (f *File) holdParity(stripe int64, j int, tr uint64) (*ParityHold, error) {
+	h := &ParityHold{f: f, stripe: stripe, j: j, srv: f.geom.ParityServerOfUnit(stripe, j)}
+	if f.lock {
+		h.token = nextLockToken()
+	}
+	resp, err := f.c.callSrvT(h.srv, &wire.ReadParity{
+		File: f.ref, Stripes: []int64{stripe}, Lock: f.lock, Owner: h.token,
+		LeaseMS: leaseMS(f.c.getPolicy()),
+	}, tr)
+	if err != nil {
+		if isUnavailable(err) {
+			// The server may hold the lock for us without us knowing; fire the
+			// token-scoped release so no peer queues behind a ghost (the
+			// Section 4 protocol cannot deadlock on us). Nothing has been
+			// written: a clean (non-dirty) cancel.
+			h.cancel(false)
+		}
+		return nil, err
+	}
+	h.resp = resp.(*wire.ReadResp)
+	if int64(len(h.resp.Data)) != f.geom.StripeUnit {
+		h.cancel(false) // granted but unusable; the stripe is untouched
+		return nil, fmt.Errorf("client: parity read returned %d bytes, want %d",
+			len(h.resp.Data), f.geom.StripeUnit)
+	}
+	if f.lock {
+		f.c.trackLease(h.srv, f.ref, stripe, h.token)
+	}
+	return h, nil
+}
+
+// Data returns the parity unit's contents as read.
+func (h *ParityHold) Data() []byte { return h.resp.Data }
+
+// Write stores data as the parity unit's new contents, which releases the
+// lock and retires the intent. It is for a holder that has left the stripe
+// consistent with data — a repair, not an update in flight.
+func (h *ParityHold) Write(data []byte) error { return h.write(data, false, 0) }
+
+// write is the closing parity write. dirty says whether the stripe's data
+// may have changed under this hold without the parity to match: if the
+// write's outcome is unknown the lingering acquisition is released with that
+// flag, and a dirty release fail-stops the stripe until intent replay
+// reconciles it.
+func (h *ParityHold) write(data []byte, dirty bool, tr uint64) error {
+	c := h.f.c
+	_, err := c.callSrvT(h.srv, &wire.WriteParity{
+		File: h.f.ref, Stripes: []int64{h.stripe}, Data: data, Unlock: h.f.lock, Owner: h.token,
+	}, tr)
+	if !h.f.lock {
+		return err
+	}
+	c.untrackLease(h.token)
+	if errors.Is(err, wire.ErrLeaseExpired) {
+		// The server expired our lease and fenced this late write off; the
+		// stripe is fail-stopped there until replay reconstructs the unit.
+		c.metrics.leaseExpiries.Add(1)
+	} else if err != nil && isUnavailable(err) {
+		// The unlocking write may have been lost before the server applied
+		// it; make sure the acquisition cannot linger.
+		c.releaseParityLock(h.srv, h.f.ref, h.stripe, h.token, dirty)
+	}
+	return err
+}
+
+// Release drops the lock with an unchanged parity write-back: the stripe was
+// not touched. It is a no-op for a scheme that took no lock.
+func (h *ParityHold) Release() error { return h.release(0) }
+
+func (h *ParityHold) release(tr uint64) error {
+	if !h.f.lock {
+		return nil
+	}
+	return h.write(h.resp.Data, false, tr)
+}
+
+// cancel gives the acquisition up with the token-scoped release instead of
+// a parity write.
+func (h *ParityHold) cancel(dirty bool) {
+	if !h.f.lock {
+		return
+	}
+	h.f.c.untrackLease(h.token)
+	h.f.c.releaseParityLock(h.srv, h.f.ref, h.stripe, h.token, dirty)
+}
+
+// commit is a read-modify-write's closing write: the unit as updated in
+// place, over data that has changed. The response the new parity was
+// computed in is released once the write has returned successfully: the
+// server has the bytes. After an error or a timeout it is left to the
+// garbage collector — the abandoned call may still be reading it.
+func (h *ParityHold) commit(tr uint64) error {
+	err := h.write(h.resp.Data, true, tr)
+	if err == nil {
+		h.resp.Release()
+	}
+	return err
+}
+
+// abandon is cancel for a stripe whose data writes have started.
+func (h *ParityHold) abandon(uint64) error {
+	h.cancel(true)
+	return nil
+}
+
+// eachHold runs step on every hold concurrently and joins the errors.
+func eachHold(holds []*ParityHold, tr uint64, step func(*ParityHold, uint64) error) error {
+	if len(holds) == 1 {
+		return step(holds[0], tr)
+	}
+	errs := make([]error, len(holds))
+	var wg sync.WaitGroup
+	for i, h := range holds {
+		wg.Add(1)
+		go func(i int, h *ParityHold) {
+			defer wg.Done()
+			errs[i] = step(h, tr)
+		}(i, h)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// chargeParity models the client CPU of folding n bytes into each of units
+// parity units. A single-parity stripe's one coefficient row is all ones, so
+// it costs XOR passes; multi-parity stripes are charged GF(256) passes.
+func (f *File) chargeParity(units int, n int64) {
+	if f.geom.PU() == 1 {
+		f.c.chargeXOR(n)
+	} else {
+		f.c.chargeGF(int64(units) * n)
+	}
+}
+
+// writeRMW performs a partial-stripe update: lock and read the stripe's m
+// parity units and, concurrently, read the old data; fold the delta into
+// every parity unit with its own coefficient row; write the new data; write
+// the new parity units, each write releasing its server's lock and retiring
+// its intent. The reads overlap — "the client reads the data in the partial
+// stripes and also the corresponding parity region" — which keeps the
+// lock-hold window to the write phase (Figure 3). Every parity server is
+// updated before any lock is released, so a crash at any point leaves
+// intents open on exactly the servers whose units are not yet consistent,
+// and replay reconstructs each from the data that landed.
+//
+// Lock acquisitions happen strictly one at a time in parity-unit order:
+// every client updating a stripe walks its parity servers in the same j
+// order, so no client can hold one of the stripe's locks while waiting on a
+// lock another holder of the same stripe already has. Across stripes the
+// Section 5.1 rule (the lower-numbered stripe's acquisition phase completes
+// before the higher-numbered one starts) keeps the order total:
+// onParityRead, if non-nil, is called exactly once, when the acquisition
+// phase is over, and the caller uses it to start the next partial stripe's.
 //
 // Degraded mode (dead >= 0):
-//   - If the dead server holds this stripe's parity, there is no parity to
-//     maintain until rebuild: the new data is simply written to the (all
+//   - A parity unit on the dead server is not maintained until rebuild; if
+//     that leaves none (m = 1), the new data is simply written to the (all
 //     live) data servers.
 //   - If the dead server holds data units in the range, their old contents
-//     are reconstructed from the survivors and the parity before the delta
-//     is applied, so the updated parity encodes the new bytes and the next
-//     rebuild materializes them.
+//     are reconstructed from the survivors before the delta is applied, so
+//     the updated parity encodes the new bytes and the next rebuild
+//     materializes them.
 func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int, tr uint64) error {
-	if f.ref.Scheme == wire.ReedSolomon {
-		return f.writeRMWRS(span, p, onParityRead, dead, tr)
-	}
 	g := f.geom
 	stripe := g.StripeOf(span.Off)
-	lock := f.ref.Scheme.UsesLocking()
-	ps := g.ParityServerOf(stripe)
-
-	if dead == ps {
-		// Degraded with the parity server down: the stripe's data units are
-		// all on live servers; parity is recomputed at rebuild.
+	units := make([]int, 0, g.PU()) // the parity units to maintain: those not on the dead server
+	for j := 0; j < g.PU(); j++ {
+		if g.ParityServerOfUnit(stripe, j) != dead {
+			units = append(units, j)
+		}
+	}
+	if len(units) == 0 {
 		if onParityRead != nil {
 			onParityRead()
 		}
 		return f.sendWriteData(span, splitByServer(g, span.Off, p), dead, tr)
 	}
 
-	// 1. Old-parity read (lock acquisition) and old-data read, in parallel.
-	// The acquisition carries a fresh owner token: if the locked read fails
-	// client-side (deadline, dead link) we cannot know whether the server
-	// granted the lock, and the token lets us release exactly that possible
-	// ghost acquisition without ever touching a lock granted to anyone else.
-	// It also carries the policy's lock lease: the server opens a stripe
-	// intent with that deadline, and lease.go heartbeats it until the
-	// unlocking parity write retires it — so a client that dies mid-RMW
-	// costs one lease, not a wedged stripe.
-	pol := f.c.getPolicy()
-	var token uint64
-	if lock {
-		token = nextLockToken()
-	}
-	var presp *wire.ReadResp // the old parity, updated in place in its pooled buffer
+	// 1. Parity reads (lock acquisitions, in j order) and old-data read, in
+	// parallel.
+	holds := make([]*ParityHold, 0, len(units))
 	var pErr error
 	done := make(chan struct{})
 	go func() {
@@ -405,38 +594,18 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 		if onParityRead != nil {
 			defer onParityRead()
 		}
-		// parity_lock_wait: how long the locked parity read took end to end —
+		// parity_lock_wait: how long the locked parity reads took end to end —
 		// queueing behind another holder of this stripe's lock included.
-		if lock {
+		if f.lock {
 			defer f.timePath("parity_lock_wait")()
 		}
-		resp, err := f.c.callSrvT(ps, &wire.ReadParity{
-			File: f.ref, Stripes: []int64{stripe}, Lock: lock, Owner: token,
-			LeaseMS: leaseMS(pol),
-		}, tr)
-		if err != nil {
-			pErr = err
-			if lock && isUnavailable(err) {
-				// The server may hold the lock for us without us knowing;
-				// fire the token-scoped release so no peer queues behind a
-				// ghost (the Section 4 protocol cannot deadlock on us). No
-				// data has been written: a clean (non-dirty) cancel.
-				f.c.releaseParityLock(ps, f.ref, stripe, token, false)
+		for _, j := range units {
+			h, err := f.holdParity(stripe, j, tr)
+			if err != nil {
+				pErr = err // the failed acquisition released itself
+				return
 			}
-			return
-		}
-		presp = resp.(*wire.ReadResp)
-		if int64(len(presp.Data)) != g.StripeUnit {
-			pErr = fmt.Errorf("client: parity read returned %d bytes, want %d",
-				len(presp.Data), g.StripeUnit)
-			if lock {
-				// Granted but unusable: free the acquisition (stripe untouched).
-				f.c.releaseParityLock(ps, f.ref, stripe, token, false)
-			}
-			return
-		}
-		if lock {
-			f.c.trackLease(ps, f.ref, stripe, token)
+			holds = append(holds, h)
 		}
 	}()
 	// The old data is scratch nothing outside this function ever sees (it is
@@ -444,134 +613,70 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 	oldBuf := wire.GetBuf(int(span.Len))
 	defer wire.PutBuf(oldBuf)
 	old := *oldBuf
-	var dErr error
-	if dead < 0 {
-		dErr = f.readRaw(span, old, tr)
-	} else {
-		// Live pieces read normally; the dead server's pieces are
-		// reconstructed below, once the parity is in hand.
-		dErr = f.readRawLive(span, old, dead)
-	}
+	dErr := f.readRaw(span, old, dead, tr)
 	<-done
-	if pErr != nil {
-		return pErr // lock not held (or unusable); nothing to release
+	if pErr == nil && dErr == nil && dead >= 0 {
+		dErr = f.reconstructOldPieces(span, old, []int{dead}, tr)
 	}
-	if dErr == nil && dead >= 0 {
-		dErr = f.reconstructOldPieces(span, old, dead)
+	if err := cmp.Or(pErr, dErr); err != nil {
+		// No data write has started, so the stripe is untouched: free what
+		// we hold with unchanged parity writes so a failure here cannot
+		// wedge other clients.
+		eachHold(holds, tr, (*ParityHold).release) //nolint:errcheck // already failing
+		return err
 	}
 
-	unlockOnError := func(cause error) error {
-		if lock {
-			// Release the lock with an unchanged parity write so a failure
-			// here cannot wedge other clients; if even that cannot reach the
-			// server, fall back to the token-scoped release. No data write
-			// has started, so the stripe is untouched (non-dirty).
-			f.c.untrackLease(token)
-			_, uerr := f.c.callSrvT(ps, &wire.WriteParity{
-				File: f.ref, Stripes: []int64{stripe}, Data: presp.Data, Unlock: true, Owner: token,
-			}, tr)
-			if uerr != nil && isUnavailable(uerr) {
-				f.c.releaseParityLock(ps, f.ref, stripe, token, false)
-			}
+	// 2. New parity_j = old parity_j + Coef(j,i)*(old_i + new_i).
+	if f.compute {
+		f.chargeParity(len(holds), 2*span.Len)
+		for _, h := range holds {
+			core.ApplyParityDelta(g, f.code, h.j, span.Off, old, p, h.resp.Data)
 		}
-		return cause
-	}
-	if dErr != nil {
-		return unlockOnError(dErr)
 	}
 
-	// 3. New parity = old parity ^ old data ^ new data.
-	if f.ref.Scheme != wire.Raid5NPC {
-		f.c.chargeXOR(2 * span.Len)
-		core.ApplyParityDelta(g, span.Off, old, p, presp.Data)
-	}
-
-	// 4. Write the new data and the new parity; the parity write releases
-	// the lock. For the protocol's consistency guarantee (concurrent writes
+	// 3. Write the new data and the new parity; the parity writes release
+	// the locks. For the protocol's consistency guarantee (concurrent writes
 	// to non-overlapping regions) no ordering between them is needed:
 	// another client's delta never involves this range's data, and the
-	// parity block itself is serialized by the lock. Crash consistency is a
-	// different matter — see writeRMWCommit for the two orderings.
-	return f.writeRMWCommit(pol, span, p, stripe, ps, presp, lock, token, dead, tr)
+	// parity units themselves are serialized by the locks. Crash consistency
+	// is a different matter — see writeRMWCommit for the two orderings.
+	return f.writeRMWCommit(span, p, holds, dead, tr)
 }
 
 // writeRMWCommit runs the write phase of a read-modify-write.
 //
 // With Policy.CrashSafeRMW the phases are strictly ordered: the data writes
-// must all complete before the unlocking parity write is issued. The
-// unlocking write is what retires the stripe's intent record on the parity
+// must all complete before any unlocking parity write is issued. The
+// unlocking write is what retires the stripe's intent record on that parity
 // server, so under this ordering an intent is only ever retired when data
-// and parity are both fully in place — a crash at any earlier point leaves
-// an open intent, and recovery's replay reconstructs the parity from
-// whatever data landed. If a data write fails partway, parity and data may
-// already disagree, so the lock is released dirty: the server fail-stops
-// the stripe (abandons the intent, refuses new locks) until replay
-// reconciles it.
+// and that server's parity are both fully in place — a crash at any earlier
+// point leaves an open intent, and recovery's replay reconstructs the parity
+// from whatever data landed. If a data write fails partway, parity and data
+// may already disagree, so the locks are released dirty: each server
+// fail-stops the stripe (abandons the intent, refuses new locks) until
+// replay reconciles it.
 //
 // Without CrashSafeRMW the two run concurrently — the paper's layout, which
 // keeps the lock-hold window to the write phase (Figure 3) but reopens the
 // write hole if a client can crash between them.
-//
-// parity, the ReadParity response the new parity was computed in, is
-// released once the parity write has returned successfully: the server has
-// the bytes. After an error or a timeout it is left to the garbage collector
-// — the abandoned call may still be reading it.
-func (f *File) writeRMWCommit(pol Policy, span raid.Span, p []byte, stripe int64, ps int, parity *wire.ReadResp, lock bool, token uint64, dead int, tr uint64) error {
-	g := f.geom
-	if lock && pol.CrashSafeRMW {
-		if dErr := f.sendWriteData(span, splitByServer(g, span.Off, p), dead, tr); dErr != nil {
-			f.c.untrackLease(token)
-			f.c.releaseParityLock(ps, f.ref, stripe, token, true)
-			return dErr
+func (f *File) writeRMWCommit(span raid.Span, p []byte, holds []*ParityHold, dead int, tr uint64) error {
+	data := splitByServer(f.geom, span.Off, p)
+	if f.lock && f.c.getPolicy().CrashSafeRMW {
+		if err := f.sendWriteData(span, data, dead, tr); err != nil {
+			eachHold(holds, tr, (*ParityHold).abandon) //nolint:errcheck // never fails
+			return err
 		}
-		_, pwErr := f.c.callSrvT(ps, &wire.WriteParity{
-			File: f.ref, Stripes: []int64{stripe}, Data: parity.Data, Unlock: true, Owner: token,
-		}, tr)
-		f.c.untrackLease(token)
-		if pwErr != nil {
-			if errors.Is(pwErr, wire.ErrLeaseExpired) {
-				// The server expired our lease mid-write and fenced this
-				// late parity write off; the stripe is fail-stopped until
-				// replay reconstructs its parity from the data we wrote.
-				f.c.metrics.leaseExpiries.Add(1)
-				return pwErr
-			}
-			if isUnavailable(pwErr) {
-				// The unlocking parity write may have been lost before the
-				// server applied it; the stripe's data has changed, so the
-				// lingering acquisition must be released dirty.
-				f.c.releaseParityLock(ps, f.ref, stripe, token, true)
-			}
-			return pwErr
-		}
-		parity.Release()
-		return nil
+		return eachHold(holds, tr, (*ParityHold).commit)
 	}
-
 	var wErr error
 	wdone := make(chan struct{})
 	go func() {
 		defer close(wdone)
-		wErr = f.sendWriteData(span, splitByServer(g, span.Off, p), dead, tr)
+		wErr = f.sendWriteData(span, data, dead, tr)
 	}()
-	_, pwErr := f.c.callSrvT(ps, &wire.WriteParity{
-		File: f.ref, Stripes: []int64{stripe}, Data: parity.Data, Unlock: lock, Owner: token,
-	}, tr)
+	pwErr := eachHold(holds, tr, (*ParityHold).commit)
 	<-wdone
-	if lock {
-		f.c.untrackLease(token)
-	}
-	if pwErr != nil {
-		if lock && isUnavailable(pwErr) {
-			// The unlocking parity write may have been lost before the
-			// server applied it; make sure the acquisition cannot linger.
-			// Data writes ran concurrently, so the release is dirty.
-			f.c.releaseParityLock(ps, f.ref, stripe, token, true)
-		}
-		return pwErr
-	}
-	parity.Release()
-	return wErr
+	return cmp.Or(pwErr, wErr)
 }
 
 // writeOverflow stores a partial-stripe portion the Hybrid way: the new
@@ -643,7 +748,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	}
 	if idx, down := f.c.anyDown(f.ref); down {
 		f.c.metrics.degradedReads.Add(1)
-		n, err := f.readDegraded(p, off, idx)
+		n, err := f.readDegraded(p, off, idx, tr)
 		if err == nil {
 			f.c.metrics.reads.Add(1)
 			f.c.metrics.readBytes.Add(int64(n))
@@ -660,7 +765,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 			f.ref.Scheme != wire.Raid0 {
 			f.c.metrics.failovers.Add(1)
 			f.c.metrics.degradedReads.Add(1)
-			n, derr := f.readDegraded(p, off, dead)
+			n, derr := f.readDegraded(p, off, dead, tr)
 			if derr == nil {
 				f.c.metrics.reads.Add(1)
 				f.c.metrics.readBytes.Add(int64(n))
@@ -712,9 +817,10 @@ func (f *File) fetchSpans(span raid.Span, raw bool, tr uint64, skip func(srv int
 
 // readRaw fills dst with the in-place (data file) contents of span,
 // bypassing overflow patching; the RMW path uses it because parity is
-// defined over the in-place data.
-func (f *File) readRaw(span raid.Span, dst []byte, tr uint64) error {
-	reads, err := f.fetchSpans(span, true, tr, nil)
+// defined over the in-place data. The pieces of server dead (-1: none) are
+// not read and left as they were, for the caller to reconstruct.
+func (f *File) readRaw(span raid.Span, dst []byte, dead int, tr uint64) error {
+	reads, err := f.fetchSpans(span, true, tr, onlyServer(dead))
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"csar/internal/raid"
 	"csar/internal/wire"
 )
 
@@ -133,23 +132,7 @@ func (c *Client) FileForRelayout(ref wire.FileRef, size int64) (*File, error) {
 // the cutover, so every write that started before the swap drained through
 // the gate and every later one plans against the new geometry. The logical
 // size is unchanged by a migration, so f.size carries over.
-func (f *File) AdoptRef(ref wire.FileRef) error {
-	g := raid.Geometry{Servers: int(ref.Servers), StripeUnit: int64(ref.StripeUnit)}
-	if ref.Scheme == wire.ReedSolomon {
-		g.ParityUnits = ref.ParityUnits()
-		if err := g.ValidateParity(); err != nil {
-			return err
-		}
-	} else if err := g.Validate(); err != nil {
-		return err
-	}
-	if g.Servers > len(f.c.srv) {
-		return fmt.Errorf("client: file spans %d servers, cluster has %d", g.Servers, len(f.c.srv))
-	}
-	f.ref = ref
-	f.geom = g
-	return nil
-}
+func (f *File) AdoptRef(ref wire.FileRef) error { return f.setLayout(ref) }
 
 // PinScheme asks the manager to pin a shadow layout for migrating the file
 // to the target scheme; re-issuing a matching pin resumes it.

@@ -45,90 +45,111 @@ const (
 	fullStripeWriteBytesPerByteBudget = 0.05
 )
 
+// allocSchemes are the two shapes of the one parity engine the budgets hold
+// for: RAID5's single XOR unit and RS(4,2)'s two coefficient rows, both on
+// six servers.
+var allocSchemes = []struct {
+	name   string
+	scheme wire.Scheme
+	parity int
+}{{"raid5", wire.Raid5, 0}, {"rs42", wire.ReedSolomon, 2}}
+
 func TestFullStripeWriteAllocs(t *testing.T) {
-	c := newPipeCluster(t, 6)
-	cl := c.NewClient()
-	const su = 64 << 10
-	f, err := cl.Create("alloc", 6, su, wire.Raid5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stripe := pattern(5*su, 7)
-	write := func() {
-		if _, err := f.WriteAt(stripe, 0); err != nil {
-			panic(err)
-		}
-	}
-	// Warm the path (file metadata, pools, server-side state) first.
-	for i := 0; i < 8; i++ {
-		write()
-	}
-	allocs, heap := measureAllocs(50, write)
-	perByte := heap / float64(len(stripe))
-	t.Logf("full-stripe WriteAt: %.1f allocs/op, %.4f B allocated per byte written", allocs, perByte)
-	if allocs > fullStripeWriteAllocBudget {
-		t.Fatalf("full-stripe WriteAt allocates %.1f/op, budget %d", allocs, fullStripeWriteAllocBudget)
-	}
-	// The race detector makes sync.Pool drop a quarter of all puts on
-	// purpose, so under -race payload buffers do get re-allocated; the byte
-	// budgets here and below are a property of the normal build.
-	if !raceEnabled && perByte > fullStripeWriteBytesPerByteBudget {
-		t.Fatalf("full-stripe WriteAt allocates %.4f B per byte written, budget %.2f: a payload is being allocated again",
-			perByte, fullStripeWriteBytesPerByteBudget)
-	}
-	got := make([]byte, len(stripe))
-	if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, stripe) {
-		t.Fatalf("read back after pool reuse: err %v, equal %v", err, bytes.Equal(got, stripe))
+	for _, tc := range allocSchemes {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newPipeCluster(t, 6)
+			cl := c.NewClient()
+			const su = 64 << 10
+			f, err := cl.CreateParity("alloc", 6, su, tc.scheme, tc.parity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stripe := pattern(int(f.Geometry().StripeSize()), 7)
+			write := func() {
+				if _, err := f.WriteAt(stripe, 0); err != nil {
+					panic(err)
+				}
+			}
+			// Warm the path (file metadata, pools, server-side state) first.
+			for i := 0; i < 8; i++ {
+				write()
+			}
+			before := cl.Metrics().FullStripes
+			allocs, heap := measureAllocs(50, write)
+			if got := cl.Metrics().FullStripes - before; got != 51 {
+				t.Fatalf("%d of 51 writes took the full-stripe path", got)
+			}
+			perByte := heap / float64(len(stripe))
+			t.Logf("full-stripe WriteAt: %.1f allocs/op, %.4f B allocated per byte written", allocs, perByte)
+			if allocs > fullStripeWriteAllocBudget {
+				t.Fatalf("full-stripe WriteAt allocates %.1f/op, budget %d", allocs, fullStripeWriteAllocBudget)
+			}
+			// The race detector makes sync.Pool drop a quarter of all puts on
+			// purpose, so under -race payload buffers do get re-allocated; the byte
+			// budgets here and below are a property of the normal build.
+			if !raceEnabled && perByte > fullStripeWriteBytesPerByteBudget {
+				t.Fatalf("full-stripe WriteAt allocates %.4f B per byte written, budget %.2f: a payload is being allocated again",
+					perByte, fullStripeWriteBytesPerByteBudget)
+			}
+			got := make([]byte, len(stripe))
+			if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, stripe) {
+				t.Fatalf("read back after pool reuse: err %v, equal %v", err, bytes.Equal(got, stripe))
+			}
+		})
 	}
 }
 
 // rmwWriteBytesBudget bounds the heap bytes of one warm, unaligned 16 KiB
-// RAID5 WriteAt — a locked read-modify-write: parity read, old-data read,
-// delta, data write, unlocking parity write. The old parity (64 KiB), the
-// old data and the new data all sit in pooled buffers that go back when the
-// write has succeeded, so what is left is the bookkeeping of five or six
-// RPCs, about 16 KiB. Holding on to the parity response alone would add
+// WriteAt — a locked read-modify-write: parity read, old-data read, delta,
+// data write, unlocking parity write (two of each parity step for RS(4,2)).
+// The old parity (64 KiB a unit), the old data and the new data all sit in
+// pooled buffers that go back when the write has succeeded, so what is left
+// is the bookkeeping of five to eight RPCs, about 16 KiB. Holding on to the parity response alone would add
 // 64 KiB per write; before the buffers were returned a write cost 123 KiB.
 const rmwWriteBytesBudget = 32 << 10
 
 func TestRMWWriteAllocs(t *testing.T) {
-	c := newPipeCluster(t, 6)
-	cl := c.NewClient()
-	const su = 64 << 10
-	f, err := cl.Create("rmw", 6, su, wire.Raid5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := pattern(2*5*su, 5)
-	if _, err := f.WriteAt(ref, 0); err != nil {
-		t.Fatal(err)
-	}
-	const off = su - 5000 // straddles two units of stripe 0
-	patch := pattern(16<<10, 11)
-	copy(ref[off:], patch)
-	write := func() {
-		if _, err := f.WriteAt(patch, off); err != nil {
-			panic(err)
-		}
-	}
-	for i := 0; i < 8; i++ {
-		write()
-	}
-	before := cl.Metrics().RMWs
-	allocs, heap := measureAllocs(50, write)
-	if got := cl.Metrics().RMWs - before; got != 51 {
-		t.Fatalf("%d of 51 writes took the read-modify-write path", got)
-	}
-	t.Logf("16 KiB RMW WriteAt: %.1f allocs/op, %.0f B/op", allocs, heap)
-	if !raceEnabled && heap > rmwWriteBytesBudget {
-		t.Fatalf("16 KiB RMW WriteAt allocates %.0f B/op, budget %d: a pooled buffer is not coming back", heap, rmwWriteBytesBudget)
-	}
-	got := make([]byte, len(ref))
-	if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, ref) {
-		t.Fatalf("read back after pool reuse: err %v, equal %v", err, bytes.Equal(got, ref))
-	}
-	if problems, err := recovery.Verify(cl, f); err != nil || len(problems) > 0 {
-		t.Fatalf("parity after pooled RMWs: %v %v", err, problems)
+	for _, tc := range allocSchemes {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newPipeCluster(t, 6)
+			cl := c.NewClient()
+			const su = 64 << 10
+			f, err := cl.CreateParity("rmw", 6, su, tc.scheme, tc.parity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := pattern(2*int(f.Geometry().StripeSize()), 5)
+			if _, err := f.WriteAt(ref, 0); err != nil {
+				t.Fatal(err)
+			}
+			const off = su - 5000 // straddles two units of stripe 0
+			patch := pattern(16<<10, 11)
+			copy(ref[off:], patch)
+			write := func() {
+				if _, err := f.WriteAt(patch, off); err != nil {
+					panic(err)
+				}
+			}
+			for i := 0; i < 8; i++ {
+				write()
+			}
+			before := cl.Metrics().RMWs
+			allocs, heap := measureAllocs(50, write)
+			if got := cl.Metrics().RMWs - before; got != 51 {
+				t.Fatalf("%d of 51 writes took the read-modify-write path", got)
+			}
+			t.Logf("16 KiB RMW WriteAt: %.1f allocs/op, %.0f B/op", allocs, heap)
+			if !raceEnabled && heap > rmwWriteBytesBudget {
+				t.Fatalf("16 KiB RMW WriteAt allocates %.0f B/op, budget %d: a pooled buffer is not coming back", heap, rmwWriteBytesBudget)
+			}
+			got := make([]byte, len(ref))
+			if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, ref) {
+				t.Fatalf("read back after pool reuse: err %v, equal %v", err, bytes.Equal(got, ref))
+			}
+			if problems, err := recovery.Verify(cl, f); err != nil || len(problems) > 0 {
+				t.Fatalf("parity after pooled RMWs: %v %v", err, problems)
+			}
+		})
 	}
 }
 

@@ -732,10 +732,3 @@ func rawRead(cl *client.Client, f *client.File, dst []byte) error {
 	}
 	return nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -112,71 +112,12 @@ func (p *Plan) add(s raid.Span, m PortionMode) {
 	}
 }
 
-// StripeParity computes the parity unit of one full stripe from its data.
-// stripeData holds the stripe's (Servers-1) consecutive data units; parity
-// must be one stripe unit long.
-func StripeParity(g raid.Geometry, stripeData, parity []byte) {
-	su := g.StripeUnit
-	if int64(len(stripeData)) != g.StripeSize() {
-		panic(fmt.Sprintf("core: stripe data is %d bytes, want %d", len(stripeData), g.StripeSize()))
-	}
-	if int64(len(parity)) != su {
-		panic(fmt.Sprintf("core: parity buffer is %d bytes, want %d", len(parity), su))
-	}
-	for i := range parity {
-		parity[i] = 0
-	}
-	for u := 0; u < g.DataWidth(); u++ {
-		raid.XORInto(parity, stripeData[int64(u)*su:int64(u+1)*su])
-	}
-}
-
-// ApplyParityDelta folds a partial-stripe update into an existing parity
-// unit: for the logical range [off, off+len(oldData)) — which must lie
-// entirely within one stripe — it applies parity ^= old ^ new at the
-// within-unit positions the range occupies. oldData and newData are the
-// previous and new contents of the range; parity is the stripe's full
-// parity unit, updated in place.
-func ApplyParityDelta(g raid.Geometry, off int64, oldData, newData, parity []byte) {
-	if len(oldData) != len(newData) {
-		panic(fmt.Sprintf("core: old/new length mismatch %d != %d", len(oldData), len(newData)))
-	}
-	if int64(len(parity)) != g.StripeUnit {
-		panic(fmt.Sprintf("core: parity buffer is %d bytes, want %d", len(parity), g.StripeUnit))
-	}
-	length := int64(len(oldData))
-	if length == 0 {
-		return
-	}
-	if g.StripeOf(off) != g.StripeOf(off+length-1) {
-		panic(fmt.Sprintf("core: range [%d,%d) crosses a stripe boundary", off, off+length))
-	}
-	end := off + length
-	for cur := off; cur < end; {
-		b := g.UnitOf(cur)
-		unitStart := g.UnitStart(b)
-		pieceEnd := unitStart + g.StripeUnit
-		if pieceEnd > end {
-			pieceEnd = end
-		}
-		pos := cur - unitStart // within-unit == within-parity position
-		n := pieceEnd - cur
-		raid.XORInto(parity[pos:pos+n], oldData[cur-off:cur-off+n])
-		raid.XORInto(parity[pos:pos+n], newData[cur-off:cur-off+n])
-		cur = pieceEnd
-	}
-}
-
-// RSOf returns the Reed-Solomon code matching the geometry's stripe shape
-// (k = DataWidth data units, m = ParityUnits parity units).
-func RSOf(g raid.Geometry) (*gf256.RS, error) {
-	return gf256.NewRS(g.DataWidth(), g.PU())
-}
-
-// StripeRSParity computes every Reed-Solomon parity unit of one full stripe
-// from its data. stripeData holds the stripe's k consecutive data units;
-// parity holds m buffers of one stripe unit each, zeroed and overwritten.
-func StripeRSParity(g raid.Geometry, code *gf256.RS, stripeData []byte, parity [][]byte) {
+// StripeParity computes every parity unit of one full stripe from its data.
+// stripeData holds the stripe's k consecutive data units; parity holds m
+// buffers of one stripe unit each, zeroed and overwritten. code is the
+// stripe's RS(k, m) code: its row 0 is all ones, so the single parity unit
+// of RAID5 and Hybrid (m = 1) is the plain XOR of the data units.
+func StripeParity(g raid.Geometry, code *gf256.RS, stripeData []byte, parity [][]byte) {
 	su := g.StripeUnit
 	if int64(len(stripeData)) != g.StripeSize() {
 		panic(fmt.Sprintf("core: stripe data is %d bytes, want %d", len(stripeData), g.StripeSize()))
@@ -191,13 +132,14 @@ func StripeRSParity(g raid.Geometry, code *gf256.RS, stripeData []byte, parity [
 	code.EncodeInto(parity, data)
 }
 
-// ApplyRSParityDelta folds a partial-stripe update into one existing
-// Reed-Solomon parity unit: the ApplyParityDelta identity generalized to
-// coefficient rows, parity_j ^= Coef(j,i)*(old_i XOR new_i) for each data
-// unit i the range [off, off+len(oldData)) touches. The range must lie
-// within one stripe; parity is parity unit j of that stripe, updated in
-// place.
-func ApplyRSParityDelta(g raid.Geometry, code *gf256.RS, j int, off int64, oldData, newData, parity []byte) {
+// ApplyParityDelta folds a partial-stripe update into one existing parity
+// unit: parity_j ^= Coef(j,i)*(old_i XOR new_i) for each data unit i the
+// logical range [off, off+len(oldData)) touches, at the within-unit
+// positions the range occupies. The range must lie within one stripe;
+// oldData and newData are its previous and new contents; parity is parity
+// unit j of that stripe, updated in place. Unit 0's coefficients are all
+// one, which makes it the RAID5 identity parity ^= old ^ new.
+func ApplyParityDelta(g raid.Geometry, code *gf256.RS, j int, off int64, oldData, newData, parity []byte) {
 	if len(oldData) != len(newData) {
 		panic(fmt.Sprintf("core: old/new length mismatch %d != %d", len(oldData), len(newData)))
 	}

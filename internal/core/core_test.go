@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"csar/internal/gf256"
 	"csar/internal/raid"
 	"csar/internal/wire"
 )
@@ -96,16 +97,38 @@ func TestHybridNeverRMWs(t *testing.T) {
 	}
 }
 
+// codeOf returns the RS(k, m) code of a geometry's stripe shape.
+func codeOf(t testing.TB, g raid.Geometry) *gf256.RS {
+	t.Helper()
+	code, err := gf256.NewRS(g.DataWidth(), g.PU())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code
+}
+
+// parityBufs returns m zeroed parity-unit buffers.
+func parityBufs(g raid.Geometry) [][]byte {
+	out := make([][]byte, g.PU())
+	for j := range out {
+		out[j] = make([]byte, g.StripeUnit)
+	}
+	return out
+}
+
+// geomRS is geom's file with two parity units: RS(3,2), stripe size 75.
+func geomRS() raid.Geometry { return raid.Geometry{Servers: 5, StripeUnit: 25, ParityUnits: 2} }
+
 func TestStripeParity(t *testing.T) {
 	g := geom()
 	r := rand.New(rand.NewSource(7))
 	data := make([]byte, g.StripeSize())
 	r.Read(data)
-	parity := make([]byte, g.StripeUnit)
-	StripeParity(g, data, parity)
-	// XOR of all units and parity must be zero.
+	parity := parityBufs(g)
+	StripeParity(g, codeOf(t, g), data, parity)
+	// Single parity is RAID5's: XOR of all units and parity must be zero.
 	acc := make([]byte, g.StripeUnit)
-	copy(acc, parity)
+	copy(acc, parity[0])
 	for u := 0; u < g.DataWidth(); u++ {
 		raid.XORInto(acc, data[int64(u)*g.StripeUnit:int64(u+1)*g.StripeUnit])
 	}
@@ -114,13 +137,22 @@ func TestStripeParity(t *testing.T) {
 			t.Fatal("parity invariant violated")
 		}
 	}
+	// Unit 0 of a multi-parity stripe over the same data units is that XOR too.
+	rs := geomRS()
+	two := parityBufs(rs)
+	StripeParity(rs, codeOf(t, rs), data[:rs.StripeSize()], two)
+	raid.Parity(acc, data[0:25], data[25:50], data[50:75])
+	if !bytes.Equal(two[0], acc) {
+		t.Fatal("parity unit 0 of RS(3,2) is not the XOR of its data units")
+	}
 }
 
 func TestStripeParityPanicsOnBadSizes(t *testing.T) {
 	g := geom()
+	code := codeOf(t, g)
 	for _, fn := range []func(){
-		func() { StripeParity(g, make([]byte, 10), make([]byte, g.StripeUnit)) },
-		func() { StripeParity(g, make([]byte, g.StripeSize()), make([]byte, 10)) },
+		func() { StripeParity(g, code, make([]byte, 10), parityBufs(g)) },
+		func() { StripeParity(g, code, make([]byte, g.StripeSize()), parityBufs(geomRS())) },
 	} {
 		func() {
 			defer func() {
@@ -135,36 +167,46 @@ func TestStripeParityPanicsOnBadSizes(t *testing.T) {
 
 func TestApplyParityDeltaMatchesRecompute(t *testing.T) {
 	// Updating a random in-stripe range via the delta must give the same
-	// parity as recomputing from the updated stripe contents.
-	f := func(seed int64, offSeed, lenSeed uint16) bool {
-		g := geom()
-		r := rand.New(rand.NewSource(seed))
-		ss := g.StripeSize()
-		stripeIdx := int64(3)
-		base := g.StripeStart(stripeIdx)
+	// parity as recomputing from the updated stripe contents — for the one
+	// XOR unit of RAID5 and for every coefficient row of RS(3,2).
+	for _, g := range []raid.Geometry{geom(), geomRS()} {
+		code := codeOf(t, g)
+		f := func(seed int64, offSeed, lenSeed uint16) bool {
+			r := rand.New(rand.NewSource(seed))
+			ss := g.StripeSize()
+			stripeIdx := int64(3)
+			base := g.StripeStart(stripeIdx)
 
-		data := make([]byte, ss)
-		r.Read(data)
-		parity := make([]byte, g.StripeUnit)
-		StripeParity(g, data, parity)
+			data := make([]byte, ss)
+			r.Read(data)
+			parity := parityBufs(g)
+			StripeParity(g, code, data, parity)
 
-		off := int64(offSeed) % ss
-		maxLen := ss - off
-		length := int64(lenSeed)%maxLen + 1
+			off := int64(offSeed) % ss
+			maxLen := ss - off
+			length := int64(lenSeed)%maxLen + 1
 
-		oldD := append([]byte(nil), data[off:off+length]...)
-		newD := make([]byte, length)
-		r.Read(newD)
+			oldD := append([]byte(nil), data[off:off+length]...)
+			newD := make([]byte, length)
+			r.Read(newD)
 
-		ApplyParityDelta(g, base+off, oldD, newD, parity)
-		copy(data[off:], newD)
+			for j := range parity {
+				ApplyParityDelta(g, code, j, base+off, oldD, newD, parity[j])
+			}
+			copy(data[off:], newD)
 
-		want := make([]byte, g.StripeUnit)
-		StripeParity(g, data, want)
-		return bytes.Equal(parity, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+			want := parityBufs(g)
+			StripeParity(g, code, data, want)
+			for j := range parity {
+				if !bytes.Equal(parity[j], want[j]) {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -175,7 +217,7 @@ func TestApplyParityDeltaRejectsCrossStripe(t *testing.T) {
 			t.Fatal("expected panic on cross-stripe range")
 		}
 	}()
-	ApplyParityDelta(g, 90, make([]byte, 20), make([]byte, 20), make([]byte, g.StripeUnit))
+	ApplyParityDelta(g, codeOf(t, g), 0, 90, make([]byte, 20), make([]byte, 20), make([]byte, g.StripeUnit))
 }
 
 func TestPartialStripes(t *testing.T) {

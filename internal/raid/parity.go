@@ -25,22 +25,3 @@ func Parity(dst []byte, blocks ...[]byte) {
 		XORInto(dst, b)
 	}
 }
-
-// UpdateParity applies a read-modify-write parity delta: given the parity of
-// a stripe, the old contents of a region and the new contents replacing it,
-// it updates parity in place (parity ^= old ^ new). All three slices must
-// have the same length.
-func UpdateParity(parity, oldData, newData []byte) {
-	XORInto(parity, oldData)
-	XORInto(parity, newData)
-}
-
-// Reconstruct recovers one lost block from the surviving blocks of a stripe
-// and its parity: lost = parity XOR (XOR of survivors). The result is
-// written into dst, which must have the same length as every input.
-func Reconstruct(dst, parity []byte, survivors ...[]byte) {
-	copy(dst, parity)
-	for _, b := range survivors {
-		XORInto(dst, b)
-	}
-}

@@ -6,10 +6,10 @@
 //
 // Rebuild reconstructs, onto a blank replacement server:
 //
-//   - its data file, from the RAID1 mirror (next server) or from each
-//     stripe's surviving units XOR parity;
-//   - its mirror file (RAID1), by re-reading the previous server's units;
-//   - its parity file (RAID5/Hybrid), by recomputing each owned stripe;
+//   - its data and mirror files (RAID1), from the mirror on the next server
+//     and the previous server's units;
+//   - its data and parity files (RAID5, Hybrid, Reed-Solomon), by decoding
+//     the one unit it holds of every stripe from that stripe's survivors;
 //   - its overflow region and table (Hybrid), from the overflow mirror on
 //     the next server, and its overflow-mirror region from the previous
 //     server's primary overflow.
@@ -132,31 +132,22 @@ func Rebuild(c *client.Client, f *client.File, dead int) error {
 	}
 	defer c.ObserveSince("rebuild_pass", time.Now())
 
-	switch ref.Scheme {
-	case wire.Raid0:
-		return fmt.Errorf("recovery: %w", client.ErrNoRedundancy)
-	case wire.Raid1:
+	switch {
+	case ref.Scheme == wire.Raid1:
 		if err := rebuildDataFromMirror(c, f, dead, size); err != nil {
 			return err
 		}
 		return rebuildMirror(c, f, dead, size)
-	case wire.Raid5, wire.Raid5NoLock, wire.Raid5NPC:
-		if err := rebuildDataFromParity(c, f, dead, size); err != nil {
+	case f.Code() != nil:
+		if err := rebuildStripes(c, f, dead, size); err != nil {
 			return err
 		}
-		return rebuildParity(c, f, dead, size)
-	case wire.Hybrid:
-		if err := rebuildDataFromParity(c, f, dead, size); err != nil {
-			return err
+		if ref.Scheme == wire.Hybrid {
+			return rebuildOverflow(c, f, dead)
 		}
-		if err := rebuildParity(c, f, dead, size); err != nil {
-			return err
-		}
-		return rebuildOverflow(c, f, dead)
-	case wire.ReedSolomon:
-		return rebuildRS(c, f, dead, size)
+		return nil
 	default:
-		return fmt.Errorf("recovery: unsupported scheme %v", ref.Scheme)
+		return fmt.Errorf("recovery: %w", client.ErrNoRedundancy)
 	}
 }
 
@@ -216,114 +207,178 @@ func readUnitRaw(c *client.Client, ref wire.FileRef, g raid.Geometry, b int64) (
 	return data, nil
 }
 
-// rebuildDataFromParity restores a data file from the surviving units and
-// parity of each affected stripe. Work proceeds in batches: every unit the
-// dead server owns sits in a distinct stripe, so one batch costs one
-// multi-stripe ReadParity per parity server, one multi-span raw Read per
-// surviving server (each contributes exactly one unit per non-parity
-// stripe), a local XOR, and one multi-span write to the replacement.
-func rebuildDataFromParity(c *client.Client, f *client.File, dead int, size int64) error {
+// dataIndexOn returns the code index (0..k-1) of the data unit of stripe s
+// held by server srv. Only meaningful when srv holds no parity unit of s:
+// with k+m servers, every server holds exactly one unit per stripe.
+func dataIndexOn(g raid.Geometry, srv int, s int64) int {
+	n := int64(g.Servers)
+	first, _ := g.DataUnitsOf(s)
+	return int(((int64(srv)-first)%n + n) % n)
+}
+
+// rebuildStripes reconstructs server dead's data and parity units for every
+// stripe of a parity-scheme file. A stripe of k data and m parity units
+// occupies all N = k+m servers — every server holds exactly one unit of
+// every stripe — so rebuilding a server means re-deriving its one unit per
+// stripe by decoding from the surviving units (for the single parity unit
+// of RAID5 and Hybrid, XORing them). A batch of stripes costs one multi-span
+// raw Read and one multi-stripe ReadParity per live server, the decodes,
+// and one write of each kind to the replacement. Servers other than dead
+// that are down are simply excluded from the survivor set: a rebuild can
+// proceed while up to m-1 other servers are still out.
+func rebuildStripes(c *client.Client, f *client.File, dead int, size int64) error {
 	g := f.Geometry()
 	ref := f.Ref()
+	code := f.Code()
 	su := g.StripeUnit
-	batches := chunkInt64(ownedUnits(g, dead, size))
-	return runBatches(len(batches), func(i int) error {
-		batch := batches[i]
-		accs := make([]byte, int64(len(batch))*su)
-		stripeOf := make([]int64, len(batch))
-		pos := make(map[int64]int, len(batch)) // stripe -> index in batch
-		byPS := make(map[int][]int64)
-		for j, b := range batch {
-			s := b / int64(g.DataWidth())
-			stripeOf[j] = s
-			pos[s] = j
-			ps := g.ParityServerOf(s)
-			byPS[ps] = append(byPS[ps], s)
+	k := g.DataWidth()
+	m := g.PU()
+
+	// The survivor set is decided up front by probing, not by the client's
+	// circuit breaker: a fresh process (the CLI) has no breaker history, and
+	// a second dead server must be discovered before the batched reads, not
+	// by failing them. Anything short of k survivors cannot decode.
+	excluded := make([]bool, g.Servers)
+	live := 0
+	for srv := 0; srv < g.Servers; srv++ {
+		if srv == dead {
+			continue
+		}
+		if c.Down(srv) {
+			excluded[srv] = true
+			continue
+		}
+		if _, err := c.ServerCaller(srv).Call(&wire.Health{}); err != nil {
+			excluded[srv] = true
+			continue
+		}
+		live++
+	}
+	if live < k {
+		return fmt.Errorf("recovery: only %d of %d servers reachable, need %d to decode RS(%d, %d)",
+			live, g.Servers, k, k, m)
+	}
+
+	all := make([]int64, g.StripesIn(size))
+	for i := range all {
+		all[i] = int64(i)
+	}
+	batches := chunkInt64(all)
+	return runBatches(len(batches), func(bi int) error {
+		batch := batches[bi]
+		units := make([][][]byte, len(batch)) // per stripe, per code index
+		for i := range units {
+			units[i] = make([][]byte, k+m)
 		}
 
-		// Seed each accumulator with the stripe's parity.
-		for ps, stripes := range byPS {
-			resp, err := c.ServerCaller(ps).Call(&wire.ReadParity{File: ref, Stripes: stripes})
-			if err != nil {
-				return err
-			}
-			data := resp.(*wire.ReadResp).Data
-			if int64(len(data)) != int64(len(stripes))*su {
-				return fmt.Errorf("recovery: short parity read from server %d", ps)
-			}
-			for k, s := range stripes {
-				copy(accs[int64(pos[s])*su:], data[int64(k)*su:int64(k+1)*su])
-			}
-		}
-
-		// Fold in every survivor's units across the batch's stripes.
-		spans := stripeSpans(g, stripeOf)
 		for srv := 0; srv < g.Servers; srv++ {
-			if srv == dead {
+			if srv == dead || excluded[srv] {
 				continue
 			}
-			resp, err := c.ServerCaller(srv).Call(&wire.Read{File: ref, Spans: spans, Raw: true})
-			if err != nil {
-				return err
-			}
-			data := resp.(*wire.ReadResp).Data
-			cur := int64(0)
-			for j, s := range stripeOf {
-				if g.ParityServerOf(s) == srv {
-					continue // srv holds this stripe's parity, no data unit
+			var dSpans []wire.Span
+			var dAt [][2]int // (position in batch, code index)
+			var pStripes []int64
+			var pAt [][2]int
+			for pos, s := range batch {
+				if j, ok := g.ParityUnitOn(srv, s); ok {
+					pStripes = append(pStripes, s)
+					pAt = append(pAt, [2]int{pos, k + j})
+				} else {
+					di := dataIndexOn(g, srv, s)
+					first, _ := g.DataUnitsOf(s)
+					dSpans = append(dSpans, wire.Span{Off: g.UnitStart(first + int64(di)), Len: su})
+					dAt = append(dAt, [2]int{pos, di})
 				}
-				if cur+su > int64(len(data)) {
+			}
+			if len(dSpans) > 0 {
+				resp, err := c.ServerCaller(srv).Call(&wire.Read{File: ref, Spans: dSpans, Raw: true})
+				if err != nil {
+					return err
+				}
+				data := resp.(*wire.ReadResp).Data
+				if int64(len(data)) != int64(len(dSpans))*su {
 					return fmt.Errorf("recovery: short unit read from server %d", srv)
 				}
-				raid.XORInto(accs[int64(j)*su:int64(j+1)*su], data[cur:cur+su])
-				cur += su
+				for i, at := range dAt {
+					units[at[0]][at[1]] = data[int64(i)*su : int64(i+1)*su]
+				}
+			}
+			if len(pStripes) > 0 {
+				resp, err := c.ServerCaller(srv).Call(&wire.ReadParity{File: ref, Stripes: pStripes})
+				if err != nil {
+					return err
+				}
+				data := resp.(*wire.ReadResp).Data
+				if int64(len(data)) != int64(len(pStripes))*su {
+					return fmt.Errorf("recovery: short parity read from server %d", srv)
+				}
+				for i, at := range pAt {
+					units[at[0]][at[1]] = data[int64(i)*su : int64(i+1)*su]
+				}
 			}
 		}
-		_, err := c.ServerCaller(dead).Call(&wire.WriteData{
-			File: ref, Spans: unitSpans(g, batch), Data: accs, Raw: true})
-		return err
+
+		// Decode each stripe and collect the dead server's unit.
+		var dSpans []wire.Span
+		var dData []byte
+		var pStripes []int64
+		var pData []byte
+		for pos, s := range batch {
+			if err := code.Reconstruct(units[pos]); err != nil {
+				return fmt.Errorf("recovery: stripe %d: %w", s, err)
+			}
+			if j, ok := g.ParityUnitOn(dead, s); ok {
+				pStripes = append(pStripes, s)
+				pData = append(pData, units[pos][k+j]...)
+			} else {
+				di := dataIndexOn(g, dead, s)
+				first, _ := g.DataUnitsOf(s)
+				dSpans = append(dSpans, wire.Span{Off: g.UnitStart(first + int64(di)), Len: su})
+				dData = append(dData, units[pos][di]...)
+			}
+		}
+		if len(dSpans) > 0 {
+			if _, err := c.ServerCaller(dead).Call(&wire.WriteData{
+				File: ref, Spans: dSpans, Data: dData, Raw: true}); err != nil {
+				return err
+			}
+		}
+		if len(pStripes) > 0 {
+			if _, err := c.ServerCaller(dead).Call(&wire.WriteParity{
+				File: ref, Stripes: pStripes, Data: pData}); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 }
 
-// rebuildParity recomputes the parity units owned by the dead server, a
-// batch of stripes per round: one multi-span raw Read per surviving server
-// (each owns exactly one data unit of every stripe whose parity the dead
-// server holds), a local XOR, and one multi-stripe parity write.
-func rebuildParity(c *client.Client, f *client.File, dead int, size int64) error {
+// readStripeData reads the k data units of one stripe, in place and whole,
+// live from their servers.
+func readStripeData(c *client.Client, f *client.File, stripe int64) ([][]byte, error) {
 	g := f.Geometry()
-	ref := f.Ref()
-	su := g.StripeUnit
-	var stripes []int64
-	g.ParityStripesOwnedBy(dead, size, func(s int64) error { //nolint:errcheck // fn never fails
-		stripes = append(stripes, s)
-		return nil
-	})
-	batches := chunkInt64(stripes)
-	return runBatches(len(batches), func(i int) error {
-		batch := batches[i]
-		accs := make([]byte, int64(len(batch))*su)
-		spans := stripeSpans(g, batch)
-		for srv := 0; srv < g.Servers; srv++ {
-			if srv == dead {
-				continue
-			}
-			resp, err := c.ServerCaller(srv).Call(&wire.Read{File: ref, Spans: spans, Raw: true})
-			if err != nil {
-				return err
-			}
-			data := resp.(*wire.ReadResp).Data
-			if int64(len(data)) != int64(len(batch))*su {
-				return fmt.Errorf("recovery: short unit read from server %d", srv)
-			}
-			for j := range batch {
-				raid.XORInto(accs[int64(j)*su:int64(j+1)*su], data[int64(j)*su:int64(j+1)*su])
-			}
+	first, count := g.DataUnitsOf(stripe)
+	data := make([][]byte, count)
+	for i := range data {
+		d, err := readUnitRaw(c, f.Ref(), g, first+int64(i))
+		if err != nil {
+			return nil, err
 		}
-		_, err := c.ServerCaller(dead).Call(&wire.WriteParity{
-			File: ref, Stripes: batch, Data: accs,
-		})
-		return err
-	})
+		data[i] = d
+	}
+	return data, nil
+}
+
+// encodeParityUnit recomputes parity unit j of one stripe from its data
+// units as the servers hold them now. Used by resync.
+func encodeParityUnit(c *client.Client, f *client.File, stripe int64, j int) ([]byte, error) {
+	data, err := readStripeData(c, f, stripe)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, f.Geometry().StripeUnit)
+	f.Code().EncodeUnitInto(j, out, data)
+	return out, nil
 }
 
 // rebuildOverflow restores the dead server's overflow region (from its
@@ -393,31 +448,29 @@ func Verify(c *client.Client, f *client.File) ([]string, error) {
 				problems = append(problems, fmt.Sprintf("unit %d: mirror differs from primary", b))
 			}
 		}
-	case ref.Scheme == wire.ReedSolomon:
-		rsProblems, err := verifyRS(c, f)
-		if err != nil {
-			return nil, err
+	case f.Code() != nil:
+		// Byte for byte: every parity unit must equal the encoding of the
+		// stripe's k data units under its coefficient row.
+		want := make([][]byte, g.PU())
+		for j := range want {
+			want[j] = make([]byte, g.StripeUnit)
 		}
-		problems = append(problems, rsProblems...)
-	case ref.Scheme.UsesParity():
-		lastStripe := g.StripeOf(size - 1)
-		for s := int64(0); s <= lastStripe; s++ {
-			first, count := g.DataUnitsOf(s)
-			acc := make([]byte, g.StripeUnit)
-			for j := 0; j < count; j++ {
-				data, err := readUnitRaw(c, ref, g, first+int64(j))
-				if err != nil {
-					return nil, err
-				}
-				raid.XORInto(acc, data)
-			}
-			presp, err := c.ServerCaller(g.ParityServerOf(s)).Call(
-				&wire.ReadParity{File: ref, Stripes: []int64{s}})
+		for s := int64(0); s <= g.StripeOf(size-1); s++ {
+			data, err := readStripeData(c, f, s)
 			if err != nil {
 				return nil, err
 			}
-			if !bytes.Equal(acc, presp.(*wire.ReadResp).Data) {
-				problems = append(problems, fmt.Sprintf("stripe %d: parity does not match data", s))
+			f.Code().EncodeInto(want, data)
+			for j := range want {
+				presp, err := c.ServerCaller(g.ParityServerOfUnit(s, j)).Call(
+					&wire.ReadParity{File: ref, Stripes: []int64{s}})
+				if err != nil {
+					return nil, err
+				}
+				if !bytes.Equal(want[j], presp.(*wire.ReadResp).Data) {
+					problems = append(problems, fmt.Sprintf(
+						"stripe %d: parity unit %d does not match data", s, j))
+				}
 			}
 		}
 		if ref.Scheme == wire.Hybrid {

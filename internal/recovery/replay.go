@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"csar/internal/client"
-	"csar/internal/core"
-	"csar/internal/raid"
 	"csar/internal/wire"
 )
 
@@ -27,7 +25,7 @@ type ReplayReport struct {
 // data writes may have started but before the unlocking parity write retired
 // the intent — exactly the window where data and parity can disagree. Under
 // the crash-safe RMW ordering the data units hold either the old bytes (the
-// write never reached them) or the complete new bytes, so XOR-ing the data
+// write never reached them) or the complete new bytes, so re-encoding the data
 // units yields a parity consistent with whatever the stripe now holds, and
 // ResolveIntent applies it and retires the intent atomically on the server.
 //
@@ -59,7 +57,7 @@ func ReplayIntents(c *client.Client, f *client.File) (*ReplayReport, error) {
 				continue
 			}
 			rep.Abandoned++
-			if err := replayStripe(c, ref, g, srv, in, rep); err != nil {
+			if err := replayStripe(c, f, srv, in, rep); err != nil {
 				return rep, err
 			}
 		}
@@ -69,12 +67,13 @@ func ReplayIntents(c *client.Client, f *client.File) (*ReplayReport, error) {
 }
 
 // replayStripe reconstructs one abandoned stripe's parity and resolves its
-// intent on the parity server. Under multi-parity Reed-Solomon each of the
-// stripe's m parity servers records its own intent, and each replay
-// recomputes only the parity unit that server holds; parity unit 0 is the
-// plain XOR of the data units, so the single-parity schemes are the j == 0
-// special case.
-func replayStripe(c *client.Client, ref wire.FileRef, g raid.Geometry, srv int, in wire.Intent, rep *ReplayReport) error {
+// intent on the parity server. Each of a stripe's m parity servers records
+// its own intent, and each replay recomputes only the parity unit that
+// server holds; unit 0 — the only one RAID5 and Hybrid have — is the plain
+// XOR of the data units.
+func replayStripe(c *client.Client, f *client.File, srv int, in wire.Intent, rep *ReplayReport) error {
+	g := f.Geometry()
+	ref := f.Ref()
 	pu, ok := g.ParityUnitOn(srv, in.Stripe)
 	if !ok {
 		rep.Skipped++
@@ -106,17 +105,7 @@ func replayStripe(c *client.Client, ref wire.FileRef, g raid.Geometry, srv int, 
 		data[j] = d
 	}
 	acc := make([]byte, g.StripeUnit)
-	if ref.Scheme == wire.ReedSolomon {
-		code, err := core.RSOf(g)
-		if err != nil {
-			return err
-		}
-		code.EncodeUnitInto(pu, acc, data)
-	} else {
-		for _, d := range data {
-			raid.XORInto(acc, d)
-		}
-	}
+	f.Code().EncodeUnitInto(pu, acc, data)
 	if _, err := c.ServerCaller(srv).Call(&wire.ResolveIntent{
 		File: ref, Stripe: in.Stripe, Owner: in.Owner, Data: acc,
 	}); err != nil {

@@ -285,7 +285,7 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 			throttle(g.StripeUnit)
 			var rerr error
 			c.ResyncExclusive(func() {
-				rerr = replayItem(c, ref, g, it, dead)
+				rerr = replayItem(c, f, it, dead)
 			})
 			if rerr != nil {
 				return report, fmt.Errorf("%w: replay of %c%d: %v", ErrResyncAborted, it.kind, it.val, rerr)
@@ -414,7 +414,9 @@ func wipeOverflow(c *client.Client, ref wire.FileRef, srv int) error {
 // replayItem reconstructs one dirty-log item onto the recovering server
 // from the surviving redundancy. Called under the client's replay gate, so
 // no foreground write from the coordinating client is mid-flight.
-func replayItem(c *client.Client, ref wire.FileRef, g raid.Geometry, it resyncItem, dead int) error {
+func replayItem(c *client.Client, f *client.File, it resyncItem, dead int) error {
+	g := f.Geometry()
+	ref := f.Ref()
 	span := wire.Span{Off: g.UnitStart(it.val), Len: g.StripeUnit}
 	switch it.kind {
 	case 'u':
@@ -431,8 +433,8 @@ func replayItem(c *client.Client, ref wire.FileRef, g raid.Geometry, it resyncIt
 			}
 		} else {
 			// Reconstruct the unit from parity unit 0 and the other data
-			// units. Under Reed-Solomon the first parity row is all ones, so
-			// unit 0 is the plain XOR parity and this path covers RS too.
+			// units: the first parity row of every code is all ones, so unit
+			// 0 is the plain XOR parity whatever m is.
 			stripe := it.val / int64(g.DataWidth())
 			first, count := g.DataUnitsOf(stripe)
 			acc := make([]byte, g.StripeUnit)
@@ -468,30 +470,17 @@ func replayItem(c *client.Client, ref wire.FileRef, g raid.Geometry, it resyncIt
 			File: ref, Spans: []wire.Span{span}, Data: resp.(*wire.ReadResp).Data})
 		return err
 	case 's':
-		var acc []byte
-		if ref.Scheme == wire.ReedSolomon {
-			// The recovering server holds one specific parity unit of this
-			// stripe; recompute exactly that row.
-			pu, ok := g.ParityUnitOn(dead, it.val)
-			if !ok {
-				return fmt.Errorf("stripe %d dirty on server %d, which owns none of its parity", it.val, dead)
-			}
-			var err error
-			if acc, err = rsEncodeUnit(c, ref, g, it.val, pu); err != nil {
-				return err
-			}
-		} else {
-			first, count := g.DataUnitsOf(it.val)
-			acc = make([]byte, g.StripeUnit)
-			for j := 0; j < count; j++ {
-				ud, err := readUnitRaw(c, ref, g, first+int64(j))
-				if err != nil {
-					return err
-				}
-				raid.XORInto(acc, ud)
-			}
+		// The recovering server holds one specific parity unit of this
+		// stripe; recompute exactly that row.
+		pu, ok := g.ParityUnitOn(dead, it.val)
+		if !ok {
+			return fmt.Errorf("stripe %d dirty on server %d, which owns none of its parity", it.val, dead)
 		}
-		_, err := c.ServerCaller(dead).Call(&wire.WriteParity{
+		acc, err := encodeParityUnit(c, f, it.val, pu)
+		if err != nil {
+			return err
+		}
+		_, err = c.ServerCaller(dead).Call(&wire.WriteParity{
 			File: ref, Stripes: []int64{it.val}, Data: acc})
 		return err
 	}

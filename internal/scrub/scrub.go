@@ -162,6 +162,7 @@ func Run(c *client.Client, f *client.File, opts Options) (*Report, error) {
 	defer c.ObserveSince("scrub_pass", time.Now())
 	s := &scrubber{
 		c:    c,
+		f:    f,
 		g:    g,
 		ref:  ref,
 		size: size,
@@ -175,8 +176,6 @@ func Run(c *client.Client, f *client.File, opts Options) (*Report, error) {
 	switch {
 	case ref.Scheme == wire.Raid1:
 		err = s.scrubMirrors()
-	case ref.Scheme == wire.ReedSolomon:
-		err = s.scrubParityRS()
 	case ref.Scheme.UsesParity():
 		err = s.scrubParity()
 		if err == nil && ref.Scheme == wire.Hybrid {
@@ -194,6 +193,7 @@ func Run(c *client.Client, f *client.File, opts Options) (*Report, error) {
 
 type scrubber struct {
 	c    *client.Client
+	f    *client.File
 	g    raid.Geometry
 	ref  wire.FileRef
 	size int64
@@ -431,16 +431,41 @@ func (s *scrubber) repairData(b int64, data []byte, counts *Counts) error {
 	return nil
 }
 
-// --- RAID5 / Hybrid parity -------------------------------------------------
+// --- Parity schemes --------------------------------------------------------
 
-// scrubParity cross-checks every stripe's parity against the XOR of its
-// data units, using checksums only. A "window" of N consecutive stripes
-// places exactly one parity unit and N-1 data units on every server, so
-// per window each server contributes a contiguous run of N-1 data
-// checksums and one parity checksum; windows are fetched in batches.
+// paritySum folds the m parity-unit checksums of one stripe into the single
+// value the Journal stores per stripe.
+func paritySum(sums []uint32) uint32 {
+	buf := make([]byte, 4*len(sums))
+	for i, s := range sums {
+		buf[4*i] = byte(s)
+		buf[4*i+1] = byte(s >> 8)
+		buf[4*i+2] = byte(s >> 16)
+		buf[4*i+3] = byte(s >> 24)
+	}
+	return crcOf(buf)
+}
+
+// scrubParity cross-checks every stripe's m parity units against its k data
+// units, using checksums only. A "window" of N consecutive stripes places
+// exactly k data units and m parity units on every server, so per window
+// each server contributes a contiguous run of k data checksums and m parity
+// checksums; windows are fetched in batches.
+//
+// The checksum fast path leans on CRC32 being affine over GF(2), which
+// covers XOR parity only: parity unit 0 of every stripe is the plain XOR of
+// the data units (the first coefficient row is all ones — it is the one unit
+// RAID5 and Hybrid have) and is checked from checksums alone, but units
+// j > 0 are GF(256) combinations whose CRCs are not derivable from the data
+// units' CRCs. Those are instead checked against the Journal: a stripe whose
+// every current checksum — data units and parity units — still equals its
+// last-known-good value is unchanged since it was last verified consistent.
+// Everything else (and, with m > 1, every stripe on a journal-less pass) is
+// verified at the byte level by re-encoding the stripe.
 func (s *scrubber) scrubParity() error {
 	n := int64(s.g.Servers)
 	dw := int64(s.g.DataWidth())
+	m := s.g.PU()
 	stripes := s.g.StripesIn(s.size)
 	windows := (stripes + n - 1) / n
 	batch := int64(s.opts.BatchStripes)
@@ -460,7 +485,7 @@ func (s *scrubber) scrubParity() error {
 			if err != nil {
 				return err
 			}
-			ps, err := s.sums(i, wire.StoreParity, w0*s.su, (w1-w0)*s.su, s.su)
+			ps, err := s.sums(i, wire.StoreParity, w0*int64(m)*s.su, (w1-w0)*int64(m)*s.su, s.su)
 			if err != nil {
 				return err
 			}
@@ -484,12 +509,12 @@ func (s *scrubber) scrubParity() error {
 				u := first + int64(j)
 				unitSums[j] = dataSums[s.g.ServerOf(u)][u/n-w0*dw]
 			}
-			pc := parSums[s.g.ParityServerOf(st)][st/n-w0]
-			if xorSum(unitSums, s.zero) == pc {
-				for j := 0; j < count; j++ {
-					s.opts.Journal.setUnit(first+int64(j), unitSums[j])
-				}
-				s.opts.Journal.setParity(st, pc)
+			pSums := make([]uint32, m)
+			for j := 0; j < m; j++ {
+				srv := s.g.ParityServerOfUnit(st, j)
+				pSums[j] = parSums[srv][s.g.ParityLocalOffsetOn(srv, st)/s.su-w0*int64(m)]
+			}
+			if s.fastPathConsistent(st, first, count, unitSums, pSums) {
 				continue
 			}
 			if err := s.checkStripe(st); err != nil {
@@ -498,6 +523,36 @@ func (s *scrubber) scrubParity() error {
 		}
 	}
 	return nil
+}
+
+// fastPathConsistent decides from checksums alone that a stripe is
+// consistent: parity unit 0 must equal the XOR of the data units, and — when
+// there are further units — every checksum, each data unit's and the folded
+// parity set, must match its last-known-good journal entry (proving the
+// GF-combined units j > 0 unchanged since the last byte-level verification).
+// On success the journal entries are refreshed; any failure sends the stripe
+// to byte-level review.
+func (s *scrubber) fastPathConsistent(st, first int64, count int, unitSums, pSums []uint32) bool {
+	if xorSum(unitSums, s.zero) != pSums[0] {
+		return false
+	}
+	if len(pSums) > 1 {
+		known, ok := s.opts.Journal.parityOf(st)
+		if !ok || known != paritySum(pSums) {
+			return false
+		}
+		for j := 0; j < count; j++ {
+			u, ok := s.opts.Journal.unit(first + int64(j))
+			if !ok || u != unitSums[j] {
+				return false
+			}
+		}
+	}
+	for j := 0; j < count; j++ {
+		s.opts.Journal.setUnit(first+int64(j), unitSums[j])
+	}
+	s.opts.Journal.setParity(st, paritySum(pSums))
+	return true
 }
 
 // intentStripes fetches every parity server's write-intent set at the start
@@ -526,15 +581,19 @@ func (s *scrubber) intentStripes() (map[int64]bool, error) {
 }
 
 // checkStripe re-verifies one stripe at the byte level and repairs it. It
-// acquires the stripe's parity lock (for the schemes that use locking), so
-// no read-modify-write can interleave; the lock is released by the closing
-// parity write — either the repair itself or an unchanged write-back.
+// holds parity unit 0 the way a read-modify-write does — lock, owner token
+// and lease included, so a scrubber that dies here costs the stripe one
+// lease and a replay, not a wedge. Locking unit 0's server suffices to
+// serialize against foreground read-modify-writes: every one acquires its
+// parity locks in unit order, so none can get past unit 0 while the scrubber
+// holds it. The hold is released by the closing write to that server —
+// either the repair itself or an unchanged write-back.
 func (s *scrubber) checkStripe(st int64) error {
-	lock := s.ref.Scheme.UsesLocking()
+	code := s.f.Code()
 	first, count := s.g.DataUnitsOf(st)
-	presp, err := s.call(s.g.ParityServerOf(st), &wire.ReadParity{
-		File: s.ref, Stripes: []int64{st}, Lock: lock,
-	})
+	m := s.g.PU()
+
+	hold, err := s.f.HoldParity(st, 0)
 	if errors.Is(err, wire.ErrStripeTorn) {
 		// The stripe fail-stopped (lease expiry) after the pass-start intent
 		// snapshot; it belongs to recovery's replay, not to the scrubber.
@@ -545,32 +604,60 @@ func (s *scrubber) checkStripe(st int64) error {
 	if err != nil {
 		return err
 	}
-	parity := presp.(*wire.ReadResp).Data
-	if int64(len(parity)) != s.su {
-		s.release(st, parity, lock) //nolint:errcheck // already failing
-		return fmt.Errorf("scrub: short parity read of stripe %d", st)
+	// Every way out that does not repair unit 0 leaves the stripe's parity
+	// unit 0 as it was read.
+	release := func(cause error) error {
+		if rerr := hold.Release(); cause == nil {
+			return rerr
+		}
+		return cause
 	}
+	parity := make([][]byte, m)
+	parity[0] = hold.Data()
 	s.throttle(s.su)
-
-	acc := make([]byte, s.su)
+	for j := 1; j < m; j++ {
+		resp, rerr := s.call(s.g.ParityServerOfUnit(st, j), &wire.ReadParity{
+			File: s.ref, Stripes: []int64{st},
+		})
+		if rerr != nil {
+			return release(rerr)
+		}
+		parity[j] = resp.(*wire.ReadResp).Data
+		if int64(len(parity[j])) != s.su {
+			return release(fmt.Errorf("scrub: short parity read of stripe %d unit %d", st, j))
+		}
+		s.throttle(s.su)
+	}
 	units := make([][]byte, count)
 	for j := 0; j < count; j++ {
 		data, rerr := s.readRawUnit(first + int64(j))
 		if rerr != nil {
-			s.release(st, parity, lock) //nolint:errcheck
-			return rerr
+			return release(rerr)
 		}
 		units[j] = data
-		raid.XORInto(acc, data)
 	}
-	if bytes.Equal(acc, parity) {
-		// The checksum mismatch was a transient race; under the lock the
-		// stripe is consistent.
+
+	want := make([][]byte, m)
+	for j := range want {
+		want[j] = make([]byte, s.su)
+	}
+	code.EncodeInto(want, units)
+	var badParity []int
+	curParity := make([]uint32, m)
+	for j := 0; j < m; j++ {
+		curParity[j] = crcOf(parity[j])
+		if !bytes.Equal(want[j], parity[j]) {
+			badParity = append(badParity, j)
+		}
+	}
+	if len(badParity) == 0 {
+		// The checksum mismatch (or cold journal) resolved consistent under
+		// the lock; record the evidence for the next pass's fast path.
 		for j := 0; j < count; j++ {
 			s.opts.Journal.setUnit(first+int64(j), crcOf(units[j]))
 		}
-		s.opts.Journal.setParity(st, crcOf(parity))
-		return s.release(st, parity, lock)
+		s.opts.Journal.setParity(st, paritySum(curParity))
+		return release(nil)
 	}
 	s.rep.Parity.Mismatched++
 	defer s.opts.Journal.dropStripe(st, first, count)
@@ -591,61 +678,56 @@ func (s *scrubber) checkStripe(st int64) error {
 			deviants = append(deviants, j)
 		}
 	}
-	parityDeviates := haveParity && crcOf(parity) != knownParity
+	parityDeviates := haveParity && paritySum(curParity) != knownParity
 
 	switch {
 	case haveParity && allUnits && parityDeviates && len(deviants) == 0:
 		// Every data unit still matches its last-known-good checksum and
-		// the parity alone drifted: the parity block is corrupt.
+		// the parity alone drifted: the parity is corrupt.
 		s.problemf("stripe %d: parity fails its last-known-good checksum; regenerating from data", st)
-		return s.repairParity(st, acc, lock)
+		return s.repairParity(st, hold, badParity, want)
 	case haveParity && allUnits && !parityDeviates && len(deviants) == 1:
-		// Parity and all other units are still at their last-known-good
-		// checksums: the one deviating unit is corrupt, and its correct
-		// contents are recoverable as parity ⊕ (the other units).
+		// Parity and every other unit still match their last-known-good
+		// checksums: the deviating unit is corrupt, and its original bytes
+		// are recoverable by decoding from any k of the survivors.
 		bad := first + int64(deviants[0])
 		if !s.opts.RepairData {
 			s.rep.Parity.Unrepairable++
 			s.problemf("stripe %d: unit %d fails its last-known-good checksum; parity matches (RepairData off)", st, bad)
-			return s.release(st, parity, lock)
+			return release(nil)
 		}
-		fix := make([]byte, s.su)
-		copy(fix, parity)
-		raid.XORInto(fix, acc)
-		raid.XORInto(fix, units[deviants[0]])
+		all := append(append([][]byte(nil), units...), parity...)
+		all[deviants[0]] = nil
+		if derr := code.Reconstruct(all); derr != nil {
+			return release(derr)
+		}
 		s.problemf("stripe %d: unit %d fails its last-known-good checksum; restoring it from parity", st, bad)
-		if err := s.repairData(bad, fix, &s.rep.Parity); err != nil {
-			s.release(st, parity, lock) //nolint:errcheck
-			return err
-		}
-		return s.release(st, parity, lock)
+		return release(s.repairData(bad, all[deviants[0]], &s.rep.Parity))
 	default:
 		s.problemf("stripe %d: parity does not match data and no usable evidence; regenerating parity from data", st)
-		return s.repairParity(st, acc, lock)
+		return s.repairParity(st, hold, badParity, want)
 	}
 }
 
-// release writes the parity back unchanged purely to drop the stripe lock.
-func (s *scrubber) release(st int64, parity []byte, lock bool) error {
-	if !lock {
-		return nil
+// repairParity rewrites the mismatched parity units of one stripe from the
+// re-encoded data. Unit 0 goes last and through the hold, which releases it;
+// when unit 0 was not among the bad ones it is released unchanged.
+func (s *scrubber) repairParity(st int64, hold *client.ParityHold, bad []int, want [][]byte) error {
+	closing := hold.Release
+	for _, j := range bad {
+		if j == 0 {
+			closing = func() error { return hold.Write(want[0]) }
+		} else if _, err := s.call(s.g.ParityServerOfUnit(st, j), &wire.WriteParity{
+			File: s.ref, Stripes: []int64{st}, Data: want[j],
+		}); err != nil {
+			hold.Release() //nolint:errcheck // already failing
+			return err
+		}
+		s.throttle(s.su)
 	}
-	_, err := s.call(s.g.ParityServerOf(st), &wire.WriteParity{
-		File: s.ref, Stripes: []int64{st}, Data: parity, Unlock: true,
-	})
-	return err
-}
-
-// repairParity overwrites the stripe's parity block (releasing the lock for
-// the schemes that hold one; for Raid5NoLock a plain parity write is safe
-// because only Hybrid attaches overflow-invalidation semantics to it).
-func (s *scrubber) repairParity(st int64, data []byte, lock bool) error {
-	if _, err := s.call(s.g.ParityServerOf(st), &wire.WriteParity{
-		File: s.ref, Stripes: []int64{st}, Data: data, Unlock: lock,
-	}); err != nil {
+	if err := closing(); err != nil {
 		return err
 	}
-	s.throttle(s.su)
 	s.rep.Parity.Repaired++
 	return nil
 }

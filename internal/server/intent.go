@@ -35,8 +35,9 @@ const (
 const intentRecordLen = 1 + 8 + 8 + 8
 
 // intentRec is one stripe's write intent. A nil deadline timer means the
-// acquisition carried no lease (legacy callers); it then lives until its
-// unlocking write, an UnlockParity cancellation, or a server restart.
+// acquisition asked for no lease (a client running with Policy.LockLease
+// zero: correctness tests and the performance model); it then lives until
+// its unlocking write, an UnlockParity cancellation, or a server restart.
 type intentRec struct {
 	owner     uint64
 	abandoned bool
@@ -250,11 +251,9 @@ func (sf *serverFile) failStopLocked(s *Server, stripe int64, owner uint64) (boo
 	if !sf.abandonIntentLocked(s, stripe, owner) {
 		return false, nil
 	}
-	if owner != 0 {
-		// Late frames under the fenced token must be refused, like a
-		// client-initiated cancellation.
-		sf.rememberCanceled(owner)
-	}
+	// Late frames under the fenced token must be refused, like a
+	// client-initiated cancellation.
+	sf.rememberCanceled(owner)
 	var woken []lockWaiter
 	l := sf.locks[stripe]
 	if l != nil && l.held && l.owner == owner {
@@ -371,7 +370,7 @@ func (s *Server) handleResolveIntent(m *wire.ResolveIntent) (wire.Msg, error) {
 		sf.mu.Unlock()
 		return nil, fmt.Errorf("server: intent of stripe %d still open", m.Stripe)
 	}
-	if m.Owner != 0 && rec.owner != m.Owner {
+	if rec.owner != m.Owner {
 		sf.mu.Unlock()
 		return nil, fmt.Errorf("server: intent of stripe %d abandoned under a different token", m.Stripe)
 	}

@@ -152,10 +152,10 @@ type serverFile struct {
 const canceledTokensMax = 4096
 
 // parityLock is one stripe's FIFO parity lock. owner is the token of the
-// holding acquisition (0 for legacy lockers that carry none); each queued
-// waiter remembers its own token so UnlockParity can surgically cancel a
-// dead peer's acquisition — held or still queued — without disturbing
-// anyone else's.
+// holding acquisition (never zero: a locked read must carry one); each
+// queued waiter remembers its own token so UnlockParity can surgically
+// cancel a dead peer's acquisition — held or still queued — without
+// disturbing anyone else's.
 type parityLock struct {
 	held  bool
 	owner uint64
@@ -492,6 +492,12 @@ func (s *Server) handleReadParity(m *wire.ReadParity) (wire.Msg, error) {
 	if err != nil {
 		return nil, err
 	}
+	if m.Lock && m.Owner == 0 {
+		// Every release path — the unlocking write, UnlockParity, the lease
+		// — names the acquisition by its token; one without could only ever
+		// be released by accident.
+		return nil, fmt.Errorf("server: locked parity read carries no owner token")
+	}
 	par := sf.store(s.disk, StoreParity)
 	su := sf.geom.StripeUnit
 	// Locks acquired by this request so far: a failure on a later stripe
@@ -546,16 +552,14 @@ func (s *Server) handleWriteParity(m *wire.WriteParity) (wire.Msg, error) {
 		if _, ok := sf.geom.ParityUnitOn(s.idx, stripe); !ok {
 			return nil, fmt.Errorf("server %d does not hold parity of stripe %d", s.idx, stripe)
 		}
-		// A tokened unlocking write is an RMW completion and is only valid
+		// An unlocking write is an RMW completion and is only valid
 		// while its lock acquisition still holds: if the token no longer owns
 		// the lock, the acquisition was canceled (the client timed out and
 		// compensated with UnlockParity), making this frame a late ghost —
 		// refuse it before writing anything, or its bytes would clobber
 		// parity now serialized under another client's lock. Checked for all
-		// stripes up front so a multi-stripe ghost writes nothing. Tokenless
-		// (Owner 0) unlocks keep the legacy lenient behavior for callers
-		// predating the resilience layer.
-		if m.Unlock && m.Owner != 0 {
+		// stripes up front so a multi-stripe ghost writes nothing.
+		if m.Unlock {
 			// An abandoned intent under this token fences the write even if
 			// the lock bookkeeping has not caught up: the lease was revoked
 			// (or the client canceled with unknown outcome) and the stripe
@@ -934,7 +938,7 @@ func putU64LE(b []byte, v uint64) {
 
 // lockStripe acquires the FIFO parity lock of one stripe, blocking while
 // another client's partial-stripe update is in flight (Section 5.1). owner
-// is the acquisition's token for UnlockParity cancellation (0 = none). It
+// is the acquisition's token, which every release names it by. It
 // fails if the acquisition was canceled — either while queued, or before
 // it arrived: a token already canceled by UnlockParity is refused
 // outright, so a late-delivered locked read cannot re-acquire a lock its
@@ -943,11 +947,9 @@ func putU64LE(b []byte, v uint64) {
 // so no new read-modify-write may base itself on it until replay.
 func (sf *serverFile) lockStripe(stripe int64, owner uint64) error {
 	sf.mu.Lock()
-	if owner != 0 {
-		if _, ok := sf.canceled[owner]; ok {
-			sf.mu.Unlock()
-			return fmt.Errorf("server: parity lock of stripe %d canceled", stripe)
-		}
+	if _, ok := sf.canceled[owner]; ok {
+		sf.mu.Unlock()
+		return fmt.Errorf("server: parity lock of stripe %d canceled", stripe)
 	}
 	if rec := sf.intents[stripe]; rec != nil && rec.abandoned {
 		sf.mu.Unlock()
@@ -983,8 +985,7 @@ func (sf *serverFile) ownsLock(stripe int64, owner uint64) bool {
 }
 
 // unlockStripeOwned releases the parity lock if it is held under owner's
-// token — the zero token matches only a tokenless (legacy) holder — handing
-// it to the first queued waiter if any. A mismatch is a no-op: an unlock
+// token, handing it to the first queued waiter if any. A mismatch is a no-op: an unlock
 // whose acquisition was already canceled must never release a lock since
 // granted to a different client.
 func (sf *serverFile) unlockStripeOwned(stripe int64, owner uint64) {
@@ -1026,12 +1027,8 @@ func (sf *serverFile) rememberCanceled(owner uint64) {
 // removes any queued acquisitions carrying it (waking them canceled). The
 // token is remembered even when nothing matches — that is the case where the
 // cancellation overtook its locked read in the dispatch, and the read must
-// find the tombstone when it lands. A zero token never matches: legacy
-// lockers cannot be canceled.
+// find the tombstone when it lands.
 func (sf *serverFile) cancelLock(stripe int64, owner uint64) {
-	if owner == 0 {
-		return
-	}
 	sf.mu.Lock()
 	sf.rememberCanceled(owner)
 	l := sf.locks[stripe]

@@ -109,13 +109,16 @@ func TestParityPayloadLengthValidated(t *testing.T) {
 func TestParityLockFIFO(t *testing.T) {
 	s := testServer(2)
 	r := ref()
+	unlock := func(owner uint64) *wire.WriteParity {
+		return &wire.WriteParity{File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Owner: owner}
+	}
 	// First locked read acquires the lock immediately.
-	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true})
+	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Owner: 11})
 
 	// Second locked read must block until the parity write releases.
 	got := make(chan struct{})
 	go func() {
-		s.Handle(&wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true}) //nolint:errcheck
+		s.Handle(&wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Owner: 12}) //nolint:errcheck
 		close(got)
 	}()
 	select {
@@ -124,14 +127,14 @@ func TestParityLockFIFO(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 	}
 	// Release: the queued reader acquires and returns.
-	call(t, s, &wire.WriteParity{File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true})
+	call(t, s, unlock(11))
 	select {
 	case <-got:
 	case <-time.After(5 * time.Second):
 		t.Fatal("queued locked read never woke")
 	}
 	// It now holds the lock; a final unlock cleans up.
-	call(t, s, &wire.WriteParity{File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true})
+	call(t, s, unlock(12))
 }
 
 func TestParityLockManyWaitersAllServed(t *testing.T) {
@@ -141,16 +144,18 @@ func TestParityLockManyWaitersAllServed(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
-		go func() {
+		go func(owner uint64) {
 			defer wg.Done()
-			if _, err := s.Handle(&wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true}); err != nil {
+			if _, err := s.Handle(&wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Owner: owner}); err != nil {
 				t.Error(err)
 				return
 			}
-			s.Handle(&wire.WriteParity{ //nolint:errcheck
-				File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true,
-			})
-		}()
+			if _, err := s.Handle(&wire.WriteParity{
+				File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Owner: owner,
+			}); err != nil {
+				t.Error(err)
+			}
+		}(uint64(20 + i))
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -164,8 +169,21 @@ func TestParityLockManyWaitersAllServed(t *testing.T) {
 func TestUnlockWithoutLockIsSafe(t *testing.T) {
 	s := testServer(2)
 	r := ref()
-	// Unlock with no lock held must not panic or wedge.
-	call(t, s, &wire.WriteParity{File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true})
+	// An unlocking write with no lock held — under any token, the zero one
+	// included — is refused, writes nothing and wedges nothing.
+	for _, owner := range []uint64{0, 31} {
+		if _, err := s.Handle(&wire.WriteParity{
+			File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Owner: owner,
+		}); err == nil {
+			t.Fatalf("unlocking write under token %d accepted with no lock held", owner)
+		}
+	}
+	// Nor may a lock be taken without a token to release it by.
+	if _, err := s.Handle(&wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true}); err == nil {
+		t.Fatal("tokenless locked read accepted")
+	}
+	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Owner: 32})
+	call(t, s, &wire.WriteParity{File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Owner: 32})
 }
 
 func TestTokenedUnlockRequiresOwner(t *testing.T) {
