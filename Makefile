@@ -35,12 +35,14 @@ crash:
 	$(GO) test -race -count=2 -run 'TestMetricsLeaseAndIntent|TestRestartedIODReadmission' .
 
 # The online-resync suite: dirty-region tracking by degraded writes, delta
-# replay with a concurrent foreground writer, cursor forwarding, the
-# epoch-mismatch full-rebuild fallback, abort/rerun convergence, and
-# dirty-log durability across a replica crash — run twice under the race
-# detector because the delta scenario is genuinely concurrent.
+# replay with a concurrent foreground writer, the background-pass mechanism
+# (cursor rules under both policies, the terminal advance as a barrier, the
+# degraded dual-write nesting), the epoch-mismatch full-rebuild fallback,
+# abort/rerun convergence, and dirty-log durability across a replica crash —
+# run twice under the race detector because the delta scenario is genuinely
+# concurrent.
 resync:
-	$(GO) test -race -count=2 -run 'TestResync|TestDirtyLog|TestRebuildAbort' ./internal/cluster
+	$(GO) test -race -count=2 -run 'TestResync|TestDirtyLog|TestRebuildAbort|TestPass' ./internal/cluster
 	$(GO) test -race -count=2 -run 'TestMetricsResyncCounters' .
 
 # The parity-engine suite: the GF(256) field and RS(k,m) matrix unit and
@@ -123,8 +125,8 @@ meta-ha:
 	$(GO) test -race -count=2 -run 'TestManagerFailoverOverTCP' .
 
 # The online scheme-migration suite: the manager's pin/commit/abort fences
-# with WAL, snapshot and standby-replication durability, the dual-write
-# cursor boundary, the full scheme-transition matrix, abort/rerun
+# with WAL, snapshot and standby-replication durability, the background-pass
+# mechanism resync shares, the full scheme-transition matrix, abort/rerun
 # convergence, the write-window stream regressions that ride the same PR,
 # and the acceptance scenario — Hybrid -> RS(4,2) under concurrent writers
 # surviving an I/O-server crash and a manager failover — run twice under
@@ -132,7 +134,7 @@ meta-ha:
 # with foreground writers.
 migrate:
 	$(GO) test -race -count=2 -run 'TestSetScheme|TestCommitScheme|TestAbortScheme|TestMigration' ./internal/meta
-	$(GO) test -race -count=2 -run 'TestMigrate|TestRelayout|TestAbortMigration' ./internal/cluster
+	$(GO) test -race -count=2 -run 'TestMigrate|TestPass|TestAbortMigration' ./internal/cluster
 	$(GO) test -race -count=2 -run 'TestStream|TestWindow' ./internal/client .
 
 # Static analysis beyond go vet, when the tool is installed (CI images

@@ -93,8 +93,7 @@ func (c *Client) Resync(f *File, dead int, opts ResyncOptions) (ResyncReport, er
 	return recovery.Resync(c.inner, f.inner, dead, opts)
 }
 
-// MigrateOptions tunes an online scheme migration (rate limit, copy chunk
-// size, time base).
+// MigrateOptions tunes an online scheme migration (its rate limit).
 type MigrateOptions = recovery.MigrateOptions
 
 // MigrateReport describes a completed migration: schemes, the file's new

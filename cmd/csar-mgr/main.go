@@ -276,32 +276,42 @@ func promotionLoop(m *meta.Manager, peers []meta.Caller, idx int, after time.Dur
 	}
 }
 
-// scrubPass runs one background scrub over every file through a short-lived
-// client of this very deployment, keeping one checksum journal per file so
-// repeated passes can attribute corruption to the right copy. The client is
-// closed on every return path: the loop used to leak one set of server
-// connections per tick, which on a long-lived manager exhausts descriptors.
-func scrubPass(addr string, journals map[string]*csar.ScrubJournal, rate float64, repairData bool, pol csar.Policy) {
+// eachFile is one tick of a background loop: through a short-lived client of
+// this very deployment it opens every file and hands it to fn; what names the
+// loop in the log. A file that cannot be opened is logged and skipped. It
+// returns the names listed, and false when the tick could not list them. The
+// client is closed on every return path: the loops used to leak one set of
+// server connections per tick, which on a long-lived manager exhausts
+// descriptors.
+func eachFile(addr string, pol csar.Policy, what string, fn func(cl *csar.Client, name string, f *csar.File)) ([]string, bool) {
 	cl, err := csar.Dial(addr)
 	if err != nil {
-		log.Printf("csar-mgr: scrub: dial: %v", err)
-		return
+		log.Printf("csar-mgr: %s: dial: %v", what, err)
+		return nil, false
 	}
 	defer cl.Close() //nolint:errcheck
 	cl.SetResilience(pol)
 	names, err := cl.List()
 	if err != nil {
-		log.Printf("csar-mgr: scrub: list: %v", err)
-		return
+		log.Printf("csar-mgr: %s: list: %v", what, err)
+		return nil, false
 	}
-	live := make(map[string]bool, len(names))
 	for _, name := range names {
-		live[name] = true
 		f, err := cl.Open(name)
 		if err != nil {
-			log.Printf("csar-mgr: scrub %s: %v", name, err)
+			log.Printf("csar-mgr: %s %s: %v", what, name, err)
 			continue
 		}
+		fn(cl, name, f)
+	}
+	return names, true
+}
+
+// scrubPass runs one background scrub over every file, keeping one checksum
+// journal per file so repeated passes can attribute corruption to the right
+// copy.
+func scrubPass(addr string, journals map[string]*csar.ScrubJournal, rate float64, repairData bool, pol csar.Policy) {
+	names, ok := eachFile(addr, pol, "scrub", func(cl *csar.Client, name string, f *csar.File) {
 		j := journals[name]
 		if j == nil {
 			j = csar.NewScrubJournal()
@@ -321,7 +331,7 @@ func scrubPass(addr string, journals map[string]*csar.ScrubJournal, rate float64
 		})
 		if err != nil {
 			log.Printf("csar-mgr: scrub %s: %v", name, err)
-			continue
+			return
 		}
 		if !rep.Clean() {
 			log.Printf("csar-mgr: scrub %s: %v", name, rep)
@@ -329,6 +339,13 @@ func scrubPass(addr string, journals map[string]*csar.ScrubJournal, rate float64
 				log.Printf("csar-mgr: scrub %s: %s", name, p)
 			}
 		}
+	})
+	if !ok {
+		return
+	}
+	live := make(map[string]bool, len(names))
+	for _, name := range names {
+		live[name] = true
 	}
 	for name := range journals {
 		if !live[name] {
@@ -337,12 +354,6 @@ func scrubPass(addr string, journals map[string]*csar.ScrubJournal, rate float64
 	}
 }
 
-// resyncPass is one tick of the automatic re-admission path: it asks the
-// surviving servers which peers hold un-replayed degraded writes (the
-// dirty-region logs), health-probes those peers, and resyncs each one that
-// has come back — replaying only the damaged regions, or falling back to a
-// full rebuild when the log cannot be trusted — then re-admits it. Like
-// scrubPass, it closes its client on every path.
 // migratePass is one tick of the scheme-migration policy: a Hybrid file
 // whose storage is dominated by the mirrored overflow region is taking
 // mirroring's 2x space cost on most of its bytes — the workload is small
@@ -350,74 +361,44 @@ func scrubPass(addr string, journals map[string]*csar.ScrubJournal, rate float64
 // bookkeeping — so the policy recommends (or, in auto mode, performs) an
 // online re-layout onto the configured target scheme. Migration runs under
 // live writers; an aborted pass leaves its pinned shadow layout for the
-// next tick to resume. Like its siblings, the pass closes its client on
-// every path.
+// next tick to resume.
 func migratePass(addr string, auto bool, target csar.Scheme, frac, rate float64, pol csar.Policy) {
-	cl, err := csar.Dial(addr)
-	if err != nil {
-		log.Printf("csar-mgr: migrate: dial: %v", err)
-		return
-	}
-	defer cl.Close() //nolint:errcheck
-	cl.SetResilience(pol)
-	names, err := cl.List()
-	if err != nil {
-		log.Printf("csar-mgr: migrate: list: %v", err)
-		return
-	}
-	for _, name := range names {
-		f, err := cl.Open(name)
-		if err != nil {
-			log.Printf("csar-mgr: migrate %s: %v", name, err)
-			continue
-		}
+	eachFile(addr, pol, "migrate", func(cl *csar.Client, name string, f *csar.File) {
 		if f.Scheme() != csar.Hybrid || f.Scheme() == target {
-			continue
+			return
 		}
 		total, by, err := f.StorageBytes()
 		if err != nil || total == 0 {
-			continue
+			return
 		}
 		overflow := float64(by[3]+by[4]) / float64(total)
 		if overflow < frac {
-			continue
+			return
 		}
 		if !auto {
 			log.Printf("csar-mgr: migrate %s: %.0f%% of %d storage bytes is overflow; would re-layout to %v",
 				name, overflow*100, total, target)
-			continue
+			return
 		}
 		rep, err := cl.Migrate(f, target, 0, csar.MigrateOptions{RateLimit: rate})
 		if err != nil {
 			// An aborted pass leaves the shadow layout pinned; the next
 			// tick resumes it.
 			log.Printf("csar-mgr: migrate %s: %v", name, err)
-			continue
+			return
 		}
 		log.Printf("csar-mgr: migrate %s: %v -> %v, %d bytes re-encoded (file id %d)",
 			name, rep.From, rep.To, rep.BytesCopied, rep.NewID)
-	}
+	})
 }
 
+// resyncPass is one tick of the automatic re-admission path: it asks the
+// surviving servers which peers hold un-replayed degraded writes (the
+// dirty-region logs), health-probes those peers, and resyncs each one that
+// has come back — replaying only the damaged regions, or falling back to a
+// full rebuild when the log cannot be trusted — then re-admits it.
 func resyncPass(addr string, rate float64, dry bool, pol csar.Policy) {
-	cl, err := csar.Dial(addr)
-	if err != nil {
-		log.Printf("csar-mgr: resync: dial: %v", err)
-		return
-	}
-	defer cl.Close() //nolint:errcheck
-	cl.SetResilience(pol)
-	names, err := cl.List()
-	if err != nil {
-		log.Printf("csar-mgr: resync: list: %v", err)
-		return
-	}
-	for _, name := range names {
-		f, err := cl.Open(name)
-		if err != nil {
-			log.Printf("csar-mgr: resync %s: %v", name, err)
-			continue
-		}
+	eachFile(addr, pol, "resync", func(cl *csar.Client, name string, f *csar.File) {
 		for _, dead := range cl.DirtyServers(f) {
 			if !cl.ServerHealthy(dead) {
 				continue // still out; leave the dirty log growing
@@ -451,5 +432,5 @@ func resyncPass(addr string, rate float64, dry bool, pol csar.Policy) {
 			log.Printf("csar-mgr: resync %s server %d: %d units, %d mirrors, %d stripes, %d overflow bytes in %d rounds; re-admitted",
 				name, dead, rep.Units, rep.Mirrors, rep.Stripes, rep.OverflowBytes, rep.Rounds)
 		}
-	}
+	})
 }

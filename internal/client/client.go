@@ -76,20 +76,19 @@ type Client struct {
 	policy Policy
 	rng    *rand.Rand
 
-	// Online-resync coordination (dirty.go): per-outage epochs, active
-	// resync cursors, the replay gate, and the degraded-write drain counter.
-	dmu              sync.Mutex
-	outages          map[outageKey]uint64
-	resyncs          map[outageKey]*resyncState
-	resyncActive     atomic.Int32
-	resyncGate       sync.RWMutex
-	degradedInFlight atomic.Int64
-
-	// Online re-layout coordination (relayout.go): per-file migration
-	// targets with their copy cursors, behind the copy gate every
-	// foreground read and write shares.
-	relayouts    map[uint64]*relayoutState
-	relayoutGate sync.RWMutex
+	// dmu guards the per-outage epochs of the dirty-region log (dirty.go)
+	// and the registry of background passes (pass.go).
+	dmu     sync.Mutex
+	outages map[outageKey]uint64
+	passes  map[outageKey]*Pass
+	// passActive counts registered passes, so that with none a foreground
+	// write's lookup is one atomic load. passGate is the one gate every
+	// foreground read and write shares and every pass's Exclusive sections
+	// take; passExclusive, written only under its exclusive side, is how
+	// Pass.Advance checks it is called from inside one.
+	passActive    atomic.Int32
+	passGate      sync.RWMutex
+	passExclusive bool
 }
 
 // New creates a client talking to one manager and the I/O servers. The
@@ -104,16 +103,15 @@ func New(mgr Caller, servers []Caller) *Client {
 // dies or answers with a not-primary/stale-epoch fencing error.
 func NewMulti(mgrs []Caller, servers []Caller) *Client {
 	return &Client{
-		mgrs:      mgrs,
-		srv:       servers,
-		obs:       obs.NewRegistry(),
-		down:      make(map[int]bool),
-		health:    make([]serverHealth, len(servers)),
-		leases:    make(map[uint64]leaseEntry),
-		outages:   make(map[outageKey]uint64),
-		resyncs:   make(map[outageKey]*resyncState),
-		relayouts: make(map[uint64]*relayoutState),
-		rng:       rand.New(rand.NewSource(1)),
+		mgrs:    mgrs,
+		srv:     servers,
+		obs:     obs.NewRegistry(),
+		down:    make(map[int]bool),
+		health:  make([]serverHealth, len(servers)),
+		leases:  make(map[uint64]leaseEntry),
+		outages: make(map[outageKey]uint64),
+		passes:  make(map[outageKey]*Pass),
+		rng:     rand.New(rand.NewSource(1)),
 	}
 }
 
@@ -203,11 +201,6 @@ func (c *Client) callSrvInner(idx int, m wire.Msg, trace uint64) (wire.Msg, erro
 
 // NumServers returns the number of I/O servers.
 func (c *Client) NumServers() int { return len(c.srv) }
-
-// Clock returns the client's performance-model time base (nil when the
-// client runs untimed). The scrub rate limiter shares it so scrub I/O is
-// throttled in simulated time, keeping benches deterministic.
-func (c *Client) Clock() *simtime.Clock { return c.clock }
 
 // MarkDown flags a server as failed; reads switch to degraded mode.
 func (c *Client) MarkDown(idx int) {

@@ -3,7 +3,6 @@ package client
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"csar/internal/core"
 	"csar/internal/raid"
@@ -13,12 +12,13 @@ import (
 // This file is the client half of online incremental resync: while a server
 // is out, every degraded write records what it damaged on that server into a
 // dirty-region log replicated on the dead server's two ring neighbours
-// (wire.MarkDirty), and while internal/recovery replays that log the client
-// coordinates its foreground writes with the replay through a monotonic
-// sync-point cursor — writes entirely behind the cursor are forwarded to the
-// recovering server, writes ahead of it re-dirty the log.
+// (wire.MarkDirty). While internal/recovery replays that log, foreground
+// writes coordinate with the replay through a background pass (pass.go):
+// writes entirely behind its cursor are forwarded to the recovering server,
+// writes ahead of it re-dirty the log.
 
-// outageKey identifies one (file, dead server) outage on this client.
+// outageKey identifies one (file, dead server) outage on this client, and the
+// background pass that repairs it.
 type outageKey struct {
 	file uint64
 	dead int
@@ -170,126 +170,6 @@ func (c *Client) recordDirty(ref wire.FileRef, g raid.Geometry, plan core.Plan, 
 	}
 	return nil
 }
-
-// resyncState tracks one in-progress online resync on this client. cursor is
-// the sync point: the logical byte offset up to which the recovering
-// server's stores have been replayed. It only ever rises.
-type resyncState struct {
-	cursor atomic.Int64
-}
-
-// BeginResync registers an in-progress resync of server dead for one file.
-// From now until EndResync, foreground writes whose sync extent lies
-// entirely behind the cursor are forwarded to the recovering server instead
-// of re-dirtying the log. Called by internal/recovery.
-func (c *Client) BeginResync(fileID uint64, dead int) {
-	k := outageKey{fileID, dead}
-	c.dmu.Lock()
-	if _, ok := c.resyncs[k]; !ok {
-		c.resyncs[k] = &resyncState{}
-		c.resyncActive.Add(1)
-	}
-	c.dmu.Unlock()
-}
-
-// AdvanceResyncCursor raises the resync sync point to logical offset `to`.
-// The cursor is monotonic; a lower value is ignored. Monotonicity is what
-// makes the forward decision sound: once a write observes its extent behind
-// the cursor, the replayed region can never become unreplayed again.
-func (c *Client) AdvanceResyncCursor(fileID uint64, dead int, to int64) {
-	c.dmu.Lock()
-	st := c.resyncs[outageKey{fileID, dead}]
-	c.dmu.Unlock()
-	if st == nil {
-		return
-	}
-	for {
-		cur := st.cursor.Load()
-		if to <= cur || st.cursor.CompareAndSwap(cur, to) {
-			return
-		}
-	}
-}
-
-// EndResync deregisters a resync (successful or aborted). Foreground writes
-// revert to plain degraded mode.
-func (c *Client) EndResync(fileID uint64, dead int) {
-	k := outageKey{fileID, dead}
-	c.dmu.Lock()
-	if _, ok := c.resyncs[k]; ok {
-		delete(c.resyncs, k)
-		c.resyncActive.Add(-1)
-	}
-	c.dmu.Unlock()
-}
-
-// ResyncCursor exposes the current sync point (MinInt64 when no resync is
-// active for the pair); tests use it to pin down the forward/re-dirty
-// boundary deterministically.
-func (c *Client) ResyncCursor(fileID uint64, dead int) int64 {
-	cur, ok := c.resyncCursor(fileID, dead)
-	if !ok {
-		return math.MinInt64
-	}
-	return cur
-}
-
-// resyncCursor samples the sync point for (file, dead); ok is false when no
-// resync is active for the pair. The resyncActive fast path keeps the
-// common no-resync case to one atomic load.
-func (c *Client) resyncCursor(fileID uint64, dead int) (int64, bool) {
-	if c.resyncActive.Load() == 0 {
-		return 0, false
-	}
-	c.dmu.Lock()
-	st := c.resyncs[outageKey{fileID, dead}]
-	c.dmu.Unlock()
-	if st == nil {
-		return 0, false
-	}
-	return st.cursor.Load(), true
-}
-
-// resyncingServer reports whether server idx is the target of any active
-// resync. The breaker's admission gate passes such a server unconditionally:
-// its stores are stale (so probes refuse it) but forwarded writes and replay
-// traffic must reach it.
-func (c *Client) resyncingServer(idx int) bool {
-	if c.resyncActive.Load() == 0 {
-		return false
-	}
-	c.dmu.Lock()
-	defer c.dmu.Unlock()
-	for k := range c.resyncs {
-		if k.dead == idx {
-			return true
-		}
-	}
-	return false
-}
-
-// ResyncExclusive runs fn with the resync replay gate held exclusively,
-// blocking out every foreground write's decide-and-execute section. The
-// replayer wraps each item replay (and the overflow reconciliation) in it,
-// which is what makes replay-vs-write interleavings impossible: a foreground
-// write either completes before the replay reads the redundancy (so the
-// reconstruction includes it) or starts after the replay's write lands (so
-// it observes the advanced cursor, forwards, and overwrites the replayed
-// bytes with its own). Coordination is client-local: writes from other
-// clients during a resync are not coordinated, matching the single-
-// coordinator assumption of Rebuild and scrub.
-func (c *Client) ResyncExclusive(fn func()) {
-	c.resyncGate.Lock()
-	defer c.resyncGate.Unlock()
-	fn()
-}
-
-// DegradedWritesInFlight counts degraded writes currently inside their
-// decide-and-execute section. The resyncer drains it to zero after raising
-// the cursor to its terminal value: once drained, every write that sampled
-// the old cursor has finished (its MarkDirty is on the replicas), and every
-// later write forwards — so the next dirty dump is complete.
-func (c *Client) DegradedWritesInFlight() int64 { return c.degradedInFlight.Load() }
 
 // syncExtentEnd is the forward decision's granularity: the highest logical
 // offset whose replay state the write depends on. For parity schemes that is

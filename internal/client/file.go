@@ -37,15 +37,16 @@ type File struct {
 	compute  bool
 	opPrefix string
 
-	// gateExempt marks a handle that skips the relayout gate: the shadow
-	// layout of a migration (written under the gate's shared side) and the
-	// engine's handles inside RelayoutExclusive sections. See relayout.go.
+	// gateExempt marks a handle whose caller already holds the pass gate:
+	// the shadow layout of a migration (written under the gate's shared
+	// side) and the engine's handles inside Pass.Exclusive sections. Such a
+	// handle touches the gate on no path. See pass.go.
 	gateExempt bool
 }
 
 // setLayout points the handle at the layout ref describes: geometry, parity
 // code and the engine's ablation switches. fileFor calls it on a fresh
-// handle, AdoptRef under the relayout gate's exclusive side.
+// handle, AdoptRef under the pass gate's exclusive side.
 func (f *File) setLayout(ref wire.FileRef) error {
 	g := raid.Geometry{Servers: int(ref.Servers), StripeUnit: int64(ref.StripeUnit), ParityUnits: int(ref.Parity)}
 	var code *gf256.RS
@@ -111,18 +112,18 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	tr := obs.NewTraceID()
 	opStart := time.Now()
 	defer func() { f.c.Observe("op_write", f.c.sinceStart(opStart)) }()
-	// Online scheme migration (relayout.go): the whole write runs under
-	// the shared side of the relayout gate so a migration's chunk copies
-	// never interleave with it. A write overlapping the already-copied
-	// region is mirrored into the shadow layout once the live write lands;
-	// one wholly ahead of the cursor goes to the live layout only (the
-	// copy will reach it).
+	// The whole write — sample the cursors, decide, record, execute — runs
+	// under the shared side of the pass gate (pass.go), so no unit of a
+	// background pass's work interleaves with it and the cursors it samples
+	// hold until it returns. Behind a re-layout's cursor the write is mirrored
+	// into the shadow layout once the live write lands; wholly ahead of it,
+	// it goes to the live layout only (the copy will reach it).
 	var mig *File
 	if !f.gateExempt {
-		f.c.relayoutGate.RLock()
-		defer f.c.relayoutGate.RUnlock()
-		if dst, cur, ok := f.c.relayoutDst(f.ref.ID); ok && off < cur {
-			mig = dst
+		f.c.passGate.RLock()
+		defer f.c.passGate.RUnlock()
+		if ps := f.c.pass(f.ref.ID, relayoutPass); ps != nil && off < ps.Cursor() {
+			mig = ps.dst
 		}
 	}
 	dead := -1
@@ -146,28 +147,18 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	execDead := dead
 	forwarded := false
 	if dead >= 0 {
-		// Decide-and-execute runs under the resync replay gate (shared side)
-		// so an item replay never interleaves with a foreground write; see
-		// Client.ResyncExclusive.
-		f.c.resyncGate.RLock()
-		defer f.c.resyncGate.RUnlock()
-		f.c.degradedInFlight.Add(1)
-		if cur, ok := f.c.resyncCursor(f.ref.ID, dead); ok &&
-			syncExtentEnd(f.geom, f.ref.Scheme, plan, off, int64(len(p))) <= cur {
+		if ps := f.c.pass(f.ref.ID, dead); ps != nil &&
+			syncExtentEnd(f.geom, f.ref.Scheme, plan, off, int64(len(p))) <= ps.Cursor() {
 			// The whole extent is behind the resync cursor: the recovering
 			// server is current there, so write to it directly instead of
 			// re-dirtying the log.
-			f.c.degradedInFlight.Add(-1)
 			forwarded = true
 			execDead = -1
-		} else {
-			defer f.c.degradedInFlight.Add(-1)
+		} else if err := f.c.recordDirty(f.ref, f.geom, plan, dead); err != nil {
 			// Dirty-then-write: the damage goes on the replicated log before
 			// any data lands, so a crash in between costs a spurious replay,
 			// never a missed one.
-			if err := f.c.recordDirty(f.ref, f.geom, plan, dead); err != nil {
-				return 0, err
-			}
+			return 0, err
 		}
 	}
 	if err := f.execute(plan, off, p, execDead, tr); err != nil {
@@ -739,12 +730,12 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	opStart := time.Now()
 	defer func() { f.c.Observe("op_read", f.c.sinceStart(opStart)) }()
 	// Reads come from the live (committed) layout throughout a migration.
-	// The gate's shared side makes the cutover atomic with respect to
-	// in-flight reads: AdoptRef swaps ref and geometry under the exclusive
-	// side.
+	// The pass gate's shared side makes the cutover atomic with respect to
+	// in-flight reads — AdoptRef swaps ref and geometry under the exclusive
+	// side — and keeps a read from seeing a resync item half replayed.
 	if !f.gateExempt {
-		f.c.relayoutGate.RLock()
-		defer f.c.relayoutGate.RUnlock()
+		f.c.passGate.RLock()
+		defer f.c.passGate.RUnlock()
 	}
 	if idx, down := f.c.anyDown(f.ref); down {
 		f.c.metrics.degradedReads.Add(1)

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -84,68 +83,6 @@ func TestMigrateSchemeMatrix(t *testing.T) {
 	}
 }
 
-// TestRelayoutCursorBoundary pins the dual-write rule down without any
-// timing: with the cursor held at a fixed offset, a foreground write behind
-// it must be mirrored into the shadow layout, one wholly ahead must not be,
-// and the cursor must never move backwards.
-func TestRelayoutCursorBoundary(t *testing.T) {
-	c := newCluster(t, 6)
-	cl := c.NewClient()
-	f, err := cl.Create("b", 6, 1024, wire.Hybrid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustWrite(t, f, pattern(64<<10, 5), 0)
-
-	id := f.Ref().ID
-	sr, err := cl.PinScheme(id, wire.ReedSolomon, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, err := cl.FileForRelayout(sr.New, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.BeginRelayout(id, dst)
-	cl.AdvanceRelayoutCursor(id, 16384)
-
-	// Behind the cursor: the write lands in both layouts. 4 KiB at 4 KiB
-	// is one full RS(4,2) stripe, so the shadow holds exactly those bytes.
-	behind := pattern(4096, 9)
-	mustWrite(t, f, behind, 4096)
-	got := make([]byte, len(behind))
-	if _, err := dst.ReadAt(got, 4096); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, behind) {
-		t.Fatal("write behind the cursor not mirrored into the shadow layout")
-	}
-	if m := cl.Metrics().RelayoutDualWrite; m != 1 {
-		t.Fatalf("RelayoutDualWrite = %d, want 1", m)
-	}
-
-	// Wholly ahead of the cursor: live layout only. The shadow's size
-	// would have grown past 32 KiB had the write been mirrored.
-	mustWrite(t, f, pattern(4096, 11), 32768)
-	if m := cl.Metrics().RelayoutDualWrite; m != 1 {
-		t.Fatalf("write ahead of the cursor was mirrored (dual-writes = %d)", m)
-	}
-	if ds := dst.Size(); ds > 16384 {
-		t.Fatalf("shadow size %d grew past the cursor", ds)
-	}
-
-	// The cursor is monotonic: a lower advance is a no-op.
-	cl.AdvanceRelayoutCursor(id, 8192)
-	if cur := cl.RelayoutCursor(id); cur != 16384 {
-		t.Fatalf("cursor moved backwards: %d", cur)
-	}
-
-	cl.EndRelayout(id)
-	if err := cl.AbortScheme(id, sr.New.ID); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestMigrateUnderWritersCrashAndFailover is the acceptance scenario: a
 // Hybrid file on six servers migrates to RS(4,2) while writers keep
 // rewriting their regions. Mid-copy an I/O server fails requests and the
@@ -175,7 +112,7 @@ func TestMigrateUnderWritersCrashAndFailover(t *testing.T) {
 		blockSize = 20 * unit // lcm(5, 4) data units
 		nWriters  = 3
 		blocks    = 4              // per writer
-		size      = 16 * blockSize // writers cover 12 blocks, tail is static
+		size      = 48 * blockSize // 15 copy chunks; writers cover 12 blocks, tail is static
 	)
 	f, err := cl.Create("m", 6, unit, wire.Hybrid)
 	if err != nil {
@@ -221,10 +158,11 @@ func TestMigrateUnderWritersCrashAndFailover(t *testing.T) {
 		}(w, region)
 	}
 
-	// First pass: server 2 starts failing data writes mid-copy. The pass
-	// must abort and leave the shadow layout pinned.
+	// First pass: server 2 starts failing data writes mid-copy — a chunk
+	// copy is one WriteData per server, so the seventh chunk at the latest
+	// trips the fault. The pass must abort and leave the shadow layout pinned.
 	flt := c.Inject(FaultPoint{Server: 2, Kind: wire.KWriteData, After: 6, Action: FaultDrop})
-	rep1, err := recovery.Migrate(cl, f, wire.ReedSolomon, 2, recovery.MigrateOptions{ChunkStripes: 2})
+	rep1, err := recovery.Migrate(cl, f, wire.ReedSolomon, 2, recovery.MigrateOptions{})
 	if !errors.Is(err, recovery.ErrMigrationAborted) {
 		t.Fatalf("pass with failing server: %v", err)
 	}
@@ -247,7 +185,7 @@ func TestMigrateUnderWritersCrashAndFailover(t *testing.T) {
 	}
 
 	// Re-run: resumes the same shadow layout and converges under writers.
-	rep2, err := recovery.Migrate(cl, f, wire.ReedSolomon, 2, recovery.MigrateOptions{ChunkStripes: 2})
+	rep2, err := recovery.Migrate(cl, f, wire.ReedSolomon, 2, recovery.MigrateOptions{})
 	if err != nil {
 		t.Fatalf("re-run after crash and failover: %v", err)
 	}

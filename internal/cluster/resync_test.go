@@ -199,10 +199,13 @@ func TestResyncForwardsBehindCursor(t *testing.T) {
 		t.Fatal("degraded write left no dirty log")
 	}
 
-	cl.BeginResync(ref.ID, dead)
-	cl.AdvanceResyncCursor(ref.ID, dead, math.MaxInt64)
+	pass, err := cl.BeginPass(ref.ID, dead, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass.Exclusive(func() { pass.Advance(math.MaxInt64) })
 	mustWrite(t, f, pattern(256, 3), 1024) // behind the cursor: forwarded
-	cl.EndResync(ref.ID, dead)
+	pass.End()
 
 	m := cl.Metrics()
 	if m.ResyncForwards != 1 {

@@ -143,7 +143,8 @@ func Rebuild(c *client.Client, f *client.File, dead int) error {
 			return err
 		}
 		if ref.Scheme == wire.Hybrid {
-			return rebuildOverflow(c, f, dead)
+			_, err := restoreOverflow(c, ref, g, dead)
+			return err
 		}
 		return nil
 	default:
@@ -379,45 +380,6 @@ func encodeParityUnit(c *client.Client, f *client.File, stripe int64, j int) ([]
 	out := make([]byte, f.Geometry().StripeUnit)
 	f.Code().EncodeUnitInto(j, out, data)
 	return out, nil
-}
-
-// rebuildOverflow restores the dead server's overflow region (from its
-// mirror on the next server) and its overflow-mirror region (from the
-// previous server's primary overflow).
-func rebuildOverflow(c *client.Client, f *client.File, dead int) error {
-	g := f.Geometry()
-	ref := f.Ref()
-	next := (dead + 1) % g.Servers
-	prev := (dead - 1 + g.Servers) % g.Servers
-
-	// Primary overflow <- mirror copy held by the next server.
-	resp, err := c.ServerCaller(next).Call(&wire.OverflowDump{File: ref, Mirror: true})
-	if err != nil {
-		return err
-	}
-	dump := resp.(*wire.OverflowDumpResp)
-	if len(dump.Extents) > 0 {
-		if _, err := c.ServerCaller(dead).Call(&wire.WriteOverflow{
-			File: ref, Extents: dump.Extents, Data: dump.Data,
-		}); err != nil {
-			return err
-		}
-	}
-
-	// Overflow mirror <- previous server's primary overflow.
-	resp, err = c.ServerCaller(prev).Call(&wire.OverflowDump{File: ref})
-	if err != nil {
-		return err
-	}
-	dump = resp.(*wire.OverflowDumpResp)
-	if len(dump.Extents) > 0 {
-		if _, err := c.ServerCaller(dead).Call(&wire.WriteOverflow{
-			File: ref, Extents: dump.Extents, Data: dump.Data, Mirror: true,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Verify checks a file's redundancy invariants and returns a description of

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"csar/internal/client"
-	"csar/internal/simtime"
 	"csar/internal/wire"
 )
 
@@ -18,13 +17,12 @@ import (
 // differ across schemes), so the manager pins a shadow layout under a
 // fresh file ID, this engine copies the logical bytes across in
 // rate-limited chunks, and a single metadata operation cuts the file over.
-// Foreground writes are coordinated through the client's relayout cursor
-// (see internal/client/relayout.go): behind it they are dual-written to
-// both layouts, ahead of it they go to the live layout only and the copy
-// picks them up when it arrives. Each chunk copy — read live, write
-// shadow, advance cursor — runs under the exclusive side of the relayout
-// gate; unlike resync there is no dirty log to absorb a write that slips
-// in between, so the cursor must move inside the exclusive section.
+// Foreground writes are coordinated through a background pass's cursor
+// (see internal/client/pass.go): behind it they are dual-written to both
+// layouts, ahead of it they go to the live layout only and the copy picks
+// them up when it arrives. Each chunk copy — read live, write shadow,
+// advance cursor — is one exclusive section of the pass: there is no dirty
+// log to absorb a write that slipped in between copy and advance.
 //
 // The whole procedure is abort-safe and re-runnable: the pin survives at
 // the manager (WAL-logged and replicated, so a failover resumes it), a
@@ -42,14 +40,11 @@ type MigrateOptions struct {
 	// simulated second; 0 means unthrottled. When the client has no
 	// simulated clock, the limit is enforced in wall time.
 	RateLimit float64
-	// ChunkStripes sets how many target-layout stripes are copied per
-	// exclusive section — the granularity at which foreground writes can
-	// interleave with the copy. <= 0 uses 16.
-	ChunkStripes int
-	// Clock overrides the time base for the rate limiter; nil uses the
-	// client's clock.
-	Clock *simtime.Clock
 }
+
+// chunkStripes is how many target-layout stripes one exclusive section
+// copies — the granularity at which foreground I/O interleaves with the copy.
+const chunkStripes = 16
 
 // MigrateReport describes one completed migration.
 type MigrateReport struct {
@@ -94,30 +89,18 @@ func Migrate(c *client.Client, f *client.File, scheme wire.Scheme, parity int, o
 		return report, fmt.Errorf("%w: live layout: %v", ErrMigrationAborted, err)
 	}
 
-	clk := opts.Clock
-	if clk == nil {
-		clk = c.Clock()
-	}
-	if !clk.Timed() && opts.RateLimit > 0 {
-		// No simulated clock to bill against: throttle in wall time.
-		clk = &simtime.Clock{Scale: time.Second}
-	}
-	var lim *simtime.Limiter
-	if opts.RateLimit > 0 {
-		lim = simtime.NewLimiter(clk, opts.RateLimit)
-	}
+	lim := c.PassLimiter(opts.RateLimit)
 
-	chunkStripes := opts.ChunkStripes
-	if chunkStripes <= 0 {
-		chunkStripes = 16
-	}
 	// Chunks are whole target-layout stripes so the shadow writes take the
 	// full-stripe path (no read-modify-write against half-copied parity).
-	chunk := dst.Geometry().StripeSize() * int64(chunkStripes)
+	chunk := dst.Geometry().StripeSize() * chunkStripes
 	buf := make([]byte, chunk)
 
-	c.BeginRelayout(ref.ID, dst)
-	defer c.EndRelayout(ref.ID)
+	pass, err := c.BeginPass(ref.ID, -1, dst) // -1: a re-layout repairs no server
+	if err != nil {
+		return report, fmt.Errorf("%w: %v", ErrMigrationAborted, err)
+	}
+	defer pass.End()
 
 	// Copy forward until the cursor overtakes the (possibly still growing)
 	// logical size, then raise it to its terminal value under the gate —
@@ -128,11 +111,11 @@ func Migrate(c *client.Client, f *client.File, scheme wire.Scheme, parity int, o
 		size := f.Size()
 		if off >= size {
 			done := false
-			c.RelayoutExclusive(func() {
+			pass.Exclusive(func() {
 				if f.Size() > off {
 					return // grew while we decided; another lap
 				}
-				c.AdvanceRelayoutCursor(ref.ID, math.MaxInt64)
+				pass.Advance(math.MaxInt64)
 				done = true
 			})
 			if done {
@@ -144,11 +127,9 @@ func Migrate(c *client.Client, f *client.File, scheme wire.Scheme, parity int, o
 		if off+n > size {
 			n = size - off
 		}
-		if lim != nil {
-			lim.Acquire(n)
-		}
+		lim.Acquire(n)
 		var cerr error
-		c.RelayoutExclusive(func() {
+		pass.Exclusive(func() {
 			if _, err := src.ReadAt(buf[:n], off); err != nil {
 				cerr = err
 				return
@@ -157,7 +138,7 @@ func Migrate(c *client.Client, f *client.File, scheme wire.Scheme, parity int, o
 				cerr = err
 				return
 			}
-			c.AdvanceRelayoutCursor(ref.ID, off+n)
+			pass.Advance(off + n)
 		})
 		if cerr != nil {
 			return report, fmt.Errorf("%w: copy at offset %d: %v", ErrMigrationAborted, off, cerr)
@@ -172,7 +153,7 @@ func Migrate(c *client.Client, f *client.File, scheme wire.Scheme, parity int, o
 	// shadow ID), and f adopts the new layout before any gated operation
 	// can run again.
 	var cerr error
-	c.RelayoutExclusive(func() {
+	pass.Exclusive(func() {
 		if err := c.CommitScheme(ref.ID, sr.New.ID); err != nil {
 			cerr = fmt.Errorf("%w: committing cutover: %v", ErrMigrationAborted, err)
 			return

@@ -9,7 +9,6 @@ import (
 
 	"csar/internal/client"
 	"csar/internal/raid"
-	"csar/internal/simtime"
 	"csar/internal/wire"
 )
 
@@ -38,9 +37,6 @@ type ResyncOptions struct {
 	// DryRun dumps and validates the dirty log and reports what a resync
 	// would replay, without writing anything or clearing the log.
 	DryRun bool
-	// Clock overrides the time base for the rate limiter; nil uses the
-	// client's clock.
-	Clock *simtime.Clock
 }
 
 // ResyncReport describes what a resync pass did (or, dry, would do).
@@ -208,23 +204,7 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 	replicas := client.DirtyReplicas(g.Servers, dead)
 	defer c.ObserveSince("resync_pass", time.Now())
 
-	clk := opts.Clock
-	if clk == nil {
-		clk = c.Clock()
-	}
-	if !clk.Timed() && opts.RateLimit > 0 {
-		// No simulated clock to bill against: throttle in wall time.
-		clk = &simtime.Clock{Scale: time.Second}
-	}
-	var lim *simtime.Limiter
-	if opts.RateLimit > 0 {
-		lim = simtime.NewLimiter(clk, opts.RateLimit)
-	}
-	throttle := func(n int64) {
-		if lim != nil {
-			lim.Acquire(n)
-		}
-	}
+	lim := c.PassLimiter(opts.RateLimit)
 
 	dumps, err := dumpAll(c, ref, dead, replicas)
 	if err != nil {
@@ -264,16 +244,19 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 		return report, nil
 	}
 
-	c.BeginResync(ref.ID, dead)
-	defer c.EndResync(ref.ID, dead)
+	pass, err := c.BeginPass(ref.ID, dead, nil)
+	if err != nil {
+		return report, fmt.Errorf("%w: %v", ErrResyncAborted, err)
+	}
+	defer pass.End()
 
 	// Each round: replay the union of the replicas' dumps, then retire
 	// exactly the generations we saw (a write that re-dirtied an item during
 	// the replay bumps its generation, so the retire leaves it for the next
 	// round). Round 1 advances the cursor item by item and finishes by
-	// raising it past everything and draining in-flight degraded writes;
-	// from then on every foreground write is forwarded, no new damage is
-	// logged, and the dump shrinks to empty within a round or two.
+	// raising it past everything; from then on every foreground write is
+	// forwarded, no new damage is logged, and the dump shrinks to empty
+	// within a round or two.
 	const maxRounds = 64
 	for round := 1; ; round++ {
 		if round > maxRounds {
@@ -282,10 +265,12 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 		report.Rounds = round
 		items, overflow := mergeItems(g, dumps)
 		for _, it := range items {
-			throttle(g.StripeUnit)
+			lim.Acquire(g.StripeUnit)
 			var rerr error
-			c.ResyncExclusive(func() {
-				rerr = replayItem(c, f, it, dead)
+			pass.Exclusive(func() {
+				if rerr = replayItem(c, f, it, dead); rerr == nil && round == 1 {
+					pass.Advance(it.end)
+				}
 			})
 			if rerr != nil {
 				return report, fmt.Errorf("%w: replay of %c%d: %v", ErrResyncAborted, it.kind, it.val, rerr)
@@ -298,30 +283,31 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 			case 's':
 				report.Stripes++
 			}
-			if round == 1 {
-				c.AdvanceResyncCursor(ref.ID, dead, it.end)
-			}
 		}
 		if overflow {
 			var n int64
 			var rerr error
-			c.ResyncExclusive(func() {
-				n, rerr = reconcileOverflow(c, ref, g, dead)
+			pass.Exclusive(func() {
+				// The server returned with its pre-outage overflow tables,
+				// which may hold extents since invalidated by full-stripe
+				// writes it missed — and WriteOverflow only adds extents —
+				// so both stores are wiped before they are restored.
+				if rerr = wipeOverflow(c, ref, dead); rerr == nil {
+					n, rerr = restoreOverflow(c, ref, g, dead)
+				}
 			})
 			if rerr != nil {
 				return report, fmt.Errorf("%w: overflow reconcile: %v", ErrResyncAborted, rerr)
 			}
-			throttle(n)
+			lim.Acquire(n)
 			report.OverflowBytes += n
 		}
 		if round == 1 {
-			// Terminal cursor: every write from here on forwards. Drain the
-			// writes that sampled the old cursor so their MarkDirty records
-			// are all on the replicas before the next (final) dumps.
-			c.AdvanceResyncCursor(ref.ID, dead, math.MaxInt64)
-			if err := drainDegraded(c); err != nil {
-				return report, err
-			}
+			// Terminal cursor: every write from here on forwards. The
+			// exclusive section is the barrier — the writes that sampled the
+			// old cursor have all returned, so their MarkDirty records are on
+			// the replicas before the next (final) dumps.
+			pass.Exclusive(func() { pass.Advance(math.MaxInt64) })
 		}
 		c.NoteResync(int64(len(items)))
 		for i, r := range replicas {
@@ -363,19 +349,6 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 		}
 	}
 	return report, nil
-}
-
-// drainDegraded waits until no degraded write is inside its
-// decide-and-execute section.
-func drainDegraded(c *client.Client) error {
-	deadline := time.Now().Add(30 * time.Second)
-	for c.DegradedWritesInFlight() != 0 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%w: degraded writes did not drain", ErrResyncAborted)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	return nil
 }
 
 // fullRebuildFallback reconstructs the server in full when the dirty log is
@@ -487,43 +460,30 @@ func replayItem(c *client.Client, f *client.File, it resyncItem, dead int) error
 	return fmt.Errorf("unknown dirty item kind %q", it.kind)
 }
 
-// reconcileOverflow rebuilds the recovering server's overflow stores from
-// their surviving mirrors. The server returned with its pre-outage overflow
-// tables, which may hold extents since invalidated by full-stripe
-// migrations it missed — and WriteOverflow only adds extents — so both
-// stores are wiped before the re-dump. Returns the bytes rewritten.
-func reconcileOverflow(c *client.Client, ref wire.FileRef, g raid.Geometry, dead int) (int64, error) {
-	if err := wipeOverflow(c, ref, dead); err != nil {
-		return 0, err
-	}
-	next := (dead + 1) % g.Servers
-	prev := (dead - 1 + g.Servers) % g.Servers
+// restoreOverflow writes a returning server's overflow stores from their
+// surviving copies — the primary overflow from the mirror the next server
+// holds, the overflow mirror from the previous server's primary — and returns
+// the bytes written. It only adds extents: Rebuild's blank replacement needs
+// no more, a server that kept its stores is wiped first.
+func restoreOverflow(c *client.Client, ref wire.FileRef, g raid.Geometry, dead int) (int64, error) {
 	var n int64
-
-	// Primary overflow <- mirror copy held by the next server.
-	resp, err := c.ServerCaller(next).Call(&wire.OverflowDump{File: ref, Mirror: true})
-	if err != nil {
-		return n, err
-	}
-	dump := resp.(*wire.OverflowDumpResp)
-	if len(dump.Extents) > 0 {
-		if _, err := c.ServerCaller(dead).Call(&wire.WriteOverflow{
-			File: ref, Extents: dump.Extents, Data: dump.Data,
-		}); err != nil {
+	for _, leg := range []struct {
+		from   int
+		mirror bool // the source is a mirror store; the target is the other kind
+	}{
+		{(dead + 1) % g.Servers, true},
+		{(dead - 1 + g.Servers) % g.Servers, false},
+	} {
+		resp, err := c.ServerCaller(leg.from).Call(&wire.OverflowDump{File: ref, Mirror: leg.mirror})
+		if err != nil {
 			return n, err
 		}
-		n += int64(len(dump.Data))
-	}
-
-	// Overflow mirror <- previous server's primary overflow.
-	resp, err = c.ServerCaller(prev).Call(&wire.OverflowDump{File: ref})
-	if err != nil {
-		return n, err
-	}
-	dump = resp.(*wire.OverflowDumpResp)
-	if len(dump.Extents) > 0 {
+		dump := resp.(*wire.OverflowDumpResp)
+		if len(dump.Extents) == 0 {
+			continue
+		}
 		if _, err := c.ServerCaller(dead).Call(&wire.WriteOverflow{
-			File: ref, Extents: dump.Extents, Data: dump.Data, Mirror: true,
+			File: ref, Extents: dump.Extents, Data: dump.Data, Mirror: !leg.mirror,
 		}); err != nil {
 			return n, err
 		}

@@ -55,17 +55,16 @@ var ErrCanceled = errors.New("scrub: canceled")
 // allRange covers any store offset; used to checksum a whole overflow table.
 const allRange = int64(1) << 62
 
+// batchStripes is how many stripe rows of checksums are fetched from every
+// server in one round trip.
+const batchStripes int64 = 4
+
 // Options tunes one scrub pass.
 type Options struct {
 	// RateLimit caps the scrubber's store I/O in bytes per second of
 	// simulated time (wall time when the client is untimed). Zero or
 	// negative means unlimited.
 	RateLimit float64
-	// Clock drives the rate limiter; nil uses the client's clock.
-	Clock *simtime.Clock
-	// BatchStripes is how many stripe rows of checksums are fetched from
-	// every server in one round trip. Defaults to 4.
-	BatchStripes int
 	// Journal carries last-known-good checksums between passes of the same
 	// file, enabling evidence-based repair decisions. Nil disables them:
 	// every mismatch falls back to regenerating redundancy from data.
@@ -147,18 +146,6 @@ func Run(c *client.Client, f *client.File, opts Options) (*Report, error) {
 	if size == 0 || ref.Scheme == wire.Raid0 || ref.Scheme == wire.Raid5NPC {
 		return rep, nil
 	}
-	if opts.Clock == nil {
-		opts.Clock = c.Clock()
-	}
-	if !opts.Clock.Timed() && opts.RateLimit > 0 {
-		// Live deployments have no modeled clock; pace the limiter in wall
-		// time (one simulated second per real second) so RateLimit still
-		// means bytes per second rather than silently not limiting.
-		opts.Clock = &simtime.Clock{Scale: time.Second}
-	}
-	if opts.BatchStripes <= 0 {
-		opts.BatchStripes = 4
-	}
 	defer c.ObserveSince("scrub_pass", time.Now())
 	s := &scrubber{
 		c:    c,
@@ -168,7 +155,7 @@ func Run(c *client.Client, f *client.File, opts Options) (*Report, error) {
 		size: size,
 		su:   g.StripeUnit,
 		opts: opts,
-		lim:  simtime.NewLimiter(opts.Clock, opts.RateLimit),
+		lim:  c.PassLimiter(opts.RateLimit),
 		zero: crc32.Checksum(make([]byte, g.StripeUnit), castagnoli),
 		rep:  rep,
 	}
@@ -318,12 +305,11 @@ func (s *scrubber) scrubMirrors() error {
 	n := int64(s.g.Servers)
 	units := s.g.UnitsIn(s.size)
 	rows := (units + n - 1) / n
-	batch := int64(s.opts.BatchStripes)
-	for r0 := int64(0); r0 < rows; r0 += batch {
+	for r0 := int64(0); r0 < rows; r0 += batchStripes {
 		if s.canceled() {
 			return ErrCanceled
 		}
-		r1 := min(r0+batch, rows)
+		r1 := min(r0+batchStripes, rows)
 		dataSums := make([][]uint32, s.g.Servers)
 		mirSums := make([][]uint32, s.g.Servers)
 		err := s.eachServer(func(i int) error {
@@ -468,16 +454,15 @@ func (s *scrubber) scrubParity() error {
 	m := s.g.PU()
 	stripes := s.g.StripesIn(s.size)
 	windows := (stripes + n - 1) / n
-	batch := int64(s.opts.BatchStripes)
 	intents, err := s.intentStripes()
 	if err != nil {
 		return err
 	}
-	for w0 := int64(0); w0 < windows; w0 += batch {
+	for w0 := int64(0); w0 < windows; w0 += batchStripes {
 		if s.canceled() {
 			return ErrCanceled
 		}
-		w1 := min(w0+batch, windows)
+		w1 := min(w0+batchStripes, windows)
 		dataSums := make([][]uint32, s.g.Servers)
 		parSums := make([][]uint32, s.g.Servers)
 		err := s.eachServer(func(i int) error {

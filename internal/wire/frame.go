@@ -94,12 +94,7 @@ func MarshalFrame(m Msg, trace uint64) Frame {
 	bp := headPool.Get().(*[]byte)
 	var prefix [FramePrefix]byte
 	e := Encoder{Buf: append((*bp)[:0], prefix[:]...), split: true}
-	if trace != 0 {
-		e.U8(uint8(m.Kind()) | KindTraceFlag)
-		e.U64(trace)
-	} else {
-		e.U8(uint8(m.Kind()))
-	}
+	encodeHead(&e, m, trace)
 	m.encode(&e)
 	if e.Payload != nil && e.splitAt != len(e.Buf) {
 		// Fields were encoded after the split payload (the payload is not

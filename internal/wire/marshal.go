@@ -5,25 +5,27 @@ import (
 	"fmt"
 )
 
-// Marshal serializes a message as a kind byte followed by its body.
-func Marshal(m Msg) []byte {
-	e := Encoder{Buf: make([]byte, 0, 64)}
-	e.U8(uint8(m.Kind()))
-	m.encode(&e)
-	return e.Buf
-}
-
-// MarshalTraced serializes a message with an operation trace ID: the kind
-// byte carries KindTraceFlag and an 8-byte little-endian trace ID precedes
-// the body. A zero trace falls back to the plain Marshal encoding, so
-// untraced callers pay nothing and old decoders never see the flag.
-func MarshalTraced(m Msg, trace uint64) []byte {
+// encodeHead writes what precedes a message's body: the kind byte, which for
+// a non-zero trace carries KindTraceFlag and is followed by the 8-byte
+// little-endian trace ID.
+func encodeHead(e *Encoder, m Msg, trace uint64) {
 	if trace == 0 {
-		return Marshal(m)
+		e.U8(uint8(m.Kind()))
+		return
 	}
-	e := Encoder{Buf: make([]byte, 0, 72)}
 	e.U8(uint8(m.Kind()) | KindTraceFlag)
 	e.U64(trace)
+}
+
+// Marshal serializes a message as a kind byte followed by its body.
+func Marshal(m Msg) []byte { return MarshalTraced(m, 0) }
+
+// MarshalTraced serializes a message with an operation trace ID ahead of its
+// body. A zero trace produces the plain Marshal encoding, so untraced callers
+// pay nothing and old decoders never see the flag.
+func MarshalTraced(m Msg, trace uint64) []byte {
+	e := Encoder{Buf: make([]byte, 0, 72)}
+	encodeHead(&e, m, trace)
 	m.encode(&e)
 	return e.Buf
 }

@@ -135,12 +135,15 @@ func TestMetricsResyncCounters(t *testing.T) {
 	// A write behind the sync-point cursor is forwarded, not re-logged.
 	ic := cl.InternalClient()
 	ref := f.Internal().Ref()
-	ic.BeginResync(ref.ID, dead)
-	ic.AdvanceResyncCursor(ref.ID, dead, math.MaxInt64)
+	pass, err := ic.BeginPass(ref.ID, dead, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass.Exclusive(func() { pass.Advance(math.MaxInt64) })
 	if _, err := f.WriteAt(make([]byte, 256), 1024); err != nil {
 		t.Fatal(err)
 	}
-	ic.EndResync(ref.ID, dead)
+	pass.End()
 	if m := cl.Metrics(); m.ResyncForwards != 1 {
 		t.Fatalf("ResyncForwards = %d, want 1", m.ResyncForwards)
 	}

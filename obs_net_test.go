@@ -6,6 +6,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"csar"
 	"csar/internal/meta"
@@ -99,9 +100,13 @@ func TestDialCloseNoFDLeak(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		pass()
 	}
+	// The iods run in this process and close their end of a connection only
+	// once they have read its EOF, so give the last passes' sockets a moment
+	// to go; allow tiny slack, but 30 passes × 4 conns would leak ~120 fds.
 	after := countFDs(t)
-	// TCP sockets can linger briefly in the kernel after Close returns;
-	// allow tiny slack, but 30 passes × 4 conns would leak ~120 fds.
+	for deadline := time.Now().Add(2 * time.Second); after > before+4 && time.Now().Before(deadline); after = countFDs(t) {
+		time.Sleep(10 * time.Millisecond)
+	}
 	if after > before+4 {
 		t.Fatalf("fd leak across dial/close passes: %d before, %d after", before, after)
 	}
