@@ -15,9 +15,12 @@ race:
 	$(GO) test -race ./...
 
 # Run every checked-in fuzz corpus seed (including the wire-protocol
-# ChecksumRange messages) as regular tests, without open-ended fuzzing.
+# ChecksumRange messages) as regular tests, without open-ended fuzzing, plus
+# the wire golden bytes (every message, plain and framed, against
+# internal/wire/testdata/golden.hex) and the bound on what a hostile slice
+# count may make Unmarshal allocate.
 fuzz-seeds:
-	$(GO) test -run Fuzz ./internal/wire ./internal/extent
+	$(GO) test -run 'Fuzz|TestWireGolden|TestUnmarshalLengthPrefixAmplification' ./internal/wire ./internal/extent
 
 # The deterministic fault-schedule suite: injected server hangs, ghost
 # parity locks, partitions and flapping servers, run twice under the race
@@ -38,11 +41,12 @@ crash:
 # replay with a concurrent foreground writer, the background-pass mechanism
 # (cursor rules under both policies, the terminal advance as a barrier, the
 # degraded dual-write nesting), the epoch-mismatch full-rebuild fallback,
-# abort/rerun convergence, and dirty-log durability across a replica crash —
-# run twice under the race detector because the delta scenario is genuinely
-# concurrent.
+# abort/rerun convergence, and dirty-log durability across a replica crash
+# and across a torn journal tail — run twice under the race detector because
+# the delta scenario is genuinely concurrent.
 resync:
 	$(GO) test -race -count=2 -run 'TestResync|TestDirtyLog|TestRebuildAbort|TestPass' ./internal/cluster
+	$(GO) test -race -count=2 -run 'TestDirtyLog' ./internal/server
 	$(GO) test -race -count=2 -run 'TestMetricsResyncCounters' .
 
 # The parity-engine suite: the GF(256) field and RS(k,m) matrix unit and

@@ -9,7 +9,7 @@
 //
 //	u32 payload length | u32 CRC32C(payload) | payload
 //
-// Record payload format (wire.Encoder conventions):
+// Record payload format (wire.Codec conventions):
 //
 //	u8 op | u64 epoch | u64 seq | op-specific fields
 //
@@ -67,63 +67,49 @@ type walRec struct {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// encodeRec serializes a record payload (the part that is CRC-protected on
-// disk and shipped verbatim in MetaReplicate.Rec).
-func encodeRec(rec walRec) []byte {
-	e := wire.Encoder{Buf: make([]byte, 0, 64)}
-	e.U8(rec.op)
-	e.U64(rec.epoch)
-	e.U64(rec.seq)
+// codec reads or writes a record payload (the part that is CRC-protected on
+// disk and shipped verbatim in MetaReplicate.Rec): the header, then the
+// fields of its op kind. An unknown op kind fails the decode: a CRC-valid
+// record cannot be corrupt, so either the peer speaks a newer protocol or
+// the bytes did not come from this codec.
+func (rec *walRec) codec(c *wire.Codec) {
+	c.U8(&rec.op)
+	c.U64(&rec.epoch)
+	c.U64(&rec.seq)
 	switch rec.op {
 	case opCreate:
-		e.Str(rec.name)
-		e.FileRef(rec.ref)
+		c.Str(&rec.name)
+		c.FileRef(&rec.ref)
 	case opSetSize:
-		e.U64(rec.id)
-		e.I64(rec.size)
+		c.U64(&rec.id)
+		c.I64(&rec.size)
 	case opRemove:
-		e.Str(rec.name)
+		c.Str(&rec.name)
 	case opEpoch:
 	case opMigBegin:
-		e.U64(rec.id)
-		e.FileRef(rec.ref)
+		c.U64(&rec.id)
+		c.FileRef(&rec.ref)
 	case opMigCommit, opMigAbort:
-		e.U64(rec.id)
-		e.U64(rec.newID)
+		c.U64(&rec.id)
+		c.U64(&rec.newID)
+	default:
+		c.Fail(fmt.Errorf("meta: unknown wal op %d", rec.op))
 	}
-	return e.Buf
 }
 
-// decodeRec parses a record payload. Unknown op kinds and truncated fields
-// are errors: a corrupt-but-CRC-valid record cannot happen, so either the
-// peer speaks a newer protocol or the bytes did not come from encodeRec.
+// encodeRec serializes a record payload.
+func encodeRec(rec walRec) []byte {
+	c := wire.Encoding(make([]byte, 0, 64))
+	rec.codec(&c)
+	return c.Buf
+}
+
+// decodeRec parses a record payload.
 func decodeRec(b []byte) (walRec, error) {
-	d := wire.Decoder{Buf: b}
 	var rec walRec
-	rec.op = d.U8()
-	rec.epoch = d.U64()
-	rec.seq = d.U64()
-	switch rec.op {
-	case opCreate:
-		rec.name = d.Str()
-		rec.ref = d.FileRef()
-	case opSetSize:
-		rec.id = d.U64()
-		rec.size = d.I64()
-	case opRemove:
-		rec.name = d.Str()
-	case opEpoch:
-	case opMigBegin:
-		rec.id = d.U64()
-		rec.ref = d.FileRef()
-	case opMigCommit, opMigAbort:
-		rec.id = d.U64()
-		rec.newID = d.U64()
-	default:
-		return rec, fmt.Errorf("meta: unknown wal op %d", rec.op)
-	}
-	if err := d.Err(); err != nil {
-		return rec, fmt.Errorf("meta: truncated wal record: %w", err)
+	c := wire.Decoding(b)
+	if rec.codec(&c); c.Err() != nil {
+		return rec, fmt.Errorf("meta: bad wal record: %w", c.Err())
 	}
 	return rec, nil
 }

@@ -11,8 +11,8 @@
 //
 // The log is journaled with the same discipline as the stripe intents:
 // length-prefixed records, fsync per append batch, full rewrite on clear
-// (the log shrinks at exactly the moments it is cheap to rewrite), torn
-// tails ignored at load. A crash-restart of a surviving server therefore
+// (the log shrinks at exactly the moments it is cheap to rewrite), a torn
+// tail compacted away at load. A crash-restart of a surviving server therefore
 // preserves the outage's damage records; only a blank replacement disk
 // loses them, which resync detects through the epoch set and answers with
 // a full rebuild.
@@ -89,13 +89,30 @@ type dirtyState struct {
 	off     int64
 }
 
-func dirtyRecord(e *wire.Encoder, kind uint8, fileID uint64, dead uint16, epoch uint64, val int64) {
-	e.U32(dirtyRecordLen)
-	e.U8(kind)
-	e.U64(fileID)
-	e.U16(dead)
-	e.U64(epoch)
-	e.I64(val)
+// dirtyEntry is one dirty-journal record, framed on disk as
+//
+//	u32 length (dirtyRecordLen) | u8 kind | u64 file ID | u16 dead server | u64 epoch | i64 value
+type dirtyEntry struct {
+	kind  uint8
+	key   dirtyKey
+	epoch uint64
+	val   int64
+}
+
+// codec reads or writes one framed record.
+func (r *dirtyEntry) codec(c *wire.Codec) {
+	journalFrame(c, dirtyRecordLen)
+	c.U8(&r.kind)
+	c.U64(&r.key.file)
+	c.U16(&r.key.dead)
+	c.U64(&r.epoch)
+	c.I64(&r.val)
+}
+
+// dirtyRecord appends one record to e.
+func dirtyRecord(e *wire.Codec, kind uint8, k dirtyKey, epoch uint64, val int64) {
+	r := dirtyEntry{kind, k, epoch, val}
+	r.codec(e)
 }
 
 // loadDirty replays the dirty journal at startup, so a surviving server's
@@ -111,45 +128,37 @@ func (s *Server) loadDirty() {
 	}
 	buf := make([]byte, size)
 	f.ReadAt(buf, 0) //nolint:errcheck // zero-fill semantics
-	d := wire.Decoder{Buf: buf}
-	torn := false
+	d := wire.Decoding(buf)
+	replayed := 0 // bytes of whole records
 	for {
-		n := d.U32()
-		if d.Err() != nil || n != dirtyRecordLen {
-			torn = d.Err() == nil && n != 0 // trailing garbage vs clean end
-			break
+		var r dirtyEntry
+		if r.codec(&d); d.Err() != nil {
+			break // end of log or torn tail
 		}
-		kind := d.U8()
-		fileID := d.U64()
-		dead := d.U16()
-		epoch := d.U64()
-		val := d.I64()
-		if d.Err() != nil {
-			torn = true
-			break
-		}
-		k := dirtyKey{fileID, dead}
-		dl := s.dirty.logs[k]
+		replayed += 4 + dirtyRecordLen
+		dl := s.dirty.logs[r.key]
 		if dl == nil {
 			dl = newDirtyLog()
-			s.dirty.logs[k] = dl
+			s.dirty.logs[r.key] = dl
 		}
-		dl.epochs[epoch] = struct{}{}
+		dl.epochs[r.epoch] = struct{}{}
 		dl.gen++
-		switch kind {
+		switch r.kind {
 		case dirtyKindUnit:
-			dl.units[val] = dl.gen
+			dl.units[r.val] = dl.gen
 		case dirtyKindMirror:
-			dl.mirrors[val] = dl.gen
+			dl.mirrors[r.val] = dl.gen
 		case dirtyKindStripe:
-			dl.stripes[val] = dl.gen
+			dl.stripes[r.val] = dl.gen
 		case dirtyKindOverflow:
 			dl.overflow = true
 			dl.overflowGen = dl.gen
 		}
 	}
 	s.dirty.off = size
-	if torn {
+	if replayed < len(buf) {
+		// A torn tail, or zero fill a crash left: appends must not land
+		// behind bytes the next load would stop at.
 		s.rewriteDirtyLocked()
 	}
 }
@@ -158,7 +167,7 @@ func (s *Server) loadDirty() {
 // record per epoch sighting, one record per live entry. Caller holds
 // dirty.mu.
 func (s *Server) rewriteDirtyLocked() {
-	e := wire.Encoder{Buf: make([]byte, 0, 256)}
+	e := wire.Encoding(make([]byte, 0, 256))
 	for k, dl := range s.dirty.logs {
 		// Item records carry an arbitrary member of the epoch set; the
 		// set itself is reconstructed from the dedicated epoch records.
@@ -168,19 +177,19 @@ func (s *Server) rewriteDirtyLocked() {
 			break
 		}
 		for ep := range dl.epochs {
-			dirtyRecord(&e, dirtyKindEpoch, k.file, k.dead, ep, 0)
+			dirtyRecord(&e, dirtyKindEpoch, k, ep, 0)
 		}
 		for v := range dl.units {
-			dirtyRecord(&e, dirtyKindUnit, k.file, k.dead, anyEpoch, v)
+			dirtyRecord(&e, dirtyKindUnit, k, anyEpoch, v)
 		}
 		for v := range dl.mirrors {
-			dirtyRecord(&e, dirtyKindMirror, k.file, k.dead, anyEpoch, v)
+			dirtyRecord(&e, dirtyKindMirror, k, anyEpoch, v)
 		}
 		for v := range dl.stripes {
-			dirtyRecord(&e, dirtyKindStripe, k.file, k.dead, anyEpoch, v)
+			dirtyRecord(&e, dirtyKindStripe, k, anyEpoch, v)
 		}
 		if dl.overflow {
-			dirtyRecord(&e, dirtyKindOverflow, k.file, k.dead, anyEpoch, 0)
+			dirtyRecord(&e, dirtyKindOverflow, k, anyEpoch, 0)
 		}
 	}
 	if s.dirty.journal == nil {
@@ -226,16 +235,16 @@ func (s *Server) handleMarkDirty(m *wire.MarkDirty) (wire.Msg, error) {
 		dl = newDirtyLog()
 		s.dirty.logs[k] = dl
 	}
-	e := wire.Encoder{Buf: make([]byte, 0, 4 + dirtyRecordLen)}
+	e := wire.Encoding(make([]byte, 0, 4+dirtyRecordLen))
 	if _, ok := dl.epochs[m.Epoch]; !ok {
 		dl.epochs[m.Epoch] = struct{}{}
-		dirtyRecord(&e, dirtyKindEpoch, k.file, k.dead, m.Epoch, 0)
+		dirtyRecord(&e, dirtyKindEpoch, k, m.Epoch, 0)
 	}
 	mark := func(set map[int64]uint64, kind uint8, vals []int64) {
 		for _, v := range vals {
 			dl.gen++
 			if _, ok := set[v]; !ok {
-				dirtyRecord(&e, kind, k.file, k.dead, m.Epoch, v)
+				dirtyRecord(&e, kind, k, m.Epoch, v)
 			}
 			set[v] = dl.gen
 		}
@@ -246,7 +255,7 @@ func (s *Server) handleMarkDirty(m *wire.MarkDirty) (wire.Msg, error) {
 	if m.Overflow {
 		dl.gen++
 		if !dl.overflow {
-			dirtyRecord(&e, dirtyKindOverflow, k.file, k.dead, m.Epoch, 0)
+			dirtyRecord(&e, dirtyKindOverflow, k, m.Epoch, 0)
 		}
 		dl.overflow = true
 		dl.overflowGen = dl.gen

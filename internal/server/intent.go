@@ -14,6 +14,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -33,6 +34,39 @@ const (
 // intentRecordLen is the encoded body length of one journal record:
 // op (1) + file ID (8) + stripe (8) + owner (8).
 const intentRecordLen = 1 + 8 + 8 + 8
+
+// errBadFrame fails the decode of a server-journal record whose length word
+// is not its journal's record length: the end of the log, or a torn tail.
+var errBadFrame = errors.New("server: bad journal frame")
+
+// journalFrame reads or writes the u32 length word that frames every record
+// of the intent and dirty journals; a decoded word other than size fails the
+// decode.
+func journalFrame(c *wire.Codec, size uint32) {
+	n := size
+	if c.U32(&n); n != size {
+		c.Fail(errBadFrame)
+	}
+}
+
+// intentEntry is one intent-journal record, framed on disk as
+//
+//	u32 length (intentRecordLen) | u8 op | u64 file ID | i64 stripe | u64 owner
+type intentEntry struct {
+	op     uint8
+	fileID uint64
+	stripe int64
+	owner  uint64
+}
+
+// codec reads or writes one framed record.
+func (r *intentEntry) codec(c *wire.Codec) {
+	journalFrame(c, intentRecordLen)
+	c.U8(&r.op)
+	c.U64(&r.fileID)
+	c.I64(&r.stripe)
+	c.U64(&r.owner)
+}
 
 // intentRec is one stripe's write intent. A nil deadline timer means the
 // acquisition asked for no lease (a client running with Policy.LockLease
@@ -73,12 +107,9 @@ func (s *Server) IntentStats() IntentStats {
 // open/retire pairs, so an empty live set compacts to an empty log.
 // Lock order: callers may hold sf.mu; jmu nests inside it.
 func (s *Server) journalAppend(op uint8, fileID uint64, stripe int64, owner uint64, delta int) {
-	e := wire.Encoder{Buf: make([]byte, 0, 4+intentRecordLen)}
-	e.U32(intentRecordLen)
-	e.U8(op)
-	e.U64(fileID)
-	e.I64(stripe)
-	e.U64(owner)
+	e := wire.Encoding(make([]byte, 0, 4+intentRecordLen))
+	rec := intentEntry{op, fileID, stripe, owner}
+	rec.codec(&e)
 
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
@@ -119,40 +150,30 @@ func (s *Server) loadIntents() {
 	buf := make([]byte, size)
 	f.ReadAt(buf, 0) //nolint:errcheck // zero-fill semantics
 	live := make(map[uint64]map[int64]uint64)
-	d := wire.Decoder{Buf: buf}
+	d := wire.Decoding(buf)
 	for {
-		n := d.U32()
-		if d.Err() != nil || n != intentRecordLen {
+		var r intentEntry
+		if r.codec(&d); d.Err() != nil {
 			break // end of log or torn tail
 		}
-		op := d.U8()
-		fileID := d.U64()
-		stripe := d.I64()
-		owner := d.U64()
-		if d.Err() != nil {
-			break
-		}
-		switch op {
+		switch r.op {
 		case intentOpOpen, intentOpAbandon:
-			if live[fileID] == nil {
-				live[fileID] = make(map[int64]uint64)
+			if live[r.fileID] == nil {
+				live[r.fileID] = make(map[int64]uint64)
 			}
-			live[fileID][stripe] = owner
+			live[r.fileID][r.stripe] = r.owner
 		case intentOpRetire:
-			delete(live[fileID], stripe)
+			delete(live[r.fileID], r.stripe)
 		}
 	}
 
 	// Compact: the surviving set, each as a single abandon record.
-	e := wire.Encoder{Buf: make([]byte, 0, 64)}
+	e := wire.Encoding(make([]byte, 0, 64))
 	count := 0
 	for fileID, stripes := range live {
 		for stripe, owner := range stripes {
-			e.U32(intentRecordLen)
-			e.U8(intentOpAbandon)
-			e.U64(fileID)
-			e.I64(stripe)
-			e.U64(owner)
+			rec := intentEntry{intentOpAbandon, fileID, stripe, owner}
+			rec.codec(&e)
 			count++
 			s.intAbandoned.Add(1)
 		}

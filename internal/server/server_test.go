@@ -588,3 +588,38 @@ func TestRawWritePreservesOverflow(t *testing.T) {
 		t.Fatal("full-stripe write did not supersede overflow")
 	}
 }
+
+// TestDirtyLogReloadPastTornTail crash-restarts a server whose dirty journal
+// ends in a torn tail — zero fill, a partial length word, a cut record. The
+// reload keeps every whole record, and a record appended after it survives
+// the next reload: the tail is compacted away instead of stranding later
+// appends behind bytes the load stops at.
+func TestDirtyLogReloadPastTornTail(t *testing.T) {
+	for name, tail := range map[string][]byte{
+		"zero fill":           make([]byte, 16),
+		"partial length word": {dirtyRecordLen, 0},
+		"cut record":          {dirtyRecordLen, 0, 0, 0, dirtyKindUnit, 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			disk := simdisk.New(nil, simdisk.Params{PageSize: 64})
+			opts := DefaultOptions()
+			opts.PageSize = 64
+			s := New(0, disk, opts)
+			call(t, s, &wire.MarkDirty{File: ref(), Dead: 1, Epoch: 7, Units: []int64{3}})
+			j := disk.Open(dirtyJournalName)
+			j.WriteAt(tail, j.Size()) //nolint:errcheck // in-memory disk
+
+			s = New(0, disk, opts)
+			call(t, s, &wire.MarkDirty{File: ref(), Dead: 1, Epoch: 7, Units: []int64{5}})
+			s = New(0, disk, opts)
+			got := call(t, s, &wire.DirtyDump{File: ref(), Dead: 1}).(*wire.DirtyDumpResp)
+			var units []int64
+			for _, it := range got.Units {
+				units = append(units, it.Val)
+			}
+			if len(units) != 2 || units[0] != 3 || units[1] != 5 || len(got.Epochs) != 1 || got.Epochs[0] != 7 {
+				t.Fatalf("after two reloads: units %v epochs %v, want [3 5] [7]", units, got.Epochs)
+			}
+		})
+	}
+}

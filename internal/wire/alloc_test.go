@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -13,8 +16,8 @@ import (
 // is a view of the input and costs nothing. A change that exceeds a budget
 // is a hot-path regression and fails CI.
 const (
-	// Steady state is 1 (the Encoder escaping through the Msg interface);
-	// one extra tolerates a GC-emptied pool mid-measurement.
+	// Steady state is 0 (the encoder rides in the pooled head box); the
+	// rest tolerates a GC-emptied pool mid-measurement.
 	marshalFrameBudget = 2
 	// Messages without bulk data; the Data-carrying ones get one fewer, the
 	// payload copy that no longer exists.
@@ -104,16 +107,142 @@ func TestUnmarshalAllocs(t *testing.T) {
 }
 
 // TestMarshalFrameMatchesMarshal proves the scatter-gather encoding is
-// byte-identical to the contiguous one for every hot message — the frame
-// split is a transport optimization, not a wire-format change.
+// byte-identical to the contiguous one — the frame split is a transport
+// optimization, not a wire-format change — for the hot messages and for one
+// message of every registered kind, plain and traced, with each bulk byte
+// field inflated past payloadSplitMin so the frame really splits. A message
+// whose bulk field is not its last fails here: the fields after it would
+// land in the head, ahead of the payload.
 func TestMarshalFrameMatchesMarshal(t *testing.T) {
-	for name, m := range hotMessages() {
-		fr := MarshalFrame(m, 0)
-		got := append(append([]byte{}, fr.Head()...), fr.Payload...)
-		want := Marshal(m)
-		if fmt.Sprintf("%x", got) != fmt.Sprintf("%x", want) {
-			t.Fatalf("%s: frame bytes differ from contiguous marshal", name)
-		}
-		fr.Free()
+	msgs := hotMessages()
+	for i, m := range fuzzSeeds() {
+		msgs[fmt.Sprintf("seed%d %T", i, m)] = m
 	}
+	for name, m := range msgs {
+		bulk := inflateBulk(m)
+		for _, trace := range []uint64{0, goldenTrace} {
+			want := Marshal(m)
+			if trace != 0 {
+				head := binary.LittleEndian.AppendUint64([]byte{want[0] | KindTraceFlag}, trace)
+				want = append(head, want[1:]...)
+			}
+			fr := MarshalFrame(m, trace)
+			got := append(append([]byte{}, fr.Head()...), fr.Payload...)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s (trace %#x): frame bytes differ from contiguous marshal", name, trace)
+			}
+			if bulk > 0 && len(fr.Payload) != bulk {
+				t.Errorf("%s (trace %#x): %d-byte bulk field not carried by reference (payload %d bytes)", name, trace, bulk, len(fr.Payload))
+			}
+			fr.Free()
+		}
+	}
+}
+
+// inflateBulk replaces every bulk byte field of m with 3000 bytes, past
+// payloadSplitMin, and returns that length (zero if m has none). It lets the
+// split be checked on every kind whatever its seed carries.
+func inflateBulk(m Msg) int {
+	v := reflect.ValueOf(m).Elem()
+	n := 0
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.CanSet() && f.Type() == reflect.TypeOf([]byte(nil)) {
+			b := make([]byte, 3000)
+			for j := range b {
+				b[j] = byte(j*5 + i)
+			}
+			f.SetBytes(b)
+			n = len(b)
+		}
+	}
+	return n
+}
+
+// TestUnmarshalLengthPrefixAmplification hands every slice field of every
+// slice-carrying kind a 1 MiB body whose element count claims 1 Mi
+// elements — more than the body could hold. The decode must fail having
+// allocated at most a small multiple of the frame: a count bounded only by
+// the frame's length, not by the bytes its elements need, would let such a
+// frame allocate 16–64 MiB before it is rejected.
+func TestUnmarshalLengthPrefixAmplification(t *testing.T) {
+	const body, claim = 1 << 20, 1 << 20
+	cases := []struct {
+		field string
+		kind  Kind
+		at    int   // body offset of the hostile count; every byte before it is zero
+		ones  []int // body offsets of enclosing counts, set to one
+	}{
+		{"Read.Spans", KRead, 16, nil},
+		{"WriteData.Spans", KWriteData, 16, nil},
+		{"WriteMirror.Spans", KWriteMirror, 16, nil},
+		{"ReadMirror.Spans", KReadMirror, 16, nil},
+		{"ReadParity.Stripes", KReadParity, 16, nil},
+		{"WriteParity.Stripes", KWriteParity, 16, nil},
+		{"UnlockParity.Stripes", KUnlockParity, 16, nil},
+		{"RenewLease.Stripes", KRenewLease, 16, nil},
+		{"WriteOverflow.Extents", KWriteOverflow, 16, nil},
+		{"InvalidateOverflow.Spans", KInvalidateOverflow, 16, nil},
+		{"OverflowDumpResp.Extents", KOverflowDumpResp, 0, nil},
+		{"ListIntentsResp.Intents", KListIntentsResp, 0, nil},
+		{"MarkDirty.Units", KMarkDirty, 26, nil},
+		{"MarkDirty.Mirrors", KMarkDirty, 30, nil},
+		{"MarkDirty.Stripes", KMarkDirty, 34, nil},
+		{"DirtyDumpResp.Epochs", KDirtyDumpResp, 0, nil},
+		{"DirtyDumpResp.Units", KDirtyDumpResp, 4, nil},
+		{"DirtyDumpResp.Mirrors", KDirtyDumpResp, 8, nil},
+		{"DirtyDumpResp.Stripes", KDirtyDumpResp, 12, nil},
+		{"ClearDirty.Units", KClearDirty, 19, nil},
+		{"ClearDirty.Mirrors", KClearDirty, 23, nil},
+		{"ClearDirty.Stripes", KClearDirty, 27, nil},
+		{"ListResp.Names", KListResp, 0, nil},
+		{"ServerListResp.Addrs", KServerListResp, 0, nil},
+		{"StatsResp.Counters", KStatsResp, 10, nil},
+		{"StatsResp.Gauges", KStatsResp, 14, nil},
+		{"StatsResp.Hists", KStatsResp, 18, nil},
+		{"StatsResp.Hists[0].Buckets", KStatsResp, 50, []int{18}},
+		{"ChecksumRangeResp.Sums", KChecksumRangeResp, 0, nil},
+	}
+	covered := map[Kind]bool{}
+	for _, tc := range cases {
+		covered[tc.kind] = true
+		frame := make([]byte, 1+body)
+		frame[0] = uint8(tc.kind)
+		for _, at := range tc.ones {
+			binary.LittleEndian.PutUint32(frame[1+at:], 1)
+		}
+		binary.LittleEndian.PutUint32(frame[1+tc.at:], claim)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Unmarshal(frame)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a count of %d elements in %d bytes was accepted", tc.field, claim, body)
+			continue
+		}
+		if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(4*len(frame)+4<<10); got > budget {
+			t.Errorf("%s: rejecting a %d-byte frame allocated %d bytes (%.1fx), budget %d",
+				tc.field, len(frame), got, float64(got)/float64(len(frame)), budget)
+		}
+	}
+	for _, k := range registeredKinds() {
+		if hasSlice(reflect.TypeOf(kinds[k].new()).Elem()) && !covered[k] {
+			t.Errorf("%v carries a length-prefixed slice but has no case here", k)
+		}
+	}
+}
+
+// hasSlice reports whether values of t carry a length-prefixed element
+// slice (a []byte field is one bulk field, not elements).
+func hasSlice(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Slice:
+		return t.Elem().Kind() != reflect.Uint8
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasSlice(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

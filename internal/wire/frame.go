@@ -31,7 +31,7 @@ const maxPooledHead = 64 << 10
 type Frame struct {
 	buf     []byte // [FramePrefix reserved bytes][marshaled head]
 	Payload []byte
-	bp      *[]byte // pool box, reused on Free; nil for unpooled frames
+	c       *Codec  // the pooled encoder that wrote buf, reused on Free; nil for unpooled frames
 	pp      *[]byte // pooled payload the frame owns; nil if Payload is by-reference
 }
 
@@ -68,45 +68,40 @@ func (f *Frame) OwnPayload() {
 // Free returns the head buffer and any payload the frame owns to their pools.
 // The frame must not be used again.
 func (f *Frame) Free() {
-	if f.bp != nil && cap(f.buf) <= maxPooledHead {
+	if f.c != nil && cap(f.buf) <= maxPooledHead {
 		if poisonPooledBuffers.Load() {
 			poison(f.buf[:cap(f.buf)])
 		}
-		*f.bp = f.buf[:0] // the box rides along, so Put allocates nothing
-		headPool.Put(f.bp)
+		// The encoder rides along with its buffer, so neither MarshalFrame
+		// nor Put allocates.
+		*f.c = Codec{Buf: f.buf[:0]}
+		headPool.Put(f.c)
 	}
 	PutBuf(f.pp)
-	f.buf, f.Payload, f.bp, f.pp = nil, nil, nil, nil
+	f.buf, f.Payload, f.c, f.pp = nil, nil, nil, nil
 }
 
 var headPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 512)
-	return &b
+	return &Codec{Buf: make([]byte, 0, 512)}
 }}
 
 // MarshalFrame serializes a message into a pooled scatter-gather frame.
-// A zero trace produces the plain (untraced) encoding. The message's first
-// large byte payload is carried in Frame.Payload by reference — the caller
-// must not mutate the Msg's data until the frame has been written and
-// freed. A pooled buffer the message holds for that payload (HoldBuf)
-// becomes the frame's.
+// A zero trace produces the plain (untraced) encoding. The message's bulk
+// byte field — its last, when at least payloadSplitMin long — is carried in
+// Frame.Payload by reference, so Head followed by Payload is exactly what
+// Marshal produces (TestMarshalFrameMatchesMarshal holds every kind to
+// that). The caller must not mutate the Msg's data until the frame has been
+// written and freed. A pooled buffer the message holds for that payload
+// (HoldBuf) becomes the frame's.
 func MarshalFrame(m Msg, trace uint64) Frame {
-	bp := headPool.Get().(*[]byte)
+	c := headPool.Get().(*Codec)
 	var prefix [FramePrefix]byte
-	e := Encoder{Buf: append((*bp)[:0], prefix[:]...), split: true}
-	encodeHead(&e, m, trace)
-	m.encode(&e)
-	if e.Payload != nil && e.splitAt != len(e.Buf) {
-		// Fields were encoded after the split payload (the payload is not
-		// the message's last field): fold it back in at its position so
-		// the wire bytes stay identical to the contiguous encoding.
-		tail := len(e.Buf) - e.splitAt
-		e.Buf = append(e.Buf, make([]byte, len(e.Payload))...)
-		copy(e.Buf[e.splitAt+len(e.Payload):], e.Buf[e.splitAt:e.splitAt+tail])
-		copy(e.Buf[e.splitAt:], e.Payload)
-		e.Payload = nil
+	c.Buf, c.split = append(c.Buf[:0], prefix[:]...), true
+	encode(c, m, trace)
+	fr := Frame{buf: c.Buf, c: c}
+	if c.payload != nil {
+		fr.Payload = *c.payload
 	}
-	fr := Frame{buf: e.Buf, Payload: e.Payload, bp: bp}
 	if o, ok := m.(interface{ takePayload() *[]byte }); ok {
 		fr.pp = o.takePayload()
 	}

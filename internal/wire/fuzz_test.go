@@ -105,11 +105,30 @@ func fuzzSeeds() []Msg {
 // a kind value at or above 0x80 would be indistinguishable from a traced
 // frame of kind value-0x80.
 func TestKindsBelowTraceFlag(t *testing.T) {
-	for k := range registry {
+	for _, k := range registeredKinds() {
 		if uint8(k)&KindTraceFlag != 0 {
 			t.Errorf("message kind %d (%v) collides with KindTraceFlag", uint8(k), k)
 		}
 	}
+}
+
+// registeredKinds lists every kind the kind table can decode.
+func registeredKinds() []Kind {
+	var ks []Kind
+	for k, e := range kinds {
+		if e.new != nil {
+			ks = append(ks, Kind(k))
+		}
+	}
+	return ks
+}
+
+// marshalTraced is the contiguous traced encoding: a traced frame's head
+// followed by its by-reference payload.
+func marshalTraced(m Msg, trace uint64) []byte {
+	fr := MarshalFrame(m, trace)
+	defer fr.Free()
+	return append(append([]byte(nil), fr.Head()...), fr.Payload...)
 }
 
 // TestTracedRoundTrip covers the traced frame encoding: the trace ID rides
@@ -119,7 +138,7 @@ func TestTracedRoundTrip(t *testing.T) {
 	ref := FileRef{ID: 3, Servers: 5, StripeUnit: 4096, Scheme: Hybrid}
 	msg := &Read{File: ref, Spans: []Span{{0, 10}}}
 
-	b := MarshalTraced(msg, 0xDEADBEEFCAFE)
+	b := marshalTraced(msg, 0xDEADBEEFCAFE)
 	m, trace, err := UnmarshalTraced(b)
 	if err != nil {
 		t.Fatal(err)
@@ -134,8 +153,8 @@ func TestTracedRoundTrip(t *testing.T) {
 	if _, err := Unmarshal(b); err != nil {
 		t.Errorf("Unmarshal rejected traced frame: %v", err)
 	}
-	if !bytes.Equal(MarshalTraced(msg, 0), Marshal(msg)) {
-		t.Error("zero-trace MarshalTraced differs from Marshal")
+	if !bytes.Equal(marshalTraced(msg, 0), Marshal(msg)) {
+		t.Error("zero-trace frame differs from Marshal")
 	}
 	if _, _, err := UnmarshalTraced([]byte{uint8(KRead) | KindTraceFlag, 1, 2}); err == nil {
 		t.Error("truncated trace header accepted")
@@ -149,9 +168,9 @@ func TestFuzzSeedsCoverAllKinds(t *testing.T) {
 	for _, m := range fuzzSeeds() {
 		seeded[m.Kind()] = true
 	}
-	for k := range registry {
+	for _, k := range registeredKinds() {
 		if !seeded[k] {
-			t.Errorf("message kind %d (%T) has no fuzz seed", k, registry[k]())
+			t.Errorf("message kind %d (%T) has no fuzz seed", k, kinds[k].new())
 		}
 	}
 }
@@ -165,7 +184,7 @@ func FuzzUnmarshal(f *testing.F) {
 		// Every other seed also goes in traced form, so the fuzzer mutates
 		// the trace-ID header path as readily as the bodies.
 		if i%2 == 0 {
-			f.Add(MarshalTraced(m, 0x1234567890ABCDEF))
+			f.Add(marshalTraced(m, 0x1234567890ABCDEF))
 		}
 	}
 	f.Add([]byte{})

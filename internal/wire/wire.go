@@ -230,68 +230,11 @@ const (
 // misparsing them.
 const KindTraceFlag uint8 = 0x80
 
-var kindNames = map[Kind]string{
-	KError:              "error",
-	KOK:                 "ok",
-	KPing:               "ping",
-	KRead:               "read",
-	KReadResp:           "read_resp",
-	KWriteData:          "write_data",
-	KWriteMirror:        "write_mirror",
-	KReadMirror:         "read_mirror",
-	KReadParity:         "read_parity",
-	KWriteParity:        "write_parity",
-	KWriteOverflow:      "write_overflow",
-	KInvalidateOverflow: "invalidate_overflow",
-	KOverflowDump:       "overflow_dump",
-	KOverflowDumpResp:   "overflow_dump_resp",
-	KSync:               "sync",
-	KDropCaches:         "drop_caches",
-	KStorageStat:        "storage_stat",
-	KStorageStatResp:    "storage_stat_resp",
-	KRemoveFile:         "remove_file",
-	KCompactOverflow:    "compact_overflow",
-	KCreate:             "create",
-	KCreateResp:         "create_resp",
-	KOpen:               "open",
-	KOpenResp:           "open_resp",
-	KSetSize:            "set_size",
-	KRemove:             "remove",
-	KList:               "list",
-	KListResp:           "list_resp",
-	KServerList:         "server_list",
-	KServerListResp:     "server_list_resp",
-	KChecksumRange:      "checksum_range",
-	KChecksumRangeResp:  "checksum_range_resp",
-	KHealth:             "health",
-	KHealthResp:         "health_resp",
-	KUnlockParity:       "unlock_parity",
-	KRenewLease:         "renew_lease",
-	KRenewLeaseResp:     "renew_lease_resp",
-	KListIntents:        "list_intents",
-	KListIntentsResp:    "list_intents_resp",
-	KResolveIntent:      "resolve_intent",
-	KMarkDirty:          "mark_dirty",
-	KDirtyDump:          "dirty_dump",
-	KDirtyDumpResp:      "dirty_dump_resp",
-	KClearDirty:         "clear_dirty",
-	KStats:              "stats",
-	KStatsResp:          "stats_resp",
-	KMetaReplicate:      "meta_replicate",
-	KMetaReplicateResp:  "meta_replicate_resp",
-	KMetaStatus:         "meta_status",
-	KMetaStatusResp:     "meta_status_resp",
-	KSetScheme:          "set_scheme",
-	KSetSchemeResp:      "set_scheme_resp",
-	KCommitScheme:       "commit_scheme",
-	KAbortScheme:        "abort_scheme",
-}
-
 // String names a kind for logs and metric labels (e.g. the per-RPC-kind
 // latency histograms are named "rpc_" + Kind.String()).
 func (k Kind) String() string {
-	if n, ok := kindNames[k]; ok {
-		return n
+	if int(k) < len(kinds) && kinds[k].name != "" {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -310,8 +253,9 @@ const (
 // Msg is one protocol message.
 type Msg interface {
 	Kind() Kind
-	encode(e *Encoder)
-	decode(d *Decoder)
+	// codec reads or writes the message body, one Codec call per field in
+	// wire order (see Codec).
+	codec(c *Codec)
 }
 
 // Error codes classify failure responses so a client can tell an
@@ -373,20 +317,23 @@ var ErrNotPrimary = errors.New("manager is not primary")
 // deposed and its operation was fenced off.
 var ErrStaleEpoch = errors.New("stale manager epoch")
 
+// codeErrs is the one map between error codes and their sentinels, indexed
+// by code; CodeGeneric has none.
+var codeErrs = [...]error{
+	CodeUnavailable:  ErrUnavailable,
+	CodeLeaseExpired: ErrLeaseExpired,
+	CodeStripeTorn:   ErrStripeTorn,
+	CodeNotPrimary:   ErrNotPrimary,
+	CodeStaleEpoch:   ErrStaleEpoch,
+}
+
 // ErrorCodeOf maps a handler error to the wire code its Error response
 // should carry.
 func ErrorCodeOf(err error) uint8 {
-	switch {
-	case errors.Is(err, ErrUnavailable):
-		return CodeUnavailable
-	case errors.Is(err, ErrLeaseExpired):
-		return CodeLeaseExpired
-	case errors.Is(err, ErrStripeTorn):
-		return CodeStripeTorn
-	case errors.Is(err, ErrNotPrimary):
-		return CodeNotPrimary
-	case errors.Is(err, ErrStaleEpoch):
-		return CodeStaleEpoch
+	for code, sentinel := range codeErrs {
+		if sentinel != nil && errors.Is(err, sentinel) {
+			return uint8(code)
+		}
 	}
 	return CodeGeneric
 }
@@ -400,20 +347,10 @@ type Error struct {
 }
 
 // Unwrap lets errors.Is see through a decoded failure response to the
-// sentinel its code stands for (ErrUnavailable, ErrLeaseExpired,
-// ErrStripeTorn).
+// sentinel its code stands for (ErrUnavailable, ErrLeaseExpired, ...).
 func (m *Error) Unwrap() error {
-	switch m.Code {
-	case CodeUnavailable:
-		return ErrUnavailable
-	case CodeLeaseExpired:
-		return ErrLeaseExpired
-	case CodeStripeTorn:
-		return ErrStripeTorn
-	case CodeNotPrimary:
-		return ErrNotPrimary
-	case CodeStaleEpoch:
-		return ErrStaleEpoch
+	if int(m.Code) < len(codeErrs) {
+		return codeErrs[m.Code]
 	}
 	return nil
 }
@@ -600,8 +537,8 @@ type ListIntentsResp struct{ Intents []Intent }
 
 // ResolveIntent retires an abandoned intent by installing parity
 // recomputed from the stripe's data units. Data must be one full parity
-// unit. Owner zero resolves regardless of which token abandoned the
-// intent; a non-zero Owner resolves only its own. The server refuses to
+// unit. Owner must be the token the intent was abandoned under (as
+// ListIntents reports it): the server refuses any other token, refuses to
 // touch an intent that is still open (the update is live), and treats a
 // missing intent as already resolved.
 type ResolveIntent struct {
@@ -701,13 +638,13 @@ type HealthResp struct {
 
 // WriteParity writes whole parity units of the listed stripes. With Unlock
 // set it releases the parity locks taken by a prior locked ReadParity and
-// Owner must carry that acquisition's token: the server only releases a lock
-// held under the same token, and refuses the write outright when a non-zero
-// token no longer holds it — the acquisition was canceled by UnlockParity
-// after a client-side timeout, so this frame is a late ghost whose bytes
-// could clobber parity now owned by another client's update. A zero Owner is
-// the legacy tokenless protocol: the unlock applies only if the holder is
-// also tokenless, and is otherwise a no-op.
+// Owner must carry that acquisition's token: the server refuses the write
+// outright unless the token still holds every listed stripe's lock — the
+// acquisition was canceled by UnlockParity after a client-side timeout, so
+// this frame is a late ghost whose bytes could clobber parity now owned by
+// another client's update. Locks are never granted without a token (a
+// locked ReadParity with a zero Owner is refused), so an unlocking write
+// with a zero Owner is always refused.
 type WriteParity struct {
 	File    FileRef
 	Stripes []int64
@@ -976,277 +913,218 @@ type MetaStatusResp struct {
 	WALBytes int64
 }
 
-// --- encoding ---
+// --- the codec ---
 
-// Encoder appends fixed-width little-endian values to a buffer.
+// Codec reads or writes a message body, one call per field: each message
+// states its field order once, in its codec method, and that one method both
+// encodes and decodes it. Values are fixed-width little-endian; strings,
+// byte fields and slices carry a u32 length prefix.
 //
-// When split is set (frame marshaling), the first large Bytes payload is
-// not copied into Buf: its length prefix is appended and the slice itself
-// is parked in Payload for the transport to scatter-gather onto the wire.
-type Encoder struct {
-	Buf []byte
-
+// Decoding latches the first error (a truncated field, an impossible count):
+// every later call is a no-op, so a codec method checks nothing and the
+// caller reads Err once at the end. Decoded Bytes fields are views of the
+// input (see Bytes); every other field is copied out. Encoding never writes
+// to the value it is handed.
+//
+// An encoding Codec in split mode (MarshalFrame) does not copy the first
+// Bytes field of at least payloadSplitMin bytes: it appends only the length
+// prefix and keeps the field in payload, which the transport sends by
+// reference right after the head — so that field must be the message's last.
+type Codec struct {
+	Buf     []byte  // encoding: the output so far; decoding: the input
+	payload *[]byte // split encoding: the field carried by reference
+	err     error
+	off     int // decoding: read position in Buf
+	dec     bool
 	split   bool
-	splitAt int    // len(Buf) right after the split point
-	Payload []byte // payload passed by reference instead of appended
 }
 
-func (e *Encoder) U8(v uint8) { e.Buf = append(e.Buf, v) }
+// Encoding returns a Codec that appends to buf.
+func Encoding(buf []byte) Codec { return Codec{Buf: buf} }
 
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
+// Decoding returns a Codec that reads b from its start.
+func Decoding(b []byte) Codec { return Codec{Buf: b, dec: true} }
+
+// Err returns the first error the codec latched, if any.
+func (c *Codec) Err() error { return c.err }
+
+// Fail latches err unless an earlier error is latched: a codec method that
+// rejects a value it decoded stops the decode the way a truncation does.
+func (c *Codec) Fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
 }
 
-func (e *Encoder) U16(v uint16) { e.Buf = binary.LittleEndian.AppendUint16(e.Buf, v) }
-func (e *Encoder) U32(v uint32) { e.Buf = binary.LittleEndian.AppendUint32(e.Buf, v) }
-func (e *Encoder) U64(v uint64) { e.Buf = binary.LittleEndian.AppendUint64(e.Buf, v) }
-func (e *Encoder) I64(v int64)  { e.U64(uint64(v)) }
+// errTruncated is the error a decode latches when a field runs past the end
+// of its input. It carries no offset, so that take and the fixed-width
+// primitives stay small enough to inline into every codec method; Unmarshal
+// reports where it happened.
+var errTruncated = errors.New("wire: truncated message")
 
-func (e *Encoder) Str(s string) {
-	e.U32(uint32(len(s)))
-	e.Buf = append(e.Buf, s...)
-}
-
-func (e *Encoder) Bytes(b []byte) {
-	e.U32(uint32(len(b)))
-	if e.split && e.Payload == nil && len(b) >= payloadSplitMin {
-		e.Payload = b
-		e.splitAt = len(e.Buf)
-		return
-	}
-	e.Buf = append(e.Buf, b...)
-}
-
-func (e *Encoder) Spans(s []Span) {
-	e.U32(uint32(len(s)))
-	for _, sp := range s {
-		e.I64(sp.Off)
-		e.I64(sp.Len)
-	}
-}
-
-func (e *Encoder) U32s(v []uint32) {
-	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.U32(x)
-	}
-}
-
-func (e *Encoder) I64s(v []int64) {
-	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.I64(x)
-	}
-}
-
-func (e *Encoder) U64s(v []uint64) {
-	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.U64(x)
-	}
-}
-
-func (e *Encoder) DirtyItems(v []DirtyItem) {
-	e.U32(uint32(len(v)))
-	for _, it := range v {
-		e.I64(it.Val)
-		e.U64(it.Gen)
-	}
-}
-
-func (e *Encoder) Strs(v []string) {
-	e.U32(uint32(len(v)))
-	for _, s := range v {
-		e.Str(s)
-	}
-}
-
-func (e *Encoder) FileRef(r FileRef) {
-	e.U64(r.ID)
-	e.U16(r.Servers)
-	e.U32(r.StripeUnit)
-	e.U8(uint8(r.Scheme))
-	e.U8(r.Parity)
-}
-
-// Decoder reads fixed-width little-endian values from a buffer, latching
-// the first error.
-type Decoder struct {
-	Buf []byte
-	off int
-	err error
-}
-
-// Err returns the first decoding error encountered, if any.
-func (d *Decoder) Err() error { return d.err }
-
-func (d *Decoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("wire: truncated message (offset %d of %d)", d.off, len(d.Buf))
-	}
-}
-
-func (d *Decoder) take(n int) []byte {
-	if d.err != nil || n < 0 || d.off+n > len(d.Buf) {
-		d.fail()
+// take returns the next n input bytes, or nil once an error is latched.
+func (c *Codec) take(n int) []byte {
+	if c.err != nil || n < 0 || n > len(c.Buf)-c.off {
+		c.Fail(errTruncated)
 		return nil
 	}
-	b := d.Buf[d.off : d.off+n]
-	d.off += n
-	return b
+	c.off += n
+	return c.Buf[c.off-n : c.off]
 }
 
-func (d *Decoder) U8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
+func (c *Codec) U8(v *uint8) {
+	if !c.dec {
+		c.Buf = append(c.Buf, *v)
+	} else if b := c.take(1); b != nil {
+		*v = b[0]
 	}
-	return b[0]
 }
 
-func (d *Decoder) Bool() bool { return d.U8() != 0 }
-
-func (d *Decoder) U16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
+func (c *Codec) U16(v *uint16) {
+	if !c.dec {
+		c.Buf = binary.LittleEndian.AppendUint16(c.Buf, *v)
+	} else if b := c.take(2); b != nil {
+		*v = binary.LittleEndian.Uint16(b)
 	}
-	return binary.LittleEndian.Uint16(b)
 }
 
-func (d *Decoder) U32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
+func (c *Codec) U32(v *uint32) {
+	if !c.dec {
+		c.Buf = binary.LittleEndian.AppendUint32(c.Buf, *v)
+	} else if b := c.take(4); b != nil {
+		*v = binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint32(b)
 }
 
-func (d *Decoder) U64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
+func (c *Codec) U64(v *uint64) {
+	if !c.dec {
+		c.Buf = binary.LittleEndian.AppendUint64(c.Buf, *v)
+	} else if b := c.take(8); b != nil {
+		*v = binary.LittleEndian.Uint64(b)
 	}
-	return binary.LittleEndian.Uint64(b)
 }
 
-func (d *Decoder) I64() int64 { return int64(d.U64()) }
-
-func (d *Decoder) Str() string {
-	n := int(d.U32())
-	b := d.take(n)
-	return string(b)
+func (c *Codec) I64(v *int64) {
+	if !c.dec {
+		c.Buf = binary.LittleEndian.AppendUint64(c.Buf, uint64(*v))
+	} else if b := c.take(8); b != nil {
+		*v = int64(binary.LittleEndian.Uint64(b))
+	}
 }
 
-// Bytes returns a length-prefixed byte field as a view of the decoder's
-// buffer (capacity clipped to the field), not a copy: it stays valid only as
-// long as the caller of Unmarshal leaves that buffer alone. The bulk Data
+// Bool is one byte, 1 for true; any non-zero byte decodes as true.
+func (c *Codec) Bool(v *bool) {
+	var b uint8
+	if *v {
+		b = 1
+	}
+	if c.U8(&b); c.dec {
+		*v = b != 0
+	}
+}
+
+func (c *Codec) Str(s *string) {
+	n := uint32(len(*s))
+	c.U32(&n)
+	if !c.dec {
+		c.Buf = append(c.Buf, *s...)
+	} else if b := c.take(int(n)); b != nil {
+		*s = string(b)
+	}
+}
+
+// Bytes is a length-prefixed byte field. Decoded, it is a view of the input
+// with its capacity clipped to the field, not a copy: it stays valid only as
+// long as the caller of Unmarshal leaves the input alone. The bulk Data
 // fields of the hot messages decode this way.
-func (d *Decoder) Bytes() []byte {
-	n := int(d.U32())
-	b := d.take(n)
-	if len(b) == 0 {
-		return nil
+func (c *Codec) Bytes(v *[]byte) {
+	n := uint32(len(*v))
+	c.U32(&n)
+	switch {
+	case c.dec:
+		if b := c.take(int(n)); len(b) > 0 {
+			*v = b[:n:n]
+		}
+	case c.split && c.payload == nil && n >= payloadSplitMin:
+		c.payload = v
+	default:
+		c.Buf = append(c.Buf, *v...)
 	}
-	return b[:n:n]
 }
 
-// BytesCopy is Bytes with a private copy, for fields the message's consumer
-// retains.
-func (d *Decoder) BytesCopy() []byte {
-	return append([]byte(nil), d.Bytes()...)
+// BytesCopy is Bytes with a private copy on decode, for fields the message's
+// consumer retains.
+func (c *Codec) BytesCopy(v *[]byte) {
+	if c.Bytes(v); c.dec {
+		*v = append([]byte(nil), *v...)
+	}
 }
 
-func (d *Decoder) Spans() []Span {
-	n := int(d.U32())
-	if d.err != nil || n < 0 || n > len(d.Buf) {
-		d.fail()
-		return nil
-	}
-	s := make([]Span, n)
-	for i := range s {
-		s[i].Off = d.I64()
-		s[i].Len = d.I64()
-	}
-	return s
+func (c *Codec) FileRef(r *FileRef) {
+	c.U64(&r.ID)
+	c.U16(&r.Servers)
+	c.U32(&r.StripeUnit)
+	c.U8((*uint8)(&r.Scheme))
+	c.U8(&r.Parity)
 }
 
-func (d *Decoder) U32sDec() []uint32 {
-	n := int(d.U32())
-	if d.err != nil || n < 0 || n > len(d.Buf) {
-		d.fail()
-		return nil
-	}
-	v := make([]uint32, n)
-	for i := range v {
-		v[i] = d.U32()
-	}
-	return v
+// elem describes the element type of a length-prefixed slice: how one
+// element is coded, and the fewest bytes one element encodes to (the
+// encoding of its zero value), which bounds the count a decode may believe.
+type elem[T any] struct {
+	size  int
+	codec func(*Codec, *T)
 }
 
-func (d *Decoder) U64sDec() []uint64 {
-	n := int(d.U32())
-	if d.err != nil || n < 0 || n > len(d.Buf) {
-		d.fail()
-		return nil
-	}
-	v := make([]uint64, n)
-	for i := range v {
-		v[i] = d.U64()
-	}
-	return v
-}
+var (
+	elemU32  = elem[uint32]{4, (*Codec).U32}
+	elemU64  = elem[uint64]{8, (*Codec).U64}
+	elemI64  = elem[int64]{8, (*Codec).I64}
+	elemStr  = elem[string]{4, (*Codec).Str}
+	elemSpan = elem[Span]{16, func(c *Codec, s *Span) {
+		c.I64(&s.Off)
+		c.I64(&s.Len)
+	}}
+	elemDirtyItem = elem[DirtyItem]{16, func(c *Codec, it *DirtyItem) {
+		c.I64(&it.Val)
+		c.U64(&it.Gen)
+	}}
+	elemIntent = elem[Intent]{17, func(c *Codec, in *Intent) {
+		c.I64(&in.Stripe)
+		c.U64(&in.Owner)
+		c.Bool(&in.Abandoned)
+	}}
+	elemStatKV = elem[StatKV]{12, func(c *Codec, kv *StatKV) {
+		c.Str(&kv.Name)
+		c.I64(&kv.Value)
+	}}
+	elemHistDump = elem[HistDump]{32, func(c *Codec, h *HistDump) {
+		c.Str(&h.Name)
+		c.I64(&h.Count)
+		c.I64(&h.Sum)
+		c.I64(&h.Max)
+		slice(c, &h.Buckets, elemI64)
+	}}
+)
 
-func (d *Decoder) DirtyItemsDec() []DirtyItem {
-	n := int(d.U32())
-	if d.err != nil || n < 0 || n > len(d.Buf) {
-		d.fail()
-		return nil
+// slice codes a u32 element count followed by the elements. A decoded count
+// the remaining input cannot hold at e.size bytes apiece is refused before
+// anything is allocated, so a hostile length prefix costs no more memory
+// than the elements it could really carry.
+func slice[T any](c *Codec, s *[]T, e elem[T]) {
+	n := uint32(len(*s))
+	c.U32(&n)
+	if c.dec {
+		if c.err != nil {
+			return
+		}
+		if left := len(c.Buf) - c.off; int(n) > left/e.size {
+			c.err = fmt.Errorf("wire: %d elements cannot fit in the %d bytes left (offset %d)", n, left, c.off)
+			return
+		}
+		*s = make([]T, n)
 	}
-	v := make([]DirtyItem, n)
-	for i := range v {
-		v[i].Val = d.I64()
-		v[i].Gen = d.U64()
+	for i := range *s {
+		e.codec(c, &(*s)[i])
 	}
-	return v
-}
-
-func (d *Decoder) I64sDec() []int64 {
-	n := int(d.U32())
-	if d.err != nil || n < 0 || n > len(d.Buf) {
-		d.fail()
-		return nil
-	}
-	v := make([]int64, n)
-	for i := range v {
-		v[i] = d.I64()
-	}
-	return v
-}
-
-func (d *Decoder) Strs() []string {
-	n := int(d.U32())
-	if d.err != nil || n < 0 || n > len(d.Buf) {
-		d.fail()
-		return nil
-	}
-	v := make([]string, n)
-	for i := range v {
-		v[i] = d.Str()
-	}
-	return v
-}
-
-func (d *Decoder) FileRef() FileRef {
-	var r FileRef
-	r.ID = d.U64()
-	r.Servers = d.U16()
-	r.StripeUnit = d.U32()
-	r.Scheme = Scheme(d.U8())
-	r.Parity = d.U8()
-	return r
 }

@@ -97,8 +97,20 @@ func TestRoundTripAllKinds(t *testing.T) {
 		}
 		seen[m.Kind()] = true
 	}
-	if len(seen) != len(registry) {
-		t.Fatalf("test covers %d kinds, registry has %d", len(seen), len(registry))
+	if len(seen) != len(registeredKinds()) {
+		t.Fatalf("test covers %d kinds, the kind table has %d", len(seen), len(registeredKinds()))
+	}
+	// The one kind table: every constructor makes a message of its own
+	// kind, and every kind has a distinct name.
+	names := map[string]bool{}
+	for _, k := range registeredKinds() {
+		if got := kinds[k].new().Kind(); got != k {
+			t.Errorf("kind table entry %d constructs a %v", k, got)
+		}
+		if n := k.String(); n == "" || names[n] {
+			t.Errorf("kind %d has an empty or duplicate name %q", k, n)
+		}
+		names[k.String()] = true
 	}
 }
 
@@ -141,9 +153,10 @@ func TestUnmarshalRandomBytesNeverPanics(t *testing.T) {
 
 func TestUnmarshalHostileLengthPrefix(t *testing.T) {
 	// A length prefix far larger than the buffer must error, not allocate.
-	e := Encoder{}
-	e.U8(uint8(KListResp))
-	e.U32(0xFFFFFFFF)
+	e := Encoding(nil)
+	kind, n := uint8(KListResp), uint32(0xFFFFFFFF)
+	e.U8(&kind)
+	e.U32(&n)
 	if _, err := Unmarshal(e.Buf); err == nil {
 		t.Fatal("hostile length accepted")
 	}
@@ -243,22 +256,92 @@ func TestErrorCodeClassification(t *testing.T) {
 	}
 }
 
-func TestEncoderDecoderPrimitives(t *testing.T) {
-	f := func(a uint8, b uint16, c uint32, dd uint64, s string, raw []byte) bool {
-		var e Encoder
-		e.U8(a)
-		e.U16(b)
-		e.U32(c)
-		e.U64(dd)
-		e.Str(s)
-		e.Bytes(raw)
-		e.I64(-12345)
-		d := Decoder{Buf: e.Buf}
-		ok := d.U8() == a && d.U16() == b && d.U32() == c && d.U64() == dd &&
-			d.Str() == s && bytes.Equal(d.BytesCopy(), raw) && d.I64() == -12345
-		return ok && d.Err() == nil
+// TestCodecPrimitives drives every primitive through one field list, once
+// encoding and once decoding, as a message's codec method does: whatever
+// goes in comes back out, and the decode consumes exactly the encoding.
+func TestCodecPrimitives(t *testing.T) {
+	type fields struct {
+		A     uint8
+		B     uint16
+		C     uint32
+		D     uint64
+		I     int64
+		On    bool
+		S     string
+		Raw   []byte
+		Kept  []byte
+		Ref   FileRef
+		Spans []Span
+		Strs  []string
+	}
+	codec := func(c *Codec, v *fields) {
+		c.U8(&v.A)
+		c.U16(&v.B)
+		c.U32(&v.C)
+		c.U64(&v.D)
+		c.I64(&v.I)
+		c.Bool(&v.On)
+		c.Str(&v.S)
+		c.Bytes(&v.Raw)
+		c.BytesCopy(&v.Kept)
+		c.FileRef(&v.Ref)
+		slice(c, &v.Spans, elemSpan)
+		slice(c, &v.Strs, elemStr)
+	}
+	f := func(in fields) bool {
+		enc := Encoding(nil)
+		codec(&enc, &in)
+		dec := Decoding(enc.Buf)
+		var out fields
+		codec(&dec, &out)
+		if dec.Err() != nil || dec.off != len(enc.Buf) {
+			return false
+		}
+		// Empty byte fields and slices decode as nil and empty; compare the
+		// contents, not the representation.
+		same := func(a, b any) bool { return fmt.Sprint(a) == fmt.Sprint(b) }
+		return in.A == out.A && in.B == out.B && in.C == out.C && in.D == out.D &&
+			in.I == out.I && in.On == out.On && in.S == out.S && in.Ref == out.Ref &&
+			bytes.Equal(in.Raw, out.Raw) && bytes.Equal(in.Kept, out.Kept) &&
+			same(in.Spans, out.Spans) && same(in.Strs, out.Strs)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+	// Every decode of a truncated encoding fails, at every cut.
+	v := fields{A: 1, S: "abc", Raw: []byte{1, 2}, Spans: []Span{{1, 2}}, Strs: []string{"x"}}
+	enc := Encoding(nil)
+	codec(&enc, &v)
+	for cut := 0; cut < len(enc.Buf); cut++ {
+		dec := Decoding(enc.Buf[:cut])
+		var out fields
+		if codec(&dec, &out); dec.Err() == nil {
+			t.Fatalf("decoding %d of %d bytes succeeded", cut, len(enc.Buf))
+		}
+	}
+}
+
+// TestSliceElemSizes checks each slice element's declared minimum size
+// against the encoding of its zero value: a larger size would refuse
+// honest frames, a smaller one would let a hostile count allocate more.
+func TestSliceElemSizes(t *testing.T) {
+	checkElemSize(t, "u32", elemU32)
+	checkElemSize(t, "u64", elemU64)
+	checkElemSize(t, "i64", elemI64)
+	checkElemSize(t, "str", elemStr)
+	checkElemSize(t, "span", elemSpan)
+	checkElemSize(t, "dirtyItem", elemDirtyItem)
+	checkElemSize(t, "intent", elemIntent)
+	checkElemSize(t, "statKV", elemStatKV)
+	checkElemSize(t, "histDump", elemHistDump)
+}
+
+func checkElemSize[T any](t *testing.T, name string, e elem[T]) {
+	t.Helper()
+	var zero T
+	c := Encoding(nil)
+	e.codec(&c, &zero)
+	if len(c.Buf) != e.size {
+		t.Errorf("%s: declared size %d, zero value encodes to %d bytes", name, e.size, len(c.Buf))
 	}
 }
