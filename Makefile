@@ -5,8 +5,12 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# go vet, and gofmt over every Go file outside dot-directories (such as
+# .bench_build's module cache): any file it would reformat fails the gate.
 vet:
 	$(GO) vet ./...
+	@out="$$(find . -name '.?*' -prune -o -name '*.go' -print | xargs gofmt -l)"; \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -28,12 +32,14 @@ fuzz-seeds:
 faults:
 	$(GO) test -race -count=2 -run 'TestFaultSchedule|TestAutoFailover' ./internal/cluster
 
-# The crash-consistency suite for the RAID5 write hole: client death
-# mid-RMW, parity-server crash-restart with intent-journal replay, lease
-# heartbeats under a stalled write, lease/intent metrics, and the
-# real-TCP iod bounce — run twice under the race detector to prove the
-# schedules are deterministic.
+# The crash-consistency suite for the RAID5 write hole: the journal's replay
+# rule (torn tail at every offset, every byte flipped, pre-format files
+# refused), client death mid-RMW, parity-server crash-restart with
+# intent-journal replay, lease heartbeats under a stalled write, lease/intent
+# metrics, and the real-TCP iod bounce — run twice under the race detector to
+# prove the schedules are deterministic.
 crash:
+	$(GO) test -race ./internal/journal
 	$(GO) test -race -count=2 -run 'TestCrashClientMidRMW|TestCrashServerMidParityWrite|TestLeaseRenewalKeepsLock' ./internal/cluster
 	$(GO) test -race -count=2 -run 'TestMetricsLeaseAndIntent|TestRestartedIODReadmission' .
 
@@ -118,12 +124,14 @@ benchmark-compare:
 	done
 	bash benchmark/run.sh --compare "$$(ls results/ledger-*.jsonl | sort -V | tail -n 1)" .bench_build/ledger-checkout.jsonl
 
-# The metadata high-availability suite: WAL torn-tail recovery at every
-# byte offset, crash-mid-compaction replay, primary→standby replication
+# The metadata high-availability suite: the journal's replay rule, WAL
+# torn-tail recovery at every byte offset, pre-format WAL refusal,
+# crash-mid-compaction replay, primary→standby replication
 # with epoch fencing, deterministic promotion, and the kill-the-primary-
 # mid-create-stream failover acceptance test — run twice under the race
 # detector because replication ships concurrently with client retries.
 meta-ha:
+	$(GO) test -race ./internal/journal
 	$(GO) test -race -count=2 -run 'TestWAL|TestReplication|TestStandby|TestPromotion|TestDeposed|TestLagging|TestTryPromote|TestReplicated|TestStatsRPC' ./internal/meta
 	$(GO) test -race -count=2 -run 'TestManagerFailoverMidCreateStream|TestManagerGroupInMemory' ./internal/cluster
 	$(GO) test -race -count=2 -run 'TestManagerFailoverOverTCP' .

@@ -89,7 +89,7 @@ func dirtyDamage(g raid.Geometry, scheme wire.Scheme, plan core.Plan, dead int) 
 	seenM := map[int64]bool{}
 	seenS := map[int64]bool{}
 	addUnits := func(sp raid.Span, mirrorsToo bool) {
-		for b := g.UnitOf(sp.Off); b <= g.UnitOf(sp.End() - 1); b++ {
+		for b := g.UnitOf(sp.Off); b <= g.UnitOf(sp.End()-1); b++ {
 			if g.ServerOf(b) == dead && !seenU[b] {
 				seenU[b] = true
 				units = append(units, b)
@@ -101,7 +101,7 @@ func dirtyDamage(g raid.Geometry, scheme wire.Scheme, plan core.Plan, dead int) 
 		}
 	}
 	addStripes := func(sp raid.Span) {
-		for s := g.StripeOf(sp.Off); s <= g.StripeOf(sp.End() - 1); s++ {
+		for s := g.StripeOf(sp.Off); s <= g.StripeOf(sp.End()-1); s++ {
 			if _, ok := g.ParityUnitOn(dead, s); ok && !seenS[s] {
 				seenS[s] = true
 				stripes = append(stripes, s)
@@ -125,7 +125,7 @@ func dirtyDamage(g raid.Geometry, scheme wire.Scheme, plan core.Plan, dead int) 
 			addUnits(pt.Span, false)
 			addStripes(pt.Span)
 		case core.ModeOverflow:
-			for b := g.UnitOf(pt.Span.Off); b <= g.UnitOf(pt.Span.End() - 1); b++ {
+			for b := g.UnitOf(pt.Span.Off); b <= g.UnitOf(pt.Span.End()-1); b++ {
 				if g.ServerOf(b) == dead || g.MirrorServerOf(b) == dead {
 					overflow = true
 					break

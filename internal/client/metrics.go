@@ -59,15 +59,15 @@ type metrics struct {
 	scrubBytes, scrubFound, scrubRepaired, scrubUnrepairable atomic.Int64
 	intentSkips                                              atomic.Int64
 
-	retries, timeouts                           atomic.Int64
+	retries, timeouts                            atomic.Int64
 	breakerTrips, breakerProbes, breakerReadmits atomic.Int64
-	failovers, metaFailovers, lockReleases      atomic.Int64
+	failovers, metaFailovers, lockReleases       atomic.Int64
 
-	leaseRenewals, leaseExpiries       atomic.Int64
-	intentsReplayed, intentsAbandoned  atomic.Int64
+	leaseRenewals, leaseExpiries      atomic.Int64
+	intentsReplayed, intentsAbandoned atomic.Int64
 
-	dirtyUnits, resyncedUnits                  atomic.Int64
-	resyncForwards, fullRebuildFallbacks       atomic.Int64
+	dirtyUnits, resyncedUnits            atomic.Int64
+	resyncForwards, fullRebuildFallbacks atomic.Int64
 
 	migrations, relayoutBytes, relayoutDualWrites atomic.Int64
 }

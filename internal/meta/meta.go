@@ -19,11 +19,13 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"csar/internal/journal"
 	"csar/internal/obs"
 	"csar/internal/raid"
 	"csar/internal/wire"
@@ -62,7 +64,8 @@ type Manager struct {
 	byName  map[string]*fileMeta
 	byID    map[uint64]*fileMeta
 
-	wal        *wal
+	wal        *journal.Log // nil: in-memory namespace
+	walFile    *os.File
 	walCompact int64
 
 	obs      *obs.Registry
@@ -132,8 +135,8 @@ func (m *Manager) Obs() *obs.Registry { return m.obs }
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.wal != nil {
-		return m.wal.Close()
+	if m.walFile != nil {
+		return m.walFile.Close()
 	}
 	return nil
 }
@@ -603,26 +606,17 @@ func (m *Manager) commitAndShip(rec walRec, undo func()) error {
 	rec.epoch = m.epoch
 	rec.seq = m.seq + 1
 	m.applyRecLocked(rec)
-	if m.wal != nil {
-		if err := m.wal.append(rec); err != nil {
-			undo()
-			m.seq = rec.seq - 1
-			m.mu.Unlock()
-			return err
-		}
-		m.obs.Counter("meta_wal_appends").Add(1)
-		if err := m.compactLocked(); err != nil {
-			// The operation itself is durable; compaction can retry at the
-			// next commit. Surface the disk trouble without failing the op.
-			m.obs.Counter("meta_compact_errors").Add(1)
-			log.Printf("meta: wal compaction failed (will retry): %v", err)
-		}
+	payload := encodeRec(rec)
+	if err := m.logLocked(payload); err != nil {
+		undo()
+		m.seq = rec.seq - 1
+		m.mu.Unlock()
+		return err
 	}
 	peers := m.peers
 	selfIdx := m.index
 	m.mu.Unlock()
 
-	payload := encodeRec(rec)
 	fenced := false
 	for i, p := range peers {
 		if p == nil || i == selfIdx {
@@ -658,6 +652,26 @@ func (m *Manager) commitAndShip(rec walRec, undo func()) error {
 	if fenced {
 		m.demote()
 		return fmt.Errorf("meta: primary at epoch %d was deposed: %w", rec.epoch, wire.ErrStaleEpoch)
+	}
+	return nil
+}
+
+// logLocked durably appends one encoded record to the WAL (a no-op for an
+// in-memory manager) and compacts the log once it outgrows its threshold.
+// Caller holds m.mu and the commit path.
+func (m *Manager) logLocked(payload []byte) error {
+	if m.wal == nil {
+		return nil
+	}
+	if err := m.wal.Append(payload); err != nil {
+		return fmt.Errorf("meta: appending wal record: %w", err)
+	}
+	m.obs.Counter("meta_wal_appends").Add(1)
+	if err := m.compactLocked(); err != nil {
+		// The operation itself is durable; compaction can retry at the
+		// next commit. Surface the disk trouble without failing the op.
+		m.obs.Counter("meta_compact_errors").Add(1)
+		log.Printf("meta: wal compaction failed (will retry): %v", err)
 	}
 	return nil
 }
@@ -736,8 +750,8 @@ func (m *Manager) replicate(r *wire.MetaReplicate) (wire.Msg, error) {
 			if err := m.save(); err != nil {
 				return nil, fmt.Errorf("meta: persisting replicated snapshot: %w", err)
 			}
-			if err := m.wal.reset(); err != nil {
-				return nil, err
+			if err := m.wal.Rewrite(); err != nil {
+				return nil, fmt.Errorf("meta: truncating wal: %w", err)
 			}
 		}
 		m.obs.Counter("meta_snapshots_installed").Add(1)
@@ -770,18 +784,11 @@ func (m *Manager) replicate(r *wire.MetaReplicate) (wire.Msg, error) {
 		return &wire.MetaReplicateResp{Epoch: m.epoch, Seq: m.seq}, nil
 	}
 	m.applyRecLocked(rec)
-	if m.wal != nil {
-		if err := m.wal.append(rec); err != nil {
-			// Could not durably log it: report the op unapplied (seq rolls
-			// back; the in-memory apply is idempotent under the re-send).
-			m.seq = rec.seq - 1
-			return nil, err
-		}
-		m.obs.Counter("meta_wal_appends").Add(1)
-		if cerr := m.compactLocked(); cerr != nil {
-			m.obs.Counter("meta_compact_errors").Add(1)
-			log.Printf("meta: wal compaction failed (will retry): %v", cerr)
-		}
+	if err := m.logLocked(r.Rec); err != nil {
+		// Could not durably log it: report the op unapplied (seq rolls
+		// back; the in-memory apply is idempotent under the re-send).
+		m.seq = rec.seq - 1
+		return nil, err
 	}
 	return &wire.MetaReplicateResp{Epoch: m.epoch, Seq: m.seq}, nil
 }
@@ -793,7 +800,7 @@ func (m *Manager) status() (wire.Msg, error) {
 	defer m.mu.Unlock()
 	var walBytes int64
 	if m.wal != nil {
-		walBytes = m.wal.size
+		walBytes = m.wal.Size()
 	}
 	return &wire.MetaStatusResp{
 		Index:    uint16(m.index),

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"csar/internal/journal"
 	"csar/internal/wire"
 )
 
@@ -59,20 +60,29 @@ func NewPersistent(serverCount int, serverAddrs []string, path string) (*Manager
 		m.installSnapshotLocked(&snap)
 	}
 
-	w, recs, err := openWAL(path + ".wal")
+	walPath := path + ".wal"
+	f, err := os.OpenFile(walPath, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("meta: opening wal: %w", err)
 	}
-	m.wal = w
-	for _, rec := range recs {
-		// Records the snapshot already covers are replay noise from a crash
-		// mid-compaction; skip them. Epoch records and the rest re-apply
-		// idempotently in log order.
-		if rec.seq <= m.seq {
-			continue
-		}
-		m.applyRecLocked(rec)
+	st, err := f.Stat()
+	if err == nil {
+		m.wal, err = journal.Open(f, st.Size(), func(p []byte) error {
+			rec, err := decodeRec(p)
+			// Records the snapshot already covers are replay noise from a
+			// crash mid-compaction; skip them. Epoch records and the rest
+			// re-apply idempotently in log order.
+			if err == nil && rec.seq > m.seq {
+				m.applyRecLocked(rec)
+			}
+			return err
+		})
 	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("meta: wal %s: %w", walPath, err)
+	}
+	m.walFile = f
 	return m, nil
 }
 
@@ -183,40 +193,30 @@ func (m *Manager) save() error {
 	// a power cut can resurrect the old snapshot — which is only safe if we
 	// know the sync happened everywhere we assume it did, so failures are
 	// reported, not swallowed.
-	if err := syncDir(m.persistPath); err != nil {
+	dir, err := os.Open(filepath.Dir(m.persistPath))
+	if err != nil {
+		return err
+	}
+	defer dir.Close() //nolint:errcheck // only read
+	if err := dir.Sync(); err != nil {
 		return fmt.Errorf("meta: syncing snapshot rename: %w", err)
 	}
 	return nil
 }
 
-// syncDir fsyncs the directory containing path, making a rename within it
-// durable.
-func syncDir(path string) error {
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	if err := dir.Sync(); err != nil {
-		dir.Close()
-		return err
-	}
-	return dir.Close()
-}
-
-// compactLocked rewrites the snapshot and empties the log once the log
-// outgrows the threshold. Both steps are individually atomic and the
-// snapshot records its covered sequence number, so a crash between them
-// only costs replaying records the snapshot already holds. Caller holds the
-// commit path.
+// compactLocked rewrites the snapshot and truncates the log to zero once the
+// log outgrows the threshold. The snapshot records its covered sequence
+// number, so a crash between the two steps only costs replaying records the
+// snapshot already holds. Caller holds the commit path.
 func (m *Manager) compactLocked() error {
-	if m.wal == nil || m.walCompact <= 0 || m.wal.size < m.walCompact {
+	if m.wal == nil || m.walCompact <= 0 || m.wal.Size() < m.walCompact {
 		return nil
 	}
 	if err := m.save(); err != nil {
 		return fmt.Errorf("meta: compaction snapshot: %w", err)
 	}
-	if err := m.wal.reset(); err != nil {
-		return err
+	if err := m.wal.Rewrite(); err != nil {
+		return fmt.Errorf("meta: truncating wal: %w", err)
 	}
 	m.obs.Counter("meta_compactions").Add(1)
 	return nil

@@ -3,10 +3,13 @@ package meta
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"csar/internal/journal"
 	"csar/internal/wire"
 )
 
@@ -47,20 +50,49 @@ func stateBytes(t *testing.T, m *Manager) []byte {
 	return b
 }
 
-// frameEnds parses a WAL image and returns the byte offset of the end of
-// each complete frame — the offsets at which a truncation loses nothing.
+// frameEnds parses a WAL image — the journal's 8-byte magic, then frames of
+// u32 length | u32 CRC32C | payload — and returns the byte offset of the end
+// of each complete frame: the offsets at which a truncation loses nothing.
 func frameEnds(t *testing.T, data []byte) []int {
 	t.Helper()
+	const magicLen, frameHeader = 8, 8
 	var ends []int
-	for off := 0; off+walFrameHeader <= len(data); {
+	for off := magicLen; off+frameHeader <= len(data); {
 		n := int(binary.LittleEndian.Uint32(data[off:]))
-		if off+walFrameHeader+n > len(data) {
+		if off+frameHeader+n > len(data) {
 			t.Fatalf("test WAL image itself is torn at %d", off)
 		}
-		off += walFrameHeader + n
+		off += frameHeader + n
 		ends = append(ends, off)
 	}
 	return ends
+}
+
+// restartOnWAL writes image as the log of a fresh snapshot path and restarts a
+// manager on it.
+func restartOnWAL(t *testing.T, image []byte) (*Manager, string, error) {
+	t.Helper()
+	snapPath := filepath.Join(t.TempDir(), "meta.json")
+	if err := os.WriteFile(snapPath+".wal", image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewPersistent(8, []string{"a:1", "b:2"}, snapPath)
+	return m, snapPath + ".wal", err
+}
+
+// checkRecovered asserts that m replayed exactly the first recs records and
+// that its log, in memory and on disk, was truncated to size bytes.
+func checkRecovered(t *testing.T, what string, m *Manager, walPath string, recs, size int) {
+	t.Helper()
+	if m.seq != uint64(recs) {
+		t.Fatalf("%s: recovered through seq %d, want %d", what, m.seq, recs)
+	}
+	if m.wal.Size() != int64(size) {
+		t.Fatalf("%s: post-recovery size %d, want %d", what, m.wal.Size(), size)
+	}
+	if st, err := os.Stat(walPath); err != nil || st.Size() != int64(size) {
+		t.Fatalf("%s: file not truncated to valid prefix (%v, %v)", what, st.Size(), err)
+	}
 }
 
 // TestWALTornTailEveryOffset is the torn-tail property test: for a log
@@ -79,40 +111,23 @@ func TestWALTornTailEveryOffset(t *testing.T) {
 	}
 	ends := frameEnds(t, image)
 
-	dir := t.TempDir()
 	for off := 0; off <= len(image); off++ {
-		p := filepath.Join(dir, "torn.wal")
-		if err := os.WriteFile(p, image[:off], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		w, recs, err := openWAL(p)
+		m, p, err := restartOnWAL(t, image[:off])
 		if err != nil {
 			t.Fatalf("offset %d: recovery failed: %v", off, err)
 		}
 		// Complete frames up to the truncation point survive; everything
-		// after the last complete frame is discarded.
+		// after the last complete frame is discarded, and a log left with no
+		// whole frame is empty, magic included. Sequence numbers are the
+		// contiguous prefix 1..wantRecs.
 		wantRecs, wantSize := 0, 0
 		for i, e := range ends {
 			if e <= off {
 				wantRecs, wantSize = i+1, e
 			}
 		}
-		if len(recs) != wantRecs {
-			t.Fatalf("offset %d: recovered %d records, want %d", off, len(recs), wantRecs)
-		}
-		if w.size != int64(wantSize) {
-			t.Fatalf("offset %d: post-recovery size %d, want %d", off, w.size, wantSize)
-		}
-		if st, err := os.Stat(p); err != nil || st.Size() != int64(wantSize) {
-			t.Fatalf("offset %d: file not truncated to valid prefix (%v, %v)", off, st.Size(), err)
-		}
-		// Sequence numbers are the contiguous prefix 1..wantRecs.
-		for i, rec := range recs {
-			if rec.seq != uint64(i+1) {
-				t.Fatalf("offset %d: record %d has seq %d", off, i, rec.seq)
-			}
-		}
-		w.Close()
+		checkRecovered(t, fmt.Sprintf("offset %d", off), m, p, wantRecs, wantSize)
+		m.Close()
 	}
 }
 
@@ -130,23 +145,30 @@ func TestWALCorruptTailBitFlip(t *testing.T) {
 	if len(ends) < 2 {
 		t.Fatal("test needs at least two records")
 	}
-	corrupt := append([]byte(nil), image...)
-	corrupt[len(corrupt)-1] ^= 0x40 // inside the final record's payload
+	image[len(image)-1] ^= 0x40 // inside the final record's payload
 
-	p := filepath.Join(t.TempDir(), "bitrot.wal")
-	if err := os.WriteFile(p, corrupt, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w, recs, err := openWAL(p)
+	m, p, err := restartOnWAL(t, image)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	if len(recs) != len(ends)-1 {
-		t.Fatalf("recovered %d records, want %d (corrupt final dropped)", len(recs), len(ends)-1)
+	defer m.Close()
+	checkRecovered(t, "flipped final record", m, p, len(ends)-1, ends[len(ends)-2])
+}
+
+// TestWALLegacyFormatRefused: a log written before the journal magic — the
+// same frames with no header — is refused, not replayed, and left as it was.
+func TestWALLegacyFormatRefused(t *testing.T) {
+	_, walPath, _, src := buildWAL(t)
+	src.Close()
+	image, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if w.size != int64(ends[len(ends)-2]) {
-		t.Fatalf("size %d, want %d", w.size, ends[len(ends)-2])
+	legacy := image[8:]
+	if _, p, err := restartOnWAL(t, legacy); !errors.Is(err, journal.ErrFormat) {
+		t.Fatalf("legacy WAL opened with err %v, want journal.ErrFormat", err)
+	} else if got, _ := os.ReadFile(p); !bytes.Equal(got, legacy) {
+		t.Fatal("refused WAL was modified")
 	}
 }
 
@@ -210,7 +232,7 @@ func TestWALReplayByteIdenticalState(t *testing.T) {
 // already covers and reproduce identical state.
 func TestWALCrashMidCompaction(t *testing.T) {
 	snapPath, walPath, want, src := buildWAL(t)
-	// Write the compaction snapshot but "crash" before wal.reset.
+	// Write the compaction snapshot but "crash" before the log truncation.
 	src.mu.Lock()
 	if err := src.save(); err != nil {
 		src.mu.Unlock()

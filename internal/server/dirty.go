@@ -9,13 +9,13 @@
 // newer generation and survive the clear, so the next resync round picks
 // them up instead of losing them.
 //
-// The log is journaled with the same discipline as the stripe intents:
-// length-prefixed records, fsync per append batch, full rewrite on clear
+// The log is an internal/journal log like the stripe intents': one
+// CRC-framed record per entry, fsync per append batch, full rewrite on clear
 // (the log shrinks at exactly the moments it is cheap to rewrite), a torn
-// tail compacted away at load. A crash-restart of a surviving server therefore
-// preserves the outage's damage records; only a blank replacement disk
-// loses them, which resync detects through the epoch set and answers with
-// a full rebuild.
+// tail truncated away at load. A crash-restart of a surviving server
+// therefore preserves the outage's damage records; only a blank replacement
+// disk loses them, which resync detects through the epoch set and answers
+// with a full rebuild.
 package server
 
 import (
@@ -23,7 +23,7 @@ import (
 	"sort"
 	"sync"
 
-	"csar/internal/storage"
+	"csar/internal/journal"
 	"csar/internal/wire"
 )
 
@@ -40,10 +40,6 @@ const (
 	dirtyKindStripe                    // parity stripe it owns
 	dirtyKindOverflow                  // its overflow stores diverged; value unused
 )
-
-// dirtyRecordLen is the encoded body length of one journal record:
-// kind (1) + file ID (8) + dead server (2) + epoch (8) + value (8).
-const dirtyRecordLen = 1 + 8 + 2 + 8 + 8
 
 // dirtyKey addresses one log: the damage a specific dead server missed for
 // a specific file.
@@ -80,18 +76,17 @@ func (dl *dirtyLog) empty() bool {
 	return len(dl.units) == 0 && len(dl.mirrors) == 0 && len(dl.stripes) == 0 && !dl.overflow
 }
 
-// dirtyState is the server's dirty-log table plus its journal cursor,
-// guarded by its own mutex (independent of mu/jmu; handlers take only it).
+// dirtyState is the server's dirty-log table plus its journal, guarded by
+// its own mutex (independent of mu/jmu; handlers take only it).
 type dirtyState struct {
 	mu      sync.Mutex
 	logs    map[dirtyKey]*dirtyLog
-	journal storage.File
-	off     int64
+	journal *journal.Log
 }
 
-// dirtyEntry is one dirty-journal record, framed on disk as
+// dirtyEntry is one dirty-journal record, the payload of one journal frame:
 //
-//	u32 length (dirtyRecordLen) | u8 kind | u64 file ID | u16 dead server | u64 epoch | i64 value
+//	u8 kind | u64 file ID | u16 dead server | u64 epoch | i64 value
 type dirtyEntry struct {
 	kind  uint8
 	key   dirtyKey
@@ -99,9 +94,8 @@ type dirtyEntry struct {
 	val   int64
 }
 
-// codec reads or writes one framed record.
+// codec reads or writes one record.
 func (r *dirtyEntry) codec(c *wire.Codec) {
-	journalFrame(c, dirtyRecordLen)
 	c.U8(&r.kind)
 	c.U64(&r.key.file)
 	c.U16(&r.key.dead)
@@ -109,33 +103,24 @@ func (r *dirtyEntry) codec(c *wire.Codec) {
 	c.I64(&r.val)
 }
 
-// dirtyRecord appends one record to e.
-func dirtyRecord(e *wire.Codec, kind uint8, k dirtyKey, epoch uint64, val int64) {
+// dirtyRecord encodes one record.
+func dirtyRecord(kind uint8, k dirtyKey, epoch uint64, val int64) []byte {
 	r := dirtyEntry{kind, k, epoch, val}
-	r.codec(e)
+	e := wire.Encoding(make([]byte, 0, 27))
+	r.codec(&e)
+	return e.Buf
 }
 
 // loadDirty replays the dirty journal at startup, so a surviving server's
-// damage records outlive its own crash-restarts. The state is rewritten
-// once after load to drop any torn tail.
+// damage records outlive its own crash-restarts.
 func (s *Server) loadDirty() {
 	s.dirty.logs = make(map[dirtyKey]*dirtyLog)
-	f := s.disk.Open(dirtyJournalName)
-	s.dirty.journal = f
-	size := f.Size()
-	if size == 0 {
-		return
-	}
-	buf := make([]byte, size)
-	f.ReadAt(buf, 0) //nolint:errcheck // zero-fill semantics
-	d := wire.Decoding(buf)
-	replayed := 0 // bytes of whole records
-	for {
+	s.dirty.journal = s.openJournal(dirtyJournalName, func(p []byte) error {
 		var r dirtyEntry
+		d := wire.Decoding(p)
 		if r.codec(&d); d.Err() != nil {
-			break // end of log or torn tail
+			return d.Err()
 		}
-		replayed += 4 + dirtyRecordLen
 		dl := s.dirty.logs[r.key]
 		if dl == nil {
 			dl = newDirtyLog()
@@ -154,68 +139,34 @@ func (s *Server) loadDirty() {
 			dl.overflow = true
 			dl.overflowGen = dl.gen
 		}
-	}
-	s.dirty.off = size
-	if replayed < len(buf) {
-		// A torn tail, or zero fill a crash left: appends must not land
-		// behind bytes the next load would stop at.
-		s.rewriteDirtyLocked()
-	}
+		return nil
+	})
 }
 
 // rewriteDirtyLocked compacts the journal to the current state: one epoch
 // record per epoch sighting, one record per live entry. Caller holds
 // dirty.mu.
 func (s *Server) rewriteDirtyLocked() {
-	e := wire.Encoding(make([]byte, 0, 256))
+	var recs [][]byte
 	for k, dl := range s.dirty.logs {
 		// Item records carry an arbitrary member of the epoch set; the
 		// set itself is reconstructed from the dedicated epoch records.
 		var anyEpoch uint64
 		for ep := range dl.epochs {
 			anyEpoch = ep
-			break
+			recs = append(recs, dirtyRecord(dirtyKindEpoch, k, ep, 0))
 		}
-		for ep := range dl.epochs {
-			dirtyRecord(&e, dirtyKindEpoch, k, ep, 0)
-		}
-		for v := range dl.units {
-			dirtyRecord(&e, dirtyKindUnit, k, anyEpoch, v)
-		}
-		for v := range dl.mirrors {
-			dirtyRecord(&e, dirtyKindMirror, k, anyEpoch, v)
-		}
-		for v := range dl.stripes {
-			dirtyRecord(&e, dirtyKindStripe, k, anyEpoch, v)
+		sets := [...]map[int64]uint64{dirtyKindUnit: dl.units, dirtyKindMirror: dl.mirrors, dirtyKindStripe: dl.stripes}
+		for kind, set := range sets {
+			for v := range set {
+				recs = append(recs, dirtyRecord(uint8(kind), k, anyEpoch, v))
+			}
 		}
 		if dl.overflow {
-			dirtyRecord(&e, dirtyKindOverflow, k, anyEpoch, 0)
+			recs = append(recs, dirtyRecord(dirtyKindOverflow, k, anyEpoch, 0))
 		}
 	}
-	if s.dirty.journal == nil {
-		s.dirty.journal = s.disk.Open(dirtyJournalName)
-	}
-	s.dirty.journal.Truncate(0)
-	if len(e.Buf) > 0 {
-		s.dirty.journal.WriteAt(e.Buf, 0) //nolint:errcheck // local store
-	}
-	s.dirty.off = int64(len(e.Buf))
-	s.dirty.journal.Sync()
-}
-
-// dirtyAppendLocked durably appends an encoded record batch. Caller holds
-// dirty.mu.
-func (s *Server) dirtyAppendLocked(buf []byte) {
-	if len(buf) == 0 {
-		return
-	}
-	if s.dirty.journal == nil {
-		s.dirty.journal = s.disk.Open(dirtyJournalName)
-		s.dirty.off = s.dirty.journal.Size()
-	}
-	s.dirty.journal.WriteAt(buf, s.dirty.off) //nolint:errcheck // local store
-	s.dirty.off += int64(len(buf))
-	s.dirty.journal.Sync()
+	s.dirty.journal.Rewrite(recs...) //nolint:errcheck // local store
 }
 
 // handleMarkDirty merges one degraded write's damage into the log. Every
@@ -235,16 +186,16 @@ func (s *Server) handleMarkDirty(m *wire.MarkDirty) (wire.Msg, error) {
 		dl = newDirtyLog()
 		s.dirty.logs[k] = dl
 	}
-	e := wire.Encoding(make([]byte, 0, 4+dirtyRecordLen))
+	var recs [][]byte
 	if _, ok := dl.epochs[m.Epoch]; !ok {
 		dl.epochs[m.Epoch] = struct{}{}
-		dirtyRecord(&e, dirtyKindEpoch, k, m.Epoch, 0)
+		recs = append(recs, dirtyRecord(dirtyKindEpoch, k, m.Epoch, 0))
 	}
 	mark := func(set map[int64]uint64, kind uint8, vals []int64) {
 		for _, v := range vals {
 			dl.gen++
 			if _, ok := set[v]; !ok {
-				dirtyRecord(&e, kind, k, m.Epoch, v)
+				recs = append(recs, dirtyRecord(kind, k, m.Epoch, v))
 			}
 			set[v] = dl.gen
 		}
@@ -255,12 +206,15 @@ func (s *Server) handleMarkDirty(m *wire.MarkDirty) (wire.Msg, error) {
 	if m.Overflow {
 		dl.gen++
 		if !dl.overflow {
-			dirtyRecord(&e, dirtyKindOverflow, k, m.Epoch, 0)
+			recs = append(recs, dirtyRecord(dirtyKindOverflow, k, m.Epoch, 0))
 		}
 		dl.overflow = true
 		dl.overflowGen = dl.gen
 	}
-	s.dirtyAppendLocked(e.Buf)
+	// The degraded write runs only once this is acknowledged durable.
+	if err := s.dirty.journal.Append(recs...); err != nil {
+		return nil, fmt.Errorf("server: logging dirty regions: %w", err)
+	}
 	return &wire.OK{}, nil
 }
 

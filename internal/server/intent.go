@@ -14,7 +14,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -31,27 +30,10 @@ const (
 	intentOpAbandon
 )
 
-// intentRecordLen is the encoded body length of one journal record:
-// op (1) + file ID (8) + stripe (8) + owner (8).
-const intentRecordLen = 1 + 8 + 8 + 8
-
-// errBadFrame fails the decode of a server-journal record whose length word
-// is not its journal's record length: the end of the log, or a torn tail.
-var errBadFrame = errors.New("server: bad journal frame")
-
-// journalFrame reads or writes the u32 length word that frames every record
-// of the intent and dirty journals; a decoded word other than size fails the
-// decode.
-func journalFrame(c *wire.Codec, size uint32) {
-	n := size
-	if c.U32(&n); n != size {
-		c.Fail(errBadFrame)
-	}
-}
-
-// intentEntry is one intent-journal record, framed on disk as
+// intentEntry is one intent-journal record, the payload of one journal
+// frame:
 //
-//	u32 length (intentRecordLen) | u8 op | u64 file ID | i64 stripe | u64 owner
+//	u8 op | u64 file ID | i64 stripe | u64 owner
 type intentEntry struct {
 	op     uint8
 	fileID uint64
@@ -59,13 +41,19 @@ type intentEntry struct {
 	owner  uint64
 }
 
-// codec reads or writes one framed record.
+// codec reads or writes one record.
 func (r *intentEntry) codec(c *wire.Codec) {
-	journalFrame(c, intentRecordLen)
 	c.U8(&r.op)
 	c.U64(&r.fileID)
 	c.I64(&r.stripe)
 	c.U64(&r.owner)
+}
+
+// payload encodes the record.
+func (r intentEntry) payload() []byte {
+	e := wire.Encoding(make([]byte, 0, 25))
+	r.codec(&e)
+	return e.Buf
 }
 
 // intentRec is one stripe's write intent. A nil deadline timer means the
@@ -102,35 +90,20 @@ func (s *Server) IntentStats() IntentStats {
 }
 
 // journalAppend durably appends one record. delta is the change to the
-// count of live intents (+1 open, -1 retire, 0 abandon); when the count
-// drops to zero the journal is truncated — the whole history is balanced
-// open/retire pairs, so an empty live set compacts to an empty log.
+// count of live intents (+1 open, -1 retire, 0 abandon); when a retire drops
+// the count to zero the journal is truncated instead — the whole history is
+// balanced open/retire pairs, so an empty live set compacts to an empty log.
 // Lock order: callers may hold sf.mu; jmu nests inside it.
 func (s *Server) journalAppend(op uint8, fileID uint64, stripe int64, owner uint64, delta int) {
-	e := wire.Encoding(make([]byte, 0, 4+intentRecordLen))
-	rec := intentEntry{op, fileID, stripe, owner}
-	rec.codec(&e)
-
+	rec := intentEntry{op, fileID, stripe, owner}.payload()
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
-	if s.journal == nil {
-		s.journal = s.disk.Open(intentJournalName)
-		s.jOff = s.journal.Size()
-	}
-	s.jLive += delta
-	if s.jLive <= 0 {
+	if s.jLive += delta; s.jLive <= 0 && op == intentOpRetire {
 		s.jLive = 0
-		s.journal.Truncate(0)
-		s.jOff = 0
-		if op == intentOpRetire {
-			// Nothing live: the retire needs no record either.
-			s.journal.Sync()
-			return
-		}
+		s.journal.Rewrite() //nolint:errcheck // local store
+		return
 	}
-	s.journal.WriteAt(e.Buf, s.jOff) //nolint:errcheck // local store
-	s.jOff += int64(len(e.Buf))
-	s.journal.Sync()
+	s.journal.Append(rec) //nolint:errcheck // local store
 }
 
 // loadIntents replays the journal at startup. Every surviving intent —
@@ -139,22 +112,14 @@ func (s *Server) journalAppend(op uint8, fileID uint64, stripe int64, owner uint
 // stripe is possibly torn. Survivors are parked in s.pendingIntents and
 // adopted when the file record is first materialized. The journal is then
 // compacted to one abandon record per survivor, so repeated crashes do
-// not grow it. A torn final record (crash mid-append) is ignored.
+// not grow it.
 func (s *Server) loadIntents() {
-	f := s.disk.Open(intentJournalName)
-	size := f.Size()
-	if size == 0 {
-		s.journal, s.jOff = f, 0
-		return
-	}
-	buf := make([]byte, size)
-	f.ReadAt(buf, 0) //nolint:errcheck // zero-fill semantics
 	live := make(map[uint64]map[int64]uint64)
-	d := wire.Decoding(buf)
-	for {
+	s.journal = s.openJournal(intentJournalName, func(p []byte) error {
 		var r intentEntry
+		d := wire.Decoding(p)
 		if r.codec(&d); d.Err() != nil {
-			break // end of log or torn tail
+			return d.Err()
 		}
 		switch r.op {
 		case intentOpOpen, intentOpAbandon:
@@ -165,30 +130,25 @@ func (s *Server) loadIntents() {
 		case intentOpRetire:
 			delete(live[r.fileID], r.stripe)
 		}
+		return nil
+	})
+	if s.journal.Size() == 0 {
+		return
 	}
 
 	// Compact: the surviving set, each as a single abandon record.
-	e := wire.Encoding(make([]byte, 0, 64))
-	count := 0
+	var recs [][]byte
 	for fileID, stripes := range live {
 		for stripe, owner := range stripes {
-			rec := intentEntry{intentOpAbandon, fileID, stripe, owner}
-			rec.codec(&e)
-			count++
+			recs = append(recs, intentEntry{intentOpAbandon, fileID, stripe, owner}.payload())
 			s.intAbandoned.Add(1)
 		}
 		if len(stripes) == 0 {
 			delete(live, fileID)
 		}
 	}
-	f.Truncate(0)
-	if count > 0 {
-		f.WriteAt(e.Buf, 0) //nolint:errcheck
-	}
-	f.Sync()
-	s.journal = f
-	s.jOff = int64(len(e.Buf))
-	s.jLive = count
+	s.journal.Rewrite(recs...) //nolint:errcheck // local store
+	s.jLive = len(recs)
 	s.pendingIntents = live
 }
 

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"csar/internal/extent"
+	"csar/internal/journal"
 	"csar/internal/obs"
 	"csar/internal/raid"
 	"csar/internal/simtime"
@@ -93,9 +94,8 @@ type Server struct {
 
 	// Stripe intent journal (see intent.go). jmu nests inside sf.mu.
 	jmu     sync.Mutex
-	journal storage.File
-	jOff    int64 // append cursor
-	jLive   int   // live (open or abandoned) intents across all files
+	journal *journal.Log
+	jLive   int // live (open or abandoned) intents across all files
 	// pendingIntents holds journal-loaded intents (fileID -> stripe ->
 	// owner) not yet adopted by a serverFile record. Guarded by mu.
 	pendingIntents map[uint64]map[int64]uint64
@@ -168,7 +168,8 @@ type lockWaiter struct {
 }
 
 // New creates a server with the given index (its position in every file's
-// stripe layout) backed by disk.
+// stripe layout) backed by disk. It panics, naming the file, on an intent or
+// dirty journal it must not misread: one from before the journal format.
 func New(idx int, disk storage.Backend, opts Options) *Server {
 	if opts.RecvChunk <= 0 {
 		opts.RecvChunk = 8 << 10
@@ -189,6 +190,24 @@ func New(idx int, disk storage.Backend, opts Options) *Server {
 	s.loadDirty()
 	return s
 }
+
+// openJournal opens the named server-wide journal on the local backend,
+// replaying its records through each.
+func (s *Server) openJournal(name string, each func([]byte) error) *journal.Log {
+	f := s.disk.Open(name)
+	l, err := journal.Open(journalFile{f}, f.Size(), each)
+	if err != nil {
+		panic(fmt.Errorf("server %d: %s: %w", s.idx, name, err))
+	}
+	return l
+}
+
+// journalFile adapts a local-store file to journal.File; the store reports
+// no error from Truncate or Sync.
+type journalFile struct{ storage.File }
+
+func (f journalFile) Truncate(size int64) error { f.File.Truncate(size); return nil }
+func (f journalFile) Sync() error               { f.File.Sync(); return nil }
 
 // Index returns the server's position in the stripe layout.
 func (s *Server) Index() int { return s.idx }

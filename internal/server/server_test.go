@@ -590,15 +590,16 @@ func TestRawWritePreservesOverflow(t *testing.T) {
 }
 
 // TestDirtyLogReloadPastTornTail crash-restarts a server whose dirty journal
-// ends in a torn tail — zero fill, a partial length word, a cut record. The
-// reload keeps every whole record, and a record appended after it survives
-// the next reload: the tail is compacted away instead of stranding later
-// appends behind bytes the load stops at.
+// ends in a torn tail — zero fill, a partial length word, a frame cut inside
+// its record. The reload keeps every whole record, and a record appended
+// after it survives the next reload: the tail is truncated away instead of
+// stranding later appends behind bytes the load stops at.
 func TestDirtyLogReloadPastTornTail(t *testing.T) {
+	const recordLen = 27 // u8 kind | u64 file | u16 dead | u64 epoch | i64 value
 	for name, tail := range map[string][]byte{
 		"zero fill":           make([]byte, 16),
-		"partial length word": {dirtyRecordLen, 0},
-		"cut record":          {dirtyRecordLen, 0, 0, 0, dirtyKindUnit, 1},
+		"partial length word": {recordLen, 0},
+		"cut record":          {recordLen, 0, 0, 0, 0x5a, 0x5a, 0x5a, 0x5a, dirtyKindUnit, 1},
 	} {
 		t.Run(name, func(t *testing.T) {
 			disk := simdisk.New(nil, simdisk.Params{PageSize: 64})
