@@ -61,11 +61,13 @@ resync:
 # multi-parity crash-restart intent replay; and the proofs that RAID5 is the
 # engine's m = 1 case — the seeded Raid5 ≡ RS(k,1) differential (stores,
 # read-backs and request counts), the golden per-operation request table,
-# the NoLock/NPC ablations and the scrubber's leased lock — under the race
-# detector.
+# the NoLock/NPC ablations and the scrubber's leased lock; and the seeded
+# degraded-read differential (RAID5, Hybrid and RS(4,2) against a reference
+# file for every dead set the code tolerates, mid-read failover included) —
+# under the race detector.
 rs:
 	$(GO) test -race -count=2 ./internal/gf256
-	$(GO) test -race -count=2 -run 'TestRS|TestParityEngine' ./internal/cluster
+	$(GO) test -race -count=2 -run 'TestRS|TestParityEngine|TestDegradedReadDifferential' ./internal/cluster
 	$(GO) test -race -count=2 -run 'TestMultiParityPlacement' ./internal/raid
 
 # The observability suite: the lock-free histogram's concurrency property
@@ -81,7 +83,8 @@ obs:
 # The hot-path suite, both directions: allocation-budget regressions
 # (pooled frame marshal, decode without a payload copy, full-stripe WriteAt,
 # the 16 KiB read-modify-write — each for RAID5 and RS(4,2), the two shapes
-# of the one parity engine — and 1 MiB ReadAt through the whole stack), the
+# of the one parity engine — and 1 MiB ReadAt through the whole stack, healthy
+# and degraded with an RS(4,2) server down), the
 # borrow/release and owned-gather rules of the payload pool (poison-on-put
 # property test, late responses, abandoned sends, Data-is-a-view, a held
 # payload moving to its frame once, size classes), the pending-map drain
@@ -92,9 +95,9 @@ obs:
 # without it.
 allocs:
 	$(GO) test -race -run 'TestMarshalFrameAllocs|TestUnmarshalAllocs|TestMarshalFrameMatchesMarshal|TestUnmarshalAliasesData|TestReadRespRelease|TestHeldPayloadMovesToFrame|TestBufPoolClasses|TestPoolPoisonCorrectness|TestLateReadRespIsRecycled|TestAbandonedSendOwnsItsPayload|TestTimedOutSendDoesNotAliasCallerBuffer|TestTimedOutCallsDrainPendingMap' ./internal/wire ./internal/rpc
-	$(GO) test -race -run 'TestFullStripeWriteAllocs|TestRMWWriteAllocs|TestReadAtAllocs|TestPipelinedStripeWritesOverlap|TestSameStripeWritesSerializeThroughParityLock' ./internal/cluster
+	$(GO) test -race -run 'TestFullStripeWriteAllocs|TestRMWWriteAllocs|TestReadAtAllocs|TestDegradedReadAtAllocs|TestPipelinedStripeWritesOverlap|TestSameStripeWritesSerializeThroughParityLock' ./internal/cluster
 	$(GO) test -race -run 'TestSyncCostIndependentOfCacheSize|TestDifferentialAgainstScanReference' ./internal/simdisk
-	$(GO) test -run 'TestFullStripeWriteAllocs|TestRMWWriteAllocs|TestReadAtAllocs' ./internal/cluster
+	$(GO) test -run 'TestFullStripeWriteAllocs|TestRMWWriteAllocs|TestReadAtAllocs|TestDegradedReadAtAllocs' ./internal/cluster
 
 # A tiny end-to-end run of the real csar-bench binary plus the schema-v2
 # validation test, so BENCH_N.json files stay comparable across PRs.

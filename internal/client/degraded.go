@@ -1,12 +1,13 @@
 package client
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
 
 	"csar/internal/extent"
+	"csar/internal/gf256"
 	"csar/internal/raid"
 	"csar/internal/wire"
 )
@@ -96,10 +97,12 @@ func (f *File) readDegradedMirror(p []byte, off int64, dead int, tr uint64) erro
 }
 
 // readDegradedParity reads a parity-scheme file with the servers in deads —
-// at most the stripe's m parity units' worth — down. Live pieces are read
-// normally; each piece on a dead server is rebuilt from any k surviving units
-// of its stripe; under Hybrid, the mirrored overflow region then overlays any
-// newer partial-stripe data.
+// at most the stripe's m parity units' worth — down, in one round: the live
+// pieces are fetched as a healthy read fetches them while, concurrently, the
+// survivors the dead pieces' decodes need beyond those bytes are fetched
+// (degradedPlan). Each dead piece is then decoded straight into its slice of
+// p. Under Hybrid, the mirrored overflow region then overlays any newer
+// partial-stripe data.
 func (f *File) readDegradedParity(p []byte, off int64, deads []int, tr uint64) error {
 	g := f.geom
 	if len(deads) > g.PU() {
@@ -107,30 +110,30 @@ func (f *File) readDegradedParity(p []byte, off int64, deads []int, tr uint64) e
 			len(deads), g.PU())
 	}
 	span := raid.Span{Off: off, Len: int64(len(p))}
-	reads, err := f.fetchSpans(span, false, tr, func(s int) bool { return slices.Contains(deads, s) })
+	// A Hybrid read returns overflow-patched bytes, which are not what the
+	// stripe's parity encodes: there p is no survivor source, and every
+	// survivor is fetched raw in the same round.
+	plan, err := f.planDegraded(span, deads, f.ref.Scheme != wire.Hybrid)
 	if err != nil {
 		return err
 	}
-
-	// Copy the live pieces; the dead ones are reconstructed below.
-	type deadPiece struct{ cur, pieceEnd int64 }
-	var pieces []deadPiece
-	mergeFromServers(g, off, p, reads, func(cur, pieceEnd int64) {
-		pieces = append(pieces, deadPiece{cur, pieceEnd})
-	})
-	reads.release()
-
-	errs := make([]error, len(pieces))
-	var wg sync.WaitGroup
-	for i, dp := range pieces {
-		wg.Add(1)
-		go func(i int, dp deadPiece) {
-			defer wg.Done()
-			errs[i] = f.reconstructRange(p[dp.cur-off:dp.pieceEnd-off], dp.cur, deads, tr)
-		}(i, dp)
+	var survivors spanReads
+	var sErr error
+	fetched := make(chan struct{})
+	go func() {
+		defer close(fetched)
+		survivors, sErr = plan.fetch(f, tr)
+	}()
+	reads, err := f.fetchSpans(span, false, tr, func(s int) bool { return slices.Contains(deads, s) })
+	<-fetched
+	defer survivors.release()
+	if err = cmp.Or(err, sErr); err != nil {
+		reads.release()
+		return err
 	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	mergeFromServers(g, off, p, reads, nil)
+	reads.release()
+	if err := plan.decode(f.code, p, survivors); err != nil {
 		return err
 	}
 	if f.ref.Scheme == wire.Hybrid {
@@ -143,92 +146,182 @@ func (f *File) readDegradedParity(p []byte, off int64, deads []int, tr uint64) e
 	return nil
 }
 
-// reconstructRange rebuilds dst, the in-place contents of the logical range
-// [logical, logical+len(dst)) — which must lie within a single stripe unit
-// owned by a dead server — by decoding the stripe from any k of its
-// surviving units. Live data units are preferred as survivors (their
-// identity rows make the decode cheapest); live parity units fill out the
-// set when data units are among the dead. With one parity unit that is the
-// RAID5 reconstruction: the k-1 other data units and the parity, XORed.
-func (f *File) reconstructRange(dst []byte, logical int64, deads []int, tr uint64) error {
+// degradedPlan is how one read rebuilds the pieces of its span that lie on
+// dead servers, worked out from the geometry alone before any I/O. Each dead
+// piece is decoded from the same within-unit range of k surviving units of
+// its stripe, taken in code order (data 0..k-1, then parity k..k+m-1, dead
+// servers skipped), so live data units — whose identity rows make the decode
+// cheapest — are preferred and parity units fill out the set. A survivor
+// comes from one of two places:
+//
+//   - the read's own buffer, when the survivor's range lies inside the span
+//     and the buffer holds in-place bytes (a raw read, or a scheme without
+//     overflow): those bytes are already there, for free;
+//   - otherwise a fetch: one multi-span raw Read per server for data units
+//     and one multi-stripe ReadParity per parity server, each stripe asked
+//     for once, all sent at the same time.
+//
+// A decode target never aliases an in-buffer survivor: survivors are taken
+// only from units on live servers, targets only from units on dead ones, and
+// distinct units hold disjoint logical ranges, hence disjoint buffer slices.
+type degradedPlan struct {
+	g      raid.Geometry
+	off    int64 // the span's offset: buf[0] holds this logical byte
+	pieces []deadPiece
+	srcs   []survivor    // k per piece, in code order
+	raw    [][]wire.Span // by server: the raw Read spans of fetched data survivors
+	rawLen []int64       // by server: the bytes those spans return
+	parity [][]int64     // by server: the stripes whose parity unit it sends
+}
+
+// deadPiece is one piece of the span on a dead server: the logical range
+// [cur, end) within one unit, whose code index is target.
+type deadPiece struct {
+	cur, end int64
+	target   int
+}
+
+// survivor is one unit's share of a dead piece's decode.
+type survivor struct {
+	idx  int   // code index
+	from int   // the fetched response holding it (see fetch); -1: the buffer
+	at   int64 // where the piece's range starts in the buffer or the response
+}
+
+// planDegraded plans the decode of every piece of span on a server in deads.
+// inBuf says whether the buffer the read lands in holds in-place bytes, and
+// so may serve survivors.
+func (f *File) planDegraded(span raid.Span, deads []int, inBuf bool) (*degradedPlan, error) {
 	g := f.geom
-	k := g.DataWidth()
-	m := g.PU()
-	n := int64(len(dst))
-	unit := g.UnitOf(logical)
-	wu := logical - g.UnitStart(unit) // within-unit offset
-	stripe := unit / int64(k)
-	first, _ := g.DataUnitsOf(stripe)
-	target := int(unit - first)
+	k, m := g.DataWidth(), g.PU()
+	pl := &degradedPlan{
+		g: g, off: span.Off,
+		raw:    make([][]wire.Span, g.Servers),
+		rawLen: make([]int64, g.Servers),
+		parity: make([][]int64, g.Servers),
+	}
 	isDead := func(s int) bool { return slices.Contains(deads, s) }
-	if !isDead(g.ServerOf(unit)) {
-		return fmt.Errorf("client: reconstructRange on live unit %d", unit)
-	}
-
-	// Choose the first k live units in code order (data 0..k-1, then parity
-	// k..k+m-1) and fetch the same within-unit range of each.
-	type fetch struct {
-		idx, srv int
-		parity   bool
-	}
-	var fetches []fetch
-	for i := 0; i < k+m && len(fetches) < k; i++ {
-		ft := fetch{idx: i, parity: i >= k}
-		if ft.parity {
-			ft.srv = g.ParityServerOfUnit(stripe, i-k)
-		} else {
-			ft.srv = g.ServerOf(first + int64(i))
+	var err error
+	eachPiece(g, span.Off, span.Len, func(unit, cur, end int64) {
+		if err != nil || !isDead(g.ServerOf(unit)) {
+			return
 		}
-		if !isDead(ft.srv) {
-			fetches = append(fetches, ft)
+		stripe := g.StripeOf(cur)
+		first, _ := g.DataUnitsOf(stripe)
+		wu, n := cur-g.UnitStart(unit), end-cur // the within-unit range
+		pl.pieces = append(pl.pieces, deadPiece{cur, end, int(unit - first)})
+		found := 0
+		for idx := 0; idx < k+m && found < k; idx++ {
+			if idx >= k {
+				srv := g.ParityServerOfUnit(stripe, idx-k)
+				if !isDead(srv) {
+					pl.srcs = append(pl.srcs, survivor{idx, g.Servers + srv, pl.addParity(srv, stripe) + wu})
+					found++
+				}
+				continue
+			}
+			srv, start := g.ServerOf(first+int64(idx)), g.UnitStart(first+int64(idx))+wu
+			switch {
+			case isDead(srv):
+				continue
+			case inBuf && start >= span.Off && start+n <= span.End():
+				pl.srcs = append(pl.srcs, survivor{idx, -1, start - span.Off})
+			default:
+				pl.srcs = append(pl.srcs, survivor{idx, srv, pl.addRaw(srv, start, n)})
+			}
+			found++
+		}
+		if found < k {
+			err = fmt.Errorf("client: stripe %d has only %d live units, need %d", stripe, found, k)
+		}
+	})
+	return pl, err
+}
+
+// addParity asks srv for stripe's parity unit and returns where the unit
+// starts in srv's ReadParity response. Pieces are planned in logical order,
+// so a stripe asked for twice is the last one asked for.
+func (pl *degradedPlan) addParity(srv int, stripe int64) int64 {
+	ss := pl.parity[srv]
+	if len(ss) == 0 || ss[len(ss)-1] != stripe {
+		pl.parity[srv] = append(ss, stripe)
+	}
+	return int64(len(pl.parity[srv])-1) * pl.g.StripeUnit
+}
+
+// addRaw asks srv for the raw bytes [off, off+n) and returns where they start
+// in srv's Read response. Two dead pieces of one stripe with the same
+// within-unit range (m > 1) are planned back to back and share the fetch.
+func (pl *degradedPlan) addRaw(srv int, off, n int64) int64 {
+	sp := wire.Span{Off: off, Len: n}
+	if ss := pl.raw[srv]; len(ss) == 0 || ss[len(ss)-1] != sp {
+		pl.raw[srv] = append(ss, sp)
+		pl.rawLen[srv] += n
+	}
+	return pl.rawLen[srv] - n
+}
+
+// fetch sends the plan's survivor reads, all at once, and returns the
+// responses: the raw Read from server s at index s, its ReadParity at
+// Servers+s. The caller releases them once the decode is done; on error
+// there is nothing left to release.
+func (pl *degradedPlan) fetch(f *File, tr uint64) (spanReads, error) {
+	if len(pl.pieces) == 0 {
+		return nil, nil
+	}
+	n := pl.g.Servers
+	out := make(spanReads, 2*n)
+	err := f.c.eachServer(2*n, func(i int) error {
+		srv := i % n
+		var req wire.Msg
+		var want int64
+		switch {
+		case i < n && len(pl.raw[srv]) > 0:
+			req = &wire.Read{File: f.ref, Spans: pl.raw[srv], Raw: true}
+			want = pl.rawLen[srv]
+		case i >= n && len(pl.parity[srv]) > 0:
+			req = &wire.ReadParity{File: f.ref, Stripes: pl.parity[srv]}
+			want = int64(len(pl.parity[srv])) * pl.g.StripeUnit
+		default:
+			return nil
+		}
+		resp, err := f.c.callSrvT(srv, req, tr)
+		if err != nil {
+			return err
+		}
+		out[i] = resp.(*wire.ReadResp)
+		if int64(len(out[i].Data)) != want {
+			return fmt.Errorf("client: survivor read from server %d returned %d bytes, want %d",
+				srv, len(out[i].Data), want)
+		}
+		return nil
+	})
+	if err != nil {
+		out.release()
+		return nil, err
+	}
+	return out, nil
+}
+
+// decode rebuilds every dead piece straight into its slice of buf, which
+// holds the span, from the survivors in buf and in fetched (fetch's result).
+func (pl *degradedPlan) decode(code *gf256.RS, buf []byte, fetched spanReads) error {
+	k := code.K
+	units := make([][]byte, k+code.M)
+	for i, dp := range pl.pieces {
+		clear(units)
+		n := dp.end - dp.cur
+		for _, s := range pl.srcs[i*k : (i+1)*k] {
+			src := buf
+			if s.from >= 0 {
+				src = fetched[s.from].Data
+			}
+			units[s.idx] = src[s.at : s.at+n]
+		}
+		if err := code.ReconstructInto(buf[dp.cur-pl.off:dp.end-pl.off], dp.target, units); err != nil {
+			return err
 		}
 	}
-	if len(fetches) < k {
-		return fmt.Errorf("client: stripe %d has only %d live units, need %d",
-			stripe, len(fetches), k)
-	}
-
-	units := make([][]byte, k+m)
-	// The survivors decode in place out of their responses' buffers, which
-	// go back once dst has been copied out.
-	resps := make(spanReads, len(fetches))
-	defer resps.release()
-	errs := make([]error, len(fetches))
-	var wg sync.WaitGroup
-	for i, ft := range fetches {
-		wg.Add(1)
-		go func(i int, ft fetch) {
-			defer wg.Done()
-			var req wire.Msg
-			want, at := n, int64(0) // the response's length, and where the range starts in it
-			if ft.parity {
-				req = &wire.ReadParity{File: f.ref, Stripes: []int64{stripe}}
-				want, at = g.StripeUnit, wu
-			} else {
-				req = &wire.Read{File: f.ref, Raw: true,
-					Spans: []wire.Span{{Off: g.UnitStart(first+int64(ft.idx)) + wu, Len: n}}}
-			}
-			resp, err := f.c.callSrvT(ft.srv, req, tr)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			resps[i] = resp.(*wire.ReadResp)
-			if int64(len(resps[i].Data)) != want {
-				errs[i] = fmt.Errorf("client: short survivor read from server %d", ft.srv)
-				return
-			}
-			units[ft.idx] = resps[i].Data[at : at+n]
-		}(i, ft)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return err
-	}
-	if err := f.code.Reconstruct(units); err != nil {
-		return err
-	}
-	copy(dst, units[target])
 	return nil
 }
 
@@ -258,15 +351,19 @@ func (f *File) patchFromOverflowMirror(p []byte, off int64, dead int, tr uint64)
 }
 
 // reconstructOldPieces fills the dead servers' pieces of old (holding the
-// logical range of span) by decoding them from each stripe's survivors; the
-// degraded read-modify-write uses it so the parity delta is computed against
-// the dead server's true old contents.
+// logical range of span, its live pieces already read raw) by running the
+// degraded-read plan over it; the degraded read-modify-write uses it, under
+// its parity locks, so the parity delta is computed against the dead server's
+// true old contents. old holds in-place bytes, so it serves survivors.
 func (f *File) reconstructOldPieces(span raid.Span, old []byte, deads []int, tr uint64) error {
-	var err error
-	eachPiece(f.geom, span.Off, span.Len, func(unit, cur, pieceEnd int64) {
-		if err == nil && slices.Contains(deads, f.geom.ServerOf(unit)) {
-			err = f.reconstructRange(old[cur-span.Off:pieceEnd-span.Off], cur, deads, tr)
-		}
-	})
-	return err
+	plan, err := f.planDegraded(span, deads, true)
+	if err != nil {
+		return err
+	}
+	fetched, err := plan.fetch(f, tr)
+	if err != nil {
+		return err
+	}
+	defer fetched.release()
+	return plan.decode(f.code, old, fetched)
 }

@@ -254,13 +254,25 @@ func TestParityEngineOneParityRSIsRaid5(t *testing.T) {
 
 // TestParityEngineGoldenRPCs pins what each scheme's operations cost in
 // requests, by kind. The rows were captured at the commit before the XOR and
-// Reed-Solomon twins were merged and every one but rebuild is unchanged, so
-// the merge cannot silently add a round. Rebuild is the one operation whose
-// RAID5/Hybrid shape changed, knowingly: the XOR twin made two passes (the
-// dead server's data units, then its parity units — read=8 read_parity=3 for
-// this file), the merged stripe decode makes one (probe the survivors, then
-// one Read and one ReadParity per survivor) for the same bytes and the same
-// total; Reed-Solomon's row is what it always was.
+// Reed-Solomon twins were merged, so the merge cannot silently add a round;
+// the rows that have changed since only went down, each for a reason:
+//
+//   - degraded read (RAID5 read=13 → 4, RS read=14 read_parity=3 → read=5
+//     read_parity=2, Hybrid read=13 → 8): the read is one planned round. The
+//     dead pieces' survivors are the live data units the read already holds
+//     — free, not re-fetched one piece at a time — plus one multi-stripe
+//     ReadParity per parity server; RS's two stripes whose first live parity
+//     unit sits on the same server share one. Hybrid's buffer holds
+//     overflow-patched bytes, so its survivors come in one raw Read per
+//     server, in the same round.
+//   - rebuild (RS read_parity=5 → 2): each stripe is decoded from k = 4
+//     survivors, data units first, not from all N-1; RAID5's and Hybrid's k
+//     is N-1, so theirs is unchanged. The XOR twin made two passes (read=8
+//     read_parity=3 for this file); the merged engine makes one.
+//
+// The degraded read-modify-write's row is unchanged: the whole written range
+// is the dead piece, so all its survivors lie outside the range and are
+// fetched, as before.
 func TestParityEngineGoldenRPCs(t *testing.T) {
 	for _, tc := range []struct {
 		scheme  wire.Scheme
@@ -272,7 +284,7 @@ func TestParityEngineGoldenRPCs(t *testing.T) {
 			"full stripes":  "write_data=5 write_parity=4",
 			"rmw":           "read=1 read_parity=1 write_data=1 write_parity=1",
 			"straddling":    "read=4 read_parity=2 write_data=4 write_parity=2",
-			"degraded read": "read=13 read_parity=3",
+			"degraded read": "read=4 read_parity=3",
 			"degraded rmw":  "mark_dirty=2 read=3 read_parity=2 write_parity=1",
 			"rebuild":       "health=4 read=4 read_parity=3 write_data=1 write_parity=1",
 		}},
@@ -280,7 +292,7 @@ func TestParityEngineGoldenRPCs(t *testing.T) {
 			"full stripes":  "write_data=5 write_parity=4",
 			"rmw":           "write_overflow=2",
 			"straddling":    "write_overflow=8",
-			"degraded read": "overflow_dump=1 read=13 read_parity=3",
+			"degraded read": "overflow_dump=1 read=8 read_parity=3",
 			"degraded rmw":  "mark_dirty=2 write_overflow=1",
 			"rebuild":       "health=4 overflow_dump=2 read=4 read_parity=3 write_data=1 write_overflow=2 write_parity=1",
 		}},
@@ -288,9 +300,9 @@ func TestParityEngineGoldenRPCs(t *testing.T) {
 			"full stripes":  "write_data=6 write_parity=6",
 			"rmw":           "read=1 read_parity=2 write_data=1 write_parity=2",
 			"straddling":    "read=4 read_parity=4 write_data=4 write_parity=4",
-			"degraded read": "read=14 read_parity=3",
+			"degraded read": "read=5 read_parity=2",
 			"degraded rmw":  "mark_dirty=2 read=3 read_parity=3 write_parity=2",
-			"rebuild":       "health=5 read=5 read_parity=5 write_data=1 write_parity=1",
+			"rebuild":       "health=5 read=5 read_parity=2 write_data=1 write_parity=1",
 		}},
 	} {
 		c := newCluster(t, tc.servers)

@@ -2,6 +2,7 @@ package gf256
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -136,6 +137,169 @@ func TestRSRoundTripProperty(t *testing.T) {
 			if !bytes.Equal(units[k+j], parity[j]) {
 				t.Fatalf("k=%d m=%d: parity unit %d not recovered", k, m, j)
 			}
+		}
+	}
+}
+
+// encodeBytewise is the byte-at-a-time oracle of the systematic code: each
+// parity byte is the sum of Mul(coefficient, data byte) over the stripe,
+// computed without MulAddSlice or the decode kernel.
+func encodeBytewise(r *RS, data [][]byte) [][]byte {
+	units := append([][]byte(nil), data...)
+	for j := 0; j < r.M; j++ {
+		p := make([]byte, len(data[0]))
+		for b := range p {
+			for i, d := range data {
+				p[b] ^= Mul(r.Coef(j, i), d[b])
+			}
+		}
+		units = append(units, p)
+	}
+	return units
+}
+
+// TestReconstructIntoEveryPattern pins the one decode kernel. For RS(4,2),
+// RS(5,1) and RS(2,3), every erasure pattern of up to m units, every target
+// (data and parity, lost or present) and whole, sub-unit and odd-length
+// ranges of the units, ReconstructInto must produce the oracle's bytes and
+// agree with Reconstruct, leave units and their bytes untouched, and write
+// nothing outside dst. A pattern with more than m erasures must be refused.
+// Warm calls must not allocate.
+func TestReconstructIntoEveryPattern(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const unitLen = 96
+	ranges := [][2]int{{0, unitLen}, {5, 1}, {3, 7}, {17, 63}, {1, unitLen - 1}}
+	for _, shape := range [][2]int{{4, 2}, {5, 1}, {2, 3}} {
+		r, err := NewRS(shape[0], shape[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := r.K + r.M
+		data := make([][]byte, r.K)
+		for i := range data {
+			data[i] = make([]byte, unitLen)
+			rng.Read(data[i])
+		}
+		want := encodeBytewise(r, data)
+		for mask := 0; mask < 1<<n; mask++ { // bit i set: unit i erased
+			erased := 0
+			for i := 0; i < n; i++ {
+				erased += mask >> i & 1
+			}
+			for _, rg := range ranges {
+				lo, hi := rg[0], rg[0]+rg[1]
+				units := make([][]byte, n)
+				for i := range units {
+					if mask>>i&1 == 0 {
+						units[i] = append([]byte(nil), want[i][lo:hi]...)
+					}
+				}
+				snapshot := make([][]byte, n)
+				for i, u := range units {
+					snapshot[i] = append([]byte(nil), u...)
+				}
+				var decoded [][]byte // Reconstruct's answer, for erasures within reach
+				if erased <= r.M {
+					decoded = append([][]byte(nil), units...)
+					if err := r.Reconstruct(decoded); err != nil {
+						t.Fatalf("RS(%d,%d) mask %b: Reconstruct: %v", r.K, r.M, mask, err)
+					}
+				}
+				for target := 0; target < n; target++ {
+					name := fmt.Sprintf("RS(%d,%d) erased %0*b target %d range [%d,%d)", r.K, r.M, n, mask, target, lo, hi)
+					guard := make([]byte, hi-lo+16)
+					for i := range guard {
+						guard[i] = 0xA5
+					}
+					dst := guard[8 : 8+hi-lo]
+					err := r.ReconstructInto(dst, target, units)
+					if erased > r.M && units[target] == nil {
+						if err == nil {
+							t.Fatalf("%s: accepted %d erasures", name, erased)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !bytes.Equal(dst, want[target][lo:hi]) {
+						t.Fatalf("%s: differs from the bytewise oracle", name)
+					}
+					if decoded != nil && !bytes.Equal(dst, decoded[target]) {
+						t.Fatalf("%s: differs from Reconstruct", name)
+					}
+					for i, g := range append(guard[:8:8], guard[8+hi-lo:]...) {
+						if g != 0xA5 {
+							t.Fatalf("%s: wrote guard byte %d outside dst", name, i)
+						}
+					}
+					for i, u := range units {
+						if (u == nil) != (snapshot[i] == nil) || !bytes.Equal(u, snapshot[i]) {
+							t.Fatalf("%s: unit %d changed", name, i)
+						}
+					}
+				}
+			}
+		}
+		// Warm, a decode allocates nothing: its row is cached on the code.
+		units := append([][]byte(nil), want...)
+		units[0] = nil
+		dst := make([]byte, unitLen)
+		if a := testing.AllocsPerRun(20, func() {
+			if err := r.ReconstructInto(dst, 0, units); err != nil {
+				panic(err)
+			}
+		}); a != 0 {
+			t.Fatalf("RS(%d,%d): warm ReconstructInto allocates %.1f/op", r.K, r.M, a)
+		}
+	}
+}
+
+// TestReconstructIntoConcurrent shares one code's decode-row cache among
+// goroutines that all start cold, each walking every two-erasure pattern of
+// RS(7,3) in its own order; run under the race detector it proves the cache
+// safe, and every decode must still match the oracle.
+func TestReconstructIntoConcurrent(t *testing.T) {
+	r, err := NewRS(7, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	data := make([][]byte, r.K)
+	for i := range data {
+		data[i] = make([]byte, 40)
+		rng.Read(data[i])
+	}
+	want := encodeBytewise(r, data)
+	n := r.K + r.M
+	errs := make(chan error, 8)
+	for g := 0; g < cap(errs); g++ {
+		go func(g int) {
+			dst := make([]byte, 40)
+			for p := 0; p < n*n; p++ {
+				a, b := (p/n+g)%n, (p%n+2*g)%n
+				if a == b {
+					continue
+				}
+				units := append([][]byte(nil), want...)
+				units[a], units[b] = nil, nil
+				for _, target := range []int{a, b} {
+					if err := r.ReconstructInto(dst, target, units); err != nil {
+						errs <- err
+						return
+					}
+					if !bytes.Equal(dst, want[target]) {
+						errs <- fmt.Errorf("goroutine %d erased {%d,%d}: unit %d decoded wrong", g, a, b, target)
+						return
+					}
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < cap(errs); g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
 		}
 	}
 }

@@ -24,6 +24,9 @@ type RS struct {
 	// rows is the full (k+m)×k coding matrix; rows[0..k-1] form the
 	// identity, rows[k..k+m-1] are the parity coefficient rows.
 	rows [][]byte
+
+	mu     sync.Mutex
+	decode map[decodeKey][]byte // see decodeRow
 }
 
 // rsCache memoizes codes by (k,m): every file with the same shape shares
@@ -61,7 +64,7 @@ func NewRS(k, m int) (*RS, error) {
 			rows[k+j][i] = Mul(c, byte(k)^byte(i)) // = c / C[0][i]
 		}
 	}
-	r := &RS{K: k, M: m, rows: rows}
+	r := &RS{K: k, M: m, rows: rows, decode: map[decodeKey][]byte{}}
 	rsCache[key] = r
 	return r, nil
 }
@@ -97,76 +100,135 @@ func (r *RS) EncodeInto(parity, data [][]byte) {
 
 // EncodeUnitInto computes just parity unit j into dst (zeroed first).
 func (r *RS) EncodeUnitInto(j int, dst []byte, data [][]byte) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	row := r.ParityRow(j)
-	for i, d := range data {
-		MulAddSlice(row[i], dst, d)
-	}
+	combine(dst, r.ParityRow(j), data)
 }
 
 // Reconstruct fills in the missing units of one stripe. units holds the
 // k+m stripe units in code order (data 0..k-1, then parity 0..m-1);
 // units[i] is nil for a lost unit and a slice of the unit length
-// otherwise. Missing units are allocated, reconstructed from any k present
-// ones, and stored back into units. It fails if fewer than k units are
-// present.
+// otherwise. Missing units are allocated, decoded by ReconstructInto from
+// the same k present ones, and stored back into units only once all are
+// done. It fails if fewer than k units are present.
 func (r *RS) Reconstruct(units [][]byte) error {
-	n := r.K + r.M
-	if len(units) != n {
+	if len(units) != r.K+r.M {
 		panic(fmt.Sprintf("gf256: Reconstruct got %d units for RS(%d,%d)", len(units), r.K, r.M))
 	}
 	var size int
-	present := make([]int, 0, r.K)
-	for i, u := range units {
+	for _, u := range units {
 		if u != nil {
-			if len(present) < r.K {
-				present = append(present, i)
-			}
 			size = len(u)
 		}
 	}
-	if len(present) < r.K {
-		return fmt.Errorf("gf256: RS(%d,%d) stripe has only %d of %d units needed", r.K, r.M, len(present), r.K)
-	}
-
-	missingData := false
-	for i := 0; i < r.K; i++ {
-		if units[i] == nil {
-			missingData = true
-		}
-	}
-	if missingData {
-		// Invert the k×k submatrix of the surviving rows: data = sub^-1 ×
-		// survivors.
-		sub := make([][]byte, r.K)
-		for i, row := range present {
-			sub[i] = r.rows[row]
-		}
-		dec, err := matInvert(sub)
-		if err != nil {
-			return fmt.Errorf("gf256: RS(%d,%d) decode: %w", r.K, r.M, err)
-		}
-		for i := 0; i < r.K; i++ {
-			if units[i] != nil {
-				continue
-			}
-			out := make([]byte, size)
-			for t, row := range present {
-				MulAddSlice(dec[i][t], out, units[row])
-			}
-			units[i] = out
-		}
-	}
-	// With all data present, missing parity is a straight re-encode.
-	for j := 0; j < r.M; j++ {
-		if units[r.K+j] != nil {
+	out := make([][]byte, len(units))
+	for i, u := range units {
+		if u != nil {
 			continue
 		}
-		out := make([]byte, size)
-		r.EncodeUnitInto(j, out, units[:r.K])
-		units[r.K+j] = out
+		out[i] = make([]byte, size)
+		if err := r.ReconstructInto(out[i], i, units); err != nil {
+			return err
+		}
+	}
+	for i, o := range out {
+		if o != nil {
+			units[i] = o
+		}
 	}
 	return nil
+}
+
+// ReconstructInto decodes unit target (a code index: data 0..k-1, then
+// parity k..k+m-1) of one stripe into dst from the first k present units of
+// units, which is in code order with nil marking a unit that is lost or not
+// to be used. Every present unit must have dst's length — any sub-range of
+// the stripe's units, decoded byte for byte. A present target is copied.
+//
+// units and the bytes they hold are only read and nothing outside dst is
+// written, so dst may be a slice of a buffer that also holds survivors,
+// provided it overlaps none of them (dst is zeroed before the first source
+// is folded in). With all k data units among the first k present, a parity
+// target is its coefficient row's plain encode — EncodeUnitInto's sum.
+// Otherwise the decode row is the target's coding row times the inverse of
+// the survivors' k×k submatrix, computed once per (survivors, target) and
+// cached on the code, so a warm call allocates nothing.
+func (r *RS) ReconstructInto(dst []byte, target int, units [][]byte) error {
+	n := r.K + r.M
+	if len(units) != n || target < 0 || target >= n {
+		panic(fmt.Sprintf("gf256: ReconstructInto target %d of %d units for RS(%d,%d)", target, len(units), r.K, r.M))
+	}
+	if units[target] != nil {
+		copy(dst, units[target])
+		return nil
+	}
+	key := decodeKey{target: target}
+	present, dataFirst := 0, true
+	for i, u := range units {
+		if u == nil || present == r.K {
+			continue
+		}
+		key.used[i/64] |= 1 << (i % 64)
+		present++
+		dataFirst = dataFirst && i < r.K
+	}
+	if present < r.K {
+		return fmt.Errorf("gf256: RS(%d,%d) stripe has only %d of %d units needed", r.K, r.M, present, r.K)
+	}
+	coef := r.rows[target]
+	if !dataFirst {
+		var err error
+		if coef, err = r.decodeRow(key); err != nil {
+			return err
+		}
+	}
+	combine(dst, coef, units)
+	return nil
+}
+
+// decodeKey names one decode: the set of survivor units it reads (a bit per
+// code index) and the unit it produces.
+type decodeKey struct {
+	used   [4]uint64
+	target int
+}
+
+// decodeRow returns the coefficients that produce key.target from the k
+// survivors in key.used, in code order: the target's coding row times the
+// inverse of the survivors' rows. Rows are cached for the life of the code;
+// there is one per erasure pattern and target actually met.
+func (r *RS) decodeRow(key decodeKey) ([]byte, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if row, ok := r.decode[key]; ok {
+		return row, nil
+	}
+	sub := make([][]byte, 0, r.K)
+	for i := range r.K + r.M {
+		if key.used[i/64]&(1<<(i%64)) != 0 {
+			sub = append(sub, r.rows[i])
+		}
+	}
+	inv, err := matInvert(sub)
+	if err != nil {
+		return nil, fmt.Errorf("gf256: RS(%d,%d) decode: %w", r.K, r.M, err)
+	}
+	row := matMul([][]byte{r.rows[key.target]}, inv)[0]
+	r.decode[key] = row
+	return row, nil
+}
+
+// combine is the one coding kernel under encode and decode: it zeroes dst
+// and folds coef[t] times the t-th non-nil unit of units into it, for each
+// of the len(coef) coefficients.
+func combine(dst, coef []byte, units [][]byte) {
+	clear(dst)
+	t := 0
+	for _, u := range units {
+		if t == len(coef) {
+			break
+		}
+		if u != nil {
+			MulAddSlice(coef[t], dst, u)
+			t++
+		}
+	}
 }

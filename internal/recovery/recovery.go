@@ -221,12 +221,14 @@ func dataIndexOn(g raid.Geometry, srv int, s int64) int {
 // stripe of a parity-scheme file. A stripe of k data and m parity units
 // occupies all N = k+m servers — every server holds exactly one unit of
 // every stripe — so rebuilding a server means re-deriving its one unit per
-// stripe by decoding from the surviving units (for the single parity unit
-// of RAID5 and Hybrid, XORing them). A batch of stripes costs one multi-span
-// raw Read and one multi-stripe ReadParity per live server, the decodes,
-// and one write of each kind to the replacement. Servers other than dead
-// that are down are simply excluded from the survivor set: a rebuild can
-// proceed while up to m-1 other servers are still out.
+// stripe from k of the survivors: the first k live units in code order, data
+// before parity, so each stripe costs k unit reads, not N-1 (for the single
+// parity unit of RAID5 and Hybrid the two are the same). A batch of stripes
+// costs one multi-span raw Read and one multi-stripe ReadParity per server
+// that serves any of its stripes, the decodes — each straight into the
+// outgoing payload — and one write of each kind to the replacement. Servers
+// other than dead that are down are simply excluded from the survivor set: a
+// rebuild can proceed while up to m-1 other servers are still out.
 func rebuildStripes(c *client.Client, f *client.File, dead int, size int64) error {
 	g := f.Geometry()
 	ref := f.Ref()
@@ -259,6 +261,14 @@ func rebuildStripes(c *client.Client, f *client.File, dead int, size int64) erro
 		return fmt.Errorf("recovery: only %d of %d servers reachable, need %d to decode RS(%d, %d)",
 			live, g.Servers, k, k, m)
 	}
+	// srvOf is the server holding unit idx (code order) of stripe s.
+	srvOf := func(s int64, idx int) int {
+		if idx < k {
+			first, _ := g.DataUnitsOf(s)
+			return g.ServerOf(first + int64(idx))
+		}
+		return g.ParityServerOfUnit(s, idx-k)
+	}
 
 	all := make([]int64, g.StripesIn(size))
 	for i := range all {
@@ -267,86 +277,104 @@ func rebuildStripes(c *client.Client, f *client.File, dead int, size int64) erro
 	batches := chunkInt64(all)
 	return runBatches(len(batches), func(bi int) error {
 		batch := batches[bi]
-		units := make([][][]byte, len(batch)) // per stripe, per code index
-		for i := range units {
-			units[i] = make([][]byte, k+m)
+		// Each stripe's k survivors, as (code index, slot of the response
+		// holding it, position there); what each server is asked for; and
+		// each stripe's dead unit: its code index and where it goes.
+		type source struct {
+			idx, from int
+			at        int64
 		}
-
-		for srv := 0; srv < g.Servers; srv++ {
-			if srv == dead || excluded[srv] {
-				continue
-			}
-			var dSpans []wire.Span
-			var dAt [][2]int // (position in batch, code index)
-			var pStripes []int64
-			var pAt [][2]int
-			for pos, s := range batch {
-				if j, ok := g.ParityUnitOn(srv, s); ok {
-					pStripes = append(pStripes, s)
-					pAt = append(pAt, [2]int{pos, k + j})
-				} else {
-					di := dataIndexOn(g, srv, s)
-					first, _ := g.DataUnitsOf(s)
-					dSpans = append(dSpans, wire.Span{Off: g.UnitStart(first + int64(di)), Len: su})
-					dAt = append(dAt, [2]int{pos, di})
-				}
-			}
-			if len(dSpans) > 0 {
-				resp, err := c.ServerCaller(srv).Call(&wire.Read{File: ref, Spans: dSpans, Raw: true})
-				if err != nil {
-					return err
-				}
-				data := resp.(*wire.ReadResp).Data
-				if int64(len(data)) != int64(len(dSpans))*su {
-					return fmt.Errorf("recovery: short unit read from server %d", srv)
-				}
-				for i, at := range dAt {
-					units[at[0]][at[1]] = data[int64(i)*su : int64(i+1)*su]
-				}
-			}
-			if len(pStripes) > 0 {
-				resp, err := c.ServerCaller(srv).Call(&wire.ReadParity{File: ref, Stripes: pStripes})
-				if err != nil {
-					return err
-				}
-				data := resp.(*wire.ReadResp).Data
-				if int64(len(data)) != int64(len(pStripes))*su {
-					return fmt.Errorf("recovery: short parity read from server %d", srv)
-				}
-				for i, at := range pAt {
-					units[at[0]][at[1]] = data[int64(i)*su : int64(i+1)*su]
-				}
-			}
-		}
-
-		// Decode each stripe and collect the dead server's unit.
-		var dSpans []wire.Span
-		var dData []byte
-		var pStripes []int64
-		var pData []byte
+		srcs := make([]source, 0, len(batch)*k)
+		dSpans := make([][]wire.Span, g.Servers)
+		pStripes := make([][]int64, g.Servers)
+		targets := make([]int, len(batch))
+		var dOut []wire.Span
+		var pOut []int64
 		for pos, s := range batch {
-			if err := code.Reconstruct(units[pos]); err != nil {
-				return fmt.Errorf("recovery: stripe %d: %w", s, err)
+			first, _ := g.DataUnitsOf(s)
+			found := 0
+			for idx := 0; idx < k+m && found < k; idx++ {
+				srv := srvOf(s, idx)
+				if srv == dead || excluded[srv] {
+					continue
+				}
+				found++
+				if idx < k {
+					srcs = append(srcs, source{idx, srv, int64(len(dSpans[srv])) * su})
+					dSpans[srv] = append(dSpans[srv], wire.Span{Off: g.UnitStart(first + int64(idx)), Len: su})
+				} else {
+					srcs = append(srcs, source{idx, g.Servers + srv, int64(len(pStripes[srv])) * su})
+					pStripes[srv] = append(pStripes[srv], s)
+				}
 			}
 			if j, ok := g.ParityUnitOn(dead, s); ok {
-				pStripes = append(pStripes, s)
-				pData = append(pData, units[pos][k+j]...)
+				targets[pos] = k + j
+				pOut = append(pOut, s)
 			} else {
-				di := dataIndexOn(g, dead, s)
-				first, _ := g.DataUnitsOf(s)
-				dSpans = append(dSpans, wire.Span{Off: g.UnitStart(first + int64(di)), Len: su})
-				dData = append(dData, units[pos][di]...)
+				targets[pos] = dataIndexOn(g, dead, s)
+				dOut = append(dOut, wire.Span{Off: g.UnitStart(first + int64(targets[pos])), Len: su})
 			}
 		}
-		if len(dSpans) > 0 {
+
+		// got[srv] is srv's raw Read response, got[N+srv] its ReadParity
+		// response. The survivors decode out of their pooled buffers, which go
+		// back once every dead unit has been decoded.
+		got := make([][]byte, 2*g.Servers)
+		for i := range got {
+			srv := i % g.Servers
+			req, units := wire.Msg(&wire.Read{File: ref, Spans: dSpans[srv], Raw: true}), len(dSpans[srv])
+			if i >= g.Servers {
+				req, units = &wire.ReadParity{File: ref, Stripes: pStripes[srv]}, len(pStripes[srv])
+			}
+			if units == 0 {
+				continue
+			}
+			resp, err := c.ServerCaller(srv).Call(req)
+			if err != nil {
+				return err
+			}
+			r := resp.(*wire.ReadResp)
+			defer r.Release()
+			if int64(len(r.Data)) != int64(units)*su {
+				return fmt.Errorf("recovery: short survivor read from server %d", srv)
+			}
+			got[i] = r.Data
+		}
+
+		// Decode each stripe's dead unit straight into the outgoing payload of
+		// its kind. With every data unit among the survivors (the usual case
+		// for a dead parity unit) the decode row is the parity row itself:
+		// EncodeUnitInto's sum.
+		dData := make([]byte, int64(len(dOut))*su)
+		pData := make([]byte, int64(len(pOut))*su)
+		units := make([][]byte, k+m)
+		var nd, np int64
+		for pos, s := range batch {
+			clear(units)
+			for _, src := range srcs[pos*k : (pos+1)*k] {
+				units[src.idx] = got[src.from][src.at : src.at+su]
+			}
+			var dst []byte
+			if targets[pos] >= k {
+				dst = pData[np*su : (np+1)*su]
+				np++
+			} else {
+				dst = dData[nd*su : (nd+1)*su]
+				nd++
+			}
+			if err := code.ReconstructInto(dst, targets[pos], units); err != nil {
+				return fmt.Errorf("recovery: stripe %d: %w", s, err)
+			}
+		}
+		if len(dOut) > 0 {
 			if _, err := c.ServerCaller(dead).Call(&wire.WriteData{
-				File: ref, Spans: dSpans, Data: dData, Raw: true}); err != nil {
+				File: ref, Spans: dOut, Data: dData, Raw: true}); err != nil {
 				return err
 			}
 		}
-		if len(pStripes) > 0 {
+		if len(pOut) > 0 {
 			if _, err := c.ServerCaller(dead).Call(&wire.WriteParity{
-				File: ref, Stripes: pStripes, Data: pData}); err != nil {
+				File: ref, Stripes: pOut, Data: pData}); err != nil {
 				return err
 			}
 		}
