@@ -24,7 +24,7 @@ func main() {
 	// One megabyte of recognizable data.
 	payload := make([]byte, 1<<20)
 	for i := range payload {
-		payload[i] = byte(i * 2654435761)
+		payload[i] = byte(uint32(i) * 2654435761)
 	}
 
 	fmt.Println("scheme   stored(KB)  overhead  notes")

@@ -56,11 +56,11 @@ type Client struct {
 	callCPU time.Duration    // per-request client-side processing cost
 	cpu     *simtime.Limiter // the client's serial CPU
 
-	metrics metrics
-
-	// obs holds the client's latency histograms: one per logical op and
-	// write path, one per RPC kind, plus the parity-lock wait (stats.go).
-	obs *obs.Registry
+	// obs holds the client's latency histograms — one per logical op and
+	// write path, one per RPC kind, plus the parity-lock wait (stats.go) —
+	// and publishes the metrics counter set (metrics.go).
+	obs     *obs.Registry
+	metrics *Metrics
 
 	// health is the per-server circuit-breaker state (resilience.go).
 	health []serverHealth
@@ -102,16 +102,18 @@ func New(mgr Caller, servers []Caller) *Client {
 // RPCs route to one sticky manager and fail over across the group when it
 // dies or answers with a not-primary/stale-epoch fencing error.
 func NewMulti(mgrs []Caller, servers []Caller) *Client {
+	reg := obs.NewRegistry()
 	return &Client{
 		mgrs:    mgrs,
 		srv:     servers,
-		obs:     obs.NewRegistry(),
+		obs:     reg,
+		metrics: obs.NewCounters[Metrics](reg),
 		down:    make(map[int]bool),
 		health:  make([]serverHealth, len(servers)),
 		leases:  make(map[uint64]leaseEntry),
 		outages: make(map[outageKey]uint64),
 		passes:  make(map[outageKey]*Pass),
-		rng:     rand.New(rand.NewSource(1)),
+		rng:     rand.New(rand.NewSource(1)), // backoff jitter, reproducible
 	}
 }
 
@@ -177,7 +179,7 @@ func (c *Client) callSrvInner(idx int, m wire.Msg, trace uint64) (wire.Msg, erro
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			c.metrics.retries.Add(1)
+			atomic.AddInt64(&c.metrics.Retries, 1)
 			c.backoff(a, p)
 		}
 		resp, err := c.callOnceT(idx, m, p.CallTimeout, trace)
@@ -191,7 +193,7 @@ func (c *Client) callSrvInner(idx int, m wire.Msg, trace uint64) (wire.Msg, erro
 			return nil, err
 		}
 		if errors.Is(err, context.DeadlineExceeded) {
-			c.metrics.timeouts.Add(1)
+			atomic.AddInt64(&c.metrics.Timeouts, 1)
 		}
 		c.noteFailure(idx, p)
 		lastErr = err

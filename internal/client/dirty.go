@@ -3,6 +3,7 @@ package client
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"csar/internal/core"
 	"csar/internal/raid"
@@ -150,7 +151,7 @@ func (c *Client) recordDirty(ref wire.FileRef, g raid.Geometry, plan core.Plan, 
 	if len(units) == 0 && len(mirrors) == 0 && len(stripes) == 0 && !overflow {
 		return nil
 	}
-	c.metrics.dirtyUnits.Add(int64(len(units) + len(mirrors) + len(stripes)))
+	atomic.AddInt64(&c.metrics.DirtyUnits, int64(len(units)+len(mirrors)+len(stripes)))
 	m := &wire.MarkDirty{
 		File: ref, Dead: uint16(dead), Epoch: c.outageEpoch(ref.ID, dead),
 		Units: units, Mirrors: mirrors, Stripes: stripes, Overflow: overflow,

@@ -171,15 +171,15 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		if _, err := mig.WriteAt(p, off); err != nil {
 			return 0, fmt.Errorf("client: migration dual-write: %w", err)
 		}
-		f.c.metrics.relayoutDualWrites.Add(1)
+		atomic.AddInt64(&f.c.metrics.RelayoutDualWrite, 1)
 	}
-	f.c.metrics.writes.Add(1)
-	f.c.metrics.writeBytes.Add(int64(len(p)))
+	atomic.AddInt64(&f.c.metrics.Writes, 1)
+	atomic.AddInt64(&f.c.metrics.WriteBytes, int64(len(p)))
 	switch {
 	case forwarded:
-		f.c.metrics.resyncForwards.Add(1)
+		atomic.AddInt64(&f.c.metrics.ResyncForwards, 1)
 	case dead >= 0:
-		f.c.metrics.degradedWrites.Add(1)
+		atomic.AddInt64(&f.c.metrics.DegradedWrites, 1)
 		// The dead server missed this write: its stores are stale, so the
 		// breaker must not re-admit it before rebuild/resync + MarkUp.
 		f.c.markStale(dead)
@@ -213,7 +213,7 @@ func (f *File) execute(plan core.Plan, off int64, p []byte, dead int, tr uint64)
 	if len(rest) > 1 && rest[0].Mode == core.ModeRMW {
 		head := rest[0]
 		rest = rest[1:]
-		f.c.metrics.rmws.Add(1)
+		atomic.AddInt64(&f.c.metrics.RMWs, 1)
 		lockHeld := make(chan struct{})
 		go func() {
 			defer close(headDone)
@@ -241,7 +241,7 @@ func (f *File) execute(plan core.Plan, off int64, p []byte, dead int, tr uint64)
 			stops = append(stops, f.timePath("op_write_plain"))
 			batch.add(pt.Span, data(pt.Span))
 		case pt.Mode == core.ModeFullStripe:
-			f.c.metrics.fullStripes.Add(1)
+			atomic.AddInt64(&f.c.metrics.FullStripes, 1)
 			stops = append(stops, f.timePath(f.opPrefix+"full_stripe"))
 			if parity, prepErr = f.fullStripeParity(pt.Span, data(pt.Span)); prepErr != nil {
 				break
@@ -278,15 +278,15 @@ func (f *File) execute(plan core.Plan, off int64, p []byte, dead int, tr uint64)
 			defer wg.Done()
 			switch pt.Mode {
 			case core.ModeMirrored:
-				f.c.metrics.mirrors.Add(1)
+				atomic.AddInt64(&f.c.metrics.MirrorWrites, 1)
 				defer f.timePath("op_write_mirror")()
 				errs[i] = f.writeMirrored(pt.Span, data(pt.Span), dead, tr)
 			case core.ModeRMW:
-				f.c.metrics.rmws.Add(1)
+				atomic.AddInt64(&f.c.metrics.RMWs, 1)
 				defer f.timePath(f.opPrefix + "rmw")()
 				errs[i] = f.writeRMW(pt.Span, data(pt.Span), nil, dead, tr)
 			case core.ModeOverflow:
-				f.c.metrics.overflowWrites.Add(1)
+				atomic.AddInt64(&f.c.metrics.OverflowWrites, 1)
 				defer f.timePath("op_write_overflow")()
 				errs[i] = f.writeOverflow(pt.Span, data(pt.Span), dead, tr)
 			default:
@@ -453,7 +453,7 @@ func (h *ParityHold) write(data []byte, dirty bool, tr uint64) error {
 	if errors.Is(err, wire.ErrLeaseExpired) {
 		// The server expired our lease and fenced this late write off; the
 		// stripe is fail-stopped there until replay reconstructs the unit.
-		c.metrics.leaseExpiries.Add(1)
+		atomic.AddInt64(&c.metrics.LeaseExpiries, 1)
 	} else if err != nil && isUnavailable(err) {
 		// The unlocking write may have been lost before the server applied
 		// it; make sure the acquisition cannot linger.
@@ -719,7 +719,7 @@ func (f *File) writeOverflow(span raid.Span, p []byte, dead int, tr uint64) erro
 // ReadAt reads len(p) bytes at offset off. Bytes beyond what has been
 // written read as zero. With a failed server it falls back to the scheme's
 // degraded path.
-func (f *File) ReadAt(p []byte, off int64) (int, error) {
+func (f *File) ReadAt(p []byte, off int64) (n int, err error) {
 	if off < 0 {
 		return 0, fmt.Errorf("client: negative offset %d", off)
 	}
@@ -728,7 +728,13 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	}
 	tr := obs.NewTraceID()
 	opStart := time.Now()
-	defer func() { f.c.Observe("op_read", f.c.sinceStart(opStart)) }()
+	defer func() {
+		f.c.Observe("op_read", f.c.sinceStart(opStart))
+		if err == nil {
+			atomic.AddInt64(&f.c.metrics.Reads, 1)
+			atomic.AddInt64(&f.c.metrics.ReadBytes, int64(n))
+		}
+	}()
 	// Reads come from the live (committed) layout throughout a migration.
 	// The pass gate's shared side makes the cutover atomic with respect to
 	// in-flight reads — AdoptRef swaps ref and geometry under the exclusive
@@ -738,13 +744,8 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		defer f.c.passGate.RUnlock()
 	}
 	if idx, down := f.c.anyDown(f.ref); down {
-		f.c.metrics.degradedReads.Add(1)
-		n, err := f.readDegraded(p, off, idx, tr)
-		if err == nil {
-			f.c.metrics.reads.Add(1)
-			f.c.metrics.readBytes.Add(int64(n))
-		}
-		return n, err
+		atomic.AddInt64(&f.c.metrics.DegradedReads, 1)
+		return f.readDegraded(p, off, idx, tr)
 	}
 	span := raid.Span{Off: off, Len: int64(len(p))}
 	reads, err := f.fetchSpans(span, false, tr, nil)
@@ -754,12 +755,9 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		// the redundancy exists to absorb.
 		if dead, ok := FailedServer(err); ok && dead < f.geom.Servers &&
 			f.ref.Scheme != wire.Raid0 {
-			f.c.metrics.failovers.Add(1)
-			f.c.metrics.degradedReads.Add(1)
-			n, derr := f.readDegraded(p, off, dead, tr)
-			if derr == nil {
-				f.c.metrics.reads.Add(1)
-				f.c.metrics.readBytes.Add(int64(n))
+			atomic.AddInt64(&f.c.metrics.Failovers, 1)
+			atomic.AddInt64(&f.c.metrics.DegradedReads, 1)
+			if n, derr := f.readDegraded(p, off, dead, tr); derr == nil {
 				return n, nil
 			}
 		}
@@ -767,8 +765,6 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	}
 	mergeFromServers(f.geom, off, p, reads, nil)
 	reads.release()
-	f.c.metrics.reads.Add(1)
-	f.c.metrics.readBytes.Add(int64(len(p)))
 	return len(p), nil
 }
 
@@ -852,7 +848,7 @@ func (f *File) Compact() error {
 			return err
 		}
 	}
-	f.c.metrics.compactions.Add(1)
+	atomic.AddInt64(&f.c.metrics.Compactions, 1)
 	// Reclaim the dead slots.
 	return f.c.eachServer(f.geom.Servers, func(i int) error {
 		if _, err := f.c.callSrv(i, &wire.CompactOverflow{File: f.ref}); err != nil {

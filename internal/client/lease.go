@@ -1,6 +1,7 @@
 package client
 
 import (
+	"sync/atomic"
 	"time"
 
 	"csar/internal/wire"
@@ -119,9 +120,9 @@ func (c *Client) renewLease(e leaseEntry) {
 		return
 	}
 	if rr.Renewed < 1 {
-		c.metrics.leaseExpiries.Add(1)
+		atomic.AddInt64(&c.metrics.LeaseExpiries, 1)
 		c.untrackLease(e.owner)
 		return
 	}
-	c.metrics.leaseRenewals.Add(1)
+	atomic.AddInt64(&c.metrics.LeaseRenewals, 1)
 }

@@ -11,6 +11,7 @@ package client
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"time"
 
 	"csar/internal/wire"
@@ -96,7 +97,7 @@ func (c *Client) mgrCall(m wire.Msg) (wire.Msg, error) {
 	var lastErr error
 	for cyc := 0; cyc < cycles; cyc++ {
 		if cyc > 0 {
-			c.metrics.retries.Add(1)
+			atomic.AddInt64(&c.metrics.Retries, 1)
 			c.backoff(cyc, p)
 		}
 		for off := 0; off < n; off++ {
@@ -105,7 +106,7 @@ func (c *Client) mgrCall(m wire.Msg) (wire.Msg, error) {
 			if err == nil {
 				if idx != start {
 					c.mgrCur.Store(int32(idx))
-					c.metrics.metaFailovers.Add(1)
+					atomic.AddInt64(&c.metrics.MetaFailovers, 1)
 				}
 				return resp, nil
 			}
@@ -113,7 +114,7 @@ func (c *Client) mgrCall(m wire.Msg) (wire.Msg, error) {
 				return nil, err
 			}
 			if errors.Is(err, context.DeadlineExceeded) {
-				c.metrics.timeouts.Add(1)
+				atomic.AddInt64(&c.metrics.Timeouts, 1)
 			}
 			lastErr = err
 		}

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,9 +88,6 @@ type Policy struct {
 	// ProbeAfter is how long an open breaker waits before the next
 	// re-admission probe (a Health call).
 	ProbeAfter time.Duration
-	// Seed seeds the jitter's random source; zero uses a fixed default so
-	// tests are reproducible.
-	Seed int64
 	// LockLease bounds how long a parity-lock acquisition may go without a
 	// heartbeat before the server revokes it and fail-stops the stripe (the
 	// write-hole close: a crashed client cannot wedge a stripe forever).
@@ -200,11 +196,6 @@ func (c *Client) SetPolicy(p Policy) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.policy = p
-	seed := p.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	c.rng = rand.New(rand.NewSource(seed))
 }
 
 // Policy returns the client's current resilience policy.
@@ -375,7 +366,7 @@ func (c *Client) admit(idx int, p Policy) error {
 // Rebuild + MarkUp may close the breaker. The caller has moved the breaker
 // to BreakerProbing.
 func (c *Client) probe(idx int, p Policy) error {
-	c.metrics.breakerProbes.Add(1)
+	atomic.AddInt64(&c.metrics.BreakerProbes, 1)
 	_, err := c.callOnce(idx, &wire.Health{}, p.CallTimeout)
 	h := &c.health[idx]
 	h.mu.Lock()
@@ -392,7 +383,7 @@ func (c *Client) probe(idx int, p Policy) error {
 	}
 	h.state = BreakerClosed
 	h.fails = 0
-	c.metrics.breakerReadmits.Add(1)
+	atomic.AddInt64(&c.metrics.BreakerReadmits, 1)
 	return nil
 }
 
@@ -408,7 +399,7 @@ func (c *Client) noteFailure(idx int, p Policy) {
 	if h.state == BreakerClosed && h.fails >= p.BreakerThreshold {
 		h.state = BreakerOpen
 		h.retryAt = time.Now().Add(p.ProbeAfter)
-		c.metrics.breakerTrips.Add(1)
+		atomic.AddInt64(&c.metrics.BreakerTrips, 1)
 	}
 }
 
@@ -484,7 +475,7 @@ func (c *Client) breakerDown(idx int) bool {
 // fail-stops the stripe until intent replay reconciles it.
 func (c *Client) releaseParityLock(idx int, ref wire.FileRef, stripe int64, token uint64, dirty bool) {
 	p := c.getPolicy()
-	c.metrics.lockReleases.Add(1)
+	atomic.AddInt64(&c.metrics.LockReleases, 1)
 	go func() {
 		c.callOnce(idx, &wire.UnlockParity{ //nolint:errcheck // best effort
 			File: ref, Stripes: []int64{stripe}, Owner: token, Dirty: dirty,

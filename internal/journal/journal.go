@@ -91,13 +91,15 @@ func replay(buf []byte, each func([]byte) error) (int64, error) {
 	}
 	valid := 0
 	for off := len(magic); len(buf)-off >= headerLen; {
-		n := int(binary.LittleEndian.Uint32(buf[off:]))
-		end := off + headerLen + n
+		// The length is bounded by the bytes left before it becomes an int,
+		// which on 32-bit platforms a flipped high bit would make negative.
 		// An empty frame is never written: a zero-filled tail would
 		// otherwise pass, since the CRC32C of nothing is zero.
-		if n == 0 || end > len(buf) {
+		n := binary.LittleEndian.Uint32(buf[off:])
+		if n == 0 || uint64(n) > uint64(len(buf)-off-headerLen) {
 			break
 		}
+		end := off + headerLen + int(n)
 		payload := buf[off+headerLen : end]
 		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[off+4:]) {
 			break

@@ -16,8 +16,10 @@ package obs
 import (
 	crand "crypto/rand"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/bits"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -185,14 +187,45 @@ func (s *HistSnap) merge(o HistSnap) {
 	}
 }
 
-// Counter is a named monotonic count.
-type Counter struct{ v atomic.Int64 }
+// Counter is a handle on one named monotonic count in a registry.
+type Counter struct{ v *int64 }
 
 // Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c Counter) Add(n int64) { atomic.AddInt64(c.v, n) }
 
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
+// NewCounters allocates a counter set: a struct T whose every field is an
+// int64 tagged `obs:"name"`. Any other field panics here, at construction.
+// The set is allocated whole, so each field is 64-bit aligned on every
+// platform and is updated in place with atomic.AddInt64. With a non-nil
+// registry, every field is published in it as the counter named by its tag.
+func NewCounters[T any](r *Registry) *T {
+	set := new(T)
+	v := reflect.ValueOf(set).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		name := f.Tag.Get("obs")
+		if f.Type != reflect.TypeOf(int64(0)) || name == "" || !f.IsExported() {
+			panic(fmt.Sprintf("obs: counter set %v: field %s is not an exported int64 tagged obs:\"name\"", v.Type(), f.Name))
+		}
+		if r != nil {
+			r.mu.Lock()
+			r.counters[name] = v.Field(i).Addr().Interface().(*int64)
+			r.mu.Unlock()
+		}
+	}
+	return set
+}
+
+// LoadCounters returns a copy of a counter set made by NewCounters, read
+// with one atomic load per field.
+func LoadCounters[T any](set *T) T {
+	var out T
+	src, dst := reflect.ValueOf(set).Elem(), reflect.ValueOf(&out).Elem()
+	for i := 0; i < src.NumField(); i++ {
+		dst.Field(i).SetInt(atomic.LoadInt64(src.Field(i).Addr().Interface().(*int64)))
+	}
+	return out
+}
 
 // KV is one named value in a snapshot (a counter or an evaluated gauge).
 type KV struct {
@@ -270,11 +303,12 @@ func Merge(snaps ...Snapshot) Snapshot {
 
 // Registry holds a process's (or one subsystem's) named instruments.
 // Hist and Counter get-or-create, so callers keep no instrument handles of
-// their own; the name is the identity.
+// their own; the name is the identity. NewCounters publishes a counter
+// set's fields into the same counters map.
 type Registry struct {
 	mu       sync.Mutex
 	hists    map[string]*Histogram
-	counters map[string]*Counter
+	counters map[string]*int64
 	gauges   map[string]func() int64
 }
 
@@ -282,7 +316,7 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		hists:    make(map[string]*Histogram),
-		counters: make(map[string]*Counter),
+		counters: make(map[string]*int64),
 		gauges:   make(map[string]func() int64),
 	}
 }
@@ -300,15 +334,15 @@ func (r *Registry) Hist(name string) *Histogram {
 }
 
 // Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
+func (r *Registry) Counter(name string) Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
+	v := r.counters[name]
+	if v == nil {
+		v = new(int64)
+		r.counters[name] = v
 	}
-	return c
+	return Counter{v}
 }
 
 // RegisterGauge installs a gauge: fn is evaluated at every Snapshot (and
@@ -328,7 +362,7 @@ func (r *Registry) Snapshot() Snapshot {
 	for n, h := range r.hists {
 		hists[n] = h
 	}
-	counters := make(map[string]*Counter, len(r.counters))
+	counters := make(map[string]*int64, len(r.counters))
 	for n, c := range r.counters {
 		counters[n] = c
 	}
@@ -344,8 +378,8 @@ func (r *Registry) Snapshot() Snapshot {
 		hs.Name = n
 		s.Hists = append(s.Hists, hs)
 	}
-	for n, c := range counters {
-		s.Counters = append(s.Counters, KV{n, c.Load()})
+	for n, v := range counters {
+		s.Counters = append(s.Counters, KV{n, atomic.LoadInt64(v)})
 	}
 	for n, fn := range gauges {
 		s.Gauges = append(s.Gauges, KV{n, fn()})

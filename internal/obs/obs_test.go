@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -171,6 +172,63 @@ func TestRegistrySnapshotAndMerge(t *testing.T) {
 	if !sort.SliceIsSorted(m.Hists, func(i, j int) bool { return m.Hists[i].Name < m.Hists[j].Name }) {
 		t.Error("merged hists not sorted")
 	}
+}
+
+// TestCounterSet: a counter set's fields are its registry's counters, under
+// their tags, rendered as Prometheus counters; LoadCounters copies them; and
+// a field the helper cannot publish fails construction.
+func TestCounterSet(t *testing.T) {
+	type set struct {
+		Hits   int64 `obs:"hits"`
+		Misses int64 `obs:"misses"`
+	}
+	r := NewRegistry()
+	c := NewCounters[set](r)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 1000; j++ {
+				atomic.AddInt64(&c.Hits, 1)
+			}
+		}()
+	}
+	wg.Wait()
+	atomic.AddInt64(&c.Misses, 2)
+	if got := LoadCounters(c); got != (set{Hits: 4000, Misses: 2}) {
+		t.Errorf("LoadCounters = %+v", got)
+	}
+	s := r.Snapshot()
+	if s.Counter("hits") != 4000 || s.Counter("misses") != 2 || len(s.Gauges) != 0 {
+		t.Errorf("snapshot = %+v", s)
+	}
+	var b strings.Builder
+	WriteProm(&b, s)
+	if !strings.Contains(b.String(), "# TYPE csar_hits counter\ncsar_hits 4000\n") {
+		t.Errorf("prom output:\n%s", b.String())
+	}
+
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: NewCounters did not panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("untagged", func() { NewCounters[struct{ N int64 }](nil) })
+	mustPanic("int32", func() {
+		NewCounters[struct {
+			N int32 `obs:"n"`
+		}](nil)
+	})
+	mustPanic("unexported", func() {
+		NewCounters[struct {
+			n int64 `obs:"n"`
+		}](nil)
+	})
 }
 
 func TestTraceIDsUniqueAndNonZero(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"csar/internal/client"
@@ -143,7 +144,7 @@ func Migrate(c *client.Client, f *client.File, scheme wire.Scheme, parity int, o
 		if cerr != nil {
 			return report, fmt.Errorf("%w: copy at offset %d: %v", ErrMigrationAborted, off, cerr)
 		}
-		c.NoteRelayout(n)
+		atomic.AddInt64(&c.Counters().RelayoutBytes, n)
 		report.BytesCopied += n
 		off += n
 	}
@@ -165,7 +166,7 @@ func Migrate(c *client.Client, f *client.File, scheme wire.Scheme, parity int, o
 	if cerr != nil {
 		return report, cerr
 	}
-	c.NoteMigration()
+	atomic.AddInt64(&c.Counters().Migrations, 1)
 
 	// Reclaim the old layout's stores. Best-effort: the cutover is
 	// committed, and an unreachable server only leaks orphaned stores on a

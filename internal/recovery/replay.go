@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"csar/internal/client"
@@ -62,7 +63,8 @@ func ReplayIntents(c *client.Client, f *client.File) (*ReplayReport, error) {
 			}
 		}
 	}
-	c.NoteReplay(int64(rep.Replayed), int64(rep.Abandoned))
+	atomic.AddInt64(&c.Counters().IntentsReplayed, int64(rep.Replayed))
+	atomic.AddInt64(&c.Counters().IntentsAbandoned, int64(rep.Abandoned))
 	return rep, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"csar/internal/client"
@@ -309,7 +310,7 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 			// the replicas before the next (final) dumps.
 			pass.Exclusive(func() { pass.Advance(math.MaxInt64) })
 		}
-		c.NoteResync(int64(len(items)))
+		atomic.AddInt64(&c.Counters().ResyncedUnits, int64(len(items)))
 		for i, r := range replicas {
 			d := dumps[i]
 			_, cerr := c.ServerCaller(r).Call(&wire.ClearDirty{
@@ -356,7 +357,7 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 // server may hold stale overflow extents that WriteOverflow (which only
 // adds extents) would not remove, so Hybrid wipes them first.
 func fullRebuildFallback(c *client.Client, f *client.File, dead int, replicas []int) error {
-	c.NoteFullRebuildFallback()
+	atomic.AddInt64(&c.Counters().FullRebuildFallbacks, 1)
 	ref := f.Ref()
 	if ref.Scheme == wire.Hybrid {
 		if err := wipeOverflow(c, ref, dead); err != nil {

@@ -173,8 +173,11 @@ func Run(c *client.Client, f *client.File, opts Options) (*Report, error) {
 	t := rep.Totals()
 	// Bytes were noted incrementally by throttle (so a long pass shows live
 	// progress in Metrics); only the outcome counts remain.
-	c.NoteScrub(0, t.Mismatched, t.Repaired, t.Unrepairable)
-	c.NoteIntentSkips(rep.IntentSkips)
+	m := c.Counters()
+	atomic.AddInt64(&m.ScrubFound, t.Mismatched)
+	atomic.AddInt64(&m.ScrubRepaired, t.Repaired)
+	atomic.AddInt64(&m.ScrubUnrepairable, t.Unrepairable)
+	atomic.AddInt64(&m.IntentSkips, rep.IntentSkips)
 	return rep, err
 }
 
@@ -203,7 +206,7 @@ func (s *scrubber) call(idx int, m wire.Msg) (wire.Msg, error) {
 func (s *scrubber) throttle(n int64) {
 	s.lim.Acquire(n)
 	s.bytes.Add(n)
-	s.c.NoteScrub(n, 0, 0, 0)
+	atomic.AddInt64(&s.c.Counters().ScrubBytes, n)
 }
 
 // canceled reports whether Options.Cancel has fired.

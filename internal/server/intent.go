@@ -15,8 +15,10 @@ package server
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
+	"csar/internal/obs"
 	"csar/internal/wire"
 )
 
@@ -67,27 +69,19 @@ type intentRec struct {
 	timer     *time.Timer // armed iff deadline is set
 }
 
-// IntentStats is a snapshot of the server's intent/lease counters.
+// IntentStats is the server's intent/lease counter set, published in its
+// registry under the tags.
 type IntentStats struct {
-	Opened        int64 // intents opened by locked parity reads
-	Retired       int64 // intents committed by their unlocking parity write
-	Abandoned     int64 // lease expiries + UnlockParity + crash-restart loads
-	Resolved      int64 // abandoned intents retired by replay or a full-stripe write
-	LeaseRenewals int64 // stripes renewed by RenewLease
-	LeaseExpiries int64 // leases the server revoked
+	Opened        int64 `obs:"intents_opened"`    // intents opened by locked parity reads
+	Retired       int64 `obs:"intents_retired"`   // intents committed by their unlocking parity write
+	Abandoned     int64 `obs:"intents_abandoned"` // lease expiries + UnlockParity + crash-restart loads
+	Resolved      int64 `obs:"intents_resolved"`  // abandoned intents retired by replay or a full-stripe write
+	LeaseRenewals int64 `obs:"lease_renewals"`    // stripes renewed by RenewLease
+	LeaseExpiries int64 `obs:"lease_expiries"`    // leases the server revoked
 }
 
 // IntentStats returns the current intent/lease counters.
-func (s *Server) IntentStats() IntentStats {
-	return IntentStats{
-		Opened:        s.intOpened.Load(),
-		Retired:       s.intRetired.Load(),
-		Abandoned:     s.intAbandoned.Load(),
-		Resolved:      s.intResolved.Load(),
-		LeaseRenewals: s.leaseRenewals.Load(),
-		LeaseExpiries: s.leaseExpiries.Load(),
-	}
-}
+func (s *Server) IntentStats() IntentStats { return obs.LoadCounters(s.intents) }
 
 // journalAppend durably appends one record. delta is the change to the
 // count of live intents (+1 open, -1 retire, 0 abandon); when a retire drops
@@ -141,7 +135,7 @@ func (s *Server) loadIntents() {
 	for fileID, stripes := range live {
 		for stripe, owner := range stripes {
 			recs = append(recs, intentEntry{intentOpAbandon, fileID, stripe, owner}.payload())
-			s.intAbandoned.Add(1)
+			atomic.AddInt64(&s.intents.Abandoned, 1)
 		}
 		if len(stripes) == 0 {
 			delete(live, fileID)
@@ -182,7 +176,7 @@ func (s *Server) openIntents(sf *serverFile, stripes []int64, owner uint64, leas
 		}
 		s.journalAppend(intentOpOpen, sf.ref.ID, stripe, owner, +1)
 		sf.mu.Unlock()
-		s.intOpened.Add(1)
+		atomic.AddInt64(&s.intents.Opened, 1)
 	}
 }
 
@@ -203,7 +197,7 @@ func (sf *serverFile) retireIntent(s *Server, stripe int64, owner uint64) {
 	delete(sf.intents, stripe)
 	s.journalAppend(intentOpRetire, sf.ref.ID, stripe, owner, -1)
 	sf.mu.Unlock()
-	s.intRetired.Add(1)
+	atomic.AddInt64(&s.intents.Retired, 1)
 }
 
 // abandonIntent marks one stripe's intent abandoned (lease revoked or the
@@ -266,8 +260,8 @@ func (s *Server) leaseCheck(sf *serverFile, stripe int64, owner uint64) {
 	for _, w := range woken {
 		w.ch <- false
 	}
-	s.leaseExpiries.Add(1)
-	s.intAbandoned.Add(1)
+	atomic.AddInt64(&s.intents.LeaseExpiries, 1)
+	atomic.AddInt64(&s.intents.Abandoned, 1)
 }
 
 // handleRenewLease extends the lease deadline of every still-live
@@ -296,7 +290,7 @@ func (s *Server) handleRenewLease(m *wire.RenewLease) (wire.Msg, error) {
 		}
 		sf.mu.Unlock()
 	}
-	s.leaseRenewals.Add(int64(renewed))
+	atomic.AddInt64(&s.intents.LeaseRenewals, int64(renewed))
 	return &wire.RenewLeaseResp{Renewed: renewed}, nil
 }
 
@@ -362,7 +356,7 @@ func (s *Server) handleResolveIntent(m *wire.ResolveIntent) (wire.Msg, error) {
 	delete(sf.intents, m.Stripe)
 	s.journalAppend(intentOpRetire, sf.ref.ID, m.Stripe, rec.owner, -1)
 	sf.mu.Unlock()
-	s.intResolved.Add(1)
+	atomic.AddInt64(&s.intents.Resolved, 1)
 	return &wire.OK{}, nil
 }
 
@@ -382,7 +376,7 @@ func (s *Server) resolveAbandonedByWrite(sf *serverFile, stripes []int64) {
 			delete(sf.intents, stripe)
 			s.journalAppend(intentOpRetire, sf.ref.ID, stripe, rec.owner, -1)
 			sf.mu.Unlock()
-			s.intResolved.Add(1)
+			atomic.AddInt64(&s.intents.Resolved, 1)
 			continue
 		}
 		sf.mu.Unlock()

@@ -104,17 +104,11 @@ type Server struct {
 	// (see dirty.go). Self-locking; independent of mu and jmu.
 	dirty dirtyState
 
-	intOpened     atomic.Int64
-	intRetired    atomic.Int64
-	intAbandoned  atomic.Int64
-	intResolved   atomic.Int64
-	leaseRenewals atomic.Int64
-	leaseExpiries atomic.Int64
-
 	// obs holds the per-RPC-kind latency histograms and the store-level
 	// counters/gauges served by the Stats RPC and the /metrics endpoint
-	// (stats.go).
-	obs *obs.Registry
+	// (stats.go), and publishes the intent/lease counter set (intent.go).
+	obs     *obs.Registry
+	intents *IntentStats
 }
 
 // Requests returns the number of requests handled since startup.
@@ -177,13 +171,15 @@ func New(idx int, disk storage.Backend, opts Options) *Server {
 	if opts.PageSize <= 0 {
 		opts.PageSize = 4096
 	}
+	reg := obs.NewRegistry()
 	s := &Server{
-		idx:   idx,
-		disk:  disk,
-		opts:  opts,
-		cpu:   simtime.NewLimiter(opts.Clock, 1), // durations only
-		files: make(map[uint64]*serverFile),
-		obs:   obs.NewRegistry(),
+		idx:     idx,
+		disk:    disk,
+		opts:    opts,
+		cpu:     simtime.NewLimiter(opts.Clock, 1), // durations only
+		files:   make(map[uint64]*serverFile),
+		obs:     reg,
+		intents: obs.NewCounters[IntentStats](reg),
 	}
 	s.registerGauges()
 	s.loadIntents()
@@ -1109,7 +1105,7 @@ func (s *Server) handleUnlockParity(m *wire.UnlockParity) (wire.Msg, error) {
 				w.ch <- false
 			}
 			if abandoned {
-				s.intAbandoned.Add(1)
+				atomic.AddInt64(&s.intents.Abandoned, 1)
 				continue
 			}
 			// No open intent (the acquisition never got that far): fall

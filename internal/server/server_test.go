@@ -3,10 +3,12 @@ package server
 import (
 	"bytes"
 	"hash/crc32"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"csar/internal/obs"
 	"csar/internal/simdisk"
 	"csar/internal/wire"
 )
@@ -135,6 +137,33 @@ func TestParityLockFIFO(t *testing.T) {
 	}
 	// It now holds the lock; a final unlock cleans up.
 	call(t, s, unlock(12))
+}
+
+// TestIntentCountersInRegistry: the intent/lease counters live in the
+// server's registry, so /metrics serves them as counters and the Stats RPC
+// carries each exactly once.
+func TestIntentCountersInRegistry(t *testing.T) {
+	s := testServer(2)
+	r := ref()
+	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Owner: 41})
+	call(t, s, &wire.WriteParity{File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Owner: 41})
+
+	var prom strings.Builder
+	obs.WriteProm(&prom, s.Obs().Snapshot())
+	for _, want := range []string{"# TYPE csar_intents_opened counter", "csar_intents_opened 1", "csar_intents_retired 1"} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("/metrics output lacks %q:\n%s", want, prom.String())
+		}
+	}
+	n := 0
+	for _, kv := range call(t, s, &wire.Stats{}).(*wire.StatsResp).Counters {
+		if kv.Name == "intents_opened" {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Errorf("Stats reply carries intents_opened %d times, want once", n)
+	}
 }
 
 func TestParityLockManyWaitersAllServed(t *testing.T) {

@@ -129,11 +129,10 @@ func (s *Server) fileList() []*serverFile {
 }
 
 // handleStats answers the Stats RPC with the server's full observability
-// snapshot: registry counters, evaluated gauges, intent/lease lifetime
-// counters, and every per-RPC-kind histogram.
+// snapshot: registry counters (the intent/lease set among them), evaluated
+// gauges, and every per-RPC-kind histogram.
 func (s *Server) handleStats() (wire.Msg, error) {
 	snap := s.obs.Snapshot()
-	is := s.IntentStats()
 	resp := &wire.StatsResp{
 		Index:    uint16(s.idx),
 		Requests: s.requests.Load(),
@@ -141,14 +140,6 @@ func (s *Server) handleStats() (wire.Msg, error) {
 	for _, kv := range snap.Counters {
 		resp.Counters = append(resp.Counters, wire.StatKV{Name: kv.Name, Value: kv.Value})
 	}
-	resp.Counters = append(resp.Counters,
-		wire.StatKV{Name: "intents_opened", Value: is.Opened},
-		wire.StatKV{Name: "intents_retired", Value: is.Retired},
-		wire.StatKV{Name: "intents_abandoned", Value: is.Abandoned},
-		wire.StatKV{Name: "intents_resolved", Value: is.Resolved},
-		wire.StatKV{Name: "lease_renewals", Value: is.LeaseRenewals},
-		wire.StatKV{Name: "lease_expiries", Value: is.LeaseExpiries},
-	)
 	for _, kv := range snap.Gauges {
 		resp.Gauges = append(resp.Gauges, wire.StatKV{Name: kv.Name, Value: kv.Value})
 	}

@@ -92,7 +92,7 @@ func TestDifferentialAgainstScanReference(t *testing.T) {
 					if got, want := d.Stats(), ref.stats; got != want {
 						t.Fatalf("%s step %d %s: Stats\n got %+v\nwant %+v", label, step, what, got, want)
 					}
-					if got, want := time.Duration(d.stats.seekNs), ref.seek; got != want {
+					if got, want := time.Duration(d.seekNs.Load()), ref.seek; got != want {
 						t.Fatalf("%s step %d %s: positioning charged %v, want %v", label, step, what, got, want)
 					}
 					if got, want := d.AllocatedBytes(), ref.allocatedBytes(); got != want {

@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"csar/internal/obs"
 	"csar/internal/simtime"
 	"csar/internal/storage"
 )
@@ -67,17 +68,18 @@ func DefaultParams() Params {
 	}
 }
 
-// Stats counts modeled physical disk activity and cache behaviour.
+// Stats counts modeled physical disk activity and cache behaviour. It is an
+// obs counter set: the disk holds one live set and bumps it atomically.
 type Stats struct {
-	DiskReadOps    int64
-	DiskReadBytes  int64
-	DiskWriteOps   int64
-	DiskWriteBytes int64
-	CacheHits      int64
-	CacheMisses    int64
+	DiskReadOps    int64 `obs:"disk_read_ops"`
+	DiskReadBytes  int64 `obs:"disk_read_bytes"`
+	DiskWriteOps   int64 `obs:"disk_write_ops"`
+	DiskWriteBytes int64 `obs:"disk_write_bytes"`
+	CacheHits      int64 `obs:"cache_hits"`
+	CacheMisses    int64 `obs:"cache_misses"`
 	// ForcedPageReads counts pages read from disk only because a partial
 	// page write targeted an uncached page (the Section 5.2 effect).
-	ForcedPageReads int64
+	ForcedPageReads int64 `obs:"forced_page_reads"`
 }
 
 // Disk is one server's storage. All methods are safe for concurrent use.
@@ -102,11 +104,8 @@ type Disk struct {
 	nStreams    int
 	streamHand  int
 
-	stats struct {
-		readOps, readBytes, writeOps, writeBytes int64
-		hits, misses, forced                     int64
-		seekNs                                   int64 // positioning time charged; not in Stats, tests compare it
-	}
+	stats  *Stats
+	seekNs atomic.Int64 // positioning time charged; not in Stats, tests compare it
 }
 
 // fileData is one file: its size, its page table and its dirty set.
@@ -214,6 +213,7 @@ func New(clock *simtime.Clock, p Params) *Disk {
 		clock:  clock,
 		arm:    simtime.NewLimiter(clock, 1), // rate unused; durations only
 		files:  make(map[string]*fileData),
+		stats:  obs.NewCounters[Stats](nil),
 	}
 	d.lru.next, d.lru.prev = &d.lru, &d.lru
 	if p.CacheBytes > 0 {
@@ -300,17 +300,7 @@ func (d *Disk) AllocatedBytes() int64 {
 }
 
 // Stats returns a snapshot of the disk's counters.
-func (d *Disk) Stats() Stats {
-	return Stats{
-		DiskReadOps:     atomic.LoadInt64(&d.stats.readOps),
-		DiskReadBytes:   atomic.LoadInt64(&d.stats.readBytes),
-		DiskWriteOps:    atomic.LoadInt64(&d.stats.writeOps),
-		DiskWriteBytes:  atomic.LoadInt64(&d.stats.writeBytes),
-		CacheHits:       atomic.LoadInt64(&d.stats.hits),
-		CacheMisses:     atomic.LoadInt64(&d.stats.misses),
-		ForcedPageReads: atomic.LoadInt64(&d.stats.forced),
-	}
-}
+func (d *Disk) Stats() Stats { return obs.LoadCounters(d.stats) }
 
 // DropCaches empties the page cache without charging any disk time, after
 // flushing nothing: it models the paper's method of removing a file's
@@ -333,10 +323,10 @@ func (d *Disk) pay(c charge) {
 	if c.ops == 0 && c.read == 0 && c.write == 0 {
 		return
 	}
-	atomic.AddInt64(&d.stats.readOps, int64(c.ops)) // approximate: ops counted once as accesses
-	atomic.AddInt64(&d.stats.readBytes, c.read)
-	atomic.AddInt64(&d.stats.writeBytes, c.write)
-	atomic.AddInt64(&d.stats.seekNs, int64(c.seek))
+	atomic.AddInt64(&d.stats.DiskReadOps, int64(c.ops)) // approximate: ops counted once as accesses
+	atomic.AddInt64(&d.stats.DiskReadBytes, c.read)
+	atomic.AddInt64(&d.stats.DiskWriteBytes, c.write)
+	d.seekNs.Add(int64(c.seek))
 	if !d.clock.Timed() {
 		return
 	}
@@ -381,7 +371,7 @@ func (d *Disk) touch(f *fileData, idx int64, dirty bool) (pg *page, wasCached bo
 				c.ops++
 			}
 			c.write += int64(d.params.PageSize)
-			atomic.AddInt64(&d.stats.writeOps, 1)
+			atomic.AddInt64(&d.stats.DiskWriteOps, 1)
 			d.lastEvict = pageKey{victim.f, victim.idx + 1}
 			d.haveEvict = true
 		}
@@ -485,9 +475,9 @@ func (h *File) readAt(p []byte, off int64, cache bool) (int, error) {
 			pg = f.pages[idx]
 		}
 		if cached {
-			atomic.AddInt64(&d.stats.hits, 1)
+			atomic.AddInt64(&d.stats.CacheHits, 1)
 		} else {
-			atomic.AddInt64(&d.stats.misses, 1)
+			atomic.AddInt64(&d.stats.CacheMisses, 1)
 			if sk := d.readSeekFor(pageKey{f, idx}); sk > 0 {
 				c.seek += sk
 				c.ops++
@@ -538,8 +528,8 @@ func (h *File) WriteAt(p []byte, off int64) (int, error) {
 		c.seek += ev.seek
 		c.write += ev.write
 		if !cached && needsOld {
-			atomic.AddInt64(&d.stats.forced, 1)
-			atomic.AddInt64(&d.stats.misses, 1)
+			atomic.AddInt64(&d.stats.ForcedPageReads, 1)
+			atomic.AddInt64(&d.stats.CacheMisses, 1)
 			c.seek += d.readSeekFor(pageKey{f, idx})
 			c.ops++
 			c.read += ps
@@ -632,7 +622,7 @@ func (h *File) Sync() {
 		}
 	}
 	c.write = int64(len(dirty)) * ps
-	atomic.AddInt64(&d.stats.writeOps, int64(c.ops))
+	atomic.AddInt64(&d.stats.DiskWriteOps, int64(c.ops))
 	d.pay(c)
 }
 

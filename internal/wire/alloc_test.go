@@ -163,9 +163,10 @@ func inflateBulk(m Msg) int {
 // elements — more than the body could hold. The decode must fail having
 // allocated at most a small multiple of the frame: a count bounded only by
 // the frame's length, not by the bytes its elements need, would let such a
-// frame allocate 16–64 MiB before it is rejected.
+// frame allocate 16–64 MiB before it is rejected. A count of 2^31 claims
+// the same, and is one a signed 32-bit comparison would let through.
 func TestUnmarshalLengthPrefixAmplification(t *testing.T) {
-	const body, claim = 1 << 20, 1 << 20
+	const body = 1 << 20
 	cases := []struct {
 		field string
 		kind  Kind
@@ -205,23 +206,25 @@ func TestUnmarshalLengthPrefixAmplification(t *testing.T) {
 	covered := map[Kind]bool{}
 	for _, tc := range cases {
 		covered[tc.kind] = true
-		frame := make([]byte, 1+body)
-		frame[0] = uint8(tc.kind)
-		for _, at := range tc.ones {
-			binary.LittleEndian.PutUint32(frame[1+at:], 1)
-		}
-		binary.LittleEndian.PutUint32(frame[1+tc.at:], claim)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := Unmarshal(frame)
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Errorf("%s: a count of %d elements in %d bytes was accepted", tc.field, claim, body)
-			continue
-		}
-		if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(4*len(frame)+4<<10); got > budget {
-			t.Errorf("%s: rejecting a %d-byte frame allocated %d bytes (%.1fx), budget %d",
-				tc.field, len(frame), got, float64(got)/float64(len(frame)), budget)
+		for _, claim := range []uint32{1 << 20, 0x80000000} {
+			frame := make([]byte, 1+body)
+			frame[0] = uint8(tc.kind)
+			for _, at := range tc.ones {
+				binary.LittleEndian.PutUint32(frame[1+at:], 1)
+			}
+			binary.LittleEndian.PutUint32(frame[1+tc.at:], claim)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Unmarshal(frame)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s: a count of %d elements in %d bytes was accepted", tc.field, claim, body)
+				continue
+			}
+			if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(4*len(frame)+4<<10); got > budget {
+				t.Errorf("%s: rejecting a %d-byte frame with a count of %d allocated %d bytes (%.1fx), budget %d",
+					tc.field, len(frame), claim, got, float64(got)/float64(len(frame)), budget)
+			}
 		}
 	}
 	for _, k := range registeredKinds() {

@@ -1118,7 +1118,9 @@ func slice[T any](c *Codec, s *[]T, e elem[T]) {
 		if c.err != nil {
 			return
 		}
-		if left := len(c.Buf) - c.off; int(n) > left/e.size {
+		// Compared in unsigned space: on 32-bit platforms int(n) of a count
+		// of 2^31 or more is negative and would pass.
+		if left := len(c.Buf) - c.off; uint64(n) > uint64(left/e.size) {
 			c.err = fmt.Errorf("wire: %d elements cannot fit in the %d bytes left (offset %d)", n, left, c.off)
 			return
 		}

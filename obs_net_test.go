@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -114,8 +115,9 @@ func TestDialCloseNoFDLeak(t *testing.T) {
 
 // TestStatsOverLiveCluster drives real I/O through a 4-iod TCP deployment
 // and checks the observability pipeline end to end: the client's own op
-// histograms fill, every server answers the Stats RPC with nonzero per-RPC
-// histograms, and the merged view renders.
+// histograms fill, its Stats carry every Metrics counter under the field's
+// tag, every server answers the Stats RPC with nonzero per-RPC histograms,
+// and the merged view renders.
 func TestStatsOverLiveCluster(t *testing.T) {
 	mgrAddr, _ := startTCPCluster(t, 4)
 	cl, err := csar.Dial(mgrAddr)
@@ -140,6 +142,13 @@ func TestStatsOverLiveCluster(t *testing.T) {
 	if _, err := f.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
 	}
+	hf, err := cl.Create("obs-hybrid", csar.FileOptions{Scheme: csar.Hybrid, StripeUnit: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hf.WriteAt(small, 0); err != nil { // overflow path
+		t.Fatal(err)
+	}
 
 	// Client side: per-op and per-path histograms must have counts.
 	own := cl.Stats()
@@ -150,6 +159,18 @@ func TestStatsOverLiveCluster(t *testing.T) {
 	}
 	if h, ok := own.Hist("rpc_write_data"); !ok || h.Count == 0 {
 		t.Errorf("client rpc histogram rpc_write_data has no observations; have %v", histNames(own))
+	}
+	// Client counters: Stats and Metrics read the one counter set.
+	m := cl.Metrics()
+	mv, mt := reflect.ValueOf(m), reflect.TypeOf(m)
+	for i := 0; i < mt.NumField(); i++ {
+		tag := mt.Field(i).Tag.Get("obs")
+		if got, want := own.Counter(tag), mv.Field(i).Int(); got != want {
+			t.Errorf("client Stats counter %q = %d, Metrics().%s = %d", tag, got, mt.Field(i).Name, want)
+		}
+	}
+	if m.FullStripes == 0 || m.RMWs == 0 || m.OverflowWrites == 0 || m.Reads == 0 || m.Writes == 0 {
+		t.Errorf("path counters not all counted: %+v", m)
 	}
 
 	// Server side: all four answer Stats with requests and rpc histograms.
