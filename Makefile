@@ -67,17 +67,19 @@ resync:
 # The parity-engine suite: the GF(256) field and RS(k,m) matrix unit and
 # property tests; the RS(4,2) double-fault cluster scenarios — degraded
 # reads with any two servers dead, double rebuild, delta resync and
-# multi-parity crash-restart intent replay; and the proofs that RAID5 is the
+# multi-parity crash-restart intent replay; the proofs that RAID5 is the
 # engine's m = 1 case — the seeded Raid5 ≡ RS(k,1) differential (stores,
 # read-backs and request counts), the golden per-operation request table,
-# the NoLock/NPC ablations and the scrubber's leased lock; and the seeded
-# degraded-read differential (RAID5, Hybrid and RS(4,2) against a reference
-# file for every dead set the code tolerates, mid-read failover included) —
-# under the race detector.
+# the cluster's NoLock/NPC engine ablations and the scrubber's leased lock;
+# the seeded degraded-read differential (RAID5, Hybrid and RS(4,2) against a
+# reference file for every dead set the code tolerates, mid-read failover
+# included); and the layout resolver — every scheme name's shape, the
+# retired and unknown scheme values refused, and manager, server and client
+# accepting exactly the same layouts — under the race detector.
 rs:
 	$(GO) test -race -count=2 ./internal/gf256
-	$(GO) test -race -count=2 -run 'TestRS|TestParityEngine|TestDegradedReadDifferential' ./internal/cluster
-	$(GO) test -race -count=2 -run 'TestMultiParityPlacement' ./internal/raid
+	$(GO) test -race -count=2 -run 'TestRS|TestParityEngine|TestDegradedReadDifferential|TestResolve' ./internal/cluster
+	$(GO) test -race -count=2 -run 'TestMultiParityPlacement|TestResolve' ./internal/raid
 
 # The observability suite: the lock-free histogram's concurrency property
 # test and the counter-set helper under the race detector, the /metrics +

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"csar"
+	"csar/internal/client"
 	"csar/internal/workload"
 )
 
@@ -44,13 +45,24 @@ func reportSimBW(b *testing.B, c *csar.Cluster, bytes int64, start time.Time) {
 
 var benchSchemes = []csar.Scheme{csar.Raid0, csar.Raid1, csar.Raid5, csar.Hybrid}
 
+// ablatedCase is one sub-benchmark of a figure that measures an ablation: a
+// scheme, run on a cluster whose parity engine has the given ablation.
+type ablatedCase struct {
+	name   string
+	scheme csar.Scheme
+	ablate client.Ablation
+}
+
 // BenchmarkFig3LockContention is Figure 3: five clients writing distinct
 // blocks of one RAID5 stripe, serializing on the parity lock.
 func BenchmarkFig3LockContention(b *testing.B) {
-	for _, scheme := range []csar.Scheme{csar.Raid0, csar.Raid5NoLock, csar.Raid5} {
-		b.Run(scheme.String(), func(b *testing.B) {
+	for _, bc := range []ablatedCase{
+		{"raid0", csar.Raid0, 0}, {"raid5-nolock", csar.Raid5, client.AblateLock}, {"raid5", csar.Raid5, 0},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
 			c := benchCluster(b, 6, true)
-			e := workload.Env{Cluster: c, Scheme: scheme, StripeUnit: 64 << 10}
+			c.Internal().Ablation = bc.ablate
+			e := workload.Env{Cluster: c, Scheme: bc.scheme, StripeUnit: 64 << 10}
 			var bytes int64
 			start := time.Now()
 			b.ResetTimer()
@@ -70,10 +82,14 @@ func BenchmarkFig3LockContention(b *testing.B) {
 // BenchmarkFig4aFullStripeWrite is Figure 4a: a single client writing whole
 // stripes to 7 I/O servers.
 func BenchmarkFig4aFullStripeWrite(b *testing.B) {
-	for _, scheme := range append(benchSchemes, csar.Raid5NPC) {
-		b.Run(scheme.String(), func(b *testing.B) {
+	for _, bc := range []ablatedCase{
+		{"raid0", csar.Raid0, 0}, {"raid1", csar.Raid1, 0}, {"raid5", csar.Raid5, 0},
+		{"hybrid", csar.Hybrid, 0}, {"raid5-npc", csar.Raid5, client.AblateCompute},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
 			c := benchCluster(b, 7, true)
-			e := workload.Env{Cluster: c, Scheme: scheme, StripeUnit: 64 << 10}
+			c.Internal().Ablation = bc.ablate
+			e := workload.Env{Cluster: c, Scheme: bc.scheme, StripeUnit: 64 << 10}
 			var bytes int64
 			start := time.Now()
 			b.ResetTimer()

@@ -6,7 +6,7 @@
 //	for Cluster File Systems". IEEE CLUSTER 2003.
 //
 // CSAR extends a PVFS-style striped file system (manager + I/O servers +
-// direct client/server data paths) with four redundancy schemes:
+// direct client/server data paths) with five redundancy schemes:
 //
 //   - Raid0: plain striping, no redundancy (stock PVFS);
 //   - Raid1: striped block mirroring onto the next server;
@@ -19,6 +19,11 @@
 //   - ReedSolomon: RS(k, m) erasure coding over GF(256) — m rotating
 //     parity units per stripe, any-k-of-(k+m) reconstruction, tolerating
 //     m simultaneous server failures.
+//
+// A scheme names a layout shape — m parity units, a mirror, an overflow
+// region — resolved one way everywhere: RAID5 is RS(k, 1), Hybrid is RAID5
+// plus overflow. The paper's two RAID5 ablations (Figures 3 and 4a) are not
+// schemes but a switch of csar-bench's in-process cluster.
 //
 // # Quick start
 //
@@ -50,18 +55,14 @@ import (
 // Scheme selects a redundancy scheme.
 type Scheme = wire.Scheme
 
-// The redundancy schemes. Raid5NoLock and Raid5NPC are instrumented
-// variants used by the paper's microbenchmarks (lock overhead and parity
-// CPU cost); ReedSolomon generalizes Raid5's single XOR parity to RS(k, m)
-// erasure coding over GF(256), tolerating FileOptions.ParityUnits
-// simultaneous failures.
+// The redundancy schemes. ReedSolomon generalizes Raid5's single XOR parity
+// to RS(k, m) erasure coding over GF(256), tolerating
+// FileOptions.ParityUnits simultaneous failures.
 const (
 	Raid0       = wire.Raid0
 	Raid1       = wire.Raid1
 	Raid5       = wire.Raid5
 	Hybrid      = wire.Hybrid
-	Raid5NoLock = wire.Raid5NoLock
-	Raid5NPC    = wire.Raid5NPC
 	ReedSolomon = wire.ReedSolomon
 )
 

@@ -22,7 +22,11 @@ import (
 func main() {
 	const servers = 4
 	const su = 64 << 10 // stripe unit
-	g := raid.Geometry{Servers: servers, StripeUnit: su}
+	l, err := raid.Resolve(wire.FileRef{Servers: servers, StripeUnit: su, Scheme: wire.Hybrid})
+	if err != nil {
+		log.Fatal(err)
+	}
+	g := l.Geometry
 	ss := g.StripeSize()
 	fmt.Printf("layout: %d servers, %d KB stripe unit -> %d KB per parity stripe\n\n",
 		servers, su>>10, ss>>10)
@@ -33,7 +37,7 @@ func main() {
 	length := int64(600_000)
 	fmt.Printf("write: [%d, %d) — %d KB starting mid-stripe\n\n", off, off+length, length>>10)
 
-	plan := core.PlanWrite(g, wire.Hybrid, off, length)
+	plan := core.PlanWrite(g, l.Shape, off, length)
 	fmt.Println("hybrid write plan (Section 4's per-write rule):")
 	for _, pt := range plan.Portions {
 		var how string

@@ -116,20 +116,17 @@ func ablateLock(cfg Config, w io.Writer) error {
 		Header: []string{"clients", "raid5 MB/s", "no-lock MB/s", "overhead"},
 	}
 	for _, clients := range []int{1, 2, 3, 5} {
-		var r5, nolock float64
-		for _, scheme := range []csar.Scheme{csar.Raid5, csar.Raid5NoLock} {
+		var bws [2]float64 // raid5, then without the lock
+		for i, col := range []column{{"raid5", csar.Raid5, 0}, r5NoLock} {
 			bw, err := cfg.runTimed(servers, func(cl *csar.Cluster) (int64, error) {
-				return workload.Contention(env(cl, scheme, 64<<10), "f", clients, rounds)
+				return workload.Contention(col.env(cl, 64<<10), "f", clients, rounds)
 			})
 			if err != nil {
 				return err
 			}
-			if scheme == csar.Raid5 {
-				r5 = bw
-			} else {
-				nolock = bw
-			}
+			bws[i] = bw
 		}
+		r5, nolock := bws[0], bws[1]
 		t.AddRow(fmt.Sprintf("%d", clients), mb(r5), mb(nolock),
 			fmt.Sprintf("%.0f%%", (1-r5/nolock)*100))
 	}

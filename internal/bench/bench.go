@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"csar"
+	"csar/internal/client"
 	"csar/internal/workload"
 )
 
@@ -230,4 +231,25 @@ func Run(name string, cfg Config, w io.Writer) error {
 // env builds a workload environment on a cluster.
 func env(cl *csar.Cluster, scheme csar.Scheme, su int64) workload.Env {
 	return workload.Env{Cluster: cl, Scheme: scheme, StripeUnit: su}
+}
+
+// column is one scheme column of a microbenchmark: a scheme, run on a
+// cluster whose parity engine has the given ablation, labelled name in the
+// table and the JSON points. The ablated RAID5 columns (Figure 3's no-lock,
+// Figure 4a's npc) keep the names they had as schemes, so BENCH files
+// compare across.
+type column struct {
+	name   string
+	scheme csar.Scheme
+	ablate client.Ablation
+}
+
+// r5NoLock is Figure 3's R5 NO LOCK: RAID5 without the parity lock.
+var r5NoLock = column{"raid5-nolock", csar.Raid5, client.AblateLock}
+
+// env binds a workload to cl, every client of which runs the column's
+// ablation.
+func (col column) env(cl *csar.Cluster, su int64) workload.Env {
+	cl.Internal().Ablation = col.ablate
+	return env(cl, col.scheme, su)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"csar"
+	"csar/internal/client"
 	"csar/internal/workload"
 )
 
@@ -71,19 +72,19 @@ func fig3(cfg Config, w io.Writer) error {
 		Header: []string{"scheme", "MB/s"},
 	}
 	var r5, nolock float64
-	for _, scheme := range []csar.Scheme{csar.Raid0, csar.Raid5NoLock, csar.Raid5} {
-		bw, err := cfg.runTimedPoint("fig3", scheme.String(), servers, func(cl *csar.Cluster) (int64, error) {
-			return workload.Contention(env(cl, scheme, su), "f", clients, rounds)
+	for _, col := range []column{{"raid0", csar.Raid0, 0}, r5NoLock, {"raid5", csar.Raid5, 0}} {
+		bw, err := cfg.runTimedPoint("fig3", col.name, servers, func(cl *csar.Cluster) (int64, error) {
+			return workload.Contention(col.env(cl, su), "f", clients, rounds)
 		})
 		if err != nil {
 			return err
 		}
-		label := scheme.String()
-		if scheme == csar.Raid5NoLock {
+		label := col.name
+		switch col.name {
+		case r5NoLock.name:
 			label = "r5-no-lock"
 			nolock = bw
-		}
-		if scheme == csar.Raid5 {
+		case "raid5":
 			r5 = bw
 		}
 		t.AddRow(label, mb(bw))
@@ -97,33 +98,23 @@ func fig3(cfg Config, w io.Writer) error {
 }
 
 // sweepServers runs one single-client workload across server counts and
-// schemes and renders the Figure 4 style table (rows = #iod, columns =
-// schemes).
-func sweepServers(cfg Config, w io.Writer, name, title string, schemes []csar.Scheme,
+// scheme columns and renders the Figure 4 style table (rows = #iod). A cell
+// whose layout the resolver refuses at that server count is left blank.
+func sweepServers(cfg Config, w io.Writer, name, title string, cols []column,
 	run func(e workload.Env) (int64, error)) error {
 	t := &Table{Title: title, Header: []string{"#iod"}}
-	for _, s := range schemes {
-		t.Header = append(t.Header, s.String())
+	for _, col := range cols {
+		t.Header = append(t.Header, col.name)
 	}
 	for n := 1; n <= cfg.MaxServers-1; n++ {
 		row := []string{fmt.Sprintf("%d", n)}
-		for _, scheme := range schemes {
-			minServers := 1
-			if scheme == csar.Raid1 {
-				minServers = 2
-			}
-			if scheme.UsesParity() {
-				minServers = 3
-			}
-			if scheme == csar.ReedSolomon {
-				minServers = 4 // RS(k, 2) needs at least 2 data units
-			}
-			if n < minServers {
+		for _, col := range cols {
+			if _, err := workload.Layout(col.scheme, n, 64<<10); err != nil {
 				row = append(row, "-")
 				continue
 			}
-			bw, err := cfg.runTimedPoint(name, scheme.String(), n, func(cl *csar.Cluster) (int64, error) {
-				return run(env(cl, scheme, 64<<10))
+			bw, err := cfg.runTimedPoint(name, col.name, n, func(cl *csar.Cluster) (int64, error) {
+				return run(col.env(cl, 64<<10))
 			})
 			if err != nil {
 				return err
@@ -141,10 +132,10 @@ func sweepServers(cfg Config, w io.Writer, name, title string, schemes []csar.Sc
 // the parity fraction, and RAID5-npc isolates the parity-computation cost.
 func fig4a(cfg Config, w io.Writer) error {
 	total := cfg.scaled(1<<30, 8<<20) // 1 GB of paper-scale traffic
-	schemes := []csar.Scheme{csar.Raid0, csar.Raid1, csar.Raid5, csar.Hybrid, csar.Raid5NPC, csar.ReedSolomon}
 	return sweepServers(cfg, w, "fig4a",
 		"Figure 4a: full-stripe writes, single client (MB/s)",
-		schemes,
+		[]column{{"raid0", csar.Raid0, 0}, {"raid1", csar.Raid1, 0}, {"raid5", csar.Raid5, 0},
+			{"hybrid", csar.Hybrid, 0}, {"raid5-npc", csar.Raid5, client.AblateCompute}, {"rs", csar.ReedSolomon, 0}},
 		func(e workload.Env) (int64, error) {
 			chunkStripes := int((4 << 20) / e.StripeSize())
 			if chunkStripes < 1 {
@@ -158,10 +149,10 @@ func fig4a(cfg Config, w io.Writer) error {
 // read-modify-write (from cache here), RAID1 and Hybrid just write twice.
 func fig4b(cfg Config, w io.Writer) error {
 	total := cfg.scaled(256<<20, 4<<20)
-	schemes := []csar.Scheme{csar.Raid0, csar.Raid1, csar.Raid5, csar.Hybrid, csar.ReedSolomon}
 	return sweepServers(cfg, w, "fig4b",
 		"Figure 4b: one-block writes, single client (MB/s)",
-		schemes,
+		[]column{{"raid0", csar.Raid0, 0}, {"raid1", csar.Raid1, 0}, {"raid5", csar.Raid5, 0},
+			{"hybrid", csar.Hybrid, 0}, {"rs", csar.ReedSolomon, 0}},
 		func(e workload.Env) (int64, error) {
 			return workload.SmallBlockWrite(e, "f", total)
 		})

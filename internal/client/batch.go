@@ -98,10 +98,10 @@ func (b *parityBatch) flush(f *File, dead int, tr uint64) error {
 }
 
 // fullStripeParity computes span's per-stripe parity units — one XOR unit
-// for RAID5 and Hybrid, m coefficient rows for Reed-Solomon. (RAID5-npc ships
-// zero bytes without computing, isolating the parity CPU cost.) Each unit is
-// computed in place in the payload its server's WriteParity will own — no
-// per-stripe scratch, no copy.
+// for RAID5 and Hybrid, m coefficient rows for Reed-Solomon. (AblateCompute
+// ships zero bytes without computing, isolating the parity CPU cost.) Each
+// unit is computed in place in the payload its server's WriteParity will
+// own — no per-stripe scratch, no copy.
 func (f *File) fullStripeParity(span raid.Span, p []byte) (*parityBatch, error) {
 	g := f.geom
 	ss := g.StripeSize()

@@ -31,10 +31,9 @@ type Caller interface {
 	Call(m wire.Msg) (wire.Msg, error)
 }
 
-// ErrDegradedWrite is returned when writing a Raid0 (or instrumented RAID5
-// variant) file while one of its servers is marked down: those schemes have
-// no redundancy to carry the failed server's share of the write. Raid1,
-// Raid5 and Hybrid files accept degraded writes.
+// ErrDegradedWrite is returned when writing a file while its servers that
+// are down outnumber what a degraded write can carry: one down server of a
+// file with redundancy (and a parity engine not ablated), none otherwise.
 var ErrDegradedWrite = errors.New("client: scheme cannot write while a server is down")
 
 // ErrNoRedundancy is returned when a degraded read is attempted on a RAID0
@@ -50,6 +49,9 @@ type Client struct {
 	mgrCur atomic.Int32
 
 	srv []Caller
+
+	// ablation is applied to every file handle setLayout builds.
+	ablation Ablation
 
 	clock   *simtime.Clock
 	xorBW   float64          // client XOR throughput, bytes per simulated second
@@ -116,6 +118,22 @@ func NewMulti(mgrs []Caller, servers []Caller) *Client {
 		rng:     rand.New(rand.NewSource(1)), // backoff jitter, reproducible
 	}
 }
+
+// Ablation switches off one part of the parity engine so the model track can
+// measure its cost; only the test harness sets one (cluster.Cluster). A file
+// under an ablation keeps no parity promise and refuses degraded writes.
+type Ablation uint8
+
+const (
+	// AblateLock: read-modify-writes take no parity lock (Figure 3).
+	AblateLock Ablation = 1 + iota
+	// AblateCompute: parity ships uncomputed (Figure 4a's RAID5-npc).
+	AblateCompute
+)
+
+// SetAblation sets the ablation of every file handle the client builds from
+// now on; zero runs the whole engine.
+func (c *Client) SetAblation(a Ablation) { c.ablation = a }
 
 // SetModel enables the performance model on this client: parity XOR
 // computation is charged at xorBW bytes per simulated second, and every

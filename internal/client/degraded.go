@@ -13,15 +13,15 @@ import (
 )
 
 // readDegraded serves a read while server dead is down, using the file's
-// redundancy: the mirror for RAID1, stripe decoding for the parity schemes
-// (plus the mirrored overflow region for Hybrid). tr is the operation's
+// redundancy: the mirror copies, or stripe decoding for a parity shape (plus
+// the mirrored overflow region where it has one). tr is the operation's
 // trace ID, carried by every RPC the reconstruction issues.
 func (f *File) readDegraded(p []byte, off int64, dead int, tr uint64) (int, error) {
 	var err error
 	switch {
-	case f.ref.Scheme == wire.Raid1:
+	case f.shape.Mirror:
 		err = f.readDegradedMirror(p, off, dead, tr)
-	case f.code != nil:
+	case f.shape.Parity > 0:
 		err = f.readDegradedParity(p, off, f.deadSet(dead), tr)
 	default:
 		err = ErrNoRedundancy
@@ -101,8 +101,8 @@ func (f *File) readDegradedMirror(p []byte, off int64, dead int, tr uint64) erro
 // pieces are fetched as a healthy read fetches them while, concurrently, the
 // survivors the dead pieces' decodes need beyond those bytes are fetched
 // (degradedPlan). Each dead piece is then decoded straight into its slice of
-// p. Under Hybrid, the mirrored overflow region then overlays any newer
-// partial-stripe data.
+// p. Where the shape has overflow, the mirrored overflow region then
+// overlays any newer partial-stripe data.
 func (f *File) readDegradedParity(p []byte, off int64, deads []int, tr uint64) error {
 	g := f.geom
 	if len(deads) > g.PU() {
@@ -110,10 +110,10 @@ func (f *File) readDegradedParity(p []byte, off int64, deads []int, tr uint64) e
 			len(deads), g.PU())
 	}
 	span := raid.Span{Off: off, Len: int64(len(p))}
-	// A Hybrid read returns overflow-patched bytes, which are not what the
-	// stripe's parity encodes: there p is no survivor source, and every
-	// survivor is fetched raw in the same round.
-	plan, err := f.planDegraded(span, deads, f.ref.Scheme != wire.Hybrid)
+	// A read of an overflow shape returns overflow-patched bytes, which are
+	// not what the stripe's parity encodes: there p is no survivor source,
+	// and every survivor is fetched raw in the same round.
+	plan, err := f.planDegraded(span, deads, !f.shape.Overflow)
 	if err != nil {
 		return err
 	}
@@ -136,7 +136,7 @@ func (f *File) readDegradedParity(p []byte, off int64, deads []int, tr uint64) e
 	if err := plan.decode(f.code, p, survivors); err != nil {
 		return err
 	}
-	if f.ref.Scheme == wire.Hybrid {
+	if f.shape.Overflow {
 		for _, dead := range deads {
 			if err := f.patchFromOverflowMirror(p, off, dead, tr); err != nil {
 				return err

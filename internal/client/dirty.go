@@ -85,7 +85,7 @@ func (c *Client) clearOutages(idx int) {
 // data units and mirror copies it owns that the write skips, the parity
 // stripes it owns that the write updates (or leaves stale), and whether its
 // overflow stores are affected. This is exactly the set resync must replay.
-func dirtyDamage(g raid.Geometry, scheme wire.Scheme, plan core.Plan, dead int) (units, mirrors, stripes []int64, overflow bool) {
+func dirtyDamage(g raid.Geometry, plan core.Plan, dead int) (units, mirrors, stripes []int64, overflow bool) {
 	seenU := map[int64]bool{}
 	seenM := map[int64]bool{}
 	seenS := map[int64]bool{}
@@ -116,7 +116,7 @@ func dirtyDamage(g raid.Geometry, scheme wire.Scheme, plan core.Plan, dead int) 
 		case core.ModeFullStripe:
 			addUnits(pt.Span, false)
 			addStripes(pt.Span)
-			if scheme == wire.Hybrid {
+			if plan.Shape.Overflow {
 				// The in-place write implicitly invalidates overflow extents
 				// on every live server; the dead one misses the invalidation,
 				// so its overflow stores need reconciling too.
@@ -147,7 +147,7 @@ func dirtyDamage(g raid.Geometry, scheme wire.Scheme, plan core.Plan, dead int) 
 // refuses the record the degraded write itself is refused, because its
 // damage could otherwise be silently forgotten.
 func (c *Client) recordDirty(ref wire.FileRef, g raid.Geometry, plan core.Plan, dead int) error {
-	units, mirrors, stripes, overflow := dirtyDamage(g, ref.Scheme, plan, dead)
+	units, mirrors, stripes, overflow := dirtyDamage(g, plan, dead)
 	if len(units) == 0 && len(mirrors) == 0 && len(stripes) == 0 && !overflow {
 		return nil
 	}
@@ -173,15 +173,15 @@ func (c *Client) recordDirty(ref wire.FileRef, g raid.Geometry, plan core.Plan, 
 }
 
 // syncExtentEnd is the forward decision's granularity: the highest logical
-// offset whose replay state the write depends on. For parity schemes that is
+// offset whose replay state the write depends on. For a parity shape that is
 // the stripe-aligned end of the write (a partial-stripe write touches its
 // stripe's parity, which the replayer owns until the cursor passes the
-// stripe end); for RAID1 the unit-aligned end. A Hybrid write with an
-// overflow portion returns MaxInt64: overflow extents have no byte position
-// in the replay order, so such writes only forward once the whole replay
+// stripe end); for a mirror the unit-aligned end. A write with an overflow
+// portion returns MaxInt64: overflow extents have no byte position in the
+// replay order, so such writes only forward once the whole replay
 // (including overflow reconciliation) is behind the cursor.
-func syncExtentEnd(g raid.Geometry, scheme wire.Scheme, plan core.Plan, off, length int64) int64 {
-	if scheme.UsesParity() {
+func syncExtentEnd(g raid.Geometry, plan core.Plan, off, length int64) int64 {
+	if plan.Shape.Parity > 0 {
 		for _, pt := range plan.Portions {
 			if pt.Mode == core.ModeOverflow {
 				return math.MaxInt64

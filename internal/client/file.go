@@ -20,18 +20,17 @@ import (
 // (RAID5 parity protected by the Section 5.1 lock), while overlapping
 // concurrent writes carry no guarantees.
 type File struct {
-	c    *Client
-	ref  wire.FileRef
-	geom raid.Geometry
-	size atomic.Int64
+	c     *Client
+	ref   wire.FileRef
+	geom  raid.Geometry
+	shape raid.Shape
+	size  atomic.Int64
 
 	// The parity engine's configuration, resolved from ref in setLayout and
-	// nowhere else. code is the stripe's RS(k = N-m, m) code, nil for the
-	// schemes that keep no parity; RAID5 and Hybrid are its m = 1 case, whose
-	// one coefficient row is all ones — plain XOR. lock and compute are off
-	// only for the paper's two ablations: Raid5NoLock's read-modify-writes
-	// take no parity lock (Figure 3), Raid5NPC ships parity uncomputed
-	// (Figure 4a). opPrefix names the write-path histograms.
+	// nowhere else. code is the stripe's RS(k = N-m, m) code, nil for a shape
+	// with no parity; RAID5 and Hybrid are its m = 1 case, whose one
+	// coefficient row is all ones — plain XOR. lock and compute are off only
+	// under the client's Ablation. opPrefix names the write-path histograms.
 	code     *gf256.RS
 	lock     bool
 	compute  bool
@@ -44,32 +43,28 @@ type File struct {
 	gateExempt bool
 }
 
-// setLayout points the handle at the layout ref describes: geometry, parity
-// code and the engine's ablation switches. fileFor calls it on a fresh
-// handle, AdoptRef under the pass gate's exclusive side.
+// setLayout points the handle at the layout ref describes: geometry, shape,
+// parity code and the client's ablation. fileFor calls it on a fresh handle,
+// AdoptRef under the pass gate's exclusive side.
 func (f *File) setLayout(ref wire.FileRef) error {
-	g := raid.Geometry{Servers: int(ref.Servers), StripeUnit: int64(ref.StripeUnit), ParityUnits: int(ref.Parity)}
+	l, err := raid.Resolve(ref)
+	if err != nil {
+		return fmt.Errorf("client: %w", err)
+	}
+	if l.Servers > len(f.c.srv) {
+		return fmt.Errorf("client: file spans %d servers, cluster has %d", l.Servers, len(f.c.srv))
+	}
 	var code *gf256.RS
-	if ref.Scheme.UsesParity() {
-		if err := g.ValidateParity(); err != nil {
+	if l.Parity > 0 {
+		if code, err = gf256.NewRS(l.DataWidth(), l.Parity); err != nil {
 			return err
 		}
-		var err error
-		if code, err = gf256.NewRS(g.DataWidth(), g.PU()); err != nil {
-			return err
-		}
-	} else if err := g.Validate(); err != nil {
-		return err
 	}
-	if g.Servers > len(f.c.srv) {
-		return fmt.Errorf("client: file spans %d servers, cluster has %d", g.Servers, len(f.c.srv))
-	}
-	f.ref, f.geom, f.code = ref, g, code
-	f.lock = ref.Scheme.UsesLocking()
-	f.compute = ref.Scheme != wire.Raid5NPC
+	f.ref, f.geom, f.shape, f.code = ref, l.Geometry, l.Shape, code
+	f.lock, f.compute = f.c.ablation != AblateLock, f.c.ablation != AblateCompute
+	// Multi-parity files report under series of their own.
 	f.opPrefix = "op_write_"
 	if ref.Scheme == wire.ReedSolomon {
-		// Multi-parity files report under series of their own.
 		f.opPrefix = "op_write_rs_"
 	}
 	return nil
@@ -81,8 +76,11 @@ func (f *File) Ref() wire.FileRef { return f.ref }
 // Geometry returns the file's stripe geometry.
 func (f *File) Geometry() raid.Geometry { return f.geom }
 
+// Shape returns what the file's scheme means for its layout.
+func (f *File) Shape() raid.Shape { return f.shape }
+
 // Code returns the RS(k, m) code of the file's parity stripes — m = 1, plain
-// XOR, for RAID5 and Hybrid — or nil for a scheme that keeps no parity.
+// XOR, for RAID5 and Hybrid — or nil for a shape that keeps no parity.
 func (f *File) Code() *gf256.RS { return f.code }
 
 // Scheme returns the file's redundancy scheme.
@@ -94,12 +92,12 @@ func (f *File) Size() int64 { return f.size.Load() }
 // WriteAt writes len(p) bytes at offset off, maintaining the file's
 // redundancy per its scheme.
 //
-// With one server marked down, Raid1, Raid5 and Hybrid files accept
-// degraded writes (an extension beyond the paper's prototype): data
-// destined for the failed server is carried by its redundancy — the mirror
-// copy, the stripe parity, or the mirrored overflow region — and restored
-// by the next Rebuild. Raid0 and the instrumented RAID5 variants return
-// ErrDegradedWrite.
+// With one server marked down, every file with redundancy accepts degraded
+// writes (an extension beyond the paper's prototype): data destined for the
+// failed server is carried by its redundancy — the mirror copy, the stripe
+// parity, or the mirrored overflow region — and restored by the next
+// Rebuild. Raid0, an ablated engine, and any file with more than one server
+// down return ErrDegradedWrite before a request goes out.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("client: negative offset %d", off)
@@ -128,27 +126,21 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	}
 	dead := -1
 	if d, down := f.c.anyDown(f.ref); down {
-		switch f.ref.Scheme {
-		case wire.Raid1, wire.Raid5, wire.Hybrid:
-			dead = d
-		case wire.ReedSolomon:
-			// Degraded writes carry one failure (the dirty-region log and
-			// delta resync are per-outage); with several servers out the
-			// file stays readable but rejects writes until rebuild.
-			if len(f.c.allDown(f.ref)) > 1 {
-				return 0, ErrDegradedWrite
-			}
-			dead = d
-		default:
+		// Degraded writes carry one failure (the dirty-region log and delta
+		// resync are per-outage); with several servers out the file stays
+		// readable, within its shape's tolerance, but rejects writes until
+		// rebuild.
+		if f.shape.Tolerates() == 0 || !f.lock || !f.compute || len(f.c.allDown(f.ref)) > 1 {
 			return 0, ErrDegradedWrite
 		}
+		dead = d
 	}
-	plan := core.PlanWrite(f.geom, f.ref.Scheme, off, int64(len(p)))
+	plan := core.PlanWrite(f.geom, f.shape, off, int64(len(p)))
 	execDead := dead
 	forwarded := false
 	if dead >= 0 {
 		if ps := f.c.pass(f.ref.ID, dead); ps != nil &&
-			syncExtentEnd(f.geom, f.ref.Scheme, plan, off, int64(len(p))) <= ps.Cursor() {
+			syncExtentEnd(f.geom, plan, off, int64(len(p))) <= ps.Cursor() {
 			// The whole extent is behind the resync cursor: the recovering
 			// server is current there, so write to it directly instead of
 			// re-dirtying the log.
@@ -334,35 +326,47 @@ func (f *File) sendWriteData(span raid.Span, data payloads, dead int, tr uint64)
 	})
 }
 
+// writeMirrored stores a portion the RAID1 way: the data in place on each
+// piece's home server and a whole copy in the mirror store of the unit's
+// mirror server.
 func (f *File) writeMirrored(span raid.Span, p []byte, dead int, tr uint64) error {
-	dataPayloads := splitByServer(f.geom, span.Off, p)
-	mirrorPayloads := splitByMirror(f.geom, span.Off, p)
+	spans := []wire.Span{{Off: span.Off, Len: span.Len}}
+	return f.writeCopies(span, p, dead, tr, func(_, c int, data []byte) heldMsg {
+		if c == 1 {
+			return &wire.WriteMirror{File: f.ref, Spans: spans, Data: data}
+		}
+		return &wire.WriteData{File: f.ref, Spans: spans, Data: data}
+	})
+}
+
+// heldMsg is a request that can own the pooled payload it carries.
+type heldMsg interface {
+	wire.Msg
+	HoldBuf(*[]byte)
+}
+
+// writeCopies sends a portion's two copies concurrently, skipping the dead
+// server: copy 0 to each piece's home server, copy 1 to its unit's mirror
+// server. msg builds server srv's request for copy c from its payload.
+func (f *File) writeCopies(span raid.Span, p []byte, dead int, tr uint64, msg func(srv, c int, data []byte) heldMsg) error {
+	copies := [2]payloads{splitByServer(f.geom, span.Off, p), splitByMirror(f.geom, span.Off, p)}
+	var errs [2]error
 	var wg sync.WaitGroup
-	var dErr, mErr error
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		dErr = f.sendWriteData(span, dataPayloads, dead, tr)
-	}()
-	go func() {
-		defer wg.Done()
-		mErr = f.c.eachServer(f.geom.Servers, func(i int) error {
-			if mirrorPayloads[i] == nil || i == dead {
-				return nil
-			}
-			_, err := f.c.callSrvT(i, owned(&wire.WriteMirror{
-				File:  f.ref,
-				Spans: []wire.Span{{Off: span.Off, Len: span.Len}},
-				Data:  *mirrorPayloads[i],
-			}, mirrorPayloads[i]), tr)
-			return err
-		})
-	}()
-	wg.Wait()
-	if dErr != nil {
-		return dErr
+	for c, pl := range copies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[c] = f.c.eachServer(f.geom.Servers, func(i int) error {
+				if pl[i] == nil || i == dead {
+					return nil
+				}
+				_, err := f.c.callSrvT(i, owned(msg(i, c, *pl[i]), pl[i]), tr)
+				return err
+			})
+		}()
 	}
-	return mErr
+	wg.Wait()
+	return cmp.Or(errs[0], errs[1])
 }
 
 // Full-stripe writes — data in place plus freshly computed parity, with no
@@ -373,7 +377,7 @@ func (f *File) writeMirrored(span raid.Span, p []byte, dead int, tr uint64) erro
 // RAID5); no extra messages are needed.
 
 // ParityHold is one parity unit of a stripe, read to be updated and written
-// back — under its server's stripe lock, unless the scheme is the no-lock
+// back — under its server's stripe lock, unless the engine runs the no-lock
 // ablation: one of the 1..m steps of a read-modify-write, or the scrubber's
 // byte-level stripe check.
 //
@@ -676,44 +680,10 @@ func (f *File) writeRMWCommit(span raid.Span, p []byte, holds []*ParityHold, dea
 // locks, no reads — the in-place data and parity stay untouched so the
 // stripe remains reconstructable.
 func (f *File) writeOverflow(span raid.Span, p []byte, dead int, tr uint64) error {
-	g := f.geom
-	prim := serverPieces(g, span.Off, span.Len)
-	mirr := mirrorPieces(g, span.Off, span.Len)
-	primPayload := splitByServer(g, span.Off, p)
-	mirrPayload := splitByMirror(g, span.Off, p)
-
-	var wg sync.WaitGroup
-	var pErr, mErr error
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		pErr = f.c.eachServer(g.Servers, func(i int) error {
-			if len(prim[i]) == 0 || i == dead {
-				return nil
-			}
-			_, err := f.c.callSrvT(i, owned(&wire.WriteOverflow{
-				File: f.ref, Extents: prim[i], Data: *primPayload[i],
-			}, primPayload[i]), tr)
-			return err
-		})
-	}()
-	go func() {
-		defer wg.Done()
-		mErr = f.c.eachServer(g.Servers, func(i int) error {
-			if len(mirr[i]) == 0 || i == dead {
-				return nil
-			}
-			_, err := f.c.callSrvT(i, owned(&wire.WriteOverflow{
-				File: f.ref, Extents: mirr[i], Data: *mirrPayload[i], Mirror: true,
-			}, mirrPayload[i]), tr)
-			return err
-		})
-	}()
-	wg.Wait()
-	if pErr != nil {
-		return pErr
-	}
-	return mErr
+	extents := [2][][]wire.Span{serverPieces(f.geom, span.Off, span.Len), mirrorPieces(f.geom, span.Off, span.Len)}
+	return f.writeCopies(span, p, dead, tr, func(i, c int, data []byte) heldMsg {
+		return &wire.WriteOverflow{File: f.ref, Extents: extents[c][i], Data: data, Mirror: c == 1}
+	})
 }
 
 // ReadAt reads len(p) bytes at offset off. Bytes beyond what has been
@@ -753,8 +723,7 @@ func (f *File) ReadAt(p []byte, off int64) (n int, err error) {
 		// A server died mid-read. For redundant schemes, fail over to the
 		// reconstruction paths on the spot rather than surfacing an error
 		// the redundancy exists to absorb.
-		if dead, ok := FailedServer(err); ok && dead < f.geom.Servers &&
-			f.ref.Scheme != wire.Raid0 {
+		if dead, ok := FailedServer(err); ok && dead < f.geom.Servers && f.shape.Tolerates() > 0 {
 			atomic.AddInt64(&f.c.metrics.Failovers, 1)
 			atomic.AddInt64(&f.c.metrics.DegradedReads, 1)
 			if n, derr := f.readDegraded(p, off, dead, tr); derr == nil {
@@ -821,10 +790,11 @@ func (f *File) readRaw(span raid.Span, dst []byte, dead int, tr uint64) error {
 // process the paper sketches in Section 6.7: "a simple process that reads
 // files in their entirety and writes them in a large chunk". After Compact,
 // the file's long-term storage matches the RAID5 scheme's (plus at most one
-// trailing partial stripe still mirrored in overflow). It is a no-op for
-// other schemes. The caller should run it when the file is quiescent.
+// trailing partial stripe still mirrored in overflow). It is a no-op for a
+// shape without overflow. The caller should run it when the file is
+// quiescent.
 func (f *File) Compact() error {
-	if f.ref.Scheme != wire.Hybrid {
+	if !f.shape.Overflow {
 		return nil
 	}
 	if _, down := f.c.anyDown(f.ref); down {

@@ -78,9 +78,6 @@ type Policy struct {
 	// doubles it, capped at BackoffMax.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Jitter adds up to this fraction of the backoff as random extra sleep,
-	// de-synchronizing clients that failed together.
-	Jitter float64
 	// BreakerThreshold opens a server's circuit breaker after this many
 	// consecutive unavailability failures; non-positive disables the
 	// breaker.
@@ -116,7 +113,6 @@ func DefaultPolicy() Policy {
 		Retries:          2,
 		BackoffBase:      2 * time.Millisecond,
 		BackoffMax:       100 * time.Millisecond,
-		Jitter:           0.2,
 		BreakerThreshold: 3,
 		ProbeAfter:       250 * time.Millisecond,
 		LockLease:        10 * time.Second,
@@ -311,6 +307,10 @@ func (c *Client) callOnceT(idx int, m wire.Msg, timeout time.Duration, trace uin
 	}
 }
 
+// backoffJitter is the most random extra sleep a retry adds, as a fraction
+// of its backoff, to de-synchronize clients that failed together.
+const backoffJitter = 0.2
+
 // backoff sleeps before retry attempt a (1-based), exponentially from
 // BackoffBase with jitter.
 func (c *Client) backoff(attempt int, p Policy) {
@@ -321,13 +321,10 @@ func (c *Client) backoff(attempt int, p Policy) {
 	if p.BackoffMax > 0 && d > p.BackoffMax {
 		d = p.BackoffMax
 	}
-	if p.Jitter > 0 {
-		c.mu.Lock()
-		j := c.rng.Float64()
-		c.mu.Unlock()
-		d += time.Duration(float64(d) * p.Jitter * j)
-	}
-	time.Sleep(d)
+	c.mu.Lock()
+	j := c.rng.Float64()
+	c.mu.Unlock()
+	time.Sleep(d + time.Duration(float64(d)*backoffJitter*j))
 }
 
 // admit is the breaker's gate on one call: closed passes, open fails fast

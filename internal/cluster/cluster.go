@@ -109,6 +109,12 @@ type mgrSlot struct {
 
 // Cluster is a running deployment.
 type Cluster struct {
+	// Ablation is the parity-engine ablation every client NewClient builds
+	// from now on runs with: the model-track harness's one switch for the
+	// figures that measure what the parity lock and the parity computation
+	// cost. Zero runs the whole engine.
+	Ablation client.Ablation
+
 	cfg     Config
 	network *simnet.Network
 	mgrs    []*mgrSlot
@@ -343,6 +349,7 @@ func (c *Cluster) NewClient() *client.Client {
 		mgrCallers[i] = directCaller{c.mgrHandler(i)}
 	}
 	cl := client.NewMulti(mgrCallers, callers)
+	cl.SetAblation(c.Ablation)
 	if c.cfg.Clock.Timed() {
 		cl.SetModel(c.cfg.Clock, c.cfg.XORBandwidth, c.cfg.ClientRequestCPU)
 	}

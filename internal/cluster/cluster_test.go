@@ -13,8 +13,24 @@ import (
 	"csar/internal/wire"
 )
 
-var allSchemes = []wire.Scheme{
-	wire.Raid0, wire.Raid1, wire.Raid5, wire.Hybrid, wire.Raid5NoLock, wire.Raid5NPC,
+// schemeCase is one row of the all-schemes tables: a scheme as the manager
+// records it, run on a cluster whose parity engine has the given ablation.
+type schemeCase struct {
+	name   string
+	scheme wire.Scheme
+	ablate client.Ablation
+}
+
+var allSchemes = []schemeCase{
+	{"raid0", wire.Raid0, 0}, {"raid1", wire.Raid1, 0}, {"raid5", wire.Raid5, 0}, {"hybrid", wire.Hybrid, 0},
+	{"raid5-nolock", wire.Raid5, client.AblateLock}, {"raid5-npc", wire.Raid5, client.AblateCompute},
+}
+
+// cluster starts an n-server cluster whose clients run the case's ablation.
+func (sc schemeCase) cluster(t *testing.T, n int) *Cluster {
+	c := newCluster(t, n)
+	c.Ablation = sc.ablate
+	return c
 }
 
 var redundantSchemes = []wire.Scheme{wire.Raid1, wire.Raid5, wire.Hybrid}
@@ -38,10 +54,10 @@ func pattern(n int, seed byte) []byte {
 }
 
 func TestWriteReadRoundTripAllSchemes(t *testing.T) {
-	for _, scheme := range allSchemes {
-		t.Run(scheme.String(), func(t *testing.T) {
-			cl := newCluster(t, 5).NewClient()
-			f, err := cl.Create("f", 5, 64, scheme)
+	for _, sc := range allSchemes {
+		t.Run(sc.name, func(t *testing.T) {
+			cl := sc.cluster(t, 5).NewClient()
+			f, err := cl.Create("f", 5, 64, sc.scheme)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,16 +108,16 @@ func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 	// The model checker: every scheme must behave exactly like a flat byte
 	// array under random writes and reads, and the redundancy invariants
 	// must hold after every quiescent point.
-	for _, scheme := range allSchemes {
-		scheme := scheme
-		t.Run(scheme.String(), func(t *testing.T) {
+	for _, sc := range allSchemes {
+		sc := sc
+		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(0); seed < 6; seed++ {
 				r := rand.New(rand.NewSource(seed))
 				servers := 3 + r.Intn(5)
 				su := int64(16 + r.Intn(100))
-				cl := newCluster(t, servers).NewClient()
-				f, err := cl.Create(fmt.Sprintf("f%d", seed), servers, su, scheme)
+				cl := sc.cluster(t, servers).NewClient()
+				f, err := cl.Create(fmt.Sprintf("f%d", seed), servers, su, sc.scheme)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -133,14 +149,14 @@ func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 						}
 					}
 				}
-				if scheme != wire.Raid5NoLock { // nolock makes no parity promise
+				if sc.ablate != client.AblateLock { // nolock makes no parity promise
 					problems, err := recovery.Verify(cl, f)
 					if err != nil {
 						t.Fatalf("seed %d verify: %v", seed, err)
 					}
-					// Raid5NPC intentionally writes wrong parity; everything
-					// else must verify clean.
-					if scheme != wire.Raid5NPC && len(problems) > 0 {
+					// The NPC ablation intentionally writes wrong parity;
+					// everything else must verify clean.
+					if sc.ablate != client.AblateCompute && len(problems) > 0 {
 						t.Fatalf("seed %d: invariants violated: %v", seed, problems[:min(3, len(problems))])
 					}
 				}
@@ -436,21 +452,44 @@ func TestDegradedReadsAllRedundantSchemes(t *testing.T) {
 	}
 }
 
+// TestDegradedWriteRefusedForRaid0: a degraded write is refused before any
+// request goes out when nothing can carry it — a file with no redundancy,
+// or an ablated parity engine — and, whatever the scheme, when more of the
+// file's servers are down than the one failure a degraded write carries.
 func TestDegradedWriteRefusedForRaid0(t *testing.T) {
-	c := newCluster(t, 4)
-	cl := c.NewClient()
-	for _, scheme := range []wire.Scheme{wire.Raid0, wire.Raid5NoLock, wire.Raid5NPC} {
-		f, err := cl.Create("w-"+scheme.String(), 4, 64, scheme)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		schemeCase
+		down []int
+	}{
+		{schemeCase{"raid0", wire.Raid0, 0}, []int{2}},
+		{schemeCase{"raid5-nolock", wire.Raid5, client.AblateLock}, []int{2}},
+		{schemeCase{"raid5-npc", wire.Raid5, client.AblateCompute}, []int{2}},
+		{schemeCase{"raid1", wire.Raid1, 0}, []int{1, 3}},
+		{schemeCase{"raid5", wire.Raid5, 0}, []int{1, 3}},
+		{schemeCase{"hybrid", wire.Hybrid, 0}, []int{1, 3}},
+		{schemeCase{"rs", wire.ReedSolomon, 0}, []int{1, 3}},
+	} {
+		c := tc.cluster(t, 5)
+		cl := c.NewClient()
+		f, err := cl.Create("w", 5, 64, tc.scheme)
+		must(t, err)
+		for _, d := range tc.down {
+			c.StopServer(d)
+			cl.MarkDown(d)
 		}
-		c.StopServer(2)
-		cl.MarkDown(2)
-		if _, err := f.WriteAt([]byte{1}, 0); !errors.Is(err, client.ErrDegradedWrite) {
-			t.Fatalf("%v: err=%v, want ErrDegradedWrite", scheme, err)
+		requests := func() (n int64) {
+			for i := 0; i < c.Servers(); i++ {
+				n += c.Server(i).Requests()
+			}
+			return n
 		}
-		c.RestartServer(2)
-		cl.MarkUp(2)
+		before := requests()
+		if _, err := f.WriteAt(pattern(1024, 1), 0); !errors.Is(err, client.ErrDegradedWrite) {
+			t.Fatalf("%s, %v down: err=%v, want ErrDegradedWrite", tc.name, tc.down, err)
+		}
+		if n := requests() - before; n != 0 {
+			t.Fatalf("%s, %v down: servers handled %d requests before the refusal", tc.name, tc.down, n)
+		}
 	}
 }
 
@@ -619,25 +658,25 @@ func TestPipeTransportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	cl := c.NewClient()
-	for _, scheme := range allSchemes {
-		f, err := cl.Create("p-"+scheme.String(), 4, 64, scheme)
+	for _, sc := range allSchemes {
+		c.Ablation = sc.ablate
+		f, err := c.NewClient().Create("p-"+sc.name, 4, 64, sc.scheme)
 		if err != nil {
 			t.Fatal(err)
 		}
 		data := pattern(1000, 4)
 		if _, err := f.WriteAt(data, 37); err != nil {
-			t.Fatalf("%v: %v", scheme, err)
+			t.Fatalf("%v: %v", sc.name, err)
 		}
 		got := make([]byte, 1000)
 		if _, err := f.ReadAt(got, 37); err != nil {
-			t.Fatalf("%v: %v", scheme, err)
+			t.Fatalf("%v: %v", sc.name, err)
 		}
 		if !bytes.Equal(got, data) {
-			t.Fatalf("%v: data mismatch over pipe transport", scheme)
+			t.Fatalf("%v: data mismatch over pipe transport", sc.name)
 		}
 		if err := f.Sync(); err != nil {
-			t.Fatalf("%v sync: %v", scheme, err)
+			t.Fatalf("%v sync: %v", sc.name, err)
 		}
 	}
 }

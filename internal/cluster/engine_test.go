@@ -331,11 +331,11 @@ func TestParityEngineGoldenRPCs(t *testing.T) {
 	}
 }
 
-// TestParityEngineAblations holds the two instrumented RAID5 variants to what
-// they ablate, and nothing else, on the shared engine: Raid5NoLock never
-// takes a parity lock (no locked read means no intent is ever opened), and
-// Raid5NPC never computes parity (every parity unit it ships is zeros) while
-// still running the full locked protocol.
+// TestParityEngineAblations holds the cluster's two engine ablations to what
+// they ablate, and nothing else, on a RAID5 file: AblateLock never takes a
+// parity lock (no locked read means no intent is ever opened), and
+// AblateCompute never computes parity (every parity unit it ships is zeros)
+// while still running the full locked protocol.
 func TestParityEngineAblations(t *testing.T) {
 	intentsOpened := func(c *Cluster) (n int64) {
 		for i := 0; i < c.Servers(); i++ {
@@ -343,10 +343,15 @@ func TestParityEngineAblations(t *testing.T) {
 		}
 		return n
 	}
-	for _, scheme := range []wire.Scheme{wire.Raid5, wire.Raid5NoLock, wire.Raid5NPC} {
-		c := newCluster(t, 5)
+	for _, sc := range []schemeCase{
+		{"raid5", wire.Raid5, 0},
+		{"raid5-nolock", wire.Raid5, client.AblateLock},
+		{"raid5-npc", wire.Raid5, client.AblateCompute},
+	} {
+		scheme := sc.name
+		c := sc.cluster(t, 5)
 		cl := c.NewClient()
-		f, err := cl.Create("f", 5, 64, scheme)
+		f, err := cl.Create("f", 5, 64, sc.scheme)
 		must(t, err)
 		g := f.Geometry()
 		ref := pattern(int(3*g.StripeSize()), 1)
@@ -364,7 +369,7 @@ func TestParityEngineAblations(t *testing.T) {
 		}
 
 		wantOpened := rmws
-		if scheme == wire.Raid5NoLock {
+		if sc.ablate == client.AblateLock {
 			wantOpened = 0
 		}
 		if got := intentsOpened(c); got != wantOpened {
@@ -378,10 +383,10 @@ func TestParityEngineAblations(t *testing.T) {
 				parityIsZero = false
 			}
 		}
-		if parityIsZero != (scheme == wire.Raid5NPC) {
+		if parityIsZero != (sc.ablate == client.AblateCompute) {
 			t.Errorf("%v: parity stores all zero = %v", scheme, parityIsZero)
 		}
-		if scheme == wire.Raid5 {
+		if sc.ablate == 0 {
 			problems, err := recovery.Verify(cl, f)
 			if err != nil || len(problems) != 0 {
 				t.Fatalf("%v verify: %v %v", scheme, err, problems)
@@ -474,5 +479,51 @@ func TestParityEngineScrubberLease(t *testing.T) {
 	problems, err := recovery.Verify(fgCl, ff)
 	if err != nil || len(problems) != 0 {
 		t.Fatalf("verify: %v %v", err, problems)
+	}
+}
+
+// TestResolveAgreesAtEverySite: the manager (creating the file), an I/O
+// server (serving a request that names the ref) and a client (building a
+// handle for it) accept and refuse exactly the same FileRefs, because all
+// three ask raid.Resolve. RAID5 on two servers is refused by all three, and
+// so is an unknown scheme byte, which no site may treat as RAID0.
+func TestResolveAgreesAtEverySite(t *testing.T) {
+	c := newCluster(t, 5)
+	cl := c.NewClient()
+	for i, tc := range []struct {
+		ref wire.FileRef
+		ok  bool
+	}{
+		{wire.FileRef{Servers: 5, StripeUnit: 64, Scheme: 4}, false}, // retired: raid5-nolock
+		{wire.FileRef{Servers: 5, StripeUnit: 64, Scheme: 5}, false}, // retired: raid5-npc
+		{wire.FileRef{Servers: 4, StripeUnit: 64, Scheme: 7}, false},
+		{wire.FileRef{Servers: 4, StripeUnit: 64, Scheme: 200}, false},
+		{wire.FileRef{Servers: 2, StripeUnit: 64, Scheme: wire.Raid5}, false},
+		{wire.FileRef{Servers: 2, StripeUnit: 64, Scheme: wire.Hybrid}, false},
+		{wire.FileRef{Servers: 1, StripeUnit: 64, Scheme: wire.Raid1}, false},
+		{wire.FileRef{Servers: 3, StripeUnit: 64, Scheme: wire.ReedSolomon, Parity: 2}, false},
+		{wire.FileRef{Servers: 5, StripeUnit: 64, Scheme: wire.Raid5, Parity: 2}, false},
+		{wire.FileRef{Servers: 3, StripeUnit: 0, Scheme: wire.Raid0}, false},
+		{wire.FileRef{Servers: 1, StripeUnit: 64, Scheme: wire.Raid0}, true},
+		{wire.FileRef{Servers: 2, StripeUnit: 64, Scheme: wire.Raid1}, true},
+		{wire.FileRef{Servers: 3, StripeUnit: 64, Scheme: wire.Raid5}, true},
+		{wire.FileRef{Servers: 3, StripeUnit: 64, Scheme: wire.Hybrid}, true},
+		{wire.FileRef{Servers: 3, StripeUnit: 64, Scheme: wire.ReedSolomon, Parity: 1}, true},
+		{wire.FileRef{Servers: 5, StripeUnit: 64, Scheme: wire.ReedSolomon, Parity: 3}, true},
+	} {
+		ref := tc.ref
+		ref.ID = uint64(1000 + i)
+		_, mErr := c.Manager().Handle(&wire.Create{Name: fmt.Sprintf("f%d", i),
+			Servers: ref.Servers, StripeUnit: ref.StripeUnit, Scheme: ref.Scheme, Parity: ref.Parity})
+		_, sErr := c.Server(0).Handle(&wire.Read{File: ref})
+		_, cErr := cl.FileForRelayout(ref, 0)
+		for _, site := range []struct {
+			name string
+			err  error
+		}{{"manager", mErr}, {"server", sErr}, {"client", cErr}} {
+			if (site.err == nil) != tc.ok {
+				t.Errorf("%+v: the %s says %v, want accepted %v", tc.ref, site.name, site.err, tc.ok)
+			}
+		}
 	}
 }

@@ -157,7 +157,7 @@ func TestResyncDeltaOnline(t *testing.T) {
 			g := f.Geometry()
 			var full int64
 			g.UnitsOwnedBy(dead, f.Size(), func(int64) error { full++; return nil }) //nolint:errcheck
-			if scheme.UsesParity() {
+			if f.Shape().Parity > 0 {
 				g.ParityStripesOwnedBy(dead, f.Size(), func(int64) error { full++; return nil }) //nolint:errcheck
 			}
 			if totalItems == 0 || totalItems >= full/2 {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"csar/internal/client"
 	"csar/internal/recovery"
 	"csar/internal/scrub"
 	"csar/internal/wire"
@@ -32,11 +33,11 @@ func flipByte(t *testing.T, c *Cluster, srv int, name string, off int64) {
 }
 
 func TestScrubCleanAllSchemes(t *testing.T) {
-	for _, scheme := range allSchemes {
-		t.Run(scheme.String(), func(t *testing.T) {
-			c := newCluster(t, 5)
+	for _, sc := range allSchemes {
+		t.Run(sc.name, func(t *testing.T) {
+			c := sc.cluster(t, 5)
 			cl := c.NewClient()
-			f, err := cl.Create("f", 5, 64, scheme)
+			f, err := cl.Create("f", 5, 64, sc.scheme)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,15 +56,27 @@ func TestScrubCleanAllSchemes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var repaired int64
+			if sc.ablate == client.AblateCompute {
+				// The NPC ablation ships parity uncomputed. The scrub checks
+				// the file as the RAID5 file it is and repairs that parity,
+				// and the next pass finds the file consistent.
+				if tot := rep.Totals(); tot.Mismatched == 0 || tot.Repaired != tot.Mismatched {
+					t.Fatalf("scrub of uncomputed parity: %v", rep)
+				}
+				repaired = rep.Totals().Repaired
+				if rep, err = scrub.Run(cl, f, scrub.Options{}); err != nil {
+					t.Fatal(err)
+				}
+			}
 			if !rep.Clean() {
 				t.Fatalf("scrub of a consistent file found mismatches: %v", rep.Problems)
 			}
 			tot := rep.Totals()
-			if scheme == wire.Raid0 || scheme == wire.Raid5NPC {
-				// No redundancy invariant to check (NPC parity is
-				// deliberately uncomputed).
+			if sc.scheme == wire.Raid0 {
+				// No redundancy invariant to check.
 				if tot.Checked != 0 {
-					t.Fatalf("%v scrub checked %d items; nothing to check", scheme, tot.Checked)
+					t.Fatalf("%v scrub checked %d items; nothing to check", sc.name, tot.Checked)
 				}
 				return
 			}
@@ -74,7 +87,7 @@ func TestScrubCleanAllSchemes(t *testing.T) {
 			if m.ScrubBytes == 0 {
 				t.Fatal("scrub bytes not recorded in metrics")
 			}
-			if m.ScrubFound != 0 || m.ScrubRepaired != 0 || m.ScrubUnrepairable != 0 {
+			if m.ScrubFound != repaired || m.ScrubRepaired != repaired || m.ScrubUnrepairable != 0 {
 				t.Fatalf("clean scrub recorded mismatches: %+v", m)
 			}
 		})

@@ -18,7 +18,6 @@ import (
 
 	"csar/internal/gf256"
 	"csar/internal/raid"
-	"csar/internal/wire"
 )
 
 // PortionMode says how one portion of a write is stored.
@@ -64,44 +63,39 @@ type Portion struct {
 	Mode PortionMode
 }
 
-// Plan describes how a write [off, off+length) is performed under a scheme.
-// Portions are contiguous, in file order, and cover the write exactly;
+// Plan describes how a write [off, off+length) is performed under a layout
+// shape. Portions are contiguous, in file order, and cover the write exactly;
 // empty portions are omitted.
 type Plan struct {
-	Scheme   wire.Scheme
+	Shape    raid.Shape
 	Portions []Portion
 }
 
 // PlanWrite applies the scheme-selection rule of Section 4 to one write.
 //
-// RAID0 and RAID1 store every byte the same way. RAID5 uses fresh parity
-// for whole stripes and read-modify-write for the at-most-two partial
-// stripes. Hybrid selects "the appropriate reliability level on the fly":
-// full stripes go to RAID5, partial-stripe portions go to the mirrored
-// overflow region.
-func PlanWrite(g raid.Geometry, scheme wire.Scheme, off, length int64) Plan {
-	p := Plan{Scheme: scheme}
-	if length <= 0 {
-		return p
-	}
-	whole := raid.Span{Off: off, Len: length}
-	switch scheme {
-	case wire.Raid0:
-		p.Portions = []Portion{{whole, ModePlain}}
-	case wire.Raid1:
-		p.Portions = []Portion{{whole, ModeMirrored}}
-	case wire.Raid5, wire.Raid5NoLock, wire.Raid5NPC, wire.ReedSolomon:
-		head, body, tail := g.Decompose(off, length)
-		p.add(head, ModeRMW)
-		p.add(body, ModeFullStripe)
-		p.add(tail, ModeRMW)
-	case wire.Hybrid:
-		head, body, tail := g.Decompose(off, length)
-		p.add(head, ModeOverflow)
-		p.add(body, ModeFullStripe)
-		p.add(tail, ModeOverflow)
+// A mirrored shape (RAID1) and one without redundancy (RAID0) store every
+// byte the same way. A parity shape uses fresh parity for whole stripes and
+// read-modify-write for the at-most-two partial stripes — unless it has an
+// overflow region, which is how Hybrid selects "the appropriate reliability
+// level on the fly": full stripes go to RAID5, partial-stripe portions go to
+// the mirrored overflow region.
+func PlanWrite(g raid.Geometry, s raid.Shape, off, length int64) Plan {
+	p := Plan{Shape: s}
+	switch {
+	case length <= 0:
+	case s.Mirror:
+		p.Portions = []Portion{{raid.Span{Off: off, Len: length}, ModeMirrored}}
+	case s.Parity == 0:
+		p.Portions = []Portion{{raid.Span{Off: off, Len: length}, ModePlain}}
 	default:
-		p.Portions = []Portion{{whole, ModePlain}}
+		partial := ModeRMW
+		if s.Overflow {
+			partial = ModeOverflow
+		}
+		head, body, tail := g.Decompose(off, length)
+		p.add(head, partial)
+		p.add(body, ModeFullStripe)
+		p.add(tail, partial)
 	}
 	return p
 }

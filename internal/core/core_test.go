@@ -13,6 +13,15 @@ import (
 
 func geom() raid.Geometry { return raid.Geometry{Servers: 5, StripeUnit: 25} } // stripe size 100
 
+// shapeOf resolves scheme's shape on geom's five servers.
+func shapeOf(t testing.TB, scheme wire.Scheme) raid.Shape {
+	l, err := raid.Resolve(wire.FileRef{Servers: 5, StripeUnit: 25, Scheme: scheme})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l.Shape
+}
+
 func modes(p Plan) []PortionMode {
 	var out []PortionMode
 	for _, pt := range p.Portions {
@@ -38,12 +47,12 @@ func TestPlanWriteSchemeSelection(t *testing.T) {
 		{wire.Hybrid, 0, 200, []PortionMode{ModeFullStripe}},
 		{wire.Hybrid, 50, 30, []PortionMode{ModeOverflow}},
 		{wire.Hybrid, 50, 275, []PortionMode{ModeOverflow, ModeFullStripe, ModeOverflow}},
-		{wire.Raid5NoLock, 50, 30, []PortionMode{ModeRMW}},
-		{wire.Raid5NPC, 0, 100, []PortionMode{ModeFullStripe}},
+		{wire.Raid5, 50, 30, []PortionMode{ModeRMW}},
+		{wire.Raid5, 0, 100, []PortionMode{ModeFullStripe}},
 		{wire.Raid0, 0, 0, nil},
 	}
 	for _, c := range cases {
-		got := modes(PlanWrite(g, c.scheme, c.off, c.len))
+		got := modes(PlanWrite(g, shapeOf(t, c.scheme), c.off, c.len))
 		if len(got) != len(c.want) {
 			t.Errorf("%v write(%d,%d): modes %v, want %v", c.scheme, c.off, c.len, got, c.want)
 			continue
@@ -64,7 +73,7 @@ func TestPlanCoversWriteExactly(t *testing.T) {
 		scheme := schemes[int(schemeSeed)%len(schemes)]
 		off := int64(offSeed % 10000)
 		length := int64(lenSeed % 5000)
-		p := PlanWrite(g, scheme, off, length)
+		p := PlanWrite(g, shapeOf(t, scheme), off, length)
 		var total int64
 		cur := off
 		for _, pt := range p.Portions {
@@ -82,9 +91,10 @@ func TestPlanCoversWriteExactly(t *testing.T) {
 }
 
 func TestHybridNeverRMWs(t *testing.T) {
+	hybrid := shapeOf(t, wire.Hybrid)
 	f := func(offSeed, lenSeed uint32) bool {
 		g := geom()
-		p := PlanWrite(g, wire.Hybrid, int64(offSeed%10000), int64(lenSeed%5000))
+		p := PlanWrite(g, hybrid, int64(offSeed%10000), int64(lenSeed%5000))
 		for _, pt := range p.Portions {
 			if pt.Mode == ModeRMW {
 				return false

@@ -244,37 +244,25 @@ func (m *Manager) primaryCheckLocked() error {
 		m.index, m.epoch, wire.ErrNotPrimary)
 }
 
+// layout is the layout a create or migration request asks for, its parity
+// count defaulted and the whole checked by raid.Resolve: the same check
+// every server and client makes, so the manager records no layout they
+// would refuse. The count is fixed here and rides the FileRef from then on.
+func layout(servers uint16, su uint32, scheme wire.Scheme, parity uint8) (wire.FileRef, error) {
+	ref := raid.WithDefaultParity(wire.FileRef{Servers: servers, StripeUnit: su, Scheme: scheme, Parity: parity})
+	if _, err := raid.Resolve(ref); err != nil {
+		return ref, fmt.Errorf("meta: %w", err)
+	}
+	return ref, nil
+}
+
 func (m *Manager) create(r *wire.Create) (wire.Msg, error) {
-	parity := uint8(0)
-	if r.Scheme == wire.ReedSolomon {
-		// RS(k, m): m parity units per stripe, defaulting to double-fault
-		// tolerance. The count is fixed at create time and rides the FileRef.
-		parity = r.Parity
-		if parity == 0 {
-			parity = 2
-		}
-		if int(parity) > int(r.Servers)-2 {
-			return nil, fmt.Errorf("meta: rs with %d parity units needs at least %d servers, got %d",
-				parity, int(parity)+2, r.Servers)
-		}
-	} else if r.Parity != 0 {
-		return nil, fmt.Errorf("meta: scheme %v does not take a parity-unit count", r.Scheme)
+	ref, err := layout(r.Servers, r.StripeUnit, r.Scheme, r.Parity)
+	if err != nil {
+		return nil, err
 	}
-	g := raid.Geometry{Servers: int(r.Servers), StripeUnit: int64(r.StripeUnit), ParityUnits: int(parity)}
-	if r.Scheme.UsesParity() {
-		if err := g.ValidateParity(); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := g.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	if r.Scheme == wire.Raid1 && g.Servers < 2 {
-		return nil, fmt.Errorf("meta: raid1 needs at least 2 servers, got %d", g.Servers)
-	}
-	if g.Servers > m.serverCount {
-		return nil, fmt.Errorf("meta: layout wants %d servers, cluster has %d", g.Servers, m.serverCount)
+	if int(ref.Servers) > m.serverCount {
+		return nil, fmt.Errorf("meta: layout wants %d servers, cluster has %d", ref.Servers, m.serverCount)
 	}
 	if r.Name == "" {
 		return nil, fmt.Errorf("meta: empty file name")
@@ -291,17 +279,8 @@ func (m *Manager) create(r *wire.Create) (wire.Msg, error) {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("meta: file %q already exists", r.Name)
 	}
-	rec := walRec{
-		op:   opCreate,
-		name: r.Name,
-		ref: wire.FileRef{
-			ID:         m.nextID,
-			Servers:    r.Servers,
-			StripeUnit: r.StripeUnit,
-			Scheme:     r.Scheme,
-			Parity:     parity,
-		},
-	}
+	ref.ID = m.nextID
+	rec := walRec{op: opCreate, name: r.Name, ref: ref}
 	prevID := m.nextID
 	if err := m.commitAndShip(rec, func() {
 		delete(m.byName, rec.name)
@@ -393,37 +372,13 @@ func (m *Manager) setScheme(r *wire.SetScheme) (wire.Msg, error) {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("meta: no such file id %d", r.ID)
 	}
-	parity := uint8(0)
-	if r.Scheme == wire.ReedSolomon {
-		parity = r.Parity
-		if parity == 0 {
-			parity = 2
-		}
-		if int(parity) > int(fm.ref.Servers)-2 {
-			m.mu.Unlock()
-			return nil, fmt.Errorf("meta: rs with %d parity units needs at least %d servers, file has %d",
-				parity, int(parity)+2, fm.ref.Servers)
-		}
-	} else if r.Parity != 0 {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("meta: scheme %v does not take a parity-unit count", r.Scheme)
-	}
-	g := raid.Geometry{Servers: int(fm.ref.Servers), StripeUnit: int64(fm.ref.StripeUnit), ParityUnits: int(parity)}
-	if r.Scheme.UsesParity() {
-		if err := g.ValidateParity(); err != nil {
-			m.mu.Unlock()
-			return nil, err
-		}
-	} else if err := g.Validate(); err != nil {
+	mig, err := layout(fm.ref.Servers, fm.ref.StripeUnit, r.Scheme, r.Parity)
+	if err != nil {
 		m.mu.Unlock()
 		return nil, err
 	}
-	if r.Scheme == wire.Raid1 && g.Servers < 2 {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("meta: raid1 needs at least 2 servers, file has %d", g.Servers)
-	}
 	if fm.mig.ID != 0 {
-		if fm.mig.Scheme == r.Scheme && fm.mig.Parity == parity {
+		if fm.mig.Scheme == mig.Scheme && fm.mig.Parity == mig.Parity {
 			// Idempotent resume: the same target is already pinned.
 			resp := &wire.SetSchemeResp{Old: fm.ref, New: fm.mig, Size: fm.size}
 			m.mu.Unlock()
@@ -433,17 +388,11 @@ func (m *Manager) setScheme(r *wire.SetScheme) (wire.Msg, error) {
 		m.mu.Unlock()
 		return nil, err
 	}
-	if fm.ref.Scheme == r.Scheme && fm.ref.Parity == parity {
+	if fm.ref.Scheme == mig.Scheme && fm.ref.Parity == mig.Parity {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("meta: file id %d already uses scheme %v", r.ID, r.Scheme)
 	}
-	mig := wire.FileRef{
-		ID:         m.nextID,
-		Servers:    fm.ref.Servers,
-		StripeUnit: fm.ref.StripeUnit,
-		Scheme:     r.Scheme,
-		Parity:     parity,
-	}
+	mig.ID = m.nextID
 	prevID := m.nextID
 	rec := walRec{op: opMigBegin, id: r.ID, ref: mig}
 	if err := m.commitAndShip(rec, func() {

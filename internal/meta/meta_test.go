@@ -36,19 +36,22 @@ func TestCreateOpenLifecycle(t *testing.T) {
 func TestCreateValidation(t *testing.T) {
 	m := New(4, nil)
 	cases := []wire.Create{
-		{Name: "", Servers: 2, StripeUnit: 64, Scheme: wire.Raid0},     // empty name
-		{Name: "x", Servers: 0, StripeUnit: 64, Scheme: wire.Raid0},    // no servers
-		{Name: "x", Servers: 2, StripeUnit: 0, Scheme: wire.Raid0},     // no stripe unit
-		{Name: "x", Servers: 2, StripeUnit: 64, Scheme: wire.Raid5},    // parity needs 3
-		{Name: "x", Servers: 2, StripeUnit: 64, Scheme: wire.Hybrid},   // parity needs 3
-		{Name: "x", Servers: 9, StripeUnit: 64, Scheme: wire.Raid0},    // exceeds cluster
-		{Name: "x", Servers: 3, StripeUnit: 64, Scheme: wire.Raid5NPC}, // ok (control)
-		{Name: "x2", Servers: 2, StripeUnit: 64, Scheme: wire.Raid1},   // ok (control)
-		{Name: "x3", Servers: 1, StripeUnit: 64, Scheme: wire.Raid0},   // ok (control)
+		{Name: "", Servers: 2, StripeUnit: 64, Scheme: wire.Raid0},        // empty name
+		{Name: "x", Servers: 0, StripeUnit: 64, Scheme: wire.Raid0},       // no servers
+		{Name: "x", Servers: 2, StripeUnit: 0, Scheme: wire.Raid0},        // no stripe unit
+		{Name: "x", Servers: 2, StripeUnit: 64, Scheme: wire.Raid5},       // parity needs 3
+		{Name: "x", Servers: 2, StripeUnit: 64, Scheme: wire.Hybrid},      // parity needs 3
+		{Name: "x", Servers: 9, StripeUnit: 64, Scheme: wire.Raid0},       // exceeds cluster
+		{Name: "x", Servers: 3, StripeUnit: 64, Scheme: wire.Scheme(4)},   // retired (was raid5-nolock)
+		{Name: "x", Servers: 3, StripeUnit: 64, Scheme: wire.Scheme(5)},   // retired (was raid5-npc)
+		{Name: "x", Servers: 3, StripeUnit: 64, Scheme: wire.Scheme(7)},   // unknown
+		{Name: "x", Servers: 3, StripeUnit: 64, Scheme: wire.Scheme(200)}, // unknown
+		{Name: "x2", Servers: 2, StripeUnit: 64, Scheme: wire.Raid1},      // ok (control)
+		{Name: "x3", Servers: 1, StripeUnit: 64, Scheme: wire.Raid0},      // ok (control)
 	}
 	for i, c := range cases {
 		_, err := m.Handle(&c)
-		wantErr := i < 6
+		wantErr := i < 10
 		if wantErr && err == nil {
 			t.Errorf("case %d (%+v): accepted", i, c)
 		}

@@ -17,8 +17,6 @@
 // that server's redundancy file, at the same local offset as the primary.
 package raid
 
-import "fmt"
-
 // Geometry describes the striping parameters of one file.
 type Geometry struct {
 	// Servers is the number of I/O servers the file is striped over.
@@ -37,32 +35,6 @@ func (g Geometry) PU() int {
 		return 1
 	}
 	return g.ParityUnits
-}
-
-// Validate reports whether the geometry is usable.
-func (g Geometry) Validate() error {
-	if g.Servers < 1 {
-		return fmt.Errorf("raid: geometry needs at least 1 server, got %d", g.Servers)
-	}
-	if g.StripeUnit <= 0 {
-		return fmt.Errorf("raid: stripe unit must be positive, got %d", g.StripeUnit)
-	}
-	return nil
-}
-
-// ValidateParity reports whether the geometry supports parity
-// (RAID5/Hybrid/Reed-Solomon), which needs at least two data units per
-// stripe plus its parity units, so every stripe's parity lands on servers
-// holding none of that stripe's data.
-func (g Geometry) ValidateParity() error {
-	if err := g.Validate(); err != nil {
-		return err
-	}
-	if g.Servers < g.PU()+2 {
-		return fmt.Errorf("raid: %d-parity schemes need at least %d servers, got %d",
-			g.PU(), g.PU()+2, g.Servers)
-	}
-	return nil
 }
 
 // DataWidth returns the number of data units in one parity stripe

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"csar/internal/wire"
 )
 
 func TestGeometryValidate(t *testing.T) {
@@ -21,11 +23,14 @@ func TestGeometryValidate(t *testing.T) {
 		{Geometry{Servers: 3, StripeUnit: -1}, false, false},
 	}
 	for _, c := range cases {
-		if got := c.g.Validate() == nil; got != c.ok {
-			t.Errorf("%+v Validate ok=%v want %v", c.g, got, c.ok)
-		}
-		if got := c.g.ValidateParity() == nil; got != c.parityOK {
-			t.Errorf("%+v ValidateParity ok=%v want %v", c.g, got, c.parityOK)
+		for scheme, want := range map[wire.Scheme]bool{wire.Raid0: c.ok, wire.Raid5: c.parityOK} {
+			ref := wire.FileRef{Servers: uint16(c.g.Servers), StripeUnit: uint32(c.g.StripeUnit), Scheme: scheme}
+			if c.g.StripeUnit < 0 {
+				ref.StripeUnit = 0 // the wire cannot carry a negative unit
+			}
+			if _, err := Resolve(ref); (err == nil) != want {
+				t.Errorf("%+v as %v: Resolve = %v, want accepted %v", c.g, scheme, err, want)
+			}
 		}
 	}
 }

@@ -132,17 +132,17 @@ func Rebuild(c *client.Client, f *client.File, dead int) error {
 	}
 	defer c.ObserveSince("rebuild_pass", time.Now())
 
-	switch {
-	case ref.Scheme == wire.Raid1:
+	switch s := f.Shape(); {
+	case s.Mirror:
 		if err := rebuildDataFromMirror(c, f, dead, size); err != nil {
 			return err
 		}
 		return rebuildMirror(c, f, dead, size)
-	case f.Code() != nil:
+	case s.Parity > 0:
 		if err := rebuildStripes(c, f, dead, size); err != nil {
 			return err
 		}
-		if ref.Scheme == wire.Hybrid {
+		if s.Overflow {
 			_, err := restoreOverflow(c, ref, g, dead)
 			return err
 		}
@@ -421,8 +421,8 @@ func Verify(c *client.Client, f *client.File) ([]string, error) {
 		return nil, nil
 	}
 
-	switch {
-	case ref.Scheme == wire.Raid1:
+	switch s := f.Shape(); {
+	case s.Mirror:
 		lastUnit := g.UnitOf(size - 1)
 		for b := int64(0); b <= lastUnit; b++ {
 			span := wire.Span{Off: g.UnitStart(b), Len: g.StripeUnit}
@@ -438,7 +438,7 @@ func Verify(c *client.Client, f *client.File) ([]string, error) {
 				problems = append(problems, fmt.Sprintf("unit %d: mirror differs from primary", b))
 			}
 		}
-	case f.Code() != nil:
+	case s.Parity > 0:
 		// Byte for byte: every parity unit must equal the encoding of the
 		// stripe's k data units under its coefficient row.
 		want := make([][]byte, g.PU())
@@ -463,7 +463,7 @@ func Verify(c *client.Client, f *client.File) ([]string, error) {
 				}
 			}
 		}
-		if ref.Scheme == wire.Hybrid {
+		if s.Overflow {
 			ovProblems, err := verifyOverflowMirrors(c, f)
 			if err != nil {
 				return nil, err

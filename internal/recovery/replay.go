@@ -38,7 +38,7 @@ func ReplayIntents(c *client.Client, f *client.File) (*ReplayReport, error) {
 	g := f.Geometry()
 	ref := f.Ref()
 	rep := &ReplayReport{}
-	if !ref.Scheme.UsesParity() {
+	if f.Shape().Parity == 0 {
 		return rep, nil
 	}
 	defer c.ObserveSince("replay_pass", time.Now())

@@ -199,7 +199,7 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 	if dead < 0 || dead >= g.Servers {
 		return report, fmt.Errorf("recovery: server %d out of range", dead)
 	}
-	if ref.Scheme == wire.Raid0 {
+	if f.Shape().Tolerates() == 0 {
 		return report, fmt.Errorf("recovery: %w", client.ErrNoRedundancy)
 	}
 	replicas := client.DirtyReplicas(g.Servers, dead)
@@ -355,11 +355,11 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 // fullRebuildFallback reconstructs the server in full when the dirty log is
 // untrustworthy. Unlike the blank-replacement Rebuild path, the returning
 // server may hold stale overflow extents that WriteOverflow (which only
-// adds extents) would not remove, so Hybrid wipes them first.
+// adds extents) would not remove, so an overflow shape wipes them first.
 func fullRebuildFallback(c *client.Client, f *client.File, dead int, replicas []int) error {
 	atomic.AddInt64(&c.Counters().FullRebuildFallbacks, 1)
 	ref := f.Ref()
-	if ref.Scheme == wire.Hybrid {
+	if f.Shape().Overflow {
 		if err := wipeOverflow(c, ref, dead); err != nil {
 			return fmt.Errorf("recovery: full-rebuild fallback: %w", err)
 		}
@@ -395,7 +395,7 @@ func replayItem(c *client.Client, f *client.File, it resyncItem, dead int) error
 	switch it.kind {
 	case 'u':
 		var data []byte
-		if ref.Scheme == wire.Raid1 {
+		if f.Shape().Mirror {
 			resp, err := c.ServerCaller(g.MirrorServerOf(it.val)).Call(
 				&wire.ReadMirror{File: ref, Spans: []wire.Span{span}})
 			if err != nil {

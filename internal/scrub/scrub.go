@@ -140,10 +140,10 @@ func Run(c *client.Client, f *client.File, opts Options) (*Report, error) {
 		}
 	}
 	size := f.Size()
-	// Raid0 stores no redundancy, and Raid5NPC deliberately writes
-	// uncomputed parity (a CPU-cost ablation): neither has an invariant a
-	// scrub could check, let alone repair.
-	if size == 0 || ref.Scheme == wire.Raid0 || ref.Scheme == wire.Raid5NPC {
+	// A layout with no redundancy has no invariant to check, let alone
+	// repair.
+	shape := f.Shape()
+	if size == 0 || shape.Tolerates() == 0 {
 		return rep, nil
 	}
 	defer c.ObserveSince("scrub_pass", time.Now())
@@ -161,11 +161,11 @@ func Run(c *client.Client, f *client.File, opts Options) (*Report, error) {
 	}
 	var err error
 	switch {
-	case ref.Scheme == wire.Raid1:
+	case shape.Mirror:
 		err = s.scrubMirrors()
-	case ref.Scheme.UsesParity():
+	case shape.Parity > 0:
 		err = s.scrubParity()
-		if err == nil && ref.Scheme == wire.Hybrid {
+		if err == nil && shape.Overflow {
 			err = s.scrubOverflow()
 		}
 	}

@@ -115,8 +115,9 @@ type Server struct {
 func (s *Server) Requests() int64 { return s.requests.Load() }
 
 type serverFile struct {
-	ref  wire.FileRef
-	geom raid.Geometry
+	ref   wire.FileRef
+	geom  raid.Geometry
+	shape raid.Shape
 
 	mu       sync.Mutex
 	stores   [numStores]storage.File
@@ -212,18 +213,16 @@ func (s *Server) Index() int { return s.idx }
 // storage totals).
 func (s *Server) Disk() storage.Backend { return s.disk }
 
+// file returns the state of the file ref names, creating it on first use.
+// Every request resolves its ref here, so a server refuses exactly the
+// layouts the manager and the client refuse.
 func (s *Server) file(ref wire.FileRef) (*serverFile, error) {
-	g := raid.Geometry{Servers: int(ref.Servers), StripeUnit: int64(ref.StripeUnit)}
-	if ref.Scheme == wire.ReedSolomon {
-		g.ParityUnits = ref.ParityUnits()
-		if err := g.ValidateParity(); err != nil {
-			return nil, err
-		}
-	} else if err := g.Validate(); err != nil {
-		return nil, err
+	l, err := raid.Resolve(ref)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
-	if s.idx >= g.Servers {
-		return nil, fmt.Errorf("server %d not part of %d-server layout", s.idx, g.Servers)
+	if s.idx >= l.Servers {
+		return nil, fmt.Errorf("server %d not part of %d-server layout", s.idx, l.Servers)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -231,7 +230,8 @@ func (s *Server) file(ref wire.FileRef) (*serverFile, error) {
 	if sf == nil {
 		sf = &serverFile{
 			ref:      ref,
-			geom:     g,
+			geom:     l.Geometry,
+			shape:    l.Shape,
 			ovSlots:  make(map[int64]int64),
 			ovmSlots: make(map[int64]int64),
 			locks:    make(map[int64]*parityLock),
@@ -437,11 +437,11 @@ func (s *Server) handleWriteData(m *wire.WriteData) (wire.Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.File.Scheme == wire.Hybrid && !m.Raw {
-		// A Hybrid client writes data in place only for full-stripe
-		// portions, which supersede any overflow contents of the same
-		// range: "when a client issues a full-stripe write any data in the
-		// overflow region for that stripe is invalidated" (Section 4).
+	if sf.shape.Overflow && !m.Raw {
+		// A client of an overflow shape (Hybrid) writes data in place only
+		// for full-stripe portions, which supersede any overflow contents of
+		// the same range: "when a client issues a full-stripe write any data
+		// in the overflow region for that stripe is invalidated" (Section 4).
 		// The written span covers whole stripes — every server's units —
 		// so this server can also invalidate its overflow-mirror entries
 		// (which mirror the previous server's units) without any extra
@@ -610,7 +610,7 @@ func (s *Server) handleWriteParity(m *wire.WriteParity) (wire.Msg, error) {
 			sf.unlockStripeOwned(stripe, m.Owner)
 		}
 	}
-	if m.File.Scheme == wire.Hybrid && !m.Unlock {
+	if sf.shape.Overflow && !m.Unlock {
 		// A fresh (non-RMW) parity write means a full-stripe write is
 		// superseding these stripes. This server holds no data of the
 		// stripes it stores parity for, so it receives no WriteData for a

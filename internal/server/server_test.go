@@ -405,7 +405,9 @@ func TestRaid5WriteDataDoesNotTouchOverflow(t *testing.T) {
 	r := ref()
 	r.Scheme = wire.Raid5
 	// (Overflow under RAID5 never happens in practice, but invalidation
-	// must not trigger for non-Hybrid schemes.)
+	// must not trigger for a shape without overflow. The server resolves a
+	// file's shape from the first request that names it: here RAID5's.)
+	call(t, s, &wire.Read{File: r})
 	rh := r
 	rh.Scheme = wire.Hybrid
 	call(t, s, &wire.WriteOverflow{File: rh, Extents: []wire.Span{{Off: 0, Len: 20}}, Data: make([]byte, 20)})

@@ -17,9 +17,10 @@ import (
 	"strings"
 )
 
-// Scheme identifies a redundancy scheme. The first four are the schemes the
-// paper evaluates; the last two are the instrumented variants used in its
-// microbenchmarks (Figure 3's R5 NO LOCK and Figure 4a's RAID5-npc).
+// Scheme identifies a redundancy scheme: the name users pick, the manager
+// records and every request carries. What a scheme means for the layout is
+// decided in one place, raid.Resolve, and the code below it reads only that
+// shape.
 type Scheme uint8
 
 const (
@@ -32,34 +33,27 @@ const (
 	// Hybrid writes full stripes as RAID5 and partial stripes as mirrored
 	// overflow-region writes — the paper's contribution.
 	Hybrid
-	// Raid5NoLock is RAID5 with the parity-consistency locking disabled.
-	// It transfers the same bytes but may corrupt parity under concurrency;
-	// it exists only to measure the locking overhead (Figure 3).
-	Raid5NoLock
-	// Raid5NPC is RAID5 with the client's parity computation elided (the
-	// parity buffer is written without being XOR-computed). It isolates the
-	// CPU cost of parity generation (Figure 4a).
-	Raid5NPC
 	// ReedSolomon keeps m rotating Reed-Solomon parity units per stripe of
 	// k = N-m data units (GF(256) systematic code), tolerating any m
 	// simultaneous server failures. The per-file parity count rides in
-	// FileRef.Parity.
-	ReedSolomon
+	// FileRef.Parity. Values 4 and 5 are retired: they named the paper's two
+	// RAID5 ablations, which are now a switch of the test harness, and
+	// raid.Resolve refuses them.
+	ReedSolomon Scheme = 6
 )
 
-var schemeNames = map[Scheme]string{
+// schemeNames is indexed by scheme value; a retired value has no name.
+var schemeNames = [...]string{
 	Raid0:       "raid0",
 	Raid1:       "raid1",
 	Raid5:       "raid5",
 	Hybrid:      "hybrid",
-	Raid5NoLock: "raid5-nolock",
-	Raid5NPC:    "raid5-npc",
 	ReedSolomon: "rs",
 }
 
 func (s Scheme) String() string {
-	if n, ok := schemeNames[s]; ok {
-		return n
+	if int(s) < len(schemeNames) && schemeNames[s] != "" {
+		return schemeNames[s]
 	}
 	return fmt.Sprintf("scheme(%d)", uint8(s))
 }
@@ -69,8 +63,10 @@ func (s Scheme) String() string {
 // the list cannot drift from the protocol as schemes are added.
 func SchemeNames() []string {
 	out := make([]string, 0, len(schemeNames))
-	for s := Scheme(0); int(s) < len(schemeNames); s++ {
-		out = append(out, schemeNames[s])
+	for _, n := range schemeNames {
+		if n != "" {
+			out = append(out, n)
+		}
 	}
 	return out
 }
@@ -78,36 +74,12 @@ func SchemeNames() []string {
 // ParseScheme converts a scheme name as printed by String back to a Scheme.
 func ParseScheme(name string) (Scheme, error) {
 	for s, n := range schemeNames {
-		if n == name {
-			return s, nil
+		if n != "" && n == name {
+			return Scheme(s), nil
 		}
 	}
 	return 0, fmt.Errorf("wire: unknown scheme %q (want one of: %s)",
 		name, strings.Join(SchemeNames(), ", "))
-}
-
-// UsesParity reports whether the scheme maintains rotating parity units
-// (XOR for the RAID5 family, GF(256) rows for Reed-Solomon).
-func (s Scheme) UsesParity() bool {
-	switch s {
-	case Raid5, Hybrid, Raid5NoLock, Raid5NPC, ReedSolomon:
-		return true
-	}
-	return false
-}
-
-// UsesMirror reports whether the scheme maintains RAID1-style whole-unit
-// mirrors of in-place data.
-func (s Scheme) UsesMirror() bool { return s == Raid1 }
-
-// UsesLocking reports whether partial-stripe parity updates take the
-// distributed parity lock.
-func (s Scheme) UsesLocking() bool {
-	switch s {
-	case Raid5, Hybrid, Raid5NPC, ReedSolomon:
-		return true
-	}
-	return false
 }
 
 // FileRef is the compact file description carried in every I/O request.
@@ -117,17 +89,8 @@ type FileRef struct {
 	StripeUnit uint32
 	Scheme     Scheme
 	// Parity is the number of parity units per stripe for ReedSolomon
-	// files; the single-parity schemes leave it zero (meaning one).
+	// files; the other schemes leave it zero.
 	Parity uint8
-}
-
-// ParityUnits returns the effective parity-unit count of the file's
-// geometry: Parity for ReedSolomon, defaulted to one for the XOR schemes.
-func (r FileRef) ParityUnits() int {
-	if r.Parity < 1 {
-		return 1
-	}
-	return int(r.Parity)
 }
 
 // Span is a byte range [Off, Off+Len) of the logical file.

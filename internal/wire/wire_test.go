@@ -163,7 +163,7 @@ func TestUnmarshalHostileLengthPrefix(t *testing.T) {
 }
 
 func TestSchemeString(t *testing.T) {
-	for _, s := range []Scheme{Raid0, Raid1, Raid5, Hybrid, Raid5NoLock, Raid5NPC, ReedSolomon} {
+	for _, s := range []Scheme{Raid0, Raid1, Raid5, Hybrid, ReedSolomon} {
 		name := s.String()
 		got, err := ParseScheme(name)
 		if err != nil || got != s {
@@ -175,38 +175,6 @@ func TestSchemeString(t *testing.T) {
 	}
 	if Scheme(200).String() == "" {
 		t.Fatal("unknown scheme has empty String")
-	}
-}
-
-func TestSchemepredicates(t *testing.T) {
-	cases := []struct {
-		s                     Scheme
-		parity, mirror, locks bool
-	}{
-		{Raid0, false, false, false},
-		{Raid1, false, true, false},
-		{Raid5, true, false, true},
-		{Hybrid, true, false, true},
-		{Raid5NoLock, true, false, false},
-		{Raid5NPC, true, false, true},
-		{ReedSolomon, true, false, true},
-	}
-	if len(cases) != len(schemeNames) {
-		t.Errorf("predicate table covers %d schemes, protocol has %d", len(cases), len(schemeNames))
-	}
-	names := SchemeNames()
-	if len(names) != len(schemeNames) {
-		t.Errorf("SchemeNames returned %d names, want %d", len(names), len(schemeNames))
-	}
-	for i, n := range names {
-		if n == "" || n != Scheme(i).String() {
-			t.Errorf("SchemeNames[%d] = %q, want %q", i, n, Scheme(i).String())
-		}
-	}
-	for _, c := range cases {
-		if c.s.UsesParity() != c.parity || c.s.UsesMirror() != c.mirror || c.s.UsesLocking() != c.locks {
-			t.Errorf("%v predicates wrong", c.s)
-		}
 	}
 }
 

@@ -20,6 +20,8 @@ import (
 	"time"
 
 	"csar"
+	"csar/internal/raid"
+	"csar/internal/wire"
 )
 
 // Env binds a workload to a cluster and file configuration.
@@ -30,30 +32,18 @@ type Env struct {
 	StripeUnit int64
 	// FileServers is the number of servers files stripe over (0 = all).
 	FileServers int
-	// ParityUnits is the RS(k, m) parity count for the ReedSolomon scheme
-	// (0 = 2); ignored for other schemes.
-	ParityUnits int
 }
 
 func (e Env) fileOpts() csar.FileOptions {
-	return csar.FileOptions{
-		Servers:     e.servers(),
-		StripeUnit:  e.stripeUnit(),
-		Scheme:      e.Scheme,
-		ParityUnits: e.parityUnits(),
-	}
+	return csar.FileOptions{Servers: e.servers(), StripeUnit: e.stripeUnit(), Scheme: e.Scheme}
 }
 
-// parityUnits returns the effective parity-unit count of the env's files:
-// RS files default to m = 2, every other scheme takes none.
-func (e Env) parityUnits() int {
-	if e.Scheme != csar.ReedSolomon {
-		return 0
-	}
-	if e.ParityUnits > 0 {
-		return e.ParityUnits
-	}
-	return 2
+// Layout resolves the layout of a file the workloads create under scheme
+// over servers servers: the manager's default parity count (RS gets m = 2),
+// then the resolver every server and client applies.
+func Layout(scheme csar.Scheme, servers int, stripeUnit int64) (raid.Layout, error) {
+	return raid.Resolve(raid.WithDefaultParity(wire.FileRef{
+		Servers: uint16(servers), StripeUnit: uint32(stripeUnit), Scheme: scheme}))
 }
 
 func (e Env) servers() int {
@@ -70,18 +60,13 @@ func (e Env) stripeUnit() int64 {
 	return csar.DefaultStripeUnit
 }
 
-// StripeSize returns the data bytes per parity stripe for the env's layout.
-// For single-server layouts (no parity possible) it degenerates to one
-// stripe unit so chunked workloads still have a sensible granule.
+// StripeSize returns the data bytes per parity stripe for the env's layout:
+// k = N - m stripe units, with m = 1 for a shape without parity. For a
+// layout too narrow to stripe (or one the resolver refuses) it degenerates
+// to one stripe unit so chunked workloads still have a sensible granule.
 func (e Env) StripeSize() int64 {
-	w := e.servers() - 1
-	if e.Scheme == csar.ReedSolomon {
-		w = e.servers() - e.parityUnits()
-	}
-	if w < 1 {
-		w = 1
-	}
-	return int64(w) * e.stripeUnit()
+	l, _ := Layout(e.Scheme, e.servers(), e.stripeUnit()) // refused: the zero Layout, width -1
+	return int64(max(l.DataWidth(), 1)) * e.stripeUnit()
 }
 
 // openOrCreate opens name if it exists, otherwise creates it.
