@@ -75,11 +75,15 @@ resync:
 # reference file for every dead set the code tolerates, mid-read failover
 # included); and the layout resolver — every scheme name's shape, the
 # retired and unknown scheme values refused, and manager, server and client
-# accepting exactly the same layouts — under the race detector.
+# accepting exactly the same layouts — under the race detector. Last, the
+# non-x86 64-bit cross-build: the gf256 kernel has an amd64 assembly body,
+# and this proves the portable file set vets and the whole tree builds
+# without it.
 rs:
 	$(GO) test -race -count=2 ./internal/gf256
 	$(GO) test -race -count=2 -run 'TestRS|TestParityEngine|TestDegradedReadDifferential|TestResolve' ./internal/cluster
 	$(GO) test -race -count=2 -run 'TestMultiParityPlacement|TestResolve' ./internal/raid
+	GOARCH=arm64 $(GO) vet ./internal/gf256 && GOARCH=arm64 $(GO) build ./...
 
 # The observability suite: the lock-free histogram's concurrency property
 # test and the counter-set helper under the race detector, the /metrics +
@@ -101,14 +105,16 @@ obs:
 # property test, late responses, abandoned sends, Data-is-a-view, a held
 # payload moving to its frame once, size classes), the pending-map drain
 # regression, the stripe-pipelining overlap/serialization tests and the
-# store's sync-cost test — all under the race detector so the zero-copy paths
-# are proven safe and lean at once. The race detector makes sync.Pool drop
+# store's sync-cost test, and the GF(256) coding kernels (MulAddSlice,
+# EncodeInto, a warm ReconstructInto) allocating nothing — all under the
+# race detector so the zero-copy paths are proven safe and lean at once. The race detector makes sync.Pool drop
 # puts at random, so the bytes-per-byte budgets are checked by one more run
 # without it.
 allocs:
 	$(GO) test -race -run 'TestMarshalFrameAllocs|TestUnmarshalAllocs|TestMarshalFrameMatchesMarshal|TestUnmarshalAliasesData|TestReadRespRelease|TestHeldPayloadMovesToFrame|TestBufPoolClasses|TestPoolPoisonCorrectness|TestLateReadRespIsRecycled|TestAbandonedSendOwnsItsPayload|TestTimedOutSendDoesNotAliasCallerBuffer|TestTimedOutCallsDrainPendingMap' ./internal/wire ./internal/rpc
 	$(GO) test -race -run 'TestFullStripeWriteAllocs|TestRMWWriteAllocs|TestReadAtAllocs|TestDegradedReadAtAllocs|TestPipelinedStripeWritesOverlap|TestSameStripeWritesSerializeThroughParityLock' ./internal/cluster
 	$(GO) test -race -run 'TestSyncCostIndependentOfCacheSize|TestDifferentialAgainstScanReference' ./internal/simdisk
+	$(GO) test -race -run 'TestCodingKernelAllocs' ./internal/gf256
 	$(GO) test -run 'TestFullStripeWriteAllocs|TestRMWWriteAllocs|TestReadAtAllocs|TestDegradedReadAtAllocs' ./internal/cluster
 
 # A tiny end-to-end run of the real csar-bench binary plus the schema-v2

@@ -3,11 +3,20 @@
 //
 // The field uses the primitive polynomial x^8+x^4+x^3+x^2+1 (0x11d), the
 // same polynomial as the Linux RAID6 and most RS implementations, so parity
-// bytes are comparable against reference vectors. All products are served
-// from a flat 64 KiB multiplication table built at init; the coding loops
-// read one table row per coefficient and assemble eight product bytes into
-// a machine word before touching the destination (the tests keep a
-// byte-at-a-time oracle and ablation baseline, as internal/raid's do).
+// bytes are comparable against reference vectors. Single products are served
+// from a flat 64 KiB multiplication table built at init.
+//
+// All coding (encode, decode, parity deltas) runs through one kernel,
+// MulAddSlice: dst ^= c*src. Because multiplication by c is linear over
+// XOR, c*x = c*(x&15) ^ c*(x&0xf0), so two 16-entry tables per coefficient
+// (nibT, 8 KiB for all 256) hold every product. On amd64 CPUs with AVX2
+// whose OS saves the YMM registers — decided once at init from CPUID and
+// XGETBV, never by a flag — whole 32-byte blocks use those tables as VPSHUFB
+// shuffles, 32 products per pair of instructions. Everything else runs the
+// generic body: one 256-byte mul-table row per coefficient, eight product
+// bytes folded into the destination word at a time. It is the whole kernel
+// on other architectures and on CPUs without AVX2, and the <32-byte tail of
+// the vector body. The tests pin both bodies to a byte-at-a-time oracle.
 package gf256
 
 import (
@@ -26,8 +35,11 @@ var (
 	// logT[a] = discrete log of a (logT[0] is unused).
 	logT [256]byte
 	// mulT[a][b] = a*b in GF(256); the row mulT[c] is the lookup table the
-	// coding loops stream through.
+	// generic coding body streams through.
 	mulT [256][256]byte
+	// nibT[c] holds c*x in bytes 0..15 and c*(x<<4) in bytes 16..31 for
+	// x = 0..15: the split-nibble tables of the vector body.
+	nibT [256][32]byte
 	// invT[a] = a^-1 (invT[0] is unused).
 	invT [256]byte
 )
@@ -47,6 +59,12 @@ func init() {
 		invT[a] = expT[255-int(logT[a])]
 		for b := 1; b < 256; b++ {
 			mulT[a][b] = expT[int(logT[a])+int(logT[b])]
+		}
+	}
+	for c := range nibT {
+		for x := range 16 {
+			nibT[c][x] = mulT[c][x]
+			nibT[c][16+x] = mulT[c][x<<4]
 		}
 	}
 }
@@ -75,8 +93,8 @@ func Div(a, b byte) byte {
 
 // MulAddSlice accumulates c*src into dst: dst[i] ^= c*src[i]. The slices
 // must have equal length. c=0 is a no-op and c=1 degenerates to the plain
-// vector XOR; other coefficients stream one mul-table row and fold eight
-// product bytes at a time into the destination word.
+// vector XOR; other coefficients go to the vector body where the CPU has
+// one, and to mulAddGeneric otherwise.
 func MulAddSlice(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("gf256: MulAddSlice length mismatch %d != %d", len(dst), len(src)))
@@ -88,6 +106,13 @@ func MulAddSlice(c byte, dst, src []byte) {
 		subtle.XORBytes(dst, dst, src)
 		return
 	}
+	mulAdd(c, dst, src)
+}
+
+// mulAddGeneric is the portable body of MulAddSlice, correct for every c:
+// it streams one mul-table row and folds eight product bytes at a time into
+// the destination word, then finishes the tail byte by byte.
+func mulAddGeneric(c byte, dst, src []byte) {
 	row := &mulT[c]
 	n := len(dst) &^ 7
 	for i := 0; i < n; i += 8 {

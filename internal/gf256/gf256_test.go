@@ -56,33 +56,106 @@ func MulAddSliceBytewise(c byte, dst, src []byte) {
 	}
 }
 
-// TestMulAddSliceMatchesBytewise pins the kernel — the c=1 vector XOR and
-// the word-at-a-time table loop — to the bytewise oracle across
-// coefficients, every short length, and every alignment of both operands
-// within a word.
+// TestMulAddSliceMatchesBytewise pins both bodies of the kernel — the
+// dispatched MulAddSlice (the c=0 and c=1 short-circuits, and on an AVX2
+// host the vector body plus its generic tail) and the generic body alone —
+// to the bytewise oracle for all 256 coefficients, every length up to and on
+// each side of the 32-byte block, and operands at several alignments. Eight
+// guard bytes after dst must come back untouched, which catches a vector
+// body that stores past the last whole block.
 func TestMulAddSliceMatchesBytewise(t *testing.T) {
+	bodies := []struct {
+		name string
+		f    func(c byte, dst, src []byte)
+	}{{"MulAddSlice", MulAddSlice}, {"generic", mulAddGeneric}}
+	const guard = 8
 	rng := rand.New(rand.NewSource(1))
-	lengths := []int{63, 64, 65, 1000}
-	for n := 0; n <= 33; n++ {
+	lengths := []int{31, 32, 33, 63, 64, 65, 95, 96, 97, 4103, 65536}
+	for n := 0; n < 31; n++ {
 		lengths = append(lengths, n)
 	}
 	for _, n := range lengths {
-		for dOff := 0; dOff < 8; dOff++ {
-			for sOff := 0; sOff < 8; sOff += 3 {
-				src := make([]byte, sOff+n)[sOff:]
-				rng.Read(src)
-				for _, c := range []byte{0, 1, 2, 3, 0x1d, 0x80, 0xff} {
-					a := make([]byte, dOff+n)[dOff:]
-					rng.Read(a)
-					b := append([]byte(nil), a...)
-					MulAddSlice(c, a, src)
-					MulAddSliceBytewise(c, b, src)
-					if !bytes.Equal(a, b) {
-						t.Fatalf("c=%d n=%d dst+%d src+%d: kernel and bytewise disagree", c, n, dOff, sOff)
+		// dst and src offsets from an allocation; short lengths try every
+		// dst alignment within a word.
+		offsets := [][2]int{{0, 0}, {3, 5}}
+		if n <= 97 {
+			offsets = offsets[:0]
+			for d := 0; d < 8; d++ {
+				for s := 0; s < 8; s += 3 {
+					offsets = append(offsets, [2]int{d, s})
+				}
+			}
+		}
+		for _, off := range offsets {
+			src := make([]byte, off[1]+n)[off[1]:]
+			rng.Read(src)
+			orig := make([]byte, n)
+			rng.Read(orig)
+			want := make([]byte, n)
+			buf := make([]byte, off[0]+n+guard)
+			dst := buf[off[0] : off[0]+n]
+			for c := range 256 {
+				copy(want, orig)
+				MulAddSliceBytewise(byte(c), want, src)
+				for _, body := range bodies {
+					copy(dst, orig)
+					for i := range guard {
+						buf[off[0]+n+i] = 0xA5
+					}
+					body.f(byte(c), dst, src)
+					if !bytes.Equal(dst, want) {
+						t.Fatalf("%s c=%#x n=%d dst+%d src+%d: differs from bytewise", body.name, c, n, off[0], off[1])
+					}
+					for i, g := range buf[off[0]+n:] {
+						if g != 0xA5 {
+							t.Fatalf("%s c=%#x n=%d dst+%d: wrote guard byte %d past dst", body.name, c, n, off[0], i)
+						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestCodingKernelAllocs pins the coding kernels to zero allocations: the
+// slice kernel, a full-stripe encode, and a warm decode whose row goes
+// through parity 1.
+func TestCodingKernelAllocs(t *testing.T) {
+	r, err := NewRS(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const su = 4096
+	rng := rand.New(rand.NewSource(17))
+	data := make([][]byte, r.K)
+	for i := range data {
+		data[i] = make([]byte, su)
+		rng.Read(data[i])
+	}
+	parity := [][]byte{make([]byte, su), make([]byte, su)}
+	r.EncodeInto(parity, data)
+	units := append(append([][]byte(nil), data...), parity...)
+	units[0], units[r.K] = nil, nil // survivors: data 1..3 and parity 1
+	dst := make([]byte, su)
+	for _, k := range []struct {
+		name string
+		f    func()
+	}{
+		{"MulAddSlice", func() { MulAddSlice(0x57, dst, data[1]) }},
+		{"EncodeInto", func() { r.EncodeInto(parity, data) }},
+		{"warm ReconstructInto", func() {
+			if err := r.ReconstructInto(dst, 0, units); err != nil {
+				panic(err)
+			}
+		}},
+	} {
+		k.f() // warm: the decode row is cached on the code
+		if a := testing.AllocsPerRun(20, k.f); a != 0 {
+			t.Errorf("%s allocates %.1f/op", k.name, a)
+		}
+	}
+	if !bytes.Equal(dst, data[0]) {
+		t.Fatal("ReconstructInto decoded data unit 0 wrong")
 	}
 }
 
@@ -408,46 +481,82 @@ func TestNewRSShapes(t *testing.T) {
 }
 
 // BenchmarkGF256Mul measures the GF(256) coding kernel (dst ^= c*src) in
-// both loop shapes, alongside the XOR parity microbenchmarks in
+// its dispatched form (the vector body on an AVX2 host), its generic body
+// and the bytewise ablation, alongside the XOR parity microbenchmarks in
 // internal/raid.
 func BenchmarkGF256Mul(b *testing.B) {
 	const size = 64 << 10
 	src := make([]byte, size)
 	dst := make([]byte, size)
 	rand.New(rand.NewSource(3)).Read(src)
-	b.Run("wordwise", func(b *testing.B) {
-		b.SetBytes(size)
-		for i := 0; i < b.N; i++ {
-			MulAddSlice(0x1d, dst, src)
-		}
-	})
-	b.Run("bytewise", func(b *testing.B) {
-		b.SetBytes(size)
-		for i := 0; i < b.N; i++ {
-			MulAddSliceBytewise(0x1d, dst, src)
-		}
-	})
+	for _, body := range []struct {
+		name string
+		f    func(c byte, dst, src []byte)
+	}{{"dispatched", MulAddSlice}, {"generic", mulAddGeneric}, {"bytewise", MulAddSliceBytewise}} {
+		b.Run(body.name, func(b *testing.B) {
+			b.SetBytes(size)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				body.f(0x1d, dst, src)
+			}
+		})
+	}
 }
 
-// BenchmarkRSEncode measures full-stripe RS(4,2) parity generation over
-// 64 KiB units (bytes/op counts the data encoded, for comparison with
-// BenchmarkParityXORWordwise).
-func BenchmarkRSEncode(b *testing.B) {
-	const su = 64 << 10
+// rsStripe returns an RS(4,2) code and one stripe of random data units of
+// su bytes, with its parity encoded.
+func rsStripe(b *testing.B, su int) (*RS, [][]byte, [][]byte) {
 	r, err := NewRS(4, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	data := make([][]byte, 4)
+	data := make([][]byte, r.K)
 	rng := rand.New(rand.NewSource(5))
 	for i := range data {
 		data[i] = make([]byte, su)
 		rng.Read(data[i])
 	}
 	parity := [][]byte{make([]byte, su), make([]byte, su)}
-	b.SetBytes(4 * su)
+	r.EncodeInto(parity, data)
+	return r, data, parity
+}
+
+// BenchmarkRSEncode measures full-stripe RS(4,2) parity generation over
+// 16 KiB and 64 KiB units (bytes/op counts the data encoded, for comparison
+// with BenchmarkParityXORWordwise).
+func BenchmarkRSEncode(b *testing.B) {
+	for _, su := range []int{16 << 10, 64 << 10} {
+		b.Run(fmt.Sprintf("%dKiB", su>>10), func(b *testing.B) {
+			r, data, parity := rsStripe(b, su)
+			b.SetBytes(int64(r.K * su))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.EncodeInto(parity, data)
+			}
+		})
+	}
+}
+
+// BenchmarkReconstructInto measures a warm RS(4,2) decode of data unit 0
+// over 64 KiB units with data 0 and parity 0 lost, so the survivors include
+// parity 1 and the decode row is not all ones (bytes/op counts the k units
+// read).
+func BenchmarkReconstructInto(b *testing.B) {
+	const su = 64 << 10
+	r, data, parity := rsStripe(b, su)
+	units := append(append([][]byte(nil), data...), parity...)
+	units[0], units[r.K] = nil, nil
+	dst := make([]byte, su)
+	if err := r.ReconstructInto(dst, 0, units); err != nil || !bytes.Equal(dst, data[0]) {
+		b.Fatalf("decode of data unit 0 wrong (err %v)", err)
+	}
+	b.SetBytes(int64(r.K * su))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.EncodeInto(parity, data)
+		if err := r.ReconstructInto(dst, 0, units); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -86,15 +86,8 @@ func (r *RS) EncodeInto(parity, data [][]byte) {
 		panic(fmt.Sprintf("gf256: EncodeInto shape mismatch: %d parity %d data for RS(%d,%d)",
 			len(parity), len(data), r.K, r.M))
 	}
-	for j := 0; j < r.M; j++ {
-		p := parity[j]
-		for i := range p {
-			p[i] = 0
-		}
-		row := r.ParityRow(j)
-		for i, d := range data {
-			MulAddSlice(row[i], p, d)
-		}
+	for j := range r.M {
+		combine(parity[j], r.ParityRow(j), data)
 	}
 }
 
