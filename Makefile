@@ -73,7 +73,9 @@ resync:
 # the cluster's NoLock/NPC engine ablations and the scrubber's leased lock;
 # the seeded degraded-read differential (RAID5, Hybrid and RS(4,2) against a
 # reference file for every dead set the code tolerates, mid-read failover
-# included); and the layout resolver — every scheme name's shape, the
+# included); the ranged read-modify-write differential (RAID5, RS(4,2) and
+# the two ablations, healthy and with each single server dead, every write
+# moving exactly its parity region); and the layout resolver — every scheme name's shape, the
 # retired and unknown scheme values refused, and manager, server and client
 # accepting exactly the same layouts — under the race detector. Last, the
 # non-x86 64-bit cross-build: the gf256 kernel has an amd64 assembly body,
@@ -81,7 +83,7 @@ resync:
 # without it.
 rs:
 	$(GO) test -race -count=2 ./internal/gf256
-	$(GO) test -race -count=2 -run 'TestRS|TestParityEngine|TestDegradedReadDifferential|TestResolve' ./internal/cluster
+	$(GO) test -race -count=2 -run 'TestRS|TestParityEngine|TestDegradedReadDifferential|TestRMWParityRanges|TestResolve' ./internal/cluster
 	$(GO) test -race -count=2 -run 'TestMultiParityPlacement|TestResolve' ./internal/raid
 	GOARCH=arm64 $(GO) vet ./internal/gf256 && GOARCH=arm64 $(GO) build ./...
 

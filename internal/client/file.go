@@ -378,8 +378,9 @@ func (f *File) writeCopies(span raid.Span, p []byte, dead int, tr uint64, msg fu
 
 // ParityHold is one parity unit of a stripe, read to be updated and written
 // back — under its server's stripe lock, unless the engine runs the no-lock
-// ablation: one of the 1..m steps of a read-modify-write, or the scrubber's
-// byte-level stripe check.
+// ablation: one of the 1..m steps of a read-modify-write, which holds only
+// the unit's bytes its update changes, or the scrubber's byte-level stripe
+// check, which holds the whole unit.
 //
 // A locked read carries a fresh owner token: if it fails client-side
 // (deadline, dead link) we cannot know whether the server granted the lock,
@@ -393,22 +394,25 @@ type ParityHold struct {
 	stripe int64
 	j, srv int            // parity unit j, on server srv
 	token  uint64         // the acquisition's owner token; zero when no lock is taken
-	resp   *wire.ReadResp // the unit's contents, updated in place in their pooled buffer
+	ranges []wire.Span    // the in-unit ranges held; nil: the whole unit
+	resp   *wire.ReadResp // the held bytes, packed, updated in place in their pooled buffer
 }
 
-// HoldParity reads parity unit j of stripe, acquiring its lock.
+// HoldParity reads the whole of parity unit j of stripe, acquiring its lock.
 func (f *File) HoldParity(stripe int64, j int) (*ParityHold, error) {
-	return f.holdParity(stripe, j, 0)
+	return f.holdParity(stripe, j, nil, 0)
 }
 
-func (f *File) holdParity(stripe int64, j int, tr uint64) (*ParityHold, error) {
-	h := &ParityHold{f: f, stripe: stripe, j: j, srv: f.geom.ParityServerOfUnit(stripe, j)}
+// holdParity reads the bytes ranges names (nil: all) of parity unit j of
+// stripe, acquiring its lock; the hold writes the same ranges back.
+func (f *File) holdParity(stripe int64, j int, ranges []wire.Span, tr uint64) (*ParityHold, error) {
+	h := &ParityHold{f: f, stripe: stripe, j: j, srv: f.geom.ParityServerOfUnit(stripe, j), ranges: ranges}
 	if f.lock {
 		h.token = nextLockToken()
 	}
 	resp, err := f.c.callSrvT(h.srv, &wire.ReadParity{
 		File: f.ref, Stripes: []int64{stripe}, Lock: f.lock, Owner: h.token,
-		LeaseMS: leaseMS(f.c.getPolicy()),
+		LeaseMS: leaseMS(f.c.getPolicy()), Ranges: ranges,
 	}, tr)
 	if err != nil {
 		if isUnavailable(err) {
@@ -421,10 +425,14 @@ func (f *File) holdParity(stripe int64, j int, tr uint64) (*ParityHold, error) {
 		return nil, err
 	}
 	h.resp = resp.(*wire.ReadResp)
-	if int64(len(h.resp.Data)) != f.geom.StripeUnit {
+	want := f.geom.StripeUnit
+	if ranges != nil {
+		want = bytesFor(ranges)
+	}
+	if int64(len(h.resp.Data)) != want {
 		h.cancel(false) // granted but unusable; the stripe is untouched
 		return nil, fmt.Errorf("client: parity read returned %d bytes, want %d",
-			len(h.resp.Data), f.geom.StripeUnit)
+			len(h.resp.Data), want)
 	}
 	if f.lock {
 		f.c.trackLease(h.srv, f.ref, stripe, h.token)
@@ -432,10 +440,11 @@ func (f *File) holdParity(stripe int64, j int, tr uint64) (*ParityHold, error) {
 	return h, nil
 }
 
-// Data returns the parity unit's contents as read.
+// Data returns the held bytes as read: the whole parity unit, for a hold
+// HoldParity took.
 func (h *ParityHold) Data() []byte { return h.resp.Data }
 
-// Write stores data as the parity unit's new contents, which releases the
+// Write stores data as the held bytes' new contents, which releases the
 // lock and retires the intent. It is for a holder that has left the stripe
 // consistent with data — a repair, not an update in flight.
 func (h *ParityHold) Write(data []byte) error { return h.write(data, false, 0) }
@@ -448,7 +457,7 @@ func (h *ParityHold) Write(data []byte) error { return h.write(data, false, 0) }
 func (h *ParityHold) write(data []byte, dirty bool, tr uint64) error {
 	c := h.f.c
 	_, err := c.callSrvT(h.srv, &wire.WriteParity{
-		File: h.f.ref, Stripes: []int64{h.stripe}, Data: data, Unlock: h.f.lock, Owner: h.token,
+		File: h.f.ref, Stripes: []int64{h.stripe}, Ranges: h.ranges, Data: data, Unlock: h.f.lock, Owner: h.token,
 	}, tr)
 	if !h.f.lock {
 		return err
@@ -539,7 +548,9 @@ func (f *File) chargeParity(units int, n int64) {
 // parity units and, concurrently, read the old data; fold the delta into
 // every parity unit with its own coefficient row; write the new data; write
 // the new parity units, each write releasing its server's lock and retiring
-// its intent. The reads overlap — "the client reads the data in the partial
+// its intent. Only the parity bytes the update changes move, both ways: the
+// span's in-unit ranges (core.UnitRanges), the same for every unit j. The
+// reads overlap — "the client reads the data in the partial
 // stripes and also the corresponding parity region" — which keeps the
 // lock-hold window to the write phase (Figure 3). Every parity server is
 // updated before any lock is released, so a crash at any point leaves
@@ -581,6 +592,7 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 
 	// 1. Parity reads (lock acquisitions, in j order) and old-data read, in
 	// parallel.
+	ranges := core.UnitRanges(g, span.Off, span.Len)
 	holds := make([]*ParityHold, 0, len(units))
 	var pErr error
 	done := make(chan struct{})
@@ -595,7 +607,7 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 			defer f.timePath("parity_lock_wait")()
 		}
 		for _, j := range units {
-			h, err := f.holdParity(stripe, j, tr)
+			h, err := f.holdParity(stripe, j, ranges, tr)
 			if err != nil {
 				pErr = err // the failed acquisition released itself
 				return
@@ -625,7 +637,7 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 	if f.compute {
 		f.chargeParity(len(holds), 2*span.Len)
 		for _, h := range holds {
-			core.ApplyParityDelta(g, f.code, h.j, span.Off, old, p, h.resp.Data)
+			core.ApplyParityDelta(g, f.code, h.j, span.Off, old, p, ranges, h.resp.Data)
 		}
 	}
 

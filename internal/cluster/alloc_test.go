@@ -102,10 +102,12 @@ func TestFullStripeWriteAllocs(t *testing.T) {
 // rmwWriteBytesBudget bounds the heap bytes of one warm, unaligned 16 KiB
 // WriteAt — a locked read-modify-write: parity read, old-data read, delta,
 // data write, unlocking parity write (two of each parity step for RS(4,2)).
-// The old parity (64 KiB a unit), the old data and the new data all sit in
-// pooled buffers that go back when the write has succeeded, so what is left
-// is the bookkeeping of five to eight RPCs, about 16 KiB. Holding on to the parity response alone would add
-// 64 KiB per write; before the buffers were returned a write cost 123 KiB.
+// The old parity (the update's 16 KiB parity region of each unit), the old
+// data and the new data all sit in pooled buffers that go back when the write
+// has succeeded, so what is left is the bookkeeping of five to eight RPCs,
+// about 16 KiB. Holding on to a parity response alone would add 16 KiB per
+// parity unit; before the buffers were returned, and while a hold read its
+// whole 64 KiB unit, a write cost 123 KiB.
 const rmwWriteBytesBudget = 32 << 10
 
 func TestRMWWriteAllocs(t *testing.T) {
@@ -134,9 +136,18 @@ func TestRMWWriteAllocs(t *testing.T) {
 				write()
 			}
 			before := cl.Metrics().RMWs
+			r0, w0 := parityMoved(c)
 			allocs, heap := measureAllocs(50, write)
 			if got := cl.Metrics().RMWs - before; got != 51 {
 				t.Fatalf("%d of 51 writes took the read-modify-write path", got)
+			}
+			// The parity region of the update is its two pieces' in-unit
+			// ranges, 16 KiB in all: each parity unit moves that much each
+			// way, not its whole 64 KiB.
+			r1, w1 := parityMoved(c)
+			want := int64(len(patch) * f.Geometry().PU())
+			if rd, wr := (r1-r0)/51, (w1-w0)/51; rd != want || wr != want {
+				t.Fatalf("16 KiB RMW moves %d parity bytes in and %d out per write, want %d each", rd, wr, want)
 			}
 			t.Logf("16 KiB RMW WriteAt: %.1f allocs/op, %.0f B/op", allocs, heap)
 			if !raceEnabled && heap > rmwWriteBytesBudget {

@@ -47,88 +47,105 @@ func waitIntent(t *testing.T, cl *client.Client, srv int, ref wire.FileRef, aban
 // no unlocking parity write. The server must expire the lease, fail-stop
 // the stripe (new RMWs refused with ErrStripeTorn), and replay must
 // reconstruct the parity over the bytes the dead client managed to write.
+// The doomed update is a whole data unit under a whole-unit parity read, or
+// a few bytes inside one under a read of just their parity range: replay
+// recomputes the whole unit either way.
 func TestCrashClientMidRMW(t *testing.T) {
-	c := newCluster(t, 4)
-	cl := c.NewClient()
-	f, err := cl.Create("crash-client", 4, 64, wire.Raid5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := f.Geometry()
-	ref := pattern(int(2*g.StripeSize()), 1)
-	mustWrite(t, f, ref, 0)
+	for _, tc := range []struct {
+		name     string
+		off, len int64 // the torn bytes, within the stripe's first data unit
+		ranged   bool
+	}{
+		{"whole unit", 0, 64, false},
+		{"ranged", 10, 20, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, 4)
+			cl := c.NewClient()
+			f, err := cl.Create("crash-client", 4, 64, wire.Raid5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := f.Geometry()
+			ref := pattern(int(2*g.StripeSize()), 1)
+			mustWrite(t, f, ref, 0)
 
-	// The doomed client's half-finished RMW, replayed by hand: locked
-	// parity read with a 40ms lease, one data unit overwritten, then
-	// silence.
-	ps := g.ParityServerOf(0)
-	token := uint64(0xD15EA5ED)
-	if _, err := cl.ServerCaller(ps).Call(&wire.ReadParity{
-		File: f.Ref(), Stripes: []int64{0}, Lock: true, Owner: token, LeaseMS: 40,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	first, _ := g.DataUnitsOf(0)
-	torn := pattern(int(g.StripeUnit), 9)
-	span := wire.Span{Off: g.UnitStart(first), Len: g.StripeUnit}
-	if _, err := cl.ServerCaller(g.ServerOf(first)).Call(&wire.WriteData{
-		File: f.Ref(), Spans: []wire.Span{span}, Data: torn, Raw: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
+			// The doomed client's half-finished RMW, replayed by hand: locked
+			// parity read with a 40ms lease, data overwritten, then silence.
+			ps := g.ParityServerOf(0)
+			token := uint64(0xD15EA5ED)
+			var ranges []wire.Span
+			if tc.ranged {
+				ranges = []wire.Span{{Off: tc.off, Len: tc.len}}
+			}
+			if _, err := cl.ServerCaller(ps).Call(&wire.ReadParity{
+				File: f.Ref(), Stripes: []int64{0}, Lock: true, Owner: token, LeaseMS: 40, Ranges: ranges,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			first, _ := g.DataUnitsOf(0)
+			torn := pattern(int(tc.len), 9)
+			span := wire.Span{Off: g.UnitStart(first) + tc.off, Len: tc.len}
+			if _, err := cl.ServerCaller(g.ServerOf(first)).Call(&wire.WriteData{
+				File: f.Ref(), Spans: []wire.Span{span}, Data: torn, Raw: true,
+			}); err != nil {
+				t.Fatal(err)
+			}
 
-	// The lease expires with no heartbeat: the intent goes abandoned.
-	in := waitIntent(t, cl, ps, f.Ref(), true)
-	if in.Stripe != 0 || in.Owner != token {
-		t.Fatalf("abandoned intent = %+v, want stripe 0 owner %d", in, token)
-	}
-	st := c.Server(ps).IntentStats()
-	if st.LeaseExpiries != 1 || st.Abandoned != 1 {
-		t.Fatalf("server stats after expiry: %+v", st)
-	}
+			// The lease expires with no heartbeat: the intent goes abandoned.
+			in := waitIntent(t, cl, ps, f.Ref(), true)
+			if in.Stripe != 0 || in.Owner != token {
+				t.Fatalf("abandoned intent = %+v, want stripe 0 owner %d", in, token)
+			}
+			st := c.Server(ps).IntentStats()
+			if st.LeaseExpiries != 1 || st.Abandoned != 1 {
+				t.Fatalf("server stats after expiry: %+v", st)
+			}
 
-	// The stripe is fail-stopped: a fresh RMW is refused, not wedged.
-	if _, err := f.WriteAt(pattern(10, 5), 0); !errors.Is(err, wire.ErrStripeTorn) {
-		t.Fatalf("RMW on torn stripe: %v, want ErrStripeTorn", err)
-	}
+			// The stripe is fail-stopped: a fresh RMW is refused, not wedged.
+			if _, err := f.WriteAt(pattern(10, 5), 0); !errors.Is(err, wire.ErrStripeTorn) {
+				t.Fatalf("RMW on torn stripe: %v, want ErrStripeTorn", err)
+			}
 
-	// Replay reconciles: parity is recomputed from the data units as they
-	// are now (old bytes + the dead client's unit).
-	rep, err := recovery.ReplayIntents(cl, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Replayed != 1 || rep.Abandoned != 1 || rep.Open != 0 || rep.Skipped != 0 {
-		t.Fatalf("replay report: %+v", rep)
-	}
-	if m := cl.Metrics(); m.IntentsReplayed != 1 || m.IntentsAbandoned != 1 {
-		t.Fatalf("replay metrics: replayed=%d abandoned=%d", m.IntentsReplayed, m.IntentsAbandoned)
-	}
-	problems, err := recovery.Verify(cl, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(problems) != 0 {
-		t.Fatalf("verify after replay: %v", problems)
-	}
-	srep, err := scrub.Run(cl, f, scrub.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !srep.Clean() || srep.IntentSkips != 0 {
-		t.Fatalf("scrub after replay: %v (skips=%d)", srep, srep.IntentSkips)
-	}
+			// Replay reconciles: parity is recomputed from the data units as
+			// they are now (old bytes + the dead client's).
+			rep, err := recovery.ReplayIntents(cl, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Replayed != 1 || rep.Abandoned != 1 || rep.Open != 0 || rep.Skipped != 0 {
+				t.Fatalf("replay report: %+v", rep)
+			}
+			if m := cl.Metrics(); m.IntentsReplayed != 1 || m.IntentsAbandoned != 1 {
+				t.Fatalf("replay metrics: replayed=%d abandoned=%d", m.IntentsReplayed, m.IntentsAbandoned)
+			}
+			problems, err := recovery.Verify(cl, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(problems) != 0 {
+				t.Fatalf("verify after replay: %v", problems)
+			}
+			srep, err := scrub.Run(cl, f, scrub.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !srep.Clean() || srep.IntentSkips != 0 {
+				t.Fatalf("scrub after replay: %v (skips=%d)", srep, srep.IntentSkips)
+			}
 
-	// Reads return the merged truth, and the stripe accepts RMWs again.
-	want := append([]byte(nil), ref...)
-	copy(want[g.UnitStart(first):], torn)
-	checkRead(t, f, want, 0)
-	upd := pattern(10, 6)
-	mustWrite(t, f, upd, 0)
-	copy(want, upd)
-	checkRead(t, f, want, 0)
-	if problems, err = recovery.Verify(cl, f); err != nil || len(problems) != 0 {
-		t.Fatalf("final verify: %v %v", problems, err)
+			// Reads return the merged truth, and the stripe accepts RMWs again.
+			want := append([]byte(nil), ref...)
+			copy(want[span.Off:], torn)
+			checkRead(t, f, want, 0)
+			upd := pattern(10, 6)
+			mustWrite(t, f, upd, 0)
+			copy(want, upd)
+			checkRead(t, f, want, 0)
+			if problems, err = recovery.Verify(cl, f); err != nil || len(problems) != 0 {
+				t.Fatalf("final verify: %v %v", problems, err)
+			}
+		})
 	}
 }
 

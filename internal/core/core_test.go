@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -175,10 +176,71 @@ func TestStripeParityPanicsOnBadSizes(t *testing.T) {
 	}
 }
 
+// TestUnitRanges pins the merge rule on geom's 25-byte units, then checks
+// for random ranges that the result is exactly the set of in-unit positions
+// the range touches, in canonical form.
+func TestUnitRanges(t *testing.T) {
+	g := geom()
+	cases := []struct {
+		off, len int64
+		want     []wire.Span
+	}{
+		{0, 0, nil},
+		{30, 1, []wire.Span{{Off: 5, Len: 1}}},                     // one byte
+		{30, 10, []wire.Span{{Off: 5, Len: 10}}},                   // inside one unit
+		{45, 10, []wire.Span{{Off: 0, Len: 5}, {Off: 20, Len: 5}}}, // straddles two units, disjoint
+		{45, 27, []wire.Span{{Off: 0, Len: 25}}},                   // straddles two units, pieces overlap
+		{40, 25, []wire.Span{{Off: 0, Len: 25}}},                   // straddles two units, pieces abut
+		{10, 60, []wire.Span{{Off: 0, Len: 25}}},                   // touches three units
+		{25, 25, []wire.Span{{Off: 0, Len: 25}}},                   // exactly one unit
+	}
+	for _, c := range cases {
+		if got := UnitRanges(g, c.off, c.len); !slices.Equal(got, c.want) {
+			t.Errorf("UnitRanges(%d,%d) = %v, want %v", c.off, c.len, got, c.want)
+		}
+	}
+	f := func(offSeed, lenSeed uint16) bool {
+		off, length := int64(offSeed)%1000, int64(lenSeed)%120+1
+		touched := make([]bool, g.StripeUnit)
+		for b := off; b < off+length; b++ {
+			touched[b%g.StripeUnit] = true
+		}
+		got := UnitRanges(g, off, length)
+		var end int64
+		for _, r := range got {
+			if r.Len <= 0 || r.Off < end || r.Off+r.Len > g.StripeUnit {
+				return false // not sorted, disjoint, non-empty and inside the unit
+			}
+			for p := end; p < r.Off; p++ {
+				if touched[p] {
+					return false
+				}
+			}
+			for p := r.Off; p < r.Off+r.Len; p++ {
+				if !touched[p] {
+					return false
+				}
+			}
+			end = r.Off + r.Len
+		}
+		for p := end; p < g.StripeUnit; p++ {
+			if touched[p] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestApplyParityDeltaMatchesRecompute(t *testing.T) {
-	// Updating a random in-stripe range via the delta must give the same
-	// parity as recomputing from the updated stripe contents — for the one
-	// XOR unit of RAID5 and for every coefficient row of RS(3,2).
+	// Updating a random in-stripe range via the delta, folded into only the
+	// parity bytes its ranges name, must give the same parity as
+	// recomputing from the updated stripe contents — for the one XOR unit
+	// of RAID5 and for every coefficient row of RS(3,2). Bytes outside the
+	// ranges must not need to change.
 	for _, g := range []raid.Geometry{geom(), geomRS()} {
 		code := codeOf(t, g)
 		f := func(seed int64, offSeed, lenSeed uint16) bool {
@@ -200,8 +262,16 @@ func TestApplyParityDeltaMatchesRecompute(t *testing.T) {
 			newD := make([]byte, length)
 			r.Read(newD)
 
+			ranges := UnitRanges(g, base+off, length)
 			for j := range parity {
-				ApplyParityDelta(g, code, j, base+off, oldD, newD, parity[j])
+				var packed []byte
+				for _, rg := range ranges {
+					packed = append(packed, parity[j][rg.Off:rg.Off+rg.Len]...)
+				}
+				ApplyParityDelta(g, code, j, base+off, oldD, newD, ranges, packed)
+				for _, rg := range ranges {
+					packed = packed[copy(parity[j][rg.Off:rg.Off+rg.Len], packed):]
+				}
 			}
 			copy(data[off:], newD)
 
@@ -227,7 +297,8 @@ func TestApplyParityDeltaRejectsCrossStripe(t *testing.T) {
 			t.Fatal("expected panic on cross-stripe range")
 		}
 	}()
-	ApplyParityDelta(g, codeOf(t, g), 0, 90, make([]byte, 20), make([]byte, 20), make([]byte, g.StripeUnit))
+	ranges := UnitRanges(g, 90, 20)
+	ApplyParityDelta(g, codeOf(t, g), 0, 90, make([]byte, 20), make([]byte, 20), ranges, make([]byte, 20))
 }
 
 func TestPartialStripes(t *testing.T) {

@@ -106,10 +106,24 @@ type Server struct {
 
 	// obs holds the per-RPC-kind latency histograms and the store-level
 	// counters/gauges served by the Stats RPC and the /metrics endpoint
-	// (stats.go), and publishes the intent/lease counter set (intent.go).
+	// (stats.go), and publishes the intent/lease counter set (intent.go) and
+	// the parity-byte counter set.
 	obs     *obs.Registry
 	intents *IntentStats
+	parity  *ParityStats
 }
+
+// ParityStats counts the parity-store bytes ReadParity and WriteParity move,
+// published in the server's registry under the tags. A read-modify-write
+// moves only the ranges its update touches; a whole-unit message moves whole
+// units.
+type ParityStats struct {
+	BytesRead    int64 `obs:"parity_bytes_read"`
+	BytesWritten int64 `obs:"parity_bytes_written"`
+}
+
+// ParityStats returns the current parity-byte counters.
+func (s *Server) ParityStats() ParityStats { return obs.LoadCounters(s.parity) }
 
 // Requests returns the number of requests handled since startup.
 func (s *Server) Requests() int64 { return s.requests.Load() }
@@ -181,6 +195,7 @@ func New(idx int, disk storage.Backend, opts Options) *Server {
 		files:   make(map[uint64]*serverFile),
 		obs:     reg,
 		intents: obs.NewCounters[IntentStats](reg),
+		parity:  obs.NewCounters[ParityStats](reg),
 	}
 	s.registerGauges()
 	s.loadIntents()
@@ -502,6 +517,26 @@ func (s *Server) handleReadMirror(m *wire.ReadMirror) (wire.Msg, error) {
 	return resp, nil
 }
 
+// unitRanges validates a parity message's in-unit Ranges against the unit
+// size su — sorted, disjoint, each non-empty and inside the unit — and
+// returns the ranges to move per stripe with the bytes they cover. No ranges
+// means the whole unit.
+func unitRanges(ranges []wire.Span, su int64) ([]wire.Span, int64, error) {
+	if len(ranges) == 0 {
+		return []wire.Span{{Len: su}}, su, nil
+	}
+	var end, n int64
+	for _, r := range ranges {
+		if r.Len <= 0 || r.Off < end || r.Off > su-r.Len {
+			return nil, 0, fmt.Errorf("server: parity range [%d,+%d) is empty, unsorted, overlapping or outside the %d-byte unit",
+				r.Off, r.Len, su)
+		}
+		end = r.Off + r.Len
+		n += r.Len
+	}
+	return ranges, n, nil
+}
+
 func (s *Server) handleReadParity(m *wire.ReadParity) (wire.Msg, error) {
 	sf, err := s.file(m.File)
 	if err != nil {
@@ -513,8 +548,22 @@ func (s *Server) handleReadParity(m *wire.ReadParity) (wire.Msg, error) {
 		// be released by accident.
 		return nil, fmt.Errorf("server: locked parity read carries no owner token")
 	}
-	par := sf.store(s.disk, StoreParity)
 	su := sf.geom.StripeUnit
+	ranges, per, err := unitRanges(m.Ranges, su)
+	if err != nil {
+		return nil, err
+	}
+	if m.Lock {
+		// Section 5.1's lock order, enforced. A stripe listed twice would
+		// also queue its second acquisition behind its own first, forever:
+		// no lease is armed until every lock is taken.
+		for i := 1; i < len(m.Stripes); i++ {
+			if m.Stripes[i] <= m.Stripes[i-1] {
+				return nil, fmt.Errorf("server: locked parity read of stripes %v: not strictly ascending", m.Stripes)
+			}
+		}
+	}
+	par := sf.store(s.disk, StoreParity)
 	// Locks acquired by this request so far: a failure on a later stripe
 	// must release them, or they would be held forever (the client sees one
 	// error for the whole request and never sends the unlocking writes).
@@ -539,10 +588,16 @@ func (s *Server) handleReadParity(m *wire.ReadParity) (wire.Msg, error) {
 	}
 	// Every stripe checked and, if asked, locked: only now take the response
 	// buffer, so no error path above has one to give back.
-	resp := wire.NewReadResp(len(m.Stripes) * int(su))
-	for i, stripe := range m.Stripes {
-		readFill(par, resp.Data[int64(i)*su:int64(i+1)*su], sf.geom.ParityLocalOffsetOn(s.idx, stripe))
+	resp := wire.NewReadResp(len(m.Stripes) * int(per))
+	at := int64(0)
+	for _, stripe := range m.Stripes {
+		base := sf.geom.ParityLocalOffsetOn(s.idx, stripe)
+		for _, r := range ranges {
+			readFill(par, resp.Data[at:at+r.Len], base+r.Off)
+			at += r.Len
+		}
 	}
+	atomic.AddInt64(&s.parity.BytesRead, at)
 	if m.Lock {
 		// All stripes locked: open their durable write intents before the
 		// grant leaves the server, so from here to the unlocking parity
@@ -559,9 +614,13 @@ func (s *Server) handleWriteParity(m *wire.WriteParity) (wire.Msg, error) {
 	}
 	par := sf.store(s.disk, StoreParity)
 	su := sf.geom.StripeUnit
-	if int64(len(m.Data)) != int64(len(m.Stripes))*su {
+	ranges, per, err := unitRanges(m.Ranges, su)
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(m.Data)) != int64(len(m.Stripes))*per {
 		return nil, fmt.Errorf("server: parity payload %d bytes for %d stripes of %d",
-			len(m.Data), len(m.Stripes), su)
+			len(m.Data), len(m.Stripes), per)
 	}
 	for _, stripe := range m.Stripes {
 		if _, ok := sf.geom.ParityUnitOn(s.idx, stripe); !ok {
@@ -593,15 +652,25 @@ func (s *Server) handleWriteParity(m *wire.WriteParity) (wire.Msg, error) {
 			}
 		}
 	}
-	if !m.Unlock {
-		// A fresh full-stripe parity write installs parity correct by
-		// construction, superseding any tear an abandoned intent recorded.
-		// Retired before the bytes land (see handleResolveIntent for the
-		// ordering argument against a racing replay).
+	// Only a whole-unit write outside a read-modify-write installs parity
+	// correct by construction. A ranged write folds a delta into the bytes
+	// already there — with or without the lock — so it can mend neither a
+	// tear nor a stale overflow table.
+	install := !m.Unlock && len(m.Ranges) == 0
+	if install {
+		// A fresh full-stripe parity write supersedes any tear an abandoned
+		// intent recorded. Retired before the bytes land (see
+		// handleResolveIntent for the ordering argument against a racing
+		// replay).
 		s.resolveAbandonedByWrite(sf, m.Stripes)
 	}
-	for i, stripe := range m.Stripes {
-		s.writePiece(par, sf.geom.ParityLocalOffsetOn(s.idx, stripe), m.Data[int64(i)*su:int64(i+1)*su])
+	at := int64(0)
+	for _, stripe := range m.Stripes {
+		base := sf.geom.ParityLocalOffsetOn(s.idx, stripe)
+		for _, r := range ranges {
+			s.writePiece(par, base+r.Off, m.Data[at:at+r.Len])
+			at += r.Len
+		}
 		if m.Unlock {
 			// Commit: the read-modify-write completed, the stripe is
 			// consistent again. The intent retires before the lock hands
@@ -610,7 +679,8 @@ func (s *Server) handleWriteParity(m *wire.WriteParity) (wire.Msg, error) {
 			sf.unlockStripeOwned(stripe, m.Owner)
 		}
 	}
-	if sf.shape.Overflow && !m.Unlock {
+	atomic.AddInt64(&s.parity.BytesWritten, at)
+	if sf.shape.Overflow && install {
 		// A fresh (non-RMW) parity write means a full-stripe write is
 		// superseding these stripes. This server holds no data of the
 		// stripes it stores parity for, so it receives no WriteData for a

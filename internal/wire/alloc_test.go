@@ -47,6 +47,7 @@ func hotMessages() map[string]Msg {
 		"WriteParity": &WriteParity{
 			File:    file,
 			Stripes: []int64{0},
+			Ranges:  []Span{{Off: 0, Len: 64 << 10}},
 			Data:    payload,
 			Unlock:  true,
 			Owner:   42,
@@ -178,7 +179,9 @@ func TestUnmarshalLengthPrefixAmplification(t *testing.T) {
 		{"WriteMirror.Spans", KWriteMirror, 16, nil},
 		{"ReadMirror.Spans", KReadMirror, 16, nil},
 		{"ReadParity.Stripes", KReadParity, 16, nil},
+		{"ReadParity.Ranges", KReadParity, 33, nil},
 		{"WriteParity.Stripes", KWriteParity, 16, nil},
+		{"WriteParity.Ranges", KWriteParity, 29, nil},
 		{"UnlockParity.Stripes", KUnlockParity, 16, nil},
 		{"RenewLease.Stripes", KRenewLease, 16, nil},
 		{"WriteOverflow.Extents", KWriteOverflow, 16, nil},

@@ -98,6 +98,14 @@ func fuzzSeeds() []Msg {
 				Buckets: []int64{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1},
 			}},
 		},
+		// A read-modify-write's ranged parity traffic: the in-unit ranges of
+		// an update straddling two units, on one and on two parity units.
+		&ReadParity{File: ref, Stripes: []int64{7}, Lock: true, Owner: 43, LeaseMS: 5000,
+			Ranges: []Span{{0, 2}, {4000, 96}}},
+		&WriteParity{File: ref, Stripes: []int64{7}, Ranges: []Span{{0, 2}, {4000, 96}},
+			Data: bytes.Repeat([]byte{0x5A}, 98), Unlock: true, Owner: 43},
+		&ReadParity{File: rsRef, Stripes: []int64{13}, Lock: true, Owner: 92, Ranges: []Span{{100, 1}}},
+		&WriteParity{File: rsRef, Stripes: []int64{13}, Ranges: []Span{{100, 1}}, Data: []byte{0xC3}, Owner: 92},
 	}
 }
 

@@ -179,6 +179,7 @@ func (m *ReadParity) codec(c *Codec) {
 	c.Bool(&m.Lock)
 	c.U64(&m.Owner)
 	c.U32(&m.LeaseMS)
+	slice(c, &m.Ranges, elemSpan)
 }
 
 func (m *RenewLease) Kind() Kind { return KRenewLease }
@@ -268,6 +269,7 @@ func (m *WriteParity) codec(c *Codec) {
 	slice(c, &m.Stripes, elemI64)
 	c.Bool(&m.Unlock)
 	c.U64(&m.Owner)
+	slice(c, &m.Ranges, elemSpan) // before Data: the bulk payload stays last
 	c.Bytes(&m.Data)
 }
 

@@ -93,7 +93,8 @@ type FileRef struct {
 	Parity uint8
 }
 
-// Span is a byte range [Off, Off+Len) of the logical file.
+// Span is a byte range [Off, Off+Len): of the logical file, or, as a parity
+// message's Ranges, of one unit.
 type Span struct {
 	Off int64
 	Len int64
@@ -417,9 +418,10 @@ type ReadMirror struct {
 	Spans []Span
 }
 
-// ReadParity reads whole parity units of the listed stripes. With Lock set,
-// the server acquires the stripe's parity lock before answering (the
-// Section 5.1 protocol: a parity read announces a partial-stripe update).
+// ReadParity reads parity units of the listed stripes: whole units, or only
+// the bytes Ranges names. With Lock set, the server acquires the stripe's
+// parity lock before answering (the Section 5.1 protocol: a parity read
+// announces a partial-stripe update).
 // Owner is the caller's lock token for that acquisition: a later
 // UnlockParity carrying the same token releases exactly this acquisition
 // and no other, so a client whose locked read timed out can free a
@@ -430,13 +432,22 @@ type ReadMirror struct {
 // non-zero, bounds how long the acquisition may stay open without a
 // RenewLease heartbeat: past the deadline the server revokes the lock,
 // wakes the FIFO queue and marks the intent abandoned, so a dead client
-// cannot wedge the stripe.
+// cannot wedge the stripe. A locked read must list its stripes in strictly
+// ascending order — the Section 5.1 lock order — or it is refused before any
+// lock is taken.
+//
+// Ranges, when non-empty, lists byte ranges within a parity unit: sorted,
+// disjoint, each non-empty and inside the unit. They apply to every listed
+// stripe, and the response packs them stripe by stripe, range by range. A
+// partial-stripe update reads only "the corresponding parity region" (Section
+// 4) this way. No ranges means whole units.
 type ReadParity struct {
 	File    FileRef
 	Stripes []int64
 	Lock    bool
 	Owner   uint64
 	LeaseMS uint32
+	Ranges  []Span
 }
 
 // UnlockParity force-releases the parity locks of the listed stripes if —
@@ -599,7 +610,8 @@ type HealthResp struct {
 	Requests int64  // requests handled since startup
 }
 
-// WriteParity writes whole parity units of the listed stripes. With Unlock
+// WriteParity writes parity units of the listed stripes: whole units, or only
+// the bytes Ranges names, packed as ReadParity returns them. With Unlock
 // set it releases the parity locks taken by a prior locked ReadParity and
 // Owner must carry that acquisition's token: the server refuses the write
 // outright unless the token still holds every listed stripe's lock — the
@@ -608,9 +620,15 @@ type HealthResp struct {
 // another client's update. Locks are never granted without a token (a
 // locked ReadParity with a zero Owner is refused), so an unlocking write
 // with a zero Owner is always refused.
+//
+// Only a whole-unit write that does not unlock installs parity: it supersedes
+// the stripes' abandoned intents and, under an overflow shape, their overflow
+// entries. A ranged write is a read-modify-write's, even without Unlock (the
+// no-lock ablation), and supersedes nothing.
 type WriteParity struct {
 	File    FileRef
 	Stripes []int64
+	Ranges  []Span
 	Data    []byte
 	Unlock  bool
 	Owner   uint64
@@ -1085,6 +1103,12 @@ func slice[T any](c *Codec, s *[]T, e elem[T]) {
 		// of 2^31 or more is negative and would pass.
 		if left := len(c.Buf) - c.off; uint64(n) > uint64(left/e.size) {
 			c.err = fmt.Errorf("wire: %d elements cannot fit in the %d bytes left (offset %d)", n, left, c.off)
+			return
+		}
+		if n == 0 {
+			// An empty list decodes as nil, which is how an unset field
+			// encodes: a message round-trips to one equal to it.
+			*s = nil
 			return
 		}
 		*s = make([]T, n)

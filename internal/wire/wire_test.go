@@ -45,7 +45,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 		&ResolveIntent{File: ref, Stripe: 3, Owner: 77, Data: data},
 		&Health{},
 		&HealthResp{Index: 3, Requests: 12345},
-		&WriteParity{File: ref, Stripes: []int64{3}, Data: data, Unlock: true, Owner: 77},
+		&WriteParity{File: ref, Stripes: []int64{3}, Ranges: []Span{{0, 5}, {100, 8}}, Data: data, Unlock: true, Owner: 77},
 		&WriteOverflow{File: ref, Extents: spans, Data: data, Mirror: true},
 		&InvalidateOverflow{File: ref, Spans: spans, Mirror: true},
 		&OverflowDump{File: ref, Mirror: true},
@@ -115,17 +115,21 @@ func TestRoundTripAllKinds(t *testing.T) {
 }
 
 func TestRoundTripEmptySlices(t *testing.T) {
-	// nil and empty slices must survive; decoders produce consistent values.
-	m := &Read{File: FileRef{ID: 1, Servers: 3, StripeUnit: 8, Scheme: Raid0}}
-	b := Marshal(m)
-	got, err := Unmarshal(b)
-	if err != nil {
-		t.Fatal(err)
+	// nil and empty slices encode alike, as a zero count, and a zero count
+	// decodes as nil — the value an unset field has, so a message that
+	// leaves a list unset (ReadParity's Ranges, most often) round-trips to
+	// one deeply equal to it.
+	for _, spans := range [][]Span{nil, {}} {
+		m := &Read{File: FileRef{ID: 1, Servers: 3, StripeUnit: 8, Scheme: Raid0}, Spans: spans}
+		got, err := Unmarshal(Marshal(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := got.(*Read); r.Spans != nil {
+			t.Fatalf("%#v spans decoded as %#v, want nil", spans, r.Spans)
+		}
 	}
-	r := got.(*Read)
-	if len(r.Spans) != 0 {
-		t.Fatalf("spans = %v", r.Spans)
-	}
+	roundTrip(t, &ReadParity{File: FileRef{ID: 1, Servers: 3, StripeUnit: 8, Scheme: Raid5}, Stripes: []int64{2}})
 }
 
 func TestUnmarshalErrors(t *testing.T) {
