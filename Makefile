@@ -66,7 +66,8 @@ resync:
 
 # The parity-engine suite: the GF(256) field and RS(k,m) matrix unit and
 # property tests; the RS(4,2) double-fault cluster scenarios — degraded
-# reads with any two servers dead, double rebuild, delta resync and
+# reads with any two servers dead, double rebuild for every pair of failed
+# servers, delta resync (also of one server while a second is down) and
 # multi-parity crash-restart intent replay; the proofs that RAID5 is the
 # engine's m = 1 case — the seeded Raid5 ≡ RS(k,1) differential (stores,
 # read-backs and request counts), the golden per-operation request table,
@@ -83,7 +84,7 @@ resync:
 # without it.
 rs:
 	$(GO) test -race -count=2 ./internal/gf256
-	$(GO) test -race -count=2 -run 'TestRS|TestParityEngine|TestDegradedReadDifferential|TestRMWParityRanges|TestResolve' ./internal/cluster
+	$(GO) test -race -count=2 -run 'TestRS|TestResyncRS|TestParityEngine|TestDegradedReadDifferential|TestRMWParityRanges|TestResolve' ./internal/cluster
 	$(GO) test -race -count=2 -run 'TestMultiParityPlacement|TestResolve' ./internal/raid
 	GOARCH=arm64 $(GO) vet ./internal/gf256 && GOARCH=arm64 $(GO) build ./...
 

@@ -100,7 +100,7 @@ func (f *File) readDegradedMirror(p []byte, off int64, dead int, tr uint64) erro
 // at most the stripe's m parity units' worth — down, in one round: the live
 // pieces are fetched as a healthy read fetches them while, concurrently, the
 // survivors the dead pieces' decodes need beyond those bytes are fetched
-// (degradedPlan). Each dead piece is then decoded straight into its slice of
+// (survivorPlan). Each dead piece is then decoded straight into its slice of
 // p. Where the shape has overflow, the mirrored overflow region then
 // overlays any newer partial-stripe data.
 func (f *File) readDegradedParity(p []byte, off int64, deads []int, tr uint64) error {
@@ -122,7 +122,7 @@ func (f *File) readDegradedParity(p []byte, off int64, deads []int, tr uint64) e
 	fetched := make(chan struct{})
 	go func() {
 		defer close(fetched)
-		survivors, sErr = plan.fetch(f, tr)
+		survivors, sErr = plan.fetch(f, f.tracedCall(tr))
 	}()
 	reads, err := f.fetchSpans(span, false, tr, func(s int) bool { return slices.Contains(deads, s) })
 	<-fetched
@@ -146,102 +146,174 @@ func (f *File) readDegradedParity(p []byte, off int64, deads []int, tr uint64) e
 	return nil
 }
 
-// degradedPlan is how one read rebuilds the pieces of its span that lie on
-// dead servers, worked out from the geometry alone before any I/O. Each dead
-// piece is decoded from the same within-unit range of k surviving units of
-// its stripe, taken in code order (data 0..k-1, then parity k..k+m-1, dead
-// servers skipped), so live data units — whose identity rows make the decode
-// cheapest — are preferred and parity units fill out the set. A survivor
-// comes from one of two places:
+// CallFunc sends one request to server srv and returns its response.
+type CallFunc func(srv int, req wire.Msg) (wire.Msg, error)
+
+// tracedCall is the foreground CallFunc: each request goes through the
+// client's resilience layer carrying the operation's trace ID tr.
+func (f *File) tracedCall(tr uint64) CallFunc {
+	return func(srv int, req wire.Msg) (wire.Msg, error) { return f.c.callSrvT(srv, req, tr) }
+}
+
+// survivorPlan is how survivors regenerate a list of pieces — ranges of
+// stripe members on dead servers — worked out from the geometry alone
+// before any I/O. It is the one survivor planner: the degraded read and the
+// degraded read-modify-write plan the dead pieces of their span, and
+// recovery (Rebuild, Resync, intent replay) plans whole units through
+// Reconstruct. Each piece is decoded from the same within-unit range of k
+// members of its stripe on live servers, taken in code order (data
+// 0..k-1, then parity k..k+m-1, dead servers skipped), so live data units —
+// whose identity rows make the decode cheapest — are preferred and parity
+// units fill out the set. A survivor comes from one of two places:
 //
-//   - the read's own buffer, when the survivor's range lies inside the span
-//     and the buffer holds in-place bytes (a raw read, or a scheme without
-//     overflow): those bytes are already there, for free;
+//   - the destination buffer, when its in window holds the survivor's range
+//     in place (a degraded read of a shape without overflow, or the degraded
+//     RMW's raw old data; recovery's buffers hold none): those bytes are
+//     already there, for free;
 //   - otherwise a fetch: one multi-span raw Read per server for data units
 //     and one multi-stripe ReadParity per parity server, each stripe asked
 //     for once, all sent at the same time.
 //
-// A decode target never aliases an in-buffer survivor: survivors are taken
-// only from units on live servers, targets only from units on dead ones, and
-// distinct units hold disjoint logical ranges, hence disjoint buffer slices.
-type degradedPlan struct {
+// A piece's destination never aliases an in-buffer survivor: survivors are
+// taken only from units on live servers, pieces only from units on dead
+// ones, and distinct units hold disjoint logical ranges, hence disjoint
+// buffer slices.
+type survivorPlan struct {
 	g      raid.Geometry
-	off    int64 // the span's offset: buf[0] holds this logical byte
-	pieces []deadPiece
+	dead   []int
+	in     raid.Span // the logical range buf holds in place (Len 0: none)
+	pieces []piece
 	srcs   []survivor    // k per piece, in code order
 	raw    [][]wire.Span // by server: the raw Read spans of fetched data survivors
 	rawLen []int64       // by server: the bytes those spans return
 	parity [][]int64     // by server: the stripes whose parity unit it sends
 }
 
-// deadPiece is one piece of the span on a dead server: the logical range
-// [cur, end) within one unit, whose code index is target.
-type deadPiece struct {
-	cur, end int64
-	target   int
+// piece is one range a plan regenerates: the bytes [wu, wu+n) of member
+// target (a code index) of stripe, decoded to buf[dst:dst+n].
+type piece struct {
+	stripe int64
+	target int
+	wu, n  int64
+	dst    int64
 }
 
-// survivor is one unit's share of a dead piece's decode.
+// survivor is one unit's share of a piece's decode.
 type survivor struct {
 	idx  int   // code index
 	from int   // the fetched response holding it (see fetch); -1: the buffer
 	at   int64 // where the piece's range starts in the buffer or the response
 }
 
-// planDegraded plans the decode of every piece of span on a server in deads.
-// inBuf says whether the buffer the read lands in holds in-place bytes, and
-// so may serve survivors.
-func (f *File) planDegraded(span raid.Span, deads []int, inBuf bool) (*degradedPlan, error) {
-	g := f.geom
-	k, m := g.DataWidth(), g.PU()
-	pl := &degradedPlan{
-		g: g, off: span.Off,
-		raw:    make([][]wire.Span, g.Servers),
-		rawLen: make([]int64, g.Servers),
-		parity: make([][]int64, g.Servers),
+// newPlan starts a plan around the servers in dead; in is the logical range
+// the destination buffer holds in place, and may serve survivors.
+func (f *File) newPlan(dead []int, in raid.Span) *survivorPlan {
+	n := f.geom.Servers
+	return &survivorPlan{
+		g: f.geom, dead: dead, in: in,
+		raw:    make([][]wire.Span, n),
+		rawLen: make([]int64, n),
+		parity: make([][]int64, n),
 	}
-	isDead := func(s int) bool { return slices.Contains(deads, s) }
+}
+
+// add plans one piece: it picks the piece's k survivors and asks for the
+// ones the buffer does not hold.
+func (pl *survivorPlan) add(pc piece) error {
+	g := pl.g
+	k, m := g.DataWidth(), g.PU()
+	first, _ := g.DataUnitsOf(pc.stripe)
+	pl.pieces = append(pl.pieces, pc)
+	found := 0
+	for idx := 0; idx < k+m && found < k; idx++ {
+		if idx >= k {
+			srv := g.ParityServerOfUnit(pc.stripe, idx-k)
+			if !slices.Contains(pl.dead, srv) {
+				pl.srcs = append(pl.srcs, survivor{idx, g.Servers + srv, pl.addParity(srv, pc.stripe) + pc.wu})
+				found++
+			}
+			continue
+		}
+		srv, start := g.ServerOf(first+int64(idx)), g.UnitStart(first+int64(idx))+pc.wu
+		switch {
+		case slices.Contains(pl.dead, srv):
+			continue
+		case start >= pl.in.Off && start+pc.n <= pl.in.End():
+			pl.srcs = append(pl.srcs, survivor{idx, -1, start - pl.in.Off})
+		default:
+			pl.srcs = append(pl.srcs, survivor{idx, srv, pl.addRaw(srv, start, pc.n)})
+		}
+		found++
+	}
+	if found < k {
+		return fmt.Errorf("client: stripe %d has only %d live units, need %d", pc.stripe, found, k)
+	}
+	return nil
+}
+
+// planDegraded plans the decode of every piece of span on a server in deads,
+// each into its place in the buffer that holds span. inBuf says whether that
+// buffer holds in-place bytes, and so may serve survivors.
+func (f *File) planDegraded(span raid.Span, deads []int, inBuf bool) (*survivorPlan, error) {
+	g := f.geom
+	in := raid.Span{}
+	if inBuf {
+		in = span
+	}
+	pl := f.newPlan(deads, in)
 	var err error
 	eachPiece(g, span.Off, span.Len, func(unit, cur, end int64) {
-		if err != nil || !isDead(g.ServerOf(unit)) {
+		if err != nil || !slices.Contains(deads, g.ServerOf(unit)) {
 			return
 		}
 		stripe := g.StripeOf(cur)
 		first, _ := g.DataUnitsOf(stripe)
-		wu, n := cur-g.UnitStart(unit), end-cur // the within-unit range
-		pl.pieces = append(pl.pieces, deadPiece{cur, end, int(unit - first)})
-		found := 0
-		for idx := 0; idx < k+m && found < k; idx++ {
-			if idx >= k {
-				srv := g.ParityServerOfUnit(stripe, idx-k)
-				if !isDead(srv) {
-					pl.srcs = append(pl.srcs, survivor{idx, g.Servers + srv, pl.addParity(srv, stripe) + wu})
-					found++
-				}
-				continue
-			}
-			srv, start := g.ServerOf(first+int64(idx)), g.UnitStart(first+int64(idx))+wu
-			switch {
-			case isDead(srv):
-				continue
-			case inBuf && start >= span.Off && start+n <= span.End():
-				pl.srcs = append(pl.srcs, survivor{idx, -1, start - span.Off})
-			default:
-				pl.srcs = append(pl.srcs, survivor{idx, srv, pl.addRaw(srv, start, n)})
-			}
-			found++
-		}
-		if found < k {
-			err = fmt.Errorf("client: stripe %d has only %d live units, need %d", stripe, found, k)
-		}
+		err = pl.add(piece{
+			stripe: stripe, target: int(unit - first),
+			wu: cur - g.UnitStart(unit), n: end - cur,
+			dst: cur - span.Off,
+		})
 	})
 	return pl, err
 }
 
+// Unit names one whole member of a parity stripe: code index Idx (data
+// 0..k-1, then parity k..k+m-1) of Stripe.
+type Unit struct {
+	Stripe int64
+	Idx    int
+}
+
+// Reconstruct regenerates each of units, whole, into dst[i*StripeUnit:], by
+// the degraded read's plan: from k members of its stripe on servers not in
+// dead, picked in code order, fetched with one raw Read and one ReadParity
+// per server, all at once, and decoded straight into dst. Every request goes
+// through call, so the caller decides its semantics (recovery sends raw,
+// unretried requests). A stripe with fewer than k members outside dead fails
+// the call before any request is sent.
+func (f *File) Reconstruct(dst []byte, units []Unit, dead []int, call CallFunc) error {
+	if f.code == nil {
+		return ErrNoRedundancy
+	}
+	su := f.geom.StripeUnit
+	pl := f.newPlan(dead, raid.Span{})
+	for i, u := range units {
+		if err := pl.add(piece{stripe: u.Stripe, target: u.Idx, n: su, dst: int64(i) * su}); err != nil {
+			return err
+		}
+	}
+	fetched, err := pl.fetch(f, call)
+	if err != nil {
+		return err
+	}
+	defer fetched.release()
+	return pl.decode(f.code, dst, fetched)
+}
+
 // addParity asks srv for stripe's parity unit and returns where the unit
-// starts in srv's ReadParity response. Pieces are planned in logical order,
-// so a stripe asked for twice is the last one asked for.
-func (pl *degradedPlan) addParity(srv int, stripe int64) int64 {
+// starts in srv's ReadParity response. A stripe's pieces are planned back to
+// back, so a stripe asked for twice is the last one asked for.
+func (pl *survivorPlan) addParity(srv int, stripe int64) int64 {
 	ss := pl.parity[srv]
 	if len(ss) == 0 || ss[len(ss)-1] != stripe {
 		pl.parity[srv] = append(ss, stripe)
@@ -252,7 +324,7 @@ func (pl *degradedPlan) addParity(srv int, stripe int64) int64 {
 // addRaw asks srv for the raw bytes [off, off+n) and returns where they start
 // in srv's Read response. Two dead pieces of one stripe with the same
 // within-unit range (m > 1) are planned back to back and share the fetch.
-func (pl *degradedPlan) addRaw(srv int, off, n int64) int64 {
+func (pl *survivorPlan) addRaw(srv int, off, n int64) int64 {
 	sp := wire.Span{Off: off, Len: n}
 	if ss := pl.raw[srv]; len(ss) == 0 || ss[len(ss)-1] != sp {
 		pl.raw[srv] = append(ss, sp)
@@ -261,11 +333,11 @@ func (pl *degradedPlan) addRaw(srv int, off, n int64) int64 {
 	return pl.rawLen[srv] - n
 }
 
-// fetch sends the plan's survivor reads, all at once, and returns the
-// responses: the raw Read from server s at index s, its ReadParity at
-// Servers+s. The caller releases them once the decode is done; on error
-// there is nothing left to release.
-func (pl *degradedPlan) fetch(f *File, tr uint64) (spanReads, error) {
+// fetch sends the plan's survivor reads through call, all at once, and
+// returns the responses: the raw Read from server s at index s, its
+// ReadParity at Servers+s. The caller releases them once the decode is done;
+// on error there is nothing left to release.
+func (pl *survivorPlan) fetch(f *File, call CallFunc) (spanReads, error) {
 	if len(pl.pieces) == 0 {
 		return nil, nil
 	}
@@ -285,7 +357,7 @@ func (pl *degradedPlan) fetch(f *File, tr uint64) (spanReads, error) {
 		default:
 			return nil
 		}
-		resp, err := f.c.callSrvT(srv, req, tr)
+		resp, err := call(srv, req)
 		if err != nil {
 			return err
 		}
@@ -303,23 +375,22 @@ func (pl *degradedPlan) fetch(f *File, tr uint64) (spanReads, error) {
 	return out, nil
 }
 
-// decode rebuilds every dead piece straight into its slice of buf, which
-// holds the span, from the survivors in buf and in fetched (fetch's result).
-func (pl *degradedPlan) decode(code *gf256.RS, buf []byte, fetched spanReads) error {
+// decode rebuilds every piece straight into its slice of buf from the
+// survivors in buf and in fetched (fetch's result).
+func (pl *survivorPlan) decode(code *gf256.RS, buf []byte, fetched spanReads) error {
 	k := code.K
 	units := make([][]byte, k+code.M)
-	for i, dp := range pl.pieces {
+	for i, pc := range pl.pieces {
 		clear(units)
-		n := dp.end - dp.cur
 		for _, s := range pl.srcs[i*k : (i+1)*k] {
 			src := buf
 			if s.from >= 0 {
 				src = fetched[s.from].Data
 			}
-			units[s.idx] = src[s.at : s.at+n]
+			units[s.idx] = src[s.at : s.at+pc.n]
 		}
-		if err := code.ReconstructInto(buf[dp.cur-pl.off:dp.end-pl.off], dp.target, units); err != nil {
-			return err
+		if err := code.ReconstructInto(buf[pc.dst:pc.dst+pc.n], pc.target, units); err != nil {
+			return fmt.Errorf("client: stripe %d: %w", pc.stripe, err)
 		}
 	}
 	return nil
@@ -360,7 +431,7 @@ func (f *File) reconstructOldPieces(span raid.Span, old []byte, deads []int, tr 
 	if err != nil {
 		return err
 	}
-	fetched, err := plan.fetch(f, tr)
+	fetched, err := plan.fetch(f, f.tracedCall(tr))
 	if err != nil {
 		return err
 	}

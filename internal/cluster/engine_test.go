@@ -273,6 +273,14 @@ func TestParityEngineOneParityRSIsRaid5(t *testing.T) {
 // The degraded read-modify-write's row is unchanged: the whole written range
 // is the dead piece, so all its survivors lie outside the range and are
 // fetched, as before.
+//
+// The resync row (server 1 restarted with its stale stores, not replaced)
+// was added when resync began to decode through the survivor planner: two
+// dumps and two clears per replica (the round, then the epoch retire), one
+// Health probe per other server before the first parity item, and the one
+// dirty data unit decoded from k survivors — data first, then parity — and
+// written back. Hybrid's degraded write went to the overflow region only, so
+// its resync reconciles overflow and decodes nothing.
 func TestParityEngineGoldenRPCs(t *testing.T) {
 	for _, tc := range []struct {
 		scheme  wire.Scheme
@@ -286,6 +294,7 @@ func TestParityEngineGoldenRPCs(t *testing.T) {
 			"straddling":    "read=4 read_parity=2 write_data=4 write_parity=2",
 			"degraded read": "read=4 read_parity=3",
 			"degraded rmw":  "mark_dirty=2 read=3 read_parity=2 write_parity=1",
+			"resync":        "clear_dirty=4 dirty_dump=4 health=4 read=3 read_parity=1 write_data=1",
 			"rebuild":       "health=4 read=4 read_parity=3 write_data=1 write_parity=1",
 		}},
 		{wire.Hybrid, 5, 0, map[string]string{
@@ -294,6 +303,7 @@ func TestParityEngineGoldenRPCs(t *testing.T) {
 			"straddling":    "write_overflow=8",
 			"degraded read": "overflow_dump=1 read=8 read_parity=3",
 			"degraded rmw":  "mark_dirty=2 write_overflow=1",
+			"resync":        "clear_dirty=4 dirty_dump=4 invalidate_overflow=2 overflow_dump=2 write_overflow=2",
 			"rebuild":       "health=4 overflow_dump=2 read=4 read_parity=3 write_data=1 write_overflow=2 write_parity=1",
 		}},
 		{wire.ReedSolomon, 6, 2, map[string]string{
@@ -302,6 +312,7 @@ func TestParityEngineGoldenRPCs(t *testing.T) {
 			"straddling":    "read=4 read_parity=4 write_data=4 write_parity=4",
 			"degraded read": "read=5 read_parity=2",
 			"degraded rmw":  "mark_dirty=2 read=3 read_parity=3 write_parity=2",
+			"resync":        "clear_dirty=4 dirty_dump=4 health=5 read=3 read_parity=1 write_data=1",
 			"rebuild":       "health=5 read=5 read_parity=2 write_data=1 write_parity=1",
 		}},
 	} {
@@ -326,6 +337,11 @@ func TestParityEngineGoldenRPCs(t *testing.T) {
 			must(t, err)
 		})
 		check("degraded rmw", func() { mustWrite(t, f, pattern(10, 4), 70) })
+		c.RestartServer(1)
+		check("resync", func() {
+			_, err := recovery.Resync(cl, f, 1, recovery.ResyncOptions{})
+			must(t, err)
+		})
 		c.ReplaceServer(1)
 		check("rebuild", func() { must(t, recovery.Rebuild(cl, f, 1)) }) // 4 stripes: one batch
 	}

@@ -54,6 +54,7 @@ type InjectedFault struct {
 	released  chan struct{}
 	trigOnce  sync.Once
 	relOnce   sync.Once
+	hangDone  atomic.Bool // a request this fault hung has been failed
 }
 
 // Inject arms a fault on server p.Server. The returned handle reports when
@@ -74,6 +75,10 @@ func (c *Cluster) Inject(p FaultPoint) *InjectedFault {
 
 // Triggered is closed when the fault has fired on its first request.
 func (f *InjectedFault) Triggered() <-chan struct{} { return f.triggered }
+
+// HangFailed reports whether a request this fault hung has been failed back
+// to its caller — a point that happens before the caller sees the error.
+func (f *InjectedFault) HangFailed() bool { return f.hangDone.Load() }
 
 // Release disarms the fault: hung requests fail with ErrServerDown, and
 // subsequent requests pass through normally.
@@ -116,6 +121,7 @@ func (s *ioServer) applyFaults(m wire.Msg) error {
 	switch hit.p.Action {
 	case FaultHang:
 		<-hit.released
+		hit.hangDone.Store(true)
 		return ErrServerDown
 	case FaultBlackhole:
 		// Execute for real, drop the result.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -224,19 +223,22 @@ func TestPassTerminalAdvanceIsBarrier(t *testing.T) {
 	}
 	flt := fx.c.Inject(FaultPoint{Server: hung, Kind: wire.KWriteData, Action: FaultHang})
 	defer flt.Release()
-	var writeReturned atomic.Bool
 	writeDone := make(chan error, 1)
 	go func() {
 		_, err := f.WriteAt(pattern(int(g.StripeSize()), 21), off)
-		writeReturned.Store(true)
 		writeDone <- err
 	}()
 	<-flt.Triggered()
 
+	// The sample is the parked request's completion as the injector sees
+	// it: that happens before the write sees its error, and so before the
+	// write releases the gate. (A flag the write's goroutine set after
+	// WriteAt returned would trail the release, leaving a gap in which the
+	// section may legally enter.)
 	advanced := make(chan bool, 1)
 	go func() {
 		pass.Exclusive(func() {
-			advanced <- writeReturned.Load()
+			advanced <- flt.HangFailed()
 			pass.Advance(math.MaxInt64)
 		})
 	}()
@@ -249,7 +251,7 @@ func TestPassTerminalAdvanceIsBarrier(t *testing.T) {
 	}
 	flt.Release()
 	if !<-advanced {
-		t.Fatal("exclusive section entered before the parked write returned")
+		t.Fatal("exclusive section entered while the parked write was still in flight")
 	}
 	// The hang injector fails the request it parked, so the write itself is
 	// refused — after its damage went on record, which is the point.

@@ -121,8 +121,23 @@ func TestRSDoubleFaultDegradedReads(t *testing.T) {
 // TestRSDoubleFaultRebuild: both failed servers are replaced with blanks and
 // rebuilt — the first while the second is still down (a 4-survivor decode),
 // the second from the fully restored set. The file must then read exactly
-// and verify clean, including the rebuilt parity units.
+// and verify clean, including the rebuilt parity units. Every one of the 15
+// pairs of the six servers is a different set of survivors for the first
+// rebuild's decodes.
 func TestRSDoubleFaultRebuild(t *testing.T) {
+	const n = 6
+	for d1 := 0; d1 < n; d1++ {
+		for d2 := d1 + 1; d2 < n; d2++ {
+			t.Logf("servers %d and %d fail", d1, d2) // shown with a failure below
+			rsDoubleFaultRebuild(t, d1, d2)
+		}
+	}
+}
+
+// rsDoubleFaultRebuild is TestRSDoubleFaultRebuild for one pair of failed
+// servers: d1 is rebuilt while d2 is still down, then d2.
+func rsDoubleFaultRebuild(t *testing.T, d1, d2 int) {
+	t.Helper()
 	c := newCluster(t, 6)
 	cl := c.NewClient()
 	f, err := cl.Create("rs", 6, 64, wire.ReedSolomon)
@@ -133,7 +148,6 @@ func TestRSDoubleFaultRebuild(t *testing.T) {
 	ref := pattern(size, 2)
 	mustWrite(t, f, ref, 0)
 
-	const d1, d2 = 2, 5
 	c.StopServer(d1)
 	c.StopServer(d2)
 	cl.MarkDown(d1)
@@ -149,7 +163,7 @@ func TestRSDoubleFaultRebuild(t *testing.T) {
 
 	c.ReplaceServer(d2)
 	if err := recovery.Rebuild(cl, f, d2); err != nil {
-		t.Fatalf("rebuild %d: %v", d2, err)
+		t.Fatalf("rebuild %d after %d: %v", d2, d1, err)
 	}
 	cl.MarkUp(d2)
 
@@ -157,11 +171,17 @@ func TestRSDoubleFaultRebuild(t *testing.T) {
 	rsVerifyClean(t, cl, f)
 
 	// The rebuilt servers must carry real redundancy: writes and another
-	// double fault on a different pair still work.
+	// double fault, on two of the servers that never failed, still work.
 	upd := pattern(300, 3)
 	mustWrite(t, f, upd, 500)
 	copy(ref[500:], upd)
-	for _, d := range []int{0, 3} {
+	var rest []int
+	for d := 0; d < 6; d++ {
+		if d != d1 && d != d2 {
+			rest = append(rest, d)
+		}
+	}
+	for _, d := range []int{rest[0], rest[2]} {
 		c.StopServer(d)
 		cl.MarkDown(d)
 	}
@@ -216,6 +236,67 @@ func TestRSDegradedWriteAndResync(t *testing.T) {
 	}
 	cl.MarkUp(dead)
 
+	checkRead(t, f, ref, 0)
+	rsVerifyClean(t, cl, f)
+}
+
+// TestResyncRSSecondServerDown: RS(4, 2) tolerates two failures, and so must
+// its resync. Server 2 is out while writes proceed degraded; then server 4
+// stops and 2 returns. Resync(2) must replay 2's dirty delta around the
+// second failure — decoding through the second parity unit where 4 held a
+// survivor — not abort; the file must read back exactly, and once 4 returns
+// and resyncs too, it must verify clean.
+func TestResyncRSSecondServerDown(t *testing.T) {
+	c := newCluster(t, 6)
+	cl := c.NewClient()
+	f, err := cl.Create("rs", 6, 64, wire.ReedSolomon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 16 << 10
+	ref := pattern(size, 1)
+	mustWrite(t, f, ref, 0)
+
+	const first, second = 2, 4
+	c.StopServer(first)
+	cl.MarkDown(first)
+	for _, w := range []struct {
+		off int64
+		n   int
+	}{{1000, 100}, {2048, 256}, {3000, 900}} {
+		data := pattern(w.n, byte(w.off))
+		mustWrite(t, f, data, w.off)
+		copy(ref[w.off:], data)
+	}
+
+	// The second failure is not reported to the client: resync must find
+	// it, as a fresh process would.
+	c.StopServer(second)
+	c.RestartServer(first)
+	rep, err := recovery.Resync(cl, f, first, recovery.ResyncOptions{})
+	if err != nil {
+		t.Fatalf("resync of %d with %d down: %v", first, second, err)
+	}
+	if rep.FullRebuild || rep.Items() == 0 {
+		t.Fatalf("resync of %d with %d down: %+v, want a delta replay", first, second, rep)
+	}
+	cl.MarkUp(first)
+	cl.MarkDown(second)
+	checkRead(t, f, ref, 0)
+
+	// Server 4's own outage takes a degraded write too.
+	upd := pattern(500, 9)
+	mustWrite(t, f, upd, 5000)
+	copy(ref[5000:], upd)
+	c.RestartServer(second)
+	rep, err = recovery.Resync(cl, f, second, recovery.ResyncOptions{})
+	if err != nil {
+		t.Fatalf("resync of %d: %v", second, err)
+	}
+	if rep.FullRebuild || rep.Items() == 0 {
+		t.Fatalf("resync of %d: %+v, want a delta replay", second, rep)
+	}
+	cl.MarkUp(second)
 	checkRead(t, f, ref, 0)
 	rsVerifyClean(t, cl, f)
 }

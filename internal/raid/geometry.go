@@ -126,14 +126,22 @@ func (g Geometry) ParityServerOfUnit(s int64, j int) int {
 	return int((((s+1)*k+int64(j))%n + n) % n)
 }
 
+// MemberOn returns the code index (data 0..k-1, then parity k..k+m-1) of
+// the unit of stripe s that server srv stores. A stripe's units continue one
+// rotation from its first data unit's server, so with k+m servers every
+// server stores exactly one unit of every stripe.
+func (g Geometry) MemberOn(srv int, s int64) int {
+	n := int64(g.Servers)
+	first, _ := g.DataUnitsOf(s)
+	return int(((int64(srv)-first)%n + n) % n)
+}
+
 // ParityUnitOn reports which parity unit of stripe s server srv stores,
 // if any. A server holds at most one parity unit of a given stripe (the
 // m parity units of one stripe occupy m distinct servers).
 func (g Geometry) ParityUnitOn(srv int, s int64) (j int, ok bool) {
-	n := int64(g.Servers)
-	k := int64(g.DataWidth())
-	j = int(((int64(srv)-(s+1)*k)%n + n) % n)
-	return j, j < g.PU()
+	j = g.MemberOn(srv, s) - g.DataWidth()
+	return j, j >= 0
 }
 
 // ParityLocalOffset returns the offset of stripe s's parity unit within the

@@ -1,18 +1,27 @@
 // Package recovery implements the consumer of CSAR's redundancy: verifying
-// that a file's redundant data is consistent, and rebuilding a failed
-// server's stores from the survivors. Tolerating a single disk failure is
-// the paper's stated long-term objective for CSAR; this package is the code
-// path that objective pays for.
+// that a file's redundant data is consistent, and regenerating what a failed
+// server lost from the survivors. Tolerating a single disk failure is the
+// paper's stated long-term objective for CSAR; this package is the code path
+// that objective pays for.
 //
-// Rebuild reconstructs, onto a blank replacement server:
+// A parity shape (RAID5, Hybrid, Reed-Solomon) regenerates units through one
+// planner, the client's survivor plan (client.File.Reconstruct, the plan the
+// degraded read runs): each unit is decoded from k members of its stripe
+// outside a dead set, picked in code order and fetched with one raw Read and
+// one ReadParity per server. Its three callers differ only in the targets
+// and the dead set:
 //
-//   - its data and mirror files (RAID1), from the mirror on the next server
-//     and the previous server's units;
-//   - its data and parity files (RAID5, Hybrid, Reed-Solomon), by decoding
-//     the one unit it holds of every stripe from that stripe's survivors;
-//   - its overflow region and table (Hybrid), from the overflow mirror on
-//     the next server, and its overflow-mirror region from the previous
-//     server's primary overflow.
+//   - Rebuild: every member on the failed server, around that server and
+//     every other one a Health probe finds down;
+//   - Resync: the members the dirty-region log names, around the same set;
+//   - ReplayIntents: the parity unit an abandoned intent distrusts, around
+//     all of its stripe's parity servers — so it is encoded from data only.
+//
+// A mirror shape copies units between a unit's two copies (copyUnits), for
+// Rebuild and Resync alike. Hybrid's overflow region and table are restored
+// from the overflow mirror on the next server, and its overflow-mirror region
+// from the previous server's primary overflow. Verify is the independent
+// oracle: it reads with its own reader, never through the planner it checks.
 //
 // Note the Hybrid invariant that makes this work: the in-place data a
 // stripe's parity covers is never updated by a partial-stripe write — new
@@ -107,22 +116,12 @@ func unitSpans(g raid.Geometry, units []int64) []wire.Span {
 	return spans
 }
 
-// stripeSpans returns each stripe's whole logical span, in order.
-func stripeSpans(g raid.Geometry, stripes []int64) []wire.Span {
-	spans := make([]wire.Span, len(stripes))
-	for i, s := range stripes {
-		spans[i] = wire.Span{Off: g.StripeStart(s), Len: g.StripeSize()}
-	}
-	return spans
-}
-
 // Rebuild reconstructs server dead's stores for file f onto the replacement
 // server now occupying the same slot. The caller must have already replaced
 // the failed server with a blank one (and must not mark it up for normal
 // use until Rebuild returns).
 func Rebuild(c *client.Client, f *client.File, dead int) error {
 	g := f.Geometry()
-	ref := f.Ref()
 	if dead < 0 || dead >= g.Servers {
 		return fmt.Errorf("recovery: server %d out of range", dead)
 	}
@@ -134,16 +133,28 @@ func Rebuild(c *client.Client, f *client.File, dead int) error {
 
 	switch s := f.Shape(); {
 	case s.Mirror:
-		if err := rebuildDataFromMirror(c, f, dead, size); err != nil {
+		if err := copyUnits(c, f, dead, ownedUnits(g, dead, size), false); err != nil {
 			return err
 		}
-		return rebuildMirror(c, f, dead, size)
+		prev := (dead - 1 + g.Servers) % g.Servers
+		return copyUnits(c, f, dead, ownedUnits(g, prev, size), true)
 	case s.Parity > 0:
-		if err := rebuildStripes(c, f, dead, size); err != nil {
+		deads, err := probeDead(c, f, dead)
+		if err != nil {
+			return err
+		}
+		all := make([]int64, g.StripesIn(size))
+		for i := range all {
+			all[i] = int64(i)
+		}
+		batches := chunkInt64(all)
+		if err := runBatches(len(batches), func(i int) error {
+			return restoreMembers(c, f, dead, deads, batches[i])
+		}); err != nil {
 			return err
 		}
 		if s.Overflow {
-			_, err := restoreOverflow(c, ref, g, dead)
+			_, err := restoreOverflow(c, f.Ref(), g, dead)
 			return err
 		}
 		return nil
@@ -152,262 +163,134 @@ func Rebuild(c *client.Client, f *client.File, dead int) error {
 	}
 }
 
-// rebuildDataFromMirror restores a RAID1 data file from the mirror copies
-// on the next server, a batch of units per round trip.
-func rebuildDataFromMirror(c *client.Client, f *client.File, dead int, size int64) error {
+// copyUnits restores server dead's copies of a mirror shape's units from
+// their other copy, a batch of units per request pair: its data units from
+// their mirrors on the next server, or (toMirror) its mirrors of the previous
+// server's units from those units' primaries.
+func copyUnits(c *client.Client, f *client.File, dead int, units []int64, toMirror bool) error {
 	g := f.Geometry()
 	ref := f.Ref()
-	mirrorSrv := (dead + 1) % g.Servers
-	batches := chunkInt64(ownedUnits(g, dead, size))
+	batches := chunkInt64(units)
 	return runBatches(len(batches), func(i int) error {
 		spans := unitSpans(g, batches[i])
-		resp, err := c.ServerCaller(mirrorSrv).Call(&wire.ReadMirror{File: ref, Spans: spans})
+		from, read := (dead+1)%g.Servers, wire.Msg(&wire.ReadMirror{File: ref, Spans: spans})
+		if toMirror {
+			from, read = (dead-1+g.Servers)%g.Servers, &wire.Read{File: ref, Spans: spans, Raw: true}
+		}
+		resp, err := c.ServerCaller(from).Call(read)
 		if err != nil {
 			return err
 		}
 		data := resp.(*wire.ReadResp).Data
 		if int64(len(data)) != int64(len(spans))*g.StripeUnit {
-			return fmt.Errorf("recovery: short mirror read (units %v)", batches[i])
+			return fmt.Errorf("recovery: short copy read from server %d (units %v)", from, batches[i])
 		}
-		_, err = c.ServerCaller(dead).Call(&wire.WriteData{File: ref, Spans: spans, Data: data, Raw: true})
+		write := wire.Msg(&wire.WriteData{File: ref, Spans: spans, Data: data, Raw: true})
+		if toMirror {
+			write = &wire.WriteMirror{File: ref, Spans: spans, Data: data}
+		}
+		_, err = c.ServerCaller(dead).Call(write)
 		return err
 	})
 }
 
-// rebuildMirror restores the mirror file on the dead server: it holds the
-// mirror copies of the previous server's units, re-read from their primary
-// a batch at a time.
-func rebuildMirror(c *client.Client, f *client.File, dead int, size int64) error {
+// probeDead returns the servers a repair of server dead decodes around: dead
+// itself and every other server of f that the client holds down or that
+// does not answer a Health probe. The set is decided up front by probing,
+// not by the client's circuit breaker: a fresh process (the CLI) has no
+// breaker history, and a second dead server must be discovered before the
+// batched reads, not by failing them. Anything short of k survivors cannot
+// decode.
+func probeDead(c *client.Client, f *client.File, dead int) ([]int, error) {
 	g := f.Geometry()
-	ref := f.Ref()
-	prev := (dead - 1 + g.Servers) % g.Servers
-	batches := chunkInt64(ownedUnits(g, prev, size))
-	return runBatches(len(batches), func(i int) error {
-		spans := unitSpans(g, batches[i])
-		resp, err := c.ServerCaller(prev).Call(&wire.Read{File: ref, Spans: spans, Raw: true})
-		if err != nil {
-			return err
-		}
-		data := resp.(*wire.ReadResp).Data
-		_, err = c.ServerCaller(dead).Call(&wire.WriteMirror{File: ref, Spans: spans, Data: data})
-		return err
-	})
-}
-
-// readUnitRaw reads one whole unit's in-place contents from its server.
-func readUnitRaw(c *client.Client, ref wire.FileRef, g raid.Geometry, b int64) ([]byte, error) {
-	span := wire.Span{Off: g.UnitStart(b), Len: g.StripeUnit}
-	resp, err := c.ServerCaller(g.ServerOf(b)).Call(&wire.Read{File: ref, Spans: []wire.Span{span}, Raw: true})
-	if err != nil {
-		return nil, err
-	}
-	data := resp.(*wire.ReadResp).Data
-	if int64(len(data)) != g.StripeUnit {
-		return nil, fmt.Errorf("recovery: short unit read (unit %d)", b)
-	}
-	return data, nil
-}
-
-// dataIndexOn returns the code index (0..k-1) of the data unit of stripe s
-// held by server srv. Only meaningful when srv holds no parity unit of s:
-// with k+m servers, every server holds exactly one unit per stripe.
-func dataIndexOn(g raid.Geometry, srv int, s int64) int {
-	n := int64(g.Servers)
-	first, _ := g.DataUnitsOf(s)
-	return int(((int64(srv)-first)%n + n) % n)
-}
-
-// rebuildStripes reconstructs server dead's data and parity units for every
-// stripe of a parity-scheme file. A stripe of k data and m parity units
-// occupies all N = k+m servers — every server holds exactly one unit of
-// every stripe — so rebuilding a server means re-deriving its one unit per
-// stripe from k of the survivors: the first k live units in code order, data
-// before parity, so each stripe costs k unit reads, not N-1 (for the single
-// parity unit of RAID5 and Hybrid the two are the same). A batch of stripes
-// costs one multi-span raw Read and one multi-stripe ReadParity per server
-// that serves any of its stripes, the decodes — each straight into the
-// outgoing payload — and one write of each kind to the replacement. Servers
-// other than dead that are down are simply excluded from the survivor set: a
-// rebuild can proceed while up to m-1 other servers are still out.
-func rebuildStripes(c *client.Client, f *client.File, dead int, size int64) error {
-	g := f.Geometry()
-	ref := f.Ref()
-	code := f.Code()
-	su := g.StripeUnit
-	k := g.DataWidth()
-	m := g.PU()
-
-	// The survivor set is decided up front by probing, not by the client's
-	// circuit breaker: a fresh process (the CLI) has no breaker history, and
-	// a second dead server must be discovered before the batched reads, not
-	// by failing them. Anything short of k survivors cannot decode.
-	excluded := make([]bool, g.Servers)
-	live := 0
+	deads := []int{dead}
 	for srv := 0; srv < g.Servers; srv++ {
 		if srv == dead {
 			continue
 		}
 		if c.Down(srv) {
-			excluded[srv] = true
-			continue
+			deads = append(deads, srv)
+		} else if _, err := c.ServerCaller(srv).Call(&wire.Health{}); err != nil {
+			deads = append(deads, srv)
 		}
-		if _, err := c.ServerCaller(srv).Call(&wire.Health{}); err != nil {
-			excluded[srv] = true
-			continue
-		}
-		live++
 	}
-	if live < k {
-		return fmt.Errorf("recovery: only %d of %d servers reachable, need %d to decode RS(%d, %d)",
-			live, g.Servers, k, k, m)
+	if live, k := g.Servers-len(deads), g.DataWidth(); live < k {
+		return nil, fmt.Errorf("recovery: only %d of %d servers reachable, need %d to decode RS(%d, %d)",
+			live, g.Servers, k, k, g.PU())
 	}
-	// srvOf is the server holding unit idx (code order) of stripe s.
-	srvOf := func(s int64, idx int) int {
-		if idx < k {
+	return deads, nil
+}
+
+// rawCall sends the survivor planner's reads straight to each server's
+// caller: no retries, no breaker admission, no modeled CPU charge.
+func rawCall(c *client.Client) client.CallFunc {
+	return func(srv int, req wire.Msg) (wire.Msg, error) { return c.ServerCaller(srv).Call(req) }
+}
+
+// restoreMembers regenerates server dead's member of each of stripes — with
+// k+m servers it holds exactly one unit of every stripe — through the
+// client's survivor planner, around the servers in deads, and writes them
+// back: one raw WriteData for the data members and one WriteParity for the
+// parity members. A batch costs one raw Read and one ReadParity per server
+// that serves any of its survivors, each stripe decoded from k of them.
+func restoreMembers(c *client.Client, f *client.File, dead int, deads []int, stripes []int64) error {
+	g := f.Geometry()
+	ref := f.Ref()
+	k, su := g.DataWidth(), g.StripeUnit
+	// Data members first, so each kind's payload is one contiguous run.
+	var data, par []client.Unit
+	var spans []wire.Span
+	var pStripes []int64
+	for _, s := range stripes {
+		u := client.Unit{Stripe: s, Idx: g.MemberOn(dead, s)}
+		if u.Idx < k {
 			first, _ := g.DataUnitsOf(s)
-			return g.ServerOf(first + int64(idx))
+			data = append(data, u)
+			spans = append(spans, wire.Span{Off: g.UnitStart(first + int64(u.Idx)), Len: su})
+		} else {
+			par = append(par, u)
+			pStripes = append(pStripes, s)
 		}
-		return g.ParityServerOfUnit(s, idx-k)
 	}
-
-	all := make([]int64, g.StripesIn(size))
-	for i := range all {
-		all[i] = int64(i)
+	buf := make([]byte, int64(len(stripes))*su)
+	if err := f.Reconstruct(buf, append(data, par...), deads, rawCall(c)); err != nil {
+		return err
 	}
-	batches := chunkInt64(all)
-	return runBatches(len(batches), func(bi int) error {
-		batch := batches[bi]
-		// Each stripe's k survivors, as (code index, slot of the response
-		// holding it, position there); what each server is asked for; and
-		// each stripe's dead unit: its code index and where it goes.
-		type source struct {
-			idx, from int
-			at        int64
+	nd := int64(len(data)) * su
+	if len(spans) > 0 {
+		if _, err := c.ServerCaller(dead).Call(&wire.WriteData{
+			File: ref, Spans: spans, Data: buf[:nd], Raw: true}); err != nil {
+			return err
 		}
-		srcs := make([]source, 0, len(batch)*k)
-		dSpans := make([][]wire.Span, g.Servers)
-		pStripes := make([][]int64, g.Servers)
-		targets := make([]int, len(batch))
-		var dOut []wire.Span
-		var pOut []int64
-		for pos, s := range batch {
-			first, _ := g.DataUnitsOf(s)
-			found := 0
-			for idx := 0; idx < k+m && found < k; idx++ {
-				srv := srvOf(s, idx)
-				if srv == dead || excluded[srv] {
-					continue
-				}
-				found++
-				if idx < k {
-					srcs = append(srcs, source{idx, srv, int64(len(dSpans[srv])) * su})
-					dSpans[srv] = append(dSpans[srv], wire.Span{Off: g.UnitStart(first + int64(idx)), Len: su})
-				} else {
-					srcs = append(srcs, source{idx, g.Servers + srv, int64(len(pStripes[srv])) * su})
-					pStripes[srv] = append(pStripes[srv], s)
-				}
-			}
-			if j, ok := g.ParityUnitOn(dead, s); ok {
-				targets[pos] = k + j
-				pOut = append(pOut, s)
-			} else {
-				targets[pos] = dataIndexOn(g, dead, s)
-				dOut = append(dOut, wire.Span{Off: g.UnitStart(first + int64(targets[pos])), Len: su})
-			}
+	}
+	if len(pStripes) > 0 {
+		if _, err := c.ServerCaller(dead).Call(&wire.WriteParity{
+			File: ref, Stripes: pStripes, Data: buf[nd:]}); err != nil {
+			return err
 		}
-
-		// got[srv] is srv's raw Read response, got[N+srv] its ReadParity
-		// response. The survivors decode out of their pooled buffers, which go
-		// back once every dead unit has been decoded.
-		got := make([][]byte, 2*g.Servers)
-		for i := range got {
-			srv := i % g.Servers
-			req, units := wire.Msg(&wire.Read{File: ref, Spans: dSpans[srv], Raw: true}), len(dSpans[srv])
-			if i >= g.Servers {
-				req, units = &wire.ReadParity{File: ref, Stripes: pStripes[srv]}, len(pStripes[srv])
-			}
-			if units == 0 {
-				continue
-			}
-			resp, err := c.ServerCaller(srv).Call(req)
-			if err != nil {
-				return err
-			}
-			r := resp.(*wire.ReadResp)
-			defer r.Release()
-			if int64(len(r.Data)) != int64(units)*su {
-				return fmt.Errorf("recovery: short survivor read from server %d", srv)
-			}
-			got[i] = r.Data
-		}
-
-		// Decode each stripe's dead unit straight into the outgoing payload of
-		// its kind. With every data unit among the survivors (the usual case
-		// for a dead parity unit) the decode row is the parity row itself:
-		// EncodeUnitInto's sum.
-		dData := make([]byte, int64(len(dOut))*su)
-		pData := make([]byte, int64(len(pOut))*su)
-		units := make([][]byte, k+m)
-		var nd, np int64
-		for pos, s := range batch {
-			clear(units)
-			for _, src := range srcs[pos*k : (pos+1)*k] {
-				units[src.idx] = got[src.from][src.at : src.at+su]
-			}
-			var dst []byte
-			if targets[pos] >= k {
-				dst = pData[np*su : (np+1)*su]
-				np++
-			} else {
-				dst = dData[nd*su : (nd+1)*su]
-				nd++
-			}
-			if err := code.ReconstructInto(dst, targets[pos], units); err != nil {
-				return fmt.Errorf("recovery: stripe %d: %w", s, err)
-			}
-		}
-		if len(dOut) > 0 {
-			if _, err := c.ServerCaller(dead).Call(&wire.WriteData{
-				File: ref, Spans: dOut, Data: dData, Raw: true}); err != nil {
-				return err
-			}
-		}
-		if len(pOut) > 0 {
-			if _, err := c.ServerCaller(dead).Call(&wire.WriteParity{
-				File: ref, Stripes: pOut, Data: pData}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	}
+	return nil
 }
 
 // readStripeData reads the k data units of one stripe, in place and whole,
-// live from their servers.
+// live from their servers, one request per unit: Verify's own reader, kept
+// apart from the survivor planner so the oracle does not share its code.
 func readStripeData(c *client.Client, f *client.File, stripe int64) ([][]byte, error) {
 	g := f.Geometry()
 	first, count := g.DataUnitsOf(stripe)
 	data := make([][]byte, count)
 	for i := range data {
-		d, err := readUnitRaw(c, f.Ref(), g, first+int64(i))
+		b := first + int64(i)
+		span := wire.Span{Off: g.UnitStart(b), Len: g.StripeUnit}
+		resp, err := c.ServerCaller(g.ServerOf(b)).Call(&wire.Read{File: f.Ref(), Spans: []wire.Span{span}, Raw: true})
 		if err != nil {
 			return nil, err
 		}
-		data[i] = d
+		if data[i] = resp.(*wire.ReadResp).Data; int64(len(data[i])) != g.StripeUnit {
+			return nil, fmt.Errorf("recovery: short unit read (unit %d)", b)
+		}
 	}
 	return data, nil
-}
-
-// encodeParityUnit recomputes parity unit j of one stripe from its data
-// units as the servers hold them now. Used by resync.
-func encodeParityUnit(c *client.Client, f *client.File, stripe int64, j int) ([]byte, error) {
-	data, err := readStripeData(c, f, stripe)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, f.Geometry().StripeUnit)
-	f.Code().EncodeUnitInto(j, out, data)
-	return out, nil
 }
 
 // Verify checks a file's redundancy invariants and returns a description of

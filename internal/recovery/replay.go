@@ -68,48 +68,39 @@ func ReplayIntents(c *client.Client, f *client.File) (*ReplayReport, error) {
 	return rep, nil
 }
 
-// replayStripe reconstructs one abandoned stripe's parity and resolves its
-// intent on the parity server. Each of a stripe's m parity servers records
+// replayStripe reconstructs one abandoned stripe's parity unit on server srv
+// and resolves its intent there. Each of a stripe's m parity servers records
 // its own intent, and each replay recomputes only the parity unit that
-// server holds; unit 0 — the only one RAID5 and Hybrid have — is the plain
-// XOR of the data units.
+// server holds. The survivor planner does the read and the encode with every
+// parity server of the stripe counted as dead: the parity in doubt is never
+// a source, so the unit is encoded from the k data units alone, and a data
+// server that is down leaves fewer than k of them. That stripe is left
+// fail-stopped for a pass after Rebuild — replaying from a reconstruction of
+// the failed server would be circular, since that reconstruction needs the
+// very parity we distrust.
 func replayStripe(c *client.Client, f *client.File, srv int, in wire.Intent, rep *ReplayReport) error {
 	g := f.Geometry()
-	ref := f.Ref()
-	pu, ok := g.ParityUnitOn(srv, in.Stripe)
-	if !ok {
+	idx := g.MemberOn(srv, in.Stripe)
+	if idx < g.DataWidth() {
 		rep.Skipped++
 		rep.Problems = append(rep.Problems, fmt.Sprintf(
 			"stripe %d: intent on server %d, which owns none of its parity", in.Stripe, srv))
 		return nil
 	}
-	first, count := g.DataUnitsOf(in.Stripe)
-	data := make([][]byte, count)
-	for j := 0; j < count; j++ {
-		u := first + int64(j)
-		if c.Down(g.ServerOf(u)) {
-			// The stripe's data cannot be read in full; replaying from a
-			// reconstruction of the failed server would be circular (that
-			// reconstruction needs the very parity we distrust). Leave the
-			// stripe fail-stopped for a pass after Rebuild.
-			rep.Skipped++
-			rep.Problems = append(rep.Problems, fmt.Sprintf(
-				"stripe %d: data server %d down; replay deferred", in.Stripe, g.ServerOf(u)))
-			return nil
+	var dead []int
+	for s := 0; s < g.Servers; s++ {
+		if _, parity := g.ParityUnitOn(s, in.Stripe); parity || c.Down(s) {
+			dead = append(dead, s)
 		}
-		d, err := readUnitRaw(c, ref, g, u)
-		if err != nil {
-			rep.Skipped++
-			rep.Problems = append(rep.Problems, fmt.Sprintf(
-				"stripe %d: reading unit %d: %v", in.Stripe, u, err))
-			return nil
-		}
-		data[j] = d
 	}
 	acc := make([]byte, g.StripeUnit)
-	f.Code().EncodeUnitInto(pu, acc, data)
+	if err := f.Reconstruct(acc, []client.Unit{{Stripe: in.Stripe, Idx: idx}}, dead, rawCall(c)); err != nil {
+		rep.Skipped++
+		rep.Problems = append(rep.Problems, fmt.Sprintf("stripe %d: replay deferred: %v", in.Stripe, err))
+		return nil
+	}
 	if _, err := c.ServerCaller(srv).Call(&wire.ResolveIntent{
-		File: ref, Stripe: in.Stripe, Owner: in.Owner, Data: acc,
+		File: f.Ref(), Stripe: in.Stripe, Owner: in.Owner, Data: acc,
 	}); err != nil {
 		return fmt.Errorf("recovery: resolve intent for stripe %d: %w", in.Stripe, err)
 	}

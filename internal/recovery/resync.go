@@ -259,6 +259,7 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 	// forwarded, no new damage is logged, and the dump shrinks to empty
 	// within a round or two.
 	const maxRounds = 64
+	var deads []int // probed once, at the first parity item
 	for round := 1; ; round++ {
 		if round > maxRounds {
 			return report, fmt.Errorf("%w: no convergence after %d rounds", ErrResyncAborted, maxRounds)
@@ -266,10 +267,30 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 		report.Rounds = round
 		items, overflow := mergeItems(g, dumps)
 		for _, it := range items {
+			if deads == nil && !f.Shape().Mirror {
+				// A parity shape's items decode around the recovering
+				// server — whose stale units are never survivors — and
+				// whatever else is down now.
+				if deads, err = probeDead(c, f, dead); err != nil {
+					return report, fmt.Errorf("%w: %v", ErrResyncAborted, err)
+				}
+			}
 			lim.Acquire(g.StripeUnit)
 			var rerr error
 			pass.Exclusive(func() {
-				if rerr = replayItem(c, f, it, dead); rerr == nil && round == 1 {
+				// Under the gate no foreground write from this client is
+				// mid-flight. A mirror shape copies the unit from its other
+				// copy; a parity shape regenerates the recovering server's
+				// member of the item's stripe from the survivors.
+				switch {
+				case f.Shape().Mirror:
+					rerr = copyUnits(c, f, dead, []int64{it.val}, it.kind == 'm')
+				case it.kind == 'u':
+					rerr = restoreMembers(c, f, dead, deads, []int64{it.val / int64(g.DataWidth())})
+				default:
+					rerr = restoreMembers(c, f, dead, deads, []int64{it.val})
+				}
+				if rerr == nil && round == 1 {
 					pass.Advance(it.end)
 				}
 			})
@@ -383,82 +404,6 @@ func wipeOverflow(c *client.Client, ref wire.FileRef, srv int) error {
 	}
 	_, err := c.ServerCaller(srv).Call(&wire.InvalidateOverflow{File: ref, Spans: all, Mirror: true})
 	return err
-}
-
-// replayItem reconstructs one dirty-log item onto the recovering server
-// from the surviving redundancy. Called under the client's replay gate, so
-// no foreground write from the coordinating client is mid-flight.
-func replayItem(c *client.Client, f *client.File, it resyncItem, dead int) error {
-	g := f.Geometry()
-	ref := f.Ref()
-	span := wire.Span{Off: g.UnitStart(it.val), Len: g.StripeUnit}
-	switch it.kind {
-	case 'u':
-		var data []byte
-		if f.Shape().Mirror {
-			resp, err := c.ServerCaller(g.MirrorServerOf(it.val)).Call(
-				&wire.ReadMirror{File: ref, Spans: []wire.Span{span}})
-			if err != nil {
-				return err
-			}
-			data = resp.(*wire.ReadResp).Data
-			if int64(len(data)) != span.Len {
-				return fmt.Errorf("short mirror read for unit %d", it.val)
-			}
-		} else {
-			// Reconstruct the unit from parity unit 0 and the other data
-			// units: the first parity row of every code is all ones, so unit
-			// 0 is the plain XOR parity whatever m is.
-			stripe := it.val / int64(g.DataWidth())
-			first, count := g.DataUnitsOf(stripe)
-			acc := make([]byte, g.StripeUnit)
-			presp, err := c.ServerCaller(g.ParityServerOf(stripe)).Call(
-				&wire.ReadParity{File: ref, Stripes: []int64{stripe}})
-			if err != nil {
-				return err
-			}
-			copy(acc, presp.(*wire.ReadResp).Data)
-			for j := 0; j < count; j++ {
-				u := first + int64(j)
-				if u == it.val {
-					continue
-				}
-				ud, err := readUnitRaw(c, ref, g, u)
-				if err != nil {
-					return err
-				}
-				raid.XORInto(acc, ud)
-			}
-			data = acc
-		}
-		_, err := c.ServerCaller(dead).Call(&wire.WriteData{
-			File: ref, Spans: []wire.Span{span}, Data: data, Raw: true})
-		return err
-	case 'm':
-		resp, err := c.ServerCaller(g.ServerOf(it.val)).Call(
-			&wire.Read{File: ref, Spans: []wire.Span{span}, Raw: true})
-		if err != nil {
-			return err
-		}
-		_, err = c.ServerCaller(dead).Call(&wire.WriteMirror{
-			File: ref, Spans: []wire.Span{span}, Data: resp.(*wire.ReadResp).Data})
-		return err
-	case 's':
-		// The recovering server holds one specific parity unit of this
-		// stripe; recompute exactly that row.
-		pu, ok := g.ParityUnitOn(dead, it.val)
-		if !ok {
-			return fmt.Errorf("stripe %d dirty on server %d, which owns none of its parity", it.val, dead)
-		}
-		acc, err := encodeParityUnit(c, f, it.val, pu)
-		if err != nil {
-			return err
-		}
-		_, err = c.ServerCaller(dead).Call(&wire.WriteParity{
-			File: ref, Stripes: []int64{it.val}, Data: acc})
-		return err
-	}
-	return fmt.Errorf("unknown dirty item kind %q", it.kind)
 }
 
 // restoreOverflow writes a returning server's overflow stores from their

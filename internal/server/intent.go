@@ -256,12 +256,14 @@ func (s *Server) leaseCheck(sf *serverFile, stripe int64, owner uint64) {
 		return
 	}
 	_, woken := sf.failStopLocked(s, stripe, owner)
+	// Counted under the lock, so anyone who sees the intent abandoned (a
+	// ListIntents) sees the expiry counted too.
+	atomic.AddInt64(&s.intents.LeaseExpiries, 1)
+	atomic.AddInt64(&s.intents.Abandoned, 1)
 	sf.mu.Unlock()
 	for _, w := range woken {
 		w.ch <- false
 	}
-	atomic.AddInt64(&s.intents.LeaseExpiries, 1)
-	atomic.AddInt64(&s.intents.Abandoned, 1)
 }
 
 // handleRenewLease extends the lease deadline of every still-live
