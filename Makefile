@@ -64,28 +64,31 @@ resync:
 	$(GO) test -race -count=2 -run 'TestDirtyLog' ./internal/server
 	$(GO) test -race -count=2 -run 'TestMetricsResyncCounters' .
 
-# The parity-engine suite: the GF(256) field and RS(k,m) matrix unit and
-# property tests; the RS(4,2) double-fault cluster scenarios — degraded
-# reads with any two servers dead, double rebuild for every pair of failed
-# servers, delta resync (also of one server while a second is down) and
-# multi-parity crash-restart intent replay; the proofs that RAID5 is the
-# engine's m = 1 case — the seeded Raid5 ≡ RS(k,1) differential (stores,
-# read-backs and request counts), the golden per-operation request table,
-# the cluster's NoLock/NPC engine ablations and the scrubber's leased lock;
-# the seeded degraded-read differential (RAID5, Hybrid and RS(4,2) against a
-# reference file for every dead set the code tolerates, mid-read failover
-# included); the ranged read-modify-write differential (RAID5, RS(4,2) and
-# the two ablations, healthy and with each single server dead, every write
-# moving exactly its parity region); and the layout resolver — every scheme name's shape, the
-# retired and unknown scheme values refused, and manager, server and client
-# accepting exactly the same layouts — under the race detector. Last, the
-# non-x86 64-bit cross-build: the gf256 kernel has an amd64 assembly body,
-# and this proves the portable file set vets and the whole tree builds
-# without it.
+# The parity-engine and survivor-planner suite: the GF(256) field and
+# RS(k,m) matrix unit and property tests; the RS(4,2) double-fault cluster
+# scenarios — degraded reads with any two servers dead, double rebuild for
+# every pair of failed servers, delta resync (also of one server while a
+# second is down) and multi-parity crash-restart intent replay; the proofs
+# that RAID5 is the engine's m = 1 case — the seeded Raid5 ≡ RS(k,1)
+# differential (stores, read-backs and request counts), the golden
+# per-operation request table, the cluster's NoLock/NPC engine ablations and
+# the scrubber's leased lock; the mirror as the planner's RS(1,1) case — its
+# golden row, degraded reads, degraded writes and rebuild after replacement
+# beside every other redundant scheme's; the seeded degraded-read
+# differential (RAID5, Hybrid, RS(4,2) and RAID1 against a reference file
+# for every dead set the code tolerates, mid-read failover included); the
+# ranged read-modify-write differential (RAID5, RS(4,2) and the two
+# ablations, healthy and with each single server dead, every write moving
+# exactly its parity region); the layout's code groups against its geometry;
+# and the layout resolver — every scheme name's shape, the retired and
+# unknown scheme values refused, and manager, server and client accepting
+# exactly the same layouts — under the race detector. Last, the non-x86
+# 64-bit cross-build: the gf256 kernel has an amd64 assembly body, and this
+# proves the portable file set vets and the whole tree builds without it.
 rs:
 	$(GO) test -race -count=2 ./internal/gf256
-	$(GO) test -race -count=2 -run 'TestRS|TestResyncRS|TestParityEngine|TestDegradedReadDifferential|TestRMWParityRanges|TestResolve' ./internal/cluster
-	$(GO) test -race -count=2 -run 'TestMultiParityPlacement|TestResolve' ./internal/raid
+	$(GO) test -race -count=2 -run 'TestRS|TestResyncRS|TestParityEngine|TestDegradedReadDifferential|TestRMWParityRanges|TestResolve|TestRebuildAfterReplace|TestDegradedWrites|TestDegradedReadsAllRedundantSchemes' ./internal/cluster
+	$(GO) test -race -count=2 -run 'TestMultiParityPlacement|TestResolve|TestCodeGroups' ./internal/raid
 	GOARCH=arm64 $(GO) vet ./internal/gf256 && GOARCH=arm64 $(GO) build ./...
 
 # The observability suite: the lock-free histogram's concurrency property
@@ -183,9 +186,8 @@ staticcheck:
 		echo "staticcheck not installed; skipping"; \
 	fi
 
-# The non-test Go line count, measured the way ROADMAP item 2 measures it
-# (the nested benchmark/ module excluded), so every PR that claims to have
-# made the tree smaller reports the same number.
+# The non-test Go line count (the nested benchmark/ module excluded), so
+# every change that claims to have made the tree smaller reports the same number.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 
 	"csar/internal/extent"
 	"csar/internal/gf256"
@@ -12,102 +11,23 @@ import (
 	"csar/internal/wire"
 )
 
-// readDegraded serves a read while server dead is down, using the file's
-// redundancy: the mirror copies, or stripe decoding for a parity shape (plus
-// the mirrored overflow region where it has one). tr is the operation's
-// trace ID, carried by every RPC the reconstruction issues.
+// readDegraded serves a read while server dead, and any other server of the
+// file the client holds down, is out — at most the file's tolerance — in one
+// round: the live pieces are fetched as a healthy read fetches them while,
+// concurrently, the survivors the dead pieces' decodes need beyond those
+// bytes are fetched (survivorPlan). Each dead piece is then decoded straight
+// into its slice of p; a mirror's is a copy of its unit's other member.
+// Where the shape has overflow, the mirrored overflow region then overlays
+// any newer partial-stripe data. tr is the operation's trace ID, carried by
+// every RPC the read issues.
 func (f *File) readDegraded(p []byte, off int64, dead int, tr uint64) (int, error) {
-	var err error
-	switch {
-	case f.shape.Mirror:
-		err = f.readDegradedMirror(p, off, dead, tr)
-	case f.shape.Parity > 0:
-		err = f.readDegradedParity(p, off, f.deadSet(dead), tr)
-	default:
-		err = ErrNoRedundancy
-	}
-	if err != nil {
-		return 0, err
-	}
-	return len(p), nil
-}
-
-// deadSet returns the down servers of this file's stripe set plus dead (a
-// server that may only just have failed mid-read), in ascending order: a
-// stripe with m parity units decodes around up to m of them at once.
-func (f *File) deadSet(dead int) []int {
-	deads := f.c.allDown(f.ref)
-	if !slices.Contains(deads, dead) {
-		deads = append(deads, dead)
-		slices.Sort(deads)
-	}
-	return deads
-}
-
-// onlyServer is the fetchSpans skip predicate of a single down server.
-func onlyServer(dead int) func(int) bool {
-	return func(i int) bool { return i == dead }
-}
-
-// readDegradedMirror reads a RAID1 file with one server down: the dead
-// server's pieces come from its units' mirror copies, which all live on the
-// next server.
-func (f *File) readDegradedMirror(p []byte, off int64, dead int, tr uint64) error {
-	g := f.geom
-	span := raid.Span{Off: off, Len: int64(len(p))}
-
-	var mirror *wire.ReadResp
-	mirrorSrv := (dead + 1) % g.Servers
-	var wg sync.WaitGroup
-	var mErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		resp, err := f.c.callSrvT(mirrorSrv, &wire.ReadMirror{
-			File:  f.ref,
-			Spans: []wire.Span{{Off: span.Off, Len: span.Len}},
-		}, tr)
-		if err != nil {
-			mErr = err
-			return
+	deads := f.deadSet(dead)
+	if tol := f.shape.Tolerates(); len(deads) > tol {
+		if tol == 0 {
+			return 0, ErrNoRedundancy
 		}
-		mirror = resp.(*wire.ReadResp)
-	}()
-	reads, err := f.fetchSpans(span, false, tr, onlyServer(dead))
-	wg.Wait()
-	defer mirror.Release()
-	if err != nil {
-		return err
-	}
-	defer reads.release()
-	if mErr != nil {
-		return mErr
-	}
-
-	// Merge: live pieces from their servers, dead pieces from the mirror
-	// payload (which is ordered by the same unit walk).
-	if want := bytesFor(serverPieces(g, off, span.Len)[dead]); int64(len(mirror.Data)) != want {
-		return fmt.Errorf("client: mirror read returned %d bytes, want %d", len(mirror.Data), want)
-	}
-	var mc int
-	mergeFromServers(g, off, p, reads, func(cur, pieceEnd int64) {
-		mc += copy(p[cur-off:pieceEnd-off], mirror.Data[mc:])
-	})
-	return nil
-}
-
-// readDegradedParity reads a parity-scheme file with the servers in deads —
-// at most the stripe's m parity units' worth — down, in one round: the live
-// pieces are fetched as a healthy read fetches them while, concurrently, the
-// survivors the dead pieces' decodes need beyond those bytes are fetched
-// (survivorPlan). Each dead piece is then decoded straight into its slice of
-// p. Where the shape has overflow, the mirrored overflow region then
-// overlays any newer partial-stripe data.
-func (f *File) readDegradedParity(p []byte, off int64, deads []int, tr uint64) error {
-	g := f.geom
-	if len(deads) > g.PU() {
-		return fmt.Errorf("client: %d servers down exceeds the file's %d-failure tolerance",
-			len(deads), g.PU())
+		return 0, fmt.Errorf("client: %d servers down exceeds the file's %d-failure tolerance",
+			len(deads), tol)
 	}
 	span := raid.Span{Off: off, Len: int64(len(p))}
 	// A read of an overflow shape returns overflow-patched bytes, which are
@@ -115,7 +35,7 @@ func (f *File) readDegradedParity(p []byte, off int64, deads []int, tr uint64) e
 	// and every survivor is fetched raw in the same round.
 	plan, err := f.planDegraded(span, deads, !f.shape.Overflow)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	var survivors spanReads
 	var sErr error
@@ -129,21 +49,41 @@ func (f *File) readDegradedParity(p []byte, off int64, deads []int, tr uint64) e
 	defer survivors.release()
 	if err = cmp.Or(err, sErr); err != nil {
 		reads.release()
-		return err
+		return 0, err
 	}
-	mergeFromServers(g, off, p, reads, nil)
+	mergeFromServers(f.geom, off, p, reads)
 	reads.release()
 	if err := plan.decode(f.code, p, survivors); err != nil {
-		return err
+		return 0, err
 	}
 	if f.shape.Overflow {
 		for _, dead := range deads {
 			if err := f.patchFromOverflowMirror(p, off, dead, tr); err != nil {
-				return err
+				return 0, err
 			}
 		}
 	}
-	return nil
+	return len(p), nil
+}
+
+// deadSet returns dead (a server that may only just have failed mid-read)
+// and the other down servers of this file's stripe set, in ascending order:
+// a group with r redundancy members decodes around up to r of them at once.
+// dead itself is not asked again, so a breaker it just tripped is not probed
+// in the middle of the read that tripped it.
+func (f *File) deadSet(dead int) []int {
+	var deads []int
+	for i := range f.geom.Servers {
+		if i == dead || f.c.Down(i) {
+			deads = append(deads, i)
+		}
+	}
+	return deads
+}
+
+// onlyServer is the fetchSpans skip predicate of a single down server.
+func onlyServer(dead int) func(int) bool {
+	return func(i int) bool { return i == dead }
 }
 
 // CallFunc sends one request to server srv and returns its response.
@@ -156,52 +96,53 @@ func (f *File) tracedCall(tr uint64) CallFunc {
 }
 
 // survivorPlan is how survivors regenerate a list of pieces — ranges of
-// stripe members on dead servers — worked out from the geometry alone
+// code-group members on dead servers — worked out from the layout alone
 // before any I/O. It is the one survivor planner: the degraded read and the
 // degraded read-modify-write plan the dead pieces of their span, and
-// recovery (Rebuild, Resync, intent replay) plans whole units through
+// recovery (Rebuild, Resync, intent replay) plans whole members through
 // Reconstruct. Each piece is decoded from the same within-unit range of k
-// members of its stripe on live servers, taken in code order (data
-// 0..k-1, then parity k..k+m-1, dead servers skipped), so live data units —
-// whose identity rows make the decode cheapest — are preferred and parity
-// units fill out the set. A survivor comes from one of two places:
+// members of its group on live servers, taken in code order (data 0..k-1,
+// then redundancy k..k+r-1, dead servers skipped), so live data units —
+// whose identity rows make the decode cheapest — are preferred and the
+// redundancy fills out the set. A survivor comes from one of two places:
 //
 //   - the destination buffer, when its in window holds the survivor's range
 //     in place (a degraded read of a shape without overflow, or the degraded
 //     RMW's raw old data; recovery's buffers hold none): those bytes are
 //     already there, for free;
-//   - otherwise a fetch: one multi-span raw Read per server for data units
-//     and one multi-stripe ReadParity per parity server, each stripe asked
-//     for once, all sent at the same time.
+//   - otherwise a fetch, all sent at the same time, each stripe or range
+//     asked for once: per server one multi-span raw Read for data units and
+//     one read of its redundancy store — a multi-stripe ReadParity for
+//     parity units, a multi-span ReadMirror for a mirror's copies.
 //
 // A piece's destination never aliases an in-buffer survivor: survivors are
-// taken only from units on live servers, pieces only from units on dead
-// ones, and distinct units hold disjoint logical ranges, hence disjoint
-// buffer slices.
+// taken only from members on live servers, pieces only from members on dead
+// ones, and distinct data units hold disjoint logical ranges, hence
+// disjoint buffer slices.
 type survivorPlan struct {
-	g      raid.Geometry
+	l      raid.Layout
 	dead   []int
 	in     raid.Span // the logical range buf holds in place (Len 0: none)
 	pieces []piece
 	srcs   []survivor    // k per piece, in code order
-	raw    [][]wire.Span // by server: the raw Read spans of fetched data survivors
-	rawLen []int64       // by server: the bytes those spans return
+	spans  [][]wire.Span // by fetch slot (see fetch): the Read or ReadMirror spans of fetched unit survivors
+	spanN  []int64       // by fetch slot: the bytes those spans return
 	parity [][]int64     // by server: the stripes whose parity unit it sends
 }
 
 // piece is one range a plan regenerates: the bytes [wu, wu+n) of member
-// target (a code index) of stripe, decoded to buf[dst:dst+n].
+// target (a code index) of group, decoded to buf[dst:dst+n].
 type piece struct {
-	stripe int64
+	group  int64
 	target int
 	wu, n  int64
 	dst    int64
 }
 
-// survivor is one unit's share of a piece's decode.
+// survivor is one member's share of a piece's decode.
 type survivor struct {
 	idx  int   // code index
-	from int   // the fetched response holding it (see fetch); -1: the buffer
+	from int   // the fetch slot of the response holding it; -1: the buffer
 	at   int64 // where the piece's range starts in the buffer or the response
 }
 
@@ -210,9 +151,9 @@ type survivor struct {
 func (f *File) newPlan(dead []int, in raid.Span) *survivorPlan {
 	n := f.geom.Servers
 	return &survivorPlan{
-		g: f.geom, dead: dead, in: in,
-		raw:    make([][]wire.Span, n),
-		rawLen: make([]int64, n),
+		l: f.Layout(), dead: dead, in: in,
+		spans:  make([][]wire.Span, 2*n),
+		spanN:  make([]int64, 2*n),
 		parity: make([][]int64, n),
 	}
 }
@@ -220,33 +161,33 @@ func (f *File) newPlan(dead []int, in raid.Span) *survivorPlan {
 // add plans one piece: it picks the piece's k survivors and asks for the
 // ones the buffer does not hold.
 func (pl *survivorPlan) add(pc piece) error {
-	g := pl.g
-	k, m := g.DataWidth(), g.PU()
-	first, _ := g.DataUnitsOf(pc.stripe)
+	l := pl.l
+	n := l.Servers
+	k, r := l.GroupSize()
 	pl.pieces = append(pl.pieces, pc)
 	found := 0
-	for idx := 0; idx < k+m && found < k; idx++ {
-		if idx >= k {
-			srv := g.ParityServerOfUnit(pc.stripe, idx-k)
-			if !slices.Contains(pl.dead, srv) {
-				pl.srcs = append(pl.srcs, survivor{idx, g.Servers + srv, pl.addParity(srv, pc.stripe) + pc.wu})
-				found++
-			}
+	for idx := 0; idx < k+r && found < k; idx++ {
+		m := l.GroupMember(pc.group, idx)
+		if slices.Contains(pl.dead, m.Server) {
 			continue
 		}
-		srv, start := g.ServerOf(first+int64(idx)), g.UnitStart(first+int64(idx))+pc.wu
+		start := l.UnitStart(m.Unit) + pc.wu
+		s := survivor{idx: idx}
 		switch {
-		case slices.Contains(pl.dead, srv):
-			continue
+		case m.Store == raid.ParityStore:
+			s.from, s.at = n+m.Server, pl.addParity(m.Server, pc.group)+pc.wu
+		case m.Store == raid.MirrorStore:
+			s.from, s.at = n+m.Server, pl.addSpan(n+m.Server, start, pc.n)
 		case start >= pl.in.Off && start+pc.n <= pl.in.End():
-			pl.srcs = append(pl.srcs, survivor{idx, -1, start - pl.in.Off})
+			s.from, s.at = -1, start-pl.in.Off
 		default:
-			pl.srcs = append(pl.srcs, survivor{idx, srv, pl.addRaw(srv, start, pc.n)})
+			s.from, s.at = m.Server, pl.addSpan(m.Server, start, pc.n)
 		}
+		pl.srcs = append(pl.srcs, s)
 		found++
 	}
 	if found < k {
-		return fmt.Errorf("client: stripe %d has only %d live units, need %d", pc.stripe, found, k)
+		return fmt.Errorf("client: group %d has only %d live members, need %d", pc.group, found, k)
 	}
 	return nil
 }
@@ -266,10 +207,9 @@ func (f *File) planDegraded(span raid.Span, deads []int, inBuf bool) (*survivorP
 		if err != nil || !slices.Contains(deads, g.ServerOf(unit)) {
 			return
 		}
-		stripe := g.StripeOf(cur)
-		first, _ := g.DataUnitsOf(stripe)
+		group, member := pl.l.GroupOf(unit)
 		err = pl.add(piece{
-			stripe: stripe, target: int(unit - first),
+			group: group, target: member,
 			wu: cur - g.UnitStart(unit), n: end - cur,
 			dst: cur - span.Off,
 		})
@@ -277,20 +217,21 @@ func (f *File) planDegraded(span raid.Span, deads []int, inBuf bool) (*survivorP
 	return pl, err
 }
 
-// Unit names one whole member of a parity stripe: code index Idx (data
-// 0..k-1, then parity k..k+m-1) of Stripe.
+// Unit names one whole member of a code group: code index Member (data
+// 0..k-1, then redundancy k..k+r-1) of Group — a stripe for a parity shape,
+// a data unit for a mirror (raid.Layout).
 type Unit struct {
-	Stripe int64
-	Idx    int
+	Group  int64
+	Member int
 }
 
 // Reconstruct regenerates each of units, whole, into dst[i*StripeUnit:], by
-// the degraded read's plan: from k members of its stripe on servers not in
-// dead, picked in code order, fetched with one raw Read and one ReadParity
-// per server, all at once, and decoded straight into dst. Every request goes
-// through call, so the caller decides its semantics (recovery sends raw,
-// unretried requests). A stripe with fewer than k members outside dead fails
-// the call before any request is sent.
+// the degraded read's plan: from k members of its group on servers not in
+// dead, picked in code order, fetched with one raw Read and one ReadParity or
+// ReadMirror per server, all at once, and decoded straight into dst.
+// Every request goes through call, so the caller decides its semantics
+// (recovery sends raw, unretried requests). A group with fewer than k
+// members outside dead fails the call before any request is sent.
 func (f *File) Reconstruct(dst []byte, units []Unit, dead []int, call CallFunc) error {
 	if f.code == nil {
 		return ErrNoRedundancy
@@ -298,7 +239,7 @@ func (f *File) Reconstruct(dst []byte, units []Unit, dead []int, call CallFunc) 
 	su := f.geom.StripeUnit
 	pl := f.newPlan(dead, raid.Span{})
 	for i, u := range units {
-		if err := pl.add(piece{stripe: u.Stripe, target: u.Idx, n: su, dst: int64(i) * su}); err != nil {
+		if err := pl.add(piece{group: u.Group, target: u.Member, n: su, dst: int64(i) * su}); err != nil {
 			return err
 		}
 	}
@@ -318,44 +259,47 @@ func (pl *survivorPlan) addParity(srv int, stripe int64) int64 {
 	if len(ss) == 0 || ss[len(ss)-1] != stripe {
 		pl.parity[srv] = append(ss, stripe)
 	}
-	return int64(len(pl.parity[srv])-1) * pl.g.StripeUnit
+	return int64(len(pl.parity[srv])-1) * pl.l.StripeUnit
 }
 
-// addRaw asks srv for the raw bytes [off, off+n) and returns where they start
-// in srv's Read response. Two dead pieces of one stripe with the same
-// within-unit range (m > 1) are planned back to back and share the fetch.
-func (pl *survivorPlan) addRaw(srv int, off, n int64) int64 {
+// addSpan asks fetch slot slot for the logical bytes [off, off+n) and
+// returns where they start in its response. Two dead pieces of one stripe
+// with the same within-unit range (m > 1) are planned back to back and share
+// the fetch.
+func (pl *survivorPlan) addSpan(slot int, off, n int64) int64 {
 	sp := wire.Span{Off: off, Len: n}
-	if ss := pl.raw[srv]; len(ss) == 0 || ss[len(ss)-1] != sp {
-		pl.raw[srv] = append(ss, sp)
-		pl.rawLen[srv] += n
+	if ss := pl.spans[slot]; len(ss) == 0 || ss[len(ss)-1] != sp {
+		pl.spans[slot] = append(ss, sp)
+		pl.spanN[slot] += n
 	}
-	return pl.rawLen[srv] - n
+	return pl.spanN[slot] - n
 }
 
 // fetch sends the plan's survivor reads through call, all at once, and
-// returns the responses: the raw Read from server s at index s, its
-// ReadParity at Servers+s. The caller releases them once the decode is done;
-// on error there is nothing left to release.
+// returns the responses by fetch slot: server s's raw Read at s, and the read
+// of its redundancy store at Servers+s — a ReadParity for a parity shape, a
+// ReadMirror for a mirror's copies. The caller releases them once the decode
+// is done; on error there is nothing left to release.
 func (pl *survivorPlan) fetch(f *File, call CallFunc) (spanReads, error) {
 	if len(pl.pieces) == 0 {
 		return nil, nil
 	}
-	n := pl.g.Servers
+	n := pl.l.Servers
 	out := make(spanReads, 2*n)
 	err := f.c.eachServer(2*n, func(i int) error {
 		srv := i % n
 		var req wire.Msg
-		var want int64
+		want := pl.spanN[i]
 		switch {
-		case i < n && len(pl.raw[srv]) > 0:
-			req = &wire.Read{File: f.ref, Spans: pl.raw[srv], Raw: true}
-			want = pl.rawLen[srv]
 		case i >= n && len(pl.parity[srv]) > 0:
 			req = &wire.ReadParity{File: f.ref, Stripes: pl.parity[srv]}
-			want = int64(len(pl.parity[srv])) * pl.g.StripeUnit
-		default:
+			want = int64(len(pl.parity[srv])) * pl.l.StripeUnit
+		case len(pl.spans[i]) == 0:
 			return nil
+		case i < n:
+			req = &wire.Read{File: f.ref, Spans: pl.spans[i], Raw: true}
+		default:
+			req = &wire.ReadMirror{File: f.ref, Spans: pl.spans[i]}
 		}
 		resp, err := call(srv, req)
 		if err != nil {
@@ -390,7 +334,7 @@ func (pl *survivorPlan) decode(code *gf256.RS, buf []byte, fetched spanReads) er
 			units[s.idx] = src[s.at : s.at+pc.n]
 		}
 		if err := code.ReconstructInto(buf[pc.dst:pc.dst+pc.n], pc.target, units); err != nil {
-			return fmt.Errorf("client: stripe %d: %w", pc.stripe, err)
+			return fmt.Errorf("client: group %d: %w", pc.group, err)
 		}
 	}
 	return nil

@@ -27,9 +27,10 @@ type File struct {
 	size  atomic.Int64
 
 	// The parity engine's configuration, resolved from ref in setLayout and
-	// nowhere else. code is the stripe's RS(k = N-m, m) code, nil for a shape
-	// with no parity; RAID5 and Hybrid are its m = 1 case, whose one
-	// coefficient row is all ones — plain XOR. lock and compute are off only
+	// nowhere else. code is the code groups' RS(k, r) code, nil for RAID0: a
+	// stripe's RS(k = N-m, m) for a parity shape — RAID5 and Hybrid are its
+	// m = 1 case, whose one coefficient row is all ones, plain XOR — and the
+	// repetition code RS(1, 1) for a mirror. lock and compute are off only
 	// under the client's Ablation. opPrefix names the write-path histograms.
 	code     *gf256.RS
 	lock     bool
@@ -55,8 +56,8 @@ func (f *File) setLayout(ref wire.FileRef) error {
 		return fmt.Errorf("client: file spans %d servers, cluster has %d", l.Servers, len(f.c.srv))
 	}
 	var code *gf256.RS
-	if l.Parity > 0 {
-		if code, err = gf256.NewRS(l.DataWidth(), l.Parity); err != nil {
+	if k, r := l.GroupSize(); r > 0 {
+		if code, err = gf256.NewRS(k, r); err != nil {
 			return err
 		}
 	}
@@ -79,8 +80,12 @@ func (f *File) Geometry() raid.Geometry { return f.geom }
 // Shape returns what the file's scheme means for its layout.
 func (f *File) Shape() raid.Shape { return f.shape }
 
-// Code returns the RS(k, m) code of the file's parity stripes — m = 1, plain
-// XOR, for RAID5 and Hybrid — or nil for a shape that keeps no parity.
+// Layout returns the file's resolved layout, and with it its code groups.
+func (f *File) Layout() raid.Layout { return raid.Layout{Geometry: f.geom, Shape: f.shape} }
+
+// Code returns the RS(k, r) code of the file's code groups — a stripe's
+// RS(k, m), plain XOR for RAID5 and Hybrid, or a mirror's RS(1, 1) — or nil
+// for RAID0, which keeps no redundancy.
 func (f *File) Code() *gf256.RS { return f.code }
 
 // Scheme returns the file's redundancy scheme.
@@ -744,7 +749,7 @@ func (f *File) ReadAt(p []byte, off int64) (n int, err error) {
 		}
 		return 0, err
 	}
-	mergeFromServers(f.geom, off, p, reads, nil)
+	mergeFromServers(f.geom, off, p, reads)
 	reads.release()
 	return len(p), nil
 }
@@ -792,7 +797,7 @@ func (f *File) readRaw(span raid.Span, dst []byte, dead int, tr uint64) error {
 	if err != nil {
 		return err
 	}
-	mergeFromServers(f.geom, span.Off, dst, reads, nil)
+	mergeFromServers(f.geom, span.Off, dst, reads)
 	reads.release()
 	return nil
 }

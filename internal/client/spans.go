@@ -97,9 +97,8 @@ func (r spanReads) release() {
 // mergeFromServers reassembles per-server Read responses (each the
 // concatenation of that server's pieces, in order) into dst, which holds
 // the logical range [off, off+len(dst)). A piece whose server has no
-// response is left untouched in dst and reported to missing (if non-nil) for
-// the degraded paths to fill from redundancy.
-func mergeFromServers(g raid.Geometry, off int64, dst []byte, reads spanReads, missing func(cur, pieceEnd int64)) {
+// response is left untouched in dst, for the degraded paths to decode.
+func mergeFromServers(g raid.Geometry, off int64, dst []byte, reads spanReads) {
 	cursors := make([]int64, g.Servers)
 	eachPiece(g, off, int64(len(dst)), func(unit, cur, pieceEnd int64) {
 		s := g.ServerOf(unit)
@@ -107,8 +106,6 @@ func mergeFromServers(g raid.Geometry, off int64, dst []byte, reads spanReads, m
 			n := pieceEnd - cur
 			copy(dst[cur-off:pieceEnd-off], r.Data[cursors[s]:cursors[s]+n])
 			cursors[s] += n
-		} else if missing != nil {
-			missing(cur, pieceEnd)
 		}
 	})
 }

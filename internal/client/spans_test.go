@@ -39,7 +39,7 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 			}
 		}
 		got := make([]byte, len(p))
-		mergeFromServers(g, off, got, reads, nil)
+		mergeFromServers(g, off, got, reads)
 		return bytes.Equal(p, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -50,6 +50,7 @@ func TestDegradedReadDifferential(t *testing.T) {
 		{"raid5", wire.Raid5, 5, 0},
 		{"hybrid", wire.Hybrid, 5, 0},
 		{"rs42", wire.ReedSolomon, 6, 2},
+		{"raid1", wire.Raid1, 5, 0},
 	} {
 		m := max(tc.parity, 1)
 		for di, deads := range deadSets(tc.servers, m) {

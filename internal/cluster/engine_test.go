@@ -281,6 +281,12 @@ func TestParityEngineOneParityRSIsRaid5(t *testing.T) {
 // dirty data unit decoded from k survivors — data first, then parity — and
 // written back. Hybrid's degraded write went to the overflow region only, so
 // its resync reconciles overflow and decodes nothing.
+//
+// The RAID1 row was captured at the commit before the mirror joined the
+// survivor planner as the repetition code RS(1, 1). The only change since is
+// the Health probe per other server that resync and rebuild now send, as
+// every shape's do; the copies still move in one ReadMirror or Read and one
+// write per store.
 func TestParityEngineGoldenRPCs(t *testing.T) {
 	for _, tc := range []struct {
 		scheme  wire.Scheme
@@ -315,6 +321,13 @@ func TestParityEngineGoldenRPCs(t *testing.T) {
 			"resync":        "clear_dirty=4 dirty_dump=4 health=5 read=3 read_parity=1 write_data=1",
 			"rebuild":       "health=5 read=5 read_parity=2 write_data=1 write_parity=1",
 		}},
+		{wire.Raid1, 5, 0, map[string]string{
+			"write":          "write_data=5 write_mirror=5",
+			"degraded read":  "read=4 read_mirror=1",
+			"degraded write": "mark_dirty=2 write_mirror=1",
+			"resync":         "clear_dirty=4 dirty_dump=4 health=4 read_mirror=1 write_data=1",
+			"rebuild":        "health=4 read=1 read_mirror=1 write_data=1 write_mirror=1",
+		}},
 	} {
 		c := newCluster(t, tc.servers)
 		cl := c.NewClient()
@@ -327,16 +340,25 @@ func TestParityEngineGoldenRPCs(t *testing.T) {
 				t.Errorf("%v %s costs [%s], golden [%s]", tc.scheme, op, got, tc.want[op])
 			}
 		}
-		check("full stripes", func() { mustWrite(t, f, pattern(int(4*ss), 1), 0) })
-		check("rmw", func() { mustWrite(t, f, pattern(10, 2), 70) })
-		check("straddling", func() { mustWrite(t, f, pattern(int(ss), 3), ss/2) })
+		// A mirror keeps no parity, so it has no read-modify-write: its row
+		// names its two writes plainly and skips the partial-stripe ones.
+		mirror := tc.scheme == wire.Raid1
+		write, degradedWrite := "full stripes", "degraded rmw"
+		if mirror {
+			write, degradedWrite = "write", "degraded write"
+		}
+		check(write, func() { mustWrite(t, f, pattern(int(4*ss), 1), 0) })
+		if !mirror {
+			check("rmw", func() { mustWrite(t, f, pattern(10, 2), 70) })
+			check("straddling", func() { mustWrite(t, f, pattern(int(ss), 3), ss/2) })
+		}
 		c.StopServer(1)
 		cl.MarkDown(1)
 		check("degraded read", func() {
 			_, err := f.ReadAt(make([]byte, 4*ss), 0)
 			must(t, err)
 		})
-		check("degraded rmw", func() { mustWrite(t, f, pattern(10, 4), 70) })
+		check(degradedWrite, func() { mustWrite(t, f, pattern(10, 4), 70) })
 		c.RestartServer(1)
 		check("resync", func() {
 			_, err := recovery.Resync(cl, f, 1, recovery.ResyncOptions{})

@@ -152,14 +152,9 @@ func TestResyncDeltaOnline(t *testing.T) {
 			checkRead(t, f, ref, 0)
 
 			// The delta must be much smaller than a full rebuild of the
-			// server, which reconstructs every unit and parity stripe it
-			// owns.
-			g := f.Geometry()
-			var full int64
-			g.UnitsOwnedBy(dead, f.Size(), func(int64) error { full++; return nil }) //nolint:errcheck
-			if f.Shape().Parity > 0 {
-				g.ParityStripesOwnedBy(dead, f.Size(), func(int64) error { full++; return nil }) //nolint:errcheck
-			}
+			// server, which regenerates its member of every code group it
+			// holds one in.
+			full := int64(len(f.Layout().GroupsHeldBy(dead, f.Size())))
 			if totalItems == 0 || totalItems >= full/2 {
 				t.Fatalf("resync replayed %d items; full rebuild would do %d — not a delta", totalItems, full)
 			}
@@ -347,38 +342,56 @@ func TestResyncAbortLeavesLogIntact(t *testing.T) {
 }
 
 // TestRebuildAbortAndRerun is the same recovery-of-recovery property for the
-// full Rebuild path: the blank replacement dies mid-rebuild, Rebuild errors,
-// and a rerun after it returns converges.
+// full Rebuild path: a fault makes Rebuild error, and a rerun once it clears
+// converges. RAID5's blank replacement drops a write mid-rebuild; RAID1's
+// replacement is rebuilt while server 2, which holds its units' only other
+// copies, is down.
 func TestRebuildAbortAndRerun(t *testing.T) {
-	c := newCluster(t, 5)
-	cl := c.NewClient()
-	f, err := cl.Create("f", 5, 64, wire.Raid5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := pattern(16<<10, 1)
-	mustWrite(t, f, want, 0)
-
 	const dead = 1
-	c.StopServer(dead)
-	c.ReplaceServer(dead)
-	fault := c.Inject(FaultPoint{Server: dead, Kind: wire.KWriteData, After: 1, Action: FaultDrop})
-	if err := recovery.Rebuild(cl, f, dead); err == nil {
-		t.Fatal("rebuild succeeded with the replacement dropping writes")
+	for _, tc := range []struct {
+		name   string
+		scheme wire.Scheme
+		fault  func(c *Cluster) (release func())
+	}{
+		{"raid5", wire.Raid5, func(c *Cluster) func() {
+			return c.Inject(FaultPoint{Server: dead, Kind: wire.KWriteData, After: 1, Action: FaultDrop}).Release
+		}},
+		{"raid1", wire.Raid1, func(c *Cluster) func() {
+			c.StopServer(dead + 1)
+			return func() { c.RestartServer(dead + 1) }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, 5)
+			cl := c.NewClient()
+			f, err := cl.Create("f", 5, 64, tc.scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := pattern(16<<10, 1)
+			mustWrite(t, f, want, 0)
+
+			c.StopServer(dead)
+			c.ReplaceServer(dead)
+			release := tc.fault(c)
+			if err := recovery.Rebuild(cl, f, dead); err == nil {
+				t.Fatal("rebuild succeeded through the fault")
+			}
+			release()
+			if err := recovery.Rebuild(cl, f, dead); err != nil {
+				t.Fatalf("rebuild rerun: %v", err)
+			}
+			cl.MarkUp(dead)
+			problems, err := recovery.Verify(cl, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(problems) != 0 {
+				t.Fatalf("verify after rebuild rerun: %v", problems)
+			}
+			checkRead(t, f, want, 0)
+		})
 	}
-	fault.Release()
-	if err := recovery.Rebuild(cl, f, dead); err != nil {
-		t.Fatalf("rebuild rerun: %v", err)
-	}
-	cl.MarkUp(dead)
-	problems, err := recovery.Verify(cl, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(problems) != 0 {
-		t.Fatalf("verify after rebuild rerun: %v", problems)
-	}
-	checkRead(t, f, want, 0)
 }
 
 // TestDirtyLogSurvivesReplicaCrash crashes a dirty-log replica (RAM lost,

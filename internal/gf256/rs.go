@@ -91,11 +91,6 @@ func (r *RS) EncodeInto(parity, data [][]byte) {
 	}
 }
 
-// EncodeUnitInto computes just parity unit j into dst (zeroed first).
-func (r *RS) EncodeUnitInto(j int, dst []byte, data [][]byte) {
-	combine(dst, r.ParityRow(j), data)
-}
-
 // Reconstruct fills in the missing units of one stripe. units holds the
 // k+m stripe units in code order (data 0..k-1, then parity 0..m-1);
 // units[i] is nil for a lost unit and a slice of the unit length
@@ -140,7 +135,7 @@ func (r *RS) Reconstruct(units [][]byte) error {
 // written, so dst may be a slice of a buffer that also holds survivors,
 // provided it overlaps none of them (dst is zeroed before the first source
 // is folded in). With all k data units among the first k present, a parity
-// target is its coefficient row's plain encode — EncodeUnitInto's sum.
+// target is its coefficient row's plain encode, the sum EncodeInto makes.
 // Otherwise the decode row is the target's coding row times the inverse of
 // the survivors' k×k submatrix, computed once per (survivors, target) and
 // cached on the code, so a warm call allocates nothing.

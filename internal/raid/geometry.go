@@ -195,47 +195,6 @@ func (g Geometry) StripesIn(size int64) int64 {
 	return g.StripeOf(size-1) + 1
 }
 
-// UnitsOwnedBy visits, in increasing order, every stripe unit stored on
-// server srv that intersects [0, size), stopping at the first error.
-func (g Geometry) UnitsOwnedBy(srv int, size int64, fn func(unit int64) error) error {
-	units := g.UnitsIn(size)
-	for b := int64(srv); b < units; b += int64(g.Servers) {
-		if err := fn(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ParityStripesOwnedBy visits, in increasing order, every parity stripe
-// whose parity unit is stored on server srv and that intersects [0, size),
-// stopping at the first error.
-func (g Geometry) ParityStripesOwnedBy(srv int, size int64, fn func(stripe int64) error) error {
-	n := int64(g.Servers)
-	stripes := g.StripesIn(size)
-	// Ownership depends only on s mod N: collect srv's residues (one for
-	// the XOR schemes, PU of them for multi-parity) and walk each
-	// arithmetic progression, merged in increasing stripe order.
-	var residues []int64
-	for r := int64(0); r < n; r++ {
-		if _, ok := g.ParityUnitOn(srv, r); ok {
-			residues = append(residues, r)
-		}
-	}
-	for base := int64(0); base < stripes; base += n {
-		for _, r := range residues {
-			s := base + r
-			if s >= stripes {
-				break
-			}
-			if err := fn(s); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Span describes a byte range [Off, Off+Len) of the logical file.
 type Span struct {
 	Off int64

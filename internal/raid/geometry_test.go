@@ -273,70 +273,6 @@ func TestUnitsAndStripesIn(t *testing.T) {
 	}
 }
 
-func TestUnitsOwnedByMatchesBruteForce(t *testing.T) {
-	for _, n := range []int{1, 3, 5} {
-		g := Geometry{Servers: n, StripeUnit: 7}
-		for _, size := range []int64{0, 1, 7, 50, 7 * int64(n) * 4} {
-			seen := map[int64]int{}
-			for srv := 0; srv < n; srv++ {
-				var prev int64 = -1
-				err := g.UnitsOwnedBy(srv, size, func(b int64) error {
-					if g.ServerOf(b) != srv {
-						t.Fatalf("n=%d size=%d: unit %d visited for server %d", n, size, b, srv)
-					}
-					if b <= prev {
-						t.Fatalf("units out of order")
-					}
-					prev = b
-					seen[b]++
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			for b := int64(0); b < g.UnitsIn(size); b++ {
-				if seen[b] != 1 {
-					t.Fatalf("n=%d size=%d: unit %d visited %d times", n, size, b, seen[b])
-				}
-			}
-			if int64(len(seen)) != g.UnitsIn(size) {
-				t.Fatalf("n=%d size=%d: visited %d units, want %d", n, size, len(seen), g.UnitsIn(size))
-			}
-		}
-	}
-}
-
-func TestParityStripesOwnedByMatchesBruteForce(t *testing.T) {
-	for _, n := range []int{3, 4, 7} {
-		g := Geometry{Servers: n, StripeUnit: 8}
-		for _, size := range []int64{0, 1, 100, g.StripeSize() * int64(3*n)} {
-			seen := map[int64]int{}
-			for srv := 0; srv < n; srv++ {
-				err := g.ParityStripesOwnedBy(srv, size, func(s int64) error {
-					if g.ParityServerOf(s) != srv {
-						t.Fatalf("n=%d size=%d: stripe %d visited for server %d, parity on %d",
-							n, size, s, srv, g.ParityServerOf(s))
-					}
-					seen[s]++
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			for s := int64(0); s < g.StripesIn(size); s++ {
-				if seen[s] != 1 {
-					t.Fatalf("n=%d size=%d: stripe %d visited %d times", n, size, s, seen[s])
-				}
-			}
-			if int64(len(seen)) != g.StripesIn(size) {
-				t.Fatalf("n=%d size=%d: visited %d stripes, want %d", n, size, len(seen), g.StripesIn(size))
-			}
-		}
-	}
-}
-
 func TestMirrorServer(t *testing.T) {
 	g := Geometry{Servers: 4, StripeUnit: 10}
 	for b := int64(0); b < 16; b++ {

@@ -80,3 +80,92 @@ func WithDefaultParity(ref wire.FileRef) wire.FileRef {
 	}
 	return ref
 }
+
+// A code group is the unit of redundancy: k data members and r redundancy
+// members, any k of which regenerate the rest through the file's RS(k, r)
+// code. A parity shape's group is a stripe — its k = N-m data units and m
+// parity units — numbered by stripe. A mirror shape's group is one data
+// unit b and its copy in the mirror store of MirrorServerOf(b), numbered by
+// unit: the repetition code RS(1, 1), whose one parity row is [1], so its
+// encode and decode are copies. RAID0's group is a unit alone (r = 0).
+
+// Store names which of a server's stores keeps a group member.
+type Store uint8
+
+const (
+	DataStore   Store = iota // a data unit, in place
+	ParityStore              // a stripe's parity unit
+	MirrorStore              // a data unit's copy
+)
+
+// Member is where one member of a code group lives.
+type Member struct {
+	Server int
+	Store  Store
+	Unit   int64 // the data unit whose bytes a DataStore or MirrorStore member holds
+}
+
+// GroupSize returns every group's count of data members k and redundancy
+// members r.
+func (l Layout) GroupSize() (k, r int) {
+	if l.Parity > 0 {
+		return l.DataWidth(), l.Parity
+	}
+	return 1, l.Tolerates()
+}
+
+// GroupOf returns the group holding data unit b and b's member index in it.
+func (l Layout) GroupOf(b int64) (group int64, member int) {
+	k, _ := l.GroupSize()
+	return b / int64(k), int(b % int64(k))
+}
+
+// GroupMember returns where member i (data 0..k-1, then redundancy
+// k..k+r-1) of group lives.
+func (l Layout) GroupMember(group int64, i int) Member {
+	k, _ := l.GroupSize()
+	switch {
+	case i < k:
+		b := group*int64(k) + int64(i)
+		return Member{l.ServerOf(b), DataStore, b}
+	case l.Parity > 0:
+		return Member{Server: l.ParityServerOfUnit(group, i-k), Store: ParityStore}
+	}
+	return Member{l.MirrorServerOf(group), MirrorStore, group}
+}
+
+// MemberHeldBy reports which member of group server srv holds, if any. A
+// server holds at most one: a stripe's k+m members sit on its k+m distinct
+// servers, and a unit's copy is on the server after the unit's own.
+func (l Layout) MemberHeldBy(srv int, group int64) (member int, ok bool) {
+	k, r := l.GroupSize()
+	for i := range k + r {
+		if l.GroupMember(group, i).Server == srv {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// GroupsHeldBy returns the groups covering [0, size) in which server srv
+// holds a member: for a parity shape every stripe, in order; for a unit
+// group, member by member — the server's own units, then the units it holds
+// copies of — so a run of them has one survivor server and one target store.
+func (l Layout) GroupsHeldBy(srv int, size int64) []int64 {
+	var out []int64
+	if l.Parity > 0 {
+		for s := range l.StripesIn(size) {
+			out = append(out, s)
+		}
+		return out
+	}
+	k, r := l.GroupSize()
+	for i := range k + r {
+		for b := range l.UnitsIn(size) {
+			if l.GroupMember(b, i).Server == srv {
+				out = append(out, b)
+			}
+		}
+	}
+	return out
+}

@@ -4,12 +4,14 @@
 // paper's stated long-term objective for CSAR; this package is the code path
 // that objective pays for.
 //
-// A parity shape (RAID5, Hybrid, Reed-Solomon) regenerates units through one
-// planner, the client's survivor plan (client.File.Reconstruct, the plan the
-// degraded read runs): each unit is decoded from k members of its stripe
-// outside a dead set, picked in code order and fetched with one raw Read and
-// one ReadParity per server. Its three callers differ only in the targets
-// and the dead set:
+// Every redundant shape regenerates members of its code groups (raid.Layout)
+// through one planner, the client's survivor plan (client.File.Reconstruct,
+// the plan the degraded read runs): each member is decoded from k members of
+// its group outside a dead set, picked in code order and fetched with one raw
+// Read and one ReadParity or ReadMirror per server. A parity shape's group
+// is a stripe; a mirror's is one unit and its copy, the repetition code
+// RS(1, 1), whose decode is a copy. The three callers differ only in the
+// targets and the dead set:
 //
 //   - Rebuild: every member on the failed server, around that server and
 //     every other one a Health probe finds down;
@@ -17,11 +19,10 @@
 //   - ReplayIntents: the parity unit an abandoned intent distrusts, around
 //     all of its stripe's parity servers — so it is encoded from data only.
 //
-// A mirror shape copies units between a unit's two copies (copyUnits), for
-// Rebuild and Resync alike. Hybrid's overflow region and table are restored
-// from the overflow mirror on the next server, and its overflow-mirror region
-// from the previous server's primary overflow. Verify is the independent
-// oracle: it reads with its own reader, never through the planner it checks.
+// Hybrid's overflow region and table are restored from the overflow mirror
+// on the next server, and its overflow-mirror region from the previous
+// server's primary overflow. Verify is the independent oracle: it reads with
+// its own reader, never through the planner it checks.
 //
 // Note the Hybrid invariant that makes this work: the in-place data a
 // stripe's parity covers is never updated by a partial-stripe write — new
@@ -35,6 +36,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,101 +99,40 @@ func chunkInt64(vals []int64) [][]int64 {
 	return out
 }
 
-// ownedUnits collects the data units server srv owns within size.
-func ownedUnits(g raid.Geometry, srv int, size int64) []int64 {
-	var units []int64
-	g.UnitsOwnedBy(srv, size, func(b int64) error { //nolint:errcheck // fn never fails
-		units = append(units, b)
-		return nil
-	})
-	return units
-}
-
-// unitSpans returns each unit's logical span, in order.
-func unitSpans(g raid.Geometry, units []int64) []wire.Span {
-	spans := make([]wire.Span, len(units))
-	for i, b := range units {
-		spans[i] = wire.Span{Off: g.UnitStart(b), Len: g.StripeUnit}
-	}
-	return spans
-}
-
 // Rebuild reconstructs server dead's stores for file f onto the replacement
 // server now occupying the same slot. The caller must have already replaced
 // the failed server with a blank one (and must not mark it up for normal
-// use until Rebuild returns).
+// use until Rebuild returns). Every group in which dead holds a member is
+// regenerated, in batches, around dead and every other server found down.
 func Rebuild(c *client.Client, f *client.File, dead int) error {
-	g := f.Geometry()
-	if dead < 0 || dead >= g.Servers {
+	l := f.Layout()
+	if dead < 0 || dead >= l.Servers {
 		return fmt.Errorf("recovery: server %d out of range", dead)
 	}
 	size := f.Size()
 	if size == 0 {
 		return nil
 	}
-	defer c.ObserveSince("rebuild_pass", time.Now())
-
-	switch s := f.Shape(); {
-	case s.Mirror:
-		if err := copyUnits(c, f, dead, ownedUnits(g, dead, size), false); err != nil {
-			return err
-		}
-		prev := (dead - 1 + g.Servers) % g.Servers
-		return copyUnits(c, f, dead, ownedUnits(g, prev, size), true)
-	case s.Parity > 0:
-		deads, err := probeDead(c, f, dead)
-		if err != nil {
-			return err
-		}
-		all := make([]int64, g.StripesIn(size))
-		for i := range all {
-			all[i] = int64(i)
-		}
-		batches := chunkInt64(all)
-		if err := runBatches(len(batches), func(i int) error {
-			return restoreMembers(c, f, dead, deads, batches[i])
-		}); err != nil {
-			return err
-		}
-		if s.Overflow {
-			_, err := restoreOverflow(c, f.Ref(), g, dead)
-			return err
-		}
-		return nil
-	default:
+	if l.Tolerates() == 0 {
 		return fmt.Errorf("recovery: %w", client.ErrNoRedundancy)
 	}
-}
+	defer c.ObserveSince("rebuild_pass", time.Now())
 
-// copyUnits restores server dead's copies of a mirror shape's units from
-// their other copy, a batch of units per request pair: its data units from
-// their mirrors on the next server, or (toMirror) its mirrors of the previous
-// server's units from those units' primaries.
-func copyUnits(c *client.Client, f *client.File, dead int, units []int64, toMirror bool) error {
-	g := f.Geometry()
-	ref := f.Ref()
-	batches := chunkInt64(units)
-	return runBatches(len(batches), func(i int) error {
-		spans := unitSpans(g, batches[i])
-		from, read := (dead+1)%g.Servers, wire.Msg(&wire.ReadMirror{File: ref, Spans: spans})
-		if toMirror {
-			from, read = (dead-1+g.Servers)%g.Servers, &wire.Read{File: ref, Spans: spans, Raw: true}
-		}
-		resp, err := c.ServerCaller(from).Call(read)
-		if err != nil {
-			return err
-		}
-		data := resp.(*wire.ReadResp).Data
-		if int64(len(data)) != int64(len(spans))*g.StripeUnit {
-			return fmt.Errorf("recovery: short copy read from server %d (units %v)", from, batches[i])
-		}
-		write := wire.Msg(&wire.WriteData{File: ref, Spans: spans, Data: data, Raw: true})
-		if toMirror {
-			write = &wire.WriteMirror{File: ref, Spans: spans, Data: data}
-		}
-		_, err = c.ServerCaller(dead).Call(write)
+	deads, err := probeDead(c, f, dead)
+	if err != nil {
 		return err
-	})
+	}
+	batches := chunkInt64(l.GroupsHeldBy(dead, size))
+	if err := runBatches(len(batches), func(i int) error {
+		return restoreMembers(c, f, dead, deads, batches[i])
+	}); err != nil {
+		return err
+	}
+	if l.Overflow {
+		_, err := restoreOverflow(c, f.Ref(), l.Geometry, dead)
+		return err
+	}
+	return nil
 }
 
 // probeDead returns the servers a repair of server dead decodes around: dead
@@ -202,9 +143,9 @@ func copyUnits(c *client.Client, f *client.File, dead int, units []int64, toMirr
 // batched reads, not by failing them. Anything short of k survivors cannot
 // decode.
 func probeDead(c *client.Client, f *client.File, dead int) ([]int, error) {
-	g := f.Geometry()
+	l := f.Layout()
 	deads := []int{dead}
-	for srv := 0; srv < g.Servers; srv++ {
+	for srv := 0; srv < l.Servers; srv++ {
 		if srv == dead {
 			continue
 		}
@@ -214,9 +155,9 @@ func probeDead(c *client.Client, f *client.File, dead int) ([]int, error) {
 			deads = append(deads, srv)
 		}
 	}
-	if live, k := g.Servers-len(deads), g.DataWidth(); live < k {
+	if k, r := l.GroupSize(); l.Servers-len(deads) < k {
 		return nil, fmt.Errorf("recovery: only %d of %d servers reachable, need %d to decode RS(%d, %d)",
-			live, g.Servers, k, k, g.PU())
+			l.Servers-len(deads), l.Servers, k, k, r)
 	}
 	return deads, nil
 }
@@ -227,45 +168,52 @@ func rawCall(c *client.Client) client.CallFunc {
 	return func(srv int, req wire.Msg) (wire.Msg, error) { return c.ServerCaller(srv).Call(req) }
 }
 
-// restoreMembers regenerates server dead's member of each of stripes — with
-// k+m servers it holds exactly one unit of every stripe — through the
-// client's survivor planner, around the servers in deads, and writes them
-// back: one raw WriteData for the data members and one WriteParity for the
-// parity members. A batch costs one raw Read and one ReadParity per server
-// that serves any of its survivors, each stripe decoded from k of them.
-func restoreMembers(c *client.Client, f *client.File, dead int, deads []int, stripes []int64) error {
-	g := f.Geometry()
+// restoreMembers regenerates server dead's member of each of groups through
+// the client's survivor planner, around the servers in deads, and writes them
+// back with one request per store: a raw WriteData for data members, a
+// WriteParity for parity members and a WriteMirror for a mirror's copies. A
+// batch costs one raw Read and one ReadParity or ReadMirror per server that
+// serves any of its survivors, each member decoded from k of them.
+func restoreMembers(c *client.Client, f *client.File, dead int, deads []int, groups []int64) error {
+	l := f.Layout()
 	ref := f.Ref()
-	k, su := g.DataWidth(), g.StripeUnit
-	// Data members first, so each kind's payload is one contiguous run.
-	var data, par []client.Unit
-	var spans []wire.Span
-	var pStripes []int64
-	for _, s := range stripes {
-		u := client.Unit{Stripe: s, Idx: g.MemberOn(dead, s)}
-		if u.Idx < k {
-			first, _ := g.DataUnitsOf(s)
-			data = append(data, u)
-			spans = append(spans, wire.Span{Off: g.UnitStart(first + int64(u.Idx)), Len: su})
+	su := l.StripeUnit
+	// By raid.Store, in store order (data, parity, mirror), so each store's
+	// payload is one contiguous run.
+	var units [3][]client.Unit
+	var spans [3][]wire.Span
+	var stripes []int64
+	for _, g := range groups {
+		i, _ := l.MemberHeldBy(dead, g)
+		m := l.GroupMember(g, i)
+		units[m.Store] = append(units[m.Store], client.Unit{Group: g, Member: i})
+		if m.Store == raid.ParityStore {
+			stripes = append(stripes, g)
 		} else {
-			par = append(par, u)
-			pStripes = append(pStripes, s)
+			spans[m.Store] = append(spans[m.Store], wire.Span{Off: l.UnitStart(m.Unit), Len: su})
 		}
 	}
-	buf := make([]byte, int64(len(stripes))*su)
-	if err := f.Reconstruct(buf, append(data, par...), deads, rawCall(c)); err != nil {
+	buf := make([]byte, int64(len(groups))*su)
+	if err := f.Reconstruct(buf, slices.Concat(units[:]...), deads, rawCall(c)); err != nil {
 		return err
 	}
-	nd := int64(len(data)) * su
-	if len(spans) > 0 {
-		if _, err := c.ServerCaller(dead).Call(&wire.WriteData{
-			File: ref, Spans: spans, Data: buf[:nd], Raw: true}); err != nil {
-			return err
+	var at int64
+	for st, us := range units {
+		if len(us) == 0 {
+			continue
 		}
-	}
-	if len(pStripes) > 0 {
-		if _, err := c.ServerCaller(dead).Call(&wire.WriteParity{
-			File: ref, Stripes: pStripes, Data: buf[nd:]}); err != nil {
+		data := buf[at : at+int64(len(us))*su]
+		at += int64(len(data))
+		var req wire.Msg
+		switch raid.Store(st) {
+		case raid.DataStore:
+			req = &wire.WriteData{File: ref, Spans: spans[st], Data: data, Raw: true}
+		case raid.ParityStore:
+			req = &wire.WriteParity{File: ref, Stripes: stripes, Data: data}
+		case raid.MirrorStore:
+			req = &wire.WriteMirror{File: ref, Spans: spans[st], Data: data}
+		}
+		if _, err := c.ServerCaller(dead).Call(req); err != nil {
 			return err
 		}
 	}

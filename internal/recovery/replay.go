@@ -94,7 +94,7 @@ func replayStripe(c *client.Client, f *client.File, srv int, in wire.Intent, rep
 		}
 	}
 	acc := make([]byte, g.StripeUnit)
-	if err := f.Reconstruct(acc, []client.Unit{{Stripe: in.Stripe, Idx: idx}}, dead, rawCall(c)); err != nil {
+	if err := f.Reconstruct(acc, []client.Unit{{Group: in.Stripe, Member: idx}}, dead, rawCall(c)); err != nil {
 		rep.Skipped++
 		rep.Problems = append(rep.Problems, fmt.Sprintf("stripe %d: replay deferred: %v", in.Stripe, err))
 		return nil

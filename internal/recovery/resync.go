@@ -259,7 +259,8 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 	// forwarded, no new damage is logged, and the dump shrinks to empty
 	// within a round or two.
 	const maxRounds = 64
-	var deads []int // probed once, at the first parity item
+	l := f.Layout()
+	var deads []int // probed once, at the first item
 	for round := 1; ; round++ {
 		if round > maxRounds {
 			return report, fmt.Errorf("%w: no convergence after %d rounds", ErrResyncAborted, maxRounds)
@@ -267,29 +268,27 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 		report.Rounds = round
 		items, overflow := mergeItems(g, dumps)
 		for _, it := range items {
-			if deads == nil && !f.Shape().Mirror {
-				// A parity shape's items decode around the recovering
-				// server — whose stale units are never survivors — and
-				// whatever else is down now.
+			if deads == nil {
+				// Items decode around the recovering server — whose stale
+				// members are never survivors — and whatever else is down
+				// now.
 				if deads, err = probeDead(c, f, dead); err != nil {
 					return report, fmt.Errorf("%w: %v", ErrResyncAborted, err)
 				}
+			}
+			// The item's group: a 'u' unit's or an 'm' copy's is its data
+			// unit's, an 's' stripe is one. The recovering server holds one
+			// member of it, which restoreMembers regenerates.
+			group := it.val
+			if it.kind != 's' {
+				group, _ = l.GroupOf(it.val)
 			}
 			lim.Acquire(g.StripeUnit)
 			var rerr error
 			pass.Exclusive(func() {
 				// Under the gate no foreground write from this client is
-				// mid-flight. A mirror shape copies the unit from its other
-				// copy; a parity shape regenerates the recovering server's
-				// member of the item's stripe from the survivors.
-				switch {
-				case f.Shape().Mirror:
-					rerr = copyUnits(c, f, dead, []int64{it.val}, it.kind == 'm')
-				case it.kind == 'u':
-					rerr = restoreMembers(c, f, dead, deads, []int64{it.val / int64(g.DataWidth())})
-				default:
-					rerr = restoreMembers(c, f, dead, deads, []int64{it.val})
-				}
+				// mid-flight.
+				rerr = restoreMembers(c, f, dead, deads, []int64{group})
 				if rerr == nil && round == 1 {
 					pass.Advance(it.end)
 				}
