@@ -43,13 +43,19 @@ faults:
 
 # The crash-consistency suite for the RAID5 write hole: the journal's replay
 # rule (torn tail at every offset, every byte flipped, pre-format files
-# refused), client death mid-RMW, parity-server crash-restart with
-# intent-journal replay, lease heartbeats under a stalled write, lease/intent
-# metrics, and the real-TCP iod bounce — run twice under the race detector to
-# prove the schedules are deterministic.
+# refused, unsynced appends), client death mid-RMW, parity-server
+# crash-restart with intent-journal replay, lease heartbeats under a stalled
+# write, the pending intent's cut points (data write lost after the parity
+# write, client death before the retire, a second owner locking behind a
+# pending intent, an RS parity server restarted before the retire), retires
+# under concurrent writers and Syncs, the server's pending-intent rules and
+# its intent journal's compaction,
+# lease/intent metrics, and the real-TCP iod bounce — run twice under the
+# race detector to prove the schedules are deterministic.
 crash:
 	$(GO) test -race ./internal/journal
-	$(GO) test -race -count=2 -run 'TestCrashClientMidRMW|TestCrashServerMidParityWrite|TestLeaseRenewalKeepsLock' ./internal/cluster
+	$(GO) test -race -count=2 -run 'TestCrash|TestLeaseRenewalKeepsLock|TestRetiresUnderConcurrentWriters' ./internal/cluster
+	$(GO) test -race -count=2 -run 'TestRetireIntents|TestPendingIntent|TestIntentJournal' ./internal/server
 	$(GO) test -race -count=2 -run 'TestMetricsLeaseAndIntent|TestRestartedIODReadmission' .
 
 # The online-resync suite: dirty-region tracking by degraded writes, delta

@@ -299,9 +299,10 @@ func StatsOfServer(sr ServerStats) Stats { return client.SnapOfStatsResp(sr) }
 // snapshots — e.g. one Stats view over several clients or servers.
 func MergeStats(snaps ...Stats) Stats { return obs.Merge(snaps...) }
 
-// Close releases the client's network connections (every I/O server plus
-// the manager). Programs that Dial in a loop must Close each client or leak
-// descriptors.
+// Close retires the write intents of the client's completed
+// read-modify-writes, then releases its network connections (every I/O
+// server plus the manager). Programs that Dial in a loop must Close each
+// client or leak descriptors.
 func (c *Client) Close() error { return c.inner.Close() }
 
 // File is an open CSAR file. Reads and writes may be issued concurrently;
@@ -326,8 +327,9 @@ func (f *File) Size() int64 { return f.inner.Size() }
 // Scheme returns the file's redundancy scheme.
 func (f *File) Scheme() Scheme { return f.inner.Scheme() }
 
-// Sync flushes the file's server-side stores and publishes its size to the
-// manager.
+// Sync retires the write intents of the client's completed
+// read-modify-writes, flushes the file's server-side stores and publishes
+// its size to the manager.
 func (f *File) Sync() error { return f.inner.Sync() }
 
 // Compact migrates a Hybrid file's overflow-resident data back to RAID5

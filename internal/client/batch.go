@@ -27,16 +27,12 @@ type batchPart struct {
 	p    []byte
 }
 
-func newWriteBatch(g raid.Geometry) *writeBatch {
-	return &writeBatch{
-		g:     g,
-		spans: make([][]wire.Span, g.Servers),
-		size:  make([]int, g.Servers),
+// add registers one portion, span and its bytes p, and returns the batch:
+// b, or a new one for geometry g when b is nil.
+func (b *writeBatch) add(g raid.Geometry, span raid.Span, p []byte) *writeBatch {
+	if b == nil {
+		b = &writeBatch{g: g, spans: make([][]wire.Span, g.Servers), size: make([]int, g.Servers)}
 	}
-}
-
-// add registers one portion: span and its bytes p.
-func (b *writeBatch) add(span raid.Span, p []byte) {
 	n := make([]int, b.g.Servers)
 	eachPiece(b.g, span.Off, span.Len, func(unit, cur, pieceEnd int64) {
 		n[b.g.ServerOf(unit)] += int(pieceEnd - cur)
@@ -48,9 +44,8 @@ func (b *writeBatch) add(span raid.Span, p []byte) {
 		}
 	}
 	b.parts = append(b.parts, batchPart{span, p})
+	return b
 }
-
-func (b *writeBatch) empty() bool { return len(b.parts) == 0 }
 
 // flush gathers every portion straight into one payload per server and
 // issues one multi-span WriteData per contributing server, skipping dead.
@@ -62,10 +57,8 @@ func (b *writeBatch) flush(f *File, dead int, tr uint64) error {
 			copy(data.grow(b.g.ServerOf(unit), int(pieceEnd-cur)), pt.p[cur-off:pieceEnd-off])
 		})
 	}
-	return f.c.eachServer(b.g.Servers, func(i int) error {
-		if data[i] == nil || i == dead {
-			return nil
-		}
+	has := func(i int) bool { return data[i] != nil && i != dead }
+	return f.c.eachServer(b.g.Servers, has, func(i int) error {
 		_, err := f.c.callSrvT(i, owned(&wire.WriteData{
 			File:  f.ref,
 			Spans: b.spans[i],
@@ -84,10 +77,8 @@ type parityBatch struct {
 }
 
 func (b *parityBatch) flush(f *File, dead int, tr uint64) error {
-	return f.c.eachServer(b.g.Servers, func(i int) error {
-		if len(b.stripes[i]) == 0 || i == dead {
-			return nil
-		}
+	has := func(i int) bool { return len(b.stripes[i]) > 0 && i != dead }
+	return f.c.eachServer(b.g.Servers, has, func(i int) error {
 		_, err := f.c.callSrvT(i, owned(&wire.WriteParity{
 			File:    f.ref,
 			Stripes: b.stripes[i],

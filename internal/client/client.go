@@ -67,11 +67,17 @@ type Client struct {
 	// health is the per-server circuit-breaker state (resilience.go).
 	health []serverHealth
 
-	// leases tracks live parity-lock acquisitions for heartbeat renewal
-	// (lease.go), keyed by owner token.
-	lmu       sync.Mutex
-	leases    map[uint64]leaseEntry
-	hbRunning bool
+	// leases tracks live parity-lock acquisitions for heartbeat renewal,
+	// keyed by owner token, and retires the intents of completed
+	// read-modify-writes waiting to go out in a batch, by server and file
+	// (lease.go). retiresSent counts batches in flight; retiresIdle is
+	// signaled when it drops to zero.
+	lmu         sync.Mutex
+	leases      map[uint64]leaseEntry
+	retires     map[retireKey][]wire.IntentID
+	retiresSent int
+	retiresIdle *sync.Cond
+	hbRunning   bool
 
 	mu     sync.Mutex
 	down   map[int]bool
@@ -105,7 +111,7 @@ func New(mgr Caller, servers []Caller) *Client {
 // dies or answers with a not-primary/stale-epoch fencing error.
 func NewMulti(mgrs []Caller, servers []Caller) *Client {
 	reg := obs.NewRegistry()
-	return &Client{
+	c := &Client{
 		mgrs:    mgrs,
 		srv:     servers,
 		obs:     reg,
@@ -113,10 +119,13 @@ func NewMulti(mgrs []Caller, servers []Caller) *Client {
 		down:    make(map[int]bool),
 		health:  make([]serverHealth, len(servers)),
 		leases:  make(map[uint64]leaseEntry),
+		retires: make(map[retireKey][]wire.IntentID),
 		outages: make(map[outageKey]uint64),
 		passes:  make(map[outageKey]*Pass),
 		rng:     rand.New(rand.NewSource(1)), // backoff jitter, reproducible
 	}
+	c.retiresIdle = sync.NewCond(&c.lmu)
+	return c
 }
 
 // Ablation switches off one part of the parity engine so the model track can
@@ -359,7 +368,7 @@ func (c *Client) Remove(name string) error {
 	if _, err := c.mgrCall(&wire.Remove{Name: name}); err != nil {
 		return err
 	}
-	return c.eachServer(int(or.Ref.Servers), func(i int) error {
+	return c.eachServer(int(or.Ref.Servers), nil, func(i int) error {
 		if _, err := c.callSrv(i, &wire.RemoveFile{File: or.Ref}); err != nil {
 			return err
 		}
@@ -390,7 +399,7 @@ func (c *Client) List() ([]string, error) {
 // across all files.
 func (c *Client) StorageTotals() ([]int64, error) {
 	totals := make([]int64, len(c.srv))
-	err := c.eachServer(len(c.srv), func(i int) error {
+	err := c.eachServer(len(c.srv), nil, func(i int) error {
 		resp, err := c.callSrv(i, &wire.StorageStat{})
 		if err != nil {
 			return err
@@ -404,24 +413,41 @@ func (c *Client) StorageTotals() ([]int64, error) {
 // DropServerCaches empties every server's page cache; the paper does this
 // between the initial-write and overwrite phases of its experiments.
 func (c *Client) DropServerCaches() error {
-	return c.eachServer(len(c.srv), func(i int) error {
+	return c.eachServer(len(c.srv), nil, func(i int) error {
 		_, err := c.callSrv(i, &wire.DropCaches{})
 		return err
 	})
 }
 
-// eachServer runs fn for servers [0,n) concurrently and returns the first
-// error.
-func (c *Client) eachServer(n int, fn func(i int) error) error {
+// eachServer runs fn for every server i in [0,n) that has work (has nil:
+// every one) concurrently, the last of them on the calling goroutine, and
+// joins their errors. A fan-out to one server spawns nothing.
+func (c *Client) eachServer(n int, has func(i int) bool, fn func(i int) error) error {
+	last, count := -1, 0
+	for i := 0; i < n; i++ {
+		if has == nil || has(i) {
+			last, count = i, count+1
+		}
+	}
+	switch count {
+	case 0:
+		return nil
+	case 1:
+		return fn(last)
+	}
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := 0; i < last; i++ {
+		if has != nil && !has(i) {
+			continue
+		}
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			errs[i] = fn(i)
-		}(i)
+		}()
 	}
+	errs[last] = fn(last)
 	wg.Wait()
 	return errors.Join(errs...)
 }

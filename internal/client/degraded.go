@@ -286,7 +286,8 @@ func (pl *survivorPlan) fetch(f *File, call CallFunc) (spanReads, error) {
 	}
 	n := pl.l.Servers
 	out := make(spanReads, 2*n)
-	err := f.c.eachServer(2*n, func(i int) error {
+	has := func(i int) bool { return len(pl.spans[i]) > 0 || i >= n && len(pl.parity[i-n]) > 0 }
+	err := f.c.eachServer(2*n, has, func(i int) error {
 		srv := i % n
 		var req wire.Msg
 		want := pl.spanN[i]
@@ -294,8 +295,6 @@ func (pl *survivorPlan) fetch(f *File, call CallFunc) (spanReads, error) {
 		case i >= n && len(pl.parity[srv]) > 0:
 			req = &wire.ReadParity{File: f.ref, Stripes: pl.parity[srv]}
 			want = int64(len(pl.parity[srv])) * pl.l.StripeUnit
-		case len(pl.spans[i]) == 0:
-			return nil
 		case i < n:
 			req = &wire.Read{File: f.ref, Spans: pl.spans[i], Raw: true}
 		default:

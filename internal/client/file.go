@@ -224,7 +224,7 @@ func (f *File) execute(plan core.Plan, off int64, p []byte, dead int, tr uint64)
 
 	// Size the batch and compute the parity up front so the coalesced data
 	// RPCs and the parity RPCs all hit the wire together.
-	batch := newWriteBatch(f.geom)
+	var batch *writeBatch   // of the plain and full-stripe portions; nil: none
 	var parity *parityBatch // of the plan's one full-stripe portion
 	var others []core.Portion
 	var stops []func()
@@ -236,14 +236,14 @@ func (f *File) execute(plan core.Plan, off int64, p []byte, dead int, tr uint64)
 		switch {
 		case pt.Mode == core.ModePlain:
 			stops = append(stops, f.timePath("op_write_plain"))
-			batch.add(pt.Span, data(pt.Span))
+			batch = batch.add(f.geom, pt.Span, data(pt.Span))
 		case pt.Mode == core.ModeFullStripe:
 			atomic.AddInt64(&f.c.metrics.FullStripes, 1)
 			stops = append(stops, f.timePath(f.opPrefix+"full_stripe"))
 			if parity, prepErr = f.fullStripeParity(pt.Span, data(pt.Span)); prepErr != nil {
 				break
 			}
-			batch.add(pt.Span, data(pt.Span))
+			batch = batch.add(f.geom, pt.Span, data(pt.Span))
 		default:
 			others = append(others, pt)
 		}
@@ -255,7 +255,7 @@ func (f *File) execute(plan core.Plan, off int64, p []byte, dead int, tr uint64)
 
 	errs := make([]error, len(others)+2)
 	var wg sync.WaitGroup
-	if !batch.empty() {
+	if batch != nil {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -269,27 +269,35 @@ func (f *File) execute(plan core.Plan, off int64, p []byte, dead int, tr uint64)
 			errs[len(others)+1] = parity.flush(f, dead, tr)
 		}()
 	}
-	for i, pt := range others {
+	portion := func(i int, pt core.Portion) {
+		switch pt.Mode {
+		case core.ModeMirrored:
+			atomic.AddInt64(&f.c.metrics.MirrorWrites, 1)
+			defer f.timePath("op_write_mirror")()
+			errs[i] = f.writeMirrored(pt.Span, data(pt.Span), dead, tr)
+		case core.ModeRMW:
+			atomic.AddInt64(&f.c.metrics.RMWs, 1)
+			defer f.timePath(f.opPrefix + "rmw")()
+			errs[i] = f.writeRMW(pt.Span, data(pt.Span), nil, dead, tr)
+		case core.ModeOverflow:
+			atomic.AddInt64(&f.c.metrics.OverflowWrites, 1)
+			defer f.timePath("op_write_overflow")()
+			errs[i] = f.writeOverflow(pt.Span, data(pt.Span), dead, tr)
+		default:
+			errs[i] = fmt.Errorf("client: unknown portion mode %v", pt.Mode)
+		}
+	}
+	// The last portion runs on this goroutine: a write of one partial
+	// stripe, the common small write, spawns nothing here.
+	for i, pt := range others[:max(len(others)-1, 0)] {
 		wg.Add(1)
-		go func(i int, pt core.Portion) {
+		go func() {
 			defer wg.Done()
-			switch pt.Mode {
-			case core.ModeMirrored:
-				atomic.AddInt64(&f.c.metrics.MirrorWrites, 1)
-				defer f.timePath("op_write_mirror")()
-				errs[i] = f.writeMirrored(pt.Span, data(pt.Span), dead, tr)
-			case core.ModeRMW:
-				atomic.AddInt64(&f.c.metrics.RMWs, 1)
-				defer f.timePath(f.opPrefix + "rmw")()
-				errs[i] = f.writeRMW(pt.Span, data(pt.Span), nil, dead, tr)
-			case core.ModeOverflow:
-				atomic.AddInt64(&f.c.metrics.OverflowWrites, 1)
-				defer f.timePath("op_write_overflow")()
-				errs[i] = f.writeOverflow(pt.Span, data(pt.Span), dead, tr)
-			default:
-				errs[i] = fmt.Errorf("client: unknown portion mode %v", pt.Mode)
-			}
-		}(i, pt)
+			portion(i, pt)
+		}()
+	}
+	if n := len(others); n > 0 {
+		portion(n-1, others[n-1])
 	}
 	wg.Wait()
 	for _, stop := range stops {
@@ -318,10 +326,8 @@ func (f *File) timePath(name string) func() {
 // skipping the dead server (whose contents the redundancy carries) when
 // dead >= 0.
 func (f *File) sendWriteData(span raid.Span, data payloads, dead int, tr uint64) error {
-	return f.c.eachServer(f.geom.Servers, func(i int) error {
-		if data[i] == nil || i == dead {
-			return nil
-		}
+	has := func(i int) bool { return data[i] != nil && i != dead }
+	return f.c.eachServer(f.geom.Servers, has, func(i int) error {
 		_, err := f.c.callSrvT(i, owned(&wire.WriteData{
 			File:  f.ref,
 			Spans: []wire.Span{{Off: span.Off, Len: span.Len}},
@@ -361,10 +367,8 @@ func (f *File) writeCopies(span raid.Span, p []byte, dead int, tr uint64, msg fu
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[c] = f.c.eachServer(f.geom.Servers, func(i int) error {
-				if pl[i] == nil || i == dead {
-					return nil
-				}
+			has := func(i int) bool { return pl[i] != nil && i != dead }
+			errs[c] = f.c.eachServer(f.geom.Servers, has, func(i int) error {
 				_, err := f.c.callSrvT(i, owned(msg(i, c, *pl[i]), pl[i]), tr)
 				return err
 			})
@@ -392,15 +396,16 @@ func (f *File) writeCopies(span raid.Span, p []byte, dead int, tr uint64, msg fu
 // and the token lets us release exactly that possible ghost acquisition
 // without ever touching a lock granted to anyone else. It also carries the
 // policy's lock lease: the server opens a stripe intent with that deadline,
-// and lease.go heartbeats it until the unlocking parity write retires it —
-// so a holder that dies costs one lease, not a wedged stripe.
+// and lease.go heartbeats it until the intent is retired — so a holder that
+// dies costs one lease, not a wedged stripe.
 type ParityHold struct {
-	f      *File
-	stripe int64
-	j, srv int            // parity unit j, on server srv
-	token  uint64         // the acquisition's owner token; zero when no lock is taken
-	ranges []wire.Span    // the in-unit ranges held; nil: the whole unit
-	resp   *wire.ReadResp // the held bytes, packed, updated in place in their pooled buffer
+	f       *File
+	stripe  int64
+	j, srv  int            // parity unit j, on server srv
+	token   uint64         // the acquisition's owner token; zero when no lock is taken
+	ranges  []wire.Span    // the in-unit ranges held; nil: the whole unit
+	resp    *wire.ReadResp // the held bytes, packed, updated in place in their pooled buffer
+	written bool           // the closing parity write was acknowledged
 }
 
 // HoldParity reads the whole of parity unit j of stripe, acquiring its lock.
@@ -449,22 +454,32 @@ func (f *File) holdParity(stripe int64, j int, ranges []wire.Span, tr uint64) (*
 // HoldParity took.
 func (h *ParityHold) Data() []byte { return h.resp.Data }
 
+// Owner returns the token the hold's lock was acquired under; zero when the
+// engine takes no lock. A ListIntents shows the hold's own intent under it.
+func (h *ParityHold) Owner() uint64 { return h.token }
+
 // Write stores data as the held bytes' new contents, which releases the
-// lock and retires the intent. It is for a holder that has left the stripe
-// consistent with data — a repair, not an update in flight.
-func (h *ParityHold) Write(data []byte) error { return h.write(data, false, 0) }
+// lock; the intent is queued for retirement. It is for a holder that has
+// left the stripe consistent with data — a repair, not an update in flight.
+func (h *ParityHold) Write(data []byte) error {
+	err := h.write(data, false, 0)
+	h.retire()
+	return err
+}
 
 // write is the closing parity write. dirty says whether the stripe's data
 // may have changed under this hold without the parity to match: if the
 // write's outcome is unknown the lingering acquisition is released with that
 // flag, and a dirty release fail-stops the stripe until intent replay
-// reconciles it.
+// reconciles it. An acknowledged write leaves the lease tracked: the intent
+// stays pending on the server until the hold's owner retires it.
 func (h *ParityHold) write(data []byte, dirty bool, tr uint64) error {
 	c := h.f.c
 	_, err := c.callSrvT(h.srv, &wire.WriteParity{
 		File: h.f.ref, Stripes: []int64{h.stripe}, Ranges: h.ranges, Data: data, Unlock: h.f.lock, Owner: h.token,
 	}, tr)
-	if !h.f.lock {
+	h.written = err == nil
+	if !h.f.lock || err == nil {
 		return err
 	}
 	c.untrackLease(h.token)
@@ -472,12 +487,20 @@ func (h *ParityHold) write(data []byte, dirty bool, tr uint64) error {
 		// The server expired our lease and fenced this late write off; the
 		// stripe is fail-stopped there until replay reconstructs the unit.
 		atomic.AddInt64(&c.metrics.LeaseExpiries, 1)
-	} else if err != nil && isUnavailable(err) {
+	} else if isUnavailable(err) {
 		// The unlocking write may have been lost before the server applied
 		// it; make sure the acquisition cannot linger.
 		c.releaseParityLock(h.srv, h.f.ref, h.stripe, h.token, dirty)
 	}
 	return err
+}
+
+// retire queues the intent of a hold whose closing write was acknowledged
+// over a consistent stripe; a hold that took no lock has none.
+func (h *ParityHold) retire() {
+	if h.f.lock && h.written {
+		h.f.c.queueRetire(h.srv, h.f.ref, h.stripe, h.token)
+	}
 }
 
 // Release drops the lock with an unchanged parity write-back: the stripe was
@@ -488,7 +511,9 @@ func (h *ParityHold) release(tr uint64) error {
 	if !h.f.lock {
 		return nil
 	}
-	return h.write(h.resp.Data, false, tr)
+	err := h.write(h.resp.Data, false, tr)
+	h.retire()
+	return err
 }
 
 // cancel gives the acquisition up with the token-scoped release instead of
@@ -502,22 +527,18 @@ func (h *ParityHold) cancel(dirty bool) {
 }
 
 // commit is a read-modify-write's closing write: the unit as updated in
-// place, over data that has changed. The response the new parity was
-// computed in is released once the write has returned successfully: the
-// server has the bytes. After an error or a timeout it is left to the
-// garbage collector — the abandoned call may still be reading it.
+// place, over data that has changed. Its caller retires or dirty-releases
+// the intent once it knows how the data writes beside it went. The response
+// the new parity was computed in is released once the write has returned
+// successfully: the server has the bytes. After an error or a timeout it is
+// left to the garbage collector — the abandoned call may still be reading
+// it.
 func (h *ParityHold) commit(tr uint64) error {
 	err := h.write(h.resp.Data, true, tr)
 	if err == nil {
 		h.resp.Release()
 	}
 	return err
-}
-
-// abandon is cancel for a stripe whose data writes have started.
-func (h *ParityHold) abandon(uint64) error {
-	h.cancel(true)
-	return nil
 }
 
 // eachHold runs step on every hold concurrently and joins the errors.
@@ -549,18 +570,19 @@ func (f *File) chargeParity(units int, n int64) {
 	}
 }
 
-// writeRMW performs a partial-stripe update: lock and read the stripe's m
-// parity units and, concurrently, read the old data; fold the delta into
-// every parity unit with its own coefficient row; write the new data; write
-// the new parity units, each write releasing its server's lock and retiring
-// its intent. Only the parity bytes the update changes move, both ways: the
-// span's in-unit ranges (core.UnitRanges), the same for every unit j. The
-// reads overlap — "the client reads the data in the partial
-// stripes and also the corresponding parity region" — which keeps the
-// lock-hold window to the write phase (Figure 3). Every parity server is
-// updated before any lock is released, so a crash at any point leaves
-// intents open on exactly the servers whose units are not yet consistent,
-// and replay reconstructs each from the data that landed.
+// writeRMW performs a partial-stripe update in two rounds: lock and read
+// the stripe's m parity units and, concurrently, read the old data; fold the
+// delta into every parity unit with its own coefficient row; then write the
+// new data and, beside it, the new parity units, each parity write releasing
+// its server's lock. Only the parity bytes the update changes move, both
+// ways: the span's in-unit ranges (core.UnitRanges), the same for every unit
+// j. The reads overlap — "the client reads the data in the partial stripes
+// and also the corresponding parity region" — which keeps the lock-hold
+// window to the write phase (Figure 3). Every parity server's intent is
+// opened before anything is written and retired only after both writes were
+// acknowledged, so a crash at any point leaves intents on exactly the
+// servers whose units may not be consistent, and replay reconstructs each
+// from the data that landed.
 //
 // Lock acquisitions happen strictly one at a time in parity-unit order:
 // every client updating a stripe walks its parity servers in the same j
@@ -596,37 +618,31 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 	}
 
 	// 1. Parity reads (lock acquisitions, in j order) and old-data read, in
-	// parallel.
+	// parallel. The goroutine that takes the holds also writes the new data
+	// in step 3, once it is handed the payloads (nil: the update is off).
 	ranges := core.UnitRanges(g, span.Off, span.Len)
-	holds := make([]*ParityHold, 0, len(units))
-	var pErr error
-	done := make(chan struct{})
+	var holds []*ParityHold
+	var pErr, wErr error
+	held, done := make(chan struct{}), make(chan struct{})
+	write := make(chan payloads, 1)
 	go func() {
 		defer close(done)
-		if onParityRead != nil {
-			defer onParityRead()
-		}
-		// parity_lock_wait: how long the locked parity reads took end to end —
-		// queueing behind another holder of this stripe's lock included.
-		if f.lock {
-			defer f.timePath("parity_lock_wait")()
-		}
-		for _, j := range units {
-			h, err := f.holdParity(stripe, j, ranges, tr)
-			if err != nil {
-				pErr = err // the failed acquisition released itself
-				return
-			}
-			holds = append(holds, h)
+		holds, pErr = f.acquire(stripe, units, ranges, onParityRead, tr)
+		close(held)
+		if data := <-write; data != nil {
+			wErr = f.sendWriteData(span, data, dead, tr)
 		}
 	}()
+	// Retire lists that have reached their batch go out beside this round,
+	// so they cost no round of their own.
+	f.c.sendDueRetires()
 	// The old data is scratch nothing outside this function ever sees (it is
 	// merged into, XORed from, never sent), so it always goes back.
 	oldBuf := wire.GetBuf(int(span.Len))
 	defer wire.PutBuf(oldBuf)
 	old := *oldBuf
 	dErr := f.readRaw(span, old, dead, tr)
-	<-done
+	<-held
 	if pErr == nil && dErr == nil && dead >= 0 {
 		dErr = f.reconstructOldPieces(span, old, []int{dead}, tr)
 	}
@@ -634,6 +650,8 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 		// No data write has started, so the stripe is untouched: free what
 		// we hold with unchanged parity writes so a failure here cannot
 		// wedge other clients.
+		write <- nil
+		<-done
 		eachHold(holds, tr, (*ParityHold).release) //nolint:errcheck // already failing
 		return err
 	}
@@ -646,49 +664,55 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 		}
 	}
 
-	// 3. Write the new data and the new parity; the parity writes release
-	// the locks. For the protocol's consistency guarantee (concurrent writes
-	// to non-overlapping regions) no ordering between them is needed:
-	// another client's delta never involves this range's data, and the
-	// parity units themselves are serialized by the locks. Crash consistency
-	// is a different matter — see writeRMWCommit for the two orderings.
-	return f.writeRMWCommit(span, p, holds, dead, tr)
+	// 3. Write the new data on that goroutine and, here, beside it, the new
+	// parity units, whose writes release the locks. (The parity write, the
+	// longer of the two, stays on this goroutine, so the other one waking
+	// late seldom leaves the two writes in separate rounds.) For the
+	// protocol's consistency guarantee
+	// (concurrent writes to non-overlapping regions) no ordering between
+	// them is needed: another client's delta never involves this range's
+	// data, and the parity units themselves are serialized by the locks. Nor
+	// does crash consistency need one: each unlocking write leaves its
+	// server's intent pending, and the intent is only retired once the data
+	// writes were acknowledged too. If a data write fails, parity and data
+	// may disagree, so the intents of the parity writes that landed are
+	// released dirty: each server fail-stops the stripe (abandons the
+	// intent, refuses new locks) until replay reconciles it. A parity write
+	// that failed released its own acquisition.
+	write <- splitByServer(g, span.Off, p)
+	pwErr := eachHold(holds, tr, (*ParityHold).commit)
+	<-done
+	for _, h := range holds {
+		if wErr != nil && h.written {
+			h.cancel(true)
+		} else {
+			h.retire()
+		}
+	}
+	return cmp.Or(pwErr, wErr)
 }
 
-// writeRMWCommit runs the write phase of a read-modify-write.
-//
-// With Policy.CrashSafeRMW the phases are strictly ordered: the data writes
-// must all complete before any unlocking parity write is issued. The
-// unlocking write is what retires the stripe's intent record on that parity
-// server, so under this ordering an intent is only ever retired when data
-// and that server's parity are both fully in place — a crash at any earlier
-// point leaves an open intent, and recovery's replay reconstructs the parity
-// from whatever data landed. If a data write fails partway, parity and data
-// may already disagree, so the locks are released dirty: each server
-// fail-stops the stripe (abandons the intent, refuses new locks) until
-// replay reconciles it.
-//
-// Without CrashSafeRMW the two run concurrently — the paper's layout, which
-// keeps the lock-hold window to the write phase (Figure 3) but reopens the
-// write hole if a client can crash between them.
-func (f *File) writeRMWCommit(span raid.Span, p []byte, holds []*ParityHold, dead int, tr uint64) error {
-	data := splitByServer(f.geom, span.Off, p)
-	if f.lock && f.c.getPolicy().CrashSafeRMW {
-		if err := f.sendWriteData(span, data, dead, tr); err != nil {
-			eachHold(holds, tr, (*ParityHold).abandon) //nolint:errcheck // never fails
-			return err
-		}
-		return eachHold(holds, tr, (*ParityHold).commit)
+// acquire takes the parity holds of one read-modify-write's units, one at a
+// time in unit order, and returns the ones it got. onParityRead, if non-nil,
+// is called when the acquisition phase is over, failed or not.
+func (f *File) acquire(stripe int64, units []int, ranges []wire.Span, onParityRead func(), tr uint64) ([]*ParityHold, error) {
+	if onParityRead != nil {
+		defer onParityRead()
 	}
-	var wErr error
-	wdone := make(chan struct{})
-	go func() {
-		defer close(wdone)
-		wErr = f.sendWriteData(span, data, dead, tr)
-	}()
-	pwErr := eachHold(holds, tr, (*ParityHold).commit)
-	<-wdone
-	return cmp.Or(pwErr, wErr)
+	// parity_lock_wait: how long the locked parity reads took end to end —
+	// queueing behind another holder of this stripe's lock included.
+	if f.lock {
+		defer f.timePath("parity_lock_wait")()
+	}
+	holds := make([]*ParityHold, 0, len(units))
+	for _, j := range units {
+		h, err := f.holdParity(stripe, j, ranges, tr)
+		if err != nil {
+			return holds, err // the failed acquisition released itself
+		}
+		holds = append(holds, h)
+	}
+	return holds, nil
 }
 
 // writeOverflow stores a partial-stripe portion the Hybrid way: the new
@@ -762,11 +786,9 @@ func (f *File) fetchSpans(span raid.Span, raw bool, tr uint64, skip func(srv int
 	g := f.geom
 	pieces := serverPieces(g, span.Off, span.Len)
 	reads := make(spanReads, g.Servers)
-	err := f.c.eachServer(g.Servers, func(i int) error {
+	has := func(i int) bool { return len(pieces[i]) > 0 && (skip == nil || !skip(i)) }
+	err := f.c.eachServer(g.Servers, has, func(i int) error {
 		want := bytesFor(pieces[i])
-		if want == 0 || (skip != nil && skip(i)) {
-			return nil
-		}
 		resp, err := f.c.callSrvT(i, &wire.Read{
 			File:  f.ref,
 			Spans: []wire.Span{{Off: span.Off, Len: span.Len}},
@@ -837,7 +859,7 @@ func (f *File) Compact() error {
 	}
 	atomic.AddInt64(&f.c.metrics.Compactions, 1)
 	// Reclaim the dead slots.
-	return f.c.eachServer(f.geom.Servers, func(i int) error {
+	return f.c.eachServer(f.geom.Servers, nil, func(i int) error {
 		if _, err := f.c.callSrv(i, &wire.CompactOverflow{File: f.ref}); err != nil {
 			return err
 		}
@@ -846,10 +868,12 @@ func (f *File) Compact() error {
 	})
 }
 
-// Sync flushes every server's stores for this file and publishes the
-// file's size to the manager.
+// Sync retires the intents of the client's completed read-modify-writes,
+// flushes every server's stores for this file and publishes the file's size
+// to the manager.
 func (f *File) Sync() error {
-	if err := f.c.eachServer(f.geom.Servers, func(i int) error {
+	f.c.FlushRetires()
+	if err := f.c.eachServer(f.geom.Servers, nil, func(i int) error {
 		_, err := f.c.callSrv(i, &wire.Sync{File: f.ref})
 		return err
 	}); err != nil {
@@ -866,7 +890,7 @@ func (f *File) StorageBytes() (int64, [5]int64, error) {
 	var mu sync.Mutex
 	var total int64
 	var byStore [5]int64
-	err := f.c.eachServer(f.geom.Servers, func(i int) error {
+	err := f.c.eachServer(f.geom.Servers, nil, func(i int) error {
 		resp, err := f.c.callSrv(i, &wire.StorageStat{FileID: f.ref.ID})
 		if err != nil {
 			return err

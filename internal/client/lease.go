@@ -7,8 +7,9 @@ import (
 	"csar/internal/wire"
 )
 
-// This file keeps leased parity-lock acquisitions alive. A locked ReadParity
-// issued with Policy.LockLease > 0 opens a lease on the parity server: if no
+// This file keeps leased parity-lock acquisitions alive, and retires their
+// intents once the read-modify-write is done. A locked ReadParity issued
+// with Policy.LockLease > 0 opens a lease on the parity server: if no
 // heartbeat arrives before the deadline, the server revokes the lock and
 // fail-stops the stripe (see internal/server/intent.go). While the RMW is in
 // flight the client therefore registers the acquisition here, and a single
@@ -16,6 +17,17 @@ import (
 // period. A healthy RMW completes in far less than one lease, so the
 // heartbeat only matters when the write phase stalls — exactly the case the
 // lease exists to distinguish from a crashed client.
+//
+// The unlocking parity write leaves the stripe's intent pending on the
+// server: the data writes beside it may not have landed. Once both are
+// acknowledged the acquisition moves from the renewal set to a per-server,
+// per-file retire list, and the lists go out as RetireIntents off any op's
+// path: a list that has reached retireBatch rides beside the next
+// read-modify-write's read round, so it adds no round of its own; every
+// list goes on the heartbeat tick, in place of renewing it; and FlushRetires
+// sends them all and waits (File.Sync, Close, and the intent readers: scrub
+// and intent replay). A retire that never arrives costs the stripe its
+// lease and one replay of parity that already matches.
 
 // leaseEntry identifies one live acquisition: which server holds the lock,
 // for which file and stripe, and under which owner token.
@@ -51,6 +63,17 @@ func renewEvery(p Policy) time.Duration {
 	return p.LockLease / 3
 }
 
+// retireBatch is how many completed read-modify-writes' intents on one
+// server and file wait before their retire rides beside the next
+// read-modify-write.
+const retireBatch = 16
+
+// retireKey names one retire list: a server and a file on it.
+type retireKey struct {
+	srv int
+	ref wire.FileRef
+}
+
 // trackLease registers a granted leased acquisition for heartbeat renewal
 // and starts the renewal goroutine if it is not already running.
 func (c *Client) trackLease(srv int, ref wire.FileRef, stripe int64, owner uint64) {
@@ -79,14 +102,91 @@ func (c *Client) untrackLease(owner uint64) {
 	c.lmu.Unlock()
 }
 
-// heartbeat renews every registered lease once per period and exits when the
-// registry drains; trackLease restarts it on the next leased acquisition.
+// queueRetire moves a completed acquisition from the renewal set to its
+// server's retire list: its parity and data writes were both acknowledged.
+// When the policy leases locks but renews none, no tick would retire the
+// intent before its lease ran out, so the list goes at once.
+func (c *Client) queueRetire(srv int, ref wire.FileRef, stripe int64, owner uint64) {
+	p := c.getPolicy()
+	k := retireKey{srv, ref}
+	c.lmu.Lock()
+	delete(c.leases, owner)
+	c.retires[k] = append(c.retires[k], wire.IntentID{Stripe: stripe, Owner: owner})
+	var now map[retireKey][]wire.IntentID
+	if leaseMS(p) > 0 && renewEvery(p) == 0 {
+		now = c.takeRetiresLocked(1)
+	}
+	c.lmu.Unlock()
+	c.sendRetires(now)
+}
+
+// sendDueRetires sends every retire list that has reached retireBatch.
+func (c *Client) sendDueRetires() {
+	c.lmu.Lock()
+	due := c.takeRetiresLocked(retireBatch)
+	c.lmu.Unlock()
+	c.sendRetires(due)
+}
+
+// FlushRetires retires every intent this client has queued and waits until
+// each RetireIntents in flight has been answered, so an intent reader that
+// runs next sees none of this client's completed updates as live.
+func (c *Client) FlushRetires() {
+	c.lmu.Lock()
+	all := c.takeRetiresLocked(1)
+	c.lmu.Unlock()
+	c.sendRetires(all)
+	c.lmu.Lock()
+	for c.retiresSent > 0 {
+		c.retiresIdle.Wait()
+	}
+	c.lmu.Unlock()
+}
+
+// takeRetiresLocked removes and returns the retire lists holding at least
+// least intents, counting each as in flight. Caller holds lmu.
+func (c *Client) takeRetiresLocked(least int) map[retireKey][]wire.IntentID {
+	var out map[retireKey][]wire.IntentID
+	for k, ids := range c.retires {
+		if len(ids) < least {
+			continue
+		}
+		if out == nil {
+			out = make(map[retireKey][]wire.IntentID)
+		}
+		out[k] = ids
+		delete(c.retires, k)
+	}
+	c.retiresSent += len(out)
+	return out
+}
+
+// sendRetires sends each list as one untraced RetireIntents, each from its
+// own goroutine so no caller waits on it. A failed retire is dropped: the
+// intent stays pending until its lease expires, then replay recomputes
+// parity that already matches.
+func (c *Client) sendRetires(lists map[retireKey][]wire.IntentID) {
+	for k, ids := range lists {
+		go func() {
+			c.callSrv(k.srv, &wire.RetireIntents{File: k.ref, Intents: ids}) //nolint:errcheck // see above
+			c.lmu.Lock()
+			if c.retiresSent--; c.retiresSent == 0 {
+				c.retiresIdle.Broadcast()
+			}
+			c.lmu.Unlock()
+		}()
+	}
+}
+
+// heartbeat renews every registered lease and sends every retire list once
+// per period, and exits when both drain; trackLease restarts it on the next
+// leased acquisition.
 func (c *Client) heartbeat(every time.Duration) {
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for range t.C {
 		c.lmu.Lock()
-		if len(c.leases) == 0 {
+		if len(c.leases) == 0 && len(c.retires) == 0 {
 			c.hbRunning = false
 			c.lmu.Unlock()
 			return
@@ -95,7 +195,9 @@ func (c *Client) heartbeat(every time.Duration) {
 		for _, e := range c.leases {
 			entries = append(entries, e)
 		}
+		retires := c.takeRetiresLocked(1)
 		c.lmu.Unlock()
+		c.sendRetires(retires)
 		for _, e := range entries {
 			c.renewLease(e)
 		}

@@ -95,13 +95,6 @@ type Policy struct {
 	// LockLease/3; negative disables renewal (tests use that to force an
 	// expiry deterministically).
 	LeaseRenewEvery time.Duration
-	// CrashSafeRMW orders the read-modify-write's phases for crash
-	// consistency: the data writes must complete before the unlocking
-	// parity write is issued, so the stripe's intent record on the parity
-	// server always brackets the window where data and parity can disagree.
-	// Off, the two run concurrently (the paper's low-latency layout, fine
-	// when clients never crash mid-write).
-	CrashSafeRMW bool
 }
 
 // DefaultPolicy is the resilience configuration csar.Dial applies to real
@@ -116,7 +109,6 @@ func DefaultPolicy() Policy {
 		BreakerThreshold: 3,
 		ProbeAfter:       250 * time.Millisecond,
 		LockLease:        10 * time.Second,
-		CrashSafeRMW:     true,
 	}
 }
 
@@ -240,7 +232,7 @@ func isIdempotent(m wire.Msg) bool {
 	switch m := m.(type) {
 	case *wire.Read, *wire.ReadMirror, *wire.Ping, *wire.Health,
 		*wire.StorageStat, *wire.ChecksumRange, *wire.OverflowDump,
-		*wire.RenewLease, *wire.ListIntents, *wire.DirtyDump:
+		*wire.RenewLease, *wire.ListIntents, *wire.DirtyDump, *wire.RetireIntents:
 		return true
 	case *wire.MarkDirty:
 		// Re-delivery only bumps the marked items' generation counters; the

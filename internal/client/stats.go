@@ -48,7 +48,7 @@ func (c *Client) Stats() obs.Snapshot { return c.obs.Snapshot() }
 // degraded cluster is exactly who calls this.
 func (c *Client) ServerStats() []wire.StatsResp {
 	out := make([]wire.StatsResp, len(c.srv))
-	c.eachServer(len(c.srv), func(i int) error { //nolint:errcheck // partial results wanted
+	c.eachServer(len(c.srv), nil, func(i int) error { //nolint:errcheck // partial results wanted
 		resp, err := c.callSrv(i, &wire.Stats{})
 		if err != nil {
 			out[i] = wire.StatsResp{Index: uint16(i), Requests: -1}
@@ -82,10 +82,12 @@ func SnapOfStatsResp(sr wire.StatsResp) obs.Snapshot {
 	return s
 }
 
-// Close releases the client's transport resources: every server caller and
+// Close retires the intents of the client's completed read-modify-writes,
+// then releases the client's transport resources: every server caller and
 // the manager caller that can be closed, is. In-process callers (test
 // harnesses) typically implement no Close and cost nothing to leave.
 func (c *Client) Close() error {
+	c.FlushRetires()
 	var firstErr error
 	for i, s := range c.srv {
 		if cl, ok := s.(io.Closer); ok {

@@ -13,8 +13,11 @@ import (
 
 // This file is the deterministic crash-consistency suite for the RAID5
 // write-hole closure: a client that dies mid-read-modify-write, a parity
-// server that dies before its unlocking parity write lands, and a stalled
-// but live client whose heartbeat must keep its lease alive. Every scenario
+// server that dies before its unlocking parity write lands, a stalled but
+// live client whose heartbeat must keep its lease alive, and the cut points
+// of the pending intent between the unlocking parity write and the retire
+// (data write lost, retire lost, a second owner behind a pending intent, a
+// parity server restarted with its intent still pending). Every scenario
 // ends the same way — recovery.ReplayIntents reconciles the stripe, then
 // recovery.Verify and a scrub pass report zero inconsistencies and reads
 // return exactly the bytes the surviving writes put down. Ordering comes
@@ -149,11 +152,11 @@ func TestCrashClientMidRMW(t *testing.T) {
 	}
 }
 
-// TestCrashServerMidParityWrite: under the crash-safe RMW ordering the data
-// writes land, then the parity server dies before the unlocking parity
-// write (and the client's dirty compensation) can reach it. After restart
-// the journal must resurrect the intent as abandoned, and replay must
-// install parity matching the new data.
+// TestCrashServerMidParityWrite: the data write lands, but the parity
+// server dies before the unlocking parity write beside it (and the client's
+// dirty compensation) can reach it. After restart the journal must
+// resurrect the intent as abandoned, and replay must install parity
+// matching the new data.
 func TestCrashServerMidParityWrite(t *testing.T) {
 	c := newCluster(t, 4)
 	cl := c.NewClient()
@@ -168,7 +171,6 @@ func TestCrashServerMidParityWrite(t *testing.T) {
 	p := testPolicy()
 	p.LockLease = 10 * time.Second
 	p.LeaseRenewEvery = -1 // no heartbeat: nothing to renew in this scenario
-	p.CrashSafeRMW = true
 	cl.SetPolicy(p)
 
 	// The parity server stops acknowledging parity writes — and the
@@ -223,8 +225,8 @@ func TestCrashServerMidParityWrite(t *testing.T) {
 		t.Fatalf("scrub after replay: %v (skips=%d)", srep, srep.IntentSkips)
 	}
 
-	// The crash-safe ordering means the failed RMW's data DID land: reads
-	// see it, and the stripe takes writes again.
+	// The failed RMW's data write, sent beside the lost parity write, DID
+	// land: reads see it, and the stripe takes writes again.
 	want := append([]byte(nil), ref...)
 	copy(want, upd)
 	checkRead(t, f, want, 0)
@@ -253,7 +255,6 @@ func TestLeaseRenewalKeepsLock(t *testing.T) {
 	p.Retries = 2 // the hung read must succeed on its post-release retry
 	p.LockLease = 500 * time.Millisecond
 	p.LeaseRenewEvery = 25 * time.Millisecond
-	p.CrashSafeRMW = true
 	cl.SetPolicy(p)
 
 	// Hang the old-data read of the RMW: the parity lock is already held
@@ -282,6 +283,9 @@ func TestLeaseRenewalKeepsLock(t *testing.T) {
 		t.Fatalf("leaseExpiries=%d, want 0", m.LeaseExpiries)
 	}
 	ps := g.ParityServerOf(0)
+	if err := f.Sync(); err != nil { // retires the RMW's pending intent
+		t.Fatal(err)
+	}
 	st := c.Server(ps).IntentStats()
 	if st.LeaseExpiries != 0 || st.Abandoned != 0 || st.Retired < 1 || st.LeaseRenewals < 2 {
 		t.Fatalf("server stats: %+v", st)
@@ -299,5 +303,315 @@ func TestLeaseRenewalKeepsLock(t *testing.T) {
 	checkRead(t, f, want, 0)
 	if problems, err := recovery.Verify(cl, f); err != nil || len(problems) != 0 {
 		t.Fatalf("verify: %v %v", problems, err)
+	}
+}
+
+// The cut points of the two-round read-modify-write: the unlocking parity
+// write runs beside the data write and leaves its intent pending, and the
+// client retires the intent once both are acknowledged. Each scenario below
+// cuts the update at one point and ends in recoverClean.
+
+// recoverClean runs the recovery every crash scenario ends in: one replay
+// pass that must repair exactly replayed abandoned intents, then Verify, a
+// scrub pass that finds nothing and skips no stripe, and a read-back of
+// exactly want.
+func recoverClean(t *testing.T, cl *client.Client, f *client.File, replayed int, want []byte) {
+	t.Helper()
+	rep, err := recovery.ReplayIntents(cl, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Replayed != replayed || rep.Abandoned != replayed || rep.Skipped != 0 {
+		t.Fatalf("replay report: %+v, want %d replayed", rep, replayed)
+	}
+	if problems, err := recovery.Verify(cl, f); err != nil || len(problems) != 0 {
+		t.Fatalf("verify after replay: %v %v", problems, err)
+	}
+	srep, err := scrub.Run(cl, f, scrub.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !srep.Clean() || srep.IntentSkips != 0 {
+		t.Fatalf("scrub after replay: %v (skips=%d)", srep, srep.IntentSkips)
+	}
+	checkRead(t, f, want, 0)
+}
+
+// crashFile creates a RAID5 or RS file of two stripes, fills it and syncs
+// it, so a second client opening it sees its size.
+func crashFile(t *testing.T, c *Cluster, cl *client.Client, servers int, scheme wire.Scheme) (*client.File, []byte) {
+	t.Helper()
+	f, err := cl.Create("crash", servers, 64, scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := pattern(int(2*f.Geometry().StripeSize()), 2)
+	mustWrite(t, f, ref, 0)
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	return f, ref
+}
+
+// TestCrashParityAckedDataLost: the parity write lands and releases the
+// lock, but the data write beside it fails. The client is alive: it
+// releases the pending intent dirty, which fail-stops the stripe. Replay
+// re-encodes parity from the data, which never changed, so the range reads
+// its old bytes.
+func TestCrashParityAckedDataLost(t *testing.T) {
+	c := newCluster(t, 4)
+	cl := c.NewClient()
+	f, ref := crashFile(t, c, cl, 4, wire.Raid5)
+	g := f.Geometry()
+	p := testPolicy()
+	p.LockLease = 10 * time.Second
+	p.LeaseRenewEvery = 10 * time.Millisecond
+	cl.SetPolicy(p)
+
+	first, _ := g.DataUnitsOf(0)
+	wd := c.Inject(FaultPoint{Server: g.ServerOf(first), Kind: wire.KWriteData, Action: FaultDrop})
+	if _, err := f.WriteAt(pattern(10, 7), 0); err == nil {
+		t.Fatal("RMW succeeded despite its dropped data write")
+	}
+	wd.Release()
+	ps := g.ParityServerOf(0)
+	if in := waitIntent(t, cl, ps, f.Ref(), true); in.Stripe != 0 {
+		t.Fatalf("abandoned intent = %+v, want stripe 0", in)
+	}
+	if _, err := f.WriteAt(pattern(10, 5), 0); !errors.Is(err, wire.ErrStripeTorn) {
+		t.Fatalf("RMW on torn stripe: %v, want ErrStripeTorn", err)
+	}
+	recoverClean(t, cl, f, 1, ref)
+}
+
+// TestCrashBeforeRetire: both writes are acknowledged, then the client dies
+// before its retire arrives (its retires and renewals are lost). The
+// pending intent outlives its lease and goes abandoned; replay re-encodes
+// parity from data that already matches it, and the range reads its new
+// bytes.
+func TestCrashBeforeRetire(t *testing.T) {
+	c := newCluster(t, 4)
+	cl := c.NewClient()
+	f, ref := crashFile(t, c, cl, 4, wire.Raid5)
+	g := f.Geometry()
+	ps := g.ParityServerOf(0)
+	p := testPolicy()
+	p.LockLease = 40 * time.Millisecond
+	p.LeaseRenewEvery = 10 * time.Millisecond
+	cl.SetPolicy(p)
+	rt := c.Inject(FaultPoint{Server: ps, Kind: wire.KRetireIntents, Action: FaultDrop})
+	rl := c.Inject(FaultPoint{Server: ps, Kind: wire.KRenewLease, Action: FaultDrop})
+
+	upd := pattern(10, 7)
+	mustWrite(t, f, upd, 0)
+	copy(ref, upd)
+	if in := waitIntent(t, cl, ps, f.Ref(), true); in.Stripe != 0 {
+		t.Fatalf("abandoned intent = %+v, want stripe 0", in)
+	}
+	if st := c.Server(ps).IntentStats(); st.LeaseExpiries != 1 || st.Retired != 0 {
+		t.Fatalf("server stats after expiry: %+v", st)
+	}
+	rt.Release()
+	rl.Release()
+
+	// Recovery runs on another client: the writer is gone.
+	rc := c.NewClient()
+	rf, err := rc.Open("crash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rf.WriteAt(pattern(10, 5), 0); !errors.Is(err, wire.ErrStripeTorn) {
+		t.Fatalf("RMW on torn stripe: %v, want ErrStripeTorn", err)
+	}
+	recoverClean(t, rc, rf, 1, ref)
+}
+
+// TestCrashPendingUnderSecondOwner: the first owner's RMW completes but its
+// retires are lost; a second owner locks the same stripe behind the pending
+// intent and completes a disjoint update; then the first owner's lease
+// expires. While the second owner's intent is live, ResolveIntent of the
+// first is refused and a replay pass defers it; once the second owner
+// retires, replay repairs the stripe and both writers' bytes read back.
+func TestCrashPendingUnderSecondOwner(t *testing.T) {
+	c := newCluster(t, 4)
+	a := c.NewClient()
+	fa, ref := crashFile(t, c, a, 4, wire.Raid5)
+	g := fa.Geometry()
+	ps := g.ParityServerOf(0)
+	pa := testPolicy()
+	pa.LockLease = 500 * time.Millisecond
+	pa.LeaseRenewEvery = 10 * time.Millisecond
+	a.SetPolicy(pa)
+	rt := c.Inject(FaultPoint{Server: ps, Kind: wire.KRetireIntents, Action: FaultDrop})
+	defer rt.Release()
+
+	updA := pattern(10, 7)
+	mustWrite(t, fa, updA, 0)
+	copy(ref, updA)
+
+	b := c.NewClient() // no lease: its intent stays pending until it retires
+	fb, err := b.Open("crash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	updB := pattern(10, 8)
+	mustWrite(t, fb, updB, 70) // stripe 0's second data unit
+	copy(ref[70:], updB)
+
+	in := waitIntentsState(t, b, ps, fb.Ref(), 1, 1)
+	rt.Release() // the first owner is gone; the second one's retires get through
+	resolve := &wire.ResolveIntent{File: fb.Ref(), Stripe: 0, Owner: in.Owner, Data: make([]byte, 64)}
+	if _, err := b.ServerCaller(ps).Call(resolve); err == nil {
+		t.Fatal("ResolveIntent accepted while the second owner's intent is live")
+	}
+	rep, err := recovery.ReplayIntents(a, fa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Abandoned != 1 || rep.Skipped != 1 || rep.Replayed != 0 {
+		t.Fatalf("replay with a live second intent: %+v, want the abandoned one deferred", rep)
+	}
+	if err := fb.Sync(); err != nil { // the second owner retires
+		t.Fatal(err)
+	}
+	recoverClean(t, b, fb, 1, ref)
+}
+
+// waitIntentsState polls server srv's intent list for file ref until it
+// holds exactly abandoned abandoned and live live intents, and returns an
+// abandoned one.
+func waitIntentsState(t *testing.T, cl *client.Client, srv int, ref wire.FileRef, abandoned, live int) wire.Intent {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := cl.ServerCaller(srv).Call(&wire.ListIntents{File: ref})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gone []wire.Intent
+		ints := resp.(*wire.ListIntentsResp).Intents
+		for _, in := range ints {
+			if in.Abandoned {
+				gone = append(gone, in)
+			}
+		}
+		if len(gone) == abandoned && len(ints)-len(gone) == live {
+			return gone[0]
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("intents never reached %d abandoned, %d live: %+v", abandoned, live, ints)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestCrashRSBothParityPending: an RS(4,2) RMW completes, leaving both
+// parity servers' intents pending, and one parity server crash-restarts
+// before the retire. Its intent comes back abandoned and fail-stops the
+// stripe; replay recomputes its GF-scaled unit from data that already
+// matches, and the new bytes read back.
+func TestCrashRSBothParityPending(t *testing.T) {
+	c := newCluster(t, 6)
+	cl := c.NewClient()
+	f, ref := crashFile(t, c, cl, 6, wire.ReedSolomon)
+	g := f.Geometry()
+	cl.SetPolicy(testPolicy()) // no lease: the intents stay pending until retired
+
+	upd := pattern(10, 7)
+	mustWrite(t, f, upd, 0)
+	copy(ref, upd)
+	ps0, ps1 := g.ParityServerOfUnit(0, 0), g.ParityServerOfUnit(0, 1)
+	waitIntent(t, cl, ps0, f.Ref(), false)
+	waitIntent(t, cl, ps1, f.Ref(), false)
+	c.CrashServer(ps1)
+	c.RestartServer(ps1)
+	if in := waitIntent(t, cl, ps1, f.Ref(), true); in.Stripe != 0 {
+		t.Fatalf("journal-loaded intent = %+v, want stripe 0", in)
+	}
+	if _, err := f.WriteAt(pattern(10, 5), 0); !errors.Is(err, wire.ErrStripeTorn) {
+		t.Fatalf("RMW on torn stripe: %v, want ErrStripeTorn", err)
+	}
+	recoverClean(t, cl, f, 1, ref)
+}
+
+// TestRetiresUnderConcurrentWriters: writers running read-modify-writes on
+// disjoint ranges from several goroutines, with a Sync racing them, retire
+// every intent they open — through full batches, heartbeat ticks and the
+// flushes — and leave parity consistent. With and without a lease.
+func TestRetiresUnderConcurrentWriters(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		lease time.Duration
+	}{{"no lease", 0}, {"leased", 10 * time.Second}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, 4)
+			cl := c.NewClient()
+			f, ref := crashFile(t, c, cl, 4, wire.Raid5)
+			p := testPolicy()
+			p.LockLease = tc.lease
+			p.LeaseRenewEvery = 5 * time.Millisecond
+			cl.SetPolicy(p)
+
+			const writers, rounds = 4, 48 // three full retire batches per writer
+			done := make(chan error, writers+1)
+			stop := make(chan struct{})
+			for w := 0; w < writers; w++ {
+				go func() {
+					for i := 0; i < rounds; i++ {
+						off := int64(w*32 + i%2*128) // stripe 0 or 1, each writer its own bytes
+						if _, err := f.WriteAt(pattern(8, byte(w+i)), off); err != nil {
+							done <- err
+							return
+						}
+					}
+					done <- nil
+				}()
+			}
+			go func() {
+				for {
+					select {
+					case <-stop:
+						done <- nil
+						return
+					default:
+					}
+					if err := f.Sync(); err != nil {
+						done <- err
+						return
+					}
+				}
+			}()
+			for w := 0; w < writers; w++ {
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(stop)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			must(t, f.Sync())
+
+			var opened, retired, batches int64
+			for srv := 0; srv < 4; srv++ {
+				st := c.Server(srv).IntentStats()
+				opened, retired, batches = opened+st.Opened, retired+st.Retired, batches+st.RetireBatches
+				resp, err := cl.ServerCaller(srv).Call(&wire.ListIntents{File: f.Ref()})
+				must(t, err)
+				if ints := resp.(*wire.ListIntentsResp).Intents; len(ints) != 0 {
+					t.Fatalf("server %d keeps intents %+v", srv, ints)
+				}
+			}
+			if opened != writers*rounds || retired != opened || batches == 0 {
+				t.Fatalf("%d intents opened, %d retired in %d batches; want %d retired", opened, retired, batches, writers*rounds)
+			}
+			for w := 0; w < writers; w++ {
+				for i := rounds - 2; i < rounds; i++ {
+					copy(ref[w*32+i%2*128:], pattern(8, byte(w+i)))
+				}
+			}
+			checkRead(t, f, ref, 0)
+			rsVerifyClean(t, cl, f)
+		})
 	}
 }

@@ -201,10 +201,12 @@ func TestParityEngineOneParityRSIsRaid5(t *testing.T) {
 		copy(p.ref[off:], torn)
 		ps := g.ParityServerOf(g.StripeOf(off))
 		p.step(name("crashed RMW + replay"), func(c *Cluster, cl *client.Client, f *client.File) {
+			// The earlier writes' intents are retired first: a pending one
+			// would come back abandoned from the crash, and be replayed too.
+			cl.FlushRetires()
 			pol := testPolicy()
 			pol.LockLease = 10 * time.Second
 			pol.LeaseRenewEvery = -1
-			pol.CrashSafeRMW = true
 			cl.SetPolicy(pol)
 			fwp := c.Inject(FaultPoint{Server: ps, Kind: wire.KWriteParity, Action: FaultDrop})
 			ful := c.Inject(FaultPoint{Server: ps, Kind: wire.KUnlockParity, Action: FaultDrop})
@@ -501,6 +503,7 @@ func TestParityEngineScrubberLease(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("foreground RMW is wedged behind the dead scrubber's parity lock")
 	}
+	must(t, ff.Sync()) // retires the foreground RMW's pending intent
 	resp, err := fgCl.ServerCaller(g.ParityServerOf(0)).Call(&wire.ListIntents{File: ff.Ref()})
 	must(t, err)
 	if ints := resp.(*wire.ListIntentsResp).Intents; len(ints) != 0 {

@@ -321,7 +321,6 @@ func TestRSCrashRestartIntentReplay(t *testing.T) {
 	p := testPolicy()
 	p.LockLease = 10 * time.Second
 	p.LeaseRenewEvery = -1
-	p.CrashSafeRMW = true
 	cl.SetPolicy(p)
 
 	// Parity unit 1's server for stripe 0 stops acknowledging parity
@@ -356,8 +355,9 @@ func TestRSCrashRestartIntentReplay(t *testing.T) {
 		t.Fatalf("replay report: %+v", rep)
 	}
 
-	// Crash-safe ordering: the failed RMW's data landed. Reads see it, the
-	// stripe accepts writes again, and both parity units verify.
+	// The failed RMW's data write, sent beside its parity writes, landed.
+	// Reads see it, the stripe accepts writes again, and both parity units
+	// verify.
 	want := append([]byte(nil), ref...)
 	copy(want, upd)
 	checkRead(t, f, want, 0)

@@ -65,7 +65,7 @@ func Open(f File, size int64, each func(payload []byte) error) (*Log, error) {
 	valid, err := replay(buf, each)
 	l := &Log{f: f, size: size}
 	if err == nil && valid < size {
-		err = l.commit(valid, nil) // durable before a frame lands after it
+		err = l.commit(valid, nil, true) // durable before a frame lands after it
 	}
 	if err != nil {
 		return nil, err
@@ -140,7 +140,18 @@ func (l *Log) Append(payloads ...[]byte) error {
 	if len(payloads) == 0 {
 		return nil
 	}
-	return l.commit(l.size, frames(l.size == 0, payloads))
+	return l.commit(l.size, frames(l.size == 0, payloads), true)
+}
+
+// AppendUnsynced appends like Append but leaves out the Sync: the frames
+// become durable with the next synced append, rewrite or compaction, and a
+// crash before that may drop them. It is for records whose loss is safe —
+// the owner must be able to replay the log as if they were never written.
+func (l *Log) AppendUnsynced(payloads ...[]byte) error {
+	if len(payloads) == 0 {
+		return nil
+	}
+	return l.commit(l.size, frames(l.size == 0, payloads), false)
 }
 
 // Rewrite compacts the log to one frame per payload; with no payloads the
@@ -151,14 +162,15 @@ func (l *Log) Rewrite(payloads ...[]byte) error {
 	if len(payloads) > 0 {
 		buf = frames(true, payloads)
 	}
-	return l.commit(0, buf)
+	return l.commit(0, buf, true)
 }
 
-// commit makes the log its first at bytes followed by buf, and syncs it: it
-// truncates the file to at unless the log ends there, then writes buf. After
-// a failed write the log still ends at at, so the next commit overwrites
-// whatever part of buf landed; after a failed sync buf stays in the log.
-func (l *Log) commit(at int64, buf []byte) error {
+// commit makes the log its first at bytes followed by buf, and syncs it when
+// sync is set: it truncates the file to at unless the log ends there, then
+// writes buf. After a failed write the log still ends at at, so the next
+// commit overwrites whatever part of buf landed; after a failed sync buf
+// stays in the log.
+func (l *Log) commit(at int64, buf []byte, sync bool) error {
 	if at != l.size {
 		if err := l.f.Truncate(at); err != nil {
 			return fmt.Errorf("journal: truncating: %w", err)
@@ -170,6 +182,9 @@ func (l *Log) commit(at int64, buf []byte) error {
 			return fmt.Errorf("journal: writing: %w", err)
 		}
 		l.size += int64(len(buf))
+	}
+	if !sync {
+		return nil
 	}
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("journal: syncing: %w", err)

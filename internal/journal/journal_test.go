@@ -261,3 +261,43 @@ func TestRefusals(t *testing.T) {
 		}
 	}
 }
+
+// syncCounter counts the Syncs a Log issues.
+type syncCounter struct {
+	journal.File
+	syncs int
+}
+
+func (f *syncCounter) Sync() error { f.syncs++; return f.File.Sync() }
+
+// TestAppendUnsynced: an unsynced append writes its frames like Append but
+// issues no Sync; the next synced append covers them, and replay reads every
+// frame in order.
+func TestAppendUnsynced(t *testing.T) {
+	for _, s := range stores {
+		f, size := s.open(t, nil)
+		sc := &syncCounter{File: f}
+		l, _, err := open(sc, size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+		}
+		must(l.AppendUnsynced(payloads[0]))
+		must(l.AppendUnsynced(payloads[1], payloads[2]))
+		if sc.syncs != 0 {
+			t.Fatalf("%s: unsynced appends issued %d syncs", s.name, sc.syncs)
+		}
+		must(l.Append(payloads[3]))
+		if sc.syncs != 1 {
+			t.Fatalf("%s: synced append issued %d syncs, want 1", s.name, sc.syncs)
+		}
+		if _, got, err := open(f, size()); err != nil || !slices.EqualFunc(got, payloads, bytes.Equal) {
+			t.Fatalf("%s: replayed %d records (%v), want %d", s.name, len(got), err, len(payloads))
+		}
+	}
+}

@@ -22,18 +22,21 @@ type ReplayReport struct {
 // every parity server for its open-intent set and reconstructs the parity of
 // each abandoned stripe from the stripe's in-place data units.
 //
-// An abandoned intent marks a stripe whose read-modify-write died after its
-// data writes may have started but before the unlocking parity write retired
-// the intent — exactly the window where data and parity can disagree. Under
-// the crash-safe RMW ordering the data units hold either the old bytes (the
-// write never reached them) or the complete new bytes, so re-encoding the data
-// units yields a parity consistent with whatever the stripe now holds, and
-// ResolveIntent applies it and retires the intent atomically on the server.
+// An abandoned intent marks a stripe whose read-modify-write died, or gave
+// up, after its writes may have started and before its client retired the
+// intent with both writes acknowledged — exactly the window where data and
+// parity can disagree. Whichever of the data and parity writes landed,
+// re-encoding the data units yields a parity consistent with whatever the
+// stripe now holds, and ResolveIntent applies it and retires the intent
+// atomically on the server.
 //
-// Open (non-abandoned) intents belong to RMWs still in flight and are left
-// untouched — the paper's Section 5.1 lock serializes us behind them. A
-// degraded data server defers that stripe to a later pass (after Rebuild)
-// rather than replaying from incomplete information.
+// Open and pending (non-abandoned) intents belong to RMWs whose writes may
+// still be landing and are left untouched, and so is an abandoned intent on
+// a stripe where one of them is live: its data is not final yet. The listing
+// is taken before any data is read, and a stripe with an abandoned intent
+// admits no new locker, so a stripe with no live intent in it stays still
+// while it is replayed. A degraded data server defers that stripe to a later
+// pass (after Rebuild) rather than replaying from incomplete information.
 func ReplayIntents(c *client.Client, f *client.File) (*ReplayReport, error) {
 	g := f.Geometry()
 	ref := f.Ref()
@@ -42,6 +45,8 @@ func ReplayIntents(c *client.Client, f *client.File) (*ReplayReport, error) {
 		return rep, nil
 	}
 	defer c.ObserveSince("replay_pass", time.Now())
+	// This client's own completed updates must not show as live intents.
+	c.FlushRetires()
 
 	for srv := 0; srv < g.Servers; srv++ {
 		resp, err := c.ServerCaller(srv).Call(&wire.ListIntents{File: ref})
@@ -52,12 +57,27 @@ func ReplayIntents(c *client.Client, f *client.File) (*ReplayReport, error) {
 		if !ok {
 			return rep, fmt.Errorf("recovery: unexpected intent listing %T", resp)
 		}
+		live := make(map[int64]bool)
 		for _, in := range lr.Intents {
 			if !in.Abandoned {
 				rep.Open++
+				live[in.Stripe] = true
+			}
+		}
+		for _, in := range lr.Intents {
+			if !in.Abandoned {
 				continue
 			}
 			rep.Abandoned++
+			if live[in.Stripe] {
+				// Another update's data writes may still be landing on this
+				// stripe; parity re-encoded now could miss them, and the
+				// server would refuse it anyway.
+				rep.Skipped++
+				rep.Problems = append(rep.Problems, fmt.Sprintf(
+					"stripe %d: replay deferred: an update is in flight on server %d", in.Stripe, srv))
+				continue
+			}
 			if err := replayStripe(c, f, srv, in, rep); err != nil {
 				return rep, err
 			}

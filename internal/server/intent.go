@@ -2,15 +2,32 @@
 // RAID5 write-hole closure.
 //
 // A locked ReadParity opens one durable *write intent* per stripe before
-// its response leaves the server, and the closing WriteParity retires it;
-// after any crash the journal's surviving intents are exactly the stripes
+// its response leaves the server. Intents are keyed by (stripe, owner
+// token), and each goes through one lifecycle:
+//
+//   - open: the lock is held and the update may be mid-flight;
+//   - pending: the unlocking WriteParity landed and handed the lock on, but
+//     the owner's data writes, sent beside it, may not have; the owner
+//     retires the intent with a batched RetireIntents once both were
+//     acknowledged;
+//   - abandoned: the lease passed without a heartbeat or a retire, the
+//     client released it dirty (UnlockParity), or the server restarted.
+//
+// After any crash the journal's surviving intents are exactly the stripes
 // whose parity may not match their data. A lock acquisition may carry a
-// lease deadline, renewed by the client's RenewLease heartbeat; when it
-// passes, the server revokes the lock, wakes the FIFO queue canceled and
-// marks the intent *abandoned* — a dead client can no longer wedge a
-// stripe forever. Abandoned stripes fail-stop: new lock acquisitions are
-// refused (wire.ErrStripeTorn) until recovery replays the stripe with
-// ResolveIntent, or a fresh full-stripe parity write supersedes it.
+// lease deadline, renewed by the client's RenewLease heartbeat; it keeps
+// running while the intent is pending. When it passes, the server revokes
+// the lock if the owner still holds it, wakes the FIFO queue canceled and
+// marks the intent abandoned — a dead client can no longer wedge a stripe
+// forever. Abandoned stripes fail-stop: new lock acquisitions are refused
+// (wire.ErrStripeTorn) until recovery replays the stripe with
+// ResolveIntent, or a fresh full-stripe parity write supersedes it. A
+// pending intent does not stop the next locker: it holds the lock of a
+// stripe whose parity already carries the previous update. So a pending
+// intent can go abandoned while another owner holds the lock; that holder,
+// and any acquisition already queued behind it, carries on, and replay
+// waits for them (ResolveIntent refuses while any intent on the stripe is
+// live) before it re-encodes parity from data that includes their bytes.
 package server
 
 import (
@@ -24,6 +41,11 @@ import (
 
 // intentJournalName is the server-wide journal file on the local backend.
 const intentJournalName = "intents.journal"
+
+// intentJournalCompactBytes is the journal size past which an append
+// compacts it to one record per live intent. Under load the live set rarely
+// drains to zero, which is the other point where the journal empties.
+const intentJournalCompactBytes = 16 << 10
 
 // Journal record operations.
 const (
@@ -43,6 +65,9 @@ type intentEntry struct {
 	owner  uint64
 }
 
+// intentEntryLen is the encoded length of an intentEntry.
+const intentEntryLen = 25
+
 // codec reads or writes one record.
 func (r *intentEntry) codec(c *wire.Codec) {
 	c.U8(&r.op)
@@ -53,17 +78,25 @@ func (r *intentEntry) codec(c *wire.Codec) {
 
 // payload encodes the record.
 func (r intentEntry) payload() []byte {
-	e := wire.Encoding(make([]byte, 0, 25))
+	e := wire.Encoding(make([]byte, 0, intentEntryLen))
 	r.codec(&e)
 	return e.Buf
 }
 
-// intentRec is one stripe's write intent. A nil deadline timer means the
-// acquisition asked for no lease (a client running with Policy.LockLease
+// intentKey names one intent across the server's files: the journal's unit.
+type intentKey struct {
+	fileID uint64
+	stripe int64
+	owner  uint64
+}
+
+// intentRec is one (stripe, owner) write intent. A nil deadline timer means
+// the acquisition asked for no lease (a client running with Policy.LockLease
 // zero: correctness tests and the performance model); it then lives until
-// its unlocking write, an UnlockParity cancellation, or a server restart.
+// its owner retires it, an UnlockParity cancellation, or a server restart.
 type intentRec struct {
 	owner     uint64
+	pending   bool // the unlocking parity write landed; awaiting the owner's retire
 	abandoned bool
 	deadline  time.Time   // zero: no lease
 	timer     *time.Timer // armed iff deadline is set
@@ -73,7 +106,8 @@ type intentRec struct {
 // registry under the tags.
 type IntentStats struct {
 	Opened        int64 `obs:"intents_opened"`    // intents opened by locked parity reads
-	Retired       int64 `obs:"intents_retired"`   // intents committed by their unlocking parity write
+	Retired       int64 `obs:"intents_retired"`   // intents retired by their owner: RetireIntents or a clean UnlockParity
+	RetireBatches int64 `obs:"retire_batches"`    // RetireIntents requests received
 	Abandoned     int64 `obs:"intents_abandoned"` // lease expiries + UnlockParity + crash-restart loads
 	Resolved      int64 `obs:"intents_resolved"`  // abandoned intents retired by replay or a full-stripe write
 	LeaseRenewals int64 `obs:"lease_renewals"`    // stripes renewed by RenewLease
@@ -83,80 +117,150 @@ type IntentStats struct {
 // IntentStats returns the current intent/lease counters.
 func (s *Server) IntentStats() IntentStats { return obs.LoadCounters(s.intents) }
 
-// journalAppend durably appends one record. delta is the change to the
-// count of live intents (+1 open, -1 retire, 0 abandon); when a retire drops
-// the count to zero the journal is truncated instead — the whole history is
-// balanced open/retire pairs, so an empty live set compacts to an empty log.
+// journalAppend appends one op record per intent of file fileID and keeps
+// the journal's live set. Opens and abandons are synced before it returns.
+// Retires are not: a lost retire only brings its intent back abandoned after
+// a restart, and replaying a stripe whose parity matches changes nothing.
+// When a retire drains the live set the journal is truncated instead — the
+// history is balanced open/retire pairs, so an empty live set compacts to an
+// empty log — and once the journal outgrows both intentJournalCompactBytes
+// and twice its live set it is rewritten as one record per live intent.
 // Lock order: callers may hold sf.mu; jmu nests inside it.
-func (s *Server) journalAppend(op uint8, fileID uint64, stripe int64, owner uint64, delta int) {
-	rec := intentEntry{op, fileID, stripe, owner}.payload()
+func (s *Server) journalAppend(op uint8, fileID uint64, ids ...wire.IntentID) {
+	recs := make([][]byte, len(ids))
+	for i, id := range ids {
+		recs[i] = intentEntry{op, fileID, id.Stripe, id.Owner}.payload()
+	}
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
-	if s.jLive += delta; s.jLive <= 0 && op == intentOpRetire {
-		s.jLive = 0
+	for _, id := range ids {
+		k := intentKey{fileID, id.Stripe, id.Owner}
+		if op == intentOpRetire {
+			delete(s.jLive, k)
+		} else {
+			s.jLive[k] = op
+		}
+	}
+	switch {
+	case op != intentOpRetire:
+		s.journal.Append(recs...) //nolint:errcheck // local store
+	case len(s.jLive) == 0:
 		s.journal.Rewrite() //nolint:errcheck // local store
 		return
+	default:
+		s.journal.AppendUnsynced(recs...) //nolint:errcheck // local store
 	}
-	s.journal.Append(rec) //nolint:errcheck // local store
+	// A compacted journal holds one frame, an 8-byte header and a record,
+	// per live intent.
+	if live := int64(len(s.jLive)) * (8 + intentEntryLen); s.journal.Size() > max(intentJournalCompactBytes, 2*live) {
+		s.compactJournal()
+	}
+}
+
+// compactJournal rewrites the journal as one record per live intent, the
+// form loadIntents leaves it in. Caller holds jmu.
+func (s *Server) compactJournal() {
+	recs := make([][]byte, 0, len(s.jLive))
+	for k, op := range s.jLive {
+		recs = append(recs, intentEntry{op, k.fileID, k.stripe, k.owner}.payload())
+	}
+	s.journal.Rewrite(recs...) //nolint:errcheck // local store
 }
 
 // loadIntents replays the journal at startup. Every surviving intent —
-// open or already abandoned — is marked abandoned: the server just
+// open, pending or already abandoned — is marked abandoned: the server just
 // restarted, so no pre-crash update can still be in flight and each such
 // stripe is possibly torn. Survivors are parked in s.pendingIntents and
 // adopted when the file record is first materialized. The journal is then
 // compacted to one abandon record per survivor, so repeated crashes do
 // not grow it.
 func (s *Server) loadIntents() {
-	live := make(map[uint64]map[int64]uint64)
+	s.jLive = make(map[intentKey]uint8)
 	s.journal = s.openJournal(intentJournalName, func(p []byte) error {
 		var r intentEntry
 		d := wire.Decoding(p)
 		if r.codec(&d); d.Err() != nil {
 			return d.Err()
 		}
+		k := intentKey{r.fileID, r.stripe, r.owner}
 		switch r.op {
 		case intentOpOpen, intentOpAbandon:
-			if live[r.fileID] == nil {
-				live[r.fileID] = make(map[int64]uint64)
-			}
-			live[r.fileID][r.stripe] = r.owner
+			s.jLive[k] = intentOpAbandon
 		case intentOpRetire:
-			delete(live[r.fileID], r.stripe)
+			delete(s.jLive, k)
 		}
 		return nil
 	})
 	if s.journal.Size() == 0 {
 		return
 	}
-
-	// Compact: the surviving set, each as a single abandon record.
-	var recs [][]byte
-	for fileID, stripes := range live {
-		for stripe, owner := range stripes {
-			recs = append(recs, intentEntry{intentOpAbandon, fileID, stripe, owner}.payload())
-			atomic.AddInt64(&s.intents.Abandoned, 1)
-		}
-		if len(stripes) == 0 {
-			delete(live, fileID)
-		}
+	s.pendingIntents = make(map[uint64][]wire.IntentID)
+	for k := range s.jLive {
+		s.pendingIntents[k.fileID] = append(s.pendingIntents[k.fileID], wire.IntentID{Stripe: k.stripe, Owner: k.owner})
 	}
-	s.journal.Rewrite(recs...) //nolint:errcheck // local store
-	s.jLive = len(recs)
-	s.pendingIntents = live
+	atomic.AddInt64(&s.intents.Abandoned, int64(len(s.jLive)))
+	s.compactJournal()
 }
 
 // adoptIntents moves journal-loaded intents for a file onto its fresh
 // serverFile record. Caller holds s.mu.
 func (s *Server) adoptIntents(sf *serverFile) {
-	stripes := s.pendingIntents[sf.ref.ID]
-	if stripes == nil {
-		return
-	}
-	for stripe, owner := range stripes {
-		sf.intents[stripe] = &intentRec{owner: owner, abandoned: true}
+	for _, id := range s.pendingIntents[sf.ref.ID] {
+		sf.intents[id.Stripe] = append(sf.intents[id.Stripe], &intentRec{owner: id.Owner, abandoned: true})
 	}
 	delete(s.pendingIntents, sf.ref.ID)
+}
+
+// intentOf returns owner's intent on stripe, or nil. Caller holds sf.mu.
+func (sf *serverFile) intentOf(stripe int64, owner uint64) *intentRec {
+	for _, rec := range sf.intents[stripe] {
+		if rec.owner == owner {
+			return rec
+		}
+	}
+	return nil
+}
+
+// torn reports whether any intent on stripe is abandoned: its parity may be
+// stale. Caller holds sf.mu.
+func (sf *serverFile) torn(stripe int64) bool {
+	for _, rec := range sf.intents[stripe] {
+		if rec.abandoned {
+			return true
+		}
+	}
+	return false
+}
+
+// live reports whether any intent on stripe is open or pending: an update's
+// writes may still be landing. Caller holds sf.mu.
+func (sf *serverFile) live(stripe int64) bool {
+	for _, rec := range sf.intents[stripe] {
+		if !rec.abandoned {
+			return true
+		}
+	}
+	return false
+}
+
+// dropIntent removes rec from stripe's intents and stops its lease; the
+// caller journals the retirement. Caller holds sf.mu.
+func (sf *serverFile) dropIntent(stripe int64, rec *intentRec) {
+	if rec.timer != nil {
+		rec.timer.Stop()
+	}
+	recs := sf.intents[stripe]
+	for i, r := range recs {
+		if r == rec {
+			recs = append(recs[:i], recs[i+1:]...)
+			break
+		}
+	}
+	if len(recs) == 0 {
+		delete(sf.intents, stripe)
+	} else {
+		sf.intents[stripe] = recs
+	}
 }
 
 // openIntents records one durable write intent per just-locked stripe and
@@ -166,62 +270,103 @@ func (s *Server) adoptIntents(sf *serverFile) {
 func (s *Server) openIntents(sf *serverFile, stripes []int64, owner uint64, leaseMS uint32) {
 	for _, stripe := range stripes {
 		sf.mu.Lock()
-		rec := &intentRec{owner: owner}
-		sf.intents[stripe] = rec
+		rec := sf.intentOf(stripe, owner)
+		if rec == nil {
+			rec = &intentRec{owner: owner}
+			sf.intents[stripe] = append(sf.intents[stripe], rec)
+		} else { // the token re-locked a stripe it left pending
+			if rec.timer != nil {
+				rec.timer.Stop()
+			}
+			rec.pending = false
+		}
 		if leaseMS > 0 {
 			dur := time.Duration(leaseMS) * time.Millisecond
 			rec.deadline = time.Now().Add(dur)
 			st := stripe
 			rec.timer = time.AfterFunc(dur, func() { s.leaseCheck(sf, st, owner) })
 		}
-		s.journalAppend(intentOpOpen, sf.ref.ID, stripe, owner, +1)
+		s.journalAppend(intentOpOpen, sf.ref.ID, wire.IntentID{Stripe: stripe, Owner: owner})
 		sf.mu.Unlock()
 		atomic.AddInt64(&s.intents.Opened, 1)
 	}
 }
 
-// retireIntent commits the intent of one stripe: its unlocking parity
-// write landed, the stripe is consistent again. A mismatched or missing
-// intent is a no-op (the acquisition was canceled or already expired —
-// the caller's refusal paths handle those).
+// pendIntent marks owner's open intent on stripe pending: its unlocking
+// parity write landed and the lock is about to hand off. The intent keeps
+// its lease until the owner retires it.
+func (sf *serverFile) pendIntent(stripe int64, owner uint64) {
+	sf.mu.Lock()
+	if rec := sf.intentOf(stripe, owner); rec != nil && !rec.abandoned {
+		rec.pending = true
+	}
+	sf.mu.Unlock()
+}
+
+// retireIntent retires owner's open or pending intent on stripe: the owner
+// knows the stripe is consistent (nothing was written under the lock). A
+// missing or abandoned intent is a no-op (the acquisition never got that
+// far, or already expired — the caller's refusal paths handle those).
 func (sf *serverFile) retireIntent(s *Server, stripe int64, owner uint64) {
 	sf.mu.Lock()
-	rec := sf.intents[stripe]
-	if rec == nil || rec.owner != owner || rec.abandoned {
+	rec := sf.intentOf(stripe, owner)
+	if rec == nil || rec.abandoned {
 		sf.mu.Unlock()
 		return
 	}
-	if rec.timer != nil {
-		rec.timer.Stop()
-	}
-	delete(sf.intents, stripe)
-	s.journalAppend(intentOpRetire, sf.ref.ID, stripe, owner, -1)
+	sf.dropIntent(stripe, rec)
+	s.journalAppend(intentOpRetire, sf.ref.ID, wire.IntentID{Stripe: stripe, Owner: owner})
 	sf.mu.Unlock()
 	atomic.AddInt64(&s.intents.Retired, 1)
 }
 
-// abandonIntent marks one stripe's intent abandoned (lease revoked or the
-// client compensated with UnlockParity after an unknown outcome). The
-// stripe fail-stops until replay. Caller holds sf.mu; reports whether the
-// intent transitioned.
+// handleRetireIntents retires each listed intent that is pending under its
+// owner: both of its read-modify-write's writes were acknowledged. An intent
+// that is open (its lock still held), abandoned, or unknown is left alone.
+func (s *Server) handleRetireIntents(m *wire.RetireIntents) (wire.Msg, error) {
+	sf, err := s.file(m.File)
+	if err != nil {
+		return nil, err
+	}
+	atomic.AddInt64(&s.intents.RetireBatches, 1)
+	retired := make([]wire.IntentID, 0, len(m.Intents))
+	sf.mu.Lock()
+	for _, id := range m.Intents {
+		if rec := sf.intentOf(id.Stripe, id.Owner); rec != nil && rec.pending && !rec.abandoned {
+			sf.dropIntent(id.Stripe, rec)
+			retired = append(retired, id)
+		}
+	}
+	if len(retired) > 0 {
+		s.journalAppend(intentOpRetire, sf.ref.ID, retired...)
+	}
+	sf.mu.Unlock()
+	atomic.AddInt64(&s.intents.Retired, int64(len(retired)))
+	return &wire.OK{}, nil
+}
+
+// abandonIntentLocked marks owner's open or pending intent on stripe
+// abandoned (lease revoked or the client released it dirty). The stripe
+// fail-stops until replay. Caller holds sf.mu; reports whether the intent
+// transitioned.
 func (sf *serverFile) abandonIntentLocked(s *Server, stripe int64, owner uint64) bool {
-	rec := sf.intents[stripe]
-	if rec == nil || rec.owner != owner || rec.abandoned {
+	rec := sf.intentOf(stripe, owner)
+	if rec == nil || rec.abandoned {
 		return false
 	}
 	rec.abandoned = true
 	if rec.timer != nil {
 		rec.timer.Stop()
 	}
-	s.journalAppend(intentOpAbandon, sf.ref.ID, stripe, owner, 0)
+	s.journalAppend(intentOpAbandon, sf.ref.ID, wire.IntentID{Stripe: stripe, Owner: owner})
 	return true
 }
 
-// failStopLocked abandons owner's open intent on stripe and revokes the
-// parity lock, waking every queued waiter canceled — the stripe's parity
-// may be stale, so nobody may build a read-modify-write on it until
-// replay. Caller holds sf.mu; the returned waiters must be woken (false)
-// after it is released. Reports whether the intent transitioned.
+// failStopLocked abandons owner's intent on stripe and, if owner still
+// holds the parity lock, revokes it, waking every queued waiter canceled —
+// the stripe's parity may be stale, so nobody may build a read-modify-write
+// on it until replay. Caller holds sf.mu; the returned waiters must be woken
+// (false) after it is released. Reports whether the intent transitioned.
 func (sf *serverFile) failStopLocked(s *Server, stripe int64, owner uint64) (bool, []lockWaiter) {
 	if !sf.abandonIntentLocked(s, stripe, owner) {
 		return false, nil
@@ -241,12 +386,13 @@ func (sf *serverFile) failStopLocked(s *Server, stripe int64, owner uint64) (boo
 }
 
 // leaseCheck runs when a lease timer fires. A renewed deadline re-arms the
-// timer; an expired one fail-stops the stripe: the lock is revoked, the
-// queue canceled, the intent abandoned.
+// timer; an expired one fail-stops the stripe: the intent is abandoned and,
+// if the owner still holds the lock, the lock is revoked and the queue
+// canceled.
 func (s *Server) leaseCheck(sf *serverFile, stripe int64, owner uint64) {
 	sf.mu.Lock()
-	rec := sf.intents[stripe]
-	if rec == nil || rec.owner != owner || rec.abandoned || rec.deadline.IsZero() {
+	rec := sf.intentOf(stripe, owner)
+	if rec == nil || rec.abandoned || rec.deadline.IsZero() {
 		sf.mu.Unlock()
 		return
 	}
@@ -266,10 +412,10 @@ func (s *Server) leaseCheck(sf *serverFile, stripe int64, owner uint64) {
 	}
 }
 
-// handleRenewLease extends the lease deadline of every still-live
-// acquisition matching (stripe, owner). Stripes whose lease already
-// expired (or that hold no matching intent) are simply not counted — the
-// client compares Renewed against what it asked for and fences itself.
+// handleRenewLease extends the lease deadline of every open or pending
+// intent matching (stripe, owner). Stripes whose lease already expired (or
+// that hold no matching intent) are simply not counted — the client
+// compares Renewed against what it asked for and fences itself.
 func (s *Server) handleRenewLease(m *wire.RenewLease) (wire.Msg, error) {
 	sf, err := s.file(m.File)
 	if err != nil {
@@ -285,8 +431,8 @@ func (s *Server) handleRenewLease(m *wire.RenewLease) (wire.Msg, error) {
 			return nil, fmt.Errorf("server %d does not hold parity of stripe %d", s.idx, stripe)
 		}
 		sf.mu.Lock()
-		rec := sf.intents[stripe]
-		if rec != nil && !rec.abandoned && rec.owner == m.Owner && !rec.deadline.IsZero() {
+		rec := sf.intentOf(stripe, m.Owner)
+		if rec != nil && !rec.abandoned && !rec.deadline.IsZero() {
 			rec.deadline = time.Now().Add(dur)
 			renewed++
 		}
@@ -306,10 +452,12 @@ func (s *Server) handleListIntents(m *wire.ListIntents) (wire.Msg, error) {
 	}
 	sf.mu.Lock()
 	resp := &wire.ListIntentsResp{Intents: make([]wire.Intent, 0, len(sf.intents))}
-	for stripe, rec := range sf.intents {
-		resp.Intents = append(resp.Intents, wire.Intent{
-			Stripe: stripe, Owner: rec.owner, Abandoned: rec.abandoned,
-		})
+	for stripe, recs := range sf.intents {
+		for _, rec := range recs {
+			resp.Intents = append(resp.Intents, wire.Intent{
+				Stripe: stripe, Owner: rec.owner, Abandoned: rec.abandoned,
+			})
+		}
 	}
 	sf.mu.Unlock()
 	return resp, nil
@@ -321,8 +469,10 @@ func (s *Server) handleListIntents(m *wire.ListIntents) (wire.Msg, error) {
 // intent under the same mutex before writing its own parity, so either
 // this replay sees no intent and writes nothing, or the superseding
 // parity write is ordered after the replayed bytes. An intent that is
-// still open belongs to a live update and is refused; a missing one is
-// already resolved.
+// still open or pending belongs to a live update and is refused, and so is
+// any stripe where another owner's intent is live: that update's data may
+// still be landing, so parity recomputed now could miss its bytes. A
+// missing intent is already resolved.
 func (s *Server) handleResolveIntent(m *wire.ResolveIntent) (wire.Msg, error) {
 	sf, err := s.file(m.File)
 	if err != nil {
@@ -338,7 +488,7 @@ func (s *Server) handleResolveIntent(m *wire.ResolveIntent) (wire.Msg, error) {
 	par := sf.store(s.disk, StoreParity) // before sf.mu: store() locks it
 
 	sf.mu.Lock()
-	rec := sf.intents[m.Stripe]
+	rec := sf.intentOf(m.Stripe, m.Owner)
 	if rec == nil {
 		sf.mu.Unlock()
 		return &wire.OK{}, nil // already resolved or superseded
@@ -347,53 +497,56 @@ func (s *Server) handleResolveIntent(m *wire.ResolveIntent) (wire.Msg, error) {
 		sf.mu.Unlock()
 		return nil, fmt.Errorf("server: intent of stripe %d still open", m.Stripe)
 	}
-	if rec.owner != m.Owner {
+	if sf.live(m.Stripe) {
 		sf.mu.Unlock()
-		return nil, fmt.Errorf("server: intent of stripe %d abandoned under a different token", m.Stripe)
+		return nil, fmt.Errorf("server: stripe %d has another update in flight", m.Stripe)
 	}
 	s.writePiece(par, sf.geom.ParityLocalOffsetOn(s.idx, m.Stripe), m.Data)
-	if rec.timer != nil {
-		rec.timer.Stop()
-	}
-	delete(sf.intents, m.Stripe)
-	s.journalAppend(intentOpRetire, sf.ref.ID, m.Stripe, rec.owner, -1)
+	sf.dropIntent(m.Stripe, rec)
+	s.journalAppend(intentOpRetire, sf.ref.ID, wire.IntentID{Stripe: m.Stripe, Owner: m.Owner})
 	sf.mu.Unlock()
 	atomic.AddInt64(&s.intents.Resolved, 1)
 	return &wire.OK{}, nil
 }
 
-// resolveAbandonedByWrite retires any abandoned intents among stripes: a
+// resolveAbandonedByWrite retires every abandoned intent among stripes: a
 // fresh full-stripe parity write is about to install parity that is
-// correct by construction, superseding whatever tear the intent recorded.
+// correct by construction, superseding whatever tear the intents recorded.
 // Called before the parity bytes are written (see handleResolveIntent for
 // the ordering argument).
 func (s *Server) resolveAbandonedByWrite(sf *serverFile, stripes []int64) {
 	for _, stripe := range stripes {
 		sf.mu.Lock()
-		rec := sf.intents[stripe]
-		if rec != nil && rec.abandoned {
-			if rec.timer != nil {
-				rec.timer.Stop()
+		var resolved []wire.IntentID
+		for _, rec := range append([]*intentRec(nil), sf.intents[stripe]...) {
+			if rec.abandoned {
+				sf.dropIntent(stripe, rec)
+				resolved = append(resolved, wire.IntentID{Stripe: stripe, Owner: rec.owner})
 			}
-			delete(sf.intents, stripe)
-			s.journalAppend(intentOpRetire, sf.ref.ID, stripe, rec.owner, -1)
-			sf.mu.Unlock()
-			atomic.AddInt64(&s.intents.Resolved, 1)
-			continue
+		}
+		if len(resolved) > 0 {
+			s.journalAppend(intentOpRetire, sf.ref.ID, resolved...)
 		}
 		sf.mu.Unlock()
+		atomic.AddInt64(&s.intents.Resolved, int64(len(resolved)))
 	}
 }
 
 // dropFileIntents retires every intent of a removed file.
 func (s *Server) dropFileIntents(sf *serverFile) {
 	sf.mu.Lock()
-	for stripe, rec := range sf.intents {
-		if rec.timer != nil {
-			rec.timer.Stop()
+	var ids []wire.IntentID
+	for stripe, recs := range sf.intents {
+		for _, rec := range recs {
+			if rec.timer != nil {
+				rec.timer.Stop()
+			}
+			ids = append(ids, wire.IntentID{Stripe: stripe, Owner: rec.owner})
 		}
 		delete(sf.intents, stripe)
-		s.journalAppend(intentOpRetire, sf.ref.ID, stripe, rec.owner, -1)
+	}
+	if len(ids) > 0 {
+		s.journalAppend(intentOpRetire, sf.ref.ID, ids...)
 	}
 	sf.mu.Unlock()
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,9 +79,9 @@ func TestIntentJournalBitFlip(t *testing.T) {
 
 	unwritten := func(s *Server) string {
 		for id, live := range s.pendingIntents {
-			for st, owner := range live {
-				if id != r.ID || owner != 7 || (st != stripes[0] && st != stripes[1]) {
-					return fmt.Sprintf("an intent on file %d stripe %d owner %d", id, st, owner)
+			for _, in := range live {
+				if id != r.ID || in.Owner != 7 || (in.Stripe != stripes[0] && in.Stripe != stripes[1]) {
+					return fmt.Sprintf("an intent on file %d stripe %d owner %d", id, in.Stripe, in.Owner)
 				}
 			}
 		}
@@ -89,7 +90,7 @@ func TestIntentJournalBitFlip(t *testing.T) {
 	kept := func(s *Server, frames int) bool {
 		live := s.pendingIntents[r.ID]
 		return len(s.pendingIntents) == min(frames, 1) && len(live) == frames &&
-			(frames == 0 || live[stripes[0]] == 7)
+			(frames == 0 || slices.Contains(live, wire.IntentID{Stripe: stripes[0], Owner: 7}))
 	}
 	flipEachByte(t, intentJournalName, image, 8+25, 2, unwritten, kept)
 }

@@ -183,8 +183,12 @@ func TestRangedUnlockingWrite(t *testing.T) {
 			t.Fatalf("stripe %d parity after the ranged write:\n got  %x\n want %x", stripe, got, exp)
 		}
 	}
-	if n, in := locksHeld(s), intentsOf(t, s); n != 0 || len(in) != 0 {
-		t.Fatalf("after the unlocking write: %d locks held, intents %+v", n, in)
+	if n, in := locksHeld(s), intentsOf(t, s); n != 0 || len(in) != 2 || in[0].Abandoned || in[1].Abandoned {
+		t.Fatalf("after the unlocking write: %d locks held, intents %+v; want none held, both pending", n, in)
+	}
+	call(t, s, &wire.RetireIntents{File: r, Intents: []wire.IntentID{{Stripe: 0, Owner: 21}, {Stripe: 3, Owner: 21}}})
+	if in := intentsOf(t, s); len(in) != 0 {
+		t.Fatalf("after the retire: intents %+v", in)
 	}
 }
 

@@ -95,10 +95,10 @@ type Server struct {
 	// Stripe intent journal (see intent.go). jmu nests inside sf.mu.
 	jmu     sync.Mutex
 	journal *journal.Log
-	jLive   int // live (open or abandoned) intents across all files
-	// pendingIntents holds journal-loaded intents (fileID -> stripe ->
-	// owner) not yet adopted by a serverFile record. Guarded by mu.
-	pendingIntents map[uint64]map[int64]uint64
+	jLive   map[intentKey]uint8 // live intents across all files -> the op that keeps each
+	// pendingIntents holds journal-loaded intents by file ID, not yet
+	// adopted by a serverFile record. Guarded by mu.
+	pendingIntents map[uint64][]wire.IntentID
 
 	// Dirty-region logs of outages this server witnessed as a survivor
 	// (see dirty.go). Self-locking; independent of mu and jmu.
@@ -142,10 +142,11 @@ type serverFile struct {
 	ovSlots  map[int64]int64 // stripe unit -> its slot base in the overflow store
 	ovmSlots map[int64]int64 // stripe unit -> slot base in the overflow mirror
 	locks    map[int64]*parityLock
-	// intents holds the file's stripe write intents: open ones belong to
-	// an in-flight locked read-modify-write, abandoned ones mark possibly
-	// torn stripes that refuse new parity locks until replayed (intent.go).
-	intents map[int64]*intentRec
+	// intents holds the file's write intents by stripe, one per owner
+	// token: open and pending ones belong to a read-modify-write whose
+	// writes may still be landing, abandoned ones mark possibly torn
+	// stripes that refuse new parity locks until replayed (intent.go).
+	intents map[int64][]*intentRec
 	// canceled remembers tokens whose acquisitions UnlockParity canceled, so
 	// a late-arriving locked ReadParity (its frame delivered after the
 	// client's compensating UnlockParity was processed) is refused instead of
@@ -250,7 +251,7 @@ func (s *Server) file(ref wire.FileRef) (*serverFile, error) {
 			ovSlots:  make(map[int64]int64),
 			ovmSlots: make(map[int64]int64),
 			locks:    make(map[int64]*parityLock),
-			intents:  make(map[int64]*intentRec),
+			intents:  make(map[int64][]*intentRec),
 			canceled: make(map[uint64]struct{}),
 		}
 		s.adoptIntents(sf)
@@ -287,6 +288,8 @@ func (s *Server) dispatch(req wire.Msg) (wire.Msg, error) {
 		return s.handleListIntents(m)
 	case *wire.ResolveIntent:
 		return s.handleResolveIntent(m)
+	case *wire.RetireIntents:
+		return s.handleRetireIntents(m)
 	case *wire.MarkDirty:
 		return s.handleMarkDirty(m)
 	case *wire.DirtyDump:
@@ -641,8 +644,8 @@ func (s *Server) handleWriteParity(m *wire.WriteParity) (wire.Msg, error) {
 			// (wire.ErrLeaseExpired tells the writer it lost its lease, not
 			// merely the lock).
 			sf.mu.Lock()
-			rec := sf.intents[stripe]
-			expired := rec != nil && rec.owner == m.Owner && rec.abandoned
+			rec := sf.intentOf(stripe, m.Owner)
+			expired := rec != nil && rec.abandoned
 			sf.mu.Unlock()
 			if expired {
 				return nil, fmt.Errorf("server: parity write of stripe %d: %w", stripe, wire.ErrLeaseExpired)
@@ -672,10 +675,12 @@ func (s *Server) handleWriteParity(m *wire.WriteParity) (wire.Msg, error) {
 			at += r.Len
 		}
 		if m.Unlock {
-			// Commit: the read-modify-write completed, the stripe is
-			// consistent again. The intent retires before the lock hands
-			// off, so the next holder's open cannot collide.
-			sf.retireIntent(s, stripe, m.Owner)
+			// The parity half of the read-modify-write landed; its data
+			// writes, sent beside this one, may not have. The intent stays,
+			// pending under its lease, until the owner retires it, and the
+			// lock hands off now: the next holder reads parity that already
+			// carries this update.
+			sf.pendIntent(stripe, m.Owner)
 			sf.unlockStripeOwned(stripe, m.Owner)
 		}
 	}
@@ -1036,7 +1041,7 @@ func (sf *serverFile) lockStripe(stripe int64, owner uint64) error {
 		sf.mu.Unlock()
 		return fmt.Errorf("server: parity lock of stripe %d canceled", stripe)
 	}
-	if rec := sf.intents[stripe]; rec != nil && rec.abandoned {
+	if sf.torn(stripe) {
 		sf.mu.Unlock()
 		return fmt.Errorf("server: stripe %d: %w", stripe, wire.ErrStripeTorn)
 	}

@@ -141,16 +141,19 @@ func TestParityLockFIFO(t *testing.T) {
 
 // TestIntentCountersInRegistry: the intent/lease counters live in the
 // server's registry, so /metrics serves them as counters and the Stats RPC
-// carries each exactly once.
+// carries each exactly once. One read-modify-write's parity traffic, then
+// the RetireIntents a client's Sync flushes: one batch, one intent retired.
 func TestIntentCountersInRegistry(t *testing.T) {
 	s := testServer(2)
 	r := ref()
 	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Owner: 41})
 	call(t, s, &wire.WriteParity{File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Owner: 41})
+	call(t, s, &wire.RetireIntents{File: r, Intents: []wire.IntentID{{Stripe: 0, Owner: 41}}})
 
 	var prom strings.Builder
 	obs.WriteProm(&prom, s.Obs().Snapshot())
-	for _, want := range []string{"# TYPE csar_intents_opened counter", "csar_intents_opened 1", "csar_intents_retired 1"} {
+	for _, want := range []string{"# TYPE csar_intents_opened counter", "csar_intents_opened 1", "csar_intents_retired 1",
+		"# TYPE csar_retire_batches counter", "csar_retire_batches 1"} {
 		if !strings.Contains(prom.String(), want) {
 			t.Errorf("/metrics output lacks %q:\n%s", want, prom.String())
 		}

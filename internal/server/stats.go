@@ -95,7 +95,7 @@ func (s *Server) registerGauges() {
 	s.obs.RegisterGauge("intents_live", func() int64 {
 		s.jmu.Lock()
 		defer s.jmu.Unlock()
-		return int64(s.jLive)
+		return int64(len(s.jLive))
 	})
 	s.obs.RegisterGauge("dirty_log_entries", func() int64 {
 		s.dirty.mu.Lock()

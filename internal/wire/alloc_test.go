@@ -188,6 +188,7 @@ func TestUnmarshalLengthPrefixAmplification(t *testing.T) {
 		{"InvalidateOverflow.Spans", KInvalidateOverflow, 16, nil},
 		{"OverflowDumpResp.Extents", KOverflowDumpResp, 0, nil},
 		{"ListIntentsResp.Intents", KListIntentsResp, 0, nil},
+		{"RetireIntents.Intents", KRetireIntents, 16, nil},
 		{"MarkDirty.Units", KMarkDirty, 26, nil},
 		{"MarkDirty.Mirrors", KMarkDirty, 30, nil},
 		{"MarkDirty.Stripes", KMarkDirty, 34, nil},

@@ -106,6 +106,9 @@ func fuzzSeeds() []Msg {
 			Data: bytes.Repeat([]byte{0x5A}, 98), Unlock: true, Owner: 43},
 		&ReadParity{File: rsRef, Stripes: []int64{13}, Lock: true, Owner: 92, Ranges: []Span{{100, 1}}},
 		&WriteParity{File: rsRef, Stripes: []int64{13}, Ranges: []Span{{100, 1}}, Data: []byte{0xC3}, Owner: 92},
+		// A batch of pending intents retired after their read-modify-writes
+		// completed, on two stripes of one file.
+		&RetireIntents{File: rsRef, Intents: []IntentID{{Stripe: 7, Owner: 91}, {Stripe: 13, Owner: 93}}},
 	}
 }
 

@@ -122,6 +122,7 @@ var kinds = [...]struct {
 	KSetSchemeResp:      {"set_scheme_resp", func() Msg { return new(SetSchemeResp) }},
 	KCommitScheme:       {"commit_scheme", func() Msg { return new(CommitScheme) }},
 	KAbortScheme:        {"abort_scheme", func() Msg { return new(AbortScheme) }},
+	KRetireIntents:      {"retire_intents", func() Msg { return new(RetireIntents) }},
 }
 
 // Each message's codec lists its fields in wire order. A bulk byte field
@@ -205,6 +206,12 @@ func (m *ResolveIntent) codec(c *Codec) {
 	c.I64(&m.Stripe)
 	c.U64(&m.Owner)
 	c.Bytes(&m.Data)
+}
+
+func (m *RetireIntents) Kind() Kind { return KRetireIntents }
+func (m *RetireIntents) codec(c *Codec) {
+	c.FileRef(&m.File)
+	slice(c, &m.Intents, elemIntentID)
 }
 
 func (m *MarkDirty) Kind() Kind { return KMarkDirty }

@@ -184,6 +184,10 @@ const (
 	KSetSchemeResp
 	KCommitScheme
 	KAbortScheme
+
+	// Batched retirement of write intents whose read-modify-write completed
+	// (appended so earlier kinds keep their values).
+	KRetireIntents
 )
 
 // KindTraceFlag is the high bit of the kind byte in a marshaled frame. Kinds
@@ -427,12 +431,13 @@ type ReadMirror struct {
 // and no other, so a client whose locked read timed out can free a
 // possibly-granted lock without ever stealing one granted to someone else.
 //
-// A locked read also opens a durable write intent per stripe (the stripe
-// may be torn until the closing WriteParity commits it). LeaseMS, when
-// non-zero, bounds how long the acquisition may stay open without a
-// RenewLease heartbeat: past the deadline the server revokes the lock,
-// wakes the FIFO queue and marks the intent abandoned, so a dead client
-// cannot wedge the stripe. A locked read must list its stripes in strictly
+// A locked read also opens a durable write intent per stripe and owner (the
+// stripe may be torn until the client, having seen its data and parity
+// writes acknowledged, retires the intent with RetireIntents). LeaseMS, when
+// non-zero, bounds how long the intent may go without a RenewLease
+// heartbeat or a retire: past the deadline the server revokes the lock if
+// it is still held, wakes the FIFO queue and marks the intent abandoned, so
+// a dead client cannot wedge the stripe. A locked read must list its stripes in strictly
 // ascending order — the Section 5.1 lock order — or it is refused before any
 // lock is taken.
 //
@@ -462,8 +467,9 @@ type ReadParity struct {
 // untouched, so the server retires the acquisition's intent and hands the
 // lock to the next waiter. True means data writes were already in flight
 // when the update was given up on, so the stripe may be torn: the server
-// abandons the intent and fail-stops the stripe (lock revoked, queue
-// canceled, new acquisitions refused) until recovery replays it.
+// abandons the intent — open, or pending after an unlocking write landed —
+// and fail-stops the stripe (the lock revoked if the token still holds it,
+// queue canceled, new acquisitions refused) until recovery replays it.
 type UnlockParity struct {
 	File    FileRef
 	Stripes []int64
@@ -520,6 +526,26 @@ type ResolveIntent struct {
 	Stripe int64
 	Owner  uint64
 	Data   []byte
+}
+
+// IntentID names one write intent: the stripe and the owner token of the
+// locked parity read that opened it.
+type IntentID struct {
+	Stripe int64
+	Owner  uint64
+}
+
+// RetireIntents retires, in one request, write intents of a file whose
+// read-modify-writes have completed: the unlocking parity write left each
+// pending, and the client saw both its data and parity writes acknowledged.
+// Only a pending intent under the named owner retires; one whose lock is
+// still held, one already abandoned or one unknown is left as it is. The
+// server does not sync the retire records: a lost retire only brings the
+// intent back abandoned after a restart, and replaying a consistent stripe
+// changes nothing.
+type RetireIntents struct {
+	File    FileRef
+	Intents []IntentID
 }
 
 // MarkDirty records, on a surviving server, which regions a degraded write
@@ -619,7 +645,8 @@ type HealthResp struct {
 // this frame is a late ghost whose bytes could clobber parity now owned by
 // another client's update. Locks are never granted without a token (a
 // locked ReadParity with a zero Owner is refused), so an unlocking write
-// with a zero Owner is always refused.
+// with a zero Owner is always refused. An unlocking write leaves the
+// acquisition's intent pending until its owner retires it (RetireIntents).
 //
 // Only a whole-unit write that does not unlock installs parity: it supersedes
 // the stripes' abandoned intents and, under an overflow shape, their overflow
@@ -1074,6 +1101,10 @@ var (
 		c.I64(&in.Stripe)
 		c.U64(&in.Owner)
 		c.Bool(&in.Abandoned)
+	}}
+	elemIntentID = elem[IntentID]{16, func(c *Codec, in *IntentID) {
+		c.I64(&in.Stripe)
+		c.U64(&in.Owner)
 	}}
 	elemStatKV = elem[StatKV]{12, func(c *Codec, kv *StatKV) {
 		c.Str(&kv.Name)

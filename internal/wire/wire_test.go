@@ -43,6 +43,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 		&ListIntents{File: ref},
 		&ListIntentsResp{Intents: []Intent{{Stripe: 3, Owner: 77, Abandoned: true}}},
 		&ResolveIntent{File: ref, Stripe: 3, Owner: 77, Data: data},
+		&RetireIntents{File: ref, Intents: []IntentID{{Stripe: 3, Owner: 77}, {Stripe: 9, Owner: 78}}},
 		&Health{},
 		&HealthResp{Index: 3, Requests: 12345},
 		&WriteParity{File: ref, Stripes: []int64{3}, Ranges: []Span{{0, 5}, {100, 8}}, Data: data, Unlock: true, Owner: 77},
@@ -304,6 +305,7 @@ func TestSliceElemSizes(t *testing.T) {
 	checkElemSize(t, "span", elemSpan)
 	checkElemSize(t, "dirtyItem", elemDirtyItem)
 	checkElemSize(t, "intent", elemIntent)
+	checkElemSize(t, "intentID", elemIntentID)
 	checkElemSize(t, "statKV", elemStatKV)
 	checkElemSize(t, "histDump", elemHistDump)
 }

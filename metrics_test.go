@@ -208,7 +208,6 @@ func TestMetricsLeaseAndIntent(t *testing.T) {
 	p.BackoffMax = 2 * time.Millisecond
 	p.LockLease = 500 * time.Millisecond
 	p.LeaseRenewEvery = 20 * time.Millisecond
-	p.CrashSafeRMW = true
 	cl.SetResilience(p)
 
 	fa, err := cl.Create("lease-a", csar.FileOptions{Scheme: csar.Raid5, StripeUnit: 64})
