@@ -47,14 +47,16 @@ faults:
 # crash-restart with intent-journal replay, lease heartbeats under a stalled
 # write, the pending intent's cut points (data write lost after the parity
 # write, client death before the retire, a second owner locking behind a
-# pending intent, an RS parity server restarted before the retire), retires
-# under concurrent writers and Syncs, the server's pending-intent rules and
-# its intent journal's compaction,
+# pending intent, an RS parity server restarted before the retire, a
+# degraded RMW behind another owner's half-landed update), lost retires
+# under a live heartbeat, retires under concurrent writers and Syncs, the
+# server's pending-intent rules and its intent journal's compaction (a
+# crash at every point of one),
 # lease/intent metrics, and the real-TCP iod bounce — run twice under the
 # race detector to prove the schedules are deterministic.
 crash:
 	$(GO) test -race ./internal/journal
-	$(GO) test -race -count=2 -run 'TestCrash|TestLeaseRenewalKeepsLock|TestRetiresUnderConcurrentWriters' ./internal/cluster
+	$(GO) test -race -count=2 -run 'TestCrash|TestLeaseRenewalKeepsLock|TestRetireDroppedKeepsLease|TestRetiresUnderConcurrentWriters' ./internal/cluster
 	$(GO) test -race -count=2 -run 'TestRetireIntents|TestPendingIntent|TestIntentJournal' ./internal/server
 	$(GO) test -race -count=2 -run 'TestMetricsLeaseAndIntent|TestRestartedIODReadmission' .
 

@@ -70,14 +70,21 @@ type Client struct {
 	// leases tracks live parity-lock acquisitions for heartbeat renewal,
 	// keyed by owner token, and retires the intents of completed
 	// read-modify-writes waiting to go out in a batch, by server and file
-	// (lease.go). retiresSent counts batches in flight; retiresIdle is
-	// signaled when it drops to zero.
+	// (lease.go). unretired holds the owner tokens on those lists or in
+	// flight. retiresSent counts batches in flight; retiresIdle is signaled
+	// when it drops to zero. retireSeq counts queued retires; the idle timer
+	// sends every list once it stops moving.
 	lmu         sync.Mutex
 	leases      map[uint64]leaseEntry
 	retires     map[retireKey][]wire.IntentID
+	unretired   map[uint64]struct{}
 	retiresSent int
 	retiresIdle *sync.Cond
 	hbRunning   bool
+	retireSeq   uint64
+	idleSeen    uint64
+	idleArmed   bool
+	idle        *time.Timer
 
 	mu     sync.Mutex
 	down   map[int]bool
@@ -112,17 +119,18 @@ func New(mgr Caller, servers []Caller) *Client {
 func NewMulti(mgrs []Caller, servers []Caller) *Client {
 	reg := obs.NewRegistry()
 	c := &Client{
-		mgrs:    mgrs,
-		srv:     servers,
-		obs:     reg,
-		metrics: obs.NewCounters[Metrics](reg),
-		down:    make(map[int]bool),
-		health:  make([]serverHealth, len(servers)),
-		leases:  make(map[uint64]leaseEntry),
-		retires: make(map[retireKey][]wire.IntentID),
-		outages: make(map[outageKey]uint64),
-		passes:  make(map[outageKey]*Pass),
-		rng:     rand.New(rand.NewSource(1)), // backoff jitter, reproducible
+		mgrs:      mgrs,
+		srv:       servers,
+		obs:       reg,
+		metrics:   obs.NewCounters[Metrics](reg),
+		down:      make(map[int]bool),
+		health:    make([]serverHealth, len(servers)),
+		leases:    make(map[uint64]leaseEntry),
+		retires:   make(map[retireKey][]wire.IntentID),
+		unretired: make(map[uint64]struct{}),
+		outages:   make(map[outageKey]uint64),
+		passes:    make(map[outageKey]*Pass),
+		rng:       rand.New(rand.NewSource(1)), // backoff jitter, reproducible
 	}
 	c.retiresIdle = sync.NewCond(&c.lmu)
 	return c

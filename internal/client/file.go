@@ -454,9 +454,35 @@ func (f *File) holdParity(stripe int64, j int, ranges []wire.Span, tr uint64) (*
 // HoldParity took.
 func (h *ParityHold) Data() []byte { return h.resp.Data }
 
-// Owner returns the token the hold's lock was acquired under; zero when the
-// engine takes no lock. A ListIntents shows the hold's own intent under it.
-func (h *ParityHold) Owner() uint64 { return h.token }
+// OtherIntents reports whether the hold's stripe carries another owner's
+// intent on the hold's server: live, if one is open or pending — that
+// update released its lock with its parity write, and its data writes may
+// still be landing — and abandoned, if one was given up and the stripe
+// awaits replay. This client's own completed updates awaiting their retire
+// are not counted: both their writes were acknowledged. Asked under the
+// hold, it sees every update that can still change the stripe: no later
+// one can start while the hold is kept. A hold that took no lock reports
+// neither.
+func (h *ParityHold) OtherIntents() (live, abandoned bool, err error) {
+	if !h.f.lock {
+		return false, false, nil
+	}
+	resp, err := h.f.c.callSrv(h.srv, &wire.ListIntents{File: h.f.ref})
+	if err != nil {
+		return false, false, err
+	}
+	lr, ok := resp.(*wire.ListIntentsResp)
+	if !ok {
+		return false, false, fmt.Errorf("client: unexpected intent listing %T", resp)
+	}
+	for _, in := range lr.Intents {
+		if in.Stripe == h.stripe && in.Owner != h.token && !h.f.c.completedUpdate(in.Owner) {
+			live = live || !in.Abandoned
+			abandoned = abandoned || in.Abandoned
+		}
+	}
+	return live, abandoned, nil
+}
 
 // Write stores data as the held bytes' new contents, which releases the
 // lock; the intent is queued for retirement. It is for a holder that has
@@ -600,7 +626,8 @@ func (f *File) chargeParity(units int, n int64) {
 //   - If the dead server holds data units in the range, their old contents
 //     are reconstructed from the survivors before the delta is applied, so
 //     the updated parity encodes the new bytes and the next rebuild
-//     materializes them.
+//     materializes them. That decode first waits, under the holds, until
+//     no other update on the stripe is still landing (settleOthers).
 func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int, tr uint64) error {
 	g := f.geom
 	stripe := g.StripeOf(span.Off)
@@ -644,7 +671,12 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 	dErr := f.readRaw(span, old, dead, tr)
 	<-held
 	if pErr == nil && dErr == nil && dead >= 0 {
-		dErr = f.reconstructOldPieces(span, old, []int{dead}, tr)
+		if len(serverPieces(g, span.Off, span.Len)[dead]) > 0 {
+			dErr = f.settleOthers(holds)
+		}
+		if dErr == nil {
+			dErr = f.reconstructOldPieces(span, old, []int{dead}, tr)
+		}
 	}
 	if err := cmp.Or(pErr, dErr); err != nil {
 		// No data write has started, so the stripe is untouched: free what
@@ -691,6 +723,48 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 	}
 	return cmp.Or(pwErr, wErr)
 }
+
+// settleOthers waits, under a degraded read-modify-write's holds, until no
+// other owner's update is in flight on the stripe. The dead server's old
+// bytes are decoded from parity and the live data units, so they must agree
+// at every offset the decode reads — not only in this update's own range.
+// An update that released its lock with its parity write may not have
+// landed its data yet; decoding across it would fold its unlanded half into
+// this update's delta, and the dead unit would later rebuild wrong. The
+// wait ends when that update's owner retires it (its lists go when full,
+// when it goes idle and on its heartbeat). An update given up instead
+// leaves the stripe torn (wire.ErrStripeTorn). The wait is bounded by one
+// lock lease, or settleWait without one.
+func (f *File) settleOthers(holds []*ParityHold) error {
+	wait := settleWait
+	if p := f.c.getPolicy(); p.LockLease > 0 {
+		wait = p.LockLease
+	}
+	deadline := time.Now().Add(wait)
+	for pause := time.Millisecond; ; pause = min(2*pause, 50*time.Millisecond) {
+		busy := false
+		for _, h := range holds {
+			live, abandoned, err := h.OtherIntents()
+			if err != nil {
+				return err
+			}
+			if abandoned {
+				return fmt.Errorf("client: stripe %d: %w", h.stripe, wire.ErrStripeTorn)
+			}
+			busy = busy || live
+		}
+		if !busy {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("client: stripe %d: another update still in flight after %v", holds[0].stripe, wait)
+		}
+		time.Sleep(pause)
+	}
+}
+
+// settleWait bounds settleOthers when the policy leases no locks.
+const settleWait = 10 * time.Second
 
 // acquire takes the parity holds of one read-modify-write's units, one at a
 // time in unit order, and returns the ones it got. onParityRead, if non-nil,

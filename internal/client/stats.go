@@ -88,6 +88,12 @@ func SnapOfStatsResp(sr wire.StatsResp) obs.Snapshot {
 // harnesses) typically implement no Close and cost nothing to leave.
 func (c *Client) Close() error {
 	c.FlushRetires()
+	c.lmu.Lock()
+	if c.idle != nil {
+		c.idle.Stop()
+		c.idleArmed = false
+	}
+	c.lmu.Unlock()
 	var firstErr error
 	for i, s := range c.srv {
 		if cl, ok := s.(io.Closer); ok {

@@ -426,10 +426,10 @@ func TestCrashBeforeRetire(t *testing.T) {
 	recoverClean(t, rc, rf, 1, ref)
 }
 
-// TestCrashPendingUnderSecondOwner: the first owner's RMW completes but its
-// retires are lost; a second owner locks the same stripe behind the pending
-// intent and completes a disjoint update; then the first owner's lease
-// expires. While the second owner's intent is live, ResolveIntent of the
+// TestCrashPendingUnderSecondOwner: the first owner's RMW completes, then
+// it dies: its retires and renewals are lost. A second owner locks the same
+// stripe behind the pending intent and completes a disjoint update; then the
+// first owner's lease expires. While the second owner's intent is live, ResolveIntent of the
 // first is refused and a replay pass defers it; once the second owner
 // retires, replay repairs the stripe and both writers' bytes read back.
 func TestCrashPendingUnderSecondOwner(t *testing.T) {
@@ -444,12 +444,14 @@ func TestCrashPendingUnderSecondOwner(t *testing.T) {
 	a.SetPolicy(pa)
 	rt := c.Inject(FaultPoint{Server: ps, Kind: wire.KRetireIntents, Action: FaultDrop})
 	defer rt.Release()
+	rl := c.Inject(FaultPoint{Server: ps, Kind: wire.KRenewLease, Action: FaultDrop})
+	defer rl.Release()
 
 	updA := pattern(10, 7)
 	mustWrite(t, fa, updA, 0)
 	copy(ref, updA)
 
-	b := c.NewClient() // no lease: its intent stays pending until it retires
+	b := c.NewClient() // no heartbeat: its dropped retire waits for fb.Sync below
 	fb, err := b.Open("crash")
 	if err != nil {
 		t.Fatal(err)
@@ -461,8 +463,8 @@ func TestCrashPendingUnderSecondOwner(t *testing.T) {
 	in := waitIntentsState(t, b, ps, fb.Ref(), 1, 1)
 	rt.Release() // the first owner is gone; the second one's retires get through
 	resolve := &wire.ResolveIntent{File: fb.Ref(), Stripe: 0, Owner: in.Owner, Data: make([]byte, 64)}
-	if _, err := b.ServerCaller(ps).Call(resolve); err == nil {
-		t.Fatal("ResolveIntent accepted while the second owner's intent is live")
+	if _, err := b.ServerCaller(ps).Call(resolve); !errors.Is(err, wire.ErrStripeBusy) {
+		t.Fatalf("ResolveIntent while the second owner's intent is live: %v, want ErrStripeBusy", err)
 	}
 	rep, err := recovery.ReplayIntents(a, fa)
 	if err != nil {
@@ -477,9 +479,82 @@ func TestCrashPendingUnderSecondOwner(t *testing.T) {
 	recoverClean(t, b, fb, 1, ref)
 }
 
+// TestCrashDegradedRMWBehindPending: with one server dead, a degraded
+// read-modify-write rebuilds the dead unit's old bytes from parity and the
+// live data units. Owner A's update of a live unit, driven by hand, has
+// landed its unlocking parity write, so the lock is free and A's intent is
+// pending, but its data write has not landed. Client B's update of the dead
+// unit, at the same in-unit offsets, must not decode across A's half-landed
+// update: it waits under its hold until A retires. After the dead server is
+// rebuilt, both writers' bytes read back.
+func TestCrashDegradedRMWBehindPending(t *testing.T) {
+	c := newCluster(t, 4)
+	a := c.NewClient()
+	f, ref := crashFile(t, c, a, 4, wire.Raid5)
+	g := f.Geometry()
+	first, _ := g.DataUnitsOf(0)
+	ps, dead := g.ParityServerOf(0), g.ServerOf(first+1)
+	c.StopServer(dead)
+	a.MarkDown(dead)
+
+	// A's update of unit first's bytes [0,10): the parity delta lands and
+	// unlocks; the data write is held back.
+	const token = uint64(0xA11CE)
+	rng := []wire.Span{{Off: 0, Len: 10}}
+	resp, err := a.ServerCaller(ps).Call(&wire.ReadParity{
+		File: f.Ref(), Stripes: []int64{0}, Lock: true, Owner: token, LeaseMS: 10000, Ranges: rng,
+	})
+	must(t, err)
+	updA := pattern(10, 7)
+	par := resp.(*wire.ReadResp).Data
+	for i := range par {
+		par[i] ^= ref[g.UnitStart(first)+int64(i)] ^ updA[i]
+	}
+	_, err = a.ServerCaller(ps).Call(&wire.WriteParity{
+		File: f.Ref(), Stripes: []int64{0}, Ranges: rng, Data: par, Unlock: true, Owner: token,
+	})
+	must(t, err)
+
+	b := c.NewClient()
+	p := testPolicy()
+	p.LockLease = 10 * time.Second
+	p.LeaseRenewEvery = 10 * time.Millisecond
+	b.SetPolicy(p)
+	b.MarkDown(dead)
+	fb, err := b.Open("crash")
+	must(t, err)
+	updB := pattern(10, 8)
+	bDone := make(chan error, 1)
+	go func() {
+		_, err := fb.WriteAt(updB, g.UnitStart(first+1))
+		bDone <- err
+	}()
+	select {
+	case err := <-bDone:
+		t.Fatalf("B's degraded RMW finished (%v) while A's data write had not landed", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	_, err = a.ServerCaller(g.ServerOf(first)).Call(&wire.WriteData{
+		File: f.Ref(), Spans: []wire.Span{{Off: g.UnitStart(first), Len: 10}}, Data: updA, Raw: true,
+	})
+	must(t, err)
+	_, err = a.ServerCaller(ps).Call(&wire.RetireIntents{File: f.Ref(), Intents: []wire.IntentID{{Stripe: 0, Owner: token}}})
+	must(t, err)
+	must(t, <-bDone)
+	copy(ref[g.UnitStart(first):], updA)
+	copy(ref[g.UnitStart(first+1):], updB)
+
+	c.ReplaceServer(dead)
+	must(t, recovery.Rebuild(a, f, dead))
+	a.MarkUp(dead)
+	b.MarkUp(dead)
+	must(t, fb.Sync())
+	recoverClean(t, a, f, 0, ref)
+}
+
 // waitIntentsState polls server srv's intent list for file ref until it
 // holds exactly abandoned abandoned and live live intents, and returns an
-// abandoned one.
+// abandoned one, if any.
 func waitIntentsState(t *testing.T, cl *client.Client, srv int, ref wire.FileRef, abandoned, live int) wire.Intent {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -496,6 +571,9 @@ func waitIntentsState(t *testing.T, cl *client.Client, srv int, ref wire.FileRef
 			}
 		}
 		if len(gone) == abandoned && len(ints)-len(gone) == live {
+			if len(gone) == 0 {
+				return wire.Intent{}
+			}
 			return gone[0]
 		}
 		if time.Now().After(deadline) {
@@ -532,6 +610,45 @@ func TestCrashRSBothParityPending(t *testing.T) {
 		t.Fatalf("RMW on torn stripe: %v, want ErrStripeTorn", err)
 	}
 	recoverClean(t, cl, f, 1, ref)
+}
+
+// TestRetireDroppedKeepsLease: the retire of a completed RMW is lost, and
+// so are the ones after it for longer than the lease. The heartbeat goes on
+// renewing the pending intent, so the stripe is never fail-stopped; once
+// retires get through again, the next tick retires it.
+func TestRetireDroppedKeepsLease(t *testing.T) {
+	c := newCluster(t, 4)
+	cl := c.NewClient()
+	f, ref := crashFile(t, c, cl, 4, wire.Raid5)
+	ps := f.Geometry().ParityServerOf(0)
+	p := testPolicy()
+	p.LockLease = 100 * time.Millisecond
+	p.LeaseRenewEvery = 10 * time.Millisecond
+	cl.SetPolicy(p)
+	rt := c.Inject(FaultPoint{Server: ps, Kind: wire.KRetireIntents, Action: FaultDrop})
+
+	upd := pattern(10, 7)
+	mustWrite(t, f, upd, 0)
+	copy(ref, upd)
+	<-rt.Triggered()
+	time.Sleep(3 * p.LockLease) // retires keep failing, well past the lease
+	if in := waitIntent(t, cl, ps, f.Ref(), false); in.Stripe != 0 {
+		t.Fatalf("pending intent = %+v, want stripe 0", in)
+	}
+	rt.Release()
+	waitIntentsState(t, cl, ps, f.Ref(), 0, 0)
+	st := c.Server(ps).IntentStats()
+	if st.LeaseExpiries != 0 || st.Abandoned != 0 || st.Retired != st.Opened {
+		t.Fatalf("server stats: %+v", st)
+	}
+	if m := cl.Metrics(); m.LeaseExpiries != 0 || m.LeaseRenewals == 0 {
+		t.Fatalf("client leases: %d expiries, %d renewals", m.LeaseExpiries, m.LeaseRenewals)
+	}
+	upd = pattern(10, 8) // the stripe still takes read-modify-writes
+	mustWrite(t, f, upd, 0)
+	copy(ref, upd)
+	must(t, f.Sync())
+	recoverClean(t, cl, f, 0, ref)
 }
 
 // TestRetiresUnderConcurrentWriters: writers running read-modify-writes on

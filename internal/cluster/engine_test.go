@@ -272,9 +272,13 @@ func TestParityEngineOneParityRSIsRaid5(t *testing.T) {
 //     is N-1, so theirs is unchanged. The XOR twin made two passes (read=8
 //     read_parity=3 for this file); the merged engine makes one.
 //
-// The degraded read-modify-write's row is unchanged: the whole written range
-// is the dead piece, so all its survivors lie outside the range and are
-// fetched, as before.
+// The degraded read-modify-write's survivors are unchanged: the whole
+// written range is the dead piece, so all its survivors lie outside the
+// range and are fetched, as before. It went up by one ListIntents per parity
+// hold before the decode: a degraded read-modify-write must not decode
+// across another update whose data may still be landing. (The row "rmw"
+// left a pending intent on the same bytes; it is the client's own, completed,
+// so it does not hold the decode up.)
 //
 // The resync row (server 1 restarted with its stale stores, not replaced)
 // was added when resync began to decode through the survivor planner: two
@@ -301,7 +305,7 @@ func TestParityEngineGoldenRPCs(t *testing.T) {
 			"rmw":           "read=1 read_parity=1 write_data=1 write_parity=1",
 			"straddling":    "read=4 read_parity=2 write_data=4 write_parity=2",
 			"degraded read": "read=4 read_parity=3",
-			"degraded rmw":  "mark_dirty=2 read=3 read_parity=2 write_parity=1",
+			"degraded rmw":  "list_intents=1 mark_dirty=2 read=3 read_parity=2 write_parity=1",
 			"resync":        "clear_dirty=4 dirty_dump=4 health=4 read=3 read_parity=1 write_data=1",
 			"rebuild":       "health=4 read=4 read_parity=3 write_data=1 write_parity=1",
 		}},
@@ -319,7 +323,7 @@ func TestParityEngineGoldenRPCs(t *testing.T) {
 			"rmw":           "read=1 read_parity=2 write_data=1 write_parity=2",
 			"straddling":    "read=4 read_parity=4 write_data=4 write_parity=4",
 			"degraded read": "read=5 read_parity=2",
-			"degraded rmw":  "mark_dirty=2 read=3 read_parity=3 write_parity=2",
+			"degraded rmw":  "list_intents=2 mark_dirty=2 read=3 read_parity=3 write_parity=2",
 			"resync":        "clear_dirty=4 dirty_dump=4 health=5 read=3 read_parity=1 write_data=1",
 			"rebuild":       "health=5 read=5 read_parity=2 write_data=1 write_parity=1",
 		}},

@@ -306,6 +306,7 @@ func runKillMidWorkload(t *testing.T) {
 	ref := pattern(size, 17)
 	mustWrite(t, f, ref, 0)
 	checkRead(t, f, ref, 0)
+	must(t, f.Sync()) // no retire of phase 1's writes is left to go out after the kill
 
 	// The kill: every frame toward iod1 hangs silently from now on.
 	<-c.Network().RunSchedule([]simnet.FaultStep{

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -31,12 +32,13 @@ type ReplayReport struct {
 // atomically on the server.
 //
 // Open and pending (non-abandoned) intents belong to RMWs whose writes may
-// still be landing and are left untouched, and so is an abandoned intent on
-// a stripe where one of them is live: its data is not final yet. The listing
-// is taken before any data is read, and a stripe with an abandoned intent
-// admits no new locker, so a stripe with no live intent in it stays still
-// while it is replayed. A degraded data server defers that stripe to a later
-// pass (after Rebuild) rather than replaying from incomplete information.
+// still be landing and are left untouched. An abandoned intent on a stripe
+// where one of them is live is not final either: its server refuses the
+// resolve (wire.ErrStripeBusy), and the intent is deferred to a later pass.
+// A stripe with an abandoned intent admits no new locker, so once no live
+// intent is left in it, it stays still while it is replayed. A degraded
+// data server defers that stripe to a later pass (after Rebuild) rather than
+// replaying from incomplete information.
 func ReplayIntents(c *client.Client, f *client.File) (*ReplayReport, error) {
 	g := f.Geometry()
 	ref := f.Ref()
@@ -57,27 +59,12 @@ func ReplayIntents(c *client.Client, f *client.File) (*ReplayReport, error) {
 		if !ok {
 			return rep, fmt.Errorf("recovery: unexpected intent listing %T", resp)
 		}
-		live := make(map[int64]bool)
 		for _, in := range lr.Intents {
 			if !in.Abandoned {
 				rep.Open++
-				live[in.Stripe] = true
-			}
-		}
-		for _, in := range lr.Intents {
-			if !in.Abandoned {
 				continue
 			}
 			rep.Abandoned++
-			if live[in.Stripe] {
-				// Another update's data writes may still be landing on this
-				// stripe; parity re-encoded now could miss them, and the
-				// server would refuse it anyway.
-				rep.Skipped++
-				rep.Problems = append(rep.Problems, fmt.Sprintf(
-					"stripe %d: replay deferred: an update is in flight on server %d", in.Stripe, srv))
-				continue
-			}
 			if err := replayStripe(c, f, srv, in, rep); err != nil {
 				return rep, err
 			}
@@ -119,9 +106,16 @@ func replayStripe(c *client.Client, f *client.File, srv int, in wire.Intent, rep
 		rep.Problems = append(rep.Problems, fmt.Sprintf("stripe %d: replay deferred: %v", in.Stripe, err))
 		return nil
 	}
-	if _, err := c.ServerCaller(srv).Call(&wire.ResolveIntent{
+	_, err := c.ServerCaller(srv).Call(&wire.ResolveIntent{
 		File: f.Ref(), Stripe: in.Stripe, Owner: in.Owner, Data: acc,
-	}); err != nil {
+	})
+	if errors.Is(err, wire.ErrStripeBusy) {
+		rep.Skipped++
+		rep.Problems = append(rep.Problems, fmt.Sprintf(
+			"stripe %d: replay deferred: an update is in flight on server %d", in.Stripe, srv))
+		return nil
+	}
+	if err != nil {
 		return fmt.Errorf("recovery: resolve intent for stripe %d: %w", in.Stripe, err)
 	}
 	rep.Replayed++

@@ -603,8 +603,12 @@ func (s *scrubber) checkStripe(st int64) error {
 		}
 		return cause
 	}
-	if busy, err := s.updateInFlight(st, hold); err != nil || busy {
-		if busy {
+	// Another owner's intent under the hold is an update that released the
+	// lock with its parity write while its data writes may still be
+	// landing, or one given up and awaiting replay: either way the stripe's
+	// bytes are not final, and the stripe is left for a later pass.
+	if live, abandoned, err := hold.OtherIntents(); err != nil || live || abandoned {
+		if err == nil {
 			s.rep.IntentSkips++
 			s.rep.Parity.Checked--
 		}
@@ -705,32 +709,6 @@ func (s *scrubber) checkStripe(st int64) error {
 		s.problemf("stripe %d: parity does not match data and no usable evidence; regenerating parity from data", st)
 		return s.repairParity(st, hold, badParity, want)
 	}
-}
-
-// updateInFlight reports whether stripe st carries another owner's intent on
-// the server whose lock hold took. Such an update released that lock with
-// its parity write while its data writes may still be landing, so the
-// stripe's bytes are not final yet. Asked under the hold and before any data
-// is read: no later update can start while the hold is kept, so when none
-// shows here the data read next is final.
-func (s *scrubber) updateInFlight(st int64, hold *client.ParityHold) (bool, error) {
-	if hold.Owner() == 0 {
-		return false, nil // the no-lock ablation: nothing to serialize against
-	}
-	resp, err := s.call(s.g.ParityServerOfUnit(st, 0), &wire.ListIntents{File: s.ref})
-	if err != nil {
-		return false, err
-	}
-	lr, ok := resp.(*wire.ListIntentsResp)
-	if !ok {
-		return false, fmt.Errorf("scrub: unexpected intent listing %T", resp)
-	}
-	for _, in := range lr.Intents {
-		if in.Stripe == st && in.Owner != hold.Owner() {
-			return true, nil
-		}
-	}
-	return false, nil
 }
 
 // repairParity rewrites the mismatched parity units of one stripe from the

@@ -39,7 +39,8 @@ import (
 	"csar/internal/wire"
 )
 
-// intentJournalName is the server-wide journal file on the local backend.
+// intentJournalName is the server-wide journal file on the local backend,
+// the first of the journal's two logs (intentlog.go).
 const intentJournalName = "intents.journal"
 
 // intentJournalCompactBytes is the journal size past which an append
@@ -52,6 +53,7 @@ const (
 	intentOpOpen uint8 = iota + 1
 	intentOpRetire
 	intentOpAbandon
+	intentOpSeal // ends a compacted log; see intentlog.go
 )
 
 // intentEntry is one intent-journal record, the payload of one journal
@@ -121,10 +123,12 @@ func (s *Server) IntentStats() IntentStats { return obs.LoadCounters(s.intents) 
 // the journal's live set. Opens and abandons are synced before it returns.
 // Retires are not: a lost retire only brings its intent back abandoned after
 // a restart, and replaying a stripe whose parity matches changes nothing.
-// When a retire drains the live set the journal is truncated instead — the
+// When a retire drains the live set the journal is emptied instead — the
 // history is balanced open/retire pairs, so an empty live set compacts to an
-// empty log — and once the journal outgrows both intentJournalCompactBytes
-// and twice its live set it is rewritten as one record per live intent.
+// empty log — and once the current log outgrows both
+// intentJournalCompactBytes and twice its live set the journal is compacted
+// to one record per live intent, by way of its other log (intentlog.go), so
+// no crash point loses a live intent.
 // Lock order: callers may hold sf.mu; jmu nests inside it.
 func (s *Server) journalAppend(op uint8, fileID uint64, ids ...wire.IntentID) {
 	recs := make([][]byte, len(ids))
@@ -141,18 +145,14 @@ func (s *Server) journalAppend(op uint8, fileID uint64, ids ...wire.IntentID) {
 			s.jLive[k] = op
 		}
 	}
-	switch {
-	case op != intentOpRetire:
-		s.journal.Append(recs...) //nolint:errcheck // local store
-	case len(s.jLive) == 0:
-		s.journal.Rewrite() //nolint:errcheck // local store
+	if op == intentOpRetire && len(s.jLive) == 0 {
+		s.jlog.clear()
 		return
-	default:
-		s.journal.AppendUnsynced(recs...) //nolint:errcheck // local store
 	}
-	// A compacted journal holds one frame, an 8-byte header and a record,
-	// per live intent.
-	if live := int64(len(s.jLive)) * (8 + intentEntryLen); s.journal.Size() > max(intentJournalCompactBytes, 2*live) {
+	s.jlog.append(op != intentOpRetire, recs...)
+	// A compacted log holds one frame, an 8-byte header and a record, per
+	// live intent.
+	if live := int64(len(s.jLive)) * (8 + intentEntryLen); s.jlog.size() > max(intentJournalCompactBytes, 2*live) {
 		s.compactJournal()
 	}
 }
@@ -160,11 +160,11 @@ func (s *Server) journalAppend(op uint8, fileID uint64, ids ...wire.IntentID) {
 // compactJournal rewrites the journal as one record per live intent, the
 // form loadIntents leaves it in. Caller holds jmu.
 func (s *Server) compactJournal() {
-	recs := make([][]byte, 0, len(s.jLive))
+	recs := make([][]byte, 0, len(s.jLive)+1)
 	for k, op := range s.jLive {
 		recs = append(recs, intentEntry{op, k.fileID, k.stripe, k.owner}.payload())
 	}
-	s.journal.Rewrite(recs...) //nolint:errcheck // local store
+	s.jlog.compact(recs)
 }
 
 // loadIntents replays the journal at startup. Every surviving intent —
@@ -176,12 +176,9 @@ func (s *Server) compactJournal() {
 // not grow it.
 func (s *Server) loadIntents() {
 	s.jLive = make(map[intentKey]uint8)
-	s.journal = s.openJournal(intentJournalName, func(p []byte) error {
-		var r intentEntry
-		d := wire.Decoding(p)
-		if r.codec(&d); d.Err() != nil {
-			return d.Err()
-		}
+	var recs []intentEntry
+	s.jlog, recs = s.openIntentLog()
+	for _, r := range recs {
 		k := intentKey{r.fileID, r.stripe, r.owner}
 		switch r.op {
 		case intentOpOpen, intentOpAbandon:
@@ -189,9 +186,12 @@ func (s *Server) loadIntents() {
 		case intentOpRetire:
 			delete(s.jLive, k)
 		}
-		return nil
-	})
-	if s.journal.Size() == 0 {
+	}
+	if s.jlog.empty() {
+		return
+	}
+	if len(s.jLive) == 0 {
+		s.jlog.clear()
 		return
 	}
 	s.pendingIntents = make(map[uint64][]wire.IntentID)
@@ -470,9 +470,10 @@ func (s *Server) handleListIntents(m *wire.ListIntents) (wire.Msg, error) {
 // this replay sees no intent and writes nothing, or the superseding
 // parity write is ordered after the replayed bytes. An intent that is
 // still open or pending belongs to a live update and is refused, and so is
-// any stripe where another owner's intent is live: that update's data may
-// still be landing, so parity recomputed now could miss its bytes. A
-// missing intent is already resolved.
+// any stripe where another owner's intent is live (wire.ErrStripeBusy):
+// that update's data may still be landing, so parity recomputed now could
+// miss its bytes. This is the one place that rule is decided. A missing
+// intent is already resolved.
 func (s *Server) handleResolveIntent(m *wire.ResolveIntent) (wire.Msg, error) {
 	sf, err := s.file(m.File)
 	if err != nil {
@@ -499,7 +500,7 @@ func (s *Server) handleResolveIntent(m *wire.ResolveIntent) (wire.Msg, error) {
 	}
 	if sf.live(m.Stripe) {
 		sf.mu.Unlock()
-		return nil, fmt.Errorf("server: stripe %d has another update in flight", m.Stripe)
+		return nil, fmt.Errorf("server: stripe %d: %w", m.Stripe, wire.ErrStripeBusy)
 	}
 	s.writePiece(par, sf.geom.ParityLocalOffsetOn(s.idx, m.Stripe), m.Data)
 	sf.dropIntent(m.Stripe, rec)

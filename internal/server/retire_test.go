@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"slices"
 	"testing"
 
 	"csar/internal/simdisk"
+	"csar/internal/storage"
 	"csar/internal/wire"
 )
 
@@ -104,15 +106,15 @@ func TestPendingIntentAdmitsNextLocker(t *testing.T) {
 
 // TestIntentJournalStaysSmall: 10,000 open → unlock → batched-retire cycles
 // with two intents always pending never drain the live set, so the journal
-// only stays small by compacting: it must stay under twice
-// intentJournalCompactBytes throughout. A restart mid-stream reloads exactly
+// only stays small by compacting: its two logs together must stay under
+// twice intentJournalCompactBytes throughout. A restart mid-stream reloads exactly
 // the live set, every intent abandoned.
 func TestIntentJournalStaysSmall(t *testing.T) {
 	const cycles, batch = 10000, 4
 	disk := simdisk.New(nil, simdisk.Params{PageSize: 64})
 	s, _ := reload(disk, 2)
 	r := ref()
-	jf := disk.Open(intentJournalName)
+	logs := []storage.File{disk.Open(intentJournalName), disk.Open(intentAltJournalName)}
 	var pending []wire.IntentID
 	maxSize := int64(0)
 	for i := 0; i < cycles; i++ {
@@ -123,7 +125,7 @@ func TestIntentJournalStaysSmall(t *testing.T) {
 			call(t, s, &wire.RetireIntents{File: r, Intents: pending[:batch]})
 			pending = append(pending[:0], pending[batch:]...)
 		}
-		maxSize = max(maxSize, jf.Size())
+		maxSize = max(maxSize, logs[0].Size()+logs[1].Size())
 		if i == cycles/2 {
 			restarted, refused := reload(disk, 2)
 			if refused != nil {
@@ -153,5 +155,117 @@ func TestIntentJournalStaysSmall(t *testing.T) {
 	}
 	if maxSize < intentJournalCompactBytes/2 {
 		t.Fatalf("journal peaked at %d bytes: the cycles never neared compaction", maxSize)
+	}
+}
+
+// compactionDisk catches the intent journal's compactions: the write that
+// puts a sealed copy of the live set into one log. At each it saves what a
+// crash could leave behind.
+type compactionDisk struct {
+	storage.Backend
+	s    **Server
+	cuts *[]compactionCut
+}
+
+// compactionCut is the journal as one compaction found it: both logs'
+// images just before its sealed write, that write, and the live set.
+type compactionCut struct {
+	before [2][]byte
+	into   int
+	write  []byte
+	live   []wire.IntentID
+}
+
+type compactionFile struct {
+	storage.File
+	d    compactionDisk
+	slot int
+}
+
+func (d compactionDisk) Open(name string) storage.File {
+	f := d.Backend.Open(name)
+	switch name {
+	case intentJournalName:
+		return compactionFile{f, d, 0}
+	case intentAltJournalName:
+		return compactionFile{f, d, 1}
+	}
+	return f
+}
+
+func (f compactionFile) WriteAt(p []byte, off int64) (int, error) {
+	if s := *f.d.s; off == 0 && s != nil && bytes.HasSuffix(p, sealPayload(s.jlog.gen+1)) {
+		cut := compactionCut{into: f.slot, write: bytes.Clone(p)}
+		for i, name := range []string{intentJournalName, intentAltJournalName} {
+			cut.before[i] = journalImage(f.d.Backend, name)
+		}
+		for k := range s.jLive {
+			cut.live = append(cut.live, wire.IntentID{Stripe: k.stripe, Owner: k.owner})
+		}
+		*f.d.cuts = append(*f.d.cuts, cut)
+	}
+	return f.File.WriteAt(p, off)
+}
+
+// TestIntentJournalCompactionCrash: a crash anywhere inside a compaction —
+// before its sealed write, torn at any byte of it, after it but before the
+// log it replaces is truncated, or after — reloads exactly the live set.
+// Compactions both ways (intents.journal into intents.journal.1 and back)
+// are cut. Outside a compaction one log is always empty, and when the live
+// set drains both are.
+func TestIntentJournalCompactionCrash(t *testing.T) {
+	var s *Server
+	var cuts []compactionCut
+	disk := compactionDisk{simdisk.New(nil, simdisk.Params{PageSize: 64}), &s, &cuts}
+	s, _ = reload(disk, 2)
+	r := ref()
+	var pending []wire.IntentID
+	for i := 0; len(cuts) < 3; i++ {
+		id := wire.IntentID{Stripe: int64(3 * (i % 8)), Owner: uint64(i + 1)}
+		lockAndUnlock(t, s, id.Stripe, id.Owner)
+		pending = append(pending, id)
+		if len(pending) == 6 {
+			call(t, s, &wire.RetireIntents{File: r, Intents: pending[:4]})
+			pending = append(pending[:0], pending[4:]...)
+		}
+		if a, b := journalImage(disk, intentJournalName), journalImage(disk, intentAltJournalName); len(a) > 0 && len(b) > 0 {
+			t.Fatalf("cycle %d: both logs hold records (%d and %d bytes)", i, len(a), len(b))
+		}
+	}
+	if cuts[0].into != 1 || cuts[1].into != 0 {
+		t.Fatalf("compactions went into logs %d then %d, want 1 then 0", cuts[0].into, cuts[1].into)
+	}
+	for ci, cut := range cuts[:2] {
+		slices.SortFunc(cut.live, func(a, b wire.IntentID) int { return int(a.Owner) - int(b.Owner) })
+		crash := func(what string, images [2][]byte) {
+			t.Helper()
+			d := simdisk.New(nil, simdisk.Params{PageSize: 64})
+			for i, name := range []string{intentJournalName, intentAltJournalName} {
+				d.Open(name).WriteAt(images[i], 0) //nolint:errcheck // in-memory disk
+			}
+			restarted, refused := reload(d, 2)
+			if refused != nil {
+				t.Fatalf("compaction %d, %s: reload refused: %v", ci, what, refused)
+			}
+			got := slices.Clone(restarted.pendingIntents[r.ID])
+			slices.SortFunc(got, func(a, b wire.IntentID) int { return int(a.Owner) - int(b.Owner) })
+			if !slices.Equal(got, cut.live) {
+				t.Fatalf("compaction %d, %s: reloaded %+v, want the live set %+v", ci, what, got, cut.live)
+			}
+		}
+		for n := 0; n <= len(cut.write); n++ {
+			images := cut.before
+			images[cut.into] = cut.write[:n]
+			crash("torn write", images)
+		}
+		images := cut.before
+		images[cut.into] = cut.write
+		images[1-cut.into] = nil
+		crash("replaced log truncated", images)
+	}
+
+	call(t, s, &wire.RetireIntents{File: r, Intents: pending})
+	if a, b := journalImage(disk, intentJournalName), journalImage(disk, intentAltJournalName); len(a)+len(b) != 0 {
+		t.Fatalf("drained journal holds %d and %d bytes", len(a), len(b))
 	}
 }

@@ -93,9 +93,9 @@ type Server struct {
 	files map[uint64]*serverFile
 
 	// Stripe intent journal (see intent.go). jmu nests inside sf.mu.
-	jmu     sync.Mutex
-	journal *journal.Log
-	jLive   map[intentKey]uint8 // live intents across all files -> the op that keeps each
+	jmu   sync.Mutex
+	jlog  *intentLog
+	jLive map[intentKey]uint8 // live intents across all files -> the op that keeps each
 	// pendingIntents holds journal-loaded intents by file ID, not yet
 	// adopted by a serverFile record. Guarded by mu.
 	pendingIntents map[uint64][]wire.IntentID

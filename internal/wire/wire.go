@@ -259,6 +259,12 @@ const (
 	// CodeLeaseExpired fencing stale parity writes. Errors with this code
 	// unwrap to ErrStaleEpoch.
 	CodeStaleEpoch
+	// CodeStripeBusy marks an intent replay refused because another
+	// update's intent on the stripe is still open or pending: its data may
+	// still be landing, so parity re-encoded now could miss it. Retrying
+	// after that update retires succeeds. Errors with this code unwrap to
+	// ErrStripeBusy.
+	CodeStripeBusy
 )
 
 // ErrUnavailable is the sentinel behind CodeUnavailable errors: matching it
@@ -285,6 +291,10 @@ var ErrNotPrimary = errors.New("manager is not primary")
 // deposed and its operation was fenced off.
 var ErrStaleEpoch = errors.New("stale manager epoch")
 
+// ErrStripeBusy is the sentinel behind CodeStripeBusy errors: another
+// update on the stripe has not retired its intent yet.
+var ErrStripeBusy = errors.New("stripe has an update in flight")
+
 // codeErrs is the one map between error codes and their sentinels, indexed
 // by code; CodeGeneric has none.
 var codeErrs = [...]error{
@@ -293,6 +303,7 @@ var codeErrs = [...]error{
 	CodeStripeTorn:   ErrStripeTorn,
 	CodeNotPrimary:   ErrNotPrimary,
 	CodeStaleEpoch:   ErrStaleEpoch,
+	CodeStripeBusy:   ErrStripeBusy,
 }
 
 // ErrorCodeOf maps a handler error to the wire code its Error response

@@ -212,6 +212,7 @@ func TestErrorCodeClassification(t *testing.T) {
 		{CodeStripeTorn, ErrStripeTorn},
 		{CodeNotPrimary, ErrNotPrimary},
 		{CodeStaleEpoch, ErrStaleEpoch},
+		{CodeStripeBusy, ErrStripeBusy},
 	} {
 		e := &Error{Text: "x", Code: c.code}
 		if !errors.Is(e, c.sentinel) {
