@@ -82,7 +82,10 @@ resync:
 # per-operation request table, the cluster's NoLock/NPC engine ablations and
 # the scrubber's leased lock; the mirror as the planner's RS(1,1) case — its
 # golden row, degraded reads, degraded writes and rebuild after replacement
-# beside every other redundant scheme's; the seeded degraded-read
+# beside every other redundant scheme's; the scrubber's one walk over code
+# groups — its checksum algebra and journal, detection and repair for every
+# scheme (RS(4, 2)'s GF-row parity unit included), the mirror group's
+# double read against a foreground write, and scrubbing beside writers; the seeded degraded-read
 # differential (RAID5, Hybrid, RS(4,2) and RAID1 against a reference file
 # for every dead set the code tolerates, mid-read failover included); the
 # ranged read-modify-write differential (RAID5, RS(4,2) and the two
@@ -95,7 +98,8 @@ resync:
 # proves the portable file set vets and the whole tree builds without it.
 rs:
 	$(GO) test -race -count=2 ./internal/gf256
-	$(GO) test -race -count=2 -run 'TestRS|TestResyncRS|TestParityEngine|TestDegradedReadDifferential|TestRMWParityRanges|TestResolve|TestRebuildAfterReplace|TestDegradedWrites|TestDegradedReadsAllRedundantSchemes' ./internal/cluster
+	$(GO) test -race -count=2 -run 'TestRS|TestResyncRS|TestParityEngine|TestDegradedReadDifferential|TestRMWParityRanges|TestResolve|TestRebuildAfterReplace|TestDegradedWrites|TestDegradedReadsAllRedundantSchemes|TestScrub' ./internal/cluster
+	$(GO) test -race -count=2 ./internal/scrub
 	$(GO) test -race -count=2 -run 'TestMultiParityPlacement|TestResolve|TestCodeGroups' ./internal/raid
 	GOARCH=arm64 $(GO) vet ./internal/gf256 && GOARCH=arm64 $(GO) build ./...
 

@@ -29,6 +29,9 @@ const (
 	// fails the call with ErrServerDown — the lost-response case behind
 	// every ghost parity lock.
 	FaultBlackhole
+	// FaultPause holds the request until Release, then lets it through —
+	// a slow server, for parking a request while others overtake it.
+	FaultPause
 )
 
 // FaultPoint describes where a fault arms.
@@ -80,8 +83,8 @@ func (f *InjectedFault) Triggered() <-chan struct{} { return f.triggered }
 // to its caller — a point that happens before the caller sees the error.
 func (f *InjectedFault) HangFailed() bool { return f.hangDone.Load() }
 
-// Release disarms the fault: hung requests fail with ErrServerDown, and
-// subsequent requests pass through normally.
+// Release disarms the fault: hung requests fail with ErrServerDown, paused
+// ones go through, and subsequent requests pass through normally.
 func (f *InjectedFault) Release() {
 	f.relOnce.Do(func() {
 		f.slot.fmu.Lock()
@@ -123,6 +126,9 @@ func (s *ioServer) applyFaults(m wire.Msg) error {
 		<-hit.released
 		hit.hangDone.Store(true)
 		return ErrServerDown
+	case FaultPause:
+		<-hit.released
+		return nil
 	case FaultBlackhole:
 		// Execute for real, drop the result.
 		s.srv.Load().Handle(m) //nolint:errcheck // response is being lost

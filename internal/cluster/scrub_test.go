@@ -132,8 +132,8 @@ func TestScrubCancel(t *testing.T) {
 }
 
 // TestScrubRepairsSilentCorruption flips one byte in each redundancy kind's
-// stores — a data unit, a mirror unit, a parity block, and both overflow
-// copies — and asserts the scrubber detects exactly that mismatch, repairs
+// stores — a data unit, a mirror unit, a parity block (RS(4, 2)'s second
+// parity unit among them), and both overflow copies — and asserts the scrubber detects exactly that mismatch, repairs
 // the correct copy, and subsequent (including degraded) reads are right.
 func TestScrubRepairsSilentCorruption(t *testing.T) {
 	// Geometry used by every subtest: 5 servers, 64-byte units, 256-byte
@@ -143,6 +143,7 @@ func TestScrubRepairsSilentCorruption(t *testing.T) {
 	cases := []struct {
 		name    string
 		scheme  wire.Scheme
+		servers int // 0: 5
 		corrupt func(t *testing.T, c *Cluster, ref wire.FileRef)
 		counts  func(r *scrub.Report) scrub.Counts
 		degrade int // server to fail for the degraded re-read; -1 skips
@@ -189,6 +190,33 @@ func TestScrubRepairsSilentCorruption(t *testing.T) {
 			// Reconstruction of unit 0 consumes the repaired parity block.
 			degrade: 0,
 		},
+		// RS(4, 2) on 6 servers: stripe 0 is units 0-3 on servers 0-3, its
+		// parity unit 0 on server 4 and parity unit 1 — a GF(256) row the
+		// checksum fast path cannot derive, checked against the journal —
+		// on server 5, each at local offset 0.
+		{
+			name:    "rs42-data-unit",
+			scheme:  wire.ReedSolomon,
+			servers: 6,
+			corrupt: func(t *testing.T, c *Cluster, ref wire.FileRef) {
+				flipByte(t, c, 3, storeName(ref, "data"), 5)
+			},
+			counts: func(r *scrub.Report) scrub.Counts { return r.Parity },
+			// Unit 0 decodes from units 1-3, the repaired unit 3 among them.
+			degrade: 0,
+		},
+		{
+			name:    "rs42-second-parity-unit",
+			scheme:  wire.ReedSolomon,
+			servers: 6,
+			corrupt: func(t *testing.T, c *Cluster, ref wire.FileRef) {
+				flipByte(t, c, 5, storeName(ref, "parity"), 2)
+			},
+			counts: func(r *scrub.Report) scrub.Counts { return r.Parity },
+			// No read with one server down decodes through parity unit 1;
+			// Verify checks it byte for byte.
+			degrade: 0,
+		},
 		{
 			name:   "hybrid-primary-overflow",
 			scheme: wire.Hybrid,
@@ -214,9 +242,10 @@ func TestScrubRepairsSilentCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newCluster(t, 5)
+			servers := max(tc.servers, 5)
+			c := newCluster(t, servers)
 			cl := c.NewClient()
-			f, err := cl.Create("f", 5, 64, tc.scheme)
+			f, err := cl.Create("f", servers, 64, tc.scheme)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -296,6 +325,76 @@ func TestScrubRepairsSilentCorruption(t *testing.T) {
 				cl.MarkUp(tc.degrade)
 			}
 		})
+	}
+}
+
+// TestScrubMirrorGroupDoubleRead: no writer locks a mirror group, so the
+// scrubber pins one by reading its members twice. Here unit 3's copy has
+// rotted, and the scrub's second read of unit 3 is parked while a
+// foreground write rewrites the unit. The pass must see the group change
+// and leave it for the next one: repairing the copy from its first read
+// would overwrite the write's fresh copy with stale bytes.
+func TestScrubMirrorGroupDoubleRead(t *testing.T) {
+	c := newCluster(t, 5)
+	cl := c.NewClient()
+	f, err := cl.Create("f", 5, 64, wire.Raid1)
+	must(t, err)
+	g := f.Geometry()
+	want := pattern(512, 1)
+	mustWrite(t, f, want, 0)
+	j := scrub.NewJournal()
+	if rep, err := scrub.Run(cl, f, scrub.Options{Journal: j}); err != nil || !rep.Clean() {
+		t.Fatalf("pre-corruption scrub: %v %v", rep, err)
+	}
+
+	const b = 3
+	flipByte(t, c, g.MirrorServerOf(b), storeName(f.Ref(), "mirror"), g.LocalOffset(b)+5)
+	pause := c.Inject(FaultPoint{Server: g.ServerOf(b), Kind: wire.KRead, After: 1, Action: FaultPause})
+	defer pause.Release()
+	type result struct {
+		rep *scrub.Report
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := scrub.Run(cl, f, scrub.Options{Journal: j, RepairData: true})
+		done <- result{rep, err}
+	}()
+	select {
+	case <-pause.Triggered():
+	case r := <-done:
+		t.Fatalf("scrub finished without reading unit %d twice: %v %v", b, r.rep, r.err)
+	}
+	fg := c.NewClient()
+	ff, err := fg.Open("f")
+	must(t, err)
+	fresh := pattern(64, 77)
+	mustWrite(t, ff, fresh, g.UnitStart(b))
+	copy(want[g.UnitStart(b):], fresh)
+	pause.Release()
+	r := <-done
+	must(t, r.err)
+	if r.rep.Mirror.Mismatched != 0 || r.rep.Mirror.Repaired != 0 {
+		t.Fatalf("scrub judged a group a foreground write changed mid-check: %+v (problems: %v)",
+			r.rep.Mirror, r.rep.Problems)
+	}
+	// Before any later pass could mend it, the copy holds the write's bytes:
+	// with unit 3's server down, the read takes unit 3 from its copy.
+	c.StopServer(g.ServerOf(b))
+	cl.MarkDown(g.ServerOf(b))
+	checkRead(t, f, want, 0)
+	c.RestartServer(g.ServerOf(b))
+	cl.MarkUp(g.ServerOf(b))
+
+	rep, err := scrub.Run(cl, f, scrub.Options{Journal: j})
+	must(t, err)
+	if !rep.Clean() {
+		t.Fatalf("next scrub pass not clean: %v", rep.Problems)
+	}
+	problems, err := recovery.Verify(cl, f)
+	must(t, err)
+	if len(problems) > 0 {
+		t.Fatalf("recovery.Verify: %v", problems)
 	}
 }
 

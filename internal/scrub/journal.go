@@ -20,7 +20,7 @@ import "sync"
 type Journal struct {
 	mu       sync.Mutex
 	units    map[int64]uint32 // data unit -> checksum at last agreement
-	parity   map[int64]uint32 // stripe -> parity checksum at last agreement
+	parity   map[int64]uint32 // code group -> redundancy checksum at last agreement
 	overflow map[int]uint32   // server -> overflow aggregate at last agreement
 }
 
@@ -53,15 +53,6 @@ func (j *Journal) unit(b int64) (uint32, bool) {
 	return sum, ok
 }
 
-func (j *Journal) dropUnit(b int64) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	delete(j.units, b)
-	j.mu.Unlock()
-}
-
 func (j *Journal) setParity(stripe int64, sum uint32) {
 	if j == nil {
 		return
@@ -81,8 +72,8 @@ func (j *Journal) parityOf(stripe int64) (uint32, bool) {
 	return sum, ok
 }
 
-// dropStripe forgets a stripe's parity entry and the entries of its data
-// units [first, first+count).
+// dropStripe forgets a code group's redundancy entry and the entries of its
+// data units [first, first+count).
 func (j *Journal) dropStripe(stripe, first int64, count int) {
 	if j == nil {
 		return

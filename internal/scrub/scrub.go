@@ -1,15 +1,17 @@
 // Package scrub implements CSAR's online integrity scrubber: a background
-// pass that walks a file stripe by stripe, cross-checks every redundant copy
-// against the data it protects, and repairs silent corruption in place —
-// while the file stays online and foreground writers keep going.
+// pass that walks a file code group by code group, cross-checks every
+// redundancy member against the data it protects, and repairs silent
+// corruption in place — while the file stays online. A group is a parity
+// layout's stripe or a mirror's unit and its copy (raid.Layout); the copy is
+// the repetition code RS(1, 1), so both take the same checks and repairs.
 //
 // The scrubber compares checksums, not bytes. Each I/O server computes
 // CRC32C sums over its local stores (the ChecksumRange request), so the
 // modeled network carries a few words per stripe unit instead of the unit
-// itself; full blocks are read back only for ranges whose checksums
-// disagree. The RAID5/Hybrid parity fast path never ships data at all:
-// CRC32 is affine over GF(2), so the checksum the parity block *should*
-// have is computed from the data units' checksums alone (xorSum).
+// itself; members are read back only for groups whose checksums disagree.
+// The first redundancy member is checked without shipping data at all:
+// CRC32 is affine over GF(2), so the checksum parity unit 0 — or a copy —
+// should have is computed from the data units' checksums alone (xorSum).
 //
 // What a mismatch means depends on history. A checksum Journal carries
 // last-known-good evidence between passes: the copy still matching the
@@ -21,14 +23,25 @@
 // gated behind Options.RepairData, because a wrong guess there loses user
 // bytes rather than redundancy.
 //
-// Scrubbing is safe concurrently with foreground writes: byte-level stripe
-// verification takes the same parity lock the read-modify-write path uses,
-// transient disagreements (a write landing between two reads) are detected
-// by double-reading and skipped, and journal entries are dropped on any
-// mismatch so stale evidence can never outvote data a writer just wrote.
-// The scrubber's own disk traffic is metered by a token-bucket rate limiter
-// driven by simulated time, so a throttled scrub steals a bounded, settable
-// share of the disks from foreground I/O.
+// Scrubbing runs beside foreground writes but is not safe against all of
+// them. A group is pinned before its bytes are judged: a parity group by
+// holding parity unit 0 the way a read-modify-write does, a mirror group by
+// reading every member twice and leaving it for the next pass if a member
+// changed in between. The hold serializes the check against
+// read-modify-writes only: full-stripe parity writes take no lock (the
+// server installs their parity unlocked), nor do RAID1's writes, and one
+// can land after a mirror group's second read. A repair computed from bytes
+// read before such a write lands can therefore overwrite the write's fresh
+// parity or copy, which stays wrong until the next pass regenerates it; a
+// data repair (RepairData) in that window would overwrite the write's fresh
+// data for good. Parking the check's read of one data unit (a FaultPause)
+// while a full-stripe write lands shows it: Verify then flags the stripe,
+// and a degraded read returns wrong bytes until the next pass.
+// Journal entries are dropped on any mismatch, so stale evidence can never
+// outvote data a writer just wrote. The scrubber's own disk traffic is
+// metered by a token-bucket rate limiter driven by simulated time, so a
+// throttled scrub steals a bounded, settable share of the disks from
+// foreground I/O.
 package scrub
 
 import (
@@ -36,6 +49,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,10 +145,10 @@ func (r *Report) String() string {
 // that ran). A RAID0 file has no redundancy to check and yields an empty
 // report.
 func Run(c *client.Client, f *client.File, opts Options) (*Report, error) {
-	g := f.Geometry()
+	l := f.Layout()
 	ref := f.Ref()
 	rep := &Report{Scheme: ref.Scheme}
-	for i := 0; i < g.Servers; i++ {
+	for i := 0; i < l.Servers; i++ {
 		if c.Down(i) {
 			return rep, fmt.Errorf("scrub: server %d is down; rebuild it before scrubbing", i)
 		}
@@ -142,8 +156,7 @@ func Run(c *client.Client, f *client.File, opts Options) (*Report, error) {
 	size := f.Size()
 	// A layout with no redundancy has no invariant to check, let alone
 	// repair.
-	shape := f.Shape()
-	if size == 0 || shape.Tolerates() == 0 {
+	if size == 0 || l.Tolerates() == 0 {
 		return rep, nil
 	}
 	defer c.ObserveSince("scrub_pass", time.Now())
@@ -153,24 +166,18 @@ func Run(c *client.Client, f *client.File, opts Options) (*Report, error) {
 	s := &scrubber{
 		c:    c,
 		f:    f,
-		g:    g,
+		l:    l,
 		ref:  ref,
 		size: size,
-		su:   g.StripeUnit,
+		su:   l.StripeUnit,
 		opts: opts,
 		lim:  c.PassLimiter(opts.RateLimit),
-		zero: crc32.Checksum(make([]byte, g.StripeUnit), castagnoli),
+		zero: crc32.Checksum(make([]byte, l.StripeUnit), castagnoli),
 		rep:  rep,
 	}
-	var err error
-	switch {
-	case shape.Mirror:
-		err = s.scrubMirrors()
-	case shape.Parity > 0:
-		err = s.scrubParity()
-		if err == nil && shape.Overflow {
-			err = s.scrubOverflow()
-		}
+	err := s.scrubGroups()
+	if err == nil && l.Overflow {
+		err = s.scrubOverflow()
 	}
 	rep.BytesScrubbed = s.bytes.Load()
 	t := rep.Totals()
@@ -187,7 +194,7 @@ func Run(c *client.Client, f *client.File, opts Options) (*Report, error) {
 type scrubber struct {
 	c    *client.Client
 	f    *client.File
-	g    raid.Geometry
+	l    raid.Layout
 	ref  wire.FileRef
 	size int64
 	su   int64
@@ -244,9 +251,9 @@ func xorSum(sums []uint32, zero uint32) uint32 {
 
 // eachServer runs fn for every server concurrently and joins the errors.
 func (s *scrubber) eachServer(fn func(i int) error) error {
-	errs := make([]error, s.g.Servers)
+	errs := make([]error, s.l.Servers)
 	var wg sync.WaitGroup
-	for i := 0; i < s.g.Servers; i++ {
+	for i := 0; i < s.l.Servers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -271,162 +278,69 @@ func (s *scrubber) sums(srv int, store uint8, off, length, chunk int64) ([]uint3
 	return cr.Sums, nil
 }
 
-// readRawUnit reads one whole unit's in-place bytes from its server.
-func (s *scrubber) readRawUnit(b int64) ([]byte, error) {
-	span := wire.Span{Off: s.g.UnitStart(b), Len: s.su}
-	resp, err := s.call(s.g.ServerOf(b), &wire.Read{File: s.ref, Spans: []wire.Span{span}, Raw: true})
+// --- Code groups -----------------------------------------------------------
+
+// wireStore names a group member's store the way ChecksumRange does.
+var wireStore = [...]uint8{
+	raid.DataStore:   wire.StoreData,
+	raid.ParityStore: wire.StoreParity,
+	raid.MirrorStore: wire.StoreMirror,
+}
+
+// member reads the whole of member i of group g from its server or, given
+// data, writes data as its contents.
+func (s *scrubber) member(g int64, i int, data []byte) ([]byte, error) {
+	m := s.l.GroupMember(g, i)
+	spans := []wire.Span{{Off: s.l.UnitStart(m.Unit), Len: s.su}}
+	var read, write wire.Msg
+	switch m.Store {
+	case raid.DataStore:
+		read = &wire.Read{File: s.ref, Spans: spans, Raw: true}
+		write = &wire.WriteData{File: s.ref, Spans: spans, Data: data, Raw: true}
+	case raid.ParityStore:
+		read = &wire.ReadParity{File: s.ref, Stripes: []int64{g}}
+		write = &wire.WriteParity{File: s.ref, Stripes: []int64{g}, Data: data}
+	case raid.MirrorStore:
+		read = &wire.ReadMirror{File: s.ref, Spans: spans}
+		write = &wire.WriteMirror{File: s.ref, Spans: spans, Data: data}
+	}
+	req := read
+	if data != nil {
+		req = write
+	}
+	resp, err := s.call(m.Server, req)
 	if err != nil {
 		return nil, err
 	}
-	data := resp.(*wire.ReadResp).Data
-	if int64(len(data)) != s.su {
-		return nil, fmt.Errorf("scrub: short read of unit %d", b)
+	if data == nil {
+		if data = resp.(*wire.ReadResp).Data; int64(len(data)) != s.su {
+			return nil, fmt.Errorf("scrub: short read of group %d member %d", g, i)
+		}
 	}
 	s.throttle(s.su)
 	return data, nil
 }
 
-// readMirrorUnit reads one unit's mirror copy from the next server.
-func (s *scrubber) readMirrorUnit(b int64) ([]byte, error) {
-	span := wire.Span{Off: s.g.UnitStart(b), Len: s.su}
-	resp, err := s.call(s.g.MirrorServerOf(b), &wire.ReadMirror{File: s.ref, Spans: []wire.Span{span}})
-	if err != nil {
-		return nil, err
-	}
-	data := resp.(*wire.ReadResp).Data
-	if int64(len(data)) != s.su {
-		return nil, fmt.Errorf("scrub: short read of unit %d's mirror", b)
-	}
-	s.throttle(s.su)
-	return data, nil
-}
-
-// --- RAID1 -----------------------------------------------------------------
-
-// scrubMirrors cross-checks every data unit against its mirror. One "row"
-// is one local unit per server, so a row of data checksums plus a row of
-// mirror checksums covers N units; rows are fetched in batches from all
-// servers concurrently.
-func (s *scrubber) scrubMirrors() error {
-	n := int64(s.g.Servers)
-	units := s.g.UnitsIn(s.size)
-	rows := (units + n - 1) / n
-	for r0 := int64(0); r0 < rows; r0 += batchStripes {
-		if s.canceled() {
-			return ErrCanceled
+// readMembers reads every member of group g in code order. held, when not
+// nil, is member k's bytes as a hold already read them.
+func (s *scrubber) readMembers(g int64, held []byte) ([][]byte, error) {
+	k, r := s.l.GroupSize()
+	members := make([][]byte, k+r)
+	for i := range members {
+		if i == k && held != nil {
+			members[i] = held
+			continue
 		}
-		r1 := min(r0+batchStripes, rows)
-		dataSums := make([][]uint32, s.g.Servers)
-		mirSums := make([][]uint32, s.g.Servers)
-		err := s.eachServer(func(i int) error {
-			ds, err := s.sums(i, wire.StoreData, r0*s.su, (r1-r0)*s.su, s.su)
-			if err != nil {
-				return err
-			}
-			ms, err := s.sums(i, wire.StoreMirror, r0*s.su, (r1-r0)*s.su, s.su)
-			if err != nil {
-				return err
-			}
-			dataSums[i], mirSums[i] = ds, ms
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		for b := r0 * n; b < r1*n && b < units; b++ {
-			s.rep.Mirror.Checked++
-			dc := dataSums[s.g.ServerOf(b)][b/n-r0]
-			mc := mirSums[s.g.MirrorServerOf(b)][b/n-r0]
-			if dc == mc {
-				s.opts.Journal.setUnit(b, dc)
-				continue
-			}
-			if err := s.checkMirrorUnit(b); err != nil {
-				return err
-			}
+		var err error
+		if members[i], err = s.member(g, i, nil); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return members, nil
 }
 
-// checkMirrorUnit re-examines one unit whose checksums disagreed, at the
-// byte level. RAID1 has no lock to serialize against writers, so each copy
-// is read twice: a copy still changing belongs to an in-flight foreground
-// write and is left for the next pass.
-func (s *scrubber) checkMirrorUnit(b int64) error {
-	prim1, err := s.readRawUnit(b)
-	if err != nil {
-		return err
-	}
-	mir1, err := s.readMirrorUnit(b)
-	if err != nil {
-		return err
-	}
-	prim, err := s.readRawUnit(b)
-	if err != nil {
-		return err
-	}
-	mir, err := s.readMirrorUnit(b)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(prim1, prim) || !bytes.Equal(mir1, mir) {
-		s.opts.Journal.dropUnit(b)
-		return nil // foreground write in flight; revisit next pass
-	}
-	if bytes.Equal(prim, mir) {
-		// The checksum mismatch was a transient race; the copies agree.
-		s.opts.Journal.setUnit(b, crcOf(prim))
-		return nil
-	}
-	s.rep.Mirror.Mismatched++
-	defer s.opts.Journal.dropUnit(b)
-	pc, mc := crcOf(prim), crcOf(mir)
-	known, ok := s.opts.Journal.unit(b)
-	switch {
-	case ok && known == pc:
-		return s.repairMirror(b, prim)
-	case ok && known == mc:
-		if !s.opts.RepairData {
-			s.rep.Mirror.Unrepairable++
-			s.problemf("unit %d: primary fails its last-known-good checksum; mirror matches (RepairData off)", b)
-			return nil
-		}
-		return s.repairData(b, mir, &s.rep.Mirror)
-	default:
-		s.problemf("unit %d: mirror differs from primary with no usable evidence; rewriting mirror from primary", b)
-		return s.repairMirror(b, prim)
-	}
-}
-
-func (s *scrubber) repairMirror(b int64, data []byte) error {
-	span := wire.Span{Off: s.g.UnitStart(b), Len: s.su}
-	if _, err := s.call(s.g.MirrorServerOf(b), &wire.WriteMirror{
-		File: s.ref, Spans: []wire.Span{span}, Data: data,
-	}); err != nil {
-		return err
-	}
-	s.throttle(s.su)
-	s.rep.Mirror.Repaired++
-	return nil
-}
-
-func (s *scrubber) repairData(b int64, data []byte, counts *Counts) error {
-	span := wire.Span{Off: s.g.UnitStart(b), Len: s.su}
-	if _, err := s.call(s.g.ServerOf(b), &wire.WriteData{
-		File: s.ref, Spans: []wire.Span{span}, Data: data, Raw: true,
-	}); err != nil {
-		return err
-	}
-	s.throttle(s.su)
-	counts.Repaired++
-	return nil
-}
-
-// --- Parity schemes --------------------------------------------------------
-
-// paritySum folds the m parity-unit checksums of one stripe into the single
-// value the Journal stores per stripe.
+// paritySum folds the r redundancy-member checksums of one group into the
+// single value the Journal stores per group.
 func paritySum(sums []uint32) uint32 {
 	buf := make([]byte, 4*len(sums))
 	for i, s := range sums {
@@ -438,28 +352,23 @@ func paritySum(sums []uint32) uint32 {
 	return crcOf(buf)
 }
 
-// scrubParity cross-checks every stripe's m parity units against its k data
-// units, using checksums only. A "window" of N consecutive stripes places
-// exactly k data units and m parity units on every server, so per window
-// each server contributes a contiguous run of k data checksums and m parity
-// checksums; windows are fetched in batches.
-//
-// The checksum fast path leans on CRC32 being affine over GF(2), which
-// covers XOR parity only: parity unit 0 of every stripe is the plain XOR of
-// the data units (the first coefficient row is all ones — it is the one unit
-// RAID5 and Hybrid have) and is checked from checksums alone, but units
-// j > 0 are GF(256) combinations whose CRCs are not derivable from the data
-// units' CRCs. Those are instead checked against the Journal: a stripe whose
-// every current checksum — data units and parity units — still equals its
-// last-known-good value is unchanged since it was last verified consistent.
-// Everything else (and, with m > 1, every stripe on a journal-less pass) is
-// verified at the byte level by re-encoding the stripe.
-func (s *scrubber) scrubParity() error {
-	n := int64(s.g.Servers)
-	dw := int64(s.g.DataWidth())
-	m := s.g.PU()
-	stripes := s.g.StripesIn(s.size)
-	windows := (stripes + n - 1) / n
+// scrubGroups cross-checks every code group's r redundancy members against
+// its k data members, using checksums only. A window of N consecutive
+// groups — N stripes of a parity layout, N units of a mirror — places
+// exactly k data members and r redundancy members on every server, so per
+// window each server contributes a contiguous run of k data checksums and r
+// redundancy checksums; windows are fetched in batches.
+func (s *scrubber) scrubGroups() error {
+	n := int64(s.l.Servers)
+	k, r := s.l.GroupSize()
+	kk, rr := int64(k), int64(r)
+	groups := (s.l.UnitsIn(s.size) + kk - 1) / kk
+	windows := (groups + n - 1) / n
+	red := wireStore[s.l.GroupMember(0, k).Store]
+	counts := &s.rep.Parity
+	if s.l.Mirror {
+		counts = &s.rep.Mirror
+	}
 	intents, err := s.intentStripes()
 	if err != nil {
 		return err
@@ -469,46 +378,48 @@ func (s *scrubber) scrubParity() error {
 			return ErrCanceled
 		}
 		w1 := min(w0+batchStripes, windows)
-		dataSums := make([][]uint32, s.g.Servers)
-		parSums := make([][]uint32, s.g.Servers)
+		dataSums := make([][]uint32, n)
+		redSums := make([][]uint32, n)
 		err := s.eachServer(func(i int) error {
-			ds, err := s.sums(i, wire.StoreData, w0*dw*s.su, (w1-w0)*dw*s.su, s.su)
+			ds, err := s.sums(i, wire.StoreData, w0*kk*s.su, (w1-w0)*kk*s.su, s.su)
 			if err != nil {
 				return err
 			}
-			ps, err := s.sums(i, wire.StoreParity, w0*int64(m)*s.su, (w1-w0)*int64(m)*s.su, s.su)
+			rs, err := s.sums(i, red, w0*rr*s.su, (w1-w0)*rr*s.su, s.su)
 			if err != nil {
 				return err
 			}
-			dataSums[i], parSums[i] = ds, ps
+			dataSums[i], redSums[i] = ds, rs
 			return nil
 		})
 		if err != nil {
 			return err
 		}
-		for st := w0 * n; st < w1*n && st < stripes; st++ {
-			if intents[st] {
-				// A write intent covers this stripe: an update is in flight
-				// or awaits replay; its transient mismatch is not corruption.
+		for g := w0 * n; g < w1*n && g < groups; g++ {
+			if intents[g] {
+				// A write intent covers this stripe (only parity groups carry
+				// them): an update is in flight or awaits replay; its
+				// transient mismatch is not corruption.
 				s.rep.IntentSkips++
 				continue
 			}
-			s.rep.Parity.Checked++
-			first, count := s.g.DataUnitsOf(st)
-			unitSums := make([]uint32, count)
-			for j := 0; j < count; j++ {
-				u := first + int64(j)
-				unitSums[j] = dataSums[s.g.ServerOf(u)][u/n-w0*dw]
+			counts.Checked++
+			sums := make([]uint32, k+r)
+			for i := range sums {
+				m := s.l.GroupMember(g, i)
+				from, per, local := dataSums, kk, s.l.LocalOffset(m.Unit)
+				if i >= k {
+					from, per = redSums, rr
+				}
+				if m.Store == raid.ParityStore {
+					local = s.l.ParityLocalOffsetOn(m.Server, g)
+				}
+				sums[i] = from[m.Server][local/s.su-w0*per]
 			}
-			pSums := make([]uint32, m)
-			for j := 0; j < m; j++ {
-				srv := s.g.ParityServerOfUnit(st, j)
-				pSums[j] = parSums[srv][s.g.ParityLocalOffsetOn(srv, st)/s.su-w0*int64(m)]
-			}
-			if s.fastPathConsistent(st, first, count, unitSums, pSums) {
+			if s.fastPathConsistent(g, sums) {
 				continue
 			}
-			if err := s.checkStripe(st); err != nil {
+			if err := s.checkGroup(g, counts); err != nil {
 				return err
 			}
 		}
@@ -516,39 +427,67 @@ func (s *scrubber) scrubParity() error {
 	return nil
 }
 
-// fastPathConsistent decides from checksums alone that a stripe is
-// consistent: parity unit 0 must equal the XOR of the data units, and — when
-// there are further units — every checksum, each data unit's and the folded
-// parity set, must match its last-known-good journal entry (proving the
-// GF-combined units j > 0 unchanged since the last byte-level verification).
-// On success the journal entries are refreshed; any failure sends the stripe
-// to byte-level review.
-func (s *scrubber) fastPathConsistent(st, first int64, count int, unitSums, pSums []uint32) bool {
-	if xorSum(unitSums, s.zero) != pSums[0] {
+// fastPathConsistent decides from checksums alone that group g, whose
+// members' checksums sums holds in code order, is consistent. Member k —
+// parity unit 0, or a unit's copy — must equal the XOR of the data members:
+// parity unit 0's coefficient row is all ones, and a copy's CRC is its
+// unit's. Members j > k are GF(256) combinations whose CRCs are not
+// derivable from the data members', so when there are any every checksum,
+// each data member's and the folded redundancy set, must match its
+// last-known-good journal entry (proving them unchanged since the last
+// byte-level verification); on a journal-less pass such a group always
+// goes to byte-level review. On success the journal entries are refreshed.
+func (s *scrubber) fastPathConsistent(g int64, sums []uint32) bool {
+	k, r := s.l.GroupSize()
+	if xorSum(sums[:k], s.zero) != sums[k] {
 		return false
 	}
-	if len(pSums) > 1 {
-		known, ok := s.opts.Journal.parityOf(st)
-		if !ok || known != paritySum(pSums) {
+	if r > 1 {
+		if ok, deviants, redDeviates := s.evidence(g, sums); !ok || len(deviants) > 0 || redDeviates {
 			return false
 		}
-		for j := 0; j < count; j++ {
-			u, ok := s.opts.Journal.unit(first + int64(j))
-			if !ok || u != unitSums[j] {
-				return false
-			}
-		}
 	}
-	for j := 0; j < count; j++ {
-		s.opts.Journal.setUnit(first+int64(j), unitSums[j])
-	}
-	s.opts.Journal.setParity(st, paritySum(pSums))
+	s.record(g, sums)
 	return true
 }
 
-// intentStripes fetches every parity server's write-intent set at the start
-// of a parity pass; the covered stripes are mid-update (or fail-stopped
-// awaiting replay) and must not be "repaired" from their transient state.
+// evidence compares group g's member checksums, in code order, with its
+// journal entries: ok if there is an entry for every data member and for
+// the redundancy set, then which data members deviate from theirs and
+// whether the redundancy set does.
+func (s *scrubber) evidence(g int64, sums []uint32) (ok bool, deviants []int, redDeviates bool) {
+	k, _ := s.l.GroupSize()
+	known, ok := s.opts.Journal.parityOf(g)
+	for i := range k {
+		u, have := s.opts.Journal.unit(g*int64(k) + int64(i))
+		ok = ok && have
+		if u != sums[i] {
+			deviants = append(deviants, i)
+		}
+	}
+	return ok, deviants, known != paritySum(sums[k:])
+}
+
+// record notes group g's member checksums, in code order, as its
+// last-known-good evidence.
+func (s *scrubber) record(g int64, sums []uint32) {
+	k, _ := s.l.GroupSize()
+	for i := range k {
+		s.opts.Journal.setUnit(g*int64(k)+int64(i), sums[i])
+	}
+	s.opts.Journal.setParity(g, paritySum(sums[k:]))
+}
+
+// forget drops group g's journal entries.
+func (s *scrubber) forget(g int64) {
+	k, _ := s.l.GroupSize()
+	s.opts.Journal.dropStripe(g, g*int64(k), k)
+}
+
+// intentStripes fetches every server's write-intent set at the start of a
+// pass; the covered stripes are mid-update (or fail-stopped awaiting
+// replay) and must not be "repaired" from their transient state. A mirror
+// file, which takes no parity locks, has none.
 func (s *scrubber) intentStripes() (map[int64]bool, error) {
 	intents := make(map[int64]bool)
 	var mu sync.Mutex
@@ -571,166 +510,169 @@ func (s *scrubber) intentStripes() (map[int64]bool, error) {
 	return intents, err
 }
 
-// checkStripe re-verifies one stripe at the byte level and repairs it. It
-// holds parity unit 0 the way a read-modify-write does — lock, owner token
-// and lease included, so a scrubber that dies here costs the stripe one
-// lease and a replay, not a wedge. Locking unit 0's server suffices to
-// serialize against foreground read-modify-writes: every one acquires its
-// parity locks in unit order, so none can get past unit 0 while the scrubber
-// holds it. The hold is released by the closing write to that server —
-// either the repair itself or an unchanged write-back.
-func (s *scrubber) checkStripe(st int64) error {
-	code := s.f.Code()
-	first, count := s.g.DataUnitsOf(st)
-	m := s.g.PU()
-
-	hold, err := s.f.HoldParity(st, 0)
+// holdGroup pins parity group g: it holds parity unit 0 the way a
+// read-modify-write does — lock, owner token and lease included, so a
+// scrubber that dies here costs the stripe one lease and a replay, not a
+// wedge. Holding unit 0 serializes the check against foreground
+// read-modify-writes, which take their parity locks in unit order, and
+// nothing else: a full-stripe write takes no lock. It returns the hold and
+// every member's bytes, unit 0's as the hold read them, or no members when
+// the group is left for a later pass.
+func (s *scrubber) holdGroup(g int64) (*client.ParityHold, [][]byte, error) {
+	hold, err := s.f.HoldParity(g, 0)
 	if errors.Is(err, wire.ErrStripeTorn) {
 		// The stripe fail-stopped (lease expiry) after the pass-start intent
 		// snapshot; it belongs to recovery's replay, not to the scrubber.
 		s.rep.IntentSkips++
 		s.rep.Parity.Checked--
-		return nil
+		return nil, nil, nil
 	}
 	if err != nil {
-		return err
-	}
-	// Every way out that does not repair unit 0 leaves the stripe's parity
-	// unit 0 as it was read.
-	release := func(cause error) error {
-		if rerr := hold.Release(); cause == nil {
-			return rerr
-		}
-		return cause
+		return nil, nil, err
 	}
 	// Another owner's intent under the hold is an update that released the
 	// lock with its parity write while its data writes may still be
 	// landing, or one given up and awaiting replay: either way the stripe's
 	// bytes are not final, and the stripe is left for a later pass.
-	if live, abandoned, err := hold.OtherIntents(); err != nil || live || abandoned {
-		if err == nil {
-			s.rep.IntentSkips++
-			s.rep.Parity.Checked--
-		}
-		return release(err)
+	live, abandoned, err := hold.OtherIntents()
+	if err == nil && (live || abandoned) {
+		s.rep.IntentSkips++
+		s.rep.Parity.Checked--
 	}
-	parity := make([][]byte, m)
-	parity[0] = hold.Data()
-	s.throttle(s.su)
-	for j := 1; j < m; j++ {
-		resp, rerr := s.call(s.g.ParityServerOfUnit(st, j), &wire.ReadParity{
-			File: s.ref, Stripes: []int64{st},
-		})
-		if rerr != nil {
-			return release(rerr)
-		}
-		parity[j] = resp.(*wire.ReadResp).Data
-		if int64(len(parity[j])) != s.su {
-			return release(fmt.Errorf("scrub: short parity read of stripe %d unit %d", st, j))
-		}
+	var members [][]byte
+	if err == nil && !live && !abandoned {
 		s.throttle(s.su)
+		members, err = s.readMembers(g, hold.Data())
 	}
-	units := make([][]byte, count)
-	for j := 0; j < count; j++ {
-		data, rerr := s.readRawUnit(first + int64(j))
-		if rerr != nil {
-			return release(rerr)
+	if members == nil {
+		if rerr := hold.Release(); err == nil {
+			err = rerr
 		}
-		units[j] = data
+		return nil, nil, err
+	}
+	return hold, members, nil
+}
+
+// readTwice pins mirror group g, which no writer locks, by reading every
+// member twice: a member still changing belongs to an in-flight foreground
+// write, and the group is left for the next pass (no members).
+func (s *scrubber) readTwice(g int64) ([][]byte, error) {
+	first, err := s.readMembers(g, nil)
+	if err != nil {
+		return nil, err
+	}
+	members, err := s.readMembers(g, nil)
+	if err != nil {
+		return nil, err
+	}
+	if !slices.EqualFunc(first, members, bytes.Equal) {
+		s.forget(g)
+		return nil, nil
+	}
+	return members, nil
+}
+
+// checkGroup re-verifies group g at the byte level and repairs it, counting
+// the outcome in counts. It pins the group first (holdGroup or readTwice),
+// then re-encodes the data members through the file's code — RS(1, 1), a
+// copy, for a mirror — and compares every redundancy member byte for byte.
+// A mismatch is settled by the journal's evidence: either the bad
+// redundancy members are rewritten from the data, or one deviant data
+// member is rebuilt by decoding from the members already read. A held
+// group's parity unit 0 is written last and through the hold, which
+// releases it; every other way out releases it unchanged.
+func (s *scrubber) checkGroup(g int64, counts *Counts) (err error) {
+	var hold *client.ParityHold
+	var members [][]byte
+	if s.l.Mirror {
+		members, err = s.readTwice(g)
+	} else {
+		hold, members, err = s.holdGroup(g)
+	}
+	if err != nil || members == nil {
+		return err
+	}
+	k, r := s.l.GroupSize()
+	release := func() error { return nil }
+	if hold != nil {
+		release = hold.Release
+	}
+	defer func() {
+		if rerr := release(); err == nil {
+			err = rerr
+		}
+	}()
+	write := func(i int, data []byte) error {
+		if hold != nil && i == k {
+			release = func() error { return nil }
+			return hold.Write(data)
+		}
+		_, err := s.member(g, i, data)
+		return err
 	}
 
-	want := make([][]byte, m)
+	want := make([][]byte, r)
 	for j := range want {
 		want[j] = make([]byte, s.su)
 	}
-	code.EncodeInto(want, units)
-	var badParity []int
-	curParity := make([]uint32, m)
-	for j := 0; j < m; j++ {
-		curParity[j] = crcOf(parity[j])
-		if !bytes.Equal(want[j], parity[j]) {
-			badParity = append(badParity, j)
+	s.f.Code().EncodeInto(want, members[:k])
+	var bad []int
+	sums := make([]uint32, k+r)
+	for i, m := range members {
+		sums[i] = crcOf(m)
+		if i >= k && !bytes.Equal(want[i-k], m) {
+			bad = append(bad, i)
 		}
 	}
-	if len(badParity) == 0 {
+	if len(bad) == 0 {
 		// The checksum mismatch (or cold journal) resolved consistent under
-		// the lock; record the evidence for the next pass's fast path.
-		for j := 0; j < count; j++ {
-			s.opts.Journal.setUnit(first+int64(j), crcOf(units[j]))
-		}
-		s.opts.Journal.setParity(st, paritySum(curParity))
-		return release(nil)
+		// the pin; record the evidence for the next pass's fast path.
+		s.record(g, sums)
+		return nil
 	}
-	s.rep.Parity.Mismatched++
-	defer s.opts.Journal.dropStripe(st, first, count)
+	counts.Mismatched++
+	first := g * int64(k)
+	defer s.forget(g)
 
-	// Journal evidence is usable only if it covers the whole stripe: the
-	// parity entry and every unit entry must exist, and at most one copy
-	// may deviate from its last-known-good checksum.
-	knownParity, haveParity := s.opts.Journal.parityOf(st)
-	allUnits := true
-	var deviants []int
-	for j := 0; j < count; j++ {
-		known, ok := s.opts.Journal.unit(first + int64(j))
-		if !ok {
-			allUnits = false
-			break
-		}
-		if crcOf(units[j]) != known {
-			deviants = append(deviants, j)
-		}
-	}
-	parityDeviates := haveParity && paritySum(curParity) != knownParity
-
+	// Journal evidence is usable only if it covers the whole group, and
+	// then at most one side may deviate from its last-known-good checksum.
+	evidence, deviants, redDeviates := s.evidence(g, sums)
 	switch {
-	case haveParity && allUnits && parityDeviates && len(deviants) == 0:
-		// Every data unit still matches its last-known-good checksum and
-		// the parity alone drifted: the parity is corrupt.
-		s.problemf("stripe %d: parity fails its last-known-good checksum; regenerating from data", st)
-		return s.repairParity(st, hold, badParity, want)
-	case haveParity && allUnits && !parityDeviates && len(deviants) == 1:
-		// Parity and every other unit still match their last-known-good
-		// checksums: the deviating unit is corrupt, and its original bytes
-		// are recoverable by decoding from any k of the survivors.
-		bad := first + int64(deviants[0])
+	case evidence && !redDeviates && len(deviants) == 1:
+		// The redundancy and every other data member still match their
+		// last-known-good checksums: the deviating member is corrupt, and
+		// its original bytes decode from the others.
+		d := deviants[0]
 		if !s.opts.RepairData {
-			s.rep.Parity.Unrepairable++
-			s.problemf("stripe %d: unit %d fails its last-known-good checksum; parity matches (RepairData off)", st, bad)
-			return release(nil)
+			counts.Unrepairable++
+			s.problemf("group %d: unit %d fails its last-known-good checksum; redundancy matches (RepairData off)", g, first+int64(d))
+			return nil
 		}
-		all := append(append([][]byte(nil), units...), parity...)
-		all[deviants[0]] = nil
-		if derr := code.Reconstruct(all); derr != nil {
-			return release(derr)
-		}
-		s.problemf("stripe %d: unit %d fails its last-known-good checksum; restoring it from parity", st, bad)
-		return release(s.repairData(bad, all[deviants[0]], &s.rep.Parity))
-	default:
-		s.problemf("stripe %d: parity does not match data and no usable evidence; regenerating parity from data", st)
-		return s.repairParity(st, hold, badParity, want)
-	}
-}
-
-// repairParity rewrites the mismatched parity units of one stripe from the
-// re-encoded data. Unit 0 goes last and through the hold, which releases it;
-// when unit 0 was not among the bad ones it is released unchanged.
-func (s *scrubber) repairParity(st int64, hold *client.ParityHold, bad []int, want [][]byte) error {
-	closing := hold.Release
-	for _, j := range bad {
-		if j == 0 {
-			closing = func() error { return hold.Write(want[0]) }
-		} else if _, err := s.call(s.g.ParityServerOfUnit(st, j), &wire.WriteParity{
-			File: s.ref, Stripes: []int64{st}, Data: want[j],
-		}); err != nil {
-			hold.Release() //nolint:errcheck // already failing
+		fixed := make([]byte, s.su)
+		members[d] = nil
+		if err := s.f.Code().ReconstructInto(fixed, d, members); err != nil {
 			return err
 		}
-		s.throttle(s.su)
+		s.problemf("group %d: unit %d fails its last-known-good checksum; restoring it from redundancy", g, first+int64(d))
+		if err := write(d, fixed); err != nil {
+			return err
+		}
+		counts.Repaired++
+		return nil
+	case evidence && redDeviates && len(deviants) == 0:
+		// Every data member still matches its last-known-good checksum and
+		// the redundancy alone drifted: the redundancy is corrupt.
+		s.problemf("group %d: redundancy fails its last-known-good checksum; regenerating it from data", g)
+	default:
+		s.problemf("group %d: redundancy does not match data and no usable evidence; regenerating it from data", g)
 	}
-	if err := closing(); err != nil {
-		return err
+	// Backwards, so a held group's unit 0 goes last.
+	for x := len(bad) - 1; x >= 0; x-- {
+		if err := write(bad[x], want[bad[x]-k]); err != nil {
+			return err
+		}
 	}
-	s.rep.Parity.Repaired++
+	counts.Repaired++
 	return nil
 }
 
@@ -741,12 +683,12 @@ func (s *scrubber) repairParity(st int64, hold *client.ParityHold, bad []int, wa
 // checksum per side, covering each live extent's table entry and contents,
 // so both table drift and bit rot in the extent bytes are caught.
 func (s *scrubber) scrubOverflow() error {
-	for i := 0; i < s.g.Servers; i++ {
+	for i := 0; i < s.l.Servers; i++ {
 		if s.canceled() {
 			return ErrCanceled
 		}
 		s.rep.Overflow.Checked++
-		next := (i + 1) % s.g.Servers
+		next := (i + 1) % s.l.Servers
 		ps, err := s.sums(i, wire.StoreOverflow, 0, allRange, 0)
 		if err != nil {
 			return err
@@ -813,7 +755,7 @@ func aggOf(d *wire.OverflowDumpResp) uint32 {
 // so restoring a corrupt primary from its mirror is a data repair and is
 // gated behind RepairData like every other one.
 func (s *scrubber) checkOverflowPair(i int) error {
-	next := (i + 1) % s.g.Servers
+	next := (i + 1) % s.l.Servers
 	p1, err := s.dumpOverflow(i, false)
 	if err != nil {
 		return err

@@ -34,7 +34,6 @@ func TestXORSumIdentity(t *testing.T) {
 func TestNilJournalIsSafe(t *testing.T) {
 	var j *Journal
 	j.setUnit(1, 2)
-	j.dropUnit(1)
 	j.setParity(3, 4)
 	j.dropStripe(3, 6, 2)
 	j.setOverflow(0, 5)
