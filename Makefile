@@ -91,16 +91,21 @@ resync:
 # ranged read-modify-write differential (RAID5, RS(4,2) and the two
 # ablations, healthy and with each single server dead, every write moving
 # exactly its parity region); the layout's code groups against its geometry;
-# and the layout resolver — every scheme name's shape, the retired and
-# unknown scheme values refused, and manager, server and client accepting
-# exactly the same layouts — under the race detector. Last, the non-x86
+# the one write rule over them — the planner's encode, rmw and overflow
+# portions covering every write, the parity delta's ranges and arithmetic
+# against a whole re-encode, and the exact damage degraded writes record
+# on the dirty-log replicas for every redundant shape; and the layout
+# resolver — every scheme name's shape, the retired and unknown scheme
+# values refused, and manager, server and client accepting exactly the
+# same layouts — under the race detector. Last, the non-x86
 # 64-bit cross-build: the gf256 kernel has an amd64 assembly body, and this
 # proves the portable file set vets and the whole tree builds without it.
 rs:
 	$(GO) test -race -count=2 ./internal/gf256
-	$(GO) test -race -count=2 -run 'TestRS|TestResyncRS|TestParityEngine|TestDegradedReadDifferential|TestRMWParityRanges|TestResolve|TestRebuildAfterReplace|TestDegradedWrites|TestDegradedReadsAllRedundantSchemes|TestScrub' ./internal/cluster
+	$(GO) test -race -count=2 -run 'TestRS|TestResyncRS|TestParityEngine|TestDegradedReadDifferential|TestRMWParityRanges|TestResolve|TestRebuildAfterReplace|TestDegradedWrites|TestDegradedReadsAllRedundantSchemes|TestScrub|TestDirtyDamage' ./internal/cluster
 	$(GO) test -race -count=2 ./internal/scrub
-	$(GO) test -race -count=2 -run 'TestMultiParityPlacement|TestResolve|TestCodeGroups' ./internal/raid
+	$(GO) test -race -count=2 -run 'TestMultiParityPlacement|TestResolve|TestCodeGroups|TestUnitRanges|TestApplyParityDelta' ./internal/raid
+	$(GO) test -race -count=2 -run 'TestPlanWrite|TestPlanCovers|TestHybridNeverRMWs' ./internal/client
 	GOARCH=arm64 $(GO) vet ./internal/gf256 && GOARCH=arm64 $(GO) build ./...
 
 # The observability suite: the lock-free histogram's concurrency property
@@ -117,7 +122,7 @@ obs:
 # The hot-path suite, both directions: allocation-budget regressions
 # (pooled frame marshal, decode without a payload copy, full-stripe WriteAt,
 # the 16 KiB read-modify-write — each for RAID5 and RS(4,2), the two shapes
-# of the one parity engine — and 1 MiB ReadAt through the whole stack, healthy
+# of the one parity engine, and the full-group WriteAt for RAID1 too — and 1 MiB ReadAt through the whole stack, healthy
 # and degraded with an RS(4,2) server down), the
 # borrow/release and owned-gather rules of the payload pool (poison-on-put
 # property test, late responses, abandoned sends, Data-is-a-view, a held

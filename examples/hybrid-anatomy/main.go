@@ -14,7 +14,6 @@ import (
 	"log"
 
 	"csar"
-	"csar/internal/core"
 	"csar/internal/raid"
 	"csar/internal/wire"
 )
@@ -37,26 +36,33 @@ func main() {
 	length := int64(600_000)
 	fmt.Printf("write: [%d, %d) — %d KB starting mid-stripe\n\n", off, off+length, length>>10)
 
-	plan := core.PlanWrite(g, l.Shape, off, length)
+	// Section 4's rule: whole stripes go down the RAID5 path, the partial
+	// stripes around them to the mirrored overflow region.
+	head, body, tail := g.Decompose(off, length)
+	overflow := "RAID1-style: data + mirror into the overflow regions (no read, no lock)"
 	fmt.Println("hybrid write plan (Section 4's per-write rule):")
-	for _, pt := range plan.Portions {
-		var how string
-		switch pt.Mode {
-		case core.ModeFullStripe:
-			how = fmt.Sprintf("RAID5: data in place + parity on server %d...",
-				g.ParityServerOf(g.StripeOf(pt.Span.Off)))
-		case core.ModeOverflow:
-			how = "RAID1-style: data + mirror into the overflow regions (no read, no lock)"
+	for _, pt := range []struct {
+		span      raid.Span
+		mode, how string
+	}{
+		{head, "overflow", overflow},
+		{body, "full-stripe", fmt.Sprintf("RAID5: data in place + parity on server %d...", g.ParityServerOf(g.StripeOf(body.Off)))},
+		{tail, "overflow", overflow},
+	} {
+		if pt.span.Len > 0 {
+			fmt.Printf("  [%8d, %8d) %7d KB  %-12s %s\n",
+				pt.span.Off, pt.span.End(), pt.span.Len>>10, pt.mode, pt.how)
 		}
-		fmt.Printf("  [%8d, %8d) %7d KB  %-12s %s\n",
-			pt.Span.Off, pt.Span.End(), pt.Span.Len>>10, pt.Mode, how)
 	}
 
 	// Compare with what plain RAID5 would have to do.
 	fmt.Println("\nplain RAID5 would instead read-modify-write the partial stripes:")
-	for _, s := range core.PartialStripes(g, off, length) {
-		fmt.Printf("  stripe %d: lock parity on server %d, read old data+parity, write back\n",
-			s, g.ParityServerOf(s))
+	for _, sp := range []raid.Span{head, tail} {
+		if sp.Len > 0 {
+			s := g.StripeOf(sp.Off)
+			fmt.Printf("  stripe %d: lock parity on server %d, read old data+parity, write back\n",
+				s, g.ParityServerOf(s))
+		}
 	}
 
 	// Now actually do it and inspect the servers.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"csar/internal/core"
 	"csar/internal/raid"
 	"csar/internal/wire"
 )
@@ -81,59 +80,42 @@ func (c *Client) clearOutages(idx int) {
 	c.dmu.Unlock()
 }
 
-// dirtyDamage computes what a write plan damages on the dead server: the
-// data units and mirror copies it owns that the write skips, the parity
-// stripes it owns that the write updates (or leaves stale), and whether its
-// overflow stores are affected. This is exactly the set resync must replay.
-func dirtyDamage(g raid.Geometry, plan core.Plan, dead int) (units, mirrors, stripes []int64, overflow bool) {
-	seenU := map[int64]bool{}
-	seenM := map[int64]bool{}
-	seenS := map[int64]bool{}
-	addUnits := func(sp raid.Span, mirrorsToo bool) {
-		for b := g.UnitOf(sp.Off); b <= g.UnitOf(sp.End()-1); b++ {
-			if g.ServerOf(b) == dead && !seenU[b] {
-				seenU[b] = true
-				units = append(units, b)
+// dirtyDamage computes what a write plan damages on the dead server, which
+// is exactly the set resync must replay. In every group an encode or
+// read-modify-write portion touches, the dead server holds at most one
+// member: a data unit the write covers but skips, or a redundancy member the
+// write updates (or leaves stale) — a stripe's parity unit, or a mirror
+// unit's copy. An encode portion of a layout with overflow also invalidates
+// overflow extents on every live server, and the dead one misses that; an
+// overflow portion damages the dead server's overflow stores where it keeps
+// a piece or a piece's copy.
+func dirtyDamage(l raid.Layout, plan []portion, dead int) (units, mirrors, stripes []int64, overflow bool) {
+	for _, pt := range plan {
+		first, last := l.UnitOf(pt.span.Off), l.UnitOf(pt.span.End()-1)
+		if pt.mode == modeOverflow {
+			for b := first; b <= last; b++ {
+				overflow = overflow || l.ServerOf(b) == dead || l.MirrorServerOf(b) == dead
 			}
-			if mirrorsToo && g.MirrorServerOf(b) == dead && !seenM[b] {
-				seenM[b] = true
-				mirrors = append(mirrors, b)
-			}
+			continue
 		}
-	}
-	addStripes := func(sp raid.Span) {
-		for s := g.StripeOf(sp.Off); s <= g.StripeOf(sp.End()-1); s++ {
-			if _, ok := g.ParityUnitOn(dead, s); ok && !seenS[s] {
-				seenS[s] = true
-				stripes = append(stripes, s)
+		overflow = overflow || l.Overflow
+		g0, _ := l.GroupOf(first)
+		g1, _ := l.GroupOf(last)
+		for grp := g0; grp <= g1; grp++ {
+			i, ok := l.MemberHeldBy(dead, grp)
+			if !ok {
+				continue
 			}
-		}
-	}
-	for _, pt := range plan.Portions {
-		switch pt.Mode {
-		case core.ModeMirrored:
-			addUnits(pt.Span, true)
-		case core.ModeFullStripe:
-			addUnits(pt.Span, false)
-			addStripes(pt.Span)
-			if plan.Shape.Overflow {
-				// The in-place write implicitly invalidates overflow extents
-				// on every live server; the dead one misses the invalidation,
-				// so its overflow stores need reconciling too.
-				overflow = true
-			}
-		case core.ModeRMW:
-			addUnits(pt.Span, false)
-			addStripes(pt.Span)
-		case core.ModeOverflow:
-			for b := g.UnitOf(pt.Span.Off); b <= g.UnitOf(pt.Span.End()-1); b++ {
-				if g.ServerOf(b) == dead || g.MirrorServerOf(b) == dead {
-					overflow = true
-					break
+			switch m := l.GroupMember(grp, i); m.Store {
+			case raid.DataStore:
+				if m.Unit >= first && m.Unit <= last {
+					units = append(units, m.Unit)
 				}
+			case raid.ParityStore:
+				stripes = append(stripes, grp)
+			case raid.MirrorStore:
+				mirrors = append(mirrors, m.Unit)
 			}
-		case core.ModePlain:
-			addUnits(pt.Span, false)
 		}
 	}
 	return units, mirrors, stripes, overflow
@@ -146,8 +128,8 @@ func dirtyDamage(g raid.Geometry, plan core.Plan, dead int) (units, mirrors, str
 // which forces the eventual resync into a full rebuild; if every replica
 // refuses the record the degraded write itself is refused, because its
 // damage could otherwise be silently forgotten.
-func (c *Client) recordDirty(ref wire.FileRef, g raid.Geometry, plan core.Plan, dead int) error {
-	units, mirrors, stripes, overflow := dirtyDamage(g, plan, dead)
+func (c *Client) recordDirty(ref wire.FileRef, l raid.Layout, plan []portion, dead int) error {
+	units, mirrors, stripes, overflow := dirtyDamage(l, plan, dead)
 	if len(units) == 0 && len(mirrors) == 0 && len(stripes) == 0 && !overflow {
 		return nil
 	}
@@ -156,7 +138,7 @@ func (c *Client) recordDirty(ref wire.FileRef, g raid.Geometry, plan core.Plan, 
 		File: ref, Dead: uint16(dead), Epoch: c.outageEpoch(ref.ID, dead),
 		Units: units, Mirrors: mirrors, Stripes: stripes, Overflow: overflow,
 	}
-	replicas := DirtyReplicas(g.Servers, dead)
+	replicas := DirtyReplicas(l.Servers, dead)
 	failed := 0
 	var lastErr error
 	for _, r := range replicas {
@@ -173,22 +155,21 @@ func (c *Client) recordDirty(ref wire.FileRef, g raid.Geometry, plan core.Plan, 
 }
 
 // syncExtentEnd is the forward decision's granularity: the highest logical
-// offset whose replay state the write depends on. For a parity shape that is
-// the stripe-aligned end of the write (a partial-stripe write touches its
-// stripe's parity, which the replayer owns until the cursor passes the
-// stripe end); for a mirror the unit-aligned end. A write with an overflow
-// portion returns MaxInt64: overflow extents have no byte position in the
-// replay order, so such writes only forward once the whole replay
-// (including overflow reconciliation) is behind the cursor.
-func syncExtentEnd(g raid.Geometry, plan core.Plan, off, length int64) int64 {
-	if plan.Shape.Parity > 0 {
-		for _, pt := range plan.Portions {
-			if pt.Mode == core.ModeOverflow {
-				return math.MaxInt64
-			}
+// offset whose replay state the write depends on — the end of the last code
+// group it touches. For a parity shape that is the stripe-aligned end of the
+// write (a partial-stripe write touches its stripe's parity, which the
+// replayer owns until the cursor passes the stripe end); for a mirror the
+// unit-aligned end. A write with an overflow portion returns MaxInt64:
+// overflow extents have no byte position in the replay order, so such
+// writes only forward once the whole replay (including overflow
+// reconciliation) is behind the cursor.
+func syncExtentEnd(l raid.Layout, plan []portion, off, length int64) int64 {
+	for _, pt := range plan {
+		if pt.mode == modeOverflow {
+			return math.MaxInt64
 		}
-		ss := g.StripeSize()
-		return (g.StripeOf(off+length-1) + 1) * ss
 	}
-	return g.UnitStart(g.UnitOf(off+length-1)) + g.StripeUnit
+	k, _ := l.GroupSize()
+	grp, _ := l.GroupOf(l.UnitOf(off + length - 1))
+	return l.UnitStart((grp + 1) * int64(k))
 }

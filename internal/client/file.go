@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"csar/internal/core"
 	"csar/internal/gf256"
 	"csar/internal/obs"
 	"csar/internal/raid"
@@ -31,11 +30,15 @@ type File struct {
 	// stripe's RS(k = N-m, m) for a parity shape — RAID5 and Hybrid are its
 	// m = 1 case, whose one coefficient row is all ones, plain XOR — and the
 	// repetition code RS(1, 1) for a mirror. lock and compute are off only
-	// under the client's Ablation. opPrefix names the write-path histograms.
-	code     *gf256.RS
-	lock     bool
-	compute  bool
-	opPrefix string
+	// under the client's Ablation. opPrefix names the write-path histograms;
+	// encodeOp and encodeCount, the histogram and the Metrics counter of an
+	// encode portion (nil for RAID0, which counts none).
+	code        *gf256.RS
+	lock        bool
+	compute     bool
+	opPrefix    string
+	encodeOp    string
+	encodeCount *int64
 
 	// gateExempt marks a handle whose caller already holds the pass gate:
 	// the shadow layout of a migration (written under the gate's shared
@@ -67,6 +70,14 @@ func (f *File) setLayout(ref wire.FileRef) error {
 	f.opPrefix = "op_write_"
 	if ref.Scheme == wire.ReedSolomon {
 		f.opPrefix = "op_write_rs_"
+	}
+	switch {
+	case l.Mirror:
+		f.encodeOp, f.encodeCount = "op_write_mirror", &f.c.metrics.MirrorWrites
+	case l.Parity > 0:
+		f.encodeOp, f.encodeCount = f.opPrefix+"full_stripe", &f.c.metrics.FullStripes
+	default:
+		f.encodeOp, f.encodeCount = "op_write_plain", nil
 	}
 	return nil
 }
@@ -140,18 +151,18 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		}
 		dead = d
 	}
-	plan := core.PlanWrite(f.geom, f.shape, off, int64(len(p)))
+	plan := planWrite(f.Layout(), off, int64(len(p)))
 	execDead := dead
 	forwarded := false
 	if dead >= 0 {
 		if ps := f.c.pass(f.ref.ID, dead); ps != nil &&
-			syncExtentEnd(f.geom, plan, off, int64(len(p))) <= ps.Cursor() {
+			syncExtentEnd(f.Layout(), plan, off, int64(len(p))) <= ps.Cursor() {
 			// The whole extent is behind the resync cursor: the recovering
 			// server is current there, so write to it directly instead of
 			// re-dirtying the log.
 			forwarded = true
 			execDead = -1
-		} else if err := f.c.recordDirty(f.ref, f.geom, plan, dead); err != nil {
+		} else if err := f.c.recordDirty(f.ref, f.Layout(), plan, dead); err != nil {
 			// Dirty-then-write: the damage goes on the replicated log before
 			// any data lands, so a crash in between costs a spurious replay,
 			// never a missed one.
@@ -190,6 +201,62 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
+// writeMode says how one portion of a write is stored: the paper's Section 4
+// rule over code groups. A redundancy member's byte at column x depends only
+// on the k data bytes at column x, so where a write covers a column of every
+// data member of a group the column is encoded fresh; elsewhere it is
+// updated under the group's lock, or diverted to the overflow pair.
+type writeMode uint8
+
+const (
+	// modeEncode writes whole groups: data in place and redundancy members
+	// encoded from it alone, with no old bytes read and no lock — a parity
+	// shape's full stripes, every RAID1 write (RS(1, 1) groups are one unit
+	// wide, so any write covers each column of its one data member) and every
+	// RAID0 write, which has no redundancy to send.
+	modeEncode writeMode = iota
+	// modeRMW updates a partial stripe's data in place and its parity with a
+	// delta, under the parity lock.
+	modeRMW
+	// modeOverflow sends a partial stripe's new bytes, and a copy, to the
+	// mirrored overflow pair, leaving the in-place data and parity untouched.
+	modeOverflow
+)
+
+// portion is one contiguous piece of a planned write.
+type portion struct {
+	span raid.Span
+	mode writeMode
+}
+
+// planWrite splits the write [off, off+length) into its portions: in file
+// order, covering it exactly, none empty. A layout without parity stores the
+// whole write by encode. A parity layout encodes the body of whole stripes
+// and updates the at-most-two partial stripes around it by read-modify-write
+// — unless it has an overflow region, which is how Hybrid selects "the
+// appropriate reliability level on the fly": its partial stripes go to the
+// mirrored overflow pair.
+func planWrite(l raid.Layout, off, length int64) []portion {
+	if length <= 0 {
+		return nil
+	}
+	if l.Parity == 0 {
+		return []portion{{raid.Span{Off: off, Len: length}, modeEncode}}
+	}
+	partial := modeRMW
+	if l.Overflow {
+		partial = modeOverflow
+	}
+	head, body, tail := l.Decompose(off, length)
+	var plan []portion
+	for _, pt := range [...]portion{{head, partial}, {body, modeEncode}, {tail, partial}} {
+		if pt.span.Len > 0 {
+			plan = append(plan, pt)
+		}
+	}
+	return plan
+}
+
 // execute runs the portions of a write plan. The RAID5 deadlock-avoidance
 // rule (Section 5.1) requires only that the lower-numbered partial stripe's
 // parity READ completes before the higher-numbered one is issued: a leading
@@ -197,17 +264,18 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 // portions launch as soon as its parity read has returned, overlapping its
 // write phase.
 //
-// The in-place data of the plain and full-stripe portions is coalesced into
-// one multi-span WriteData per server (writeBatch), issued concurrently with
-// the batched parity writes; the RMW, mirror and overflow portions keep
-// their own protocols.
-func (f *File) execute(plan core.Plan, off int64, p []byte, dead int, tr uint64) error {
+// A plan holds at most one encode portion. Its data goes out as one
+// WriteData per server and, beside it, its redundancy members as one
+// request per server that keeps any (memberBatch); the redundancy is
+// computed before either is sent, so both hit the wire together. A
+// read-modify-write or overflow portion is one send of its own.
+func (f *File) execute(plan []portion, off int64, p []byte, dead int, tr uint64) error {
 	data := func(s raid.Span) []byte { return p[s.Off-off : s.End()-off] }
 
 	var headErr error
 	headDone := make(chan struct{})
-	rest := plan.Portions
-	if len(rest) > 1 && rest[0].Mode == core.ModeRMW {
+	rest := plan
+	if len(rest) > 1 && rest[0].mode == modeRMW {
 		head := rest[0]
 		rest = rest[1:]
 		atomic.AddInt64(&f.c.metrics.RMWs, 1)
@@ -215,104 +283,65 @@ func (f *File) execute(plan core.Plan, off int64, p []byte, dead int, tr uint64)
 		go func() {
 			defer close(headDone)
 			defer f.timePath(f.opPrefix + "rmw")()
-			headErr = f.writeRMW(head.Span, data(head.Span), func() { close(lockHeld) }, dead, tr)
+			headErr = f.writeRMW(head.span, data(head.span), func() { close(lockHeld) }, dead, tr)
 		}()
 		<-lockHeld // head's parity read has completed (or failed)
 	} else {
 		close(headDone)
 	}
 
-	// Size the batch and compute the parity up front so the coalesced data
-	// RPCs and the parity RPCs all hit the wire together.
-	var batch *writeBatch   // of the plain and full-stripe portions; nil: none
-	var parity *parityBatch // of the plan's one full-stripe portion
-	var others []core.Portion
-	var stops []func()
-	var prepErr error
+	var sends [4]func() error // at most: overflow, encode's data and members, overflow
+	n := 0
+	var stopEncode func()
 	for _, pt := range rest {
-		if prepErr != nil {
-			break
-		}
-		switch {
-		case pt.Mode == core.ModePlain:
-			stops = append(stops, f.timePath("op_write_plain"))
-			batch = batch.add(f.geom, pt.Span, data(pt.Span))
-		case pt.Mode == core.ModeFullStripe:
-			atomic.AddInt64(&f.c.metrics.FullStripes, 1)
-			stops = append(stops, f.timePath(f.opPrefix+"full_stripe"))
-			if parity, prepErr = f.fullStripeParity(pt.Span, data(pt.Span)); prepErr != nil {
-				break
+		span, b := pt.span, data(pt.span)
+		switch pt.mode {
+		case modeEncode:
+			if f.encodeCount != nil {
+				atomic.AddInt64(f.encodeCount, 1)
 			}
-			batch = batch.add(f.geom, pt.Span, data(pt.Span))
-		default:
-			others = append(others, pt)
+			stopEncode = f.timePath(f.encodeOp)
+			if members := f.encode(span, b); members != nil {
+				sends[n] = func() error { return members.flush(f, dead, tr) }
+				n++
+			}
+			sends[n] = func() error { return f.sendWriteData(span, splitByServer(f.geom, span.Off, b), dead, tr) }
+		case modeRMW:
+			sends[n] = func() error {
+				atomic.AddInt64(&f.c.metrics.RMWs, 1)
+				defer f.timePath(f.opPrefix + "rmw")()
+				return f.writeRMW(span, b, nil, dead, tr)
+			}
+		case modeOverflow:
+			sends[n] = func() error {
+				atomic.AddInt64(&f.c.metrics.OverflowWrites, 1)
+				defer f.timePath("op_write_overflow")()
+				return f.writeOverflow(span, b, dead, tr)
+			}
 		}
-	}
-	if prepErr != nil {
-		<-headDone
-		return prepErr
+		n++
 	}
 
-	errs := make([]error, len(others)+2)
+	// The last send runs on this goroutine: a write of one partial stripe,
+	// the common small write, spawns nothing here.
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	if batch != nil {
+	for i, send := range sends[:max(n-1, 0)] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[len(others)] = batch.flush(f, dead, tr)
+			errs[i] = send()
 		}()
 	}
-	if parity != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[len(others)+1] = parity.flush(f, dead, tr)
-		}()
-	}
-	portion := func(i int, pt core.Portion) {
-		switch pt.Mode {
-		case core.ModeMirrored:
-			atomic.AddInt64(&f.c.metrics.MirrorWrites, 1)
-			defer f.timePath("op_write_mirror")()
-			errs[i] = f.writeMirrored(pt.Span, data(pt.Span), dead, tr)
-		case core.ModeRMW:
-			atomic.AddInt64(&f.c.metrics.RMWs, 1)
-			defer f.timePath(f.opPrefix + "rmw")()
-			errs[i] = f.writeRMW(pt.Span, data(pt.Span), nil, dead, tr)
-		case core.ModeOverflow:
-			atomic.AddInt64(&f.c.metrics.OverflowWrites, 1)
-			defer f.timePath("op_write_overflow")()
-			errs[i] = f.writeOverflow(pt.Span, data(pt.Span), dead, tr)
-		default:
-			errs[i] = fmt.Errorf("client: unknown portion mode %v", pt.Mode)
-		}
-	}
-	// The last portion runs on this goroutine: a write of one partial
-	// stripe, the common small write, spawns nothing here.
-	for i, pt := range others[:max(len(others)-1, 0)] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			portion(i, pt)
-		}()
-	}
-	if n := len(others); n > 0 {
-		portion(n-1, others[n-1])
+	if n > 0 {
+		errs[n-1] = sends[n-1]()
 	}
 	wg.Wait()
-	for _, stop := range stops {
-		stop()
+	if stopEncode != nil {
+		stopEncode()
 	}
 	<-headDone
-	if headErr != nil {
-		return headErr
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return cmp.Or(headErr, cmp.Or(errs...))
 }
 
 // timePath starts a timer for one per-path histogram and returns the stop
@@ -324,65 +353,18 @@ func (f *File) timePath(name string) func() {
 
 // sendWriteData ships per-server payloads of span to the data files,
 // skipping the dead server (whose contents the redundancy carries) when
-// dead >= 0.
+// dead >= 0. Every request names the whole span.
 func (f *File) sendWriteData(span raid.Span, data payloads, dead int, tr uint64) error {
+	spans := []wire.Span{{Off: span.Off, Len: span.Len}}
 	has := func(i int) bool { return data[i] != nil && i != dead }
 	return f.c.eachServer(f.geom.Servers, has, func(i int) error {
-		_, err := f.c.callSrvT(i, owned(&wire.WriteData{
-			File:  f.ref,
-			Spans: []wire.Span{{Off: span.Off, Len: span.Len}},
-			Data:  *data[i],
-		}, data[i]), tr)
+		_, err := f.c.callSrvT(i, owned(&wire.WriteData{File: f.ref, Spans: spans, Data: *data[i]}, data[i]), tr)
 		return err
 	})
 }
 
-// writeMirrored stores a portion the RAID1 way: the data in place on each
-// piece's home server and a whole copy in the mirror store of the unit's
-// mirror server.
-func (f *File) writeMirrored(span raid.Span, p []byte, dead int, tr uint64) error {
-	spans := []wire.Span{{Off: span.Off, Len: span.Len}}
-	return f.writeCopies(span, p, dead, tr, func(_, c int, data []byte) heldMsg {
-		if c == 1 {
-			return &wire.WriteMirror{File: f.ref, Spans: spans, Data: data}
-		}
-		return &wire.WriteData{File: f.ref, Spans: spans, Data: data}
-	})
-}
-
-// heldMsg is a request that can own the pooled payload it carries.
-type heldMsg interface {
-	wire.Msg
-	HoldBuf(*[]byte)
-}
-
-// writeCopies sends a portion's two copies concurrently, skipping the dead
-// server: copy 0 to each piece's home server, copy 1 to its unit's mirror
-// server. msg builds server srv's request for copy c from its payload.
-func (f *File) writeCopies(span raid.Span, p []byte, dead int, tr uint64, msg func(srv, c int, data []byte) heldMsg) error {
-	copies := [2]payloads{splitByServer(f.geom, span.Off, p), splitByMirror(f.geom, span.Off, p)}
-	var errs [2]error
-	var wg sync.WaitGroup
-	for c, pl := range copies {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			has := func(i int) bool { return pl[i] != nil && i != dead }
-			errs[c] = f.c.eachServer(f.geom.Servers, has, func(i int) error {
-				_, err := f.c.callSrvT(i, owned(msg(i, c, *pl[i]), pl[i]), tr)
-				return err
-			})
-		}()
-	}
-	wg.Wait()
-	return cmp.Or(errs[0], errs[1])
-}
-
-// Full-stripe writes — data in place plus freshly computed parity, with no
-// locks and no reads (the RAID5 best case) — run through the
-// writeBatch/parityBatch machinery in execute; see batch.go. Overflow
-// invalidation for the written stripes happens implicitly at each server
-// when it applies the in-place data write (Section 4's migration back to
+// An encode portion's in-place data write implicitly invalidates the
+// overflow extents it covers at each server (Section 4's migration back to
 // RAID5); no extra messages are needed.
 
 // ParityHold is one parity unit of a stripe, read to be updated and written
@@ -601,7 +583,7 @@ func (f *File) chargeParity(units int, n int64) {
 // delta into every parity unit with its own coefficient row; then write the
 // new data and, beside it, the new parity units, each parity write releasing
 // its server's lock. Only the parity bytes the update changes move, both
-// ways: the span's in-unit ranges (core.UnitRanges), the same for every unit
+// ways: the span's in-unit ranges (raid.Geometry.UnitRanges), the same for every unit
 // j. The reads overlap — "the client reads the data in the partial stripes
 // and also the corresponding parity region" — which keeps the lock-hold
 // window to the write phase (Figure 3). Every parity server's intent is
@@ -647,7 +629,7 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 	// 1. Parity reads (lock acquisitions, in j order) and old-data read, in
 	// parallel. The goroutine that takes the holds also writes the new data
 	// in step 3, once it is handed the payloads (nil: the update is off).
-	ranges := core.UnitRanges(g, span.Off, span.Len)
+	ranges := g.UnitRanges(span.Off, span.Len)
 	var holds []*ParityHold
 	var pErr, wErr error
 	held, done := make(chan struct{}), make(chan struct{})
@@ -692,7 +674,7 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 	if f.compute {
 		f.chargeParity(len(holds), 2*span.Len)
 		for _, h := range holds {
-			core.ApplyParityDelta(g, f.code, h.j, span.Off, old, p, ranges, h.resp.Data)
+			g.ApplyParityDelta(f.code, h.j, span.Off, old, p, ranges, h.resp.Data)
 		}
 	}
 
@@ -791,14 +773,30 @@ func (f *File) acquire(stripe int64, units []int, ranges []wire.Span, onParityRe
 
 // writeOverflow stores a partial-stripe portion the Hybrid way: the new
 // bytes go to the overflow region of each piece's home server, and a mirror
-// copy goes to the overflow-mirror region of the unit's mirror server. No
-// locks, no reads — the in-place data and parity stay untouched so the
-// stripe remains reconstructable.
+// copy goes to the overflow-mirror region of the unit's mirror server, the
+// two copies concurrently and the dead server skipped. No locks, no reads —
+// the in-place data and parity stay untouched so the stripe remains
+// reconstructable.
 func (f *File) writeOverflow(span raid.Span, p []byte, dead int, tr uint64) error {
-	extents := [2][][]wire.Span{serverPieces(f.geom, span.Off, span.Len), mirrorPieces(f.geom, span.Off, span.Len)}
-	return f.writeCopies(span, p, dead, tr, func(i, c int, data []byte) heldMsg {
-		return &wire.WriteOverflow{File: f.ref, Extents: extents[c][i], Data: data, Mirror: c == 1}
-	})
+	g := f.geom
+	var errs [2]error
+	var wg sync.WaitGroup
+	for c, serverOf := range [2]func(int64) int{g.ServerOf, g.MirrorServerOf} {
+		extents, data := piecesBy(g, span.Off, span.Len, serverOf), splitBy(g, span.Off, p, serverOf)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			has := func(i int) bool { return data[i] != nil && i != dead }
+			errs[c] = f.c.eachServer(g.Servers, has, func(i int) error {
+				_, err := f.c.callSrvT(i, owned(&wire.WriteOverflow{
+					File: f.ref, Extents: extents[i], Data: *data[i], Mirror: c == 1,
+				}, data[i]), tr)
+				return err
+			})
+		}()
+	}
+	wg.Wait()
+	return cmp.Or(errs[0], errs[1])
 }
 
 // ReadAt reads len(p) bytes at offset off. Bytes beyond what has been

@@ -60,14 +60,9 @@ func splitByServer(g raid.Geometry, off int64, p []byte) payloads {
 	return splitBy(g, off, p, g.ServerOf)
 }
 
-// splitByMirror partitions the bytes of a logical write into per-server
-// payloads addressed to each unit's RAID1 mirror server.
-func splitByMirror(g raid.Geometry, off int64, p []byte) payloads {
-	return splitBy(g, off, p, g.MirrorServerOf)
-}
-
 // splitBy gathers p into one payload per server, routing each unit's piece
-// with serverOf. A first pass sizes the payloads exactly.
+// with serverOf — its own server, or MirrorServerOf for the copy a mirror
+// or an overflow mirror keeps. A first pass sizes the payloads exactly.
 func splitBy(g raid.Geometry, off int64, p []byte, serverOf func(unit int64) int) payloads {
 	sizes := make([]int, g.Servers)
 	eachPiece(g, off, int64(len(p)), func(unit, cur, pieceEnd int64) {
@@ -117,11 +112,7 @@ func serverPieces(g raid.Geometry, off, length int64) [][]wire.Span {
 	return piecesBy(g, off, length, g.ServerOf)
 }
 
-// mirrorPieces is serverPieces keyed by each unit's mirror server.
-func mirrorPieces(g raid.Geometry, off, length int64) [][]wire.Span {
-	return piecesBy(g, off, length, g.MirrorServerOf)
-}
-
+// piecesBy is serverPieces with each unit's piece routed by serverOf.
 func piecesBy(g raid.Geometry, off, length int64, serverOf func(unit int64) int) [][]wire.Span {
 	out := make([][]wire.Span, g.Servers)
 	eachPiece(g, off, length, func(unit, cur, pieceEnd int64) {

@@ -55,7 +55,7 @@ func TestSplitByMirrorRotates(t *testing.T) {
 		p[i] = byte(i)
 	}
 	data := splitByServer(g, 0, p)
-	mirror := splitByMirror(g, 0, p)
+	mirror := splitBy(g, 0, p, g.MirrorServerOf)
 	for i := 0; i < 4; i++ {
 		prev := (i + 3) % 4
 		if !bytes.Equal(mirror.bytesOf(i), data.bytesOf(prev)) {
@@ -102,8 +102,8 @@ func TestMirrorPiecesMatchMirrorPayloads(t *testing.T) {
 		off := int64(offSeed % 10000)
 		length := int64(lenSeed%3000) + 1
 		p := make([]byte, length)
-		pieces := mirrorPieces(g, off, length)
-		payload := splitByMirror(g, off, p)
+		pieces := piecesBy(g, off, length, g.MirrorServerOf)
+		payload := splitBy(g, off, p, g.MirrorServerOf)
 		for i := 0; i < g.Servers; i++ {
 			if bytesFor(pieces[i]) != int64(len(payload.bytesOf(i))) {
 				return false

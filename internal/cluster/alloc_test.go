@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"runtime/metrics"
+	"slices"
 	"testing"
 
 	"csar/internal/recovery"
@@ -45,17 +46,22 @@ const (
 	fullStripeWriteBytesPerByteBudget = 0.05
 )
 
-// allocSchemes are the two shapes of the one parity engine the budgets hold
-// for: RAID5's single XOR unit and RS(4,2)'s two coefficient rows, both on
-// six servers.
-var allocSchemes = []struct {
+type allocScheme struct {
 	name   string
 	scheme wire.Scheme
 	parity int
-}{{"raid5", wire.Raid5, 0}, {"rs42", wire.ReedSolomon, 2}}
+}
 
+// allocSchemes are the two shapes of the one parity engine the budgets hold
+// for: RAID5's single XOR unit and RS(4,2)'s two coefficient rows, both on
+// six servers.
+var allocSchemes = []allocScheme{{"raid5", wire.Raid5, 0}, {"rs42", wire.ReedSolomon, 2}}
+
+// TestFullStripeWriteAllocs holds the budgets for a full-group write of each
+// parity shape and of RAID1, whose groups are RS(1, 1): its five-unit write
+// is counted as a mirror write, not a full stripe.
 func TestFullStripeWriteAllocs(t *testing.T) {
-	for _, tc := range allocSchemes {
+	for _, tc := range slices.Concat(allocSchemes, []allocScheme{{"raid1", wire.Raid1, 0}}) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newPipeCluster(t, 6)
 			cl := c.NewClient()
@@ -74,10 +80,14 @@ func TestFullStripeWriteAllocs(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				write()
 			}
-			before := cl.Metrics().FullStripes
+			count := func() int64 { return cl.Metrics().FullStripes }
+			if tc.scheme == wire.Raid1 {
+				count = func() int64 { return cl.Metrics().MirrorWrites }
+			}
+			before := count()
 			allocs, heap := measureAllocs(50, write)
-			if got := cl.Metrics().FullStripes - before; got != 51 {
-				t.Fatalf("%d of 51 writes took the full-stripe path", got)
+			if got := count() - before; got != 51 {
+				t.Fatalf("%d of 51 writes took the full-group path", got)
 			}
 			perByte := heap / float64(len(stripe))
 			t.Logf("full-stripe WriteAt: %.1f allocs/op, %.4f B allocated per byte written", allocs, perByte)
