@@ -28,12 +28,14 @@ port32:
 	GOARCH=386 $(GO) test ./...
 
 # Run every checked-in fuzz corpus seed (including the wire-protocol
-# ChecksumRange messages) as regular tests, without open-ended fuzzing, plus
+# ChecksumRange messages, and the rpc client's response sequences landing
+# in a Read's Into — matching, wrong kind, wrong length, error, late and
+# truncated frames) as regular tests, without open-ended fuzzing, plus
 # the wire golden bytes (every message, plain and framed, against
 # internal/wire/testdata/golden.hex) and the bound on what a hostile slice
 # count may make Unmarshal allocate.
 fuzz-seeds:
-	$(GO) test -run 'Fuzz|TestWireGolden|TestUnmarshalLengthPrefixAmplification' ./internal/wire ./internal/extent
+	$(GO) test -run 'Fuzz|TestWireGolden|TestUnmarshalLengthPrefixAmplification' ./internal/wire ./internal/extent ./internal/rpc
 
 # The deterministic fault-schedule suite: injected server hangs, ghost
 # parity locks, partitions and flapping servers, run twice under the race
@@ -90,7 +92,10 @@ resync:
 # for every dead set the code tolerates, mid-read failover included); the
 # ranged read-modify-write differential (RAID5, RS(4,2) and the two
 # ablations, healthy and with each single server dead, every write moving
-# exactly its parity region); the layout's code groups against its geometry;
+# exactly its parity region); the read-landing differential (every scheme on
+# the Direct and Pipe transports, healthy, with a server down and under
+# straddling RMWs, against a reference file, plus the errors of a server
+# whose Read answers are short, long or refused); the layout's code groups against its geometry;
 # the one write rule over them — the planner's encode, rmw and overflow
 # portions covering every write, the parity delta's ranges and arithmetic
 # against a whole re-encode, and the exact damage degraded writes record
@@ -102,7 +107,7 @@ resync:
 # proves the portable file set vets and the whole tree builds without it.
 rs:
 	$(GO) test -race -count=2 ./internal/gf256
-	$(GO) test -race -count=2 -run 'TestRS|TestResyncRS|TestParityEngine|TestDegradedReadDifferential|TestRMWParityRanges|TestResolve|TestRebuildAfterReplace|TestDegradedWrites|TestDegradedReadsAllRedundantSchemes|TestScrub|TestDirtyDamage' ./internal/cluster
+	$(GO) test -race -count=2 -run 'TestRS|TestResyncRS|TestParityEngine|TestDegradedReadDifferential|TestRMWParityRanges|TestResolve|TestRebuildAfterReplace|TestDegradedWrites|TestDegradedReadsAllRedundantSchemes|TestScrub|TestDirtyDamage|TestReadLandingDifferential' ./internal/cluster
 	$(GO) test -race -count=2 ./internal/scrub
 	$(GO) test -race -count=2 -run 'TestMultiParityPlacement|TestResolve|TestCodeGroups|TestUnitRanges|TestApplyParityDelta' ./internal/raid
 	$(GO) test -race -count=2 -run 'TestPlanWrite|TestPlanCovers|TestHybridNeverRMWs' ./internal/client
@@ -126,7 +131,10 @@ obs:
 # and degraded with an RS(4,2) server down), the
 # borrow/release and owned-gather rules of the payload pool (poison-on-put
 # property test, late responses, abandoned sends, Data-is-a-view, a held
-# payload moving to its frame once, size classes), the pending-map drain
+# payload moving to its frame once, size classes), the landing rules of a
+# Read's response (its bytes land in Into; a deadline or Close mid-landing
+# returns only once the read loop has left the buffer, and over loopback
+# TCP the next call on that pool slot redials), the pending-map drain
 # regression, the stripe-pipelining overlap/serialization tests and the
 # store's sync-cost test, and the GF(256) coding kernels (MulAddSlice,
 # EncodeInto, a warm ReconstructInto) allocating nothing — all under the
@@ -134,7 +142,8 @@ obs:
 # puts at random, so the bytes-per-byte budgets are checked by one more run
 # without it.
 allocs:
-	$(GO) test -race -run 'TestMarshalFrameAllocs|TestUnmarshalAllocs|TestMarshalFrameMatchesMarshal|TestUnmarshalAliasesData|TestReadRespRelease|TestHeldPayloadMovesToFrame|TestBufPoolClasses|TestPoolPoisonCorrectness|TestLateReadRespIsRecycled|TestAbandonedSendOwnsItsPayload|TestTimedOutSendDoesNotAliasCallerBuffer|TestTimedOutCallsDrainPendingMap' ./internal/wire ./internal/rpc
+	$(GO) test -race -run 'TestMarshalFrameAllocs|TestUnmarshalAllocs|TestMarshalFrameMatchesMarshal|TestUnmarshalAliasesData|TestReadRespRelease|TestHeldPayloadMovesToFrame|TestBufPoolClasses|TestPoolPoisonCorrectness|TestLateReadRespIsRecycled|TestAbandonedSendOwnsItsPayload|TestTimedOutSendDoesNotAliasCallerBuffer|TestTimedOutCallsDrainPendingMap|TestReadLandsInInto|TestLandingDeadlineMidFill' ./internal/wire ./internal/rpc
+	$(GO) test -race -run 'TestRedialAfterLandingDeadline' .
 	$(GO) test -race -run 'TestFullStripeWriteAllocs|TestRMWWriteAllocs|TestReadAtAllocs|TestDegradedReadAtAllocs|TestPipelinedStripeWritesOverlap|TestSameStripeWritesSerializeThroughParityLock' ./internal/cluster
 	$(GO) test -race -run 'TestSyncCostIndependentOfCacheSize|TestDifferentialAgainstScanReference' ./internal/simdisk
 	$(GO) test -race -run 'TestCodingKernelAllocs' ./internal/gf256

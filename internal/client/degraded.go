@@ -44,15 +44,12 @@ func (f *File) readDegraded(p []byte, off int64, dead int, tr uint64) (int, erro
 		defer close(fetched)
 		survivors, sErr = plan.fetch(f, f.tracedCall(tr))
 	}()
-	reads, err := f.fetchSpans(span, false, tr, func(s int) bool { return slices.Contains(deads, s) })
+	err = f.fetchSpans(span, p, false, tr, func(s int) bool { return slices.Contains(deads, s) })
 	<-fetched
 	defer survivors.release()
 	if err = cmp.Or(err, sErr); err != nil {
-		reads.release()
 		return 0, err
 	}
-	mergeFromServers(f.geom, off, p, reads)
-	reads.release()
 	if err := plan.decode(f.code, p, survivors); err != nil {
 		return 0, err
 	}

@@ -646,7 +646,8 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 	// so they cost no round of their own.
 	f.c.sendDueRetires()
 	// The old data is scratch nothing outside this function ever sees (it is
-	// merged into, XORed from, never sent), so it always goes back.
+	// read into, XORed from, never sent), so it always goes back: readRaw
+	// returns only once no call is still landing bytes in it.
 	oldBuf := wire.GetBuf(int(span.Len))
 	defer wire.PutBuf(oldBuf)
 	old := *oldBuf
@@ -830,9 +831,7 @@ func (f *File) ReadAt(p []byte, off int64) (n int, err error) {
 		atomic.AddInt64(&f.c.metrics.DegradedReads, 1)
 		return f.readDegraded(p, off, idx, tr)
 	}
-	span := raid.Span{Off: off, Len: int64(len(p))}
-	reads, err := f.fetchSpans(span, false, tr, nil)
-	if err != nil {
+	if err := f.fetchSpans(raid.Span{Off: off, Len: int64(len(p))}, p, false, tr, nil); err != nil {
 		// A server died mid-read. For redundant schemes, fail over to the
 		// reconstruction paths on the spot rather than surfacing an error
 		// the redundancy exists to absorb.
@@ -845,41 +844,48 @@ func (f *File) ReadAt(p []byte, off int64) (n int, err error) {
 		}
 		return 0, err
 	}
-	mergeFromServers(f.geom, off, p, reads)
-	reads.release()
 	return len(p), nil
 }
 
 // fetchSpans reads one span from every server that stores part of it, save
-// those skip (nil: none) excludes, and returns the responses by server. raw
-// skips server-side overflow patching. The caller releases the result once it
-// has merged it; on error there is nothing left to release.
-func (f *File) fetchSpans(span raid.Span, raw bool, tr uint64, skip func(srv int) bool) (spanReads, error) {
-	g := f.geom
-	pieces := serverPieces(g, span.Off, span.Len)
-	reads := make(spanReads, g.Servers)
-	has := func(i int) bool { return len(pieces[i]) > 0 && (skip == nil || !skip(i)) }
-	err := f.c.eachServer(g.Servers, has, func(i int) error {
-		want := bytesFor(pieces[i])
+// those skip (nil: none) excludes, straight into dst, which holds the span.
+// Each Read carries the slices of dst its server's pieces fill (Into): the
+// rpc transport lands the response's bytes there, and a response that did
+// not land (the Direct transport) is copied there here. raw skips
+// server-side overflow patching. The pieces of a skipped server are left as
+// they were. No call is still writing into dst when fetchSpans returns, even
+// on error.
+func (f *File) fetchSpans(span raid.Span, dst []byte, raw bool, tr uint64, skip func(srv int) bool) error {
+	into := landingPieces(f.geom, span.Off, dst)
+	has := func(i int) bool { return len(into[i]) > 0 && (skip == nil || !skip(i)) }
+	return f.c.eachServer(f.geom.Servers, has, func(i int) error {
 		resp, err := f.c.callSrvT(i, &wire.Read{
 			File:  f.ref,
 			Spans: []wire.Span{{Off: span.Off, Len: span.Len}},
 			Raw:   raw,
+			Into:  into[i],
 		}, tr)
 		if err != nil {
 			return err
 		}
-		reads[i] = resp.(*wire.ReadResp)
-		if got := int64(len(reads[i].Data)); got != want {
-			return fmt.Errorf("client: server %d returned %d bytes, want %d", i, got, want)
+		rr := resp.(*wire.ReadResp)
+		defer rr.Release()
+		if rr.Landed() {
+			return nil
+		}
+		want := 0
+		for _, piece := range into[i] {
+			want += len(piece)
+		}
+		if len(rr.Data) != want {
+			return fmt.Errorf("client: server %d returned %d bytes, want %d", i, len(rr.Data), want)
+		}
+		data := rr.Data
+		for _, piece := range into[i] {
+			data = data[copy(piece, data):]
 		}
 		return nil
 	})
-	if err != nil {
-		reads.release()
-		return nil, err
-	}
-	return reads, nil
 }
 
 // readRaw fills dst with the in-place (data file) contents of span,
@@ -887,13 +893,7 @@ func (f *File) fetchSpans(span raid.Span, raw bool, tr uint64, skip func(srv int
 // defined over the in-place data. The pieces of server dead (-1: none) are
 // not read and left as they were, for the caller to reconstruct.
 func (f *File) readRaw(span raid.Span, dst []byte, dead int, tr uint64) error {
-	reads, err := f.fetchSpans(span, true, tr, onlyServer(dead))
-	if err != nil {
-		return err
-	}
-	mergeFromServers(f.geom, span.Off, dst, reads)
-	reads.release()
-	return nil
+	return f.fetchSpans(span, dst, true, tr, onlyServer(dead))
 }
 
 // Compact migrates a Hybrid file's overflow-resident data back to RAID5

@@ -75,10 +75,9 @@ func splitBy(g raid.Geometry, off int64, p []byte, serverOf func(unit int64) int
 	return out
 }
 
-// spanReads holds one span's Read responses by server. An entry is nil where
-// the server stores none of the span or the fetch skipped it (a down server).
-// The payloads sit in pooled buffers: the consumer releases them once it has
-// copied out what it needs.
+// spanReads holds Read responses by fetch slot (survivorPlan.fetch). An
+// entry is nil where nothing was fetched. The payloads sit in pooled
+// buffers: the consumer releases them once it has decoded from them.
 type spanReads []*wire.ReadResp
 
 // release recycles every response's buffer; the payloads must not be used
@@ -89,20 +88,25 @@ func (r spanReads) release() {
 	}
 }
 
-// mergeFromServers reassembles per-server Read responses (each the
-// concatenation of that server's pieces, in order) into dst, which holds
-// the logical range [off, off+len(dst)). A piece whose server has no
-// response is left untouched in dst, for the degraded paths to decode.
-func mergeFromServers(g raid.Geometry, off int64, dst []byte, reads spanReads) {
-	cursors := make([]int64, g.Servers)
+// landingPieces returns, for each server, the slices of dst — which holds
+// the logical range [off, off+len(dst)) — that its pieces fill, in the order
+// the server sends them: where a Read response's bytes belong (wire.Read's
+// Into). Units go round-robin over the servers, so none holds more than its
+// share of the units crossed, rounded up; one backing array serves all.
+func landingPieces(g raid.Geometry, off int64, dst []byte) [][][]byte {
+	end := off + int64(len(dst))
+	units := g.UnitOf(end-1) - g.UnitOf(off) + 1
+	per := int((units + int64(g.Servers) - 1) / int64(g.Servers))
+	flat := make([][]byte, g.Servers*per)
+	out := make([][][]byte, g.Servers)
+	for s := range out {
+		out[s] = flat[s*per : s*per : (s+1)*per]
+	}
 	eachPiece(g, off, int64(len(dst)), func(unit, cur, pieceEnd int64) {
 		s := g.ServerOf(unit)
-		if r := reads[s]; r != nil {
-			n := pieceEnd - cur
-			copy(dst[cur-off:pieceEnd-off], r.Data[cursors[s]:cursors[s]+n])
-			cursors[s] += n
-		}
+		out[s] = append(out[s], dst[cur-off:pieceEnd-off])
 	})
+	return out
 }
 
 // serverPieces returns, for each server, the logical extents of its pieces

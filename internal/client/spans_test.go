@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"csar/internal/raid"
-	"csar/internal/wire"
 )
 
 // bytesOf is server s's gathered payload, nil if it got none.
@@ -19,8 +18,9 @@ func (ps payloads) bytesOf(s int) []byte {
 }
 
 func TestSplitMergeRoundTrip(t *testing.T) {
-	// splitByServer followed by mergeFromServers must reproduce the input
-	// for any geometry, offset and length.
+	// splitByServer followed by filling each server's landingPieces with its
+	// payload, in order, must reproduce the input for any geometry, offset
+	// and length: the pieces are exactly where each server's bytes belong.
 	f := func(nSeed uint8, suSeed uint16, offSeed uint32, lenSeed uint16, seed int64) bool {
 		g := raid.Geometry{
 			Servers:    int(nSeed%8) + 1,
@@ -32,14 +32,17 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 		r.Read(p)
 
 		perServer := splitByServer(g, off, p)
-		reads := make(spanReads, g.Servers)
+		got := make([]byte, len(p))
+		into := landingPieces(g, off, got)
 		for s := range perServer {
-			if data := perServer.bytesOf(s); data != nil {
-				reads[s] = &wire.ReadResp{Data: data}
+			data := perServer.bytesOf(s)
+			for _, piece := range into[s] {
+				data = data[copy(piece, data):]
+			}
+			if len(data) != 0 {
+				return false
 			}
 		}
-		got := make([]byte, len(p))
-		mergeFromServers(g, off, got, reads)
 		return bytes.Equal(p, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -117,13 +117,16 @@ func TestPoolPoisonCorrectness(t *testing.T) {
 
 // spyConn records the large buffers the client's read loop reads into — the
 // pooled frame buffers themselves — so a test can look at one after the
-// transport is done with it. nextFrame closes when the loop comes back for
-// the header of the frame after the first large one, by which time it has
-// dealt with that one.
+// transport is done with it. It counts the bytes the loop has consumed, and
+// nextFrame closes when the loop reads again after the first frameLen bytes:
+// it has dealt with that frame and is coming back for the next one, however
+// its reads are split.
 type spyConn struct {
 	net.Conn
+	frameLen  int
 	mu        sync.Mutex
 	big       [][]byte
+	consumed  int
 	nextFrame chan struct{}
 	signaled  bool
 }
@@ -132,12 +135,17 @@ func (s *spyConn) Read(p []byte) (int, error) {
 	s.mu.Lock()
 	if len(p) >= 32<<10 {
 		s.big = append(s.big, p)
-	} else if len(p) == 4 && len(s.big) > 0 && !s.signaled {
+	}
+	if s.consumed >= s.frameLen && !s.signaled {
 		s.signaled = true
 		close(s.nextFrame)
 	}
 	s.mu.Unlock()
-	return s.Conn.Read(p)
+	n, err := s.Conn.Read(p)
+	s.mu.Lock()
+	s.consumed += n
+	s.mu.Unlock()
+	return n, err
 }
 
 // TestLateReadRespIsRecycled: the response to a call that already timed out
@@ -159,7 +167,8 @@ func TestLateReadRespIsRecycled(t *testing.T) {
 		copy(resp.Data, patternOf(size, 9))
 		return resp, nil
 	}, nil, nil)
-	spy := &spyConn{Conn: cEnd, nextFrame: make(chan struct{})}
+	// The late response is the first frame: prefix, kind, length, payload.
+	spy := &spyConn{Conn: cEnd, frameLen: 8 + wire.ReadRespHead + size, nextFrame: make(chan struct{})}
 	c := NewClient(spy, nil, nil)
 	t.Cleanup(func() { c.Close() })
 

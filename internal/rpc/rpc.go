@@ -15,6 +15,7 @@
 package rpc
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -48,6 +49,11 @@ func writeFrame(w io.Writer, seq uint32, fr *wire.Frame) error {
 	buf := fr.HeadWithPrefix()
 	binary.LittleEndian.PutUint32(buf, uint32(4+fr.BodyLen()))
 	binary.LittleEndian.PutUint32(buf[4:], seq)
+	if fr.Vec != nil {
+		nb := append(net.Buffers{buf}, fr.Vec...)
+		_, err := nb.WriteTo(w)
+		return err
+	}
 	if len(fr.Payload) == 0 {
 		_, err := w.Write(buf)
 		return err
@@ -57,29 +63,64 @@ func writeFrame(w io.Writer, seq uint32, fr *wire.Frame) error {
 	return err
 }
 
-// readFrame reads one frame into a pooled buffer. The returned body aliases
-// *bp, and so does the bulk Data of the message decoded from it (wire's
-// aliasing rule): the caller hands bp back with wire.PutBuf only once nothing
-// uses that message's Data any more.
-func readFrame(r io.Reader) (seq uint32, body []byte, bp *[]byte, err error) {
-	var hdr [4]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+// prefixLen is the transport header's length: a frame's length and sequence
+// number.
+const prefixLen = 8
+
+// parsePrefix decodes a transport header: the length of the message that
+// follows it, and the sequence number.
+func parsePrefix(hdr []byte) (body int, seq uint32, err error) {
+	n := binary.LittleEndian.Uint32(hdr)
 	if n < 4 || n > MaxFrame {
-		return 0, nil, nil, fmt.Errorf("rpc: invalid frame length %d", n)
+		return 0, 0, fmt.Errorf("rpc: invalid frame length %d", n)
 	}
-	bp = wire.GetBuf(int(n))
-	buf := *bp
-	if _, err = io.ReadFull(r, buf); err != nil {
-		wire.PutBuf(bp)
-		return 0, nil, nil, err
-	}
-	return binary.LittleEndian.Uint32(buf), buf[4:], bp, nil
+	return int(n) - 4, binary.LittleEndian.Uint32(hdr[4:]), nil
 }
 
+// readBody reads a frame's n-byte message into a pooled buffer, which the
+// caller hands back with wire.PutBuf once nothing uses the bulk Data of the
+// message decoded from it (wire's aliasing rule).
+func readBody(r io.Reader, n int) (*[]byte, error) {
+	bp := wire.GetBuf(n)
+	if _, err := io.ReadFull(r, *bp); err != nil {
+		wire.PutBuf(bp)
+		return nil, err
+	}
+	return bp, nil
+}
+
+// readFrame reads one frame into a pooled buffer: the returned body is *bp,
+// under readBody's rule.
+func readFrame(r io.Reader) (seq uint32, body []byte, bp *[]byte, err error) {
+	var hdr [prefixLen]byte
+	var n int
+	if _, err = io.ReadFull(r, hdr[:]); err == nil {
+		n, seq, err = parsePrefix(hdr[:])
+	}
+	if err == nil {
+		bp, err = readBody(r, n)
+	}
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	return seq, *bp, bp, nil
+}
+
+// readBufSize is the client read loop's buffer: big enough that a frame's
+// prefix and head, and most whole small frames, take one read; small beside
+// the pieces a response lands, which bypass it.
+const readBufSize = 4 << 10
+
 // Client issues concurrent calls over one connection.
+//
+// A Read call may carry Into, the caller's slices for the response's bytes.
+// When its response is a ReadResp of exactly their total length, the read
+// loop reads the bytes straight from the connection into them — no frame
+// buffer, no copy — and delivers a landed ReadResp. Every other response
+// takes the pooled frame path. No call returns while the read loop may
+// still write into its slices: a call abandoned mid-landing closes the
+// connection and waits for the loop to leave them (abandon), and Close
+// leaves a landing call for the loop to answer once its read fails.
 type Client struct {
 	conn io.ReadWriteCloser
 	// local and remote are the simnet endpoints; either may be nil for an
@@ -90,9 +131,26 @@ type Client struct {
 
 	mu      sync.Mutex
 	seq     uint32
-	pending map[uint32]chan msgOrErr
+	pending map[uint32]pendingCall
 	churn   int // inserts since pending was last (re)allocated
 	closed  bool
+	// landing is the channel of the call whose response the read loop is
+	// reading into its slices (nil: none); left is signaled when it stops.
+	landing chan msgOrErr
+	left    sync.Cond
+
+	// vread reads pieces straight off the connection with vectored reads
+	// (nil where there are none); rest is fill's work list. Read loop only.
+	vread func(pieces [][]byte) error
+	rest  [][]byte
+}
+
+// pendingCall is one in-flight call: where its answer goes and, for a
+// landing Read, the slices its bytes go into and their total length.
+type pendingCall struct {
+	ch   chan msgOrErr
+	into [][]byte
+	want int
 }
 
 type msgOrErr struct {
@@ -108,38 +166,134 @@ func NewClient(conn io.ReadWriteCloser, local, remote *simnet.Node) *Client {
 		conn:    conn,
 		local:   local,
 		remote:  remote,
-		pending: make(map[uint32]chan msgOrErr),
+		pending: make(map[uint32]pendingCall),
+		vread:   vectoredReader(conn),
 	}
+	c.left.L = &c.mu
 	go c.readLoop()
 	return c
 }
 
 func (c *Client) readLoop() {
+	r := bufio.NewReaderSize(c.conn, readBufSize)
 	for {
-		seq, body, bp, err := readFrame(c.conn)
-		if err != nil {
+		if err := c.readResponse(r); err != nil {
 			c.failAll(err)
 			return
 		}
-		m, err := wire.Unmarshal(body)
-		// A ReadResp's Data views the frame, so the response keeps the buffer
-		// until its consumer calls Release; nothing else decoded here aliases.
-		rr, _ := m.(*wire.ReadResp)
-		if rr != nil {
-			rr.HoldBuf(bp)
-		} else {
-			wire.PutBuf(bp)
-		}
-		c.mu.Lock()
-		ch := c.pending[seq]
-		c.forget(seq)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- msgOrErr{m, err}
-		} else {
-			rr.Release() // late response to an abandoned call: nobody else will
+	}
+}
+
+// readResponse reads one response frame and answers its call: landed into
+// the call's slices when it can be, else through a pooled frame buffer.
+func (c *Client) readResponse(r *bufio.Reader) error {
+	hdr, err := r.Peek(prefixLen) // a view of r's buffer: no header to allocate
+	if err != nil {
+		return err
+	}
+	n, seq, err := parsePrefix(hdr)
+	if err != nil {
+		return err
+	}
+	r.Discard(prefixLen) //nolint:errcheck // the bytes are buffered
+	if p, ok := c.landable(r, seq, n); ok {
+		return c.land(r, seq, p)
+	}
+	bp, err := readBody(r, n)
+	if err != nil {
+		return err
+	}
+	m, err := wire.Unmarshal(*bp)
+	// A ReadResp's Data views the frame, so the response keeps the buffer
+	// until its consumer calls Release; nothing else decoded here aliases.
+	rr, _ := m.(*wire.ReadResp)
+	if rr != nil {
+		rr.HoldBuf(bp)
+	} else {
+		wire.PutBuf(bp)
+	}
+	c.mu.Lock()
+	p := c.pending[seq]
+	c.forget(seq)
+	c.mu.Unlock()
+	if p.ch != nil {
+		p.ch <- msgOrErr{m, err}
+	} else {
+		rr.Release() // late response to an abandoned call: nobody else will
+	}
+	return nil
+}
+
+// landable reports whether frame seq, whose n-byte message is next in r, is
+// the response a pending call can land — a ReadResp of exactly the length of
+// the call's slices — and if so marks that call landing.
+func (c *Client) landable(r *bufio.Reader, seq uint32, n int) (pendingCall, bool) {
+	if n < wire.ReadRespHead {
+		return pendingCall{}, false
+	}
+	head, _ := r.Peek(wire.ReadRespHead) // short on error: the body read reports it
+	size, ok := wire.ReadRespLen(head)
+	if !ok || n != wire.ReadRespHead+size {
+		return pendingCall{}, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p, ok := c.pending[seq]
+	if !ok || p.into == nil || p.want != size {
+		return pendingCall{}, false
+	}
+	c.landing = p.ch
+	return p, true
+}
+
+// land reads a matching ReadResp's bytes into the call's slices and answers
+// it; the call stays pending, so nothing else answers it meanwhile. A read
+// that fails answers the call with the connection's failure, after the loop
+// has left its slices.
+func (c *Client) land(r *bufio.Reader, seq uint32, p pendingCall) error {
+	_, err := r.Discard(wire.ReadRespHead)
+	if err == nil {
+		err = c.fill(r, p.into)
+	}
+	c.mu.Lock()
+	c.landing = nil
+	c.left.Broadcast()
+	c.forget(seq)
+	c.mu.Unlock()
+	if err != nil {
+		p.ch <- msgOrErr{nil, closedBy(err)}
+		return err
+	}
+	p.ch <- msgOrErr{wire.LandedReadResp(p.into), nil}
+	return nil
+}
+
+// fill reads exactly len(pieces[0]) + len(pieces[1]) + ... bytes from r
+// into pieces, in order: what r has buffered is copied, and the rest comes
+// straight off the connection — by vectored reads where the connection has
+// a descriptor and the platform the call (readv), so one read fills every
+// piece the socket already holds, else by one read per piece. A large
+// response arrives with the socket holding most of it, and a read per
+// piece was measured to cost read latency under load (see DESIGN §5).
+func (c *Client) fill(r *bufio.Reader, pieces [][]byte) error {
+	c.rest = append(c.rest[:0], pieces...) // the read loop's own list: pieces stay the caller's
+	defer clear(c.rest)                    // and pin none of the caller's memory once done
+	rest := c.rest
+	for len(rest) > 0 && r.Buffered() > 0 {
+		n, _ := r.Read(rest[0]) // buffered bytes only: no read from the connection
+		if rest[0] = rest[0][n:]; len(rest[0]) == 0 {
+			rest = rest[1:]
 		}
 	}
+	if c.vread != nil {
+		return c.vread(rest)
+	}
+	for _, piece := range rest {
+		if _, err := io.ReadFull(r, piece); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // forget removes a pending entry (mu held). Go maps never shrink their
@@ -149,7 +303,7 @@ func (c *Client) readLoop() {
 func (c *Client) forget(seq uint32) {
 	delete(c.pending, seq)
 	if c.churn > 1024 && len(c.pending) == 0 {
-		c.pending = make(map[uint32]chan msgOrErr)
+		c.pending = make(map[uint32]pendingCall)
 		c.churn = 0
 	}
 }
@@ -161,15 +315,29 @@ func (c *Client) PendingCalls() int {
 	return len(c.pending)
 }
 
+// Closed reports whether the connection has failed or been closed: every
+// call from now on fails with ErrClosed.
+func (c *Client) Closed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed
+}
+
+// closedBy is the error a call gets when the connection fails under it.
+func closedBy(err error) error { return fmt.Errorf("%w (%v)", ErrClosed, err) }
+
+// failAll marks the client closed and fails every pending call but a
+// landing one, which the read loop answers once its read fails.
 func (c *Client) failAll(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
-	for _, ch := range c.pending {
-		ch <- msgOrErr{nil, fmt.Errorf("%w (%v)", ErrClosed, err)}
+	for seq, p := range c.pending {
+		if p.ch != c.landing {
+			p.ch <- msgOrErr{nil, closedBy(err)}
+			delete(c.pending, seq)
+		}
 	}
-	c.pending = make(map[uint32]chan msgOrErr)
-	c.churn = 0
 }
 
 // Call sends req and blocks for the matching response. A wire.Error response
@@ -204,7 +372,14 @@ func (c *Client) call(req wire.Msg, timeout time.Duration, trace uint64) (wire.M
 	c.seq++
 	seq := c.seq
 	ch := make(chan msgOrErr, 1)
-	c.pending[seq] = ch
+	p := pendingCall{ch: ch}
+	if r, ok := req.(*wire.Read); ok && r.Into != nil {
+		p.into = r.Into
+		for _, piece := range r.Into {
+			p.want += len(piece)
+		}
+	}
+	c.pending[seq] = p
 	c.churn++
 	c.mu.Unlock()
 
@@ -267,10 +442,22 @@ func (c *Client) send(seq uint32, fr *wire.Frame) error {
 	return nil
 }
 
-// abandon forgets a pending call; a late response finds no channel and is
-// dropped by readLoop.
+// abandon forgets a pending call; a late response finds no call and is
+// dropped by readLoop. A response already landing in the call's slices
+// cannot be cut off cleanly: abandon closes the connection, which ends the
+// landing read, and waits until the read loop has left the slices, so that
+// the caller may reuse them the moment its call returns.
 func (c *Client) abandon(seq uint32) {
 	c.mu.Lock()
+	if p, ok := c.pending[seq]; ok && p.ch == c.landing {
+		c.closed = true
+		c.mu.Unlock()
+		c.conn.Close() //nolint:errcheck // the read loop reports the teardown
+		c.mu.Lock()
+		for c.landing == p.ch {
+			c.left.Wait()
+		}
+	}
 	c.forget(seq)
 	c.mu.Unlock()
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -138,6 +139,38 @@ func TestMarshalFrameMatchesMarshal(t *testing.T) {
 			fr.Free()
 		}
 	}
+
+	// A landed ReadResp marshals back to the frame it arrived in: the frame
+	// of the concatenated bytes, its pieces by reference whatever their
+	// size, so a measured response costs what a decoded one would.
+	pieces := [][]byte{patternBytes(3000, 1), patternBytes(17, 2), nil, patternBytes(5000, 3)}
+	whole := slices.Concat(pieces...)
+	want := Marshal(&ReadResp{Data: whole})
+	if got := Marshal(LandedReadResp(pieces)); !bytes.Equal(got, want) {
+		t.Error("landed ReadResp: contiguous marshal differs from its bytes' ReadResp")
+	}
+	fr := MarshalFrame(LandedReadResp(pieces), 0)
+	if fr.BodyLen() != len(want) || len(fr.Payload) != 0 || len(fr.Vec) != len(pieces) {
+		t.Fatalf("landed ReadResp frame: body %d (want %d), payload %d bytes, %d pieces (want %d)",
+			fr.BodyLen(), len(want), len(fr.Payload), len(fr.Vec), len(pieces))
+	}
+	if got := slices.Concat(append([][]byte{fr.Head()}, fr.Vec...)...); !bytes.Equal(got, want) {
+		t.Error("landed ReadResp: frame bytes differ from contiguous marshal")
+	}
+	for i, p := range pieces {
+		if len(p) > 0 && &fr.Vec[i][0] != &p[0] {
+			t.Errorf("landed ReadResp: piece %d copied, not carried by reference", i)
+		}
+	}
+	fr.Free()
+}
+
+func patternBytes(n int, seed byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*7) + seed
+	}
+	return b
 }
 
 // inflateBulk replaces every bulk byte field of m with 3000 bytes, past
@@ -239,11 +272,12 @@ func TestUnmarshalLengthPrefixAmplification(t *testing.T) {
 }
 
 // hasSlice reports whether values of t carry a length-prefixed element
-// slice (a []byte field is one bulk field, not elements).
+// slice (a []byte field is one bulk field, not elements, and a [][]byte
+// field — Read.Into, a landed ReadResp's pieces — is never encoded).
 func hasSlice(t reflect.Type) bool {
 	switch t.Kind() {
 	case reflect.Slice:
-		return t.Elem().Kind() != reflect.Uint8
+		return t.Elem().Kind() != reflect.Uint8 && t.Elem() != reflect.TypeOf([]byte(nil))
 	case reflect.Struct:
 		for i := 0; i < t.NumField(); i++ {
 			if hasSlice(t.Field(i).Type) {

@@ -28,9 +28,15 @@ const maxPooledHead = 64 << 10
 // message still on its way to a consumer. The one payload Free does recycle
 // is one the frame owns — the pooled buffer a write request was gathered
 // into and handed over by HoldBuf, or OwnPayload's private copy.
+//
+// Vec is Payload held as pieces, for the one message whose bulk field is
+// not one slice: a landed ReadResp. At most one of the two is set. Vec is
+// never the frame's own, and OwnPayload, which only request senders need,
+// leaves it alone: a ReadResp is never a request.
 type Frame struct {
 	buf     []byte // [FramePrefix reserved bytes][marshaled head]
 	Payload []byte
+	Vec     [][]byte
 	c       *Codec  // the pooled encoder that wrote buf, reused on Free; nil for unpooled frames
 	pp      *[]byte // pooled payload the frame owns; nil if Payload is by-reference
 }
@@ -44,7 +50,13 @@ func (f *Frame) HeadWithPrefix() []byte { return f.buf }
 
 // BodyLen returns the length of the marshaled message including the
 // by-reference payload (what a contiguous Marshal would have produced).
-func (f *Frame) BodyLen() int { return len(f.buf) - FramePrefix + len(f.Payload) }
+func (f *Frame) BodyLen() int {
+	n := len(f.buf) - FramePrefix + len(f.Payload)
+	for _, p := range f.Vec {
+		n += len(p)
+	}
+	return n
+}
 
 // OwnPayload replaces the frame's by-reference Payload with a private pooled
 // copy. A transport whose write can outlive the caller — rpc abandons a
@@ -78,7 +90,7 @@ func (f *Frame) Free() {
 		headPool.Put(f.c)
 	}
 	PutBuf(f.pp)
-	f.buf, f.Payload, f.c, f.pp = nil, nil, nil, nil
+	f.buf, f.Payload, f.Vec, f.c, f.pp = nil, nil, nil, nil, nil
 }
 
 var headPool = sync.Pool{New: func() any {
@@ -102,6 +114,7 @@ func MarshalFrame(m Msg, trace uint64) Frame {
 	if c.payload != nil {
 		fr.Payload = *c.payload
 	}
+	fr.Vec = c.vec
 	if o, ok := m.(interface{ takePayload() *[]byte }); ok {
 		fr.pp = o.takePayload()
 	}

@@ -149,8 +149,14 @@ func (m *Read) codec(c *Codec) {
 	c.Bool(&m.Raw)
 }
 
-func (m *ReadResp) Kind() Kind     { return KReadResp }
-func (m *ReadResp) codec(c *Codec) { c.Bytes(&m.Data) }
+func (m *ReadResp) Kind() Kind { return KReadResp }
+func (m *ReadResp) codec(c *Codec) {
+	if m.into != nil { // only ever encoded: a decode starts from a new ReadResp
+		c.pieces(m.into)
+		return
+	}
+	c.Bytes(&m.Data)
+}
 
 func (m *WriteData) Kind() Kind { return KWriteData }
 func (m *WriteData) codec(c *Codec) {

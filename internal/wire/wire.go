@@ -343,10 +343,16 @@ type Ping struct{}
 // Read asks an I/O server for the given logical spans of a file. The server
 // returns the newest data, patching in overflow-region contents, unless Raw
 // is set (recovery wants the in-place data file contents only).
+//
+// Into is transport-only and never encoded: the slices the response's bytes
+// belong in, in order. rpc.Client reads a ReadResp of exactly their total
+// length straight from the socket into them and delivers a landed response
+// (see ReadResp); a transport that does not land leaves them alone.
 type Read struct {
 	File  FileRef
 	Spans []Span
 	Raw   bool
+	Into  [][]byte
 }
 
 // ReadResp carries the concatenated bytes of the requested spans or stripes.
@@ -356,10 +362,36 @@ type Read struct {
 // arrived in (HoldBuf). Whoever consumes the response calls Release when it
 // is done with Data. Forgetting to is a missed optimisation, never a bug —
 // the buffer is simply garbage-collected.
+//
+// A landed response (Landed) has no Data: the transport read its bytes
+// straight into its request's Read.Into, which is where they are. It
+// marshals back to the frame it arrived in, its pieces carried by reference.
 type ReadResp struct {
 	Data []byte
-	buf  *[]byte // pooled buffer Data lives in; nil for an ordinary slice
+	buf  *[]byte  // pooled buffer Data lives in; nil for an ordinary slice
+	into [][]byte // landed: the pieces holding the bytes; nil otherwise
 }
+
+// ReadRespHead is the length of an untraced ReadResp's encoding before its
+// bytes: the kind byte and the u32 byte count.
+const ReadRespHead = 5
+
+// ReadRespLen reports whether head, at least ReadRespHead bytes, opens an
+// untraced ReadResp, and the byte count that follows it.
+func ReadRespLen(head []byte) (int, bool) {
+	if len(head) < ReadRespHead || head[0] != uint8(KReadResp) {
+		return 0, false
+	}
+	return int(binary.LittleEndian.Uint32(head[1:ReadRespHead])), true
+}
+
+// LandedReadResp returns the response whose bytes the transport has read
+// into pieces, in order.
+func LandedReadResp(pieces [][]byte) *ReadResp { return &ReadResp{into: pieces} }
+
+// Landed reports whether m's bytes were read straight into its request's
+// Read.Into rather than carried in Data.
+func (m *ReadResp) Landed() bool { return m.into != nil }
 
 // NewReadResp returns a response whose Data is n bytes of a pooled buffer,
 // contents unspecified: the producer must fill all of it.
@@ -950,8 +982,9 @@ type MetaStatusResp struct {
 // prefix and keeps the field in payload, which the transport sends by
 // reference right after the head — so that field must be the message's last.
 type Codec struct {
-	Buf     []byte  // encoding: the output so far; decoding: the input
-	payload *[]byte // split encoding: the field carried by reference
+	Buf     []byte   // encoding: the output so far; decoding: the input
+	payload *[]byte  // split encoding: the field carried by reference
+	vec     [][]byte // split encoding: the field carried by reference as pieces
 	err     error
 	off     int // decoding: read position in Buf
 	dec     bool
@@ -1068,6 +1101,24 @@ func (c *Codec) Bytes(v *[]byte) {
 		c.payload = v
 	default:
 		c.Buf = append(c.Buf, *v...)
+	}
+}
+
+// pieces encodes a byte field held as pieces exactly as Bytes encodes their
+// concatenation. In split mode the pieces ride by reference (Frame.Vec),
+// whatever their size: they are somebody's buffer already. It only encodes.
+func (c *Codec) pieces(v [][]byte) {
+	var n uint32
+	for _, p := range v {
+		n += uint32(len(p))
+	}
+	c.U32(&n)
+	if c.split && c.payload == nil {
+		c.vec = v
+		return
+	}
+	for _, p := range v {
+		c.Buf = append(c.Buf, p...)
 	}
 }
 

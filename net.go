@@ -96,9 +96,7 @@ func (r *redialCaller) CallTimeout(m wire.Msg, timeout time.Duration) (wire.Msg,
 		return nil, err
 	}
 	resp, err := cli.CallTimeout(m, timeout)
-	if err != nil && errors.Is(err, rpc.ErrClosed) {
-		r.drop(cli)
-	}
+	r.dropIfClosed(cli, err)
 	return resp, err
 }
 
@@ -111,10 +109,18 @@ func (r *redialCaller) CallTraced(m wire.Msg, trace uint64, timeout time.Duratio
 		return nil, err
 	}
 	resp, err := cli.CallTraced(m, trace, timeout)
-	if err != nil && errors.Is(err, rpc.ErrClosed) {
+	r.dropIfClosed(cli, err)
+	return resp, err
+}
+
+// dropIfClosed drops cli after a failed call that left it closed: a broken
+// connection (ErrClosed), or one a deadline closed under a response landing
+// in the caller's buffer (rpc.ErrTimeout from a now-closed client), so the
+// next call on the slot redials instead of failing first.
+func (r *redialCaller) dropIfClosed(cli *rpc.Client, err error) {
+	if err != nil && (errors.Is(err, rpc.ErrClosed) || cli.Closed()) {
 		r.drop(cli)
 	}
-	return resp, err
 }
 
 // Close drops every cached connection. The caller stays usable — a later
