@@ -43,23 +43,28 @@ fuzz-seeds:
 faults:
 	$(GO) test -race -count=2 -run 'TestFaultSchedule|TestAutoFailover' ./internal/cluster
 
-# The crash-consistency suite for the RAID5 write hole: the journal's replay
-# rule (torn tail at every offset, every byte flipped, pre-format files
-# refused, unsynced appends), client death mid-RMW, parity-server
+# The crash-consistency suite for the RAID5 write hole and the iod
+# journals: the journal's replay rule (torn tail at every offset, every byte
+# flipped, pre-format files refused, unsynced appends) and its sealed pair
+# (compactions both ways cut at every byte, an emptying compaction cut
+# between its truncates, seal-form records refused, the calls each
+# operation makes), client death mid-RMW, parity-server
 # crash-restart with intent-journal replay, lease heartbeats under a stalled
 # write, the pending intent's cut points (data write lost after the parity
 # write, client death before the retire, a second owner locking behind a
 # pending intent, an RS parity server restarted before the retire, a
 # degraded RMW behind another owner's half-landed update), lost retires
 # under a live heartbeat, retires under concurrent writers and Syncs, the
-# server's pending-intent rules and its intent journal's compaction (a
-# crash at every point of one),
+# server's pending-intent rules, the compactions of both iod journals (a
+# crash at every point of an intent compaction, and of a partial dirty
+# clear, a clear of All, a RemoveFile and a drain), a RemoveFile after a
+# restart retiring the reloaded intents and stores,
 # lease/intent metrics, and the real-TCP iod bounce — run twice under the
 # race detector to prove the schedules are deterministic.
 crash:
 	$(GO) test -race ./internal/journal
 	$(GO) test -race -count=2 -run 'TestCrash|TestLeaseRenewalKeepsLock|TestRetireDroppedKeepsLease|TestRetiresUnderConcurrentWriters' ./internal/cluster
-	$(GO) test -race -count=2 -run 'TestRetireIntents|TestPendingIntent|TestIntentJournal' ./internal/server
+	$(GO) test -race -count=2 -run 'TestRetireIntents|TestPendingIntent|TestIntentJournal|TestDirtyJournal|TestRemoveFileAfterRestart' ./internal/server
 	$(GO) test -race -count=2 -run 'TestMetricsLeaseAndIntent|TestRestartedIODReadmission' .
 
 # The online-resync suite: dirty-region tracking by degraded writes, delta
@@ -67,8 +72,9 @@ crash:
 # (cursor rules under both policies, the terminal advance as a barrier, the
 # degraded dual-write nesting), the epoch-mismatch full-rebuild fallback,
 # abort/rerun convergence, and dirty-log durability across a replica crash
-# and across a torn journal tail — run twice under the race detector because
-# the delta scenario is genuinely concurrent.
+# and across a torn journal tail (a crash inside a dirty-journal compaction
+# is `make crash`'s) — run twice under the race detector because the delta
+# scenario is genuinely concurrent.
 resync:
 	$(GO) test -race -count=2 -run 'TestResync|TestDirtyLog|TestRebuildAbort|TestPass' ./internal/cluster
 	$(GO) test -race -count=2 -run 'TestDirtyLog' ./internal/server

@@ -1,6 +1,7 @@
 // Package journal is the one append-only log under every durable journal in
-// CSAR: the metadata manager's write-ahead log and the I/O daemons' stripe
-// intent and dirty-region journals. On-disk format, little-endian:
+// CSAR: the metadata manager's write-ahead log and, as a Pair, the I/O
+// daemons' stripe intent and dirty-region journals. On-disk format,
+// little-endian:
 //
 //	magic (8 B) | frame | frame | ...
 //	frame: u32 payload length | u32 CRC32C(payload) | payload
@@ -12,6 +13,12 @@
 // truncates the file there: a torn tail is the unacknowledged append a crash
 // interrupted, and everything before it is intact. A flip in the middle of
 // the log also stops replay, so the records after it are dropped with it.
+//
+// A Pair keeps one journal in two such logs, so that compacting it never
+// truncates the only copy of a live record: Compact writes the live set into
+// the other log followed by a seal frame, u8 4 | u64 generation (a form no
+// owner record may take), and only then empties the log it replaces. Replay
+// takes the log with the higher generation; an unsealed log is generation 0.
 //
 // Payloads are opaque. Owners encode their records, keep their live sets,
 // decide when to compact and serialize their calls: a Log is not safe for
@@ -155,8 +162,9 @@ func (l *Log) AppendUnsynced(payloads ...[]byte) error {
 }
 
 // Rewrite compacts the log to one frame per payload; with no payloads the
-// log becomes zero bytes. It truncates before it writes, so a crash between
-// the two leaves an empty log.
+// log becomes zero bytes, synced even if it was. It truncates before it
+// writes, so a crash between the two leaves an empty log: its callers are
+// the manager WAL after a snapshot save and a Pair's non-current log.
 func (l *Log) Rewrite(payloads ...[]byte) error {
 	var buf []byte
 	if len(payloads) > 0 {

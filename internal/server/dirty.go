@@ -9,13 +9,13 @@
 // newer generation and survive the clear, so the next resync round picks
 // them up instead of losing them.
 //
-// The log is an internal/journal log like the stripe intents': one
-// CRC-framed record per entry, fsync per append batch, full rewrite on clear
-// (the log shrinks at exactly the moments it is cheap to rewrite), a torn
-// tail truncated away at load. A crash-restart of a surviving server
-// therefore preserves the outage's damage records; only a blank replacement
-// disk loses them, which resync detects through the epoch set and answers
-// with a full rebuild.
+// The log is a journal.Pair like the stripe intents': one CRC-framed record
+// per entry, fsync per append batch, a compaction through the pair on every
+// clear (the log shrinks at exactly the moments it is cheap to rewrite), a
+// torn tail truncated away at load. A crash-restart of a surviving server,
+// even inside a clear, therefore preserves the outage's damage records; only
+// a blank replacement disk loses them, which resync detects through the
+// epoch set and answers with a full rebuild.
 package server
 
 import (
@@ -28,7 +28,7 @@ import (
 )
 
 // dirtyJournalName is the server-wide dirty-region journal on the local
-// backend.
+// backend, with its pair's second log at dirtyJournalName.1.
 const dirtyJournalName = "dirty.journal"
 
 // Journal record kinds. Every record carries the outage epoch so the load
@@ -81,7 +81,7 @@ func (dl *dirtyLog) empty() bool {
 type dirtyState struct {
 	mu      sync.Mutex
 	logs    map[dirtyKey]*dirtyLog
-	journal *journal.Log
+	journal *journal.Pair
 }
 
 // dirtyEntry is one dirty-journal record, the payload of one journal frame:
@@ -115,7 +115,7 @@ func dirtyRecord(kind uint8, k dirtyKey, epoch uint64, val int64) []byte {
 // damage records outlive its own crash-restarts.
 func (s *Server) loadDirty() {
 	s.dirty.logs = make(map[dirtyKey]*dirtyLog)
-	s.dirty.journal = s.openJournal(dirtyJournalName, func(p []byte) error {
+	s.dirty.journal = s.openPair(dirtyJournalName, func(p []byte) error {
 		var r dirtyEntry
 		d := wire.Decoding(p)
 		if r.codec(&d); d.Err() != nil {
@@ -143,10 +143,10 @@ func (s *Server) loadDirty() {
 	})
 }
 
-// rewriteDirtyLocked compacts the journal to the current state: one epoch
+// compactDirtyLocked compacts the journal to the current state: one epoch
 // record per epoch sighting, one record per live entry. Caller holds
 // dirty.mu.
-func (s *Server) rewriteDirtyLocked() {
+func (s *Server) compactDirtyLocked() {
 	var recs [][]byte
 	for k, dl := range s.dirty.logs {
 		// Item records carry an arbitrary member of the epoch set; the
@@ -166,7 +166,7 @@ func (s *Server) rewriteDirtyLocked() {
 			recs = append(recs, dirtyRecord(dirtyKindOverflow, k, anyEpoch, 0))
 		}
 	}
-	s.dirty.journal.Rewrite(recs...) //nolint:errcheck // local store
+	s.dirty.journal.Compact(recs...) //nolint:errcheck // local store
 }
 
 // handleMarkDirty merges one degraded write's damage into the log. Every
@@ -212,7 +212,7 @@ func (s *Server) handleMarkDirty(m *wire.MarkDirty) (wire.Msg, error) {
 		dl.overflowGen = dl.gen
 	}
 	// The degraded write runs only once this is acknowledged durable.
-	if err := s.dirty.journal.Append(recs...); err != nil {
+	if err := s.dirty.journal.Append(true, recs...); err != nil {
 		return nil, fmt.Errorf("server: logging dirty regions: %w", err)
 	}
 	return &wire.OK{}, nil
@@ -253,7 +253,7 @@ func (s *Server) handleDirtyDump(m *wire.DirtyDump) (wire.Msg, error) {
 // handleClearDirty retires replayed entries: each one only if its
 // generation still matches the dump it was replayed from. A fully drained
 // log disappears, epochs included — the outage is over. The journal is
-// rewritten rather than appended to, so clears are also compactions.
+// compacted rather than appended to, so clears leave no clear records.
 func (s *Server) handleClearDirty(m *wire.ClearDirty) (wire.Msg, error) {
 	k := dirtyKey{m.File.ID, m.Dead}
 	s.dirty.mu.Lock()
@@ -264,7 +264,7 @@ func (s *Server) handleClearDirty(m *wire.ClearDirty) (wire.Msg, error) {
 	}
 	if m.All {
 		delete(s.dirty.logs, k)
-		s.rewriteDirtyLocked()
+		s.compactDirtyLocked()
 		return &wire.OK{}, nil
 	}
 	retire := func(set map[int64]uint64, items []wire.DirtyItem) {
@@ -283,7 +283,7 @@ func (s *Server) handleClearDirty(m *wire.ClearDirty) (wire.Msg, error) {
 	if dl.empty() {
 		delete(s.dirty.logs, k)
 	}
-	s.rewriteDirtyLocked()
+	s.compactDirtyLocked()
 	return &wire.OK{}, nil
 }
 
@@ -299,6 +299,6 @@ func (s *Server) dropFileDirty(fileID uint64) {
 		}
 	}
 	if changed {
-		s.rewriteDirtyLocked()
+		s.compactDirtyLocked()
 	}
 }

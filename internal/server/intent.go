@@ -39,8 +39,8 @@ import (
 	"csar/internal/wire"
 )
 
-// intentJournalName is the server-wide journal file on the local backend,
-// the first of the journal's two logs (intentlog.go).
+// intentJournalName is the server-wide journal on the local backend, with
+// its pair's second log at intentJournalName.1.
 const intentJournalName = "intents.journal"
 
 // intentJournalCompactBytes is the journal size past which an append
@@ -53,7 +53,6 @@ const (
 	intentOpOpen uint8 = iota + 1
 	intentOpRetire
 	intentOpAbandon
-	intentOpSeal // ends a compacted log; see intentlog.go
 )
 
 // intentEntry is one intent-journal record, the payload of one journal
@@ -127,8 +126,8 @@ func (s *Server) IntentStats() IntentStats { return obs.LoadCounters(s.intents) 
 // history is balanced open/retire pairs, so an empty live set compacts to an
 // empty log — and once the current log outgrows both
 // intentJournalCompactBytes and twice its live set the journal is compacted
-// to one record per live intent, by way of its other log (intentlog.go), so
-// no crash point loses a live intent.
+// to one record per live intent, through the pair, so no crash point loses
+// a live intent.
 // Lock order: callers may hold sf.mu; jmu nests inside it.
 func (s *Server) journalAppend(op uint8, fileID uint64, ids ...wire.IntentID) {
 	recs := make([][]byte, len(ids))
@@ -145,26 +144,25 @@ func (s *Server) journalAppend(op uint8, fileID uint64, ids ...wire.IntentID) {
 			s.jLive[k] = op
 		}
 	}
-	if op == intentOpRetire && len(s.jLive) == 0 {
-		s.jlog.clear()
-		return
+	if len(s.jLive) > 0 { // else a retire drained it: compaction empties the journal
+		s.jlog.Append(op != intentOpRetire, recs...) //nolint:errcheck // local store
 	}
-	s.jlog.append(op != intentOpRetire, recs...)
 	// A compacted log holds one frame, an 8-byte header and a record, per
 	// live intent.
-	if live := int64(len(s.jLive)) * (8 + intentEntryLen); s.jlog.size() > max(intentJournalCompactBytes, 2*live) {
+	if live := int64(len(s.jLive)) * (8 + intentEntryLen); live == 0 || s.jlog.Size() > max(intentJournalCompactBytes, 2*live) {
 		s.compactJournal()
 	}
 }
 
 // compactJournal rewrites the journal as one record per live intent, the
-// form loadIntents leaves it in. Caller holds jmu.
+// form loadIntents leaves it in; with none live it empties it. Caller holds
+// jmu.
 func (s *Server) compactJournal() {
-	recs := make([][]byte, 0, len(s.jLive)+1)
+	recs := make([][]byte, 0, len(s.jLive)+1) // room for the pair's seal
 	for k, op := range s.jLive {
 		recs = append(recs, intentEntry{op, k.fileID, k.stripe, k.owner}.payload())
 	}
-	s.jlog.compact(recs)
+	s.jlog.Compact(recs...) //nolint:errcheck // local store
 }
 
 // loadIntents replays the journal at startup. Every surviving intent —
@@ -172,13 +170,16 @@ func (s *Server) compactJournal() {
 // restarted, so no pre-crash update can still be in flight and each such
 // stripe is possibly torn. Survivors are parked in s.pendingIntents and
 // adopted when the file record is first materialized. The journal is then
-// compacted to one abandon record per survivor, so repeated crashes do
-// not grow it.
+// compacted to one abandon record per survivor, or emptied when none
+// survives, so repeated crashes do not grow it.
 func (s *Server) loadIntents() {
 	s.jLive = make(map[intentKey]uint8)
-	var recs []intentEntry
-	s.jlog, recs = s.openIntentLog()
-	for _, r := range recs {
+	s.jlog = s.openPair(intentJournalName, func(p []byte) error {
+		var r intentEntry
+		d := wire.Decoding(p)
+		if r.codec(&d); d.Err() != nil {
+			return d.Err()
+		}
 		k := intentKey{r.fileID, r.stripe, r.owner}
 		switch r.op {
 		case intentOpOpen, intentOpAbandon:
@@ -186,14 +187,8 @@ func (s *Server) loadIntents() {
 		case intentOpRetire:
 			delete(s.jLive, k)
 		}
-	}
-	if s.jlog.empty() {
-		return
-	}
-	if len(s.jLive) == 0 {
-		s.jlog.clear()
-		return
-	}
+		return nil
+	})
 	s.pendingIntents = make(map[uint64][]wire.IntentID)
 	for k := range s.jLive {
 		s.pendingIntents[k.fileID] = append(s.pendingIntents[k.fileID], wire.IntentID{Stripe: k.stripe, Owner: k.owner})

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -140,5 +141,171 @@ func TestLegacyIntentJournalRefused(t *testing.T) {
 	err, _ := refused.(error)
 	if !errors.Is(err, journal.ErrFormat) || !strings.Contains(err.Error(), intentJournalName) {
 		t.Fatalf("legacy journal: New panicked with %v, want journal.ErrFormat naming %s", refused, intentJournalName)
+	}
+}
+
+// dirtyPicture is s's dirty logs as a reload keeps them, without the
+// generations the journal does not hold: per (file, dead) key its epochs,
+// units, mirrors, stripes and overflow flag, sorted.
+func dirtyPicture(s *Server) map[dirtyKey]string {
+	sorted := func(m map[int64]uint64) []int64 {
+		var vs []int64
+		for v := range m {
+			vs = append(vs, v)
+		}
+		slices.Sort(vs)
+		return vs
+	}
+	out := make(map[dirtyKey]string)
+	for k, dl := range s.dirty.logs {
+		var epochs []uint64
+		for ep := range dl.epochs {
+			epochs = append(epochs, ep)
+		}
+		slices.Sort(epochs)
+		out[k] = fmt.Sprint(epochs, sorted(dl.units), sorted(dl.mirrors), sorted(dl.stripes), dl.overflow)
+	}
+	return out
+}
+
+// TestDirtyJournalCompactionCrash cuts every kind of dirty-journal
+// compaction — a partial ClearDirty, a ClearDirty{All}, a RemoveFile, a
+// clear that drains one log — at every byte of its sealed write and after
+// the log it replaces is truncated, and the clear that drains the last log
+// before and after it empties the journal. Each cut reloads exactly the
+// dirty logs from before the operation or those after it; since the two
+// agree on every (file, dead) key the operation does not name, those keys
+// keep every entry, with its epoch set, at every cut. Compactions alternate
+// between dirty.journal and dirty.journal.1.
+func TestDirtyJournalCompactionCrash(t *testing.T) {
+	var s *Server
+	var cuts []compactionCut[map[dirtyKey]string]
+	disk := compactionDisk[map[dirtyKey]string]{simdisk.New(nil, simdisk.Params{PageSize: 64}), dirtyJournalName,
+		func() map[dirtyKey]string { return dirtyPicture(s) }, &cuts}
+	s, _ = reload(disk, 0)
+	file := func(id uint64) wire.FileRef { r := ref(); r.ID = id; return r }
+	a, b, c := file(1), file(2), file(3)
+	for _, m := range []*wire.MarkDirty{
+		{File: b, Dead: 1, Epoch: 11, Units: []int64{0, 3, 6}},
+		{File: a, Dead: 1, Epoch: 21, Units: []int64{1, 4}, Mirrors: []int64{2}, Stripes: []int64{5}, Overflow: true},
+		{File: a, Dead: 1, Epoch: 22, Units: []int64{7}},
+		{File: a, Dead: 2, Epoch: 23, Stripes: []int64{8}},
+		{File: c, Dead: 1, Epoch: 31, Units: []int64{9}},
+		{File: c, Dead: 2, Epoch: 32, Mirrors: []int64{10}},
+	} {
+		call(t, s, m)
+	}
+	dump := func(f wire.FileRef, dead uint16) *wire.DirtyDumpResp {
+		return call(t, s, &wire.DirtyDump{File: f, Dead: dead}).(*wire.DirtyDumpResp)
+	}
+	clearAll := func(f wire.FileRef, dead uint16) wire.Msg {
+		d := dump(f, dead)
+		return &wire.ClearDirty{File: f, Dead: dead, Units: d.Units, Mirrors: d.Mirrors, Stripes: d.Stripes,
+			Overflow: d.Overflow, OverflowGen: d.OverflowGen}
+	}
+	steps := []struct {
+		what string
+		op   func() wire.Msg
+		keys []dirtyKey // the logs the operation changes
+	}{
+		{"partial ClearDirty", func() wire.Msg {
+			d := dump(a, 1)
+			return &wire.ClearDirty{File: a, Dead: 1, Units: d.Units[:1], Mirrors: d.Mirrors, Overflow: true, OverflowGen: d.OverflowGen}
+		}, []dirtyKey{{1, 1}}},
+		{"ClearDirty{All}", func() wire.Msg { return &wire.ClearDirty{File: a, Dead: 2, All: true} }, []dirtyKey{{1, 2}}},
+		{"RemoveFile", func() wire.Msg { return &wire.RemoveFile{File: c} }, []dirtyKey{{3, 1}, {3, 2}}},
+		{"clear draining a log", func() wire.Msg { return clearAll(a, 1) }, []dirtyKey{{1, 1}}},
+		{"clear draining the last log", func() wire.Msg { return clearAll(b, 1) }, []dirtyKey{{2, 1}}},
+	}
+	crash := func(what string, images [2][]byte, want map[dirtyKey]string) {
+		t.Helper()
+		d := simdisk.New(nil, simdisk.Params{PageSize: 64})
+		for i, name := range pairNames(dirtyJournalName) {
+			d.Open(name).WriteAt(images[i], 0) //nolint:errcheck // in-memory disk
+		}
+		restarted, refused := reload(d, 0)
+		if refused != nil {
+			t.Fatalf("%s: reload refused: %v", what, refused)
+		}
+		if got := dirtyPicture(restarted); !maps.Equal(got, want) {
+			t.Fatalf("%s: reloaded %v, want %v", what, got, want)
+		}
+	}
+	for i, st := range steps {
+		op := st.op()
+		before := pairImages(disk, dirtyJournalName)
+		old, caught := dirtyPicture(s), len(cuts)
+		call(t, s, op)
+		now := dirtyPicture(s)
+		for k := range old {
+			if !slices.Contains(st.keys, k) && old[k] != now[k] {
+				t.Fatalf("%s changed log %+v, which it does not name", st.what, k)
+			}
+		}
+		if len(now) == 0 {
+			if len(cuts) != caught || (len(before[0]) > 0) == (len(before[1]) > 0) {
+				t.Fatalf("%s: %d sealed writes from logs of %d and %d bytes, want none from one log",
+					st.what, len(cuts)-caught, len(before[0]), len(before[1]))
+			}
+			crash(st.what+", before", before, old)
+			crash(st.what+", after", pairImages(disk, dirtyJournalName), now)
+			continue
+		}
+		if len(cuts) != caught+1 {
+			t.Fatalf("%s: %d sealed writes, want 1", st.what, len(cuts)-caught)
+		}
+		cut := cuts[caught]
+		if cut.into != 1-i%2 || !maps.Equal(cut.live, now) {
+			t.Fatalf("%s: compacted %v into log %d, want %v into log %d", st.what, cut.live, cut.into, now, 1-i%2)
+		}
+		for n := 0; n <= len(cut.write); n++ {
+			images := cut.before
+			images[cut.into] = cut.write[:n]
+			want := old
+			if n == len(cut.write) {
+				want = now
+			}
+			crash(fmt.Sprintf("%s cut at byte %d of %d", st.what, n, len(cut.write)), images, want)
+		}
+		images := cut.before
+		images[cut.into], images[1-cut.into] = cut.write, nil
+		crash(st.what+", replaced log truncated", images, now)
+	}
+	if len(s.dirty.logs) != 0 {
+		t.Fatalf("logs left after the last clear: %v", dirtyPicture(s))
+	}
+}
+
+// TestRemoveFileAfterRestart: a RemoveFile that is the first request for a
+// file after a restart removes its stores and retires the intents the
+// restart parked for it. Both intent logs end empty, and the next restart
+// reloads no intent.
+func TestRemoveFileAfterRestart(t *testing.T) {
+	disk := simdisk.New(nil, simdisk.Params{PageSize: 64})
+	s, _ := reload(disk, 2)
+	r := ref()
+	call(t, s, &wire.WriteData{File: r, Spans: []wire.Span{{Off: 0, Len: 128}}, Data: make([]byte, 128)})
+	call(t, s, &wire.WriteParity{File: r, Stripes: []int64{3}, Data: make([]byte, 128)})
+	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Owner: 7})
+	s, _ = reload(disk, 2)
+	if got := s.pendingIntents[r.ID]; len(got) != 1 {
+		t.Fatalf("restart parked %+v, want the one open intent", got)
+	}
+
+	call(t, s, &wire.RemoveFile{File: r})
+	if got := disk.TotalBytes(); got != 0 {
+		t.Fatalf("%d bytes remain after RemoveFile", got)
+	}
+	for _, name := range pairNames(intentJournalName) {
+		if img := journalImage(disk, name); len(img) != 0 {
+			t.Fatalf("%s holds %d bytes after RemoveFile", name, len(img))
+		}
+	}
+	if len(s.jLive)+len(s.pendingIntents) != 0 {
+		t.Fatalf("after RemoveFile: live intents %v, parked %v", s.jLive, s.pendingIntents)
+	}
+	s, _ = reload(disk, 2)
+	if len(s.jLive)+len(s.pendingIntents) != 0 || s.IntentStats().Abandoned != 0 {
+		t.Fatalf("next restart reloaded live intents %v, parked %v", s.jLive, s.pendingIntents)
 	}
 }

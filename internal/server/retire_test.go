@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"slices"
 	"testing"
@@ -114,7 +115,7 @@ func TestIntentJournalStaysSmall(t *testing.T) {
 	disk := simdisk.New(nil, simdisk.Params{PageSize: 64})
 	s, _ := reload(disk, 2)
 	r := ref()
-	logs := []storage.File{disk.Open(intentJournalName), disk.Open(intentAltJournalName)}
+	logs := []storage.File{disk.Open(intentJournalName), disk.Open(intentJournalName + ".1")}
 	var pending []wire.IntentID
 	maxSize := int64(0)
 	for i := 0; i < cycles; i++ {
@@ -158,51 +159,63 @@ func TestIntentJournalStaysSmall(t *testing.T) {
 	}
 }
 
-// compactionDisk catches the intent journal's compactions: the write that
-// puts a sealed copy of the live set into one log. At each it saves what a
-// crash could leave behind.
-type compactionDisk struct {
+// compactionDisk catches the compactions of the named journal pair: the
+// write that puts a sealed copy of the live set into one of its logs. At
+// each it saves what a crash could leave behind, and live's picture of the
+// owner's live set.
+type compactionDisk[L any] struct {
 	storage.Backend
-	s    **Server
-	cuts *[]compactionCut
+	name string
+	live func() L
+	cuts *[]compactionCut[L]
 }
 
 // compactionCut is the journal as one compaction found it: both logs'
 // images just before its sealed write, that write, and the live set.
-type compactionCut struct {
+type compactionCut[L any] struct {
 	before [2][]byte
 	into   int
 	write  []byte
-	live   []wire.IntentID
+	live   L
 }
 
-type compactionFile struct {
+type compactionFile[L any] struct {
 	storage.File
-	d    compactionDisk
+	d    compactionDisk[L]
 	slot int
 }
 
-func (d compactionDisk) Open(name string) storage.File {
+// pairNames are the two logs of the journal pair name.
+func pairNames(name string) [2]string { return [2]string{name, name + ".1"} }
+
+// pairImages returns the bytes of both logs of the journal pair name.
+func pairImages(disk storage.Backend, name string) [2][]byte {
+	n := pairNames(name)
+	return [2][]byte{journalImage(disk, n[0]), journalImage(disk, n[1])}
+}
+
+func (d compactionDisk[L]) Open(name string) storage.File {
 	f := d.Backend.Open(name)
-	switch name {
-	case intentJournalName:
-		return compactionFile{f, d, 0}
-	case intentAltJournalName:
-		return compactionFile{f, d, 1}
+	for i, n := range pairNames(d.name) {
+		if name == n {
+			return compactionFile[L]{f, d, i}
+		}
 	}
 	return f
 }
 
-func (f compactionFile) WriteAt(p []byte, off int64) (int, error) {
-	if s := *f.d.s; off == 0 && s != nil && bytes.HasSuffix(p, sealPayload(s.jlog.gen+1)) {
-		cut := compactionCut{into: f.slot, write: bytes.Clone(p)}
-		for i, name := range []string{intentJournalName, intentAltJournalName} {
-			cut.before[i] = journalImage(f.d.Backend, name)
-		}
-		for k := range s.jLive {
-			cut.live = append(cut.live, wire.IntentID{Stripe: k.stripe, Owner: k.owner})
-		}
-		*f.d.cuts = append(*f.d.cuts, cut)
+// sealed reports whether p ends in a seal frame: u32 length 9 | u32 CRC32C
+// | u8 4 | u64 generation.
+func sealed(p []byte) bool {
+	n := len(p) - 8 - 9
+	return n >= 0 && binary.LittleEndian.Uint32(p[n:]) == 9 && p[n+8] == 4
+}
+
+func (f compactionFile[L]) WriteAt(p []byte, off int64) (int, error) {
+	if off == 0 && sealed(p) {
+		*f.d.cuts = append(*f.d.cuts, compactionCut[L]{
+			before: pairImages(f.d.Backend, f.d.name), into: f.slot, write: bytes.Clone(p), live: f.d.live(),
+		})
 	}
 	return f.File.WriteAt(p, off)
 }
@@ -215,8 +228,14 @@ func (f compactionFile) WriteAt(p []byte, off int64) (int, error) {
 // set drains both are.
 func TestIntentJournalCompactionCrash(t *testing.T) {
 	var s *Server
-	var cuts []compactionCut
-	disk := compactionDisk{simdisk.New(nil, simdisk.Params{PageSize: 64}), &s, &cuts}
+	var cuts []compactionCut[[]wire.IntentID]
+	disk := compactionDisk[[]wire.IntentID]{simdisk.New(nil, simdisk.Params{PageSize: 64}), intentJournalName, func() []wire.IntentID {
+		var live []wire.IntentID
+		for k := range s.jLive {
+			live = append(live, wire.IntentID{Stripe: k.stripe, Owner: k.owner})
+		}
+		return live
+	}, &cuts}
 	s, _ = reload(disk, 2)
 	r := ref()
 	var pending []wire.IntentID
@@ -228,7 +247,7 @@ func TestIntentJournalCompactionCrash(t *testing.T) {
 			call(t, s, &wire.RetireIntents{File: r, Intents: pending[:4]})
 			pending = append(pending[:0], pending[4:]...)
 		}
-		if a, b := journalImage(disk, intentJournalName), journalImage(disk, intentAltJournalName); len(a) > 0 && len(b) > 0 {
+		if a, b := journalImage(disk, intentJournalName), journalImage(disk, intentJournalName+".1"); len(a) > 0 && len(b) > 0 {
 			t.Fatalf("cycle %d: both logs hold records (%d and %d bytes)", i, len(a), len(b))
 		}
 	}
@@ -240,7 +259,7 @@ func TestIntentJournalCompactionCrash(t *testing.T) {
 		crash := func(what string, images [2][]byte) {
 			t.Helper()
 			d := simdisk.New(nil, simdisk.Params{PageSize: 64})
-			for i, name := range []string{intentJournalName, intentAltJournalName} {
+			for i, name := range pairNames(intentJournalName) {
 				d.Open(name).WriteAt(images[i], 0) //nolint:errcheck // in-memory disk
 			}
 			restarted, refused := reload(d, 2)
@@ -265,7 +284,7 @@ func TestIntentJournalCompactionCrash(t *testing.T) {
 	}
 
 	call(t, s, &wire.RetireIntents{File: r, Intents: pending})
-	if a, b := journalImage(disk, intentJournalName), journalImage(disk, intentAltJournalName); len(a)+len(b) != 0 {
+	if a, b := journalImage(disk, intentJournalName), journalImage(disk, intentJournalName+".1"); len(a)+len(b) != 0 {
 		t.Fatalf("drained journal holds %d and %d bytes", len(a), len(b))
 	}
 }

@@ -94,7 +94,7 @@ type Server struct {
 
 	// Stripe intent journal (see intent.go). jmu nests inside sf.mu.
 	jmu   sync.Mutex
-	jlog  *intentLog
+	jlog  *journal.Pair
 	jLive map[intentKey]uint8 // live intents across all files -> the op that keeps each
 	// pendingIntents holds journal-loaded intents by file ID, not yet
 	// adopted by a serverFile record. Guarded by mu.
@@ -204,15 +204,15 @@ func New(idx int, disk storage.Backend, opts Options) *Server {
 	return s
 }
 
-// openJournal opens the named server-wide journal on the local backend,
-// replaying its records through each.
-func (s *Server) openJournal(name string, each func([]byte) error) *journal.Log {
-	f := s.disk.Open(name)
-	l, err := journal.Open(journalFile{f}, f.Size(), each)
+// openPair opens the named server-wide journal on the local backend, the
+// logs name and name.1, replaying its records through each.
+func (s *Server) openPair(name string, each func([]byte) error) *journal.Pair {
+	f0, f1 := s.disk.Open(name), s.disk.Open(name+".1")
+	p, err := journal.OpenPair([2]journal.File{journalFile{f0}, journalFile{f1}}, [2]int64{f0.Size(), f1.Size()}, each)
 	if err != nil {
 		panic(fmt.Errorf("server %d: %s: %w", s.idx, name, err))
 	}
-	return l
+	return p
 }
 
 // journalFile adapts a local-store file to journal.File; the store reports
@@ -859,16 +859,19 @@ func (s *Server) handleStorageStat(m *wire.StorageStat) (wire.Msg, error) {
 	return resp, nil
 }
 
+// handleRemoveFile deletes the file's stores, intents and dirty logs. It
+// materializes the file first, adopting the intents a restart parked.
 func (s *Server) handleRemoveFile(m *wire.RemoveFile) (wire.Msg, error) {
+	sf, err := s.file(m.File)
+	if err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
-	sf := s.files[m.File.ID]
 	delete(s.files, m.File.ID)
 	s.mu.Unlock()
-	if sf != nil {
-		s.dropFileIntents(sf)
-		for k := Store(0); k < numStores; k++ {
-			s.disk.Remove(fmt.Sprintf("f%06d.%s", m.File.ID, storeSuffix[k]))
-		}
+	s.dropFileIntents(sf)
+	for k := Store(0); k < numStores; k++ {
+		s.disk.Remove(fmt.Sprintf("f%06d.%s", m.File.ID, storeSuffix[k]))
 	}
 	s.dropFileDirty(m.File.ID)
 	return &wire.OK{}, nil
