@@ -57,8 +57,11 @@ faults:
 # under a live heartbeat, retires under concurrent writers and Syncs, the
 # server's pending-intent rules, the compactions of both iod journals (a
 # crash at every point of an intent compaction, and of a partial dirty
-# clear, a clear of All, a RemoveFile and a drain), a RemoveFile after a
-# restart retiring the reloaded intents and stores,
+# clear, a clear of All, a RemoveFile and a drain), a dirty journal record
+# of an unknown kind (the old unit, mirror and stripe records included)
+# poisoning its log's epochs, a dirty clear that retires nothing making no
+# journal write or sync, a RemoveFile after a restart retiring the reloaded
+# intents and stores,
 # lease/intent metrics, and the real-TCP iod bounce — run twice under the
 # race detector to prove the schedules are deterministic.
 crash:
@@ -70,13 +73,16 @@ crash:
 # The online-resync suite: dirty-region tracking by degraded writes, delta
 # replay with a concurrent foreground writer, the background-pass mechanism
 # (cursor rules under both policies, the terminal advance as a barrier, the
-# degraded dual-write nesting), the epoch-mismatch full-rebuild fallback,
-# abort/rerun convergence, and dirty-log durability across a replica crash
-# and across a torn journal tail (a crash inside a dirty-journal compaction
-# is `make crash`'s) — run twice under the race detector because the delta
-# scenario is genuinely concurrent.
+# degraded dual-write nesting), the replay order of the merged replicas'
+# groups and each group's cursor end, the full-rebuild fallbacks (an
+# epoch mismatch, a replica journal record it cannot read), abort/rerun
+# convergence, MarkDirty refusing a layout raid.Resolve refuses, and
+# dirty-log durability across a replica crash and across a torn journal tail
+# (a crash inside a dirty-journal compaction is `make crash`'s) — run twice
+# under the race detector because the delta scenario is genuinely
+# concurrent.
 resync:
-	$(GO) test -race -count=2 -run 'TestResync|TestDirtyLog|TestRebuildAbort|TestPass' ./internal/cluster
+	$(GO) test -race -count=2 -run 'TestResync|TestDirtyLog|TestRebuildAbort|TestPass' ./internal/cluster ./internal/recovery
 	$(GO) test -race -count=2 -run 'TestDirtyLog' ./internal/server
 	$(GO) test -race -count=2 -run 'TestMetricsResyncCounters' .
 
@@ -104,8 +110,8 @@ resync:
 # whose Read answers are short, long or refused); the layout's code groups against its geometry;
 # the one write rule over them — the planner's encode, rmw and overflow
 # portions covering every write, the parity delta's ranges and arithmetic
-# against a whole re-encode, and the exact damage degraded writes record
-# on the dirty-log replicas for every redundant shape; and the layout
+# against a whole re-encode, and the exact damaged groups degraded writes
+# record on the dirty-log replicas for every redundant shape; and the layout
 # resolver — every scheme name's shape, the retired and unknown scheme
 # values refused, and manager, server and client accepting exactly the
 # same layouts — under the race detector. Last, the non-x86

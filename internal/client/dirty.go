@@ -81,15 +81,15 @@ func (c *Client) clearOutages(idx int) {
 }
 
 // dirtyDamage computes what a write plan damages on the dead server, which
-// is exactly the set resync must replay. In every group an encode or
-// read-modify-write portion touches, the dead server holds at most one
-// member: a data unit the write covers but skips, or a redundancy member the
-// write updates (or leaves stale) — a stripe's parity unit, or a mirror
-// unit's copy. An encode portion of a layout with overflow also invalidates
-// overflow extents on every live server, and the dead one misses that; an
-// overflow portion damages the dead server's overflow stores where it keeps
-// a piece or a piece's copy.
-func dirtyDamage(l raid.Layout, plan []portion, dead int) (units, mirrors, stripes []int64, overflow bool) {
+// is exactly the set resync must replay: the code groups in which its one
+// member went stale. In every group an encode or read-modify-write portion
+// touches, the dead server holds at most one member: a data unit (damaged
+// only if the write covers it), or a redundancy member the write updates —
+// a stripe's parity unit, or a mirror unit's copy. An encode portion of a
+// layout with overflow also invalidates overflow extents on every live
+// server, and the dead one misses that; an overflow portion damages the
+// dead server's overflow stores where it keeps a piece or a piece's copy.
+func dirtyDamage(l raid.Layout, plan []portion, dead int) (groups []int64, overflow bool) {
 	for _, pt := range plan {
 		first, last := l.UnitOf(pt.span.Off), l.UnitOf(pt.span.End()-1)
 		if pt.mode == modeOverflow {
@@ -106,19 +106,12 @@ func dirtyDamage(l raid.Layout, plan []portion, dead int) (units, mirrors, strip
 			if !ok {
 				continue
 			}
-			switch m := l.GroupMember(grp, i); m.Store {
-			case raid.DataStore:
-				if m.Unit >= first && m.Unit <= last {
-					units = append(units, m.Unit)
-				}
-			case raid.ParityStore:
-				stripes = append(stripes, grp)
-			case raid.MirrorStore:
-				mirrors = append(mirrors, m.Unit)
+			if m := l.GroupMember(grp, i); m.Store != raid.DataStore || m.Unit >= first && m.Unit <= last {
+				groups = append(groups, grp)
 			}
 		}
 	}
-	return units, mirrors, stripes, overflow
+	return groups, overflow
 }
 
 // recordDirty durably logs a degraded write's damage on the dirty-log
@@ -129,14 +122,14 @@ func dirtyDamage(l raid.Layout, plan []portion, dead int) (units, mirrors, strip
 // refuses the record the degraded write itself is refused, because its
 // damage could otherwise be silently forgotten.
 func (c *Client) recordDirty(ref wire.FileRef, l raid.Layout, plan []portion, dead int) error {
-	units, mirrors, stripes, overflow := dirtyDamage(l, plan, dead)
-	if len(units) == 0 && len(mirrors) == 0 && len(stripes) == 0 && !overflow {
+	groups, overflow := dirtyDamage(l, plan, dead)
+	if len(groups) == 0 && !overflow {
 		return nil
 	}
-	atomic.AddInt64(&c.metrics.DirtyUnits, int64(len(units)+len(mirrors)+len(stripes)))
+	atomic.AddInt64(&c.metrics.DirtyUnits, int64(len(groups)))
 	m := &wire.MarkDirty{
 		File: ref, Dead: uint16(dead), Epoch: c.outageEpoch(ref.ID, dead),
-		Units: units, Mirrors: mirrors, Stripes: stripes, Overflow: overflow,
+		Groups: groups, Overflow: overflow,
 	}
 	replicas := DirtyReplicas(l.Servers, dead)
 	failed := 0

@@ -42,8 +42,8 @@ type Metrics struct {
 	IntentsReplayed  int64 `obs:"intents_replayed"`  // abandoned stripe intents repaired by replay
 	IntentsAbandoned int64 `obs:"intents_abandoned"` // abandoned intents seen by replay (incl. skipped)
 
-	DirtyUnits           int64 `obs:"dirty_units"`            // dirty-log items recorded by degraded writes
-	ResyncedUnits        int64 `obs:"resynced_units"`         // dirty-log items replayed by online resync
+	DirtyUnits           int64 `obs:"dirty_units"`            // damaged code groups degraded writes logged, one per dirty-log item
+	ResyncedUnits        int64 `obs:"resynced_units"`         // dirty-log groups replayed by online resync
 	ResyncForwards       int64 `obs:"resync_forwards"`        // degraded writes forwarded to a resyncing server
 	FullRebuildFallbacks int64 `obs:"full_rebuild_fallbacks"` // resyncs that fell back to a full rebuild
 

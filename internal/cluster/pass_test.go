@@ -208,7 +208,7 @@ func TestPassTerminalAdvanceIsBarrier(t *testing.T) {
 				t.Fatal(err)
 			}
 			d := resp.(*wire.DirtyDumpResp)
-			n = append(n, len(d.Units)+len(d.Mirrors)+len(d.Stripes))
+			n = append(n, len(d.Groups))
 		}
 		return n
 	}

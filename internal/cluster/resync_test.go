@@ -1,13 +1,16 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"sync"
 	"testing"
 
 	"csar/internal/client"
+	"csar/internal/journal"
 	"csar/internal/recovery"
+	"csar/internal/storage"
 	"csar/internal/wire"
 )
 
@@ -28,7 +31,7 @@ func dumpDirtyItems(t *testing.T, c *Cluster, ref wire.FileRef, dead int) int {
 			t.Fatal(err)
 		}
 		d := resp.(*wire.DirtyDumpResp)
-		n += len(d.Units) + len(d.Mirrors) + len(d.Stripes)
+		n += len(d.Groups)
 		if d.Overflow {
 			n++
 		}
@@ -286,6 +289,92 @@ func TestResyncEpochMismatchFullRebuild(t *testing.T) {
 	}
 	checkRead(t, f, want, 0)
 }
+
+// TestResyncUnknownDirtyKindFullRebuild: a dirty-log replica restarts with
+// a record in its journal that it cannot read — a unit record (kind 2) of
+// the format before group records — and that record is the log's only
+// mention of one damaged stripe. The reload poisons that replica's log
+// with epoch 0, so Resync cannot trust the log and rebuilds the server in
+// full, stripe included.
+func TestResyncUnknownDirtyKindFullRebuild(t *testing.T) {
+	c := newCluster(t, 5)
+	cl := c.NewClient()
+	f, err := cl.Create("f", 5, 64, wire.Raid5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pattern(8192, 1)
+	mustWrite(t, f, want, 0)
+
+	const dead = 2
+	c.StopServer(dead)
+	cl.MarkDown(dead)
+	mustWrite(t, f, pattern(256, 2), 0)
+	copy(want, pattern(256, 2))
+	const unit, stripe = 67, 16 // server 2's unit of stripe 16
+	mustWrite(t, f, pattern(10, 3), unit*64+2)
+	copy(want[unit*64+2:], pattern(10, 3))
+	c.RestartServer(dead)
+
+	// Both replicas forget stripe 16 as a group; one keeps it as the old
+	// format's record: u8 kind | u64 file | u16 dead | u64 epoch | i64 unit.
+	ref := f.Ref()
+	var epoch uint64
+	for _, r := range client.DirtyReplicas(c.Servers(), dead) {
+		resp, err := c.Server(r).Handle(&wire.DirtyDump{File: ref, Dead: dead})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := resp.(*wire.DirtyDumpResp)
+		epoch = d.Epochs[0]
+		for _, it := range d.Groups {
+			if it.Group == stripe {
+				if _, err := c.Server(r).Handle(&wire.ClearDirty{File: ref, Dead: dead, Groups: []wire.DirtyItem{it}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	rec := []byte{2}
+	rec = binary.LittleEndian.AppendUint64(rec, ref.ID)
+	rec = binary.LittleEndian.AppendUint16(rec, dead)
+	rec = binary.LittleEndian.AppendUint64(rec, epoch)
+	rec = binary.LittleEndian.AppendUint64(rec, unit)
+	r := client.DirtyReplicas(c.Servers(), dead)[0]
+	name := "dirty.journal" // the pair's current log is its one non-empty log
+	if c.ServerDisk(r).Open(name).Size() == 0 {
+		name += ".1"
+	}
+	jf := journalFile{c.ServerDisk(r).Open(name)}
+	jl, err := journal.Open(jf, jf.Size(), func([]byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	c.CrashServer(r)
+	c.RestartServer(r)
+
+	rep, err := recovery.Resync(cl, f, dead, recovery.ResyncOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.FullRebuild {
+		t.Fatalf("a replica log with an unreadable record did not force a full rebuild: %+v", rep)
+	}
+	cl.MarkUp(dead)
+	if problems, err := recovery.Verify(cl, f); err != nil || len(problems) != 0 {
+		t.Fatalf("verify after fallback: %v %v", problems, err)
+	}
+	checkRead(t, f, want, 0)
+}
+
+// journalFile adapts a simulated-disk file to journal.File.
+type journalFile struct{ storage.File }
+
+func (f journalFile) Truncate(size int64) error { f.File.Truncate(size); return nil }
+func (f journalFile) Sync() error               { f.File.Sync(); return nil }
 
 // TestResyncAbortLeavesLogIntact kills the recovering server mid-replay:
 // Resync must return ErrResyncAborted, leave the dirty log untouched, and a

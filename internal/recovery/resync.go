@@ -40,7 +40,9 @@ type ResyncOptions struct {
 	DryRun bool
 }
 
-// ResyncReport describes what a resync pass did (or, dry, would do).
+// ResyncReport describes what a resync pass did (or, dry, would do). Each
+// replayed code group counts once, under the store of the member the
+// recovering server holds in it.
 type ResyncReport struct {
 	Units         int64 // data units replayed onto the recovering server
 	Mirrors       int64 // RAID1 mirror units replayed
@@ -53,11 +55,17 @@ type ResyncReport struct {
 // Items is the total dirty-log items the pass replayed.
 func (r ResyncReport) Items() int64 { return r.Units + r.Mirrors + r.Stripes }
 
-// resyncItem is one dirty-log entry in replay order.
+// count adds one replayed group of layout l to the report.
+func (r *ResyncReport) count(l raid.Layout, dead int, group int64) {
+	byStore := [...]*int64{raid.DataStore: &r.Units, raid.ParityStore: &r.Stripes, raid.MirrorStore: &r.Mirrors}
+	i, _ := l.MemberHeldBy(dead, group)
+	*byStore[l.GroupMember(group, i).Store]++
+}
+
+// resyncItem is one damaged code group in replay order.
 type resyncItem struct {
-	kind byte  // 'u' data unit, 'm' mirror unit, 's' parity stripe
-	val  int64 // unit or stripe number
-	end  int64 // logical byte offset its replay completes (cursor position)
+	group int64
+	end   int64 // logical byte offset its replay completes (cursor position)
 }
 
 // DirtyServers returns the servers that have outstanding dirty-region logs
@@ -85,9 +93,20 @@ func DirtyServers(c *client.Client, f *client.File) []int {
 	return out
 }
 
-func dumpEmpty(d *wire.DirtyDumpResp) bool {
-	return len(d.Epochs) == 0 && len(d.Units) == 0 && len(d.Mirrors) == 0 &&
-		len(d.Stripes) == 0 && !d.Overflow
+// noItems reports whether a dump names no damage, epochs aside.
+func noItems(d *wire.DirtyDumpResp) bool { return len(d.Groups) == 0 && !d.Overflow }
+
+// dumpEmpty reports whether a replica holds no log at all.
+func dumpEmpty(d *wire.DirtyDumpResp) bool { return len(d.Epochs) == 0 && noItems(d) }
+
+// every reports whether pred holds for each dump.
+func every(dumps []*wire.DirtyDumpResp, pred func(*wire.DirtyDumpResp) bool) bool {
+	for _, d := range dumps {
+		if !pred(d) {
+			return false
+		}
+	}
+	return true
 }
 
 // dumpAll fetches the outage's dirty log from every replica.
@@ -141,45 +160,25 @@ func epochSet(d *wire.DirtyDumpResp) map[uint64]struct{} {
 	return s
 }
 
-// mergeItems unions the replicas' dumps into one replay list sorted by the
-// logical offset each item's replay completes (the order the cursor sweeps
-// the file). A record present on only one replica — the other failed its
-// MarkDirty — is still replayed; the union is why a single replication
-// failure does not force a full rebuild.
-func mergeItems(g raid.Geometry, dumps []*wire.DirtyDumpResp) (items []resyncItem, overflow bool) {
-	type key struct {
-		kind byte
-		val  int64
-	}
-	seen := map[key]bool{}
-	add := func(kind byte, val, end int64) {
-		k := key{kind, val}
-		if !seen[k] {
-			seen[k] = true
-			items = append(items, resyncItem{kind: kind, val: val, end: end})
-		}
-	}
+// mergeItems unions the replicas' dumps into one replay list of distinct
+// groups in ascending order, each ending at its group's end — the boundary
+// the client's forward decision (syncExtentEnd) uses — so the list is also
+// the order the cursor sweeps the file. A record present on only one
+// replica — the other failed its MarkDirty — is still replayed; the union
+// is why a single replication failure does not force a full rebuild.
+func mergeItems(l raid.Layout, dumps []*wire.DirtyDumpResp) (items []resyncItem, overflow bool) {
+	k, _ := l.GroupSize()
+	seen := map[int64]bool{}
 	for _, d := range dumps {
-		for _, it := range d.Units {
-			add('u', it.Val, g.UnitStart(it.Val)+g.StripeUnit)
-		}
-		for _, it := range d.Mirrors {
-			add('m', it.Val, g.UnitStart(it.Val)+g.StripeUnit)
-		}
-		for _, it := range d.Stripes {
-			add('s', it.Val, g.StripeStart(it.Val+1))
+		for _, it := range d.Groups {
+			if !seen[it.Group] {
+				seen[it.Group] = true
+				items = append(items, resyncItem{it.Group, l.UnitStart((it.Group + 1) * int64(k))})
+			}
 		}
 		overflow = overflow || d.Overflow
 	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].end != items[j].end {
-			return items[i].end < items[j].end
-		}
-		if items[i].kind != items[j].kind {
-			return items[i].kind < items[j].kind
-		}
-		return items[i].val < items[j].val
-	})
+	sort.Slice(items, func(i, j int) bool { return items[i].group < items[j].group })
 	return items, overflow
 }
 
@@ -211,13 +210,7 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 	if err != nil {
 		return report, err
 	}
-	empty := true
-	for _, d := range dumps {
-		if !dumpEmpty(d) {
-			empty = false
-		}
-	}
-	if empty {
+	if every(dumps, dumpEmpty) {
 		return report, nil // no degraded write ever logged damage
 	}
 	if !epochsTrustworthy(dumps) {
@@ -227,17 +220,11 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 		}
 		return report, fullRebuildFallback(c, f, dead, replicas)
 	}
+	l := f.Layout()
 	if opts.DryRun {
-		items, overflow := mergeItems(g, dumps)
+		items, overflow := mergeItems(l, dumps)
 		for _, it := range items {
-			switch it.kind {
-			case 'u':
-				report.Units++
-			case 'm':
-				report.Mirrors++
-			case 's':
-				report.Stripes++
-			}
+			report.count(l, dead, it.group)
 		}
 		if overflow {
 			report.OverflowBytes = -1 // unknown without reading the dumps
@@ -259,14 +246,13 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 	// forwarded, no new damage is logged, and the dump shrinks to empty
 	// within a round or two.
 	const maxRounds = 64
-	l := f.Layout()
 	var deads []int // probed once, at the first item
 	for round := 1; ; round++ {
 		if round > maxRounds {
 			return report, fmt.Errorf("%w: no convergence after %d rounds", ErrResyncAborted, maxRounds)
 		}
 		report.Rounds = round
-		items, overflow := mergeItems(g, dumps)
+		items, overflow := mergeItems(l, dumps)
 		for _, it := range items {
 			if deads == nil {
 				// Items decode around the recovering server — whose stale
@@ -276,34 +262,21 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 					return report, fmt.Errorf("%w: %v", ErrResyncAborted, err)
 				}
 			}
-			// The item's group: a 'u' unit's or an 'm' copy's is its data
-			// unit's, an 's' stripe is one. The recovering server holds one
-			// member of it, which restoreMembers regenerates.
-			group := it.val
-			if it.kind != 's' {
-				group, _ = l.GroupOf(it.val)
-			}
 			lim.Acquire(g.StripeUnit)
 			var rerr error
 			pass.Exclusive(func() {
 				// Under the gate no foreground write from this client is
-				// mid-flight.
-				rerr = restoreMembers(c, f, dead, deads, []int64{group})
+				// mid-flight. The recovering server holds one member of the
+				// group, which restoreMembers regenerates.
+				rerr = restoreMembers(c, f, dead, deads, []int64{it.group})
 				if rerr == nil && round == 1 {
 					pass.Advance(it.end)
 				}
 			})
 			if rerr != nil {
-				return report, fmt.Errorf("%w: replay of %c%d: %v", ErrResyncAborted, it.kind, it.val, rerr)
+				return report, fmt.Errorf("%w: replay of group %d: %v", ErrResyncAborted, it.group, rerr)
 			}
-			switch it.kind {
-			case 'u':
-				report.Units++
-			case 'm':
-				report.Mirrors++
-			case 's':
-				report.Stripes++
-			}
+			report.count(l, dead, it.group)
 		}
 		if overflow {
 			var n int64
@@ -335,8 +308,7 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 			d := dumps[i]
 			_, cerr := c.ServerCaller(r).Call(&wire.ClearDirty{
 				File: ref, Dead: uint16(dead),
-				Units: d.Units, Mirrors: d.Mirrors, Stripes: d.Stripes,
-				Overflow: d.Overflow, OverflowGen: d.OverflowGen,
+				Groups: d.Groups, Overflow: d.Overflow, OverflowGen: d.OverflowGen,
 			})
 			if cerr != nil {
 				return report, fmt.Errorf("%w: clear on server %d: %v", ErrResyncAborted, r, cerr)
@@ -345,13 +317,7 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 		if dumps, err = dumpAll(c, ref, dead, replicas); err != nil {
 			return report, err
 		}
-		done := true
-		for _, d := range dumps {
-			if len(d.Units) != 0 || len(d.Mirrors) != 0 || len(d.Stripes) != 0 || d.Overflow {
-				done = false
-			}
-		}
-		if done {
+		if every(dumps, noItems) {
 			break
 		}
 		if !epochsTrustworthy(dumps) {

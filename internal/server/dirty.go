@@ -1,11 +1,13 @@
 // Dirty-region log — the server half of online incremental resync.
 //
-// While a server is dead, every degraded write records the regions the
-// absentee missed onto its two neighbours (MarkDirty), each of which keeps
-// a durable per-(file, dead-server) log next to the intent journal. When
-// the server returns, recovery dumps both replicas (DirtyDump), replays
-// only the union of their entries, and retires exactly what it read
-// (ClearDirty) — entries re-dirtied by concurrent foreground writes keep a
+// While a server is dead, every degraded write records the code groups in
+// which the absentee's member went stale onto its two neighbours
+// (MarkDirty), each of which keeps a durable per-(file, dead-server) log
+// next to the intent journal. A group number names the damage whole: the
+// dead server holds at most one member of any group, whatever its store.
+// When the server returns, recovery dumps both replicas (DirtyDump),
+// replays only the union of their groups, and retires exactly what it read
+// (ClearDirty) — groups re-dirtied by concurrent foreground writes keep a
 // newer generation and survive the clear, so the next resync round picks
 // them up instead of losing them.
 //
@@ -24,6 +26,7 @@ import (
 	"sync"
 
 	"csar/internal/journal"
+	"csar/internal/raid"
 	"csar/internal/wire"
 )
 
@@ -32,13 +35,13 @@ import (
 const dirtyJournalName = "dirty.journal"
 
 // Journal record kinds. Every record carries the outage epoch so the load
-// path can rebuild the epoch set from any record mix.
+// path can rebuild the epoch set from any record mix. Kinds 2-4 stay
+// retired: an older format's unit, mirror and stripe records used them, and
+// the loader must keep poisoning them as it does any kind it does not know.
 const (
-	dirtyKindEpoch    uint8 = iota + 1 // epoch sighting only; value unused
-	dirtyKindUnit                      // data unit owned by the dead server
-	dirtyKindMirror                    // unit whose mirror copy lives on it
-	dirtyKindStripe                    // parity stripe it owns
-	dirtyKindOverflow                  // its overflow stores diverged; value unused
+	dirtyKindEpoch    uint8 = 1 // epoch sighting only; value unused
+	dirtyKindOverflow uint8 = 5 // its overflow stores diverged; value unused
+	dirtyKindGroup    uint8 = 6 // code group whose member on it went stale
 )
 
 // dirtyKey addresses one log: the damage a specific dead server missed for
@@ -55,26 +58,17 @@ type dirtyKey struct {
 // so entries survive and are replayed again).
 type dirtyLog struct {
 	epochs      map[uint64]struct{}
-	units       map[int64]uint64 // unit -> generation
-	mirrors     map[int64]uint64
-	stripes     map[int64]uint64
+	groups      map[int64]uint64 // group -> generation
 	overflow    bool
 	overflowGen uint64
 	gen         uint64
 }
 
 func newDirtyLog() *dirtyLog {
-	return &dirtyLog{
-		epochs:  make(map[uint64]struct{}),
-		units:   make(map[int64]uint64),
-		mirrors: make(map[int64]uint64),
-		stripes: make(map[int64]uint64),
-	}
+	return &dirtyLog{epochs: make(map[uint64]struct{}), groups: make(map[int64]uint64)}
 }
 
-func (dl *dirtyLog) empty() bool {
-	return len(dl.units) == 0 && len(dl.mirrors) == 0 && len(dl.stripes) == 0 && !dl.overflow
-}
+func (dl *dirtyLog) empty() bool { return len(dl.groups) == 0 && !dl.overflow }
 
 // dirtyState is the server's dirty-log table plus its journal, guarded by
 // its own mutex (independent of mu/jmu; handlers take only it).
@@ -129,15 +123,17 @@ func (s *Server) loadDirty() {
 		dl.epochs[r.epoch] = struct{}{}
 		dl.gen++
 		switch r.kind {
-		case dirtyKindUnit:
-			dl.units[r.val] = dl.gen
-		case dirtyKindMirror:
-			dl.mirrors[r.val] = dl.gen
-		case dirtyKindStripe:
-			dl.stripes[r.val] = dl.gen
+		case dirtyKindEpoch:
+		case dirtyKindGroup:
+			dl.groups[r.val] = dl.gen
 		case dirtyKindOverflow:
 			dl.overflow = true
 			dl.overflowGen = dl.gen
+		default:
+			// Damage this server cannot read (a record of another format)
+			// is damage the log no longer names: the poison epoch sends the
+			// outage's resync to a full rebuild instead of forgetting it.
+			dl.epochs[0] = struct{}{}
 		}
 		return nil
 	})
@@ -156,11 +152,8 @@ func (s *Server) compactDirtyLocked() {
 			anyEpoch = ep
 			recs = append(recs, dirtyRecord(dirtyKindEpoch, k, ep, 0))
 		}
-		sets := [...]map[int64]uint64{dirtyKindUnit: dl.units, dirtyKindMirror: dl.mirrors, dirtyKindStripe: dl.stripes}
-		for kind, set := range sets {
-			for v := range set {
-				recs = append(recs, dirtyRecord(uint8(kind), k, anyEpoch, v))
-			}
+		for g := range dl.groups {
+			recs = append(recs, dirtyRecord(dirtyKindGroup, k, anyEpoch, g))
 		}
 		if dl.overflow {
 			recs = append(recs, dirtyRecord(dirtyKindOverflow, k, anyEpoch, 0))
@@ -175,8 +168,12 @@ func (s *Server) compactDirtyLocked() {
 // only genuinely new entries cost a journal record, so hammering the same
 // region does not grow the log.
 func (s *Server) handleMarkDirty(m *wire.MarkDirty) (wire.Msg, error) {
-	if int(m.Dead) >= int(m.File.Servers) {
-		return nil, fmt.Errorf("server: MarkDirty for server %d of a %d-server layout", m.Dead, m.File.Servers)
+	l, err := raid.Resolve(m.File)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
+	if int(m.Dead) >= l.Servers {
+		return nil, fmt.Errorf("server: MarkDirty for server %d of a %d-server layout", m.Dead, l.Servers)
 	}
 	k := dirtyKey{m.File.ID, m.Dead}
 	s.dirty.mu.Lock()
@@ -191,18 +188,13 @@ func (s *Server) handleMarkDirty(m *wire.MarkDirty) (wire.Msg, error) {
 		dl.epochs[m.Epoch] = struct{}{}
 		recs = append(recs, dirtyRecord(dirtyKindEpoch, k, m.Epoch, 0))
 	}
-	mark := func(set map[int64]uint64, kind uint8, vals []int64) {
-		for _, v := range vals {
-			dl.gen++
-			if _, ok := set[v]; !ok {
-				recs = append(recs, dirtyRecord(kind, k, m.Epoch, v))
-			}
-			set[v] = dl.gen
+	for _, g := range m.Groups {
+		dl.gen++
+		if _, ok := dl.groups[g]; !ok {
+			recs = append(recs, dirtyRecord(dirtyKindGroup, k, m.Epoch, g))
 		}
+		dl.groups[g] = dl.gen
 	}
-	mark(dl.units, dirtyKindUnit, m.Units)
-	mark(dl.mirrors, dirtyKindMirror, m.Mirrors)
-	mark(dl.stripes, dirtyKindStripe, m.Stripes)
 	if m.Overflow {
 		dl.gen++
 		if !dl.overflow {
@@ -234,17 +226,11 @@ func (s *Server) handleDirtyDump(m *wire.DirtyDump) (wire.Msg, error) {
 		resp.Epochs = append(resp.Epochs, ep)
 	}
 	sort.Slice(resp.Epochs, func(i, j int) bool { return resp.Epochs[i] < resp.Epochs[j] })
-	items := func(set map[int64]uint64) []wire.DirtyItem {
-		out := make([]wire.DirtyItem, 0, len(set))
-		for v, g := range set {
-			out = append(out, wire.DirtyItem{Val: v, Gen: g})
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Val < out[j].Val })
-		return out
+	resp.Groups = make([]wire.DirtyItem, 0, len(dl.groups))
+	for g, gen := range dl.groups {
+		resp.Groups = append(resp.Groups, wire.DirtyItem{Group: g, Gen: gen})
 	}
-	resp.Units = items(dl.units)
-	resp.Mirrors = items(dl.mirrors)
-	resp.Stripes = items(dl.stripes)
+	sort.Slice(resp.Groups, func(i, j int) bool { return resp.Groups[i].Group < resp.Groups[j].Group })
 	resp.Overflow = dl.overflow
 	resp.OverflowGen = dl.overflowGen
 	return resp, nil
@@ -253,7 +239,8 @@ func (s *Server) handleDirtyDump(m *wire.DirtyDump) (wire.Msg, error) {
 // handleClearDirty retires replayed entries: each one only if its
 // generation still matches the dump it was replayed from. A fully drained
 // log disappears, epochs included — the outage is over. The journal is
-// compacted rather than appended to, so clears leave no clear records.
+// compacted rather than appended to, so clears leave no clear records; a
+// clear that retires nothing (every entry re-dirtied since) leaves it be.
 func (s *Server) handleClearDirty(m *wire.ClearDirty) (wire.Msg, error) {
 	k := dirtyKey{m.File.ID, m.Dead}
 	s.dirty.mu.Lock()
@@ -267,23 +254,24 @@ func (s *Server) handleClearDirty(m *wire.ClearDirty) (wire.Msg, error) {
 		s.compactDirtyLocked()
 		return &wire.OK{}, nil
 	}
-	retire := func(set map[int64]uint64, items []wire.DirtyItem) {
-		for _, it := range items {
-			if g, ok := set[it.Val]; ok && g == it.Gen {
-				delete(set, it.Val)
-			}
+	changed := false
+	for _, it := range m.Groups {
+		if gen, ok := dl.groups[it.Group]; ok && gen == it.Gen {
+			delete(dl.groups, it.Group)
+			changed = true
 		}
 	}
-	retire(dl.units, m.Units)
-	retire(dl.mirrors, m.Mirrors)
-	retire(dl.stripes, m.Stripes)
 	if m.Overflow && dl.overflow && dl.overflowGen == m.OverflowGen {
 		dl.overflow = false
+		changed = true
 	}
 	if dl.empty() {
 		delete(s.dirty.logs, k)
+		changed = true
 	}
-	s.compactDirtyLocked()
+	if changed {
+		s.compactDirtyLocked()
+	}
 	return &wire.OK{}, nil
 }
 

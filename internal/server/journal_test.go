@@ -97,30 +97,28 @@ func TestIntentJournalBitFlip(t *testing.T) {
 }
 
 // TestDirtyLogBitFlip flips every byte of a two-record dirty journal (an
-// epoch sighting, then one unit) and reloads: the server must never come
+// epoch sighting, then one group) and reloads: the server must never come
 // back with a dirty log, epoch or item that was not written.
 func TestDirtyLogBitFlip(t *testing.T) {
 	disk := simdisk.New(nil, simdisk.Params{PageSize: 64})
 	s, _ := reload(disk, 0)
-	call(t, s, &wire.MarkDirty{File: ref(), Dead: 1, Epoch: 7, Units: []int64{3}})
+	call(t, s, &wire.MarkDirty{File: ref(), Dead: 1, Epoch: 7, Groups: []int64{3}})
 	image := journalImage(disk, dirtyJournalName)
 
 	want := dirtyKey{ref().ID, 1}
 	unwritten := func(s *Server) string {
 		for k, dl := range s.dirty.logs {
-			_, unit := dl.units[3]
+			_, group := dl.groups[3]
 			_, epoch := dl.epochs[7]
-			if k != want || len(dl.epochs) != 1 || !epoch || len(dl.units) > 1 || len(dl.units) == 1 && !unit ||
-				len(dl.mirrors)+len(dl.stripes) != 0 || dl.overflow {
-				return fmt.Sprintf("log %+v: epochs %v units %v mirrors %v stripes %v overflow %v",
-					k, dl.epochs, dl.units, dl.mirrors, dl.stripes, dl.overflow)
+			if k != want || len(dl.epochs) != 1 || !epoch || len(dl.groups) > 1 || len(dl.groups) == 1 && !group || dl.overflow {
+				return fmt.Sprintf("log %+v: epochs %v groups %v overflow %v", k, dl.epochs, dl.groups, dl.overflow)
 			}
 		}
 		return ""
 	}
 	kept := func(s *Server, frames int) bool {
 		dl := s.dirty.logs[want]
-		return len(s.dirty.logs) == frames && (dl == nil || len(dl.units) == 0)
+		return len(s.dirty.logs) == frames && (dl == nil || len(dl.groups) == 0)
 	}
 	flipEachByte(t, dirtyJournalName, image, 8+27, 0, unwritten, kept)
 }
@@ -146,16 +144,8 @@ func TestLegacyIntentJournalRefused(t *testing.T) {
 
 // dirtyPicture is s's dirty logs as a reload keeps them, without the
 // generations the journal does not hold: per (file, dead) key its epochs,
-// units, mirrors, stripes and overflow flag, sorted.
+// groups and overflow flag, sorted.
 func dirtyPicture(s *Server) map[dirtyKey]string {
-	sorted := func(m map[int64]uint64) []int64 {
-		var vs []int64
-		for v := range m {
-			vs = append(vs, v)
-		}
-		slices.Sort(vs)
-		return vs
-	}
 	out := make(map[dirtyKey]string)
 	for k, dl := range s.dirty.logs {
 		var epochs []uint64
@@ -163,7 +153,12 @@ func dirtyPicture(s *Server) map[dirtyKey]string {
 			epochs = append(epochs, ep)
 		}
 		slices.Sort(epochs)
-		out[k] = fmt.Sprint(epochs, sorted(dl.units), sorted(dl.mirrors), sorted(dl.stripes), dl.overflow)
+		var groups []int64
+		for g := range dl.groups {
+			groups = append(groups, g)
+		}
+		slices.Sort(groups)
+		out[k] = fmt.Sprint(epochs, groups, dl.overflow)
 	}
 	return out
 }
@@ -181,17 +176,17 @@ func TestDirtyJournalCompactionCrash(t *testing.T) {
 	var s *Server
 	var cuts []compactionCut[map[dirtyKey]string]
 	disk := compactionDisk[map[dirtyKey]string]{simdisk.New(nil, simdisk.Params{PageSize: 64}), dirtyJournalName,
-		func() map[dirtyKey]string { return dirtyPicture(s) }, &cuts}
+		func() map[dirtyKey]string { return dirtyPicture(s) }, &cuts, nil}
 	s, _ = reload(disk, 0)
 	file := func(id uint64) wire.FileRef { r := ref(); r.ID = id; return r }
 	a, b, c := file(1), file(2), file(3)
 	for _, m := range []*wire.MarkDirty{
-		{File: b, Dead: 1, Epoch: 11, Units: []int64{0, 3, 6}},
-		{File: a, Dead: 1, Epoch: 21, Units: []int64{1, 4}, Mirrors: []int64{2}, Stripes: []int64{5}, Overflow: true},
-		{File: a, Dead: 1, Epoch: 22, Units: []int64{7}},
-		{File: a, Dead: 2, Epoch: 23, Stripes: []int64{8}},
-		{File: c, Dead: 1, Epoch: 31, Units: []int64{9}},
-		{File: c, Dead: 2, Epoch: 32, Mirrors: []int64{10}},
+		{File: b, Dead: 1, Epoch: 11, Groups: []int64{0, 3, 6}},
+		{File: a, Dead: 1, Epoch: 21, Groups: []int64{1, 4, 2, 5}, Overflow: true},
+		{File: a, Dead: 1, Epoch: 22, Groups: []int64{7}},
+		{File: a, Dead: 2, Epoch: 23, Groups: []int64{8}},
+		{File: c, Dead: 1, Epoch: 31, Groups: []int64{9}},
+		{File: c, Dead: 2, Epoch: 32, Groups: []int64{10}},
 	} {
 		call(t, s, m)
 	}
@@ -200,8 +195,7 @@ func TestDirtyJournalCompactionCrash(t *testing.T) {
 	}
 	clearAll := func(f wire.FileRef, dead uint16) wire.Msg {
 		d := dump(f, dead)
-		return &wire.ClearDirty{File: f, Dead: dead, Units: d.Units, Mirrors: d.Mirrors, Stripes: d.Stripes,
-			Overflow: d.Overflow, OverflowGen: d.OverflowGen}
+		return &wire.ClearDirty{File: f, Dead: dead, Groups: d.Groups, Overflow: d.Overflow, OverflowGen: d.OverflowGen}
 	}
 	steps := []struct {
 		what string
@@ -210,7 +204,7 @@ func TestDirtyJournalCompactionCrash(t *testing.T) {
 	}{
 		{"partial ClearDirty", func() wire.Msg {
 			d := dump(a, 1)
-			return &wire.ClearDirty{File: a, Dead: 1, Units: d.Units[:1], Mirrors: d.Mirrors, Overflow: true, OverflowGen: d.OverflowGen}
+			return &wire.ClearDirty{File: a, Dead: 1, Groups: d.Groups[:2], Overflow: true, OverflowGen: d.OverflowGen}
 		}, []dirtyKey{{1, 1}}},
 		{"ClearDirty{All}", func() wire.Msg { return &wire.ClearDirty{File: a, Dead: 2, All: true} }, []dirtyKey{{1, 2}}},
 		{"RemoveFile", func() wire.Msg { return &wire.RemoveFile{File: c} }, []dirtyKey{{3, 1}, {3, 2}}},
@@ -307,5 +301,84 @@ func TestRemoveFileAfterRestart(t *testing.T) {
 	s, _ = reload(disk, 2)
 	if len(s.jLive)+len(s.pendingIntents) != 0 || s.IntentStats().Abandoned != 0 {
 		t.Fatalf("next restart reloaded live intents %v, parked %v", s.jLive, s.pendingIntents)
+	}
+}
+
+// TestDirtyJournalUnknownKind reloads a dirty journal holding a record of a
+// kind the loader does not know — the unit (2), mirror (3) and stripe (4)
+// records of the format before group records, and a kind no format used.
+// The damage it names is not invented as a group; the log instead comes
+// back poisoned with epoch 0, which sends its outage's resync to a full
+// rebuild, and a compaction of the log keeps the poison.
+func TestDirtyJournalUnknownKind(t *testing.T) {
+	for _, kind := range []uint8{2, 3, 4, 0x7f} {
+		t.Run(fmt.Sprint("kind ", kind), func(t *testing.T) {
+			disk := simdisk.New(nil, simdisk.Params{PageSize: 64})
+			s, _ := reload(disk, 0)
+			call(t, s, &wire.MarkDirty{File: ref(), Dead: 1, Epoch: 7, Groups: []int64{3, 4}})
+			if err := s.dirty.journal.Append(true, dirtyRecord(kind, dirtyKey{ref().ID, 1}, 7, 5)); err != nil {
+				t.Fatal(err)
+			}
+			check := func(what string, epochs, groups []int64) {
+				t.Helper()
+				s, _ = reload(disk, 0)
+				d := call(t, s, &wire.DirtyDump{File: ref(), Dead: 1}).(*wire.DirtyDumpResp)
+				var gotEpochs, gotGroups []int64
+				for _, ep := range d.Epochs {
+					gotEpochs = append(gotEpochs, int64(ep))
+				}
+				for _, it := range d.Groups {
+					gotGroups = append(gotGroups, it.Group)
+				}
+				if !slices.Equal(gotEpochs, epochs) || !slices.Equal(gotGroups, groups) {
+					t.Fatalf("%s: epochs %v groups %v, want %v %v", what, gotEpochs, gotGroups, epochs, groups)
+				}
+			}
+			check("reload", []int64{0, 7}, []int64{3, 4})
+			d := call(t, s, &wire.DirtyDump{File: ref(), Dead: 1}).(*wire.DirtyDumpResp)
+			call(t, s, &wire.ClearDirty{File: ref(), Dead: 1, Groups: d.Groups[:1]})
+			check("reload after a compaction", []int64{0, 7}, []int64{4})
+		})
+	}
+}
+
+// TestDirtyLogRefusesUnresolvableRef: MarkDirty refuses a ref raid.Resolve
+// refuses — here a Reed-Solomon layout with no parity units — like every
+// other request, and journals nothing.
+func TestDirtyLogRefusesUnresolvableRef(t *testing.T) {
+	disk := simdisk.New(nil, simdisk.Params{PageSize: 64})
+	s, _ := reload(disk, 0)
+	bad := wire.FileRef{ID: 1, Servers: 6, StripeUnit: 128, Scheme: wire.ReedSolomon}
+	if _, err := s.Handle(&wire.MarkDirty{File: bad, Dead: 1, Epoch: 7, Groups: []int64{3}}); err == nil {
+		t.Fatal("MarkDirty of an RS ref with 0 parity units was accepted")
+	}
+	if imgs := pairImages(disk, dirtyJournalName); len(imgs[0])+len(imgs[1]) != 0 {
+		t.Fatalf("refused MarkDirty journaled %d and %d bytes", len(imgs[0]), len(imgs[1]))
+	}
+	if len(s.dirty.logs) != 0 {
+		t.Fatalf("refused MarkDirty left logs %v", dirtyPicture(s))
+	}
+}
+
+// TestDirtyJournalClearOfNothing: a ClearDirty that retires nothing — every
+// group it lists was re-dirtied since its dump, or is not logged — makes no
+// journal write or sync, and the log keeps its group.
+func TestDirtyJournalClearOfNothing(t *testing.T) {
+	var cuts []compactionCut[map[dirtyKey]string]
+	calls := 0
+	disk := compactionDisk[map[dirtyKey]string]{simdisk.New(nil, simdisk.Params{PageSize: 64}), dirtyJournalName,
+		func() map[dirtyKey]string { return nil }, &cuts, &calls}
+	s, _ := reload(disk, 0)
+	mark := &wire.MarkDirty{File: ref(), Dead: 1, Epoch: 7, Groups: []int64{3}}
+	call(t, s, mark)
+	stale := call(t, s, &wire.DirtyDump{File: ref(), Dead: 1}).(*wire.DirtyDumpResp)
+	call(t, s, mark)
+	calls = 0
+	call(t, s, &wire.ClearDirty{File: ref(), Dead: 1, Groups: append(stale.Groups, wire.DirtyItem{Group: 9, Gen: 1})})
+	if calls != 0 || len(cuts) != 0 {
+		t.Fatalf("a clear retiring nothing made %d journal writes and syncs (%d compactions)", calls, len(cuts))
+	}
+	if d := call(t, s, &wire.DirtyDump{File: ref(), Dead: 1}).(*wire.DirtyDumpResp); len(d.Groups) != 1 {
+		t.Fatalf("after the clear: groups %v, want group 3", d.Groups)
 	}
 }

@@ -162,12 +162,14 @@ func TestIntentJournalStaysSmall(t *testing.T) {
 // compactionDisk catches the compactions of the named journal pair: the
 // write that puts a sealed copy of the live set into one of its logs. At
 // each it saves what a crash could leave behind, and live's picture of the
-// owner's live set.
+// owner's live set. If calls is set it counts every WriteAt and Sync on
+// the pair's logs.
 type compactionDisk[L any] struct {
 	storage.Backend
-	name string
-	live func() L
-	cuts *[]compactionCut[L]
+	name  string
+	live  func() L
+	cuts  *[]compactionCut[L]
+	calls *int
 }
 
 // compactionCut is the journal as one compaction found it: both logs'
@@ -211,7 +213,19 @@ func sealed(p []byte) bool {
 	return n >= 0 && binary.LittleEndian.Uint32(p[n:]) == 9 && p[n+8] == 4
 }
 
+func (f compactionFile[L]) Sync() {
+	f.count()
+	f.File.Sync()
+}
+
+func (f compactionFile[L]) count() {
+	if f.d.calls != nil {
+		*f.d.calls++
+	}
+}
+
 func (f compactionFile[L]) WriteAt(p []byte, off int64) (int, error) {
+	f.count()
 	if off == 0 && sealed(p) {
 		*f.d.cuts = append(*f.d.cuts, compactionCut[L]{
 			before: pairImages(f.d.Backend, f.d.name), into: f.slot, write: bytes.Clone(p), live: f.d.live(),
@@ -235,7 +249,7 @@ func TestIntentJournalCompactionCrash(t *testing.T) {
 			live = append(live, wire.IntentID{Stripe: k.stripe, Owner: k.owner})
 		}
 		return live
-	}, &cuts}
+	}, &cuts, nil}
 	s, _ = reload(disk, 2)
 	r := ref()
 	var pending []wire.IntentID

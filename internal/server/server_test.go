@@ -633,27 +633,27 @@ func TestDirtyLogReloadPastTornTail(t *testing.T) {
 	for name, tail := range map[string][]byte{
 		"zero fill":           make([]byte, 16),
 		"partial length word": {recordLen, 0},
-		"cut record":          {recordLen, 0, 0, 0, 0x5a, 0x5a, 0x5a, 0x5a, dirtyKindUnit, 1},
+		"cut record":          {recordLen, 0, 0, 0, 0x5a, 0x5a, 0x5a, 0x5a, dirtyKindGroup, 1},
 	} {
 		t.Run(name, func(t *testing.T) {
 			disk := simdisk.New(nil, simdisk.Params{PageSize: 64})
 			opts := DefaultOptions()
 			opts.PageSize = 64
 			s := New(0, disk, opts)
-			call(t, s, &wire.MarkDirty{File: ref(), Dead: 1, Epoch: 7, Units: []int64{3}})
+			call(t, s, &wire.MarkDirty{File: ref(), Dead: 1, Epoch: 7, Groups: []int64{3}})
 			j := disk.Open(dirtyJournalName)
 			j.WriteAt(tail, j.Size()) //nolint:errcheck // in-memory disk
 
 			s = New(0, disk, opts)
-			call(t, s, &wire.MarkDirty{File: ref(), Dead: 1, Epoch: 7, Units: []int64{5}})
+			call(t, s, &wire.MarkDirty{File: ref(), Dead: 1, Epoch: 7, Groups: []int64{5}})
 			s = New(0, disk, opts)
 			got := call(t, s, &wire.DirtyDump{File: ref(), Dead: 1}).(*wire.DirtyDumpResp)
-			var units []int64
-			for _, it := range got.Units {
-				units = append(units, it.Val)
+			var groups []int64
+			for _, it := range got.Groups {
+				groups = append(groups, it.Group)
 			}
-			if len(units) != 2 || units[0] != 3 || units[1] != 5 || len(got.Epochs) != 1 || got.Epochs[0] != 7 {
-				t.Fatalf("after two reloads: units %v epochs %v, want [3 5] [7]", units, got.Epochs)
+			if len(groups) != 2 || groups[0] != 3 || groups[1] != 5 || len(got.Epochs) != 1 || got.Epochs[0] != 7 {
+				t.Fatalf("after two reloads: groups %v epochs %v, want [3 5] [7]", groups, got.Epochs)
 			}
 		})
 	}

@@ -102,7 +102,7 @@ func (s *Server) registerGauges() {
 		defer s.dirty.mu.Unlock()
 		var n int64
 		for _, dl := range s.dirty.logs {
-			n += int64(len(dl.units) + len(dl.mirrors) + len(dl.stripes))
+			n += int64(len(dl.groups))
 			if dl.overflow {
 				n++
 			}

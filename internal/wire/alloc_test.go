@@ -222,16 +222,10 @@ func TestUnmarshalLengthPrefixAmplification(t *testing.T) {
 		{"OverflowDumpResp.Extents", KOverflowDumpResp, 0, nil},
 		{"ListIntentsResp.Intents", KListIntentsResp, 0, nil},
 		{"RetireIntents.Intents", KRetireIntents, 16, nil},
-		{"MarkDirty.Units", KMarkDirty, 26, nil},
-		{"MarkDirty.Mirrors", KMarkDirty, 30, nil},
-		{"MarkDirty.Stripes", KMarkDirty, 34, nil},
+		{"MarkDirty.Groups", KMarkDirty, 26, nil},
 		{"DirtyDumpResp.Epochs", KDirtyDumpResp, 0, nil},
-		{"DirtyDumpResp.Units", KDirtyDumpResp, 4, nil},
-		{"DirtyDumpResp.Mirrors", KDirtyDumpResp, 8, nil},
-		{"DirtyDumpResp.Stripes", KDirtyDumpResp, 12, nil},
-		{"ClearDirty.Units", KClearDirty, 19, nil},
-		{"ClearDirty.Mirrors", KClearDirty, 23, nil},
-		{"ClearDirty.Stripes", KClearDirty, 27, nil},
+		{"DirtyDumpResp.Groups", KDirtyDumpResp, 4, nil},
+		{"ClearDirty.Groups", KClearDirty, 19, nil},
 		{"ListResp.Names", KListResp, 0, nil},
 		{"ServerListResp.Addrs", KServerListResp, 0, nil},
 		{"StatsResp.Counters", KStatsResp, 10, nil},

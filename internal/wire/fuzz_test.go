@@ -25,7 +25,7 @@ func fuzzSeeds() []Msg {
 		&RenewLease{File: rsRef, Stripes: []int64{7, 13}, Owner: 91, LeaseMS: 5000},
 		&ListIntents{File: rsRef},
 		&ResolveIntent{File: rsRef, Stripe: 7, Owner: 91, Data: []byte{0x01, 0x02}},
-		&MarkDirty{File: rsRef, Dead: 4, Epoch: 7, Stripes: []int64{7, 13}},
+		&MarkDirty{File: rsRef, Dead: 4, Epoch: 7, Groups: []int64{7, 13}},
 		&Error{Text: "boom"},
 		&Error{Text: "down", Code: CodeUnavailable},
 		&OK{},
@@ -74,11 +74,11 @@ func fuzzSeeds() []Msg {
 		&ListIntents{File: ref},
 		&ListIntentsResp{Intents: []Intent{{Stripe: 7, Owner: 42, Abandoned: true}, {Stripe: 9, Owner: 43}}},
 		&ResolveIntent{File: ref, Stripe: 7, Owner: 42, Data: []byte{0xAA, 0xBB}},
-		&MarkDirty{File: ref, Dead: 2, Epoch: 99, Units: []int64{2, 7}, Mirrors: []int64{1}, Stripes: []int64{3}, Overflow: true},
+		&MarkDirty{File: ref, Dead: 2, Epoch: 99, Groups: []int64{0, 1, 3}, Overflow: true},
 		&MarkDirty{File: ref, Dead: 0, Epoch: 0}, // poison record
 		&DirtyDump{File: ref, Dead: 2},
-		&DirtyDumpResp{Epochs: []uint64{99}, Units: []DirtyItem{{Val: 2, Gen: 1}, {Val: 7, Gen: 3}}, Stripes: []DirtyItem{{Val: 3, Gen: 1}}, Overflow: true, OverflowGen: 2},
-		&ClearDirty{File: ref, Dead: 2, Units: []DirtyItem{{Val: 2, Gen: 1}}, Mirrors: []DirtyItem{{Val: 1, Gen: 1}}, Overflow: true, OverflowGen: 2},
+		&DirtyDumpResp{Epochs: []uint64{99}, Groups: []DirtyItem{{Group: 0, Gen: 1}, {Group: 1, Gen: 3}, {Group: 3, Gen: 1}}, Overflow: true, OverflowGen: 2},
+		&ClearDirty{File: ref, Dead: 2, Groups: []DirtyItem{{Group: 0, Gen: 1}, {Group: 1, Gen: 1}}, Overflow: true, OverflowGen: 2},
 		&ClearDirty{File: ref, Dead: 2, All: true},
 		&MetaReplicate{Epoch: 3, Seq: 17, Rec: []byte{0x01, 0x02, 0x03}},
 		&MetaReplicate{Epoch: 4, Seq: 20, Snap: true, Rec: []byte(`{"next_id":5}`)},

@@ -225,9 +225,7 @@ func (m *MarkDirty) codec(c *Codec) {
 	c.FileRef(&m.File)
 	c.U16(&m.Dead)
 	c.U64(&m.Epoch)
-	slice(c, &m.Units, elemI64)
-	slice(c, &m.Mirrors, elemI64)
-	slice(c, &m.Stripes, elemI64)
+	slice(c, &m.Groups, elemI64)
 	c.Bool(&m.Overflow)
 }
 
@@ -240,9 +238,7 @@ func (m *DirtyDump) codec(c *Codec) {
 func (m *DirtyDumpResp) Kind() Kind { return KDirtyDumpResp }
 func (m *DirtyDumpResp) codec(c *Codec) {
 	slice(c, &m.Epochs, elemU64)
-	slice(c, &m.Units, elemDirtyItem)
-	slice(c, &m.Mirrors, elemDirtyItem)
-	slice(c, &m.Stripes, elemDirtyItem)
+	slice(c, &m.Groups, elemDirtyItem)
 	c.Bool(&m.Overflow)
 	c.U64(&m.OverflowGen)
 }
@@ -252,9 +248,7 @@ func (m *ClearDirty) codec(c *Codec) {
 	c.FileRef(&m.File)
 	c.U16(&m.Dead)
 	c.Bool(&m.All)
-	slice(c, &m.Units, elemDirtyItem)
-	slice(c, &m.Mirrors, elemDirtyItem)
-	slice(c, &m.Stripes, elemDirtyItem)
+	slice(c, &m.Groups, elemDirtyItem)
 	c.Bool(&m.Overflow)
 	c.U64(&m.OverflowGen)
 }

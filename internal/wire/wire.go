@@ -599,11 +599,13 @@ type RetireIntents struct {
 // itself, so by the time any data lands the damage is already durably
 // logged.
 //
-// Units are stripe units owned by Dead whose in-place bytes it missed;
-// Mirrors are units whose RAID1 mirror copy on Dead is stale; Stripes are
-// parity stripes owned by Dead whose parity it missed; Overflow marks that
-// Dead's overflow or overflow-mirror store diverged (extents appended or
-// invalidated while it was away) and must be reconciled wholesale.
+// Groups are the code groups (raid.Layout numbering: a stripe for a parity
+// layout, a unit for a mirrored one) in which Dead's member went stale — a
+// data unit the write covered, a parity unit, or a mirror copy. Dead holds
+// at most one member of any group, so the group number alone names it.
+// Overflow marks that Dead's overflow or overflow-mirror store diverged
+// (extents appended or invalidated while it was away) and must be
+// reconciled wholesale.
 //
 // Epoch identifies the outage: each client mints a random non-zero epoch at
 // its first degraded write per (file, dead server) and stamps every record
@@ -616,9 +618,7 @@ type MarkDirty struct {
 	File     FileRef
 	Dead     uint16
 	Epoch    uint64
-	Units    []int64
-	Mirrors  []int64
-	Stripes  []int64
+	Groups   []int64
 	Overflow bool
 }
 
@@ -630,24 +630,22 @@ type DirtyDump struct {
 	Dead uint16
 }
 
-// DirtyItem is one logged dirty region (a unit or stripe index) together
-// with the generation at which it was last re-dirtied. Generations make the
-// dump→replay→clear cycle race-free under concurrent foreground writes: a
-// ClearDirty removes an item only if its generation still matches the dump,
-// so a region re-dirtied after the snapshot survives the clear and is
-// replayed in the next round.
+// DirtyItem is one logged damaged code group together with the generation
+// at which it was last re-dirtied. Generations make the dump→replay→clear
+// cycle race-free under concurrent foreground writes: a ClearDirty removes
+// an item only if its generation still matches the dump, so a group
+// re-dirtied after the snapshot survives the clear and is replayed in the
+// next round.
 type DirtyItem struct {
-	Val int64
-	Gen uint64
+	Group int64
+	Gen   uint64
 }
 
 // DirtyDumpResp is a surviving server's dirty-region log for one (file,
 // dead server) pair. An empty Epochs means the server holds no log at all.
 type DirtyDumpResp struct {
 	Epochs      []uint64
-	Units       []DirtyItem
-	Mirrors     []DirtyItem
-	Stripes     []DirtyItem
+	Groups      []DirtyItem
 	Overflow    bool
 	OverflowGen uint64
 }
@@ -655,16 +653,14 @@ type DirtyDumpResp struct {
 // ClearDirty retires replayed entries from a dirty-region log. With All
 // set the whole (File, Dead) log is dropped regardless of generations —
 // the full-rebuild fallback's unconditional clear. Otherwise each listed
-// item is removed only if its generation still matches, and the Overflow
+// group is removed only if its generation still matches, and the Overflow
 // flag only if OverflowGen matches; entries re-dirtied since the dump stay
 // logged. A log whose last entry is cleared disappears, epochs included.
 type ClearDirty struct {
 	File        FileRef
 	Dead        uint16
 	All         bool
-	Units       []DirtyItem
-	Mirrors     []DirtyItem
-	Stripes     []DirtyItem
+	Groups      []DirtyItem
 	Overflow    bool
 	OverflowGen uint64
 }
@@ -1156,7 +1152,7 @@ var (
 		c.I64(&s.Len)
 	}}
 	elemDirtyItem = elem[DirtyItem]{16, func(c *Codec, it *DirtyItem) {
-		c.I64(&it.Val)
+		c.I64(&it.Group)
 		c.U64(&it.Gen)
 	}}
 	elemIntent = elem[Intent]{17, func(c *Codec, in *Intent) {

@@ -73,10 +73,10 @@ func TestRoundTripAllKinds(t *testing.T) {
 		&ServerListResp{Addrs: []string{"127.0.0.1:7000"}},
 		&ChecksumRange{File: ref, Store: StoreParity, Off: 4096, Len: 65536, Chunk: 4096},
 		&ChecksumRangeResp{Sums: []uint32{0xdeadbeef, 1, 0}, Bytes: 65536},
-		&MarkDirty{File: ref, Dead: 3, Epoch: 99, Units: []int64{3, 10}, Mirrors: []int64{2}, Stripes: []int64{1}, Overflow: true},
+		&MarkDirty{File: ref, Dead: 3, Epoch: 99, Groups: []int64{1, 2, 3, 10}, Overflow: true},
 		&DirtyDump{File: ref, Dead: 3},
-		&DirtyDumpResp{Epochs: []uint64{99, 100}, Units: []DirtyItem{{Val: 3, Gen: 1}, {Val: 10, Gen: 4}}, Mirrors: []DirtyItem{{Val: 2, Gen: 2}}, Stripes: []DirtyItem{{Val: 1, Gen: 3}}, Overflow: true, OverflowGen: 5},
-		&ClearDirty{File: ref, Dead: 3, Units: []DirtyItem{{Val: 3, Gen: 1}}, Mirrors: []DirtyItem{{Val: 2, Gen: 2}}, Stripes: []DirtyItem{{Val: 1, Gen: 3}}, Overflow: true, OverflowGen: 5},
+		&DirtyDumpResp{Epochs: []uint64{99, 100}, Groups: []DirtyItem{{Group: 1, Gen: 3}, {Group: 2, Gen: 2}, {Group: 3, Gen: 1}, {Group: 10, Gen: 4}}, Overflow: true, OverflowGen: 5},
+		&ClearDirty{File: ref, Dead: 3, Groups: []DirtyItem{{Group: 1, Gen: 3}, {Group: 2, Gen: 2}, {Group: 3, Gen: 1}}, Overflow: true, OverflowGen: 5},
 		&MetaReplicate{Epoch: 5, Seq: 31, Snap: true, Rec: []byte(`{"next_id":3}`)},
 		&MetaReplicateResp{Epoch: 5, Seq: 31},
 		&MetaStatus{},
