@@ -76,7 +76,8 @@ crash:
 # degraded dual-write nesting), the replay order of the merged replicas'
 # groups and each group's cursor end, the full-rebuild fallbacks (an
 # epoch mismatch, a replica journal record it cannot read), abort/rerun
-# convergence, MarkDirty refusing a layout raid.Resolve refuses, and
+# convergence, MarkDirty refusing a layout raid.Resolve refuses or a group
+# the dead server holds no member of, and
 # dirty-log durability across a replica crash and across a torn journal tail
 # (a crash inside a dirty-journal compaction is `make crash`'s) — run twice
 # under the race detector because the delta scenario is genuinely
@@ -104,10 +105,10 @@ resync:
 # for every dead set the code tolerates, mid-read failover included); the
 # ranged read-modify-write differential (RAID5, RS(4,2) and the two
 # ablations, healthy and with each single server dead, every write moving
-# exactly its parity region); the read-landing differential (every scheme on
-# the Direct and Pipe transports, healthy, with a server down and under
-# straddling RMWs, against a reference file, plus the errors of a server
-# whose Read answers are short, long or refused); the layout's code groups against its geometry;
+# exactly its parity region); the read-landing differential (every scheme,
+# its responses landed off the RPC connection, healthy, with a server down
+# and under straddling RMWs, against a reference file, plus the errors of a
+# server whose Read answers are short, long or refused); the layout's code groups against its geometry;
 # the one write rule over them — the planner's encode, rmw and overflow
 # portions covering every write, the parity delta's ranges and arithmetic
 # against a whole re-encode, and the exact damaged groups degraded writes

@@ -352,15 +352,16 @@ func (f *File) Internal() *client.File { return f.inner }
 // InternalClient returns the underlying client; harness use only.
 func (c *Client) InternalClient() *client.Client { return c.inner }
 
-// ErrServerDown is the error calls to a stopped server return.
+// ErrServerDown is the error a stopped server answers with. A client sees
+// it as a wire error of the unavailability class, which IsServerDown
+// detects.
 var ErrServerDown = cluster.ErrServerDown
 
 // IsServerDown reports whether err indicates an unavailable server — one
 // that is stopped, unreachable, timing out, or held out by the client's
 // circuit breaker.
 func IsServerDown(err error) bool {
-	return errors.Is(err, cluster.ErrServerDown) ||
-		errors.Is(err, wire.ErrUnavailable) ||
+	return errors.Is(err, wire.ErrUnavailable) ||
 		errors.Is(err, context.DeadlineExceeded)
 }
 

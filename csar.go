@@ -130,9 +130,9 @@ type ClusterOptions struct {
 	// schemes need >= 3).
 	Servers int
 	// Model enables and configures the performance model. The zero value
-	// runs untimed over direct in-process calls; a non-zero
-	// ScalePerSimSecond switches to the full RPC stack with simulated
-	// NICs and disks.
+	// runs untimed; a non-zero ScalePerSimSecond charges the simulated
+	// NICs and disks in simulated time. Either way, every call goes
+	// through the full RPC stack over in-memory connections.
 	Model Model
 	// WriteBuffering toggles the Section 5.2 server-side write buffering
 	// fix. Nil means enabled (the paper runs all experiments with it).
@@ -183,7 +183,6 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 			m.ClientRequestCPU = def.ClientRequestCPU
 		}
 		clock = &simtime.Clock{Scale: m.ScalePerSimSecond}
-		cfg.Transport = cluster.Pipe
 		cfg.Clock = clock
 		cfg.XORBandwidth = m.XORBandwidth
 		cfg.ServerOpts.RequestCPU = m.ServerRequestCPU

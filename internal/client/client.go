@@ -26,9 +26,13 @@ import (
 )
 
 // Caller issues one request and returns its response; rpc.Client implements
-// it over a connection, and test harnesses implement it in-process.
+// it over a connection. CallTraced carries an operation trace ID in the
+// request's wire header (zero: untraced) and abandons the call with an
+// error wrapping context.DeadlineExceeded once timeout expires (zero: no
+// deadline).
 type Caller interface {
 	Call(m wire.Msg) (wire.Msg, error)
+	CallTraced(m wire.Msg, trace uint64, timeout time.Duration) (wire.Msg, error)
 }
 
 // ErrDegradedWrite is returned when writing a file while its servers that
@@ -217,7 +221,7 @@ func (c *Client) callSrvInner(idx int, m wire.Msg, trace uint64) (wire.Msg, erro
 			atomic.AddInt64(&c.metrics.Retries, 1)
 			c.backoff(a, p)
 		}
-		resp, err := c.callOnceT(idx, m, p.CallTimeout, trace)
+		resp, err := c.srv[idx].CallTraced(m, trace, p.CallTimeout)
 		if err == nil {
 			c.noteSuccess(idx)
 			return resp, nil

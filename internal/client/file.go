@@ -850,11 +850,10 @@ func (f *File) ReadAt(p []byte, off int64) (n int, err error) {
 // fetchSpans reads one span from every server that stores part of it, save
 // those skip (nil: none) excludes, straight into dst, which holds the span.
 // Each Read carries the slices of dst its server's pieces fill (Into): the
-// rpc transport lands the response's bytes there, and a response that did
-// not land (the Direct transport) is copied there here. raw skips
-// server-side overflow patching. The pieces of a skipped server are left as
-// they were. No call is still writing into dst when fetchSpans returns, even
-// on error.
+// rpc transport lands every response of exactly their length there, so one
+// that did not land is the wrong length. raw skips server-side overflow
+// patching. The pieces of a skipped server are left as they were. No call
+// is still writing into dst when fetchSpans returns, even on error.
 func (f *File) fetchSpans(span raid.Span, dst []byte, raw bool, tr uint64, skip func(srv int) bool) error {
 	into := landingPieces(f.geom, span.Off, dst)
 	has := func(i int) bool { return len(into[i]) > 0 && (skip == nil || !skip(i)) }
@@ -877,14 +876,7 @@ func (f *File) fetchSpans(span raid.Span, dst []byte, raw bool, tr uint64, skip 
 		for _, piece := range into[i] {
 			want += len(piece)
 		}
-		if len(rr.Data) != want {
-			return fmt.Errorf("client: server %d returned %d bytes, want %d", i, len(rr.Data), want)
-		}
-		data := rr.Data
-		for _, piece := range into[i] {
-			data = data[copy(piece, data):]
-		}
-		return nil
+		return fmt.Errorf("client: server %d returned %d bytes, want %d", i, len(rr.Data), want)
 	})
 }
 

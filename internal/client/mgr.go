@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"sync/atomic"
-	"time"
 
 	"csar/internal/wire"
 )
@@ -47,35 +46,6 @@ func mgrIdempotent(m wire.Msg) bool {
 	return false
 }
 
-// mgrCallOnce issues one attempt against manager idx, with the same
-// deadline plumbing as the I/O-server path: native transport deadlines
-// when available, a racing goroutine otherwise.
-func (c *Client) mgrCallOnce(idx int, m wire.Msg, timeout time.Duration) (wire.Msg, error) {
-	if timeout <= 0 {
-		return c.mgrs[idx].Call(m)
-	}
-	if tc, ok := c.mgrs[idx].(timeoutCaller); ok {
-		return tc.CallTimeout(m, timeout)
-	}
-	type result struct {
-		resp wire.Msg
-		err  error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		resp, err := c.mgrs[idx].Call(m)
-		ch <- result{resp, err}
-	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.resp, r.err
-	case <-timer.C:
-		return nil, ErrCallTimeout
-	}
-}
-
 // mgrCall issues one metadata request with manager failover. Within one
 // cycle every manager gets a chance, starting from the sticky current one;
 // idempotent requests additionally earn Policy.Retries extra cycles with
@@ -102,7 +72,7 @@ func (c *Client) mgrCall(m wire.Msg) (wire.Msg, error) {
 		}
 		for off := 0; off < n; off++ {
 			idx := (start + off) % n
-			resp, err := c.mgrCallOnce(idx, m, p.CallTimeout)
+			resp, err := c.mgrs[idx].CallTraced(m, 0, p.CallTimeout)
 			if err == nil {
 				if idx != start {
 					c.mgrCur.Store(int32(idx))
@@ -138,7 +108,7 @@ func (c *Client) ManagerStatuses() []wire.MetaStatusResp {
 	p := c.getPolicy()
 	out := make([]wire.MetaStatusResp, len(c.mgrs))
 	for i := range c.mgrs {
-		resp, err := c.mgrCallOnce(i, &wire.MetaStatus{}, p.CallTimeout)
+		resp, err := c.mgrs[i].CallTraced(&wire.MetaStatus{}, 0, p.CallTimeout)
 		sr, ok := resp.(*wire.MetaStatusResp)
 		if err != nil || !ok {
 			out[i] = wire.MetaStatusResp{Index: uint16(i), Files: -1}
@@ -156,7 +126,7 @@ func (c *Client) ManagerStats() []wire.StatsResp {
 	p := c.getPolicy()
 	out := make([]wire.StatsResp, len(c.mgrs))
 	for i := range c.mgrs {
-		resp, err := c.mgrCallOnce(i, &wire.Stats{}, p.CallTimeout)
+		resp, err := c.mgrs[i].CallTraced(&wire.Stats{}, 0, p.CallTimeout)
 		sr, ok := resp.(*wire.StatsResp)
 		if err != nil || !ok {
 			out[i] = wire.StatsResp{Index: uint16(i), Requests: -1}

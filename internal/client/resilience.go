@@ -1,7 +1,6 @@
 package client
 
 import (
-	"context"
 	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -19,11 +18,6 @@ import (
 // automatic degraded-read failover in file.go it is what turns the paper's
 // redundancy from an offline-recovery story into an online one — a hung or
 // dead I/O server costs one deadline, not a wedged file system.
-
-// ErrCallTimeout is returned when a call's deadline expires. It wraps
-// context.DeadlineExceeded, as does the rpc package's own timeout, so one
-// errors.Is classifies both.
-var ErrCallTimeout = fmt.Errorf("client: call timed out (%w)", context.DeadlineExceeded)
 
 // ErrBreakerOpen is returned without touching the network when a server's
 // circuit breaker is open: the server failed repeatedly and its re-admission
@@ -244,61 +238,6 @@ func isIdempotent(m wire.Msg) bool {
 	return false
 }
 
-// timeoutCaller is the optional fast path of a Caller: rpc.Client satisfies
-// it, and its abandon path frees the sequence slot on expiry instead of
-// leaving a goroutine parked on the connection.
-type timeoutCaller interface {
-	CallTimeout(m wire.Msg, timeout time.Duration) (wire.Msg, error)
-}
-
-// tracedCaller is the optional tracing path of a Caller: rpc.Client
-// satisfies it, sending the operation trace ID in the request frame's wire
-// header. Transports without it (direct in-process handlers) simply drop
-// the ID — tracing is best-effort correlation, never required for
-// correctness.
-type tracedCaller interface {
-	CallTraced(m wire.Msg, trace uint64, timeout time.Duration) (wire.Msg, error)
-}
-
-// callOnce issues one attempt with an optional deadline. When the transport
-// supports deadlines natively (rpc.Client), the timeout is threaded down so
-// an expired call is abandoned rather than left running; otherwise (direct
-// in-process handlers) the deadline is enforced by racing a goroutine, whose
-// result is dropped when it eventually finishes.
-func (c *Client) callOnce(idx int, m wire.Msg, timeout time.Duration) (wire.Msg, error) {
-	return c.callOnceT(idx, m, timeout, 0)
-}
-
-// callOnceT is callOnce carrying an operation trace ID (zero = untraced).
-func (c *Client) callOnceT(idx int, m wire.Msg, timeout time.Duration, trace uint64) (wire.Msg, error) {
-	if tc, ok := c.srv[idx].(tracedCaller); ok && trace != 0 {
-		return tc.CallTraced(m, trace, timeout)
-	}
-	if timeout <= 0 {
-		return c.srv[idx].Call(m)
-	}
-	if tc, ok := c.srv[idx].(timeoutCaller); ok {
-		return tc.CallTimeout(m, timeout)
-	}
-	type result struct {
-		resp wire.Msg
-		err  error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		resp, err := c.srv[idx].Call(m)
-		ch <- result{resp, err}
-	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.resp, r.err
-	case <-timer.C:
-		return nil, ErrCallTimeout
-	}
-}
-
 // backoffJitter is the most random extra sleep a retry adds, as a fraction
 // of its backoff, to de-synchronize clients that failed together.
 const backoffJitter = 0.2
@@ -356,7 +295,7 @@ func (c *Client) admit(idx int, p Policy) error {
 // to BreakerProbing.
 func (c *Client) probe(idx int, p Policy) error {
 	atomic.AddInt64(&c.metrics.BreakerProbes, 1)
-	_, err := c.callOnce(idx, &wire.Health{}, p.CallTimeout)
+	_, err := c.srv[idx].CallTraced(&wire.Health{}, 0, p.CallTimeout)
 	h := &c.health[idx]
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -466,8 +405,8 @@ func (c *Client) releaseParityLock(idx int, ref wire.FileRef, stripe int64, toke
 	p := c.getPolicy()
 	atomic.AddInt64(&c.metrics.LockReleases, 1)
 	go func() {
-		c.callOnce(idx, &wire.UnlockParity{ //nolint:errcheck // best effort
+		c.srv[idx].CallTraced(&wire.UnlockParity{ //nolint:errcheck // best effort
 			File: ref, Stripes: []int64{stripe}, Owner: token, Dirty: dirty,
-		}, p.CallTimeout)
+		}, 0, p.CallTimeout)
 	}()
 }

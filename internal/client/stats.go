@@ -84,8 +84,7 @@ func SnapOfStatsResp(sr wire.StatsResp) obs.Snapshot {
 
 // Close retires the intents of the client's completed read-modify-writes,
 // then releases the client's transport resources: every server caller and
-// the manager caller that can be closed, is. In-process callers (test
-// harnesses) typically implement no Close and cost nothing to leave.
+// the manager caller that can be closed, is.
 func (c *Client) Close() error {
 	c.FlushRetires()
 	c.lmu.Lock()

@@ -14,7 +14,7 @@ import (
 // TestMain turns pool poison on for every scenario in this package — the
 // fault, crash, resync, RS and migration suites included — so a payload
 // buffer recycled while anything still reads it corrupts data the scenarios
-// already verify byte for byte, on the Direct and the Pipe transport alike.
+// already verify byte for byte over the RPC stack.
 func TestMain(m *testing.M) {
 	wire.SetPoolPoison(true)
 	os.Exit(m.Run())
@@ -34,7 +34,7 @@ func measureAllocs(runs int, op func()) (allocs, bytes float64) {
 // Budgets for one warm full-stripe RAID5 WriteAt (one 64 KiB-unit stripe)
 // through the complete stack — portion planning, batched multi-span
 // marshaling, pooled RPC framing on both ends of every pipe, server
-// handling, and response decode — measured on the untimed Pipe transport.
+// handling, and response decode — measured on an untimed cluster.
 // The count includes the per-request server goroutines and both directions
 // of framing, so it is deliberately far above zero, but a data-path change
 // that starts copying or re-allocating per unit blows well past it. The
@@ -63,7 +63,7 @@ var allocSchemes = []allocScheme{{"raid5", wire.Raid5, 0}, {"rs42", wire.ReedSol
 func TestFullStripeWriteAllocs(t *testing.T) {
 	for _, tc := range slices.Concat(allocSchemes, []allocScheme{{"raid1", wire.Raid1, 0}}) {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newPipeCluster(t, 6)
+			c := newCluster(t, 6)
 			cl := c.NewClient()
 			const su = 64 << 10
 			f, err := cl.CreateParity("alloc", 6, su, tc.scheme, tc.parity)
@@ -123,7 +123,7 @@ const rmwWriteBytesBudget = 32 << 10
 func TestRMWWriteAllocs(t *testing.T) {
 	for _, tc := range allocSchemes {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newPipeCluster(t, 6)
+			c := newCluster(t, 6)
 			cl := c.NewClient()
 			const su = 64 << 10
 			f, err := cl.CreateParity("rmw", 6, su, tc.scheme, tc.parity)
@@ -175,8 +175,8 @@ func TestRMWWriteAllocs(t *testing.T) {
 }
 
 // Budgets for one warm, unaligned 1 MiB RAID5 ReadAt through the complete
-// stack on the untimed Pipe transport: six Read RPCs, pooled frames and
-// pooled responses at both ends, one merge into the caller's buffer. The
+// stack on an untimed cluster: six Read RPCs, pooled frames and
+// pooled responses at both ends, the bytes landed in the caller's buffer. The
 // payload is allocated zero times, so what remains is per-RPC bookkeeping:
 // a fixed count, and bytes that do not scale with the read.
 const (
@@ -187,7 +187,7 @@ const (
 )
 
 func TestReadAtAllocs(t *testing.T) {
-	c := newPipeCluster(t, 6)
+	c := newCluster(t, 6)
 	cl := c.NewClient()
 	const su = 64 << 10
 	f, err := cl.Create("ralloc", 6, su, wire.Raid5)
@@ -242,7 +242,7 @@ const (
 )
 
 func TestDegradedReadAtAllocs(t *testing.T) {
-	c := newPipeCluster(t, 6)
+	c := newCluster(t, 6)
 	cl := c.NewClient()
 	const su = 64 << 10
 	f, err := cl.CreateParity("dalloc", 6, su, wire.ReedSolomon, 2)

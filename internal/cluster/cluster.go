@@ -1,10 +1,11 @@
 // Package cluster assembles an in-process CSAR deployment: one manager, N
-// I/O servers each with its own simulated disk, and any number of clients,
-// connected either by direct function calls (fast, untimed — for
-// correctness tests) or by the real RPC stack over in-memory pipes with
-// simulated NICs (for the performance experiments). It also provides the
-// failure controls the recovery experiments need: stopping a server,
-// restarting it, and replacing it with a blank one.
+// I/O servers each with its own simulated disk, and any number of clients.
+// Every client call goes through the real RPC stack — framing, the landing
+// read loop, per-call deadlines — over in-memory pipes; the links to I/O
+// servers charge simulated NICs, which only a timed cluster turns into
+// delay. It also provides the failure controls the recovery experiments
+// need: stopping a server, restarting it, and replacing it with a blank
+// one.
 package cluster
 
 import (
@@ -26,33 +27,19 @@ import (
 	"csar/internal/wire"
 )
 
-// Transport selects how clients reach the servers.
-type Transport int
-
-const (
-	// Direct calls server handlers in-process with no marshaling and no
-	// modeled network. Use for correctness tests.
-	Direct Transport = iota
-	// Pipe runs the full RPC stack over in-memory connections, charging
-	// the simulated NICs of client and server nodes. Use for experiments.
-	Pipe
-)
-
 // ErrServerDown is returned by calls to a stopped server. It wraps
-// wire.ErrUnavailable so the client's resilience layer classifies it (and
-// its stringified form on the Pipe transport, via wire.Error.Code) as
-// server unavailability rather than an application error.
+// wire.ErrUnavailable, so the client's resilience layer classifies the
+// wire.Error a client receives for it (via wire.Error.Code) as server
+// unavailability rather than an application error.
 var ErrServerDown = fmt.Errorf("cluster: server down (%w)", wire.ErrUnavailable)
 
 // Config describes a cluster.
 type Config struct {
 	// Servers is the number of I/O servers.
 	Servers int
-	// Transport selects Direct or Pipe.
-	Transport Transport
 	// Clock is the shared time base; nil runs untimed.
 	Clock *simtime.Clock
-	// Net configures the modeled interconnect (Pipe transport only).
+	// Net configures the modeled links between clients and I/O servers.
 	Net simnet.Params
 	// Disk configures each server's storage model.
 	Disk simdisk.Params
@@ -74,11 +61,10 @@ type Config struct {
 	MetaDir string
 }
 
-// DefaultConfig returns an untimed direct-transport cluster of n servers.
+// DefaultConfig returns an untimed cluster of n servers.
 func DefaultConfig(n int) Config {
 	return Config{
 		Servers:    n,
-		Transport:  Direct,
 		Net:        simnet.DefaultParams(),
 		Disk:       simdisk.Params{PageSize: 4096},
 		ServerOpts: server.DefaultOptions(),
@@ -282,71 +268,56 @@ func (c *Cluster) handler(i int) rpc.Handler {
 }
 
 // Network returns the cluster's modeled interconnect; tests install simnet
-// link faults and schedules through it (Pipe transport).
+// link faults and schedules through it.
 func (c *Cluster) Network() *simnet.Network { return c.network }
 
 // ServerNodeName returns server i's simnet node name, for addressing link
 // faults.
 func (c *Cluster) ServerNodeName(i int) string { return c.servers[i].node.Name() }
 
-// PartitionServer cuts server i off: under the Pipe transport its simnet
-// links drop in both directions; under Direct the request gate drops. Heal
-// with HealServer. Unlike StopServer, a partition is a network event — the
-// server process keeps running.
-func (c *Cluster) PartitionServer(i int) {
-	switch c.cfg.Transport {
-	case Pipe:
-		c.network.Partition(c.servers[i].node.Name())
-	default:
-		c.servers[i].down.Store(true)
-	}
-}
+// PartitionServer cuts server i off: its simnet links drop in both
+// directions. Heal with HealServer. Unlike StopServer, a partition is a
+// network event — the server process keeps running.
+func (c *Cluster) PartitionServer(i int) { c.network.Partition(c.servers[i].node.Name()) }
 
 // HealServer reverses PartitionServer.
-func (c *Cluster) HealServer(i int) {
-	switch c.cfg.Transport {
-	case Pipe:
-		c.network.Heal(c.servers[i].node.Name())
-	default:
-		c.servers[i].down.Store(false)
-	}
-}
+func (c *Cluster) HealServer(i int) { c.network.Heal(c.servers[i].node.Name()) }
 
-// directCaller adapts an rpc.Handler to the client.Caller interface.
+// directCaller adapts an rpc.Handler to meta.Caller, for the managers'
+// replication peers.
 type directCaller struct{ h rpc.Handler }
 
 func (d directCaller) Call(m wire.Msg) (wire.Msg, error) { return d.h(m) }
 
-// NewClient attaches a new client to the cluster. Under the Pipe transport
-// the client gets its own simulated NIC and real RPC connections to every
-// server; the manager is always reached directly (metadata traffic is not
-// part of any modeled experiment).
+// dial serves h on one end of an in-memory pipe and returns the RPC client
+// on the other, charging the simnet nodes local (the caller's) and remote
+// (the handler's); nil nodes leave the link unmodeled. Close closes it.
+func (c *Cluster) dial(h rpc.Handler, local, remote *simnet.Node) *rpc.Client {
+	cEnd, sEnd := net.Pipe()
+	go rpc.ServeConn(sEnd, h, remote, local) //nolint:errcheck
+	rc := rpc.NewClient(cEnd, local, remote)
+	c.mu.Lock()
+	c.clients = append(c.clients, rc)
+	c.mu.Unlock()
+	return rc
+}
+
+// NewClient attaches a new client to the cluster: its own simulated NIC
+// and an RPC connection to every server. Its connections to the managers
+// are unmodeled (metadata traffic is not part of any modeled experiment).
 func (c *Cluster) NewClient() *client.Client {
+	c.mu.Lock()
+	c.nodes++
+	name := fmt.Sprintf("client%d", c.nodes)
+	c.mu.Unlock()
+	clientNode := c.network.NewNode(name)
 	callers := make([]client.Caller, len(c.servers))
-	switch c.cfg.Transport {
-	case Direct:
-		for i := range c.servers {
-			callers[i] = directCaller{c.handler(i)}
-		}
-	case Pipe:
-		c.mu.Lock()
-		c.nodes++
-		name := fmt.Sprintf("client%d", c.nodes)
-		c.mu.Unlock()
-		clientNode := c.network.NewNode(name)
-		for i := range c.servers {
-			cEnd, sEnd := net.Pipe()
-			go rpc.ServeConn(sEnd, c.handler(i), c.servers[i].node, clientNode) //nolint:errcheck
-			rc := rpc.NewClient(cEnd, clientNode, c.servers[i].node)
-			c.mu.Lock()
-			c.clients = append(c.clients, rc)
-			c.mu.Unlock()
-			callers[i] = rc
-		}
+	for i, s := range c.servers {
+		callers[i] = c.dial(c.handler(i), clientNode, s.node)
 	}
 	mgrCallers := make([]client.Caller, len(c.mgrs))
 	for i := range c.mgrs {
-		mgrCallers[i] = directCaller{c.mgrHandler(i)}
+		mgrCallers[i] = c.dial(c.mgrHandler(i), nil, nil)
 	}
 	cl := client.NewMulti(mgrCallers, callers)
 	cl.SetAblation(c.Ablation)
@@ -411,7 +382,7 @@ func (c *Cluster) SyncAll() {
 	}
 }
 
-// Close tears down all RPC connections created by NewClient and closes
+// Close tears down all RPC connections to servers and managers and closes
 // every manager (releasing persistent managers' WAL descriptors).
 func (c *Cluster) Close() {
 	c.mu.Lock()

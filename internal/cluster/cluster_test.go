@@ -651,13 +651,7 @@ func TestRebuildAfterReplace(t *testing.T) {
 }
 
 func TestPipeTransportRoundTrip(t *testing.T) {
-	cfg := DefaultConfig(4)
-	cfg.Transport = Pipe
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, 4)
 	for _, sc := range allSchemes {
 		c.Ablation = sc.ablate
 		f, err := c.NewClient().Create("p-"+sc.name, 4, 64, sc.scheme)

@@ -9,25 +9,13 @@ import (
 	"csar/internal/wire"
 )
 
-func newPipeCluster(t *testing.T, n int) *Cluster {
-	t.Helper()
-	cfg := DefaultConfig(n)
-	cfg.Transport = Pipe
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	return c
-}
-
 // TestPipeTransportFailureLifecycle runs the failure workflow through the
-// real RPC stack (framing, multiplexing, per-request goroutines) instead of
-// direct calls: degraded reads and writes, rebuild, verification.
+// real RPC stack (framing, multiplexing, per-request goroutines): degraded
+// reads and writes, rebuild, verification.
 func TestPipeTransportFailureLifecycle(t *testing.T) {
 	for _, scheme := range redundantSchemes {
 		t.Run(scheme.String(), func(t *testing.T) {
-			c := newPipeCluster(t, 4)
+			c := newCluster(t, 4)
 			cl := c.NewClient()
 			f, err := cl.Create("p", 4, 4096, scheme)
 			if err != nil {
@@ -76,7 +64,7 @@ func TestPipeTransportFailureLifecycle(t *testing.T) {
 // TestPipeTransportConcurrentClients drives parity-lock contention through
 // real connections: many clients, one stripe, consistency at the end.
 func TestPipeTransportConcurrentClients(t *testing.T) {
-	c := newPipeCluster(t, 6)
+	c := newCluster(t, 6)
 	setup := c.NewClient()
 	const su = 4096
 	f, err := setup.Create("shared", 6, su, wire.Raid5)
@@ -124,7 +112,7 @@ func TestPipeTransportConcurrentClients(t *testing.T) {
 // TestPipeTransportStoppedServerSurfacesError checks that calls to a
 // stopped server fail cleanly through the rpc stack rather than hanging.
 func TestPipeTransportStoppedServerSurfacesError(t *testing.T) {
-	c := newPipeCluster(t, 3)
+	c := newCluster(t, 3)
 	cl := c.NewClient()
 	f, err := cl.Create("x", 3, 4096, wire.Raid0)
 	if err != nil {

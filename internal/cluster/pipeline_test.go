@@ -12,13 +12,12 @@ import (
 	"csar/internal/wire"
 )
 
-// newTimedPipeCluster builds a Pipe-transport cluster on a modeled network
+// newTimedPipeCluster builds a cluster on a modeled network
 // dominated by per-message latency, so round-trip overlap (or its absence)
 // is directly visible in elapsed time.
 func newTimedPipeCluster(t *testing.T, n int) *Cluster {
 	t.Helper()
 	cfg := DefaultConfig(n)
-	cfg.Transport = Pipe
 	cfg.Clock = &simtime.Clock{Scale: 100 * time.Millisecond} // 1 sim-s = 100ms wall
 	// 80 sim-ms per hop (8ms wall) keeps the latency term far above host
 	// scheduling noise even under the race detector on one core.
@@ -98,7 +97,7 @@ func TestPipelinedStripeWritesOverlap(t *testing.T) {
 // read-old/write-new/update-parity sequence to complete before the next
 // begins, so the final parity must be consistent and every patch intact.
 func TestSameStripeWritesSerializeThroughParityLock(t *testing.T) {
-	c := newPipeCluster(t, 4)
+	c := newCluster(t, 4)
 	cl := c.NewClient()
 	const su = 4096
 	f, err := cl.Create("contended", 4, su, wire.Raid5)

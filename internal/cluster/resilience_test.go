@@ -168,7 +168,7 @@ func runGhostParityLock(t *testing.T) {
 // healthy-looking server until Rebuild + MarkUp, or clients would read stale
 // bytes.
 func runPartitionStaleVeto(t *testing.T) {
-	c := newPipeCluster(t, 4)
+	c := newCluster(t, 4)
 	cl := c.NewClient()
 	f, err := cl.Create("part", 4, 64, wire.Hybrid)
 	if err != nil {
@@ -287,7 +287,7 @@ func runFlappingServer(t *testing.T) {
 // metrics, and partial-stripe writes must keep succeeding without a
 // parity-lock deadlock.
 func runKillMidWorkload(t *testing.T) {
-	c := newPipeCluster(t, 4)
+	c := newCluster(t, 4)
 	t.Cleanup(c.Network().ClearFaults) // wake hung sends before teardown
 	cl := c.NewClient()
 	f, err := cl.Create("kill", 4, 64, wire.Raid5)

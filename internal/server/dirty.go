@@ -166,7 +166,9 @@ func (s *Server) compactDirtyLocked() {
 // mentioned entry gets a fresh generation even when it is already logged —
 // that is what makes a re-dirty during resync visible to the clear — but
 // only genuinely new entries cost a journal record, so hammering the same
-// region does not grow the log.
+// region does not grow the log. A group in which the dead server holds no
+// member names nothing resync could restore, so the request is refused
+// before anything is logged.
 func (s *Server) handleMarkDirty(m *wire.MarkDirty) (wire.Msg, error) {
 	l, err := raid.Resolve(m.File)
 	if err != nil {
@@ -174,6 +176,11 @@ func (s *Server) handleMarkDirty(m *wire.MarkDirty) (wire.Msg, error) {
 	}
 	if int(m.Dead) >= l.Servers {
 		return nil, fmt.Errorf("server: MarkDirty for server %d of a %d-server layout", m.Dead, l.Servers)
+	}
+	for _, g := range m.Groups {
+		if _, ok := l.MemberHeldBy(int(m.Dead), g); g < 0 || !ok {
+			return nil, fmt.Errorf("server: MarkDirty for group %d, in which server %d holds no member", g, m.Dead)
+		}
 	}
 	k := dirtyKey{m.File.ID, m.Dead}
 	s.dirty.mu.Lock()

@@ -360,6 +360,49 @@ func TestDirtyLogRefusesUnresolvableRef(t *testing.T) {
 	}
 }
 
+// TestDirtyLogRefusesForeignGroup: MarkDirty refuses a group in which the
+// dead server holds no member — a negative stripe of a RAID5 file, a RAID1
+// unit whose copies are both on other servers — even beside a group it does
+// hold and a new epoch, and the log and its journal stay as they were.
+func TestDirtyLogRefusesForeignGroup(t *testing.T) {
+	raid1 := wire.FileRef{ID: 3, Servers: 5, StripeUnit: 128, Scheme: wire.Raid1}
+	l, err := raid.Resolve(raid1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := l.GroupMember(3, 0).Server, l.GroupMember(3, 1).Server; a != 3 || b != 4 {
+		t.Fatalf("raid1 unit 3 is on servers %d and %d, want 3 and 4", a, b)
+	}
+	for _, tc := range []struct {
+		name        string
+		file        wire.FileRef
+		held, alien int64
+	}{
+		{"raid5-negative", wire.FileRef{ID: 2, Servers: 5, StripeUnit: 128, Scheme: wire.Raid5}, 2, -1},
+		{"raid1-other-servers", raid1, 1, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			disk := simdisk.New(nil, simdisk.Params{PageSize: 64})
+			s, _ := reload(disk, 0)
+			call(t, s, &wire.MarkDirty{File: tc.file, Dead: 1, Epoch: 7, Groups: []int64{tc.held}})
+			imgs := pairImages(disk, dirtyJournalName)
+			dump := call(t, s, &wire.DirtyDump{File: tc.file, Dead: 1}).(*wire.DirtyDumpResp)
+			bad := &wire.MarkDirty{File: tc.file, Dead: 1, Epoch: 8, Groups: []int64{tc.held, tc.alien}}
+			if _, err := s.Handle(bad); err == nil {
+				t.Fatalf("MarkDirty of group %d for dead server 1 was accepted", tc.alien)
+			}
+			if got := pairImages(disk, dirtyJournalName); !bytes.Equal(got[0], imgs[0]) || !bytes.Equal(got[1], imgs[1]) {
+				t.Fatalf("refused MarkDirty changed the journal: %d and %d bytes, were %d and %d",
+					len(got[0]), len(got[1]), len(imgs[0]), len(imgs[1]))
+			}
+			after := call(t, s, &wire.DirtyDump{File: tc.file, Dead: 1}).(*wire.DirtyDumpResp)
+			if fmt.Sprint(after) != fmt.Sprint(dump) {
+				t.Fatalf("refused MarkDirty changed the dump: %v, was %v", after, dump)
+			}
+		})
+	}
+}
+
 // TestDirtyJournalClearOfNothing: a ClearDirty that retires nothing — every
 // group it lists was re-dirtied since its dump, or is not logged — makes no
 // journal write or sync, and the log keeps its group.

@@ -71,8 +71,8 @@ func TestUnmarshalAliasesData(t *testing.T) {
 }
 
 // TestReadRespRelease covers the release contract on its own: idempotent,
-// nil-safe, and a no-op for a response that never sat on a pooled buffer —
-// which is what a Direct-transport client may be handed.
+// nil-safe, and a no-op for a response that never sat on a pooled buffer,
+// such as a handler's plain-slice answer.
 func TestReadRespRelease(t *testing.T) {
 	SetPoolPoison(true)
 	t.Cleanup(func() { SetPoolPoison(false) })

@@ -347,7 +347,7 @@ type Ping struct{}
 // Into is transport-only and never encoded: the slices the response's bytes
 // belong in, in order. rpc.Client reads a ReadResp of exactly their total
 // length straight from the socket into them and delivers a landed response
-// (see ReadResp); a transport that does not land leaves them alone.
+// (see ReadResp); a response it does not land leaves them alone.
 type Read struct {
 	File  FileRef
 	Spans []Span
@@ -421,8 +421,8 @@ func (m *ReadResp) Release() {
 // hands the message the buffer; MarshalFrame moves it on into the Frame,
 // whose Free recycles it when the write has finished with the bytes — so the
 // sender never copies the payload again and need not outlive the send. A
-// message that is never marshaled (an in-process transport, a call refused
-// before it was sent) leaves its buffer to the garbage collector.
+// message that is never marshaled (a call refused before it was sent)
+// leaves its buffer to the garbage collector.
 type ownedPayload struct{ buf *[]byte }
 
 // HoldBuf hands m the pooled buffer its Data lives in. The buffer is m's

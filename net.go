@@ -83,26 +83,18 @@ func (r *redialCaller) drop(failed *rpc.Client) {
 	r.mu.Unlock()
 }
 
+var (
+	_ client.Caller = (*rpc.Client)(nil)
+	_ client.Caller = (*redialCaller)(nil)
+)
+
 func (r *redialCaller) Call(m wire.Msg) (wire.Msg, error) {
-	return r.CallTimeout(m, 0)
+	return r.CallTraced(m, 0, 0)
 }
 
-// CallTimeout satisfies the resilience layer's timeoutCaller fast path, so
-// per-call deadlines ride the rpc client's abandon path instead of a
-// goroutine race.
-func (r *redialCaller) CallTimeout(m wire.Msg, timeout time.Duration) (wire.Msg, error) {
-	cli, err := r.get()
-	if err != nil {
-		return nil, err
-	}
-	resp, err := cli.CallTimeout(m, timeout)
-	r.dropIfClosed(cli, err)
-	return resp, err
-}
-
-// CallTraced satisfies the resilience layer's tracedCaller fast path: the
-// request rides the wire with its operation's trace ID in the frame header,
-// so server-side slow-op logs can be correlated back to the client op.
+// CallTraced sends the request with its operation's trace ID in the frame
+// header, so server-side slow-op logs can be correlated back to the client
+// op, and abandons it once timeout expires.
 func (r *redialCaller) CallTraced(m wire.Msg, trace uint64, timeout time.Duration) (wire.Msg, error) {
 	cli, err := r.get()
 	if err != nil {
@@ -178,7 +170,7 @@ func DialList(mgrAddrs []string) (*Client, error) {
 	var addrs []string
 	var lastErr error
 	for _, m := range mgrs {
-		resp, err := m.(*redialCaller).CallTimeout(&wire.ServerList{}, 5*time.Second)
+		resp, err := m.CallTraced(&wire.ServerList{}, 0, 5*time.Second)
 		if err != nil {
 			lastErr = err
 			continue

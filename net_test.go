@@ -110,14 +110,14 @@ func TestRedialAfterLandingDeadline(t *testing.T) {
 	defer rc.Close()
 	p := make([]byte, size)
 	read := &wire.Read{Into: [][]byte{p[:size/4], p[size/4:]}}
-	if _, err := rc.CallTimeout(read, 200*time.Millisecond); !errors.Is(err, rpc.ErrTimeout) {
+	if _, err := rc.CallTraced(read, 0, 200*time.Millisecond); !errors.Is(err, rpc.ErrTimeout) {
 		t.Fatalf("stalled read: err = %v, want ErrTimeout", err)
 	}
 	if !bytes.Equal(p[:size/2], want[:size/2]) {
 		t.Fatal("the stalled response's first half never landed: the deadline did not cut off a landing")
 	}
 	clear(p)
-	resp, err := rc.CallTimeout(read, 5*time.Second)
+	resp, err := rc.CallTraced(read, 0, 5*time.Second)
 	if err != nil {
 		t.Fatalf("first call after the cut-off landing: %v", err)
 	}
