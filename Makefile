@@ -28,9 +28,11 @@ port32:
 	GOARCH=386 $(GO) test ./...
 
 # Run every checked-in fuzz corpus seed (including the wire-protocol
-# ChecksumRange messages, and the rpc client's response sequences landing
+# ChecksumRange messages, the rpc client's response sequences landing
 # in a Read's Into — matching, wrong kind, wrong length, error, late and
-# truncated frames) as regular tests, without open-ended fuzzing, plus
+# truncated frames — and its writes sent from the caller's slice over a
+# connection that parks or fails at a chosen byte of the request) as
+# regular tests, without open-ended fuzzing, plus
 # the wire golden bytes (every message, plain and framed, against
 # internal/wire/testdata/golden.hex) and the bound on what a hostile slice
 # count may make Unmarshal allocate.
@@ -38,10 +40,18 @@ fuzz-seeds:
 	$(GO) test -run 'Fuzz|TestWireGolden|TestUnmarshalLengthPrefixAmplification' ./internal/wire ./internal/extent ./internal/rpc
 
 # The deterministic fault-schedule suite: injected server hangs, ghost
-# parity locks, partitions and flapping servers, run twice under the race
-# detector to prove the scenarios are timing-independent.
+# parity locks, partitions and flapping servers; and the rpc client's
+# deadline rules — a deadline mid-write returns only once the writer has
+# left the frame, a call queued behind a stuck writer is held to its own
+# deadline (TestSendDeadlineMidWrite), a hung modeled link or a wedged
+# handler times out with the connection intact (TestCallTimeout*), a
+# deadline mid-landing returns only once the read loop has left the buffer
+# (TestLandingDeadlineMidFill), and a write timed out on a hung link is
+# never applied (TestAbandonedSendOwnsItsPayload) — all run twice under the
+# race detector to prove them timing-independent.
 faults:
 	$(GO) test -race -count=2 -run 'TestFaultSchedule|TestAutoFailover' ./internal/cluster
+	$(GO) test -race -count=2 -run 'TestSendDeadline|TestCallTimeout|TestLandingDeadline|TestAbandonedSend' ./internal/rpc
 
 # The crash-consistency suite for the RAID5 write hole and the iod
 # journals: the journal's replay rule (torn tail at every offset, every byte
@@ -142,9 +152,9 @@ obs:
 # the 16 KiB read-modify-write — each for RAID5 and RS(4,2), the two shapes
 # of the one parity engine, and the full-group WriteAt for RAID1 too — and 1 MiB ReadAt through the whole stack, healthy
 # and degraded with an RS(4,2) server down), the
-# borrow/release and owned-gather rules of the payload pool (poison-on-put
-# property test, late responses, abandoned sends, Data-is-a-view, a held
-# payload moving to its frame once, size classes), the landing rules of a
+# borrow/release rules of the payload pool (poison-on-put property test,
+# late responses, a write timed out on a hung link never applied,
+# Data-is-a-view, size classes), the landing rules of a
 # Read's response (its bytes land in Into; a deadline or Close mid-landing
 # returns only once the read loop has left the buffer, and over loopback
 # TCP the next call on that pool slot redials), the pending-map drain
@@ -155,7 +165,7 @@ obs:
 # puts at random, so the bytes-per-byte budgets are checked by one more run
 # without it.
 allocs:
-	$(GO) test -race -run 'TestMarshalFrameAllocs|TestUnmarshalAllocs|TestMarshalFrameMatchesMarshal|TestUnmarshalAliasesData|TestReadRespRelease|TestHeldPayloadMovesToFrame|TestBufPoolClasses|TestPoolPoisonCorrectness|TestLateReadRespIsRecycled|TestAbandonedSendOwnsItsPayload|TestTimedOutSendDoesNotAliasCallerBuffer|TestTimedOutCallsDrainPendingMap|TestReadLandsInInto|TestLandingDeadlineMidFill' ./internal/wire ./internal/rpc
+	$(GO) test -race -run 'TestMarshalFrameAllocs|TestUnmarshalAllocs|TestMarshalFrameMatchesMarshal|TestUnmarshalAliasesData|TestReadRespRelease|TestBufPoolClasses|TestPoolPoisonCorrectness|TestLateReadRespIsRecycled|TestAbandonedSendOwnsItsPayload|TestTimedOutCallsDrainPendingMap|TestReadLandsInInto|TestLandingDeadlineMidFill' ./internal/wire ./internal/rpc
 	$(GO) test -race -run 'TestRedialAfterLandingDeadline' .
 	$(GO) test -race -run 'TestFullStripeWriteAllocs|TestRMWWriteAllocs|TestReadAtAllocs|TestDegradedReadAtAllocs|TestPipelinedStripeWritesOverlap|TestSameStripeWritesSerializeThroughParityLock' ./internal/cluster
 	$(GO) test -race -run 'TestSyncCostIndependentOfCacheSize|TestDifferentialAgainstScanReference' ./internal/simdisk

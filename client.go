@@ -5,7 +5,6 @@ import (
 	"errors"
 
 	"csar/internal/client"
-	"csar/internal/cluster"
 	"csar/internal/obs"
 	"csar/internal/recovery"
 	"csar/internal/scrub"
@@ -352,14 +351,10 @@ func (f *File) Internal() *client.File { return f.inner }
 // InternalClient returns the underlying client; harness use only.
 func (c *Client) InternalClient() *client.Client { return c.inner }
 
-// ErrServerDown is the error a stopped server answers with. A client sees
-// it as a wire error of the unavailability class, which IsServerDown
-// detects.
-var ErrServerDown = cluster.ErrServerDown
-
 // IsServerDown reports whether err indicates an unavailable server — one
 // that is stopped, unreachable, timing out, or held out by the client's
-// circuit breaker.
+// circuit breaker. It is the one test: the wire carries only an error's
+// class, so no sentinel error value survives the trip from a server.
 func IsServerDown(err error) bool {
 	return errors.Is(err, wire.ErrUnavailable) ||
 		errors.Is(err, context.DeadlineExceeded)

@@ -305,7 +305,7 @@ func (f *File) execute(plan []portion, off int64, p []byte, dead int, tr uint64)
 				sends[n] = func() error { return members.flush(f, dead, tr) }
 				n++
 			}
-			sends[n] = func() error { return f.sendWriteData(span, splitByServer(f.geom, span.Off, b), dead, tr) }
+			sends[n] = func() error { return f.sendWriteData(span, bytesBy(f.geom, span.Off, b, f.geom.ServerOf), dead, tr) }
 		case modeRMW:
 			sends[n] = func() error {
 				atomic.AddInt64(&f.c.metrics.RMWs, 1)
@@ -351,14 +351,15 @@ func (f *File) timePath(name string) func() {
 	return func() { f.c.Observe(name, f.c.sinceStart(start)) }
 }
 
-// sendWriteData ships per-server payloads of span to the data files,
-// skipping the dead server (whose contents the redundancy carries) when
-// dead >= 0. Every request names the whole span.
-func (f *File) sendWriteData(span raid.Span, data payloads, dead int, tr uint64) error {
+// sendWriteData ships span's bytes to the data files, each server its
+// pieces (bytesBy) straight from the caller's buffer, skipping the dead
+// server (whose contents the redundancy carries) when dead >= 0. Every
+// request names the whole span.
+func (f *File) sendWriteData(span raid.Span, pieces [][][]byte, dead int, tr uint64) error {
 	spans := []wire.Span{{Off: span.Off, Len: span.Len}}
-	has := func(i int) bool { return data[i] != nil && i != dead }
+	has := func(i int) bool { return len(pieces[i]) > 0 && i != dead }
 	return f.c.eachServer(f.geom.Servers, has, func(i int) error {
-		_, err := f.c.callSrvT(i, owned(&wire.WriteData{File: f.ref, Spans: spans, Data: *data[i]}, data[i]), tr)
+		_, err := f.c.callSrvT(i, &wire.WriteData{File: f.ref, Spans: spans, From: pieces[i]}, tr)
 		return err
 	})
 }
@@ -537,15 +538,11 @@ func (h *ParityHold) cancel(dirty bool) {
 // commit is a read-modify-write's closing write: the unit as updated in
 // place, over data that has changed. Its caller retires or dirty-releases
 // the intent once it knows how the data writes beside it went. The response
-// the new parity was computed in is released once the write has returned
-// successfully: the server has the bytes. After an error or a timeout it is
-// left to the garbage collector — the abandoned call may still be reading
-// it.
+// the new parity was computed in is released once the write has returned,
+// however it went: no call returns while its frame is being written.
 func (h *ParityHold) commit(tr uint64) error {
 	err := h.write(h.resp.Data, true, tr)
-	if err == nil {
-		h.resp.Release()
-	}
+	h.resp.Release()
 	return err
 }
 
@@ -623,17 +620,17 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 		if onParityRead != nil {
 			onParityRead()
 		}
-		return f.sendWriteData(span, splitByServer(g, span.Off, p), dead, tr)
+		return f.sendWriteData(span, bytesBy(g, span.Off, p, g.ServerOf), dead, tr)
 	}
 
 	// 1. Parity reads (lock acquisitions, in j order) and old-data read, in
 	// parallel. The goroutine that takes the holds also writes the new data
-	// in step 3, once it is handed the payloads (nil: the update is off).
+	// in step 3, once it is handed the pieces (nil: the update is off).
 	ranges := g.UnitRanges(span.Off, span.Len)
 	var holds []*ParityHold
 	var pErr, wErr error
 	held, done := make(chan struct{}), make(chan struct{})
-	write := make(chan payloads, 1)
+	write := make(chan [][][]byte, 1)
 	go func() {
 		defer close(done)
 		holds, pErr = f.acquire(stripe, units, ranges, onParityRead, tr)
@@ -694,7 +691,7 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 	// released dirty: each server fail-stops the stripe (abandons the
 	// intent, refuses new locks) until replay reconciles it. A parity write
 	// that failed released its own acquisition.
-	write <- splitByServer(g, span.Off, p)
+	write <- bytesBy(g, span.Off, p, g.ServerOf)
 	pwErr := eachHold(holds, tr, (*ParityHold).commit)
 	<-done
 	for _, h := range holds {
@@ -783,15 +780,15 @@ func (f *File) writeOverflow(span raid.Span, p []byte, dead int, tr uint64) erro
 	var errs [2]error
 	var wg sync.WaitGroup
 	for c, serverOf := range [2]func(int64) int{g.ServerOf, g.MirrorServerOf} {
-		extents, data := piecesBy(g, span.Off, span.Len, serverOf), splitBy(g, span.Off, p, serverOf)
+		extents, data := piecesBy(g, span.Off, span.Len, serverOf), bytesBy(g, span.Off, p, serverOf)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			has := func(i int) bool { return data[i] != nil && i != dead }
+			has := func(i int) bool { return len(data[i]) > 0 && i != dead }
 			errs[c] = f.c.eachServer(g.Servers, has, func(i int) error {
-				_, err := f.c.callSrvT(i, owned(&wire.WriteOverflow{
-					File: f.ref, Extents: extents[i], Data: *data[i], Mirror: c == 1,
-				}, data[i]), tr)
+				_, err := f.c.callSrvT(i, &wire.WriteOverflow{
+					File: f.ref, Extents: extents[i], From: data[i], Mirror: c == 1,
+				}, tr)
 				return err
 			})
 		}()
@@ -855,7 +852,7 @@ func (f *File) ReadAt(p []byte, off int64) (n int, err error) {
 // patching. The pieces of a skipped server are left as they were. No call
 // is still writing into dst when fetchSpans returns, even on error.
 func (f *File) fetchSpans(span raid.Span, dst []byte, raw bool, tr uint64, skip func(srv int) bool) error {
-	into := landingPieces(f.geom, span.Off, dst)
+	into := bytesBy(f.geom, span.Off, dst, f.geom.ServerOf)
 	has := func(i int) bool { return len(into[i]) > 0 && (skip == nil || !skip(i)) }
 	return f.c.eachServer(f.geom.Servers, has, func(i int) error {
 		resp, err := f.c.callSrvT(i, &wire.Read{

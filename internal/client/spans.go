@@ -5,41 +5,6 @@ import (
 	"csar/internal/wire"
 )
 
-// payloads is one write's bytes gathered by destination: a pooled buffer per
-// server, nil where a server gets none. Each buffer is made for exactly one
-// message, which takes it with owned and hands it to the frame it is sent in:
-// the gather is the sender's private copy, recycled when the send finishes
-// whether or not the call was abandoned by then. A buffer no message took —
-// a dead server's share — is left to the garbage collector.
-type payloads []*[]byte
-
-// newPayloads returns an empty pooled buffer of capacity sizes[s] for every
-// server with a non-zero size.
-func newPayloads(sizes []int) payloads {
-	out := make(payloads, len(sizes))
-	for s, n := range sizes {
-		if n > 0 {
-			out[s] = wire.GetBuf(n)
-			*out[s] = (*out[s])[:0]
-		}
-	}
-	return out
-}
-
-// grow extends server s's payload by n bytes and returns the new tail for
-// the caller to fill.
-func (ps payloads) grow(s, n int) []byte {
-	b := *ps[s]
-	*ps[s] = b[:len(b)+n]
-	return (*ps[s])[len(b):]
-}
-
-// owned hands m the pooled payload its Data was gathered into.
-func owned[M interface{ HoldBuf(*[]byte) }](m M, bp *[]byte) M {
-	m.HoldBuf(bp)
-	return m
-}
-
 // eachPiece walks the logical range [off, off+length) unit by unit — the
 // piece [cur, pieceEnd) of each unit it crosses — in the iteration order the
 // servers themselves use (raid.Geometry.ToLocal), so a server receiving its
@@ -52,27 +17,6 @@ func eachPiece(g raid.Geometry, off, length int64, fn func(unit, cur, pieceEnd i
 		fn(b, cur, pieceEnd)
 		cur = pieceEnd
 	}
-}
-
-// splitByServer partitions the bytes of a logical write [off, off+len(p))
-// into per-server payloads.
-func splitByServer(g raid.Geometry, off int64, p []byte) payloads {
-	return splitBy(g, off, p, g.ServerOf)
-}
-
-// splitBy gathers p into one payload per server, routing each unit's piece
-// with serverOf — its own server, or MirrorServerOf for the copy a mirror
-// or an overflow mirror keeps. A first pass sizes the payloads exactly.
-func splitBy(g raid.Geometry, off int64, p []byte, serverOf func(unit int64) int) payloads {
-	sizes := make([]int, g.Servers)
-	eachPiece(g, off, int64(len(p)), func(unit, cur, pieceEnd int64) {
-		sizes[serverOf(unit)] += int(pieceEnd - cur)
-	})
-	out := newPayloads(sizes)
-	eachPiece(g, off, int64(len(p)), func(unit, cur, pieceEnd int64) {
-		copy(out.grow(serverOf(unit), int(pieceEnd-cur)), p[cur-off:pieceEnd-off])
-	})
-	return out
 }
 
 // spanReads holds Read responses by fetch slot (survivorPlan.fetch). An
@@ -88,13 +32,16 @@ func (r spanReads) release() {
 	}
 }
 
-// landingPieces returns, for each server, the slices of dst — which holds
-// the logical range [off, off+len(dst)) — that its pieces fill, in the order
-// the server sends them: where a Read response's bytes belong (wire.Read's
-// Into). Units go round-robin over the servers, so none holds more than its
-// share of the units crossed, rounded up; one backing array serves all.
-func landingPieces(g raid.Geometry, off int64, dst []byte) [][][]byte {
-	end := off + int64(len(dst))
+// bytesBy returns, for each server, the slices of p — which holds the
+// logical range [off, off+len(p)) — that its pieces cover, each unit's
+// piece routed by serverOf (its own server, or MirrorServerOf for the copy
+// a mirror or an overflow mirror keeps), in the order the server consumes
+// them: what a write request sends (its From) and where a Read response's
+// bytes belong (its Into). Both placements go round-robin over the servers,
+// so none holds more than its share of the units crossed, rounded up; one
+// backing array serves all.
+func bytesBy(g raid.Geometry, off int64, p []byte, serverOf func(unit int64) int) [][][]byte {
+	end := off + int64(len(p))
 	units := g.UnitOf(end-1) - g.UnitOf(off) + 1
 	per := int((units + int64(g.Servers) - 1) / int64(g.Servers))
 	flat := make([][]byte, g.Servers*per)
@@ -102,9 +49,9 @@ func landingPieces(g raid.Geometry, off int64, dst []byte) [][][]byte {
 	for s := range out {
 		out[s] = flat[s*per : s*per : (s+1)*per]
 	}
-	eachPiece(g, off, int64(len(dst)), func(unit, cur, pieceEnd int64) {
-		s := g.ServerOf(unit)
-		out[s] = append(out[s], dst[cur-off:pieceEnd-off])
+	eachPiece(g, off, int64(len(p)), func(unit, cur, pieceEnd int64) {
+		s := serverOf(unit)
+		out[s] = append(out[s], p[cur-off:pieceEnd-off])
 	})
 	return out
 }

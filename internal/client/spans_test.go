@@ -3,24 +3,22 @@ package client
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"csar/internal/raid"
 )
 
-// bytesOf is server s's gathered payload, nil if it got none.
-func (ps payloads) bytesOf(s int) []byte {
-	if ps[s] == nil {
-		return nil
-	}
-	return *ps[s]
-}
+// payloadOf is what a server receives for its pieces: their bytes in
+// order, nil if it got none.
+func payloadOf(pieces [][]byte) []byte { return slices.Concat(pieces...) }
 
 func TestSplitMergeRoundTrip(t *testing.T) {
-	// splitByServer followed by filling each server's landingPieces with its
-	// payload, in order, must reproduce the input for any geometry, offset
-	// and length: the pieces are exactly where each server's bytes belong.
+	// Each server's payload from bytesBy's pieces of p, filled in order into
+	// its bytesBy pieces of a fresh buffer, must reproduce the input for any
+	// geometry, offset and length: the pieces a write sends are exactly
+	// where a read's bytes belong.
 	f := func(nSeed uint8, suSeed uint16, offSeed uint32, lenSeed uint16, seed int64) bool {
 		g := raid.Geometry{
 			Servers:    int(nSeed%8) + 1,
@@ -31,11 +29,11 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 		p := make([]byte, int(lenSeed%5000)+1)
 		r.Read(p)
 
-		perServer := splitByServer(g, off, p)
+		perServer := bytesBy(g, off, p, g.ServerOf)
 		got := make([]byte, len(p))
-		into := landingPieces(g, off, got)
+		into := bytesBy(g, off, got, g.ServerOf)
 		for s := range perServer {
-			data := perServer.bytesOf(s)
+			data := payloadOf(perServer[s])
 			for _, piece := range into[s] {
 				data = data[copy(piece, data):]
 			}
@@ -57,11 +55,11 @@ func TestSplitByMirrorRotates(t *testing.T) {
 	for i := range p {
 		p[i] = byte(i)
 	}
-	data := splitByServer(g, 0, p)
-	mirror := splitBy(g, 0, p, g.MirrorServerOf)
+	data := bytesBy(g, 0, p, g.ServerOf)
+	mirror := bytesBy(g, 0, p, g.MirrorServerOf)
 	for i := 0; i < 4; i++ {
 		prev := (i + 3) % 4
-		if !bytes.Equal(mirror.bytesOf(i), data.bytesOf(prev)) {
+		if !bytes.Equal(payloadOf(mirror[i]), payloadOf(data[prev])) {
 			t.Fatalf("mirror payload of server %d != data payload of server %d", i, prev)
 		}
 	}
@@ -78,10 +76,10 @@ func TestServerPiecesMatchPayloadSizes(t *testing.T) {
 		p := make([]byte, length)
 
 		pieces := serverPieces(g, off, length)
-		payload := splitByServer(g, off, p)
+		payload := bytesBy(g, off, p, g.ServerOf)
 		var totalPieces int64
 		for i := 0; i < g.Servers; i++ {
-			if bytesFor(pieces[i]) != int64(len(payload.bytesOf(i))) {
+			if bytesFor(pieces[i]) != int64(len(payloadOf(payload[i]))) {
 				return false
 			}
 			totalPieces += bytesFor(pieces[i])
@@ -106,9 +104,9 @@ func TestMirrorPiecesMatchMirrorPayloads(t *testing.T) {
 		length := int64(lenSeed%3000) + 1
 		p := make([]byte, length)
 		pieces := piecesBy(g, off, length, g.MirrorServerOf)
-		payload := splitBy(g, off, p, g.MirrorServerOf)
+		payload := bytesBy(g, off, p, g.MirrorServerOf)
 		for i := 0; i < g.Servers; i++ {
-			if bytesFor(pieces[i]) != int64(len(payload.bytesOf(i))) {
+			if bytesFor(pieces[i]) != int64(len(payloadOf(payload[i]))) {
 				return false
 			}
 		}

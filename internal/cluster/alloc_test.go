@@ -38,9 +38,9 @@ func measureAllocs(runs int, op func()) (allocs, bytes float64) {
 // The count includes the per-request server goroutines and both directions
 // of framing, so it is deliberately far above zero, but a data-path change
 // that starts copying or re-allocating per unit blows well past it. The
-// payload itself is gathered and its parity computed straight into pooled
-// buffers the frames own, so the bytes allocated do not scale with the
-// write: one payload-sized allocation per write would be 1.0 B/B.
+// payload goes out from the caller's buffer and its parity is computed
+// straight into pooled buffers, so the bytes allocated do not scale with
+// the write: one payload-sized allocation per write would be 1.0 B/B.
 const (
 	fullStripeWriteAllocBudget        = 220
 	fullStripeWriteBytesPerByteBudget = 0.05

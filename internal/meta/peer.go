@@ -61,7 +61,7 @@ func (p *TCPPeer) Call(m wire.Msg) (wire.Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := cli.CallTimeout(m, p.timeout)
+	resp, err := cli.CallTraced(m, 0, p.timeout)
 	if err != nil && errors.Is(err, rpc.ErrClosed) {
 		p.drop(cli)
 	}

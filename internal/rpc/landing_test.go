@@ -142,7 +142,7 @@ func TestLandingDeadlineMidFill(t *testing.T) {
 		want error
 	}{
 		{"deadline", func(c *Client, req *wire.Read, _ *parkConn) error {
-			_, err := c.CallTimeout(req, 30*time.Millisecond)
+			_, err := c.CallTraced(req, 0, 30*time.Millisecond)
 			return err
 		}, ErrTimeout},
 		{"close", func(c *Client, req *wire.Read, pc *parkConn) error {
@@ -209,6 +209,11 @@ func putPrefix(frame []byte, seq uint32) {
 // matching frame must fill Into exactly and arrive landed; no other frame
 // may write a byte of Into; a truncated frame fails its call, having landed
 // at most a prefix of its bytes. Nothing panics.
+//
+// Each script also plays the send side (runSendScript): writes sent from
+// the caller's slice over a connection that parks or fails at a chosen
+// byte of the request. No call returns while its writer is inside the
+// frame, and no byte of the caller's slice is read after the return.
 func FuzzLanding(f *testing.F) {
 	f.Add([]byte{0, 7, 3})                             // one matching frame
 	f.Add([]byte{0x20, 40, 90, 1, 3, 3, 2, 9, 9})      // three pieces; wrong kind; wrong length
@@ -216,11 +221,124 @@ func FuzzLanding(f *testing.F) {
 	f.Add([]byte{4, 1, 1, 0x10, 50, 50, 5, 66, 240})   // late, matching, truncated mid-payload
 	f.Add([]byte{0x22, 255, 255, 5, 2, 0})             // large pieces; truncated in the prefix
 	f.Add([]byte{2, 0, 0, 0x12, 33, 77, 0x14, 90, 10}) // wrong length, then the same for two pieces
+	// Send side: parked then closed, then let through late past a deadline,
+	// then let through with none, then failed — each at a different byte.
+	f.Add([]byte{0x10, 9, 200, 0x21, 120, 7, 2, 77, 31, 3, 250, 250})
+	f.Add([]byte{3, 0, 0, 0, 1, 0, 1, 0, 2}) // failed at the first byte; parked further on; late in the prefix
 	f.Fuzz(func(t *testing.T, script []byte) {
 		for _, tcp := range []bool{false, true} {
 			runLandingScript(t, script, tcp)
 		}
+		runSendScript(t, script)
 	})
+}
+
+// runSendScript plays one FuzzLanding script on the send side: three bytes
+// a step, an op and two parameters, each step a WriteData sent from a
+// caller's slice, in pieces, over a fresh connection that stalls at a byte
+// of the request the parameters pick. By op: the stalled write is parked
+// and the client closed under it; parked past the call's deadline, then let
+// through — a late write finishes, the call returns ErrTimeout and the
+// connection stays usable; parked and let through with no deadline, and
+// applied whole; or failed there, which breaks the connection. Whatever
+// happens, the call returns only once its writer has left the frame, and
+// the caller's slice, overwritten at return, is never read again.
+func runSendScript(t *testing.T, script []byte) {
+	if len(script) > 3*8 {
+		script = script[:3*8]
+	}
+	for ; len(script) >= 3; script = script[3:] {
+		op, a, b := script[0], int(script[1]), int(script[2])
+		p := patternOf(1+(a*(b+1)*37)%9000, byte(a))
+		want := bytes.Clone(p)
+		req := &wire.WriteData{File: wire.FileRef{ID: 1}, Spans: []wire.Span{{Len: int64(len(p))}}}
+		for rest, n := p, 1+int(op>>4)%3; len(rest) > 0; n-- {
+			k := len(rest)
+			if n > 1 {
+				k = len(rest) / n
+			}
+			req.From, rest = append(req.From, rest[:k]), rest[k:]
+		}
+		cEnd, sEnd := net.Pipe()
+		log := serveWrites(sEnd)
+		mode := op % 4
+		spy := newStallConn(cEnd, (a*256+b)%frameLen(req), mode == 3)
+		c := NewClient(spy, nil, nil)
+		timeout := time.Duration(0)
+		if mode == 1 {
+			timeout = 5 * time.Millisecond
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.CallTraced(req, 0, timeout)
+			spy.returned.Store(true)
+			done <- err
+		}()
+		var err error
+		switch mode {
+		case 0, 1, 2:
+			<-spy.parked
+			if mode == 0 {
+				c.Close()
+			}
+			if mode == 1 {
+				time.Sleep(4 * timeout)
+			}
+			select {
+			case err = <-done:
+				if mode != 0 {
+					t.Fatalf("op %d: the call returned (%v) while its frame was parked", op, err)
+				}
+			default:
+			}
+			if mode != 0 {
+				close(spy.release)
+			}
+		}
+		if err == nil {
+			select {
+			case err = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("op %d: the call never returned", op)
+			}
+		}
+		if spy.inside.Load() {
+			t.Fatalf("op %d: the call returned while its writer was inside the frame", op)
+		}
+		for i := range p {
+			p[i] = landingSentinel
+		}
+		if mode == 0 {
+			close(spy.release)
+		}
+		spy.settle()
+		if spy.late.Load() {
+			t.Fatalf("op %d: the caller's slice was read after the call returned", op)
+		}
+		spy.returned.Store(false)
+		switch mode {
+		case 0, 3:
+			if err == nil || !c.Closed() {
+				t.Fatalf("op %d: stalled at byte %d: err %v, closed %v; want an error and a closed client", op, spy.at, err, c.Closed())
+			}
+		case 1:
+			if !errors.Is(err, ErrTimeout) {
+				t.Fatalf("op %d: late write: %v, want ErrTimeout", op, err)
+			}
+			if _, err := c.Call(&wire.Ping{}); err != nil {
+				t.Fatalf("op %d: call after a late write: %v", op, err)
+			}
+		case 2:
+			if err != nil {
+				t.Fatalf("op %d: the write let through: %v", op, err)
+			}
+		}
+		c.Close()
+		<-log.done
+		if got, ok := log.get(1); ok && !bytes.Equal(got, want) || mode == 2 && !ok {
+			t.Fatalf("op %d: the server applied %d bytes (ok %v) of a %d-byte write, not the caller's bytes at the call", op, len(got), ok, len(want))
+		}
+	}
 }
 
 // loopback is one listener for the TCP runs of a process's fuzz scripts.
@@ -284,7 +402,7 @@ func runLandingScript(t *testing.T, script []byte, tcp bool) {
 		}
 		done := make(chan result, 1)
 		go func() {
-			resp, err := c.CallTimeout(&wire.Read{Into: into}, timeout)
+			resp, err := c.CallTraced(&wire.Read{Into: into}, 0, timeout)
 			done <- result{resp, err}
 		}()
 		seq, _, bp, err := readFrame(sEnd)

@@ -33,7 +33,7 @@ func TestTimedOutCallsDrainPendingMap(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < total/workers; i++ {
-				_, err := c.CallTimeout(&wire.Ping{}, 50*time.Microsecond)
+				_, err := c.CallTraced(&wire.Ping{}, 0, 50*time.Microsecond)
 				if err == nil {
 					t.Error("hung call succeeded")
 					return

@@ -172,7 +172,7 @@ func TestLateReadRespIsRecycled(t *testing.T) {
 	c := NewClient(spy, nil, nil)
 	t.Cleanup(func() { c.Close() })
 
-	if _, err := c.CallTimeout(&wire.Read{}, 25*time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, err := c.CallTraced(&wire.Read{}, 0, 25*time.Millisecond); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 	close(unwedge)
@@ -181,7 +181,7 @@ func TestLateReadRespIsRecycled(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("late response never arrived")
 	}
-	resp, err := c.CallTimeout(&wire.Health{}, 5*time.Second)
+	resp, err := c.CallTraced(&wire.Health{}, 0, 5*time.Second)
 	if err != nil {
 		t.Fatalf("call after timeout: %v", err)
 	}

@@ -36,8 +36,8 @@ const MaxFrame = 1 << 30
 // ErrClosed is returned by calls pending on a connection that closed.
 var ErrClosed = errors.New("rpc: connection closed")
 
-// ErrTimeout is returned by CallTimeout when the deadline expires before the
-// response arrives. It wraps context.DeadlineExceeded so callers can
+// ErrTimeout is returned by a deadlined call whose deadline expires before
+// the response arrives. It wraps context.DeadlineExceeded so callers can
 // classify timeouts without importing this package's sentinel.
 var ErrTimeout = fmt.Errorf("rpc: call timed out (%w)", context.DeadlineExceeded)
 
@@ -113,31 +113,33 @@ const readBufSize = 4 << 10
 
 // Client issues concurrent calls over one connection.
 //
-// A Read call may carry Into, the caller's slices for the response's bytes.
-// When its response is a ReadResp of exactly their total length, the read
-// loop reads the bytes straight from the connection into them — no frame
-// buffer, no copy — and delivers a landed ReadResp. Every other response
-// takes the pooled frame path. No call returns while the read loop may
-// still write into its slices: a call abandoned mid-landing closes the
-// connection and waits for the loop to leave them (abandon), and Close
-// leaves a landing call for the loop to answer once its read fails.
+// No call returns while the transport can still touch its bytes, in either
+// direction. A request goes out from the caller's goroutine, straight from
+// the message's slices (a write's pieces of the caller's buffer ride the
+// frame by reference), and the call returns only once the writer has left
+// the frame. A Read call may carry Into, the caller's slices for the
+// response's bytes. When its response is a ReadResp of exactly their total
+// length, the read loop reads the bytes straight from the connection into
+// them — no frame buffer, no copy — and delivers a landed ReadResp; the
+// loop answers the call only once it has left them. Every other response
+// takes the pooled frame path. A deadline never cuts a frame off (expire).
 type Client struct {
 	conn io.ReadWriteCloser
 	// local and remote are the simnet endpoints; either may be nil for an
 	// unmodeled (real TCP) connection.
 	local, remote *simnet.Node
 
-	wmu sync.Mutex // serializes frame writes
+	wslot chan struct{} // the write slot: whoever holds it writes one frame
 
 	mu      sync.Mutex
 	seq     uint32
 	pending map[uint32]pendingCall
 	churn   int // inserts since pending was last (re)allocated
 	closed  bool
-	// landing is the channel of the call whose response the read loop is
-	// reading into its slices (nil: none); left is signaled when it stops.
-	landing chan msgOrErr
-	left    sync.Cond
+	// writing is the channel of the call whose frame is being written, and
+	// landing that of the call whose response the read loop is reading into
+	// its slices (nil: none).
+	writing, landing chan msgOrErr
 
 	// vread reads pieces straight off the connection with vectored reads
 	// (nil where there are none); rest is fill's work list. Read loop only.
@@ -147,10 +149,13 @@ type Client struct {
 
 // pendingCall is one in-flight call: where its answer goes and, for a
 // landing Read, the slices its bytes go into and their total length.
+// expired marks a landing call whose deadline passed: the read loop answers
+// it with ErrTimeout.
 type pendingCall struct {
-	ch   chan msgOrErr
-	into [][]byte
-	want int
+	ch      chan msgOrErr
+	into    [][]byte
+	want    int
+	expired bool
 }
 
 type msgOrErr struct {
@@ -166,10 +171,10 @@ func NewClient(conn io.ReadWriteCloser, local, remote *simnet.Node) *Client {
 		conn:    conn,
 		local:   local,
 		remote:  remote,
+		wslot:   make(chan struct{}, 1),
 		pending: make(map[uint32]pendingCall),
 		vread:   vectoredReader(conn),
 	}
-	c.left.L = &c.mu
 	go c.readLoop()
 	return c
 }
@@ -248,8 +253,9 @@ func (c *Client) landable(r *bufio.Reader, seq uint32, n int) (pendingCall, bool
 
 // land reads a matching ReadResp's bytes into the call's slices and answers
 // it; the call stays pending, so nothing else answers it meanwhile. A read
-// that fails answers the call with the connection's failure, after the loop
-// has left its slices.
+// that fails answers the call, after the loop has left its slices, with the
+// connection's failure — or ErrTimeout, when the call's deadline closed the
+// connection to end the read.
 func (c *Client) land(r *bufio.Reader, seq uint32, p pendingCall) error {
 	_, err := r.Discard(wire.ReadRespHead)
 	if err == nil {
@@ -257,11 +263,15 @@ func (c *Client) land(r *bufio.Reader, seq uint32, p pendingCall) error {
 	}
 	c.mu.Lock()
 	c.landing = nil
-	c.left.Broadcast()
+	expired := c.pending[seq].expired
 	c.forget(seq)
 	c.mu.Unlock()
 	if err != nil {
-		p.ch <- msgOrErr{nil, closedBy(err)}
+		fail := closedBy(err)
+		if expired {
+			fail = ErrTimeout
+		}
+		p.ch <- msgOrErr{nil, fail}
 		return err
 	}
 	p.ch <- msgOrErr{wire.LandedReadResp(p.into), nil}
@@ -342,25 +352,20 @@ func (c *Client) failAll(err error) {
 
 // Call sends req and blocks for the matching response. A wire.Error response
 // is converted into a Go error.
-func (c *Client) Call(req wire.Msg) (wire.Msg, error) { return c.call(req, 0, 0) }
+func (c *Client) Call(req wire.Msg) (wire.Msg, error) { return c.CallTraced(req, 0, 0) }
 
-// CallTimeout is Call with a per-call deadline. When the deadline expires
-// before the response arrives the call returns ErrTimeout and the sequence
-// number is abandoned: a late response is dropped (and its buffer recycled)
-// by the read loop, and the connection stays usable for other calls. A
-// non-positive timeout means no deadline.
-func (c *Client) CallTimeout(req wire.Msg, timeout time.Duration) (wire.Msg, error) {
-	return c.call(req, timeout, 0)
-}
-
-// CallTraced is CallTimeout with an operation trace ID riding the request
-// frame's wire header, so the server can correlate this RPC with the client
-// operation that issued it. A zero trace sends the plain untraced encoding.
+// CallTraced is Call with an operation trace ID riding the request frame's
+// wire header, so the server can correlate this RPC with the client
+// operation that issued it, and a per-call deadline. A zero trace sends the
+// plain untraced encoding; a non-positive timeout means no deadline.
+//
+// When the deadline expires before the response arrives the call returns
+// ErrTimeout and the sequence number is abandoned: a late response is
+// dropped (and its buffer recycled) by the read loop. The connection stays
+// usable unless the deadline found the call's frame stuck on the wire or its
+// response landing; then it is closed (Closed reports it), and the call
+// still returns only once the transport has left its bytes.
 func (c *Client) CallTraced(req wire.Msg, trace uint64, timeout time.Duration) (wire.Msg, error) {
-	return c.call(req, timeout, trace)
-}
-
-func (c *Client) call(req wire.Msg, timeout time.Duration, trace uint64) (wire.Msg, error) {
 	fr := wire.MarshalFrame(req, trace)
 
 	c.mu.Lock()
@@ -383,83 +388,112 @@ func (c *Client) call(req wire.Msg, timeout time.Duration, trace uint64) (wire.M
 	c.churn++
 	c.mu.Unlock()
 
-	if timeout <= 0 {
-		err := c.send(seq, &fr)
-		fr.Free()
-		if err != nil {
-			c.abandon(seq)
-			return nil, err
-		}
-		return decodeResult(<-ch)
+	var deadline time.Time
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
+		t := time.AfterFunc(timeout, func() { c.expire(seq) })
+		defer t.Stop()
 	}
-
-	// The send itself can block (a hung modeled link, a full pipe), so it
-	// must race the deadline too. The send goroutine owns the frame and
-	// frees it when the write finishes, whether or not the call has been
-	// abandoned by then. Because that write can outlive this call, the
-	// frame must not alias the caller's buffers: a caller reusing its slice
-	// right after ErrTimeout would race the in-flight write and the server
-	// could apply a torn payload as a valid write. A payload the sender
-	// gathered into a pooled buffer and handed over with req is the frame's
-	// already; only a caller's own slice is copied here.
-	fr.OwnPayload()
-	sendErr := make(chan error, 1)
-	go func() {
-		err := c.send(seq, &fr)
-		fr.Free()
-		sendErr <- err
-	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for {
-		select {
-		case r := <-ch:
-			return decodeResult(r)
-		case err := <-sendErr:
-			if err != nil {
-				c.abandon(seq)
-				return nil, err
-			}
-			sendErr = nil // sent; keep waiting for the response or the deadline
-		case <-timer.C:
-			c.abandon(seq)
-			return nil, ErrTimeout
-		}
+	err := c.send(seq, ch, &fr, deadline)
+	fr.Free()
+	if err != nil {
+		return nil, err
 	}
+	return decodeResult(<-ch)
 }
 
-// send charges the modeled link and writes the request frame.
-func (c *Client) send(seq uint32, fr *wire.Frame) error {
-	if err := c.local.Send(c.remote, int64(8+fr.BodyLen())); err != nil {
-		return fmt.Errorf("rpc: send: %w", err)
+// send puts the request frame on the wire from the caller's goroutine — the
+// modeled link first, then the connection, one frame at a time — and
+// returns once the writer has left it. A nil error means the call's answer
+// is, or will be, on ch; an error ends the call unanswered.
+func (c *Client) send(seq uint32, ch chan msgOrErr, fr *wire.Frame, deadline time.Time) error {
+	if err := c.local.Send(c.remote, int64(8+fr.BodyLen()), deadline); err != nil {
+		if errors.Is(err, context.DeadlineExceeded) {
+			return c.unanswered(seq, ErrTimeout) // the link model held the frame: nothing was written
+		}
+		return c.unanswered(seq, fmt.Errorf("rpc: send: %w", err))
 	}
-	c.wmu.Lock()
-	err := writeFrame(c.conn, seq, fr)
-	c.wmu.Unlock()
+	select {
+	case c.wslot <- struct{}{}:
+	case r := <-ch: // answered before its frame began: expired, or the connection failed
+		ch <- r
+		return nil
+	}
+	c.mu.Lock()
+	_, live := c.pending[seq]
+	if live {
+		c.writing = ch
+	}
+	c.mu.Unlock()
+	var err error
+	if live {
+		err = writeFrame(c.conn, seq, fr)
+	}
+	<-c.wslot
+	c.mu.Lock()
+	c.writing = nil
+	c.mu.Unlock()
 	if err != nil {
-		return fmt.Errorf("rpc: send: %w", err)
+		err = c.unanswered(seq, fmt.Errorf("rpc: send: %w", err))
+		c.Close() // part of the frame may be out: the stream cannot carry another
+	}
+	return err
+}
+
+// unanswered ends a call whose send failed with err: it forgets the call
+// and returns err, unless something answered the call first — its deadline,
+// the connection's failure, the read loop landing a response — in which
+// case it returns nil and the call takes that answer from its channel.
+func (c *Client) unanswered(seq uint32, err error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if p, live := c.pending[seq]; live && p.ch != c.landing {
+		c.forget(seq)
+		return err
 	}
 	return nil
 }
 
-// abandon forgets a pending call; a late response finds no call and is
-// dropped by readLoop. A response already landing in the call's slices
-// cannot be cut off cleanly: abandon closes the connection, which ends the
-// landing read, and waits until the read loop has left the slices, so that
-// the caller may reuse them the moment its call returns.
-func (c *Client) abandon(seq uint32) {
+// writeGrace is how long a frame may still be going out after its call's
+// deadline before the connection is presumed stuck — a peer that stopped
+// reading — and closed, which ends the write. A write that is merely late
+// (the deadline fell while it ran) finishes and leaves the connection be.
+const writeGrace = time.Second
+
+// expire is a deadlined call's timer. A call whose response is landing
+// cannot be cut off cleanly: the connection is closed, which ends the
+// landing read, and the read loop answers the call with ErrTimeout once it
+// has left its slices. Any other pending call is answered with ErrTimeout
+// and forgotten at once — a late response finds no call — but one whose
+// frame is being written still returns only when its write does, and a
+// write that outlasts writeGrace closes the connection.
+func (c *Client) expire(seq uint32) {
 	c.mu.Lock()
-	if p, ok := c.pending[seq]; ok && p.ch == c.landing {
-		c.closed = true
-		c.mu.Unlock()
-		c.conn.Close() //nolint:errcheck // the read loop reports the teardown
-		c.mu.Lock()
-		for c.landing == p.ch {
-			c.left.Wait()
-		}
+	p, ok := c.pending[seq]
+	landing, writing := ok && p.ch == c.landing, ok && p.ch == c.writing
+	if landing {
+		p.expired = true
+		c.pending[seq] = p
+	} else if ok {
+		c.forget(seq)
 	}
-	c.forget(seq)
 	c.mu.Unlock()
+	switch {
+	case landing:
+		c.Close()
+	case ok:
+		p.ch <- msgOrErr{nil, ErrTimeout}
+	}
+	if writing {
+		time.AfterFunc(writeGrace, func() {
+			c.mu.Lock()
+			stuck := c.writing == p.ch
+			c.mu.Unlock()
+			if stuck {
+				c.Close()
+			}
+		})
+	}
 }
 
 func decodeResult(r msgOrErr) (wire.Msg, error) {
@@ -472,11 +506,12 @@ func decodeResult(r msgOrErr) (wire.Msg, error) {
 	return r.msg, nil
 }
 
-// Close shuts the connection down; pending and future calls fail.
+// Close shuts the connection down; pending and future calls fail. The
+// client is marked closed before the connection goes, so that a call the
+// teardown ends finds it closed when it returns.
 func (c *Client) Close() error {
-	err := c.conn.Close()
 	c.failAll(ErrClosed)
-	return err
+	return c.conn.Close()
 }
 
 // Handler processes one request and returns its response. Returning an
@@ -536,7 +571,7 @@ func ServeConnTraced(conn io.ReadWriteCloser, h TracedHandler, local, remote *si
 			// handler ran (work done, reply lost), the client's deadline
 			// detects it.
 			fr := wire.MarshalFrame(resp, 0)
-			if local.Send(remote, int64(8+fr.BodyLen())) == nil {
+			if local.Send(remote, int64(8+fr.BodyLen()), time.Time{}) == nil {
 				wmu.Lock()
 				writeFrame(conn, seq, &fr) //nolint:errcheck // conn teardown is detected by readFrame
 				wmu.Unlock()

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,7 +24,7 @@ func TestCallTimeoutExpiresAndConnectionSurvives(t *testing.T) {
 	})
 
 	start := time.Now()
-	_, err := c.CallTimeout(&wire.Ping{}, 25*time.Millisecond)
+	_, err := c.CallTraced(&wire.Ping{}, 0, 25*time.Millisecond)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -36,7 +38,7 @@ func TestCallTimeoutExpiresAndConnectionSurvives(t *testing.T) {
 	// Release the wedged handler: its late response must be dropped, not
 	// misdelivered, and the connection must stay usable.
 	close(release)
-	resp, err := c.CallTimeout(&wire.Health{}, time.Second)
+	resp, err := c.CallTraced(&wire.Health{}, 0, time.Second)
 	if err != nil {
 		t.Fatalf("call after timeout: %v", err)
 	}
@@ -58,7 +60,7 @@ func TestCallTimeoutCoversBlockedSend(t *testing.T) {
 	c := NewClient(cEnd, cn, sn)
 	t.Cleanup(func() { c.Close() })
 
-	_, err := c.CallTimeout(&wire.Ping{}, 25*time.Millisecond)
+	_, err := c.CallTraced(&wire.Ping{}, 0, 25*time.Millisecond)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want a deadline error", err)
 	}
@@ -66,54 +68,9 @@ func TestCallTimeoutCoversBlockedSend(t *testing.T) {
 	// Clearing the fault lets the stuck frame drain; the connection keeps
 	// working.
 	n.ClearFaults()
-	if _, err := c.CallTimeout(&wire.Ping{}, time.Second); err != nil {
+	if _, err := c.CallTraced(&wire.Ping{}, 0, time.Second); err != nil {
 		t.Fatalf("call after link heal: %v", err)
 	}
-}
-
-func TestTimedOutSendDoesNotAliasCallerBuffer(t *testing.T) {
-	// The client end of an unbuffered pipe with no reader: the send
-	// goroutine wedges mid-write, the deadline fires, and the call returns
-	// while the frame is still streaming.
-	cEnd, sEnd := net.Pipe()
-	c := NewClient(cEnd, nil, nil)
-	t.Cleanup(func() { c.Close() })
-
-	payload := patternOf(64<<10, 7) // well above the payload-split threshold
-	want := append([]byte(nil), payload...)
-
-	_, err := c.CallTimeout(&wire.WriteData{
-		File:  wire.FileRef{ID: 7},
-		Spans: []wire.Span{{Off: 0, Len: int64(len(payload))}},
-		Data:  payload,
-	}, 25*time.Millisecond)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-
-	// The caller reuses its buffer the moment the call returns — exactly
-	// what a WriteAt caller does with its scratch stripe buffer. The
-	// abandoned send, still blocked on the unread pipe, must be streaming a
-	// private copy, not this slice.
-	for i := range payload {
-		payload[i] = 0xFF
-	}
-
-	// Drain the pipe and decode the frame that was in flight; a torn or
-	// mutated payload here is the write the server would have applied.
-	_, body, bp, err := readFrame(sEnd)
-	if err != nil {
-		t.Fatalf("readFrame: %v", err)
-	}
-	m, err := wire.Unmarshal(body)
-	if err != nil {
-		t.Fatalf("unmarshal in-flight frame: %v", err)
-	}
-	got := m.(*wire.WriteData).Data // views *bp
-	if !bytes.Equal(got, want) {
-		t.Fatal("timed-out send streamed the caller's mutated buffer (torn write)")
-	}
-	wire.PutBuf(bp)
 }
 
 func TestSendErrorPropagates(t *testing.T) {
@@ -156,7 +113,7 @@ func TestDroppedResponseHitsDeadline(t *testing.T) {
 	c := NewClient(cEnd, cn, sn)
 	t.Cleanup(func() { c.Close() })
 
-	_, err := c.CallTimeout(&wire.Ping{}, 25*time.Millisecond)
+	_, err := c.CallTraced(&wire.Ping{}, 0, 25*time.Millisecond)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want a deadline error", err)
 	}
@@ -169,46 +126,36 @@ func TestDroppedResponseHitsDeadline(t *testing.T) {
 	}
 }
 
-// TestAbandonedSendOwnsItsPayload: a write whose payload the sender gathered
-// into a pooled buffer and handed to the message needs no second copy to
-// survive its caller. The link hangs, the deadline fires, the caller
-// scribbles over its own buffer at once — and when the link heals the server
-// applies the intact payload or nothing, after which the gathered buffer goes
-// back to the pool through the frame, once.
+// TestAbandonedSendOwnsItsPayload: a write sent straight from the caller's
+// buffer needs no copy to survive a deadline. The link hangs, the deadline
+// fires, the caller scribbles over its buffer at once, and the link heals:
+// the server applies nothing — the frame never left — and the connection
+// still works.
 func TestAbandonedSendOwnsItsPayload(t *testing.T) {
-	wire.SetPoolPoison(true)
-	t.Cleanup(func() { wire.SetPoolPoison(false) })
-
 	n := simnet.New(nil, simnet.DefaultParams())
 	cn, sn := n.NewNode("client"), n.NewNode("server")
 	n.SetLinkFault("client", "server", simnet.LinkFault{Hang: true})
 	t.Cleanup(n.ClearFaults)
 
 	const size = 64 << 10
-	want := patternOf(size, 7)
-	applied := make(chan bool, 1)
+	applied := make(chan *wire.WriteData, 1)
 	cEnd, sEnd := net.Pipe()
 	go ServeConn(sEnd, func(req wire.Msg) (wire.Msg, error) { //nolint:errcheck
 		if w, ok := req.(*wire.WriteData); ok {
-			applied <- bytes.Equal(w.Data, want)
+			applied <- w
 		}
 		return &wire.OK{}, nil
 	}, sn, cn)
 	c := NewClient(cEnd, cn, sn)
 	t.Cleanup(func() { c.Close() })
 
-	// What the client's write paths do: gather the caller's bytes into a
-	// pooled buffer made for this one message.
 	caller := patternOf(size, 7)
-	bp := wire.GetBuf(size)
-	copy(*bp, caller)
 	m := &wire.WriteData{
 		File:  wire.FileRef{ID: 7},
 		Spans: []wire.Span{{Off: 0, Len: size}},
-		Data:  *bp,
+		From:  [][]byte{caller[:size/3], caller[size/3:]},
 	}
-	m.HoldBuf(bp)
-	if _, err := c.CallTimeout(m, 25*time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, err := c.CallTraced(m, 0, 25*time.Millisecond); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 	for i := range caller {
@@ -216,42 +163,217 @@ func TestAbandonedSendOwnsItsPayload(t *testing.T) {
 	}
 
 	n.ClearFaults()
-	select {
-	case intact := <-applied:
-		if !intact {
-			t.Fatal("the abandoned send delivered a torn or recycled payload")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the abandoned send never drained")
+	if _, err := c.CallTraced(&wire.Ping{}, 0, 5*time.Second); err != nil {
+		t.Fatalf("call after the link healed: %v", err)
 	}
+	select { // a frame read before the ping may still be in its handler
+	case w := <-applied:
+		t.Fatalf("the timed-out write reached the server (%d bytes)", len(w.Data))
+	case <-time.After(100 * time.Millisecond):
+	}
+}
 
-	// The send goroutine frees the frame once the write is out. Draw from the
-	// buffer's class until it turns up (a pool may also drop it, which is
-	// allowed): it must come back poisoned — it went through PutBuf — and
-	// never twice.
-	var drawn []*[]byte
-	seen := 0
-	for deadline := time.Now().Add(time.Second); seen == 0 && time.Now().Before(deadline); {
-		for i := 0; i < 8; i++ {
-			got := wire.GetBuf(size)
-			if got == bp {
-				seen++
-				for j, b := range (*got)[:cap(*got)] {
-					if b != 0xDB {
-						t.Fatalf("gathered buffer came back unpoisoned at byte %d: it bypassed PutBuf", j)
-					}
-				}
-			}
-			drawn = append(drawn, got) // held, so the same box cannot be drawn twice by chance
+// stallConn is the client end of a connection whose request stream stalls
+// at byte at, counted from the first byte written: the bytes before it go
+// through, then the write that reaches it fails at once (fail) or parks
+// until release, which lets the rest through, or Close, which fails it.
+// inside reports a write in progress; a write that reads the caller's bytes
+// after the test set returned is recorded in late.
+type stallConn struct {
+	net.Conn
+	at   int
+	fail bool
+	off  int // bytes let through; writers are serialized by the client
+
+	parked, release, closed chan struct{}
+	parkOnce, closeOnce     sync.Once
+	inside, returned, late  atomic.Bool
+}
+
+var errStall = errors.New("stallConn: scripted write failure")
+
+func newStallConn(conn net.Conn, at int, fail bool) *stallConn {
+	return &stallConn{Conn: conn, at: at, fail: fail,
+		parked: make(chan struct{}), release: make(chan struct{}), closed: make(chan struct{})}
+}
+
+func (s *stallConn) Write(p []byte) (int, error) {
+	s.inside.Store(true)
+	defer s.inside.Store(false)
+	s.late.Store(s.late.Load() || s.returned.Load())
+	n := 0
+	if s.off < s.at {
+		k := min(len(p), s.at-s.off)
+		m, err := s.Conn.Write(p[:k])
+		n, s.off = m, s.off+m
+		if err != nil || k == len(p) {
+			return n, err
 		}
+	}
+	if s.fail {
+		return n, errStall
+	}
+	s.parkOnce.Do(func() { close(s.parked) })
+	select {
+	case <-s.closed:
+		return n, net.ErrClosed
+	case <-s.release:
+	}
+	s.late.Store(s.late.Load() || s.returned.Load())
+	m, err := s.Conn.Write(p[n:])
+	s.off += m
+	return n + m, err
+}
+
+func (s *stallConn) Close() error {
+	s.closeOnce.Do(func() { close(s.closed) })
+	return s.Conn.Close()
+}
+
+// settle waits until no write is in progress, so that a write the test has
+// just let go has done whatever it was going to do.
+func (s *stallConn) settle() {
+	for deadline := time.Now().Add(2 * time.Second); s.inside.Load() && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
-	if seen > 1 {
-		t.Fatalf("gathered buffer was returned to the pool %d times", seen)
+}
+
+// writeLog serves a connection and records every WriteData it applies, a
+// copy of its payload by file ID; done is closed when ServeConn returns.
+type writeLog struct {
+	mu      sync.Mutex
+	applied map[uint64][]byte
+	done    chan struct{}
+}
+
+func serveWrites(conn net.Conn) *writeLog {
+	l := &writeLog{applied: map[uint64][]byte{}, done: make(chan struct{})}
+	go func() {
+		defer close(l.done)
+		ServeConn(conn, func(req wire.Msg) (wire.Msg, error) { //nolint:errcheck // ends with conn
+			if w, ok := req.(*wire.WriteData); ok {
+				l.mu.Lock()
+				l.applied[w.File.ID] = bytes.Clone(w.Data)
+				l.mu.Unlock()
+			}
+			return &wire.OK{}, nil
+		}, nil, nil)
+	}()
+	return l
+}
+
+func (l *writeLog) get(id uint64) ([]byte, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	b, ok := l.applied[id]
+	return b, ok
+}
+
+// writeFrom is a WriteData of file id sent straight from p, in two pieces.
+func writeFrom(id uint64, p []byte) *wire.WriteData {
+	return &wire.WriteData{
+		File:  wire.FileRef{ID: id},
+		Spans: []wire.Span{{Off: 0, Len: int64(len(p))}},
+		From:  [][]byte{p[:len(p)/3], p[len(p)/3:]},
 	}
-	for _, b := range drawn {
-		if b != bp {
-			wire.PutBuf(b)
+}
+
+// frameLen is the number of bytes m's frame puts on the wire.
+func frameLen(m wire.Msg) int {
+	fr := wire.MarshalFrame(m, 0)
+	defer fr.Free()
+	return prefixLen + fr.BodyLen()
+}
+
+// TestSendDeadlineMidWrite holds the send rule: no call returns while its
+// frame is being written, so a write goes out from the caller's own bytes.
+//
+// mid-payload: the connection parks partway through a WriteData payload
+// sent from the caller's slice. The deadline cannot cut the frame off: the
+// call returns ErrTimeout only once its write has returned — the connection
+// closed under the stuck write — and a sentinel the caller then writes
+// into its slice never reaches the server, which applies nothing.
+//
+// queued: a call waiting behind that parked writer has written no byte, so
+// its own deadline abandons it at once, the connection intact. Its frame
+// never goes out, while the parked write, let through, is applied whole.
+func TestSendDeadlineMidWrite(t *testing.T) {
+	const size = 48 << 10
+	t.Run("mid-payload", func(t *testing.T) {
+		cEnd, sEnd := net.Pipe()
+		log := serveWrites(sEnd)
+		p := patternOf(size, 3)
+		req := writeFrom(1, p)
+		spy := newStallConn(cEnd, frameLen(req)-size/2, false)
+		c := NewClient(spy, nil, nil)
+		t.Cleanup(func() { c.Close() })
+
+		_, err := c.CallTraced(req, 0, 25*time.Millisecond)
+		spy.returned.Store(true)
+		if !errors.Is(err, ErrTimeout) {
+			t.Fatalf("err = %v, want ErrTimeout", err)
 		}
-	}
+		if spy.inside.Load() {
+			t.Fatal("the call returned while its frame was being written")
+		}
+		if !c.Closed() {
+			t.Fatal("the connection under a stuck write was left open")
+		}
+		for i := range p {
+			p[i] = landingSentinel
+		}
+		close(spy.release)
+		spy.settle()
+		if spy.late.Load() {
+			t.Fatal("the caller's bytes were read after the call returned")
+		}
+		<-log.done
+		if b, ok := log.get(1); ok {
+			t.Fatalf("the server applied a write of %d bytes from a cut-off frame", len(b))
+		}
+	})
+
+	t.Run("queued", func(t *testing.T) {
+		cEnd, sEnd := net.Pipe()
+		log := serveWrites(sEnd)
+		first, second := patternOf(size, 5), patternOf(size, 9)
+		want := bytes.Clone(first)
+		spy := newStallConn(cEnd, frameLen(writeFrom(1, first))-size/2, false)
+		c := NewClient(spy, nil, nil)
+		t.Cleanup(func() { c.Close() })
+
+		firstDone := make(chan error, 1)
+		go func() {
+			_, err := c.Call(writeFrom(1, first))
+			firstDone <- err
+		}()
+		<-spy.parked
+		start := time.Now()
+		_, err := c.CallTraced(writeFrom(2, second), 0, 25*time.Millisecond)
+		if !errors.Is(err, ErrTimeout) {
+			t.Fatalf("queued call: err = %v, want ErrTimeout", err)
+		}
+		if waited := time.Since(start); waited >= writeGrace/2 {
+			t.Fatalf("the queued call waited %v: it was not held to its own deadline", waited)
+		}
+		if c.Closed() || !spy.inside.Load() {
+			t.Fatalf("after the queued call's deadline: closed %v, parked writer inside %v; want open and still parked", c.Closed(), spy.inside.Load())
+		}
+		for i := range second {
+			second[i] = landingSentinel
+		}
+		close(spy.release)
+		if err := <-firstDone; err != nil {
+			t.Fatalf("the parked write, let through: %v", err)
+		}
+		if _, err := c.Call(&wire.Ping{}); err != nil {
+			t.Fatalf("call after the parked write: %v", err)
+		}
+		if b, _ := log.get(1); !bytes.Equal(b, want) {
+			t.Fatal("the parked write was not applied whole")
+		}
+		if b, ok := log.get(2); ok {
+			t.Fatalf("the abandoned queued write reached the server (%d bytes)", len(b))
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -10,6 +11,11 @@ import (
 // ErrLinkDown is returned by Node.Send when the directed link between the
 // two nodes carries a Drop fault (or either side of a partition).
 var ErrLinkDown = errors.New("simnet: link down")
+
+// ErrDeadline is returned by Node.Send when the sender's deadline passes
+// before the message could go: its link was still hung, or its modeled
+// transfer would have ended later. It wraps context.DeadlineExceeded.
+var ErrDeadline = fmt.Errorf("simnet: send deadline passed (%w)", context.DeadlineExceeded)
 
 // Wildcard matches any node name in a fault's from/to position.
 const Wildcard = "*"
@@ -155,9 +161,10 @@ func (n *Network) RunSchedule(steps []FaultStep) <-chan struct{} {
 }
 
 // applyFaults enforces the fault table for one message from→to: dropped
-// links error, hung links block until cleared (then re-evaluate), and extra
-// latency is charged on timed networks.
-func (n *Network) applyFaults(from, to string) error {
+// links error, hung links block until cleared (then re-evaluate) or until
+// the deadline, if there is one, and extra latency is charged on timed
+// networks.
+func (n *Network) applyFaults(from, to string, deadline time.Time) error {
 	for {
 		e := n.faults.lookup(from, to)
 		if e == nil {
@@ -167,8 +174,16 @@ func (n *Network) applyFaults(from, to string) error {
 			return fmt.Errorf("%w (%s -> %s)", ErrLinkDown, from, to)
 		}
 		if e.f.Hang {
-			<-e.cleared
-			continue
+			var expired <-chan time.Time // nil without a deadline: wait for the clear
+			if !deadline.IsZero() {
+				expired = time.After(time.Until(deadline))
+			}
+			select {
+			case <-e.cleared:
+				continue
+			case <-expired:
+				return ErrDeadline
+			}
 		}
 		if e.f.ExtraLatency > 0 {
 			n.clock.Sleep(e.f.ExtraLatency)

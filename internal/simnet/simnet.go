@@ -80,12 +80,14 @@ func (nd *Node) Name() string { return nd.name }
 //
 // Link faults apply first, even on untimed networks: a dropped link returns
 // ErrLinkDown, a hung link blocks until the fault clears, and extra latency
-// is charged before the transfer.
-func (nd *Node) Send(dst *Node, n int64) error {
+// is charged before the transfer. A non-zero deadline bounds the wait: a
+// link still hung at the deadline, or a transfer that would end after it,
+// returns ErrDeadline then, the message not sent.
+func (nd *Node) Send(dst *Node, n int64, deadline time.Time) error {
 	if nd == nil || dst == nil {
 		return nil
 	}
-	if err := nd.net.applyFaults(nd.name, dst.name); err != nil {
+	if err := nd.net.applyFaults(nd.name, dst.name, deadline); err != nil {
 		return err
 	}
 	if !nd.net.clock.Timed() {
@@ -103,6 +105,11 @@ func (nd *Node) Send(dst *Node, n int64) error {
 	// Fold the one-way latency into the same wall-clock deadline: one
 	// precise sleep instead of two, so host timer granularity is paid at
 	// most once per message.
-	simtime.SleepUntil(target.Add(nd.net.clock.Wall(nd.net.params.Latency)))
+	target = target.Add(nd.net.clock.Wall(nd.net.params.Latency))
+	if !deadline.IsZero() && target.After(deadline) {
+		simtime.SleepUntil(deadline)
+		return ErrDeadline
+	}
+	simtime.SleepUntil(target)
 	return nil
 }

@@ -12,7 +12,7 @@ func TestUntimedNetworkIsFree(t *testing.T) {
 	n := New(nil, DefaultParams())
 	a, b := n.NewNode("a"), n.NewNode("b")
 	start := time.Now()
-	a.Send(b, 1<<40)
+	a.Send(b, 1<<40, time.Time{})
 	if time.Since(start) > 100*time.Millisecond {
 		t.Fatal("untimed send blocked")
 	}
@@ -20,7 +20,7 @@ func TestUntimedNetworkIsFree(t *testing.T) {
 
 func TestNilNodesAreFree(t *testing.T) {
 	var a, b *Node
-	a.Send(b, 100) // must not panic
+	a.Send(b, 100, time.Time{}) // must not panic
 }
 
 func TestSendChargesBandwidth(t *testing.T) {
@@ -28,7 +28,7 @@ func TestSendChargesBandwidth(t *testing.T) {
 	n := New(clock, Params{Latency: 0, BandwidthBPS: 1e6})
 	a, b := n.NewNode("a"), n.NewNode("b")
 	start := time.Now()
-	a.Send(b, 2e6) // 2 sim s = 20 ms
+	a.Send(b, 2e6, time.Time{}) // 2 sim s = 20 ms
 	got := time.Since(start)
 	if got < 15*time.Millisecond || got > 200*time.Millisecond {
 		t.Fatalf("send took %v, want about 20ms", got)
@@ -53,7 +53,7 @@ func TestSenderLinkIsTheBottleneck(t *testing.T) {
 			wg.Add(1)
 			go func(d *Node) {
 				defer wg.Done()
-				src.Send(d, 1e6)
+				src.Send(d, 1e6, time.Time{})
 			}(d)
 		}
 		wg.Wait()
@@ -80,8 +80,8 @@ func TestReceiversIndependent(t *testing.T) {
 	start := time.Now()
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); a1.Send(b1, 2e6) }()
-	go func() { defer wg.Done(); a2.Send(b2, 2e6) }()
+	go func() { defer wg.Done(); a1.Send(b1, 2e6, time.Time{}) }()
+	go func() { defer wg.Done(); a2.Send(b2, 2e6, time.Time{}) }()
 	wg.Wait()
 	got := time.Since(start)
 	// Each pair alone would take 10ms; if they serialized it would be 20ms.
@@ -95,7 +95,7 @@ func TestLatencyCharged(t *testing.T) {
 	n := New(clock, Params{Latency: 20 * time.Second, BandwidthBPS: 0}) // latency only
 	a, b := n.NewNode("a"), n.NewNode("b")
 	start := time.Now()
-	a.Send(b, 1)
+	a.Send(b, 1, time.Time{})
 	if got := time.Since(start); got < 15*time.Millisecond {
 		t.Fatalf("latency not charged: %v", got)
 	}

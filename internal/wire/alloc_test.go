@@ -163,6 +163,41 @@ func TestMarshalFrameMatchesMarshal(t *testing.T) {
 		}
 	}
 	fr.Free()
+
+	// A write request sent from pieces of its sender's buffer (From) encodes
+	// as the same request with Data their concatenation, the pieces by
+	// reference in Vec, plain and traced.
+	file := FileRef{ID: 9, Servers: 5, StripeUnit: 4096}
+	spans := []Span{{Off: 4096, Len: int64(len(whole))}}
+	for _, row := range []struct{ from, data Msg }{
+		{&WriteData{File: file, Spans: spans, Raw: true, From: pieces}, &WriteData{File: file, Spans: spans, Raw: true, Data: whole}},
+		{&WriteMirror{File: file, Spans: spans, From: pieces}, &WriteMirror{File: file, Spans: spans, Data: whole}},
+		{&WriteOverflow{File: file, Extents: spans, Mirror: true, From: pieces}, &WriteOverflow{File: file, Extents: spans, Mirror: true, Data: whole}},
+	} {
+		name := fmt.Sprintf("%T from pieces", row.from)
+		if !bytes.Equal(Marshal(row.from), Marshal(row.data)) {
+			t.Errorf("%s: contiguous marshal differs from the same request with Data", name)
+		}
+		for _, trace := range []uint64{0, goldenTrace} {
+			want := MarshalFrame(row.data, trace)
+			wantBytes := append(append([]byte{}, want.Head()...), want.Payload...)
+			want.Free()
+			fr := MarshalFrame(row.from, trace)
+			if len(fr.Payload) != 0 || len(fr.Vec) != len(pieces) || fr.BodyLen() != len(wantBytes) {
+				t.Errorf("%s (trace %#x): payload %d bytes, %d pieces (want %d), body %d (want %d)",
+					name, trace, len(fr.Payload), len(fr.Vec), len(pieces), fr.BodyLen(), len(wantBytes))
+			}
+			if got := slices.Concat(append([][]byte{fr.Head()}, fr.Vec...)...); !bytes.Equal(got, wantBytes) {
+				t.Errorf("%s (trace %#x): head plus pieces differ from the request with Data", name, trace)
+			}
+			for i, p := range pieces {
+				if len(p) > 0 && &fr.Vec[i][0] != &p[0] {
+					t.Errorf("%s: piece %d copied, not carried by reference", name, i)
+				}
+			}
+			fr.Free()
+		}
+	}
 }
 
 func patternBytes(n int, seed byte) []byte {

@@ -21,24 +21,20 @@ const maxPooledHead = 64 << 10
 // Head() is the encoded message (kind byte, optional trace header,
 // metadata fields) in a pooled buffer; Payload is the message's bulk data
 // field passed by reference — it aliases the Msg's own slice and must hit
-// the wire immediately after the head. The caller owns the frame until it
-// calls Free, which recycles the head buffer; neither Head() nor Payload
-// may be retained afterward. Free never touches data the Msg's sender still
-// owns: a frame can be marshaled and freed just to measure it, with the
-// message still on its way to a consumer. The one payload Free does recycle
-// is one the frame owns — the pooled buffer a write request was gathered
-// into and handed over by HoldBuf, or OwnPayload's private copy.
-//
-// Vec is Payload held as pieces, for the one message whose bulk field is
-// not one slice: a landed ReadResp. At most one of the two is set. Vec is
-// never the frame's own, and OwnPayload, which only request senders need,
-// leaves it alone: a ReadResp is never a request.
+// the wire immediately after the head. Vec is Payload held as pieces, for a
+// bulk field that is not one slice: a write request's From, a landed
+// ReadResp. At most one of the two is set, and neither is ever the frame's:
+// they stay the sender's, who must leave them alone until the frame has
+// been written. The caller owns the frame until it calls Free, which
+// recycles the head buffer; neither Head(), Payload nor Vec may be retained
+// afterward. Free never touches a payload, so a frame can be marshaled and
+// freed just to measure it, with the message still on its way to a
+// consumer.
 type Frame struct {
 	buf     []byte // [FramePrefix reserved bytes][marshaled head]
 	Payload []byte
 	Vec     [][]byte
-	c       *Codec  // the pooled encoder that wrote buf, reused on Free; nil for unpooled frames
-	pp      *[]byte // pooled payload the frame owns; nil if Payload is by-reference
+	c       *Codec // the pooled encoder that wrote buf, reused on Free; nil for unpooled frames
 }
 
 // Head returns the marshaled message bytes (without the transport prefix).
@@ -58,27 +54,8 @@ func (f *Frame) BodyLen() int {
 	return n
 }
 
-// OwnPayload replaces the frame's by-reference Payload with a private pooled
-// copy. A transport whose write can outlive the caller — rpc abandons a
-// timed-out call while its send goroutine is still streaming the frame —
-// must take ownership before returning control, or a caller that reuses its
-// buffer after the timeout races the in-flight wire write and the receiver
-// can apply a torn payload. Free recycles the copy. A frame whose payload is
-// already inlined, or already the frame's own (the sender gathered it into a
-// buffer it handed over with the message), is untouched: only a caller that
-// passed its own slice pays for the copy.
-func (f *Frame) OwnPayload() {
-	if len(f.Payload) == 0 || f.pp != nil {
-		return
-	}
-	pp := GetBuf(len(f.Payload))
-	copy(*pp, f.Payload)
-	f.Payload = *pp
-	f.pp = pp
-}
-
-// Free returns the head buffer and any payload the frame owns to their pools.
-// The frame must not be used again.
+// Free returns the head buffer to its pool. The frame must not be used
+// again.
 func (f *Frame) Free() {
 	if f.c != nil && cap(f.buf) <= maxPooledHead {
 		if poisonPooledBuffers.Load() {
@@ -89,8 +66,7 @@ func (f *Frame) Free() {
 		*f.c = Codec{Buf: f.buf[:0]}
 		headPool.Put(f.c)
 	}
-	PutBuf(f.pp)
-	f.buf, f.Payload, f.Vec, f.c, f.pp = nil, nil, nil, nil, nil
+	f.buf, f.Payload, f.Vec, f.c = nil, nil, nil, nil
 }
 
 var headPool = sync.Pool{New: func() any {
@@ -102,9 +78,8 @@ var headPool = sync.Pool{New: func() any {
 // byte field — its last, when at least payloadSplitMin long — is carried in
 // Frame.Payload by reference, so Head followed by Payload is exactly what
 // Marshal produces (TestMarshalFrameMatchesMarshal holds every kind to
-// that). The caller must not mutate the Msg's data until the frame has been
-// written and freed. A pooled buffer the message holds for that payload
-// (HoldBuf) becomes the frame's.
+// that). A field held as pieces rides in Frame.Vec instead. The caller must
+// not mutate the Msg's data until the frame has been written and freed.
 func MarshalFrame(m Msg, trace uint64) Frame {
 	c := headPool.Get().(*Codec)
 	var prefix [FramePrefix]byte
@@ -115,8 +90,5 @@ func MarshalFrame(m Msg, trace uint64) Frame {
 		fr.Payload = *c.payload
 	}
 	fr.Vec = c.vec
-	if o, ok := m.(interface{ takePayload() *[]byte }); ok {
-		fr.pp = o.takePayload()
-	}
 	return fr
 }

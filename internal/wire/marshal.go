@@ -151,11 +151,7 @@ func (m *Read) codec(c *Codec) {
 
 func (m *ReadResp) Kind() Kind { return KReadResp }
 func (m *ReadResp) codec(c *Codec) {
-	if m.into != nil { // only ever encoded: a decode starts from a new ReadResp
-		c.pieces(m.into)
-		return
-	}
-	c.Bytes(&m.Data)
+	c.bytesFrom(&m.Data, m.into)
 }
 
 func (m *WriteData) Kind() Kind { return KWriteData }
@@ -163,14 +159,14 @@ func (m *WriteData) codec(c *Codec) {
 	c.FileRef(&m.File)
 	slice(c, &m.Spans, elemSpan)
 	c.Bool(&m.Raw)
-	c.Bytes(&m.Data)
+	c.bytesFrom(&m.Data, m.From)
 }
 
 func (m *WriteMirror) Kind() Kind { return KWriteMirror }
 func (m *WriteMirror) codec(c *Codec) {
 	c.FileRef(&m.File)
 	slice(c, &m.Spans, elemSpan)
-	c.Bytes(&m.Data)
+	c.bytesFrom(&m.Data, m.From)
 }
 
 func (m *ReadMirror) Kind() Kind { return KReadMirror }
@@ -285,7 +281,7 @@ func (m *WriteOverflow) codec(c *Codec) {
 	c.FileRef(&m.File)
 	slice(c, &m.Extents, elemSpan)
 	c.Bool(&m.Mirror)
-	c.Bytes(&m.Data)
+	c.bytesFrom(&m.Data, m.From)
 }
 
 func (m *InvalidateOverflow) Kind() Kind { return KInvalidateOverflow }

@@ -6,10 +6,10 @@ import (
 	"sync/atomic"
 )
 
-// The payload pool: every bulk buffer the transport and the servers recycle
-// — rpc receive frames, the write payloads a client gathers for its requests,
-// OwnPayload's private send copies, ReadResp payloads — comes from one set of
-// size classes. GetBuf rounds up to a class, so a small
+// The payload pool: every bulk buffer the transport, the servers and the
+// client recycle — rpc receive frames, ReadResp payloads, the parity units a
+// client computes for its writes, a read-modify-write's old bytes — comes
+// from one set of size classes. GetBuf rounds up to a class, so a small
 // frame never takes or pins a large buffer, and a miss allocates a whole
 // class size the next caller of that class can reuse.
 //

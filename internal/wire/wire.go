@@ -416,47 +416,33 @@ func (m *ReadResp) Release() {
 	PutBuf(bp)
 }
 
-// ownedPayload is embedded in the write requests whose bulk Data a client
-// gathers into a pooled buffer (GetBuf) made for that one message. HoldBuf
-// hands the message the buffer; MarshalFrame moves it on into the Frame,
-// whose Free recycles it when the write has finished with the bytes — so the
-// sender never copies the payload again and need not outlive the send. A
-// message that is never marshaled (a call refused before it was sent)
-// leaves its buffer to the garbage collector.
-type ownedPayload struct{ buf *[]byte }
-
-// HoldBuf hands m the pooled buffer its Data lives in. The buffer is m's
-// alone from here on: the caller keeps no other use of it.
-func (o *ownedPayload) HoldBuf(bp *[]byte) { o.buf = bp }
-
-// takePayload moves the held buffer out of the message (nil if none): a
-// second marshal of the same message finds nothing to recycle.
-func (o *ownedPayload) takePayload() *[]byte {
-	bp := o.buf
-	o.buf = nil
-	return bp
-}
-
 // WriteData writes the given logical spans in place into the data file. Raw
 // marks a repair or rebuild write: the bytes are restored in place exactly,
 // without the overflow invalidation a Hybrid foreground full-stripe write
 // implies (a repair must not discard newer overflow contents of the range).
+//
+// From is sender-only, the write-side twin of Read.Into: when set, it is
+// the payload as pieces — slices of the sender's own buffer, in order — and
+// Data is ignored. It encodes exactly as Data holding their concatenation
+// would (MarshalFrame carries the pieces by reference in Frame.Vec), and a
+// decoded message has Data, never From. The same holds for WriteMirror and
+// WriteOverflow.
 type WriteData struct {
 	File  FileRef
 	Spans []Span
 	Data  []byte
 	Raw   bool
-	ownedPayload
+	From  [][]byte
 }
 
 // WriteMirror writes the RAID1 mirror copies of the given logical spans into
 // the redundancy file. The receiving server is the mirror server of the
-// spans' stripe units.
+// spans' stripe units. From is as in WriteData.
 type WriteMirror struct {
 	File  FileRef
 	Spans []Span
 	Data  []byte
-	ownedPayload
+	From  [][]byte
 }
 
 // ReadMirror reads mirror copies (for degraded reads and verification).
@@ -698,18 +684,17 @@ type WriteParity struct {
 	Data    []byte
 	Unlock  bool
 	Owner   uint64
-	ownedPayload
 }
 
 // WriteOverflow appends new data for the given logical extents into the
 // overflow region (Mirror selects the overflow-mirror store) and records
-// them in the overflow table.
+// them in the overflow table. From is as in WriteData.
 type WriteOverflow struct {
 	File    FileRef
 	Extents []Span
 	Data    []byte
 	Mirror  bool
-	ownedPayload
+	From    [][]byte
 }
 
 // InvalidateOverflow removes overflow-table coverage of the given spans;
@@ -1100,20 +1085,27 @@ func (c *Codec) Bytes(v *[]byte) {
 	}
 }
 
-// pieces encodes a byte field held as pieces exactly as Bytes encodes their
-// concatenation. In split mode the pieces ride by reference (Frame.Vec),
-// whatever their size: they are somebody's buffer already. It only encodes.
-func (c *Codec) pieces(v [][]byte) {
+// bytesFrom is a bulk byte field its sender may hold as pieces — a write
+// request's From, a landed ReadResp's — encoded exactly as Bytes encodes
+// their concatenation. In split mode the pieces ride by reference
+// (Frame.Vec), whatever their size: they are somebody's buffer already.
+// Pieces are only ever encoded (a decode starts from a new message, which
+// has none); without them the field is Bytes on v.
+func (c *Codec) bytesFrom(v *[]byte, pieces [][]byte) {
+	if pieces == nil {
+		c.Bytes(v)
+		return
+	}
 	var n uint32
-	for _, p := range v {
+	for _, p := range pieces {
 		n += uint32(len(p))
 	}
 	c.U32(&n)
 	if c.split && c.payload == nil {
-		c.vec = v
+		c.vec = pieces
 		return
 	}
-	for _, p := range v {
+	for _, p := range pieces {
 		c.Buf = append(c.Buf, p...)
 	}
 }
