@@ -47,11 +47,14 @@ fuzz-seeds:
 # handler times out with the connection intact (TestCallTimeout*), a
 # deadline mid-landing returns only once the read loop has left the buffer
 # (TestLandingDeadlineMidFill), and a write timed out on a hung link is
-# never applied (TestAbandonedSendOwnsItsPayload) — all run twice under the
-# race detector to prove them timing-independent.
+# never applied (TestAbandonedSendOwnsItsPayload); and the server's reused
+# handler goroutines — sequential calls on one connection run on at most two
+# (TestServeConnReusesHandlers), and a connection's teardown returns only
+# once a parked handler has (TestServeConnWaitsForWorkers) — all run twice
+# under the race detector to prove them timing-independent.
 faults:
 	$(GO) test -race -count=2 -run 'TestFaultSchedule|TestAutoFailover' ./internal/cluster
-	$(GO) test -race -count=2 -run 'TestSendDeadline|TestCallTimeout|TestLandingDeadline|TestAbandonedSend' ./internal/rpc
+	$(GO) test -race -count=2 -run 'TestSendDeadline|TestCallTimeout|TestLandingDeadline|TestAbandonedSend|TestServeConnReusesHandlers|TestServeConnWaitsForWorkers' ./internal/rpc
 
 # The crash-consistency suite for the RAID5 write hole and the iod
 # journals: the journal's replay rule (torn tail at every offset, every byte

@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"csar/internal/gopool"
 	"csar/internal/obs"
 	"csar/internal/simtime"
 	"csar/internal/wire"
@@ -65,8 +66,10 @@ type Client struct {
 	// obs holds the client's latency histograms — one per logical op and
 	// write path, one per RPC kind, plus the parity-lock wait (stats.go) —
 	// and publishes the metrics counter set (metrics.go).
-	obs     *obs.Registry
-	metrics *Metrics
+	obs      *obs.Registry
+	metrics  *Metrics
+	rpcHists *obs.KindHists[wire.Kind] // the per-RPC-kind histograms, looked up once
+	pool     gopool.Pool               // runs the legs of fan-outs (eachServer) and other per-op work
 
 	// health is the per-server circuit-breaker state (resilience.go).
 	health []serverHealth
@@ -127,6 +130,7 @@ func NewMulti(mgrs []Caller, servers []Caller) *Client {
 		srv:       servers,
 		obs:       reg,
 		metrics:   obs.NewCounters[Metrics](reg),
+		rpcHists:  obs.NewKindHists[wire.Kind](reg, "rpc_"),
 		down:      make(map[int]bool),
 		health:    make([]serverHealth, len(servers)),
 		leases:    make(map[uint64]leaseEntry),
@@ -200,7 +204,7 @@ func (c *Client) callSrvT(idx int, m wire.Msg, trace uint64) (wire.Msg, error) {
 	}
 	start := time.Now()
 	resp, err := c.callSrvInner(idx, m, trace)
-	c.Observe("rpc_"+m.Kind().String(), c.sinceStart(start))
+	c.rpcHists.Of(m.Kind()).Observe(c.sinceStart(start))
 	return resp, err
 }
 
@@ -431,9 +435,10 @@ func (c *Client) DropServerCaches() error {
 	})
 }
 
-// eachServer runs fn for every server i in [0,n) that has work (has nil:
-// every one) concurrently, the last of them on the calling goroutine, and
-// joins their errors. A fan-out to one server spawns nothing.
+// eachServer runs fn for every i in [0,n) — a server, or any other leg of a
+// fan-out — that has work (has nil: every one) concurrently, the last of
+// them on the calling goroutine and the others on the client's pool, and
+// joins their errors. A fan-out to one leg hands nothing to the pool.
 func (c *Client) eachServer(n int, has func(i int) bool, fn func(i int) error) error {
 	last, count := -1, 0
 	for i := 0; i < n; i++ {
@@ -454,10 +459,10 @@ func (c *Client) eachServer(n int, has func(i int) bool, fn func(i int) error) e
 			continue
 		}
 		wg.Add(1)
-		go func() {
+		c.pool.Go(func() {
 			defer wg.Done()
 			errs[i] = fn(i)
-		}()
+		})
 	}
 	errs[last] = fn(last)
 	wg.Wait()

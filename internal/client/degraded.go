@@ -40,10 +40,10 @@ func (f *File) readDegraded(p []byte, off int64, dead int, tr uint64) (int, erro
 	var survivors spanReads
 	var sErr error
 	fetched := make(chan struct{})
-	go func() {
+	f.c.pool.Go(func() {
 		defer close(fetched)
 		survivors, sErr = plan.fetch(f, f.tracedCall(tr))
-	}()
+	})
 	err = f.fetchSpans(span, p, false, tr, func(s int) bool { return slices.Contains(deads, s) })
 	<-fetched
 	defer survivors.release()

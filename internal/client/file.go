@@ -280,11 +280,11 @@ func (f *File) execute(plan []portion, off int64, p []byte, dead int, tr uint64)
 		rest = rest[1:]
 		atomic.AddInt64(&f.c.metrics.RMWs, 1)
 		lockHeld := make(chan struct{})
-		go func() {
+		f.c.pool.Go(func() {
 			defer close(headDone)
 			defer f.timePath(f.opPrefix + "rmw")()
 			headErr = f.writeRMW(head.span, data(head.span), func() { close(lockHeld) }, dead, tr)
-		}()
+		})
 		<-lockHeld // head's parity read has completed (or failed)
 	} else {
 		close(headDone)
@@ -323,25 +323,13 @@ func (f *File) execute(plan []portion, off int64, p []byte, dead int, tr uint64)
 	}
 
 	// The last send runs on this goroutine: a write of one partial stripe,
-	// the common small write, spawns nothing here.
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i, send := range sends[:max(n-1, 0)] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = send()
-		}()
-	}
-	if n > 0 {
-		errs[n-1] = sends[n-1]()
-	}
-	wg.Wait()
+	// the common small write, runs here alone.
+	err := f.c.eachServer(n, nil, func(i int) error { return sends[i]() })
 	if stopEncode != nil {
 		stopEncode()
 	}
 	<-headDone
-	return cmp.Or(headErr, cmp.Or(errs...))
+	return cmp.Or(headErr, err)
 }
 
 // timePath starts a timer for one per-path histogram and returns the stop
@@ -546,22 +534,13 @@ func (h *ParityHold) commit(tr uint64) error {
 	return err
 }
 
-// eachHold runs step on every hold concurrently and joins the errors.
+// eachHold runs step on every hold concurrently, the last on the calling
+// goroutine, and joins the errors.
 func eachHold(holds []*ParityHold, tr uint64, step func(*ParityHold, uint64) error) error {
-	if len(holds) == 1 {
-		return step(holds[0], tr)
+	if len(holds) == 0 {
+		return nil
 	}
-	errs := make([]error, len(holds))
-	var wg sync.WaitGroup
-	for i, h := range holds {
-		wg.Add(1)
-		go func(i int, h *ParityHold) {
-			defer wg.Done()
-			errs[i] = step(h, tr)
-		}(i, h)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return holds[0].f.c.eachServer(len(holds), nil, func(i int) error { return step(holds[i], tr) })
 }
 
 // chargeParity models the client CPU of folding n bytes into each of units
@@ -631,14 +610,14 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 	var pErr, wErr error
 	held, done := make(chan struct{}), make(chan struct{})
 	write := make(chan [][][]byte, 1)
-	go func() {
+	f.c.pool.Go(func() {
 		defer close(done)
 		holds, pErr = f.acquire(stripe, units, ranges, onParityRead, tr)
 		close(held)
 		if data := <-write; data != nil {
 			wErr = f.sendWriteData(span, data, dead, tr)
 		}
-	}()
+	})
 	// Retire lists that have reached their batch go out beside this round,
 	// so they cost no round of their own.
 	f.c.sendDueRetires()
@@ -771,30 +750,26 @@ func (f *File) acquire(stripe int64, units []int, ranges []wire.Span, onParityRe
 
 // writeOverflow stores a partial-stripe portion the Hybrid way: the new
 // bytes go to the overflow region of each piece's home server, and a mirror
-// copy goes to the overflow-mirror region of the unit's mirror server, the
-// two copies concurrently and the dead server skipped. No locks, no reads —
-// the in-place data and parity stay untouched so the stripe remains
-// reconstructable.
+// copy goes to the overflow-mirror region of the unit's mirror server, all
+// of both copies' requests concurrently and the dead server skipped. No
+// locks, no reads — the in-place data and parity stay untouched so the
+// stripe remains reconstructable.
 func (f *File) writeOverflow(span raid.Span, p []byte, dead int, tr uint64) error {
 	g := f.geom
-	var errs [2]error
-	var wg sync.WaitGroup
+	var extents [2][][]wire.Span
+	var data [2][][][]byte
 	for c, serverOf := range [2]func(int64) int{g.ServerOf, g.MirrorServerOf} {
-		extents, data := piecesBy(g, span.Off, span.Len, serverOf), bytesBy(g, span.Off, p, serverOf)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			has := func(i int) bool { return len(data[i]) > 0 && i != dead }
-			errs[c] = f.c.eachServer(g.Servers, has, func(i int) error {
-				_, err := f.c.callSrvT(i, &wire.WriteOverflow{
-					File: f.ref, Extents: extents[i], From: data[i], Mirror: c == 1,
-				}, tr)
-				return err
-			})
-		}()
+		extents[c], data[c] = piecesBy(g, span.Off, span.Len, serverOf), bytesBy(g, span.Off, p, serverOf)
 	}
-	wg.Wait()
-	return cmp.Or(errs[0], errs[1])
+	// Request i is copy i / Servers to server i % Servers.
+	has := func(i int) bool { return len(data[i/g.Servers][i%g.Servers]) > 0 && i%g.Servers != dead }
+	return f.c.eachServer(2*g.Servers, has, func(i int) error {
+		c, s := i/g.Servers, i%g.Servers
+		_, err := f.c.callSrvT(s, &wire.WriteOverflow{
+			File: f.ref, Extents: extents[c][s], From: data[c][s], Mirror: c == 1,
+		}, tr)
+		return err
+	})
 }
 
 // ReadAt reads len(p) bytes at offset off. Bytes beyond what has been

@@ -221,16 +221,17 @@ func (c *Client) takeRetiresLocked(least int) map[retireKey][]wire.IntentID {
 	return out
 }
 
-// sendRetires sends each list as one untraced RetireIntents, each from its
-// own goroutine so no caller waits on it. An acknowledged retire drops its
-// entries from the renewal set. A failed one puts its intents back on their
-// list for the next send, and the heartbeat goes on renewing them, unless
-// their lease has run out (renewal dropped the entry): the server has
-// abandoned the intent, and replay recomputes parity that already matches.
-// Without a heartbeat nothing tracks the lease, so the retire is kept.
+// sendRetires sends each list as one untraced RetireIntents, each from a
+// goroutine of the client's pool so no caller waits on it. An acknowledged
+// retire drops its entries from the renewal set. A failed one puts its
+// intents back on their list for the next send, and the heartbeat goes on
+// renewing them, unless their lease has run out (renewal dropped the
+// entry): the server has abandoned the intent, and replay recomputes parity
+// that already matches. Without a heartbeat nothing tracks the lease, so
+// the retire is kept.
 func (c *Client) sendRetires(lists map[retireKey][]wire.IntentID) {
 	for k, ids := range lists {
-		go func() {
+		c.pool.Go(func() {
 			_, err := c.callSrv(k.srv, &wire.RetireIntents{File: k.ref, Intents: ids})
 			heartbeat := renewEvery(c.getPolicy()) > 0
 			c.lmu.Lock()
@@ -254,7 +255,7 @@ func (c *Client) sendRetires(lists map[retireKey][]wire.IntentID) {
 				c.retiresIdle.Broadcast()
 			}
 			c.lmu.Unlock()
-		}()
+		})
 	}
 }
 

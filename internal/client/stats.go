@@ -84,7 +84,8 @@ func SnapOfStatsResp(sr wire.StatsResp) obs.Snapshot {
 
 // Close retires the intents of the client's completed read-modify-writes,
 // then releases the client's transport resources: every server caller and
-// the manager caller that can be closed, is.
+// the manager caller that can be closed, is. It returns once no fan-out
+// goroutine of the client is left.
 func (c *Client) Close() error {
 	c.FlushRetires()
 	c.lmu.Lock()
@@ -108,5 +109,6 @@ func (c *Client) Close() error {
 			}
 		}
 	}
+	c.pool.Close()
 	return firstErr
 }

@@ -21,7 +21,11 @@ func TestMain(m *testing.M) {
 }
 
 // measureAllocs runs op runs times after one warm-up call and returns the
-// allocations per call and the heap bytes allocated per call.
+// allocations per call and the heap bytes allocated per call. The bytes are
+// the whole process's — every server handler, pool miss and background
+// timer — and vary by several KiB from run to run on the same code, so a
+// bytes budget below catches only a regression that scales with the units
+// moved (a payload allocated again), not one of a few KiB per op.
 func measureAllocs(runs int, op func()) (allocs, bytes float64) {
 	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 	metrics.Read(sample)
@@ -35,8 +39,8 @@ func measureAllocs(runs int, op func()) (allocs, bytes float64) {
 // through the complete stack — portion planning, batched multi-span
 // marshaling, pooled RPC framing on both ends of every pipe, server
 // handling, and response decode — measured on an untimed cluster.
-// The count includes the per-request server goroutines and both directions
-// of framing, so it is deliberately far above zero, but a data-path change
+// The count includes the servers' per-request work and both directions of
+// framing, so it is deliberately far above zero, but a data-path change
 // that starts copying or re-allocating per unit blows well past it. The
 // payload goes out from the caller's buffer and its parity is computed
 // straight into pooled buffers, so the bytes allocated do not scale with

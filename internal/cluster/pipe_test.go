@@ -10,7 +10,7 @@ import (
 )
 
 // TestPipeTransportFailureLifecycle runs the failure workflow through the
-// real RPC stack (framing, multiplexing, per-request goroutines): degraded
+// real RPC stack (framing, multiplexing, reused handler goroutines): degraded
 // reads and writes, rebuild, verification.
 func TestPipeTransportFailureLifecycle(t *testing.T) {
 	for _, scheme := range redundantSchemes {

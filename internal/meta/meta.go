@@ -69,6 +69,7 @@ type Manager struct {
 	walCompact int64
 
 	obs      *obs.Registry
+	rpcHists *obs.KindHists[wire.Kind]
 	requests atomic.Int64
 }
 
@@ -101,6 +102,7 @@ func New(serverCount int, serverAddrs []string) *Manager {
 		walCompact:  defaultWALCompactBytes,
 		obs:         obs.NewRegistry(),
 	}
+	m.rpcHists = obs.NewKindHists[wire.Kind](m.obs, "rpc_")
 	m.registerGauges()
 	return m
 }
@@ -193,7 +195,7 @@ func (m *Manager) Handle(req wire.Msg) (wire.Msg, error) {
 	m.requests.Add(1)
 	start := time.Now()
 	resp, err := m.dispatch(req)
-	m.obs.Hist("rpc_" + req.Kind().String()).Observe(time.Since(start))
+	m.rpcHists.Of(req.Kind()).Observe(time.Since(start))
 	if err != nil {
 		m.obs.Counter("errors").Add(1)
 	}

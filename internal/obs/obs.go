@@ -345,6 +345,36 @@ func (r *Registry) Counter(name string) Counter {
 	return Counter{v}
 }
 
+// Kind is a one-byte kind with a name, such as a wire message kind.
+type Kind interface {
+	~uint8
+	String() string
+}
+
+// KindHists is r's histograms named prefix + kind, indexed by kind. Each is
+// created the first time its kind is looked up, so a kind never seen has
+// none; later lookups take no lock.
+type KindHists[K Kind] struct {
+	r      *Registry
+	prefix string
+	h      [256]atomic.Pointer[Histogram]
+}
+
+// NewKindHists returns an empty table of r's histograms named prefix + kind.
+func NewKindHists[K Kind](r *Registry, prefix string) *KindHists[K] {
+	return &KindHists[K]{r: r, prefix: prefix}
+}
+
+// Of returns kind k's histogram, creating it on first use.
+func (t *KindHists[K]) Of(k K) *Histogram {
+	h := t.h[k].Load()
+	if h == nil {
+		h = t.r.Hist(t.prefix + k.String()) // get-or-create: a racing lookup gets the same one
+		t.h[k].Store(h)
+	}
+	return h
+}
+
 // RegisterGauge installs a gauge: fn is evaluated at every Snapshot (and
 // /metrics render), so it must be cheap and safe to call from any
 // goroutine. Re-registering a name replaces the function.

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -375,6 +376,7 @@ func runLandingScript(t *testing.T, script []byte, tcp bool) {
 	c := NewClient(cEnd, nil, nil)
 	defer c.Close()
 	defer sEnd.Close()
+	sr := bufio.NewReader(sEnd)
 	type late struct{ p, before []byte }
 	var lates []late
 	for ; len(script) >= 3; script = script[3:] {
@@ -405,7 +407,11 @@ func runLandingScript(t *testing.T, script []byte, tcp bool) {
 			resp, err := c.CallTraced(&wire.Read{Into: into}, 0, timeout)
 			done <- result{resp, err}
 		}()
-		seq, _, bp, err := readFrame(sEnd)
+		n, seq, err := readPrefix(sr)
+		var bp *[]byte
+		if err == nil {
+			bp, err = readBody(sr, sEnd, n)
+		}
 		if err != nil {
 			t.Fatalf("reading the request: %v", err)
 		}
@@ -494,7 +500,11 @@ func runLandingScript(t *testing.T, script []byte, tcp bool) {
 		_, err := c.Call(&wire.Ping{})
 		pinged <- err
 	}()
-	seq, _, bp, err := readFrame(sEnd)
+	n, seq, err := readPrefix(sr)
+	var bp *[]byte
+	if err == nil {
+		bp, err = readBody(sr, sEnd, n)
+	}
 	if err != nil {
 		t.Fatalf("reading the last request: %v", err)
 	}

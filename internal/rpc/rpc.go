@@ -3,10 +3,10 @@
 //
 // Each frame is a 4-byte little-endian length, a 4-byte sequence number, and
 // a wire-encoded message. A client tags requests with fresh sequence numbers
-// and matches responses; a server handles every request in its own goroutine
-// so that one blocked request (a queued parity-lock read, Section 5.1 of the
-// paper) never stalls the connection — exactly the behaviour PVFS iods get
-// from their event loop.
+// and matches responses; a server handles every request on a reused
+// goroutine so that one blocked request (a queued parity-lock read, Section
+// 5.1 of the paper) never stalls the connection — exactly the behaviour
+// PVFS iods get from their event loop.
 //
 // When the endpoints are simnet nodes, every frame charges the modeled NICs:
 // requests on the client's outbound link, responses on the server's. This is
@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"csar/internal/gopool"
 	"csar/internal/simnet"
 	"csar/internal/wire"
 )
@@ -77,33 +78,31 @@ func parsePrefix(hdr []byte) (body int, seq uint32, err error) {
 	return int(n) - 4, binary.LittleEndian.Uint32(hdr[4:]), nil
 }
 
+// readPrefix reads a frame's transport header from r, by Peek: a view of
+// r's buffer, so there is no header to allocate.
+func readPrefix(r *bufio.Reader) (body int, seq uint32, err error) {
+	hdr, err := r.Peek(prefixLen)
+	if err != nil {
+		return 0, 0, err
+	}
+	if body, seq, err = parsePrefix(hdr); err == nil {
+		r.Discard(prefixLen) //nolint:errcheck // the bytes are buffered
+	}
+	return body, seq, err
+}
+
 // readBody reads a frame's n-byte message into a pooled buffer, which the
 // caller hands back with wire.PutBuf once nothing uses the bulk Data of the
-// message decoded from it (wire's aliasing rule).
-func readBody(r io.Reader, n int) (*[]byte, error) {
+// message decoded from it (wire's aliasing rule). What r has buffered is
+// copied; the rest comes straight off conn, r's connection.
+func readBody(r *bufio.Reader, conn io.Reader, n int) (*[]byte, error) {
 	bp := wire.GetBuf(n)
-	if _, err := io.ReadFull(r, *bp); err != nil {
+	k, _ := r.Read((*bp)[:min(n, r.Buffered())]) // buffered bytes only
+	if _, err := io.ReadFull(conn, (*bp)[k:]); err != nil {
 		wire.PutBuf(bp)
 		return nil, err
 	}
 	return bp, nil
-}
-
-// readFrame reads one frame into a pooled buffer: the returned body is *bp,
-// under readBody's rule.
-func readFrame(r io.Reader) (seq uint32, body []byte, bp *[]byte, err error) {
-	var hdr [prefixLen]byte
-	var n int
-	if _, err = io.ReadFull(r, hdr[:]); err == nil {
-		n, seq, err = parsePrefix(hdr[:])
-	}
-	if err == nil {
-		bp, err = readBody(r, n)
-	}
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	return seq, *bp, bp, nil
 }
 
 // readBufSize is the client read loop's buffer: big enough that a frame's
@@ -192,19 +191,14 @@ func (c *Client) readLoop() {
 // readResponse reads one response frame and answers its call: landed into
 // the call's slices when it can be, else through a pooled frame buffer.
 func (c *Client) readResponse(r *bufio.Reader) error {
-	hdr, err := r.Peek(prefixLen) // a view of r's buffer: no header to allocate
+	n, seq, err := readPrefix(r)
 	if err != nil {
 		return err
 	}
-	n, seq, err := parsePrefix(hdr)
-	if err != nil {
-		return err
-	}
-	r.Discard(prefixLen) //nolint:errcheck // the bytes are buffered
 	if p, ok := c.landable(r, seq, n); ok {
 		return c.land(r, seq, p)
 	}
-	bp, err := readBody(r, n)
+	bp, err := readBody(r, c.conn, n)
 	if err != nil {
 		return err
 	}
@@ -523,8 +517,13 @@ type Handler func(req wire.Msg) (wire.Msg, error)
 // stats and slow-op logs.
 type TracedHandler func(req wire.Msg, trace uint64) (wire.Msg, error)
 
+// serveBufSize is the server's per-connection read buffer: a request with a
+// 16 KiB payload, the paper's small write, fits it whole (one read). Every
+// connection holds one, so it is no bigger than that.
+const serveBufSize = 20 << 10
+
 // ServeConn reads requests from conn until it closes, dispatching each to h
-// in its own goroutine. If local and remote are non-nil simnet nodes,
+// on a reused goroutine. If local and remote are non-nil simnet nodes,
 // responses charge the modeled transfer from local (the server) to remote
 // (the client). ServeConn returns when the connection fails or closes.
 func ServeConn(conn io.ReadWriteCloser, h Handler, local, remote *simnet.Node) error {
@@ -536,34 +535,35 @@ func ServeConn(conn io.ReadWriteCloser, h Handler, local, remote *simnet.Node) e
 // ServeConnTraced is ServeConn for handlers that consume the per-request
 // trace ID. It owns conn and closes it on return: without that, every
 // client that disconnects leaves its accepted descriptor open forever on
-// the server, and a long-lived daemon eventually runs out of fds.
+// the server, and a long-lived daemon eventually runs out of fds. No
+// handler goroutine of the connection outlives its return.
 func ServeConnTraced(conn io.ReadWriteCloser, h TracedHandler, local, remote *simnet.Node) error {
 	defer conn.Close() //nolint:errcheck // already torn down; nothing to report
 	var wmu sync.Mutex
-	var wg sync.WaitGroup
-	defer wg.Wait()
+	var workers gopool.Pool
+	defer workers.Close()
+	r := bufio.NewReaderSize(conn, serveBufSize)
 	for {
-		seq, body, bp, err := readFrame(conn)
+		n, seq, err := readPrefix(r)
+		var bp *[]byte
+		if err == nil {
+			bp, err = readBody(r, conn, n)
+		}
 		if err != nil {
 			return err
 		}
-		req, trace, err := wire.UnmarshalTraced(body)
-		if err != nil {
-			// Unknown or corrupt request: answer with an error frame.
-			req = nil
-		}
-		wg.Add(1)
-		go func(seq uint32, req wire.Msg, bp *[]byte, trace uint64, unmarshalErr error) {
-			defer wg.Done()
+		req, trace, err := wire.UnmarshalTraced(*bp)
+		workers.Go(func() {
 			var resp wire.Msg
-			if unmarshalErr != nil {
-				resp = &wire.Error{Text: unmarshalErr.Error()}
+			if err != nil {
+				// Unknown or corrupt request: answer with an error frame.
+				resp = &wire.Error{Text: err.Error()}
 			} else {
-				r, herr := handleSafely(h, req, trace)
+				out, herr := handleSafely(h, req, trace)
 				if herr != nil {
 					resp = &wire.Error{Text: herr.Error(), Code: wire.ErrorCodeOf(herr)}
 				} else {
-					resp = r
+					resp = out
 				}
 			}
 			// The response's bulk data (a ReadResp payload) rides the frame
@@ -584,7 +584,7 @@ func ServeConnTraced(conn io.ReadWriteCloser, h TracedHandler, local, remote *si
 				rr.Release()
 			}
 			wire.PutBuf(bp)
-		}(seq, req, bp, trace, err)
+		})
 	}
 }
 

@@ -1,10 +1,15 @@
 package rpc
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"net"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +17,28 @@ import (
 	"csar/internal/simtime"
 	"csar/internal/wire"
 )
+
+// startTCPPair wires a client to a handler over loopback TCP.
+func startTCPPair(tb testing.TB, h Handler) *Client {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sConn, err := ln.Accept()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	go ServeConn(sConn, h, nil, nil) //nolint:errcheck
+	c := NewClient(conn, nil, nil)
+	tb.Cleanup(func() { c.Close() })
+	return c
+}
 
 // startPair wires a client to a handler over an in-process connection.
 func startPair(t *testing.T, h Handler) *Client {
@@ -148,26 +175,9 @@ func TestCloseFailsPendingCalls(t *testing.T) {
 }
 
 func TestOverTCP(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		ServeConn(conn, func(req wire.Msg) (wire.Msg, error) {
-			return &wire.OK{}, nil
-		}, nil, nil) //nolint:errcheck
-	}()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(conn, nil, nil)
-	defer c.Close()
+	c := startTCPPair(t, func(req wire.Msg) (wire.Msg, error) {
+		return &wire.OK{}, nil
+	})
 	if _, err := c.Call(&wire.Ping{}); err != nil {
 		t.Fatal(err)
 	}
@@ -214,6 +224,136 @@ func TestLargePayload(t *testing.T) {
 	for i := range got {
 		if got[i] != payload[i] {
 			t.Fatalf("byte %d differs", i)
+		}
+	}
+}
+
+// goid returns the calling goroutine's ID, from the "goroutine N [" header
+// runtime.Stack prints.
+func goid() uint64 {
+	var buf [64]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	id, _ := strconv.ParseUint(string(b[:bytes.IndexByte(b, ' ')]), 10, 64)
+	return id
+}
+
+func TestServeConnReusesHandlers(t *testing.T) {
+	var mu sync.Mutex
+	ids := make(map[uint64]bool)
+	c := startTCPPair(t, func(req wire.Msg) (wire.Msg, error) {
+		mu.Lock()
+		ids[goid()] = true
+		mu.Unlock()
+		return &wire.OK{}, nil
+	})
+	for i := 0; i < 200; i++ {
+		if _, err := c.Call(&wire.Ping{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A worker parks once its response is written, so the next request can
+	// come before it is back: a second worker, but never more. (Over an
+	// in-process pipe a write returns only once the client has read it, so
+	// the race is closer there; TCP is what the iods serve.)
+	if len(ids) > 2 {
+		t.Fatalf("200 sequential calls ran their handlers on %d goroutines, want at most 2", len(ids))
+	}
+}
+
+// watchedConn reports when a read fails, and counts writes that have
+// returned and closes.
+type watchedConn struct {
+	net.Conn
+	readFailed     chan struct{}
+	writes, closes atomic.Int32
+}
+
+func (w *watchedConn) Read(p []byte) (int, error) {
+	n, err := w.Conn.Read(p)
+	if err != nil {
+		close(w.readFailed)
+	}
+	return n, err
+}
+
+func (w *watchedConn) Write(p []byte) (int, error) {
+	defer w.writes.Add(1)
+	return w.Conn.Write(p)
+}
+
+func (w *watchedConn) Close() error {
+	w.closes.Add(1)
+	return w.Conn.Close()
+}
+
+func TestServeConnWaitsForWorkers(t *testing.T) {
+	cEnd, sEnd := net.Pipe()
+	conn := &watchedConn{Conn: sEnd, readFailed: make(chan struct{})}
+	entered, block := make(chan struct{}), make(chan struct{})
+	var handler uint64
+	served := make(chan error, 1)
+	go func() {
+		served <- ServeConn(conn, func(req wire.Msg) (wire.Msg, error) {
+			handler = goid()
+			close(entered)
+			<-block // a handler parked when the peer goes
+			return &wire.OK{}, nil
+		}, nil, nil)
+	}()
+	c := NewClient(cEnd, nil, nil)
+	go c.Call(&wire.Ping{}) //nolint:errcheck // fails once the client closes
+	<-entered
+	c.Close()
+	<-conn.readFailed
+	select {
+	case <-served:
+		t.Fatal("ServeConn returned while its handler was still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(block)
+	<-served
+	// The handler's response write had returned, and the connection was
+	// closed, by the time ServeConn did.
+	if w, cl := conn.writes.Load(), conn.closes.Load(); w != 1 || cl != 1 {
+		t.Fatalf("at return: %d response writes done, %d closes; want 1 and 1", w, cl)
+	}
+	// And the handler's goroutine is gone: it exited before the return, and
+	// the runtime stops listing it a moment later.
+	if !gone(handler, 5*time.Second) {
+		t.Fatalf("handler goroutine %d outlived ServeConn", handler)
+	}
+}
+
+// gone reports whether goroutine id has left the runtime's list of
+// goroutines within wait.
+func gone(id uint64, wait time.Duration) bool {
+	header := []byte(fmt.Sprintf("goroutine %d [", id))
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(wait); ; time.Sleep(time.Millisecond) {
+		if !bytes.Contains(buf[:runtime.Stack(buf, true)], header) {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+}
+
+var smallCallSink wire.Msg
+
+// BenchmarkSmallCall is one request carrying a 16 KiB payload, the paper's
+// small write, and its ack, over loopback TCP through ServeConnTraced: the
+// per-request cost of both ends of the transport.
+func BenchmarkSmallCall(b *testing.B) {
+	c := startTCPPair(b, func(req wire.Msg) (wire.Msg, error) { return &wire.OK{}, nil })
+	req := &wire.WriteData{Data: make([]byte, 16<<10)}
+	b.SetBytes(int64(len(req.Data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var err error
+	for i := 0; i < b.N; i++ {
+		if smallCallSink, err = c.Call(req); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -111,6 +111,9 @@ type Server struct {
 	obs     *obs.Registry
 	intents *IntentStats
 	parity  *ParityStats
+	// What every request records into, looked up once, not by name each time.
+	rpcHists          *obs.KindHists[wire.Kind]
+	bytesIn, bytesOut obs.Counter
 }
 
 // ParityStats counts the parity-store bytes ReadParity and WriteParity move,
@@ -197,6 +200,10 @@ func New(idx int, disk storage.Backend, opts Options) *Server {
 		obs:     reg,
 		intents: obs.NewCounters[IntentStats](reg),
 		parity:  obs.NewCounters[ParityStats](reg),
+
+		rpcHists: obs.NewKindHists[wire.Kind](reg, "rpc_"),
+		bytesIn:  reg.Counter("bytes_in"),
+		bytesOut: reg.Counter("bytes_out"),
 	}
 	s.registerGauges()
 	s.loadIntents()

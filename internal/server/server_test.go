@@ -658,3 +658,40 @@ func TestDirtyLogReloadPastTornTail(t *testing.T) {
 		})
 	}
 }
+
+// TestStatsNames pins the instrument names a server's snapshot lists after a
+// mix of requests, an error among them: a histogram for each kind seen and
+// none for any other kind, and every counter and gauge.
+func TestStatsNames(t *testing.T) {
+	s := testServer(0)
+	r := ref()
+	call(t, s, &wire.Ping{})
+	call(t, s, &wire.WriteData{File: r, Spans: []wire.Span{{Off: 0, Len: 128}}, Data: make([]byte, 128)})
+	call(t, s, &wire.Read{File: r, Spans: []wire.Span{{Off: 0, Len: 128}}, Raw: true})
+	call(t, s, &wire.Ping{})
+	if _, err := s.Handle(&wire.OpenResp{}); err == nil {
+		t.Fatal("unsupported message accepted")
+	}
+	snap := s.Obs().Snapshot()
+	var got []string
+	for _, h := range snap.Hists {
+		got = append(got, "hist "+h.Name)
+	}
+	for _, c := range snap.Counters {
+		got = append(got, "counter "+c.Name)
+	}
+	for _, g := range snap.Gauges {
+		got = append(got, "gauge "+g.Name)
+	}
+	want := []string{
+		"hist rpc_open_resp", "hist rpc_ping", "hist rpc_read", "hist rpc_write_data",
+		"counter bytes_in", "counter bytes_out", "counter errors",
+		"counter intents_abandoned", "counter intents_opened", "counter intents_resolved",
+		"counter intents_retired", "counter lease_expiries", "counter lease_renewals",
+		"counter parity_bytes_read", "counter parity_bytes_written", "counter retire_batches",
+		"gauge dirty_log_entries", "gauge files_open", "gauge intents_live", "gauge locks_held",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("snapshot names:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

@@ -26,7 +26,7 @@ func (s *Server) HandleTraced(req wire.Msg, trace uint64) (wire.Msg, error) {
 	if s.opts.Clock.Timed() && s.opts.RequestCPU > 0 {
 		s.cpu.AcquireDur(s.opts.RequestCPU)
 	}
-	s.obs.Counter("bytes_in").Add(payloadBytes(req))
+	s.bytesIn.Add(payloadBytes(req))
 	start := time.Now()
 	resp, err := s.dispatch(req)
 	// Under the performance model, record modeled time (what the paper's
@@ -38,11 +38,11 @@ func (s *Server) HandleTraced(req wire.Msg, trace uint64) (wire.Msg, error) {
 		d = time.Since(start)
 	}
 	kind := req.Kind()
-	s.obs.Hist("rpc_" + kind.String()).Observe(d)
+	s.rpcHists.Of(kind).Observe(d)
 	if err != nil {
 		s.obs.Counter("errors").Add(1)
 	} else {
-		s.obs.Counter("bytes_out").Add(payloadBytes(resp))
+		s.bytesOut.Add(payloadBytes(resp))
 	}
 	if s.opts.SlowOp > 0 && d >= s.opts.SlowOp {
 		s.obs.Counter("slow_ops").Add(1)
