@@ -58,23 +58,27 @@ faults:
 
 # The crash-consistency suite for the RAID5 write hole and the iod
 # journals: the journal's replay rule (torn tail at every offset, every byte
-# flipped, pre-format files refused, unsynced appends) and its sealed pair
+# flipped, pre-format files refused, unsynced appends), its sealed pair
 # (compactions both ways cut at every byte, an emptying compaction cut
 # between its truncates, seal-form records refused, the calls each
-# operation makes), client death mid-RMW, parity-server
+# operation makes) and the pair's one compaction rule (TestPairDue), client
+# death mid-RMW, parity-server
 # crash-restart with intent-journal replay, lease heartbeats under a stalled
 # write, the pending intent's cut points (data write lost after the parity
 # write, client death before the retire, a second owner locking behind a
 # pending intent, an RS parity server restarted before the retire, a
 # degraded RMW behind another owner's half-landed update), lost retires
 # under a live heartbeat, retires under concurrent writers and Syncs, the
-# server's pending-intent rules, the compactions of both iod journals (a
-# crash at every point of an intent compaction, and of a partial dirty
-# clear, a clear of All, a RemoveFile and a drain), a dirty journal record
-# of an unknown kind (the old unit, mirror and stripe records included)
-# poisoning its log's epochs, a dirty clear that retires nothing making no
-# journal write or sync, a RemoveFile after a restart retiring the reloaded
-# intents and stores,
+# server's pending-intent rules, both iod journals under crashes (a crash
+# at every point of an intent compaction; at every byte of the clear and
+# drop records of a clear of two groups and the overflow stores, checked
+# entry by entry, a clear of All, a RemoveFile and a drain, and of the
+# dirty compactions the pair's rule calls for), a dirty clear of one group writing one record and at most one
+# sync beside 1, 8 or 64 other logs (TestDirtyJournalClearCostIndependentOfLogs),
+# a dirty journal record of an unknown kind (the old unit, mirror and stripe
+# records included) poisoning its log's epochs, a dirty clear that retires
+# nothing making no journal write or sync, a RemoveFile after a restart
+# retiring the reloaded intents and stores,
 # lease/intent metrics, and the real-TCP iod bounce — run twice under the
 # race detector to prove the schedules are deterministic.
 crash:
@@ -205,18 +209,21 @@ benchmark-compare:
 
 # The metadata high-availability suite: the journal's replay rule, WAL
 # torn-tail recovery at every byte offset, pre-format WAL refusal,
-# crash-mid-compaction replay, primary→standby replication
+# crash-mid-compaction replay, a manager compaction cut at every byte of its
+# sealed write both ways (TestManagerCompactionCrash), a standby's snapshot
+# install over a divergent history cut at every byte
+# (TestReplicatedSnapshotInstallCrash), primary→standby replication
 # with epoch fencing, deterministic promotion, and the kill-the-primary-
 # mid-create-stream failover acceptance test — run twice under the race
 # detector because replication ships concurrently with client retries.
 meta-ha:
 	$(GO) test -race ./internal/journal
-	$(GO) test -race -count=2 -run 'TestWAL|TestReplication|TestStandby|TestPromotion|TestDeposed|TestLagging|TestTryPromote|TestReplicated|TestStatsRPC' ./internal/meta
+	$(GO) test -race -count=2 -run 'TestWAL|TestReplication|TestStandby|TestPromotion|TestDeposed|TestLagging|TestTryPromote|TestReplicated|TestStatsRPC|TestManagerCompaction' ./internal/meta
 	$(GO) test -race -count=2 -run 'TestManagerFailoverMidCreateStream|TestManagerGroupInMemory' ./internal/cluster
 	$(GO) test -race -count=2 -run 'TestManagerFailoverOverTCP' .
 
 # The online scheme-migration suite: the manager's pin/commit/abort fences
-# with WAL, snapshot and standby-replication durability, the background-pass
+# with WAL, compaction and standby-replication durability, the background-pass
 # mechanism resync shares, the full scheme-transition matrix, abort/rerun
 # convergence, the write-window stream regressions that ride the same PR,
 # and the acceptance scenario — Hybrid -> RS(4,2) under concurrent writers

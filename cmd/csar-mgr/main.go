@@ -20,8 +20,8 @@
 // that long promotes itself at a fresh epoch, fencing the old primary.
 // See DESIGN.md §11 for the promotion rule and its split-brain caveat.
 //
-//	csar-mgr -listen :7100 -meta m0/meta.json -mgrs localhost:7100,localhost:7200 -mgr-index 0 -iods ... &
-//	csar-mgr -listen :7200 -meta m1/meta.json -mgrs localhost:7100,localhost:7200 -mgr-index 1 -promote-after 5s -iods ... &
+//	csar-mgr -listen :7100 -meta m0/meta -mgrs localhost:7100,localhost:7200 -mgr-index 0 -iods ... &
+//	csar-mgr -listen :7200 -meta m1/meta -mgrs localhost:7100,localhost:7200 -mgr-index 1 -promote-after 5s -iods ... &
 //
 // Observability: -debug-addr starts an HTTP listener serving Prometheus
 // /metrics, /debug/pprof/*, and a JSON /statusz. It is off by default and
@@ -47,7 +47,7 @@ func main() {
 	var (
 		listen          = flag.String("listen", ":7100", "address to listen on")
 		iods            = flag.String("iods", "", "comma-separated I/O server addresses, in index order")
-		metaDB          = flag.String("meta", "", "metadata snapshot file for durable metadata; the write-ahead log lives beside it at <path>.wal (default: in-memory)")
+		metaDB          = flag.String("meta", "", "base path for durable metadata: the write-ahead log pair <path>.wal and <path>.wal.1 holds it all, and a file at <path> itself (an older build's JSON snapshot) is refused (default: in-memory)")
 		mgrs            = flag.String("mgrs", "", "comma-separated manager group addresses in index order, self included (default: this manager alone)")
 		mgrIndex        = flag.Int("mgr-index", 0, "this manager's index within -mgrs")
 		standby         = flag.Bool("standby", false, "start as a replicating standby (default: true for -mgr-index > 0)")
@@ -94,7 +94,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("csar-mgr: %v", err)
 		}
-		fmt.Printf("csar-mgr: durable metadata in %s\n", *metaDB)
+		fmt.Printf("csar-mgr: durable metadata in %s.wal and %s.wal.1\n", *metaDB, *metaDB)
 	} else {
 		m = meta.New(len(addrs), addrs)
 	}

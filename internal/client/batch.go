@@ -19,7 +19,7 @@ type memberBatch struct {
 // left to the garbage collector.
 func (b *memberBatch) flush(f *File, dead int, tr uint64) error {
 	has := func(i int) bool { return b.reqs[i] != nil && i != dead }
-	return f.c.eachServer(len(b.reqs), has, func(i int) error {
+	return f.c.EachServer(len(b.reqs), has, func(i int) error {
 		if b.parity != nil {
 			defer wire.PutBuf(b.parity[i])
 		}

@@ -69,7 +69,7 @@ type Client struct {
 	obs      *obs.Registry
 	metrics  *Metrics
 	rpcHists *obs.KindHists[wire.Kind] // the per-RPC-kind histograms, looked up once
-	pool     gopool.Pool               // runs the legs of fan-outs (eachServer) and other per-op work
+	pool     gopool.Pool               // runs the legs of fan-outs (EachServer) and other per-op work
 
 	// health is the per-server circuit-breaker state (resilience.go).
 	health []serverHealth
@@ -384,7 +384,7 @@ func (c *Client) Remove(name string) error {
 	if _, err := c.mgrCall(&wire.Remove{Name: name}); err != nil {
 		return err
 	}
-	return c.eachServer(int(or.Ref.Servers), nil, func(i int) error {
+	return c.EachServer(int(or.Ref.Servers), nil, func(i int) error {
 		if _, err := c.callSrv(i, &wire.RemoveFile{File: or.Ref}); err != nil {
 			return err
 		}
@@ -415,7 +415,7 @@ func (c *Client) List() ([]string, error) {
 // across all files.
 func (c *Client) StorageTotals() ([]int64, error) {
 	totals := make([]int64, len(c.srv))
-	err := c.eachServer(len(c.srv), nil, func(i int) error {
+	err := c.EachServer(len(c.srv), nil, func(i int) error {
 		resp, err := c.callSrv(i, &wire.StorageStat{})
 		if err != nil {
 			return err
@@ -429,17 +429,19 @@ func (c *Client) StorageTotals() ([]int64, error) {
 // DropServerCaches empties every server's page cache; the paper does this
 // between the initial-write and overwrite phases of its experiments.
 func (c *Client) DropServerCaches() error {
-	return c.eachServer(len(c.srv), nil, func(i int) error {
+	return c.EachServer(len(c.srv), nil, func(i int) error {
 		_, err := c.callSrv(i, &wire.DropCaches{})
 		return err
 	})
 }
 
-// eachServer runs fn for every i in [0,n) — a server, or any other leg of a
+// EachServer runs fn for every i in [0,n) — a server, or any other leg of a
 // fan-out — that has work (has nil: every one) concurrently, the last of
 // them on the calling goroutine and the others on the client's pool, and
-// joins their errors. A fan-out to one leg hands nothing to the pool.
-func (c *Client) eachServer(n int, has func(i int) bool, fn func(i int) error) error {
+// joins their errors. A fan-out to one leg hands nothing to the pool. It is
+// every fan-out of the client's and of the tools built on it, the scrubber
+// included.
+func (c *Client) EachServer(n int, has func(i int) bool, fn func(i int) error) error {
 	last, count := -1, 0
 	for i := 0; i < n; i++ {
 		if has == nil || has(i) {

@@ -35,7 +35,7 @@ func TestCloseLeavesNoWorker(t *testing.T) {
 	var started sync.WaitGroup
 	started.Add(4)
 	ids := make([]uint64, 4)
-	err := c.eachServer(4, nil, func(i int) error {
+	err := c.EachServer(4, nil, func(i int) error {
 		ids[i] = goid()
 		started.Done()
 		started.Wait()

@@ -284,7 +284,7 @@ func (pl *survivorPlan) fetch(f *File, call CallFunc) (spanReads, error) {
 	n := pl.l.Servers
 	out := make(spanReads, 2*n)
 	has := func(i int) bool { return len(pl.spans[i]) > 0 || i >= n && len(pl.parity[i-n]) > 0 }
-	err := f.c.eachServer(2*n, has, func(i int) error {
+	err := f.c.EachServer(2*n, has, func(i int) error {
 		srv := i % n
 		var req wire.Msg
 		want := pl.spanN[i]

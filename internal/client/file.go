@@ -324,7 +324,7 @@ func (f *File) execute(plan []portion, off int64, p []byte, dead int, tr uint64)
 
 	// The last send runs on this goroutine: a write of one partial stripe,
 	// the common small write, runs here alone.
-	err := f.c.eachServer(n, nil, func(i int) error { return sends[i]() })
+	err := f.c.EachServer(n, nil, func(i int) error { return sends[i]() })
 	if stopEncode != nil {
 		stopEncode()
 	}
@@ -346,7 +346,7 @@ func (f *File) timePath(name string) func() {
 func (f *File) sendWriteData(span raid.Span, pieces [][][]byte, dead int, tr uint64) error {
 	spans := []wire.Span{{Off: span.Off, Len: span.Len}}
 	has := func(i int) bool { return len(pieces[i]) > 0 && i != dead }
-	return f.c.eachServer(f.geom.Servers, has, func(i int) error {
+	return f.c.EachServer(f.geom.Servers, has, func(i int) error {
 		_, err := f.c.callSrvT(i, &wire.WriteData{File: f.ref, Spans: spans, From: pieces[i]}, tr)
 		return err
 	})
@@ -540,7 +540,7 @@ func eachHold(holds []*ParityHold, tr uint64, step func(*ParityHold, uint64) err
 	if len(holds) == 0 {
 		return nil
 	}
-	return holds[0].f.c.eachServer(len(holds), nil, func(i int) error { return step(holds[i], tr) })
+	return holds[0].f.c.EachServer(len(holds), nil, func(i int) error { return step(holds[i], tr) })
 }
 
 // chargeParity models the client CPU of folding n bytes into each of units
@@ -763,7 +763,7 @@ func (f *File) writeOverflow(span raid.Span, p []byte, dead int, tr uint64) erro
 	}
 	// Request i is copy i / Servers to server i % Servers.
 	has := func(i int) bool { return len(data[i/g.Servers][i%g.Servers]) > 0 && i%g.Servers != dead }
-	return f.c.eachServer(2*g.Servers, has, func(i int) error {
+	return f.c.EachServer(2*g.Servers, has, func(i int) error {
 		c, s := i/g.Servers, i%g.Servers
 		_, err := f.c.callSrvT(s, &wire.WriteOverflow{
 			File: f.ref, Extents: extents[c][s], From: data[c][s], Mirror: c == 1,
@@ -829,7 +829,7 @@ func (f *File) ReadAt(p []byte, off int64) (n int, err error) {
 func (f *File) fetchSpans(span raid.Span, dst []byte, raw bool, tr uint64, skip func(srv int) bool) error {
 	into := bytesBy(f.geom, span.Off, dst, f.geom.ServerOf)
 	has := func(i int) bool { return len(into[i]) > 0 && (skip == nil || !skip(i)) }
-	return f.c.eachServer(f.geom.Servers, has, func(i int) error {
+	return f.c.EachServer(f.geom.Servers, has, func(i int) error {
 		resp, err := f.c.callSrvT(i, &wire.Read{
 			File:  f.ref,
 			Spans: []wire.Span{{Off: span.Off, Len: span.Len}},
@@ -895,7 +895,7 @@ func (f *File) Compact() error {
 	}
 	atomic.AddInt64(&f.c.metrics.Compactions, 1)
 	// Reclaim the dead slots.
-	return f.c.eachServer(f.geom.Servers, nil, func(i int) error {
+	return f.c.EachServer(f.geom.Servers, nil, func(i int) error {
 		if _, err := f.c.callSrv(i, &wire.CompactOverflow{File: f.ref}); err != nil {
 			return err
 		}
@@ -909,7 +909,7 @@ func (f *File) Compact() error {
 // to the manager.
 func (f *File) Sync() error {
 	f.c.FlushRetires()
-	if err := f.c.eachServer(f.geom.Servers, nil, func(i int) error {
+	if err := f.c.EachServer(f.geom.Servers, nil, func(i int) error {
 		_, err := f.c.callSrv(i, &wire.Sync{File: f.ref})
 		return err
 	}); err != nil {
@@ -926,7 +926,7 @@ func (f *File) StorageBytes() (int64, [5]int64, error) {
 	var mu sync.Mutex
 	var total int64
 	var byStore [5]int64
-	err := f.c.eachServer(f.geom.Servers, nil, func(i int) error {
+	err := f.c.EachServer(f.geom.Servers, nil, func(i int) error {
 		resp, err := f.c.callSrv(i, &wire.StorageStat{FileID: f.ref.ID})
 		if err != nil {
 			return err

@@ -48,7 +48,7 @@ func (c *Client) Stats() obs.Snapshot { return c.obs.Snapshot() }
 // degraded cluster is exactly who calls this.
 func (c *Client) ServerStats() []wire.StatsResp {
 	out := make([]wire.StatsResp, len(c.srv))
-	c.eachServer(len(c.srv), nil, func(i int) error { //nolint:errcheck // partial results wanted
+	c.EachServer(len(c.srv), nil, func(i int) error { //nolint:errcheck // partial results wanted
 		resp, err := c.callSrv(i, &wire.Stats{})
 		if err != nil {
 			out[i] = wire.StatsResp{Index: uint16(i), Requests: -1}

@@ -341,16 +341,17 @@ func TestResyncUnknownDirtyKindFullRebuild(t *testing.T) {
 	rec = binary.LittleEndian.AppendUint64(rec, epoch)
 	rec = binary.LittleEndian.AppendUint64(rec, unit)
 	r := client.DirtyReplicas(c.Servers(), dead)[0]
-	name := "dirty.journal" // the pair's current log is its one non-empty log
-	if c.ServerDisk(r).Open(name).Size() == 0 {
-		name += ".1"
+	var logs [2]journal.File
+	var sizes [2]int64
+	for i, name := range [2]string{"dirty.journal", "dirty.journal.1"} {
+		f := c.ServerDisk(r).Open(name)
+		logs[i], sizes[i] = journalFile{f}, f.Size()
 	}
-	jf := journalFile{c.ServerDisk(r).Open(name)}
-	jl, err := journal.Open(jf, jf.Size(), func([]byte) error { return nil })
+	jp, err := journal.OpenPair(logs, sizes, func([]byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := jl.Append(rec); err != nil {
+	if err := jp.Append(true, rec); err != nil {
 		t.Fatal(err)
 	}
 	c.CrashServer(r)

@@ -20,9 +20,11 @@
 // owner record may take), and only then empties the log it replaces. Replay
 // takes the log with the higher generation; an unsealed log is generation 0.
 //
-// Payloads are opaque. Owners encode their records, keep their live sets,
-// decide when to compact and serialize their calls: a Log is not safe for
-// concurrent use.
+// The Pair also decides when to compact (Due), by one rule for every
+// journal: when nothing is live, or when the current log has outgrown both
+// its owner's floor and twice the live set. Payloads are opaque. Owners
+// encode their records, keep the size of their live sets as a running count,
+// and serialize their calls: a Log is not safe for concurrent use.
 package journal
 
 import (
@@ -44,10 +46,12 @@ type File interface {
 // ErrFormat refuses a non-empty file that does not start with the magic.
 var ErrFormat = errors.New("journal: not a framed journal (bad magic)")
 
-const (
-	magic     = "CSARJNL1"
-	headerLen = 8 // u32 length + u32 CRC32C
-)
+const magic = "CSARJNL1"
+
+// FrameHeader is the bytes a frame adds to its payload: u32 length + u32
+// CRC32C. A live set of n records compacts to n·FrameHeader plus their
+// payloads.
+const FrameHeader = 8
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -97,17 +101,17 @@ func replay(buf []byte, each func([]byte) error) (int64, error) {
 		return 0, nil
 	}
 	valid := 0
-	for off := len(magic); len(buf)-off >= headerLen; {
+	for off := len(magic); len(buf)-off >= FrameHeader; {
 		// The length is bounded by the bytes left before it becomes an int,
 		// which on 32-bit platforms a flipped high bit would make negative.
 		// An empty frame is never written: a zero-filled tail would
 		// otherwise pass, since the CRC32C of nothing is zero.
 		n := binary.LittleEndian.Uint32(buf[off:])
-		if n == 0 || uint64(n) > uint64(len(buf)-off-headerLen) {
+		if n == 0 || uint64(n) > uint64(len(buf)-off-FrameHeader) {
 			break
 		}
-		end := off + headerLen + int(n)
-		payload := buf[off+headerLen : end]
+		end := off + FrameHeader + int(n)
+		payload := buf[off+FrameHeader : end]
 		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[off+4:]) {
 			break
 		}
@@ -124,7 +128,7 @@ func replay(buf []byte, each func([]byte) error) (int64, error) {
 func frames(first bool, payloads [][]byte) []byte {
 	n := len(magic)
 	for _, p := range payloads {
-		n += headerLen + len(p)
+		n += FrameHeader + len(p)
 	}
 	buf := make([]byte, 0, n)
 	if first {
@@ -141,31 +145,37 @@ func frames(first bool, payloads [][]byte) []byte {
 	return buf
 }
 
-// Append durably appends one frame per payload: one WriteAt, then one Sync.
-// Appending nothing does nothing.
-func (l *Log) Append(payloads ...[]byte) error {
+// Image returns the bytes of a log holding payloads, one frame each: the
+// form in which a journal's records travel whole. Records reads an image
+// back, refusing one that is torn or corrupt anywhere.
+func Image(payloads ...[]byte) []byte { return frames(true, payloads) }
+
+func Records(image []byte) ([][]byte, error) {
+	var recs [][]byte
+	n, err := replay(image, func(p []byte) error { recs = append(recs, p); return nil })
+	if err == nil && n != int64(len(image)) {
+		err = fmt.Errorf("journal: image torn or corrupt at offset %d of %d", n, len(image))
+	}
+	return recs, err
+}
+
+// append appends one frame per payload in one WriteAt, followed by a Sync
+// when sync is set. Unsynced frames become durable with the next synced
+// append or rewrite, and a crash before that may drop them: they are for
+// records whose loss is safe — the owner must be able to replay the log as
+// if they were never written. Appending nothing does nothing.
+func (l *Log) append(sync bool, payloads ...[]byte) error {
 	if len(payloads) == 0 {
 		return nil
 	}
-	return l.commit(l.size, frames(l.size == 0, payloads), true)
+	return l.commit(l.size, frames(l.size == 0, payloads), sync)
 }
 
-// AppendUnsynced appends like Append but leaves out the Sync: the frames
-// become durable with the next synced append, rewrite or compaction, and a
-// crash before that may drop them. It is for records whose loss is safe —
-// the owner must be able to replay the log as if they were never written.
-func (l *Log) AppendUnsynced(payloads ...[]byte) error {
-	if len(payloads) == 0 {
-		return nil
-	}
-	return l.commit(l.size, frames(l.size == 0, payloads), false)
-}
-
-// Rewrite compacts the log to one frame per payload; with no payloads the
+// rewrite compacts the log to one frame per payload; with no payloads the
 // log becomes zero bytes, synced even if it was. It truncates before it
-// writes, so a crash between the two leaves an empty log: its callers are
-// the manager WAL after a snapshot save and a Pair's non-current log.
-func (l *Log) Rewrite(payloads ...[]byte) error {
+// writes, so a crash between the two leaves an empty log: its one caller is
+// a Pair, on a log that holds no record the pair replays.
+func (l *Log) rewrite(payloads ...[]byte) error {
 	var buf []byte
 	if len(payloads) > 0 {
 		buf = frames(true, payloads)

@@ -301,3 +301,31 @@ func TestAppendUnsynced(t *testing.T) {
 		}
 	}
 }
+
+// TestImage: Records reads back exactly the records an Image holds, and
+// refuses the image cut short inside a frame or with any byte flipped. (An
+// image cut at a frame boundary is the image of fewer records; the
+// transport that carries an image keeps its length.)
+func TestImage(t *testing.T) {
+	img := journal.Image(payloads...)
+	if got, err := journal.Records(img); err != nil || !slices.EqualFunc(got, payloads, bytes.Equal) {
+		t.Fatalf("Records(Image) = %q, %v; want %q", got, err, payloads)
+	}
+	end, whole := 0, 0 // the end of the last whole frame before the cut, and the frames up to it
+	for n := 1; n < len(img); n++ {
+		if whole < len(payloads) && n == max(end, 8)+journal.FrameHeader+len(payloads[whole]) {
+			end, whole = n, whole+1
+		}
+		got, err := journal.Records(img[:n])
+		if n != end && err == nil || n == end && (err != nil || !slices.EqualFunc(got, payloads[:whole], bytes.Equal)) {
+			t.Fatalf("image cut at byte %d of %d read as %q, %v", n, len(img), got, err)
+		}
+	}
+	for i := range img {
+		bad := bytes.Clone(img)
+		bad[i] ^= 0xFF
+		if got, err := journal.Records(bad); err == nil {
+			t.Fatalf("image with byte %d flipped read as %q", i, got)
+		}
+	}
+}

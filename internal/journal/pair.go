@@ -65,15 +65,13 @@ func OpenPair(files [2]File, sizes [2]int64, each func(payload []byte) error) (*
 	return &p, nil
 }
 
-// Append appends one frame per payload to the current log, synced when
-// sync is set (see Log.Append and Log.AppendUnsynced). A payload in the
-// seal's form is a bug in its owner, and panics.
+// Append appends one frame per payload to the current log, followed by a
+// Sync when sync is set; an unsynced append is for records whose loss the
+// owner can replay as if they were never written. A payload in the seal's
+// form is a bug in its owner, and panics.
 func (p *Pair) Append(sync bool, payloads ...[]byte) error {
 	refuseSeals(payloads)
-	if sync {
-		return p.logs[p.cur].Append(payloads...)
-	}
-	return p.logs[p.cur].AppendUnsynced(payloads...)
+	return p.logs[p.cur].append(sync, payloads...)
 }
 
 // Compact replaces the pair's records with live, one frame per payload: it
@@ -94,7 +92,10 @@ func (p *Pair) Compact(live ...[]byte) error {
 	refuseSeals(live)
 	next, gen := 1-p.cur, p.gen+1
 	seal := binary.LittleEndian.AppendUint64([]byte{sealTag}, gen)
-	if err := p.logs[next].Rewrite(append(live, seal)...); err != nil {
+	if err := p.logs[next].rewrite(append(live, seal)...); err != nil {
+		// A sealed copy whose sync failed may still be down, and would win
+		// the next replay over the appends that follow: drop it.
+		p.empty(next) //nolint:errcheck // the compaction's error is the one to report
 		return err
 	}
 	old := p.cur
@@ -103,12 +104,22 @@ func (p *Pair) Compact(live ...[]byte) error {
 }
 
 // empty truncates logs[i] to zero bytes unless it already is: an empty
-// Rewrite would still sync.
+// rewrite would still sync.
 func (p *Pair) empty(i int) error {
 	if p.logs[i].Size() == 0 {
 		return nil
 	}
-	return p.logs[i].Rewrite()
+	return p.logs[i].rewrite()
+}
+
+// Due reports whether the journal should be compacted now, given live, the
+// bytes its live set compacts to: when nothing is live, so compaction
+// empties it, or when the current log has outgrown both floor and twice the
+// live set, so a compaction at least halves it and the appends since the
+// last one paid for it. A floor <= 0 never compacts. This is the one
+// compaction rule of every journal in CSAR.
+func (p *Pair) Due(floor, live int64) bool {
+	return floor > 0 && (live == 0 || p.Size() > max(floor, 2*live))
 }
 
 // Size returns the current log's length in bytes.

@@ -10,14 +10,15 @@ import (
 )
 
 // spy records the calls a Pair makes on one of its files. onTruncate, if
-// set, runs before every Truncate; failTruncate makes the next one fail.
+// set, runs before every Truncate; failTruncate makes the next one fail, and
+// failSync the next Sync report a failure after syncing.
 type spy struct {
 	journal.File
 	size                     func() int64
 	writes, syncs, truncates int
 	last                     []byte // the last write at offset 0
 	onTruncate               func()
-	failTruncate             bool
+	failTruncate, failSync   bool
 }
 
 func (f *spy) WriteAt(p []byte, off int64) (int, error) {
@@ -28,7 +29,14 @@ func (f *spy) WriteAt(p []byte, off int64) (int, error) {
 	return f.File.WriteAt(p, off)
 }
 
-func (f *spy) Sync() error { f.syncs++; return f.File.Sync() }
+func (f *spy) Sync() error {
+	f.syncs++
+	if err := f.File.Sync(); err != nil || !f.failSync {
+		return err
+	}
+	f.failSync = false
+	return errors.New("sync refused")
+}
 
 func (f *spy) Truncate(size int64) error {
 	if f.onTruncate != nil {
@@ -209,5 +217,55 @@ func TestPairCompactionCrash(t *testing.T) {
 				t.Fatalf("empty Rewrite of an empty log: %v writes/syncs/truncates, want one sync", sc.calls())
 			}
 		})
+	}
+}
+
+// TestPairDue is the one compaction rule: with a positive floor, compact
+// when nothing is live, or when the current log has outgrown both the floor
+// and twice the live set; a floor <= 0 never compacts.
+func TestPairDue(t *testing.T) {
+	p, _, _ := pairOn(t, stores[0], [2][]byte{})
+	if err := p.Append(true, payloads...); err != nil {
+		t.Fatal(err)
+	}
+	size := p.Size()
+	for _, c := range []struct {
+		floor, live int64
+		want        bool
+	}{
+		{0, 0, false},
+		{-1, 1, false},
+		{1 << 20, 0, true},
+		{size, 1, false},                  // within the floor
+		{size - 1, (size + 1) / 2, false}, // within twice the live set
+		{size - 1, size/2 - 1, true},
+		{1, size, false},
+	} {
+		if got := p.Due(c.floor, c.live); got != c.want {
+			t.Errorf("log of %d bytes, floor %d, live %d: Due = %v, want %v", size, c.floor, c.live, got, c.want)
+		}
+	}
+}
+
+// TestPairFailedCompaction: a compaction whose sealed write reports a failed
+// sync — though its bytes are down — leaves no sealed copy behind, so the
+// appends that follow it replay instead of being shadowed by that copy.
+func TestPairFailedCompaction(t *testing.T) {
+	for _, s := range stores {
+		p, spies, _ := pairOn(t, s, [2][]byte{})
+		if err := p.Append(true, payloads[0]); err != nil {
+			t.Fatal(err)
+		}
+		spies[1].failSync = true
+		if err := p.Compact(payloads[1]); err == nil {
+			t.Fatalf("%s: compaction with a failing sync reported no error", s.name)
+		}
+		if err := p.Append(true, payloads[2]); err != nil {
+			t.Fatal(err)
+		}
+		want := [][]byte{payloads[0], payloads[2]}
+		if _, _, got := pairOn(t, s, images(spies)); !slices.EqualFunc(got, want, bytes.Equal) {
+			t.Fatalf("%s: after a failed compaction reloaded %q, want %q", s.name, got, want)
+		}
 	}
 }

@@ -15,7 +15,6 @@
 package meta
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -37,15 +36,15 @@ type Caller interface {
 	Call(wire.Msg) (wire.Msg, error)
 }
 
-// defaultWALCompactBytes is the log size past which a commit triggers
-// snapshot-and-truncate compaction.
+// defaultWALCompactBytes is the WAL's compaction floor (see
+// journal.Pair.Due): the log compacts to the live state once it passes this
+// and twice that state.
 const defaultWALCompactBytes = 256 << 10
 
 // Manager is the metadata server. Drive it through Handle (an rpc.Handler).
 type Manager struct {
 	serverCount int
 	serverAddrs []string
-	persistPath string // optional metadata snapshot file ("" = in-memory)
 
 	// shipMu serializes the commit path (apply → WAL append → ship to
 	// standbys → acknowledge): replicated records must leave in sequence
@@ -63,9 +62,11 @@ type Manager struct {
 	nextID  uint64
 	byName  map[string]*fileMeta
 	byID    map[uint64]*fileMeta
+	// fileBytes is what the files' opFile records take in a compacted log.
+	fileBytes int64
 
-	wal        *journal.Log // nil: in-memory namespace
-	walFile    *os.File
+	wal        *journal.Pair // nil: in-memory namespace
+	walFiles   [2]*os.File
 	walCompact int64
 
 	obs      *obs.Registry
@@ -80,8 +81,8 @@ type fileMeta struct {
 	// mig is the pinned shadow layout of an in-flight scheme migration
 	// (zero ID = none): a fresh file ID carrying the target scheme on the
 	// same server set and stripe unit. Both layouts stay pinned — shipped
-	// to standbys and snapshotted — until the coordinator commits or
-	// aborts, so a manager failover mid-migration loses nothing.
+	// to standbys and in every file's state record — until the coordinator
+	// commits or aborts, so a manager failover mid-migration loses nothing.
 	mig wire.FileRef
 }
 
@@ -120,8 +121,8 @@ func (m *Manager) SetCluster(index int, peers []Caller, standby bool) {
 	m.primary = !standby
 }
 
-// SetWALCompactBytes overrides the log size that triggers compaction
-// (useful to exercise compaction in tests); n <= 0 disables compaction.
+// SetWALCompactBytes overrides the WAL's compaction floor (useful to
+// exercise compaction in tests); n <= 0 disables compaction.
 func (m *Manager) SetWALCompactBytes(n int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -132,15 +133,18 @@ func (m *Manager) SetWALCompactBytes(n int64) {
 // HTTP endpoint.
 func (m *Manager) Obs() *obs.Registry { return m.obs }
 
-// Close releases the write-ahead log handle. The manager must not be used
+// Close releases the write-ahead log's files. The manager must not be used
 // afterwards.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.walFile != nil {
-		return m.walFile.Close()
+	var errs []error
+	for _, f := range m.walFiles {
+		if f != nil {
+			errs = append(errs, f.Close())
+		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // registerGauges installs the live-state gauges evaluated at every stats
@@ -285,8 +289,7 @@ func (m *Manager) create(r *wire.Create) (wire.Msg, error) {
 	rec := walRec{op: opCreate, name: r.Name, ref: ref}
 	prevID := m.nextID
 	if err := m.commitAndShip(rec, func() {
-		delete(m.byName, rec.name)
-		delete(m.byID, rec.ref.ID)
+		m.dropLocked(m.byName[rec.name])
 		m.nextID = prevID
 	}); err != nil {
 		return nil, fmt.Errorf("meta: committing create: %w", err)
@@ -346,10 +349,7 @@ func (m *Manager) remove(name string) (wire.Msg, error) {
 		return nil, fmt.Errorf("meta: no such file %q", name)
 	}
 	rec := walRec{op: opRemove, name: name}
-	if err := m.commitAndShip(rec, func() {
-		m.byName[fm.name] = fm
-		m.byID[fm.ref.ID] = fm
-	}); err != nil {
+	if err := m.commitAndShip(rec, func() { m.putLocked(fm) }); err != nil {
 		return nil, fmt.Errorf("meta: committing remove: %w", err)
 	}
 	return &wire.OK{}, nil
@@ -496,6 +496,23 @@ func (m *Manager) list() (wire.Msg, error) {
 	return &wire.ListResp{Names: names}, nil
 }
 
+// putLocked adds fm to the namespace, in place of any file of its name;
+// dropLocked takes fm out. Caller holds m.mu.
+func (m *Manager) putLocked(fm *fileMeta) {
+	if old := m.byName[fm.name]; old != nil {
+		m.dropLocked(old)
+	}
+	m.byName[fm.name] = fm
+	m.byID[fm.ref.ID] = fm
+	m.fileBytes += fileRecLen + int64(len(fm.name))
+}
+
+func (m *Manager) dropLocked(fm *fileMeta) {
+	delete(m.byName, fm.name)
+	delete(m.byID, fm.ref.ID)
+	m.fileBytes -= fileRecLen + int64(len(fm.name))
+}
+
 // applyRecLocked applies one operation record to the in-memory namespace
 // and advances epoch/seq to the record's. It is idempotent per record — a
 // create of an existing (name, ID) pair, a size already surpassed, a remove
@@ -506,9 +523,7 @@ func (m *Manager) applyRecLocked(rec walRec) {
 	m.seq = rec.seq
 	switch rec.op {
 	case opCreate:
-		fm := &fileMeta{name: rec.name, ref: rec.ref}
-		m.byName[fm.name] = fm
-		m.byID[fm.ref.ID] = fm
+		m.putLocked(&fileMeta{name: rec.name, ref: rec.ref})
 		if rec.ref.ID >= m.nextID {
 			m.nextID = rec.ref.ID + 1
 		}
@@ -518,9 +533,12 @@ func (m *Manager) applyRecLocked(rec walRec) {
 		}
 	case opRemove:
 		if fm := m.byName[rec.name]; fm != nil {
-			delete(m.byName, rec.name)
-			delete(m.byID, fm.ref.ID)
+			m.dropLocked(fm)
 		}
+	case opState:
+		m.nextID = rec.nextID
+	case opFile:
+		m.putLocked(&fileMeta{name: rec.name, ref: rec.ref, size: rec.size, mig: rec.mig})
 	case opEpoch:
 	case opMigBegin:
 		if fm := m.byID[rec.id]; fm != nil {
@@ -608,13 +626,13 @@ func (m *Manager) commitAndShip(rec walRec, undo func()) error {
 }
 
 // logLocked durably appends one encoded record to the WAL (a no-op for an
-// in-memory manager) and compacts the log once it outgrows its threshold.
-// Caller holds m.mu and the commit path.
+// in-memory manager) and compacts the log when the pair's rule calls for
+// it. Caller holds m.mu and the commit path.
 func (m *Manager) logLocked(payload []byte) error {
 	if m.wal == nil {
 		return nil
 	}
-	if err := m.wal.Append(payload); err != nil {
+	if err := m.wal.Append(true, payload); err != nil {
 		return fmt.Errorf("meta: appending wal record: %w", err)
 	}
 	m.obs.Counter("meta_wal_appends").Add(1)
@@ -627,17 +645,14 @@ func (m *Manager) logLocked(payload []byte) error {
 	return nil
 }
 
-// sendSnapshot ships the full namespace through the current sequence number
-// to one lagging peer. Called with shipMu held (so seq cannot advance
-// mid-marshal) and m.mu released.
+// sendSnapshot ships the full state through the current sequence number,
+// as its state records, to one lagging peer. Called with shipMu held (so
+// seq cannot advance mid-marshal) and m.mu released.
 func (m *Manager) sendSnapshot(i int, p Caller) {
 	m.mu.Lock()
-	data, err := m.marshalSnapshotLocked()
+	data := journal.Image(m.stateRecsLocked()...)
 	epoch, seq := m.epoch, m.seq
 	m.mu.Unlock()
-	if err != nil {
-		return
-	}
 	m.obs.Counter("meta_snapshots_sent").Add(1)
 	resp, err := p.Call(&wire.MetaReplicate{Epoch: epoch, Seq: seq, Snap: true, Rec: data})
 	if err != nil {
@@ -683,30 +698,7 @@ func (m *Manager) replicate(r *wire.MetaReplicate) (wire.Msg, error) {
 	}
 
 	if r.Snap {
-		var snap snapshot
-		if err := json.Unmarshal(r.Rec, &snap); err != nil {
-			return nil, fmt.Errorf("meta: corrupt replicated snapshot: %w", err)
-		}
-		if m.primary {
-			m.primary = false
-			m.obs.Counter("meta_demotions").Add(1)
-		}
-		m.installSnapshotLocked(&snap)
-		if r.Epoch > m.epoch {
-			m.epoch = r.Epoch
-		}
-		if m.wal != nil {
-			// Persist the installed state and drop any divergent log tail;
-			// refuse to acknowledge a snapshot we could not make durable.
-			if err := m.save(); err != nil {
-				return nil, fmt.Errorf("meta: persisting replicated snapshot: %w", err)
-			}
-			if err := m.wal.Rewrite(); err != nil {
-				return nil, fmt.Errorf("meta: truncating wal: %w", err)
-			}
-		}
-		m.obs.Counter("meta_snapshots_installed").Add(1)
-		return &wire.MetaReplicateResp{Epoch: m.epoch, Seq: m.seq}, nil
+		return m.installLocked(r)
 	}
 
 	if r.Epoch > m.epoch {
@@ -741,6 +733,41 @@ func (m *Manager) replicate(r *wire.MetaReplicate) (wire.Msg, error) {
 		m.seq = rec.seq - 1
 		return nil, err
 	}
+	return &wire.MetaReplicateResp{Epoch: m.epoch, Seq: m.seq}, nil
+}
+
+// installLocked replaces the manager's state with a shipped snapshot: the
+// primary's state records as a journal.Image, which must open with its
+// epoch and seq. Durably first — one sealed write replaces the log, any
+// divergent tail included, so a crash leaves either the old state or the
+// installed one — and a snapshot that cannot be made durable is refused
+// unapplied. Caller holds m.mu.
+func (m *Manager) installLocked(r *wire.MetaReplicate) (wire.Msg, error) {
+	payloads, err := journal.Records(r.Rec)
+	recs := make([]walRec, len(payloads))
+	for i := 0; err == nil && i < len(payloads); i++ {
+		recs[i], err = decodeRec(payloads[i])
+	}
+	if err == nil && (len(recs) == 0 || recs[0].op != opState || recs[0].epoch != r.Epoch || recs[0].seq != r.Seq) {
+		err = fmt.Errorf("meta: snapshot does not open with the state of epoch %d, seq %d", r.Epoch, r.Seq)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("meta: corrupt replicated snapshot: %w", err)
+	}
+	if m.wal != nil {
+		if err := m.wal.Compact(payloads...); err != nil {
+			return nil, fmt.Errorf("meta: persisting replicated snapshot: %w", err)
+		}
+	}
+	if m.primary {
+		m.primary = false
+		m.obs.Counter("meta_demotions").Add(1)
+	}
+	m.byName, m.byID, m.fileBytes = make(map[string]*fileMeta, len(recs)), make(map[uint64]*fileMeta, len(recs)), 0
+	for _, rec := range recs {
+		m.applyRecLocked(rec)
+	}
+	m.obs.Counter("meta_snapshots_installed").Add(1)
 	return &wire.MetaReplicateResp{Epoch: m.epoch, Seq: m.seq}, nil
 }
 

@@ -3,6 +3,7 @@ package meta
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"csar/internal/wire"
@@ -19,7 +20,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	call(t, m1, &wire.Create{Name: "g", Servers: 2, StripeUnit: 128, Scheme: wire.Raid1})
 	call(t, m1, &wire.Remove{Name: "g"})
 
-	// "Restart" the manager from the snapshot.
+	// "Restart" the manager from its WAL.
 	m2, err := NewPersistent(4, []string{"a:1"}, path)
 	if err != nil {
 		t.Fatal(err)
@@ -41,13 +42,22 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestPersistenceCorruptSnapshotRejected: a file at the manager's base path
+// is a JSON snapshot of the format before the WAL pair held the whole state
+// — corrupt or well-formed, it is refused with an error naming it, not read
+// and not ignored, and left as it was.
 func TestPersistenceCorruptSnapshotRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "meta.json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewPersistent(4, nil, path); err == nil {
-		t.Fatal("corrupt snapshot accepted")
+	for _, snap := range []string{"{not json", `{"epoch": 1, "seq": 2, "next_id": 2, "files": [{"name": "f", "id": 1}]}`} {
+		path := filepath.Join(t.TempDir(), "meta.json")
+		if err := os.WriteFile(path, []byte(snap), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewPersistent(4, nil, path); err == nil || !strings.Contains(err.Error(), path) {
+			t.Fatalf("snapshot %q: NewPersistent returned %v, want an error naming %s", snap, err, path)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != snap {
+			t.Fatalf("refused snapshot changed: %q, %v", got, err)
+		}
 	}
 }
 

@@ -9,15 +9,20 @@
 //
 //	u8 op | u64 epoch | u64 seq | op-specific fields
 //
-// Compaction rewrites the snapshot (which records the sequence number it
-// covers) and then truncates the log to zero; replay skips records the
-// snapshot already covers, so a crash between the two steps is harmless.
+// The log is a journal.Pair. A compaction writes the live state as records
+// into the pair's other log, sealed, in one write: an opState record (epoch,
+// seq, next file ID), then one opFile record per file. So the pair always
+// replays either the old log or the new one, and a sealed log holds no
+// record its state already covers. The same state records, as a
+// journal.Image, are the snapshot a lagging standby is sent, which it
+// installs by the same sealed write.
 
 package meta
 
 import (
 	"fmt"
 
+	"csar/internal/journal"
 	"csar/internal/wire"
 )
 
@@ -38,6 +43,18 @@ const (
 	opMigBegin
 	opMigCommit
 	opMigAbort
+	// The state records a compaction writes and a snapshot carries:
+	// opState sets epoch, seq and the next file ID; opFile sets one file
+	// whole — name, ref, size and migration pin.
+	opState
+	opFile
+)
+
+// stateRecLen and fileRecLen are what an opState record and an opFile
+// record less its name's bytes take in a compacted log, frame included.
+var (
+	stateRecLen = journal.FrameHeader + int64(len(encodeRec(walRec{op: opState})))
+	fileRecLen  = journal.FrameHeader + int64(len(encodeRec(walRec{op: opFile})))
 )
 
 // walRec is one logged metadata operation. Only the fields of its op kind
@@ -47,11 +64,13 @@ type walRec struct {
 	epoch uint64
 	seq   uint64
 
-	name  string       // opCreate, opRemove
-	ref   wire.FileRef // opCreate; opMigBegin (the shadow layout)
-	id    uint64       // opSetSize; opMig* (the file's live ID)
-	size  int64        // opSetSize
-	newID uint64       // opMigCommit, opMigAbort (shadow-ID fence)
+	name   string       // opCreate, opRemove, opFile
+	ref    wire.FileRef // opCreate, opFile; opMigBegin (the shadow layout)
+	id     uint64       // opSetSize; opMig* (the file's live ID)
+	size   int64        // opSetSize, opFile
+	newID  uint64       // opMigCommit, opMigAbort (shadow-ID fence)
+	mig    wire.FileRef // opFile (the pinned shadow layout; zero ID for none)
+	nextID uint64       // opState
 }
 
 // codec reads or writes a record payload (one journal frame on disk, shipped
@@ -79,6 +98,13 @@ func (rec *walRec) codec(c *wire.Codec) {
 	case opMigCommit, opMigAbort:
 		c.U64(&rec.id)
 		c.U64(&rec.newID)
+	case opState:
+		c.U64(&rec.nextID)
+	case opFile:
+		c.Str(&rec.name)
+		c.FileRef(&rec.ref)
+		c.I64(&rec.size)
+		c.FileRef(&rec.mig)
 	default:
 		c.Fail(fmt.Errorf("meta: unknown wal op %d", rec.op))
 	}

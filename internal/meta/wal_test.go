@@ -14,7 +14,7 @@ import (
 )
 
 // buildWAL runs a canonical mutation sequence against a fresh persistent
-// manager and returns its paths plus the marshaled pre-crash state.
+// manager and returns its paths plus its encoded pre-crash state.
 func buildWAL(t *testing.T) (snapPath string, walPath string, wantState []byte, m *Manager) {
 	t.Helper()
 	snapPath = filepath.Join(t.TempDir(), "meta.json")
@@ -29,25 +29,89 @@ func buildWAL(t *testing.T) (snapPath string, walPath string, wantState []byte, 
 	call(t, m, &wire.Remove{Name: "beta"})
 	call(t, m, &wire.SetSize{ID: cr.Ref.ID, Size: 65536})
 
-	m.mu.Lock()
-	wantState, err = m.marshalSnapshotLocked()
-	m.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snapPath, snapPath + ".wal", wantState, m
+	return snapPath, snapPath + ".wal", stateBytes(t, m), m
 }
 
-// stateBytes marshals a manager's namespace deterministically.
+// stateBytes is a manager's state — epoch, seq, next file ID and every file
+// — as the records a compaction writes, in the image a snapshot carries.
 func stateBytes(t *testing.T, m *Manager) []byte {
 	t.Helper()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, err := m.marshalSnapshotLocked()
+	return journal.Image(m.stateRecsLocked()...)
+}
+
+// walImages reads both logs of the WAL pair at base path.
+func walImages(t *testing.T, path string) [2][]byte {
+	t.Helper()
+	var imgs [2][]byte
+	for i, name := range [2]string{path + ".wal", path + ".wal.1"} {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		imgs[i] = b
+	}
+	return imgs
+}
+
+// restartOnImages writes imgs as the two logs of a fresh base path and
+// restarts a manager on them.
+func restartOnImages(t *testing.T, imgs [2][]byte) *Manager {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "meta")
+	for i, name := range [2]string{path + ".wal", path + ".wal.1"} {
+		if err := os.WriteFile(name, imgs[i], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := NewPersistent(8, []string{"a:1", "b:2"}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	t.Cleanup(func() { m.Close() })
+	return m
+}
+
+// compactNow compacts m's WAL to its live state, whatever the pair's rule
+// says.
+func compactNow(t *testing.T, m *Manager) {
+	t.Helper()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.wal.Compact(m.stateRecsLocked()...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkCuts restarts a manager on every cut of the sealed write that took
+// the WAL pair from before to after — each prefix of the log it wrote, with
+// the other log as it was, then the other log truncated — and asserts each
+// restart holds the state old or, once the whole write is down, the state
+// now.
+func checkCuts(t *testing.T, what string, before, after [2][]byte, old, now []byte) {
+	t.Helper()
+	into := 1
+	if len(after[0]) > 0 {
+		into = 0
+	}
+	if len(after[1-into]) != 0 || len(after[into]) == 0 {
+		t.Fatalf("%s: logs are %d and %d bytes, want one sealed log", what, len(after[0]), len(after[1]))
+	}
+	for n := 0; n <= len(after[into]); n++ {
+		imgs := before
+		imgs[into] = after[into][:n]
+		want := old
+		if n == len(after[into]) {
+			want = now
+		}
+		if got := stateBytes(t, restartOnImages(t, imgs)); !bytes.Equal(got, want) {
+			t.Fatalf("%s cut at byte %d of %d: restarted state\n%x\nwant\n%x", what, n, len(after[into]), got, want)
+		}
+	}
+	if got := stateBytes(t, restartOnImages(t, after)); !bytes.Equal(got, now) {
+		t.Fatalf("%s, replaced log truncated: restarted state\n%x\nwant\n%x", what, got, now)
+	}
 }
 
 // frameEnds parses a WAL image — the journal's 8-byte magic, then frames of
@@ -173,9 +237,8 @@ func TestWALLegacyFormatRefused(t *testing.T) {
 }
 
 // TestWALReplayByteIdenticalState is the replay acceptance test: a manager
-// restarted from snapshot + WAL — including one whose log has a torn final
-// record — reproduces byte-identical namespace state to the pre-crash
-// snapshot.
+// restarted from its WAL — including one whose log has a torn final record
+// — reproduces byte-identical state to the pre-crash state.
 func TestWALReplayByteIdenticalState(t *testing.T) {
 	snapPath, walPath, want, src := buildWAL(t)
 	src.Close()
@@ -226,22 +289,24 @@ func TestWALReplayByteIdenticalState(t *testing.T) {
 	}
 }
 
-// TestWALCrashMidCompaction covers the compaction crash window: the
-// snapshot has been rewritten (covering every logged op) but the crash hits
-// before the log truncation. Replay must skip every record the snapshot
-// already covers and reproduce identical state.
+// TestWALCrashMidCompaction covers the compaction's last crash window: the
+// sealed copy of the live state is down in the pair's other log, but the
+// crash hits before the log it replaces is truncated. The restart must take
+// the sealed copy alone — no record of the old log applied twice — leave
+// the old log empty, and append new mutations cleanly after it.
 func TestWALCrashMidCompaction(t *testing.T) {
 	snapPath, walPath, want, src := buildWAL(t)
-	// Write the compaction snapshot but "crash" before the log truncation.
-	src.mu.Lock()
-	if err := src.save(); err != nil {
-		src.mu.Unlock()
-		t.Fatal(err)
-	}
-	src.mu.Unlock()
+	old := walImages(t, snapPath)
+	compactNow(t, src)
 	src.Close()
-	if st, err := os.Stat(walPath); err != nil || st.Size() == 0 {
-		t.Fatalf("precondition: WAL should still hold records (%v, %v)", st, err)
+	sealed := walImages(t, snapPath)
+	if len(sealed[0]) != 0 || len(sealed[1]) == 0 {
+		t.Fatalf("precondition: the compaction should move the WAL into its second log (%d and %d bytes)", len(sealed[0]), len(sealed[1]))
+	}
+	for i, img := range [2][]byte{old[0], sealed[1]} {
+		if err := os.WriteFile([2]string{walPath, walPath + ".1"}[i], img, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	m2, err := NewPersistent(8, []string{"a:1", "b:2"}, snapPath)
@@ -250,12 +315,15 @@ func TestWALCrashMidCompaction(t *testing.T) {
 	}
 	defer m2.Close()
 	if got := stateBytes(t, m2); !bytes.Equal(got, want) {
-		t.Fatalf("state after crash-mid-compaction restart differs:\n got: %s\nwant: %s", got, want)
+		t.Fatalf("state after crash-mid-compaction restart differs:\n got: %x\nwant: %x", got, want)
 	}
 	// No double-apply artifacts: exactly the two surviving names.
 	lr := call(t, m2, &wire.List{}).(*wire.ListResp)
 	if len(lr.Names) != 2 || lr.Names[0] != "alpha" || lr.Names[1] != "gamma" {
 		t.Fatalf("names after restart = %v", lr.Names)
+	}
+	if imgs := walImages(t, snapPath); len(imgs[0]) != 0 || !bytes.Equal(imgs[1], sealed[1]) {
+		t.Fatalf("after restart the logs are %d and %d bytes, want the superseded one emptied", len(imgs[0]), len(imgs[1]))
 	}
 	// New mutations append cleanly after the recovered state.
 	cr := call(t, m2, &wire.Create{Name: "delta", Servers: 2, StripeUnit: 64, Scheme: wire.Raid0}).(*wire.CreateResp)
@@ -264,27 +332,104 @@ func TestWALCrashMidCompaction(t *testing.T) {
 	}
 }
 
-// TestWALCompactionTriggersAndRecovers drives enough mutations through a
-// tiny compaction threshold that the log is snapshotted-and-truncated many
-// times, then restarts and checks nothing was lost.
+// TestManagerCompactionCrash cuts manager compactions, into the WAL's second
+// log and back, at every byte of their sealed write and after the log they
+// replace is truncated: a compaction does not change the state, so every
+// cut restarts to exactly the state before it, epoch, seq and next file ID
+// included. Records appended after a compaction replay with its copy.
+func TestManagerCompactionCrash(t *testing.T) {
+	snapPath, _, _, m := buildWAL(t)
+	defer m.Close()
+	call(t, m, &wire.SetScheme{ID: 1, Scheme: wire.Raid1})
+	for i, more := range []wire.Msg{
+		&wire.Create{Name: "delta", Servers: 2, StripeUnit: 64, Scheme: wire.Raid0},
+		&wire.Remove{Name: "alpha"},
+	} {
+		want := stateBytes(t, m)
+		before := walImages(t, snapPath)
+		compactNow(t, m)
+		checkCuts(t, fmt.Sprintf("compaction %d", i), before, walImages(t, snapPath), want, want)
+		call(t, m, more)
+	}
+	if got := stateBytes(t, restartOnImages(t, walImages(t, snapPath))); !bytes.Equal(got, stateBytes(t, m)) {
+		t.Fatal("records appended after a compaction did not replay with it")
+	}
+}
+
+// TestReplicatedSnapshotInstallCrash: a standby whose WAL holds a divergent
+// history — epoch 1 up to seq 6 — installs the new primary's snapshot at
+// epoch 2, seq 3. The install is one sealed write, cut here at every byte
+// and after the log it replaces is truncated: each restart holds the whole
+// old state or the whole installed one, never a mix of the two histories,
+// and never an epoch below the one the standby acknowledged.
+func TestReplicatedSnapshotInstallCrash(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "meta")
+	standby, err := NewPersistent(8, nil, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer standby.Close()
+	for _, msg := range []wire.Msg{
+		&wire.Create{Name: "alpha", Servers: 2, StripeUnit: 64, Scheme: wire.Raid0},
+		&wire.Create{Name: "beta", Servers: 2, StripeUnit: 64, Scheme: wire.Raid0},
+		&wire.Remove{Name: "alpha"},
+		&wire.Create{Name: "gamma", Servers: 2, StripeUnit: 64, Scheme: wire.Raid0},
+		&wire.SetSize{ID: 3, Size: 100},
+		&wire.Remove{Name: "beta"},
+	} {
+		call(t, standby, msg)
+	}
+	primary := New(8, nil)
+	if err := primary.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	cr := call(t, primary, &wire.Create{Name: "zeta", Servers: 2, StripeUnit: 64, Scheme: wire.Raid0}).(*wire.CreateResp)
+	call(t, primary, &wire.SetSize{ID: cr.Ref.ID, Size: 7})
+	old, now := stateBytes(t, standby), stateBytes(t, primary)
+	if st := mgrStatus(t, standby); st.Epoch != 1 || st.Seq != 6 {
+		t.Fatalf("precondition: standby at %+v, want epoch 1 seq 6", st)
+	}
+	if st := mgrStatus(t, primary); st.Epoch != 2 || st.Seq != 3 {
+		t.Fatalf("precondition: primary at %+v, want epoch 2 seq 3", st)
+	}
+
+	before := walImages(t, path)
+	call(t, standby, &wire.MetaReplicate{Epoch: 2, Seq: 3, Snap: true, Rec: now})
+	if got := stateBytes(t, standby); !bytes.Equal(got, now) {
+		t.Fatalf("installed state\n%x\nwant the primary's\n%x", got, now)
+	}
+	checkCuts(t, "install", before, walImages(t, path), old, now)
+	lr := call(t, primary, &wire.List{}).(*wire.ListResp)
+	if len(lr.Names) != 1 || lr.Names[0] != "zeta" {
+		t.Fatalf("primary names = %v", lr.Names)
+	}
+}
+
+// TestWALCompactionTriggersAndRecovers drives mutations through a floor of
+// one byte, so the pair's rule alone decides when the log compacts, then
+// restarts and checks nothing was lost and the WAL stayed within the rule's
+// bound: one log empty, the other no larger than twice the live state.
 func TestWALCompactionTriggersAndRecovers(t *testing.T) {
-	snapPath := filepath.Join(t.TempDir(), "meta.json")
+	snapPath := filepath.Join(t.TempDir(), "meta")
 	m, err := NewPersistent(8, nil, snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetWALCompactBytes(1) // every commit compacts
+	m.SetWALCompactBytes(1)
 	cr := call(t, m, &wire.Create{Name: "f", Servers: 2, StripeUnit: 64, Scheme: wire.Raid0}).(*wire.CreateResp)
 	for i := 1; i <= 50; i++ {
 		call(t, m, &wire.SetSize{ID: cr.Ref.ID, Size: int64(i * 100)})
 	}
-	if n := m.obs.Snapshot().Counter("meta_compactions"); n == 0 {
-		t.Fatal("compaction never triggered")
+	if n := m.obs.Snapshot().Counter("meta_compactions"); n < 5 {
+		t.Fatalf("%d compactions in 50 commits of a one-file namespace, want at least 5", n)
 	}
 	want := stateBytes(t, m)
+	m.mu.Lock()
+	live := stateRecLen + m.fileBytes
+	m.mu.Unlock()
 	m.Close()
-	if st, err := os.Stat(snapPath + ".wal"); err != nil || st.Size() != 0 {
-		t.Fatalf("WAL not empty after threshold-1 compaction (%v, %v)", st, err)
+	if imgs := walImages(t, snapPath); len(imgs[0]) > 0 == (len(imgs[1]) > 0) || int64(len(imgs[0])+len(imgs[1])) > 2*live {
+		t.Fatalf("WAL logs are %d and %d bytes, want one empty and the other at most %d", len(imgs[0]), len(imgs[1]), 2*live)
 	}
 	m2, err := NewPersistent(8, nil, snapPath)
 	if err != nil {

@@ -249,21 +249,6 @@ func xorSum(sums []uint32, zero uint32) uint32 {
 	return x
 }
 
-// eachServer runs fn for every server concurrently and joins the errors.
-func (s *scrubber) eachServer(fn func(i int) error) error {
-	errs := make([]error, s.l.Servers)
-	var wg sync.WaitGroup
-	for i := 0; i < s.l.Servers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
 // sums fetches checksums over one store range of one server and charges the
 // server-reported byte count against the rate limit.
 func (s *scrubber) sums(srv int, store uint8, off, length, chunk int64) ([]uint32, error) {
@@ -380,7 +365,7 @@ func (s *scrubber) scrubGroups() error {
 		w1 := min(w0+batchStripes, windows)
 		dataSums := make([][]uint32, n)
 		redSums := make([][]uint32, n)
-		err := s.eachServer(func(i int) error {
+		err := s.c.EachServer(s.l.Servers, nil, func(i int) error {
 			ds, err := s.sums(i, wire.StoreData, w0*kk*s.su, (w1-w0)*kk*s.su, s.su)
 			if err != nil {
 				return err
@@ -491,7 +476,7 @@ func (s *scrubber) forget(g int64) {
 func (s *scrubber) intentStripes() (map[int64]bool, error) {
 	intents := make(map[int64]bool)
 	var mu sync.Mutex
-	err := s.eachServer(func(i int) error {
+	err := s.c.EachServer(s.l.Servers, nil, func(i int) error {
 		resp, err := s.call(i, &wire.ListIntents{File: s.ref})
 		if err != nil {
 			return err

@@ -12,12 +12,16 @@
 // them up instead of losing them.
 //
 // The log is a journal.Pair like the stripe intents': one CRC-framed record
-// per entry, fsync per append batch, a compaction through the pair on every
-// clear (the log shrinks at exactly the moments it is cheap to rewrite), a
-// torn tail truncated away at load. A crash-restart of a surviving server,
-// even inside a clear, therefore preserves the outage's damage records; only
-// a blank replacement disk loses them, which resync detects through the
-// epoch set and answers with a full rebuild.
+// per entry, fsync per MarkDirty batch, one small record per retired group
+// or dropped log, and a compaction through the pair only when the pair's
+// rule (journal.Pair.Due) calls for it; a torn tail is truncated away at
+// load. Clear and drop records go unsynced, as intent retires do: a lost one
+// only brings back damage that is already repaired, and replaying a clean
+// group changes nothing. A RemoveFile's drops are synced: nothing would
+// retire a removed file's log again. A crash-restart of a surviving server,
+// even inside a clear or a compaction, therefore preserves the outage's
+// damage records; only a blank replacement disk loses them, which resync
+// detects through the epoch set and answers with a full rebuild.
 package server
 
 import (
@@ -42,7 +46,17 @@ const (
 	dirtyKindEpoch    uint8 = 1 // epoch sighting only; value unused
 	dirtyKindOverflow uint8 = 5 // its overflow stores diverged; value unused
 	dirtyKindGroup    uint8 = 6 // code group whose member on it went stale
+	dirtyKindClear    uint8 = 7 // the group (overflowGroup: the overflow stores) was replayed and retired
+	dirtyKindDrop     uint8 = 8 // the whole log retired, epochs included; value unused
 )
+
+// overflowGroup stands for a file's overflow stores among a log's groups:
+// no code group is negative.
+const overflowGroup = -1
+
+// dirtyJournalCompactBytes is the dirty journal's compaction floor (see
+// journal.Pair.Due).
+const dirtyJournalCompactBytes = 16 << 10
 
 // dirtyKey addresses one log: the damage a specific dead server missed for
 // a specific file.
@@ -52,23 +66,23 @@ type dirtyKey struct {
 }
 
 // dirtyLog is the in-memory state of one (file, dead server) log. Each
-// entry remembers the generation of its last MarkDirty; generations are
-// not persisted — after a restart they start over, which only makes a
-// concurrent ClearDirty more conservative (stale generations never match,
-// so entries survive and are replayed again).
+// entry — a code group, or overflowGroup — remembers the generation of its
+// last MarkDirty; generations are not persisted — after a restart they
+// start over, which only makes a concurrent ClearDirty more conservative
+// (stale generations never match, so entries survive and are replayed
+// again).
 type dirtyLog struct {
-	epochs      map[uint64]struct{}
-	groups      map[int64]uint64 // group -> generation
-	overflow    bool
-	overflowGen uint64
-	gen         uint64
+	epochs map[uint64]struct{}
+	groups map[int64]uint64 // group -> generation
+	gen    uint64
 }
 
 func newDirtyLog() *dirtyLog {
 	return &dirtyLog{epochs: make(map[uint64]struct{}), groups: make(map[int64]uint64)}
 }
 
-func (dl *dirtyLog) empty() bool { return len(dl.groups) == 0 && !dl.overflow }
+// records is the number of records a compaction writes for the log.
+func (dl *dirtyLog) records() int64 { return int64(len(dl.epochs) + len(dl.groups)) }
 
 // dirtyState is the server's dirty-log table plus its journal, guarded by
 // its own mutex (independent of mu/jmu; handlers take only it).
@@ -76,6 +90,7 @@ type dirtyState struct {
 	mu      sync.Mutex
 	logs    map[dirtyKey]*dirtyLog
 	journal *journal.Pair
+	live    int64 // the records a compaction would write, over all logs
 }
 
 // dirtyEntry is one dirty-journal record, the payload of one journal frame:
@@ -88,6 +103,9 @@ type dirtyEntry struct {
 	val   int64
 }
 
+// dirtyEntryLen is the encoded length of a dirtyEntry.
+const dirtyEntryLen = 27
+
 // codec reads or writes one record.
 func (r *dirtyEntry) codec(c *wire.Codec) {
 	c.U8(&r.kind)
@@ -99,8 +117,11 @@ func (r *dirtyEntry) codec(c *wire.Codec) {
 
 // dirtyRecord encodes one record.
 func dirtyRecord(kind uint8, k dirtyKey, epoch uint64, val int64) []byte {
+	if kind == dirtyKindGroup && val == overflowGroup {
+		kind, val = dirtyKindOverflow, 0
+	}
 	r := dirtyEntry{kind, k, epoch, val}
-	e := wire.Encoding(make([]byte, 0, 27))
+	e := wire.Encoding(make([]byte, 0, dirtyEntryLen))
 	r.codec(&e)
 	return e.Buf
 }
@@ -116,7 +137,16 @@ func (s *Server) loadDirty() {
 			return d.Err()
 		}
 		dl := s.dirty.logs[r.key]
-		if dl == nil {
+		switch {
+		case r.kind == dirtyKindDrop:
+			delete(s.dirty.logs, r.key)
+			return nil
+		case r.kind == dirtyKindClear:
+			if dl != nil {
+				delete(dl.groups, r.val)
+			}
+			return nil
+		case dl == nil:
 			dl = newDirtyLog()
 			s.dirty.logs[r.key] = dl
 		}
@@ -127,8 +157,7 @@ func (s *Server) loadDirty() {
 		case dirtyKindGroup:
 			dl.groups[r.val] = dl.gen
 		case dirtyKindOverflow:
-			dl.overflow = true
-			dl.overflowGen = dl.gen
+			dl.groups[overflowGroup] = dl.gen
 		default:
 			// Damage this server cannot read (a record of another format)
 			// is damage the log no longer names: the poison epoch sends the
@@ -137,6 +166,35 @@ func (s *Server) loadDirty() {
 		}
 		return nil
 	})
+	for _, dl := range s.dirty.logs {
+		s.dirty.live += dl.records()
+	}
+}
+
+// logDirtyLocked journals recs, synced when sync is set, and compacts the
+// journal when the pair's rule calls for it; with nothing left live the
+// compaction empties it, so the records are not written first. Caller
+// holds dirty.mu.
+func (s *Server) logDirtyLocked(sync bool, recs ...[]byte) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	var err error
+	if s.dirty.live > 0 {
+		err = s.dirty.journal.Append(sync, recs...)
+	}
+	if s.dirty.journal.Due(dirtyJournalCompactBytes, s.dirty.live*(journal.FrameHeader+dirtyEntryLen)) {
+		s.compactDirtyLocked()
+	}
+	return err
+}
+
+// dropDirtyLocked retires log k whole, epochs included, and returns the
+// record that says so. Caller holds dirty.mu.
+func (s *Server) dropDirtyLocked(k dirtyKey) []byte {
+	s.dirty.live -= s.dirty.logs[k].records()
+	delete(s.dirty.logs, k)
+	return dirtyRecord(dirtyKindDrop, k, 0, 0)
 }
 
 // compactDirtyLocked compacts the journal to the current state: one epoch
@@ -154,9 +212,6 @@ func (s *Server) compactDirtyLocked() {
 		}
 		for g := range dl.groups {
 			recs = append(recs, dirtyRecord(dirtyKindGroup, k, anyEpoch, g))
-		}
-		if dl.overflow {
-			recs = append(recs, dirtyRecord(dirtyKindOverflow, k, anyEpoch, 0))
 		}
 	}
 	s.dirty.journal.Compact(recs...) //nolint:errcheck // local store
@@ -195,23 +250,20 @@ func (s *Server) handleMarkDirty(m *wire.MarkDirty) (wire.Msg, error) {
 		dl.epochs[m.Epoch] = struct{}{}
 		recs = append(recs, dirtyRecord(dirtyKindEpoch, k, m.Epoch, 0))
 	}
-	for _, g := range m.Groups {
+	groups := m.Groups
+	if m.Overflow {
+		groups = append(groups[:len(groups):len(groups)], overflowGroup)
+	}
+	for _, g := range groups {
 		dl.gen++
 		if _, ok := dl.groups[g]; !ok {
 			recs = append(recs, dirtyRecord(dirtyKindGroup, k, m.Epoch, g))
 		}
 		dl.groups[g] = dl.gen
 	}
-	if m.Overflow {
-		dl.gen++
-		if !dl.overflow {
-			recs = append(recs, dirtyRecord(dirtyKindOverflow, k, m.Epoch, 0))
-		}
-		dl.overflow = true
-		dl.overflowGen = dl.gen
-	}
 	// The degraded write runs only once this is acknowledged durable.
-	if err := s.dirty.journal.Append(true, recs...); err != nil {
+	s.dirty.live += int64(len(recs))
+	if err := s.logDirtyLocked(true, recs...); err != nil {
 		return nil, fmt.Errorf("server: logging dirty regions: %w", err)
 	}
 	return &wire.OK{}, nil
@@ -235,19 +287,21 @@ func (s *Server) handleDirtyDump(m *wire.DirtyDump) (wire.Msg, error) {
 	sort.Slice(resp.Epochs, func(i, j int) bool { return resp.Epochs[i] < resp.Epochs[j] })
 	resp.Groups = make([]wire.DirtyItem, 0, len(dl.groups))
 	for g, gen := range dl.groups {
-		resp.Groups = append(resp.Groups, wire.DirtyItem{Group: g, Gen: gen})
+		if g == overflowGroup {
+			resp.Overflow, resp.OverflowGen = true, gen
+		} else {
+			resp.Groups = append(resp.Groups, wire.DirtyItem{Group: g, Gen: gen})
+		}
 	}
 	sort.Slice(resp.Groups, func(i, j int) bool { return resp.Groups[i].Group < resp.Groups[j].Group })
-	resp.Overflow = dl.overflow
-	resp.OverflowGen = dl.overflowGen
 	return resp, nil
 }
 
 // handleClearDirty retires replayed entries: each one only if its
-// generation still matches the dump it was replayed from. A fully drained
-// log disappears, epochs included — the outage is over. The journal is
-// compacted rather than appended to, so clears leave no clear records; a
-// clear that retires nothing (every entry re-dirtied since) leaves it be.
+// generation still matches the dump it was replayed from, with one clear
+// record each. A fully drained log disappears, epochs included — the outage
+// is over — with one drop record. A clear that retires nothing (every entry
+// re-dirtied since) writes nothing.
 func (s *Server) handleClearDirty(m *wire.ClearDirty) (wire.Msg, error) {
 	k := dirtyKey{m.File.ID, m.Dead}
 	s.dirty.mu.Lock()
@@ -256,29 +310,28 @@ func (s *Server) handleClearDirty(m *wire.ClearDirty) (wire.Msg, error) {
 	if dl == nil {
 		return &wire.OK{}, nil
 	}
-	if m.All {
-		delete(s.dirty.logs, k)
-		s.compactDirtyLocked()
-		return &wire.OK{}, nil
-	}
-	changed := false
-	for _, it := range m.Groups {
-		if gen, ok := dl.groups[it.Group]; ok && gen == it.Gen {
-			delete(dl.groups, it.Group)
-			changed = true
+	var recs [][]byte
+	retire := func(g int64, gen uint64) {
+		if have, ok := dl.groups[g]; ok && have == gen {
+			delete(dl.groups, g)
+			recs = append(recs, dirtyRecord(dirtyKindClear, k, 0, g))
 		}
 	}
-	if m.Overflow && dl.overflow && dl.overflowGen == m.OverflowGen {
-		dl.overflow = false
-		changed = true
+	if !m.All {
+		for _, it := range m.Groups {
+			if it.Group >= 0 {
+				retire(it.Group, it.Gen)
+			}
+		}
+		if m.Overflow {
+			retire(overflowGroup, m.OverflowGen)
+		}
+		s.dirty.live -= int64(len(recs))
 	}
-	if dl.empty() {
-		delete(s.dirty.logs, k)
-		changed = true
+	if m.All || len(dl.groups) == 0 {
+		recs = [][]byte{s.dropDirtyLocked(k)}
 	}
-	if changed {
-		s.compactDirtyLocked()
-	}
+	s.logDirtyLocked(false, recs...) //nolint:errcheck // local store; a lost clear is safe
 	return &wire.OK{}, nil
 }
 
@@ -286,14 +339,12 @@ func (s *Server) handleClearDirty(m *wire.ClearDirty) (wire.Msg, error) {
 func (s *Server) dropFileDirty(fileID uint64) {
 	s.dirty.mu.Lock()
 	defer s.dirty.mu.Unlock()
-	changed := false
+	var recs [][]byte
 	for k := range s.dirty.logs {
 		if k.file == fileID {
-			delete(s.dirty.logs, k)
-			changed = true
+			recs = append(recs, s.dropDirtyLocked(k))
 		}
 	}
-	if changed {
-		s.compactDirtyLocked()
-	}
+	// Synced: no resync will ever dump a removed file's log to retire it.
+	s.logDirtyLocked(true, recs...) //nolint:errcheck // local store
 }

@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"csar/internal/journal"
 	"csar/internal/obs"
 	"csar/internal/wire"
 )
@@ -43,9 +44,10 @@ import (
 // its pair's second log at intentJournalName.1.
 const intentJournalName = "intents.journal"
 
-// intentJournalCompactBytes is the journal size past which an append
-// compacts it to one record per live intent. Under load the live set rarely
-// drains to zero, which is the other point where the journal empties.
+// intentJournalCompactBytes is the intent journal's compaction floor: the
+// log compacts to one record per live intent once it passes this and twice
+// that live set. Under load the live set rarely drains to zero, which is the
+// other point where the journal empties.
 const intentJournalCompactBytes = 16 << 10
 
 // Journal record operations.
@@ -124,10 +126,10 @@ func (s *Server) IntentStats() IntentStats { return obs.LoadCounters(s.intents) 
 // a restart, and replaying a stripe whose parity matches changes nothing.
 // When a retire drains the live set the journal is emptied instead — the
 // history is balanced open/retire pairs, so an empty live set compacts to an
-// empty log — and once the current log outgrows both
-// intentJournalCompactBytes and twice its live set the journal is compacted
-// to one record per live intent, through the pair, so no crash point loses
-// a live intent.
+// empty log — and whenever the pair's rule calls for it (journal.Pair.Due,
+// with intentJournalCompactBytes as the floor) the journal is compacted to
+// one record per live intent, through the pair, so no crash point loses a
+// live intent.
 // Lock order: callers may hold sf.mu; jmu nests inside it.
 func (s *Server) journalAppend(op uint8, fileID uint64, ids ...wire.IntentID) {
 	recs := make([][]byte, len(ids))
@@ -147,9 +149,7 @@ func (s *Server) journalAppend(op uint8, fileID uint64, ids ...wire.IntentID) {
 	if len(s.jLive) > 0 { // else a retire drained it: compaction empties the journal
 		s.jlog.Append(op != intentOpRetire, recs...) //nolint:errcheck // local store
 	}
-	// A compacted log holds one frame, an 8-byte header and a record, per
-	// live intent.
-	if live := int64(len(s.jLive)) * (8 + intentEntryLen); live == 0 || s.jlog.Size() > max(intentJournalCompactBytes, 2*live) {
+	if s.jlog.Due(intentJournalCompactBytes, int64(len(s.jLive))*(journal.FrameHeader+intentEntryLen)) {
 		s.compactJournal()
 	}
 }

@@ -110,8 +110,8 @@ func TestDirtyLogBitFlip(t *testing.T) {
 		for k, dl := range s.dirty.logs {
 			_, group := dl.groups[3]
 			_, epoch := dl.epochs[7]
-			if k != want || len(dl.epochs) != 1 || !epoch || len(dl.groups) > 1 || len(dl.groups) == 1 && !group || dl.overflow {
-				return fmt.Sprintf("log %+v: epochs %v groups %v overflow %v", k, dl.epochs, dl.groups, dl.overflow)
+			if k != want || len(dl.epochs) != 1 || !epoch || len(dl.groups) > 1 || len(dl.groups) == 1 && !group {
+				return fmt.Sprintf("log %+v: epochs %v groups %v", k, dl.epochs, dl.groups)
 			}
 		}
 		return ""
@@ -143,8 +143,8 @@ func TestLegacyIntentJournalRefused(t *testing.T) {
 }
 
 // dirtyPicture is s's dirty logs as a reload keeps them, without the
-// generations the journal does not hold: per (file, dead) key its epochs,
-// groups and overflow flag, sorted.
+// generations the journal does not hold: per (file, dead) key its epochs
+// and groups (overflowGroup for the overflow stores), sorted.
 func dirtyPicture(s *Server) map[dirtyKey]string {
 	out := make(map[dirtyKey]string)
 	for k, dl := range s.dirty.logs {
@@ -158,20 +158,44 @@ func dirtyPicture(s *Server) map[dirtyKey]string {
 			groups = append(groups, g)
 		}
 		slices.Sort(groups)
-		out[k] = fmt.Sprint(epochs, groups, dl.overflow)
+		out[k] = fmt.Sprint(epochs, groups)
 	}
 	return out
 }
 
-// TestDirtyJournalCompactionCrash cuts every kind of dirty-journal
-// compaction — a partial ClearDirty, a ClearDirty{All}, a RemoveFile, a
-// clear that drains one log — at every byte of its sealed write and after
-// the log it replaces is truncated, and the clear that drains the last log
-// before and after it empties the journal. Each cut reloads exactly the
-// dirty logs from before the operation or those after it; since the two
-// agree on every (file, dead) key the operation does not name, those keys
-// keep every entry, with its epoch set, at every cut. Compactions alternate
-// between dirty.journal and dirty.journal.1.
+// dirtyEntries is s's dirty logs as sets of their entries: per (file,
+// dead) key, "epoch N" for each epoch and "group N" for each group.
+func dirtyEntries(s *Server) map[dirtyKey]map[string]bool {
+	out := make(map[dirtyKey]map[string]bool)
+	for k, dl := range s.dirty.logs {
+		set := make(map[string]bool)
+		for ep := range dl.epochs {
+			set[fmt.Sprint("epoch ", ep)] = true
+		}
+		for g := range dl.groups {
+			set[fmt.Sprint("group ", g)] = true
+		}
+		out[k] = set
+	}
+	return out
+}
+
+// TestDirtyJournalCompactionCrash cuts every kind of dirty-journal write at
+// every byte. The clears append, one record per entry or log they retire,
+// and compact nothing, since the journal is below its floor: a partial
+// ClearDirty of two groups and the overflow stores (three records), a
+// ClearDirty{All}, a RemoveFile of two logs (two records) and a clear that
+// drains one log. A cut inside such an append may reload a log with only
+// some of its entries retired, so each cut is checked entry by entry: every
+// epoch and group of every reloaded log was in that log before the
+// operation or is in it after it, nothing the operation left dirty is
+// lost, and the logs it does not name come back as they were; the cut
+// before the append reloads exactly the logs before it, the whole append
+// exactly those after. The compactions the pair's rule then calls for under
+// a mark/clear churn are cut at every byte of their sealed write, both
+// ways, and after the log they replace is truncated: each cut reloads
+// exactly the live logs. Last, the clear that drains the last log empties
+// the journal and writes nothing.
 func TestDirtyJournalCompactionCrash(t *testing.T) {
 	var s *Server
 	var cuts []compactionCut[map[dirtyKey]string]
@@ -179,7 +203,7 @@ func TestDirtyJournalCompactionCrash(t *testing.T) {
 		func() map[dirtyKey]string { return dirtyPicture(s) }, &cuts, nil}
 	s, _ = reload(disk, 0)
 	file := func(id uint64) wire.FileRef { r := ref(); r.ID = id; return r }
-	a, b, c := file(1), file(2), file(3)
+	a, b, c, d := file(1), file(2), file(3), file(4)
 	for _, m := range []*wire.MarkDirty{
 		{File: b, Dead: 1, Epoch: 11, Groups: []int64{0, 3, 6}},
 		{File: a, Dead: 1, Epoch: 21, Groups: []int64{1, 4, 2, 5}, Overflow: true},
@@ -197,21 +221,7 @@ func TestDirtyJournalCompactionCrash(t *testing.T) {
 		d := dump(f, dead)
 		return &wire.ClearDirty{File: f, Dead: dead, Groups: d.Groups, Overflow: d.Overflow, OverflowGen: d.OverflowGen}
 	}
-	steps := []struct {
-		what string
-		op   func() wire.Msg
-		keys []dirtyKey // the logs the operation changes
-	}{
-		{"partial ClearDirty", func() wire.Msg {
-			d := dump(a, 1)
-			return &wire.ClearDirty{File: a, Dead: 1, Groups: d.Groups[:2], Overflow: true, OverflowGen: d.OverflowGen}
-		}, []dirtyKey{{1, 1}}},
-		{"ClearDirty{All}", func() wire.Msg { return &wire.ClearDirty{File: a, Dead: 2, All: true} }, []dirtyKey{{1, 2}}},
-		{"RemoveFile", func() wire.Msg { return &wire.RemoveFile{File: c} }, []dirtyKey{{3, 1}, {3, 2}}},
-		{"clear draining a log", func() wire.Msg { return clearAll(a, 1) }, []dirtyKey{{1, 1}}},
-		{"clear draining the last log", func() wire.Msg { return clearAll(b, 1) }, []dirtyKey{{2, 1}}},
-	}
-	crash := func(what string, images [2][]byte, want map[dirtyKey]string) {
+	reloaded := func(what string, images [2][]byte) *Server {
 		t.Helper()
 		d := simdisk.New(nil, simdisk.Params{PageSize: 64})
 		for i, name := range pairNames(dirtyJournalName) {
@@ -221,52 +231,113 @@ func TestDirtyJournalCompactionCrash(t *testing.T) {
 		if refused != nil {
 			t.Fatalf("%s: reload refused: %v", what, refused)
 		}
-		if got := dirtyPicture(restarted); !maps.Equal(got, want) {
+		return restarted
+	}
+	crash := func(what string, images [2][]byte, want map[dirtyKey]string) {
+		t.Helper()
+		if got := dirtyPicture(reloaded(what, images)); !maps.Equal(got, want) {
 			t.Fatalf("%s: reloaded %v, want %v", what, got, want)
 		}
 	}
-	for i, st := range steps {
+	steps := []struct {
+		what    string
+		op      func() wire.Msg
+		keys    []dirtyKey // the logs the operation changes
+		records int        // the records it appends
+	}{
+		{"partial ClearDirty", func() wire.Msg {
+			d := dump(a, 1)
+			return &wire.ClearDirty{File: a, Dead: 1, Groups: d.Groups[:2], Overflow: true, OverflowGen: d.OverflowGen}
+		}, []dirtyKey{{1, 1}}, 3},
+		{"ClearDirty{All}", func() wire.Msg { return &wire.ClearDirty{File: a, Dead: 2, All: true} }, []dirtyKey{{1, 2}}, 1},
+		{"RemoveFile", func() wire.Msg { return &wire.RemoveFile{File: c} }, []dirtyKey{{3, 1}, {3, 2}}, 2},
+		{"clear draining a log", func() wire.Msg { return clearAll(a, 1) }, []dirtyKey{{1, 1}}, 1},
+	}
+	for _, st := range steps {
 		op := st.op()
-		before := pairImages(disk, dirtyJournalName)
-		old, caught := dirtyPicture(s), len(cuts)
+		before, old, oldEntries := pairImages(disk, dirtyJournalName), dirtyPicture(s), dirtyEntries(s)
 		call(t, s, op)
-		now := dirtyPicture(s)
+		after, now, nowEntries := pairImages(disk, dirtyJournalName), dirtyPicture(s), dirtyEntries(s)
 		for k := range old {
 			if !slices.Contains(st.keys, k) && old[k] != now[k] {
 				t.Fatalf("%s changed log %+v, which it does not name", st.what, k)
 			}
 		}
-		if len(now) == 0 {
-			if len(cuts) != caught || (len(before[0]) > 0) == (len(before[1]) > 0) {
-				t.Fatalf("%s: %d sealed writes from logs of %d and %d bytes, want none from one log",
-					st.what, len(cuts)-caught, len(before[0]), len(before[1]))
+		if len(cuts) != 0 || len(before[1]) != 0 || len(after[1]) != 0 || !bytes.HasPrefix(after[0], before[0]) ||
+			len(after[0])-len(before[0]) != st.records*(journal.FrameHeader+dirtyEntryLen) {
+			t.Fatalf("%s: %d compactions, logs went from %d and %d bytes to %d and %d; want %d records appended to the first log",
+				st.what, len(cuts), len(before[0]), len(before[1]), len(after[0]), len(after[1]), st.records)
+		}
+		torn := 0 // cuts that reload a log neither as it was nor as it is
+		for n := len(before[0]); n <= len(after[0]); n++ {
+			what := fmt.Sprintf("%s cut at byte %d of %d", st.what, n-len(before[0]), len(after[0])-len(before[0]))
+			restarted := reloaded(what, [2][]byte{after[0][:n], nil})
+			got, gotEntries := dirtyPicture(restarted), dirtyEntries(restarted)
+			switch {
+			case n == len(before[0]) && !maps.Equal(got, old), n == len(after[0]) && !maps.Equal(got, now):
+				t.Fatalf("%s: reloaded %v, want %v before and %v after", what, got, old, now)
 			}
-			crash(st.what+", before", before, old)
-			crash(st.what+", after", pairImages(disk, dirtyJournalName), now)
-			continue
+			for k, entries := range gotEntries {
+				for e := range entries {
+					if !oldEntries[k][e] && !nowEntries[k][e] {
+						t.Fatalf("%s: reloaded log %+v with %s, in it neither before (%v) nor after (%v)", what, k, e, old[k], now[k])
+					}
+				}
+				if got[k] != old[k] && got[k] != now[k] {
+					torn++
+				}
+			}
+			for k, entries := range nowEntries {
+				for e := range entries {
+					if !gotEntries[k][e] {
+						t.Fatalf("%s: reloaded log %+v as %q, without its %s, which stays dirty", what, k, got[k], e)
+					}
+				}
+			}
 		}
-		if len(cuts) != caught+1 {
-			t.Fatalf("%s: %d sealed writes, want 1", st.what, len(cuts)-caught)
+		if len(st.keys) == 1 && st.records > 1 && torn == 0 {
+			t.Fatalf("%s: no cut reloaded its log with only some of its %d records", st.what, st.records)
 		}
-		cut := cuts[caught]
-		if cut.into != 1-i%2 || !maps.Equal(cut.live, now) {
-			t.Fatalf("%s: compacted %v into log %d, want %v into log %d", st.what, cut.live, cut.into, now, 1-i%2)
+	}
+
+	// Churn one more log, marking a group and retiring it, until the pair
+	// has compacted into each log once.
+	for i := 0; len(cuts) < 2; i++ {
+		if i == 10000 {
+			t.Fatalf("%d mark/clear cycles made %d compactions, want 2", i, len(cuts))
+		}
+		call(t, s, &wire.MarkDirty{File: d, Dead: 1, Epoch: 41, Groups: []int64{int64(i % 8)}})
+		call(t, s, clearAll(d, 1))
+		if imgs := pairImages(disk, dirtyJournalName); len(imgs[0]) > 0 && len(imgs[1]) > 0 {
+			t.Fatalf("cycle %d: both logs hold records (%d and %d bytes)", i, len(imgs[0]), len(imgs[1]))
+		}
+	}
+	for i, cut := range cuts {
+		if cut.into != 1-i {
+			t.Fatalf("compaction %d went into log %d, want %d", i, cut.into, 1-i)
 		}
 		for n := 0; n <= len(cut.write); n++ {
 			images := cut.before
 			images[cut.into] = cut.write[:n]
-			want := old
-			if n == len(cut.write) {
-				want = now
-			}
-			crash(fmt.Sprintf("%s cut at byte %d of %d", st.what, n, len(cut.write)), images, want)
+			crash(fmt.Sprintf("compaction %d cut at byte %d of %d", i, n, len(cut.write)), images, cut.live)
 		}
 		images := cut.before
 		images[cut.into], images[1-cut.into] = cut.write, nil
-		crash(st.what+", replaced log truncated", images, now)
+		crash(fmt.Sprintf("compaction %d, replaced log truncated", i), images, cut.live)
 	}
-	if len(s.dirty.logs) != 0 {
-		t.Fatalf("logs left after the last clear: %v", dirtyPicture(s))
+
+	// The clear that drains the last log empties the journal outright.
+	before, old := pairImages(disk, dirtyJournalName), dirtyPicture(s)
+	caught := len(cuts)
+	call(t, s, clearAll(b, 1))
+	if after := pairImages(disk, dirtyJournalName); len(cuts) != caught || (len(before[0]) > 0) == (len(before[1]) > 0) || len(after[0])+len(after[1]) != 0 {
+		t.Fatalf("clear draining the last log: %d sealed writes, logs went from %d and %d bytes to %d and %d; want none, from one log to none",
+			len(cuts)-caught, len(before[0]), len(before[1]), len(after[0]), len(after[1]))
+	}
+	crash("clear draining the last log, before", before, old)
+	crash("clear draining the last log, after", pairImages(disk, dirtyJournalName), map[dirtyKey]string{})
+	if len(s.dirty.logs) != 0 || s.dirty.live != 0 {
+		t.Fatalf("after the last clear: logs %v, %d live records", dirtyPicture(s), s.dirty.live)
 	}
 }
 
@@ -337,6 +408,9 @@ func TestDirtyJournalUnknownKind(t *testing.T) {
 			check("reload", []int64{0, 7}, []int64{3, 4})
 			d := call(t, s, &wire.DirtyDump{File: ref(), Dead: 1}).(*wire.DirtyDumpResp)
 			call(t, s, &wire.ClearDirty{File: ref(), Dead: 1, Groups: d.Groups[:1]})
+			s.dirty.mu.Lock()
+			s.compactDirtyLocked()
+			s.dirty.mu.Unlock()
 			check("reload after a compaction", []int64{0, 7}, []int64{4})
 		})
 	}
@@ -423,5 +497,41 @@ func TestDirtyJournalClearOfNothing(t *testing.T) {
 	}
 	if d := call(t, s, &wire.DirtyDump{File: ref(), Dead: 1}).(*wire.DirtyDumpResp); len(d.Groups) != 1 {
 		t.Fatalf("after the clear: groups %v, want group 3", d.Groups)
+	}
+}
+
+// TestDirtyJournalClearCostIndependentOfLogs: a ClearDirty that retires one
+// group of one log, below the compaction floor, writes one clear record and
+// syncs at most once, whatever else the journal holds: the bytes it writes
+// are the same beside 1, 8 or 64 other (file, dead) logs, and none of them
+// is rewritten.
+func TestDirtyJournalClearCostIndependentOfLogs(t *testing.T) {
+	var written []byte
+	for _, others := range []int{1, 8, 64} {
+		var cuts []compactionCut[map[dirtyKey]string]
+		calls := 0
+		disk := compactionDisk[map[dirtyKey]string]{simdisk.New(nil, simdisk.Params{PageSize: 64}), dirtyJournalName,
+			func() map[dirtyKey]string { return nil }, &cuts, &calls}
+		s, _ := reload(disk, 0)
+		for i := 0; i < others; i++ {
+			r := ref()
+			r.ID = uint64(100 + i)
+			call(t, s, &wire.MarkDirty{File: r, Dead: uint16(1 + i%2), Epoch: 7, Groups: []int64{0, 3}})
+		}
+		call(t, s, &wire.MarkDirty{File: ref(), Dead: 1, Epoch: 9, Groups: []int64{3, 6}})
+		d := call(t, s, &wire.DirtyDump{File: ref(), Dead: 1}).(*wire.DirtyDumpResp)
+		before := pairImages(disk, dirtyJournalName)
+		calls = 0
+		call(t, s, &wire.ClearDirty{File: ref(), Dead: 1, Groups: d.Groups[:1]})
+		after := pairImages(disk, dirtyJournalName)
+		if len(cuts) != 0 || calls > 2 || len(before[1])+len(after[1]) != 0 || !bytes.HasPrefix(after[0], before[0]) {
+			t.Fatalf("beside %d logs: the clear made %d compactions and %d writes and syncs, logs went from %d and %d bytes to %d and %d",
+				others, len(cuts), calls, len(before[0]), len(before[1]), len(after[0]), len(after[1]))
+		}
+		got := after[0][len(before[0]):]
+		if len(got) != journal.FrameHeader+dirtyEntryLen || written != nil && !bytes.Equal(got, written) {
+			t.Fatalf("beside %d logs the clear wrote %x, want one record %x", others, got, written)
+		}
+		written = got
 	}
 }

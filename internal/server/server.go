@@ -136,15 +136,10 @@ type serverFile struct {
 	geom  raid.Geometry
 	shape raid.Shape
 
-	mu       sync.Mutex
-	stores   [numStores]storage.File
-	ovTable  extent.Map      // logical range -> offset in overflow store
-	ovmTable extent.Map      // logical range -> offset in overflow-mirror store
-	ovNext   int64           // allocation cursor of the overflow store
-	ovmNext  int64           // allocation cursor of the overflow-mirror store
-	ovSlots  map[int64]int64 // stripe unit -> its slot base in the overflow store
-	ovmSlots map[int64]int64 // stripe unit -> slot base in the overflow mirror
-	locks    map[int64]*parityLock
+	mu     sync.Mutex
+	stores [numStores]storage.File
+	ov     [2]overflowRegion // the overflow store's, then the overflow mirror's
+	locks  map[int64]*parityLock
 	// intents holds the file's write intents by stripe, one per owner
 	// token: open and pending ones belong to a read-modify-write whose
 	// writes may still be landing, abandoned ones mark possibly torn
@@ -255,8 +250,7 @@ func (s *Server) file(ref wire.FileRef) (*serverFile, error) {
 			ref:      ref,
 			geom:     l.Geometry,
 			shape:    l.Shape,
-			ovSlots:  make(map[int64]int64),
-			ovmSlots: make(map[int64]int64),
+			ov:       [2]overflowRegion{{slots: make(map[int64]int64)}, {slots: make(map[int64]int64)}},
 			locks:    make(map[int64]*parityLock),
 			intents:  make(map[int64][]*intentRec),
 			canceled: make(map[uint64]struct{}),
@@ -429,7 +423,7 @@ func readFill(f storage.File, p []byte, off int64) {
 func (s *Server) patchOverflow(sf *serverFile, logical int64, buf []byte) {
 	sf.mu.Lock()
 	hits := make([]extent.Extent, 0, 4)
-	sf.ovTable.Lookup(logical, int64(len(buf)), func(l, src, n int64) {
+	sf.ov[0].table.Lookup(logical, int64(len(buf)), func(l, src, n int64) {
 		hits = append(hits, extent.Extent{Off: l, Len: n, Src: src})
 	}, nil)
 	sf.mu.Unlock()
@@ -475,8 +469,8 @@ func (s *Server) handleWriteData(m *wire.WriteData) (wire.Msg, error) {
 		// the overflow still holds the newest data for those ranges.
 		sf.mu.Lock()
 		for _, sp := range m.Spans {
-			sf.ovTable.Invalidate(sp.Off, sp.Len)
-			sf.ovmTable.Invalidate(sp.Off, sp.Len)
+			sf.ov[0].table.Invalidate(sp.Off, sp.Len)
+			sf.ov[1].table.Invalidate(sp.Off, sp.Len)
 		}
 		sf.mu.Unlock()
 	}
@@ -702,12 +696,69 @@ func (s *Server) handleWriteParity(m *wire.WriteParity) (wire.Msg, error) {
 		sf.mu.Lock()
 		for _, stripe := range m.Stripes {
 			off := sf.geom.StripeStart(stripe)
-			sf.ovTable.Invalidate(off, sf.geom.StripeSize())
-			sf.ovmTable.Invalidate(off, sf.geom.StripeSize())
+			sf.ov[0].table.Invalidate(off, sf.geom.StripeSize())
+			sf.ov[1].table.Invalidate(off, sf.geom.StripeSize())
 		}
 		sf.mu.Unlock()
 	}
 	return &wire.OK{}, nil
+}
+
+// overflowRegion indexes one overflow store: which of its slots holds each
+// logical range.
+//
+// Allocation is stripe-unit granular: each updated unit gets a whole
+// unit-sized slot, with the bytes placed at their within-unit offset. This
+// matches the paper's design — "the updated blocks are written to an
+// overflow region" — and reproduces the fragmentation Table 2 reports for
+// workloads whose writes are small compared to the stripe unit ("a smaller
+// stripe unit results in less fragmentation in the overflow regions"). A
+// unit keeps one slot for the file's lifetime: later overflow writes to the
+// same unit update it in place, which is what keeps Hartree-Fock's
+// sequential 16 KB stream at RAID1-like 2x storage in Table 2 rather than
+// one slot per request. Slots are only reclaimed by Compact.
+type overflowRegion struct {
+	table extent.Map      // logical range -> offset in the store
+	next  int64           // allocation cursor
+	slots map[int64]int64 // stripe unit -> its slot base
+}
+
+// overflow returns the overflow store a request's Mirror flag names, and
+// its index.
+func (sf *serverFile) overflow(mirror bool) (Store, *overflowRegion) {
+	if mirror {
+		return StoreOverflowMirror, &sf.ov[1]
+	}
+	return StoreOverflow, &sf.ov[0]
+}
+
+// placement is bytes bound for an overflow store at offset src.
+type placement struct {
+	src  int64
+	data []byte
+}
+
+// place indexes data, the bytes of [off, off+len(data)) within one stripe
+// unit, at the unit's slot and returns where to write them. A unit's first
+// bytes allocate its slot, which is written whole — zero-padded around the
+// bytes — materializing the block on disk as the paper's block-granular
+// overflow does. Caller holds sf.mu.
+func (r *overflowRegion) place(g raid.Geometry, off int64, data []byte) placement {
+	unit := g.UnitOf(off)
+	within := off - g.UnitStart(unit)
+	slot, ok := r.slots[unit]
+	if !ok {
+		slot = r.next
+		r.next += g.StripeUnit
+		r.slots[unit] = slot
+	}
+	r.table.Insert(off, int64(len(data)), slot+within)
+	if ok {
+		return placement{slot + within, data}
+	}
+	padded := make([]byte, g.StripeUnit)
+	copy(padded[within:], data)
+	return placement{slot, padded}
 }
 
 func (s *Server) handleWriteOverflow(m *wire.WriteOverflow) (wire.Msg, error) {
@@ -715,10 +766,7 @@ func (s *Server) handleWriteOverflow(m *wire.WriteOverflow) (wire.Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	k, tbl, next, slots := StoreOverflow, &sf.ovTable, &sf.ovNext, sf.ovSlots
-	if m.Mirror {
-		k, tbl, next, slots = StoreOverflowMirror, &sf.ovmTable, &sf.ovmNext, sf.ovmSlots
-	}
+	k, r := sf.overflow(m.Mirror)
 	ov := sf.store(s.disk, k)
 	var total int64
 	for _, e := range m.Extents {
@@ -735,43 +783,11 @@ func (s *Server) handleWriteOverflow(m *wire.WriteOverflow) (wire.Msg, error) {
 			len(m.Data), total)
 	}
 
-	// Allocation is stripe-unit granular: each updated unit gets a whole
-	// unit-sized slot, with the bytes placed at their within-unit offset.
-	// This matches the paper's design — "the updated blocks are written to
-	// an overflow region" — and reproduces the fragmentation Table 2
-	// reports for workloads whose writes are small compared to the stripe
-	// unit ("a smaller stripe unit results in less fragmentation in the
-	// overflow regions"). A unit keeps one slot for the file's lifetime:
-	// later overflow writes to the same unit update it in place, which is
-	// what keeps Hartree-Fock's sequential 16 KB stream at RAID1-like 2x
-	// storage in Table 2 rather than one slot per request. Slots are only
-	// reclaimed by Compact.
-	su := sf.geom.StripeUnit
-	type placement struct {
-		src  int64
-		data []byte
-	}
-	var places []placement
+	places := make([]placement, 0, len(m.Extents))
 	sf.mu.Lock()
 	cur := int64(0)
 	for _, e := range m.Extents {
-		unit := sf.geom.UnitOf(e.Off)
-		within := e.Off - sf.geom.UnitStart(unit)
-		slot, ok := slots[unit]
-		if ok {
-			places = append(places, placement{src: slot + within, data: m.Data[cur : cur+e.Len]})
-		} else {
-			slot = *next
-			*next += su
-			slots[unit] = slot
-			// Fresh slot: the whole block is written (zero-padded around
-			// the new bytes), materializing it on disk as the paper's
-			// block-granular overflow does.
-			padded := make([]byte, su)
-			copy(padded[within:], m.Data[cur:cur+e.Len])
-			places = append(places, placement{src: slot, data: padded})
-		}
-		tbl.Insert(e.Off, e.Len, slot+within)
+		places = append(places, r.place(sf.geom, e.Off, m.Data[cur:cur+e.Len]))
 		cur += e.Len
 	}
 	sf.mu.Unlock()
@@ -787,13 +803,10 @@ func (s *Server) handleInvalidateOverflow(m *wire.InvalidateOverflow) (wire.Msg,
 	if err != nil {
 		return nil, err
 	}
-	tbl := &sf.ovTable
-	if m.Mirror {
-		tbl = &sf.ovmTable
-	}
+	_, r := sf.overflow(m.Mirror)
 	sf.mu.Lock()
 	for _, sp := range m.Spans {
-		tbl.Invalidate(sp.Off, sp.Len)
+		r.table.Invalidate(sp.Off, sp.Len)
 	}
 	sf.mu.Unlock()
 	return &wire.OK{}, nil
@@ -804,12 +817,9 @@ func (s *Server) handleOverflowDump(m *wire.OverflowDump) (wire.Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	k, tbl := StoreOverflow, &sf.ovTable
-	if m.Mirror {
-		k, tbl = StoreOverflowMirror, &sf.ovmTable
-	}
+	k, r := sf.overflow(m.Mirror)
 	sf.mu.Lock()
-	exts := tbl.Extents()
+	exts := r.table.Extents()
 	sf.mu.Unlock()
 	ov := sf.store(s.disk, k)
 	resp := &wire.OverflowDumpResp{}
@@ -893,57 +903,29 @@ func (s *Server) handleCompactOverflow(m *wire.CompactOverflow) (wire.Msg, error
 	if err != nil {
 		return nil, err
 	}
-	k, tbl, next, slots := StoreOverflow, &sf.ovTable, &sf.ovNext, sf.ovSlots
-	if m.Mirror {
-		k, tbl, next, slots = StoreOverflowMirror, &sf.ovmTable, &sf.ovmNext, sf.ovmSlots
-	}
+	k, r := sf.overflow(m.Mirror)
 	ov := sf.store(s.disk, k)
 
 	sf.mu.Lock()
-	live := tbl.Extents()
+	live := r.table.Extents()
 	sf.mu.Unlock()
 
 	// Read the live contents before rewriting the store.
-	type kept struct {
-		off, length int64
-		data        []byte
-	}
-	keeps := make([]kept, 0, len(live))
-	for _, e := range live {
-		buf := make([]byte, e.Len)
-		ov.ReadAt(buf, e.Src) //nolint:errcheck // zero-fill semantics
-		keeps = append(keeps, kept{e.Off, e.Len, buf})
+	kept := make([][]byte, len(live))
+	for i, e := range live {
+		kept[i] = make([]byte, e.Len)
+		ov.ReadAt(kept[i], e.Src) //nolint:errcheck // zero-fill semantics
 	}
 
-	su := sf.geom.StripeUnit
 	sf.mu.Lock()
-	tbl.Clear()
-	*next = 0
-	for u := range slots {
-		delete(slots, u)
-	}
+	r.table.Clear()
+	r.next = 0
+	clear(r.slots)
 	ov.Truncate(0)
 	// Reinsert with fresh, dense slot allocation.
-	type placement struct {
-		src  int64
-		data []byte
-	}
-	var places []placement
-	for _, kp := range keeps {
-		unit := sf.geom.UnitOf(kp.off)
-		within := kp.off - sf.geom.UnitStart(unit)
-		slot, ok := slots[unit]
-		if !ok {
-			slot = *next
-			*next += su
-			slots[unit] = slot
-			padded := make([]byte, su)
-			copy(padded[within:], kp.data)
-			places = append(places, placement{slot, padded})
-		} else {
-			places = append(places, placement{slot + within, kp.data})
-		}
-		tbl.Insert(kp.off, kp.length, slot+within)
+	places := make([]placement, len(live))
+	for i, e := range live {
+		places[i] = r.place(sf.geom, e.Off, kept[i])
 	}
 	sf.mu.Unlock()
 	for _, pl := range places {
@@ -974,13 +956,10 @@ func (s *Server) handleChecksumRange(m *wire.ChecksumRange) (wire.Msg, error) {
 	}
 
 	if m.Store == wire.StoreOverflow || m.Store == wire.StoreOverflowMirror {
-		k, tbl := StoreOverflow, &sf.ovTable
-		if m.Store == wire.StoreOverflowMirror {
-			k, tbl = StoreOverflowMirror, &sf.ovmTable
-		}
+		k, r := sf.overflow(m.Store == wire.StoreOverflowMirror)
 		sf.mu.Lock()
 		hits := make([]extent.Extent, 0, 8)
-		tbl.Lookup(m.Off, m.Len, func(l, src, n int64) {
+		r.table.Lookup(m.Off, m.Len, func(l, src, n int64) {
 			hits = append(hits, extent.Extent{Off: l, Len: n, Src: src})
 		}, nil)
 		sf.mu.Unlock()

@@ -103,9 +103,6 @@ func (s *Server) registerGauges() {
 		var n int64
 		for _, dl := range s.dirty.logs {
 			n += int64(len(dl.groups))
-			if dl.overflow {
-				n++
-			}
 		}
 		return n
 	})
