@@ -28,16 +28,23 @@ port32:
 	GOARCH=386 $(GO) test ./...
 
 # Run every checked-in fuzz corpus seed (including the wire-protocol
-# ChecksumRange messages, the rpc client's response sequences landing
-# in a Read's Into — matching, wrong kind, wrong length, error, late and
+# ChecksumRange messages, the member Read and WriteData of every store, the
+# rpc client's response sequences landing in a Read's Into, of the data,
+# mirror and parity stores — matching, wrong kind, wrong length, error, late and
 # truncated frames — and its writes sent from the caller's slice over a
 # connection that parks or fails at a chosen byte of the request) as
 # regular tests, without open-ended fuzzing, plus
 # the wire golden bytes (every message, plain and framed, against
 # internal/wire/testdata/golden.hex) and the bound on what a hostile slice
-# count may make Unmarshal allocate.
+# count may make Unmarshal allocate. The server's refusals of hostile member
+# requests ride along, the same concern one layer up: a member write whose
+# payload does not match its spans, spans that are empty, negative,
+# overflowing, cross a parity or overflow unit or name a foreign stripe, a
+# read of an overflow store or past the frame bound — each refused before any
+# byte moves — and a failed store write never acknowledged.
 fuzz-seeds:
 	$(GO) test -run 'Fuzz|TestWireGolden|TestUnmarshalLengthPrefixAmplification' ./internal/wire ./internal/extent ./internal/rpc
+	$(GO) test -run 'TestWritePayloadLengthValidated|TestMemberSpansRefused|TestParityOwnershipEnforced|TestFailedStoreWriteRefused' ./internal/server
 
 # The deterministic fault-schedule suite: injected server hangs, ghost
 # parity locks, partitions and flapping servers; and the rpc client's

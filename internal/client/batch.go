@@ -6,12 +6,13 @@ import (
 )
 
 // memberBatch is an encode portion's redundancy members grouped by the
-// server that keeps them, one request per server: a stripe's parity units
-// go as WriteParity{Stripes}, a mirror's copies as WriteMirror{Spans}.
+// server that keeps them, one WriteData of its redundancy store per server:
+// a stripe's parity units installed in stripe space, or a mirror's copies
+// of the portion.
 type memberBatch struct {
-	reqs   []wire.Msg   // per server: the request carrying its members; nil where it keeps none
-	parity []*[]byte    // per server: the pooled buffer its parity units were computed in; nil for copies
-	span   [1]wire.Span // for copies: the portion, which every WriteMirror names whole
+	reqs   []*wire.WriteData // per server: the request carrying its members; nil where it keeps none
+	parity []*[]byte         // per server: the pooled buffer its parity units were computed in; nil for copies
+	span   [1]wire.Span      // for copies: the portion, which every copy server's write names whole
 }
 
 // flush sends the batch, the dead server's share skipped. A parity buffer
@@ -36,10 +37,10 @@ func (b *memberBatch) flush(f *File, dead int, tr uint64) error {
 func (f *File) encode(span raid.Span, p []byte) *memberBatch {
 	switch {
 	case f.shape.Mirror:
-		mb := &memberBatch{reqs: make([]wire.Msg, f.geom.Servers), span: [1]wire.Span{{Off: span.Off, Len: span.Len}}}
+		mb := &memberBatch{reqs: make([]*wire.WriteData, f.geom.Servers), span: [1]wire.Span{{Off: span.Off, Len: span.Len}}}
 		for i, pieces := range bytesBy(f.geom, span.Off, p, f.geom.MirrorServerOf) {
 			if len(pieces) > 0 {
-				mb.reqs[i] = &wire.WriteMirror{File: f.ref, Spans: mb.span[:], From: pieces}
+				mb.reqs[i] = &wire.WriteData{File: f.ref, Store: wire.StoreMirror, Spans: mb.span[:], From: pieces}
 			}
 		}
 		return mb
@@ -60,18 +61,18 @@ func (f *File) fullStripeParity(span raid.Span, p []byte) *memberBatch {
 	ss := g.StripeSize()
 	su := g.StripeUnit
 	units := make([][]byte, g.PU())
-	stripes := make([][]int64, g.Servers) // per server: the stripes its units belong to
+	spans := make([][]wire.Span, g.Servers) // per server: its units, in stripe space
 	for s := span.Off / ss; s < span.End()/ss; s++ {
 		for j := range units {
 			ps := g.ParityServerOfUnit(s, j)
-			stripes[ps] = append(stripes[ps], s)
+			spans[ps] = append(spans[ps], wire.Span{Off: g.UnitStart(s), Len: su})
 		}
 	}
-	mb := &memberBatch{reqs: make([]wire.Msg, g.Servers), parity: make([]*[]byte, g.Servers)}
-	for ps, list := range stripes {
+	mb := &memberBatch{reqs: make([]*wire.WriteData, g.Servers), parity: make([]*[]byte, g.Servers)}
+	for ps, list := range spans {
 		if len(list) > 0 {
 			mb.parity[ps] = wire.GetBuf(len(list) * int(su))
-			mb.reqs[ps] = &wire.WriteParity{File: f.ref, Stripes: list, Data: *mb.parity[ps]}
+			mb.reqs[ps] = &wire.WriteData{File: f.ref, Store: wire.StoreParity, Spans: list, Data: *mb.parity[ps]}
 		}
 	}
 	var data [][]byte // the stripe's k data units, sliced from p

@@ -107,10 +107,10 @@ func (f *File) tracedCall(tr uint64) CallFunc {
 //     in place (a degraded read of a shape without overflow, or the degraded
 //     RMW's raw old data; recovery's buffers hold none): those bytes are
 //     already there, for free;
-//   - otherwise a fetch, all sent at the same time, each stripe or range
-//     asked for once: per server one multi-span raw Read for data units and
-//     one read of its redundancy store — a multi-stripe ReadParity for
-//     parity units, a multi-span ReadMirror for a mirror's copies.
+//   - otherwise a fetch, all sent at the same time, each range asked for
+//     once: per server one multi-span Read of its data store (raw) and one
+//     of its redundancy store — whole parity units in stripe space, or the
+//     pieces' ranges of a mirror's copies.
 //
 // A piece's destination never aliases an in-buffer survivor: survivors are
 // taken only from members on live servers, pieces only from members on dead
@@ -122,9 +122,8 @@ type survivorPlan struct {
 	in     raid.Span // the logical range buf holds in place (Len 0: none)
 	pieces []piece
 	srcs   []survivor    // k per piece, in code order
-	spans  [][]wire.Span // by fetch slot (see fetch): the Read or ReadMirror spans of fetched unit survivors
+	spans  [][]wire.Span // by fetch slot (see fetch): the Read spans of fetched survivors
 	spanN  []int64       // by fetch slot: the bytes those spans return
-	parity [][]int64     // by server: the stripes whose parity unit it sends
 }
 
 // piece is one range a plan regenerates: the bytes [wu, wu+n) of member
@@ -149,9 +148,8 @@ func (f *File) newPlan(dead []int, in raid.Span) *survivorPlan {
 	n := f.geom.Servers
 	return &survivorPlan{
 		l: f.Layout(), dead: dead, in: in,
-		spans:  make([][]wire.Span, 2*n),
-		spanN:  make([]int64, 2*n),
-		parity: make([][]int64, n),
+		spans: make([][]wire.Span, 2*n),
+		spanN: make([]int64, 2*n),
 	}
 }
 
@@ -171,9 +169,10 @@ func (pl *survivorPlan) add(pc piece) error {
 		start := l.UnitStart(m.Unit) + pc.wu
 		s := survivor{idx: idx}
 		switch {
-		case m.Store == raid.ParityStore:
-			s.from, s.at = n+m.Server, pl.addParity(m.Server, pc.group)+pc.wu
-		case m.Store == raid.MirrorStore:
+		case m.Store == wire.StoreParity:
+			// Whole, so every piece of the stripe shares the one fetch.
+			s.from, s.at = n+m.Server, pl.addSpan(n+m.Server, l.UnitStart(m.Unit), l.StripeUnit)+pc.wu
+		case m.Store == wire.StoreMirror:
 			s.from, s.at = n+m.Server, pl.addSpan(n+m.Server, start, pc.n)
 		case start >= pl.in.Off && start+pc.n <= pl.in.End():
 			s.from, s.at = -1, start-pl.in.Off
@@ -224,8 +223,9 @@ type Unit struct {
 
 // Reconstruct regenerates each of units, whole, into dst[i*StripeUnit:], by
 // the degraded read's plan: from k members of its group on servers not in
-// dead, picked in code order, fetched with one raw Read and one ReadParity or
-// ReadMirror per server, all at once, and decoded straight into dst.
+// dead, picked in code order, fetched with one Read of its data store and one
+// of its redundancy store per server, all at once, and decoded straight into
+// dst.
 // Every request goes through call, so the caller decides its semantics
 // (recovery sends raw, unretried requests). A group with fewer than k
 // members outside dead fails the call before any request is sent.
@@ -248,17 +248,6 @@ func (f *File) Reconstruct(dst []byte, units []Unit, dead []int, call CallFunc) 
 	return pl.decode(f.code, dst, fetched)
 }
 
-// addParity asks srv for stripe's parity unit and returns where the unit
-// starts in srv's ReadParity response. A stripe's pieces are planned back to
-// back, so a stripe asked for twice is the last one asked for.
-func (pl *survivorPlan) addParity(srv int, stripe int64) int64 {
-	ss := pl.parity[srv]
-	if len(ss) == 0 || ss[len(ss)-1] != stripe {
-		pl.parity[srv] = append(ss, stripe)
-	}
-	return int64(len(pl.parity[srv])-1) * pl.l.StripeUnit
-}
-
 // addSpan asks fetch slot slot for the logical bytes [off, off+n) and
 // returns where they start in its response. Two dead pieces of one stripe
 // with the same within-unit range (m > 1) are planned back to back and share
@@ -273,38 +262,34 @@ func (pl *survivorPlan) addSpan(slot int, off, n int64) int64 {
 }
 
 // fetch sends the plan's survivor reads through call, all at once, and
-// returns the responses by fetch slot: server s's raw Read at s, and the read
-// of its redundancy store at Servers+s — a ReadParity for a parity shape, a
-// ReadMirror for a mirror's copies. The caller releases them once the decode
-// is done; on error there is nothing left to release.
+// returns the responses by fetch slot: server s's raw Read of its data store
+// at s, and its Read of its redundancy store — parity or mirror — at
+// Servers+s. The caller releases them once the decode is done; on error there
+// is nothing left to release.
 func (pl *survivorPlan) fetch(f *File, call CallFunc) (spanReads, error) {
 	if len(pl.pieces) == 0 {
 		return nil, nil
 	}
 	n := pl.l.Servers
 	out := make(spanReads, 2*n)
-	has := func(i int) bool { return len(pl.spans[i]) > 0 || i >= n && len(pl.parity[i-n]) > 0 }
+	red := wire.StoreParity
+	if pl.l.Mirror {
+		red = wire.StoreMirror
+	}
+	has := func(i int) bool { return len(pl.spans[i]) > 0 }
 	err := f.c.EachServer(2*n, has, func(i int) error {
-		srv := i % n
-		var req wire.Msg
-		want := pl.spanN[i]
-		switch {
-		case i >= n && len(pl.parity[srv]) > 0:
-			req = &wire.ReadParity{File: f.ref, Stripes: pl.parity[srv]}
-			want = int64(len(pl.parity[srv])) * pl.l.StripeUnit
-		case i < n:
-			req = &wire.Read{File: f.ref, Spans: pl.spans[i], Raw: true}
-		default:
-			req = &wire.ReadMirror{File: f.ref, Spans: pl.spans[i]}
+		store := wire.StoreData
+		if i >= n {
+			store = red
 		}
-		resp, err := call(srv, req)
+		resp, err := call(i%n, &wire.Read{File: f.ref, Store: store, Spans: pl.spans[i], Raw: true})
 		if err != nil {
 			return err
 		}
 		out[i] = resp.(*wire.ReadResp)
-		if int64(len(out[i].Data)) != want {
+		if int64(len(out[i].Data)) != pl.spanN[i] {
 			return fmt.Errorf("client: survivor read from server %d returned %d bytes, want %d",
-				srv, len(out[i].Data), want)
+				i%n, len(out[i].Data), pl.spanN[i])
 		}
 		return nil
 	})

@@ -106,7 +106,7 @@ func dirtyDamage(l raid.Layout, plan []portion, dead int) (groups []int64, overf
 			if !ok {
 				continue
 			}
-			if m := l.GroupMember(grp, i); m.Store != raid.DataStore || m.Unit >= first && m.Unit <= last {
+			if m := l.GroupMember(grp, i); m.Store != wire.StoreData || m.Unit >= first && m.Unit <= last {
 				groups = append(groups, grp)
 			}
 		}

@@ -765,8 +765,8 @@ func (f *File) writeOverflow(span raid.Span, p []byte, dead int, tr uint64) erro
 	has := func(i int) bool { return len(data[i/g.Servers][i%g.Servers]) > 0 && i%g.Servers != dead }
 	return f.c.EachServer(2*g.Servers, has, func(i int) error {
 		c, s := i/g.Servers, i%g.Servers
-		_, err := f.c.callSrvT(s, &wire.WriteOverflow{
-			File: f.ref, Extents: extents[c][s], From: data[c][s], Mirror: c == 1,
+		_, err := f.c.callSrvT(s, &wire.WriteData{
+			File: f.ref, Store: wire.OverflowStore(c == 1), Spans: extents[c][s], From: data[c][s],
 		}, tr)
 		return err
 	})

@@ -224,7 +224,7 @@ func isUnavailable(err error) bool {
 // handles that case with an owner-token UnlockParity instead.
 func isIdempotent(m wire.Msg) bool {
 	switch m := m.(type) {
-	case *wire.Read, *wire.ReadMirror, *wire.Ping, *wire.Health,
+	case *wire.Read, *wire.Ping, *wire.Health,
 		*wire.StorageStat, *wire.ChecksumRange, *wire.OverflowDump,
 		*wire.RenewLease, *wire.ListIntents, *wire.DirtyDump, *wire.RetireIntents:
 		return true

@@ -2,15 +2,19 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"csar/internal/client"
 	"csar/internal/recovery"
+	"csar/internal/rpc"
 	"csar/internal/scrub"
 	"csar/internal/wire"
 )
@@ -22,29 +26,59 @@ import (
 // request; the golden table holds every scheme's request shapes to what the
 // twin implementations issued before they were merged.
 
-// rpcCounts sums, over every server of the cluster, how many requests of
-// each kind it has handled (the count of its per-kind latency histogram).
-func rpcCounts(c *Cluster) map[string]int64 {
-	out := make(map[string]int64)
-	for i := 0; i < c.Servers(); i++ {
-		for _, h := range c.Server(i).Obs().Snapshot().Hists {
-			if name, ok := strings.CutPrefix(h.Name, "rpc_"); ok {
-				out[name] += h.Count
-			}
-		}
-	}
-	return out
+// rpcCounter counts the requests of the clients it attaches that reach a
+// live server, by label: the request's kind and, for a member read or write
+// of any store but the data store, that store ("read/parity").
+type rpcCounter struct {
+	mu sync.Mutex
+	n  map[string]int64
 }
 
-// countRPCs runs op and returns the requests it cost, as "kind=n" pairs
-// sorted by kind — the shape the golden table below is written in.
-func countRPCs(c *Cluster, op func()) string {
-	before := rpcCounts(c)
+// storeLabels names the stores in rpcCounter's labels.
+var storeLabels = [wire.NumStores]string{"data", "mirror", "parity", "overflow", "ovmirror"}
+
+// client attaches a client to c whose requests rc counts.
+func (rc *rpcCounter) client(c *Cluster) *client.Client {
+	return c.clientWrapping(func(_ int, h rpc.Handler) rpc.Handler {
+		return func(m wire.Msg) (wire.Msg, error) {
+			resp, err := h(m)
+			if errors.Is(err, ErrServerDown) {
+				return resp, err
+			}
+			label, store := m.Kind().String(), wire.StoreData
+			switch m := m.(type) {
+			case *wire.Read:
+				store = m.Store
+			case *wire.WriteData:
+				store = m.Store
+			}
+			if store != wire.StoreData {
+				label += "/" + storeLabels[store]
+			}
+			rc.mu.Lock()
+			if rc.n == nil {
+				rc.n = make(map[string]int64)
+			}
+			rc.n[label]++
+			rc.mu.Unlock()
+			return resp, err
+		}
+	})
+}
+
+// count runs op and returns the requests it cost, as "label=n" pairs sorted
+// by label — the shape the golden table below is written in.
+func (rc *rpcCounter) count(op func()) string {
+	rc.mu.Lock()
+	before := maps.Clone(rc.n)
+	rc.mu.Unlock()
 	op()
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
 	var parts []string
-	for kind, n := range rpcCounts(c) {
-		if d := n - before[kind]; d != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", kind, d))
+	for label, n := range rc.n {
+		if d := n - before[label]; d != 0 {
+			parts = append(parts, fmt.Sprintf("%s=%d", label, d))
 		}
 	}
 	sort.Strings(parts)
@@ -71,6 +105,7 @@ func storeBytes(c *Cluster, srv int, ref wire.FileRef, suffix string, n int) []b
 type enginePair struct {
 	t    *testing.T
 	c    [2]*Cluster
+	rc   [2]rpcCounter
 	cl   [2]*client.Client
 	f    [2]*client.File
 	ref  []byte // the logical contents both files must hold
@@ -83,7 +118,7 @@ func (p *enginePair) step(name string, op func(c *Cluster, cl *client.Client, f 
 	p.t.Helper()
 	var cost [2]string
 	for i := range p.c {
-		cost[i] = countRPCs(p.c[i], func() { op(p.c[i], p.cl[i], p.f[i]) })
+		cost[i] = p.rc[i].count(func() { op(p.c[i], p.cl[i], p.f[i]) })
 	}
 	if cost[0] != cost[1] {
 		p.t.Fatalf("%s: raid5 cost [%s], rs(k,1) cost [%s]", name, cost[0], cost[1])
@@ -141,7 +176,7 @@ func TestParityEngineOneParityRSIsRaid5(t *testing.T) {
 			parity int
 		}{{wire.Raid5, 0}, {wire.ReedSolomon, 1}} {
 			p.c[i] = newCluster(t, n)
-			p.cl[i] = p.c[i].NewClient()
+			p.cl[i] = p.rc[i].client(p.c[i])
 			f, err := p.cl[i].CreateParity("f", n, su, tc.scheme, tc.parity)
 			must(t, err)
 			p.f[i] = f
@@ -255,7 +290,9 @@ func TestParityEngineOneParityRSIsRaid5(t *testing.T) {
 }
 
 // TestParityEngineGoldenRPCs pins what each scheme's operations cost in
-// requests, by kind. The rows were captured at the commit before the XOR and
+// requests, by kind and, for the member messages, store: "read/parity" is a
+// Read of the parity store, "write_data/ovmirror" a WriteData of the
+// overflow mirror. The rows were captured at the commit before the XOR and
 // Reed-Solomon twins were merged, so the merge cannot silently add a round;
 // the rows that have changed since only went down, each for a reason:
 //
@@ -263,7 +300,7 @@ func TestParityEngineOneParityRSIsRaid5(t *testing.T) {
 //     read_parity=2, Hybrid read=13 → 8): the read is one planned round. The
 //     dead pieces' survivors are the live data units the read already holds
 //     — free, not re-fetched one piece at a time — plus one multi-stripe
-//     ReadParity per parity server; RS's two stripes whose first live parity
+//     parity read per parity server; RS's two stripes whose first live parity
 //     unit sits on the same server share one. Hybrid's buffer holds
 //     overflow-patched bytes, so its survivors come in one raw Read per
 //     server, in the same round.
@@ -291,8 +328,18 @@ func TestParityEngineOneParityRSIsRaid5(t *testing.T) {
 // The RAID1 row was captured at the commit before the mirror joined the
 // survivor planner as the repetition code RS(1, 1). The only change since is
 // the Health probe per other server that resync and rebuild now send, as
-// every shape's do; the copies still move in one ReadMirror or Read and one
-// write per store.
+// every shape's do; the copies still move in one read and one write per
+// store.
+//
+// When each store's member reads and writes became one Read and one
+// WriteData, every count was kept and re-keyed: an unlocked whole-unit
+// read_parity became read/parity, the full-stripe write_parity became
+// write_data/parity, the mirror's own read and write kinds became
+// read/mirror and write_data/mirror, and the overflow write's kind split by
+// store into write_data/overflow and write_data/ovmirror. The
+// read-modify-write's locked read_parity and unlocking write_parity stayed,
+// so a degraded read-modify-write's read_parity=2 (RS: 3) is its locked
+// read_parity=1 (RS: 2) and its survivor fetch, read/parity=1.
 func TestParityEngineGoldenRPCs(t *testing.T) {
 	for _, tc := range []struct {
 		scheme  wire.Scheme
@@ -301,48 +348,49 @@ func TestParityEngineGoldenRPCs(t *testing.T) {
 		want    map[string]string
 	}{
 		{wire.Raid5, 5, 0, map[string]string{
-			"full stripes":  "write_data=5 write_parity=4",
+			"full stripes":  "write_data/parity=4 write_data=5",
 			"rmw":           "read=1 read_parity=1 write_data=1 write_parity=1",
 			"straddling":    "read=4 read_parity=2 write_data=4 write_parity=2",
-			"degraded read": "read=4 read_parity=3",
-			"degraded rmw":  "list_intents=1 mark_dirty=2 read=3 read_parity=2 write_parity=1",
-			"resync":        "clear_dirty=4 dirty_dump=4 health=4 read=3 read_parity=1 write_data=1",
-			"rebuild":       "health=4 read=4 read_parity=3 write_data=1 write_parity=1",
+			"degraded read": "read/parity=3 read=4",
+			"degraded rmw":  "list_intents=1 mark_dirty=2 read/parity=1 read=3 read_parity=1 write_parity=1",
+			"resync":        "clear_dirty=4 dirty_dump=4 health=4 read/parity=1 read=3 write_data=1",
+			"rebuild":       "health=4 read/parity=3 read=4 write_data/parity=1 write_data=1",
 		}},
 		{wire.Hybrid, 5, 0, map[string]string{
-			"full stripes":  "write_data=5 write_parity=4",
-			"rmw":           "write_overflow=2",
-			"straddling":    "write_overflow=8",
-			"degraded read": "overflow_dump=1 read=8 read_parity=3",
-			"degraded rmw":  "mark_dirty=2 write_overflow=1",
-			"resync":        "clear_dirty=4 dirty_dump=4 invalidate_overflow=2 overflow_dump=2 write_overflow=2",
-			"rebuild":       "health=4 overflow_dump=2 read=4 read_parity=3 write_data=1 write_overflow=2 write_parity=1",
+			"full stripes":  "write_data/parity=4 write_data=5",
+			"rmw":           "write_data/overflow=1 write_data/ovmirror=1",
+			"straddling":    "write_data/overflow=4 write_data/ovmirror=4",
+			"degraded read": "overflow_dump=1 read/parity=3 read=8",
+			"degraded rmw":  "mark_dirty=2 write_data/ovmirror=1",
+			"resync":        "clear_dirty=4 dirty_dump=4 invalidate_overflow=2 overflow_dump=2 write_data/overflow=1 write_data/ovmirror=1",
+			"rebuild":       "health=4 overflow_dump=2 read/parity=3 read=4 write_data/overflow=1 write_data/ovmirror=1 write_data/parity=1 write_data=1",
 		}},
 		{wire.ReedSolomon, 6, 2, map[string]string{
-			"full stripes":  "write_data=6 write_parity=6",
+			"full stripes":  "write_data/parity=6 write_data=6",
 			"rmw":           "read=1 read_parity=2 write_data=1 write_parity=2",
 			"straddling":    "read=4 read_parity=4 write_data=4 write_parity=4",
-			"degraded read": "read=5 read_parity=2",
-			"degraded rmw":  "list_intents=2 mark_dirty=2 read=3 read_parity=3 write_parity=2",
-			"resync":        "clear_dirty=4 dirty_dump=4 health=5 read=3 read_parity=1 write_data=1",
-			"rebuild":       "health=5 read=5 read_parity=2 write_data=1 write_parity=1",
+			"degraded read": "read/parity=2 read=5",
+			"degraded rmw":  "list_intents=2 mark_dirty=2 read/parity=1 read=3 read_parity=2 write_parity=2",
+			"resync":        "clear_dirty=4 dirty_dump=4 health=5 read/parity=1 read=3 write_data=1",
+			"rebuild":       "health=5 read/parity=2 read=5 write_data/parity=1 write_data=1",
 		}},
 		{wire.Raid1, 5, 0, map[string]string{
-			"write":          "write_data=5 write_mirror=5",
-			"degraded read":  "read=4 read_mirror=1",
-			"degraded write": "mark_dirty=2 write_mirror=1",
-			"resync":         "clear_dirty=4 dirty_dump=4 health=4 read_mirror=1 write_data=1",
-			"rebuild":        "health=4 read=1 read_mirror=1 write_data=1 write_mirror=1",
+			"write":          "write_data/mirror=5 write_data=5",
+			"degraded read":  "read/mirror=1 read=4",
+			"degraded write": "mark_dirty=2 write_data/mirror=1",
+			"resync":         "clear_dirty=4 dirty_dump=4 health=4 read/mirror=1 write_data=1",
+			"rebuild":        "health=4 read/mirror=1 read=1 write_data/mirror=1 write_data=1",
 		}},
 	} {
 		c := newCluster(t, tc.servers)
-		cl := c.NewClient()
+		var rc rpcCounter
+		cl := rc.client(c)
 		f, err := cl.CreateParity("f", tc.servers, 64, tc.scheme, tc.parity)
 		must(t, err)
 		ss := f.Geometry().StripeSize()
 		check := func(op string, fn func()) {
 			t.Helper()
-			if got := countRPCs(c, fn); got != tc.want[op] {
+			if got := rc.count(fn); got != tc.want[op] {
 				t.Errorf("%v %s costs [%s], golden [%s]", tc.scheme, op, got, tc.want[op])
 			}
 		}

@@ -192,5 +192,7 @@ func (c *Cluster) clientWrapping(wrap func(i int, h rpc.Handler) rpc.Handler) *c
 	for i := range c.mgrs {
 		mgrs[i] = c.dial(c.mgrHandler(i), nil, nil)
 	}
-	return client.NewMulti(mgrs, callers)
+	cl := client.NewMulti(mgrs, callers)
+	cl.SetAblation(c.Ablation)
+	return cl
 }

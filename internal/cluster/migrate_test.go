@@ -158,10 +158,12 @@ func TestMigrateUnderWritersCrashAndFailover(t *testing.T) {
 		}(w, region)
 	}
 
-	// First pass: server 2 starts failing data writes mid-copy — a chunk
-	// copy is one WriteData per server, so the seventh chunk at the latest
-	// trips the fault. The pass must abort and leave the shadow layout pinned.
-	flt := c.Inject(FaultPoint{Server: 2, Kind: wire.KWriteData, After: 6, Action: FaultDrop})
+	// First pass: server 2 starts failing writes mid-copy — a chunk copy
+	// sends server 2 two WriteData, its data units and the parity units it
+	// keeps of the chunk's 16 RS(4,2) stripes (5 of them), so the seventh
+	// chunk at the latest trips the fault. The pass must abort and leave the
+	// shadow layout pinned.
+	flt := c.Inject(FaultPoint{Server: 2, Kind: wire.KWriteData, After: 13, Action: FaultDrop})
 	rep1, err := recovery.Migrate(cl, f, wire.ReedSolomon, 2, recovery.MigrateOptions{})
 	if !errors.Is(err, recovery.ErrMigrationAborted) {
 		t.Fatalf("pass with failing server: %v", err)

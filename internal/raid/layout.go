@@ -89,20 +89,18 @@ func WithDefaultParity(ref wire.FileRef) wire.FileRef {
 // unit: the repetition code RS(1, 1), whose one parity row is [1], so its
 // encode and decode are copies. RAID0's group is a unit alone (r = 0).
 
-// Store names which of a server's stores keeps a group member.
-type Store uint8
-
-const (
-	DataStore   Store = iota // a data unit, in place
-	ParityStore              // a stripe's parity unit
-	MirrorStore              // a data unit's copy
-)
-
 // Member is where one member of a code group lives.
 type Member struct {
 	Server int
-	Store  Store
-	Unit   int64 // the data unit whose bytes a DataStore or MirrorStore member holds
+	// Store is the server's store that keeps it, as the wire numbers stores:
+	// wire.StoreData for a data unit in place, wire.StoreParity for a stripe's
+	// parity unit, wire.StoreMirror for a data unit's copy.
+	Store uint8
+	// Unit is the member's unit as its store is addressed (wire.Read): the
+	// data unit a data or mirror member holds, or the stripe whose parity a
+	// parity member is. So [UnitStart(Unit), +StripeUnit) is the span its
+	// Read and WriteData name.
+	Unit int64
 }
 
 // GroupSize returns every group's count of data members k and redundancy
@@ -127,11 +125,11 @@ func (l Layout) GroupMember(group int64, i int) Member {
 	switch {
 	case i < k:
 		b := group*int64(k) + int64(i)
-		return Member{l.ServerOf(b), DataStore, b}
+		return Member{l.ServerOf(b), wire.StoreData, b}
 	case l.Parity > 0:
-		return Member{Server: l.ParityServerOfUnit(group, i-k), Store: ParityStore}
+		return Member{l.ParityServerOfUnit(group, i-k), wire.StoreParity, group}
 	}
-	return Member{l.MirrorServerOf(group), MirrorStore, group}
+	return Member{l.MirrorServerOf(group), wire.StoreMirror, group}
 }
 
 // MemberHeldBy reports which member of group server srv holds, if any. A

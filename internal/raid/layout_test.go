@@ -115,7 +115,7 @@ func TestCodeGroups(t *testing.T) {
 		}
 		for b := range l.UnitsIn(size) {
 			g, i := l.GroupOf(b)
-			if want := (Member{l.ServerOf(b), DataStore, b}); i >= k || l.GroupMember(g, i) != want {
+			if want := (Member{l.ServerOf(b), wire.StoreData, b}); i >= k || l.GroupMember(g, i) != want {
 				t.Fatalf("%v: unit %d is member %d of group %d, at %+v", ref.Scheme, b, i, g, l.GroupMember(g, i))
 			}
 		}
@@ -126,10 +126,10 @@ func TestCodeGroups(t *testing.T) {
 				switch {
 				case i < k:
 				case l.Parity > 0:
-					if m != (Member{Server: l.ParityServerOfUnit(g, i-k), Store: ParityStore}) {
+					if m != (Member{l.ParityServerOfUnit(g, i-k), wire.StoreParity, g}) {
 						t.Fatalf("%v: group %d member %d at %+v", ref.Scheme, g, i, m)
 					}
-				case m != (Member{l.MirrorServerOf(g), MirrorStore, g}):
+				case m != (Member{l.MirrorServerOf(g), wire.StoreMirror, g}):
 					t.Fatalf("%v: group %d member %d at %+v", ref.Scheme, g, i, m)
 				}
 				if _, dup := held[m.Server]; dup {

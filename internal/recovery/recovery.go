@@ -7,11 +7,11 @@
 // Every redundant shape regenerates members of its code groups (raid.Layout)
 // through one planner, the client's survivor plan (client.File.Reconstruct,
 // the plan the degraded read runs): each member is decoded from k members of
-// its group outside a dead set, picked in code order and fetched with one raw
-// Read and one ReadParity or ReadMirror per server. A parity shape's group
-// is a stripe; a mirror's is one unit and its copy, the repetition code
-// RS(1, 1), whose decode is a copy. The three callers differ only in the
-// targets and the dead set:
+// its group outside a dead set, picked in code order and fetched with one
+// Read of each server's data store and one of its redundancy store. A parity
+// shape's group is a stripe; a mirror's is one unit and its copy, the
+// repetition code RS(1, 1), whose decode is a copy. The three callers differ
+// only in the targets and the dead set:
 //
 //   - Rebuild: every member on the failed server, around that server and
 //     every other one a Health probe finds down;
@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"csar/internal/client"
-	"csar/internal/raid"
 	"csar/internal/wire"
 )
 
@@ -170,28 +169,21 @@ func rawCall(c *client.Client) client.CallFunc {
 
 // restoreMembers regenerates server dead's member of each of groups through
 // the client's survivor planner, around the servers in deads, and writes them
-// back with one request per store: a raw WriteData for data members, a
-// WriteParity for parity members and a WriteMirror for a mirror's copies. A
-// batch costs one raw Read and one ReadParity or ReadMirror per server that
-// serves any of its survivors, each member decoded from k of them.
+// back with one WriteData per store: raw for data members, so newer overflow
+// contents stay, and installed for parity members. A batch costs one Read of
+// each store per server that serves any of its survivors, each member
+// decoded from k of them.
 func restoreMembers(c *client.Client, f *client.File, dead int, deads []int, groups []int64) error {
 	l := f.Layout()
-	ref := f.Ref()
 	su := l.StripeUnit
-	// By raid.Store, in store order (data, parity, mirror), so each store's
-	// payload is one contiguous run.
-	var units [3][]client.Unit
-	var spans [3][]wire.Span
-	var stripes []int64
+	// By store, in store order, so each store's payload is one contiguous run.
+	var units [wire.StoreParity + 1][]client.Unit
+	var spans [wire.StoreParity + 1][]wire.Span
 	for _, g := range groups {
 		i, _ := l.MemberHeldBy(dead, g)
 		m := l.GroupMember(g, i)
 		units[m.Store] = append(units[m.Store], client.Unit{Group: g, Member: i})
-		if m.Store == raid.ParityStore {
-			stripes = append(stripes, g)
-		} else {
-			spans[m.Store] = append(spans[m.Store], wire.Span{Off: l.UnitStart(m.Unit), Len: su})
-		}
+		spans[m.Store] = append(spans[m.Store], wire.Span{Off: l.UnitStart(m.Unit), Len: su})
 	}
 	buf := make([]byte, int64(len(groups))*su)
 	if err := f.Reconstruct(buf, slices.Concat(units[:]...), deads, rawCall(c)); err != nil {
@@ -204,15 +196,8 @@ func restoreMembers(c *client.Client, f *client.File, dead int, deads []int, gro
 		}
 		data := buf[at : at+int64(len(us))*su]
 		at += int64(len(data))
-		var req wire.Msg
-		switch raid.Store(st) {
-		case raid.DataStore:
-			req = &wire.WriteData{File: ref, Spans: spans[st], Data: data, Raw: true}
-		case raid.ParityStore:
-			req = &wire.WriteParity{File: ref, Stripes: stripes, Data: data}
-		case raid.MirrorStore:
-			req = &wire.WriteMirror{File: ref, Spans: spans[st], Data: data}
-		}
+		store := uint8(st)
+		req := &wire.WriteData{File: f.Ref(), Store: store, Spans: spans[st], Data: data, Raw: store == wire.StoreData}
 		if _, err := c.ServerCaller(dead).Call(req); err != nil {
 			return err
 		}
@@ -261,7 +246,7 @@ func Verify(c *client.Client, f *client.File) ([]string, error) {
 			if err != nil {
 				return nil, err
 			}
-			mir, err := c.ServerCaller(g.MirrorServerOf(b)).Call(&wire.ReadMirror{File: ref, Spans: []wire.Span{span}})
+			mir, err := c.ServerCaller(g.MirrorServerOf(b)).Call(&wire.Read{File: ref, Store: wire.StoreMirror, Spans: []wire.Span{span}})
 			if err != nil {
 				return nil, err
 			}
@@ -283,8 +268,8 @@ func Verify(c *client.Client, f *client.File) ([]string, error) {
 			}
 			f.Code().EncodeInto(want, data)
 			for j := range want {
-				presp, err := c.ServerCaller(g.ParityServerOfUnit(s, j)).Call(
-					&wire.ReadParity{File: ref, Stripes: []int64{s}})
+				presp, err := c.ServerCaller(g.ParityServerOfUnit(s, j)).Call(&wire.Read{
+					File: ref, Store: wire.StoreParity, Spans: []wire.Span{{Off: g.UnitStart(s), Len: g.StripeUnit}}})
 				if err != nil {
 					return nil, err
 				}

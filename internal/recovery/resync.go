@@ -57,7 +57,7 @@ func (r ResyncReport) Items() int64 { return r.Units + r.Mirrors + r.Stripes }
 
 // count adds one replayed group of layout l to the report.
 func (r *ResyncReport) count(l raid.Layout, dead int, group int64) {
-	byStore := [...]*int64{raid.DataStore: &r.Units, raid.ParityStore: &r.Stripes, raid.MirrorStore: &r.Mirrors}
+	byStore := [...]*int64{wire.StoreData: &r.Units, wire.StoreParity: &r.Stripes, wire.StoreMirror: &r.Mirrors}
 	i, _ := l.MemberHeldBy(dead, group)
 	*byStore[l.GroupMember(group, i).Store]++
 }
@@ -284,8 +284,9 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 			pass.Exclusive(func() {
 				// The server returned with its pre-outage overflow tables,
 				// which may hold extents since invalidated by full-stripe
-				// writes it missed — and WriteOverflow only adds extents —
-				// so both stores are wiped before they are restored.
+				// writes it missed — and an overflow write only adds
+				// extents — so both stores are wiped before they are
+				// restored.
 				if rerr = wipeOverflow(c, ref, dead); rerr == nil {
 					n, rerr = restoreOverflow(c, ref, g, dead)
 				}
@@ -340,7 +341,7 @@ func Resync(c *client.Client, f *client.File, dead int, opts ResyncOptions) (Res
 
 // fullRebuildFallback reconstructs the server in full when the dirty log is
 // untrustworthy. Unlike the blank-replacement Rebuild path, the returning
-// server may hold stale overflow extents that WriteOverflow (which only
+// server may hold stale overflow extents that an overflow write (which only
 // adds extents) would not remove, so an overflow shape wipes them first.
 func fullRebuildFallback(c *client.Client, f *client.File, dead int, replicas []int) error {
 	atomic.AddInt64(&c.Counters().FullRebuildFallbacks, 1)
@@ -393,8 +394,8 @@ func restoreOverflow(c *client.Client, ref wire.FileRef, g raid.Geometry, dead i
 		if len(dump.Extents) == 0 {
 			continue
 		}
-		if _, err := c.ServerCaller(dead).Call(&wire.WriteOverflow{
-			File: ref, Extents: dump.Extents, Data: dump.Data, Mirror: !leg.mirror,
+		if _, err := c.ServerCaller(dead).Call(&wire.WriteData{
+			File: ref, Store: wire.OverflowStore(!leg.mirror), Spans: dump.Extents, Data: dump.Data,
 		}); err != nil {
 			return n, err
 		}

@@ -226,6 +226,7 @@ func FuzzLanding(f *testing.F) {
 	// then let through with none, then failed — each at a different byte.
 	f.Add([]byte{0x10, 9, 200, 0x21, 120, 7, 2, 77, 31, 3, 250, 250})
 	f.Add([]byte{3, 0, 0, 0, 1, 0, 1, 0, 2}) // failed at the first byte; parked further on; late in the prefix
+	f.Add([]byte{0x42, 7, 3, 0x84, 40, 91})  // a mirror-store and a parity-store read, matching, landed
 	f.Fuzz(func(t *testing.T, script []byte) {
 		for _, tcp := range []bool{false, true} {
 			runLandingScript(t, script, tcp)
@@ -366,7 +367,7 @@ func landingConns(t *testing.T, tcp bool) (client, server net.Conn) {
 }
 
 // runLandingScript plays one FuzzLanding script: three bytes a step, an op
-// and two parameters. Response frames go out in chunks, so over TCP a
+// and two parameters; the op's top bits pick the store the Read names. Response frames go out in chunks, so over TCP a
 // landing meets partial reads at any offset.
 func runLandingScript(t *testing.T, script []byte, tcp bool) {
 	if len(script) > 3*8 {
@@ -403,8 +404,9 @@ func runLandingScript(t *testing.T, script []byte, tcp bool) {
 			err  error
 		}
 		done := make(chan result, 1)
+		store := (op >> 6) % 3 // data, mirror or parity: the landing is the same
 		go func() {
-			resp, err := c.CallTraced(&wire.Read{Into: into}, 0, timeout)
+			resp, err := c.CallTraced(&wire.Read{Store: store, Into: into}, 0, timeout)
 			done <- result{resp, err}
 		}()
 		n, seq, err := readPrefix(sr)
@@ -414,6 +416,9 @@ func runLandingScript(t *testing.T, script []byte, tcp bool) {
 		}
 		if err != nil {
 			t.Fatalf("reading the request: %v", err)
+		}
+		if req, err := wire.Unmarshal(*bp); err != nil || req.(*wire.Read).Store != store {
+			t.Fatalf("the request decoded as %+v (%v), want a read of store %d", req, err, store)
 		}
 		wire.PutBuf(bp)
 		payload := landingPayload(total)

@@ -30,10 +30,6 @@ import (
 	"csar/internal/wire"
 )
 
-// MaxFrame bounds a frame body to keep a corrupt or hostile length prefix
-// from allocating unbounded memory.
-const MaxFrame = 1 << 30
-
 // ErrClosed is returned by calls pending on a connection that closed.
 var ErrClosed = errors.New("rpc: connection closed")
 
@@ -72,7 +68,7 @@ const prefixLen = 8
 // follows it, and the sequence number.
 func parsePrefix(hdr []byte) (body int, seq uint32, err error) {
 	n := binary.LittleEndian.Uint32(hdr)
-	if n < 4 || n > MaxFrame {
+	if n < 4 || n-4 > wire.MaxFrame {
 		return 0, 0, fmt.Errorf("rpc: invalid frame length %d", n)
 	}
 	return int(n) - 4, binary.LittleEndian.Uint32(hdr[4:]), nil

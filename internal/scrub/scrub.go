@@ -265,33 +265,15 @@ func (s *scrubber) sums(srv int, store uint8, off, length, chunk int64) ([]uint3
 
 // --- Code groups -----------------------------------------------------------
 
-// wireStore names a group member's store the way ChecksumRange does.
-var wireStore = [...]uint8{
-	raid.DataStore:   wire.StoreData,
-	raid.ParityStore: wire.StoreParity,
-	raid.MirrorStore: wire.StoreMirror,
-}
-
 // member reads the whole of member i of group g from its server or, given
-// data, writes data as its contents.
+// data, writes data as its contents: raw in place for a data unit, installed
+// for a parity unit.
 func (s *scrubber) member(g int64, i int, data []byte) ([]byte, error) {
 	m := s.l.GroupMember(g, i)
 	spans := []wire.Span{{Off: s.l.UnitStart(m.Unit), Len: s.su}}
-	var read, write wire.Msg
-	switch m.Store {
-	case raid.DataStore:
-		read = &wire.Read{File: s.ref, Spans: spans, Raw: true}
-		write = &wire.WriteData{File: s.ref, Spans: spans, Data: data, Raw: true}
-	case raid.ParityStore:
-		read = &wire.ReadParity{File: s.ref, Stripes: []int64{g}}
-		write = &wire.WriteParity{File: s.ref, Stripes: []int64{g}, Data: data}
-	case raid.MirrorStore:
-		read = &wire.ReadMirror{File: s.ref, Spans: spans}
-		write = &wire.WriteMirror{File: s.ref, Spans: spans, Data: data}
-	}
-	req := read
+	var req wire.Msg = &wire.Read{File: s.ref, Store: m.Store, Spans: spans, Raw: true}
 	if data != nil {
-		req = write
+		req = &wire.WriteData{File: s.ref, Store: m.Store, Spans: spans, Data: data, Raw: m.Store == wire.StoreData}
 	}
 	resp, err := s.call(m.Server, req)
 	if err != nil {
@@ -349,7 +331,7 @@ func (s *scrubber) scrubGroups() error {
 	kk, rr := int64(k), int64(r)
 	groups := (s.l.UnitsIn(s.size) + kk - 1) / kk
 	windows := (groups + n - 1) / n
-	red := wireStore[s.l.GroupMember(0, k).Store]
+	red := s.l.GroupMember(0, k).Store
 	counts := &s.rep.Parity
 	if s.l.Mirror {
 		counts = &s.rep.Mirror
@@ -396,7 +378,7 @@ func (s *scrubber) scrubGroups() error {
 				if i >= k {
 					from, per = redSums, rr
 				}
-				if m.Store == raid.ParityStore {
+				if m.Store == wire.StoreParity {
 					local = s.l.ParityLocalOffsetOn(m.Server, g)
 				}
 				sums[i] = from[m.Server][local/s.su-w0*per]
@@ -794,8 +776,8 @@ func (s *scrubber) rewriteOverflow(srv int, mirror bool, from *wire.OverflowDump
 		return err
 	}
 	if len(from.Extents) > 0 {
-		if _, err := s.call(srv, &wire.WriteOverflow{
-			File: s.ref, Extents: from.Extents, Data: from.Data, Mirror: mirror,
+		if _, err := s.call(srv, &wire.WriteData{
+			File: s.ref, Store: wire.OverflowStore(mirror), Spans: from.Extents, Data: from.Data,
 		}); err != nil {
 			return err
 		}

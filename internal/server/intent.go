@@ -481,7 +481,7 @@ func (s *Server) handleResolveIntent(m *wire.ResolveIntent) (wire.Msg, error) {
 	if int64(len(m.Data)) != su {
 		return nil, fmt.Errorf("server: resolve payload %d bytes, parity unit is %d", len(m.Data), su)
 	}
-	par := sf.store(s.disk, StoreParity) // before sf.mu: store() locks it
+	par := sf.store(s.disk, wire.StoreParity) // before sf.mu: store() locks it
 
 	sf.mu.Lock()
 	rec := sf.intentOf(m.Stripe, m.Owner)
@@ -497,7 +497,10 @@ func (s *Server) handleResolveIntent(m *wire.ResolveIntent) (wire.Msg, error) {
 		sf.mu.Unlock()
 		return nil, fmt.Errorf("server: stripe %d: %w", m.Stripe, wire.ErrStripeBusy)
 	}
-	s.writePiece(par, sf.geom.ParityLocalOffsetOn(s.idx, m.Stripe), m.Data)
+	if err := s.writePiece(par, sf.geom.ParityLocalOffsetOn(s.idx, m.Stripe), m.Data); err != nil {
+		sf.mu.Unlock()
+		return nil, err
+	}
 	sf.dropIntent(m.Stripe, rec)
 	s.journalAppend(intentOpRetire, sf.ref.ID, wire.IntentID{Stripe: m.Stripe, Owner: m.Owner})
 	sf.mu.Unlock()

@@ -349,7 +349,7 @@ func TestRemoveFileAfterRestart(t *testing.T) {
 	disk := simdisk.New(nil, simdisk.Params{PageSize: 64})
 	s, _ := reload(disk, 2)
 	r := ref()
-	call(t, s, &wire.WriteData{File: r, Spans: []wire.Span{{Off: 0, Len: 128}}, Data: make([]byte, 128)})
+	call(t, s, &wire.WriteData{File: r, Spans: []wire.Span{{Off: 256, Len: 128}}, Data: make([]byte, 128)}) // unit 2, server 2's
 	call(t, s, &wire.WriteParity{File: r, Stripes: []int64{3}, Data: make([]byte, 128)})
 	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Owner: 7})
 	s, _ = reload(disk, 2)

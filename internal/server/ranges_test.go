@@ -192,10 +192,11 @@ func TestRangedUnlockingWrite(t *testing.T) {
 	}
 }
 
-// TestRangedWriteInstallsNothing: a ranged write without Unlock — the no-lock
-// ablation's read-modify-write — folds a delta into bytes that may be torn,
-// so it must leave an abandoned intent abandoned and the overflow tables
-// alone. Only a whole-unit write supersedes them.
+// TestRangedWriteInstallsNothing: a parity write without Unlock — the no-lock
+// ablation's read-modify-write, ranged or whole — folds a delta into bytes
+// that may be torn, so it must leave an abandoned intent abandoned and the
+// overflow tables alone. Only a member write that installs the whole unit
+// supersedes them.
 func TestRangedWriteInstallsNothing(t *testing.T) {
 	s := testServer(2)
 	r := ref()
@@ -203,13 +204,16 @@ func TestRangedWriteInstallsNothing(t *testing.T) {
 	call(t, s, &wire.UnlockParity{File: r, Stripes: []int64{0}, Owner: 31, Dirty: true})
 	// Server 2 mirrors server 1's overflow; unit 1 is server 1's unit of
 	// stripe 0.
-	call(t, s, &wire.WriteOverflow{File: r, Extents: []wire.Span{{Off: 130, Len: 4}}, Data: []byte{1, 2, 3, 4}, Mirror: true})
+	call(t, s, &wire.WriteData{File: r, Store: wire.StoreOverflowMirror, Spans: []wire.Span{{Off: 130, Len: 4}}, Data: []byte{1, 2, 3, 4}})
 	overflowed := func() int {
 		return len(call(t, s, &wire.OverflowDump{File: r, Mirror: true}).(*wire.OverflowDumpResp).Extents)
 	}
 
-	for _, ranges := range [][]wire.Span{{{Off: 2, Len: 4}}, {{Off: 0, Len: 128}}} {
-		var n int64
+	for _, ranges := range [][]wire.Span{{{Off: 2, Len: 4}}, {{Off: 0, Len: 128}}, nil} {
+		n := int64(128) // no ranges: the whole unit
+		if ranges != nil {
+			n = 0
+		}
 		for _, rg := range ranges {
 			n += rg.Len
 		}
@@ -221,7 +225,12 @@ func TestRangedWriteInstallsNothing(t *testing.T) {
 			t.Fatalf("ranged write %v invalidated the overflow mirror", ranges)
 		}
 	}
-	call(t, s, &wire.WriteParity{File: r, Stripes: []int64{0}, Data: make([]byte, 128)})
+	// A raw member write supersedes nothing either.
+	call(t, s, &wire.WriteData{File: r, Store: wire.StoreParity, Spans: []wire.Span{{Off: 0, Len: 128}}, Data: make([]byte, 128), Raw: true})
+	if in := intentsOf(t, s); len(in) != 1 || overflowed() != 1 {
+		t.Fatalf("raw parity member write superseded: intents %+v, %d overflow entries", in, overflowed())
+	}
+	call(t, s, &wire.WriteData{File: r, Store: wire.StoreParity, Spans: []wire.Span{{Off: 0, Len: 128}}, Data: make([]byte, 128)})
 	if in := intentsOf(t, s); len(in) != 0 {
 		t.Fatalf("whole-unit write left intents %+v", in)
 	}

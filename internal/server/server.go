@@ -21,6 +21,7 @@ package server
 import (
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,20 +35,8 @@ import (
 	"csar/internal/wire"
 )
 
-// Store indexes the five per-file local stores.
-type Store int
-
-// The store kinds, in the order reported by wire.StorageStatResp.ByStore.
-const (
-	StoreData Store = iota
-	StoreMirror
-	StoreParity
-	StoreOverflow
-	StoreOverflowMirror
-	numStores
-)
-
-var storeSuffix = [numStores]string{"data", "mirror", "parity", "overflow", "ovmirror"}
+// storeSuffix names each per-file local store's file, indexed by wire store.
+var storeSuffix = [wire.NumStores]string{"data", "mirror", "parity", "overflow", "ovmirror"}
 
 // Options tunes a server.
 type Options struct {
@@ -116,10 +105,10 @@ type Server struct {
 	bytesIn, bytesOut obs.Counter
 }
 
-// ParityStats counts the parity-store bytes ReadParity and WriteParity move,
-// published in the server's registry under the tags. A read-modify-write
-// moves only the ranges its update touches; a whole-unit message moves whole
-// units.
+// ParityStats counts the parity-store bytes requests move — the
+// read-modify-write's ReadParity and WriteParity, and the parity store's
+// member Read and WriteData — published in the server's registry under the
+// tags. A read-modify-write moves only the ranges its update touches.
 type ParityStats struct {
 	BytesRead    int64 `obs:"parity_bytes_read"`
 	BytesWritten int64 `obs:"parity_bytes_written"`
@@ -137,7 +126,7 @@ type serverFile struct {
 	shape raid.Shape
 
 	mu     sync.Mutex
-	stores [numStores]storage.File
+	stores [wire.NumStores]storage.File
 	ov     [2]overflowRegion // the overflow store's, then the overflow mirror's
 	locks  map[int64]*parityLock
 	// intents holds the file's write intents by stripe, one per owner
@@ -261,7 +250,7 @@ func (s *Server) file(ref wire.FileRef) (*serverFile, error) {
 	return sf, nil
 }
 
-func (sf *serverFile) store(d storage.Backend, k Store) storage.File {
+func (sf *serverFile) store(d storage.Backend, k uint8) storage.File {
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
 	if sf.stores[k] == nil {
@@ -301,16 +290,10 @@ func (s *Server) dispatch(req wire.Msg) (wire.Msg, error) {
 		return s.handleRead(m)
 	case *wire.WriteData:
 		return s.handleWriteData(m)
-	case *wire.WriteMirror:
-		return s.handleWriteMirror(m)
-	case *wire.ReadMirror:
-		return s.handleReadMirror(m)
 	case *wire.ReadParity:
 		return s.handleReadParity(m)
 	case *wire.WriteParity:
 		return s.handleWriteParity(m)
-	case *wire.WriteOverflow:
-		return s.handleWriteOverflow(m)
 	case *wire.InvalidateOverflow:
 		return s.handleInvalidateOverflow(m)
 	case *wire.OverflowDump:
@@ -336,75 +319,106 @@ func (s *Server) dispatch(req wire.Msg) (wire.Msg, error) {
 }
 
 // writePiece writes one contiguous piece of incoming data to a local store,
-// modeling how the data actually reached the disk. With write buffering the
-// piece lands in at most three aligned flushes (unaligned head, full pages,
-// unaligned tail). Without it, every modeled network receive chunk is
-// written immediately, so pages straddling chunk boundaries are first
-// touched by partial writes and pay the forced read of Section 5.2.
-func (s *Server) writePiece(f storage.File, off int64, p []byte) {
-	if len(p) == 0 {
-		return
-	}
-	if s.opts.WriteBuffering {
-		ps := int64(s.opts.PageSize)
-		end := off + int64(len(p))
-		headEnd := off
-		if r := off % ps; r != 0 {
-			headEnd = off - r + ps
-			if headEnd > end {
-				headEnd = end
+// modeling how the data actually reached the disk, and returns the first
+// error the store reports. With write buffering the piece lands in at most
+// three aligned flushes (unaligned head, full pages, unaligned tail). Without
+// it, every modeled network receive chunk is written immediately, so pages
+// straddling chunk boundaries are first touched by partial writes and pay the
+// forced read of Section 5.2.
+func (s *Server) writePiece(f storage.File, off int64, p []byte) error {
+	end := off + int64(len(p))
+	for cur := off; cur < end; {
+		e := min(cur+int64(s.opts.RecvChunk), end)
+		if ps := int64(s.opts.PageSize); s.opts.WriteBuffering {
+			switch {
+			case cur%ps != 0: // the unaligned head
+				e = min(cur-cur%ps+ps, end)
+			case end-end%ps > cur: // the full pages
+				e = end - end%ps
+			default: // the unaligned tail
+				e = end
 			}
 		}
-		bodyEnd := end - end%ps
-		if bodyEnd < headEnd {
-			bodyEnd = headEnd
+		if _, err := f.WriteAt(p[cur-off:e-off], cur); err != nil {
+			return fmt.Errorf("server: store write at %d: %w", cur, err)
 		}
-		if headEnd > off {
-			f.WriteAt(p[:headEnd-off], off) //nolint:errcheck // offsets validated
-		}
-		if bodyEnd > headEnd {
-			f.WriteAt(p[headEnd-off:bodyEnd-off], headEnd) //nolint:errcheck
-		}
-		if end > bodyEnd {
-			f.WriteAt(p[bodyEnd-off:], bodyEnd) //nolint:errcheck
-		}
-		return
+		cur = e
 	}
-	for i := 0; i < len(p); i += s.opts.RecvChunk {
-		e := i + s.opts.RecvChunk
-		if e > len(p) {
-			e = len(p)
-		}
-		f.WriteAt(p[i:e], off+int64(i)) //nolint:errcheck
+	return nil
+}
+
+// walk checks spans as addresses in one of this server's stores (see
+// wire.Read) and visits each contiguous piece of them the store keeps here,
+// in span then offset order: its logical start, its offset in the store and
+// its length. Every span must be non-empty, start at or past zero and end
+// where an int64 can. A parity span is the bytes of one unit of a stripe
+// whose parity this server holds, and an overflow span lies inside one stripe
+// unit; an overflow piece's offset is its logical one, which place turns
+// into a slot.
+func (sf *serverFile) walk(srv int, store uint8, spans []wire.Span, fn func(logical, local, n int64)) error {
+	g := sf.geom
+	if store >= wire.NumStores {
+		return fmt.Errorf("server: unknown store %d", store)
 	}
+	for _, sp := range spans {
+		if sp.Off < 0 || sp.Len <= 0 || sp.Off > math.MaxInt64-sp.Len {
+			return fmt.Errorf("server: span [%d,+%d) is empty, negative or out of range", sp.Off, sp.Len)
+		}
+		u := g.UnitOf(sp.Off)
+		within := sp.Off - g.UnitStart(u)
+		if store >= wire.StoreParity && within+sp.Len > g.StripeUnit {
+			return fmt.Errorf("server: %s span [%d,+%d) crosses a stripe unit", storeSuffix[store], sp.Off, sp.Len)
+		}
+		switch store {
+		case wire.StoreData:
+			g.ToLocal(srv, sp.Off, sp.Len, fn)
+		case wire.StoreMirror:
+			g.ToMirrorLocal(srv, sp.Off, sp.Len, fn)
+		case wire.StoreParity:
+			if _, ok := g.ParityUnitOn(srv, u); !ok {
+				return fmt.Errorf("server %d does not hold parity of stripe %d", srv, u)
+			}
+			fn(sp.Off, g.ParityLocalOffsetOn(srv, u)+within, sp.Len)
+		default:
+			fn(sp.Off, sp.Off, sp.Len)
+		}
+	}
+	return nil
 }
 
 // handleRead returns the concatenated bytes of the pieces of each span that
-// this server stores, in span order then offset order — the same iteration
+// the named store keeps here, in span then offset order — the same iteration
 // the client uses to reassemble. Unless Raw is set, overflow-region contents
-// override the data file.
+// override the data store's bytes.
 func (s *Server) handleRead(m *wire.Read) (wire.Msg, error) {
 	sf, err := s.file(m.File)
 	if err != nil {
 		return nil, err
 	}
-	data := sf.store(s.disk, StoreData)
-	var total int64
-	for _, sp := range m.Spans {
-		sf.geom.ToLocal(s.idx, sp.Off, sp.Len, func(_, _, n int64) { total += n })
+	if m.Store == wire.StoreOverflow || m.Store == wire.StoreOverflowMirror {
+		return nil, fmt.Errorf("server: the %s store is not read by Read", storeSuffix[m.Store])
 	}
+	var total int64
+	if err := sf.walk(s.idx, m.Store, m.Spans, func(_, _, n int64) { total += n }); err != nil {
+		return nil, err
+	}
+	if total > wire.MaxFrame-wire.ReadRespHead {
+		return nil, fmt.Errorf("server: a read of %d bytes exceeds the frame bound", total)
+	}
+	f := sf.store(s.disk, m.Store)
 	// One exact-size pooled response buffer, read into in place.
 	resp := wire.NewReadResp(int(total))
 	cur := int64(0)
-	for _, sp := range m.Spans {
-		sf.geom.ToLocal(s.idx, sp.Off, sp.Len, func(logical, local, n int64) {
-			buf := resp.Data[cur : cur+n]
-			cur += n
-			readFill(data, buf, local)
-			if !m.Raw {
-				s.patchOverflow(sf, logical, buf)
-			}
-		})
+	sf.walk(s.idx, m.Store, m.Spans, func(logical, local, n int64) { //nolint:errcheck // checked above
+		buf := resp.Data[cur : cur+n]
+		cur += n
+		readFill(f, buf, local)
+		if m.Store == wire.StoreData && !m.Raw {
+			s.patchOverflow(sf, logical, buf)
+		}
+	})
+	if m.Store == wire.StoreParity {
+		atomic.AddInt64(&s.parity.BytesRead, total)
 	}
 	return resp, nil
 }
@@ -430,95 +444,87 @@ func (s *Server) patchOverflow(sf *serverFile, logical int64, buf []byte) {
 	if len(hits) == 0 {
 		return
 	}
-	ov := sf.store(s.disk, StoreOverflow)
+	ov := sf.store(s.disk, wire.StoreOverflow)
 	for _, h := range hits {
 		ov.ReadAt(buf[h.Off-logical:h.Off-logical+h.Len], h.Src) //nolint:errcheck
 	}
 }
 
+// handleWriteData writes a member write's bytes into the named store, every
+// span checked and the payload's length matched against them before any
+// byte lands. A write without Raw supersedes (see wire.WriteData).
 func (s *Server) handleWriteData(m *wire.WriteData) (wire.Msg, error) {
 	sf, err := s.file(m.File)
 	if err != nil {
 		return nil, err
 	}
-	data := sf.store(s.disk, StoreData)
-	cur := int64(0)
-	for _, sp := range m.Spans {
-		sf.geom.ToLocal(s.idx, sp.Off, sp.Len, func(logical, local, n int64) {
-			if cur+n > int64(len(m.Data)) {
-				err = fmt.Errorf("server: write payload short: need %d, have %d", cur+n, len(m.Data))
-				return
-			}
-			s.writePiece(data, local, m.Data[cur:cur+n])
-			cur += n
-		})
+	var total int64
+	if err := sf.walk(s.idx, m.Store, m.Spans, func(_, _, n int64) { total += n }); err != nil {
+		return nil, err
 	}
+	if total != int64(len(m.Data)) {
+		return nil, fmt.Errorf("server: write payload %d bytes for the %d its spans hold here", len(m.Data), total)
+	}
+	g := sf.geom
+	install := m.Store == wire.StoreParity && !m.Raw
+	if install {
+		// Installed parity is correct by construction, in whole units only,
+		// and supersedes any tear an abandoned intent recorded. Retired
+		// before the bytes land (see handleResolveIntent for the ordering
+		// argument against a racing replay).
+		stripes := make([]int64, len(m.Spans))
+		for i, sp := range m.Spans {
+			if sp.Len != g.StripeUnit {
+				return nil, fmt.Errorf("server: parity install [%d,+%d) is not a whole unit", sp.Off, sp.Len)
+			}
+			stripes[i] = g.UnitOf(sp.Off)
+		}
+		s.resolveAbandonedByWrite(sf, stripes)
+	}
+	f := sf.store(s.disk, m.Store)
+	r := sf.overflow(m.Store)
+	cur := int64(0)
+	sf.walk(s.idx, m.Store, m.Spans, func(logical, local, n int64) { //nolint:errcheck // checked above
+		p := m.Data[cur : cur+n]
+		cur += n
+		if err != nil {
+			return
+		}
+		if r != nil {
+			sf.mu.Lock()
+			pl := r.place(g, logical, p)
+			sf.mu.Unlock()
+			local, p = pl.src, pl.data
+		}
+		err = s.writePiece(f, local, p)
+	})
 	if err != nil {
 		return nil, err
 	}
-	if sf.shape.Overflow && !m.Raw {
-		// A client of an overflow shape (Hybrid) writes data in place only
-		// for full-stripe portions, which supersede any overflow contents of
-		// the same range: "when a client issues a full-stripe write any data
-		// in the overflow region for that stripe is invalidated" (Section 4).
-		// The written span covers whole stripes — every server's units —
-		// so this server can also invalidate its overflow-mirror entries
-		// (which mirror the previous server's units) without any extra
-		// message. Raw writes (scrub repairs, rebuilds) restore the
-		// in-place bytes only and must leave the overflow tables alone —
-		// the overflow still holds the newest data for those ranges.
+	if m.Store == wire.StoreParity {
+		atomic.AddInt64(&s.parity.BytesWritten, total)
+	}
+	if sf.shape.Overflow && (install || m.Store == wire.StoreData && !m.Raw) {
+		// A full-stripe write of an overflow shape (Hybrid) supersedes the
+		// overflow contents of its stripes: "when a client issues a
+		// full-stripe write any data in the overflow region for that stripe
+		// is invalidated" (Section 4). The write covers whole stripes, so
+		// each server also drops the overflow-mirror entries (which mirror
+		// the previous server's units) inside them without any extra
+		// message, and a parity server — which holds no data of the stripes
+		// it keeps parity for, so receives no data write for a single-stripe
+		// body — drops them for the stripes it installs.
 		sf.mu.Lock()
 		for _, sp := range m.Spans {
+			if install {
+				sp = wire.Span{Off: g.StripeStart(g.UnitOf(sp.Off)), Len: g.StripeSize()}
+			}
 			sf.ov[0].table.Invalidate(sp.Off, sp.Len)
 			sf.ov[1].table.Invalidate(sp.Off, sp.Len)
 		}
 		sf.mu.Unlock()
 	}
 	return &wire.OK{}, nil
-}
-
-func (s *Server) handleWriteMirror(m *wire.WriteMirror) (wire.Msg, error) {
-	sf, err := s.file(m.File)
-	if err != nil {
-		return nil, err
-	}
-	mir := sf.store(s.disk, StoreMirror)
-	cur := int64(0)
-	for _, sp := range m.Spans {
-		sf.geom.ToMirrorLocal(s.idx, sp.Off, sp.Len, func(logical, local, n int64) {
-			if cur+n > int64(len(m.Data)) {
-				err = fmt.Errorf("server: mirror payload short: need %d, have %d", cur+n, len(m.Data))
-				return
-			}
-			s.writePiece(mir, local, m.Data[cur:cur+n])
-			cur += n
-		})
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &wire.OK{}, nil
-}
-
-func (s *Server) handleReadMirror(m *wire.ReadMirror) (wire.Msg, error) {
-	sf, err := s.file(m.File)
-	if err != nil {
-		return nil, err
-	}
-	mir := sf.store(s.disk, StoreMirror)
-	var total int64
-	for _, sp := range m.Spans {
-		sf.geom.ToMirrorLocal(s.idx, sp.Off, sp.Len, func(_, _, n int64) { total += n })
-	}
-	resp := wire.NewReadResp(int(total))
-	cur := int64(0)
-	for _, sp := range m.Spans {
-		sf.geom.ToMirrorLocal(s.idx, sp.Off, sp.Len, func(_, local, n int64) {
-			readFill(mir, resp.Data[cur:cur+n], local)
-			cur += n
-		})
-	}
-	return resp, nil
 }
 
 // unitRanges validates a parity message's in-unit Ranges against the unit
@@ -567,7 +573,7 @@ func (s *Server) handleReadParity(m *wire.ReadParity) (wire.Msg, error) {
 			}
 		}
 	}
-	par := sf.store(s.disk, StoreParity)
+	par := sf.store(s.disk, wire.StoreParity)
 	// Locks acquired by this request so far: a failure on a later stripe
 	// must release them, or they would be held forever (the client sees one
 	// error for the whole request and never sends the unlocking writes).
@@ -616,7 +622,7 @@ func (s *Server) handleWriteParity(m *wire.WriteParity) (wire.Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	par := sf.store(s.disk, StoreParity)
+	par := sf.store(s.disk, wire.StoreParity)
 	su := sf.geom.StripeUnit
 	ranges, per, err := unitRanges(m.Ranges, su)
 	if err != nil {
@@ -656,23 +662,17 @@ func (s *Server) handleWriteParity(m *wire.WriteParity) (wire.Msg, error) {
 			}
 		}
 	}
-	// Only a whole-unit write outside a read-modify-write installs parity
-	// correct by construction. A ranged write folds a delta into the bytes
-	// already there — with or without the lock — so it can mend neither a
-	// tear nor a stale overflow table.
-	install := !m.Unlock && len(m.Ranges) == 0
-	if install {
-		// A fresh full-stripe parity write supersedes any tear an abandoned
-		// intent recorded. Retired before the bytes land (see
-		// handleResolveIntent for the ordering argument against a racing
-		// replay).
-		s.resolveAbandonedByWrite(sf, m.Stripes)
-	}
+	// A read-modify-write's parity folds a delta into the bytes already
+	// there, so it supersedes nothing. A failed store write stops before the
+	// stripe's unlock: the owner's dirty release or its lease then handles
+	// the stripe, as for a lost request.
 	at := int64(0)
 	for _, stripe := range m.Stripes {
 		base := sf.geom.ParityLocalOffsetOn(s.idx, stripe)
 		for _, r := range ranges {
-			s.writePiece(par, base+r.Off, m.Data[at:at+r.Len])
+			if err := s.writePiece(par, base+r.Off, m.Data[at:at+r.Len]); err != nil {
+				return nil, err
+			}
 			at += r.Len
 		}
 		if m.Unlock {
@@ -686,21 +686,6 @@ func (s *Server) handleWriteParity(m *wire.WriteParity) (wire.Msg, error) {
 		}
 	}
 	atomic.AddInt64(&s.parity.BytesWritten, at)
-	if sf.shape.Overflow && install {
-		// A fresh (non-RMW) parity write means a full-stripe write is
-		// superseding these stripes. This server holds no data of the
-		// stripes it stores parity for, so it receives no WriteData for a
-		// single-stripe body — but its overflow-mirror table may still
-		// cover the previous server's units inside them. Invalidate here
-		// so the migration back to RAID5 is complete on every server.
-		sf.mu.Lock()
-		for _, stripe := range m.Stripes {
-			off := sf.geom.StripeStart(stripe)
-			sf.ov[0].table.Invalidate(off, sf.geom.StripeSize())
-			sf.ov[1].table.Invalidate(off, sf.geom.StripeSize())
-		}
-		sf.mu.Unlock()
-	}
 	return &wire.OK{}, nil
 }
 
@@ -723,13 +708,12 @@ type overflowRegion struct {
 	slots map[int64]int64 // stripe unit -> its slot base
 }
 
-// overflow returns the overflow store a request's Mirror flag names, and
-// its index.
-func (sf *serverFile) overflow(mirror bool) (Store, *overflowRegion) {
-	if mirror {
-		return StoreOverflowMirror, &sf.ov[1]
+// overflow returns the index of an overflow store, nil for any other store.
+func (sf *serverFile) overflow(store uint8) *overflowRegion {
+	if store < wire.StoreOverflow || store >= wire.NumStores {
+		return nil
 	}
-	return StoreOverflow, &sf.ov[0]
+	return &sf.ov[store-wire.StoreOverflow]
 }
 
 // placement is bytes bound for an overflow store at offset src.
@@ -761,49 +745,12 @@ func (r *overflowRegion) place(g raid.Geometry, off int64, data []byte) placemen
 	return placement{slot, padded}
 }
 
-func (s *Server) handleWriteOverflow(m *wire.WriteOverflow) (wire.Msg, error) {
-	sf, err := s.file(m.File)
-	if err != nil {
-		return nil, err
-	}
-	k, r := sf.overflow(m.Mirror)
-	ov := sf.store(s.disk, k)
-	var total int64
-	for _, e := range m.Extents {
-		total += e.Len
-		if e.Len <= 0 {
-			return nil, fmt.Errorf("server: overflow extent with non-positive length %d", e.Len)
-		}
-		if sf.geom.UnitOf(e.Off) != sf.geom.UnitOf(e.Off+e.Len-1) {
-			return nil, fmt.Errorf("server: overflow extent [%d,%d) crosses a stripe unit", e.Off, e.Off+e.Len)
-		}
-	}
-	if total != int64(len(m.Data)) {
-		return nil, fmt.Errorf("server: overflow payload %d bytes for extents totaling %d",
-			len(m.Data), total)
-	}
-
-	places := make([]placement, 0, len(m.Extents))
-	sf.mu.Lock()
-	cur := int64(0)
-	for _, e := range m.Extents {
-		places = append(places, r.place(sf.geom, e.Off, m.Data[cur:cur+e.Len]))
-		cur += e.Len
-	}
-	sf.mu.Unlock()
-
-	for _, pl := range places {
-		s.writePiece(ov, pl.src, pl.data)
-	}
-	return &wire.OK{}, nil
-}
-
 func (s *Server) handleInvalidateOverflow(m *wire.InvalidateOverflow) (wire.Msg, error) {
 	sf, err := s.file(m.File)
 	if err != nil {
 		return nil, err
 	}
-	_, r := sf.overflow(m.Mirror)
+	r := sf.overflow(wire.OverflowStore(m.Mirror))
 	sf.mu.Lock()
 	for _, sp := range m.Spans {
 		r.table.Invalidate(sp.Off, sp.Len)
@@ -817,7 +764,8 @@ func (s *Server) handleOverflowDump(m *wire.OverflowDump) (wire.Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	k, r := sf.overflow(m.Mirror)
+	k := wire.OverflowStore(m.Mirror)
+	r := sf.overflow(k)
 	sf.mu.Lock()
 	exts := r.table.Extents()
 	sf.mu.Unlock()
@@ -887,7 +835,7 @@ func (s *Server) handleRemoveFile(m *wire.RemoveFile) (wire.Msg, error) {
 	delete(s.files, m.File.ID)
 	s.mu.Unlock()
 	s.dropFileIntents(sf)
-	for k := Store(0); k < numStores; k++ {
+	for k := range storeSuffix {
 		s.disk.Remove(fmt.Sprintf("f%06d.%s", m.File.ID, storeSuffix[k]))
 	}
 	s.dropFileDirty(m.File.ID)
@@ -903,7 +851,8 @@ func (s *Server) handleCompactOverflow(m *wire.CompactOverflow) (wire.Msg, error
 	if err != nil {
 		return nil, err
 	}
-	k, r := sf.overflow(m.Mirror)
+	k := wire.OverflowStore(m.Mirror)
+	r := sf.overflow(k)
 	ov := sf.store(s.disk, k)
 
 	sf.mu.Lock()
@@ -929,7 +878,9 @@ func (s *Server) handleCompactOverflow(m *wire.CompactOverflow) (wire.Msg, error
 	}
 	sf.mu.Unlock()
 	for _, pl := range places {
-		s.writePiece(ov, pl.src, pl.data)
+		if err := s.writePiece(ov, pl.src, pl.data); err != nil {
+			return nil, err
+		}
 	}
 	return &wire.OK{}, nil
 }
@@ -956,14 +907,14 @@ func (s *Server) handleChecksumRange(m *wire.ChecksumRange) (wire.Msg, error) {
 	}
 
 	if m.Store == wire.StoreOverflow || m.Store == wire.StoreOverflowMirror {
-		k, r := sf.overflow(m.Store == wire.StoreOverflowMirror)
+		r := sf.overflow(m.Store)
 		sf.mu.Lock()
 		hits := make([]extent.Extent, 0, 8)
 		r.table.Lookup(m.Off, m.Len, func(l, src, n int64) {
 			hits = append(hits, extent.Extent{Off: l, Len: n, Src: src})
 		}, nil)
 		sf.mu.Unlock()
-		ov := sf.store(s.disk, k)
+		ov := sf.store(s.disk, m.Store)
 		var sum uint32
 		var total int64
 		hdr := make([]byte, 16)
@@ -979,7 +930,7 @@ func (s *Server) handleChecksumRange(m *wire.ChecksumRange) (wire.Msg, error) {
 		return &wire.ChecksumRangeResp{Sums: []uint32{sum}, Bytes: total}, nil
 	}
 
-	f := sf.store(s.disk, Store(m.Store))
+	f := sf.store(s.disk, m.Store)
 	chunk := m.Chunk
 	if chunk <= 0 {
 		chunk = m.Len

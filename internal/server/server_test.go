@@ -75,19 +75,6 @@ func TestWriteReadOwnPieces(t *testing.T) {
 	}
 }
 
-func TestWritePayloadLengthValidated(t *testing.T) {
-	s := testServer(0)
-	r := ref()
-	_, err := s.Handle(&wire.WriteData{
-		File:  r,
-		Spans: []wire.Span{{Off: 0, Len: 640}},
-		Data:  []byte{1, 2, 3}, // far too short for server 0's pieces
-	})
-	if err == nil {
-		t.Fatal("short payload accepted")
-	}
-}
-
 func TestParityOwnershipEnforced(t *testing.T) {
 	s := testServer(0)
 	r := ref()
@@ -97,6 +84,17 @@ func TestParityOwnershipEnforced(t *testing.T) {
 	}
 	if _, err := s.Handle(&wire.WriteParity{File: r, Stripes: []int64{0}, Data: make([]byte, 128)}); err == nil {
 		t.Fatal("parity write for foreign stripe accepted")
+	}
+	// The member messages address stripe 0's parity unit in stripe space.
+	unit := []wire.Span{{Off: 0, Len: 128}}
+	if _, err := s.Handle(&wire.Read{File: r, Store: wire.StoreParity, Spans: unit}); err == nil {
+		t.Fatal("parity member read for foreign stripe accepted")
+	}
+	if _, err := s.Handle(&wire.WriteData{File: r, Store: wire.StoreParity, Spans: unit, Data: make([]byte, 128)}); err == nil {
+		t.Fatal("parity member write for foreign stripe accepted")
+	}
+	if n := s.Disk().TotalBytes(); n != 0 {
+		t.Fatalf("refused parity writes stored %d bytes", n)
 	}
 }
 
@@ -320,10 +318,10 @@ func TestOverflowRoundTripAndPatch(t *testing.T) {
 	base := bytes.Repeat([]byte{0x10}, 128)
 	call(t, s, &wire.WriteData{File: r, Spans: []wire.Span{{Off: 0, Len: 128}}, Data: base})
 	// Overflow write overriding bytes [10, 40) of unit 0.
-	call(t, s, &wire.WriteOverflow{
-		File:    r,
-		Extents: []wire.Span{{Off: 10, Len: 30}},
-		Data:    bytes.Repeat([]byte{0xFF}, 30),
+	call(t, s, &wire.WriteData{
+		File: r, Store: wire.StoreOverflow,
+		Spans: []wire.Span{{Off: 10, Len: 30}},
+		Data:  bytes.Repeat([]byte{0xFF}, 30),
 	})
 	// Raw read sees the old data; patched read sees the overflow bytes.
 	raw := call(t, s, &wire.Read{File: r, Spans: []wire.Span{{Off: 0, Len: 128}}, Raw: true}).(*wire.ReadResp).Data
@@ -345,18 +343,18 @@ func TestOverflowRoundTripAndPatch(t *testing.T) {
 func TestOverflowExtentMustStayInUnit(t *testing.T) {
 	s := testServer(0)
 	r := ref()
-	_, err := s.Handle(&wire.WriteOverflow{
-		File:    r,
-		Extents: []wire.Span{{Off: 100, Len: 60}}, // crosses the 128-byte unit boundary
-		Data:    make([]byte, 60),
+	_, err := s.Handle(&wire.WriteData{
+		File: r, Store: wire.StoreOverflow,
+		Spans: []wire.Span{{Off: 100, Len: 60}}, // crosses the 128-byte unit boundary
+		Data:  make([]byte, 60),
 	})
 	if err == nil {
 		t.Fatal("cross-unit overflow extent accepted")
 	}
-	_, err = s.Handle(&wire.WriteOverflow{
-		File:    r,
-		Extents: []wire.Span{{Off: 0, Len: 10}},
-		Data:    make([]byte, 3), // payload mismatch
+	_, err = s.Handle(&wire.WriteData{
+		File: r, Store: wire.StoreOverflow,
+		Spans: []wire.Span{{Off: 0, Len: 10}},
+		Data:  make([]byte, 3), // payload mismatch
 	})
 	if err == nil {
 		t.Fatal("mismatched overflow payload accepted")
@@ -368,20 +366,20 @@ func TestOverflowSlotReuse(t *testing.T) {
 	r := ref()
 	ov := func() int64 {
 		resp := call(t, s, &wire.StorageStat{FileID: r.ID}).(*wire.StorageStatResp)
-		return resp.ByStore[StoreOverflow]
+		return resp.ByStore[wire.StoreOverflow]
 	}
-	call(t, s, &wire.WriteOverflow{File: r, Extents: []wire.Span{{Off: 0, Len: 10}}, Data: make([]byte, 10)})
+	call(t, s, &wire.WriteData{File: r, Store: wire.StoreOverflow, Spans: []wire.Span{{Off: 0, Len: 10}}, Data: make([]byte, 10)})
 	first := ov()
 	if first == 0 {
 		t.Fatal("no overflow storage after write")
 	}
 	// Another write to the same unit reuses its slot: no growth.
-	call(t, s, &wire.WriteOverflow{File: r, Extents: []wire.Span{{Off: 50, Len: 10}}, Data: make([]byte, 10)})
+	call(t, s, &wire.WriteData{File: r, Store: wire.StoreOverflow, Spans: []wire.Span{{Off: 50, Len: 10}}, Data: make([]byte, 10)})
 	if got := ov(); got != first {
 		t.Fatalf("same-unit overflow grew storage: %d -> %d", first, got)
 	}
 	// A different unit allocates a new slot.
-	call(t, s, &wire.WriteOverflow{File: r, Extents: []wire.Span{{Off: 3 * 128, Len: 10}}, Data: make([]byte, 10)})
+	call(t, s, &wire.WriteData{File: r, Store: wire.StoreOverflow, Spans: []wire.Span{{Off: 3 * 128, Len: 10}}, Data: make([]byte, 10)})
 	if got := ov(); got <= first {
 		t.Fatalf("new-unit overflow did not grow storage: %d -> %d", first, got)
 	}
@@ -390,8 +388,8 @@ func TestOverflowSlotReuse(t *testing.T) {
 func TestHybridWriteDataInvalidatesOverflow(t *testing.T) {
 	s := testServer(0)
 	r := ref()
-	call(t, s, &wire.WriteOverflow{File: r, Extents: []wire.Span{{Off: 0, Len: 20}}, Data: make([]byte, 20)})
-	call(t, s, &wire.WriteOverflow{File: r, Extents: []wire.Span{{Off: 5, Len: 10}}, Data: make([]byte, 10), Mirror: true})
+	call(t, s, &wire.WriteData{File: r, Store: wire.StoreOverflow, Spans: []wire.Span{{Off: 0, Len: 20}}, Data: make([]byte, 20)})
+	call(t, s, &wire.WriteData{File: r, Store: wire.StoreOverflowMirror, Spans: []wire.Span{{Off: 5, Len: 10}}, Data: make([]byte, 10)})
 	// An in-place write over the range (a full-stripe body under Hybrid)
 	// invalidates both tables implicitly.
 	call(t, s, &wire.WriteData{File: r, Spans: []wire.Span{{Off: 0, Len: 128}}, Data: make([]byte, 128)})
@@ -413,7 +411,7 @@ func TestRaid5WriteDataDoesNotTouchOverflow(t *testing.T) {
 	call(t, s, &wire.Read{File: r})
 	rh := r
 	rh.Scheme = wire.Hybrid
-	call(t, s, &wire.WriteOverflow{File: rh, Extents: []wire.Span{{Off: 0, Len: 20}}, Data: make([]byte, 20)})
+	call(t, s, &wire.WriteData{File: rh, Store: wire.StoreOverflow, Spans: []wire.Span{{Off: 0, Len: 20}}, Data: make([]byte, 20)})
 	call(t, s, &wire.WriteData{File: r, Spans: []wire.Span{{Off: 0, Len: 128}}, Data: make([]byte, 128)})
 	dump := call(t, s, &wire.OverflowDump{File: rh}).(*wire.OverflowDumpResp)
 	if len(dump.Extents) != 1 {
@@ -426,8 +424,8 @@ func TestMirrorStoreRoundTrip(t *testing.T) {
 	s := testServer(1)
 	r := ref()
 	payload := bytes.Repeat([]byte{0x77}, 128)
-	call(t, s, &wire.WriteMirror{File: r, Spans: []wire.Span{{Off: 0, Len: 128}}, Data: payload})
-	got := call(t, s, &wire.ReadMirror{File: r, Spans: []wire.Span{{Off: 0, Len: 128}}}).(*wire.ReadResp).Data
+	call(t, s, &wire.WriteData{File: r, Store: wire.StoreMirror, Spans: []wire.Span{{Off: 0, Len: 128}}, Data: payload})
+	got := call(t, s, &wire.Read{File: r, Store: wire.StoreMirror, Spans: []wire.Span{{Off: 0, Len: 128}}}).(*wire.ReadResp).Data
 	if !bytes.Equal(got, payload) {
 		t.Fatal("mirror store did not round-trip")
 	}
@@ -437,7 +435,7 @@ func TestRemoveFileClearsStores(t *testing.T) {
 	s := testServer(0)
 	r := ref()
 	call(t, s, &wire.WriteData{File: r, Spans: []wire.Span{{Off: 0, Len: 128}}, Data: make([]byte, 128)})
-	call(t, s, &wire.WriteOverflow{File: r, Extents: []wire.Span{{Off: 0, Len: 10}}, Data: make([]byte, 10)})
+	call(t, s, &wire.WriteData{File: r, Store: wire.StoreOverflow, Spans: []wire.Span{{Off: 0, Len: 10}}, Data: make([]byte, 10)})
 	if s.Disk().TotalBytes() == 0 {
 		t.Fatal("nothing stored before remove")
 	}
@@ -454,7 +452,7 @@ func TestStorageStatBreakdown(t *testing.T) {
 	r := ref()
 	call(t, s, &wire.WriteParity{File: r, Stripes: []int64{0}, Data: make([]byte, 128)})
 	st := call(t, s, &wire.StorageStat{FileID: r.ID}).(*wire.StorageStatResp)
-	if st.ByStore[StoreParity] == 0 || st.Total != st.ByStore[StoreParity] {
+	if st.ByStore[wire.StoreParity] == 0 || st.Total != st.ByStore[wire.StoreParity] {
 		t.Fatalf("parity write not accounted: %+v", st)
 	}
 	// Whole-disk stat.
@@ -553,7 +551,7 @@ func TestChecksumRangeOverflowAggregate(t *testing.T) {
 	e2 := wire.Span{Off: 50, Len: 8}
 	d1 := bytes.Repeat([]byte{0xC1}, 20)
 	d2 := bytes.Repeat([]byte{0xC2}, 8)
-	call(t, s, &wire.WriteOverflow{File: r, Extents: []wire.Span{e1, e2}, Data: append(d1, d2...)})
+	call(t, s, &wire.WriteData{File: r, Store: wire.StoreOverflow, Spans: []wire.Span{e1, e2}, Data: append(d1, d2...)})
 
 	resp := call(t, s, &wire.ChecksumRange{File: r, Store: wire.StoreOverflow, Off: 0, Len: 1 << 30}).(*wire.ChecksumRangeResp)
 	if len(resp.Sums) != 1 || resp.Bytes != 28 {
@@ -607,7 +605,7 @@ func TestRawWritePreservesOverflow(t *testing.T) {
 	r := ref()
 	call(t, s, &wire.WriteData{File: r, Spans: []wire.Span{{Off: 0, Len: 640}}, Data: append(bytes.Repeat([]byte{1}, 128), bytes.Repeat([]byte{2}, 128)...)})
 	ovData := bytes.Repeat([]byte{0xEE}, 16)
-	call(t, s, &wire.WriteOverflow{File: r, Extents: []wire.Span{{Off: 4, Len: 16}}, Data: ovData})
+	call(t, s, &wire.WriteData{File: r, Store: wire.StoreOverflow, Spans: []wire.Span{{Off: 4, Len: 16}}, Data: ovData})
 
 	call(t, s, &wire.WriteData{File: r, Spans: []wire.Span{{Off: 0, Len: 640}}, Data: append(bytes.Repeat([]byte{3}, 128), bytes.Repeat([]byte{4}, 128)...), Raw: true})
 	got := call(t, s, &wire.Read{File: r, Spans: []wire.Span{{Off: 4, Len: 16}}}).(*wire.ReadResp).Data
@@ -668,6 +666,10 @@ func TestStatsNames(t *testing.T) {
 	call(t, s, &wire.Ping{})
 	call(t, s, &wire.WriteData{File: r, Spans: []wire.Span{{Off: 0, Len: 128}}, Data: make([]byte, 128)})
 	call(t, s, &wire.Read{File: r, Spans: []wire.Span{{Off: 0, Len: 128}}, Raw: true})
+	// A member message of another store counts under its kind: there is one
+	// histogram per kind, whatever the store.
+	call(t, s, &wire.Read{File: r, Store: wire.StoreMirror, Spans: []wire.Span{{Off: 0, Len: 128}}})
+	call(t, s, &wire.WriteData{File: r, Store: wire.StoreParity, Spans: []wire.Span{{Off: 256, Len: 128}}, Data: make([]byte, 128)})
 	call(t, s, &wire.Ping{})
 	if _, err := s.Handle(&wire.OpenResp{}); err == nil {
 		t.Fatal("unsupported message accepted")

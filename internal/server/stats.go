@@ -58,11 +58,7 @@ func payloadBytes(m wire.Msg) int64 {
 	switch t := m.(type) {
 	case *wire.WriteData:
 		return int64(len(t.Data))
-	case *wire.WriteMirror:
-		return int64(len(t.Data))
 	case *wire.WriteParity:
-		return int64(len(t.Data))
-	case *wire.WriteOverflow:
 		return int64(len(t.Data))
 	case *wire.ResolveIntent:
 		return int64(len(t.Data))

@@ -131,8 +131,8 @@ func TestServerOnDirBackend(t *testing.T) {
 	if _, err := s.Handle(&wire.WriteData{File: r, Spans: []wire.Span{{Off: 0, Len: 128}}, Data: payload}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Handle(&wire.WriteOverflow{
-		File: r, Extents: []wire.Span{{Off: 5, Len: 20}}, Data: bytes.Repeat([]byte{0xEE}, 20),
+	if _, err := s.Handle(&wire.WriteData{
+		File: r, Store: wire.StoreOverflow, Spans: []wire.Span{{Off: 5, Len: 20}}, Data: bytes.Repeat([]byte{0xEE}, 20),
 	}); err != nil {
 		t.Fatal(err)
 	}

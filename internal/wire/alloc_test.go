@@ -171,10 +171,10 @@ func TestMarshalFrameMatchesMarshal(t *testing.T) {
 	spans := []Span{{Off: 4096, Len: int64(len(whole))}}
 	for _, row := range []struct{ from, data Msg }{
 		{&WriteData{File: file, Spans: spans, Raw: true, From: pieces}, &WriteData{File: file, Spans: spans, Raw: true, Data: whole}},
-		{&WriteMirror{File: file, Spans: spans, From: pieces}, &WriteMirror{File: file, Spans: spans, Data: whole}},
-		{&WriteOverflow{File: file, Extents: spans, Mirror: true, From: pieces}, &WriteOverflow{File: file, Extents: spans, Mirror: true, Data: whole}},
+		{&WriteData{File: file, Store: StoreMirror, Spans: spans, From: pieces}, &WriteData{File: file, Store: StoreMirror, Spans: spans, Data: whole}},
+		{&WriteData{File: file, Store: StoreOverflowMirror, Spans: spans, From: pieces}, &WriteData{File: file, Store: StoreOverflowMirror, Spans: spans, Data: whole}},
 	} {
-		name := fmt.Sprintf("%T from pieces", row.from)
+		name := fmt.Sprintf("%T of store %d from pieces", row.from, row.from.(*WriteData).Store)
 		if !bytes.Equal(Marshal(row.from), Marshal(row.data)) {
 			t.Errorf("%s: contiguous marshal differs from the same request with Data", name)
 		}
@@ -242,17 +242,14 @@ func TestUnmarshalLengthPrefixAmplification(t *testing.T) {
 		at    int   // body offset of the hostile count; every byte before it is zero
 		ones  []int // body offsets of enclosing counts, set to one
 	}{
-		{"Read.Spans", KRead, 16, nil},
-		{"WriteData.Spans", KWriteData, 16, nil},
-		{"WriteMirror.Spans", KWriteMirror, 16, nil},
-		{"ReadMirror.Spans", KReadMirror, 16, nil},
+		{"Read.Spans", KRead, 17, nil},
+		{"WriteData.Spans", KWriteData, 17, nil},
 		{"ReadParity.Stripes", KReadParity, 16, nil},
 		{"ReadParity.Ranges", KReadParity, 33, nil},
 		{"WriteParity.Stripes", KWriteParity, 16, nil},
 		{"WriteParity.Ranges", KWriteParity, 29, nil},
 		{"UnlockParity.Stripes", KUnlockParity, 16, nil},
 		{"RenewLease.Stripes", KRenewLease, 16, nil},
-		{"WriteOverflow.Extents", KWriteOverflow, 16, nil},
 		{"InvalidateOverflow.Spans", KInvalidateOverflow, 16, nil},
 		{"OverflowDumpResp.Extents", KOverflowDumpResp, 0, nil},
 		{"ListIntentsResp.Intents", KListIntentsResp, 0, nil},

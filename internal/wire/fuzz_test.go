@@ -33,11 +33,11 @@ func fuzzSeeds() []Msg {
 		&Read{File: ref, Spans: []Span{{0, 10}, {100, 5}}, Raw: true},
 		&ReadResp{Data: []byte{4, 5, 6}},
 		&WriteData{File: ref, Spans: []Span{{0, 3}}, Data: []byte{1, 2, 3}},
-		&WriteMirror{File: ref, Spans: []Span{{64, 4}}, Data: []byte{8, 8, 8, 8}},
-		&ReadMirror{File: ref, Spans: []Span{{0, 128}}},
+		&WriteData{File: ref, Store: StoreMirror, Spans: []Span{{64, 4}}, Data: []byte{8, 8, 8, 8}},
+		&Read{File: ref, Store: StoreMirror, Spans: []Span{{0, 128}}},
 		&ReadParity{File: ref, Stripes: []int64{7}, Lock: true, Owner: 42, LeaseMS: 5000},
 		&WriteParity{File: ref, Stripes: []int64{7}, Data: []byte{0xAA}, Unlock: true, Owner: 42},
-		&WriteOverflow{File: ref, Extents: []Span{{8, 2}}, Data: []byte{9, 9}, Mirror: true},
+		&WriteData{File: ref, Store: StoreOverflowMirror, Spans: []Span{{8, 2}}, Data: []byte{9, 9}},
 		&InvalidateOverflow{File: ref, Spans: []Span{{8, 2}}, Mirror: true},
 		&OverflowDump{File: ref, Mirror: true},
 		&OverflowDumpResp{Extents: []Span{{8, 2}}, Data: []byte{9, 9}},
@@ -109,6 +109,12 @@ func fuzzSeeds() []Msg {
 		// A batch of pending intents retired after their read-modify-writes
 		// completed, on two stripes of one file.
 		&RetireIntents{File: rsRef, Intents: []IntentID{{Stripe: 7, Owner: 91}, {Stripe: 13, Owner: 93}}},
+		// The member messages on the parity store, in stripe space — a read
+		// of one stripe's whole unit and part of another's, and a write —
+		// and an overflow-store write of extents in two units.
+		&Read{File: rsRef, Store: StoreParity, Spans: []Span{{7 * 4096, 4096}, {13*4096 + 100, 8}}, Raw: true},
+		&WriteData{File: rsRef, Store: StoreParity, Spans: []Span{{13 * 4096, 2}}, Data: []byte{0xC3, 0x5A}},
+		&WriteData{File: ref, Store: StoreOverflow, Spans: []Span{{8, 2}, {4100, 1}}, Data: []byte{9, 9, 7}},
 	}
 }
 

@@ -35,11 +35,10 @@ func Unmarshal(b []byte) (Msg, error) {
 // UnmarshalTraced parses a message produced by Marshal or MarshalFrame and
 // returns the trace ID it carried (zero for untraced frames).
 //
-// The bulk Data field of WriteData, WriteMirror, WriteParity, WriteOverflow,
-// ResolveIntent and ReadResp is a view of b, not a copy: the caller of
-// Unmarshal owns the input for as long as the message's Data is in use, and
-// must neither modify nor recycle it before then. Every other field is
-// copied out.
+// The bulk Data field of WriteData, WriteParity, ResolveIntent and ReadResp
+// is a view of b, not a copy: the caller of Unmarshal owns the input for as
+// long as the message's Data is in use, and must neither modify nor recycle
+// it before then. Every other field is copied out.
 func UnmarshalTraced(b []byte) (Msg, uint64, error) {
 	c := Decoding(b)
 	var kind uint8
@@ -74,11 +73,8 @@ var kinds = [...]struct {
 	KRead:               {"read", func() Msg { return new(Read) }},
 	KReadResp:           {"read_resp", func() Msg { return new(ReadResp) }},
 	KWriteData:          {"write_data", func() Msg { return new(WriteData) }},
-	KWriteMirror:        {"write_mirror", func() Msg { return new(WriteMirror) }},
-	KReadMirror:         {"read_mirror", func() Msg { return new(ReadMirror) }},
 	KReadParity:         {"read_parity", func() Msg { return new(ReadParity) }},
 	KWriteParity:        {"write_parity", func() Msg { return new(WriteParity) }},
-	KWriteOverflow:      {"write_overflow", func() Msg { return new(WriteOverflow) }},
 	KInvalidateOverflow: {"invalidate_overflow", func() Msg { return new(InvalidateOverflow) }},
 	KOverflowDump:       {"overflow_dump", func() Msg { return new(OverflowDump) }},
 	KOverflowDumpResp:   {"overflow_dump_resp", func() Msg { return new(OverflowDumpResp) }},
@@ -145,6 +141,7 @@ func (m *Ping) codec(*Codec) {}
 func (m *Read) Kind() Kind { return KRead }
 func (m *Read) codec(c *Codec) {
 	c.FileRef(&m.File)
+	c.U8(&m.Store)
 	slice(c, &m.Spans, elemSpan)
 	c.Bool(&m.Raw)
 }
@@ -157,22 +154,10 @@ func (m *ReadResp) codec(c *Codec) {
 func (m *WriteData) Kind() Kind { return KWriteData }
 func (m *WriteData) codec(c *Codec) {
 	c.FileRef(&m.File)
+	c.U8(&m.Store)
 	slice(c, &m.Spans, elemSpan)
 	c.Bool(&m.Raw)
 	c.bytesFrom(&m.Data, m.From)
-}
-
-func (m *WriteMirror) Kind() Kind { return KWriteMirror }
-func (m *WriteMirror) codec(c *Codec) {
-	c.FileRef(&m.File)
-	slice(c, &m.Spans, elemSpan)
-	c.bytesFrom(&m.Data, m.From)
-}
-
-func (m *ReadMirror) Kind() Kind { return KReadMirror }
-func (m *ReadMirror) codec(c *Codec) {
-	c.FileRef(&m.File)
-	slice(c, &m.Spans, elemSpan)
 }
 
 func (m *ReadParity) Kind() Kind { return KReadParity }
@@ -274,14 +259,6 @@ func (m *WriteParity) codec(c *Codec) {
 	c.U64(&m.Owner)
 	slice(c, &m.Ranges, elemSpan) // before Data: the bulk payload stays last
 	c.Bytes(&m.Data)
-}
-
-func (m *WriteOverflow) Kind() Kind { return KWriteOverflow }
-func (m *WriteOverflow) codec(c *Codec) {
-	c.FileRef(&m.File)
-	slice(c, &m.Extents, elemSpan)
-	c.Bool(&m.Mirror)
-	c.bytesFrom(&m.Data, m.From)
 }
 
 func (m *InvalidateOverflow) Kind() Kind { return KInvalidateOverflow }

@@ -17,6 +17,11 @@ import (
 	"strings"
 )
 
+// MaxFrame bounds a marshaled message, so a corrupt or hostile length prefix
+// cannot make a receiver allocate without bound, and a server refuses a read
+// whose response would not fit.
+const MaxFrame = 1 << 30
+
 // Scheme identifies a redundancy scheme: the name users pick, the manager
 // records and every request carries. What a scheme means for the layout is
 // decided in one place, raid.Resolve, and the code below it reads only that
@@ -113,11 +118,11 @@ const (
 	KRead
 	KReadResp
 	KWriteData
-	KWriteMirror
-	KReadMirror
+	_ // retired: the mirror write, now WriteData{Store: StoreMirror}
+	_ // retired: the mirror read, now Read{Store: StoreMirror}
 	KReadParity
 	KWriteParity
-	KWriteOverflow
+	_ // retired: the overflow write, now WriteData{Store: StoreOverflow...}
 	KInvalidateOverflow
 	KOverflowDump
 	KOverflowDumpResp
@@ -207,8 +212,8 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Store kinds addressable by ChecksumRange, in the order of
-// StorageStatResp.ByStore and the server's local store layout.
+// Store kinds addressable by Read, WriteData and ChecksumRange, in the order
+// of StorageStatResp.ByStore and the server's local store layout.
 const (
 	StoreData uint8 = iota
 	StoreMirror
@@ -217,6 +222,15 @@ const (
 	StoreOverflowMirror
 	NumStores
 )
+
+// OverflowStore returns the overflow store a Mirror flag names: the overflow
+// mirror when set, the overflow region otherwise.
+func OverflowStore(mirror bool) uint8 {
+	if mirror {
+		return StoreOverflowMirror
+	}
+	return StoreOverflow
+}
 
 // Msg is one protocol message.
 type Msg interface {
@@ -340,8 +354,14 @@ type OK struct{}
 // Ping checks liveness.
 type Ping struct{}
 
-// Read asks an I/O server for the given logical spans of a file. The server
-// returns the newest data, patching in overflow-region contents, unless Raw
+// Read asks an I/O server for the bytes it holds of the given spans in one
+// of its stores: data, mirror or parity (the overflow stores are not read
+// this way). Data and mirror spans are logical file ranges, and the server
+// returns the pieces of them that store keeps, in span then offset order.
+// Parity spans are in stripe space: this server's parity member of stripe s
+// is the bytes [s·StripeUnit, (s+1)·StripeUnit), and a span may not cross a
+// unit or name a stripe whose parity the server does not hold. A data read
+// returns the newest bytes, patching in overflow-region contents, unless Raw
 // is set (recovery wants the in-place data file contents only).
 //
 // Into is transport-only and never encoded: the slices the response's bytes
@@ -350,6 +370,7 @@ type Ping struct{}
 // (see ReadResp); a response it does not land leaves them alone.
 type Read struct {
 	File  FileRef
+	Store uint8
 	Spans []Span
 	Raw   bool
 	Into  [][]byte
@@ -416,45 +437,39 @@ func (m *ReadResp) Release() {
 	PutBuf(bp)
 }
 
-// WriteData writes the given logical spans in place into the data file. Raw
-// marks a repair or rebuild write: the bytes are restored in place exactly,
-// without the overflow invalidation a Hybrid foreground full-stripe write
-// implies (a repair must not discard newer overflow contents of the range).
+// WriteData writes the given spans into one of the server's stores,
+// addressed as in Read; len(Data) must equal the bytes of the spans that
+// store keeps here. The overflow stores (StoreOverflow, StoreOverflowMirror)
+// take logical spans too, each inside one stripe unit: the bytes are appended
+// to the overflow region and recorded in its table.
+//
+// A write without Raw supersedes: on the data store of an overflow shape it
+// invalidates the spans' overflow contents (a Hybrid full-stripe write), and
+// on the parity store, which it must fill in whole units, it retires the
+// stripes' abandoned intents and, under an overflow shape, their overflow
+// contents. Raw marks a repair or rebuild write: the bytes are restored in
+// place exactly (a repair must not discard newer overflow contents).
 //
 // From is sender-only, the write-side twin of Read.Into: when set, it is
 // the payload as pieces — slices of the sender's own buffer, in order — and
 // Data is ignored. It encodes exactly as Data holding their concatenation
 // would (MarshalFrame carries the pieces by reference in Frame.Vec), and a
-// decoded message has Data, never From. The same holds for WriteMirror and
-// WriteOverflow.
+// decoded message has Data, never From.
 type WriteData struct {
 	File  FileRef
+	Store uint8
 	Spans []Span
 	Data  []byte
 	Raw   bool
 	From  [][]byte
 }
 
-// WriteMirror writes the RAID1 mirror copies of the given logical spans into
-// the redundancy file. The receiving server is the mirror server of the
-// spans' stripe units. From is as in WriteData.
-type WriteMirror struct {
-	File  FileRef
-	Spans []Span
-	Data  []byte
-	From  [][]byte
-}
-
-// ReadMirror reads mirror copies (for degraded reads and verification).
-type ReadMirror struct {
-	File  FileRef
-	Spans []Span
-}
-
-// ReadParity reads parity units of the listed stripes: whole units, or only
-// the bytes Ranges names. With Lock set, the server acquires the stripe's
-// parity lock before answering (the Section 5.1 protocol: a parity read
-// announces a partial-stripe update).
+// ReadParity is the read half of a read-modify-write: it reads parity units
+// of the listed stripes, whole or only the bytes Ranges names. With Lock set,
+// the server acquires the stripe's parity lock before answering (the Section
+// 5.1 protocol: a parity read announces a partial-stripe update); Lock=false
+// is the no-lock ablation's read. Any other parity read is a Read of the
+// parity store.
 // Owner is the caller's lock token for that acquisition: a later
 // UnlockParity carrying the same token releases exactly this acquisition
 // and no other, so a client whose locked read timed out can free a
@@ -661,22 +676,20 @@ type HealthResp struct {
 	Requests int64  // requests handled since startup
 }
 
-// WriteParity writes parity units of the listed stripes: whole units, or only
-// the bytes Ranges names, packed as ReadParity returns them. With Unlock
-// set it releases the parity locks taken by a prior locked ReadParity and
-// Owner must carry that acquisition's token: the server refuses the write
-// outright unless the token still holds every listed stripe's lock — the
-// acquisition was canceled by UnlockParity after a client-side timeout, so
-// this frame is a late ghost whose bytes could clobber parity now owned by
-// another client's update. Locks are never granted without a token (a
-// locked ReadParity with a zero Owner is refused), so an unlocking write
-// with a zero Owner is always refused. An unlocking write leaves the
-// acquisition's intent pending until its owner retires it (RetireIntents).
-//
-// Only a whole-unit write that does not unlock installs parity: it supersedes
-// the stripes' abandoned intents and, under an overflow shape, their overflow
-// entries. A ranged write is a read-modify-write's, even without Unlock (the
-// no-lock ablation), and supersedes nothing.
+// WriteParity is the write half of a read-modify-write: it writes parity
+// units of the listed stripes, whole or only the bytes Ranges names, packed as
+// ReadParity returns them. With Unlock set it releases the parity locks taken
+// by a prior locked ReadParity and Owner must carry that acquisition's token:
+// the server refuses the write outright unless the token still holds every
+// listed stripe's lock — the acquisition was canceled by UnlockParity after a
+// client-side timeout, so this frame is a late ghost whose bytes could clobber
+// parity now owned by another client's update. Locks are never granted
+// without a token (a locked ReadParity with a zero Owner is refused), so an
+// unlocking write with a zero Owner is always refused. An unlocking write
+// leaves the acquisition's intent pending until its owner retires it
+// (RetireIntents). A write without Unlock is the no-lock ablation's. Neither
+// supersedes anything: parity that is installed, not updated, is a WriteData
+// of the parity store.
 type WriteParity struct {
 	File    FileRef
 	Stripes []int64
@@ -684,17 +697,6 @@ type WriteParity struct {
 	Data    []byte
 	Unlock  bool
 	Owner   uint64
-}
-
-// WriteOverflow appends new data for the given logical extents into the
-// overflow region (Mirror selects the overflow-mirror store) and records
-// them in the overflow table. From is as in WriteData.
-type WriteOverflow struct {
-	File    FileRef
-	Extents []Span
-	Data    []byte
-	Mirror  bool
-	From    [][]byte
 }
 
 // InvalidateOverflow removes overflow-table coverage of the given spans;

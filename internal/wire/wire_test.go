@@ -31,11 +31,9 @@ func TestRoundTripAllKinds(t *testing.T) {
 		&Error{Text: "boom", Code: CodeUnavailable},
 		&OK{},
 		&Ping{},
-		&Read{File: ref, Spans: spans, Raw: true},
+		&Read{File: ref, Store: StoreParity, Spans: spans, Raw: true},
 		&ReadResp{Data: data},
-		&WriteData{File: ref, Spans: spans, Data: data, Raw: true},
-		&WriteMirror{File: ref, Spans: spans, Data: data},
-		&ReadMirror{File: ref, Spans: spans},
+		&WriteData{File: ref, Store: StoreOverflowMirror, Spans: spans, Data: data, Raw: true},
 		&ReadParity{File: ref, Stripes: []int64{3, 9}, Lock: true, Owner: 77, LeaseMS: 10000},
 		&UnlockParity{File: ref, Stripes: []int64{3, 9}, Owner: 77, Dirty: true},
 		&RenewLease{File: ref, Stripes: []int64{3, 9}, Owner: 77, LeaseMS: 10000},
@@ -47,7 +45,6 @@ func TestRoundTripAllKinds(t *testing.T) {
 		&Health{},
 		&HealthResp{Index: 3, Requests: 12345},
 		&WriteParity{File: ref, Stripes: []int64{3}, Ranges: []Span{{0, 5}, {100, 8}}, Data: data, Unlock: true, Owner: 77},
-		&WriteOverflow{File: ref, Extents: spans, Data: data, Mirror: true},
 		&InvalidateOverflow{File: ref, Spans: spans, Mirror: true},
 		&OverflowDump{File: ref, Mirror: true},
 		&OverflowDumpResp{Extents: spans, Data: data},
