@@ -41,10 +41,11 @@ port32:
 # payload does not match its spans, spans that are empty, negative,
 # overflowing, cross a parity or overflow unit or name a foreign stripe, a
 # read of an overflow store or past the frame bound — each refused before any
-# byte moves — and a failed store write never acknowledged.
+# byte moves, a span of 2^62 bytes as fast as any (its bytes here are
+# counted, not walked) — and a failed store write never acknowledged.
 fuzz-seeds:
 	$(GO) test -run 'Fuzz|TestWireGolden|TestUnmarshalLengthPrefixAmplification' ./internal/wire ./internal/extent ./internal/rpc
-	$(GO) test -run 'TestWritePayloadLengthValidated|TestMemberSpansRefused|TestParityOwnershipEnforced|TestFailedStoreWriteRefused' ./internal/server
+	$(GO) test -run 'TestWritePayloadLengthValidated|TestMemberSpansRefused|TestHugeSpanRefused|TestParityOwnershipEnforced|TestFailedStoreWriteRefused' ./internal/server
 
 # The deterministic fault-schedule suite: injected server hangs, ghost
 # parity locks, partitions and flapping servers; and the rpc client's
@@ -70,13 +71,19 @@ faults:
 # between its truncates, seal-form records refused, the calls each
 # operation makes) and the pair's one compaction rule (TestPairDue), client
 # death mid-RMW, parity-server
-# crash-restart with intent-journal replay, lease heartbeats under a stalled
-# write, the pending intent's cut points (data write lost after the parity
-# write, client death before the retire, a second owner locking behind a
-# pending intent, an RS parity server restarted before the retire, a
-# degraded RMW behind another owner's half-landed update), lost retires
-# under a live heartbeat, retires under concurrent writers and Syncs, the
-# server's pending-intent rules, both iod journals under crashes (a crash
+# crash-restart with intent-journal replay, session heartbeats under a
+# stalled write and ahead of the session's first locked read, the pending
+# intent's cut points (data write lost after the
+# parity write, client death before its watermark, a second client locking
+# behind a pending intent, an RS parity server restarted before the
+# watermark, a degraded RMW behind another client's half-landed update,
+# behind an idle client's completed one and behind its own client's dirty
+# release), an unlocking parity write whose store write failed released
+# dirty under a live session, lost heartbeats and a lost
+# piggybacked watermark under a live session, a lost release holding the
+# watermark back until a tick resends it, watermarks under concurrent
+# writers and Syncs, the server's watermark and pending-intent rules, a
+# session expiring on its one timer, both iod journals under crashes (a crash
 # at every point of an intent compaction; at every byte of the clear and
 # drop records of a clear of two groups and the overflow stores, checked
 # entry by entry, a clear of All, a RemoveFile and a drain, and of the
@@ -90,8 +97,8 @@ faults:
 # race detector to prove the schedules are deterministic.
 crash:
 	$(GO) test -race ./internal/journal
-	$(GO) test -race -count=2 -run 'TestCrash|TestLeaseRenewalKeepsLock|TestRetireDroppedKeepsLease|TestRetiresUnderConcurrentWriters' ./internal/cluster
-	$(GO) test -race -count=2 -run 'TestRetireIntents|TestPendingIntent|TestIntentJournal|TestDirtyJournal|TestRemoveFileAfterRestart' ./internal/server
+	$(GO) test -race -count=2 -run 'TestCrash|TestLease|TestRetire' ./internal/cluster
+	$(GO) test -race -count=2 -run 'TestRetire|TestSession|TestPendingIntent|TestIntentJournal|TestDirtyJournal|TestRemoveFileAfterRestart' ./internal/server
 	$(GO) test -race -count=2 -run 'TestMetricsLeaseAndIntent|TestRestartedIODReadmission' .
 
 # The online-resync suite: dirty-region tracking by degraded writes, delta

@@ -151,14 +151,14 @@ func (c *Client) Verify(f *File) ([]string, error) {
 }
 
 // ErrStripeTorn is returned by writes to a fail-stopped stripe: one whose
-// earlier read-modify-write died mid-flight (lease expiry, dirty unlock, or
+// earlier read-modify-write died mid-flight (session expiry, dirty unlock, or
 // a crash-restarted parity server), leaving data and parity possibly
 // inconsistent. The stripe refuses further RMWs until ReplayIntents
 // reconciles it.
 var ErrStripeTorn = wire.ErrStripeTorn
 
 // ErrLeaseExpired is returned when a parity-lock operation arrives after
-// the server already expired the caller's lease and revoked the lock.
+// the server already expired the caller's session, revoking its locks.
 var ErrLeaseExpired = wire.ErrLeaseExpired
 
 // ReplayReport summarizes one intent-replay pass over a file.

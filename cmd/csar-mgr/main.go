@@ -71,8 +71,7 @@ func main() {
 		backoff     = flag.Duration("retry-backoff", def.BackoffBase, "base retry backoff for the scrub client, doubled per attempt")
 		breakerAt   = flag.Int("breaker-failures", def.BreakerThreshold, "consecutive failures that open a server's circuit breaker (0 = breaker off)")
 		probeAfter  = flag.Duration("probe-after", def.ProbeAfter, "how long an open breaker waits before probing the server")
-		lockLease   = flag.Duration("lock-lease", def.LockLease, "parity-lock lease the scrub client requests; expiry fail-stops the stripe (0 = no lease)")
-		leaseRenew  = flag.Duration("lease-renew-every", def.LeaseRenewEvery, "parity-lock heartbeat period (0 = lease/3, negative = heartbeat off)")
+		lockLease   = flag.Duration("lock-lease", def.LockLease, "session lease the scrub client requests on each iod, heartbeated every lease/3; expiry fail-stops the stripes it holds (0 = no lease)")
 	)
 	flag.Parse()
 
@@ -157,7 +156,6 @@ func main() {
 	pol.BreakerThreshold = *breakerAt
 	pol.ProbeAfter = *probeAfter
 	pol.LockLease = *lockLease
-	pol.LeaseRenewEvery = *leaseRenew
 	if *promoteAfter > 0 && peers != nil {
 		fmt.Printf("csar-mgr: automatic promotion after %v of lower-index unreachability\n", *promoteAfter)
 		go promotionLoop(m, peers, *mgrIndex, *promoteAfter)

@@ -300,8 +300,8 @@ func (c *Cluster) ServerRequests(i int) int64 {
 	return c.inner.Server(i).Requests()
 }
 
-// CrashServer kills server i's process: RAM state (parity locks, lease
-// timers) is lost, the disk survives. RestartServer completes the restart;
+// CrashServer kills server i's process: RAM state (parity locks, client
+// sessions) is lost, the disk survives. RestartServer completes the restart;
 // the fresh instance reloads its stripe intent journal, so stripes that
 // were mid-update come back fail-stopped awaiting Client.ReplayIntents.
 func (c *Cluster) CrashServer(i int) { c.inner.CrashServer(i) }

@@ -74,24 +74,16 @@ type Client struct {
 	// health is the per-server circuit-breaker state (resilience.go).
 	health []serverHealth
 
-	// leases tracks live parity-lock acquisitions for heartbeat renewal,
-	// keyed by owner token, and retires the intents of completed
-	// read-modify-writes waiting to go out in a batch, by server and file
-	// (lease.go). unretired holds the owner tokens on those lists or in
-	// flight. retiresSent counts batches in flight; retiresIdle is signaled
-	// when it drops to zero. retireSeq counts queued retires; the idle timer
-	// sends every list once it stops moving.
-	lmu         sync.Mutex
-	leases      map[uint64]leaseEntry
-	retires     map[retireKey][]wire.IntentID
-	unretired   map[uint64]struct{}
-	retiresSent int
-	retiresIdle *sync.Cond
-	hbRunning   bool
-	retireSeq   uint64
-	idleSeen    uint64
-	idleArmed   bool
-	idle        *time.Timer
+	// lmu guards the client's sessions, one per server, the last seq issued
+	// across them, and the releases no server has answered yet (lease.go).
+	// hbDone is non-nil while the heartbeat runs, and closed when it exits;
+	// closing hbStop stops it, and Close clears hbStop.
+	lmu      sync.Mutex
+	sessions []session
+	seq      uint64
+	releases map[uint64]*release // by seq
+	hbDone   chan struct{}
+	hbStop   chan struct{}
 
 	mu     sync.Mutex
 	down   map[int]bool
@@ -126,21 +118,24 @@ func New(mgr Caller, servers []Caller) *Client {
 func NewMulti(mgrs []Caller, servers []Caller) *Client {
 	reg := obs.NewRegistry()
 	c := &Client{
-		mgrs:      mgrs,
-		srv:       servers,
-		obs:       reg,
-		metrics:   obs.NewCounters[Metrics](reg),
-		rpcHists:  obs.NewKindHists[wire.Kind](reg, "rpc_"),
-		down:      make(map[int]bool),
-		health:    make([]serverHealth, len(servers)),
-		leases:    make(map[uint64]leaseEntry),
-		retires:   make(map[retireKey][]wire.IntentID),
-		unretired: make(map[uint64]struct{}),
-		outages:   make(map[outageKey]uint64),
-		passes:    make(map[outageKey]*Pass),
-		rng:       rand.New(rand.NewSource(1)), // backoff jitter, reproducible
+		mgrs:     mgrs,
+		srv:      servers,
+		obs:      reg,
+		metrics:  obs.NewCounters[Metrics](reg),
+		rpcHists: obs.NewKindHists[wire.Kind](reg, "rpc_"),
+		down:     make(map[int]bool),
+		health:   make([]serverHealth, len(servers)),
+		sessions: make([]session, len(servers)),
+		releases: make(map[uint64]*release),
+		hbStop:   make(chan struct{}),
+		outages:  make(map[outageKey]uint64),
+		passes:   make(map[outageKey]*Pass),
+		rng:      rand.New(rand.NewSource(1)), // backoff jitter, reproducible
 	}
-	c.retiresIdle = sync.NewCond(&c.lmu)
+	id := nextLockToken()
+	for i := range c.sessions {
+		c.sessions[i] = session{id: id, inflight: make(map[uint64]struct{})}
+	}
 	return c
 }
 

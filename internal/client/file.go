@@ -362,18 +362,19 @@ func (f *File) sendWriteData(span raid.Span, pieces [][][]byte, dead int, tr uin
 // the unit's bytes its update changes, or the scrubber's byte-level stripe
 // check, which holds the whole unit.
 //
-// A locked read carries a fresh owner token: if it fails client-side
-// (deadline, dead link) we cannot know whether the server granted the lock,
-// and the token lets us release exactly that possible ghost acquisition
-// without ever touching a lock granted to anyone else. It also carries the
-// policy's lock lease: the server opens a stripe intent with that deadline,
-// and lease.go heartbeats it until the intent is retired — so a holder that
-// dies costs one lease, not a wedged stripe.
+// A locked read names its acquisition by the client's session on the server
+// and a fresh seq: if it fails client-side (deadline, dead link) we cannot
+// know whether the server granted the lock, and the pair lets us release
+// exactly that possible ghost acquisition without ever touching a lock
+// granted to anyone else. It also carries the session's lease, which
+// lease.go heartbeats while the update is live — so a holder that dies
+// costs one lease, not a wedged stripe.
 type ParityHold struct {
 	f       *File
 	stripe  int64
 	j, srv  int            // parity unit j, on server srv
-	token   uint64         // the acquisition's owner token; zero when no lock is taken
+	session uint64         // the acquisition's session; zero when no lock is taken
+	seq     uint64         // and its seq
 	ranges  []wire.Span    // the in-unit ranges held; nil: the whole unit
 	resp    *wire.ReadResp // the held bytes, packed, updated in place in their pooled buffer
 	written bool           // the closing parity write was acknowledged
@@ -388,23 +389,37 @@ func (f *File) HoldParity(stripe int64, j int) (*ParityHold, error) {
 // stripe, acquiring its lock; the hold writes the same ranges back.
 func (f *File) holdParity(stripe int64, j int, ranges []wire.Span, tr uint64) (*ParityHold, error) {
 	h := &ParityHold{f: f, stripe: stripe, j: j, srv: f.geom.ParityServerOfUnit(stripe, j), ranges: ranges}
-	if f.lock {
-		h.token = nextLockToken()
-	}
-	resp, err := f.c.callSrvT(h.srv, &wire.ReadParity{
-		File: f.ref, Stripes: []int64{stripe}, Lock: f.lock, Owner: h.token,
-		LeaseMS: leaseMS(f.c.getPolicy()), Ranges: ranges,
-	}, tr)
-	if err != nil {
-		if isUnavailable(err) {
-			// The server may hold the lock for us without us knowing; fire the
-			// token-scoped release so no peer queues behind a ghost (the
-			// Section 4 protocol cannot deadlock on us). Nothing has been
-			// written: a clean (non-dirty) cancel.
-			h.cancel(false)
+	var w uint64
+	var resp wire.Msg
+	var err error
+	for first := true; ; first = false {
+		if f.lock {
+			h.session, h.seq, w = f.c.begin(h.srv)
 		}
+		resp, err = f.c.callSrvT(h.srv, &wire.ReadParity{
+			File: f.ref, Stripes: []int64{stripe}, Lock: f.lock, Session: h.session, Seq: h.seq,
+			LeaseMS: leaseMS(f.c.getPolicy()), Watermark: w, Ranges: ranges,
+		}, tr)
+		if err == nil || isUnavailable(err) {
+			break
+		}
+		// A refused read holds nothing. One refused because the server
+		// expired the session — which this update had no part in — is asked
+		// again, once, under the session refused starts.
+		h.refused(err)
+		if !first || !errors.Is(err, wire.ErrLeaseExpired) {
+			return nil, err
+		}
+	}
+	if err != nil {
+		// The server may hold the lock for us without us knowing; send the
+		// acquisition's release so no peer queues behind a ghost (the
+		// Section 4 protocol cannot deadlock on us). Nothing has been
+		// written: a clean (non-dirty) cancel.
+		h.cancel(false)
 		return nil, err
 	}
+	f.c.heard(h.srv, h.session, w)
 	h.resp = resp.(*wire.ReadResp)
 	want := f.geom.StripeUnit
 	if ranges != nil {
@@ -415,9 +430,6 @@ func (f *File) holdParity(stripe int64, j int, ranges []wire.Span, tr uint64) (*
 		return nil, fmt.Errorf("client: parity read returned %d bytes, want %d",
 			len(h.resp.Data), want)
 	}
-	if f.lock {
-		f.c.trackLease(h.srv, f.ref, stripe, h.token)
-	}
 	return h, nil
 }
 
@@ -425,15 +437,15 @@ func (f *File) holdParity(stripe int64, j int, ranges []wire.Span, tr uint64) (*
 // HoldParity took.
 func (h *ParityHold) Data() []byte { return h.resp.Data }
 
-// OtherIntents reports whether the hold's stripe carries another owner's
+// OtherIntents reports whether the hold's stripe carries another update's
 // intent on the hold's server: live, if one is open or pending — that
 // update released its lock with its parity write, and its data writes may
 // still be landing — and abandoned, if one was given up and the stripe
-// awaits replay. This client's own completed updates awaiting their retire
-// are not counted: both their writes were acknowledged. Asked under the
-// hold, it sees every update that can still change the stripe: no later
-// one can start while the hold is kept. A hold that took no lock reports
-// neither.
+// awaits replay. This client's own completed updates awaiting the next
+// watermark are not counted: both their writes were acknowledged. One it
+// gave up is: a dirty release leaves the stripe torn. Asked under the hold,
+// it sees every update that can still change the stripe: no later one can
+// start while the hold is kept. A hold that took no lock reports neither.
 func (h *ParityHold) OtherIntents() (live, abandoned bool, err error) {
 	if !h.f.lock {
 		return false, false, nil
@@ -447,7 +459,8 @@ func (h *ParityHold) OtherIntents() (live, abandoned bool, err error) {
 		return false, false, fmt.Errorf("client: unexpected intent listing %T", resp)
 	}
 	for _, in := range lr.Intents {
-		if in.Stripe == h.stripe && in.Owner != h.token && !h.f.c.completedUpdate(in.Owner) {
+		mine := in.Session == h.session && in.Seq == h.seq
+		if in.Stripe == h.stripe && !mine && !h.f.c.completed(h.srv, in) {
 			live = live || !in.Abandoned
 			abandoned = abandoned || in.Abandoned
 		}
@@ -456,7 +469,7 @@ func (h *ParityHold) OtherIntents() (live, abandoned bool, err error) {
 }
 
 // Write stores data as the held bytes' new contents, which releases the
-// lock; the intent is queued for retirement. It is for a holder that has
+// lock; the intent retires at the next watermark. It is for a holder that has
 // left the stripe consistent with data — a repair, not an update in flight.
 func (h *ParityHold) Write(data []byte) error {
 	err := h.write(data, false, 0)
@@ -468,35 +481,47 @@ func (h *ParityHold) Write(data []byte) error {
 // may have changed under this hold without the parity to match: if the
 // write's outcome is unknown the lingering acquisition is released with that
 // flag, and a dirty release fail-stops the stripe until intent replay
-// reconciles it. An acknowledged write leaves the lease tracked: the intent
-// stays pending on the server until the hold's owner retires it.
+// reconciles it. An acknowledged write leaves the acquisition in flight:
+// the intent stays pending on the server until the hold retires and the
+// watermark passes it.
 func (h *ParityHold) write(data []byte, dirty bool, tr uint64) error {
-	c := h.f.c
-	_, err := c.callSrvT(h.srv, &wire.WriteParity{
-		File: h.f.ref, Stripes: []int64{h.stripe}, Ranges: h.ranges, Data: data, Unlock: h.f.lock, Owner: h.token,
+	_, err := h.f.c.callSrvT(h.srv, &wire.WriteParity{
+		File: h.f.ref, Stripes: []int64{h.stripe}, Ranges: h.ranges, Data: data, Unlock: h.f.lock,
+		Session: h.session, Seq: h.seq,
 	}, tr)
 	h.written = err == nil
 	if !h.f.lock || err == nil {
 		return err
 	}
-	c.untrackLease(h.token)
 	if errors.Is(err, wire.ErrLeaseExpired) {
-		// The server expired our lease and fenced this late write off; the
-		// stripe is fail-stopped there until replay reconstructs the unit.
-		atomic.AddInt64(&c.metrics.LeaseExpiries, 1)
-	} else if isUnavailable(err) {
-		// The unlocking write may have been lost before the server applied
-		// it; make sure the acquisition cannot linger.
-		c.releaseParityLock(h.srv, h.f.ref, h.stripe, h.token, dirty)
+		h.refused(err)
+		return err
 	}
+	// The unlocking write may have been lost before the server applied it,
+	// or refused after it took effect in part — a failed store write leaves
+	// the lock held, the intent open and the parity unit possibly half
+	// written: make sure the acquisition cannot linger.
+	h.cancel(dirty || !isUnavailable(err))
 	return err
 }
 
-// retire queues the intent of a hold whose closing write was acknowledged
-// over a consistent stripe; a hold that took no lock has none.
+// refused ends an acquisition the server refused. ErrLeaseExpired means it
+// expired the session (and fenced this request off; a stripe the session
+// held is fail-stopped there until replay reconstructs the unit): the
+// client starts a new session on that server.
+func (h *ParityHold) refused(err error) {
+	if errors.Is(err, wire.ErrLeaseExpired) {
+		h.f.c.expired(h.srv, h.session)
+	}
+	h.f.c.end(h.srv, h.seq)
+}
+
+// retire completes a hold whose closing write was acknowledged over a
+// consistent stripe: its intent retires at the next watermark. A hold that
+// took no lock has none.
 func (h *ParityHold) retire() {
 	if h.f.lock && h.written {
-		h.f.c.queueRetire(h.srv, h.f.ref, h.stripe, h.token)
+		h.f.c.end(h.srv, h.seq)
 	}
 }
 
@@ -513,14 +538,12 @@ func (h *ParityHold) release(tr uint64) error {
 	return err
 }
 
-// cancel gives the acquisition up with the token-scoped release instead of
-// a parity write.
+// cancel gives the acquisition up with its release instead of a parity
+// write.
 func (h *ParityHold) cancel(dirty bool) {
-	if !h.f.lock {
-		return
+	if h.f.lock {
+		h.f.c.releaseParityLock(h.srv, h.f.ref, h.stripe, h.session, h.seq, dirty)
 	}
-	h.f.c.untrackLease(h.token)
-	h.f.c.releaseParityLock(h.srv, h.f.ref, h.stripe, h.token, dirty)
 }
 
 // commit is a read-modify-write's closing write: the unit as updated in
@@ -618,9 +641,6 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 			wErr = f.sendWriteData(span, data, dead, tr)
 		}
 	})
-	// Retire lists that have reached their batch go out beside this round,
-	// so they cost no round of their own.
-	f.c.sendDueRetires()
 	// The old data is scratch nothing outside this function ever sees (it is
 	// read into, XORed from, never sent), so it always goes back: readRaw
 	// returns only once no call is still landing bytes in it.
@@ -690,10 +710,11 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 // An update that released its lock with its parity write may not have
 // landed its data yet; decoding across it would fold its unlanded half into
 // this update's delta, and the dead unit would later rebuild wrong. The
-// wait ends when that update's owner retires it (its lists go when full,
-// when it goes idle and on its heartbeat). An update given up instead
-// leaves the stripe torn (wire.ErrStripeTorn). The wait is bounded by one
-// lock lease, or settleWait without one.
+// wait ends when that update's session retires it (its watermark rides its
+// next locked read there and its heartbeat, so an idle client's arrives
+// within LockLease/3). An update given up instead leaves the stripe torn
+// (wire.ErrStripeTorn). The wait is bounded by one lock lease, or
+// settleWait without one.
 func (f *File) settleOthers(holds []*ParityHold) error {
 	wait := settleWait
 	if p := f.c.getPolicy(); p.LockLease > 0 {

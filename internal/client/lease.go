@@ -7,42 +7,57 @@ import (
 	"csar/internal/wire"
 )
 
-// This file keeps leased parity-lock acquisitions alive, and retires their
-// intents once the read-modify-write is done. A locked ReadParity issued
-// with Policy.LockLease > 0 opens a lease on the parity server: if no
-// heartbeat arrives before the deadline, the server revokes the lock and
-// fail-stops the stripe (see internal/server/intent.go). While the RMW is in
-// flight the client therefore registers the acquisition here, and a single
-// background goroutine renews every registered lease at the heartbeat
-// period. A healthy RMW completes in far less than one lease, so the
-// heartbeat only matters when the write phase stalls — exactly the case the
-// lease exists to distinguish from a crashed client.
+// This file keeps the client's parity-lock acquisitions alive and retires
+// their intents. The client holds one session per server, the same ID on
+// each to begin with, and names every locked ReadParity by (session, seq),
+// seq counting up across the whole client. With Policy.LockLease > 0 the
+// session holds a lease on the server: if no heartbeat arrives before it
+// runs out, the server expires the session, revoking its locks and
+// abandoning its intents (see internal/server/intent.go).
 //
 // The unlocking parity write leaves the stripe's intent pending on the
-// server: the data writes beside it may not have landed. Once both are
-// acknowledged the acquisition is queued on a per-server, per-file retire
-// list, and the lists go out as RetireIntents off any op's path: a list
-// that has reached retireBatch rides beside the next read-modify-write's
-// read round, so it adds no round of its own; with a lease heartbeat
-// running, every list goes once the client has completed no
-// read-modify-write for retireIdle, and on the tick; and FlushRetires sends
-// them all and waits (File.Sync,
-// Close, and the intent readers: scrub and intent replay). The acquisition
-// stays in the renewal set until a RetireIntents carrying it is
-// acknowledged, so the heartbeat keeps its pending intent's lease alive; a
-// retire that fails goes back on its list for the next send.
+// server: the data writes beside it may not have landed. The client keeps,
+// per server, the seqs issued there whose update is not complete — both
+// writes acknowledged, or the release acknowledged — and its watermark W is
+// one below the lowest of them, or the highest seq issued there when none
+// is in flight. W rides the next locked ReadParity to the server, and the
+// heartbeat: every LockLease/3 one goroutine sends each server where the
+// session is live (an acquisition in flight, or an acknowledged W behind
+// the current one) one RenewLease carrying the lease and W. FlushRetires
+// sends W wherever the acknowledged one lags and waits (File.Sync, Close,
+// and the intent readers: scrub and intent replay). A lost W is superseded
+// by the next one. An UnlockParity no server answered is sent again on each
+// tick and on each flush until one does: until then its seq holds W back.
+// The client learns that a server expired its session only from a request
+// the server fenced off (ErrLeaseExpired), and then starts a new session.
 
-// leaseEntry identifies one live acquisition: which server holds the lock,
-// for which file and stripe, and under which owner token.
-type leaseEntry struct {
-	srv    int
-	ref    wire.FileRef
-	stripe int64
-	owner  uint64
-	until  time.Time // the lease's deadline as of its grant or last renewal
-	// retiring: a RetireIntents carrying the entry is in flight; the
-	// heartbeat leaves it alone until it is answered.
-	retiring bool
+// session is the client's session on one server. Guarded by lmu.
+type session struct {
+	id       uint64              // a new one once the server expired this one
+	inflight map[uint64]struct{} // seqs issued here whose update is not complete
+	issued   uint64              // the highest seq issued here
+	acked    uint64              // the highest watermark the server acknowledged
+}
+
+// watermark is the session's W: one below the lowest seq in flight, or the
+// highest seq issued when none is.
+func (s *session) watermark() uint64 {
+	w := s.issued
+	for seq := range s.inflight {
+		w = min(w, seq-1)
+	}
+	return w
+}
+
+// live reports whether the server must hear from the session: an
+// acquisition is in flight there, or its acknowledged watermark lags.
+func (s *session) live() bool { return len(s.inflight) > 0 || s.acked < s.watermark() }
+
+// release is an UnlockParity no server has answered yet.
+type release struct {
+	srv  int
+	m    *wire.UnlockParity
+	sent chan struct{} // closed once the send in flight has an outcome; nil when none is in flight
 }
 
 // leaseMS converts the policy's lock lease to the wire's milliseconds field
@@ -51,284 +66,206 @@ func leaseMS(p Policy) uint32 {
 	if p.LockLease <= 0 {
 		return 0
 	}
-	ms := p.LockLease / time.Millisecond
-	if ms < 1 {
-		ms = 1
-	}
-	return uint32(ms)
+	return uint32(max(p.LockLease/time.Millisecond, 1))
 }
 
-// renewEvery derives the heartbeat period: explicit when set, LockLease/3
-// when zero, disabled when negative (or when no lease is in use).
-func renewEvery(p Policy) time.Duration {
-	if p.LockLease <= 0 || p.LeaseRenewEvery < 0 {
-		return 0
-	}
-	if p.LeaseRenewEvery > 0 {
-		return p.LeaseRenewEvery
-	}
-	return p.LockLease / 3
-}
+// beatEvery is the heartbeat period: a third of the lease, and at least a
+// millisecond, as the lease is.
+func beatEvery(p Policy) time.Duration { return max(p.LockLease/3, time.Millisecond) }
 
-// retireBatch is how many completed read-modify-writes' intents on one
-// server and file wait before their retire rides beside the next
-// read-modify-write.
-const retireBatch = 16
-
-// retireIdle is how long a client with a lease heartbeat completes no
-// read-modify-write before it sends every retire list: its pending intents
-// clear within about that of its last update instead of at the next tick.
-// Under load a list fills first, so this adds no messages there.
-const retireIdle = 5 * time.Millisecond
-
-// retireKey names one retire list: a server and a file on it.
-type retireKey struct {
-	srv int
-	ref wire.FileRef
-}
-
-// trackLease registers a granted leased acquisition for heartbeat renewal
-// and starts the renewal goroutine if it is not already running.
-func (c *Client) trackLease(srv int, ref wire.FileRef, stripe int64, owner uint64) {
-	p := c.getPolicy()
-	every := renewEvery(p)
-	if every <= 0 {
-		return
-	}
-	c.lmu.Lock()
-	c.leases[owner] = leaseEntry{srv: srv, ref: ref, stripe: stripe, owner: owner, until: time.Now().Add(p.LockLease)}
-	start := !c.hbRunning
-	if start {
-		c.hbRunning = true
-	}
-	c.lmu.Unlock()
-	if start {
-		go c.heartbeat(every)
-	}
-}
-
-// untrackLease drops an acquisition from the renewal set (the lock was
-// released, or the server told us the lease already expired).
-func (c *Client) untrackLease(owner uint64) {
-	c.lmu.Lock()
-	delete(c.leases, owner)
-	c.lmu.Unlock()
-}
-
-// queueRetire puts a completed acquisition on its server's retire list: its
-// parity and data writes were both acknowledged. It stays in the renewal
-// set until the retire is. With a heartbeat running it arms the idle timer.
-// When the policy leases locks but renews none, no tick would retire the
-// intent before its lease ran out, so the list goes at once. Without a lease
-// nothing expires: the lists go only when full and on flushes.
-func (c *Client) queueRetire(srv int, ref wire.FileRef, stripe int64, owner uint64) {
-	p := c.getPolicy()
-	k := retireKey{srv, ref}
-	c.lmu.Lock()
-	c.retires[k] = append(c.retires[k], wire.IntentID{Stripe: stripe, Owner: owner})
-	c.unretired[owner] = struct{}{}
-	var now map[retireKey][]wire.IntentID
-	switch {
-	case leaseMS(p) > 0 && renewEvery(p) == 0:
-		now = c.takeRetiresLocked(1)
-	case renewEvery(p) > 0:
-		c.retireSeq++
-		if !c.idleArmed {
-			c.idleArmed, c.idleSeen = true, c.retireSeq
-			if c.idle == nil {
-				c.idle = time.AfterFunc(retireIdle, c.idleRetire)
-			} else {
-				c.idle.Reset(retireIdle)
-			}
-		}
-	}
-	c.lmu.Unlock()
-	c.sendRetires(now)
-}
-
-// idleRetire runs retireIdle after the idle timer was armed: if no
-// read-modify-write completed since, it sends every retire list, and
-// otherwise it waits another retireIdle.
-func (c *Client) idleRetire() {
-	c.lmu.Lock()
-	if c.retireSeq != c.idleSeen {
-		c.idleSeen = c.retireSeq
-		c.idle.Reset(retireIdle)
-		c.lmu.Unlock()
-		return
-	}
-	c.idleArmed = false
-	all := c.takeRetiresLocked(1)
-	c.lmu.Unlock()
-	c.sendRetires(all)
-}
-
-// completedUpdate reports whether owner is the token of one of this
-// client's read-modify-writes that completed — both writes acknowledged —
-// and whose intent is not retired yet.
-func (c *Client) completedUpdate(owner uint64) bool {
+// begin issues the next seq for an acquisition on server srv, and returns
+// the session to name it under and the watermark to send beside it. With a
+// lease it starts the heartbeat if it is not running.
+func (c *Client) begin(srv int) (id, seq, w uint64) {
 	c.lmu.Lock()
 	defer c.lmu.Unlock()
-	_, ok := c.unretired[owner]
-	return ok
+	c.seq++
+	s := &c.sessions[srv]
+	s.inflight[c.seq] = struct{}{}
+	s.issued = c.seq
+	if c.hbDone == nil && c.hbStop != nil && leaseMS(c.getPolicy()) > 0 {
+		c.hbDone = make(chan struct{})
+		go c.heartbeat(c.hbStop, c.hbDone)
+	}
+	return s.id, c.seq, s.watermark()
 }
 
-// sendDueRetires sends every retire list that has reached retireBatch.
-func (c *Client) sendDueRetires() {
+// end marks acquisition seq on server srv complete: both of its writes, or
+// its release, were acknowledged, or it never took effect.
+func (c *Client) end(srv int, seq uint64) {
 	c.lmu.Lock()
-	due := c.takeRetiresLocked(retireBatch)
+	delete(c.sessions[srv].inflight, seq)
 	c.lmu.Unlock()
-	c.sendRetires(due)
 }
 
-// FlushRetires retires every intent this client has queued and waits until
-// each RetireIntents in flight has been answered, so an intent reader that
+// heard records that server srv applied watermark w of session id: nothing
+// at or below it is left to retire there.
+func (c *Client) heard(srv int, id, w uint64) {
+	c.lmu.Lock()
+	if s := &c.sessions[srv]; s.id == id {
+		s.acked = max(s.acked, w)
+	}
+	c.lmu.Unlock()
+}
+
+// expired records that server srv ended session id: the expiry is counted
+// once, and the client starts a new session there, with nothing to retire.
+func (c *Client) expired(srv int, id uint64) {
+	c.lmu.Lock()
+	defer c.lmu.Unlock()
+	if s := &c.sessions[srv]; s.id == id {
+		s.id, s.acked = nextLockToken(), s.watermark()
+		atomic.AddInt64(&c.metrics.LeaseExpiries, 1)
+	}
+}
+
+// completed reports whether intent in on server srv is one of this
+// client's updates that completed: its seq is not in flight, and it was not
+// given up. The server retires it at the next watermark.
+func (c *Client) completed(srv int, in wire.Intent) bool {
+	c.lmu.Lock()
+	defer c.lmu.Unlock()
+	s := &c.sessions[srv]
+	_, busy := s.inflight[in.Seq]
+	return in.Session == s.id && !busy && !in.Abandoned
+}
+
+// releaseParityLock sends an UnlockParity for a locked parity-read
+// acquisition whose outcome is unknown (the read failed or timed out
+// client-side, but the server may have granted the lock), or whose
+// unlocking write was lost. The acquisition guarantees it can only release
+// our own ghost — never a lock since granted to another client. dirty tells
+// the server whether data writes may have landed under it: false means the
+// stripe is untouched (the server simply retires the intent and hands the
+// lock on), true means parity and data may disagree, so the server
+// fail-stops the stripe until intent replay reconciles it. The seq stays in
+// flight until a server answers.
+func (c *Client) releaseParityLock(srv int, ref wire.FileRef, stripe int64, id, seq uint64, dirty bool) {
+	atomic.AddInt64(&c.metrics.LockReleases, 1)
+	r := &release{srv: srv, sent: make(chan struct{}), m: &wire.UnlockParity{
+		File: ref, Stripes: []int64{stripe}, Session: id, Seq: seq, Dirty: dirty,
+	}}
+	c.lmu.Lock()
+	c.releases[seq] = r
+	c.lmu.Unlock()
+	go c.sendRelease(r)
+}
+
+// sendRelease sends one unanswered release. A server's answer — an error
+// included — ends the acquisition; a transport failure leaves it for the
+// next tick or flush.
+func (c *Client) sendRelease(r *release) {
+	_, err := c.srv[r.srv].CallTraced(r.m, 0, c.getPolicy().CallTimeout)
+	c.lmu.Lock()
+	defer c.lmu.Unlock()
+	close(r.sent)
+	r.sent = nil
+	if err == nil || !isUnavailable(err) {
+		delete(c.releases, r.m.Seq)
+		delete(c.sessions[r.srv].inflight, r.m.Seq)
+	}
+}
+
+// FlushRetires waits for every release on its way and sends every one
+// still unanswered again, then the current watermark to each server whose
+// acknowledged one lags, and waits for the replies, so an intent reader that
 // runs next sees none of this client's completed updates as live.
-func (c *Client) FlushRetires() {
+func (c *Client) FlushRetires() { c.beat(false) }
+
+// beat sends every unanswered release again, then a RenewLease with the
+// session's lease and watermark to each server where the acknowledged
+// watermark lags — and, on a heartbeat (renew), where an acquisition is in
+// flight — and waits for the replies. A flush first waits out each release
+// already on its way; a heartbeat leaves it to its own outcome.
+func (c *Client) beat(renew bool) {
+	for {
+		c.lmu.Lock()
+		var rels []*release
+		var busy []chan struct{}
+		for _, r := range c.releases {
+			switch {
+			case r.sent == nil:
+				r.sent = make(chan struct{})
+				rels = append(rels, r)
+			case !renew:
+				busy = append(busy, r.sent)
+			}
+		}
+		c.lmu.Unlock()
+		c.EachServer(len(rels), nil, func(i int) error { c.sendRelease(rels[i]); return nil }) //nolint:errcheck // legs report nothing
+		if len(busy) == 0 {
+			break
+		}
+		for _, ch := range busy {
+			<-ch
+		}
+	}
+
+	ms := leaseMS(c.getPolicy())
 	c.lmu.Lock()
-	all := c.takeRetiresLocked(1)
+	beats := make([]*wire.RenewLease, len(c.sessions))
+	for i := range c.sessions {
+		if s := &c.sessions[i]; s.acked < s.watermark() || renew && len(s.inflight) > 0 {
+			beats[i] = &wire.RenewLease{Session: s.id, LeaseMS: ms, Watermark: s.watermark()}
+		}
+	}
 	c.lmu.Unlock()
-	c.sendRetires(all)
-	c.lmu.Lock()
-	for c.retiresSent > 0 {
-		c.retiresIdle.Wait()
-	}
-	c.lmu.Unlock()
+	c.EachServer(len(beats), func(i int) bool { return beats[i] != nil }, func(i int) error { //nolint:errcheck // legs report nothing
+		c.renew(i, beats[i])
+		return nil
+	})
 }
 
-// takeRetiresLocked removes and returns the retire lists holding at least
-// least intents, counting each as in flight and marking its entries
-// retiring. Caller holds lmu.
-func (c *Client) takeRetiresLocked(least int) map[retireKey][]wire.IntentID {
-	var out map[retireKey][]wire.IntentID
-	for k, ids := range c.retires {
-		if len(ids) < least {
-			continue
-		}
-		if out == nil {
-			out = make(map[retireKey][]wire.IntentID)
-		}
-		out[k] = ids
-		delete(c.retires, k)
-		for _, id := range ids {
-			if e, ok := c.leases[id.Owner]; ok {
-				e.retiring = true
-				c.leases[id.Owner] = e
-			}
-		}
+// renew sends one session heartbeat. Its answer, live or not, applies its
+// watermark: a server that answers not live holds nothing of the session —
+// it expired it (abandoning its intents), lost it in a restart, or has not
+// seen its first locked read yet — so nothing at or below the watermark is
+// left to retire there. An expiry is learned from the next request the
+// server fences off; after a restart the session goes on under its old ID,
+// as seqs never repeat. Transport failures are left for the next tick — the
+// lease is sized to survive several missed heartbeats.
+func (c *Client) renew(srv int, m *wire.RenewLease) {
+	resp, err := c.callSrv(srv, m)
+	rr, ok := resp.(*wire.RenewLeaseResp)
+	if err != nil || !ok {
+		return
 	}
-	c.retiresSent += len(out)
-	return out
+	if rr.Live && m.LeaseMS > 0 {
+		atomic.AddInt64(&c.metrics.LeaseRenewals, 1)
+	}
+	c.heard(srv, m.Session, m.Watermark)
 }
 
-// sendRetires sends each list as one untraced RetireIntents, each from a
-// goroutine of the client's pool so no caller waits on it. An acknowledged
-// retire drops its entries from the renewal set. A failed one puts its
-// intents back on their list for the next send, and the heartbeat goes on
-// renewing them, unless their lease has run out (renewal dropped the
-// entry): the server has abandoned the intent, and replay recomputes parity
-// that already matches. Without a heartbeat nothing tracks the lease, so
-// the retire is kept.
-func (c *Client) sendRetires(lists map[retireKey][]wire.IntentID) {
-	for k, ids := range lists {
-		c.pool.Go(func() {
-			_, err := c.callSrv(k.srv, &wire.RetireIntents{File: k.ref, Intents: ids})
-			heartbeat := renewEvery(c.getPolicy()) > 0
-			c.lmu.Lock()
-			for _, id := range ids {
-				e, tracked := c.leases[id.Owner]
-				switch {
-				case err == nil:
-					delete(c.leases, id.Owner)
-					delete(c.unretired, id.Owner)
-				case tracked:
-					e.retiring = false
-					c.leases[id.Owner] = e
-					fallthrough
-				case !heartbeat:
-					c.retires[k] = append(c.retires[k], id)
-				default:
-					delete(c.unretired, id.Owner)
-				}
-			}
-			if c.retiresSent--; c.retiresSent == 0 {
-				c.retiresIdle.Broadcast()
-			}
-			c.lmu.Unlock()
-		})
-	}
-}
-
-// heartbeat renews every registered lease and then sends every retire list,
-// once per period, and exits when both drain; trackLease restarts it on the
-// next leased acquisition. Entries whose retire is in flight are left to
-// its answer, and entries whose lease has run out unrenewed are dropped:
-// the server has expired them.
-func (c *Client) heartbeat(every time.Duration) {
+// heartbeat runs beat every LockLease/3, following policy changes, and
+// exits once no session is live and no release is unanswered, or the lease
+// is switched off, or stop is closed, closing done; begin starts it again.
+func (c *Client) heartbeat(stop, done chan struct{}) {
+	defer close(done)
+	every := beatEvery(c.getPolicy())
 	t := time.NewTicker(every)
 	defer t.Stop()
-	for range t.C {
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+		}
+		p := c.getPolicy()
 		c.lmu.Lock()
-		if len(c.leases) == 0 && len(c.retires) == 0 {
-			c.hbRunning = false
+		live := len(c.releases) > 0
+		for i := range c.sessions {
+			live = live || c.sessions[i].live()
+		}
+		if !live || leaseMS(p) == 0 {
+			c.hbDone = nil
 			c.lmu.Unlock()
 			return
 		}
-		now := time.Now()
-		entries := make([]leaseEntry, 0, len(c.leases))
-		for owner, e := range c.leases {
-			switch {
-			case e.retiring:
-			case now.After(e.until):
-				delete(c.leases, owner)
-			default:
-				entries = append(entries, e)
-			}
-		}
 		c.lmu.Unlock()
-		for _, e := range entries {
-			c.renewLease(e)
+		c.beat(true)
+		if beatEvery(p) != every {
+			every = beatEvery(p)
+			t.Reset(every)
 		}
-		c.lmu.Lock()
-		retires := c.takeRetiresLocked(1)
-		c.lmu.Unlock()
-		c.sendRetires(retires)
 	}
-}
-
-// renewLease sends one heartbeat for one acquisition. A response renewing
-// fewer stripes than asked means the server already expired the lease: the
-// entry is dropped (the in-flight RMW will learn the same from its fenced
-// parity write) and the expiry is counted — unless a retire of the entry
-// went out meanwhile, which also leaves nothing to renew. Transport failures
-// are left for the next tick — the lease is sized to survive several missed
-// heartbeats.
-func (c *Client) renewLease(e leaseEntry) {
-	p := c.getPolicy()
-	sent := time.Now()
-	resp, err := c.callSrv(e.srv, &wire.RenewLease{
-		File: e.ref, Stripes: []int64{e.stripe}, Owner: e.owner, LeaseMS: leaseMS(p),
-	})
-	if err != nil {
-		return
-	}
-	rr, ok := resp.(*wire.RenewLeaseResp)
-	if !ok {
-		return
-	}
-	c.lmu.Lock()
-	defer c.lmu.Unlock()
-	cur, tracked := c.leases[e.owner]
-	if rr.Renewed < 1 {
-		if tracked && !cur.retiring {
-			atomic.AddInt64(&c.metrics.LeaseExpiries, 1)
-			delete(c.leases, e.owner)
-		}
-		return
-	}
-	if tracked {
-		cur.until = sent.Add(p.LockLease)
-		c.leases[e.owner] = cur
-	}
-	atomic.AddInt64(&c.metrics.LeaseRenewals, 1)
 }

@@ -37,8 +37,8 @@ type Metrics struct {
 	MetaFailovers   int64 `obs:"meta_failovers"`   // metadata RPCs moved to a different manager
 	LockReleases    int64 `obs:"lock_releases"`    // ghost parity-lock releases sent (UnlockParity)
 
-	LeaseRenewals    int64 `obs:"lease_renewals"`    // parity-lock lease heartbeats the server honored
-	LeaseExpiries    int64 `obs:"lease_expiries"`    // leases the server revoked before we released them
+	LeaseRenewals    int64 `obs:"lease_renewals"`    // session heartbeats a server answered live, renewing the lease
+	LeaseExpiries    int64 `obs:"lease_expiries"`    // session expiries the client learned of: a request the server fenced off (ErrLeaseExpired)
 	IntentsReplayed  int64 `obs:"intents_replayed"`  // abandoned stripe intents repaired by replay
 	IntentsAbandoned int64 `obs:"intents_abandoned"` // abandoned intents seen by replay (incl. skipped)
 

@@ -79,16 +79,14 @@ type Policy struct {
 	// ProbeAfter is how long an open breaker waits before the next
 	// re-admission probe (a Health call).
 	ProbeAfter time.Duration
-	// LockLease bounds how long a parity-lock acquisition may go without a
-	// heartbeat before the server revokes it and fail-stops the stripe (the
-	// write-hole close: a crashed client cannot wedge a stripe forever).
-	// Non-positive requests no lease — the lock is held until released,
-	// which is what correctness tests and the performance model want.
+	// LockLease bounds how long the client's session on a server may go
+	// without a heartbeat before the server expires it, revoking its parity
+	// locks and fail-stopping their stripes (the write-hole close: a crashed
+	// client cannot wedge a stripe forever). The heartbeat runs every
+	// LockLease/3 while the session is live. Non-positive requests no lease —
+	// a lock is held until released, which is what correctness tests and the
+	// performance model want.
 	LockLease time.Duration
-	// LeaseRenewEvery is the heartbeat period for held leases. Zero derives
-	// LockLease/3; negative disables renewal (tests use that to force an
-	// expiry deterministically).
-	LeaseRenewEvery time.Duration
 }
 
 // DefaultPolicy is the resilience configuration csar.Dial applies to real
@@ -148,14 +146,15 @@ type serverHealth struct {
 // that path unique within a process.
 var lockTokenFallback atomic.Uint64
 
-// nextLockToken returns a fresh parity-lock acquisition token (wire
-// ReadParity.Owner / UnlockParity.Owner / WriteParity.Owner). The server
-// cancels ghost acquisitions by token alone, with no notion of which client
-// a token belongs to, so tokens must be unique across every process that can
-// reach the same servers — a counter would make all clients emit the same
-// sequence and let one client's ghost-release free another's live lock. Each
-// token is therefore an independent 64-bit draw from crypto/rand (collision
-// odds ~2^-64 per pair). Token 0 is reserved for "none".
+// nextLockToken returns a fresh random token: a client session's ID (wire
+// ReadParity.Session / UnlockParity.Session / WriteParity.Session). The
+// server cancels ghost acquisitions by (session, seq) alone, with no other
+// notion of which client a session belongs to, so sessions must be unique
+// across every process that can reach the same servers — a counter would
+// make all clients emit the same sequence and let one client's
+// ghost-release free another's live lock. Each token is therefore an
+// independent 64-bit draw from crypto/rand (collision odds ~2^-64 per
+// pair). Token 0 is reserved for "none".
 func nextLockToken() uint64 {
 	var b [8]byte
 	for {
@@ -221,12 +220,12 @@ func isUnavailable(err error) bool {
 // liveness checks qualify. Writes do not. A locked ReadParity does not
 // either: the lost response may have granted the lock, and a retried
 // acquisition behind it would deadlock on our own ghost — the RMW path
-// handles that case with an owner-token UnlockParity instead.
+// handles that case with an UnlockParity naming the acquisition instead.
 func isIdempotent(m wire.Msg) bool {
 	switch m := m.(type) {
 	case *wire.Read, *wire.Ping, *wire.Health,
 		*wire.StorageStat, *wire.ChecksumRange, *wire.OverflowDump,
-		*wire.RenewLease, *wire.ListIntents, *wire.DirtyDump, *wire.RetireIntents:
+		*wire.RenewLease, *wire.ListIntents, *wire.DirtyDump:
 		return true
 	case *wire.MarkDirty:
 		// Re-delivery only bumps the marked items' generation counters; the
@@ -390,23 +389,4 @@ func (c *Client) breakerDown(idx int) bool {
 	default:
 		return true
 	}
-}
-
-// releaseParityLock fires a best-effort, asynchronous UnlockParity for a
-// locked parity-read acquisition whose outcome is unknown (the read failed
-// or timed out client-side, but the server may have granted the lock). The
-// owner token guarantees it can only release our own ghost acquisition —
-// never a lock since granted to another client. dirty tells the server
-// whether data writes may have landed under this acquisition: false means
-// the stripe is untouched (the server simply retires the intent and hands
-// the lock on), true means parity and data may disagree, so the server
-// fail-stops the stripe until intent replay reconciles it.
-func (c *Client) releaseParityLock(idx int, ref wire.FileRef, stripe int64, token uint64, dirty bool) {
-	p := c.getPolicy()
-	atomic.AddInt64(&c.metrics.LockReleases, 1)
-	go func() {
-		c.srv[idx].CallTraced(&wire.UnlockParity{ //nolint:errcheck // best effort
-			File: ref, Stripes: []int64{stripe}, Owner: token, Dirty: dirty,
-		}, 0, p.CallTimeout)
-	}()
 }

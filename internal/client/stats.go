@@ -82,18 +82,23 @@ func SnapOfStatsResp(sr wire.StatsResp) obs.Snapshot {
 	return s
 }
 
-// Close retires the intents of the client's completed read-modify-writes,
-// then releases the client's transport resources: every server caller and
-// the manager caller that can be closed, is. It returns once no fan-out
-// goroutine of the client is left.
+// Close retires the intents of the client's completed read-modify-writes
+// and stops the heartbeat, then releases the client's transport resources:
+// every server caller and the manager caller that can be closed, is. It
+// returns once neither the heartbeat nor a fan-out goroutine of the client
+// is left.
 func (c *Client) Close() error {
 	c.FlushRetires()
 	c.lmu.Lock()
-	if c.idle != nil {
-		c.idle.Stop()
-		c.idleArmed = false
+	if c.hbStop != nil {
+		close(c.hbStop)
+		c.hbStop = nil
 	}
+	done := c.hbDone
 	c.lmu.Unlock()
+	if done != nil {
+		<-done
+	}
 	var firstErr error
 	for i, s := range c.srv {
 		if cl, ok := s.(io.Closer); ok {

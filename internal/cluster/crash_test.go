@@ -2,22 +2,27 @@ package cluster
 
 import (
 	"errors"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"csar/internal/client"
 	"csar/internal/recovery"
 	"csar/internal/scrub"
+	"csar/internal/server"
+	"csar/internal/storage"
 	"csar/internal/wire"
 )
 
 // This file is the deterministic crash-consistency suite for the RAID5
 // write-hole closure: a client that dies mid-read-modify-write, a parity
 // server that dies before its unlocking parity write lands, a stalled but
-// live client whose heartbeat must keep its lease alive, and the cut points
-// of the pending intent between the unlocking parity write and the retire
-// (data write lost, retire lost, a second owner behind a pending intent, a
-// parity server restarted with its intent still pending). Every scenario
+// live client whose heartbeat must keep its session's lease alive, and the
+// cut points of the pending intent between the unlocking parity write and
+// the watermark that retires it (data write lost, heartbeats lost, a second
+// client behind a pending intent, a parity server restarted with its intent
+// still pending, a release lost ahead of a completed update). Every scenario
 // ends the same way — recovery.ReplayIntents reconciles the stripe, then
 // recovery.Verify and a scrub pass report zero inconsistencies and reads
 // return exactly the bytes the surviving writes put down. Ordering comes
@@ -82,7 +87,7 @@ func TestCrashClientMidRMW(t *testing.T) {
 				ranges = []wire.Span{{Off: tc.off, Len: tc.len}}
 			}
 			if _, err := cl.ServerCaller(ps).Call(&wire.ReadParity{
-				File: f.Ref(), Stripes: []int64{0}, Lock: true, Owner: token, LeaseMS: 40, Ranges: ranges,
+				File: f.Ref(), Stripes: []int64{0}, Lock: true, Session: token, Seq: 1, LeaseMS: 40, Ranges: ranges,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -95,10 +100,11 @@ func TestCrashClientMidRMW(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// The lease expires with no heartbeat: the intent goes abandoned.
+			// The session's lease expires with no heartbeat: the intent goes
+			// abandoned.
 			in := waitIntent(t, cl, ps, f.Ref(), true)
-			if in.Stripe != 0 || in.Owner != token {
-				t.Fatalf("abandoned intent = %+v, want stripe 0 owner %d", in, token)
+			if in.Stripe != 0 || in.Session != token || in.Seq != 1 {
+				t.Fatalf("abandoned intent = %+v, want stripe 0 of session %#x seq 1", in, token)
 			}
 			st := c.Server(ps).IntentStats()
 			if st.LeaseExpiries != 1 || st.Abandoned != 1 {
@@ -169,8 +175,7 @@ func TestCrashServerMidParityWrite(t *testing.T) {
 	mustWrite(t, f, ref, 0)
 
 	p := testPolicy()
-	p.LockLease = 10 * time.Second
-	p.LeaseRenewEvery = -1 // no heartbeat: nothing to renew in this scenario
+	p.LockLease = 10 * time.Second // its heartbeat does not tick within this scenario
 	cl.SetPolicy(p)
 
 	// The parity server stops acknowledging parity writes — and the
@@ -252,9 +257,8 @@ func TestLeaseRenewalKeepsLock(t *testing.T) {
 	mustWrite(t, f, ref, 0)
 
 	p := testPolicy()
-	p.Retries = 2 // the hung read must succeed on its post-release retry
-	p.LockLease = 500 * time.Millisecond
-	p.LeaseRenewEvery = 25 * time.Millisecond
+	p.Retries = 2                        // the hung read must succeed on its post-release retry
+	p.LockLease = 500 * time.Millisecond // heartbeats every 166ms
 	cl.SetPolicy(p)
 
 	// Hang the old-data read of the RMW: the parity lock is already held
@@ -306,9 +310,185 @@ func TestLeaseRenewalKeepsLock(t *testing.T) {
 	}
 }
 
+// TestLeaseHeartbeatBeforeFirstRead: a client's first locked read on a
+// server is held up on its way, so the heartbeat reaches the server before
+// the session exists there and is answered not live, tick after tick. That
+// is no expiry: the client keeps its session, the read then opens it, and
+// the update's intent retires at the next watermark, never abandoned.
+func TestLeaseHeartbeatBeforeFirstRead(t *testing.T) {
+	c := newCluster(t, 4)
+	cl := c.NewClient()
+	f, ref := crashFile(t, c, cl, 4, wire.Raid5)
+	ps := f.Geometry().ParityServerOf(0)
+	p := testPolicy()
+	p.LockLease = 300 * time.Millisecond // heartbeats every 100ms
+	cl.SetPolicy(p)
+	held := c.Inject(FaultPoint{Server: ps, Kind: wire.KReadParity, Action: FaultPause})
+
+	upd := pattern(10, 7)
+	done := make(chan error, 1)
+	go func() {
+		_, err := f.WriteAt(upd, 0)
+		done <- err
+	}()
+	<-held.Triggered()
+	time.Sleep(p.LockLease) // three heartbeats answered not live
+	held.Release()
+	must(t, <-done)
+	copy(ref, upd)
+	must(t, f.Sync())
+	waitIntentsState(t, cl, ps, f.Ref(), 0, 0)
+	if m, st := cl.Metrics(), c.Server(ps).IntentStats(); m.LeaseExpiries != 0 || st.Abandoned != 0 || st.Retired != 1 {
+		t.Fatalf("client expiries %d, server stats %+v; want no expiry and the intent retired", m.LeaseExpiries, st)
+	}
+	recoverClean(t, cl, f, 0, ref)
+}
+
+// TestLeaseNewSessionAfterExpiry: the server expires a client's session
+// while the client cannot hear of it — its heartbeats are lost — so the
+// client's next update on that server names the expired session. Its locked
+// read is refused with ErrLeaseExpired before any lock is taken, and the
+// client asks again under a new session: the update succeeds, and only the
+// stripe the expired session held is fail-stopped.
+func TestLeaseNewSessionAfterExpiry(t *testing.T) {
+	c := newCluster(t, 4)
+	cl := c.NewClient()
+	f, err := cl.Create("expiry", 4, 64, wire.Raid5)
+	must(t, err)
+	g := f.Geometry()
+	ps := g.ParityServerOf(0)
+	later := int64(1)
+	for g.ParityServerOf(later) != ps {
+		later++
+	}
+	ref := pattern(int((later+1)*g.StripeSize()), 2)
+	mustWrite(t, f, ref, 0)
+	p := testPolicy()
+	p.LockLease = 40 * time.Millisecond
+	cl.SetPolicy(p)
+	rl := c.Inject(FaultPoint{Server: ps, Kind: wire.KRenewLease, Action: FaultDrop})
+	defer rl.Release()
+
+	upd := pattern(10, 7)
+	mustWrite(t, f, upd, 0) // its intent waits for a watermark that never arrives
+	copy(ref, upd)
+	if in := waitIntent(t, cl, ps, f.Ref(), true); in.Stripe != 0 {
+		t.Fatalf("abandoned intent = %+v, want stripe 0", in)
+	}
+	upd = pattern(10, 8)
+	off := later * g.StripeSize()
+	mustWrite(t, f, upd, off)
+	copy(ref[off:], upd)
+	if m := cl.Metrics(); m.LeaseExpiries != 1 {
+		t.Fatalf("client lease expiries %d, want 1", m.LeaseExpiries)
+	}
+	if _, err := f.WriteAt(pattern(10, 5), 0); !errors.Is(err, wire.ErrStripeTorn) {
+		t.Fatalf("RMW on torn stripe: %v, want ErrStripeTorn", err)
+	}
+	rl.Release()
+	must(t, f.Sync())
+	recoverClean(t, cl, f, 1, ref)
+}
+
+// flakyParity is a backend whose parity stores fail the next fails writes.
+type flakyParity struct {
+	storage.Backend
+	fails *atomic.Int32
+}
+
+type flakyParityFile struct {
+	storage.File
+	fails *atomic.Int32
+}
+
+func (d flakyParity) Open(name string) storage.File {
+	f := d.Backend.Open(name)
+	if strings.HasSuffix(name, ".parity") {
+		return flakyParityFile{f, d.fails}
+	}
+	return f
+}
+
+func (f flakyParityFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.fails.Load() > 0 && f.fails.Add(-1) >= 0 {
+		return 0, errors.New("parity disk write failed")
+	}
+	return f.File.WriteAt(p, off)
+}
+
+// TestLeaseFailedParityWriteReleased: an update's unlocking parity write
+// fails on the parity server's disk, which then neither unlocks the stripe
+// nor leaves its intent pending. The client keeps its session on that
+// server live with updates of another stripe there, so no expiry will clean
+// up: its dirty release must. Within one lease the stripe is abandoned and
+// its lock revoked — a new update is refused with ErrStripeTorn, not queued
+// — and replay re-encodes parity over the data write that landed beside the
+// failed one.
+func TestLeaseFailedParityWriteReleased(t *testing.T) {
+	c := newCluster(t, 4)
+	cl := c.NewClient()
+	f, err := cl.Create("failed-parity", 4, 64, wire.Raid5)
+	must(t, err)
+	g := f.Geometry()
+	ps := g.ParityServerOf(0)
+	later := int64(1)
+	for g.ParityServerOf(later) != ps {
+		later++
+	}
+	fails := new(atomic.Int32)
+	slot := c.servers[ps]
+	slot.srv.Store(server.New(ps, flakyParity{slot.disk.Load(), fails}, c.cfg.ServerOpts))
+	ref := pattern(int((later+1)*g.StripeSize()), 2)
+	mustWrite(t, f, ref, 0)
+	p := testPolicy()
+	p.LockLease = 300 * time.Millisecond
+	cl.SetPolicy(p)
+
+	fails.Store(1)
+	upd := pattern(10, 7)
+	if _, err := f.WriteAt(upd, 0); err == nil {
+		t.Fatal("RMW succeeded despite its failed parity write")
+	}
+	copy(ref, upd)
+	deadline := time.Now().Add(p.LockLease)
+	for off, n := later*g.StripeSize(), byte(8); ; n++ {
+		upd := pattern(10, n)
+		mustWrite(t, f, upd, off)
+		copy(ref[off:], upd)
+		resp, err := cl.ServerCaller(ps).Call(&wire.ListIntents{File: f.Ref()})
+		must(t, err)
+		torn := false
+		for _, in := range resp.(*wire.ListIntentsResp).Intents {
+			torn = torn || in.Stripe == 0 && in.Abandoned
+		}
+		if torn {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stripe 0 not abandoned within one lease (%v): %+v", p.LockLease, resp)
+		}
+	}
+	refused := make(chan error, 1)
+	go func() {
+		_, err := f.WriteAt(pattern(10, 5), 0)
+		refused <- err
+	}()
+	select {
+	case err := <-refused:
+		if !errors.Is(err, wire.ErrStripeTorn) {
+			t.Fatalf("RMW on torn stripe: %v, want ErrStripeTorn", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("RMW on the failed stripe still queued after 2s: its lock was never revoked")
+	}
+	must(t, f.Sync())
+	recoverClean(t, cl, f, 1, ref)
+}
+
 // The cut points of the two-round read-modify-write: the unlocking parity
 // write runs beside the data write and leaves its intent pending, and the
-// client retires the intent once both are acknowledged. Each scenario below
+// client's watermark passes the intent once both are acknowledged, retiring
+// it. Each scenario below
 // cuts the update at one point and ends in recoverClean.
 
 // recoverClean runs the recovery every crash scenario ends in: one replay
@@ -365,7 +545,6 @@ func TestCrashParityAckedDataLost(t *testing.T) {
 	g := f.Geometry()
 	p := testPolicy()
 	p.LockLease = 10 * time.Second
-	p.LeaseRenewEvery = 10 * time.Millisecond
 	cl.SetPolicy(p)
 
 	first, _ := g.DataUnitsOf(0)
@@ -385,10 +564,10 @@ func TestCrashParityAckedDataLost(t *testing.T) {
 }
 
 // TestCrashBeforeRetire: both writes are acknowledged, then the client dies
-// before its retire arrives (its retires and renewals are lost). The
-// pending intent outlives its lease and goes abandoned; replay re-encodes
-// parity from data that already matches it, and the range reads its new
-// bytes.
+// before its watermark arrives (its heartbeats, which carry the watermark
+// and renew its session, are lost). The pending intent outlives the
+// session's lease and goes abandoned; replay re-encodes parity from data
+// that already matches it, and the range reads its new bytes.
 func TestCrashBeforeRetire(t *testing.T) {
 	c := newCluster(t, 4)
 	cl := c.NewClient()
@@ -397,9 +576,7 @@ func TestCrashBeforeRetire(t *testing.T) {
 	ps := g.ParityServerOf(0)
 	p := testPolicy()
 	p.LockLease = 40 * time.Millisecond
-	p.LeaseRenewEvery = 10 * time.Millisecond
 	cl.SetPolicy(p)
-	rt := c.Inject(FaultPoint{Server: ps, Kind: wire.KRetireIntents, Action: FaultDrop})
 	rl := c.Inject(FaultPoint{Server: ps, Kind: wire.KRenewLease, Action: FaultDrop})
 
 	upd := pattern(10, 7)
@@ -411,7 +588,6 @@ func TestCrashBeforeRetire(t *testing.T) {
 	if st := c.Server(ps).IntentStats(); st.LeaseExpiries != 1 || st.Retired != 0 {
 		t.Fatalf("server stats after expiry: %+v", st)
 	}
-	rt.Release()
 	rl.Release()
 
 	// Recovery runs on another client: the writer is gone.
@@ -426,12 +602,13 @@ func TestCrashBeforeRetire(t *testing.T) {
 	recoverClean(t, rc, rf, 1, ref)
 }
 
-// TestCrashPendingUnderSecondOwner: the first owner's RMW completes, then
-// it dies: its retires and renewals are lost. A second owner locks the same
-// stripe behind the pending intent and completes a disjoint update; then the
-// first owner's lease expires. While the second owner's intent is live, ResolveIntent of the
-// first is refused and a replay pass defers it; once the second owner
-// retires, replay repairs the stripe and both writers' bytes read back.
+// TestCrashPendingUnderSecondOwner: the first client's RMW completes, then
+// it dies: its heartbeats, and the watermark they carry, are lost. A second
+// client locks the same stripe behind the pending intent and completes a
+// disjoint update; then the first client's session expires. While the
+// second client's intent is live, ResolveIntent of the first is refused and
+// a replay pass defers it; once the second client's watermark retires its
+// intent, replay repairs the stripe and both writers' bytes read back.
 func TestCrashPendingUnderSecondOwner(t *testing.T) {
 	c := newCluster(t, 4)
 	a := c.NewClient()
@@ -440,10 +617,7 @@ func TestCrashPendingUnderSecondOwner(t *testing.T) {
 	ps := g.ParityServerOf(0)
 	pa := testPolicy()
 	pa.LockLease = 500 * time.Millisecond
-	pa.LeaseRenewEvery = 10 * time.Millisecond
 	a.SetPolicy(pa)
-	rt := c.Inject(FaultPoint{Server: ps, Kind: wire.KRetireIntents, Action: FaultDrop})
-	defer rt.Release()
 	rl := c.Inject(FaultPoint{Server: ps, Kind: wire.KRenewLease, Action: FaultDrop})
 	defer rl.Release()
 
@@ -451,7 +625,7 @@ func TestCrashPendingUnderSecondOwner(t *testing.T) {
 	mustWrite(t, fa, updA, 0)
 	copy(ref, updA)
 
-	b := c.NewClient() // no heartbeat: its dropped retire waits for fb.Sync below
+	b := c.NewClient() // no lease, so no heartbeat: its watermark waits for fb.Sync below
 	fb, err := b.Open("crash")
 	if err != nil {
 		t.Fatal(err)
@@ -461,10 +635,10 @@ func TestCrashPendingUnderSecondOwner(t *testing.T) {
 	copy(ref[70:], updB)
 
 	in := waitIntentsState(t, b, ps, fb.Ref(), 1, 1)
-	rt.Release() // the first owner is gone; the second one's retires get through
-	resolve := &wire.ResolveIntent{File: fb.Ref(), Stripe: 0, Owner: in.Owner, Data: make([]byte, 64)}
+	rl.Release() // the first client is gone; the second one's watermark gets through
+	resolve := &wire.ResolveIntent{File: fb.Ref(), Stripe: 0, Session: in.Session, Seq: in.Seq, Data: make([]byte, 64)}
 	if _, err := b.ServerCaller(ps).Call(resolve); !errors.Is(err, wire.ErrStripeBusy) {
-		t.Fatalf("ResolveIntent while the second owner's intent is live: %v, want ErrStripeBusy", err)
+		t.Fatalf("ResolveIntent while the second client's intent is live: %v, want ErrStripeBusy", err)
 	}
 	rep, err := recovery.ReplayIntents(a, fa)
 	if err != nil {
@@ -473,7 +647,7 @@ func TestCrashPendingUnderSecondOwner(t *testing.T) {
 	if rep.Abandoned != 1 || rep.Skipped != 1 || rep.Replayed != 0 {
 		t.Fatalf("replay with a live second intent: %+v, want the abandoned one deferred", rep)
 	}
-	if err := fb.Sync(); err != nil { // the second owner retires
+	if err := fb.Sync(); err != nil { // the second client's watermark retires its intent
 		t.Fatal(err)
 	}
 	recoverClean(t, b, fb, 1, ref)
@@ -481,75 +655,153 @@ func TestCrashPendingUnderSecondOwner(t *testing.T) {
 
 // TestCrashDegradedRMWBehindPending: with one server dead, a degraded
 // read-modify-write rebuilds the dead unit's old bytes from parity and the
-// live data units. Owner A's update of a live unit, driven by hand, has
-// landed its unlocking parity write, so the lock is free and A's intent is
-// pending, but its data write has not landed. Client B's update of the dead
-// unit, at the same in-unit offsets, must not decode across A's half-landed
-// update: it waits under its hold until A retires. After the dead server is
-// rebuilt, both writers' bytes read back.
+// live data units. Client A's update of a live unit has landed its
+// unlocking parity write, so the lock is free and A's intent is pending.
+// Client B's update of the dead unit, at the same in-unit offsets, must not
+// decode across A's update while its data write may not have landed: it
+// waits under its hold until A's watermark retires the intent. In the first
+// row A is driven by hand and its data write is held back until B has
+// waited. In the second A is a client that completed its update and went
+// idle: B proceeds once A's next heartbeat carries the watermark, within
+// A's heartbeat period and before A's lease would have run out, and A's
+// intent is never abandoned. After the dead server is rebuilt, both
+// writers' bytes read back.
 func TestCrashDegradedRMWBehindPending(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		byHand bool
+	}{{"data write held back", true}, {"completed and idle", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, 4)
+			a := c.NewClient()
+			f, ref := crashFile(t, c, a, 4, wire.Raid5)
+			g := f.Geometry()
+			first, _ := g.DataUnitsOf(0)
+			ps, dead := g.ParityServerOf(0), g.ServerOf(first+1)
+			c.StopServer(dead)
+			a.MarkDown(dead)
+
+			// A's update of unit first's bytes [0,10).
+			updA := pattern(10, 7)
+			const leaseA = 1500 * time.Millisecond // A heartbeats every 500ms
+			var landA func()                       // lands A's held-back data write, then its watermark
+			if tc.byHand {
+				// The parity delta lands and unlocks; the data write is held
+				// back.
+				const session = uint64(0xA11CE)
+				rng := []wire.Span{{Off: 0, Len: 10}}
+				resp, err := a.ServerCaller(ps).Call(&wire.ReadParity{
+					File: f.Ref(), Stripes: []int64{0}, Lock: true, Session: session, Seq: 1, LeaseMS: 10000, Ranges: rng,
+				})
+				must(t, err)
+				par := resp.(*wire.ReadResp).Data
+				for i := range par {
+					par[i] ^= ref[g.UnitStart(first)+int64(i)] ^ updA[i]
+				}
+				_, err = a.ServerCaller(ps).Call(&wire.WriteParity{
+					File: f.Ref(), Stripes: []int64{0}, Ranges: rng, Data: par, Unlock: true, Session: session, Seq: 1,
+				})
+				must(t, err)
+				landA = func() {
+					_, err := a.ServerCaller(g.ServerOf(first)).Call(&wire.WriteData{
+						File: f.Ref(), Spans: []wire.Span{{Off: g.UnitStart(first), Len: 10}}, Data: updA, Raw: true,
+					})
+					must(t, err)
+					_, err = a.ServerCaller(ps).Call(&wire.RenewLease{Session: session, LeaseMS: 10000, Watermark: 1})
+					must(t, err)
+				}
+			} else {
+				pa := testPolicy()
+				pa.LockLease = leaseA
+				a.SetPolicy(pa)
+				mustWrite(t, f, updA, g.UnitStart(first))
+			}
+
+			b := c.NewClient()
+			p := testPolicy()
+			p.LockLease = 10 * time.Second
+			b.SetPolicy(p)
+			b.MarkDown(dead)
+			fb, err := b.Open("crash")
+			must(t, err)
+			updB := pattern(10, 8)
+			bDone := make(chan error, 1)
+			start := time.Now()
+			go func() {
+				_, err := fb.WriteAt(updB, g.UnitStart(first+1))
+				bDone <- err
+			}()
+			if tc.byHand {
+				select {
+				case err := <-bDone:
+					t.Fatalf("B's degraded RMW finished (%v) while A's data write had not landed", err)
+				case <-time.After(50 * time.Millisecond):
+				}
+				landA()
+			}
+			must(t, <-bDone)
+			if !tc.byHand {
+				if took := time.Since(start); took >= leaseA {
+					t.Fatalf("B's degraded RMW took %v behind A's idle update, want less than A's lease %v", took, leaseA)
+				}
+				if st := c.Server(ps).IntentStats(); st.Abandoned != 0 || st.LeaseExpiries != 0 {
+					t.Fatalf("A's completed update was abandoned: %+v", st)
+				}
+			}
+			copy(ref[g.UnitStart(first):], updA)
+			copy(ref[g.UnitStart(first+1):], updB)
+
+			c.ReplaceServer(dead)
+			must(t, recovery.Rebuild(a, f, dead))
+			a.MarkUp(dead)
+			b.MarkUp(dead)
+			must(t, fb.Sync())
+			recoverClean(t, a, f, 0, ref)
+		})
+	}
+}
+
+// TestCrashDegradedRMWBehindOwnDirtyRelease: one client runs two updates
+// of a stripe while a server is dead. The first lands its unlocking parity
+// write, so the lock passes to the second, a degraded read-modify-write of
+// the dead unit that waits under its hold for the first update's data
+// write. That write fails, and the first update releases its intent dirty.
+// The abandoned intent is this client's own and its seq is no longer in
+// flight, but the stripe is torn: the second update must end in
+// ErrStripeTorn, not decode the dead unit's old bytes across the first
+// update's unlanded half.
+func TestCrashDegradedRMWBehindOwnDirtyRelease(t *testing.T) {
 	c := newCluster(t, 4)
-	a := c.NewClient()
-	f, ref := crashFile(t, c, a, 4, wire.Raid5)
+	cl := c.NewClient()
+	f, _ := crashFile(t, c, cl, 4, wire.Raid5)
 	g := f.Geometry()
 	first, _ := g.DataUnitsOf(0)
 	ps, dead := g.ParityServerOf(0), g.ServerOf(first+1)
 	c.StopServer(dead)
-	a.MarkDown(dead)
+	cl.MarkDown(dead)
+	wd := c.Inject(FaultPoint{Server: g.ServerOf(first), Kind: wire.KWriteData, Action: FaultHang})
 
-	// A's update of unit first's bytes [0,10): the parity delta lands and
-	// unlocks; the data write is held back.
-	const token = uint64(0xA11CE)
-	rng := []wire.Span{{Off: 0, Len: 10}}
-	resp, err := a.ServerCaller(ps).Call(&wire.ReadParity{
-		File: f.Ref(), Stripes: []int64{0}, Lock: true, Owner: token, LeaseMS: 10000, Ranges: rng,
-	})
-	must(t, err)
-	updA := pattern(10, 7)
-	par := resp.(*wire.ReadResp).Data
-	for i := range par {
-		par[i] ^= ref[g.UnitStart(first)+int64(i)] ^ updA[i]
-	}
-	_, err = a.ServerCaller(ps).Call(&wire.WriteParity{
-		File: f.Ref(), Stripes: []int64{0}, Ranges: rng, Data: par, Unlock: true, Owner: token,
-	})
-	must(t, err)
-
-	b := c.NewClient()
-	p := testPolicy()
-	p.LockLease = 10 * time.Second
-	p.LeaseRenewEvery = 10 * time.Millisecond
-	b.SetPolicy(p)
-	b.MarkDown(dead)
-	fb, err := b.Open("crash")
-	must(t, err)
-	updB := pattern(10, 8)
-	bDone := make(chan error, 1)
+	aDone, bDone := make(chan error, 1), make(chan error, 1)
 	go func() {
-		_, err := fb.WriteAt(updB, g.UnitStart(first+1))
+		_, err := f.WriteAt(pattern(10, 7), g.UnitStart(first))
+		aDone <- err
+	}()
+	<-wd.Triggered()
+	go func() {
+		_, err := f.WriteAt(pattern(10, 8), g.UnitStart(first+1))
 		bDone <- err
 	}()
-	select {
-	case err := <-bDone:
-		t.Fatalf("B's degraded RMW finished (%v) while A's data write had not landed", err)
-	case <-time.After(50 * time.Millisecond):
+	waitIntentsState(t, cl, ps, f.Ref(), 0, 2) // the second update holds the lock
+	wd.Release()
+	if err := <-aDone; err == nil {
+		t.Fatal("the first update succeeded despite its failed data write")
 	}
-	_, err = a.ServerCaller(g.ServerOf(first)).Call(&wire.WriteData{
-		File: f.Ref(), Spans: []wire.Span{{Off: g.UnitStart(first), Len: 10}}, Data: updA, Raw: true,
-	})
-	must(t, err)
-	_, err = a.ServerCaller(ps).Call(&wire.RetireIntents{File: f.Ref(), Intents: []wire.IntentID{{Stripe: 0, Owner: token}}})
-	must(t, err)
-	must(t, <-bDone)
-	copy(ref[g.UnitStart(first):], updA)
-	copy(ref[g.UnitStart(first+1):], updB)
-
-	c.ReplaceServer(dead)
-	must(t, recovery.Rebuild(a, f, dead))
-	a.MarkUp(dead)
-	b.MarkUp(dead)
-	must(t, fb.Sync())
-	recoverClean(t, a, f, 0, ref)
+	if err := <-bDone; !errors.Is(err, wire.ErrStripeTorn) {
+		t.Fatalf("degraded RMW behind this client's dirty release: %v, want ErrStripeTorn", err)
+	}
+	if st := c.Server(ps).IntentStats(); st.Abandoned != 1 {
+		t.Fatalf("server stats: %+v, want the first update's intent abandoned", st)
+	}
 }
 
 // waitIntentsState polls server srv's intent list for file ref until it
@@ -612,31 +864,37 @@ func TestCrashRSBothParityPending(t *testing.T) {
 	recoverClean(t, cl, f, 1, ref)
 }
 
-// TestRetireDroppedKeepsLease: the retire of a completed RMW is lost, and
-// so are the ones after it for longer than the lease. The heartbeat goes on
-// renewing the pending intent, so the stripe is never fail-stopped; once
-// retires get through again, the next tick retires it.
+// TestRetireDroppedKeepsLease: the watermark of a completed RMW is lost —
+// the heartbeat carrying it is dropped, and so is the next RMW's locked
+// read, which carried it too. Heartbeats lost for less than a lease cost
+// nothing: the session stays live and the pending intent is never
+// abandoned, so the stripe is never fail-stopped; once heartbeats get
+// through again, the next tick retires it.
 func TestRetireDroppedKeepsLease(t *testing.T) {
 	c := newCluster(t, 4)
 	cl := c.NewClient()
 	f, ref := crashFile(t, c, cl, 4, wire.Raid5)
 	ps := f.Geometry().ParityServerOf(0)
 	p := testPolicy()
-	p.LockLease = 100 * time.Millisecond
-	p.LeaseRenewEvery = 10 * time.Millisecond
+	p.LockLease = 600 * time.Millisecond // heartbeats every 200ms
 	cl.SetPolicy(p)
-	rt := c.Inject(FaultPoint{Server: ps, Kind: wire.KRetireIntents, Action: FaultDrop})
+	rl := c.Inject(FaultPoint{Server: ps, Kind: wire.KRenewLease, Action: FaultDrop})
+	rp := c.Inject(FaultPoint{Server: ps, Kind: wire.KReadParity, After: 1, Action: FaultDrop})
 
 	upd := pattern(10, 7)
 	mustWrite(t, f, upd, 0)
 	copy(ref, upd)
-	<-rt.Triggered()
-	time.Sleep(3 * p.LockLease) // retires keep failing, well past the lease
+	if _, err := f.WriteAt(pattern(10, 9), 0); err == nil {
+		t.Fatal("RMW succeeded despite its dropped locked read")
+	}
+	rp.Release()
+	<-rl.Triggered() // a heartbeat carrying the watermark was lost
 	if in := waitIntent(t, cl, ps, f.Ref(), false); in.Stripe != 0 {
 		t.Fatalf("pending intent = %+v, want stripe 0", in)
 	}
-	rt.Release()
+	rl.Release()
 	waitIntentsState(t, cl, ps, f.Ref(), 0, 0)
+	must(t, f.Sync()) // the heartbeat that retired it is answered
 	st := c.Server(ps).IntentStats()
 	if st.LeaseExpiries != 0 || st.Abandoned != 0 || st.Retired != st.Opened {
 		t.Fatalf("server stats: %+v", st)
@@ -651,25 +909,74 @@ func TestRetireDroppedKeepsLease(t *testing.T) {
 	recoverClean(t, cl, f, 0, ref)
 }
 
+// TestRetireHeldBehindRelease: head of line. An RMW's data write fails
+// after its parity write landed, and its dirty release is dropped: the
+// acquisition stays in flight, so the watermark stays below it, and a later
+// completed RMW on another stripe with the same parity server stays pending
+// behind it, heartbeat after heartbeat. Once the drop is released, the next
+// tick resends the release, which fail-stops the first stripe, and the
+// watermark passes the later update, retiring it.
+func TestRetireHeldBehindRelease(t *testing.T) {
+	c := newCluster(t, 4)
+	cl := c.NewClient()
+	f, err := cl.Create("hol", 4, 64, wire.Raid5)
+	must(t, err)
+	g := f.Geometry()
+	ps := g.ParityServerOf(0)
+	later := int64(1)
+	for g.ParityServerOf(later) != ps {
+		later++
+	}
+	ref := pattern(int((later+1)*g.StripeSize()), 2)
+	mustWrite(t, f, ref, 0)
+	p := testPolicy()
+	p.LockLease = 300 * time.Millisecond // heartbeats every 100ms
+	cl.SetPolicy(p)
+
+	first, _ := g.DataUnitsOf(0)
+	wd := c.Inject(FaultPoint{Server: g.ServerOf(first), Kind: wire.KWriteData, Action: FaultDrop})
+	ul := c.Inject(FaultPoint{Server: ps, Kind: wire.KUnlockParity, Action: FaultDrop})
+	if _, err := f.WriteAt(pattern(10, 7), 0); err == nil {
+		t.Fatal("RMW succeeded despite its dropped data write")
+	}
+	wd.Release()
+	upd := pattern(10, 8)
+	off := later * g.StripeSize()
+	mustWrite(t, f, upd, off)
+	copy(ref[off:], upd)
+
+	<-ul.Triggered()
+	time.Sleep(3 * p.LockLease / 3)            // three ticks: each resends the release, and each is lost
+	waitIntentsState(t, cl, ps, f.Ref(), 0, 2) // both still pending: the watermark is held back
+	ul.Release()
+	if in := waitIntentsState(t, cl, ps, f.Ref(), 1, 0); in.Stripe != 0 {
+		t.Fatalf("abandoned intent = %+v, want stripe 0", in)
+	}
+	if st := c.Server(ps).IntentStats(); st.Retired != 1 || st.LeaseExpiries != 0 {
+		t.Fatalf("server stats: %+v, want the later update retired and no expiry", st)
+	}
+	recoverClean(t, cl, f, 1, ref)
+}
+
 // TestRetiresUnderConcurrentWriters: writers running read-modify-writes on
 // disjoint ranges from several goroutines, with a Sync racing them, retire
-// every intent they open — through full batches, heartbeat ticks and the
-// flushes — and leave parity consistent. With and without a lease.
+// every intent they open — through watermarks riding their locked reads,
+// heartbeat ticks and the flushes — and leave parity consistent. With and
+// without a lease.
 func TestRetiresUnderConcurrentWriters(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		lease time.Duration
-	}{{"no lease", 0}, {"leased", 10 * time.Second}} {
+	}{{"no lease", 0}, {"leased", 600 * time.Millisecond}} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newCluster(t, 4)
 			cl := c.NewClient()
 			f, ref := crashFile(t, c, cl, 4, wire.Raid5)
 			p := testPolicy()
 			p.LockLease = tc.lease
-			p.LeaseRenewEvery = 5 * time.Millisecond
 			cl.SetPolicy(p)
 
-			const writers, rounds = 4, 48 // three full retire batches per writer
+			const writers, rounds = 4, 48
 			done := make(chan error, writers+1)
 			stop := make(chan struct{})
 			for w := 0; w < writers; w++ {
@@ -709,18 +1016,19 @@ func TestRetiresUnderConcurrentWriters(t *testing.T) {
 			}
 			must(t, f.Sync())
 
-			var opened, retired, batches int64
+			var opened, retired int64
 			for srv := 0; srv < 4; srv++ {
 				st := c.Server(srv).IntentStats()
-				opened, retired, batches = opened+st.Opened, retired+st.Retired, batches+st.RetireBatches
+				opened, retired = opened+st.Opened, retired+st.Retired
 				resp, err := cl.ServerCaller(srv).Call(&wire.ListIntents{File: f.Ref()})
 				must(t, err)
 				if ints := resp.(*wire.ListIntentsResp).Intents; len(ints) != 0 {
 					t.Fatalf("server %d keeps intents %+v", srv, ints)
 				}
 			}
-			if opened != writers*rounds || retired != opened || batches == 0 {
-				t.Fatalf("%d intents opened, %d retired in %d batches; want %d retired", opened, retired, batches, writers*rounds)
+			beats, _ := cl.Stats().Hist("rpc_" + wire.KRenewLease.String())
+			if opened != writers*rounds || retired != opened || beats.Count == 0 {
+				t.Fatalf("%d intents opened, %d retired, %d watermarks sent; want %d retired", opened, retired, beats.Count, writers*rounds)
 			}
 			for w := 0; w < writers; w++ {
 				for i := rounds - 2; i < rounds; i++ {

@@ -240,8 +240,7 @@ func TestParityEngineOneParityRSIsRaid5(t *testing.T) {
 			// would come back abandoned from the crash, and be replayed too.
 			cl.FlushRetires()
 			pol := testPolicy()
-			pol.LockLease = 10 * time.Second
-			pol.LeaseRenewEvery = -1
+			pol.LockLease = 10 * time.Second // its heartbeat does not tick within this step
 			cl.SetPolicy(pol)
 			fwp := c.Inject(FaultPoint{Server: ps, Kind: wire.KWriteParity, Action: FaultDrop})
 			ful := c.Inject(FaultPoint{Server: ps, Kind: wire.KUnlockParity, Action: FaultDrop})
@@ -488,12 +487,13 @@ func TestParityEngineAblations(t *testing.T) {
 }
 
 // TestParityEngineScrubberLease: the scrubber's byte-level stripe check holds
-// the stripe's parity lock the way a read-modify-write does — under an owner
-// token and the policy's lease. A scrubber that dies mid-check (here: wedged
-// in its data repair, with no heartbeat) therefore costs the stripe one
-// lease: the server fail-stops it, replay reconciles it, and a foreground
-// RMW that was queued behind the dead scrubber goes through. Before the
-// scrubber's lock carried a token and a lease, that RMW waited forever.
+// the stripe's parity lock the way a read-modify-write does — as an
+// acquisition of its session, under the policy's lease. A scrubber that dies
+// mid-check (here: wedged in its data repair, its heartbeats lost)
+// therefore costs the stripe one lease: the server fail-stops it, replay
+// reconciles it, and a foreground RMW that was queued behind the dead
+// scrubber goes through. Before the scrubber's lock carried a token and a
+// lease, that RMW waited forever.
 func TestParityEngineScrubberLease(t *testing.T) {
 	c := newCluster(t, 5)
 	scrubCl, fgCl := c.NewClient(), c.NewClient()
@@ -517,11 +517,12 @@ func TestParityEngineScrubberLease(t *testing.T) {
 	ref[2*64+5] ^= 0xFF // the repair below never lands
 
 	// The scrubber "dies" holding stripe 0's parity lock: its repair write
-	// to server 2 hangs, and with renewal off nothing heartbeats its lease.
+	// to server 2 hangs, and its heartbeats to the lock's server are lost.
 	pol := testPolicy()
 	pol.LockLease = 40 * time.Millisecond
-	pol.LeaseRenewEvery = -1
 	scrubCl.SetPolicy(pol)
+	rl := c.Inject(FaultPoint{Server: g.ParityServerOf(0), Kind: wire.KRenewLease, Action: FaultDrop})
+	defer rl.Release()
 	hang := c.Inject(FaultPoint{Server: 2, Kind: wire.KWriteData, Action: FaultHang})
 	defer hang.Release()
 	scrubDone := make(chan error, 1)
@@ -555,6 +556,7 @@ func TestParityEngineScrubberLease(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("foreground RMW is wedged behind the dead scrubber's parity lock")
 	}
+	rl.Release()
 	must(t, ff.Sync()) // retires the foreground RMW's pending intent
 	resp, err := fgCl.ServerCaller(g.ParityServerOf(0)).Call(&wire.ListIntents{File: ff.Ref()})
 	must(t, err)

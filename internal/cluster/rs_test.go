@@ -319,8 +319,7 @@ func TestRSCrashRestartIntentReplay(t *testing.T) {
 	mustWrite(t, f, ref, 0)
 
 	p := testPolicy()
-	p.LockLease = 10 * time.Second
-	p.LeaseRenewEvery = -1
+	p.LockLease = 10 * time.Second // its heartbeat does not tick within this scenario
 	cl.SetPolicy(p)
 
 	// Parity unit 1's server for stripe 0 stops acknowledging parity

@@ -44,7 +44,9 @@ type File interface {
 }
 
 // ErrFormat refuses a non-empty file that does not start with the magic.
-var ErrFormat = errors.New("journal: not a framed journal (bad magic)")
+// An owner's replay returns it, wrapped, for a record of an older format
+// than the one it reads.
+var ErrFormat = errors.New("journal: not a framed journal of this format")
 
 const magic = "CSARJNL1"
 

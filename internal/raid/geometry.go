@@ -95,6 +95,23 @@ func (g Geometry) ToMirrorLocal(srv int, off, length int64, fn func(logical, loc
 	}
 }
 
+// LocalBefore returns how many bytes of the logical range [0, x) server srv
+// keeps in its data file — the length ToLocal's pieces of that range on srv
+// add up to — in constant time. Server srv's mirror file keeps what the
+// server one before it keeps in its data file (MirrorServerOf).
+func (g Geometry) LocalBefore(srv int, x int64) int64 {
+	n := int64(g.Servers)
+	u := g.UnitOf(x) // units 0..u-1 lie wholly before x
+	local := u / n * g.StripeUnit
+	if int64(srv) < u%n {
+		local += g.StripeUnit
+	}
+	if g.ServerOf(u) == srv {
+		local += x - g.UnitStart(u)
+	}
+	return local
+}
+
 // LocalToLogical translates a local data-file offset on server srv back to
 // the logical file offset it stores.
 func (g Geometry) LocalToLogical(srv int, local int64) int64 {

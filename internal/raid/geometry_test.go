@@ -115,6 +115,31 @@ func TestToLocalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLocalBeforeCountsPieces: LocalBefore's difference over a range is the
+// total length of the ToLocal pieces of that range on srv, and, shifted one
+// server back, of its ToMirrorLocal pieces.
+func TestLocalBeforeCountsPieces(t *testing.T) {
+	f := func(nSeed uint8, suSeed uint16, offSeed, lenSeed uint32) bool {
+		g := Geometry{Servers: int(nSeed%8) + 1, StripeUnit: int64(suSeed%512) + 1}
+		off, length := int64(offSeed%100000), int64(lenSeed%50000)
+		for srv := 0; srv < g.Servers; srv++ {
+			var data, mirror int64
+			g.ToLocal(srv, off, length, func(_, _, n int64) { data += n })
+			g.ToMirrorLocal(srv, off, length, func(_, _, n int64) { mirror += n })
+			prev := (srv + g.Servers - 1) % g.Servers
+			if g.LocalBefore(srv, off+length)-g.LocalBefore(srv, off) != data ||
+				g.LocalBefore(prev, off+length)-g.LocalBefore(prev, off) != mirror {
+				return false
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(3))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestToLocalProperty(t *testing.T) {
 	// Across all servers, ToLocal partitions the range exactly, each piece
 	// maps back via LocalToLogical, and pieces never cross a unit boundary.

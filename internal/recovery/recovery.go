@@ -228,7 +228,10 @@ func readStripeData(c *client.Client, f *client.File, stripe int64) ([][]byte, e
 
 // Verify checks a file's redundancy invariants and returns a description of
 // every violation found (empty means consistent). It is the fsck of CSAR.
+// Like a scrub pass, it first sends this client's watermark, so the servers
+// hold none of its completed updates pending past the check.
 func Verify(c *client.Client, f *client.File) ([]string, error) {
+	c.FlushRetires()
 	g := f.Geometry()
 	ref := f.Ref()
 	size := f.Size()

@@ -107,7 +107,7 @@ func replayStripe(c *client.Client, f *client.File, srv int, in wire.Intent, rep
 		return nil
 	}
 	_, err := c.ServerCaller(srv).Call(&wire.ResolveIntent{
-		File: f.Ref(), Stripe: in.Stripe, Owner: in.Owner, Data: acc,
+		File: f.Ref(), Stripe: in.Stripe, Session: in.Session, Seq: in.Seq, Data: acc,
 	})
 	if errors.Is(err, wire.ErrStripeBusy) {
 		rep.Skipped++

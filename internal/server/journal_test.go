@@ -75,14 +75,14 @@ func TestIntentJournalBitFlip(t *testing.T) {
 	}
 	disk := simdisk.New(nil, simdisk.Params{PageSize: 64})
 	s, _ := reload(disk, 2)
-	call(t, s, &wire.ReadParity{File: r, Stripes: stripes, Lock: true, Owner: 7})
+	call(t, s, &wire.ReadParity{File: r, Stripes: stripes, Lock: true, Session: 7, Seq: 1})
 	image := journalImage(disk, intentJournalName)
 
 	unwritten := func(s *Server) string {
 		for id, live := range s.pendingIntents {
 			for _, in := range live {
-				if id != r.ID || in.Owner != 7 || (in.Stripe != stripes[0] && in.Stripe != stripes[1]) {
-					return fmt.Sprintf("an intent on file %d stripe %d owner %d", id, in.Stripe, in.Owner)
+				if id != r.ID || in.acq != (acq{7, 1}) || (in.stripe != stripes[0] && in.stripe != stripes[1]) {
+					return fmt.Sprintf("an intent on file %d stripe %d of %+v", id, in.stripe, in.acq)
 				}
 			}
 		}
@@ -91,9 +91,9 @@ func TestIntentJournalBitFlip(t *testing.T) {
 	kept := func(s *Server, frames int) bool {
 		live := s.pendingIntents[r.ID]
 		return len(s.pendingIntents) == min(frames, 1) && len(live) == frames &&
-			(frames == 0 || slices.Contains(live, wire.IntentID{Stripe: stripes[0], Owner: 7}))
+			(frames == 0 || slices.Contains(live, intentKey{r.ID, stripes[0], acq{7, 1}}))
 	}
-	flipEachByte(t, intentJournalName, image, 8+25, 2, unwritten, kept)
+	flipEachByte(t, intentJournalName, image, 8+intentEntryLen, 2, unwritten, kept)
 }
 
 // TestDirtyLogBitFlip flips every byte of a two-record dirty journal (an
@@ -123,22 +123,33 @@ func TestDirtyLogBitFlip(t *testing.T) {
 	flipEachByte(t, dirtyJournalName, image, 8+27, 0, unwritten, kept)
 }
 
-// TestLegacyIntentJournalRefused: an intents.journal from before the journal
-// format — u32 record length 25, then the record, no checksum — makes New
-// panic naming the file instead of replaying it.
+// TestLegacyIntentJournalRefused: an intents.journal New must not misread
+// makes it panic naming the file instead of replaying it — one from before
+// the journal format (u32 record length 25, then the record, no checksum),
+// and a framed one from before sessions, whose 25-byte records name one
+// owner token where a record now names a session and a seq.
 func TestLegacyIntentJournalRefused(t *testing.T) {
-	legacy := binary.LittleEndian.AppendUint32(nil, 25)
-	legacy = append(legacy, intentOpOpen)
-	legacy = binary.LittleEndian.AppendUint64(legacy, ref().ID)
-	legacy = binary.LittleEndian.AppendUint64(legacy, 2) // stripe
-	legacy = binary.LittleEndian.AppendUint64(legacy, 7) // owner
-	disk := simdisk.New(nil, simdisk.Params{PageSize: 64})
-	disk.Open(intentJournalName).WriteAt(legacy, 0) //nolint:errcheck // in-memory disk
+	record := []byte{intentOpOpen}
+	record = binary.LittleEndian.AppendUint64(record, ref().ID)
+	record = binary.LittleEndian.AppendUint64(record, 2) // stripe
+	record = binary.LittleEndian.AppendUint64(record, 7) // owner
+	for _, tc := range []struct {
+		name  string
+		image []byte
+	}{
+		{"unframed", append(binary.LittleEndian.AppendUint32(nil, 25), record...)},
+		{"owner records", journal.Image(record)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			disk := simdisk.New(nil, simdisk.Params{PageSize: 64})
+			disk.Open(intentJournalName).WriteAt(tc.image, 0) //nolint:errcheck // in-memory disk
 
-	_, refused := reload(disk, 2)
-	err, _ := refused.(error)
-	if !errors.Is(err, journal.ErrFormat) || !strings.Contains(err.Error(), intentJournalName) {
-		t.Fatalf("legacy journal: New panicked with %v, want journal.ErrFormat naming %s", refused, intentJournalName)
+			_, refused := reload(disk, 2)
+			err, _ := refused.(error)
+			if !errors.Is(err, journal.ErrFormat) || !strings.Contains(err.Error(), intentJournalName) {
+				t.Fatalf("legacy journal: New panicked with %v, want journal.ErrFormat naming %s", refused, intentJournalName)
+			}
+		})
 	}
 }
 
@@ -351,7 +362,7 @@ func TestRemoveFileAfterRestart(t *testing.T) {
 	r := ref()
 	call(t, s, &wire.WriteData{File: r, Spans: []wire.Span{{Off: 256, Len: 128}}, Data: make([]byte, 128)}) // unit 2, server 2's
 	call(t, s, &wire.WriteParity{File: r, Stripes: []int64{3}, Data: make([]byte, 128)})
-	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Owner: 7})
+	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Session: 7, Seq: 1})
 	s, _ = reload(disk, 2)
 	if got := s.pendingIntents[r.ID]; len(got) != 1 {
 		t.Fatalf("restart parked %+v, want the one open intent", got)

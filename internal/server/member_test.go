@@ -7,6 +7,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"csar/internal/simdisk"
 	"csar/internal/storage"
@@ -118,6 +119,34 @@ func TestMemberSpansRefused(t *testing.T) {
 	}
 }
 
+// TestHugeSpanRefused: a member request's bytes on this server are counted
+// without visiting the units of its spans, so a Read or a WriteData of
+// [0, 2^62) — 2^55 units of ref()'s 128-byte units — is refused at once
+// instead of after a walk that would never end.
+func TestHugeSpanRefused(t *testing.T) {
+	s := testServer(0)
+	span := []wire.Span{{Off: 0, Len: 1 << 62}}
+	for _, m := range []wire.Msg{
+		&wire.Read{File: ref(), Spans: span},
+		&wire.Read{File: ref(), Store: wire.StoreMirror, Spans: span},
+		&wire.WriteData{File: ref(), Spans: span, Data: make([]byte, 128)},
+	} {
+		errc := make(chan error, 1)
+		go func() {
+			_, err := s.Handle(m)
+			errc <- err
+		}()
+		select {
+		case err := <-errc:
+			if err == nil {
+				t.Fatalf("%T of [0, 2^62): accepted", m)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%T of [0, 2^62): not refused within 2s", m)
+		}
+	}
+}
+
 // failingDisk is a backend whose file stores refuse every write; the
 // server's own journals stay writable.
 type failingDisk struct{ storage.Backend }
@@ -139,8 +168,8 @@ func (failingFile) WriteAt([]byte, int64) (int, error) { return 0, errDiskWrite 
 // TestFailedStoreWriteRefused: a store write that fails is reported, never
 // acknowledged — on every store a member write reaches, and on the unlocking
 // parity write, which then neither unlocks the stripe nor leaves its intent
-// pending: the owner's dirty release or its lease handles the stripe, as for
-// a lost request.
+// pending: the client's dirty release or its session's expiry handles the
+// stripe, as for a lost request.
 func TestFailedStoreWriteRefused(t *testing.T) {
 	for _, buffering := range []bool{true, false} {
 		opts := DefaultOptions()
@@ -153,12 +182,12 @@ func TestFailedStoreWriteRefused(t *testing.T) {
 				t.Errorf("buffering %v: %s store write on a failing disk: %v", buffering, st.name, err)
 			}
 		}
-		call(t, s, &wire.ReadParity{File: r, Stripes: []int64{2}, Lock: true, Owner: 9})
-		_, err := s.Handle(&wire.WriteParity{File: r, Stripes: []int64{2}, Data: make([]byte, 128), Unlock: true, Owner: 9})
+		call(t, s, &wire.ReadParity{File: r, Stripes: []int64{2}, Lock: true, Session: 9, Seq: 1})
+		_, err := s.Handle(&wire.WriteParity{File: r, Stripes: []int64{2}, Data: make([]byte, 128), Unlock: true, Session: 9, Seq: 1})
 		if !errors.Is(err, errDiskWrite) {
 			t.Fatalf("buffering %v: unlocking parity write on a failing disk: %v", buffering, err)
 		}
-		if in := intentsOf(t, s); locksHeld(s) != 1 || len(in) != 1 || in[0].Abandoned || !s.files[r.ID].ownsLock(2, 9) {
+		if in := intentsOf(t, s); locksHeld(s) != 1 || len(in) != 1 || in[0].Abandoned || !s.files[r.ID].ownsLock(2, acq{9, 1}) {
 			t.Fatalf("buffering %v: after the failed unlocking write: %d locks held, intents %+v; want the lock and the open intent kept",
 				buffering, locksHeld(s), in)
 		}

@@ -62,7 +62,7 @@ func TestLockedReadParityStripeOrder(t *testing.T) {
 	r := ref()
 	for _, stripes := range [][]int64{{0, 0}, {3, 0}, {0, 3, 3}} {
 		err := handleWithin(t, s, &wire.ReadParity{
-			File: r, Stripes: stripes, Lock: true, Owner: 77, LeaseMS: 50,
+			File: r, Stripes: stripes, Lock: true, Session: 77, Seq: 1, LeaseMS: 50,
 		})
 		if err == nil {
 			t.Fatalf("locked read of stripes %v accepted", stripes)
@@ -75,10 +75,10 @@ func TestLockedReadParityStripeOrder(t *testing.T) {
 		t.Fatalf("refused reads opened %d intents", st.Opened)
 	}
 	// Both stripes lock at once afterwards, in order, and release cleanly.
-	if err := handleWithin(t, s, &wire.ReadParity{File: r, Stripes: []int64{0, 3}, Lock: true, Owner: 78}); err != nil {
+	if err := handleWithin(t, s, &wire.ReadParity{File: r, Stripes: []int64{0, 3}, Lock: true, Session: 78, Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
-	call(t, s, &wire.WriteParity{File: r, Stripes: []int64{0, 3}, Data: make([]byte, 256), Unlock: true, Owner: 78})
+	call(t, s, &wire.WriteParity{File: r, Stripes: []int64{0, 3}, Data: make([]byte, 256), Unlock: true, Session: 78, Seq: 1})
 	// An unlocked read may list stripes in any order.
 	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{3, 0, 3}})
 }
@@ -101,7 +101,7 @@ func TestParityRangesRefused(t *testing.T) {
 	}
 	for name, ranges := range bad {
 		if err := handleWithin(t, s, &wire.ReadParity{
-			File: r, Stripes: []int64{0}, Lock: true, Owner: 5, LeaseMS: 50, Ranges: ranges,
+			File: r, Stripes: []int64{0}, Lock: true, Session: 5, Seq: 1, LeaseMS: 50, Ranges: ranges,
 		}); err == nil {
 			t.Errorf("%s: locked read accepted", name)
 		}
@@ -118,14 +118,14 @@ func TestParityRangesRefused(t *testing.T) {
 	// Under a live acquisition: a bad list, or a payload of the wrong
 	// length, must neither write nor release nor retire.
 	good := []wire.Span{{Off: 0, Len: 8}, {Off: 100, Len: 20}}
-	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Owner: 9, Ranges: good})
+	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Session: 9, Seq: 1, Ranges: good})
 	for name, m := range map[string]*wire.WriteParity{
 		"unsorted":     {Ranges: bad["unsorted"], Data: make([]byte, 16)},
 		"short":        {Ranges: good, Data: make([]byte, 27)},
 		"long":         {Ranges: good, Data: make([]byte, 29)},
 		"whole-length": {Ranges: good, Data: make([]byte, 128)},
 	} {
-		m.File, m.Stripes, m.Unlock, m.Owner = r, []int64{0}, true, 9
+		m.File, m.Stripes, m.Unlock, m.Session, m.Seq = r, []int64{0}, true, 9, 1
 		if _, err := s.Handle(m); err == nil {
 			t.Errorf("%s: unlocking write accepted", name)
 		}
@@ -139,7 +139,7 @@ func TestParityRangesRefused(t *testing.T) {
 	if got := parityUnit(t, s, 0); !bytes.Equal(got, before) {
 		t.Fatal("a refused write changed parity bytes")
 	}
-	call(t, s, &wire.WriteParity{File: r, Stripes: []int64{0}, Ranges: good, Data: make([]byte, 28), Unlock: true, Owner: 9})
+	call(t, s, &wire.WriteParity{File: r, Stripes: []int64{0}, Ranges: good, Data: make([]byte, 28), Unlock: true, Session: 9, Seq: 1})
 }
 
 // TestRangedUnlockingWrite: a ranged locked read returns exactly its ranges,
@@ -157,7 +157,7 @@ func TestRangedUnlockingWrite(t *testing.T) {
 	ranges := []wire.Span{{Off: 0, Len: 5}, {Off: 5, Len: 3}, {Off: 90, Len: 38}} // abutting is disjoint
 	st0 := s.ParityStats()
 	resp := call(t, s, &wire.ReadParity{
-		File: r, Stripes: []int64{0, 3}, Lock: true, Owner: 21, LeaseMS: 60000, Ranges: ranges,
+		File: r, Stripes: []int64{0, 3}, Lock: true, Session: 21, Seq: 1, LeaseMS: 60000, Ranges: ranges,
 	}).(*wire.ReadResp)
 	var want []byte
 	for _, base := range []int{0, 128} {
@@ -169,7 +169,7 @@ func TestRangedUnlockingWrite(t *testing.T) {
 		t.Fatalf("ranged read returned %x, want %x", resp.Data, want)
 	}
 	upd := bytes.Repeat([]byte{0xEE}, len(want))
-	call(t, s, &wire.WriteParity{File: r, Stripes: []int64{0, 3}, Ranges: ranges, Data: upd, Unlock: true, Owner: 21})
+	call(t, s, &wire.WriteParity{File: r, Stripes: []int64{0, 3}, Ranges: ranges, Data: upd, Unlock: true, Session: 21, Seq: 1})
 	if st := s.ParityStats(); st.BytesRead-st0.BytesRead != 92 || st.BytesWritten-st0.BytesWritten != 92 {
 		t.Fatalf("parity bytes moved: read %d written %d, want 92 each",
 			st.BytesRead-st0.BytesRead, st.BytesWritten-st0.BytesWritten)
@@ -186,7 +186,7 @@ func TestRangedUnlockingWrite(t *testing.T) {
 	if n, in := locksHeld(s), intentsOf(t, s); n != 0 || len(in) != 2 || in[0].Abandoned || in[1].Abandoned {
 		t.Fatalf("after the unlocking write: %d locks held, intents %+v; want none held, both pending", n, in)
 	}
-	call(t, s, &wire.RetireIntents{File: r, Intents: []wire.IntentID{{Stripe: 0, Owner: 21}, {Stripe: 3, Owner: 21}}})
+	call(t, s, &wire.RenewLease{Session: 21, Watermark: 1})
 	if in := intentsOf(t, s); len(in) != 0 {
 		t.Fatalf("after the retire: intents %+v", in)
 	}
@@ -200,8 +200,8 @@ func TestRangedUnlockingWrite(t *testing.T) {
 func TestRangedWriteInstallsNothing(t *testing.T) {
 	s := testServer(2)
 	r := ref()
-	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Owner: 31})
-	call(t, s, &wire.UnlockParity{File: r, Stripes: []int64{0}, Owner: 31, Dirty: true})
+	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Session: 31, Seq: 1})
+	call(t, s, &wire.UnlockParity{File: r, Stripes: []int64{0}, Session: 31, Seq: 1, Dirty: true})
 	// Server 2 mirrors server 1's overflow; unit 1 is server 1's unit of
 	// stripe 0.
 	call(t, s, &wire.WriteData{File: r, Store: wire.StoreOverflowMirror, Spans: []wire.Span{{Off: 130, Len: 4}}, Data: []byte{1, 2, 3, 4}})

@@ -81,16 +81,19 @@ type Server struct {
 	mu    sync.Mutex
 	files map[uint64]*serverFile
 
-	// Stripe intent journal (see intent.go). jmu nests inside sf.mu.
-	jmu   sync.Mutex
-	jlog  *journal.Pair
-	jLive map[intentKey]uint8 // live intents across all files -> the op that keeps each
+	// Stripe intents and client sessions (see intent.go). imu guards every
+	// file's intents, the sessions and the journal; it nests inside sf.mu.
+	imu      sync.Mutex
+	sessions map[uint64]*session
+	expired  fifoSet[uint64] // sessions expired with live intents: their late frames are refused
+	jlog     *journal.Pair
+	jLive    map[intentKey]uint8 // live intents across all files -> the op that keeps each
 	// pendingIntents holds journal-loaded intents by file ID, not yet
 	// adopted by a serverFile record. Guarded by mu.
-	pendingIntents map[uint64][]wire.IntentID
+	pendingIntents map[uint64][]intentKey
 
 	// Dirty-region logs of outages this server witnessed as a survivor
-	// (see dirty.go). Self-locking; independent of mu and jmu.
+	// (see dirty.go). Self-locking; independent of mu and imu.
 	dirty dirtyState
 
 	// obs holds the per-RPC-kind latency histograms and the store-level
@@ -129,39 +132,51 @@ type serverFile struct {
 	stores [wire.NumStores]storage.File
 	ov     [2]overflowRegion // the overflow store's, then the overflow mirror's
 	locks  map[int64]*parityLock
-	// intents holds the file's write intents by stripe, one per owner
-	// token: open and pending ones belong to a read-modify-write whose
-	// writes may still be landing, abandoned ones mark possibly torn
-	// stripes that refuse new parity locks until replayed (intent.go).
+	// intents holds the file's write intents by stripe, one per
+	// acquisition, under s.imu: open and pending ones belong to a
+	// read-modify-write whose writes may still be landing, abandoned ones
+	// mark possibly torn stripes that refuse new parity locks until
+	// replayed (intent.go).
 	intents map[int64][]*intentRec
-	// canceled remembers tokens whose acquisitions UnlockParity canceled, so
-	// a late-arriving locked ReadParity (its frame delivered after the
-	// client's compensating UnlockParity was processed) is refused instead of
-	// re-acquiring a lock nobody will ever release. canceledFIFO bounds it.
-	canceled     map[uint64]struct{}
-	canceledFIFO []uint64
+	// canceled remembers acquisitions UnlockParity canceled or a dirty
+	// release fail-stopped, so a late-arriving locked ReadParity (its frame
+	// delivered after the client's compensating UnlockParity was processed)
+	// is refused instead of re-acquiring a lock nobody will ever release.
+	canceled fifoSet[acq]
 }
 
-// canceledTokensMax bounds the canceled-token memory per file. Tokens are
-// single-use, so an evicted entry only matters if its locked read is still
-// in flight after 4096 later cancellations on the same file — far beyond any
-// plausible frame reordering window.
+// canceledTokensMax bounds the canceled-acquisition memory per file.
+// Acquisitions are single-use, so an evicted entry only matters if its
+// locked read is still in flight after 4096 later cancellations on the same
+// file — far beyond any plausible frame reordering window.
 const canceledTokensMax = 4096
 
-// parityLock is one stripe's FIFO parity lock. owner is the token of the
-// holding acquisition (never zero: a locked read must carry one); each
-// queued waiter remembers its own token so UnlockParity can surgically
-// cancel a dead peer's acquisition — held or still queued — without
-// disturbing anyone else's.
+// parityLock is one stripe's FIFO parity lock. owner is the holding
+// acquisition, zero when the lock is free (a locked read must carry a
+// session); each queued waiter remembers its own so UnlockParity can
+// surgically cancel a dead peer's acquisition — held or still queued —
+// without disturbing anyone else's.
 type parityLock struct {
-	held  bool
-	owner uint64
+	owner acq
 	queue []lockWaiter
+}
+
+// handOff passes the lock on to the first queued waiter, returned to be
+// woken granted once sf.mu is released, or frees it. Caller holds sf.mu.
+func (l *parityLock) handOff() *lockWaiter {
+	if len(l.queue) == 0 {
+		l.owner = acq{}
+		return nil
+	}
+	w := l.queue[0]
+	l.queue = l.queue[1:]
+	l.owner = w.owner
+	return &w
 }
 
 type lockWaiter struct {
 	ch    chan bool // true: granted; false: canceled by UnlockParity
-	owner uint64
+	owner acq
 }
 
 // New creates a server with the given index (its position in every file's
@@ -176,14 +191,15 @@ func New(idx int, disk storage.Backend, opts Options) *Server {
 	}
 	reg := obs.NewRegistry()
 	s := &Server{
-		idx:     idx,
-		disk:    disk,
-		opts:    opts,
-		cpu:     simtime.NewLimiter(opts.Clock, 1), // durations only
-		files:   make(map[uint64]*serverFile),
-		obs:     reg,
-		intents: obs.NewCounters[IntentStats](reg),
-		parity:  obs.NewCounters[ParityStats](reg),
+		idx:      idx,
+		disk:     disk,
+		opts:     opts,
+		cpu:      simtime.NewLimiter(opts.Clock, 1), // durations only
+		files:    make(map[uint64]*serverFile),
+		sessions: make(map[uint64]*session),
+		obs:      reg,
+		intents:  obs.NewCounters[IntentStats](reg),
+		parity:   obs.NewCounters[ParityStats](reg),
 
 		rpcHists: obs.NewKindHists[wire.Kind](reg, "rpc_"),
 		bytesIn:  reg.Counter("bytes_in"),
@@ -236,13 +252,12 @@ func (s *Server) file(ref wire.FileRef) (*serverFile, error) {
 	sf := s.files[ref.ID]
 	if sf == nil {
 		sf = &serverFile{
-			ref:      ref,
-			geom:     l.Geometry,
-			shape:    l.Shape,
-			ov:       [2]overflowRegion{{slots: make(map[int64]int64)}, {slots: make(map[int64]int64)}},
-			locks:    make(map[int64]*parityLock),
-			intents:  make(map[int64][]*intentRec),
-			canceled: make(map[uint64]struct{}),
+			ref:     ref,
+			geom:    l.Geometry,
+			shape:   l.Shape,
+			ov:      [2]overflowRegion{{slots: make(map[int64]int64)}, {slots: make(map[int64]int64)}},
+			locks:   make(map[int64]*parityLock),
+			intents: make(map[int64][]*intentRec),
 		}
 		s.adoptIntents(sf)
 		s.files[ref.ID] = sf
@@ -278,8 +293,6 @@ func (s *Server) dispatch(req wire.Msg) (wire.Msg, error) {
 		return s.handleListIntents(m)
 	case *wire.ResolveIntent:
 		return s.handleResolveIntent(m)
-	case *wire.RetireIntents:
-		return s.handleRetireIntents(m)
 	case *wire.MarkDirty:
 		return s.handleMarkDirty(m)
 	case *wire.DirtyDump:
@@ -347,43 +360,68 @@ func (s *Server) writePiece(f storage.File, off int64, p []byte) error {
 	return nil
 }
 
-// walk checks spans as addresses in one of this server's stores (see
-// wire.Read) and visits each contiguous piece of them the store keeps here,
-// in span then offset order: its logical start, its offset in the store and
-// its length. Every span must be non-empty, start at or past zero and end
-// where an int64 can. A parity span is the bytes of one unit of a stripe
-// whose parity this server holds, and an overflow span lies inside one stripe
-// unit; an overflow piece's offset is its logical one, which place turns
-// into a slot.
-func (sf *serverFile) walk(srv int, store uint8, spans []wire.Span, fn func(logical, local, n int64)) error {
+// size checks spans as addresses in one of this server's stores (see
+// wire.Read) and returns how many of their bytes the store keeps here. Every
+// span must be non-empty, start at or past zero and end where an int64 can.
+// A parity span is the bytes of one unit of a stripe whose parity this
+// server holds, and an overflow span lies inside one stripe unit. It costs
+// constant time per span and refuses a total past the frame bound, so a span
+// of any length is refused before walk visits a unit of it.
+func (sf *serverFile) size(srv int, store uint8, spans []wire.Span) (int64, error) {
 	g := sf.geom
 	if store >= wire.NumStores {
-		return fmt.Errorf("server: unknown store %d", store)
+		return 0, fmt.Errorf("server: unknown store %d", store)
 	}
+	var total int64
 	for _, sp := range spans {
 		if sp.Off < 0 || sp.Len <= 0 || sp.Off > math.MaxInt64-sp.Len {
-			return fmt.Errorf("server: span [%d,+%d) is empty, negative or out of range", sp.Off, sp.Len)
+			return 0, fmt.Errorf("server: span [%d,+%d) is empty, negative or out of range", sp.Off, sp.Len)
 		}
 		u := g.UnitOf(sp.Off)
-		within := sp.Off - g.UnitStart(u)
-		if store >= wire.StoreParity && within+sp.Len > g.StripeUnit {
-			return fmt.Errorf("server: %s span [%d,+%d) crosses a stripe unit", storeSuffix[store], sp.Off, sp.Len)
+		if store >= wire.StoreParity && sp.Off-g.UnitStart(u)+sp.Len > g.StripeUnit {
+			return 0, fmt.Errorf("server: %s span [%d,+%d) crosses a stripe unit", storeSuffix[store], sp.Off, sp.Len)
 		}
+		owner := srv // whose data units the store keeps
+		switch store {
+		case wire.StoreMirror:
+			owner = (srv + g.Servers - 1) % g.Servers
+			fallthrough
+		case wire.StoreData:
+			total += g.LocalBefore(owner, sp.Off+sp.Len) - g.LocalBefore(owner, sp.Off)
+		case wire.StoreParity:
+			if _, ok := g.ParityUnitOn(srv, u); !ok {
+				return 0, fmt.Errorf("server %d does not hold parity of stripe %d", srv, u)
+			}
+			fallthrough
+		default:
+			total += sp.Len
+		}
+		if total > wire.MaxFrame {
+			return 0, fmt.Errorf("server: spans of %d bytes or more here exceed the frame bound", total)
+		}
+	}
+	return total, nil
+}
+
+// walk visits each contiguous piece of spans, checked by size, that the
+// store keeps here, in span then offset order: its logical start, its offset
+// in the store and its length. An overflow piece's offset is its logical
+// one, which place turns into a slot.
+func (sf *serverFile) walk(srv int, store uint8, spans []wire.Span, fn func(logical, local, n int64)) {
+	g := sf.geom
+	for _, sp := range spans {
 		switch store {
 		case wire.StoreData:
 			g.ToLocal(srv, sp.Off, sp.Len, fn)
 		case wire.StoreMirror:
 			g.ToMirrorLocal(srv, sp.Off, sp.Len, fn)
 		case wire.StoreParity:
-			if _, ok := g.ParityUnitOn(srv, u); !ok {
-				return fmt.Errorf("server %d does not hold parity of stripe %d", srv, u)
-			}
-			fn(sp.Off, g.ParityLocalOffsetOn(srv, u)+within, sp.Len)
+			u := g.UnitOf(sp.Off)
+			fn(sp.Off, g.ParityLocalOffsetOn(srv, u)+sp.Off-g.UnitStart(u), sp.Len)
 		default:
 			fn(sp.Off, sp.Off, sp.Len)
 		}
 	}
-	return nil
 }
 
 // handleRead returns the concatenated bytes of the pieces of each span that
@@ -398,8 +436,8 @@ func (s *Server) handleRead(m *wire.Read) (wire.Msg, error) {
 	if m.Store == wire.StoreOverflow || m.Store == wire.StoreOverflowMirror {
 		return nil, fmt.Errorf("server: the %s store is not read by Read", storeSuffix[m.Store])
 	}
-	var total int64
-	if err := sf.walk(s.idx, m.Store, m.Spans, func(_, _, n int64) { total += n }); err != nil {
+	total, err := sf.size(s.idx, m.Store, m.Spans)
+	if err != nil {
 		return nil, err
 	}
 	if total > wire.MaxFrame-wire.ReadRespHead {
@@ -409,7 +447,7 @@ func (s *Server) handleRead(m *wire.Read) (wire.Msg, error) {
 	// One exact-size pooled response buffer, read into in place.
 	resp := wire.NewReadResp(int(total))
 	cur := int64(0)
-	sf.walk(s.idx, m.Store, m.Spans, func(logical, local, n int64) { //nolint:errcheck // checked above
+	sf.walk(s.idx, m.Store, m.Spans, func(logical, local, n int64) {
 		buf := resp.Data[cur : cur+n]
 		cur += n
 		readFill(f, buf, local)
@@ -458,8 +496,8 @@ func (s *Server) handleWriteData(m *wire.WriteData) (wire.Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	var total int64
-	if err := sf.walk(s.idx, m.Store, m.Spans, func(_, _, n int64) { total += n }); err != nil {
+	total, err := sf.size(s.idx, m.Store, m.Spans)
+	if err != nil {
 		return nil, err
 	}
 	if total != int64(len(m.Data)) {
@@ -484,7 +522,7 @@ func (s *Server) handleWriteData(m *wire.WriteData) (wire.Msg, error) {
 	f := sf.store(s.disk, m.Store)
 	r := sf.overflow(m.Store)
 	cur := int64(0)
-	sf.walk(s.idx, m.Store, m.Spans, func(logical, local, n int64) { //nolint:errcheck // checked above
+	sf.walk(s.idx, m.Store, m.Spans, func(logical, local, n int64) {
 		p := m.Data[cur : cur+n]
 		cur += n
 		if err != nil {
@@ -552,11 +590,12 @@ func (s *Server) handleReadParity(m *wire.ReadParity) (wire.Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.Lock && m.Owner == 0 {
-		// Every release path — the unlocking write, UnlockParity, the lease
-		// — names the acquisition by its token; one without could only ever
-		// be released by accident.
-		return nil, fmt.Errorf("server: locked parity read carries no owner token")
+	a := acq{m.Session, m.Seq}
+	if m.Lock && a.session == 0 {
+		// Every release path — the unlocking write, UnlockParity, the
+		// session's expiry — names the acquisition by its session; one
+		// without could only ever be released by accident.
+		return nil, fmt.Errorf("server: locked parity read carries no session")
 	}
 	su := sf.geom.StripeUnit
 	ranges, per, err := unitRanges(m.Ranges, su)
@@ -566,11 +605,23 @@ func (s *Server) handleReadParity(m *wire.ReadParity) (wire.Msg, error) {
 	if m.Lock {
 		// Section 5.1's lock order, enforced. A stripe listed twice would
 		// also queue its second acquisition behind its own first, forever:
-		// no lease is armed until every lock is taken.
+		// a session's expiry revokes only the locks its intents hold, and
+		// none is opened until every lock is taken.
 		for i := 1; i < len(m.Stripes); i++ {
 			if m.Stripes[i] <= m.Stripes[i-1] {
 				return nil, fmt.Errorf("server: locked parity read of stripes %v: not strictly ascending", m.Stripes)
 			}
+		}
+	}
+	if a.session != 0 {
+		// The watermark applies, and the lease renews, before any lock
+		// wait: a session with a lease exists from here on, so its
+		// heartbeat finds it while this read is queued.
+		s.imu.Lock()
+		_, err := s.touchLocked(a.session, m.LeaseMS, m.Watermark, m.LeaseMS > 0)
+		s.imu.Unlock()
+		if err != nil {
+			return nil, err
 		}
 	}
 	par := sf.store(s.disk, wire.StoreParity)
@@ -580,7 +631,7 @@ func (s *Server) handleReadParity(m *wire.ReadParity) (wire.Msg, error) {
 	var acquired []int64
 	rollback := func() {
 		for _, stripe := range acquired {
-			sf.unlockStripeOwned(stripe, m.Owner)
+			sf.unlockStripeOwned(stripe, a)
 		}
 	}
 	for _, stripe := range m.Stripes {
@@ -589,11 +640,20 @@ func (s *Server) handleReadParity(m *wire.ReadParity) (wire.Msg, error) {
 			return nil, fmt.Errorf("server %d does not hold parity of stripe %d", s.idx, stripe)
 		}
 		if m.Lock {
-			if err := sf.lockStripe(stripe, m.Owner); err != nil {
+			if err := s.lockStripe(sf, stripe, a); err != nil {
 				rollback()
 				return nil, err
 			}
 			acquired = append(acquired, stripe)
+		}
+	}
+	if m.Lock {
+		// All stripes locked: open their durable write intents before the
+		// grant leaves the server, so from here to the unlocking parity
+		// write every possibly-torn state is journal-covered.
+		if err := s.openIntents(sf, m.Stripes, a, m.LeaseMS); err != nil {
+			rollback()
+			return nil, err
 		}
 	}
 	// Every stripe checked and, if asked, locked: only now take the response
@@ -608,12 +668,6 @@ func (s *Server) handleReadParity(m *wire.ReadParity) (wire.Msg, error) {
 		}
 	}
 	atomic.AddInt64(&s.parity.BytesRead, at)
-	if m.Lock {
-		// All stripes locked: open their durable write intents before the
-		// grant leaves the server, so from here to the unlocking parity
-		// write every possibly-torn state is journal-covered.
-		s.openIntents(sf, m.Stripes, m.Owner, m.LeaseMS)
-	}
 	return resp, nil
 }
 
@@ -632,40 +686,41 @@ func (s *Server) handleWriteParity(m *wire.WriteParity) (wire.Msg, error) {
 		return nil, fmt.Errorf("server: parity payload %d bytes for %d stripes of %d",
 			len(m.Data), len(m.Stripes), per)
 	}
+	a := acq{m.Session, m.Seq}
 	for _, stripe := range m.Stripes {
 		if _, ok := sf.geom.ParityUnitOn(s.idx, stripe); !ok {
 			return nil, fmt.Errorf("server %d does not hold parity of stripe %d", s.idx, stripe)
 		}
 		// An unlocking write is an RMW completion and is only valid
-		// while its lock acquisition still holds: if the token no longer owns
-		// the lock, the acquisition was canceled (the client timed out and
+		// while its lock acquisition still holds: if it no longer owns the
+		// lock, the acquisition was canceled (the client timed out and
 		// compensated with UnlockParity), making this frame a late ghost —
 		// refuse it before writing anything, or its bytes would clobber
 		// parity now serialized under another client's lock. Checked for all
 		// stripes up front so a multi-stripe ghost writes nothing.
 		if m.Unlock {
-			// An abandoned intent under this token fences the write even if
-			// the lock bookkeeping has not caught up: the lease was revoked
+			// An abandoned intent of this acquisition fences the write even
+			// if the lock bookkeeping has not caught up: the session expired
 			// (or the client canceled with unknown outcome) and the stripe
 			// awaits replay, so the late completion must not land
 			// (wire.ErrLeaseExpired tells the writer it lost its lease, not
 			// merely the lock).
-			sf.mu.Lock()
-			rec := sf.intentOf(stripe, m.Owner)
+			s.imu.Lock()
+			rec := sf.intentOf(stripe, a)
 			expired := rec != nil && rec.abandoned
-			sf.mu.Unlock()
+			s.imu.Unlock()
 			if expired {
 				return nil, fmt.Errorf("server: parity write of stripe %d: %w", stripe, wire.ErrLeaseExpired)
 			}
-			if !sf.ownsLock(stripe, m.Owner) {
-				return nil, fmt.Errorf("server: parity lock of stripe %d not held under this token", stripe)
+			if !sf.ownsLock(stripe, a) {
+				return nil, fmt.Errorf("server: parity lock of stripe %d not held by this acquisition", stripe)
 			}
 		}
 	}
 	// A read-modify-write's parity folds a delta into the bytes already
 	// there, so it supersedes nothing. A failed store write stops before the
-	// stripe's unlock: the owner's dirty release or its lease then handles
-	// the stripe, as for a lost request.
+	// stripe's unlock: the client's dirty release or its session's expiry
+	// then handles the stripe, as for a lost request.
 	at := int64(0)
 	for _, stripe := range m.Stripes {
 		base := sf.geom.ParityLocalOffsetOn(s.idx, stripe)
@@ -678,11 +733,11 @@ func (s *Server) handleWriteParity(m *wire.WriteParity) (wire.Msg, error) {
 		if m.Unlock {
 			// The parity half of the read-modify-write landed; its data
 			// writes, sent beside this one, may not have. The intent stays,
-			// pending under its lease, until the owner retires it, and the
+			// pending, until the session's watermark passes it, and the
 			// lock hands off now: the next holder reads parity that already
 			// carries this update.
-			sf.pendIntent(stripe, m.Owner)
-			sf.unlockStripeOwned(stripe, m.Owner)
+			s.pendIntent(sf, stripe, a)
+			sf.unlockStripeOwned(stripe, a)
 		}
 	}
 	atomic.AddInt64(&s.parity.BytesWritten, at)
@@ -967,21 +1022,24 @@ func putU64LE(b []byte, v uint64) {
 }
 
 // lockStripe acquires the FIFO parity lock of one stripe, blocking while
-// another client's partial-stripe update is in flight (Section 5.1). owner
-// is the acquisition's token, which every release names it by. It
-// fails if the acquisition was canceled — either while queued, or before
-// it arrived: a token already canceled by UnlockParity is refused
-// outright, so a late-delivered locked read cannot re-acquire a lock its
-// client gave up on and will never release. A stripe with an abandoned
-// write intent fail-stops (wire.ErrStripeTorn): its parity may be stale,
-// so no new read-modify-write may base itself on it until replay.
-func (sf *serverFile) lockStripe(stripe int64, owner uint64) error {
+// another client's partial-stripe update is in flight (Section 5.1). a is
+// the acquisition, which every release names it by. It fails if the
+// acquisition was canceled — either while queued, or before it arrived: an
+// acquisition already canceled by UnlockParity is refused outright, so a
+// late-delivered locked read cannot re-acquire a lock its client gave up on
+// and will never release. A stripe with an abandoned write intent
+// fail-stops (wire.ErrStripeTorn): its parity may be stale, so no new
+// read-modify-write may base itself on it until replay.
+func (s *Server) lockStripe(sf *serverFile, stripe int64, a acq) error {
 	sf.mu.Lock()
-	if _, ok := sf.canceled[owner]; ok {
+	if _, ok := sf.canceled.has[a]; ok {
 		sf.mu.Unlock()
 		return fmt.Errorf("server: parity lock of stripe %d canceled", stripe)
 	}
-	if sf.torn(stripe) {
+	s.imu.Lock()
+	torn := sf.anyIntent(stripe, true)
+	s.imu.Unlock()
+	if torn {
 		sf.mu.Unlock()
 		return fmt.Errorf("server: stripe %d: %w", stripe, wire.ErrStripeTorn)
 	}
@@ -990,14 +1048,13 @@ func (sf *serverFile) lockStripe(stripe int64, owner uint64) error {
 		l = &parityLock{}
 		sf.locks[stripe] = l
 	}
-	if !l.held {
-		l.held = true
-		l.owner = owner
+	if l.owner == (acq{}) {
+		l.owner = a
 		sf.mu.Unlock()
 		return nil
 	}
 	ch := make(chan bool, 1)
-	l.queue = append(l.queue, lockWaiter{ch: ch, owner: owner})
+	l.queue = append(l.queue, lockWaiter{ch: ch, owner: a})
 	sf.mu.Unlock()
 	if !<-ch { // woken holding the lock, or canceled
 		return fmt.Errorf("server: parity lock of stripe %d canceled", stripe)
@@ -1005,62 +1062,38 @@ func (sf *serverFile) lockStripe(stripe int64, owner uint64) error {
 	return nil
 }
 
-// ownsLock reports whether stripe's parity lock is currently held under
-// owner's token.
-func (sf *serverFile) ownsLock(stripe int64, owner uint64) bool {
+// ownsLock reports whether stripe's parity lock is currently held by a.
+func (sf *serverFile) ownsLock(stripe int64, a acq) bool {
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
 	l := sf.locks[stripe]
-	return l != nil && l.held && l.owner == owner
+	return l != nil && l.owner == a
 }
 
-// unlockStripeOwned releases the parity lock if it is held under owner's
-// token, handing it to the first queued waiter if any. A mismatch is a no-op: an unlock
-// whose acquisition was already canceled must never release a lock since
-// granted to a different client.
-func (sf *serverFile) unlockStripeOwned(stripe int64, owner uint64) {
+// unlockStripeOwned releases the parity lock if a holds it, handing it to
+// the first queued waiter if any. A mismatch is a no-op: an unlock whose
+// acquisition was already canceled must never release a lock since granted
+// to a different client.
+func (sf *serverFile) unlockStripeOwned(stripe int64, a acq) {
 	sf.mu.Lock()
-	l := sf.locks[stripe]
-	if l == nil || !l.held || l.owner != owner {
-		sf.mu.Unlock()
-		return
+	var grant *lockWaiter
+	if l := sf.locks[stripe]; l != nil && l.owner == a {
+		grant = l.handOff()
 	}
-	if len(l.queue) > 0 {
-		w := l.queue[0]
-		l.queue = l.queue[1:]
-		l.owner = w.owner
-		sf.mu.Unlock()
-		w.ch <- true
-		return
-	}
-	l.held = false
-	l.owner = 0
 	sf.mu.Unlock()
-}
-
-// rememberCanceled records a canceled acquisition token so late frames
-// carrying it are refused, evicting the oldest entry past the bound. Caller
-// holds sf.mu.
-func (sf *serverFile) rememberCanceled(owner uint64) {
-	if _, ok := sf.canceled[owner]; ok {
-		return
-	}
-	sf.canceled[owner] = struct{}{}
-	sf.canceledFIFO = append(sf.canceledFIFO, owner)
-	if len(sf.canceledFIFO) > canceledTokensMax {
-		delete(sf.canceled, sf.canceledFIFO[0])
-		sf.canceledFIFO = sf.canceledFIFO[1:]
+	if grant != nil {
+		grant.ch <- true
 	}
 }
 
-// cancelLock releases stripe's parity lock if held under owner's token, and
-// removes any queued acquisitions carrying it (waking them canceled). The
-// token is remembered even when nothing matches — that is the case where the
+// cancelLock releases stripe's parity lock if a holds it, and removes any
+// queued acquisitions by a (waking them canceled). The acquisition is
+// remembered even when nothing matches — that is the case where the
 // cancellation overtook its locked read in the dispatch, and the read must
 // find the tombstone when it lands.
-func (sf *serverFile) cancelLock(stripe int64, owner uint64) {
+func (sf *serverFile) cancelLock(stripe int64, a acq) {
 	sf.mu.Lock()
-	sf.rememberCanceled(owner)
+	sf.canceled.add(a, canceledTokensMax)
 	l := sf.locks[stripe]
 	if l == nil {
 		sf.mu.Unlock()
@@ -1069,7 +1102,7 @@ func (sf *serverFile) cancelLock(stripe int64, owner uint64) {
 	var canceled []lockWaiter
 	kept := l.queue[:0]
 	for _, w := range l.queue {
-		if w.owner == owner {
+		if w.owner == a {
 			canceled = append(canceled, w)
 		} else {
 			kept = append(kept, w)
@@ -1077,16 +1110,8 @@ func (sf *serverFile) cancelLock(stripe int64, owner uint64) {
 	}
 	l.queue = kept
 	var grant *lockWaiter
-	if l.held && l.owner == owner {
-		if len(l.queue) > 0 {
-			w := l.queue[0]
-			l.queue = l.queue[1:]
-			l.owner = w.owner
-			grant = &w
-		} else {
-			l.held = false
-			l.owner = 0
-		}
+	if l.owner == a {
+		grant = l.handOff()
 	}
 	sf.mu.Unlock()
 	for _, w := range canceled {
@@ -1102,6 +1127,7 @@ func (s *Server) handleUnlockParity(m *wire.UnlockParity) (wire.Msg, error) {
 	if err != nil {
 		return nil, err
 	}
+	a := acq{m.Session, m.Seq}
 	for _, stripe := range m.Stripes {
 		if _, ok := sf.geom.ParityUnitOn(s.idx, stripe); !ok {
 			return nil, fmt.Errorf("server %d does not hold parity of stripe %d", s.idx, stripe)
@@ -1114,13 +1140,12 @@ func (s *Server) handleUnlockParity(m *wire.UnlockParity) (wire.Msg, error) {
 			// the parity; recomputing an untouched stripe is merely
 			// redundant, never wrong.
 			sf.mu.Lock()
-			abandoned, woken := sf.failStopLocked(s, stripe, m.Owner)
+			abandoned, woken := s.failStopLocked(sf, stripe, a)
 			sf.mu.Unlock()
 			for _, w := range woken {
 				w.ch <- false
 			}
 			if abandoned {
-				atomic.AddInt64(&s.intents.Abandoned, 1)
 				continue
 			}
 			// No open intent (the acquisition never got that far): fall
@@ -1129,9 +1154,9 @@ func (s *Server) handleUnlockParity(m *wire.UnlockParity) (wire.Msg, error) {
 			// Nothing was written: the stripe is untouched and consistent,
 			// so the acquisition's intent — if the grant raced the client's
 			// timeout — simply retires.
-			sf.retireIntent(s, stripe, m.Owner)
+			s.retireIntent(sf, stripe, a)
 		}
-		sf.cancelLock(stripe, m.Owner)
+		sf.cancelLock(stripe, a)
 	}
 	return &wire.OK{}, nil
 }

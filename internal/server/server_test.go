@@ -110,15 +110,15 @@ func TestParityLockFIFO(t *testing.T) {
 	s := testServer(2)
 	r := ref()
 	unlock := func(owner uint64) *wire.WriteParity {
-		return &wire.WriteParity{File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Owner: owner}
+		return &wire.WriteParity{File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Session: owner, Seq: 1}
 	}
 	// First locked read acquires the lock immediately.
-	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Owner: 11})
+	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Session: 11, Seq: 1})
 
 	// Second locked read must block until the parity write releases.
 	got := make(chan struct{})
 	go func() {
-		s.Handle(&wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Owner: 12}) //nolint:errcheck
+		s.Handle(&wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Session: 12, Seq: 1}) //nolint:errcheck
 		close(got)
 	}()
 	select {
@@ -140,18 +140,19 @@ func TestParityLockFIFO(t *testing.T) {
 // TestIntentCountersInRegistry: the intent/lease counters live in the
 // server's registry, so /metrics serves them as counters and the Stats RPC
 // carries each exactly once. One read-modify-write's parity traffic, then
-// the RetireIntents a client's Sync flushes: one batch, one intent retired.
+// the heartbeat a client's Sync flushes its watermark with: one renewal, one
+// intent retired.
 func TestIntentCountersInRegistry(t *testing.T) {
 	s := testServer(2)
 	r := ref()
-	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Owner: 41})
-	call(t, s, &wire.WriteParity{File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Owner: 41})
-	call(t, s, &wire.RetireIntents{File: r, Intents: []wire.IntentID{{Stripe: 0, Owner: 41}}})
+	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Session: 41, Seq: 1})
+	call(t, s, &wire.WriteParity{File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Session: 41, Seq: 1})
+	call(t, s, &wire.RenewLease{Session: 41, LeaseMS: 1000, Watermark: 1})
 
 	var prom strings.Builder
 	obs.WriteProm(&prom, s.Obs().Snapshot())
 	for _, want := range []string{"# TYPE csar_intents_opened counter", "csar_intents_opened 1", "csar_intents_retired 1",
-		"# TYPE csar_retire_batches counter", "csar_retire_batches 1"} {
+		"# TYPE csar_lease_renewals counter", "csar_lease_renewals 1"} {
 		if !strings.Contains(prom.String(), want) {
 			t.Errorf("/metrics output lacks %q:\n%s", want, prom.String())
 		}
@@ -176,12 +177,12 @@ func TestParityLockManyWaitersAllServed(t *testing.T) {
 		wg.Add(1)
 		go func(owner uint64) {
 			defer wg.Done()
-			if _, err := s.Handle(&wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Owner: owner}); err != nil {
+			if _, err := s.Handle(&wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Session: owner, Seq: 1}); err != nil {
 				t.Error(err)
 				return
 			}
 			if _, err := s.Handle(&wire.WriteParity{
-				File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Owner: owner,
+				File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Session: owner, Seq: 1,
 			}); err != nil {
 				t.Error(err)
 			}
@@ -203,7 +204,7 @@ func TestUnlockWithoutLockIsSafe(t *testing.T) {
 	// included — is refused, writes nothing and wedges nothing.
 	for _, owner := range []uint64{0, 31} {
 		if _, err := s.Handle(&wire.WriteParity{
-			File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Owner: owner,
+			File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Session: owner, Seq: 1,
 		}); err == nil {
 			t.Fatalf("unlocking write under token %d accepted with no lock held", owner)
 		}
@@ -212,8 +213,8 @@ func TestUnlockWithoutLockIsSafe(t *testing.T) {
 	if _, err := s.Handle(&wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true}); err == nil {
 		t.Fatal("tokenless locked read accepted")
 	}
-	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Owner: 32})
-	call(t, s, &wire.WriteParity{File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Owner: 32})
+	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Session: 32, Seq: 1})
+	call(t, s, &wire.WriteParity{File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Session: 32, Seq: 1})
 }
 
 func TestTokenedUnlockRequiresOwner(t *testing.T) {
@@ -221,21 +222,21 @@ func TestTokenedUnlockRequiresOwner(t *testing.T) {
 	r := ref()
 	// Client A acquires under its token; its compensating UnlockParity
 	// (fired after a client-side timeout) releases the acquisition.
-	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Owner: 101})
-	call(t, s, &wire.UnlockParity{File: r, Stripes: []int64{0}, Owner: 101})
+	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Session: 101, Seq: 1})
+	call(t, s, &wire.UnlockParity{File: r, Stripes: []int64{0}, Session: 101, Seq: 1})
 	// Client B acquires next.
-	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Owner: 202})
+	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{0}, Lock: true, Session: 202, Seq: 1})
 	// A's unlocking parity write now arrives late: it must be refused, not
 	// release B's lock or write its stale parity bytes.
 	if _, err := s.Handle(&wire.WriteParity{
-		File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Owner: 101,
+		File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Session: 101, Seq: 1,
 	}); err == nil {
 		t.Fatal("late unlocking parity write with a canceled token accepted")
 	}
 	// B must still hold the lock: its own unlocking write succeeds (it would
 	// be refused if A's ghost had released it).
 	call(t, s, &wire.WriteParity{
-		File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Owner: 202,
+		File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Session: 202, Seq: 1,
 	})
 }
 
@@ -245,11 +246,11 @@ func TestCanceledTokenRefusesLateLockedRead(t *testing.T) {
 	// The compensating UnlockParity overtakes its own locked read in the
 	// server's concurrent dispatch: nothing matches yet, but the token must
 	// be tombstoned.
-	call(t, s, &wire.UnlockParity{File: r, Stripes: []int64{0}, Owner: 303})
+	call(t, s, &wire.UnlockParity{File: r, Stripes: []int64{0}, Session: 303, Seq: 1})
 	// The locked read lands afterwards: it must be refused, or it would
 	// acquire a lock its client has already given up on — permanently.
 	if _, err := s.Handle(&wire.ReadParity{
-		File: r, Stripes: []int64{0}, Lock: true, Owner: 303,
+		File: r, Stripes: []int64{0}, Lock: true, Session: 303, Seq: 1,
 	}); err == nil {
 		t.Fatal("late locked read with a canceled token acquired the lock")
 	}
@@ -258,7 +259,7 @@ func TestCanceledTokenRefusesLateLockedRead(t *testing.T) {
 	go func() {
 		defer close(got)
 		if _, err := s.Handle(&wire.ReadParity{
-			File: r, Stripes: []int64{0}, Lock: true, Owner: 404,
+			File: r, Stripes: []int64{0}, Lock: true, Session: 404, Seq: 1,
 		}); err != nil {
 			t.Error(err)
 		}
@@ -269,7 +270,7 @@ func TestCanceledTokenRefusesLateLockedRead(t *testing.T) {
 		t.Fatal("stripe wedged by a refused ghost acquisition")
 	}
 	call(t, s, &wire.WriteParity{
-		File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Owner: 404,
+		File: r, Stripes: []int64{0}, Data: make([]byte, 128), Unlock: true, Session: 404, Seq: 1,
 	})
 }
 
@@ -278,18 +279,18 @@ func TestMultiStripeLockRollbackOnCancel(t *testing.T) {
 	r := ref()
 	// Another owner holds stripe 3, so the two-stripe acquisition below
 	// locks stripe 0 and then queues on stripe 3.
-	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{3}, Lock: true, Owner: 600})
+	call(t, s, &wire.ReadParity{File: r, Stripes: []int64{3}, Lock: true, Session: 600, Seq: 1})
 
 	errc := make(chan error, 1)
 	go func() {
-		_, err := s.Handle(&wire.ReadParity{File: r, Stripes: []int64{0, 3}, Lock: true, Owner: 500})
+		_, err := s.Handle(&wire.ReadParity{File: r, Stripes: []int64{0, 3}, Lock: true, Session: 500, Seq: 1})
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
 	// Cancel the in-flight acquisition. Whether it already queued on stripe 3
 	// or has not even locked stripe 0 yet, the end state must be the same:
 	// the request fails and holds nothing.
-	call(t, s, &wire.UnlockParity{File: r, Stripes: []int64{0, 3}, Owner: 500})
+	call(t, s, &wire.UnlockParity{File: r, Stripes: []int64{0, 3}, Session: 500, Seq: 1})
 	if err := <-errc; err == nil {
 		t.Fatal("canceled two-stripe acquisition reported success")
 	}
@@ -299,7 +300,7 @@ func TestMultiStripeLockRollbackOnCancel(t *testing.T) {
 	go func() {
 		defer close(got)
 		if _, err := s.Handle(&wire.ReadParity{
-			File: r, Stripes: []int64{0}, Lock: true, Owner: 700,
+			File: r, Stripes: []int64{0}, Lock: true, Session: 700, Seq: 1,
 		}); err != nil {
 			t.Error(err)
 		}
@@ -690,7 +691,7 @@ func TestStatsNames(t *testing.T) {
 		"counter bytes_in", "counter bytes_out", "counter errors",
 		"counter intents_abandoned", "counter intents_opened", "counter intents_resolved",
 		"counter intents_retired", "counter lease_expiries", "counter lease_renewals",
-		"counter parity_bytes_read", "counter parity_bytes_written", "counter retire_batches",
+		"counter parity_bytes_read", "counter parity_bytes_written",
 		"gauge dirty_log_entries", "gauge files_open", "gauge intents_live", "gauge locks_held",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {

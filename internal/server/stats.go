@@ -80,7 +80,7 @@ func (s *Server) registerGauges() {
 		for _, sf := range s.fileList() {
 			sf.mu.Lock()
 			for _, pl := range sf.locks {
-				if pl.held {
+				if pl.owner != (acq{}) {
 					n++
 				}
 			}
@@ -89,8 +89,8 @@ func (s *Server) registerGauges() {
 		return n
 	})
 	s.obs.RegisterGauge("intents_live", func() int64 {
-		s.jmu.Lock()
-		defer s.jmu.Unlock()
+		s.imu.Lock()
+		defer s.imu.Unlock()
 		return int64(len(s.jLive))
 	})
 	s.obs.RegisterGauge("dirty_log_entries", func() int64 {

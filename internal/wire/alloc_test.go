@@ -51,7 +51,8 @@ func hotMessages() map[string]Msg {
 			Ranges:  []Span{{Off: 0, Len: 64 << 10}},
 			Data:    payload,
 			Unlock:  true,
-			Owner:   42,
+			Session: 42,
+			Seq:     1,
 		},
 	}
 }
@@ -245,15 +246,13 @@ func TestUnmarshalLengthPrefixAmplification(t *testing.T) {
 		{"Read.Spans", KRead, 17, nil},
 		{"WriteData.Spans", KWriteData, 17, nil},
 		{"ReadParity.Stripes", KReadParity, 16, nil},
-		{"ReadParity.Ranges", KReadParity, 33, nil},
+		{"ReadParity.Ranges", KReadParity, 49, nil},
 		{"WriteParity.Stripes", KWriteParity, 16, nil},
-		{"WriteParity.Ranges", KWriteParity, 29, nil},
+		{"WriteParity.Ranges", KWriteParity, 37, nil},
 		{"UnlockParity.Stripes", KUnlockParity, 16, nil},
-		{"RenewLease.Stripes", KRenewLease, 16, nil},
 		{"InvalidateOverflow.Spans", KInvalidateOverflow, 16, nil},
 		{"OverflowDumpResp.Extents", KOverflowDumpResp, 0, nil},
 		{"ListIntentsResp.Intents", KListIntentsResp, 0, nil},
-		{"RetireIntents.Intents", KRetireIntents, 16, nil},
 		{"MarkDirty.Groups", KMarkDirty, 26, nil},
 		{"DirtyDumpResp.Epochs", KDirtyDumpResp, 0, nil},
 		{"DirtyDumpResp.Groups", KDirtyDumpResp, 4, nil},

@@ -19,12 +19,12 @@ func fuzzSeeds() []Msg {
 	return []Msg{
 		&Create{Name: "rs", Servers: 6, StripeUnit: 4096, Scheme: ReedSolomon, Parity: 2},
 		&CreateResp{Ref: rsRef},
-		&ReadParity{File: rsRef, Stripes: []int64{7, 13}, Lock: true, Owner: 91, LeaseMS: 5000},
-		&WriteParity{File: rsRef, Stripes: []int64{7, 13}, Data: []byte{0xC3, 0x5A}, Unlock: true, Owner: 91},
-		&UnlockParity{File: rsRef, Stripes: []int64{7}, Owner: 91, Dirty: true},
-		&RenewLease{File: rsRef, Stripes: []int64{7, 13}, Owner: 91, LeaseMS: 5000},
+		&ReadParity{File: rsRef, Stripes: []int64{7, 13}, Lock: true, Session: 91, Seq: 14, LeaseMS: 5000, Watermark: 12},
+		&WriteParity{File: rsRef, Stripes: []int64{7, 13}, Data: []byte{0xC3, 0x5A}, Unlock: true, Session: 91, Seq: 14},
+		&UnlockParity{File: rsRef, Stripes: []int64{7}, Session: 91, Seq: 14, Dirty: true},
+		&RenewLease{Session: 91, LeaseMS: 5000, Watermark: 14},
 		&ListIntents{File: rsRef},
-		&ResolveIntent{File: rsRef, Stripe: 7, Owner: 91, Data: []byte{0x01, 0x02}},
+		&ResolveIntent{File: rsRef, Stripe: 7, Session: 91, Seq: 14, Data: []byte{0x01, 0x02}},
 		&MarkDirty{File: rsRef, Dead: 4, Epoch: 7, Groups: []int64{7, 13}},
 		&Error{Text: "boom"},
 		&Error{Text: "down", Code: CodeUnavailable},
@@ -35,8 +35,8 @@ func fuzzSeeds() []Msg {
 		&WriteData{File: ref, Spans: []Span{{0, 3}}, Data: []byte{1, 2, 3}},
 		&WriteData{File: ref, Store: StoreMirror, Spans: []Span{{64, 4}}, Data: []byte{8, 8, 8, 8}},
 		&Read{File: ref, Store: StoreMirror, Spans: []Span{{0, 128}}},
-		&ReadParity{File: ref, Stripes: []int64{7}, Lock: true, Owner: 42, LeaseMS: 5000},
-		&WriteParity{File: ref, Stripes: []int64{7}, Data: []byte{0xAA}, Unlock: true, Owner: 42},
+		&ReadParity{File: ref, Stripes: []int64{7}, Lock: true, Session: 42, Seq: 1, LeaseMS: 5000},
+		&WriteParity{File: ref, Stripes: []int64{7}, Data: []byte{0xAA}, Unlock: true, Session: 42, Seq: 1},
 		&WriteData{File: ref, Store: StoreOverflowMirror, Spans: []Span{{8, 2}}, Data: []byte{9, 9}},
 		&InvalidateOverflow{File: ref, Spans: []Span{{8, 2}}, Mirror: true},
 		&OverflowDump{File: ref, Mirror: true},
@@ -66,14 +66,14 @@ func fuzzSeeds() []Msg {
 		&ChecksumRangeResp{Sums: []uint32{7, 0xffffffff}, Bytes: 8192},
 		&Health{},
 		&HealthResp{Index: 2, Requests: 17},
-		&UnlockParity{File: ref, Stripes: []int64{7, 9}, Owner: 42, Dirty: true},
+		&UnlockParity{File: ref, Stripes: []int64{7, 9}, Session: 42, Seq: 2, Dirty: true},
 		&Error{Text: "fenced", Code: CodeLeaseExpired},
 		&Error{Text: "torn", Code: CodeStripeTorn},
-		&RenewLease{File: ref, Stripes: []int64{7, 9}, Owner: 42, LeaseMS: 5000},
-		&RenewLeaseResp{Renewed: 2},
+		&RenewLease{Session: 42, LeaseMS: 5000, Watermark: 1},
+		&RenewLeaseResp{Live: true},
 		&ListIntents{File: ref},
-		&ListIntentsResp{Intents: []Intent{{Stripe: 7, Owner: 42, Abandoned: true}, {Stripe: 9, Owner: 43}}},
-		&ResolveIntent{File: ref, Stripe: 7, Owner: 42, Data: []byte{0xAA, 0xBB}},
+		&ListIntentsResp{Intents: []Intent{{Stripe: 7, Session: 42, Seq: 2, Abandoned: true}, {Stripe: 9, Session: 43, Seq: 5}}},
+		&ResolveIntent{File: ref, Stripe: 7, Session: 42, Seq: 2, Data: []byte{0xAA, 0xBB}},
 		&MarkDirty{File: ref, Dead: 2, Epoch: 99, Groups: []int64{0, 1, 3}, Overflow: true},
 		&MarkDirty{File: ref, Dead: 0, Epoch: 0}, // poison record
 		&DirtyDump{File: ref, Dead: 2},
@@ -100,15 +100,15 @@ func fuzzSeeds() []Msg {
 		},
 		// A read-modify-write's ranged parity traffic: the in-unit ranges of
 		// an update straddling two units, on one and on two parity units.
-		&ReadParity{File: ref, Stripes: []int64{7}, Lock: true, Owner: 43, LeaseMS: 5000,
+		&ReadParity{File: ref, Stripes: []int64{7}, Lock: true, Session: 43, Seq: 6, LeaseMS: 5000,
 			Ranges: []Span{{0, 2}, {4000, 96}}},
 		&WriteParity{File: ref, Stripes: []int64{7}, Ranges: []Span{{0, 2}, {4000, 96}},
-			Data: bytes.Repeat([]byte{0x5A}, 98), Unlock: true, Owner: 43},
-		&ReadParity{File: rsRef, Stripes: []int64{13}, Lock: true, Owner: 92, Ranges: []Span{{100, 1}}},
-		&WriteParity{File: rsRef, Stripes: []int64{13}, Ranges: []Span{{100, 1}}, Data: []byte{0xC3}, Owner: 92},
-		// A batch of pending intents retired after their read-modify-writes
-		// completed, on two stripes of one file.
-		&RetireIntents{File: rsRef, Intents: []IntentID{{Stripe: 7, Owner: 91}, {Stripe: 13, Owner: 93}}},
+			Data: bytes.Repeat([]byte{0x5A}, 98), Unlock: true, Session: 43, Seq: 6},
+		&ReadParity{File: rsRef, Stripes: []int64{13}, Lock: true, Session: 92, Seq: 3, Ranges: []Span{{100, 1}}},
+		&WriteParity{File: rsRef, Stripes: []int64{13}, Ranges: []Span{{100, 1}}, Data: []byte{0xC3}, Session: 92, Seq: 3},
+		// A session's watermark flushed without a lease: it retires the
+		// session's pending intents at or below seq 93 and renews nothing.
+		&RenewLease{Session: 91, Watermark: 93},
 		// The member messages on the parity store, in stripe space — a read
 		// of one stripe's whole unit and part of another's, and a write —
 		// and an overflow-store write of extents in two units.

@@ -118,7 +118,6 @@ var kinds = [...]struct {
 	KSetSchemeResp:      {"set_scheme_resp", func() Msg { return new(SetSchemeResp) }},
 	KCommitScheme:       {"commit_scheme", func() Msg { return new(CommitScheme) }},
 	KAbortScheme:        {"abort_scheme", func() Msg { return new(AbortScheme) }},
-	KRetireIntents:      {"retire_intents", func() Msg { return new(RetireIntents) }},
 }
 
 // Each message's codec lists its fields in wire order. A bulk byte field
@@ -165,21 +164,22 @@ func (m *ReadParity) codec(c *Codec) {
 	c.FileRef(&m.File)
 	slice(c, &m.Stripes, elemI64)
 	c.Bool(&m.Lock)
-	c.U64(&m.Owner)
+	c.U64(&m.Session)
+	c.U64(&m.Seq)
 	c.U32(&m.LeaseMS)
+	c.U64(&m.Watermark)
 	slice(c, &m.Ranges, elemSpan)
 }
 
 func (m *RenewLease) Kind() Kind { return KRenewLease }
 func (m *RenewLease) codec(c *Codec) {
-	c.FileRef(&m.File)
-	slice(c, &m.Stripes, elemI64)
-	c.U64(&m.Owner)
+	c.U64(&m.Session)
 	c.U32(&m.LeaseMS)
+	c.U64(&m.Watermark)
 }
 
 func (m *RenewLeaseResp) Kind() Kind     { return KRenewLeaseResp }
-func (m *RenewLeaseResp) codec(c *Codec) { c.U32(&m.Renewed) }
+func (m *RenewLeaseResp) codec(c *Codec) { c.Bool(&m.Live) }
 
 func (m *ListIntents) Kind() Kind     { return KListIntents }
 func (m *ListIntents) codec(c *Codec) { c.FileRef(&m.File) }
@@ -191,14 +191,9 @@ func (m *ResolveIntent) Kind() Kind { return KResolveIntent }
 func (m *ResolveIntent) codec(c *Codec) {
 	c.FileRef(&m.File)
 	c.I64(&m.Stripe)
-	c.U64(&m.Owner)
+	c.U64(&m.Session)
+	c.U64(&m.Seq)
 	c.Bytes(&m.Data)
-}
-
-func (m *RetireIntents) Kind() Kind { return KRetireIntents }
-func (m *RetireIntents) codec(c *Codec) {
-	c.FileRef(&m.File)
-	slice(c, &m.Intents, elemIntentID)
 }
 
 func (m *MarkDirty) Kind() Kind { return KMarkDirty }
@@ -238,7 +233,8 @@ func (m *UnlockParity) Kind() Kind { return KUnlockParity }
 func (m *UnlockParity) codec(c *Codec) {
 	c.FileRef(&m.File)
 	slice(c, &m.Stripes, elemI64)
-	c.U64(&m.Owner)
+	c.U64(&m.Session)
+	c.U64(&m.Seq)
 	c.Bool(&m.Dirty)
 }
 
@@ -256,7 +252,8 @@ func (m *WriteParity) codec(c *Codec) {
 	c.FileRef(&m.File)
 	slice(c, &m.Stripes, elemI64)
 	c.Bool(&m.Unlock)
-	c.U64(&m.Owner)
+	c.U64(&m.Session)
+	c.U64(&m.Seq)
 	slice(c, &m.Ranges, elemSpan) // before Data: the bulk payload stays last
 	c.Bytes(&m.Data)
 }

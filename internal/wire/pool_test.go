@@ -25,9 +25,9 @@ func TestUnmarshalAliasesData(t *testing.T) {
 	}{
 		{&WriteData{File: ref, Spans: []Span{{8, 4096}}, Data: payload(), Raw: true}, "Data", true},
 		{&WriteData{File: ref, Store: StoreMirror, Spans: []Span{{8, 4096}}, Data: payload()}, "Data", true},
-		{&WriteParity{File: ref, Stripes: []int64{3}, Data: payload(), Unlock: true, Owner: 5}, "Data", true},
+		{&WriteParity{File: ref, Stripes: []int64{3}, Data: payload(), Unlock: true, Session: 5, Seq: 1}, "Data", true},
 		{&WriteData{File: ref, Store: StoreOverflowMirror, Spans: []Span{{8, 4096}}, Data: payload()}, "Data", true},
-		{&ResolveIntent{File: ref, Stripe: 3, Owner: 5, Data: payload()}, "Data", true},
+		{&ResolveIntent{File: ref, Stripe: 3, Session: 5, Seq: 1, Data: payload()}, "Data", true},
 		{&ReadResp{Data: payload()}, "Data", true},
 		{&OverflowDumpResp{Extents: []Span{{8, 4096}}, Data: payload()}, "Data", false},
 		{&MetaReplicate{Epoch: 2, Seq: 3, Rec: payload()}, "Rec", false},

@@ -190,9 +190,7 @@ const (
 	KCommitScheme
 	KAbortScheme
 
-	// Batched retirement of write intents whose read-modify-write completed
-	// (appended so earlier kinds keep their values).
-	KRetireIntents
+	_ // retired: the batched intent retire, now a session's watermark
 )
 
 // KindTraceFlag is the high bit of the kind byte in a marshaled frame. Kinds
@@ -470,20 +468,26 @@ type WriteData struct {
 // 5.1 protocol: a parity read announces a partial-stripe update); Lock=false
 // is the no-lock ablation's read. Any other parity read is a Read of the
 // parity store.
-// Owner is the caller's lock token for that acquisition: a later
-// UnlockParity carrying the same token releases exactly this acquisition
-// and no other, so a client whose locked read timed out can free a
-// possibly-granted lock without ever stealing one granted to someone else.
 //
-// A locked read also opens a durable write intent per stripe and owner (the
-// stripe may be torn until the client, having seen its data and parity
-// writes acknowledged, retires the intent with RetireIntents). LeaseMS, when
-// non-zero, bounds how long the intent may go without a RenewLease
-// heartbeat or a retire: past the deadline the server revokes the lock if
-// it is still held, wakes the FIFO queue and marks the intent abandoned, so
-// a dead client cannot wedge the stripe. A locked read must list its stripes in strictly
-// ascending order — the Section 5.1 lock order — or it is refused before any
-// lock is taken.
+// A locked read names its acquisition (Session, Seq): Session is the
+// client's session on this server (never zero) and Seq a number the client
+// never reuses. A later UnlockParity naming the same pair releases exactly
+// this acquisition and no other, so a client whose locked read timed out can
+// free a possibly-granted lock without ever stealing one granted to someone
+// else. The read also opens a durable write intent per stripe under that
+// pair: the stripe may be torn until the session's watermark passes Seq.
+//
+// Watermark is the session's retire watermark W, applied before the lock is
+// taken: every acquisition of the session with a seq at or below W had both
+// of its writes acknowledged, or its release was, so the server retires
+// each of the session's pending intents at or below W. LeaseMS, when
+// non-zero, opens or renews the session's lease: past it with no RenewLease
+// heartbeat the server expires the session, revoking the locks it holds,
+// waking their queues and abandoning its open and pending intents, so a
+// dead client cannot wedge a stripe. A locked read of an expired session is
+// refused with ErrLeaseExpired. A locked read must list its stripes in
+// strictly ascending order — the Section 5.1 lock order — or it is refused
+// before any lock is taken.
 //
 // Ranges, when non-empty, lists byte ranges within a parity unit: sorted,
 // disjoint, each non-empty and inside the unit. They apply to every listed
@@ -491,20 +495,23 @@ type WriteData struct {
 // partial-stripe update reads only "the corresponding parity region" (Section
 // 4) this way. No ranges means whole units.
 type ReadParity struct {
-	File    FileRef
-	Stripes []int64
-	Lock    bool
-	Owner   uint64
-	LeaseMS uint32
-	Ranges  []Span
+	File      FileRef
+	Stripes   []int64
+	Lock      bool
+	Session   uint64
+	Seq       uint64
+	LeaseMS   uint32
+	Watermark uint64
+	Ranges    []Span
 }
 
 // UnlockParity force-releases the parity locks of the listed stripes if —
-// and only if — they are held (or queued) under the given Owner token. It
-// is the escape hatch for a dead or timed-out peer: the lock protocol of
-// Section 5.1 releases locks with WriteParity{Unlock}, but a client that
-// never saw its locked-read response cannot know whether it holds the lock,
-// and sends this instead. A token that matches nothing is a no-op.
+// and only if — they are held (or queued) under the acquisition (Session,
+// Seq). It is the escape hatch for a dead or timed-out peer: the lock
+// protocol of Section 5.1 releases locks with WriteParity{Unlock}, but a
+// client that never saw its locked-read response cannot know whether it
+// holds the lock, and sends this instead. An acquisition that matches
+// nothing is a no-op, and its later locked read is refused.
 //
 // Dirty tells the server how far the canceling client got. False — the
 // usual case — means no data write was ever issued: the stripe is
@@ -512,41 +519,46 @@ type ReadParity struct {
 // lock to the next waiter. True means data writes were already in flight
 // when the update was given up on, so the stripe may be torn: the server
 // abandons the intent — open, or pending after an unlocking write landed —
-// and fail-stops the stripe (the lock revoked if the token still holds it,
-// queue canceled, new acquisitions refused) until recovery replays it.
+// and fail-stops the stripe (the lock revoked if the acquisition still
+// holds it, queue canceled, new acquisitions refused) until recovery
+// replays it.
 type UnlockParity struct {
 	File    FileRef
 	Stripes []int64
-	Owner   uint64
+	Session uint64
+	Seq     uint64
 	Dirty   bool
 }
 
-// RenewLease extends the lease on parity locks held under Owner for the
-// listed stripes of a file — the client heartbeat that keeps a long
-// read-modify-write alive. Each matching, still-held, non-abandoned
-// acquisition has its deadline pushed LeaseMS past now.
+// RenewLease is a client session's heartbeat on one server: it renews the
+// session's lease LeaseMS past now (zero renews nothing) and applies
+// Watermark as a locked ReadParity does, retiring the session's pending
+// intents at or below it.
 type RenewLease struct {
-	File    FileRef
-	Stripes []int64
-	Owner   uint64
-	LeaseMS uint32
+	Session   uint64
+	LeaseMS   uint32
+	Watermark uint64
 }
 
-// RenewLeaseResp reports how many of the requested stripes were actually
-// renewed. Renewed < len(Stripes) means some lease already expired (the
-// lock was revoked and the intent abandoned); the writer must treat its
-// update as fenced off.
+// RenewLeaseResp reports whether the session is live on the server. Not
+// live means the server holds nothing of it: it expired the session (its
+// locks revoked and its intents abandoned), restarted since, let an idle
+// session's lease run out, or has not seen the session yet. A client that
+// knew the session live there takes that as an expiry: its updates under
+// it are fenced off, and it starts a new session.
 type RenewLeaseResp struct {
-	Renewed uint32
+	Live bool
 }
 
-// Intent is one stripe write intent in a ListIntentsResp. Abandoned
-// intents (lease expired, crash-restart load, explicit UnlockParity)
-// mark possibly-torn stripes awaiting replay; open intents belong to an
-// in-flight read-modify-write and must be left alone.
+// Intent is one stripe write intent in a ListIntentsResp, named by the
+// acquisition that opened it. Abandoned intents (session expired,
+// crash-restart load, explicit UnlockParity) mark possibly-torn stripes
+// awaiting replay; live ones belong to an update whose writes may still be
+// landing and must be left alone.
 type Intent struct {
 	Stripe    int64
-	Owner     uint64
+	Session   uint64
+	Seq       uint64
 	Abandoned bool
 }
 
@@ -561,35 +573,16 @@ type ListIntentsResp struct{ Intents []Intent }
 
 // ResolveIntent retires an abandoned intent by installing parity
 // recomputed from the stripe's data units. Data must be one full parity
-// unit. Owner must be the token the intent was abandoned under (as
-// ListIntents reports it): the server refuses any other token, refuses to
-// touch an intent that is still open (the update is live), and treats a
-// missing intent as already resolved.
+// unit. Session and Seq must name the intent as ListIntents reports it: the
+// server refuses to touch an intent that is still live (the update may be
+// landing), refuses while another intent on the stripe is live
+// (ErrStripeBusy), and treats a missing intent as already resolved.
 type ResolveIntent struct {
-	File   FileRef
-	Stripe int64
-	Owner  uint64
-	Data   []byte
-}
-
-// IntentID names one write intent: the stripe and the owner token of the
-// locked parity read that opened it.
-type IntentID struct {
-	Stripe int64
-	Owner  uint64
-}
-
-// RetireIntents retires, in one request, write intents of a file whose
-// read-modify-writes have completed: the unlocking parity write left each
-// pending, and the client saw both its data and parity writes acknowledged.
-// Only a pending intent under the named owner retires; one whose lock is
-// still held, one already abandoned or one unknown is left as it is. The
-// server does not sync the retire records: a lost retire only brings the
-// intent back abandoned after a restart, and replaying a consistent stripe
-// changes nothing.
-type RetireIntents struct {
 	File    FileRef
-	Intents []IntentID
+	Stripe  int64
+	Session uint64
+	Seq     uint64
+	Data    []byte
 }
 
 // MarkDirty records, on a surviving server, which regions a degraded write
@@ -679,24 +672,26 @@ type HealthResp struct {
 // WriteParity is the write half of a read-modify-write: it writes parity
 // units of the listed stripes, whole or only the bytes Ranges names, packed as
 // ReadParity returns them. With Unlock set it releases the parity locks taken
-// by a prior locked ReadParity and Owner must carry that acquisition's token:
-// the server refuses the write outright unless the token still holds every
-// listed stripe's lock — the acquisition was canceled by UnlockParity after a
-// client-side timeout, so this frame is a late ghost whose bytes could clobber
-// parity now owned by another client's update. Locks are never granted
-// without a token (a locked ReadParity with a zero Owner is refused), so an
-// unlocking write with a zero Owner is always refused. An unlocking write
-// leaves the acquisition's intent pending until its owner retires it
-// (RetireIntents). A write without Unlock is the no-lock ablation's. Neither
-// supersedes anything: parity that is installed, not updated, is a WriteData
-// of the parity store.
+// by a prior locked ReadParity, and Session and Seq must name that
+// acquisition: the server refuses the write outright unless it still holds
+// every listed stripe's lock — the acquisition was canceled by UnlockParity
+// after a client-side timeout, so this frame is a late ghost whose bytes
+// could clobber parity now owned by another client's update — and refuses
+// it with ErrLeaseExpired if the acquisition's intent was abandoned. Locks
+// are never granted without a session (a locked ReadParity with a zero
+// Session is refused), so an unlocking write with a zero Session is always
+// refused. An unlocking write leaves the acquisition's intent pending until
+// the session's watermark passes its Seq. A write without Unlock is the
+// no-lock ablation's. Neither supersedes anything: parity that is
+// installed, not updated, is a WriteData of the parity store.
 type WriteParity struct {
 	File    FileRef
 	Stripes []int64
 	Ranges  []Span
 	Data    []byte
 	Unlock  bool
-	Owner   uint64
+	Session uint64
+	Seq     uint64
 }
 
 // InvalidateOverflow removes overflow-table coverage of the given spans;
@@ -1149,14 +1144,11 @@ var (
 		c.I64(&it.Group)
 		c.U64(&it.Gen)
 	}}
-	elemIntent = elem[Intent]{17, func(c *Codec, in *Intent) {
+	elemIntent = elem[Intent]{25, func(c *Codec, in *Intent) {
 		c.I64(&in.Stripe)
-		c.U64(&in.Owner)
+		c.U64(&in.Session)
+		c.U64(&in.Seq)
 		c.Bool(&in.Abandoned)
-	}}
-	elemIntentID = elem[IntentID]{16, func(c *Codec, in *IntentID) {
-		c.I64(&in.Stripe)
-		c.U64(&in.Owner)
 	}}
 	elemStatKV = elem[StatKV]{12, func(c *Codec, kv *StatKV) {
 		c.Str(&kv.Name)

@@ -34,17 +34,16 @@ func TestRoundTripAllKinds(t *testing.T) {
 		&Read{File: ref, Store: StoreParity, Spans: spans, Raw: true},
 		&ReadResp{Data: data},
 		&WriteData{File: ref, Store: StoreOverflowMirror, Spans: spans, Data: data, Raw: true},
-		&ReadParity{File: ref, Stripes: []int64{3, 9}, Lock: true, Owner: 77, LeaseMS: 10000},
-		&UnlockParity{File: ref, Stripes: []int64{3, 9}, Owner: 77, Dirty: true},
-		&RenewLease{File: ref, Stripes: []int64{3, 9}, Owner: 77, LeaseMS: 10000},
-		&RenewLeaseResp{Renewed: 2},
+		&ReadParity{File: ref, Stripes: []int64{3, 9}, Lock: true, Session: 77, Seq: 5, LeaseMS: 10000, Watermark: 4},
+		&UnlockParity{File: ref, Stripes: []int64{3, 9}, Session: 77, Seq: 5, Dirty: true},
+		&RenewLease{Session: 77, LeaseMS: 10000, Watermark: 4},
+		&RenewLeaseResp{Live: true},
 		&ListIntents{File: ref},
-		&ListIntentsResp{Intents: []Intent{{Stripe: 3, Owner: 77, Abandoned: true}}},
-		&ResolveIntent{File: ref, Stripe: 3, Owner: 77, Data: data},
-		&RetireIntents{File: ref, Intents: []IntentID{{Stripe: 3, Owner: 77}, {Stripe: 9, Owner: 78}}},
+		&ListIntentsResp{Intents: []Intent{{Stripe: 3, Session: 77, Seq: 5, Abandoned: true}}},
+		&ResolveIntent{File: ref, Stripe: 3, Session: 77, Seq: 5, Data: data},
 		&Health{},
 		&HealthResp{Index: 3, Requests: 12345},
-		&WriteParity{File: ref, Stripes: []int64{3}, Ranges: []Span{{0, 5}, {100, 8}}, Data: data, Unlock: true, Owner: 77},
+		&WriteParity{File: ref, Stripes: []int64{3}, Ranges: []Span{{0, 5}, {100, 8}}, Data: data, Unlock: true, Session: 77, Seq: 5},
 		&InvalidateOverflow{File: ref, Spans: spans, Mirror: true},
 		&OverflowDump{File: ref, Mirror: true},
 		&OverflowDumpResp{Extents: spans, Data: data},
@@ -303,7 +302,6 @@ func TestSliceElemSizes(t *testing.T) {
 	checkElemSize(t, "span", elemSpan)
 	checkElemSize(t, "dirtyItem", elemDirtyItem)
 	checkElemSize(t, "intent", elemIntent)
-	checkElemSize(t, "intentID", elemIntentID)
 	checkElemSize(t, "statKV", elemStatKV)
 	checkElemSize(t, "histDump", elemHistDump)
 }

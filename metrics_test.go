@@ -191,10 +191,10 @@ func TestMetricsResyncCounters(t *testing.T) {
 
 // TestMetricsLeaseAndIntent drives the write-hole machinery end to end and
 // checks the four crash-consistency counters. Phase one stalls an RMW while
-// the heartbeat keeps its parity-lock lease alive (LeaseRenewals). Phase
-// two stalls an RMW with the heartbeat off so the server expires the lease
-// (LeaseExpiries), then replays the abandoned stripe intent
-// (IntentsAbandoned, IntentsReplayed).
+// the heartbeat keeps its session's lease alive (LeaseRenewals). Phase two
+// stalls an RMW with the heartbeats to its parity server lost, so the server
+// expires the session (LeaseExpiries), then replays the abandoned stripe
+// intent (IntentsAbandoned, IntentsReplayed).
 func TestMetricsLeaseAndIntent(t *testing.T) {
 	c := newTestCluster(t, 4)
 	cl := c.NewClient()
@@ -206,8 +206,7 @@ func TestMetricsLeaseAndIntent(t *testing.T) {
 	p.Retries = 2     // the hung read succeeds on its post-release retry
 	p.BackoffBase = time.Millisecond
 	p.BackoffMax = 2 * time.Millisecond
-	p.LockLease = 500 * time.Millisecond
-	p.LeaseRenewEvery = 20 * time.Millisecond
+	p.LockLease = 300 * time.Millisecond // heartbeats every 100ms
 	cl.SetResilience(p)
 
 	fa, err := cl.Create("lease-a", csar.FileOptions{Scheme: csar.Raid5, StripeUnit: 64})
@@ -244,10 +243,11 @@ func TestMetricsLeaseAndIntent(t *testing.T) {
 		t.Fatalf("after phase 1: renewals=%d expiries=%d", m.LeaseRenewals, m.LeaseExpiries)
 	}
 
-	// Phase 2: heartbeat off, short lease — the server revokes the lock
-	// under the stalled RMW and the unlocking parity write is fenced.
+	// Phase 2: heartbeats lost, short lease — the server expires the
+	// session, revoking the lock under the stalled RMW, and the unlocking
+	// parity write is fenced.
 	p.LockLease = 40 * time.Millisecond
-	p.LeaseRenewEvery = -1
+	p.BreakerThreshold = 0 // the lost heartbeats must not mark the parity server down
 	cl.SetResilience(p)
 
 	fb, err := cl.Create("lease-b", csar.FileOptions{Scheme: csar.Raid5, StripeUnit: 64})
@@ -259,6 +259,9 @@ func TestMetricsLeaseAndIntent(t *testing.T) {
 		t.Fatal(err)
 	}
 	firstB, _ := gb.DataUnitsOf(0)
+	ps := gb.ParityServerOf(0)
+	lost := ic.Inject(cluster.FaultPoint{Server: ps, Kind: wire.KRenewLease, Action: cluster.FaultDrop})
+	defer lost.Release()
 	hang = ic.Inject(cluster.FaultPoint{
 		Server: gb.ServerOf(firstB), Kind: wire.KRead, Action: cluster.FaultHang,
 	})
@@ -268,7 +271,6 @@ func TestMetricsLeaseAndIntent(t *testing.T) {
 	}()
 	<-hang.Triggered()
 	// Wait for the server-side expiry (the intent flips to abandoned).
-	ps := gb.ParityServerOf(0)
 	for {
 		resp, lerr := cl.InternalClient().ServerCaller(ps).Call(&wire.ListIntents{File: fb.Internal().Ref()})
 		if lerr != nil {
