@@ -40,12 +40,14 @@ port32:
 # requests ride along, the same concern one layer up: a member write whose
 # payload does not match its spans, spans that are empty, negative,
 # overflowing, cross a parity or overflow unit or name a foreign stripe, a
-# read of an overflow store or past the frame bound — each refused before any
+# read of an overflow store or past the frame bound, an overflow span of a
+# unit whose copy the server does not hold — each refused before any
 # byte moves, a span of 2^62 bytes as fast as any (its bytes here are
-# counted, not walked) — and a failed store write never acknowledged.
+# counted, not walked), a write of several parts refused whole when any part
+# is bad — and a failed store write never acknowledged.
 fuzz-seeds:
 	$(GO) test -run 'Fuzz|TestWireGolden|TestUnmarshalLengthPrefixAmplification' ./internal/wire ./internal/extent ./internal/rpc
-	$(GO) test -run 'TestWritePayloadLengthValidated|TestMemberSpansRefused|TestHugeSpanRefused|TestParityOwnershipEnforced|TestFailedStoreWriteRefused' ./internal/server
+	$(GO) test -run 'TestWritePayloadLengthValidated|TestMemberSpansRefused|TestMultiPartWriteAllOrNothing|TestHugeSpanRefused|TestParityOwnershipEnforced|TestFailedStoreWriteRefused' ./internal/server
 
 # The deterministic fault-schedule suite: injected server hangs, ghost
 # parity locks, partitions and flapping servers; and the rpc client's
@@ -171,7 +173,9 @@ obs:
 # The hot-path suite, both directions: allocation-budget regressions
 # (pooled frame marshal, decode without a payload copy, full-stripe WriteAt,
 # the 16 KiB read-modify-write — each for RAID5 and RS(4,2), the two shapes
-# of the one parity engine, and the full-group WriteAt for RAID1 too — and 1 MiB ReadAt through the whole stack, healthy
+# of the one parity engine, and the full-group WriteAt for RAID1 too — the
+# 16 KiB Hybrid overflow write, one request per server touched, and 1 MiB
+# ReadAt through the whole stack, healthy
 # and degraded with an RS(4,2) server down), the
 # borrow/release rules of the payload pool (poison-on-put property test,
 # late responses, a write timed out on a hung link never applied,
@@ -188,10 +192,10 @@ obs:
 allocs:
 	$(GO) test -race -run 'TestMarshalFrameAllocs|TestUnmarshalAllocs|TestMarshalFrameMatchesMarshal|TestUnmarshalAliasesData|TestReadRespRelease|TestBufPoolClasses|TestPoolPoisonCorrectness|TestLateReadRespIsRecycled|TestAbandonedSendOwnsItsPayload|TestTimedOutCallsDrainPendingMap|TestReadLandsInInto|TestLandingDeadlineMidFill' ./internal/wire ./internal/rpc
 	$(GO) test -race -run 'TestRedialAfterLandingDeadline' .
-	$(GO) test -race -run 'TestFullStripeWriteAllocs|TestRMWWriteAllocs|TestReadAtAllocs|TestDegradedReadAtAllocs|TestPipelinedStripeWritesOverlap|TestSameStripeWritesSerializeThroughParityLock' ./internal/cluster
+	$(GO) test -race -run 'TestFullStripeWriteAllocs|TestRMWWriteAllocs|TestOverflowWriteAllocs|TestReadAtAllocs|TestDegradedReadAtAllocs|TestPipelinedStripeWritesOverlap|TestSameStripeWritesSerializeThroughParityLock' ./internal/cluster
 	$(GO) test -race -run 'TestSyncCostIndependentOfCacheSize|TestDifferentialAgainstScanReference' ./internal/simdisk
 	$(GO) test -race -run 'TestCodingKernelAllocs' ./internal/gf256
-	$(GO) test -run 'TestFullStripeWriteAllocs|TestRMWWriteAllocs|TestReadAtAllocs|TestDegradedReadAtAllocs' ./internal/cluster
+	$(GO) test -run 'TestFullStripeWriteAllocs|TestRMWWriteAllocs|TestOverflowWriteAllocs|TestReadAtAllocs|TestDegradedReadAtAllocs' ./internal/cluster
 
 # A tiny end-to-end run of the real csar-bench binary plus the schema-v2
 # validation test, so BENCH_N.json files stay comparable across PRs.

@@ -268,7 +268,8 @@ func planWrite(l raid.Layout, off, length int64) []portion {
 // WriteData per server and, beside it, its redundancy members as one
 // request per server that keeps any (memberBatch); the redundancy is
 // computed before either is sent, so both hit the wire together. A
-// read-modify-write or overflow portion is one send of its own.
+// read-modify-write portion is one send of its own; the overflow portions,
+// head and tail, are one send together.
 func (f *File) execute(plan []portion, off int64, p []byte, dead int, tr uint64) error {
 	data := func(s raid.Span) []byte { return p[s.Off-off : s.End()-off] }
 
@@ -290,9 +291,10 @@ func (f *File) execute(plan []portion, off int64, p []byte, dead int, tr uint64)
 		close(headDone)
 	}
 
-	var sends [4]func() error // at most: overflow, encode's data and members, overflow
+	var sends [3]func() error // at most: encode's data and members, then an rmw or the overflow
 	n := 0
 	var stopEncode func()
+	var overflow []raid.Span
 	for _, pt := range rest {
 		span, b := pt.span, data(pt.span)
 		switch pt.mode {
@@ -313,12 +315,13 @@ func (f *File) execute(plan []portion, off int64, p []byte, dead int, tr uint64)
 				return f.writeRMW(span, b, nil, dead, tr)
 			}
 		case modeOverflow:
-			sends[n] = func() error {
-				atomic.AddInt64(&f.c.metrics.OverflowWrites, 1)
-				defer f.timePath("op_write_overflow")()
-				return f.writeOverflow(span, b, dead, tr)
-			}
+			overflow = append(overflow, span)
+			continue
 		}
+		n++
+	}
+	if overflow != nil {
+		sends[n] = func() error { return f.writeOverflow(overflow, off, p, dead, tr) }
 		n++
 	}
 
@@ -650,7 +653,7 @@ func (f *File) writeRMW(span raid.Span, p []byte, onParityRead func(), dead int,
 	dErr := f.readRaw(span, old, dead, tr)
 	<-held
 	if pErr == nil && dErr == nil && dead >= 0 {
-		if len(serverPieces(g, span.Off, span.Len)[dead]) > 0 {
+		if len(bytesBy(g, span.Off, old, g.ServerOf)[dead]) > 0 {
 			dErr = f.settleOthers(holds)
 		}
 		if dErr == nil {
@@ -769,26 +772,17 @@ func (f *File) acquire(stripe int64, units []int, ranges []wire.Span, onParityRe
 	return holds, nil
 }
 
-// writeOverflow stores a partial-stripe portion the Hybrid way: the new
-// bytes go to the overflow region of each piece's home server, and a mirror
-// copy goes to the overflow-mirror region of the unit's mirror server, all
-// of both copies' requests concurrently and the dead server skipped. No
-// locks, no reads — the in-place data and parity stay untouched so the
-// stripe remains reconstructable.
-func (f *File) writeOverflow(span raid.Span, p []byte, dead int, tr uint64) error {
-	g := f.geom
-	var extents [2][][]wire.Span
-	var data [2][][][]byte
-	for c, serverOf := range [2]func(int64) int{g.ServerOf, g.MirrorServerOf} {
-		extents[c], data[c] = piecesBy(g, span.Off, span.Len, serverOf), bytesBy(g, span.Off, p, serverOf)
-	}
-	// Request i is copy i / Servers to server i % Servers.
-	has := func(i int) bool { return len(data[i/g.Servers][i%g.Servers]) > 0 && i%g.Servers != dead }
-	return f.c.EachServer(2*g.Servers, has, func(i int) error {
-		c, s := i/g.Servers, i%g.Servers
-		_, err := f.c.callSrvT(s, &wire.WriteData{
-			File: f.ref, Store: wire.OverflowStore(c == 1), Spans: extents[c][s], From: data[c][s],
-		}, tr)
+// writeOverflow stores a write's partial-stripe portions the Hybrid way, in
+// the mirrored overflow pair: one request per server (overflowWrites), all
+// concurrently, the dead server skipped. No locks, no reads — the in-place
+// data and parity stay untouched so the stripe remains reconstructable.
+func (f *File) writeOverflow(spans []raid.Span, off int64, p []byte, dead int, tr uint64) error {
+	atomic.AddInt64(&f.c.metrics.OverflowWrites, int64(len(spans)))
+	defer f.timePath("op_write_overflow")()
+	reqs := overflowWrites(f.geom, f.ref, spans, off, p)
+	has := func(i int) bool { return len(reqs[i].From) > 0 && i != dead }
+	return f.c.EachServer(len(reqs), has, func(i int) error {
+		_, err := f.c.callSrvT(i, &reqs[i].WriteData, tr)
 		return err
 	})
 }

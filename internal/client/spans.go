@@ -35,11 +35,11 @@ func (r spanReads) release() {
 // bytesBy returns, for each server, the slices of p — which holds the
 // logical range [off, off+len(p)) — that its pieces cover, each unit's
 // piece routed by serverOf (its own server, or MirrorServerOf for the copy
-// a mirror or an overflow mirror keeps), in the order the server consumes
-// them: what a write request sends (its From) and where a Read response's
-// bytes belong (its Into). Both placements go round-robin over the servers,
-// so none holds more than its share of the units crossed, rounded up; one
-// backing array serves all.
+// a mirror keeps), in the order the server consumes them: what a write
+// request sends (its From) and where a Read response's bytes belong (its
+// Into). Both placements go round-robin over the servers, so none holds
+// more than its share of the units crossed, rounded up; one backing array
+// serves all.
 func bytesBy(g raid.Geometry, off int64, p []byte, serverOf func(unit int64) int) [][][]byte {
 	end := off + int64(len(p))
 	units := g.UnitOf(end-1) - g.UnitOf(off) + 1
@@ -56,31 +56,50 @@ func bytesBy(g raid.Geometry, off int64, p []byte, serverOf func(unit int64) int
 	return out
 }
 
-// serverPieces returns, for each server, the logical extents of its pieces
-// of [off, off+length), in order. Used where the server must be told the
-// extents explicitly (overflow writes).
-func serverPieces(g raid.Geometry, off, length int64) [][]wire.Span {
-	return piecesBy(g, off, length, g.ServerOf)
+// overflowReq is one server's request of overflowWrites; n counts, then
+// indexes, its pieces of each copy.
+type overflowReq struct {
+	wire.WriteData
+	n    [2]int
+	more [1]wire.Part
 }
 
-// piecesBy is serverPieces with each unit's piece routed by serverOf.
-func piecesBy(g raid.Geometry, off, length int64, serverOf func(unit int64) int) [][]wire.Span {
-	out := make([][]wire.Span, g.Servers)
-	eachPiece(g, off, length, func(unit, cur, pieceEnd int64) {
-		s := serverOf(unit)
-		out[s] = appendSpan(out[s], cur, pieceEnd-cur)
-	})
-	return out
-}
-
-// appendSpan appends [off, off+n), merging with the previous span when
-// contiguous.
-func appendSpan(spans []wire.Span, off, n int64) []wire.Span {
-	if k := len(spans); k > 0 && spans[k-1].Off+spans[k-1].Len == off {
-		spans[k-1].Len += n
-		return spans
+// overflowWrites returns each server's request for a write's overflow
+// portions spans, whose bytes p holds from off: a unit's piece goes to its
+// server's overflow and to its mirror server's overflow mirror, one span per
+// piece (an overflow span may not cross a unit). A request's overflow part
+// comes first, its mirror part in More, From their bytes in that order.
+func overflowWrites(g raid.Geometry, ref wire.FileRef, spans []raid.Span, off int64, p []byte) []overflowReq {
+	reqs := make([]overflowReq, g.Servers)
+	pieces := func(fn func(r *overflowReq, c int, cur, end int64)) {
+		for _, sp := range spans {
+			eachPiece(g, sp.Off, sp.Len, func(u, cur, end int64) {
+				fn(&reqs[g.ServerOf(u)], 0, cur, end)
+				fn(&reqs[g.MirrorServerOf(u)], 1, cur, end)
+			})
+		}
 	}
-	return append(spans, wire.Span{Off: off, Len: n})
+	total := 0
+	pieces(func(r *overflowReq, c int, _, _ int64) { r.n[c], total = r.n[c]+1, total+1 })
+	ext, from := make([]wire.Span, total), make([][]byte, total)
+	lo := 0
+	for i := range reqs {
+		r := &reqs[i]
+		mid, hi := lo+r.n[0], lo+r.n[0]+r.n[1]
+		r.File, r.From, r.Store, r.Spans = ref, from[lo:hi], wire.StoreOverflow, ext[lo:mid]
+		if r.n[0] == 0 {
+			r.Store, r.Spans = wire.StoreOverflowMirror, ext[mid:hi]
+		} else if r.n[1] > 0 {
+			r.more[0] = wire.Part{Store: wire.StoreOverflowMirror, Spans: ext[mid:hi]}
+			r.More = r.more[:]
+		}
+		r.n, lo = [2]int{lo, mid}, hi
+	}
+	pieces(func(r *overflowReq, c int, cur, end int64) {
+		ext[r.n[c]], from[r.n[c]] = wire.Span{Off: cur, Len: end - cur}, p[cur-off:end-off]
+		r.n[c]++
+	})
+	return reqs
 }
 
 // bytesFor sums the payload bytes a server receives for pieces of a span.

@@ -5,6 +5,8 @@ import (
 	"os"
 	"runtime/metrics"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"csar/internal/recovery"
@@ -289,5 +291,83 @@ func TestDegradedReadAtAllocs(t *testing.T) {
 	}
 	if !bytes.Equal(p, ref[off:off+len(p)]) {
 		t.Fatal("degraded ReadAt returned wrong bytes after pool reuse")
+	}
+}
+
+// overflowWriteAllocBudget bounds one warm 16 KiB Hybrid WriteAt of a
+// partial stripe through the complete stack, for each of the three cases of
+// TestOverflowWriteAllocs: two or three requests, each one WriteData whose
+// pieces go out from the caller's buffer, so what is counted is per-request
+// bookkeeping on both ends of the pipes. The three read 28, 38 and 40
+// allocs/op (31, 44 and 46 under the race detector); with a request per copy
+// per server, and a net.Buffers allocated for every frame with a payload,
+// they read 40, 66 and 79.
+const overflowWriteAllocBudget = 60
+
+// TestOverflowWriteAllocs holds a Hybrid partial-stripe write to one request
+// per server it touches, a server's overflow piece and its overflow-mirror
+// piece travelling as one two-part WriteData, and to an allocation budget:
+// 16 KiB written within one unit, across a unit boundary and across a
+// stripe boundary, whose head and tail are two overflow portions sent
+// together. A request per copy per server sent 2, 4 and 4.
+func TestOverflowWriteAllocs(t *testing.T) {
+	c := newCluster(t, 6)
+	cl := c.NewClient()
+	var rc rpcCounter
+	counted := rc.client(c)
+	const su = 64 << 10
+	f, err := cl.Create("ovalloc", 6, su, wire.Hybrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc, err := counted.Open("ovalloc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := f.Geometry().StripeSize()
+	ref := pattern(int(2*ss), 3)
+	mustWrite(t, f, ref, 0)
+	patch := pattern(16<<10, 13)
+	for _, tc := range []struct {
+		name               string
+		off                int64
+		portions, requests int64
+	}{
+		{"within a unit", 1000, 1, 2},
+		{"across a unit", su - 5000, 1, 3},
+		{"across a stripe", ss - 5000, 2, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var requests int64
+			for _, kv := range strings.Fields(rc.count(func() { mustWrite(t, fc, patch, tc.off) })) {
+				n, err := strconv.ParseInt(kv[strings.IndexByte(kv, '=')+1:], 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requests += n
+			}
+			if requests != tc.requests {
+				t.Fatalf("a 16 KiB write %s sends %d requests, want one per server touched: %d", tc.name, requests, tc.requests)
+			}
+			write := func() {
+				if _, err := f.WriteAt(patch, tc.off); err != nil {
+					panic(err)
+				}
+			}
+			for i := 0; i < 8; i++ {
+				write()
+			}
+			before := cl.Metrics().OverflowWrites
+			allocs, _ := measureAllocs(50, write)
+			if got := cl.Metrics().OverflowWrites - before; got != 51*tc.portions {
+				t.Fatalf("%d overflow portions in 51 writes, want %d", got, 51*tc.portions)
+			}
+			t.Logf("16 KiB Hybrid WriteAt %s: %.1f allocs/op", tc.name, allocs)
+			if allocs > overflowWriteAllocBudget {
+				t.Fatalf("16 KiB Hybrid WriteAt %s allocates %.1f/op, budget %d", tc.name, allocs, overflowWriteAllocBudget)
+			}
+			copy(ref[tc.off:], patch)
+			checkRead(t, f, ref, 0)
+		})
 	}
 }

@@ -28,7 +28,8 @@ import (
 
 // rpcCounter counts the requests of the clients it attaches that reach a
 // live server, by label: the request's kind and, for a member read or write
-// of any store but the data store, that store ("read/parity").
+// of any store but the data store, that store ("read/parity"); a write of
+// several parts names each part's store ("write_data/overflow+ovmirror").
 type rpcCounter struct {
 	mu sync.Mutex
 	n  map[string]int64
@@ -46,14 +47,18 @@ func (rc *rpcCounter) client(c *Cluster) *client.Client {
 				return resp, err
 			}
 			label, store := m.Kind().String(), wire.StoreData
+			var more []wire.Part
 			switch m := m.(type) {
 			case *wire.Read:
 				store = m.Store
 			case *wire.WriteData:
-				store = m.Store
+				store, more = m.Store, m.More
 			}
 			if store != wire.StoreData {
 				label += "/" + storeLabels[store]
+			}
+			for _, pt := range more {
+				label += "+" + storeLabels[pt.Store]
 			}
 			rc.mu.Lock()
 			if rc.n == nil {
@@ -339,6 +344,15 @@ func TestParityEngineOneParityRSIsRaid5(t *testing.T) {
 // read-modify-write's locked read_parity and unlocking write_parity stayed,
 // so a degraded read-modify-write's read_parity=2 (RS: 3) is its locked
 // read_parity=1 (RS: 2) and its survivor fetch, read/parity=1.
+//
+// When a server's overflow and overflow-mirror pieces of one write began to
+// travel as one two-part WriteData, Hybrid's straddling row went from
+// write_data/overflow=4 write_data/ovmirror=4 (a request per copy per server:
+// the head's units 2 and 3 and the tail's units 4 and 5 to servers 2, 3, 4
+// and 0, their copies to 3, 4, 0 and 1) to one request per server touched:
+// server 2 its overflow only, servers 3, 4 and 0 both parts, server 1 its
+// overflow mirror only. Its one-unit "rmw" row touches two servers with one
+// part each and is unchanged.
 func TestParityEngineGoldenRPCs(t *testing.T) {
 	for _, tc := range []struct {
 		scheme  wire.Scheme
@@ -358,7 +372,7 @@ func TestParityEngineGoldenRPCs(t *testing.T) {
 		{wire.Hybrid, 5, 0, map[string]string{
 			"full stripes":  "write_data/parity=4 write_data=5",
 			"rmw":           "write_data/overflow=1 write_data/ovmirror=1",
-			"straddling":    "write_data/overflow=4 write_data/ovmirror=4",
+			"straddling":    "write_data/overflow+ovmirror=3 write_data/overflow=1 write_data/ovmirror=1",
 			"degraded read": "overflow_dump=1 read/parity=3 read=8",
 			"degraded rmw":  "mark_dirty=2 write_data/ovmirror=1",
 			"resync":        "clear_dirty=4 dirty_dump=4 invalidate_overflow=2 overflow_dump=2 write_data/overflow=1 write_data/ovmirror=1",

@@ -426,7 +426,7 @@ func runLandingScript(t *testing.T, script []byte, tcp bool) {
 		frame := func(m wire.Msg, seq uint32) []byte {
 			var b bytes.Buffer
 			fr := wire.MarshalFrame(m, 0)
-			writeFrame(&b, seq, &fr) //nolint:errcheck // a bytes.Buffer
+			writeFrame(&b, seq, &fr, new(net.Buffers)) //nolint:errcheck // a bytes.Buffer
 			fr.Free()
 			return b.Bytes()
 		}
@@ -515,7 +515,7 @@ func runLandingScript(t *testing.T, script []byte, tcp bool) {
 	}
 	wire.PutBuf(bp)
 	fr := wire.MarshalFrame(&wire.OK{}, 0)
-	writeFrame(sEnd, seq, &fr) //nolint:errcheck // checked through the call
+	writeFrame(sEnd, seq, &fr, new(net.Buffers)) //nolint:errcheck // checked through the call
 	fr.Free()
 	if err := <-pinged; err != nil {
 		t.Fatalf("the call behind the frames: %v", err)

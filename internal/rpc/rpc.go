@@ -41,22 +41,25 @@ var ErrTimeout = fmt.Errorf("rpc: call timed out (%w)", context.DeadlineExceeded
 // writeFrame stamps the transport header into the frame's reserved prefix
 // and puts head and payload on the wire without copying either: one write
 // for head-only frames, a writev-style net.Buffers write when a payload
-// rides along.
-func writeFrame(w io.Writer, seq uint32, fr *wire.Frame) error {
+// rides along. nb is the writer's own, reused from frame to frame so that
+// none allocates, and keeps no caller bytes afterward.
+func writeFrame(w io.Writer, seq uint32, fr *wire.Frame, nb *net.Buffers) error {
 	buf := fr.HeadWithPrefix()
 	binary.LittleEndian.PutUint32(buf, uint32(4+fr.BodyLen()))
 	binary.LittleEndian.PutUint32(buf[4:], seq)
-	if fr.Vec != nil {
-		nb := append(net.Buffers{buf}, fr.Vec...)
-		_, err := nb.WriteTo(w)
-		return err
-	}
-	if len(fr.Payload) == 0 {
+	if fr.Vec == nil && len(fr.Payload) == 0 {
 		_, err := w.Write(buf)
 		return err
 	}
-	nb := net.Buffers{buf, fr.Payload}
-	_, err := nb.WriteTo(w)
+	all := append((*nb)[:0], buf)
+	if fr.Vec == nil {
+		all = append(all, fr.Payload)
+	}
+	*nb = append(all, fr.Vec...)
+	all = *nb
+	_, err := nb.WriteTo(w) // consumes *nb
+	clear(all)
+	*nb = all[:0]
 	return err
 }
 
@@ -125,6 +128,7 @@ type Client struct {
 	local, remote *simnet.Node
 
 	wslot chan struct{} // the write slot: whoever holds it writes one frame
+	wbufs net.Buffers   // writeFrame's, under wslot
 
 	mu      sync.Mutex
 	seq     uint32
@@ -417,7 +421,7 @@ func (c *Client) send(seq uint32, ch chan msgOrErr, fr *wire.Frame, deadline tim
 	c.mu.Unlock()
 	var err error
 	if live {
-		err = writeFrame(c.conn, seq, fr)
+		err = writeFrame(c.conn, seq, fr, &c.wbufs)
 	}
 	<-c.wslot
 	c.mu.Lock()
@@ -536,6 +540,7 @@ func ServeConn(conn io.ReadWriteCloser, h Handler, local, remote *simnet.Node) e
 func ServeConnTraced(conn io.ReadWriteCloser, h TracedHandler, local, remote *simnet.Node) error {
 	defer conn.Close() //nolint:errcheck // already torn down; nothing to report
 	var wmu sync.Mutex
+	var wbufs net.Buffers // writeFrame's, under wmu
 	var workers gopool.Pool
 	defer workers.Close()
 	r := bufio.NewReaderSize(conn, serveBufSize)
@@ -569,7 +574,7 @@ func ServeConnTraced(conn io.ReadWriteCloser, h TracedHandler, local, remote *si
 			fr := wire.MarshalFrame(resp, 0)
 			if local.Send(remote, int64(8+fr.BodyLen()), time.Time{}) == nil {
 				wmu.Lock()
-				writeFrame(conn, seq, &fr) //nolint:errcheck // conn teardown is detected by readFrame
+				writeFrame(conn, seq, &fr, &wbufs) //nolint:errcheck // conn teardown is detected by readFrame
 				wmu.Unlock()
 			}
 			fr.Free()

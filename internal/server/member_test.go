@@ -97,6 +97,10 @@ func TestMemberSpansRefused(t *testing.T) {
 			Spans: []wire.Span{{Off: 256, Len: 64}}, Data: make([]byte, 64)},
 		"an overflow write crossing a unit": &wire.WriteData{File: r, Store: wire.StoreOverflow,
 			Spans: []wire.Span{{Off: 100, Len: 60}}, Data: make([]byte, 60)},
+		"an overflow write of another server's unit": &wire.WriteData{File: r, Store: wire.StoreOverflow,
+			Spans: []wire.Span{{Off: 128 + 10, Len: 10}}, Data: make([]byte, 10)},
+		"an overflow-mirror write of a unit another server mirrors": &wire.WriteData{File: r, Store: wire.StoreOverflowMirror,
+			Spans: []wire.Span{{Off: 10, Len: 10}}, Data: make([]byte, 10)},
 		"a read of the overflow store":        read(wire.StoreOverflow, wire.Span{Off: 0, Len: 10}),
 		"a read of the overflow-mirror store": read(wire.StoreOverflowMirror, wire.Span{Off: 0, Len: 10}),
 		"a read of an unknown store":          read(wire.NumStores, wire.Span{Off: 0, Len: 10}),
@@ -116,6 +120,52 @@ func TestMemberSpansRefused(t *testing.T) {
 	if _, err := s.Handle(&wire.Read{File: big, Spans: []wire.Span{{Off: 0, Len: wire.MaxFrame}}}); err == nil ||
 		!strings.Contains(err.Error(), "frame") {
 		t.Fatalf("a read past the frame bound: %v", err)
+	}
+}
+
+// TestMultiPartWriteAllOrNothing: a member write of several parts is
+// checked whole before any byte lands. With part 0 a valid overflow write
+// of unit 0, a bad part 1 — a unit server 0 does not mirror, a span
+// crossing a unit, a partial parity install, a payload one byte short —
+// refuses the write, and part 0's store is as it was. A write whose parts
+// are both good lands both.
+func TestMultiPartWriteAllOrNothing(t *testing.T) {
+	s := testServer(0)
+	r := ref()
+	part0 := wire.Span{Off: 10, Len: 30}
+	dump := func(mirror bool) string {
+		d := call(t, s, &wire.OverflowDump{File: r, Mirror: mirror}).(*wire.OverflowDumpResp)
+		return fmt.Sprint(d.Extents, d.Data)
+	}
+	call(t, s, &wire.WriteData{File: r, Store: wire.StoreOverflow, Spans: []wire.Span{part0}, Data: bytes.Repeat([]byte{0x5A}, 30)})
+	before, beforeMirror := dump(false), dump(true)
+	for _, tc := range []struct {
+		name    string
+		part1   wire.Part
+		payload int
+	}{
+		{"a unit another server mirrors", wire.Part{Store: wire.StoreOverflowMirror, Spans: []wire.Span{{Off: 5, Len: 10}}}, 40},
+		{"a span crossing a unit", wire.Part{Store: wire.StoreOverflowMirror, Spans: []wire.Span{{Off: 256 + 100, Len: 60}}}, 90},
+		{"a partial parity install", wire.Part{Store: wire.StoreParity, Spans: []wire.Span{{Off: 256, Len: 64}}}, 94},
+		{"a payload one byte short", wire.Part{Store: wire.StoreOverflowMirror, Spans: []wire.Span{{Off: 256 + 5, Len: 10}}}, 39},
+	} {
+		m := &wire.WriteData{File: r, Store: wire.StoreOverflow, Spans: []wire.Span{part0},
+			More: []wire.Part{tc.part1}, Data: bytes.Repeat([]byte{0xE1}, tc.payload)}
+		if _, err := s.Handle(m); err == nil {
+			t.Errorf("part 1 of %s: accepted", tc.name)
+		}
+		if got, gotMirror := dump(false), dump(true); got != before || gotMirror != beforeMirror {
+			t.Errorf("part 1 of %s: the refused write changed the overflow stores: %s, mirror %s", tc.name, got, gotMirror)
+		}
+	}
+	data := append(bytes.Repeat([]byte{0xA1}, 30), bytes.Repeat([]byte{0xB2}, 10)...)
+	call(t, s, &wire.WriteData{File: r, Store: wire.StoreOverflow, Spans: []wire.Span{part0},
+		More: []wire.Part{{Store: wire.StoreOverflowMirror, Spans: []wire.Span{{Off: 256 + 5, Len: 10}}}}, Data: data})
+	if got, want := dump(false), fmt.Sprint([]wire.Span{part0}, data[:30]); got != want {
+		t.Errorf("two-part write: overflow %s, want %s", got, want)
+	}
+	if got, want := dump(true), fmt.Sprint([]wire.Span{{Off: 256 + 5, Len: 10}}, data[30:]); got != want {
+		t.Errorf("two-part write: overflow mirror %s, want %s", got, want)
 	}
 }
 

@@ -364,13 +364,18 @@ func (s *Server) writePiece(f storage.File, off int64, p []byte) error {
 // wire.Read) and returns how many of their bytes the store keeps here. Every
 // span must be non-empty, start at or past zero and end where an int64 can.
 // A parity span is the bytes of one unit of a stripe whose parity this
-// server holds, and an overflow span lies inside one stripe unit. It costs
+// server holds, the whole unit if install is set, and an overflow span lies
+// inside one stripe unit whose copy of that store this server holds. It costs
 // constant time per span and refuses a total past the frame bound, so a span
 // of any length is refused before walk visits a unit of it.
-func (sf *serverFile) size(srv int, store uint8, spans []wire.Span) (int64, error) {
+func (sf *serverFile) size(srv int, store uint8, spans []wire.Span, install bool) (int64, error) {
 	g := sf.geom
 	if store >= wire.NumStores {
 		return 0, fmt.Errorf("server: unknown store %d", store)
+	}
+	owner := srv // whose data units the store keeps
+	if store == wire.StoreMirror || store == wire.StoreOverflowMirror {
+		owner = (srv + g.Servers - 1) % g.Servers
 	}
 	var total int64
 	for _, sp := range spans {
@@ -381,19 +386,21 @@ func (sf *serverFile) size(srv int, store uint8, spans []wire.Span) (int64, erro
 		if store >= wire.StoreParity && sp.Off-g.UnitStart(u)+sp.Len > g.StripeUnit {
 			return 0, fmt.Errorf("server: %s span [%d,+%d) crosses a stripe unit", storeSuffix[store], sp.Off, sp.Len)
 		}
-		owner := srv // whose data units the store keeps
 		switch store {
-		case wire.StoreMirror:
-			owner = (srv + g.Servers - 1) % g.Servers
-			fallthrough
-		case wire.StoreData:
+		case wire.StoreData, wire.StoreMirror:
 			total += g.LocalBefore(owner, sp.Off+sp.Len) - g.LocalBefore(owner, sp.Off)
 		case wire.StoreParity:
 			if _, ok := g.ParityUnitOn(srv, u); !ok {
 				return 0, fmt.Errorf("server %d does not hold parity of stripe %d", srv, u)
 			}
-			fallthrough
+			if install && sp.Len != g.StripeUnit {
+				return 0, fmt.Errorf("server: parity install [%d,+%d) is not a whole unit", sp.Off, sp.Len)
+			}
+			total += sp.Len
 		default:
+			if g.ServerOf(u) != owner {
+				return 0, fmt.Errorf("server %d does not hold the %s of unit %d", srv, storeSuffix[store], u)
+			}
 			total += sp.Len
 		}
 		if total > wire.MaxFrame {
@@ -436,7 +443,7 @@ func (s *Server) handleRead(m *wire.Read) (wire.Msg, error) {
 	if m.Store == wire.StoreOverflow || m.Store == wire.StoreOverflowMirror {
 		return nil, fmt.Errorf("server: the %s store is not read by Read", storeSuffix[m.Store])
 	}
-	total, err := sf.size(s.idx, m.Store, m.Spans)
+	total, err := sf.size(s.idx, m.Store, m.Spans, false)
 	if err != nil {
 		return nil, err
 	}
@@ -488,42 +495,65 @@ func (s *Server) patchOverflow(sf *serverFile, logical int64, buf []byte) {
 	}
 }
 
-// handleWriteData writes a member write's bytes into the named store, every
-// span checked and the payload's length matched against them before any
-// byte lands. A write without Raw supersedes (see wire.WriteData).
+// handleWriteData writes a member write's parts into their stores, every
+// part's spans checked and the payload's length matched against all of them
+// before any byte lands. A write without Raw supersedes (see wire.WriteData).
 func (s *Server) handleWriteData(m *wire.WriteData) (wire.Msg, error) {
 	sf, err := s.file(m.File)
 	if err != nil {
 		return nil, err
 	}
-	total, err := sf.size(s.idx, m.Store, m.Spans)
-	if err != nil {
-		return nil, err
+	var total int64
+	for i := 0; i <= len(m.More); i++ {
+		store, spans := part(m, i)
+		n, err := sf.size(s.idx, store, spans, !m.Raw)
+		if err != nil {
+			return nil, err
+		}
+		total += n
 	}
 	if total != int64(len(m.Data)) {
 		return nil, fmt.Errorf("server: write payload %d bytes for the %d its spans hold here", len(m.Data), total)
 	}
+	data := m.Data
+	for i := 0; i <= len(m.More); i++ {
+		store, spans := part(m, i)
+		if data, err = s.writePart(sf, store, spans, m.Raw, data); err != nil {
+			return nil, err
+		}
+	}
+	return &wire.OK{}, nil
+}
+
+// part returns part i of m, its store and spans: (Store, Spans), then More.
+func part(m *wire.WriteData, i int) (uint8, []wire.Span) {
+	if i == 0 {
+		return m.Store, m.Spans
+	}
+	return m.More[i-1].Store, m.More[i-1].Spans
+}
+
+// writePart lands one checked part from the front of data, returning the rest.
+func (s *Server) writePart(sf *serverFile, store uint8, spans []wire.Span, raw bool, data []byte) ([]byte, error) {
 	g := sf.geom
-	install := m.Store == wire.StoreParity && !m.Raw
+	install := store == wire.StoreParity && !raw
 	if install {
 		// Installed parity is correct by construction, in whole units only,
 		// and supersedes any tear an abandoned intent recorded. Retired
 		// before the bytes land (see handleResolveIntent for the ordering
 		// argument against a racing replay).
-		stripes := make([]int64, len(m.Spans))
-		for i, sp := range m.Spans {
-			if sp.Len != g.StripeUnit {
-				return nil, fmt.Errorf("server: parity install [%d,+%d) is not a whole unit", sp.Off, sp.Len)
-			}
+		stripes := make([]int64, len(spans))
+		for i, sp := range spans {
 			stripes[i] = g.UnitOf(sp.Off)
 		}
 		s.resolveAbandonedByWrite(sf, stripes)
 	}
-	f := sf.store(s.disk, m.Store)
-	r := sf.overflow(m.Store)
+	f := sf.store(s.disk, store)
+	r := sf.overflow(store)
 	cur := int64(0)
-	sf.walk(s.idx, m.Store, m.Spans, func(logical, local, n int64) {
-		p := m.Data[cur : cur+n]
+	var err error
+	sf.walk(s.idx, store, spans, func(logical, local, n int64) {
+		p := data[cur : cur+n]
 		cur += n
 		if err != nil {
 			return
@@ -539,10 +569,10 @@ func (s *Server) handleWriteData(m *wire.WriteData) (wire.Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.Store == wire.StoreParity {
-		atomic.AddInt64(&s.parity.BytesWritten, total)
+	if store == wire.StoreParity {
+		atomic.AddInt64(&s.parity.BytesWritten, cur)
 	}
-	if sf.shape.Overflow && (install || m.Store == wire.StoreData && !m.Raw) {
+	if sf.shape.Overflow && (install || store == wire.StoreData && !raw) {
 		// A full-stripe write of an overflow shape (Hybrid) supersedes the
 		// overflow contents of its stripes: "when a client issues a
 		// full-stripe write any data in the overflow region for that stripe
@@ -553,7 +583,7 @@ func (s *Server) handleWriteData(m *wire.WriteData) (wire.Msg, error) {
 		// it keeps parity for, so receives no data write for a single-stripe
 		// body — drops them for the stripes it installs.
 		sf.mu.Lock()
-		for _, sp := range m.Spans {
+		for _, sp := range spans {
 			if install {
 				sp = wire.Span{Off: g.StripeStart(g.UnitOf(sp.Off)), Len: g.StripeSize()}
 			}
@@ -562,7 +592,7 @@ func (s *Server) handleWriteData(m *wire.WriteData) (wire.Msg, error) {
 		}
 		sf.mu.Unlock()
 	}
-	return &wire.OK{}, nil
+	return data[cur:], nil
 }
 
 // unitRanges validates a parity message's in-unit Ranges against the unit

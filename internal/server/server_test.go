@@ -390,10 +390,11 @@ func TestHybridWriteDataInvalidatesOverflow(t *testing.T) {
 	s := testServer(0)
 	r := ref()
 	call(t, s, &wire.WriteData{File: r, Store: wire.StoreOverflow, Spans: []wire.Span{{Off: 0, Len: 20}}, Data: make([]byte, 20)})
-	call(t, s, &wire.WriteData{File: r, Store: wire.StoreOverflowMirror, Spans: []wire.Span{{Off: 5, Len: 10}}, Data: make([]byte, 10)})
+	// Server 0 mirrors unit 2, the last of the three servers' units.
+	call(t, s, &wire.WriteData{File: r, Store: wire.StoreOverflowMirror, Spans: []wire.Span{{Off: 256 + 5, Len: 10}}, Data: make([]byte, 10)})
 	// An in-place write over the range (a full-stripe body under Hybrid)
-	// invalidates both tables implicitly.
-	call(t, s, &wire.WriteData{File: r, Spans: []wire.Span{{Off: 0, Len: 128}}, Data: make([]byte, 128)})
+	// invalidates both tables implicitly; of [0, 384) server 0 keeps unit 0.
+	call(t, s, &wire.WriteData{File: r, Spans: []wire.Span{{Off: 0, Len: 384}}, Data: make([]byte, 128)})
 	for _, mirror := range []bool{false, true} {
 		dump := call(t, s, &wire.OverflowDump{File: r, Mirror: mirror}).(*wire.OverflowDumpResp)
 		if len(dump.Extents) != 0 {

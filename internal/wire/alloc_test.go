@@ -170,12 +170,18 @@ func TestMarshalFrameMatchesMarshal(t *testing.T) {
 	// reference in Vec, plain and traced.
 	file := FileRef{ID: 9, Servers: 5, StripeUnit: 4096}
 	spans := []Span{{Off: 4096, Len: int64(len(whole))}}
+	// A two-part write: the pieces' bytes split between an overflow part and
+	// an overflow-mirror part.
+	first := []Span{{Off: 4096, Len: int64(len(pieces[0]))}}
+	more := []Part{{Store: StoreOverflowMirror, Spans: []Span{{Off: 0, Len: int64(len(whole) - len(pieces[0]))}}}}
 	for _, row := range []struct{ from, data Msg }{
 		{&WriteData{File: file, Spans: spans, Raw: true, From: pieces}, &WriteData{File: file, Spans: spans, Raw: true, Data: whole}},
 		{&WriteData{File: file, Store: StoreMirror, Spans: spans, From: pieces}, &WriteData{File: file, Store: StoreMirror, Spans: spans, Data: whole}},
 		{&WriteData{File: file, Store: StoreOverflowMirror, Spans: spans, From: pieces}, &WriteData{File: file, Store: StoreOverflowMirror, Spans: spans, Data: whole}},
+		{&WriteData{File: file, Store: StoreOverflow, Spans: first, More: more, From: pieces},
+			&WriteData{File: file, Store: StoreOverflow, Spans: first, More: more, Data: whole}},
 	} {
-		name := fmt.Sprintf("%T of store %d from pieces", row.from, row.from.(*WriteData).Store)
+		name := fmt.Sprintf("%T of store %d and %d more parts from pieces", row.from, row.from.(*WriteData).Store, len(row.from.(*WriteData).More))
 		if !bytes.Equal(Marshal(row.from), Marshal(row.data)) {
 			t.Errorf("%s: contiguous marshal differs from the same request with Data", name)
 		}
@@ -245,6 +251,8 @@ func TestUnmarshalLengthPrefixAmplification(t *testing.T) {
 	}{
 		{"Read.Spans", KRead, 17, nil},
 		{"WriteData.Spans", KWriteData, 17, nil},
+		{"WriteData.More", KWriteData, 21, nil},
+		{"WriteData.More[0].Spans", KWriteData, 26, []int{21}},
 		{"ReadParity.Stripes", KReadParity, 16, nil},
 		{"ReadParity.Ranges", KReadParity, 49, nil},
 		{"WriteParity.Stripes", KWriteParity, 16, nil},

@@ -115,6 +115,10 @@ func fuzzSeeds() []Msg {
 		&Read{File: rsRef, Store: StoreParity, Spans: []Span{{7 * 4096, 4096}, {13*4096 + 100, 8}}, Raw: true},
 		&WriteData{File: rsRef, Store: StoreParity, Spans: []Span{{13 * 4096, 2}}, Data: []byte{0xC3, 0x5A}},
 		&WriteData{File: ref, Store: StoreOverflow, Spans: []Span{{8, 2}, {4100, 1}}, Data: []byte{9, 9, 7}},
+		// A Hybrid write's two parts to one server: its overflow piece of
+		// one unit, then its overflow-mirror piece of the unit before.
+		&WriteData{File: ref, Store: StoreOverflow, Spans: []Span{{4100, 2}},
+			More: []Part{{Store: StoreOverflowMirror, Spans: []Span{{4090, 6}}}}, Data: []byte{7, 7, 9, 9, 9, 9, 9, 9}},
 	}
 }
 

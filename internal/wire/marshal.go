@@ -155,6 +155,7 @@ func (m *WriteData) codec(c *Codec) {
 	c.FileRef(&m.File)
 	c.U8(&m.Store)
 	slice(c, &m.Spans, elemSpan)
+	slice(c, &m.More, elemPart)
 	c.Bool(&m.Raw)
 	c.bytesFrom(&m.Data, m.From)
 }

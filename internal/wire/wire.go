@@ -438,8 +438,13 @@ func (m *ReadResp) Release() {
 // WriteData writes the given spans into one of the server's stores,
 // addressed as in Read; len(Data) must equal the bytes of the spans that
 // store keeps here. The overflow stores (StoreOverflow, StoreOverflowMirror)
-// take logical spans too, each inside one stripe unit: the bytes are appended
-// to the overflow region and recorded in its table.
+// take logical spans too, each inside one stripe unit of which this server
+// holds that copy: the bytes are appended to the overflow region and
+// recorded in its table.
+//
+// (Store, Spans) is the first part; each of More is a further store's
+// spans, whose bytes follow the earlier parts' in Data (or From). Every part
+// is checked before any lands, and Raw applies to all.
 //
 // A write without Raw supersedes: on the data store of an overflow shape it
 // invalidates the spans' overflow contents (a Hybrid full-stripe write), and
@@ -457,9 +462,16 @@ type WriteData struct {
 	File  FileRef
 	Store uint8
 	Spans []Span
+	More  []Part
 	Data  []byte
 	Raw   bool
 	From  [][]byte
+}
+
+// Part is one further store's spans in a WriteData.
+type Part struct {
+	Store uint8
+	Spans []Span
 }
 
 // ReadParity is the read half of a read-modify-write: it reads parity units
@@ -1139,6 +1151,10 @@ var (
 	elemSpan = elem[Span]{16, func(c *Codec, s *Span) {
 		c.I64(&s.Off)
 		c.I64(&s.Len)
+	}}
+	elemPart = elem[Part]{5, func(c *Codec, p *Part) {
+		c.U8(&p.Store)
+		slice(c, &p.Spans, elemSpan)
 	}}
 	elemDirtyItem = elem[DirtyItem]{16, func(c *Codec, it *DirtyItem) {
 		c.I64(&it.Group)
